@@ -3,23 +3,25 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench bench-shield bench-engine bench-cluster bench-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
+.PHONY: all check build vet test race cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
 
 all: build vet test
 
 # What CI runs: everything that must pass before a merge. The targeted
 # -race pass covers the packages with real concurrency (the shield's
 # cancellable query path, the rate limiter, the delay gate + price cache,
-# the extraction detector, the striped buffer pool + parallel scan
-# executor, and the cluster router's write fan-out + anti-entropy loop)
-# without the cost of racing the whole tree.
+# the access tracker over its rank index, the extraction detector, the
+# striped buffer pool + parallel scan executor, and the cluster router's
+# write fan-out + anti-entropy loop) without the cost of racing the whole
+# tree.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core/... ./internal/ratelimit/... ./internal/delay/... ./internal/detect/... ./internal/engine/... ./internal/storage/... ./internal/cluster/...
+	$(GO) test -race ./internal/core/... ./internal/ratelimit/... ./internal/delay/... ./internal/counters/... ./internal/ostree/... ./internal/detect/... ./internal/engine/... ./internal/storage/... ./internal/cluster/...
 	$(MAKE) torture
 	$(MAKE) torture-cluster
+	$(MAKE) bench-ledger-smoke
 
 build:
 	$(GO) build ./...
@@ -70,6 +72,15 @@ bench-cluster:
 bench-smoke:
 	BENCH_SUITE=all BENCH_ARGS="-benchtime=0.25s -count=3" BENCH_CHECK=1 ./scripts/bench.sh
 
+# The socket-level latency ledger (bench/, BENCHMARK.json) in smoke mode:
+# every workload, untraced and traced, over real loopback TCP with 1 s
+# windows on fixtures a twentieth the size. It measures nothing — it
+# proves the benchmark still builds against the program and every path
+# of it still runs and verifies. The full run is `go run ./bench`; see
+# bench/README.md.
+bench-ledger-smoke:
+	$(GO) run ./bench -smoke
+
 # Crash-consistency torture, CI-sized: a bounded sample of crash points
 # (truncate-and-reopen at enumerated WAL offsets, count-snapshot
 # atomicity, crash points inside coalesced group-commit flushes, and the
@@ -117,6 +128,8 @@ examples:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
+	$(GO) test -fuzz=FuzzTreeOps -fuzztime=30s ./internal/ostree/
 
 clean:
 	$(GO) clean ./...
+	rm -rf bench/out .bench_build

@@ -257,9 +257,9 @@ func BenchmarkAblationExactCounts(b *testing.B) {
 }
 
 // BenchmarkAblationRankTree measures O(log n) rank queries on the
-// order-statistics treap...
+// order-statistic index (ostree: sorted array blocks)...
 func BenchmarkAblationRankTree(b *testing.B) {
-	tr := ostree.New(1)
+	tr := ostree.New()
 	for i := uint64(0); i < 50000; i++ {
 		tr.Upsert(i, float64(i%997))
 	}

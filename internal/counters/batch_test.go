@@ -35,10 +35,10 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 	}
 }
 
-// RankBatch must agree with the per-id Count/Rank protocol the delay
-// policies used before batching: -1 exactly for never-observed ids, the
-// tree rank otherwise.
-func TestRankBatchMatchesPerIDRank(t *testing.T) {
+// RankBatchMax must agree with the per-id Count/Rank/MaxCount protocol
+// the delay policies used before batching: -1 exactly for never-observed
+// ids, the tree rank otherwise; RankMax is its single-id form.
+func TestRankBatchMaxMatchesPerIDRank(t *testing.T) {
 	d, _ := NewDecayed(1.0001)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 1000; i++ {
@@ -48,19 +48,24 @@ func TestRankBatchMatchesPerIDRank(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(i) // 100..149 never observed (probably); verified below
 	}
-	ranks := d.RankBatch(ids)
-	if len(ranks) != len(ids) {
-		t.Fatalf("len %d != %d", len(ranks), len(ids))
+	buf := make([]int, 3, 200)
+	ranks, max := d.RankBatchMax(ids, buf[:0])
+	if len(ranks) != len(ids) || &ranks[0] != &buf[0] {
+		t.Fatalf("len %d != %d, or the buffer was not reused", len(ranks), len(ids))
+	}
+	if max != d.MaxCount() {
+		t.Fatalf("max count %v, MaxCount %v", max, d.MaxCount())
 	}
 	for i, id := range ids {
-		if d.Count(id) <= 0 {
-			if ranks[i] != -1 {
-				t.Fatalf("unseen id %d: rank %d, want -1", id, ranks[i])
-			}
-			continue
+		want := -1
+		if d.Count(id) > 0 {
+			want = d.Rank(id)
 		}
-		if want := d.Rank(id); ranks[i] != want {
+		if ranks[i] != want {
 			t.Fatalf("id %d: rank %d, want %d", id, ranks[i], want)
+		}
+		if r, m := d.RankMax(id); r != want || m != max {
+			t.Fatalf("id %d: RankMax = %d, %v; want %d, %v", id, r, m, want, max)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func NewDecayed(decay float64) (*Decayed, error) {
 	if decay < 1 || math.IsNaN(decay) || math.IsInf(decay, 0) {
 		return nil, errors.New("counters: decay rate must be a finite value >= 1")
 	}
-	return &Decayed{decay: decay, inc: 1, tree: ostree.New(1)}, nil
+	return &Decayed{decay: decay, inc: 1, tree: ostree.New()}, nil
 }
 
 // DecayRate returns the configured δ.
@@ -81,9 +81,9 @@ func (d *Decayed) ObserveNoDecay(id uint64) {
 	d.mu.Unlock()
 }
 
-// observeLocked records one access. deferTree queues the rank-tree repair
+// observeLocked records one access. deferTree queues the rank-index move
 // for the next rank read instead of applying it in place; batch observes
-// use it so a k-tuple burst pays one amortized repair pass.
+// use it so an id observed k times before the next quote moves once.
 func (d *Decayed) observeLocked(id uint64, deferTree bool) {
 	w, _ := d.tree.Weight(id)
 	if deferTree {
@@ -105,8 +105,8 @@ func (d *Decayed) ObserveBatch(ids []uint64) {
 	if len(ids) == 0 {
 		return
 	}
-	// A single-tuple batch keeps the eager treap write: deferring would
-	// only queue pending-map churn ahead of the very next rank read.
+	// A single-tuple batch keeps the eager index write: deferring would
+	// only queue a move ahead of the very next rank read.
 	deferTree := len(ids) > 1
 	d.mu.Lock()
 	for _, id := range ids {
@@ -203,6 +203,10 @@ func (d *Decayed) Popularity(id uint64) float64 {
 func (d *Decayed) MaxCount() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.maxCountLocked()
+}
+
+func (d *Decayed) maxCountLocked() float64 {
 	w, ok := d.tree.MaxWeight()
 	if !ok {
 		return 0
@@ -236,34 +240,34 @@ func (d *Decayed) Rank(id uint64) int {
 	return r
 }
 
-// RankBatch returns the 1-based popularity rank of every id under one
-// lock acquisition — the batch counterpart of per-id Count+Rank calls on
-// the quote hot path. Ids never observed report -1; callers map that to
-// their policy's "maximally unpopular" rank (the delay policies use N).
-func (d *Decayed) RankBatch(ids []uint64) []int {
-	out := make([]int, len(ids))
-	d.mu.Lock()
-	for i, id := range ids {
-		if _, ok := d.tree.Weight(id); !ok {
-			out[i] = -1
-			continue
-		}
-		out[i], _ = d.tree.Rank(id)
-	}
-	d.mu.Unlock()
-	return out
-}
-
-// RankOne is RankBatch for a single id without the result-slice
-// allocation; the single-tuple quote path lives on it.
-func (d *Decayed) RankOne(id uint64) int {
+// RankBatchMax is the whole of what a batch quote needs from the tracker,
+// under one lock acquisition: the 1-based popularity rank of every id,
+// appended to ranks (pass a reused buffer sliced to zero length), and
+// MaxCount. Ids never observed report -1; callers map that to their
+// policy's "maximally unpopular" rank (the delay policies use N).
+func (d *Decayed) RankBatchMax(ids []uint64, ranks []int) ([]int, float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.tree.Weight(id); !ok {
-		return -1
+	for _, id := range ids {
+		ranks = append(ranks, d.rankLocked(id))
 	}
-	r, _ := d.tree.Rank(id)
-	return r
+	return ranks, d.maxCountLocked()
+}
+
+// rankLocked is id's rank, or -1 when it was never observed.
+func (d *Decayed) rankLocked(id uint64) int {
+	if r, ok := d.tree.Rank(id); ok {
+		return r
+	}
+	return -1
+}
+
+// RankMax is RankBatchMax for a single id, without a rank buffer; the
+// single-tuple quote path lives on it.
+func (d *Decayed) RankMax(id uint64) (rank int, maxCount float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rankLocked(id), d.maxCountLocked()
 }
 
 // Len returns the number of distinct ids observed.
@@ -317,27 +321,30 @@ func (d *Decayed) Export() (ids []uint64, counts []float64) {
 
 // Import replaces the tracker's state with the given decayed counts
 // (e.g. from a previous process's Export). Non-positive counts are
-// skipped. The observation total is reset to the number of imported ids;
-// the decay increment restarts at 1.
+// skipped; when an id repeats, its last count wins and it is counted
+// once. The observation total is reset to the number of imported ids;
+// the decay increment restarts at 1. The rank index is built from one
+// sort rather than an upsert per id.
 func (d *Decayed) Import(ids []uint64, counts []float64) error {
 	if len(ids) != len(counts) {
 		return errors.New("counters: import length mismatch")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tree = ostree.New(1)
-	d.total = 0
-	d.inc = 1
-	d.obs = 0
+	weights := make(map[uint64]float64, len(ids))
+	total := 0.0
 	for i, id := range ids {
 		c := counts[i]
 		if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 			continue
 		}
-		d.tree.Upsert(id, c)
-		d.total += c
-		d.obs++
+		total += c - weights[id] // a repeated id gives back its earlier count
+		weights[id] = c
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.obs = int64(len(weights))
+	d.tree = ostree.FromWeights(weights)
+	d.total = total
+	d.inc = 1
 	d.epoch.Add(1)
 	return nil
 }

@@ -2,6 +2,8 @@ package counters
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -98,5 +100,71 @@ func TestImportReplacesPriorState(t *testing.T) {
 	d.Observe(7)
 	if d.Count(7) != 3 {
 		t.Fatalf("count after import+observe = %v", d.Count(7))
+	}
+}
+
+// A repeated id's last count wins and is counted once: before the bulk
+// build, both counts went into the total and the observation count.
+func TestImportRepeatedIDCountedOnce(t *testing.T) {
+	d, _ := NewDecayed(1)
+	if err := d.Import([]uint64{1, 2, 1, 1}, []float64{5, 6, 9, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 2 || d.Observations() != 2 {
+		t.Fatalf("len %d, observations %d; want 2, 2", d.Len(), d.Observations())
+	}
+	if d.Count(1) != 2 || d.Rank(1) != 2 || d.Rank(2) != 1 {
+		t.Fatalf("count(1) %v, rank(1) %d, rank(2) %d", d.Count(1), d.Rank(1), d.Rank(2))
+	}
+	if got := d.Popularity(1); got != 0.25 {
+		t.Fatalf("popularity(1) = %v, want 0.25", got)
+	}
+	if got := d.MaxPopularity(); got != 0.75 {
+		t.Fatalf("max popularity = %v, want 0.75", got)
+	}
+}
+
+// The bulk-built index must be the one the equivalent upserts build.
+func TestImportMatchesUpserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ids []uint64
+	var counts []float64
+	for i := 0; i < 3000; i++ {
+		ids = append(ids, uint64(rng.Intn(2000)))      // repeats
+		counts = append(counts, float64(rng.Intn(12))) // heavy ties, some 0 (skipped)
+		if i%5 == 0 {
+			counts[i] += rng.Float64()
+		}
+	}
+	bulk, _ := NewDecayed(1.01)
+	if err := bulk.Import(ids, counts); err != nil {
+		t.Fatal(err)
+	}
+	each, _ := NewDecayed(1.01)
+	for i, id := range ids {
+		if counts[i] > 0 {
+			each.tree.Upsert(id, counts[i])
+		}
+	}
+	bi, bc := bulk.Export()
+	ei, ec := each.Export()
+	if !slices.Equal(bi, ei) || !slices.Equal(bc, ec) {
+		t.Fatal("Export differs between Import and the equivalent upserts")
+	}
+	if bulk.MaxCount() != each.MaxCount() {
+		t.Fatalf("MaxCount %v vs %v", bulk.MaxCount(), each.MaxCount())
+	}
+	for id := uint64(0); id < 2000; id++ {
+		if bulk.Rank(id) != each.Rank(id) {
+			t.Fatalf("rank(%d) %d vs %d", id, bulk.Rank(id), each.Rank(id))
+		}
+	}
+	// And it keeps learning like any other.
+	bulk.ObserveBatch(ids[:500])
+	each.ObserveBatch(ids[:500])
+	for id := uint64(0); id < 2000; id++ {
+		if bulk.Rank(id) != each.Rank(id) {
+			t.Fatalf("after observing: rank(%d) %d vs %d", id, bulk.Rank(id), each.Rank(id))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package counters
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -73,7 +74,15 @@ func (s *Synopsis) thinLocked() {
 	for len(s.counts) > s.capacity {
 		oldTau := s.tau
 		s.tau *= s.growth
-		for id, c := range s.counts {
+		// Visit ids in sorted order: the draws come from a seeded rng, and map
+		// order would make a seeded synopsis irreproducible.
+		ids := make([]uint64, 0, len(s.counts))
+		for id := range s.counts {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			c := s.counts[id]
 			if s.rng.Float64() < oldTau/s.tau {
 				continue // survives intact
 			}

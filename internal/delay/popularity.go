@@ -80,68 +80,29 @@ func (p *Popularity) SetPriceCache(c *PriceCache) { p.cache = c }
 // PriceCache returns the attached quote cache, or nil.
 func (p *Popularity) PriceCache() *PriceCache { return p.cache }
 
-// DelayBatch implements BatchPolicy: the whole batch is priced with one
-// tracker lock acquisition for fmax and one for the ranks — instead of
-// three per tuple — and, when a price cache is attached, cached tuples
-// skip the tracker entirely.
+// DelayBatch implements BatchPolicy: the whole batch is priced under one
+// tracker lock acquisition — instead of three per tuple — and, when a
+// price cache is attached, cached tuples skip the tracker entirely.
 func (p *Popularity) DelayBatch(ids []uint64) time.Duration {
-	if p.cache == nil {
-		return p.delayBatchUncached(ids)
-	}
-	epoch := p.tracker.Epoch()
-	q := batchQuotePool.Get().(*batchQuote)
-	defer batchQuotePool.Put(q)
-	perTuple := q.grow(len(ids))
-	if miss := p.cache.LookupBatch(ids, epoch, perTuple, q.miss[:0]); len(miss) > 0 {
-		q.miss = miss
-		missIDs := q.fillMissIDs(ids, miss)
-		fmax := p.fmax()
-		ranks := p.tracker.RankBatch(missIDs)
-		prices := q.prices[:0]
-		for j, r := range ranks {
-			d := p.delayAt(p.clampRank(r), fmax)
-			prices = append(prices, d)
-			perTuple[miss[j]] = d
-		}
-		q.prices = prices
-		// The unlearned state (fmax ≤ 0) prices everything at the cap
-		// regardless of rank; caching it would pin the start-up transient
-		// for up to lag mutations after the first real observation.
-		if fmax > 0 {
-			p.cache.StoreBatch(missIDs, prices, epoch)
-		}
-	}
-	// Sum in id order so totals are bit-identical to the per-tuple loop.
-	var total time.Duration
-	for _, d := range perTuple {
-		total = satAdd(total, d)
-	}
-	return total
+	return delayBatch(p, p.tracker, p.cache, p.tracker.Epoch(), ids)
 }
 
-func (p *Popularity) delayBatchUncached(ids []uint64) time.Duration {
-	if len(ids) == 1 {
-		// Point queries skip the batch slices: two lock round-trips, zero
-		// allocations, same arithmetic.
-		return p.delayAt(p.clampRank(p.tracker.RankOne(ids[0])), p.fmax())
+// scaleFor implements rankPricer: fmax, fixed or learned.
+func (p *Popularity) scaleFor(maxCount float64) float64 {
+	if p.cfg.Fmax > 0 {
+		return p.cfg.Fmax
 	}
-	fmax := p.fmax()
-	ranks := p.tracker.RankBatch(ids)
-	var total time.Duration
-	for _, r := range ranks {
-		total = satAdd(total, p.delayAt(p.clampRank(r), fmax))
-	}
-	return total
+	return maxCount
 }
 
-// clampRank maps a RankBatch rank to the policy's domain: never-observed
-// tuples (-1) and ranks past the configured dataset size are charged as
-// rank N, exactly as the per-tuple rank() does.
-func (p *Popularity) clampRank(r int) int {
-	if r < 0 || r > p.cfg.N {
-		return p.cfg.N
+// priceAt implements rankPricer. Never-observed tuples (-1) and ranks
+// past the configured dataset size are charged as rank N, exactly as the
+// per-tuple rank() does.
+func (p *Popularity) priceAt(rank int, fmax float64) time.Duration {
+	if rank < 0 || rank > p.cfg.N {
+		rank = p.cfg.N
 	}
-	return r
+	return p.delayAt(rank, fmax)
 }
 
 // Delay implements Policy. The rank of a never-observed tuple is N; with

@@ -30,6 +30,13 @@ type PriceCache struct {
 	mask   uint64
 	lag    uint64
 
+	// newest is one more than the newest epoch any price was stored at (0
+	// before the first store). A lookup more than lag past it cannot find
+	// a fresh price in any shard, so it reports every id stale without
+	// grouping by shard or taking a lock — at lag 0 under a stream that
+	// observes between quotes, that is every lookup.
+	newest atomic.Uint64
+
 	// locks counts shard-lock acquisitions; the batch paths promise at
 	// most one per touched shard per batch, and the skew tests hold them
 	// to it.
@@ -59,6 +66,7 @@ type priceShard struct {
 	mu      sync.Mutex
 	entries map[uint64]priceEntry
 	cap     int
+	newest  uint64 // newest epoch stored in this shard
 }
 
 type priceEntry struct {
@@ -143,6 +151,29 @@ func (c *PriceCache) lock(s *priceShard) {
 	s.mu.Lock()
 }
 
+// noteStored advances newest to cover a store at epoch.
+func (c *PriceCache) noteStored(epoch uint64) {
+	for {
+		cur := c.newest.Load()
+		if cur > epoch || c.newest.CompareAndSwap(cur, epoch+1) {
+			return
+		}
+	}
+}
+
+// allStale reports whether every resident price is more than lag behind
+// epoch, counting n lookups as stale if so.
+func (c *PriceCache) allStale(epoch uint64, n int) bool {
+	newest := c.newest.Load()
+	if newest == 0 || epoch < newest || epoch-(newest-1) <= c.lag {
+		return false
+	}
+	if c.stale != nil {
+		c.stale.Add(int64(n))
+	}
+	return true
+}
+
 // LockAcquisitions returns the cumulative number of shard-lock
 // acquisitions across all operations. Tests diff it around a batch call
 // to assert the one-lock-per-shard-per-batch contract.
@@ -152,6 +183,9 @@ func (c *PriceCache) LockAcquisitions() int64 { return c.locks.Load() }
 // than the configured lag behind epoch (the caller's snapshot of the
 // tracker epoch).
 func (c *PriceCache) Lookup(id, epoch uint64) (time.Duration, bool) {
+	if c.allStale(epoch, 1) {
+		return 0, false
+	}
 	s := c.shard(id)
 	c.lock(s)
 	e, ok := s.entries[id]
@@ -179,55 +213,35 @@ func (c *PriceCache) Lookup(id, epoch uint64) (time.Duration, bool) {
 // Store caches the price computed for id at the given tracker epoch,
 // evicting an arbitrary resident entry if the shard is full.
 func (c *PriceCache) Store(id uint64, d time.Duration, epoch uint64) {
+	c.noteStored(epoch)
 	s := c.shard(id)
 	c.lock(s)
-	s.store(id, d, epoch)
+	s.store(id, d, epoch, c.lag)
 	s.mu.Unlock()
 }
 
-// store inserts under the shard lock, evicting if full.
-func (s *priceShard) store(id uint64, d time.Duration, epoch uint64) {
-	if _, ok := s.entries[id]; !ok && len(s.entries) >= s.cap {
-		for k := range s.entries {
-			delete(s.entries, k)
-			break
+// store inserts under the shard lock. A store more than lag past the
+// shard's newest price finds everything resident dead — epochs only
+// advance, so none of it can be served again — and drops it all once it
+// fills half the shard (a clear costs the map's capacity, so it has to
+// be earned by that many stores). A shard invalidated between quotes
+// thus never gets full; one that does evicts an arbitrary entry.
+func (s *priceShard) store(id uint64, d time.Duration, epoch, lag uint64) {
+	if epoch > s.newest {
+		if epoch-s.newest > lag && len(s.entries) >= s.cap/2 {
+			clear(s.entries)
+		}
+		s.newest = epoch
+	}
+	if len(s.entries) >= s.cap {
+		if _, ok := s.entries[id]; !ok {
+			for k := range s.entries {
+				delete(s.entries, k)
+				break
+			}
 		}
 	}
 	s.entries[id] = priceEntry{delay: d, epoch: epoch}
-}
-
-// batchQuote is the per-call scratch a policy's DelayBatch prices a
-// batch with: the per-tuple prices, the cache-miss indices, and the
-// compacted miss ids/prices handed to the tracker and StoreBatch. One
-// pool serves every policy, so steady-state quoting allocates nothing.
-type batchQuote struct {
-	perTuple []time.Duration
-	miss     []int
-	missIDs  []uint64
-	prices   []time.Duration
-}
-
-var batchQuotePool = sync.Pool{New: func() any { return new(batchQuote) }}
-
-// grow returns q.perTuple sized for n ids. Slots are not zeroed: the
-// callers' fill discipline writes each index exactly once, by the hit
-// path or the miss path.
-func (q *batchQuote) grow(n int) []time.Duration {
-	if cap(q.perTuple) < n {
-		q.perTuple = make([]time.Duration, n)
-	}
-	q.perTuple = q.perTuple[:n]
-	return q.perTuple
-}
-
-// fillMissIDs compacts the missed ids into q's reusable buffer.
-func (q *batchQuote) fillMissIDs(ids []uint64, miss []int) []uint64 {
-	missIDs := q.missIDs[:0]
-	for _, i := range miss {
-		missIDs = append(missIDs, ids[i])
-	}
-	q.missIDs = missIDs
-	return missIDs
 }
 
 // batchGroupThreshold is the batch size below which grouping ids by shard
@@ -281,6 +295,12 @@ func (c *PriceCache) putGroups(g *shardGroups) { c.groups.Put(g) }
 // too). Ids are grouped by shard so a k-tuple quote takes at most one
 // lock round-trip per shard instead of one per tuple.
 func (c *PriceCache) LookupBatch(ids []uint64, epoch uint64, prices []time.Duration, miss []int) []int {
+	if c.allStale(epoch, len(ids)) {
+		for i := range ids {
+			miss = append(miss, i)
+		}
+		return miss
+	}
 	if len(ids) < batchGroupThreshold {
 		for i, id := range ids {
 			if d, ok := c.Lookup(id, epoch); ok {
@@ -338,6 +358,7 @@ func (c *PriceCache) StoreBatch(ids []uint64, prices []time.Duration, epoch uint
 		}
 		return
 	}
+	c.noteStored(epoch)
 	g, order, bounds := c.groupByShard(ids)
 	defer c.putGroups(g)
 	for s := range c.shards {
@@ -348,7 +369,7 @@ func (c *PriceCache) StoreBatch(ids []uint64, prices []time.Duration, epoch uint
 		sh := &c.shards[s]
 		c.lock(sh)
 		for _, i := range order[lo:hi] {
-			sh.store(ids[i], prices[i], epoch)
+			sh.store(ids[i], prices[i], epoch, c.lag)
 		}
 		sh.mu.Unlock()
 	}

@@ -309,3 +309,57 @@ func TestPriceCacheBatchLocksOncePerShard(t *testing.T) {
 		t.Errorf("two-shard LookupBatch: %d lock acquisitions, want 2", got)
 	}
 }
+
+// Once the caller's epoch is more than lag past the newest stored one,
+// nothing resident can be fresh: single and batch lookups must report
+// every id stale without taking a shard lock, and go back to the shards
+// as soon as a store catches up.
+func TestPriceCacheAllStaleSkipsTheShards(t *testing.T) {
+	pc, err := NewPriceCache(256, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	hits, misses, stale := reg.Counter("hits"), reg.Counter("misses"), reg.Counter("stale")
+	pc.Instrument(hits, misses, stale, nil)
+	ids := make([]uint64, 3*batchGroupThreshold)
+	prices := make([]time.Duration, len(ids))
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+
+	// Nothing stored yet: cold lookups are misses, found the slow way.
+	if miss := pc.LookupBatch(ids, 40, prices, nil); len(miss) != len(ids) || misses.Value() != int64(len(ids)) || stale.Value() != 0 {
+		t.Fatalf("cold lookup: %d misses returned, counters miss=%d stale=%d", len(miss), misses.Value(), stale.Value())
+	}
+	pc.StoreBatch(ids, prices, 10)
+
+	before := pc.LockAcquisitions()
+	miss := pc.LookupBatch(ids, 13, prices, nil)
+	if _, ok := pc.Lookup(ids[0], 13); ok || len(miss) != len(ids) {
+		t.Fatalf("epoch 13 against prices stored at 10 with lag 2: %d of %d stale, single ok=%v", len(miss), len(ids), ok)
+	}
+	for i, m := range miss {
+		if m != i {
+			t.Fatalf("miss[%d] = %d: indices must come back in order", i, m)
+		}
+	}
+	if got := pc.LockAcquisitions() - before; got != 0 {
+		t.Fatalf("all-stale lookups took %d shard locks", got)
+	}
+	if stale.Value() != int64(len(ids))+1 || hits.Value() != 0 {
+		t.Fatalf("stale = %d, hits = %d; want %d, 0", stale.Value(), hits.Value(), len(ids)+1)
+	}
+
+	// Inside the lag, and after a newer store, the shards answer again.
+	if miss := pc.LookupBatch(ids, 12, prices, nil); len(miss) != 0 {
+		t.Fatalf("in-lag lookup: %d misses", len(miss))
+	}
+	pc.Store(ids[0], time.Millisecond, 13)
+	if d, ok := pc.Lookup(ids[0], 13); !ok || d != time.Millisecond {
+		t.Fatalf("lookup after a fresh store = %v, %v", d, ok)
+	}
+	if pc.LockAcquisitions() == before {
+		t.Fatal("fresh lookups never reached a shard")
+	}
+}

@@ -107,13 +107,9 @@ func (u *UpdateRate) epoch() uint64 { return u.tracker.Epoch() + u.windowGen.Loa
 
 func (u *UpdateRate) rmax() float64 {
 	if u.cfg.Rmax > 0 {
-		return u.cfg.Rmax
+		return u.cfg.Rmax // skip the tracker lock
 	}
-	window := math.Float64frombits(u.window.Load())
-	if window <= 0 {
-		return 0
-	}
-	return u.tracker.MaxCount() / window
+	return u.scaleFor(u.tracker.MaxCount())
 }
 
 // Delay implements Policy.
@@ -131,61 +127,31 @@ func (u *UpdateRate) Delay(id uint64) time.Duration {
 // rank.
 func (u *UpdateRate) DelayForRank(rank int) time.Duration { return u.delayAt(rank) }
 
-// DelayBatch implements BatchPolicy: one tracker lock acquisition for
-// rmax and one for the ranks price the whole batch, with cached tuples
-// skipping the tracker entirely.
+// DelayBatch implements BatchPolicy: one tracker lock acquisition prices
+// the whole batch, with cached tuples skipping the tracker entirely.
 func (u *UpdateRate) DelayBatch(ids []uint64) time.Duration {
-	if u.cache == nil {
-		return u.delayBatchUncached(ids)
-	}
-	epoch := u.epoch()
-	q := batchQuotePool.Get().(*batchQuote)
-	defer batchQuotePool.Put(q)
-	perTuple := q.grow(len(ids))
-	if miss := u.cache.LookupBatch(ids, epoch, perTuple, q.miss[:0]); len(miss) > 0 {
-		q.miss = miss
-		missIDs := q.fillMissIDs(ids, miss)
-		rmax := u.rmax()
-		ranks := u.tracker.RankBatch(missIDs)
-		prices := q.prices[:0]
-		for j, r := range ranks {
-			d := u.delayAtRmax(u.clampRank(r), rmax)
-			prices = append(prices, d)
-			perTuple[miss[j]] = d
-		}
-		q.prices = prices
-		// Unlearned rmax prices at the cap; don't pin that transient.
-		if rmax > 0 {
-			u.cache.StoreBatch(missIDs, prices, epoch)
-		}
-	}
-	var total time.Duration
-	for _, d := range perTuple {
-		total = satAdd(total, d)
-	}
-	return total
+	return delayBatch(u, u.tracker, u.cache, u.epoch(), ids)
 }
 
-func (u *UpdateRate) delayBatchUncached(ids []uint64) time.Duration {
-	if len(ids) == 1 {
-		return u.delayAtRmax(u.clampRank(u.tracker.RankOne(ids[0])), u.rmax())
+// scaleFor implements rankPricer: rmax, fixed or learned over the window.
+func (u *UpdateRate) scaleFor(maxCount float64) float64 {
+	if u.cfg.Rmax > 0 {
+		return u.cfg.Rmax
 	}
-	rmax := u.rmax()
-	ranks := u.tracker.RankBatch(ids)
-	var total time.Duration
-	for _, r := range ranks {
-		total = satAdd(total, u.delayAtRmax(u.clampRank(r), rmax))
+	window := math.Float64frombits(u.window.Load())
+	if window <= 0 {
+		return 0
 	}
-	return total
+	return maxCount / window
 }
 
-// clampRank maps a RankBatch rank into the policy's domain: never-updated
-// tuples (-1) and ranks past N are charged as rank N, matching Delay.
-func (u *UpdateRate) clampRank(r int) int {
-	if r < 0 || r > u.cfg.N {
-		return u.cfg.N
+// priceAt implements rankPricer. Never-updated tuples (-1) and ranks past
+// N are charged as rank N, matching Delay.
+func (u *UpdateRate) priceAt(rank int, rmax float64) time.Duration {
+	if rank < 0 || rank > u.cfg.N {
+		rank = u.cfg.N
 	}
-	return r
+	return u.delayAtRmax(rank, rmax)
 }
 
 func (u *UpdateRate) delayAt(rank int) time.Duration {

@@ -58,10 +58,10 @@ func Ablations(p AblationParams) (*Table, error) {
 	straw := timeDecayNaive(p)
 	row("decayed counts: inflation trick vs per-access rescan", kept, straw)
 
-	// 2. Rank via order-statistics treap vs. full sort per query.
+	// 2. Rank via the order-statistic index (ostree) vs. full sort per query.
 	kept = timeRankTree(p)
 	straw = timeRankSort(p)
-	row("rank lookup: order-statistics treap vs full sort", kept, straw)
+	row("rank lookup: order-statistic index vs full sort", kept, straw)
 
 	// 3. Count persistence: write-behind cache vs. synchronous puts,
 	// both over a count table in a real database paying page I/O.
@@ -123,7 +123,7 @@ func timeDecayNaive(p AblationParams) time.Duration {
 }
 
 func timeRankTree(p AblationParams) time.Duration {
-	tr := ostree.New(1)
+	tr := ostree.New()
 	for i := 0; i < p.IDs; i++ {
 		tr.Upsert(uint64(i), float64(i%997))
 	}

@@ -46,13 +46,13 @@ func TestAblationInflationBeatsRescanDecisively(t *testing.T) {
 	}
 }
 
-func TestAblationTreapBeatsSortDecisively(t *testing.T) {
+func TestAblationRankIndexBeatsSortDecisively(t *testing.T) {
 	p := DefaultAblationParams(t.TempDir())
 	p.IDs = 5000
 	p.Ops = 20000
 	kept := timeRankTree(p)
 	straw := timeRankSort(p)
 	if straw < 20*kept {
-		t.Fatalf("treap %v vs sort %v: expected ≥20x", kept, straw)
+		t.Fatalf("rank index %v vs sort %v: expected ≥20x", kept, straw)
 	}
 }

@@ -1,0 +1,303 @@
+package ostree
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// oracle is the brute-force reference: a map, sorted from scratch for
+// every question by the contract's own words — heavier first, then lower
+// id — on the float weights, not on the index's integer keys.
+type oracle map[uint64]float64
+
+type pair struct {
+	weight float64
+	id     uint64
+}
+
+func (o oracle) sorted() []pair {
+	ps := make([]pair, 0, len(o))
+	for id, w := range o {
+		ps = append(ps, pair{w, id})
+	}
+	slices.SortFunc(ps, func(a, b pair) int {
+		if a.weight > b.weight || a.weight == b.weight && a.id < b.id {
+			return -1
+		}
+		return 1
+	})
+	return ps
+}
+
+// checkAgainst compares every public read with the oracle and then the
+// block structure with its own invariants.
+func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
+	t.Helper()
+	want := o.sorted()
+	if tr.Len() != len(want) {
+		t.Fatalf("step %d: Len = %d, oracle %d", step, tr.Len(), len(want))
+	}
+	w, ok := tr.MaxWeight()
+	if ok != (len(want) > 0) || ok && w != want[0].weight {
+		t.Fatalf("step %d: MaxWeight = %v, %v; oracle %v", step, w, ok, want)
+	}
+	for i, e := range want {
+		if r, ok := tr.Rank(e.id); !ok || r != i+1 {
+			t.Fatalf("step %d: Rank(%d) = %d, %v; oracle %d", step, e.id, r, ok, i+1)
+		}
+		if id, ok := tr.KthID(i + 1); !ok || id != e.id {
+			t.Fatalf("step %d: KthID(%d) = %d, %v; oracle %d", step, i+1, id, ok, e.id)
+		}
+	}
+	if r, ok := tr.Rank(1 << 40); ok || r != len(want)+1 {
+		t.Fatalf("step %d: absent Rank = %d, %v", step, r, ok)
+	}
+	if _, ok := tr.KthID(len(want) + 1); ok {
+		t.Fatalf("step %d: KthID past the end is ok", step)
+	}
+	n := 0
+	tr.Ascend(func(rank int, id uint64, w float64) bool {
+		if rank != n+1 || n >= len(want) || want[n] != (pair{w, id}) {
+			t.Fatalf("step %d: Ascend visit %d = rank %d (%v, %d); oracle %v", step, n, rank, w, id, want)
+		}
+		n++
+		return true
+	})
+	if n != len(want) {
+		t.Fatalf("step %d: Ascend visited %d of %d", step, n, len(want))
+	}
+
+	// Structure (the reads above flushed): blocks non-empty, bounded,
+	// their concatenation the oracle's order, last keys and Fenwick sums
+	// in step.
+	if len(tr.queue) != 0 || len(tr.queued) != 0 || len(tr.last) != len(tr.blocks) || len(tr.fen) != len(tr.blocks)+1 && len(tr.blocks) > 0 {
+		t.Fatalf("step %d: queue %d, last %d, fen %d, blocks %d", step, len(tr.queue), len(tr.last), len(tr.fen), len(tr.blocks))
+	}
+	seen := 0
+	for b, blk := range tr.blocks {
+		if len(blk) == 0 || len(blk) > maxBlock || cap(blk) < maxBlock {
+			t.Fatalf("step %d: block %d has len %d cap %d", step, b, len(blk), cap(blk))
+		}
+		if tr.last[b] != blk[len(blk)-1] {
+			t.Fatalf("step %d: last[%d] = %v, block ends %v", step, b, tr.last[b], blk[len(blk)-1])
+		}
+		if tr.ahead(b) != seen {
+			t.Fatalf("step %d: ahead(%d) = %d, want %d", step, b, tr.ahead(b), seen)
+		}
+		for i, e := range blk {
+			if (pair{weightOf(e.key), e.id}) != want[seen+i] {
+				t.Fatalf("step %d: block %d entry %d = %v, oracle %v", step, b, i, e, want[seen+i])
+			}
+		}
+		seen += len(blk)
+	}
+	if len(tr.blocks) > 2*len(want)/minBlock+1 {
+		t.Fatalf("step %d: %d blocks for %d entries", step, len(tr.blocks), len(want))
+	}
+}
+
+// renormInc is an increment just past the tracker's renormalisation
+// threshold; dividing by it at run time, as the tracker does, rounds
+// 1.159 and its upper neighbour to the same value. (The constant
+// expression 1/(1e100+159e88) is exact and rounds differently.)
+var renormInc = 1e100 + 159e88
+
+// scales are ScaleAll factors: the renormalisation-sized one rounds some
+// adjacent weights together, the subnormal one nearly all of them.
+var scales = []float64{0.5, 1 / renormInc, 3, 1e-320}
+
+// applyOp decodes one operation and applies it to both sides. Weights
+// come from a small set (heavy ties, neighbours one ulp apart) and ids
+// from a small domain (repeats).
+func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
+	id := uint64(idSel % 700)
+	w := float64(wSel%16) + 1.159
+	if wSel&16 != 0 {
+		w = math.Nextafter(w, 10)
+	}
+	if cur, ok := o[id]; ok && wSel&32 != 0 {
+		w += cur // the tracker's shape: weights only grow
+	}
+	switch op % 16 {
+	case 0, 1, 2, 3, 4:
+		tr.Upsert(id, w)
+		o[id] = w
+	case 5, 6, 7, 8, 9, 10:
+		tr.UpsertDeferred(id, w)
+		o[id] = w
+	case 11, 12, 13:
+		_, want := o[id]
+		if got := tr.Delete(id); got != want {
+			panic("Delete disagrees with the oracle")
+		}
+		delete(o, id)
+	case 14:
+		// Drain a run of neighbouring ranks: empties and merges blocks.
+		for k := 0; k < int(wSel); k++ {
+			victim, ok := tr.KthID(1 + int(idSel)%max(tr.Len(), 1))
+			if !ok {
+				break
+			}
+			tr.Delete(victim)
+			delete(o, victim)
+		}
+	case 15:
+		f := scales[int(wSel)%len(scales)]
+		tr.ScaleAll(f)
+		for id, w := range o {
+			o[id] = w * f
+		}
+	}
+}
+
+func TestDifferentialAgainstOracle(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, o := New(), oracle{}
+		for step := 0; step < 6000; step++ {
+			applyOp(tr, o, uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)))
+			// Check every step while small, then at a stride that still
+			// lands between deferred writes and around splits.
+			if step < 300 || step%7 == 0 {
+				checkAgainst(t, tr, o, step)
+			}
+		}
+		checkAgainst(t, tr, o, -1)
+	}
+}
+
+// FuzzTreeOps drives the same operations from fuzzer bytes: the first
+// byte prefills past a block split, every following five bytes are one
+// operation, and every step is checked.
+func FuzzTreeOps(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 5, 0, 1, 0, 17, 15, 0, 0, 0, 1, 0, 0, 1, 0, 0})
+	f.Add([]byte{2, 14, 0, 40, 0, 255, 14, 0, 0, 0, 255, 15, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1+5*400 {
+			return
+		}
+		tr, o := New(), oracle{}
+		for i := 0; i < int(data[0]%4)*150; i++ {
+			applyOp(tr, o, uint16(i%11), uint16(i*7), uint8(i*13))
+		}
+		for step, ops := 0, data[1:]; len(ops) >= 5; step, ops = step+1, ops[5:] {
+			applyOp(tr, o, uint16(ops[0]), uint16(ops[1])|uint16(ops[2])<<8, ops[4])
+			checkAgainst(t, tr, o, step)
+		}
+	})
+}
+
+// TestScaleAllReordersNewTies is the regression for a ghost entry: a
+// renormalisation-sized factor rounds two weights one ulp apart to the
+// same value, whose tie must then break by id. Keeping the pre-scale
+// order made Rank(2) report absent and the next Upsert(2) leave its old
+// entry behind.
+func TestScaleAllReordersNewTies(t *testing.T) {
+	const w = 1.159
+	f := 1 / renormInc
+	if math.Nextafter(w, 10)*f != w*f {
+		t.Fatal("the factor no longer rounds the two weights together")
+	}
+	tr := New()
+	tr.Upsert(5, math.Nextafter(w, 10))
+	tr.Upsert(2, w)
+	if r, _ := tr.Rank(5); r != 1 {
+		t.Fatalf("before scaling: Rank(5) = %d", r)
+	}
+	tr.ScaleAll(f)
+	for want, id := range []uint64{2, 5} {
+		if r, ok := tr.Rank(id); !ok || r != want+1 {
+			t.Fatalf("after scaling: Rank(%d) = %d, %v; want %d", id, r, ok, want+1)
+		}
+	}
+	tr.Upsert(2, 1)
+	visits := 0
+	tr.Ascend(func(int, uint64, float64) bool { visits++; return true })
+	if visits != tr.Len() {
+		t.Fatalf("Ascend visits %d entries, Len = %d: a ghost entry", visits, tr.Len())
+	}
+}
+
+// A new tie can straddle a block boundary; the re-sort must cross it.
+func TestScaleAllReordersAcrossBlocks(t *testing.T) {
+	const w = 1.159
+	tr, o := New(), oracle{}
+	// Descending ids at alternating one-ulp-apart weights: after scaling
+	// every entry ties, and the order by id is the reverse of the blocks'.
+	for i := 0; i < 3*maxBlock; i++ {
+		id, wi := uint64(10_000-i), w
+		if i%2 == 0 {
+			wi = math.Nextafter(w, 10)
+		}
+		tr.Upsert(id, wi)
+		o[id] = wi
+	}
+	checkAgainst(t, tr, o, 0)
+	f := 1 / renormInc
+	tr.ScaleAll(f)
+	for id, wi := range o {
+		o[id] = wi * f
+	}
+	checkAgainst(t, tr, o, 1)
+}
+
+func TestFromWeightsMatchesUpserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, fillBlock, fillBlock + 1, 5 * maxBlock} {
+		weights, o := map[uint64]float64{}, oracle{}
+		for i := 0; i < n; i++ {
+			id, w := uint64(rng.Intn(4*n)), float64(rng.Intn(20))
+			weights[id], o[id] = w, w
+		}
+		tr := FromWeights(weights)
+		checkAgainst(t, tr, o, n)
+		// The bulk-built blocks take writes like any others.
+		for i := 0; i < 3*maxBlock; i++ {
+			applyOp(tr, o, uint16(rng.Intn(14)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)))
+		}
+		checkAgainst(t, tr, o, -n)
+	}
+}
+
+// The integer key must reverse the weight order exactly and round-trip
+// every weight, across signs, zeros, subnormals and infinities.
+func TestKeyOfReversesWeightOrder(t *testing.T) {
+	ws := []float64{math.Inf(1), math.MaxFloat64, 1e100, 2, math.Nextafter(1, 2), 1, 0.5,
+		math.SmallestNonzeroFloat64, 0, -math.SmallestNonzeroFloat64, -1, -1e100, math.Inf(-1)}
+	for i, w := range ws {
+		if got := weightOf(keyOf(w)); got != w {
+			t.Fatalf("weightOf(keyOf(%v)) = %v", w, got)
+		}
+		if i > 0 && keyOf(ws[i-1]) >= keyOf(w) {
+			t.Fatalf("keyOf(%v) = %#x is not below keyOf(%v) = %#x", ws[i-1], keyOf(ws[i-1]), w, keyOf(w))
+		}
+	}
+	if keyOf(math.Copysign(0, -1)) != keyOf(0) {
+		t.Fatal("-0 and +0 must tie")
+	}
+}
+
+// Draining from either end walks every block through underfull, merged
+// and dropped, including the final block losing its own last entry.
+func TestDrainFromBothEnds(t *testing.T) {
+	for _, fromTail := range []bool{true, false} {
+		tr, o := New(), oracle{}
+		for i := 0; i < 4*maxBlock; i++ {
+			tr.Upsert(uint64(i), float64(i%50))
+			o[uint64(i)] = float64(i % 50)
+		}
+		for step := 0; tr.Len() > 0; step++ {
+			k := 1
+			if fromTail {
+				k = tr.Len()
+			}
+			id, _ := tr.KthID(k)
+			tr.Delete(id)
+			delete(o, id)
+			checkAgainst(t, tr, o, step)
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	if tr.Len() != 0 {
 		t.Fatal("empty tree has nonzero length")
 	}
@@ -27,7 +27,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestUpsertAndRank(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(10, 5.0)
 	tr.Upsert(20, 9.0)
 	tr.Upsert(30, 1.0)
@@ -56,7 +56,7 @@ func TestUpsertAndRank(t *testing.T) {
 }
 
 func TestUpsertSameWeightNoop(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(1, 2.5)
 	tr.Upsert(1, 2.5)
 	if tr.Len() != 1 {
@@ -65,7 +65,7 @@ func TestUpsertSameWeightNoop(t *testing.T) {
 }
 
 func TestAbsentRankIsLenPlusOne(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(1, 1)
 	tr.Upsert(2, 2)
 	r, ok := tr.Rank(999)
@@ -75,7 +75,7 @@ func TestAbsentRankIsLenPlusOne(t *testing.T) {
 }
 
 func TestTieBreakByID(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(7, 5.0)
 	tr.Upsert(3, 5.0)
 	tr.Upsert(5, 5.0)
@@ -88,7 +88,7 @@ func TestTieBreakByID(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(1, 10)
 	tr.Upsert(2, 20)
 	tr.Upsert(3, 30)
@@ -112,7 +112,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestKthID(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	for i := uint64(1); i <= 10; i++ {
 		tr.Upsert(i, float64(i))
 	}
@@ -132,7 +132,7 @@ func TestKthID(t *testing.T) {
 }
 
 func TestAscendOrderAndEarlyStop(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(1, 3)
 	tr.Upsert(2, 1)
 	tr.Upsert(3, 2)
@@ -162,7 +162,7 @@ func TestAscendOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestScaleAllPreservesOrder(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	for i := uint64(1); i <= 100; i++ {
 		tr.Upsert(i, float64(i*i))
 	}
@@ -189,7 +189,7 @@ func TestScaleAllPreservesOrder(t *testing.T) {
 }
 
 func TestScaleAllPanicsOnNonPositive(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(1, 1)
 	defer func() {
 		if recover() == nil {
@@ -200,7 +200,7 @@ func TestScaleAllPanicsOnNonPositive(t *testing.T) {
 }
 
 func TestMaxWeight(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	tr.Upsert(1, 5)
 	tr.Upsert(2, 50)
 	tr.Upsert(3, 0.5)
@@ -210,11 +210,11 @@ func TestMaxWeight(t *testing.T) {
 	}
 }
 
-// TestAgainstReferenceModel drives the treap and a naive sorted-slice model
+// TestAgainstReferenceModel drives the index and a naive sorted-slice model
 // with the same random operations and compares every rank.
 func TestAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	tr := New(2)
+	tr := New()
 	model := map[uint64]float64{}
 
 	modelRank := func(id uint64) int {
@@ -261,7 +261,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 // TestRankKthInverse checks Rank(KthID(k)) == k as a property.
 func TestRankKthInverse(t *testing.T) {
 	f := func(weights []float64) bool {
-		tr := New(3)
+		tr := New()
 		for i, w := range weights {
 			tr.Upsert(uint64(i), w)
 		}
@@ -283,7 +283,7 @@ func TestRankKthInverse(t *testing.T) {
 }
 
 func TestAscendMatchesSort(t *testing.T) {
-	tr := New(4)
+	tr := New()
 	type item struct {
 		id uint64
 		w  float64
