@@ -48,24 +48,23 @@ bench-shield:
 
 # Storage-layer benchmark run: striped pool vs the single-latch baseline,
 # point-query and scan throughput at 1/4/16 goroutines, the mixed
-# read/write suite on the concurrent write path (plus its legacy
-# exclusive-lock baseline), and the WAL commit path with the group-commit
-# window off vs on; writes BENCH_engine.json (benchmark name -> ns/op).
+# read/write suite, and the WAL commit path with the group-commit window
+# off vs on; writes BENCH_engine.json (benchmark name -> ns/op).
 bench-engine:
 	BENCH_SUITE=engine ./scripts/bench.sh
 
 # Cluster front-door benchmark: the same point query against a shard
-# directly vs through the router (admission, policy pick, dispatch).
-# Writes BENCH_cluster.json; check mode enforces router <= 1.15x direct.
+# directly vs through the router (admission, statement plan, replica
+# walk, relay), scatter scans, group writes at R=1 vs R=N. Writes
+# BENCH_cluster.json; check mode bounds router/direct (see bench.sh).
 bench-cluster:
 	BENCH_SUITE=cluster ./scripts/bench.sh
 
 # Short measured run of all suites compared against the committed
 # BENCH_*.json baselines: fails on a >20% per-key regression or a broken
 # shape invariant (point-query scaling, price-cache scan win, grouped
-# WAL commit beating per-commit fsyncs, concurrent write path keeping
-# its >=3x lead over the legacy exclusive lock, cluster router staying
-# within 15% of direct shard access). The short
+# WAL commit beating per-commit fsyncs, cluster router tax over direct
+# shard access staying within its recorded ratio). The short
 # benchtime keeps it CI-sized; -count=3 with min-of-N extraction (see
 # bench.sh) keeps single-run scheduler noise from tripping the gate; the
 # committed baselines stay untouched. CI runs this.
@@ -90,7 +89,8 @@ torture:
 	TORTURE_POINTS=400 $(GO) test -race -v -run 'TestCrashEnumeration|TestCountSnapshotAtomicity|TestFaultSweep|TestGroupCommitCrashEnumeration|TestGroupFlushFaultSweep' ./internal/torture/
 
 # Shard-kill cluster torture, CI-sized: a scripted workload against a
-# partitioned R=2 cluster while shards are killed and revived, RPC
+# partitioned R=2 cluster and a fully replicated (R=N) one while shards
+# are killed and revived, RPC
 # faults (latency/error/torn-response) are injected, and a rebalance is
 # raced against a kill — asserting no acked write is ever lost, resync
 # restores full health, and detection sketches reconverge after

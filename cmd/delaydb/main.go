@@ -19,37 +19,39 @@
 //
 // Cluster modes:
 //
-//	delaydb -cluster 4 [-partitions 64] [-route hash|rr|least]
+//	delaydb -cluster 4 [-partitions 64 [-replication 2]]
 //	        [-antientropy 5s] [-antientropy-floor 0.01] [-admit-rate 100]
 //	        [-admit-burst 200] [-maxinflight 1024] ...
 //	delaydb -router -peers http://10.0.0.1:8080,http://10.0.0.2:8080 ...
 //
-// -cluster N opens N full-replica shards under -dir (shard-0 … shard-N-1,
-// each running the -init script) and serves the consistent-hash cluster
-// router in front of them: reads route by policy with failover, writes
-// fan out to every reachable shard in one router-serialized order, and
-// a periodic anti-entropy round merges per-principal detection sketches
-// across shards so identity rotation across the cluster still prices
-// like extraction. A peer back from an outage rejoins writes-only
-// ("resync" in /healthz) until an operator restores its data and
-// confirms POST /admin/peer-up, which alone returns it to the read
-// rotation. -router instead fronts already-running delaydb shards over
-// HTTP; data flags are ignored. The router serves the same /query,
-// /register, /healthz, /metrics surface plus GET /stats?node=<name>
-// pinning and POST /admin/peer-up.
-//
-// -partitions P switches both cluster modes from full replication to
-// hash partitioning: tuples map (by INT primary key, via a versioned
-// partition map) to exactly one owner shard. Point queries and
-// single-key writes route to the owner alone, multi-row INSERTs split
-// into per-owner slices, and scans/aggregates scatter to every owner
+// -cluster N opens N shards under -dir (shard-0 … shard-N-1) and serves
+// the cluster router in front of them; -router instead fronts
+// already-running delaydb shards over HTTP (data flags are ignored).
+// Either way every statement routes by tuple through one versioned
+// partition map: tuples hash (by INT primary key) to a partition, and
+// each partition lives on a replica group of shards. Point queries go
+// to the first readable replica of the tuple's group and fail over
+// inside it; a single-key write applies to every replica of the group
+// in router order and acks once a read-serving replica has it;
+// multi-row INSERTs split into per-shard slices; DDL applies on every
+// shard; and scans/aggregates scatter to one live replica per partition
 // and merge at the front door (order-preserving merge for ORDER BY,
 // partial-aggregate combination, LIMIT early-cancel). The -init script
-// then runs through the router so every row loads onto its owner.
-// -replication R places each partition on R shards: a single-key write
-// applies to every replica in router order and acks once a read-serving
-// replica has it, point reads fail over inside the replica group, and
-// scans pick one live replica per partition. -shard-timeout bounds each
+// runs through the router so every row loads onto exactly its owners.
+//
+// -partitions P -replication R places each of P partitions on R shards.
+// -partitions 0 (the default) is full replication, expressed as the
+// R = N map: every shard holds every tuple, every write reaches every
+// shard, and a tuple's reads (and so its access count) still go to one
+// shard — its partition's primary. A periodic anti-entropy round
+// merges per-principal detection sketches across shards, so a scan
+// whose reads land on different shards still prices like extraction. A
+// peer back from an outage rejoins writes-only ("resync" in /healthz)
+// until POST /admin/resync re-copies its partitions from a readable
+// replica (any layout), or an operator restores its data and confirms
+// POST /admin/peer-up; only those return it to the read rotation. The
+// router serves the same /query, /register, /healthz, /metrics surface
+// plus GET /stats?node=<name> pinning. -shard-timeout bounds each
 // router→shard RPC; a shard slower than the deadline is treated as
 // failed and latched out of the read plane. The live map is served at
 // GET /admin/partition-map; POST /admin/rebalance with {"version": v+1,
@@ -144,17 +146,16 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		detectCap     = fs.Float64("detect-cap", 64, "maximum delay multiplier for detected extractors")
 		detectJaccard = fs.Float64("detect-jaccard", 0.35, "signature similarity threshold for coalition clustering")
 
-		clusterN    = fs.Int("cluster", 0, "serve N full-replica shards in this process behind the cluster router (0 = single node)")
+		clusterN    = fs.Int("cluster", 0, "serve N shards in this process behind the cluster router (0 = single node)")
 		routerOnly  = fs.Bool("router", false, "serve a data-less cluster router fronting the -peers shards")
 		peers       = fs.String("peers", "", "comma-separated shard base URLs for -router mode (e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
-		route       = fs.String("route", "hash", "cluster read-routing policy: hash, rr, or least")
 		aeEvery     = fs.Duration("antientropy", cluster.DefaultExchangeEvery, "interval between anti-entropy sketch-exchange rounds in cluster/router mode (0 = off)")
 		aeFloor     = fs.Float64("antientropy-floor", cluster.DefaultExportFloor, "minimum local coverage fraction before a principal's sketches are gossiped")
 		admitRate   = fs.Float64("admit-rate", cluster.DefaultAdmitRate, "router edge admission: per-principal queries/second")
 		admitBurst  = fs.Float64("admit-burst", cluster.DefaultAdmitBurst, "router edge admission: per-principal burst")
 		maxInFlight = fs.Int("maxinflight", cluster.DefaultMaxInFlight, "router edge admission: max queries in flight across the cluster")
-		partitions  = fs.Int("partitions", 0, "hash-partition tuples across shards into this many partitions (0 = full replication); point queries route to the owner shard, scans scatter-gather")
-		replication = fs.Int("replication", 1, "replica count per partition in partitioned cluster mode: writes apply to every replica, point reads fail over inside the group, scans pick one live replica per partition")
+		partitions  = fs.Int("partitions", 0, "hash-partition tuples across shards into this many partitions; point queries route to the tuple's replica group, scans scatter-gather (0 = full replication: the same map with every shard in every group, -replication ignored)")
+		replication = fs.Int("replication", 1, "replica count per partition with -partitions > 0: writes apply to every replica, point reads fail over inside the group, scans pick one live replica per partition")
 		shardTO     = fs.Duration("shard-timeout", 0, "per-shard RPC deadline in cluster/router mode; an RPC exceeding it counts as a shard failure and latches the peer (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -285,28 +286,12 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		}
 	}
 
-	// openNode opens one data directory with the shared config and runs
-	// the init script against it; used once for single-node mode and per
-	// shard for -cluster. runInit is false in partitioned cluster mode,
-	// where the script must flow through the router instead so each
-	// INSERT row lands only on its owner shard.
-	openNode := func(dataDir string, runInit bool) (*delaydefense.DB, http.Handler, error) {
+	// openNode opens one data directory with the shared config; used
+	// once for single-node mode and per shard for -cluster.
+	openNode := func(dataDir string) (*delaydefense.DB, http.Handler, error) {
 		db, err := delaydefense.Open(dataDir, cfg, opts...)
 		if err != nil {
 			return nil, nil, err
-		}
-		if runInit && *initFile != "" {
-			script, err := os.ReadFile(*initFile)
-			if err != nil {
-				db.Close()
-				return nil, nil, fmt.Errorf("reading init script: %w", err)
-			}
-			results, err := db.ExecScript(string(script))
-			if err != nil {
-				db.Close()
-				return nil, nil, fmt.Errorf("init script (%s): %w", dataDir, err)
-			}
-			fmt.Fprintf(stdout, "delaydb: init script ran %d statements in %s\n", len(results), dataDir)
 		}
 		h, err := db.HandlerWithDeadline(*deadline)
 		if err != nil {
@@ -320,10 +305,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		return errors.New("-router and -cluster are mutually exclusive")
 	}
 	if *routerOnly || *clusterN > 0 {
-		pol, err := cluster.ParsePolicy(*route)
-		if err != nil {
-			return err
-		}
 		var (
 			nodes   []*cluster.Node
 			closers []func() error
@@ -353,7 +334,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			}
 		} else {
 			for i := 0; i < *clusterN; i++ {
-				db, h, err := openNode(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)), *partitions == 0)
+				db, h, err := openNode(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)))
 				if err != nil {
 					closeAll()
 					return err
@@ -363,7 +344,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			}
 		}
 		rt, err := cluster.NewRouter(nodes, cluster.Config{
-			Policy:       pol,
 			AdmitRate:    *admitRate,
 			AdmitBurst:   *admitBurst,
 			MaxInFlight:  *maxInFlight,
@@ -375,7 +355,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			closeAll()
 			return err
 		}
-		if *partitions > 0 && *clusterN > 0 && *initFile != "" {
+		if *clusterN > 0 && *initFile != "" {
 			script, err := os.ReadFile(*initFile)
 			if err != nil {
 				closeAll()
@@ -385,7 +365,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 				closeAll()
 				return fmt.Errorf("init script (via router): %w", err)
 			}
-			fmt.Fprintf(stdout, "delaydb: init script partitioned across %d shards\n", len(nodes))
+			fmt.Fprintf(stdout, "delaydb: init script ran through the router across %d shards\n", len(nodes))
 		}
 		if *aeEvery > 0 {
 			rt.StartAntiEntropy(*aeEvery, *aeFloor)
@@ -397,22 +377,31 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			mode = "router"
 		}
 		banner := func(a net.Addr) {
-			layout := "replicated"
-			if *partitions > 0 {
-				layout = fmt.Sprintf("%d partitions", *partitions)
-				if *replication > 1 {
-					layout = fmt.Sprintf("%d partitions x %d replicas", *partitions, *replication)
-				}
-			}
-			fmt.Fprintf(stdout, "delaydb: %s of %d shards on %s (%s, route=%s, antientropy=%v, admit=%g qps)\n",
-				mode, len(nodes), a, layout, pol, *aeEvery, *admitRate)
+			pm := rt.CurrentPartitionMap()
+			fmt.Fprintf(stdout, "delaydb: %s of %d shards on %s (%d partitions x %d replicas, antientropy=%v, admit=%g qps)\n",
+				mode, len(nodes), a, len(pm.Owners), len(pm.GroupOf(0)), *aeEvery, *admitRate)
 		}
 		return serveAndDrain(rt.Handler(), banner, closeAll)
 	}
 
-	db, h, err := openNode(*dir, true)
+	db, h, err := openNode(*dir)
 	if err != nil {
 		return err
+	}
+	// A cluster's script flows through the router instead (above), so
+	// each row lands on its owner shards.
+	if *initFile != "" {
+		script, err := os.ReadFile(*initFile)
+		if err != nil {
+			db.Close()
+			return fmt.Errorf("reading init script: %w", err)
+		}
+		results, err := db.ExecScript(string(script))
+		if err != nil {
+			db.Close()
+			return fmt.Errorf("init script (%s): %w", *dir, err)
+		}
+		fmt.Fprintf(stdout, "delaydb: init script ran %d statements in %s\n", len(results), *dir)
 	}
 	banner := func(a net.Addr) {
 		fmt.Fprintf(stdout, "delaydb: serving %s on %s (policy=%s, cap=%v, N=%d, deadline=%v)\n",

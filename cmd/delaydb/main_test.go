@@ -148,6 +148,11 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 	if !strings.Contains(out.String(), "drained and closed cleanly") {
 		t.Fatalf("missing drain banner in output:\n%s", out.String())
 	}
+	// -cluster without -partitions is full replication, stated as the
+	// map it is.
+	if !strings.Contains(out.String(), "64 partitions x 2 replicas") {
+		t.Fatalf("startup banner does not state the R=N map:\n%s", out.String())
+	}
 
 	// The write must have fanned out: each shard directory holds the row.
 	for i := 0; i < 2; i++ {
@@ -178,9 +183,6 @@ func TestClusterFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-router", "-peers", " , "}, &out, nil); err == nil {
 		t.Fatal("empty -peers list accepted")
-	}
-	if err := run([]string{"-dir", t.TempDir(), "-cluster", "2", "-route", "zigzag"}, &out, nil); err == nil {
-		t.Fatal("unknown -route accepted")
 	}
 }
 

@@ -119,12 +119,6 @@ const DefaultWALGroupWindow = engine.DefaultWALGroupWindow
 // engine.DefaultWALGroupWindow. No effect unless WithWAL is also set.
 func WithWALGroupWindow(d time.Duration) EngineOption { return engine.WithWALGroupWindow(d) }
 
-// WithExclusiveWrites restores the legacy table-exclusive write path —
-// each mutating statement holds the table lock for its whole duration —
-// instead of per-page latches with snapshot reads. An escape hatch for
-// A/B measurement, not a recommended mode.
-func WithExclusiveWrites() EngineOption { return engine.WithExclusiveWrites() }
-
 // WithPlanCache sets the engine's prepared-statement cache capacity in
 // entries; 0 disables it. The default is engine.DefaultPlanCacheEntries.
 func WithPlanCache(n int) EngineOption { return engine.WithPlanCache(n) }

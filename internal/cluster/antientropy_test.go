@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -13,9 +12,10 @@ import (
 )
 
 // detectCfg is the detection policy the anti-entropy tests run: 60%
-// grace, so any single shard's slice of a spread-out scan (½ of the
-// catalog at 2 shards, ⅓ at 3) stays under it while the union view
-// does not; ×8 cap.
+// grace, so any single shard's slice of a scan (a scan scatters to one
+// replica per partition; the ring hands one shard up to ~2/3 of the
+// partitions at 2 shards, ~1/2 at 3) stays under it while the union
+// view does not; ×8 cap.
 func detectCfg() *detect.Config {
 	return &detect.Config{
 		Policy: detect.EscalationPolicy{Grace: 0.60, Cap: 8, RampWidth: 0.20, Hysteresis: 0.10},
@@ -28,19 +28,14 @@ func detectCfg() *detect.Config {
 // sketches — after which every shard prices it like a single node that
 // saw the whole stream.
 func TestAntiEntropyRestoresGlobalCoverage(t *testing.T) {
-	// Round-robin routing so one identity's queries genuinely spread.
-	r, shields := testCluster(t, 2, 200, detectCfg(), Config{Policy: PolicyRoundRobin})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 200, Detect: detectCfg()})
+	r, h, shields := c.Router, c.Handler, c.Shields
 
-	// Two queries alternate shards: each shard sees half the catalog
-	// (25% < the 30% grace), the union is the full catalog.
-	for _, sql := range []string{
-		`SELECT * FROM items WHERE id <= 100`,
-		`SELECT * FROM items WHERE id > 100`,
-	} {
-		if resp, body := query(t, h, "splitter", sql); resp.StatusCode != http.StatusOK {
-			t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
-		}
+	// A scan scatters: each shard answers for the partitions it is
+	// primary of and sees its share of the ¾ of the catalog scanned
+	// (under the 60% grace); the union is the whole ¾.
+	if resp, body := query(t, h, "splitter", `SELECT * FROM items WHERE id <= 150`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
 	for i, sh := range shields {
 		if m := sh.Detector().Multiplier("splitter"); m != 1 {
@@ -95,18 +90,13 @@ func TestAntiEntropyRestoresGlobalCoverage(t *testing.T) {
 // sketches above the floor gossip, so millions of legitimate users
 // never cost exchange bandwidth.
 func TestAntiEntropyExportFloor(t *testing.T) {
-	r, shields := testCluster(t, 2, 200, detectCfg(), Config{Policy: PolicyRoundRobin})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 200, Detect: detectCfg()})
+	r, h, shields := c.Router, c.Handler, c.Shields
 
-	// A heavy splitter (its two queries round-robin over both shards),
-	// then a tiny reader whose single query lands on one shard only.
-	for _, sql := range []string{
-		`SELECT * FROM items WHERE id <= 100`,
-		`SELECT * FROM items WHERE id > 100`,
-	} {
-		query(t, h, "splitter", sql)
-	}
-	query(t, h, "casual", `SELECT * FROM items WHERE id <= 5`)
+	// A heavy splitter (its scan scatters over both shards), then a
+	// tiny reader whose point query lands on one shard only.
+	query(t, h, "splitter", `SELECT * FROM items WHERE id <= 150`)
+	query(t, h, "casual", `SELECT * FROM items WHERE id = 5`)
 
 	if err := r.ExchangeNowFloor(0.10); err != nil {
 		t.Fatalf("exchange: %v", err)
@@ -133,38 +123,20 @@ func TestAntiEntropyExportFloor(t *testing.T) {
 // round nor poisons it; the survivors still converge, and the round
 // latches the peer down.
 func TestAntiEntropyRoutesAroundDeadPeer(t *testing.T) {
-	const shards = 3
-	nodes := make([]*Node, shards)
-	kills := make([]*killableTransport, shards)
-	shieldAt := make([]interface{ Detector() *detect.Detector }, shards)
-	for i := range nodes {
-		h, sh := newShard(t, 200, detectCfg())
-		nodes[i], kills[i] = newKillableNode(fmt.Sprintf("shard-%d", i), h)
-		shieldAt[i] = sh
-	}
-	r, err := NewRouter(nodes, Config{Policy: PolicyRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 200, Detect: detectCfg()})
+	r, h, shieldAt, nodes := c.Router, c.Handler, c.Shields, c.Router.Nodes()
 
-	// Spread a scan over the three shards round-robin.
-	for _, sql := range []string{
-		`SELECT * FROM items WHERE id <= 70`,
-		`SELECT * FROM items WHERE id > 70 AND id <= 140`,
-		`SELECT * FROM items WHERE id > 140`,
-	} {
-		if resp, body := query(t, h, "splitter", sql); resp.StatusCode != http.StatusOK {
-			t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
-		}
+	// The scan spreads over the three shards, about a third each.
+	if resp, body := query(t, h, "splitter", `SELECT * FROM items`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
 
-	kills[2].dead.Store(true)
+	c.Chaos[2].Kill()
 	if err := r.ExchangeNowFloor(0.05); err == nil {
 		t.Fatal("exchange reported success with a dead peer")
 	}
 	// The survivors exchanged: both hold the union of shards 0+1
-	// (~2/3 of the catalog > 30% grace → escalated).
+	// (~2/3 of the catalog > the 60% grace → escalated).
 	for i := 0; i < 2; i++ {
 		if m := shieldAt[i].Detector().Multiplier("splitter"); m <= 1 {
 			t.Errorf("surviving shard %d multiplier %v, want > 1", i, m)
@@ -178,7 +150,7 @@ func TestAntiEntropyRoutesAroundDeadPeer(t *testing.T) {
 	// writes-only resync — reachability proves nothing about the
 	// fan-out writes the peer missed — and the straggler's sketches
 	// catch up to the full union through the exchange.
-	kills[2].dead.Store(false)
+	c.Chaos[2].Revive()
 	if err := r.ExchangeNowFloor(0.05); err != nil {
 		t.Fatalf("post-revival exchange: %v", err)
 	}
@@ -220,33 +192,18 @@ func (f *sketchPushFailTransport) RoundTrip(req *http.Request) (*http.Response, 
 // the next round re-pulls the same deltas and re-delivers them, so the
 // failed peer misses the sketches for one round, not forever.
 func TestPushFailureRetainsWatermarks(t *testing.T) {
-	const shards = 2
-	nodes := make([]*Node, shards)
-	fails := make([]*sketchPushFailTransport, shards)
-	shieldAt := make([]interface{ Detector() *detect.Detector }, shards)
-	for i := range nodes {
-		h, sh := newShard(t, 200, detectCfg())
-		ft := &sketchPushFailTransport{inner: handlerTransport{h: h}}
-		name := fmt.Sprintf("shard-%d", i)
-		nodes[i] = &Node{name: name, base: "http://" + name, http: &http.Client{Transport: ft}, local: ft}
-		fails[i] = ft
-		shieldAt[i] = sh
-	}
-	r, err := NewRouter(nodes, Config{Policy: PolicyRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.Handler()
+	fails := make([]*sketchPushFailTransport, 2)
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 200, Detect: detectCfg(),
+		Wrap: func(i int, next http.RoundTripper) http.RoundTripper {
+			fails[i] = &sketchPushFailTransport{inner: next}
+			return fails[i]
+		}})
+	r, h, shieldAt, nodes := c.Router, c.Handler, c.Shields, c.Router.Nodes()
 
-	// Spread one principal's scan over both shards: each local half is
-	// under grace, the union is not.
-	for _, sql := range []string{
-		`SELECT * FROM items WHERE id <= 100`,
-		`SELECT * FROM items WHERE id > 100`,
-	} {
-		if resp, body := query(t, h, "splitter", sql); resp.StatusCode != http.StatusOK {
-			t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
-		}
+	// One principal's scan spreads over both shards: each local share
+	// is under grace, the union is not.
+	if resp, body := query(t, h, "splitter", `SELECT * FROM items WHERE id <= 150`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
 
 	fails[1].fail.Store(true)

@@ -16,22 +16,24 @@ import (
 	"repro/internal/vclock"
 )
 
+// benchConfig opens admission wide: the benches measure routing
+// overhead, not the edge limiter's (correct) rejection of 100k qps
+// clients.
+func benchConfig(partitions, replication int) Config {
+	return Config{
+		Partitions: partitions, Replication: replication,
+		AdmitRate: 1e9, AdmitBurst: 1e9, MaxInFlight: 1 << 30,
+	}
+}
+
 // BenchmarkClusterPointQuery measures the router's tax on the hot
 // path: the same point query against a shard directly vs through the
-// front door (body re-read, admission, policy pick, second transport
-// hop). bench.sh enforces via=router ≤ 1.15 × via=direct.
+// front door (body read, JSON decode, admission, statement plan,
+// replica-group walk, second transport hop, relay). bench.sh bounds
+// via=router against via=direct.
 func BenchmarkClusterPointQuery(b *testing.B) {
-	shard, _ := newShard(b, 100, nil)
-	node := NewLocalNode("shard-0", shard)
-	// Admission is opened wide: the bench measures routing overhead,
-	// not the edge limiter's (correct) rejection of 100k qps clients.
-	r, err := NewRouter([]*Node{node}, Config{
-		Policy:    PolicyHash,
-		AdmitRate: 1e9, AdmitBurst: 1e9, MaxInFlight: 1 << 30,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := newTestCluster(b, clusterOpts{Shards: 1, Tuples: 100, Config: benchConfig(0, 0)})
+	shard := c.Shards[0]
 	body, _ := json.Marshal(server.QueryRequest{SQL: `SELECT * FROM items WHERE id = 42`})
 
 	run := func(b *testing.B, h http.Handler) {
@@ -58,17 +60,14 @@ func BenchmarkClusterPointQuery(b *testing.B) {
 	}
 
 	b.Run("via=direct", func(b *testing.B) { run(b, shard) })
-	b.Run("via=router", func(b *testing.B) { run(b, r.Handler()) })
+	b.Run("via=router", func(b *testing.B) { run(b, c.Handler) })
 
-	// via=remote shapes the node like an HTTP peer (no local fast path,
-	// no direct handler): the forward path must hand the pooled request
-	// body to the transport without copying it — ReportAllocs keeps the
-	// per-request transport cost visible.
+	// via=remote shapes the node like an HTTP peer (no local fast path):
+	// the forward path must hand the pooled request body to the
+	// transport without copying it — ReportAllocs keeps the per-request
+	// transport cost visible.
 	remote := &Node{name: "shard-r", base: "http://shard-r", http: &http.Client{Transport: handlerTransport{h: shard}}}
-	rr, err := NewRouter([]*Node{remote}, Config{
-		Policy:    PolicyHash,
-		AdmitRate: 1e9, AdmitBurst: 1e9, MaxInFlight: 1 << 30,
-	})
+	rr, err := NewRouter([]*Node{remote}, benchConfig(0, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,10 +162,7 @@ func BenchmarkClusterScan(b *testing.B) {
 		for i := range nodes {
 			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), newIOShard(b, tuples))
 		}
-		r, err := NewRouter(nodes, Config{
-			Partitions: 64,
-			AdmitRate:  1e9, AdmitBurst: 1e9, MaxInFlight: 1 << 30,
-		})
+		r, err := NewRouter(nodes, benchConfig(64, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,25 +179,13 @@ func BenchmarkClusterScan(b *testing.B) {
 }
 
 // BenchmarkClusterWrite measures write amplification: a single-row
-// INSERT against a 4-shard cluster, replicated (every shard applies it,
-// behind the router-wide write ordering lock) vs partitioned (exactly
-// the owner applies it, no global lock). bench.sh enforces
-// mode=partitioned ≤ 1.0 × mode=replicated.
+// INSERT against a 4-shard cluster whose replica groups are every shard
+// (r=N: all four apply it) vs one shard (r=1: exactly the owner applies
+// it). Both hold only their partition's lock. bench.sh enforces
+// r=1 ≤ 1.0 × r=N.
 func BenchmarkClusterWrite(b *testing.B) {
 	write := func(b *testing.B, partitions int) {
-		nodes := make([]*Node, 4)
-		for i := range nodes {
-			h, _ := newShard(b, 1, nil)
-			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
-		}
-		r, err := NewRouter(nodes, Config{
-			Partitions: partitions,
-			AdmitRate:  1e9, AdmitBurst: 1e9, MaxInFlight: 1 << 30,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := r.Handler()
+		h := newTestCluster(b, clusterOpts{Shards: 4, Tuples: 1, Config: benchConfig(partitions, 1)}).Handler
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			body, _ := json.Marshal(server.QueryRequest{
@@ -210,43 +194,19 @@ func BenchmarkClusterWrite(b *testing.B) {
 			benchQuery(b, h, body)
 		}
 	}
-	b.Run("mode=replicated", func(b *testing.B) { write(b, 0) })
-	b.Run("mode=partitioned", func(b *testing.B) { write(b, 64) })
+	b.Run("r=N", func(b *testing.B) { write(b, 0) })
+	b.Run("r=1", func(b *testing.B) { write(b, 64) })
 }
 
 // BenchmarkClusterReplicatedPoint prices replica groups on the read
-// hot path: the same point query through a 4-shard partitioned router
-// with R=1 vs R=2. With every replica healthy the group walk stops at
-// its first readable member, so R=2 should cost only the group lookup;
-// bench.sh enforces r=2 ≤ 1.3 × r=1.
+// hot path: the same point query through a 4-shard router with R=1 vs
+// R=2. With every replica healthy the group walk stops at its first
+// readable member, so R=2 should cost only the group lookup; bench.sh
+// enforces r=2 ≤ 1.3 × r=1.
 func BenchmarkClusterReplicatedPoint(b *testing.B) {
 	point := func(b *testing.B, replication int) {
-		nodes := make([]*Node, 4)
-		for i := range nodes {
-			h, _ := newEmptyShard(b, 100, nil)
-			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
-		}
-		r, err := NewRouter(nodes, Config{
-			Partitions:  64,
-			Replication: replication,
-			AdmitRate:   1e9, AdmitBurst: 1e9, MaxInFlight: 1 << 30,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO items VALUES ")
-		for i := 1; i <= 100; i++ {
-			if i > 1 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-		}
-		if err := r.ExecScript(sb.String()); err != nil {
-			b.Fatal(err)
-		}
+		h := newTestCluster(b, clusterOpts{Shards: 4, Tuples: 100, Config: benchConfig(64, replication)}).Handler
 		body, _ := json.Marshal(server.QueryRequest{SQL: `SELECT * FROM items WHERE id = 42`})
-		h := r.Handler()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -44,11 +44,9 @@ func (t chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.inner.RoundTrip(req)
 }
 
-// NewChaosNode returns an in-process shard node with a kill switch.
-// Unlike NewLocalNode it sets no direct handler: every request —
-// including the single-target fast paths — crosses the killable
-// transport, so a kill is indistinguishable from a crashed process on
-// every router path.
+// NewChaosNode returns an in-process shard node with a kill switch:
+// every request crosses the killable transport, so a kill is
+// indistinguishable from a crashed process on every router path.
 func NewChaosNode(name string, h http.Handler) (*Node, *Chaos) {
 	c := &Chaos{name: name}
 	t := chaosTransport{inner: handlerTransport{h: h}, c: c}

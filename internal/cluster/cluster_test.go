@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,9 +17,11 @@ import (
 )
 
 // newShard builds one delaydb shard: a real engine + shield + HTTP
-// front door over tuples rows, delays running on a non-blocking
-// simulated clock so tests never sleep.
-func newShard(t testing.TB, tuples int, det *detect.Config) (http.Handler, *core.Shield) {
+// front door holding an empty `items` table, delays running on a
+// non-blocking simulated clock so tests never sleep. catalogN is the
+// global catalog size coverage is priced against — a shard holds only
+// its partitions' rows, which arrive through the router.
+func newShard(t testing.TB, catalogN int, det *detect.Config) (http.Handler, *core.Shield) {
 	t.Helper()
 	db, err := engine.Open(t.TempDir())
 	if err != nil {
@@ -31,21 +31,8 @@ func newShard(t testing.TB, tuples int, det *detect.Config) (http.Handler, *core
 	if _, err := db.Exec(`CREATE TABLE items (id INT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
-	if tuples > 0 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO items VALUES ")
-		for i := 1; i <= tuples; i++ {
-			if i > 1 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-		}
-		if _, err := db.Exec(sb.String()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	shield, err := core.New(db, core.Config{
-		N: tuples, Alpha: 1, Beta: 1, Cap: time.Millisecond,
+		N: catalogN, Alpha: 1, Beta: 1, Cap: time.Millisecond,
 		Clock:                vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC)),
 		Detect:               det,
 		RegistrationInterval: time.Second,
@@ -60,47 +47,89 @@ func newShard(t testing.TB, tuples int, det *detect.Config) (http.Handler, *core
 	return srv.Handler(), shield
 }
 
-// killableTransport fronts a local handler and simulates the shard
-// process dying: once killed, every request fails at the transport
-// level like a refused connection.
-type killableTransport struct {
-	inner http.RoundTripper
-	dead  atomic.Bool
+// clusterOpts describes a test cluster. The zero value is three shards
+// behind the zero-value Config — full replication — holding no rows.
+type clusterOpts struct {
+	Shards int // default 3
+	// Tuples loads rows (i, 'v<i>') for i in 1..Tuples through the
+	// router, so each lands on exactly the shards the map names.
+	Tuples int
+	Detect *detect.Config
+	Config Config
+	// Remote shapes the nodes like HTTP peers: no in-process fast path,
+	// every request through the http.Client a deployment uses.
+	Remote bool
+	// Wrap, when set, wraps shard i's transport (outside its kill
+	// switch) — how a test injects a shard that fails some requests.
+	Wrap func(shard int, next http.RoundTripper) http.RoundTripper
 }
 
-func (k *killableTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if k.dead.Load() {
-		return nil, errors.New("dial tcp: connection refused")
-	}
-	return k.inner.RoundTrip(req)
+// testCluster is everything newTestCluster built: the router, and per
+// shard its raw handler (for probing shard state off the router's
+// paths), shield and kill switch.
+type testCluster struct {
+	Router  *Router
+	Handler http.Handler // the router's front door
+	Shards  []http.Handler
+	Shields []*core.Shield
+	Chaos   []*Chaos
 }
 
-// newKillableNode is NewLocalNode with a kill switch.
-func newKillableNode(name string, h http.Handler) (*Node, *killableTransport) {
-	kt := &killableTransport{inner: handlerTransport{h: h}}
-	return &Node{
-		name:  name,
-		base:  "http://" + name,
-		http:  &http.Client{Transport: kt},
-		local: kt,
-	}, kt
-}
-
-// testCluster builds n shards behind a router.
-func testCluster(t testing.TB, n, tuples int, det *detect.Config, cfg Config) (*Router, []*core.Shield) {
+func newTestCluster(t testing.TB, o clusterOpts) *testCluster {
 	t.Helper()
-	nodes := make([]*Node, n)
-	shields := make([]*core.Shield, n)
-	for i := range nodes {
-		h, sh := newShard(t, tuples, det)
-		nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
-		shields[i] = sh
+	if o.Shards == 0 {
+		o.Shards = 3
 	}
-	r, err := NewRouter(nodes, cfg)
+	catalog := o.Tuples
+	if catalog == 0 {
+		catalog = 100 // empty to start; tuples arrive through the router
+	}
+	c := &testCluster{
+		Shards:  make([]http.Handler, o.Shards),
+		Shields: make([]*core.Shield, o.Shards),
+		Chaos:   make([]*Chaos, o.Shards),
+	}
+	nodes := make([]*Node, o.Shards)
+	for i := range nodes {
+		c.Shards[i], c.Shields[i] = newShard(t, catalog, o.Detect)
+		nodes[i], c.Chaos[i] = NewChaosNode(fmt.Sprintf("shard-%d", i), c.Shards[i])
+		if o.Wrap != nil {
+			rt := o.Wrap(i, nodes[i].local)
+			nodes[i].local, nodes[i].http = rt, &http.Client{Transport: rt}
+		}
+		if o.Remote {
+			nodes[i].local = nil
+		}
+	}
+	r, err := NewRouter(nodes, o.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, shields
+	c.Router, c.Handler = r, r.Handler()
+	if o.Tuples > 0 {
+		if err := r.ExecScript(insertItems(1, o.Tuples)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// insertItems renders one INSERT of rows (i, 'v<i>') for i in lo..hi.
+func insertItems(lo, hi int) string {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO items VALUES ")
+	for i := lo; i <= hi; i++ {
+		if i > lo {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
+	}
+	return sb.String()
+}
+
+// primaryOf returns the shard a point read of key goes to first.
+func (c *testCluster) primaryOf(key int64) int {
+	return c.Router.CurrentPartitionMap().OwnerOf(key)
 }
 
 // do sends one request through a handler via the same client plumbing
@@ -140,11 +169,69 @@ func query(t testing.TB, h http.Handler, identity, sql string) (*http.Response, 
 	return do(t, h, http.MethodPost, "/query", identity, string(body))
 }
 
+func decodeQuery(t testing.TB, body []byte) server.QueryResponse {
+	t.Helper()
+	var qr server.QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	return qr
+}
+
+// readValue point-reads items.v for key through h (the router, or one
+// shard's own handler), reporting whether the row exists.
+func readValue(t testing.TB, h http.Handler, identity string, key int) (string, bool) {
+	t.Helper()
+	resp, body := query(t, h, identity, fmt.Sprintf(`SELECT v FROM items WHERE id = %d`, key))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("read key %d: HTTP %d: %s", key, resp.StatusCode, body)
+	}
+	qr := decodeQuery(t, body)
+	if len(qr.Rows) == 0 {
+		return "", false
+	}
+	return qr.Rows[0][0], true
+}
+
+// shardCount asks one shard directly how many tuples it holds.
+func shardCount(t testing.TB, shard http.Handler) int {
+	t.Helper()
+	resp, body := query(t, shard, "probe", `SELECT COUNT(*) FROM items`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard count: HTTP %d: %s", resp.StatusCode, body)
+	}
+	var c int
+	fmt.Sscanf(decodeQuery(t, body).Rows[0][0], "%d", &c)
+	return c
+}
+
+func healthOf(t testing.TB, h http.Handler) HealthResponse {
+	t.Helper()
+	resp, body := do(t, h, http.MethodGet, "/healthz", "", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d: %s", resp.StatusCode, body)
+	}
+	var hr HealthResponse
+	if err := json.Unmarshal(body, &hr); err != nil {
+		t.Fatalf("healthz: %v: %s", err, body)
+	}
+	return hr
+}
+
+func peerStatus(hr HealthResponse, name string) string {
+	for _, p := range hr.Peers {
+		if p.Name == name {
+			return p.Status
+		}
+	}
+	return "absent"
+}
+
 func TestRingDistributionAndSequence(t *testing.T) {
 	r := newRing(4, 0)
 	counts := make([]int, 4)
 	for i := 0; i < 10000; i++ {
-		counts[r.owner(fmt.Sprintf("key-%d", i))]++
+		counts[r.sequence(fmt.Sprintf("key-%d", i))[0]]++
 	}
 	for n, c := range counts {
 		// Perfectly even would be 2500; vnodes should keep every node
@@ -156,9 +243,6 @@ func TestRingDistributionAndSequence(t *testing.T) {
 	seq := r.sequence("some-key")
 	if len(seq) != 4 {
 		t.Fatalf("sequence length %d, want 4", len(seq))
-	}
-	if seq[0] != r.owner("some-key") {
-		t.Errorf("sequence starts at %d, owner is %d", seq[0], r.owner("some-key"))
 	}
 	seen := make(map[int]bool)
 	for _, n := range seq {
@@ -178,90 +262,55 @@ func TestRingDistributionAndSequence(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]Policy{
-		"": PolicyHash, "hash": PolicyHash,
-		"rr": PolicyRoundRobin, "round-robin": PolicyRoundRobin,
-		"least": PolicyLeastLoaded, "leastloaded": PolicyLeastLoaded,
-	} {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
+// TestZeroConfigIsFullReplication pins the degenerate map: the
+// zero-value Config is DefaultPartitions partitions whose replica group
+// is every node, whatever Replication says.
+func TestZeroConfigIsFullReplication(t *testing.T) {
+	c := newTestCluster(t, clusterOpts{Shards: 3, Config: Config{Replication: 1}})
+	pm := c.Router.CurrentPartitionMap()
+	if len(pm.Owners) != DefaultPartitions {
+		t.Fatalf("%d partitions, want DefaultPartitions (%d)", len(pm.Owners), DefaultPartitions)
+	}
+	primaries := make(map[int]bool)
+	for p := range pm.Owners {
+		g := pm.GroupOf(p)
+		if len(g) != 3 {
+			t.Fatalf("partition %d group %v, want all 3 nodes", p, g)
 		}
+		primaries[g[0]] = true
 	}
-	if _, err := ParsePolicy("random"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
+	if len(primaries) != 3 {
+		t.Errorf("primaries %v: reads of different tuples should spread over all 3 shards", primaries)
 	}
-}
-
-func TestHashAffinityRoutesOnePrincipalToOneShard(t *testing.T) {
-	r, shields := testCluster(t, 4, 50, nil, Config{Policy: PolicyHash})
-	for q := 0; q < 8; q++ {
-		resp, body := query(t, r.Handler(), "alice", `SELECT * FROM items WHERE id = 7`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d: HTTP %d: %s", q, resp.StatusCode, body)
-		}
-	}
-	served := 0
-	for _, sh := range shields {
-		if n := sh.QueriesServed(); n > 0 {
-			served++
-			if n != 8 {
-				t.Errorf("affinity shard served %d queries, want all 8", n)
-			}
-		}
-	}
-	if served != 1 {
-		t.Errorf("%d shards served alice, want exactly 1 (hash affinity)", served)
-	}
-}
-
-func TestRoundRobinSpreadsReads(t *testing.T) {
-	r, shields := testCluster(t, 4, 50, nil, Config{Policy: PolicyRoundRobin})
-	for q := 0; q < 8; q++ {
-		resp, body := query(t, r.Handler(), "alice", `SELECT * FROM items WHERE id = 7`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d: HTTP %d: %s", q, resp.StatusCode, body)
-		}
-	}
-	for i, sh := range shields {
-		if n := sh.QueriesServed(); n != 2 {
-			t.Errorf("shard %d served %d queries, want 2 under round-robin", i, n)
-		}
-	}
-}
-
-func TestLeastLoadedPrefersIdleShard(t *testing.T) {
-	r, _ := testCluster(t, 3, 10, nil, Config{Policy: PolicyLeastLoaded})
-	r.nodes[0].inflight.Store(5)
-	r.nodes[2].inflight.Store(2)
-	order := r.readOrder("anyone")
-	if order[0] != 1 {
-		t.Fatalf("least-loaded picked shard %d first, want the idle shard 1 (loads 5,0,2)", order[0])
+	hr := healthOf(t, c.Handler)
+	if hr.PartitionVersion != 1 || hr.Partitions != DefaultPartitions || hr.Replication != 3 {
+		t.Errorf("healthz shape = v%d/%d/R%d, want v1/%d/R3", hr.PartitionVersion, hr.Partitions, hr.Replication, DefaultPartitions)
 	}
 }
 
 func TestWriteFanoutReplicatesToAllShards(t *testing.T) {
-	r, shields := testCluster(t, 3, 10, nil, Config{})
-	resp, body := query(t, r.Handler(), "writer", `INSERT INTO items VALUES (999, 'replicated')`)
+	c := newTestCluster(t, clusterOpts{Tuples: 10})
+	resp, body := query(t, c.Handler, "writer", `INSERT INTO items VALUES (999, 'replicated')`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("write: HTTP %d: %s", resp.StatusCode, body)
 	}
-	for i, sh := range shields {
-		res, err := sh.DB().Exec(`SELECT v FROM items WHERE id = 999`)
-		if err != nil || len(res.Rows) != 1 {
-			t.Errorf("shard %d: replicated row missing (rows=%d err=%v)", i, len(res.Rows), err)
+	for i, sh := range c.Shards {
+		if v, ok := readValue(t, sh, "probe", 999); !ok || v != "replicated" {
+			t.Errorf("shard %d: replicated row = (%q, %v)", i, v, ok)
+		}
+		if n := shardCount(t, sh); n != 11 {
+			t.Errorf("shard %d holds %d rows, want all 11", i, n)
 		}
 	}
 }
 
 func TestRegisterBroadcasts(t *testing.T) {
-	r, shields := testCluster(t, 2, 10, nil, Config{})
-	resp, body := do(t, r.Handler(), http.MethodPost, "/register", "", `{"identity":"acct-1"}`)
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10})
+	resp, body := do(t, c.Handler, http.MethodPost, "/register", "", `{"identity":"acct-1"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: HTTP %d: %s", resp.StatusCode, body)
 	}
-	for i, sh := range shields {
+	for i, sh := range c.Shields {
 		if v := sh.Metrics().Export()["shield_registrations_granted"].(float64); v != 1 {
 			t.Errorf("shard %d registered %v identities, want 1", i, v)
 		}
@@ -270,21 +319,22 @@ func TestRegisterBroadcasts(t *testing.T) {
 
 func TestAdmissionRejectsBeforeAnyShard(t *testing.T) {
 	clock := vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC))
-	r, shields := testCluster(t, 2, 10, nil, Config{
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10, Config: Config{
 		AdmitRate: 0.001, AdmitBurst: 1, Clock: clock,
-	})
+	}})
+	r, h := c.Router, c.Handler
 	// First query spends the only token; the second must be rejected at
 	// the edge with no shard work.
-	resp, _ := query(t, r.Handler(), "greedy", `SELECT * FROM items WHERE id = 1`)
+	resp, _ := query(t, h, "greedy", `SELECT * FROM items WHERE id = 1`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first query: HTTP %d", resp.StatusCode)
 	}
-	resp, body := query(t, r.Handler(), "greedy", `SELECT * FROM items WHERE id = 1`)
+	resp, body := query(t, h, "greedy", `SELECT * FROM items WHERE id = 1`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second query: HTTP %d (%s), want 429", resp.StatusCode, body)
 	}
 	var total int64
-	for _, sh := range shields {
+	for _, sh := range c.Shields {
 		total += sh.QueriesServed()
 	}
 	if total != 1 {
@@ -297,7 +347,7 @@ func TestAdmissionRejectsBeforeAnyShard(t *testing.T) {
 	// Global in-flight cap: with the gauge pinned at the cap, the next
 	// query bounces with 429 before identity limiting.
 	r.inflight.Set(int64(r.cfg.MaxInFlight))
-	resp, _ = query(t, r.Handler(), "someone-else", `SELECT * FROM items WHERE id = 1`)
+	resp, _ = query(t, h, "someone-else", `SELECT * FROM items WHERE id = 1`)
 	r.inflight.Set(0)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("at-capacity query: HTTP %d, want 429", resp.StatusCode)
@@ -308,8 +358,7 @@ func TestAdmissionRejectsBeforeAnyShard(t *testing.T) {
 }
 
 func TestRouterEdgeHardening(t *testing.T) {
-	r, _ := testCluster(t, 2, 10, nil, Config{})
-	h := r.Handler()
+	h := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10}).Handler
 
 	// Wrong content type → 415.
 	client := &http.Client{Transport: handlerTransport{h: h}}
@@ -335,16 +384,19 @@ func TestRouterEdgeHardening(t *testing.T) {
 	if resp, _ := do(t, h, http.MethodGet, "/query", "", ""); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query status = %d, want 405", resp.StatusCode)
 	}
-	// Unknown peer-up → 404; malformed → 400; wrong type → 415.
+	// Unknown peer-up → 404; malformed → 400.
 	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", `{"name":"nope"}`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown peer-up status = %d, want 404", resp.StatusCode)
 	}
 	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", `{`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed peer-up status = %d, want 400", resp.StatusCode)
 	}
-	// Quote proxy is hardened like the shard endpoint.
+	// The quote endpoint is hardened like the shard's.
 	if resp, _ := do(t, h, http.MethodPost, "/admin/quote", "", `garbage`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed quote status = %d, want 400", resp.StatusCode)
+	}
+	if resp, _ := do(t, h, http.MethodPost, "/admin/quote", "", `{"ids":[]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("empty quote status = %d, want 400", resp.StatusCode)
 	}
 	// Unknown node pin on a GET proxy → 404.
 	if resp, _ := do(t, h, http.MethodGet, "/stats?node=ghost", "", ""); resp.StatusCode != http.StatusNotFound {
@@ -353,8 +405,7 @@ func TestRouterEdgeHardening(t *testing.T) {
 }
 
 func TestProxyGetAndQuote(t *testing.T) {
-	r, _ := testCluster(t, 2, 10, nil, Config{})
-	h := r.Handler()
+	h := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10}).Handler
 	resp, body := do(t, h, http.MethodGet, "/stats?node=shard-1", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: HTTP %d: %s", resp.StatusCode, body)
@@ -379,10 +430,70 @@ func TestProxyGetAndQuote(t *testing.T) {
 	}
 }
 
+// TestQuoteRoutesByTuple: an extraction quote is priced by the shards
+// that own the tuples, whoever asks. On 4 shards × 64 partitions × R=1
+// no single shard holds every id, so a quote routed by the caller's
+// identity answers 404 for most ids and for any list spanning owners.
+func TestQuoteRoutesByTuple(t *testing.T) {
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 40, Config: Config{Partitions: 64}})
+	h := c.Handler
+	quote := func(body string) (int, server.QuoteResponse) {
+		resp, raw := do(t, h, http.MethodPost, "/admin/quote", "auditor", body)
+		var q server.QuoteResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(raw, &q); err != nil {
+				t.Fatalf("quote %s: %v: %s", body, err, raw)
+			}
+		}
+		return resp.StatusCode, q
+	}
+	// Warm a few tuples so prices differ and a sum means something.
+	for _, id := range []int{2, 3, 5} {
+		readValue(t, h, "reader", id)
+	}
+	single := make(map[int]float64)
+	for id := 1; id <= 40; id++ {
+		code, q := quote(fmt.Sprintf(`{"ids":[%d]}`, id))
+		if code != http.StatusOK || q.Tuples != 1 {
+			t.Fatalf("quote of id %d: HTTP %d, tuples %d; want 200 and 1", id, code, q.Tuples)
+		}
+		single[id] = q.DelayMillis
+	}
+	code, q := quote(`{"ids":[1,2,3,4,5,6,7,8]}`)
+	if code != http.StatusOK || q.Tuples != 8 {
+		t.Fatalf("quote of ids 1..8: HTTP %d, tuples %d; want 200 and 8", code, q.Tuples)
+	}
+	var want float64
+	for id := 1; id <= 8; id++ {
+		want += single[id]
+	}
+	if diff := q.DelayMillis - want; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("quote of ids 1..8 = %v ms, want the sum of the single quotes %v ms", q.DelayMillis, want)
+	}
+	if code, _ := quote(`{"ids":[1,4000]}`); code != http.StatusNotFound {
+		t.Errorf("quote with an unknown id: HTTP %d, want the shard's 404", code)
+	}
+	// A partition with no readable replica cannot be priced.
+	c.Chaos[c.primaryOf(1)].Kill()
+	readable := -1
+	for id := 2; id <= 40; id++ {
+		if c.primaryOf(int64(id)) != c.primaryOf(1) {
+			readable = id
+			break
+		}
+	}
+	if code, _ := quote(`{"ids":[1]}`); code != http.StatusServiceUnavailable {
+		t.Errorf("quote against a dead owner: HTTP %d, want 503", code)
+	}
+	if code, _ := quote(fmt.Sprintf(`{"ids":[%d]}`, readable)); code != http.StatusOK {
+		t.Errorf("quote of id %d on a live owner: HTTP %d, want 200", readable, code)
+	}
+}
+
 func TestRouterMetricsExported(t *testing.T) {
-	r, _ := testCluster(t, 2, 10, nil, Config{})
-	query(t, r.Handler(), "m", `SELECT * FROM items WHERE id = 1`)
-	resp, body := do(t, r.Handler(), http.MethodGet, "/metrics", "", "")
+	h := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10}).Handler
+	query(t, h, "m", `SELECT * FROM items WHERE id = 1`)
+	resp, body := do(t, h, http.MethodGet, "/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", resp.StatusCode)
 	}
@@ -391,7 +502,8 @@ func TestRouterMetricsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"cluster_routed_total", "cluster_routed_hash_total",
+		"cluster_routed_total", "cluster_partitions",
+		"cluster_partition_single_reads_total", "cluster_partition_single_writes_total",
 		"cluster_admission_rejected_total", "cluster_inflight_rejected_total",
 		"cluster_peer_down", "cluster_peer_resync", "cluster_peer_errors_total",
 		"cluster_write_diverged_total",
@@ -404,6 +516,9 @@ func TestRouterMetricsExported(t *testing.T) {
 	}
 	if v := m["cluster_routed_total"].(float64); v != 1 {
 		t.Errorf("cluster_routed_total = %v, want 1", v)
+	}
+	if v := m["cluster_partition_single_reads_total"].(float64); v != 1 {
+		t.Errorf("cluster_partition_single_reads_total = %v, want 1 (the point read took the one path)", v)
 	}
 	if v := m["cluster_nodes"].(float64); v != 2 {
 		t.Errorf("cluster_nodes = %v, want 2", v)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,27 +9,21 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/core"
 )
 
+// The tests in this file run on the zero-value Config — full
+// replication, the R = N partition map — where every shard holds every
+// tuple and a tuple's reads go to its partition's primary. Each picks
+// as its victim the primary of the key it reads, so the failure sits on
+// the read path instead of beside it.
+
 // TestShardFailover kills one shard mid-workload and checks the
-// ISSUE's failover contract: reads keep flowing via re-routing, no
-// acked write is lost, and the router's /healthz names the degraded
-// peer.
+// failover contract: reads keep flowing via the replica-group walk, no
+// acked write is lost, the router's /healthz names the degraded peer,
+// and /admin/resync re-copies what the peer missed.
 func TestShardFailover(t *testing.T) {
-	const shards = 3
-	nodes := make([]*Node, shards)
-	kills := make([]*killableTransport, shards)
-	for i := range nodes {
-		h, _ := newShard(t, 20, nil)
-		nodes[i], kills[i] = newKillableNode(fmt.Sprintf("shard-%d", i), h)
-	}
-	r, err := NewRouter(nodes, Config{Policy: PolicyHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Tuples: 20})
+	r, h := c.Router, c.Handler
 
 	// Warm-up workload: writes replicate everywhere, reads succeed.
 	resp, body := query(t, h, "w", `INSERT INTO items VALUES (100, 'pre-kill')`)
@@ -38,31 +31,21 @@ func TestShardFailover(t *testing.T) {
 		t.Fatalf("pre-kill write: HTTP %d: %s", resp.StatusCode, body)
 	}
 	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("reader-%d", i)
-		if resp, body := query(t, h, id, `SELECT * FROM items WHERE id = 100`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("pre-kill read %d: HTTP %d: %s", i, resp.StatusCode, body)
+		if v, ok := readValue(t, h, fmt.Sprintf("reader-%d", i), 100); !ok || v != "pre-kill" {
+			t.Fatalf("pre-kill read %d = (%q, %v)", i, v, ok)
 		}
 	}
 
-	// Kill shard 1 mid-workload.
-	kills[1].dead.Store(true)
+	// Kill the shard those reads were served by.
+	victim := c.primaryOf(100)
+	name := r.nodes[victim].name
+	c.Chaos[victim].Kill()
 
-	// Every read — including those whose hash owner is the dead shard —
-	// keeps flowing, and the acked pre-kill write is still readable.
+	// Every read keeps flowing, and the acked pre-kill write is still
+	// readable.
 	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("reader-%d", i)
-		resp, body := query(t, h, id, `SELECT v FROM items WHERE id = 100`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post-kill read %d: HTTP %d: %s", i, resp.StatusCode, body)
-		}
-		var q struct {
-			Rows [][]string `json:"rows"`
-		}
-		if err := json.Unmarshal(body, &q); err != nil {
-			t.Fatal(err)
-		}
-		if len(q.Rows) != 1 || q.Rows[0][0] != "pre-kill" {
-			t.Fatalf("post-kill read %d lost the acked write: %s", i, body)
+		if v, ok := readValue(t, h, fmt.Sprintf("reader-%d", i), 100); !ok || v != "pre-kill" {
+			t.Fatalf("post-kill read %d lost the acked write: (%q, %v)", i, v, ok)
 		}
 	}
 
@@ -73,132 +56,100 @@ func TestShardFailover(t *testing.T) {
 		t.Fatalf("outage write: HTTP %d: %s", resp.StatusCode, body)
 	}
 	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("outage-reader-%d", i)
-		resp, body := query(t, h, id, `SELECT v FROM items WHERE id = 200`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("outage read: HTTP %d: %s", resp.StatusCode, body)
-		}
-		var q struct {
-			Rows [][]string `json:"rows"`
-		}
-		json.Unmarshal(body, &q)
-		if len(q.Rows) != 1 || q.Rows[0][0] != "during-outage" {
-			t.Fatalf("outage write unreadable via router: %s", body)
+		if v, ok := readValue(t, h, fmt.Sprintf("outage-reader-%d", i), 200); !ok || v != "during-outage" {
+			t.Fatalf("outage write unreadable via router: (%q, %v)", v, ok)
 		}
 	}
 
 	// /healthz reports the degraded peer by name.
-	resp, body = do(t, h, http.MethodGet, "/healthz", "", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
-	}
-	var health HealthResponse
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
+	health := healthOf(t, h)
 	if health.Status != "degraded" {
-		t.Fatalf("health status = %q, want degraded: %s", health.Status, body)
+		t.Fatalf("health status = %q, want degraded", health.Status)
 	}
-	downNamed := false
 	for _, p := range health.Peers {
-		if p.Name == "shard-1" && p.Status == "down" {
-			downNamed = true
+		want := "ok"
+		if p.Name == name {
+			want = "down"
 		}
-		if p.Name != "shard-1" && p.Status != "ok" {
-			t.Errorf("healthy peer %s reported %q", p.Name, p.Status)
+		if p.Status != want {
+			t.Errorf("peer %s reported %q, want %q", p.Name, p.Status, want)
 		}
-	}
-	if !downNamed {
-		t.Fatalf("healthz does not name shard-1 down: %s", body)
 	}
 	if v := r.peerDown.Value(); v != 1 {
 		t.Errorf("cluster_peer_down = %d, want 1", v)
 	}
 	if r.readFailover.Value() == 0 {
-		t.Error("cluster_read_failovers_total = 0; hash-owned reads never failed over")
+		t.Error("cluster_read_failovers_total = 0; reads of the dead primary's key never failed over")
 	}
 
-	// Revive the shard; the operator latch-clear restores full health.
-	kills[1].dead.Store(false)
-	resp, _ = do(t, h, http.MethodPost, "/admin/peer-up", "", `{"name":"shard-1"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-up: HTTP %d", resp.StatusCode)
+	// Revive the shard; the probe lands it writes-only, and the
+	// automated catch-up restores full health — with the data.
+	c.Chaos[victim].Revive()
+	r.ExchangeNow()
+	if st := peerStatus(healthOf(t, h), name); st != "resync" {
+		t.Fatalf("revived peer status = %q, want resync", st)
 	}
-	resp, body = do(t, h, http.MethodGet, "/healthz", "", "")
-	json.Unmarshal(body, &health)
-	if health.Status != "ok" {
-		t.Fatalf("post-revival health = %q, want ok: %s", health.Status, body)
+	resp, body = do(t, h, http.MethodPost, "/admin/resync", "", fmt.Sprintf(`{"name":%q}`, name))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resync: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if health := healthOf(t, h); health.Status != "ok" {
+		t.Fatalf("post-resync health = %q, want ok", health.Status)
 	}
 	if v := r.peerDown.Value(); v != 0 {
-		t.Errorf("post-revival cluster_peer_down = %d, want 0", v)
+		t.Errorf("post-resync cluster_peer_down = %d, want 0", v)
+	}
+	if v, ok := readValue(t, c.Shards[victim], "probe", 200); !ok || v != "during-outage" {
+		t.Fatalf("catch-up did not deliver the outage write to %s: (%q, %v)", name, v, ok)
 	}
 }
 
 // TestProbeRevivalIsWritesOnly: the anti-entropy health probe may
 // discover a down peer answering again, but reachability says nothing
-// about the fan-out writes it missed while down — there is no data
-// resync channel, only sketches re-converge. So probe revival lands
-// the peer in writes-only resync: it receives new writes (so it stops
-// falling behind) but serves no reads until an operator resyncs it and
-// confirms POST /admin/peer-up.
+// about the writes it missed while down. So probe revival lands the
+// peer in writes-only resync: it receives new writes (so it stops
+// falling behind) but serves no reads until it is resynced or an
+// operator confirms POST /admin/peer-up.
 func TestProbeRevivalIsWritesOnly(t *testing.T) {
-	const shards = 3
-	nodes := make([]*Node, shards)
-	kills := make([]*killableTransport, shards)
-	shields := make([]*core.Shield, shards)
-	for i := range nodes {
-		h, sh := newShard(t, 20, nil)
-		nodes[i], kills[i] = newKillableNode(fmt.Sprintf("shard-%d", i), h)
-		shields[i] = sh
-	}
-	r, err := NewRouter(nodes, Config{Policy: PolicyRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Tuples: 20})
+	r, h := c.Router, c.Handler
+	victim := c.primaryOf(300)
+	node, name := r.nodes[victim], r.nodes[victim].name
 
-	// Kill shard 1; a write latches it down and acks on the survivors.
-	kills[1].dead.Store(true)
+	// Kill the victim; a write latches it down and acks on the survivors.
+	c.Chaos[victim].Kill()
 	if resp, body := query(t, h, "w", `INSERT INTO items VALUES (300, 'missed')`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("outage write: HTTP %d: %s", resp.StatusCode, body)
 	}
-	if !nodes[1].Down() {
+	if !node.Down() {
 		t.Fatal("dead shard not latched down by the write")
 	}
 
 	// Transport heals; the next exchange round's probe revives the
 	// peer — onto the write plane only.
-	kills[1].dead.Store(false)
+	c.Chaos[victim].Revive()
 	if err := r.ExchangeNow(); err != nil {
 		t.Fatalf("exchange: %v", err)
 	}
-	if nodes[1].Down() {
+	if node.Down() {
 		t.Fatal("revived peer still latched down")
 	}
-	if !nodes[1].Resync() {
+	if !node.Resync() {
 		t.Fatal("probe revival cleared the peer into full rotation; want writes-only resync")
 	}
 	if v := r.peerResync.Value(); v != 1 {
 		t.Errorf("cluster_peer_resync = %d, want 1", v)
 	}
 
-	// Reads — even under round-robin — must avoid the resync peer, and
-	// every one of them must see the write it missed.
-	preReads := shields[1].QueriesServed()
+	// Reads of the key whose primary is the resync peer must avoid it,
+	// and every one of them must see the write it missed.
+	preReads := c.Shields[victim].QueriesServed()
 	for i := 0; i < 12; i++ {
-		resp, body := query(t, h, fmt.Sprintf("rdr-%d", i), `SELECT v FROM items WHERE id = 300`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("read %d: HTTP %d: %s", i, resp.StatusCode, body)
-		}
-		var q struct {
-			Rows [][]string `json:"rows"`
-		}
-		json.Unmarshal(body, &q)
-		if len(q.Rows) != 1 || q.Rows[0][0] != "missed" {
-			t.Fatalf("read %d lost the acked write (served by an un-resynced replica?): %s", i, body)
+		if v, ok := readValue(t, h, fmt.Sprintf("rdr-%d", i), 300); !ok || v != "missed" {
+			t.Fatalf("read %d lost the acked write (served by an un-resynced replica?): (%q, %v)", i, v, ok)
 		}
 	}
-	if got := shields[1].QueriesServed(); got != preReads {
+	if got := c.Shields[victim].QueriesServed(); got != preReads {
 		t.Fatalf("resync peer served %d reads; it is missing acked writes", got-preReads)
 	}
 
@@ -206,39 +157,27 @@ func TestProbeRevivalIsWritesOnly(t *testing.T) {
 	if resp, body := query(t, h, "w", `INSERT INTO items VALUES (301, 'post-revival')`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-revival write: HTTP %d: %s", resp.StatusCode, body)
 	}
-	if res, err := shields[1].DB().Exec(`SELECT v FROM items WHERE id = 301`); err != nil || len(res.Rows) != 1 {
-		t.Errorf("resync peer missed a post-revival write (rows=%v err=%v)", res, err)
+	if v, ok := readValue(t, c.Shards[victim], "probe", 301); !ok || v != "post-revival" {
+		t.Errorf("resync peer missed a post-revival write: (%q, %v)", v, ok)
 	}
 
 	// /healthz names the resync peer and stays degraded.
-	_, body := do(t, h, http.MethodGet, "/healthz", "", "")
-	var health HealthResponse
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
+	health := healthOf(t, h)
 	if health.Status != "degraded" {
-		t.Fatalf("health status = %q with a resync peer, want degraded: %s", health.Status, body)
+		t.Fatalf("health status = %q with a resync peer, want degraded", health.Status)
 	}
-	named := false
-	for _, p := range health.Peers {
-		if p.Name == "shard-1" && p.Status == "resync" {
-			named = true
-		}
-	}
-	if !named {
-		t.Fatalf("healthz does not name shard-1 resync: %s", body)
+	if st := peerStatus(health, name); st != "resync" {
+		t.Fatalf("healthz reports %s as %q, want resync", name, st)
 	}
 
-	// Operator peer-up is the only way back into the read rotation.
-	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", `{"name":"shard-1"}`); resp.StatusCode != http.StatusOK {
+	// Operator peer-up returns it to the read rotation.
+	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", fmt.Sprintf(`{"name":%q}`, name)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer-up: HTTP %d", resp.StatusCode)
 	}
-	if nodes[1].Resync() || nodes[1].Down() {
+	if node.Resync() || node.Down() {
 		t.Fatal("peer-up did not clear the latches")
 	}
-	_, body = do(t, h, http.MethodGet, "/healthz", "", "")
-	json.Unmarshal(body, &health)
-	if health.Status != "ok" {
+	if health := healthOf(t, h); health.Status != "ok" {
 		t.Fatalf("post-peer-up health = %q, want ok", health.Status)
 	}
 }
@@ -255,6 +194,7 @@ type writeFailTransport struct {
 func (f *writeFailTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if f.fail.Load() && req.Method == http.MethodPost && req.URL.Path == "/query" {
 		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -278,33 +218,23 @@ func (f *writeFailTransport) RoundTrip(req *http.Request) (*http.Response, error
 // (writes-only resync) instead of staying in rotation serving reads
 // that are missing acked writes.
 func TestWriteDivergenceQuarantinesShard(t *testing.T) {
-	const shards = 3
-	nodes := make([]*Node, shards)
-	fails := make([]*writeFailTransport, shards)
-	shields := make([]*core.Shield, shards)
-	for i := range nodes {
-		h, sh := newShard(t, 20, nil)
-		ft := &writeFailTransport{inner: handlerTransport{h: h}}
-		name := fmt.Sprintf("shard-%d", i)
-		nodes[i] = &Node{name: name, base: "http://" + name, http: &http.Client{Transport: ft}, local: ft}
-		fails[i] = ft
-		shields[i] = sh
-	}
-	r, err := NewRouter(nodes, Config{Policy: PolicyRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.Handler()
+	fails := make([]*writeFailTransport, 3)
+	c := newTestCluster(t, clusterOpts{Tuples: 20, Wrap: func(i int, next http.RoundTripper) http.RoundTripper {
+		fails[i] = &writeFailTransport{inner: next}
+		return fails[i]
+	}})
+	r, h := c.Router, c.Handler
+	victim := c.primaryOf(400)
 
-	fails[1].fail.Store(true)
+	fails[victim].fail.Store(true)
 	resp, body := query(t, h, "w", `INSERT INTO items VALUES (400, 'diverged')`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("write: HTTP %d: %s — two healthy replicas accepted it", resp.StatusCode, body)
 	}
-	if !nodes[1].Resync() {
+	if !r.nodes[victim].Resync() {
 		t.Fatal("diverged shard still in full rotation")
 	}
-	if nodes[1].Down() {
+	if r.nodes[victim].Down() {
 		t.Fatal("diverged shard latched down; it is alive, just diverged")
 	}
 	if v := r.writeDiverged.Value(); v != 1 {
@@ -313,31 +243,22 @@ func TestWriteDivergenceQuarantinesShard(t *testing.T) {
 
 	// Every read sees the acked write; none is served by the diverged
 	// replica that rejected it.
-	preReads := shields[1].QueriesServed()
+	preReads := c.Shields[victim].QueriesServed()
 	for i := 0; i < 12; i++ {
-		resp, body := query(t, h, fmt.Sprintf("rdr-%d", i), `SELECT v FROM items WHERE id = 400`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("read %d: HTTP %d: %s", i, resp.StatusCode, body)
-		}
-		var q struct {
-			Rows [][]string `json:"rows"`
-		}
-		json.Unmarshal(body, &q)
-		if len(q.Rows) != 1 || q.Rows[0][0] != "diverged" {
-			t.Fatalf("read %d missed the acked write: %s", i, body)
+		if v, ok := readValue(t, h, fmt.Sprintf("rdr-%d", i), 400); !ok || v != "diverged" {
+			t.Fatalf("read %d missed the acked write: (%q, %v)", i, v, ok)
 		}
 	}
-	if got := shields[1].QueriesServed(); got != preReads {
+	if got := c.Shields[victim].QueriesServed(); got != preReads {
 		t.Fatalf("diverged shard served %d reads while quarantined", got-preReads)
 	}
 }
 
 // TestConcurrentWritesConvergeReplicas: non-commutative writes from
 // concurrent clients must leave every replica in the same final state
-// — the router serializes fan-outs so all shards apply one order.
+// — the partition's write lock makes all replicas apply one order.
 func TestConcurrentWritesConvergeReplicas(t *testing.T) {
-	r, shields := testCluster(t, 3, 10, nil, Config{})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Tuples: 10})
 	const writers = 4
 	const iters = 8
 	var wg sync.WaitGroup
@@ -347,7 +268,7 @@ func TestConcurrentWritesConvergeReplicas(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < iters; k++ {
 				sql := fmt.Sprintf(`UPDATE items SET v = 'w%d-%d' WHERE id = 5`, wid, k)
-				resp, body := query(t, h, fmt.Sprintf("writer-%d", wid), sql)
+				resp, body := query(t, c.Handler, fmt.Sprintf("writer-%d", wid), sql)
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("writer %d iter %d: HTTP %d: %s", wid, k, resp.StatusCode, body)
 					return
@@ -356,13 +277,13 @@ func TestConcurrentWritesConvergeReplicas(t *testing.T) {
 		}(wid)
 	}
 	wg.Wait()
-	vals := make([]string, len(shields))
-	for i, sh := range shields {
-		res, err := sh.DB().Exec(`SELECT v FROM items WHERE id = 5`)
-		if err != nil || len(res.Rows) != 1 {
-			t.Fatalf("shard %d: rows=%v err=%v", i, res, err)
+	vals := make([]string, len(c.Shards))
+	for i, sh := range c.Shards {
+		v, ok := readValue(t, sh, "probe", 5)
+		if !ok {
+			t.Fatalf("shard %d lost row 5", i)
 		}
-		vals[i] = res.Rows[0][0].String()
+		vals[i] = v
 	}
 	for i := 1; i < len(vals); i++ {
 		if vals[i] != vals[0] {
@@ -371,54 +292,73 @@ func TestConcurrentWritesConvergeReplicas(t *testing.T) {
 	}
 }
 
-// TestDirectShardPanicDoesNotLeakInflight: a panic inside a local
-// shard handler unwinds through serveDirect up to the router's
-// recovery middleware; both the per-node and the router-wide in-flight
-// counts must be restored or the least-loaded policy and /healthz skew
-// forever.
-func TestDirectShardPanicDoesNotLeakInflight(t *testing.T) {
-	panicky := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+// panicTransport panics inside the shard on POST /query, as a shard
+// handler with a bug would.
+type panicTransport struct{ inner http.RoundTripper }
+
+func (p panicTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == "/query" {
 		panic("shard bug")
-	})
-	n := NewLocalNode("boom", panicky)
-	r, err := NewRouter([]*Node{n}, Config{})
-	if err != nil {
-		t.Fatal(err)
 	}
-	resp, _ := query(t, r.Handler(), "x", `SELECT * FROM items WHERE id = 1`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking shard: HTTP %d, want 500 from recovery", resp.StatusCode)
+	return p.inner.RoundTrip(req)
+}
+
+// TestShardPanicDoesNotLeakInflight: a panic inside a local shard
+// unwinds through the forward path up to the router's recovery
+// middleware; both the per-node and the router-wide in-flight counts
+// must be restored or /healthz and the in-flight cap skew forever.
+func TestShardPanicDoesNotLeakInflight(t *testing.T) {
+	c := newTestCluster(t, clusterOpts{Shards: 1, Wrap: func(_ int, next http.RoundTripper) http.RoundTripper {
+		return panicTransport{inner: next}
+	}})
+	for _, sql := range []string{
+		`SELECT * FROM items WHERE id = 1`,         // replica read
+		`INSERT INTO items VALUES (1, 'x')`,        // group write
+		`CREATE TABLE t (id INT PRIMARY KEY)`,      // broadcast
+		`EXPLAIN SELECT * FROM items WHERE id = 1`, // any-shard
+	} {
+		resp, _ := query(t, c.Handler, "x", sql)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s on a panicking shard: HTTP %d, want 500 from recovery", sql, resp.StatusCode)
+		}
+		if v := c.Router.nodes[0].InFlight(); v != 0 {
+			t.Errorf("%s: node in-flight leaked after panic: %d", sql, v)
+		}
+		if v := c.Router.inflight.Value(); v != 0 {
+			t.Errorf("%s: router in-flight leaked after panic: %d", sql, v)
+		}
 	}
-	if v := n.InFlight(); v != 0 {
-		t.Errorf("node in-flight leaked after panic: %d", v)
-	}
-	if v := r.inflight.Value(); v != 0 {
-		t.Errorf("router in-flight leaked after panic: %d", v)
+	// The locks the write paths held unwound too: a healthy statement
+	// still gets through.
+	if hr := healthOf(t, c.Handler); hr.Status != "ok" {
+		t.Errorf("health after panics = %q, want ok", hr.Status)
 	}
 }
 
 // TestAllShardsDown checks the router's terminal degradation: with no
 // healthy peer, reads and writes answer 503 instead of hanging.
 func TestAllShardsDown(t *testing.T) {
-	h0, _ := newShard(t, 10, nil)
-	node, kill := newKillableNode("only", h0)
-	r, err := NewRouter([]*Node{node}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kill.dead.Store(true)
+	c := newTestCluster(t, clusterOpts{Shards: 1, Tuples: 10})
+	c.Chaos[0].Kill()
 	// First query latches the peer down (transport error on the walk).
-	resp, _ := query(t, r.Handler(), "x", `SELECT * FROM items WHERE id = 1`)
+	resp, _ := query(t, c.Handler, "x", `SELECT * FROM items WHERE id = 1`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("read with dead shard: HTTP %d, want 503", resp.StatusCode)
 	}
-	// Now latched: both paths answer 503 cleanly.
-	resp, _ = query(t, r.Handler(), "x", `SELECT * FROM items WHERE id = 1`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("latched read: HTTP %d, want 503", resp.StatusCode)
+	// Now latched: every path answers 503 cleanly.
+	for _, sql := range []string{
+		`SELECT * FROM items WHERE id = 1`,
+		`SELECT COUNT(*) FROM items`,
+		`INSERT INTO items VALUES (50, 'x')`,
+		`INSERT INTO nowhere VALUES (50, 'x')`,
+		`UPDATE items SET v = 'x' WHERE id > 3`,
+		`CREATE TABLE t (id INT PRIMARY KEY)`,
+	} {
+		if resp, body := query(t, c.Handler, "x", sql); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s with every shard latched: HTTP %d (%s), want 503", sql, resp.StatusCode, body)
+		}
 	}
-	resp, _ = query(t, r.Handler(), "x", `INSERT INTO items VALUES (5, 'x')`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("latched write: HTTP %d, want 503", resp.StatusCode)
+	if resp, _ := do(t, c.Handler, http.MethodPost, "/register", "", `{"identity":"acct-1"}`); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("register with every shard latched: HTTP %d, want 503", resp.StatusCode)
 	}
 }

@@ -141,9 +141,6 @@ func (r *Router) startMigration(target *PartitionMap) error {
 		return errors.New("a rebalance is already running")
 	}
 	cur := r.pmap.Load()
-	if cur == nil {
-		return errors.New("partitioning is not enabled")
-	}
 	if err := r.validateNextMap(target); err != nil {
 		return err
 	}
@@ -306,13 +303,7 @@ func (r *Router) copyPartitionFenced(ctx context.Context, m *migration, p int) e
 // (or the scatter lock exclusively), so no write can land mid-copy and
 // clearing the dirty bit first is safe.
 func (r *Router) copyPartition(ctx context.Context, m *migration, p int) error {
-	src := -1
-	for _, i := range m.source.groupOf(p) {
-		if r.nodes[i].readable() {
-			src = i
-			break
-		}
-	}
+	src := r.firstReadable(m.source.groupOf(p))
 	if src < 0 {
 		return fmt.Errorf("partition %d has no readable source replica", p)
 	}
@@ -516,9 +507,7 @@ func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if up.Version == 0 {
-		if cur := r.pmap.Load(); cur != nil {
-			up.Version = cur.Version + 1
-		}
+		up.Version = r.pmap.Load().Version + 1
 	}
 	target, err := r.mapFromUpdate(&up, true)
 	if err != nil {
@@ -545,7 +534,7 @@ func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 // movement instead of operator assertion: for every partition the peer
 // replicates that has another readable source, re-copy the slice under
 // the partition's write fence, then clear both latches. The automated
-// counterpart to POST /admin/peer-up for partitioned clusters.
+// counterpart to POST /admin/peer-up.
 func (r *Router) CatchUpPeer(name string) error {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
@@ -553,9 +542,6 @@ func (r *Router) CatchUpPeer(name string) error {
 		return errors.New("a rebalance is running; retry after it completes")
 	}
 	pm := r.pmap.Load()
-	if pm == nil {
-		return errors.New("partitioning is not enabled; use /admin/peer-up after resyncing manually")
-	}
 	ni := -1
 	for i, n := range r.nodes {
 		if n.name == name {

@@ -35,20 +35,12 @@ type Node struct {
 	// request carries the client's context. nil for HTTP peers, which
 	// keep the full client for its timeout handling.
 	local http.RoundTripper
-	// direct, when non-nil, serves single-target reads by invoking the
-	// shard handler on the client's own ResponseWriter — no recorder,
-	// no response copy, no relay. Only NewLocalNode sets it: a shard in
-	// the router's own process cannot die independently of the router,
-	// so the transport-failure failover the RoundTripper path provides
-	// has nothing to catch here.
-	direct http.Handler
-
 	// urls caches parsed request URLs per path; the forward hot path
 	// clones a cached value instead of re-parsing base+path per query.
 	urls sync.Map // path → *url.URL
 
-	// inflight is the live request count, the least-loaded policy's
-	// signal and the per-peer gauge.
+	// inflight is the live request count, reported per peer on
+	// /healthz.
 	inflight atomic.Int64
 	// down latches when a request to the peer fails at the transport
 	// level. Routing and the exchange skip down peers entirely. The
@@ -131,11 +123,10 @@ func NewHTTPNode(name, base string) *Node {
 func NewLocalNode(name string, h http.Handler) *Node {
 	t := handlerTransport{h: h}
 	return &Node{
-		name:   name,
-		base:   "http://" + name,
-		http:   &http.Client{Transport: t},
-		local:  t,
-		direct: h,
+		name:  name,
+		base:  "http://" + name,
+		http:  &http.Client{Transport: t},
+		local: t,
 	}
 }
 

@@ -14,26 +14,26 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// This file is the tuple-partitioning layer: a versioned partition map
-// assigning each tuple (by primary key) to exactly one owner shard, and
-// the per-statement planner the router consults to route point queries
-// and single-key writes to that one owner while scans scatter to every
-// owner. Replication made every shard a full copy — writes fanned out
-// N ways and a scan ran on one shard, so shards bought availability but
-// zero capacity. Under partitioning each shard holds ~1/P of the tuples:
-// single-key writes touch one shard (amplification N× → 1×, and no
-// router-wide write ordering lock — rows on different shards are
-// different rows, so cross-shard write order cannot diverge anything),
-// and scatter scans run on all shards concurrently over 1/P-sized
-// slices. Detection stays globally coherent without any new machinery:
-// each shard's detector observes only its partition's tuple IDs, and the
-// existing anti-entropy sketch exchange merges those per-slice sketches
-// into the union view, so a coalition splitting its key range across
-// partitions prices exactly as if one node saw the whole stream.
+// This file is the router's one topology: a versioned partition map
+// assigning each tuple (by primary key) to a replica group of owner
+// shards, and the per-statement planner that routes point queries and
+// single-key writes to that one group while scans scatter to one live
+// replica per partition. With R < N each shard holds ~R/N of the
+// tuples: single-key writes touch R shards, not N, with no router-wide
+// write ordering lock (rows in different partitions are different rows,
+// so their relative order cannot diverge anything), and scatter scans
+// run on all shards concurrently over their slices. Full replication is
+// the R = N special case — every group is every node — and takes
+// exactly the same paths. Detection stays globally coherent without any
+// new machinery: each shard's detector observes only the tuple IDs it
+// served, and the anti-entropy sketch exchange merges those per-slice
+// sketches into the union view, so a coalition splitting its key range
+// across partitions prices exactly as if one node saw the whole stream.
 
-// DefaultPartitions is the partition count cmd/delaydb uses when
-// -partitions is set without a value; plenty of headroom to rebalance
-// onto more shards without re-hashing tuples.
+// DefaultPartitions is the partition count of the full-replication map
+// (Config.Partitions == 0) and cmd/delaydb's suggested -partitions
+// value; plenty of headroom to rebalance onto more shards without
+// re-hashing tuples.
 const DefaultPartitions = 64
 
 // PartitionMap is an immutable, versioned assignment of partitions to
@@ -54,9 +54,9 @@ type PartitionMap struct {
 	Replicas [][]int
 }
 
-// NewPartitionMap assigns partitions to replica groups via the same
-// consistent-hash ring the router uses for principals, so partition
-// placement inherits the ring's balance properties. Each partition's
+// NewPartitionMap assigns partitions to replica groups via a
+// consistent-hash ring over the nodes, so partition placement inherits
+// the ring's balance properties. Each partition's
 // group is the first `replication` distinct nodes of the ring's
 // preference sequence, so replica choice is as stable as ownership.
 // The partition index is pre-mixed through splitmix64 before it becomes
@@ -194,11 +194,8 @@ func sortInts(a []int) {
 	}
 }
 
-// Partitioned reports whether the router routes by tuple partition.
-func (r *Router) Partitioned() bool { return r.pmap.Load() != nil }
-
-// CurrentPartitionMap returns the live map (nil when partitioning is
-// off). The map is immutable; callers must not mutate it.
+// CurrentPartitionMap returns the live map, never nil. The map is
+// immutable; callers must not mutate it.
 func (r *Router) CurrentPartitionMap() *PartitionMap { return r.pmap.Load() }
 
 // InstallPartitionMap swaps in a rebalanced map without moving any
@@ -215,9 +212,6 @@ func (r *Router) InstallPartitionMap(m *PartitionMap) error {
 	r.pmapMu.Lock()
 	defer r.pmapMu.Unlock()
 	cur := r.pmap.Load()
-	if cur == nil {
-		return errors.New("cluster: partitioning is not enabled")
-	}
 	if m.Version != cur.Version+1 {
 		return fmt.Errorf("cluster: partition map version must be %d (got %d)", cur.Version+1, m.Version)
 	}
@@ -234,9 +228,6 @@ func (r *Router) validateNextMap(m *PartitionMap) error {
 		return errors.New("cluster: nil partition map")
 	}
 	cur := r.pmap.Load()
-	if cur == nil {
-		return errors.New("cluster: partitioning is not enabled")
-	}
 	m.normalize()
 	if len(m.Owners) != len(cur.Owners) {
 		return fmt.Errorf("cluster: partition count is fixed at %d (got %d)", len(cur.Owners), len(m.Owners))
@@ -333,8 +324,7 @@ type planKind int
 
 const (
 	// planBroadcast: DDL — every reachable shard must agree on the
-	// catalog, so it rides the replicated fan-out (and its ordering
-	// lock).
+	// catalog, so it applies everywhere under the scatter-write lock.
 	planBroadcast planKind = iota
 	// planSingleRead: a point query pinned to one tuple's owner.
 	planSingleRead
@@ -354,13 +344,11 @@ const (
 // queryPlan is the planner's verdict for one statement.
 type queryPlan struct {
 	kind planKind
-	// node is the single target (planSingleRead/planSingleWrite); -1
-	// means any healthy shard (EXPLAIN — plans are identical modulo
-	// slice statistics).
-	node int
 	// part is the partition a single read/write pins, or -1 when the
-	// statement is not tuple-routable (EXPLAIN, anyWritePlan). It keys
-	// the per-partition write lock and the replica group.
+	// statement is not tuple-routable and any readable shard answers for
+	// the cluster: EXPLAIN (plans are identical modulo slice
+	// statistics), or an INSERT every engine rejects identically. It
+	// keys the per-partition write lock and the replica group.
 	part int
 	// sel is the parsed statement for planScatterRead, which the merge
 	// executor rewrites (partial aggregates, order-column injection).
@@ -384,12 +372,11 @@ func (r *Router) planStatement(pm *PartitionMap, sql string) (queryPlan, error) 
 	switch s := stmt.(type) {
 	case *sqlmini.Select:
 		if s.Explain {
-			return queryPlan{kind: planSingleRead, node: -1, part: -1}, nil
+			return queryPlan{kind: planSingleRead, part: -1}, nil
 		}
 		if k, ok := r.keyFor(s.Table); ok {
 			if key, ok := sqlmini.PKEqual(s.Where, k.name); ok {
-				p := pm.PartitionOf(key)
-				return queryPlan{kind: planSingleRead, node: pm.Owners[p], part: p}, nil
+				return queryPlan{kind: planSingleRead, part: pm.PartitionOf(key)}, nil
 			}
 		}
 		return queryPlan{kind: planScatterRead, sel: s}, nil
@@ -398,16 +385,14 @@ func (r *Router) planStatement(pm *PartitionMap, sql string) (queryPlan, error) 
 	case *sqlmini.Update:
 		if k, ok := r.keyFor(s.Table); ok {
 			if key, ok := sqlmini.PKEqual(s.Where, k.name); ok {
-				p := pm.PartitionOf(key)
-				return queryPlan{kind: planSingleWrite, node: pm.Owners[p], part: p}, nil
+				return queryPlan{kind: planSingleWrite, part: pm.PartitionOf(key)}, nil
 			}
 		}
 		return queryPlan{kind: planScatterWrite}, nil
 	case *sqlmini.Delete:
 		if k, ok := r.keyFor(s.Table); ok {
 			if key, ok := sqlmini.PKEqual(s.Where, k.name); ok {
-				p := pm.PartitionOf(key)
-				return queryPlan{kind: planSingleWrite, node: pm.Owners[p], part: p}, nil
+				return queryPlan{kind: planSingleWrite, part: pm.PartitionOf(key)}, nil
 			}
 		}
 		return queryPlan{kind: planScatterWrite}, nil
@@ -435,18 +420,20 @@ func (r *Router) planStatement(pm *PartitionMap, sql string) (queryPlan, error) 
 // later under the scatter-write lock. A row whose key cannot be read
 // positionally (unknown table, short row, non-INT key) routes the
 // whole statement to one shard whose engine rejects it — a
-// deterministic error with no tuple applied anywhere.
+// deterministic error with no tuple applied anywhere, so one shard's
+// answer stands for the cluster's.
 func (r *Router) planInsert(pm *PartitionMap, s *sqlmini.Insert) (queryPlan, error) {
+	anyShard := queryPlan{kind: planSingleWrite, part: -1}
 	k, ok := r.keyFor(s.Table)
 	if !ok {
-		return r.anyWritePlan()
+		return anyShard, nil
 	}
 	parts := make([]int, len(s.Rows))
 	single := -1
 	multi := false
 	for i, row := range s.Rows {
 		if k.idx >= len(row) || row[k.idx].Kind != sqlmini.IntLit {
-			return r.anyWritePlan()
+			return anyShard, nil
 		}
 		parts[i] = pm.PartitionOf(row[k.idx].Int)
 		if i == 0 {
@@ -456,22 +443,11 @@ func (r *Router) planInsert(pm *PartitionMap, s *sqlmini.Insert) (queryPlan, err
 		}
 	}
 	if !multi {
-		return queryPlan{kind: planSingleWrite, node: pm.Owners[single], part: single}, nil
+		return queryPlan{kind: planSingleWrite, part: single}, nil
 	}
 	// Rows on multiple partitions sharing one replica group still fan
 	// as a split insert; the slices per node are just identical.
 	return queryPlan{kind: planSplitInsert, ins: s, insParts: parts}, nil
-}
-
-// anyWritePlan targets the first readable shard: used when a statement
-// cannot be routed by key but will be rejected identically by any
-// engine, so one shard's deterministic error stands for the cluster's.
-func (r *Router) anyWritePlan() (queryPlan, error) {
-	h := r.healthy()
-	if len(h) == 0 {
-		return queryPlan{}, errors.New("no healthy shards")
-	}
-	return queryPlan{kind: planSingleWrite, node: h[0], part: -1}, nil
 }
 
 // servePartitioned plans and dispatches one statement under the map the
@@ -486,24 +462,18 @@ func (r *Router) servePartitioned(w http.ResponseWriter, req *http.Request, pm *
 	}
 	switch plan.kind {
 	case planBroadcast:
-		r.fanoutWrite(w, req, "/query", body, scratch)
+		r.broadcast(w, req, "/query", body, scratch)
 	case planSingleRead:
+		r.partSingleRead.Inc()
 		if plan.part < 0 {
-			h := r.healthy()
-			if len(h) == 0 {
-				writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
-				return
-			}
-			r.partSingleRead.Inc()
-			r.serveOwner(w, req, pm, h[0], body, scratch, true)
+			r.serveAny(w, req, pm, body, scratch)
 			return
 		}
-		r.partSingleRead.Inc()
 		r.serveReplicaRead(w, req, pm, plan.part, body, scratch)
 	case planSingleWrite:
 		r.partSingleWrite.Inc()
 		if plan.part < 0 {
-			r.serveOwner(w, req, pm, plan.node, body, scratch, false)
+			r.serveAny(w, req, pm, body, scratch)
 			return
 		}
 		r.serveGroupWrite(w, req, pm, plan.part, body, scratch)
@@ -519,26 +489,20 @@ func (r *Router) servePartitioned(w http.ResponseWriter, req *http.Request, pm *
 	}
 }
 
-// serveOwner forwards a single-owner statement to its one shard. There
-// is no failover: the owner holds the only copy of the tuple, so an
-// unavailable owner is an unavailable partition, answered 503 (reads
-// also exclude resync shards — a shard missing acked writes must not
-// serve the only copy of a row). The response relays only after
-// re-checking that the map did not change mid-flight — the reason this
-// path uses forward+relay rather than serving the shard handler
-// directly on the client's ResponseWriter, which could not retract an
-// answer written under a stale map.
-func (r *Router) serveOwner(w http.ResponseWriter, req *http.Request, pm *PartitionMap, node int, body []byte, scratch *bodyScratch, read bool) {
-	n := r.nodes[node]
-	if read && !n.readable() || !read && n.down.Load() {
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("partition owner %s unavailable", n.name))
+// serveAny forwards a statement that is not tuple-routable to the first
+// readable shard, whose answer stands for the cluster's. The response
+// relays only after re-checking that the map did not change mid-flight,
+// like every other routed statement.
+func (r *Router) serveAny(w http.ResponseWriter, req *http.Request, pm *PartitionMap, body []byte, scratch *bodyScratch) {
+	h := r.healthy()
+	if len(h) == 0 {
+		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 		return
 	}
+	n := r.nodes[h[0]]
 	resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("partition owner %s unreachable: %v", n.name, err))
+		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
 		return
 	}
 	if r.pmap.Load() != pm {
@@ -551,10 +515,9 @@ func (r *Router) serveOwner(w http.ResponseWriter, req *http.Request, pm *Partit
 
 // PartitionMapResponse is the GET /admin/partition-map body.
 type PartitionMapResponse struct {
-	Enabled     bool   `json:"enabled"`
-	Version     uint64 `json:"version,omitempty"`
-	Partitions  int    `json:"partitions,omitempty"`
-	Replication int    `json:"replication,omitempty"`
+	Version     uint64 `json:"version"`
+	Partitions  int    `json:"partitions"`
+	Replication int    `json:"replication"`
 	// Owners names the primary shard per partition.
 	Owners []string `json:"owners,omitempty"`
 	// Replicas names each partition's full replica group, primary
@@ -564,12 +527,7 @@ type PartitionMapResponse struct {
 
 func (r *Router) handlePartitionMapGet(w http.ResponseWriter, req *http.Request) {
 	pm := r.pmap.Load()
-	if pm == nil {
-		writeJSON(w, http.StatusOK, PartitionMapResponse{Enabled: false})
-		return
-	}
 	out := PartitionMapResponse{
-		Enabled:     true,
 		Version:     pm.Version,
 		Partitions:  len(pm.Owners),
 		Replication: pm.replication(),
@@ -644,11 +602,7 @@ func (r *Router) mapFromUpdate(up *PartitionMapUpdate, allowDerive bool) (*Parti
 		m.normalize()
 		return m, nil
 	case allowDerive && up.Replication > 0:
-		cur := r.pmap.Load()
-		if cur == nil {
-			return nil, errors.New("partitioning is not enabled")
-		}
-		return NewPartitionMap(up.Version, len(cur.Owners), len(r.nodes), r.vnodes, up.Replication)
+		return NewPartitionMap(up.Version, len(r.pmap.Load().Owners), len(r.nodes), r.vnodes, up.Replication)
 	default:
 		return nil, errors.New("update names no owners or replicas")
 	}
@@ -677,10 +631,9 @@ func (r *Router) handlePartitionMapPost(w http.ResponseWriter, req *http.Request
 }
 
 // ExecScript runs a semicolon-separated statement script through the
-// router's own planner — cmd/delaydb's -init path in partitioned mode,
-// where loading every shard with the full dataset (the replicated
-// habit) would defeat the partitioning. Statements bypass admission
-// (it is the operator's own front door) but take the exact routing and
+// router's own planner — cmd/delaydb's -init path, so every row loads
+// onto exactly the shards that own it. Statements bypass admission (it
+// is the operator's own front door) but take the exact routing and
 // merge paths client queries take.
 func (r *Router) ExecScript(src string) error {
 	for _, stmt := range splitStatements(src) {
@@ -695,11 +648,7 @@ func (r *Router) ExecScript(src string) error {
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Identity", "cluster-init")
 		rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
-		if pm := r.pmap.Load(); pm != nil {
-			r.servePartitioned(rec, req, pm, stmt, body, nil)
-		} else {
-			r.fanoutWrite(rec, req, "/query", body, nil)
-		}
+		r.servePartitioned(rec, req, r.pmap.Load(), stmt, body, nil)
 		if rec.code != http.StatusOK {
 			return fmt.Errorf("cluster: statement %q: %s: %s",
 				stmt, http.StatusText(rec.code), bytes.TrimSpace(rec.body.Bytes()))
@@ -709,8 +658,9 @@ func (r *Router) ExecScript(src string) error {
 }
 
 // splitStatements splits a script on semicolons outside string
-// literals, dropping -- line comments and blank statements. The ''
-// escape is two quotes, so toggling in-string per quote handles it.
+// literals, dropping -- line comments and blank statements. The
+// quote escape is a doubled quote, so toggling in-string per quote
+// handles it.
 func splitStatements(src string) []string {
 	var out []string
 	var sb strings.Builder

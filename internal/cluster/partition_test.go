@@ -7,103 +7,14 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/detect"
-	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/vclock"
 )
-
-// newEmptyShard is newShard with no rows and an explicit catalog size:
-// partitioned shards hold ~1/P of the data but price coverage against
-// the global catalog, and the data arrives through the router so the
-// split-insert path places each tuple on its owner.
-func newEmptyShard(t testing.TB, catalogN int, det *detect.Config) (http.Handler, *core.Shield) {
-	t.Helper()
-	db, err := engine.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	if _, err := db.Exec(`CREATE TABLE items (id INT PRIMARY KEY, v TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	shield, err := core.New(db, core.Config{
-		N: catalogN, Alpha: 1, Beta: 1, Cap: time.Millisecond,
-		Clock:                vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC)),
-		Detect:               det,
-		RegistrationInterval: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(shield)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv.Handler(), shield
-}
-
-// testPartitionedCluster builds n empty shards behind a partitioned
-// router and loads tuples 1..tuples through the router itself.
-func testPartitionedCluster(t testing.TB, n, partitions, tuples int, det *detect.Config, cfg Config) (*Router, []*core.Shield, []*Node) {
-	t.Helper()
-	catalog := tuples
-	if catalog == 0 {
-		catalog = 100 // empty to start; tuples arrive through the router
-	}
-	nodes := make([]*Node, n)
-	shields := make([]*core.Shield, n)
-	for i := range nodes {
-		h, sh := newEmptyShard(t, catalog, det)
-		nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
-		shields[i] = sh
-	}
-	cfg.Partitions = partitions
-	r, err := NewRouter(nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuples > 0 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO items VALUES ")
-		for i := 1; i <= tuples; i++ {
-			if i > 1 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-		}
-		if err := r.ExecScript(sb.String()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return r, shields, nodes
-}
-
-func decodeQuery(t testing.TB, body []byte) server.QueryResponse {
-	t.Helper()
-	var qr server.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatalf("decoding %s: %v", body, err)
-	}
-	return qr
-}
-
-// shardCount asks one shard directly how many tuples it holds.
-func shardCount(t testing.TB, n *Node) int {
-	t.Helper()
-	resp, body := query(t, n.direct, "probe-"+n.name, `SELECT COUNT(*) FROM items`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard count: HTTP %d: %s", resp.StatusCode, body)
-	}
-	qr := decodeQuery(t, body)
-	var c int
-	fmt.Sscanf(qr.Rows[0][0], "%d", &c)
-	return c
-}
 
 func TestPartitionMapPlacement(t *testing.T) {
 	pm, err := NewPartitionMap(1, 64, 4, 0, 1)
@@ -144,16 +55,16 @@ func TestPartitionMapPlacement(t *testing.T) {
 // their owner, and point queries come back whole.
 func TestPartitionedDataPlacementAndPointReads(t *testing.T) {
 	const tuples = 60
-	r, _, nodes := testPartitionedCluster(t, 4, 64, tuples, nil, Config{})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: tuples, Config: Config{Partitions: 64}})
+	r, h := c.Router, c.Handler
 
 	total := 0
-	for _, n := range nodes {
-		c := shardCount(t, n)
-		if c == tuples {
-			t.Errorf("node %s holds the full dataset (%d tuples); partitioning did not split", n.name, c)
+	for i, sh := range c.Shards {
+		n := shardCount(t, sh)
+		if n == tuples {
+			t.Errorf("shard %d holds the full dataset (%d tuples); partitioning did not split", i, n)
 		}
-		total += c
+		total += n
 	}
 	if total != tuples {
 		t.Fatalf("shards hold %d tuples total, want exactly %d (each tuple once)", total, tuples)
@@ -174,10 +85,8 @@ func TestPartitionedDataPlacementAndPointReads(t *testing.T) {
 		}
 		// The tuple must live on (and only on) the owner the map names.
 		owner := pm.OwnerOf(int64(id))
-		for i, n := range nodes {
-			_, direct := query(t, n.direct, "probe", fmt.Sprintf(`SELECT v FROM items WHERE id = %d`, id))
-			found := len(decodeQuery(t, direct).Rows) == 1
-			if found != (i == owner) {
+		for i, sh := range c.Shards {
+			if _, found := readValue(t, sh, "probe", id); found != (i == owner) {
 				t.Fatalf("id %d: on node %d (found=%v), owner is %d", id, i, found, owner)
 			}
 		}
@@ -185,9 +94,9 @@ func TestPartitionedDataPlacementAndPointReads(t *testing.T) {
 }
 
 func TestPartitionedSingleKeyWrites(t *testing.T) {
-	r, _, nodes := testPartitionedCluster(t, 4, 64, 40, nil, Config{})
-	h := r.Handler()
-	pm := r.CurrentPartitionMap()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 40, Config: Config{Partitions: 64}})
+	h := c.Handler
+	pm := c.Router.CurrentPartitionMap()
 
 	// UPDATE pinned by key: affects exactly one row, on the owner.
 	resp, body := query(t, h, "writer", `UPDATE items SET v = 'patched' WHERE id = 7`)
@@ -197,9 +106,8 @@ func TestPartitionedSingleKeyWrites(t *testing.T) {
 	if qr := decodeQuery(t, body); qr.Affected != 1 {
 		t.Fatalf("update affected %d, want 1", qr.Affected)
 	}
-	_, direct := query(t, nodes[pm.OwnerOf(7)].direct, "probe", `SELECT v FROM items WHERE id = 7`)
-	if rows := decodeQuery(t, direct).Rows; len(rows) != 1 || rows[0][0] != "patched" {
-		t.Fatalf("owner rows after update: %v", rows)
+	if v, ok := readValue(t, c.Shards[pm.OwnerOf(7)], "probe", 7); !ok || v != "patched" {
+		t.Fatalf("owner row after update: (%q, %v)", v, ok)
 	}
 
 	// INSERT of one row lands on its owner alone.
@@ -208,10 +116,8 @@ func TestPartitionedSingleKeyWrites(t *testing.T) {
 		t.Fatalf("insert: HTTP %d: %s", resp.StatusCode, body)
 	}
 	owner := pm.OwnerOf(1000)
-	for i, n := range nodes {
-		_, direct := query(t, n.direct, "probe", `SELECT v FROM items WHERE id = 1000`)
-		found := len(decodeQuery(t, direct).Rows) == 1
-		if found != (i == owner) {
+	for i, sh := range c.Shards {
+		if _, found := readValue(t, sh, "probe", 1000); found != (i == owner) {
 			t.Fatalf("inserted tuple on node %d (found=%v), owner is %d", i, found, owner)
 		}
 	}
@@ -236,8 +142,7 @@ func TestPartitionedSingleKeyWrites(t *testing.T) {
 }
 
 func TestScatterAggregates(t *testing.T) {
-	r, _, _ := testPartitionedCluster(t, 4, 64, 30, nil, Config{})
-	h := r.Handler()
+	h := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 30, Config: Config{Partitions: 64}}).Handler
 
 	resp, body := query(t, h, "analyst",
 		`SELECT COUNT(*), SUM(id), AVG(id), MIN(id), MAX(id) FROM items`)
@@ -276,8 +181,7 @@ func TestScatterAggregates(t *testing.T) {
 }
 
 func TestScatterOrderByMergesAndStrips(t *testing.T) {
-	r, _, _ := testPartitionedCluster(t, 4, 64, 40, nil, Config{})
-	h := r.Handler()
+	h := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 40, Config: Config{Partitions: 64}}).Handler
 
 	// The sort column is not projected: the router injects it for the
 	// merge and strips it before relay.
@@ -315,8 +219,8 @@ func TestScatterOrderByMergesAndStrips(t *testing.T) {
 }
 
 func TestScatterLimitWithoutOrder(t *testing.T) {
-	r, _, _ := testPartitionedCluster(t, 4, 64, 40, nil, Config{})
-	resp, body := query(t, r.Handler(), "analyst", `SELECT v FROM items LIMIT 5`)
+	h := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 40, Config: Config{Partitions: 64}}).Handler
+	resp, body := query(t, h, "analyst", `SELECT v FROM items LIMIT 5`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -326,8 +230,8 @@ func TestScatterLimitWithoutOrder(t *testing.T) {
 }
 
 func TestPartitionMapVersionBump(t *testing.T) {
-	r, _, _ := testPartitionedCluster(t, 4, 16, 40, nil, Config{})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 40, Config: Config{Partitions: 16}})
+	r, h := c.Router, c.Handler
 
 	// The admin surface reports the live map.
 	resp, body := do(t, h, http.MethodGet, "/admin/partition-map", "", "")
@@ -338,7 +242,7 @@ func TestPartitionMapVersionBump(t *testing.T) {
 	if err := json.Unmarshal(body, &pmr); err != nil {
 		t.Fatal(err)
 	}
-	if !pmr.Enabled || pmr.Version != 1 || pmr.Partitions != 16 || len(pmr.Owners) != 16 {
+	if pmr.Version != 1 || pmr.Replication != 1 || pmr.Partitions != 16 || len(pmr.Owners) != 16 {
 		t.Fatalf("map response %+v", pmr)
 	}
 
@@ -420,48 +324,46 @@ func TestPartitionMapVersionBump(t *testing.T) {
 	}
 }
 
-// blockingNode parks every request until its context is cancelled —
-// the laggard shard the early-cancel paths must abort.
-type blockingNode struct {
+// blockingTransport, once armed, parks every request until its context
+// is cancelled — the laggard shard the early-cancel paths must abort.
+type blockingTransport struct {
+	inner     http.RoundTripper
+	armed     atomic.Bool
 	cancelled chan struct{}
 	once      sync.Once
 }
 
-func (b *blockingNode) RoundTrip(req *http.Request) (*http.Response, error) {
+func (b *blockingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !b.armed.Load() {
+		return b.inner.RoundTrip(req)
+	}
 	<-req.Context().Done()
 	b.once.Do(func() { close(b.cancelled) })
 	return nil, req.Context().Err()
 }
 
-func newBlockingNode(name string) (*Node, *blockingNode) {
-	bt := &blockingNode{cancelled: make(chan struct{})}
-	return &Node{
-		name:  name,
-		base:  "http://" + name,
-		http:  &http.Client{Transport: bt},
-		local: bt,
-	}, bt
-}
-
-// buildMixedPartitioned builds a 2-node partitioned cluster where node
-// 0 is a real shard holding tuples and node 1 blocks forever; the
-// partition count is chosen so both nodes own partitions.
-func buildMixedPartitioned(t *testing.T, tuples int) (*Router, *blockingNode) {
+// newLaggardCluster builds a 2-shard R=1 cluster loaded through the
+// router, then arms shard 1 to block forever; the partition count is
+// chosen so both shards own partitions.
+func newLaggardCluster(t *testing.T, tuples int) (*testCluster, *blockingTransport) {
 	t.Helper()
-	h, _ := newShard(t, tuples, nil)
-	real := NewLocalNode("shard-0", h)
-	blocked, bt := newBlockingNode("shard-1")
-	r, err := NewRouter([]*Node{real, blocked}, Config{Partitions: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owners := r.CurrentPartitionMap().ownerSet(); len(owners) != 2 {
+	bt := &blockingTransport{cancelled: make(chan struct{})}
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: tuples, Config: Config{Partitions: 32},
+		Wrap: func(i int, next http.RoundTripper) http.RoundTripper {
+			if i != 1 {
+				return next
+			}
+			bt.inner = next
+			return bt
+		}})
+	if owners := c.Router.CurrentPartitionMap().ownerSet(); len(owners) != 2 {
 		t.Fatalf("partition map uses %v of 2 nodes; test needs both", owners)
 	}
-	return r, bt
+	bt.armed.Store(true)
+	return c, bt
 }
 
-func awaitCancel(t *testing.T, bt *blockingNode, what string) {
+func awaitCancel(t *testing.T, bt *blockingTransport, what string) {
 	t.Helper()
 	select {
 	case <-bt.cancelled:
@@ -471,8 +373,8 @@ func awaitCancel(t *testing.T, bt *blockingNode, what string) {
 }
 
 func TestScatterLimitEarlyCancelsLaggards(t *testing.T) {
-	r, bt := buildMixedPartitioned(t, 200)
-	resp, body := query(t, r.Handler(), "analyst", `SELECT v FROM items LIMIT 5`)
+	c, bt := newLaggardCluster(t, 200)
+	resp, body := query(t, c.Handler, "analyst", `SELECT v FROM items LIMIT 5`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -480,28 +382,28 @@ func TestScatterLimitEarlyCancelsLaggards(t *testing.T) {
 		t.Fatalf("%d rows, want 5", len(qr.Rows))
 	}
 	awaitCancel(t, bt, "LIMIT early-cancel")
-	if r.Nodes()[1].Down() {
+	if c.Router.Nodes()[1].Down() {
 		t.Fatal("cancelled laggard was latched down; cancellation is not a peer failure")
 	}
 }
 
 func TestScatterErrorEarlyCancelsLaggards(t *testing.T) {
-	r, bt := buildMixedPartitioned(t, 50)
+	c, bt := newLaggardCluster(t, 50)
 	// The real shard rejects the unknown table immediately; the
 	// blocked shard must be cancelled rather than awaited.
-	resp, body := query(t, r.Handler(), "analyst", `SELECT * FROM missing`)
+	resp, body := query(t, c.Handler, "analyst", `SELECT * FROM missing`)
 	if resp.StatusCode == http.StatusOK {
 		t.Fatalf("scatter over a missing table succeeded: %s", body)
 	}
 	awaitCancel(t, bt, "error early-cancel")
-	if r.Nodes()[1].Down() {
+	if c.Router.Nodes()[1].Down() {
 		t.Fatal("cancelled laggard was latched down")
 	}
 }
 
 func TestScatterOrderByEarlyCancelOnError(t *testing.T) {
-	r, bt := buildMixedPartitioned(t, 50)
-	resp, _ := query(t, r.Handler(), "analyst", `SELECT v FROM missing ORDER BY id LIMIT 3`)
+	c, bt := newLaggardCluster(t, 50)
+	resp, _ := query(t, c.Handler, "analyst", `SELECT v FROM missing ORDER BY id LIMIT 3`)
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("ORDER BY scatter over a missing table succeeded")
 	}
@@ -509,50 +411,43 @@ func TestScatterOrderByEarlyCancelOnError(t *testing.T) {
 }
 
 func TestSplitInsertGroupsRowsByOwner(t *testing.T) {
-	r, _, nodes := testPartitionedCluster(t, 4, 64, 0, nil, Config{})
-	pm := r.CurrentPartitionMap()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Config: Config{Partitions: 64}})
+	pm := c.Router.CurrentPartitionMap()
 
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO items VALUES ")
 	want := make(map[int]int)
 	for i := 1; i <= 20; i++ {
-		if i > 1 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
 		want[pm.OwnerOf(int64(i))]++
 	}
 	if len(want) < 2 {
 		t.Fatal("test keys all hash to one owner; pick more keys")
 	}
-	resp, body := query(t, r.Handler(), "loader", sb.String())
+	resp, body := query(t, c.Handler, "loader", insertItems(1, 20))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("split insert: HTTP %d: %s", resp.StatusCode, body)
 	}
 	if qr := decodeQuery(t, body); qr.Affected != 20 {
 		t.Fatalf("split insert affected %d, want 20", qr.Affected)
 	}
-	for i, n := range nodes {
-		if c := shardCount(t, n); c != want[i] {
-			t.Errorf("node %d holds %d tuples, want %d", i, c, want[i])
+	for i, sh := range c.Shards {
+		if n := shardCount(t, sh); n != want[i] {
+			t.Errorf("node %d holds %d tuples, want %d", i, n, want[i])
 		}
 	}
 }
 
 func TestSuspectsAggregatedAcrossShards(t *testing.T) {
-	// Replicated 2-shard cluster; each shard's detector sees a
+	// Fully replicated 2-shard cluster; each shard's detector sees a
 	// different principal's full scan directly.
-	r, _ := testCluster(t, 2, 100, detectCfg(), Config{})
-	nodes := r.Nodes()
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 100, Detect: detectCfg()})
 	for q := 0; q < 2; q++ {
-		if resp, body := query(t, nodes[0].direct, "eve", `SELECT * FROM items`); resp.StatusCode != http.StatusOK {
+		if resp, body := query(t, c.Shards[0], "eve", `SELECT * FROM items`); resp.StatusCode != http.StatusOK {
 			t.Fatalf("eve scan: HTTP %d: %s", resp.StatusCode, body)
 		}
-		if resp, body := query(t, nodes[1].direct, "mallory", `SELECT * FROM items`); resp.StatusCode != http.StatusOK {
+		if resp, body := query(t, c.Shards[1], "mallory", `SELECT * FROM items`); resp.StatusCode != http.StatusOK {
 			t.Fatalf("mallory scan: HTTP %d: %s", resp.StatusCode, body)
 		}
 	}
-	resp, body := do(t, r.Handler(), http.MethodGet, "/admin/suspects?k=10", "", "")
+	resp, body := do(t, c.Handler, http.MethodGet, "/admin/suspects?k=10", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("suspects: HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -578,7 +473,7 @@ func TestSuspectsAggregatedAcrossShards(t *testing.T) {
 	}
 
 	// The per-shard pin still works and shows only that shard's view.
-	resp, body = do(t, r.Handler(), http.MethodGet, "/admin/suspects?node=shard-1&k=10", "", "")
+	resp, body = do(t, c.Handler, http.MethodGet, "/admin/suspects?node=shard-1&k=10", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pinned suspects: HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -595,8 +490,7 @@ func TestSuspectsAggregatedAcrossShards(t *testing.T) {
 
 func TestRetryAfterTracksBucketRefill(t *testing.T) {
 	clk := vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC))
-	r, _ := testCluster(t, 1, 10, nil, Config{AdmitRate: 0.25, AdmitBurst: 1, Clock: clk})
-	h := r.Handler()
+	h := newTestCluster(t, clusterOpts{Shards: 1, Tuples: 10, Config: Config{AdmitRate: 0.25, AdmitBurst: 1, Clock: clk}}).Handler
 
 	if resp, body := query(t, h, "patient", `SELECT v FROM items WHERE id = 1`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first query: HTTP %d: %s", resp.StatusCode, body)
@@ -655,46 +549,15 @@ func TestScratchBodyReleasesOnTransportClose(t *testing.T) {
 	}
 }
 
-// TestRemoteShapedCluster drives the full partitioned surface through
-// nodes that look remote to the router (no local fast path, no direct
-// handler) — the client/transport path real deployments take, where the
-// pooled scratch must survive until the transport closes the body.
+// TestRemoteShapedCluster drives the routed surface through nodes that
+// look remote to the router (no local fast path) — the client/transport
+// path real deployments take, where the pooled scratch must survive
+// until the transport closes the body.
 func TestRemoteShapedCluster(t *testing.T) {
-	mk := func(name string, h http.Handler) *Node {
-		return &Node{
-			name: name,
-			base: "http://" + name,
-			http: &http.Client{Transport: handlerTransport{h: h}},
-		}
-	}
-	nodes := make([]*Node, 3)
-	for i := range nodes {
-		h, _ := newEmptyShard(t, 30, nil)
-		nodes[i] = mk(fmt.Sprintf("shard-%d", i), h)
-	}
-	r, err := NewRouter(nodes, Config{Partitions: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO items VALUES ")
-	for i := 1; i <= 30; i++ {
-		if i > 1 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-	}
-	if err := r.ExecScript(sb.String()); err != nil {
-		t.Fatal(err)
-	}
-	h := r.Handler()
+	h := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 30, Remote: true, Config: Config{Partitions: 32}}).Handler
 	for id := 1; id <= 30; id++ {
-		resp, body := query(t, h, "reader", fmt.Sprintf(`SELECT v FROM items WHERE id = %d`, id))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("id %d: HTTP %d: %s", id, resp.StatusCode, body)
-		}
-		if qr := decodeQuery(t, body); len(qr.Rows) != 1 || qr.Rows[0][0] != fmt.Sprintf("v%d", id) {
-			t.Fatalf("id %d: rows %v", id, qr.Rows)
+		if v, ok := readValue(t, h, "reader", id); !ok || v != fmt.Sprintf("v%d", id) {
+			t.Fatalf("id %d: (%q, %v)", id, v, ok)
 		}
 	}
 	resp, body := query(t, h, "analyst", `SELECT COUNT(*), SUM(id) FROM items`)

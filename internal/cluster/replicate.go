@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,13 +10,16 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/server"
 )
 
 // This file is the replica-group layer over the partition map: point
-// reads that fail over inside a partition's replica group (with
-// bounded, jittered retry), and single-key group writes that apply to
-// every replica in the router's order and ack on a readable-replica
-// success. The invariant both paths defend: an acked write is readable
+// reads (and per-tuple quotes) that go to a partition's replica group
+// and fail over inside it (with bounded, jittered retry), single-key
+// group writes that apply to every replica in the router's order and
+// ack on a readable-replica success, and the broadcast that applies a
+// DDL to every node under the same rule. The invariant all of them
+// defend: an acked write is readable
 // on every shard a read can route to — a replica that missed or
 // rejected an acked write leaves the read path (down or resync latch)
 // before the ack is relayed.
@@ -39,6 +43,17 @@ func rpcBackoff(attempt int) time.Duration {
 // a charged write is never re-sent.
 const readRetryRounds = 3
 
+// firstReadable returns the first member of a replica group that may
+// serve reads, or -1.
+func (r *Router) firstReadable(group []int) int {
+	for _, i := range group {
+		if r.nodes[i].readable() {
+			return i
+		}
+	}
+	return -1
+}
+
 // serveReplicaRead answers a point read pinned to one partition: walk
 // the replica group in preference order, skipping unreadable replicas,
 // failing over past dead ones. A replica's transport failure latches it
@@ -53,14 +68,7 @@ func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *
 	var last *http.Response
 	for round := 0; round < readRetryRounds; round++ {
 		if round > 0 {
-			any := false
-			for _, i := range group {
-				if r.nodes[i].readable() {
-					any = true
-					break
-				}
-			}
-			if !any {
+			if r.firstReadable(group) < 0 {
 				break // nothing left to retry against
 			}
 			r.readRetries.Inc()
@@ -116,9 +124,9 @@ type fanResult struct {
 	err  error
 }
 
-// fanRaw sends body to every target concurrently, through the
+// fanRaw sends body to path on every target concurrently, through the
 // cluster.fanout failpoint, returning raw responses positionally.
-func (r *Router) fanRaw(req *http.Request, targets []int, body []byte, scratch *bodyScratch) []fanResult {
+func (r *Router) fanRaw(req *http.Request, targets []int, path string, body []byte, scratch *bodyScratch) []fanResult {
 	results := make([]fanResult, len(targets))
 	var wg sync.WaitGroup
 	for slot, i := range targets {
@@ -129,7 +137,7 @@ func (r *Router) fanRaw(req *http.Request, targets []int, body []byte, scratch *
 				results[slot] = fanResult{err: err}
 				return
 			}
-			resp, err := r.forwardScratch(req, r.nodes[i], "/query", body, false, scratch)
+			resp, err := r.forwardScratch(req, r.nodes[i], path, body, false, scratch)
 			results[slot] = fanResult{resp: resp, err: err}
 		}(slot, i)
 	}
@@ -141,12 +149,8 @@ func (r *Router) fanRaw(req *http.Request, targets []int, body []byte, scratch *
 // replica group (plus any migration dual-write gainers), in the
 // router's order: the caller holds the partition's mutex for the full
 // fan, so two writes to one partition cannot interleave differently on
-// different replicas. The ack rule generalizes the replicated fan-out:
-// the write acks iff a readable replica of the OWNING group accepted
-// it; an owning replica that failed while its siblings acked has
-// diverged and is latched out of the read path (resync) before the ack
-// relays. A gainer's failure never fails the client — it marks the
-// partition dirty so the migrator re-copies it.
+// different replicas. A gainer's failure never fails the client — it
+// marks the partition dirty so the migrator re-copies it.
 func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *PartitionMap, part int, body []byte, scratch *bodyScratch) {
 	r.partLocks.RLock()
 	defer r.partLocks.RUnlock()
@@ -163,98 +167,123 @@ func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *P
 	group := pm.groupOf(part)
 	gainers := r.migrationGainers(pm, part)
 	targets := make([]int, 0, len(group)+len(gainers))
-	owners := 0
 	for _, i := range group {
 		if !r.nodes[i].down.Load() {
 			targets = append(targets, i)
-			owners++
 		}
 	}
+	owners := len(targets)
 	if owners == 0 {
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("partition %d unavailable: no reachable replica", part))
 		return
 	}
+	dirty := func() { r.migrationMarkDirty(pm, part) }
 	for _, i := range gainers {
 		if r.nodes[i].down.Load() {
 			// The in-flight copy misses this write; re-queue the
 			// partition for the migrator rather than dropping it.
-			r.migrationMarkDirty(pm, part)
+			dirty()
 			continue
 		}
 		targets = append(targets, i)
 	}
+	resp := r.ackWrite(w, req, "/query", body, scratch, targets, owners, dirty)
+	if resp == nil {
+		return
+	}
+	if r.pmap.Load() != pm {
+		resp.Body.Close()
+		r.writePartitionStale(w)
+		return
+	}
+	relay(w, resp)
+}
 
-	// Single-target fast path — the R=1 steady state: forward and relay
-	// raw, no fan bookkeeping. Requires the sole target to be readable,
-	// because a success confined to a writes-only resync replica is not
-	// an ack.
+// broadcast applies a statement every shard must agree on — DDL, and
+// POST /register — to every reachable node, including nodes that own no
+// partition (they may gain one at the next rebalance and need the
+// catalog). It holds the scatter-write lock exclusively, so a DDL
+// orders against every tuple write the same way on every replica, and
+// acks by the group write's rule with the whole cluster as the group.
+func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, path string, body []byte, scratch *bodyScratch) {
+	r.partLocks.Lock()
+	defer r.partLocks.Unlock()
+	targets := r.reachable()
+	if len(targets) == 0 {
+		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
+		return
+	}
+	if resp := r.ackWrite(w, req, path, body, scratch, targets, len(targets), nil); resp != nil {
+		relay(w, resp)
+	}
+}
+
+// ackWrite sends one write to targets and decides its outcome — the one
+// copy of the ack rule. The first owners targets are the owning
+// replicas; the rest are migration gainers, whose failures call
+// gainerFailed and never reach the client. The write acks iff a
+// READABLE owner accepted it: a success visible to no read route is not
+// an acked write. An owner that failed while a sibling acked has
+// diverged from the replica set the client was told about and is
+// latched out of the read path (resync) before the ack relays; owners
+// that died mid-write latched down inside the transport. With no ack,
+// the first owner error answer relays (replicas agree on deterministic
+// rejections like a parse or duplicate-key error). Returns the response
+// to relay, or nil after answering 503 itself.
+func (r *Router) ackWrite(w http.ResponseWriter, req *http.Request, path string, body []byte, scratch *bodyScratch, targets []int, owners int, gainerFailed func()) *http.Response {
+	// Single-target fast path — the R=1 steady state: forward raw, no
+	// fan bookkeeping. Requires the sole target to be readable, because
+	// a success confined to a writes-only resync replica is not an ack.
 	if len(targets) == 1 && r.nodes[targets[0]].readable() {
 		n := r.nodes[targets[0]]
-		resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
+		resp, err := r.forwardScratch(req, n, path, body, n.local != nil, scratch)
 		if err != nil {
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("partition owner %s unreachable: %v", n.name, err))
-			return
+			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
+			return nil
 		}
-		if r.pmap.Load() != pm {
-			resp.Body.Close()
-			r.writePartitionStale(w)
-			return
-		}
-		relay(w, resp)
-		return
+		return resp
 	}
 
 	r.writeFanout.Inc()
-	results := r.fanRaw(req, targets, body, scratch)
+	results := r.fanRaw(req, targets, path, body, scratch)
 
 	var ok, firstErr *http.Response
 	resyncOnlyOK := false
 	for slot, res := range results {
 		isOwner := slot < owners
-		if res.err != nil {
+		switch {
+		case res.err != nil:
 			r.writeFanErr.Inc()
 			if !isOwner {
-				r.migrationMarkDirty(pm, part)
+				gainerFailed()
 			}
-			continue
-		}
-		if res.resp.StatusCode == http.StatusOK {
-			if isOwner && ok == nil && r.nodes[targets[slot]].readable() {
-				ok = res.resp
-			} else if isOwner && !r.nodes[targets[slot]].readable() {
-				resyncOnlyOK = true
+		case !isOwner:
+			if res.resp.StatusCode != http.StatusOK {
+				gainerFailed()
 			}
-			continue
-		}
-		if !isOwner {
-			r.migrationMarkDirty(pm, part)
-			continue
-		}
-		if firstErr == nil {
-			firstErr = res.resp
+		case res.resp.StatusCode != http.StatusOK:
+			if firstErr == nil {
+				firstErr = res.resp
+			}
+		case !r.nodes[targets[slot]].readable():
+			resyncOnlyOK = true
+		case ok == nil:
+			ok = res.resp
 		}
 	}
 	if ok != nil {
-		// Acked: every owning replica that did not apply it must leave
-		// the read path. Shards that died mid-write latched down inside
-		// the transport; shards that answered an error — and shards
-		// whose fan leg was dropped before the wire (cluster.fanout) —
-		// are quarantined writes-only here.
-		for slot, res := range results {
-			if slot >= owners {
-				continue
-			}
+		// Acked: every owner that did not apply it — it answered an
+		// error, or its fan leg was dropped before the wire
+		// (cluster.fanout) — is quarantined writes-only.
+		for slot, res := range results[:owners] {
 			n := r.nodes[targets[slot]]
 			applied := res.err == nil && res.resp.StatusCode == http.StatusOK
-			if applied || n.down.Load() {
+			if applied || n.down.Load() || n.resync.Load() {
 				continue
 			}
-			if !n.resync.Load() {
-				n.latchResync()
-				r.writeDiverged.Inc()
-			}
+			n.latchResync()
+			r.writeDiverged.Inc()
 		}
 		r.syncPeerDown()
 	}
@@ -268,19 +297,82 @@ func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *P
 		}
 	}
 	if chosen == nil {
+		msg := "write reached no replica"
 		if resyncOnlyOK {
-			writeErr(w, http.StatusServiceUnavailable,
-				errors.New("write applied to no read-serving replica; retry when the cluster recovers"))
-			return
+			msg = "write applied to no read-serving replica; retry when the cluster recovers"
 		}
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("write reached no replica of partition %d", part))
+		writeErr(w, http.StatusServiceUnavailable, errors.New(msg))
+	}
+	return chosen
+}
+
+// handleQuote prices an extraction plan by tuple, not by caller: the ids
+// group by partition and each group is quoted by the first readable
+// replica of its partition — the shard whose counters the reads of
+// those tuples actually warm. The per-shard quotes add up (a quote is a
+// sum of per-tuple delays); a shard's 4xx (an unknown id) relays
+// verbatim, and a partition with no readable replica is a 503. Like
+// every partitioned read, the answer is retracted if the map moved
+// while it was computed.
+func (r *Router) handleQuote(w http.ResponseWriter, req *http.Request) {
+	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
+		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
 		return
 	}
+	var qr server.QuoteRequest
+	if err := json.NewDecoder(req.Body).Decode(&qr); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return
+	}
+	if len(qr.IDs) == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("no tuple ids to quote"))
+		return
+	}
+	pm := r.pmap.Load()
+	byNode := make([][]uint64, len(r.nodes))
+	for _, id := range qr.IDs {
+		p := pm.PartitionOf(int64(id))
+		node := r.firstReadable(pm.groupOf(p))
+		if node < 0 {
+			writeErr(w, http.StatusServiceUnavailable,
+				fmt.Errorf("partition %d unavailable: no readable replica", p))
+			return
+		}
+		byNode[node] = append(byNode[node], id)
+	}
+	var total server.QuoteResponse
+	for node, ids := range byNode {
+		if len(ids) == 0 {
+			continue
+		}
+		n := r.nodes[node]
+		body, err := json.Marshal(server.QuoteRequest{IDs: ids})
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		resp, err := r.forwardScratch(req, n, "/admin/quote", body, false, nil)
+		if err != nil {
+			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
+			return
+		}
+		if resp.StatusCode != http.StatusOK {
+			relay(w, resp)
+			return
+		}
+		var part server.QuoteResponse
+		err = json.NewDecoder(resp.Body).Decode(&part)
+		resp.Body.Close()
+		if err != nil {
+			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s: decoding quote: %v", n.name, err))
+			return
+		}
+		total.DelayMillis += part.DelayMillis
+		total.Tuples += part.Tuples
+	}
 	if r.pmap.Load() != pm {
-		chosen.Body.Close()
 		r.writePartitionStale(w)
 		return
 	}
-	relay(w, chosen)
+	writeJSON(w, http.StatusOK, total)
 }

@@ -11,87 +11,13 @@ import (
 	"repro/internal/fault"
 )
 
-// testChaosCluster is testPartitionedCluster on killable transports:
-// every request crosses a Chaos switch, so a kill behaves like a
-// crashed process on every router path. The shard handlers are
-// returned for direct state inspection (bypassing the chaos switch).
-func testChaosCluster(t testing.TB, n, partitions, tuples int, cfg Config) (*Router, []http.Handler, []*Chaos) {
-	t.Helper()
-	catalog := tuples
-	if catalog == 0 {
-		catalog = 100
-	}
-	nodes := make([]*Node, n)
-	handlers := make([]http.Handler, n)
-	chaos := make([]*Chaos, n)
-	for i := range nodes {
-		h, _ := newEmptyShard(t, catalog, nil)
-		handlers[i] = h
-		nodes[i], chaos[i] = NewChaosNode(fmt.Sprintf("shard-%d", i), h)
-	}
-	cfg.Partitions = partitions
-	r, err := NewRouter(nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuples > 0 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO items VALUES ")
-		for i := 1; i <= tuples; i++ {
-			if i > 1 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-		}
-		if err := r.ExecScript(sb.String()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return r, handlers, chaos
-}
-
-func healthOf(t testing.TB, h http.Handler) HealthResponse {
-	t.Helper()
-	resp, body := do(t, h, http.MethodGet, "/healthz", "", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: HTTP %d: %s", resp.StatusCode, body)
-	}
-	var hr HealthResponse
-	if err := json.Unmarshal(body, &hr); err != nil {
-		t.Fatalf("healthz: %v: %s", err, body)
-	}
-	return hr
-}
-
-func peerStatus(hr HealthResponse, name string) string {
-	for _, p := range hr.Peers {
-		if p.Name == name {
-			return p.Status
-		}
-	}
-	return "absent"
-}
-
-func readValue(t testing.TB, h http.Handler, identity string, key int) (string, bool) {
-	t.Helper()
-	resp, body := query(t, h, identity, fmt.Sprintf(`SELECT v FROM items WHERE id = %d`, key))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("read key %d: HTTP %d: %s", key, resp.StatusCode, body)
-	}
-	qr := decodeQuery(t, body)
-	if len(qr.Rows) == 0 {
-		return "", false
-	}
-	return qr.Rows[0][0], true
-}
-
 // TestReplicatedPointReadFailsOver: with R=2, killing a key's primary
 // replica keeps point reads of that key flowing — the group walk fails
 // over to the surviving replica, the dead peer latches down, and after
 // revive + resync the cluster returns to full health.
 func TestReplicatedPointReadFailsOver(t *testing.T) {
-	r, _, chaos := testChaosCluster(t, 4, 16, 32, Config{Replication: 2})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{Partitions: 16, Replication: 2}})
+	r, h, chaos := c.Router, c.Handler, c.Chaos
 	pm := r.CurrentPartitionMap()
 
 	const key = 7
@@ -136,8 +62,8 @@ func TestReplicatedPointReadFailsOver(t *testing.T) {
 // automated catch-up must deliver it to the revived replica — verified
 // by querying that shard's handler directly.
 func TestReplicatedWriteSurvivesDeadReplicaAndResync(t *testing.T) {
-	r, handlers, chaos := testChaosCluster(t, 4, 16, 32, Config{Replication: 2})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{Partitions: 16, Replication: 2}})
+	r, h, handlers, chaos := c.Router, c.Handler, c.Shards, c.Chaos
 	pm := r.CurrentPartitionMap()
 
 	const key = 11
@@ -182,8 +108,8 @@ func TestReplicatedWriteSurvivesDeadReplicaAndResync(t *testing.T) {
 // the router across the cutover.
 func TestRebalanceMovesTuplesAutomatically(t *testing.T) {
 	const tuples = 64
-	r, _, nodes := testPartitionedCluster(t, 4, 16, tuples, nil, Config{})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: tuples, Config: Config{Partitions: 16}})
+	r, h, nodes := c.Router, c.Handler, c.Router.Nodes()
 	pm := r.CurrentPartitionMap()
 
 	// Pick the partition owning key 1 and move it to the next node.
@@ -233,10 +159,10 @@ func TestRebalanceMovesTuplesAutomatically(t *testing.T) {
 	// Ownership proof by direct shard reads: the gainer holds every
 	// moved key, the loser none of them.
 	for _, k := range moved {
-		if v, ok := readValue(t, nodes[gainer].direct, "probe-gainer", k); !ok || v != fmt.Sprintf("v%d", k) {
+		if v, ok := readValue(t, c.Shards[gainer], "probe-gainer", k); !ok || v != fmt.Sprintf("v%d", k) {
 			t.Fatalf("gainer %s missing moved key %d: (%q, %v)", nodes[gainer].name, k, v, ok)
 		}
-		if _, ok := readValue(t, nodes[loser].direct, "probe-loser", k); ok {
+		if _, ok := readValue(t, c.Shards[loser], "probe-loser", k); ok {
 			t.Fatalf("loser %s still holds moved key %d after purge", nodes[loser].name, k)
 		}
 	}
@@ -263,8 +189,8 @@ func TestRebalanceMovesTuplesAutomatically(t *testing.T) {
 // still readable, terminal state reported.
 func TestRebalanceRollsBackOnDeadGainer(t *testing.T) {
 	const tuples = 32
-	r, _, chaos := testChaosCluster(t, 4, 16, tuples, Config{})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: tuples, Config: Config{Partitions: 16}})
+	r, h, chaos := c.Router, c.Handler, c.Chaos
 	pm := r.CurrentPartitionMap()
 
 	part := pm.PartitionOf(1)
@@ -308,8 +234,8 @@ func TestRebalanceRollsBackOnDeadGainer(t *testing.T) {
 // blocker's name until the authoritative one is back. Clearing in the
 // wrong order would purge the complete copy from the stale one.
 func TestCatchUpPeerRefusesStaleReplica(t *testing.T) {
-	r, handlers, chaos := testChaosCluster(t, 2, 8, 8, Config{Replication: 2})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 8, Config: Config{Partitions: 8, Replication: 2}})
+	r, h, handlers, chaos := c.Router, c.Handler, c.Shards, c.Chaos
 	pm := r.CurrentPartitionMap()
 
 	const key = 1
@@ -374,8 +300,8 @@ func TestCatchUpPeerRefusesStaleReplica(t *testing.T) {
 // replicated point read latches the struck peer and the bounded retry
 // reroutes to the surviving replica — the client sees 200.
 func TestClusterRPCFaultReadRetries(t *testing.T) {
-	r, _, _ := testChaosCluster(t, 4, 16, 32, Config{Replication: 2})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{Partitions: 16, Replication: 2}})
+	r, h := c.Router, c.Handler
 	t.Cleanup(fault.Disable)
 	fault.Enable(fault.NewRegistry(1).
 		Add(fault.Rule{Site: fault.ClusterRPC, Kind: fault.Error, Count: 1}))
@@ -396,8 +322,8 @@ func TestClusterRPCFaultReadRetries(t *testing.T) {
 // of a replicated group write still acks the write (the sibling
 // answered) and quarantines the replica that missed it writes-only.
 func TestClusterFanoutFaultQuarantinesDivergentReplica(t *testing.T) {
-	r, _, _ := testChaosCluster(t, 4, 16, 32, Config{Replication: 2})
-	h := r.Handler()
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{Partitions: 16, Replication: 2}})
+	r, h := c.Router, c.Handler
 	t.Cleanup(fault.Disable)
 	fault.Enable(fault.NewRegistry(1).
 		Add(fault.Rule{Site: fault.ClusterFanout, Kind: fault.Error, Count: 1}))
@@ -438,11 +364,12 @@ func TestClusterFanoutFaultQuarantinesDivergentReplica(t *testing.T) {
 // counts as down — the timeout latches it, the timeout counter ticks,
 // and the read fails over to the healthy replica.
 func TestShardTimeoutLatchesSlowPeer(t *testing.T) {
-	r, _, _ := testChaosCluster(t, 4, 16, 32, Config{
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{
+		Partitions:   16,
 		Replication:  2,
 		ShardTimeout: 5 * time.Millisecond,
-	})
-	h := r.Handler()
+	}})
+	r, h := c.Router, c.Handler
 	t.Cleanup(fault.Disable)
 	fault.Enable(fault.NewRegistry(1).
 		Add(fault.Rule{Site: fault.ClusterRPC, Kind: fault.Latency, Latency: 100 * time.Millisecond, Count: 1}))

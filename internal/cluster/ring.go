@@ -1,12 +1,14 @@
 // Package cluster turns N independent delaydb nodes into one front
-// door: a thin router consistent-hash-routes queries across shards
-// (with round-robin and least-loaded alternatives), admission control
-// rejects abusive traffic at the edge before any shard spends work on
-// it, and a periodic anti-entropy exchanger gossips per-principal
-// detection sketches between shards so coverage pricing and coalition
-// clustering operate on the union view — the property that makes
-// sharding itself not be an extraction attack (a Sybil spreading its
-// identities across shards must price as if one node saw everything).
+// door: a thin router routes every statement by tuple through one
+// partition map (each partition placed on a replica group by
+// consistent hashing; full replication is the group-is-every-node
+// case), admission control rejects abusive traffic at the edge before
+// any shard spends work on it, and a periodic anti-entropy exchanger
+// gossips per-principal detection sketches between shards so coverage
+// pricing and coalition clustering operate on the union view — the
+// property that makes sharding itself not be an extraction attack (a
+// Sybil whose reads land on different shards must price as if one node
+// saw everything).
 package cluster
 
 import (
@@ -48,15 +50,11 @@ func newRing(nodes, vnodes int) *ring {
 	return r
 }
 
-// owner returns the node index owning key: the first ring point at or
-// after the key's hash, wrapping at the top.
-func (r *ring) owner(key string) int {
-	return r.points[r.search(key)].node
-}
-
 // sequence returns all node indices in preference order for key: the
-// owner first, then each distinct node in ring order. Failover walks
-// this sequence, so a key's fallback shard is as stable as its owner.
+// owner (the first ring point at or after the key's hash, wrapping at
+// the top) first, then each distinct node in ring order. Replica groups
+// are prefixes of this sequence, so a key's fallback shard is as stable
+// as its owner.
 func (r *ring) sequence(key string) []int {
 	out := make([]int, 0, r.nodes)
 	seen := make([]bool, r.nodes)

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,46 +22,15 @@ import (
 	"repro/internal/vclock"
 )
 
-// Policy selects which healthy shard serves a read.
+// Policy is a compatibility shim: the router once chose a read shard by
+// policy; reads now route by tuple, through the partition map. The type
+// and its one value survive only because bench/child.go (frozen by
+// BENCHMARK.json) still sets Config.Policy; both go with the next
+// benchmark PR.
 type Policy int
 
-const (
-	// PolicyHash routes by consistent hash of the principal, so one
-	// principal's queries land on one shard — its detector sees the
-	// whole local stream, and anti-entropy only has to repair the
-	// adversary who deliberately rotates identities or headers.
-	PolicyHash Policy = iota
-	// PolicyRoundRobin spreads reads evenly regardless of principal.
-	PolicyRoundRobin
-	// PolicyLeastLoaded routes to the shard with the fewest live
-	// requests — delay-priced queries can pin a shard for seconds, so
-	// live in-flight counts beat any static spread.
-	PolicyLeastLoaded
-)
-
-// ParsePolicy maps the -route flag values to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(s) {
-	case "", "hash":
-		return PolicyHash, nil
-	case "rr", "roundrobin", "round-robin":
-		return PolicyRoundRobin, nil
-	case "least", "leastloaded", "least-loaded":
-		return PolicyLeastLoaded, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown routing policy %q (want hash, rr, or least)", s)
-}
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyRoundRobin:
-		return "rr"
-	case PolicyLeastLoaded:
-		return "least"
-	default:
-		return "hash"
-	}
-}
+// PolicyHash is the shim's only value; it selects nothing.
+const PolicyHash Policy = 0
 
 // Defaults for the admission-control knobs. The per-principal rate is
 // deliberately loose — fine-grained fairness lives in each shard's
@@ -79,7 +47,8 @@ const (
 
 // Config parameterizes a Router. The zero value is usable.
 type Config struct {
-	// Policy is the read-routing policy.
+	// Policy is ignored. It exists only so bench/child.go keeps
+	// compiling and goes with the next benchmark PR (see Policy).
 	Policy Policy
 	// AdmitRate and AdmitBurst shape the per-principal edge token
 	// bucket (queries/second). 0 means the defaults.
@@ -92,12 +61,13 @@ type Config struct {
 	MaxInFlight int
 	// VNodes is the consistent-hash virtual node count per shard.
 	VNodes int
-	// Partitions, when > 0, hash-partitions tuples across the shards
-	// instead of replicating: each of the Partitions partitions gets
-	// a replica group of owner shards (assigned on the ring), point
-	// statements route to the tuple's group alone, and scans
-	// scatter-gather across one live replica per partition. 0 keeps
-	// full replication.
+	// Partitions is the partition count of the map every statement
+	// routes by: each partition gets a replica group of owner shards
+	// (assigned on the ring), point statements route to the tuple's
+	// group alone, and scans scatter-gather across one live replica per
+	// partition. 0 means full replication — every shard holds every
+	// tuple — expressed as DefaultPartitions partitions whose replica
+	// group is all the nodes (Replication is then ignored).
 	Partitions int
 	// Replication is the replica-group size per partition (clamped to
 	// the node count); <= 1 means one owner per partition. With R > 1
@@ -121,16 +91,15 @@ type Config struct {
 // Handler.
 type Router struct {
 	nodes []*Node
-	ring  *ring
 	cfg   Config
 	mux   *http.ServeMux
 	h     http.Handler
 	limit *ratelimit.IdentityLimiter
 
-	// pmap is the live partition map; nil means replicated mode. Swaps
-	// (operator rebalances) serialize on pmapMu; readers load the
-	// pointer once per request and every routing decision plus the
-	// final relay check against that one map.
+	// pmap is the live partition map, never nil. Swaps (operator
+	// rebalances) serialize on pmapMu; readers load the pointer once
+	// per request and every routing decision plus the final relay check
+	// against that one map.
 	pmap   atomic.Pointer[PartitionMap]
 	pmapMu sync.Mutex
 	// schemas caches each table's primary-key column (tableKey), fed by
@@ -139,24 +108,17 @@ type Router struct {
 	schemas  sync.Map
 	schemaMu sync.Mutex
 
-	rr       counterRR
 	inflight *metrics.Gauge
 
-	// writeMu serializes write fan-outs. Every fan-out completes on
-	// all reachable shards before the next begins, so all replicas
-	// apply non-commutative writes in one (the router's) order —
-	// without it two concurrent UPDATEs to the same row could commit
-	// in opposite orders on different replicas and silently diverge
-	// them. Reads never take this lock.
-	writeMu sync.Mutex
-
-	// Partitioned-mode write ordering: a single-key group write holds
-	// partLocks.RLock plus its partition's mutex — writes to different
-	// partitions run concurrently, writes inside one partition (and
-	// the migrator's fenced copy of it) serialize. A scatter write
-	// holds partLocks exclusively, serializing with every group write
-	// at once. vnodes is kept so a rebalance can re-derive ring
-	// placement at a new replication factor.
+	// Write ordering: a single-key group write holds partLocks.RLock
+	// plus its partition's mutex — writes to different partitions run
+	// concurrently, writes inside one partition (and the migrator's
+	// fenced copy of it) serialize, so every replica of a partition
+	// applies non-commutative writes in one (the router's) order. A
+	// scatter write or a broadcast (DDL, /register) holds partLocks
+	// exclusively, serializing with every group write at once. Reads
+	// never take these locks. vnodes is kept so a rebalance can
+	// re-derive ring placement at a new replication factor.
 	partLocks sync.RWMutex
 	partMu    []sync.Mutex
 	vnodes    int
@@ -169,7 +131,6 @@ type Router struct {
 	migLast atomic.Pointer[MigrationProgress]
 
 	routed        *metrics.Counter
-	routedPolicy  *metrics.Counter
 	readFailover  *metrics.Counter
 	writeFanout   *metrics.Counter
 	writeFanErr   *metrics.Counter
@@ -203,13 +164,6 @@ type Router struct {
 	aePrincipals *metrics.Counter
 	aeRejected   *metrics.Counter
 	aeErrors     *metrics.Counter
-}
-
-// counterRR is the round-robin cursor, a mutex instead of an atomic so
-// the skip-down-peers walk stays race-simple.
-type counterRR struct {
-	mu sync.Mutex
-	n  int
 }
 
 // NewRouter fronts the given shard nodes.
@@ -250,26 +204,28 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 		return nil, err
 	}
 
+	// Full replication is the degenerate map: every node in every
+	// partition's replica group.
+	partitions, replication := cfg.Partitions, cfg.Replication
+	if partitions <= 0 {
+		partitions, replication = DefaultPartitions, len(nodes)
+	}
+	pm, err := NewPartitionMap(1, partitions, len(nodes), cfg.VNodes, replication)
+	if err != nil {
+		return nil, err
+	}
 	r := &Router{
 		nodes:  nodes,
-		ring:   newRing(len(nodes), cfg.VNodes),
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 		limit:  limit,
+		partMu: make([]sync.Mutex, partitions),
 		vnodes: cfg.VNodes,
 	}
-	if cfg.Partitions > 0 {
-		pm, err := NewPartitionMap(1, cfg.Partitions, len(nodes), cfg.VNodes, cfg.Replication)
-		if err != nil {
-			return nil, err
-		}
-		r.pmap.Store(pm)
-		r.partMu = make([]sync.Mutex, cfg.Partitions)
-	}
+	r.pmap.Store(pm)
 	m := cfg.Metrics
 	r.inflight = m.Gauge("cluster_inflight")
 	r.routed = m.Counter("cluster_routed_total")
-	r.routedPolicy = m.Counter("cluster_routed_" + cfg.Policy.String() + "_total")
 	r.readFailover = m.Counter("cluster_read_failovers_total")
 	r.writeFanout = m.Counter("cluster_write_fanouts_total")
 	r.writeFanErr = m.Counter("cluster_write_fanout_errors_total")
@@ -288,12 +244,7 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.readRetries = m.Counter("cluster_read_retries_total")
 	r.migPartsDone = m.Counter("cluster_migration_partitions_total")
 	r.migTuples = m.Counter("cluster_migration_tuples_total")
-	m.GaugeFunc("cluster_partitions", func() float64 {
-		if pm := r.pmap.Load(); pm != nil {
-			return float64(len(pm.Owners))
-		}
-		return 0
-	})
+	m.GaugeFunc("cluster_partitions", func() float64 { return float64(len(r.pmap.Load().Owners)) })
 	r.aeRounds = m.Counter("cluster_antientropy_rounds_total")
 	r.aeBytes = m.Counter("cluster_antientropy_sketch_bytes_total")
 	r.aePrincipals = m.Counter("cluster_antientropy_principals_total")
@@ -310,7 +261,7 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.mux.HandleFunc("GET /stats", r.proxyGet("/stats"))
 	r.mux.HandleFunc("GET /admin/topk", r.proxyGet("/admin/topk"))
 	r.mux.HandleFunc("GET /admin/suspects", r.handleSuspectsAgg)
-	r.mux.HandleFunc("POST /admin/quote", r.handleQuoteProxy)
+	r.mux.HandleFunc("POST /admin/quote", r.handleQuote)
 	r.mux.HandleFunc("POST /admin/peer-up", r.handlePeerUp)
 	r.mux.HandleFunc("GET /admin/partition-map", r.handlePartitionMapGet)
 	r.mux.HandleFunc("POST /admin/partition-map", r.handlePartitionMapPost)
@@ -396,31 +347,17 @@ func (r *Router) syncPeerDown() {
 	r.peerResync.Set(resync)
 }
 
-// isSelect reports whether sql's first keyword is SELECT — the only
-// read-only statement the engine's grammar has. Everything else
-// (INSERT, UPDATE, DELETE, CREATE, and garbage the shard will 400)
-// takes the write fan-out path.
-func isSelect(sql string) bool {
-	s := strings.TrimLeft(sql, " \t\r\n(")
-	return len(s) >= 6 && strings.EqualFold(s[:6], "SELECT")
-}
-
-// bodyScratch pools the per-query forwarding state the hot path would
-// otherwise allocate fresh: the read buffer and the re-readable reader
-// the shard consumes the body through. Local shards serve synchronously
-// inside the handler, so the handler's own reference bounds the
-// lifetime; remote forwards hand the transport its own counted
-// reference (scratchBody), because net/http may keep draining a
-// request body briefly after RoundTrip returns. The buffer goes back
-// to the pool when the last reference releases — never while any
-// transport could still read it.
+// bodyScratch pools the per-query read buffer the hot path would
+// otherwise allocate fresh. Local shards serve synchronously inside the
+// handler, so the handler's own reference bounds the lifetime; remote
+// forwards hand the transport its own counted reference (scratchBody),
+// because net/http may keep draining a request body briefly after
+// RoundTrip returns. The buffer goes back to the pool when the last
+// reference releases — never while any transport could still read it.
 type bodyScratch struct {
-	bytes.Reader
 	buf  [2048]byte
 	refs atomic.Int32
 }
-
-func (s *bodyScratch) Close() error { return nil }
 
 func (s *bodyScratch) retain() { s.refs.Add(1) }
 
@@ -471,132 +408,21 @@ func readBody(r io.Reader, s *bodyScratch) ([]byte, error) {
 	}
 }
 
-var sqlKeyToken = []byte(`"sql"`)
-
-// sniffSelect classifies a raw /query body without a full JSON decode.
-// certain is false whenever the body's shape leaves ANY doubt — a key
-// before "sql", duplicate "sql" keys (encoding/json keeps the last,
-// the sniffer sees the first), escape sequences or a closing quote in
-// the statement's first keyword — and the caller must fall back to
-// json.Unmarshal. The asymmetric stakes set the bar: misrouting a read
-// to the write fan-out just burns replica CPU, but misrouting a write
-// to a single shard diverges the replicas, so the fast path only
-// answers when the full decode could not possibly disagree.
-func sniffSelect(body []byte) (isSel, certain bool) {
-	if bytes.Count(body, sqlKeyToken) != 1 {
-		return false, false
-	}
-	skip := func(i int) int {
-		for i < len(body) {
-			switch body[i] {
-			case ' ', '\t', '\r', '\n':
-				i++
-			default:
-				return i
-			}
-		}
-		return i
-	}
-	i := skip(0)
-	if i >= len(body) || body[i] != '{' {
-		return false, false
-	}
-	i = skip(i + 1)
-	if !bytes.HasPrefix(body[i:], sqlKeyToken) {
-		return false, false
-	}
-	i = skip(i + len(sqlKeyToken))
-	if i >= len(body) || body[i] != ':' {
-		return false, false
-	}
-	i = skip(i + 1)
-	if i >= len(body) || body[i] != '"' {
-		return false, false
-	}
-	i++
-	// Raw spaces and parens before the keyword mirror isSelect's trim;
-	// escaped whitespace (\t, \n,  ) has a backslash the keyword
-	// check below rejects, and raw control bytes are invalid JSON the
-	// shard will 400 on either path.
-	for i < len(body) && (body[i] == ' ' || body[i] == '(') {
-		i++
-	}
-	if i+6 > len(body) {
-		return false, false
-	}
-	const want = "select"
-	for j := 0; j < 6; j++ {
-		c := body[i+j]
-		if c == '\\' || c == '"' {
-			return false, false
-		}
-		if c|0x20 != want[j] {
-			return false, true // a plain first keyword that is not SELECT
-		}
-	}
-	return true, true
-}
-
-// readOrder returns the node indices to try for a read, preferred
-// shard first, per the configured policy. Down peers are excluded;
-// later entries are the failover sequence.
-func (r *Router) readOrder(principal string) []int {
-	switch r.cfg.Policy {
-	case PolicyRoundRobin:
-		h := r.healthy()
-		if len(h) == 0 {
-			return nil
-		}
-		r.rr.mu.Lock()
-		start := r.rr.n % len(h)
-		r.rr.n++
-		r.rr.mu.Unlock()
-		out := make([]int, 0, len(h))
-		out = append(out, h[start:]...)
-		return append(out, h[:start]...)
-	case PolicyLeastLoaded:
-		h := r.healthy()
-		if len(h) == 0 {
-			return nil
-		}
-		best := 0
-		for i := 1; i < len(h); i++ {
-			if r.nodes[h[i]].inflight.Load() < r.nodes[h[best]].inflight.Load() {
-				best = i
-			}
-		}
-		h[0], h[best] = h[best], h[0]
-		return h
-	default: // PolicyHash
-		seq := r.ring.sequence(principal)
-		out := seq[:0]
-		for _, i := range seq {
-			if r.nodes[i].readable() {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-}
-
-// forward sends body to one node as a POST, preserving the identity
-// header. The caller owns the response body.
+// forwardScratch sends body to one node as a POST, preserving the
+// identity header. The caller owns the response body.
 //
 // reuse=true redirects the *inbound* request at the node in place,
 // reverse-proxy style — no second request allocation, headers pass
 // through untouched. Only legal when the caller holds the request
-// exclusively (single-target reads, not concurrent fan-out) and the
-// node is local (client transports reject server-form requests); the
-// downstream handler runs synchronously inside this call, so the
+// exclusively (single-target statements, not concurrent fan-out) and
+// the node is local (client transports reject server-form requests);
+// the downstream handler runs synchronously inside this call, so the
 // mutation cannot race the client connection.
-func (r *Router) forward(req *http.Request, n *Node, path string, body []byte, reuse bool) (*http.Response, error) {
-	return r.forwardScratch(req, n, path, body, reuse, nil)
-}
-
-// forwardScratch is forward with the caller's pooled scratch: when body
-// lives in a scratch buffer and the target is a remote peer, the
-// request body carries its own counted reference so the buffer cannot
-// return to the pool while the transport might still drain it.
+//
+// scratch is the caller's pooled buffer when body lives in one (nil
+// otherwise): for a remote peer the request body carries its own
+// counted reference so the buffer cannot return to the pool while the
+// transport might still drain it.
 func (r *Router) forwardScratch(req *http.Request, n *Node, path string, body []byte, reuse bool, scratch *bodyScratch) (*http.Response, error) {
 	ctx := req.Context()
 	var cancel context.CancelFunc
@@ -712,48 +538,25 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// Classify before admission. Replicated mode only needs the
-	// read/write bit, which the sniffer answers without a JSON decode
-	// on the hot path; partitioned mode always decodes — the planner
-	// needs the statement itself — and fences the client's pinned map
-	// version first, so stale clients learn the new version without
-	// burning admission tokens.
+	// Fence the client's pinned map version and decode before
+	// admission: a stale client learns the new version, and a malformed
+	// body its 400, without burning admission tokens.
 	pm := r.pmap.Load()
-	var sql string
-	var isSel bool
-	if pm != nil {
-		w.Header().Set("X-Partition-Version", strconv.FormatUint(pm.Version, 10))
-		if pin := req.Header.Get("X-Partition-Version"); pin != "" {
-			if v, perr := strconv.ParseUint(pin, 10, 64); perr != nil || v != pm.Version {
-				r.writePartitionStale(w)
-				return
-			}
-		}
-		var q server.QueryRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	w.Header().Set("X-Partition-Version", strconv.FormatUint(pm.Version, 10))
+	if pin := req.Header.Get("X-Partition-Version"); pin != "" {
+		if v, perr := strconv.ParseUint(pin, 10, 64); perr != nil || v != pm.Version {
+			r.writePartitionStale(w)
 			return
 		}
-		if q.SQL == "" {
-			writeErr(w, http.StatusBadRequest, errors.New("empty sql"))
-			return
-		}
-		sql = q.SQL
-	} else {
-		var certain bool
-		isSel, certain = sniffSelect(body)
-		if !certain {
-			var q server.QueryRequest
-			if err := json.Unmarshal(body, &q); err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-				return
-			}
-			if q.SQL == "" {
-				writeErr(w, http.StatusBadRequest, errors.New("empty sql"))
-				return
-			}
-			isSel = isSelect(q.SQL)
-		}
+	}
+	var q server.QueryRequest
+	if err := json.Unmarshal(body, &q); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return
+	}
+	if q.SQL == "" {
+		writeErr(w, http.StatusBadRequest, errors.New("empty sql"))
+		return
 	}
 
 	// Admission: the global in-flight cap, then the per-principal
@@ -782,17 +585,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.routed.Inc()
-	r.routedPolicy.Inc()
-
-	if pm != nil {
-		r.servePartitioned(w, req, pm, sql, body, scratch)
-		return
-	}
-	if isSel {
-		r.routeRead(w, req, principal, body, scratch)
-		return
-	}
-	r.fanoutWrite(w, req, "/query", body, scratch)
+	r.servePartitioned(w, req, pm, q.SQL, body, scratch)
 }
 
 // retryAfterSecs renders a refill wait as a Retry-After value, rounding
@@ -804,187 +597,7 @@ func retryAfterSecs(d time.Duration) string {
 	return strconv.FormatInt(int64(math.Ceil(d.Seconds())), 10)
 }
 
-// routeRead tries the policy's preference sequence until a shard
-// answers. An unreachable shard latches down and the read fails over;
-// a shard that answers — any status — ends the walk.
-func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, principal string, body []byte, scratch *bodyScratch) {
-	// Hash-affinity fast path: healthy owner, no preference-sequence
-	// allocation, inbound request reused. This is the shape virtually
-	// every point query takes.
-	tried := -1
-	if r.cfg.Policy == PolicyHash {
-		if i := r.ring.owner(principal); r.nodes[i].readable() {
-			if r.nodes[i].direct != nil {
-				r.serveDirect(w, req, r.nodes[i], "/query", body, scratch)
-				return
-			}
-			resp, err := r.forwardScratch(req, r.nodes[i], "/query", body, true, scratch)
-			if err == nil {
-				relay(w, resp)
-				return
-			}
-			tried = i
-		}
-	}
-	first := true
-	for _, i := range r.readOrder(principal) {
-		if i == tried {
-			continue // already failed above; latched down since
-		}
-		if !first || tried >= 0 {
-			r.readFailover.Inc()
-		}
-		first = false
-		if r.nodes[i].direct != nil {
-			r.serveDirect(w, req, r.nodes[i], "/query", body, scratch)
-			return
-		}
-		resp, err := r.forwardScratch(req, r.nodes[i], "/query", body, true, scratch)
-		if err != nil {
-			continue
-		}
-		relay(w, resp)
-		return
-	}
-	writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
-}
-
-// serveDirect serves a single-target read by invoking a local shard's
-// handler on the client's own ResponseWriter — no recorder, no
-// response copy, no relay. Only nodes with a direct handler qualify: a
-// shard living in the router's process cannot die independently of the
-// router, so skipping the transport layer forfeits no failover.
-func (r *Router) serveDirect(w http.ResponseWriter, req *http.Request, n *Node, path string, body []byte, scratch *bodyScratch) {
-	u, err := n.urlFor(path)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	// The cached URL is handed out by pointer: handlers treat req.URL
-	// as read-only (the shard mux only matches on it), so sharing one
-	// parsed value across requests is safe and saves the per-query
-	// copy.
-	req.URL = u
-	req.Host = u.Host
-	req.RequestURI = ""
-	if scratch != nil {
-		scratch.Reset(body)
-		req.Body = scratch
-	} else {
-		req.Body = io.NopCloser(bytes.NewReader(body))
-	}
-	req.ContentLength = int64(len(body))
-	if req.RemoteAddr != "" {
-		req.Header.Set("X-Forwarded-For", req.RemoteAddr)
-	}
-	n.inflight.Add(1)
-	defer n.inflight.Add(-1)
-	n.direct.ServeHTTP(w, req)
-}
-
-// fanoutWrite broadcasts a write to every reachable shard (including
-// writes-only resync peers — they must keep receiving new writes or
-// they fall further behind) concurrently, under the router's write
-// lock: each fan-out finishes on every shard before the next begins,
-// so all replicas apply non-commutative writes in one total order.
-// The write acks only when a *read-serving* shard accepted it — a
-// success visible to no read route is not an acked write. A reachable
-// shard whose outcome differs from the acked success (it answered, but
-// with an error — a local disk/WAL failure the others did not share)
-// has diverged from the replica set: it is latched into resync, out of
-// the read path, until an operator repairs and confirms it; shards
-// that died mid-write latch down as usual. Either way an acked write
-// stays readable on every shard a read can route to.
-func (r *Router) fanoutWrite(w http.ResponseWriter, req *http.Request, path string, body []byte, scratch *bodyScratch) {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-
-	targets := r.reachable()
-	if len(targets) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
-		return
-	}
-	r.writeFanout.Inc()
-	type result struct {
-		resp *http.Response
-		err  error
-	}
-	results := make([]result, len(targets))
-	var wg sync.WaitGroup
-	for slot, i := range targets {
-		wg.Add(1)
-		go func(slot, i int) {
-			defer wg.Done()
-			resp, err := r.forwardScratch(req, r.nodes[i], path, body, false, scratch)
-			results[slot] = result{resp: resp, err: err}
-		}(slot, i)
-	}
-	wg.Wait()
-
-	// Prefer relaying a success from a read-serving shard; otherwise
-	// relay the first shard error answer (replicas agree on
-	// deterministic rejections like a parse error); a success only on
-	// resync replicas is NOT an ack — no read can route to it — and
-	// all-transport-failure is a 503.
-	var first *http.Response
-	var ok *http.Response
-	resyncOnlyOK := false
-	for slot, res := range results {
-		if res.err != nil {
-			r.writeFanErr.Inc()
-			continue
-		}
-		if res.resp.StatusCode == http.StatusOK {
-			if ok == nil && r.nodes[targets[slot]].readable() {
-				ok = res.resp
-			} else if !r.nodes[targets[slot]].readable() {
-				resyncOnlyOK = true
-			}
-			continue
-		}
-		if first == nil {
-			first = res.resp
-		}
-	}
-	if ok != nil {
-		// The write is acked. Any reachable shard that answered the
-		// same statement with a different outcome no longer matches
-		// the replica set the client was told about — quarantine it
-		// writes-only until an operator resyncs it.
-		for slot, res := range results {
-			if res.err != nil || res.resp.StatusCode == http.StatusOK {
-				continue
-			}
-			n := r.nodes[targets[slot]]
-			if !n.resync.Load() {
-				n.latchResync()
-				r.writeDiverged.Inc()
-			}
-		}
-		r.syncPeerDown()
-	}
-	chosen := ok
-	if chosen == nil {
-		chosen = first
-	}
-	for _, res := range results {
-		if res.resp != nil && res.resp != chosen {
-			res.resp.Body.Close()
-		}
-	}
-	if chosen == nil {
-		if resyncOnlyOK {
-			writeErr(w, http.StatusServiceUnavailable,
-				errors.New("write applied to no read-serving replica; retry when the cluster recovers"))
-			return
-		}
-		writeErr(w, http.StatusServiceUnavailable, errors.New("write reached no shard"))
-		return
-	}
-	relay(w, chosen)
-}
-
-// handleRegister broadcasts a registration to every healthy shard so
+// handleRegister broadcasts a registration to every reachable shard so
 // the principal exists wherever its queries may route.
 func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
@@ -1005,7 +618,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("empty identity"))
 		return
 	}
-	r.fanoutWrite(w, req, "/register", body, nil)
+	r.broadcast(w, req, "/register", body, nil)
 }
 
 // PeerHealth is one peer's entry in the router's /healthz body.
@@ -1020,25 +633,31 @@ type PeerHealth struct {
 // resync (reachable, receiving writes, but out of the read path until
 // caught up and confirmed via POST /admin/peer-up). The cluster still
 // serves either way — reads route around the hole, writes go to
-// everything reachable. In partitioned mode it also carries the map
-// version, partition/replication shape, and the live (or last)
-// migration progress, so operators and the torture harness share one
-// readiness signal.
+// everything reachable. It also carries the map version,
+// partition/replication shape, and the live (or last) migration
+// progress, so operators and the torture harness share one readiness
+// signal.
 type HealthResponse struct {
 	Status string       `json:"status"`
-	Policy string       `json:"policy"`
 	Peers  []PeerHealth `json:"peers"`
 
-	PartitionVersion uint64 `json:"partition_version,omitempty"`
-	Partitions       int    `json:"partitions,omitempty"`
-	Replication      int    `json:"replication,omitempty"`
+	PartitionVersion uint64 `json:"partition_version"`
+	Partitions       int    `json:"partitions"`
+	Replication      int    `json:"replication"`
 	// Migration reports the in-flight rebalance (or the last finished
 	// one); nil when no rebalance has ever run.
 	Migration *MigrationProgress `json:"migration,omitempty"`
 }
 
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
-	out := HealthResponse{Status: "ok", Policy: r.cfg.Policy.String()}
+	pm := r.pmap.Load()
+	out := HealthResponse{
+		Status:           "ok",
+		PartitionVersion: pm.Version,
+		Partitions:       len(pm.Owners),
+		Replication:      pm.replication(),
+		Migration:        r.migrationProgress(),
+	}
 	for _, n := range r.nodes {
 		st := "ok"
 		switch {
@@ -1050,12 +669,6 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 			out.Status = "degraded"
 		}
 		out.Peers = append(out.Peers, PeerHealth{Name: n.name, Status: st, InFlight: n.inflight.Load()})
-	}
-	if pm := r.pmap.Load(); pm != nil {
-		out.PartitionVersion = pm.Version
-		out.Partitions = len(pm.Owners)
-		out.Replication = pm.replication()
-		out.Migration = r.migrationProgress()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1193,29 +806,6 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 		out = out[:k]
 	}
 	writeJSON(w, http.StatusOK, server.SuspectsResponse{Enabled: enabled, Suspects: out})
-}
-
-// handleQuoteProxy forwards an extraction quote to the principal's
-// hash-owner shard, with the same edge hardening a shard applies.
-func (r *Router) handleQuoteProxy(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
-		return
-	}
-	body, err := io.ReadAll(req.Body)
-	if err != nil || !json.Valid(body) {
-		writeErr(w, http.StatusBadRequest, errors.New("malformed request body"))
-		return
-	}
-	for _, i := range r.readOrder(identity(req)) {
-		resp, err := r.forward(req, r.nodes[i], "/admin/quote", body, true)
-		if err != nil {
-			continue
-		}
-		relay(w, resp)
-		return
-	}
-	writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 }
 
 // PeerUpRequest is the POST /admin/peer-up body: an operator's

@@ -87,16 +87,6 @@ func WithWALGroupWindow(d time.Duration) Option {
 	return func(db *Database) { db.walGroupWindow = d }
 }
 
-// WithExclusiveWrites keeps mutating statements on the legacy
-// table-exclusive write path: one writer at a time per table, in-place
-// page mutation, whole-pool dirty-image logging. The default is the
-// concurrent write path (per-page latches, private page copies,
-// epoch-stamped snapshot publication). The option exists for A/B
-// benchmarking and as an escape hatch.
-func WithExclusiveWrites() Option {
-	return func(db *Database) { db.exclusiveWrites = true }
-}
-
 // walCheckpointBytes is the log size past which a mutation triggers a
 // checkpoint (flush data pages, sync, truncate the log).
 const walCheckpointBytes = 8 << 20
@@ -114,10 +104,8 @@ type Database struct {
 	useWAL       bool
 	walSynced    bool
 	// walGroupWindow is the group-commit accumulation window (0 = every
-	// commit flushes alone); exclusiveWrites selects the legacy
-	// table-exclusive mutation path over the concurrent one.
-	walGroupWindow  time.Duration
-	exclusiveWrites bool
+	// commit flushes alone).
+	walGroupWindow time.Duration
 
 	// cpFailures/cpErr record post-commit checkpoint failures; see
 	// noteCheckpointErr.
@@ -144,10 +132,10 @@ type Database struct {
 // checkpoints, Flush/DropCaches, Close/DropTable, and the CountStore's
 // legacy in-place mutations. Writers therefore never block readers at
 // table granularity; their mutual isolation comes from per-page write
-// latches (storage.WriteSet) plus the structures below. Under
-// WithExclusiveWrites, mutating statements take mu exclusively instead
-// and the pre-latch invariants hold: page bytes are mutated in place
-// only under the exclusive lock while the frame is pinned.
+// latches (storage.WriteSet) plus the structures below. The
+// CountStore's in-place mutations keep the pre-latch invariant: page
+// bytes are mutated in place only under the exclusive lock while the
+// frame is pinned.
 //
 // idxMu guards the primary key B+tree and the secondary indexes on the
 // concurrent path. Commits apply index changes under idxMu exclusive

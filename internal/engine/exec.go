@@ -88,10 +88,6 @@ func (db *Database) execInsert(s *sqlmini.Insert) (*Result, error) {
 		recs = append(recs, rec)
 		keys = append(keys, row[t.schema.Key].Int)
 	}
-	if db.exclusiveWrites {
-		return db.execInsertExclusive(t, rows, recs, keys)
-	}
-
 	run := func() (bool, error) {
 		t.mu.RLock()
 		defer t.mu.RUnlock()
@@ -136,32 +132,6 @@ func (db *Database) execInsert(s *sqlmini.Insert) (*Result, error) {
 	}
 	if cp {
 		db.noteCheckpointErr(t.checkpoint())
-	}
-	return &Result{Affected: len(recs)}, nil
-}
-
-// execInsertExclusive is the WithExclusiveWrites insert path: the table
-// lock excludes everything, pages mutate in place, and the WAL batch is
-// rendered from the pool's dirty pages.
-func (db *Database) execInsertExclusive(t *table, rows []catalog.Row, recs [][]byte, keys []int64) (*Result, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, rec := range recs {
-		key := keys[i]
-		if _, exists := t.pk.Get(key); exists {
-			return nil, fmt.Errorf("engine: duplicate primary key %d in table %q", key, t.schema.Table)
-		}
-		rid, err := t.heap.Insert(rec)
-		if err != nil {
-			return nil, err
-		}
-		t.pk.Put(key, rid)
-		for _, sec := range t.secondaries {
-			sec.insert(rows[i], rid)
-		}
-	}
-	if err := t.logMutation(); err != nil {
-		return nil, err
 	}
 	return &Result{Affected: len(recs)}, nil
 }
@@ -603,10 +573,6 @@ func (db *Database) execUpdate(s *sqlmini.Update) (*Result, error) {
 		}
 		sets = append(sets, setOp{col: ci, val: v})
 	}
-	if db.exclusiveWrites {
-		return db.execUpdateExclusive(t, s, sets)
-	}
-
 	conj, err := resolveWhere(t.schema, s.Where, nil)
 	if err != nil {
 		return nil, err
@@ -706,71 +672,10 @@ func (db *Database) execUpdate(s *sqlmini.Update) (*Result, error) {
 	return res, nil
 }
 
-// execUpdateExclusive is the WithExclusiveWrites update path.
-func (db *Database) execUpdateExclusive(t *table, s *sqlmini.Update, sets []setOp) (*Result, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Collect matches first: mutating the heap during its own scan would
-	// risk visiting relocated rows twice.
-	type match struct {
-		rid storage.RID
-		row catalog.Row
-	}
-	var matches []match
-	err := db.planAndScan(t, s.Where, func(rid storage.RID, row catalog.Row) (bool, error) {
-		// The scan reuses its decode buffer; retained rows must be copies.
-		matches = append(matches, match{rid, append(catalog.Row(nil), row...)})
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range matches {
-		oldKey := m.row[t.schema.Key].Int
-		newRow := append(catalog.Row(nil), m.row...)
-		for _, so := range sets {
-			newRow[so.col] = so.val
-		}
-		newKey := newRow[t.schema.Key].Int
-		if newKey != oldKey {
-			if _, exists := t.pk.Get(newKey); exists {
-				return nil, fmt.Errorf("engine: UPDATE would duplicate primary key %d", newKey)
-			}
-		}
-		rec, err := catalog.EncodeRow(t.schema, newRow)
-		if err != nil {
-			return nil, err
-		}
-		nrid, err := t.heap.Update(m.rid, rec)
-		if err != nil {
-			return nil, err
-		}
-		if newKey != oldKey {
-			t.pk.Delete(oldKey)
-		}
-		t.pk.Put(newKey, nrid)
-		for _, sec := range t.secondaries {
-			sec.remove(m.row, m.rid)
-			sec.insert(newRow, nrid)
-		}
-	}
-	if err := t.logMutation(); err != nil {
-		return nil, err
-	}
-	res := &Result{Affected: len(matches)}
-	for _, m := range matches {
-		res.Keys = append(res.Keys, uint64(m.row[t.schema.Key].Int))
-	}
-	return res, nil
-}
-
 func (db *Database) execDelete(s *sqlmini.Delete) (*Result, error) {
 	t, err := db.getTable(s.Table)
 	if err != nil {
 		return nil, err
-	}
-	if db.exclusiveWrites {
-		return db.execDeleteExclusive(t, s)
 	}
 	conj, err := resolveWhere(t.schema, s.Where, nil)
 	if err != nil {
@@ -832,41 +737,6 @@ func (db *Database) execDelete(s *sqlmini.Delete) (*Result, error) {
 	}
 	if cp {
 		db.noteCheckpointErr(t.checkpoint())
-	}
-	return res, nil
-}
-
-// execDeleteExclusive is the WithExclusiveWrites delete path.
-func (db *Database) execDeleteExclusive(t *table, s *sqlmini.Delete) (*Result, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	type match struct {
-		rid storage.RID
-		key int64
-		row catalog.Row
-	}
-	var matches []match
-	err := db.planAndScan(t, s.Where, func(rid storage.RID, row catalog.Row) (bool, error) {
-		// The scan reuses its decode buffer; retained rows must be copies.
-		matches = append(matches, match{rid, row[t.schema.Key].Int, append(catalog.Row(nil), row...)})
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Affected: len(matches)}
-	for _, m := range matches {
-		if err := t.heap.Delete(m.rid); err != nil {
-			return nil, err
-		}
-		t.pk.Delete(m.key)
-		for _, sec := range t.secondaries {
-			sec.remove(m.row, m.rid)
-		}
-		res.Keys = append(res.Keys, uint64(m.key))
-	}
-	if err := t.logMutation(); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -327,17 +327,6 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 	}
 }
 
-// planAndScan resolves the WHERE clause and streams matching rows to fn
-// with no decode mask (every column materialized). Rows are only valid
-// during fn, as with planAndScanBound.
-func (db *Database) planAndScan(t *table, where *sqlmini.Where, fn func(storage.RID, catalog.Row) (bool, error)) error {
-	conj, err := resolveWhere(t.schema, where, nil)
-	if err != nil {
-		return err
-	}
-	return db.planAndScanBound(t, conj, nil, fn)
-}
-
 // matchesBound evaluates resolved conjuncts against a row.
 func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
 	for _, c := range conj {

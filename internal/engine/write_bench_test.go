@@ -11,10 +11,10 @@ import (
 // each operation is an in-place UPDATE by primary key with probability
 // writeFrac%, otherwise a point SELECT. Statements are pregenerated and
 // goroutine/GOMAXPROCS conventions follow BenchmarkEnginePointQuery.
-func benchMixed(b *testing.B, writeFrac, g int, opts ...Option) {
+func benchMixed(b *testing.B, writeFrac, g int) {
 	b.Helper()
 	const rows = 2000
-	db := benchEngine(b, rows, append([]Option{WithWAL(true)}, opts...)...)
+	db := benchEngine(b, rows, WithWAL(true))
 	if _, err := db.Exec(`SELECT COUNT(*) FROM wide`); err != nil {
 		b.Fatal(err)
 	}
@@ -65,16 +65,6 @@ func BenchmarkEngineMixed(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEngineMixedLegacy is the A/B baseline for the concurrent
-// write path: the same mixed workload on the legacy table-exclusive
-// write lock with per-commit fsyncs (group window disabled). The
-// acceptance target is w50/g=16 concurrent ≥ 3× this.
-func BenchmarkEngineMixedLegacy(b *testing.B) {
-	b.Run("w50/g=16", func(b *testing.B) {
-		benchMixed(b, 50, 16, WithExclusiveWrites(), WithWALGroupWindow(0))
-	})
 }
 
 // BenchmarkWALCommit isolates the WAL commit path: g goroutines issue

@@ -1,6 +1,6 @@
-// cluster.go is the shard-kill torture harness: a partitioned,
-// replicated (R=2) in-process cluster of chaos shards driven through a
-// scripted sequence of fault windows — RPC error/latency/torn-body
+// cluster.go is the shard-kill torture harness: an in-process cluster
+// of chaos shards under a replicated partition map (R=2 by default; R=N
+// is full replication) driven through a scripted sequence of fault windows — RPC error/latency/torn-body
 // injection, whole-shard kills, a rebalance raced against a kill — with
 // a deterministic read/write workload running throughout. The shadow
 // state tracks, per key, the last ACKED write and the last ATTEMPTED
@@ -10,7 +10,7 @@
 //   - no acked write is ever lost: a point read of an acked key returns
 //     a value at least as new as the last ack (unacked attempts may or
 //     may not have applied — both are legal);
-//   - reads stay available around a single dead shard (R=2 failover),
+//   - reads stay available around a single dead shard (R>=2 failover),
 //     with unavailability bounded, never total;
 //   - detection sketches reconverge after a kill/revive cycle: once the
 //     revived shard rejoins the exchange, a catalog-spanning scan
@@ -260,7 +260,7 @@ func (h *clusterHarness) runScript() {
 	h.res.Kills++
 	h.phase = "kill"
 	failed := h.workload(2*cfg.Ops, true)
-	// R=2 failover: with one dead shard every partition keeps a live
+	// R>=2 failover: with one dead shard every partition keeps a live
 	// replica, so unavailability must stay bounded, never total.
 	if failed > cfg.Ops {
 		h.violatef("kill %s: %d of %d ops failed — failover did not bound unavailability", h.names[k1], failed, 2*cfg.Ops)
@@ -536,10 +536,6 @@ func (h *clusterHarness) verifyAll(phase string) {
 func (h *clusterHarness) rebalance(mustComplete bool) {
 	h.res.Rebalances++
 	pm := h.r.CurrentPartitionMap()
-	if pm == nil {
-		h.violatef("rebalance: partitioning not enabled")
-		return
-	}
 	replicas := make([][]string, len(pm.Owners))
 	for p := range pm.Owners {
 		g := pm.GroupOf(p)

@@ -3,28 +3,44 @@ package torture
 import "testing"
 
 // TestClusterTorture drives the scripted shard-kill sequence: RPC
-// faults, a mid-workload kill with R=2 failover, a rebalance raced
+// faults, a mid-workload kill with replica failover, a rebalance raced
 // against a kill, a clean rebalance, and the sketch-reconvergence
 // finale — asserting no acked write is ever lost across any of it.
 func TestClusterTorture(t *testing.T) {
-	cfg := ClusterConfig{Logf: t.Logf}
-	if testing.Short() {
-		cfg.SeedTuples = 48
-		cfg.Ops = 16
+	for _, tc := range []struct {
+		name string
+		cfg  ClusterConfig
+	}{
+		{"partitioned-r2", ClusterConfig{Shards: 4, Replication: 2}},
+		// Full replication is the R = N map. No partition has a
+		// non-member gainer, so both rebalances copy nothing: they
+		// rotate every third group's order — each moves the primary,
+		// and so the reads, onto a replica that must already hold every
+		// acked write — and install the map under the same fences.
+		{"full-replication", ClusterConfig{Shards: 3, Replication: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Logf = t.Logf
+			if testing.Short() {
+				cfg.SeedTuples = 48
+				cfg.Ops = 16
+			}
+			res, err := RunCluster(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range res.Violations {
+				t.Error(v)
+			}
+			if res.Acked == 0 {
+				t.Error("no write was ever acked; the harness exercised nothing")
+			}
+			if res.Kills != 2 || res.Rebalances != 2 {
+				t.Errorf("kills=%d rebalances=%d, want 2 and 2", res.Kills, res.Rebalances)
+			}
+			t.Logf("cluster torture: %d ops (%d reads, %d writes, %d acked), %d unavailable, %d violations",
+				res.Ops, res.Reads, res.Writes, res.Acked, res.Unavailable, len(res.Violations))
+		})
 	}
-	res, err := RunCluster(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Error(v)
-	}
-	if res.Acked == 0 {
-		t.Error("no write was ever acked; the harness exercised nothing")
-	}
-	if res.Kills != 2 || res.Rebalances != 2 {
-		t.Errorf("kills=%d rebalances=%d, want 2 and 2", res.Kills, res.Rebalances)
-	}
-	t.Logf("cluster torture: %d ops (%d reads, %d writes, %d acked), %d unavailable, %d violations",
-		res.Ops, res.Reads, res.Writes, res.Acked, res.Unavailable, len(res.Violations))
 }
