@@ -55,8 +55,10 @@ bench-engine:
 
 # Cluster front-door benchmark: the same point query against a shard
 # directly vs through the router (admission, statement plan, replica
-# walk, relay), scatter scans, group writes at R=1 vs R=N. Writes
-# BENCH_cluster.json; check mode bounds router/direct (see bench.sh).
+# walk, relay) vs through the router and a real loopback socket (the
+# shard transport), scatter scans, group writes at R=1 vs R=N. Writes
+# BENCH_cluster.json; check mode bounds router/direct and remote/direct
+# (see bench.sh).
 bench-cluster:
 	BENCH_SUITE=cluster ./scripts/bench.sh
 
@@ -129,6 +131,7 @@ examples:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=30s ./internal/ostree/
+	$(GO) test -run '^$$' -fuzz=FuzzPeerReply -fuzztime=30s ./internal/cluster/
 
 clean:
 	$(GO) clean ./...

@@ -26,7 +26,12 @@
 //
 // -cluster N opens N shards under -dir (shard-0 … shard-N-1) and serves
 // the cluster router in front of them; -router instead fronts
-// already-running delaydb shards over HTTP (data flags are ignored).
+// already-running delaydb shards over HTTP (data flags are ignored):
+// each -peers entry is an http:// or https:// base URL, checked at
+// start-up, and the router keeps a small pool of persistent connections
+// to each (the shard transport, internal/cluster/peerconn.go; its dial
+// count and idle pool size are cluster_peer_dials_total and
+// cluster_peer_idle_conns on /metrics).
 // Either way every statement routes by tuple through one versioned
 // partition map: tuples hash (by INT primary key) to a partition, and
 // each partition lives on a replica group of shards. Point queries go
@@ -326,6 +331,9 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 				base := strings.TrimRight(strings.TrimSpace(raw), "/")
 				if base == "" {
 					continue
+				}
+				if _, err := cluster.ParsePeerURL(base); err != nil {
+					return fmt.Errorf("-peers: %w", err)
 				}
 				nodes = append(nodes, cluster.NewHTTPNode(fmt.Sprintf("shard-%d", i), base))
 			}

@@ -184,6 +184,18 @@ func TestClusterFlagErrors(t *testing.T) {
 	if err := run([]string{"-router", "-peers", " , "}, &out, nil); err == nil {
 		t.Fatal("empty -peers list accepted")
 	}
+	// A peer the shard transport could never dial is refused now, not by
+	// the first query that fails against it.
+	for _, peers := range []string{
+		"10.0.0.1:8080",                       // no scheme
+		"http://10.0.0.1:8080,localhost:8081", // "localhost" reads as a scheme
+		"ftp://10.0.0.1:8080",
+		"http://",
+	} {
+		if err := run([]string{"-router", "-peers", peers}, &out, nil); err == nil || !strings.Contains(err.Error(), "-peers") {
+			t.Errorf("-peers %q: err = %v, want a -peers flag error", peers, err)
+		}
+	}
 }
 
 // TestSigtermDrainsAndRecoversConsistent is the kill test: a server

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -171,7 +172,7 @@ func (r *Router) probePeer(n *Node) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := n.http.Do(req)
+	resp, err := n.do(context.Background(), req)
 	if err != nil {
 		return false
 	}
@@ -191,7 +192,7 @@ func (r *Router) pullSketches(n *Node, since uint64, floor float64) (*server.Ske
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.do(req)
+	resp, err := n.do(context.Background(), req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: pulling sketches from %s: %w", n.name, err)
 	}
@@ -225,7 +226,7 @@ func (r *Router) pushSketches(n *Node, batch []detect.SketchSnapshot) (rejected 
 			return rejected, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.do(req)
+		resp, err := n.do(context.Background(), req)
 		if err != nil {
 			return rejected, fmt.Errorf("cluster: pushing sketches to %s: %w", n.name, err)
 		}

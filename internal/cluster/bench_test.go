@@ -62,12 +62,11 @@ func BenchmarkClusterPointQuery(b *testing.B) {
 	b.Run("via=direct", func(b *testing.B) { run(b, shard) })
 	b.Run("via=router", func(b *testing.B) { run(b, c.Handler) })
 
-	// via=remote shapes the node like an HTTP peer (no local fast path):
-	// the forward path must hand the pooled request body to the
-	// transport without copying it — ReportAllocs keeps the per-request
-	// transport cost visible.
-	remote := &Node{name: "shard-r", base: "http://shard-r", http: &http.Client{Transport: handlerTransport{h: shard}}}
-	rr, err := NewRouter([]*Node{remote}, benchConfig(0, 0))
+	// via=remote is the real hop: the shard behind delaydb's http.Server
+	// on a loopback listener, reached through NewHTTPNode's shard
+	// transport, so the recorded cost includes the kernel.
+	// bench.sh bounds it against via=direct.
+	rr, err := NewRouter([]*Node{NewHTTPNode("shard-r", serveLoopback(b, shard))}, benchConfig(0, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func newIOShard(b *testing.B, catalogN int) http.Handler {
 	return srv.Handler()
 }
 
-func benchLoadItems(b *testing.B, r *Router, tuples int) {
+func benchLoadItems(b testing.TB, r *Router, tuples int) {
 	b.Helper()
 	pad := strings.Repeat("x", 180)
 	// Chunked loads keep each statement's pinned-page working set

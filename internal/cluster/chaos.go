@@ -49,11 +49,7 @@ func (t chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // indistinguishable from a crashed process on every router path.
 func NewChaosNode(name string, h http.Handler) (*Node, *Chaos) {
 	c := &Chaos{name: name}
-	t := chaosTransport{inner: handlerTransport{h: h}, c: c}
-	return &Node{
-		name:  name,
-		base:  "http://" + name,
-		http:  &http.Client{Transport: t},
-		local: t,
-	}, c
+	n := NewLocalNode(name, h)
+	n.rt = chaosTransport{inner: n.rt, c: c}
+	return n, c
 }

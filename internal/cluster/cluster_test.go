@@ -56,9 +56,13 @@ type clusterOpts struct {
 	Tuples int
 	Detect *detect.Config
 	Config Config
-	// Remote shapes the nodes like HTTP peers: no in-process fast path,
-	// every request through the http.Client a deployment uses.
+	// Remote shapes the nodes like HTTP peers: no in-place reuse of the
+	// client's request, every forward a request of its own.
 	Remote bool
+	// Loopback serves every shard on a real loopback listener behind
+	// NewHTTPNode: the shard transport instead of the handler adapter.
+	// Such a shard has no kill switch (Chaos[i] is nil) and ignores Wrap.
+	Loopback bool
 	// Wrap, when set, wraps shard i's transport (outside its kill
 	// switch) — how a test injects a shard that fails some requests.
 	Wrap func(shard int, next http.RoundTripper) http.RoundTripper
@@ -92,14 +96,15 @@ func newTestCluster(t testing.TB, o clusterOpts) *testCluster {
 	nodes := make([]*Node, o.Shards)
 	for i := range nodes {
 		c.Shards[i], c.Shields[i] = newShard(t, catalog, o.Detect)
+		if o.Loopback {
+			nodes[i] = NewHTTPNode(fmt.Sprintf("shard-%d", i), serveLoopback(t, c.Shards[i]))
+			continue
+		}
 		nodes[i], c.Chaos[i] = NewChaosNode(fmt.Sprintf("shard-%d", i), c.Shards[i])
 		if o.Wrap != nil {
-			rt := o.Wrap(i, nodes[i].local)
-			nodes[i].local, nodes[i].http = rt, &http.Client{Transport: rt}
+			nodes[i].rt = o.Wrap(i, nodes[i].rt)
 		}
-		if o.Remote {
-			nodes[i].local = nil
-		}
+		nodes[i].inProcess = !o.Remote
 	}
 	r, err := NewRouter(nodes, o.Config)
 	if err != nil {

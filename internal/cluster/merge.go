@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/internal/sqlmini"
 )
@@ -74,22 +73,17 @@ func (r *Router) fanStatements(ctx context.Context, req *http.Request, targets [
 	return ch
 }
 
-// shardQuery runs one fanned RPC. It bypasses Node.do for one reason:
-// do latches a node down on any transport error, but a scatter that
-// cancelled its laggards on purpose (LIMIT satisfied, or another shard
-// already errored) must not mark healthy shards dead for obeying the
-// cancellation. The RPC carries the configured per-shard deadline; a
-// shard that exceeds it counts as a peer failure (down latch plus the
-// timeout counter) — the scatter retries its partitions elsewhere
-// instead of pinning the router's in-flight slots.
+// shardQuery runs one fanned RPC under the configured per-shard
+// deadline; a shard that exceeds it counts as a peer failure (down
+// latch plus the timeout counter) — the scatter retries its partitions
+// elsewhere instead of pinning the router's in-flight slots. ctx is the
+// scatter's own context: a leg it cancelled on purpose (LIMIT
+// satisfied, or another shard already errored) fails without latching
+// anything (Node.do).
 func (r *Router) shardQuery(ctx context.Context, node int, body []byte, id, addr string) shardReply {
 	n := r.nodes[node]
-	rctx := ctx
-	var cancel context.CancelFunc
-	if d := r.cfg.ShardTimeout; d > 0 {
-		rctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
+	rctx, cancel := r.rpcContext(ctx)
+	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, n.base+"/query", bytes.NewReader(body))
 	if err != nil {
 		return shardReply{node: node, err: err}
@@ -101,39 +95,9 @@ func (r *Router) shardQuery(ctx context.Context, node int, body []byte, id, addr
 	if addr != "" {
 		req.Header.Set("X-Forwarded-For", addr)
 	}
-	truncate := -1
-	if fault.Enabled() {
-		if k, ferr := fault.CheckWrite(fault.ClusterRPC, rpcBodyCap); ferr != nil {
-			if k <= 0 {
-				err = ferr // dropped before the wire
-			} else {
-				truncate = k // delivered, response cut short
-			}
-		}
-	}
-	n.inflight.Add(1)
-	var resp *http.Response
-	if err == nil {
-		if n.local != nil {
-			resp, err = n.local.RoundTrip(req)
-		} else {
-			resp, err = n.http.Do(req)
-		}
-	}
-	n.inflight.Add(-1)
+	resp, err := r.call(ctx, n, req)
 	if err != nil {
-		if ctx.Err() == nil { // the scatter did not cancel this leg on purpose
-			if rctx.Err() != nil {
-				r.rpcTimeouts.Inc()
-			}
-			n.latchDown()
-			r.peerErrors.Inc()
-			r.syncPeerDown()
-		}
 		return shardReply{node: node, err: err}
-	}
-	if truncate >= 0 {
-		resp.Body = &truncatedBody{r: io.LimitReader(resp.Body, int64(truncate)), c: resp.Body}
 	}
 	defer resp.Body.Close()
 	out := shardReply{node: node, status: resp.StatusCode, ct: resp.Header.Get("Content-Type")}

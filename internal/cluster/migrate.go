@@ -400,10 +400,8 @@ func (r *Router) shardTables(ctx context.Context, node int) ([]server.TableSchem
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.do(req)
+	resp, err := r.call(ctx, n, req)
 	if err != nil {
-		r.peerErrors.Inc()
-		r.syncPeerDown()
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -433,10 +431,8 @@ func (r *Router) adminMigrate(ctx context.Context, node int, mreq *server.Migrat
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.do(req)
+	resp, err := r.call(ctx, n, req)
 	if err != nil {
-		r.peerErrors.Inc()
-		r.syncPeerDown()
 		return nil, err
 	}
 	defer resp.Body.Close()

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
-	"net/url"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -20,24 +18,24 @@ const rpcBodyCap = 1 << 30
 
 // Node is one delaydb shard behind the router. Local nodes (handlers
 // in this process, the test and single-binary cluster mode) and HTTP
-// peers (real deployments) share the same http.Client plumbing, so
-// every byte the router moves crosses the same serialization boundary
-// in both modes — a test against local nodes exercises the exact wire
-// surface a deployment uses.
+// peers (real deployments) differ only in the RoundTripper that carries
+// the request, so every byte the router moves crosses the same
+// serialization boundary in both modes — a test against local nodes
+// exercises the exact wire surface a deployment uses.
 type Node struct {
 	name string
 	base string
-	http *http.Client
-	// local short-circuits http for in-process nodes: the request goes
-	// straight to the RoundTripper, skipping the http.Client wrapper
-	// (header copier, redirect plumbing) that costs real time on the
-	// point-query hot path. Cancellation still works — the forwarded
-	// request carries the client's context. nil for HTTP peers, which
-	// keep the full client for its timeout handling.
-	local http.RoundTripper
-	// urls caches parsed request URLs per path; the forward hot path
-	// clones a cached value instead of re-parsing base+path per query.
-	urls sync.Map // path → *url.URL
+	// rt carries every RPC to the shard: the shard transport
+	// (peerconn.go) for an HTTP peer, the handler adapter for an
+	// in-process one, either possibly wrapped by a kill switch or a
+	// test's fault injector. Every one of them returns a reply whose
+	// body is already in memory, so a caller may drop the request's
+	// context the moment RoundTrip returns.
+	rt http.RoundTripper
+	// inProcess marks a node whose rt calls the shard's handler on the
+	// calling goroutine: only there may forwardScratch redirect the
+	// client's own request at the shard instead of building a second one.
+	inProcess bool
 
 	// inflight is the live request count, reported per peer on
 	// /healthz.
@@ -95,25 +93,11 @@ func (n *Node) latchResync() {
 }
 
 // NewHTTPNode returns a shard reached over the network at base
-// (e.g. "http://10.0.0.3:8080"). The transport is tuned for the
-// router's traffic shape — a small set of peers, each carrying many
-// concurrent point queries: the default MaxIdleConnsPerHost of 2 would
-// discard all but two keep-alive connections per shard after every
-// burst, re-paying connection setup on the hot path, so idle pooling
-// is sized to the fan-out a busy router actually sustains.
+// (e.g. "http://10.0.0.3:8080") through the shard transport. A base
+// ParsePeerURL rejects still yields a node; its every RPC fails with
+// that error.
 func NewHTTPNode(name, base string) *Node {
-	return &Node{
-		name: name,
-		base: base,
-		http: &http.Client{
-			Timeout: 5 * time.Minute,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
-	}
+	return &Node{name: name, base: base, rt: newPeerTransport(base)}
 }
 
 // NewLocalNode returns a shard served by an in-process handler —
@@ -121,13 +105,7 @@ func NewHTTPNode(name, base string) *Node {
 // invoked through a RoundTripper, not called directly, so request and
 // response still pass through http.Request/http.Response encoding.
 func NewLocalNode(name string, h http.Handler) *Node {
-	t := handlerTransport{h: h}
-	return &Node{
-		name:  name,
-		base:  "http://" + name,
-		http:  &http.Client{Transport: t},
-		local: t,
-	}
+	return &Node{name: name, base: "http://" + name, rt: handlerTransport{h: h}, inProcess: true}
 }
 
 // Name returns the node's routing name.
@@ -147,10 +125,25 @@ func (n *Node) readable() bool { return !n.down.Load() && !n.resync.Load() }
 // InFlight returns the live request count against this node.
 func (n *Node) InFlight() int64 { return n.inflight.Load() }
 
-// do sends req to the node, tracking in-flight load. A transport-level
-// failure latches the node down; HTTP error statuses do not (the peer
+// peerStats reports the shard transport's dial count and idle pool
+// size; both are zero for an in-process node.
+func (n *Node) peerStats() (dials int64, idle int) {
+	if t, ok := n.rt.(*peerTransport); ok {
+		return t.dials.Load(), t.idleConns()
+	}
+	return 0, 0
+}
+
+// do sends req to the node — the one entry point of every router→shard
+// RPC: the cluster.rpc failpoint, the in-flight count, one round trip.
+// ctx is the caller's own context (req's is the same one, or its
+// -shard-timeout child). A transport-level failure latches the node
+// down unless ctx is already done: a caller that gave up — a scatter
+// cancelling its laggards once LIMIT is satisfied, a client that hung
+// up — made the call fail itself, and a healthy shard must not be
+// marked dead for obeying. HTTP error statuses never latch (the peer
 // answered — it is alive, just unhappy).
-func (n *Node) do(req *http.Request) (*http.Response, error) {
+func (n *Node) do(ctx context.Context, req *http.Request) (*http.Response, error) {
 	truncate := -1
 	if fault.Enabled() {
 		if k, ferr := fault.CheckWrite(fault.ClusterRPC, rpcBodyCap); ferr != nil {
@@ -160,8 +153,7 @@ func (n *Node) do(req *http.Request) (*http.Response, error) {
 				if req.Body != nil {
 					req.Body.Close()
 				}
-				n.latchDown()
-				return nil, ferr
+				return nil, n.failed(ctx, ferr)
 			}
 			// Delivered, but the response comes back cut short: the
 			// status line survives, the body truncates mid-stream, and
@@ -172,22 +164,23 @@ func (n *Node) do(req *http.Request) (*http.Response, error) {
 	}
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
-	var resp *http.Response
-	var err error
-	if n.local != nil {
-		resp, err = n.local.RoundTrip(req)
-	} else {
-		resp, err = n.http.Do(req)
-	}
+	resp, err := n.rt.RoundTrip(req)
 	if err != nil {
-		n.latchDown()
-		return nil, err
+		return nil, n.failed(ctx, err)
 	}
 	if truncate >= 0 {
 		resp.Body = &truncatedBody{r: io.LimitReader(resp.Body, int64(truncate)), c: resp.Body}
 		resp.ContentLength = -1
 	}
 	return resp, nil
+}
+
+// failed applies do's latch rule to a transport-level error.
+func (n *Node) failed(ctx context.Context, err error) error {
+	if ctx.Err() == nil {
+		n.latchDown()
+	}
+	return err
 }
 
 // truncatedBody delivers a prefix of the real body (the cluster.rpc
@@ -199,19 +192,6 @@ type truncatedBody struct {
 
 func (t *truncatedBody) Read(p []byte) (int, error) { return t.r.Read(p) }
 func (t *truncatedBody) Close() error               { return t.c.Close() }
-
-// urlFor returns the parsed URL for base+path, cached per path.
-func (n *Node) urlFor(path string) (*url.URL, error) {
-	if u, ok := n.urls.Load(path); ok {
-		return u.(*url.URL), nil
-	}
-	u, err := url.Parse(n.base + path)
-	if err != nil {
-		return nil, err
-	}
-	n.urls.Store(path, u)
-	return u, nil
-}
 
 // handlerTransport adapts an http.Handler into an http.RoundTripper by
 // recording the handler's response into a real http.Response.
@@ -287,4 +267,11 @@ func (r *recordedResponse) WriteHeader(code int) {
 func (r *recordedResponse) Write(p []byte) (int, error) {
 	r.wrote = true
 	return r.body.Write(p)
+}
+
+// ReadFrom spares io.Copy its 32 KiB buffer when a relayed body has no
+// WriteTo of its own (replyBody).
+func (r *recordedResponse) ReadFrom(src io.Reader) (int64, error) {
+	r.wrote = true
+	return r.body.ReadFrom(src)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -300,10 +301,8 @@ func (r *Router) fetchSchemas() {
 	if err != nil {
 		return
 	}
-	resp, err := n.do(req)
+	resp, err := r.call(context.Background(), n, req)
 	if err != nil {
-		r.peerErrors.Inc()
-		r.syncPeerDown()
 		return
 	}
 	defer resp.Body.Close()
@@ -500,7 +499,7 @@ func (r *Router) serveAny(w http.ResponseWriter, req *http.Request, pm *Partitio
 		return
 	}
 	n := r.nodes[h[0]]
-	resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
+	resp, err := r.forwardScratch(req, n, "/query", body, true, scratch)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
 		return

@@ -82,7 +82,7 @@ func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *
 			if ri > 0 || round > 0 {
 				r.readFailover.Inc()
 			}
-			resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
+			resp, err := r.forwardScratch(req, n, "/query", body, true, scratch)
 			if err != nil {
 				continue // latched down; next replica
 			}
@@ -125,23 +125,36 @@ type fanResult struct {
 }
 
 // fanRaw sends body to path on every target concurrently, through the
-// cluster.fanout failpoint, returning raw responses positionally.
+// cluster.fanout failpoint, returning raw responses positionally. It
+// never cancels and always waits for every leg, so the last leg runs on
+// the calling goroutine: an R=2 write costs one goroutine hand-off, not
+// two.
 func (r *Router) fanRaw(req *http.Request, targets []int, path string, body []byte, scratch *bodyScratch) []fanResult {
 	results := make([]fanResult, len(targets))
-	var wg sync.WaitGroup
-	for slot, i := range targets {
-		wg.Add(1)
-		go func(slot, i int) {
-			defer wg.Done()
-			if err := fault.Check(fault.ClusterFanout); err != nil {
-				results[slot] = fanResult{err: err}
-				return
-			}
-			resp, err := r.forwardScratch(req, r.nodes[i], path, body, false, scratch)
-			results[slot] = fanResult{resp: resp, err: err}
-		}(slot, i)
+	if len(targets) == 0 {
+		return results
 	}
-	wg.Wait()
+	leg := func(slot int) {
+		if err := fault.Check(fault.ClusterFanout); err != nil {
+			results[slot] = fanResult{err: err}
+			return
+		}
+		resp, err := r.forwardScratch(req, r.nodes[targets[slot]], path, body, false, scratch)
+		results[slot] = fanResult{resp: resp, err: err}
+	}
+	last := len(targets) - 1
+	var wg sync.WaitGroup
+	// Deferred, so a panic in the caller's own leg still waits for the
+	// others before it unwinds into the handler that owns body.
+	defer wg.Wait()
+	wg.Add(last)
+	for slot := 0; slot < last; slot++ {
+		go func(slot int) {
+			defer wg.Done()
+			leg(slot)
+		}(slot)
+	}
+	leg(last)
 	return results
 }
 
@@ -237,7 +250,7 @@ func (r *Router) ackWrite(w http.ResponseWriter, req *http.Request, path string,
 	// a success confined to a writes-only resync replica is not an ack.
 	if len(targets) == 1 && r.nodes[targets[0]].readable() {
 		n := r.nodes[targets[0]]
-		resp, err := r.forwardScratch(req, n, path, body, n.local != nil, scratch)
+		resp, err := r.forwardScratch(req, n, path, body, true, scratch)
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
 			return nil

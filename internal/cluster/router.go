@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -251,6 +252,20 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.aeRejected = m.Counter("cluster_antientropy_rejected_total")
 	r.aeErrors = m.Counter("cluster_antientropy_errors_total")
 	m.GaugeFunc("cluster_nodes", func() float64 { return float64(len(nodes)) })
+	// The shard transport's books, summed over the nodes: in steady
+	// state the dial counter stands still and the idle pool holds one
+	// connection per concurrent caller per shard.
+	sumPeers := func(pick func(dials int64, idle int) int64) func() float64 {
+		return func() float64 {
+			var sum int64
+			for _, n := range nodes {
+				sum += pick(n.peerStats())
+			}
+			return float64(sum)
+		}
+	}
+	m.GaugeFunc("cluster_peer_dials_total", sumPeers(func(dials int64, _ int) int64 { return dials }))
+	m.GaugeFunc("cluster_peer_idle_conns", sumPeers(func(_ int64, idle int) int64 { return int64(idle) }))
 	m.GaugeFunc("cluster_antientropy_merge_lag_seconds", r.mergeLag)
 	r.ae.marks = make([]uint64, len(nodes))
 
@@ -348,12 +363,14 @@ func (r *Router) syncPeerDown() {
 }
 
 // bodyScratch pools the per-query read buffer the hot path would
-// otherwise allocate fresh. Local shards serve synchronously inside the
-// handler, so the handler's own reference bounds the lifetime; remote
-// forwards hand the transport its own counted reference (scratchBody),
-// because net/http may keep draining a request body briefly after
-// RoundTrip returns. The buffer goes back to the pool when the last
-// reference releases — never while any transport could still read it.
+// otherwise allocate fresh. A shard served in-process without a
+// -shard-timeout runs synchronously inside the handler, so the
+// handler's own reference bounds the lifetime; every other forward
+// hands the transport its own counted reference (scratchBody), because
+// an http.RoundTripper may keep draining a request body after RoundTrip
+// returns (a timed-out in-process handler does). The buffer goes back
+// to the pool when the last reference releases — never while any
+// transport could still read it.
 type bodyScratch struct {
 	buf  [2048]byte
 	refs atomic.Int32
@@ -408,48 +425,59 @@ func readBody(r io.Reader, s *bodyScratch) ([]byte, error) {
 	}
 }
 
+// rpcContext derives the context one query-plane RPC runs under: ctx
+// bounded by -shard-timeout, or ctx itself when there is none.
+func (r *Router) rpcContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if d := r.cfg.ShardTimeout; d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
+}
+
+// call runs one RPC against n for a caller whose own context is ctx
+// (req's is ctx or its rpcContext child) and keeps the router's books
+// when it fails at the transport level: the peer-error and timeout
+// counters and the latch gauges. A failure the caller caused by giving
+// up counts as nothing — do did not latch the node for it either.
+func (r *Router) call(ctx context.Context, n *Node, req *http.Request) (*http.Response, error) {
+	resp, err := n.do(ctx, req)
+	if err != nil && ctx.Err() == nil {
+		if req.Context().Err() != nil {
+			r.rpcTimeouts.Inc()
+		}
+		r.peerErrors.Inc()
+		r.syncPeerDown()
+	}
+	return resp, err
+}
+
 // forwardScratch sends body to one node as a POST, preserving the
 // identity header. The caller owns the response body.
 //
-// reuse=true redirects the *inbound* request at the node in place,
-// reverse-proxy style — no second request allocation, headers pass
-// through untouched. Only legal when the caller holds the request
-// exclusively (single-target statements, not concurrent fan-out) and
-// the node is local (client transports reject server-form requests);
-// the downstream handler runs synchronously inside this call, so the
-// mutation cannot race the client connection.
+// reuse=true lets an in-process node take the *inbound* request,
+// redirected at it in place, reverse-proxy style — no second request
+// allocation, headers pass through untouched. Only legal when the
+// caller holds the request exclusively (single-target statements, not
+// concurrent fan-out); the downstream handler runs synchronously inside
+// this call, so the mutation cannot race the client connection.
 //
 // scratch is the caller's pooled buffer when body lives in one (nil
-// otherwise): for a remote peer the request body carries its own
-// counted reference so the buffer cannot return to the pool while the
-// transport might still drain it.
+// otherwise); see bodyScratch for when the request body carries its own
+// counted reference to it.
 func (r *Router) forwardScratch(req *http.Request, n *Node, path string, body []byte, reuse bool, scratch *bodyScratch) (*http.Response, error) {
 	ctx := req.Context()
-	var cancel context.CancelFunc
-	timed := r.cfg.ShardTimeout > 0
-	if timed {
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.ShardTimeout)
-		// A timeout can abandon the shard handler mid-read, so the
-		// request body must outlive this call safely: no in-place reuse
-		// of the client's request, and pooled scratch always carries
-		// its counted reference — a local handler on its own goroutine
-		// may still be draining it after this scatter releases the
-		// scratch.
-		reuse = false
-	}
+	rctx, cancel := r.rpcContext(ctx)
+	defer cancel() // the reply is in memory when call returns (Node.rt)
+	// A timeout can abandon the shard handler mid-read, so the request
+	// body must outlive this call safely: no in-place reuse of the
+	// client's request, and pooled scratch always carries its counted
+	// reference.
+	timed := rctx != ctx
 	var out *http.Request
-	if reuse && n.local != nil {
-		u, err := n.urlFor(path)
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			return nil, err
-		}
-		uc := *u
+	if reuse && n.inProcess && !timed {
 		out = req
-		out.URL = &uc
-		out.Host = uc.Host
+		out.URL = &url.URL{Scheme: "http", Host: n.name, Path: path}
+		out.Host = n.name
 		out.RequestURI = ""
 		out.Body = io.NopCloser(bytes.NewReader(body))
 		out.ContentLength = int64(len(body))
@@ -457,14 +485,11 @@ func (r *Router) forwardScratch(req *http.Request, n *Node, path string, body []
 		// RemoteAddr identities.
 		out.Header.Set("X-Forwarded-For", req.RemoteAddr)
 	} else {
-		nr, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+path, nil)
+		nr, err := http.NewRequestWithContext(rctx, http.MethodPost, n.base+path, nil)
 		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
 			return nil, err
 		}
-		if scratch != nil && (n.local == nil || timed) {
+		if scratch != nil && (!n.inProcess || timed) {
 			sb := &scratchBody{s: scratch}
 			sb.Reset(body)
 			scratch.retain()
@@ -480,38 +505,7 @@ func (r *Router) forwardScratch(req *http.Request, n *Node, path string, body []
 		nr.Header.Set("X-Forwarded-For", req.RemoteAddr)
 		out = nr
 	}
-	resp, err := n.do(out)
-	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		if timed && ctx.Err() != nil && req.Context().Err() == nil {
-			r.rpcTimeouts.Inc()
-		}
-		r.peerErrors.Inc()
-		r.syncPeerDown()
-		return nil, err
-	}
-	if cancel != nil {
-		// The sub-context must survive until the caller finishes the
-		// body; Close releases it.
-		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	}
-	return resp, nil
-}
-
-// cancelBody ties a per-RPC timeout context to the response body's
-// lifetime: the context cancels (releasing its timer) when the body
-// closes.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelBody) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
+	return r.call(ctx, n, out)
 }
 
 // relay copies a shard response to the client verbatim.
@@ -710,10 +704,8 @@ func (r *Router) proxyGet(path string) http.HandlerFunc {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		resp, err := n.do(out)
+		resp, err := r.call(req.Context(), n, out)
 		if err != nil {
-			r.peerErrors.Inc()
-			r.syncPeerDown()
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable: %w", n.name, err))
 			return
 		}
@@ -765,10 +757,8 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			continue
 		}
-		resp, err := n.do(sreq)
+		resp, err := r.call(req.Context(), n, sreq)
 		if err != nil {
-			r.peerErrors.Inc()
-			r.syncPeerDown()
 			continue
 		}
 		var sr server.SuspectsResponse

@@ -98,7 +98,14 @@ BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0'
 # The cluster front door's tax on a point query — body read, JSON
 # decode, statement plan, replica-group walk, relay copy — measured 1.61x
 # a direct shard hit when the router became one path (10.56us vs
-# 6.54us); it may grow at most the suite's 20% past that. Partitioning
+# 6.54us); it may grow at most the suite's 20% past that. The same
+# query through the router and one real loopback socket (via=remote:
+# the shard behind an http.Server, reached through NewHTTPNode's shard
+# transport) measured 7.3x direct (49.1us vs 6.7us) — nearly all of it
+# the kernel's round trip, which direct, an in-process handler call,
+# does not pay. net/http's client on the same hop measured 12.4x in the
+# same sitting; the 9.5x bound sits between the two, with room for the
+# wake-up noise of a busy host. Partitioning
 # must buy real horizontal scale: the same I/O-bound scan over 4 shards
 # must finish in at most half the single-shard time, and a single-row
 # write to an R=1 group (one owner applies it) must not lose to the R=N
@@ -106,6 +113,7 @@ BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0'
 # healthy read path: a point query at R=2 may cost at most 30% over R=1
 # (the group walk stops at the first readable member).
 cluster_inv='BenchmarkClusterPointQuery/via=router,BenchmarkClusterPointQuery/via=direct,1.94
+BenchmarkClusterPointQuery/via=remote,BenchmarkClusterPointQuery/via=direct,9.5
 BenchmarkClusterScan/partitions=4,BenchmarkClusterScan/partitions=1,0.5
 BenchmarkClusterWrite/r=1,BenchmarkClusterWrite/r=N,1.0
 BenchmarkClusterReplicatedPoint/r=2,BenchmarkClusterReplicatedPoint/r=1,1.3'
