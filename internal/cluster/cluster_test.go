@@ -407,6 +407,17 @@ func TestRouterEdgeHardening(t *testing.T) {
 	if resp, _ := do(t, h, http.MethodGet, "/stats?node=ghost", "", ""); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown node pin status = %d, want 404", resp.StatusCode)
 	}
+	// A body past server.MaxBodyBytes → 413 with an error object, on the
+	// raw-body paths (/query, /register) and a decoded one alike; it used
+	// to be read whole.
+	huge := `{"sql":"` + strings.Repeat("a", server.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/query", "/register", "/admin/quote"} {
+		resp, body := do(t, h, http.MethodPost, path, "mallory", huge)
+		var er server.ErrorResponse
+		if err := json.Unmarshal(body, &er); resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || er.Error == "" {
+			t.Errorf("%s with %d bytes: HTTP %d, body %.80q; want 413 and an error object", path, len(huge), resp.StatusCode, body)
+		}
+	}
 }
 
 func TestProxyGetAndQuote(t *testing.T) {

@@ -498,8 +498,7 @@ func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var up PartitionMapUpdate
-	if err := json.NewDecoder(req.Body).Decode(&up); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !server.DecodeBody(w, req, server.MaxBodyBytes, &up) {
 		return
 	}
 	if up.Version == 0 {
@@ -625,8 +624,7 @@ func (r *Router) handleResync(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var pr PeerUpRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !server.DecodeBody(w, req, server.MaxBodyBytes, &pr) {
 		return
 	}
 	if pr.Name == "" {

@@ -613,8 +613,7 @@ func (r *Router) handlePartitionMapPost(w http.ResponseWriter, req *http.Request
 		return
 	}
 	var up PartitionMapUpdate
-	if err := json.NewDecoder(req.Body).Decode(&up); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !server.DecodeBody(w, req, server.MaxBodyBytes, &up) {
 		return
 	}
 	m, err := r.mapFromUpdate(&up, false)

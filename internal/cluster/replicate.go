@@ -333,8 +333,7 @@ func (r *Router) handleQuote(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var qr server.QuoteRequest
-	if err := json.NewDecoder(req.Body).Decode(&qr); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !server.DecodeBody(w, req, server.MaxBodyBytes, &qr) {
 		return
 	}
 	if len(qr.IDs) == 0 {

@@ -526,9 +526,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	scratch := scratchPool.Get().(*bodyScratch)
 	scratch.refs.Store(1)
 	defer scratch.release()
-	body, err := readBody(req.Body, scratch)
+	body, err := readBody(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes), scratch)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		writeErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
 
@@ -598,9 +598,9 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
 		return
 	}
-	body, err := io.ReadAll(req.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		writeErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
 	var reg server.RegisterRequest
@@ -814,8 +814,7 @@ func (r *Router) handlePeerUp(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var pr PeerUpRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !server.DecodeBody(w, req, server.MaxBodyBytes, &pr) {
 		return
 	}
 	if pr.Name == "" {

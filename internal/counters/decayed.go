@@ -7,8 +7,10 @@
 package counters
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,12 +87,7 @@ func (d *Decayed) ObserveNoDecay(id uint64) {
 // for the next rank read instead of applying it in place; batch observes
 // use it so an id observed k times before the next quote moves once.
 func (d *Decayed) observeLocked(id uint64, deferTree bool) {
-	w, _ := d.tree.Weight(id)
-	if deferTree {
-		d.tree.UpsertDeferred(id, w+d.inc)
-	} else {
-		d.tree.Upsert(id, w+d.inc)
-	}
+	d.tree.Add(id, d.inc, deferTree)
 	d.total += d.inc
 	d.obs++
 	d.epoch.Add(1)
@@ -329,20 +326,31 @@ func (d *Decayed) Import(ids []uint64, counts []float64) error {
 	if len(ids) != len(counts) {
 		return errors.New("counters: import length mismatch")
 	}
-	weights := make(map[uint64]float64, len(ids))
+	pairs := make([]ostree.Pair, 0, len(ids))
 	total := 0.0
 	for i, id := range ids {
 		c := counts[i]
 		if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 			continue
 		}
-		total += c - weights[id] // a repeated id gives back its earlier count
-		weights[id] = c
+		total += c
+		pairs = append(pairs, ostree.Pair{ID: id, Weight: c})
+	}
+	// By id, as the index wants them; the sort is stable so that the last
+	// of a repeated id's counts is the one that stays.
+	slices.SortStableFunc(pairs, func(a, b ostree.Pair) int { return cmp.Compare(a.ID, b.ID) })
+	kept := pairs[:0]
+	for i, p := range pairs {
+		if i+1 < len(pairs) && pairs[i+1].ID == p.ID {
+			total -= p.Weight // a repeated id gives back its earlier count
+			continue
+		}
+		kept = append(kept, p)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.obs = int64(len(weights))
-	d.tree = ostree.FromWeights(weights)
+	d.obs = int64(len(kept))
+	d.tree = ostree.FromWeights(kept)
 	d.total = total
 	d.inc = 1
 	d.epoch.Add(1)

@@ -7,45 +7,74 @@ import (
 
 	"repro/internal/counters"
 	"repro/internal/vclock"
+	"repro/internal/zipf"
 )
 
 // BenchmarkScanQuoteObserve is the delay layer's share of a range scan
-// in isolation: over a 200k-entry tracker with the heavy weight ties an
-// undecayed count history has, quote a 200-tuple key range and then
-// observe it, as Gate.ChargeCtx does. The two are timed together because
-// the observe defers its index moves to the quote that follows. ns/op is
-// per tuple. cache=lag0 attaches a price cache that, at lag 0 under this
-// stream, never hits — its cost is pure overhead.
+// in isolation: over a 200k-entry tracker, quote a 200-tuple key range
+// and then observe it, as Gate.ChargeCtx does. The two are timed together
+// because the observe defers its index moves to the quote that follows.
+// ns/op is per tuple.
+//
+// history says where the tracker's counts come from. random draws one
+// per id, so neighbouring ids never tie and land far apart in rank order:
+// the worst case for the index. scans replays overlapping key ranges with
+// Zipf-distributed starts and the lengths scan_mixed draws (bench/): ids
+// read together were incremented together, so runs of neighbours tie and
+// sit side by side in rank order, as they do behind real scan traffic.
+// cache=lag0 attaches a price cache that, at lag 0 under this stream,
+// never hits — its cost is pure overhead.
 func BenchmarkScanQuoteObserve(b *testing.B) {
 	const n, span = 200_000, 200
-	for _, cached := range []bool{false, true} {
-		name := "cache=off"
-		if cached {
-			name = "cache=lag0"
-		}
-		b.Run(name, func(b *testing.B) {
-			tr, _ := counters.NewDecayed(1)
-			rng := rand.New(rand.NewSource(1))
-			ids, counts := make([]uint64, n), make([]float64, n)
-			for i := range ids {
-				ids[i], counts[i] = uint64(i+1), float64(1+rng.Intn(100))
-			}
-			if err := tr.Import(ids, counts); err != nil {
-				b.Fatal(err)
-			}
-			p, _ := NewPopularity(PopularityConfig{N: n, Alpha: 1, Beta: 2, Cap: 10 * time.Second}, tr)
+	for _, history := range []string{"random", "scans"} {
+		for _, cached := range []bool{false, true} {
+			name := "history=" + history + "/cache=off"
 			if cached {
-				pc, _ := NewPriceCache(4096, 0, 0)
-				p.SetPriceCache(pc)
+				name = "history=" + history + "/cache=lag0"
 			}
-			g, _ := NewGate(p, vclock.NewSimulated(time.Unix(0, 0)), nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done := 0; done < b.N; done += span {
-				lo := rng.Intn(n - span)
-				g.Quote(ids[lo : lo+span]...)
-				tr.ObserveBatch(ids[lo : lo+span])
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				tr, _ := counters.NewDecayed(1)
+				rng := rand.New(rand.NewSource(1))
+				ids, counts := make([]uint64, n), make([]float64, n)
+				for i := range ids {
+					ids[i], counts[i] = uint64(i+1), 1
+					if history == "random" {
+						counts[i] += float64(rng.Intn(100))
+					}
+				}
+				if history == "scans" {
+					dist, _ := zipf.New(n, 1)
+					starts, hot := zipf.NewSampler(dist, 1), rng.Perm(n)
+					for range 4000 {
+						length := 10
+						if u := rng.Float64(); u >= 0.9 {
+							length = 1000
+						} else if u >= 0.6 {
+							length = 100
+						}
+						lo := min(hot[starts.Next()-1], n-length)
+						for i := lo; i < lo+length; i++ {
+							counts[i]++
+						}
+					}
+				}
+				if err := tr.Import(ids, counts); err != nil {
+					b.Fatal(err)
+				}
+				p, _ := NewPopularity(PopularityConfig{N: n, Alpha: 1, Beta: 2, Cap: 10 * time.Second}, tr)
+				if cached {
+					pc, _ := NewPriceCache(4096, 0, 0)
+					p.SetPriceCache(pc)
+				}
+				g, _ := NewGate(p, vclock.NewSimulated(time.Unix(0, 0)), nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for done := 0; done < b.N; done += span {
+					lo := rng.Intn(n - span)
+					g.Quote(ids[lo : lo+span]...)
+					tr.ObserveBatch(ids[lo : lo+span])
+				}
+			})
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package ostree
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -31,6 +33,30 @@ func (o oracle) sorted() []pair {
 	return ps
 }
 
+// pairs is the oracle in the order FromWeights wants it.
+func (o oracle) pairs() []Pair {
+	ps := make([]Pair, 0, len(o))
+	for id, w := range o {
+		ps = append(ps, Pair{id, w})
+	}
+	slices.SortFunc(ps, func(a, b Pair) int { return cmp.Compare(a.ID, b.ID) })
+	return ps
+}
+
+// rank is id's 1-based rank by counting, without a sort.
+func (o oracle) rank(id uint64) int {
+	r, w := 1, o[id]
+	for other, ow := range o {
+		if ow > w || ow == w && other < id {
+			r++
+		}
+	}
+	return r
+}
+
+// absentID lies in none of the shapes idOf draws from.
+const absentID = 1<<40 + 7
+
 // checkAgainst compares every public read with the oracle and then the
 // block structure with its own invariants.
 func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
@@ -51,7 +77,7 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 			t.Fatalf("step %d: KthID(%d) = %d, %v; oracle %d", step, i+1, id, ok, e.id)
 		}
 	}
-	if r, ok := tr.Rank(1 << 40); ok || r != len(want)+1 {
+	if r, ok := tr.Rank(absentID); ok || r != len(want)+1 || tr.Contains(absentID) {
 		t.Fatalf("step %d: absent Rank = %d, %v", step, r, ok)
 	}
 	if _, ok := tr.KthID(len(want) + 1); ok {
@@ -72,7 +98,7 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 	// Structure (the reads above flushed): blocks non-empty, bounded,
 	// their concatenation the oracle's order, last keys and Fenwick sums
 	// in step.
-	if len(tr.queue) != 0 || len(tr.queued) != 0 || len(tr.last) != len(tr.blocks) || len(tr.fen) != len(tr.blocks)+1 && len(tr.blocks) > 0 {
+	if len(tr.queue) != 0 || len(tr.last) != len(tr.blocks) || len(tr.fen) != len(tr.blocks)+1 && len(tr.blocks) > 0 {
 		t.Fatalf("step %d: queue %d, last %d, fen %d, blocks %d", step, len(tr.queue), len(tr.last), len(tr.fen), len(tr.blocks))
 	}
 	seen := 0
@@ -96,6 +122,33 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 	if len(tr.blocks) > 2*len(want)/minBlock+1 {
 		t.Fatalf("step %d: %d blocks for %d entries", step, len(tr.blocks), len(want))
 	}
+
+	// The id table: the same ids ascending, each with the oracle's weight
+	// and no queued move, in non-empty bounded blocks behind their first ids.
+	ids := &tr.ids
+	if ids.n != len(want) || len(ids.first) != len(ids.blocks) || len(ids.blocks) > 2*len(want)/minBlock+1 {
+		t.Fatalf("step %d: id table n %d, first %d, blocks %d for %d ids", step, ids.n, len(ids.first), len(ids.blocks), len(want))
+	}
+	byID := o.pairs()
+	seen = 0
+	for b, blk := range ids.blocks {
+		if len(blk) == 0 || len(blk) > maxBlock || cap(blk) < maxBlock || ids.first[b] != blk[0].id {
+			t.Fatalf("step %d: id block %d has len %d cap %d first %d", step, b, len(blk), cap(blk), ids.first[b])
+		}
+		for i, s := range blk {
+			if seen+i >= len(byID) || s != (slot{id: byID[seen+i].ID, weight: byID[seen+i].Weight}) {
+				t.Fatalf("step %d: id block %d slot %d = %+v, oracle %+v", step, b, i, s, byID)
+			}
+		}
+		seen += len(blk)
+	}
+	// Descending ids: every lookup arrives against the finger's direction.
+	for i := len(byID) - 1; i >= 0; i-- {
+		p := byID[i]
+		if w, ok := tr.Weight(p.ID); !ok || w != p.Weight {
+			t.Fatalf("step %d: Weight(%d) = %v, %v; oracle %v", step, p.ID, w, ok, p.Weight)
+		}
+	}
 }
 
 // renormInc is an increment just past the tracker's renormalisation
@@ -108,11 +161,28 @@ var renormInc = 1e100 + 159e88
 // adjacent weights together, the subnormal one nearly all of them.
 var scales = []float64{0.5, 1 / renormInc, 3, 1e-320}
 
+// idOf draws an id from the shapes raw int64 keys cast to uint64 take —
+// dense and ascending, spaced 2⁴⁰ apart, negative keys just under 2⁶⁴,
+// and the two ends of the range — out of a domain small enough to repeat.
+func idOf(sel uint16) uint64 {
+	k := uint64(sel % 233)
+	switch sel / 233 % 4 {
+	case 0:
+		return k + 1
+	case 1:
+		return (k + 1) << 40
+	case 2:
+		return uint64(-int64(k + 1))
+	}
+	return (k % 2) * math.MaxUint64
+}
+
 // applyOp decodes one operation and applies it to both sides. Weights
-// come from a small set (heavy ties, neighbours one ulp apart) and ids
-// from a small domain (repeats).
+// come from a small set (heavy ties, neighbours one ulp apart). Reads
+// inside an operation are checked on the spot: they are what meets a
+// finger left behind by the write before them.
 func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
-	id := uint64(idSel % 700)
+	id := idOf(idSel)
 	w := float64(wSel%16) + 1.159
 	if wSel&16 != 0 {
 		w = math.Nextafter(w, 10)
@@ -120,20 +190,23 @@ func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
 	if cur, ok := o[id]; ok && wSel&32 != 0 {
 		w += cur // the tracker's shape: weights only grow
 	}
-	switch op % 16 {
-	case 0, 1, 2, 3, 4:
+	switch op % 19 {
+	case 0, 1, 2:
 		tr.Upsert(id, w)
 		o[id] = w
-	case 5, 6, 7, 8, 9, 10:
+	case 3, 4, 5:
 		tr.UpsertDeferred(id, w)
 		o[id] = w
-	case 11, 12, 13:
+	case 6, 7, 8:
+		tr.Add(id, w, wSel&64 != 0)
+		o[id] += w
+	case 9, 10, 11:
 		_, want := o[id]
 		if got := tr.Delete(id); got != want {
 			panic("Delete disagrees with the oracle")
 		}
 		delete(o, id)
-	case 14:
+	case 12:
 		// Drain a run of neighbouring ranks: empties and merges blocks.
 		for k := 0; k < int(wSel); k++ {
 			victim, ok := tr.KthID(1 + int(idSel)%max(tr.Len(), 1))
@@ -143,12 +216,53 @@ func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
 			tr.Delete(victim)
 			delete(o, victim)
 		}
-	case 15:
+	case 13:
 		f := scales[int(wSel)%len(scales)]
 		tr.ScaleAll(f)
 		for id, w := range o {
 			o[id] = w * f
 		}
+	case 14, 15, 16:
+		// A scan's batch: ascending neighbours of one shape each take the
+		// same increment (quoted first when op says so), and every few steps
+		// something else cuts in — a probe of an unrelated id, a Delete
+		// behind the run, a rescale.
+		for k := uint16(0); k < uint16(wSel%48); k++ {
+			next := idOf(idSel - idSel%233 + (idSel%233+k)%233)
+			if _, tracked := o[next]; tracked && op%19 == 16 {
+				if r, ok := tr.Rank(next); !ok || r != o.rank(next) {
+					panic("Rank inside a run disagrees with the oracle")
+				}
+			}
+			tr.Add(next, w, op%19 != 14)
+			o[next] += w
+			switch probe := idOf(idSel*31 + k*7); k % 5 {
+			case 1:
+				if pw, ok := tr.Weight(probe); pw != o[probe] || ok != tr.Contains(probe) {
+					panic("Weight inside a run disagrees with the oracle")
+				}
+			case 2:
+				if _, tracked := o[probe]; tracked && wSel&64 != 0 {
+					tr.Delete(probe)
+					delete(o, probe)
+				}
+			case 3:
+				if wSel&128 != 0 && k == 8 {
+					tr.ScaleAll(0.5)
+					for id, w := range o {
+						o[id] = w * 0.5
+					}
+					w *= 0.5
+				}
+			}
+		}
+	case 17, 18:
+		// A bulk rebuild, as Import does, that inherits fingers pointing
+		// anywhere: a finger is a hint, and no value of it may matter.
+		nt := FromWeights(o.pairs())
+		nt.rankAt, nt.removeAt, nt.insertAt = int(idSel%9), int(idSel/9%9), int(wSel%9)
+		nt.ids.fb, nt.ids.fi = int(idSel%7), int(wSel)
+		*tr = *nt
 	}
 }
 
@@ -181,7 +295,7 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		tr, o := New(), oracle{}
 		for i := 0; i < int(data[0]%4)*150; i++ {
-			applyOp(tr, o, uint16(i%11), uint16(i*7), uint8(i*13))
+			applyOp(tr, o, uint16(i%9), uint16(i*7), uint8(i*13))
 		}
 		for step, ops := 0, data[1:]; len(ops) >= 5; step, ops = step+1, ops[5:] {
 			applyOp(tr, o, uint16(ops[0]), uint16(ops[1])|uint16(ops[2])<<8, ops[4])
@@ -247,16 +361,15 @@ func TestScaleAllReordersAcrossBlocks(t *testing.T) {
 func TestFromWeightsMatchesUpserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, fillBlock, fillBlock + 1, 5 * maxBlock} {
-		weights, o := map[uint64]float64{}, oracle{}
+		o := oracle{}
 		for i := 0; i < n; i++ {
-			id, w := uint64(rng.Intn(4*n)), float64(rng.Intn(20))
-			weights[id], o[id] = w, w
+			o[idOf(uint16(rng.Intn(1<<16)))+uint64(rng.Intn(4*n))<<8] = float64(rng.Intn(20))
 		}
-		tr := FromWeights(weights)
+		tr := FromWeights(o.pairs())
 		checkAgainst(t, tr, o, n)
-		// The bulk-built blocks take writes like any others.
+		// The bulk-built blocks, rank and id, take writes like any others.
 		for i := 0; i < 3*maxBlock; i++ {
-			applyOp(tr, o, uint16(rng.Intn(14)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)))
+			applyOp(tr, o, uint16(rng.Intn(12)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)))
 		}
 		checkAgainst(t, tr, o, -n)
 	}
@@ -298,6 +411,47 @@ func TestDrainFromBothEnds(t *testing.T) {
 			tr.Delete(id)
 			delete(o, id)
 			checkAgainst(t, tr, o, step)
+		}
+	}
+}
+
+// The id table must cost the same whatever the ids look like: 24-byte
+// slots in packed blocks, not pages indexed by id. 100k ids spaced 2⁴⁰
+// apart, bulk-built and added one by one in ascending order, may take at
+// most 32 bytes each beyond the rank blocks.
+func TestIDTableMemoryIgnoresSpacing(t *testing.T) {
+	const n = 100_000
+	ps := make([]Pair, n)
+	for i := range ps {
+		ps[i] = Pair{uint64(i+1) << 40, float64(1 + i%5)}
+	}
+	builds := map[string]func() *Tree{
+		"FromWeights": func() *Tree { return FromWeights(ps) },
+		"ascending adds": func() *Tree {
+			tr := New()
+			for _, p := range ps {
+				tr.Add(p.ID, p.Weight, false)
+			}
+			return tr
+		},
+	}
+	for name, build := range builds {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		rank := cap(tr.blocks)*24 + cap(tr.last)*16 + cap(tr.fen)*8
+		for _, blk := range tr.blocks {
+			rank += cap(blk) * 16
+		}
+		grown := int(after.HeapAlloc) - int(before.HeapAlloc)
+		if perID := float64(grown-rank) / n; perID > 32 {
+			t.Errorf("%s: %.1f bytes per id beyond the rank blocks (heap grew %d, rank blocks hold %d)", name, perID, grown, rank)
+		}
+		if r, ok := tr.Rank(ps[n-1].ID); !ok || r < 1 || tr.Len() != n {
+			t.Fatalf("%s: Rank = %d, %v; Len = %d", name, r, ok, tr.Len())
 		}
 	}
 }

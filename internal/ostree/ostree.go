@@ -15,13 +15,23 @@
 // with a memmove inside a block each, and allocates only when a block
 // splits. An entry stores its weight as an order-reversing integer key,
 // so (weight, id) compares as one 128-bit number and the searches run
-// without a data-dependent branch. Per-id weights are kept in a map, so
-// point reads (Weight, Contains, Len) never touch the blocks.
+// without a data-dependent branch.
+//
+// The id side — each tracked id's authoritative weight — is a second set
+// of sorted blocks, ordered by id (idtable.go), so point reads (Weight,
+// Contains, Len) never touch the rank blocks. Both sides are read
+// through fingers, because the ids of a range scan are consecutive and
+// tuples read together are incremented together: they carry the same
+// weight, equal weights tie-break by id, and so their slots are
+// neighbours in the id table and their entries neighbours in rank order.
+// A finger remembers where the last search of its kind ended and is
+// tried first; it is a hint checked against the arrays on every use, so
+// splits, merges, drops, ScaleAll and FromWeights do not maintain it.
 //
 // Writes come in two flavours: Upsert moves the entry in place, while
-// UpsertDeferred records the new weight in O(1) and leaves the move to
-// the next rank-structure read (Rank, KthID, MaxWeight, Ascend), which
-// applies all queued moves first. Both produce identical results.
+// UpsertDeferred records the new weight in the id table and leaves the
+// move to the next rank-structure read (Rank, KthID, MaxWeight, Ascend),
+// which applies all queued moves first. Both produce identical results.
 // Deferral stays because the batched observe path never reads ranks
 // between its writes: an id observed twice before the next quote moves
 // once, and a quote served entirely from the price cache (a positive
@@ -99,52 +109,57 @@ func countBefore(es []entry, key, id uint64) int {
 	return base + int(es[base].before(key, id))
 }
 
-// Tree is an order-statistic index. The zero value is not usable; call
-// New. Tree is not safe for concurrent use (reads apply deferred writes,
-// so even read-read sharing needs external locking).
+// Tree is an order-statistic index; the zero value is an empty one. Tree
+// is not safe for concurrent use (reads apply deferred writes and move
+// fingers, so even read-read sharing needs external locking).
 type Tree struct {
 	// blocks are non-empty and sorted; last[b] is blocks[b]'s final
 	// entry; fen is a 1-based Fenwick tree over len(blocks[b]).
-	blocks  [][]entry
-	last    []entry
-	fen     []int
-	weights map[uint64]float64
-	// queue holds the moves of ids whose authoritative weight (weights)
-	// has not yet been applied to the blocks, one per id, and queued maps
-	// such an id to its slot. flush drains both before any rank-structure
-	// read.
-	queue  []move
-	queued map[uint64]int
+	blocks [][]entry
+	last   []entry
+	fen    []int
+	// One finger per kind of search, so a flush's removes (from the old
+	// weights) and inserts (at the new ones) do not pull each other's away:
+	// the block the last search of that kind ended in.
+	rankAt, removeAt, insertAt int
+	ids                        idTable
+	// queue holds the moves of ids whose authoritative weight (their slot
+	// in ids) has not yet been applied to the blocks, one per id; the slot
+	// says where. flush drains it before any rank-structure read.
+	queue []move
 }
 
-// move is one queued move: from the weight id's resident entry still
-// carries (resident false when there is none yet) to its authoritative
-// weight — a copy of weights[id], so that a flush walks only this queue
-// and never reads the large map, and a repeated deferred write is one
-// store into a slot.
+// move is one queued move of id: away from the weight its resident entry
+// still carries (resident false when there is none yet). Where to is the
+// slot's weight when the queue drains, so a repeated deferred write is
+// one store into the slot.
 type move struct {
 	id       uint64
-	from, to float64
+	from     float64
 	resident bool
 }
 
-// New returns an empty tree.
-func New() *Tree {
-	return &Tree{
-		weights: make(map[uint64]float64),
-		queued:  make(map[uint64]int),
-	}
+// Pair is one id with its weight.
+type Pair struct {
+	ID     uint64
+	Weight float64
 }
 
-// FromWeights returns a tree holding exactly the given id → weight pairs,
-// built from one sort instead of len(weights) upserts. It takes ownership
-// of the map.
-func FromWeights(weights map[uint64]float64) *Tree {
-	es := make([]entry, 0, len(weights))
-	for id, w := range weights {
-		es = append(es, entry{keyOf(w), id})
+// New returns an empty tree.
+func New() *Tree { return &Tree{} }
+
+// FromWeights returns a tree holding exactly the given pairs, which must
+// ascend strictly by id, built from one sort instead of len(ps) upserts.
+func FromWeights(ps []Pair) *Tree {
+	es := make([]entry, len(ps))
+	for i, p := range ps {
+		if i > 0 && ps[i-1].ID >= p.ID {
+			panic("ostree: FromWeights needs strictly ascending ids")
+		}
+		es[i] = entry{keyOf(p.Weight), p.ID}
 	}
-	t := &Tree{weights: weights, queued: make(map[uint64]int)}
+	t := New()
+	t.ids.build(ps)
 	t.build(es)
 	return t
 }
@@ -168,18 +183,17 @@ func (t *Tree) build(es []entry) {
 }
 
 // Len returns the number of ids in the tree.
-func (t *Tree) Len() int { return len(t.weights) }
+func (t *Tree) Len() int { return t.ids.n }
 
 // Contains reports whether id is present.
-func (t *Tree) Contains(id uint64) bool {
-	_, ok := t.weights[id]
-	return ok
-}
+func (t *Tree) Contains(id uint64) bool { return t.ids.get(id) != nil }
 
 // Weight returns the stored weight for id and whether it is present.
 func (t *Tree) Weight(id uint64) (float64, bool) {
-	w, ok := t.weights[id]
-	return w, ok
+	if s := t.ids.get(id); s != nil {
+		return s.weight, true
+	}
+	return 0, false
 }
 
 // rebuildFen recomputes the Fenwick tree after the block list changed
@@ -214,11 +228,17 @@ func (t *Tree) ahead(b int) int {
 // find returns the block and offset of the first entry that does not sort
 // before (key,id) — where the pair is, or where it belongs. A pair past
 // every entry belongs at the end of the final block. There must be a
-// block.
-func (t *Tree) find(key, id uint64) (b, i int) {
-	b = countBefore(t.last, key, id)
-	if b == len(t.last) {
-		return b - 1, len(t.blocks[b-1])
+// block. The block at finger is tried first, with two compares: it is the
+// one when the pair sorts after the block ahead of it and not after its
+// own last entry.
+func (t *Tree) find(key, id uint64, finger *int) (b, i int) {
+	b = *finger
+	if b >= len(t.last) || t.last[b].before(key, id) != 0 || b > 0 && t.last[b-1].before(key, id) == 0 {
+		b = countBefore(t.last, key, id)
+		if b == len(t.last) {
+			return b - 1, len(t.blocks[b-1])
+		}
+		*finger = b
 	}
 	return b, countBefore(t.blocks[b], key, id)
 }
@@ -229,7 +249,7 @@ func (t *Tree) insert(w float64, id uint64) {
 		t.build([]entry{e})
 		return
 	}
-	b, i := t.find(e.key, id)
+	b, i := t.find(e.key, id, &t.insertAt)
 	if len(t.blocks[b]) == maxBlock {
 		const half = maxBlock / 2
 		right := append(make([]entry, 0, maxBlock), t.blocks[b][half:]...)
@@ -252,10 +272,10 @@ func (t *Tree) insert(w float64, id uint64) {
 
 func (t *Tree) remove(w float64, id uint64) {
 	e := entry{keyOf(w), id}
-	b, i := t.find(e.key, id)
+	b, i := t.find(e.key, id, &t.removeAt)
 	blk := t.blocks[b]
 	if i == len(blk) || blk[i] != e {
-		panic("ostree: weights map and blocks disagree")
+		panic("ostree: id table and rank blocks disagree")
 	}
 	blk = blk[:i+copy(blk[i:], blk[i+1:])]
 	t.blocks[b] = blk
@@ -288,77 +308,96 @@ func (t *Tree) drop(b int) {
 // place — unless a move for id is already queued, in which case the
 // queued move simply picks up the new weight.
 func (t *Tree) Upsert(id uint64, weight float64) {
-	old, ok := t.weights[id]
-	if ok && old == weight {
-		return
-	}
-	t.weights[id] = weight
-	if i, deferred := t.queued[id]; deferred {
-		t.queue[i].to = weight
-		return
-	}
-	if ok {
-		t.remove(old, id)
-	}
-	t.insert(weight, id)
+	s, fresh := t.slot(id)
+	t.move(s, fresh, weight, false)
 }
 
 // UpsertDeferred is Upsert with the move queued for the next structural
-// read instead of applied in place — O(1) per call. Bulk observe paths
-// use it so a k-write burst costs k map updates, and one move per
-// distinct id once somebody asks for a rank.
+// read instead of applied in place — O(1) per call after the id's slot
+// is found.
 func (t *Tree) UpsertDeferred(id uint64, weight float64) {
-	old, ok := t.weights[id]
-	if ok && old == weight {
+	s, fresh := t.slot(id)
+	t.move(s, fresh, weight, true)
+}
+
+// Add adds delta to id's weight (an absent id counts as weight 0 and is
+// inserted): Upsert or, when deferred, UpsertDeferred, of the sum, with
+// one search for the slot instead of a Weight and a write. Bulk observe
+// paths defer, so a k-write burst costs k slot updates, and one move per
+// distinct id once somebody asks for a rank.
+func (t *Tree) Add(id uint64, delta float64, deferred bool) {
+	s, fresh := t.slot(id)
+	t.move(s, fresh, s.weight+delta, deferred)
+}
+
+// slot returns id's slot, adding one of weight 0 (fresh) when id is not
+// tracked yet.
+func (t *Tree) slot(id uint64) (s *slot, fresh bool) {
+	b, i, ok := t.ids.find(id)
+	if ok {
+		return &t.ids.blocks[b][i], false
+	}
+	return t.ids.insert(b, i, id), true
+}
+
+// move gives s the weight w and carries its entry along: now, or queued
+// when deferred. A fresh slot has no entry yet.
+func (t *Tree) move(s *slot, fresh bool, w float64, deferred bool) {
+	if !fresh && s.weight == w {
 		return
 	}
-	i, deferred := t.queued[id]
-	if !deferred {
-		i = len(t.queue)
-		t.queue = append(t.queue, move{id: id, from: old, resident: ok})
-		t.queued[id] = i
+	old := s.weight
+	s.weight = w
+	switch {
+	case s.queued != 0: // the queued move picks w up when it drains
+	case deferred:
+		t.queue = append(t.queue, move{id: s.id, from: old, resident: !fresh})
+		s.queued = uint32(len(t.queue))
+	default:
+		if !fresh {
+			t.remove(old, s.id)
+		}
+		t.insert(w, s.id)
 	}
-	t.queue[i].to = weight
-	t.weights[id] = weight
 }
 
 // Delete removes id if present and reports whether it was found.
 func (t *Tree) Delete(id uint64) bool {
-	w, ok := t.weights[id]
+	b, i, ok := t.ids.find(id)
 	if !ok {
 		return false
 	}
-	delete(t.weights, id)
-	if i, deferred := t.queued[id]; deferred {
-		m := t.queue[i]
-		// Give the slot to the queue's last move.
-		last := len(t.queue) - 1
-		t.queue[i] = t.queue[last]
-		t.queued[t.queue[i].id] = i
-		t.queue = t.queue[:last]
-		delete(t.queued, id)
-		if !m.resident {
-			return true
+	s := t.ids.blocks[b][i]
+	w, resident := s.weight, true
+	if s.queued != 0 {
+		k, last := int(s.queued-1), len(t.queue)-1
+		w, resident = t.queue[k].from, t.queue[k].resident
+		// Give the place in the queue to its last move.
+		if k != last {
+			t.queue[k] = t.queue[last]
+			t.ids.get(t.queue[k].id).queued = s.queued
 		}
-		w = m.from
+		t.queue = t.queue[:last]
 	}
-	t.remove(w, id)
+	t.ids.remove(b, i)
+	if resident {
+		t.remove(w, id)
+	}
 	return true
 }
 
-// flush applies deferred Upserts to the blocks.
+// flush applies deferred writes to the blocks, in arrival order: a
+// scan's moves walk the id table in step with the queue.
 func (t *Tree) flush() {
-	if len(t.queue) == 0 {
-		return
-	}
 	for _, m := range t.queue {
+		s := t.ids.get(m.id)
+		s.queued = 0
 		if m.resident {
 			t.remove(m.from, m.id)
 		}
-		t.insert(m.to, m.id)
+		t.insert(s.weight, m.id)
 	}
 	t.queue = t.queue[:0]
-	clear(t.queued)
 }
 
 // Rank returns the 1-based rank of id (rank 1 = greatest weight) and
@@ -366,12 +405,13 @@ func (t *Tree) flush() {
 // everything tracked, which is exactly how the delay policy treats a
 // never-accessed tuple.
 func (t *Tree) Rank(id uint64) (int, bool) {
-	w, ok := t.weights[id]
-	if !ok {
+	s := t.ids.get(id)
+	if s == nil {
 		return t.Len() + 1, false
 	}
+	w := s.weight
 	t.flush()
-	b, i := t.find(keyOf(w), id)
+	b, i := t.find(keyOf(w), id, &t.rankAt)
 	return t.ahead(b) + i + 1, true
 }
 
@@ -421,14 +461,15 @@ func (t *Tree) ScaleAll(f float64) {
 	if f <= 0 {
 		panic("ostree: non-positive scale")
 	}
-	for id, w := range t.weights {
-		t.weights[id] = w * f
+	for _, blk := range t.ids.blocks {
+		for i := range blk {
+			blk[i].weight *= f
+		}
 	}
-	// Queued moves scale at both ends, like the map above and the resident
-	// entries below.
+	// Queued moves scale at both ends: the slots above and the weight the
+	// resident entry carries, like the resident entries below.
 	for i := range t.queue {
 		t.queue[i].from *= f
-		t.queue[i].to *= f
 	}
 	sorted := true
 	var prev entry // sorts before everything with a weight

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -74,8 +73,7 @@ type MigrateResponse struct {
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	switch req.Op {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -308,5 +310,57 @@ func TestDegradedModeGroupFlushFault(t *testing.T) {
 	shield.ClearDegraded()
 	if _, err := c.Query(`INSERT INTO items VALUES (3, 'three')`); err != nil {
 		t.Fatalf("write after ClearDegraded: %v", err)
+	}
+}
+
+// padded is prefix, n bytes of 'a', suffix — a body of any size that the
+// test never holds in memory.
+func padded(prefix string, n int64, suffix string) io.Reader {
+	return io.MultiReader(strings.NewReader(prefix), io.LimitReader(fill('a'), n), strings.NewReader(suffix))
+}
+
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodiesAreRefused: a body past MaxBodyBytes is answered 413
+// with the usual error object instead of being buffered whole — one
+// endless "sql" string used to cost the heap its length — while a large
+// body inside the bound, and /admin/sketches up to its own larger one,
+// are still served.
+func TestOversizedBodiesAreRefused(t *testing.T) {
+	ts, _ := testServer(t, core.Config{Alpha: 1, Beta: 1, Cap: time.Millisecond})
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Identity", "mallory")
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, req)
+		return rec
+	}
+	const over = MaxBodyBytes + 1<<20
+	for path, body := range map[string]io.Reader{
+		"/query":         padded(`{"sql":"`, over, `"}`),
+		"/register":      padded(`{"identity":"`, over, `"}`),
+		"/admin/quote":   padded(`{"ids":[1],"pad":"`, over, `"}`),
+		"/admin/migrate": padded(`{"op":"`, over, `"}`),
+	} {
+		rec := post(path, body)
+		var er ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusRequestEntityTooLarge || err != nil || er.Error == "" ||
+			rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s with %d bytes: HTTP %d, body %.80q, decode %v; want 413 and an error object", path, int64(over), rec.Code, rec.Body, err)
+		}
+	}
+	if rec := post("/query", padded(`{"sql":"SELECT * FROM items WHERE id = 1","pad":"`, MaxBodyBytes-1<<20, `"}`)); rec.Code != http.StatusOK {
+		t.Errorf("/query inside the bound: HTTP %d, body %.80q", rec.Code, rec.Body)
+	}
+	if rec := post("/admin/sketches", padded(`{"sketches":[],"pad":"`, over, `"}`)); rec.Code != http.StatusOK {
+		t.Errorf("/admin/sketches past MaxBodyBytes but inside its own bound: HTTP %d, body %.80q", rec.Code, rec.Body)
 	}
 }

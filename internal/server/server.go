@@ -156,10 +156,40 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
+// MaxBodyBytes bounds a request body on every endpoint of the shard and
+// of the router (but /admin/sketches, see maxSketchBody): json.Decoder
+// buffers a whole string token, so without a bound one endless "sql"
+// value exhausts the heap. It is sized above the largest body the
+// cluster itself sends, a migration push page: migratePageLimit (512)
+// rows of at most storage.MaxRecordSize (just under 4 KiB) are 2 MiB of
+// row bytes, which JSON escaping can stretch six-fold (a control byte
+// becomes \u00XX) to 12 MiB. A routed INSERT is never larger than the
+// client statement it was split from, which passed this bound already.
+const MaxBodyBytes = 16 << 20
+
+// BodyErrStatus is the status for a request body that could not be read
+// or decoded: 413 when it outgrew its http.MaxBytesReader, 400 otherwise.
+func BodyErrStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// DecodeBody decodes r's JSON body, reading at most limit bytes of it,
+// into v. When it reports false it has written the error reply.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		writeErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -209,8 +239,7 @@ type RegisterRequest struct {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	if req.Identity == "" {
@@ -322,8 +351,7 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QuoteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -466,6 +494,11 @@ type SketchAbsorbResponse struct {
 // of megabytes rather than letting a peer stream unbounded state.
 const maxSketchBatch = 10000
 
+// maxSketchBody is that batch in bytes, with as much again for JSON
+// framing: /admin/sketches is the one endpoint whose honest bodies
+// outgrow MaxBodyBytes.
+const maxSketchBody = 64 << 20
+
 func (s *Server) handleSketchExport(w http.ResponseWriter, r *http.Request) {
 	det := s.shield.Detector()
 	if det == nil {
@@ -503,8 +536,7 @@ func (s *Server) handleSketchAbsorb(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SketchAbsorbRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, maxSketchBody, &req) {
 		return
 	}
 	if len(req.Sketches) > maxSketchBatch {

@@ -4,7 +4,8 @@
 # commits.
 #
 # Suites:
-#   shield   front-door batch/price-cache path     -> BENCH_shield.json
+#   shield   front-door batch/price-cache path, and the delay layer's
+#            per-tuple quote+observe cost on a scan -> BENCH_shield.json
 #   engine   buffer pool + parallel scan executor  -> BENCH_engine.json
 #   cluster  router tax over direct shard access   -> BENCH_cluster.json
 #   all      all of the above
@@ -120,8 +121,8 @@ BenchmarkClusterReplicatedPoint/r=2,BenchmarkClusterReplicatedPoint/r=1,1.3'
 
 case "$suite" in
 shield)
-	run_suite 'ShieldQuery|AdaptiveObserveBatch' \
-		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" .
+	run_suite 'ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve' \
+		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" . ./internal/delay
 	;;
 engine)
 	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
@@ -134,7 +135,7 @@ cluster)
 	;;
 all)
 	[ -z "${BENCH_OUT:-}" ] || { echo "BENCH_OUT needs a single suite" >&2; exit 1; }
-	run_suite 'ShieldQuery|AdaptiveObserveBatch' BENCH_shield.json "$shield_inv" .
+	run_suite 'ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve' BENCH_shield.json "$shield_inv" . ./internal/delay
 	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
 		BENCH_engine.json "$engine_inv" \
 		./internal/storage ./internal/engine
