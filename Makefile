@@ -11,14 +11,14 @@ all: build vet test
 # -race pass covers the packages with real concurrency (the shield's
 # cancellable query path, the rate limiter, the delay gate + price cache,
 # the access tracker over its rank index, the extraction detector, the
-# striped buffer pool + parallel scan executor, and the cluster router's
-# write fan-out + anti-entropy loop) without the cost of racing the whole
-# tree.
+# striped buffer pool + parallel scan executor, the cluster router's
+# write fan-out + anti-entropy loop, and the front door's pooled codec
+# buffers) without the cost of racing the whole tree.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core/... ./internal/ratelimit/... ./internal/delay/... ./internal/counters/... ./internal/ostree/... ./internal/detect/... ./internal/engine/... ./internal/storage/... ./internal/cluster/...
+	$(GO) test -race ./internal/core/... ./internal/ratelimit/... ./internal/delay/... ./internal/counters/... ./internal/ostree/... ./internal/detect/... ./internal/engine/... ./internal/storage/... ./internal/cluster/... ./internal/server/...
 	$(MAKE) torture
 	$(MAKE) torture-cluster
 	$(MAKE) bench-ledger-smoke
@@ -132,6 +132,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=30s ./internal/ostree/
 	$(GO) test -run '^$$' -fuzz=FuzzPeerReply -fuzztime=30s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz=FuzzAppendQueryResponse -fuzztime=30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=30s ./internal/server/
 
 clean:
 	$(GO) clean ./...

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Value is one typed cell of a row.
@@ -20,18 +21,29 @@ func IntValue(v int64) Value     { return Value{Type: Int, Int: v} }
 func FloatValue(v float64) Value { return Value{Type: Float, Float: v} }
 func TextValue(v string) Value   { return Value{Type: Text, Str: v} }
 
-// String implements fmt.Stringer.
-func (v Value) String() string {
+// AppendText appends the value's text form — the cell a client reads —
+// to dst: INT in decimal, FLOAT in the shortest %g form that round-trips,
+// TEXT as is.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.Type {
 	case Int:
-		return fmt.Sprintf("%d", v.Int)
+		return strconv.AppendInt(dst, v.Int, 10)
 	case Float:
-		return fmt.Sprintf("%g", v.Float)
+		return strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
 	case Text:
-		return v.Str
+		return append(dst, v.Str...)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
+}
+
+// String implements fmt.Stringer with AppendText's text.
+func (v Value) String() string {
+	if v.Type == Text {
+		return v.Str
+	}
+	var buf [32]byte // the longest FLOAT, -1.7976931348623157e+308, is 24
+	return string(v.AppendText(buf[:0]))
 }
 
 // Equal reports deep equality of two values (types must match).

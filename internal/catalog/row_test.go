@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,41 @@ func TestValueConstructorsAndString(t *testing.T) {
 	}
 	if (Value{}).String() != "<invalid>" {
 		t.Fatal("invalid string")
+	}
+}
+
+// TestValueTextMatchesFmt: String and AppendText format exactly as the
+// fmt verbs they replaced ("%d", "%g"). Clients read these cells and the
+// partition-filtered aggregates re-parse them, so the text is a contract.
+func TestValueTextMatchesFmt(t *testing.T) {
+	for _, n := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64, 1e15, -1e15} {
+		if got, want := IntValue(n).String(), fmt.Sprintf("%d", n); got != want {
+			t.Errorf("IntValue(%d).String() = %q, want %q", n, got, want)
+		}
+	}
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.375, 2.5, 100, 1e5, 1e6, 123456789, 1e20, 1e21, 1.04e23,
+		1e-4, 1e-5, 1.0600000000000001e-07, 1e-9, 1.0 / 3, math.Pi * 1e100,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), float64(math.MaxInt64), float64(math.MinInt64),
+	}
+	for _, f := range floats {
+		want := fmt.Sprintf("%g", f)
+		if got := FloatValue(f).String(); got != want {
+			t.Errorf("FloatValue(%v).String() = %q, want %q", f, got, want)
+		}
+		if got := string(FloatValue(f).AppendText([]byte("x"))); got != "x"+want {
+			t.Errorf("FloatValue(%v).AppendText = %q, want %q", f, got, "x"+want)
+		}
+	}
+	if err := quick.Check(func(bits uint64, n int64) bool {
+		f := math.Float64frombits(bits)
+		return FloatValue(f).String() == fmt.Sprintf("%g", f) && IntValue(n).String() == fmt.Sprintf("%d", n)
+	}, nil); err != nil {
+		t.Error(err)
+	}
+	if got := string(TextValue("a<b").AppendText(nil)); got != "a<b" {
+		t.Errorf("TextValue AppendText = %q", got)
 	}
 }
 

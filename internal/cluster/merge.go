@@ -62,12 +62,7 @@ func (r *Router) fanStatements(ctx context.Context, req *http.Request, targets [
 	ch := make(chan shardReply, len(targets))
 	for _, i := range targets {
 		go func(i int) {
-			body, err := json.Marshal(reqFor(i))
-			if err != nil {
-				ch <- shardReply{node: i, err: err}
-				return
-			}
-			ch <- r.shardQuery(ctx, i, body, id, addr)
+			ch <- r.shardQuery(ctx, i, server.AppendQueryRequest(nil, reqFor(i)), id, addr)
 		}(i)
 	}
 	return ch
@@ -313,7 +308,7 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteQueryResponse(w, out)
 }
 
 // mergeReplies recombines per-shard partial results per the spec.
@@ -746,5 +741,5 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 			out.DelayMillis = rep.resp.DelayMillis
 		}
 	}
-	writeJSON(w, http.StatusOK, &out)
+	server.WriteQueryResponse(w, &out)
 }

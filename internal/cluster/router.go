@@ -543,8 +543,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	var q server.QueryRequest
-	if err := json.Unmarshal(body, &q); err != nil {
+	q, err := server.ParseQueryRequest(body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

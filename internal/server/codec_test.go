@@ -1,0 +1,320 @@
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/catalog"
+	"repro/internal/core"
+)
+
+// fuzzSrc deals a fuzz input out as the bytes, integers and short strings
+// a reply is built from; an exhausted input deals zeros.
+type fuzzSrc struct{ b []byte }
+
+func (s *fuzzSrc) byte() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	c := s.b[0]
+	s.b = s.b[1:]
+	return c
+}
+
+func (s *fuzzSrc) u64() uint64 {
+	var v [8]byte
+	s.b = s.b[copy(v[:], s.b):]
+	return binary.LittleEndian.Uint64(v[:])
+}
+
+func (s *fuzzSrc) str() string {
+	n := min(int(s.byte()), len(s.b))
+	out := string(s.b[:n])
+	s.b = s.b[n:]
+	return out
+}
+
+// replySeed lays a reply out in fuzzSrc's format (strings under 256
+// bytes), so the seed corpus can be written as values.
+func replySeed(delay time.Duration, affected int64, columns []string, rows []catalog.Row) []byte {
+	u64 := func(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+	str := func(b []byte, s string) []byte { return append(append(b, byte(len(s))), s...) }
+	b := u64(u64(nil, uint64(delay)), uint64(affected))
+	b = append(b, byte(len(columns)))
+	for _, c := range columns {
+		b = str(b, c)
+	}
+	b = append(b, byte(len(rows)))
+	for _, row := range rows {
+		b = append(b, byte(len(row)))
+		for _, v := range row {
+			b = append(b, byte(v.Type-catalog.Int))
+			switch v.Type {
+			case catalog.Int:
+				b = u64(b, uint64(v.Int))
+			case catalog.Float:
+				b = u64(b, math.Float64bits(v.Float))
+			case catalog.Text:
+				b = str(b, v.Str)
+			}
+		}
+	}
+	return b
+}
+
+// maxFuzzDelay is the 10 s the shield's delay cap defaults to.
+const maxFuzzDelay = 10 * time.Second
+
+// FuzzAppendQueryResponse: the hand-written reply encoder produces the
+// bytes encoding/json's Encoder does for the same reply, from engine
+// values and from ready strings alike.
+func FuzzAppendQueryResponse(f *testing.F) {
+	I, F, T := catalog.IntValue, catalog.FloatValue, catalog.TextValue
+	f.Add([]byte{})
+	f.Add(replySeed(0, 1, nil, nil))
+	f.Add(replySeed(time.Millisecond, 0, []string{"id", "v"}, nil))
+	f.Add(replySeed(maxFuzzDelay, 0, []string{"id", "v", "f"}, []catalog.Row{
+		{I(1), T("one"), F(0.375)},
+		{I(math.MinInt64), T(`<b>&"q"\</b>`), F(math.NaN())},
+		{I(math.MaxInt64), T("line\u2028sep\u2029 \b\f\n\r\t\x00\x1f\x7f"), F(math.Inf(1))},
+		{I(-1), T("\xed\xa0\x80 lone surrogate, \xff\xfe invalid, \xc3 cut"), F(math.Inf(-1))},
+		{I(0), T("é 日本 \U0001F600 \ufffd"), F(math.Copysign(0, -1))},
+		{},
+	}))
+	f.Add(replySeed(1, 7, []string{"<count(*)>", ""}, []catalog.Row{{F(1e21), F(1e-7), F(123456789), F(1.0 / 3)}}))
+	f.Add(replySeed(999, 0, []string{"x"}, []catalog.Row{{{Type: catalog.Text + 1}}}))
+	f.Add(replySeed(6833333, 0, []string{"a"}, []catalog.Row{{T("")}, {T(strings.Repeat("x<", 100))}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := fuzzSrc{b: data}
+		delay := time.Duration(src.u64() % uint64(maxFuzzDelay+1))
+		affected := int(int64(src.u64()))
+		columns := make([]string, src.byte()%6)
+		for i := range columns {
+			columns[i] = src.str()
+		}
+		rows := make([]catalog.Row, src.byte()%8)
+		for i := range rows {
+			rows[i] = make(catalog.Row, src.byte()%5)
+			for j := range rows[i] {
+				switch v := &rows[i][j]; src.byte() % 4 {
+				case 0:
+					*v = catalog.IntValue(int64(src.u64()))
+				case 1:
+					*v = catalog.FloatValue(math.Float64frombits(src.u64()))
+				case 2:
+					*v = catalog.TextValue(src.str())
+				default:
+					v.Type = catalog.Text + 1 // not a type: "<invalid>"
+				}
+			}
+		}
+
+		// What the handlers did before the codec: rows to strings, Encode.
+		resp := QueryResponse{Columns: columns, Affected: affected, DelayMillis: float64(delay) / float64(time.Millisecond)}
+		for _, row := range rows {
+			out := make([]string, len(row))
+			for i, v := range row {
+				out[i] = v.String()
+			}
+			resp.Rows = append(resp.Rows, out)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendQueryResponse(nil, columns, rows, affected, delay); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("from engine values:\n got %q\nwant %q", got, want.Bytes())
+		}
+		rec := httptest.NewRecorder()
+		WriteQueryResponse(rec, &resp)
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("from strings:\n got %q\nwant %q", rec.Body.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// TestAppendFloatMatchesJSON covers the delays a merged reply can carry
+// that no time.Duration produces: exponent forms on both sides.
+func TestAppendFloatMatchesJSON(t *testing.T) {
+	for _, f := range []float64{0, 1, 0.000001, 0.0000009, 1e-7, 1.5e-9, 1e-10, 1e20, 1e21, 1.5e22, 1e100, -1e-7, 6.833333, 10000, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("appendFloat(%v) = %s, want %s", f, got, want)
+		}
+	}
+}
+
+// TestNilRowEncodesAsNull: a nil []string row is null to encoding/json,
+// [] when empty; the string-row source keeps the difference.
+func TestNilRowEncodesAsNull(t *testing.T) {
+	resp := QueryResponse{Rows: [][]string{nil, {}}}
+	want, _ := json.Marshal(resp)
+	rec := httptest.NewRecorder()
+	WriteQueryResponse(rec, &resp)
+	if got := rec.Body.String(); got != string(want)+"\n" {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
+// FuzzParseQueryRequest: the request decoder accepts exactly the bodies
+// json.Unmarshal accepts and decodes them to the same value (the error
+// text may differ), and what it decoded re-encodes as json.Marshal's
+// bytes.
+func FuzzParseQueryRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"sql":"SELECT * FROM items WHERE id = 1"}`,
+		" {\t\"sql\" :\r\n\"SELECT 1\" } \n",
+		`{"sql":"a \"quoted\" \\ \/ \b\f\n\r\t"}`,
+		`{"sql":"SELECT v FROM t","pfilter":{"count":64,"include":[0,7,63]}}`,
+		`{ "sql" : "x" , "pfilter" : { "count" : 4 , "include" : [ 1 , 3 ] } }`,
+		`{"sql":"x","pfilter":{"count":4,"include":[]}}`,
+		`{"sql":"x","pfilter":{"count":4,"include":null}}`,
+		`{"sql":"x","pfilter":null}`,
+		`{"sql":"x","pfilter":{"include":[1],"count":4}}`,
+		`{"sql":"x","pfilter":{"count":04,"include":[1]}}`,
+		`{"sql":"x","pfilter":{"count":-4,"include":[-1]}}`,
+		`{"sql":"x","pfilter":{"count":4.0,"include":[1e2]}}`,
+		`{"sql":"x","pfilter":{"count":9223372036854775808,"include":[1]}}`,
+		`{"sql":"x","pfilter":{"count":999999999999999999,"include":[1]}}`,
+		`{"sql":"x","pfilter":{"count":1,"include":[1,]}}`,
+		`{"SQL":"case-folded key"}`,
+		`{"sql":"first","sql":"second"}`,
+		`{"sql":"x","other":{"nested":[1,2,{"a":null}]}}`,
+		`{"other":1,"sql":"late"}`,
+		"{\"sql\":\"\\u0041\\ud83d\\ude00 \\ud800 lone\"}",
+		"{\"sql\":\"raw \xff invalid \xed\xa0\x80 utf-8\"}",
+		"{\"sql\":\"é 日本 \u2028\"}",
+		"{\"sql\":\"control \x01 byte\"}",
+		"{\"sql\":\"tab\there\"}",
+		`{"sql":"bad \' escape"}`,
+		`{"sql":"cut \`,
+		`{"sql":"unterminated`,
+		`{"sql":"x"} trailing`,
+		`{"sql":"x"}{"sql":"y"}`,
+		`{"sql":null}`,
+		`{"sql":1}`,
+		`{"sql":""}`,
+		`{}`,
+		`[]`,
+		`null`,
+		``,
+		`{`,
+		`{"sql"`,
+		`{"sql":`,
+		`{"sql":"x",}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gerr := ParseQueryRequest(body)
+		var want QueryRequest
+		werr := json.Unmarshal(body, &want)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%q: ParseQueryRequest err %v, json.Unmarshal err %v", body, gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %+v (pfilter %+v), json.Unmarshal %+v (pfilter %+v)", body, got, got.PFilter, want, want.PFilter)
+		}
+		marshalled, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := AppendQueryRequest(nil, got); !bytes.Equal(again, marshalled) {
+			t.Fatalf("AppendQueryRequest %q, json.Marshal %q", again, marshalled)
+		}
+	})
+}
+
+// TestFastPathTakesTheCommonShapes: the bodies clients and the router
+// actually send are decoded by hand — were the fast path to reject them
+// the fuzz target would still pass, through the fallback.
+func TestFastPathTakesTheCommonShapes(t *testing.T) {
+	for _, q := range []QueryRequest{
+		{SQL: `SELECT * FROM items WHERE id = 42`},
+		{SQL: "INSERT INTO items VALUES (1, 'a \"b\"\n\\ é')"},
+		{SQL: `SELECT v FROM items`, PFilter: &PartitionFilter{Count: 64, Include: []int{0, 9, 63}}},
+	} {
+		for _, body := range [][]byte{AppendQueryRequest(nil, q), mustMarshalIndent(t, q)} {
+			got, ok := parseQueryFast(body)
+			if !ok || !reflect.DeepEqual(got, q) {
+				t.Errorf("%s: fast path ok=%v, decoded %+v", body, ok, got)
+			}
+		}
+	}
+	if _, ok := parseQueryFast([]byte(`{"sql":"\u0041"}`)); ok {
+		t.Error(`\u escape taken by the fast path`)
+	}
+}
+
+func mustMarshalIndent(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLargeBuffersAreNotPooled: a reply past maxPooledBuf must not park
+// its megabytes in the pool.
+func TestLargeBuffersAreNotPooled(t *testing.T) {
+	big := make([]byte, 0, maxPooledBuf+1)
+	putBuf(&big)
+	if cap(big) != maxPooledBuf+1 || len(big) != 0 {
+		t.Fatal("putBuf touched a buffer it should have dropped")
+	}
+	for i := 0; i < 64; i++ {
+		if b := bufPool.Get().(*[]byte); cap(*b) > maxPooledBuf {
+			t.Fatalf("pool handed out a %d-byte buffer", cap(*b))
+		}
+	}
+}
+
+// TestConcurrentRepliesKeepTheirOwnBytes drives the handler from several
+// goroutines at once (run under -race): a pooled buffer handed to two
+// requests would show as a race or as one request's row in another's
+// reply.
+func TestConcurrentRepliesKeepTheirOwnBytes(t *testing.T) {
+	ts, _ := testServer(t, core.Config{Alpha: 1, Beta: 1, Cap: time.Millisecond})
+	h := ts.Config.Handler
+	values := []string{"", "one", "two", "three"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := 1 + (g+i)%3
+				body := AppendQueryRequest(nil, QueryRequest{SQL: fmt.Sprintf(`SELECT * FROM items WHERE id = %d`, k)})
+				req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+				req.Header.Set("X-Identity", fmt.Sprintf("g%d", g))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				var out QueryResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK ||
+					len(out.Rows) != 1 || out.Rows[0][0] != strconv.Itoa(k) || out.Rows[0][1] != values[k] {
+					t.Errorf("goroutine %d, id %d: HTTP %d, body %q, decode %v", g, k, rec.Code, rec.Body, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

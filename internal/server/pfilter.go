@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/parthash"
 	"repro/internal/sqlmini"
@@ -121,19 +121,7 @@ func (s *Server) serveFiltered(ctx context.Context, w http.ResponseWriter, id st
 	if writeQueryErr(w, err) {
 		return
 	}
-	resp := QueryResponse{
-		Columns:     res.Columns,
-		Affected:    res.Affected,
-		DelayMillis: float64(stats.Delay) / float64(time.Millisecond),
-	}
-	for _, row := range res.Rows {
-		out := make([]string, len(row))
-		for i, v := range row {
-			out[i] = v.String()
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, res.Columns, res.Rows, res.Affected, stats.Delay)
 }
 
 // serveFilteredAggregates rewrites an aggregate SELECT into a plain
@@ -148,7 +136,7 @@ func (s *Server) serveFilteredAggregates(ctx context.Context, w http.ResponseWri
 	}
 	if sel.Limit == 0 {
 		// Mirror the engine: LIMIT 0 on an aggregate yields no row.
-		writeJSON(w, http.StatusOK, QueryResponse{Columns: outCols})
+		writeQueryResponse(w, outCols, nil, 0, 0)
 		return
 	}
 	exec := sqlmini.Select{Table: sel.Table, Where: sel.Where, Limit: -1}
@@ -169,12 +157,12 @@ func (s *Server) serveFilteredAggregates(ctx context.Context, w http.ResponseWri
 	if writeQueryErr(w, err) {
 		return
 	}
-	row := make([]string, len(sel.Aggregates))
+	row := make(catalog.Row, len(sel.Aggregates))
 	for i, a := range sel.Aggregates {
 		ci := colAt[a.Column]
 		switch a.Func {
 		case sqlmini.AggCount:
-			row[i] = strconv.Itoa(len(res.Rows))
+			row[i] = catalog.IntValue(int64(len(res.Rows)))
 		case sqlmini.AggSum, sqlmini.AggAvg:
 			var sum float64
 			for _, r := range res.Rows {
@@ -188,17 +176,17 @@ func (s *Server) serveFilteredAggregates(ctx context.Context, w http.ResponseWri
 			}
 			if a.Func == sqlmini.AggAvg {
 				if len(res.Rows) == 0 {
-					row[i] = "0"
+					row[i] = catalog.IntValue(0)
 					break
 				}
 				sum /= float64(len(res.Rows))
 			}
-			row[i] = strconv.FormatFloat(sum, 'g', -1, 64)
+			row[i] = catalog.FloatValue(sum)
 		case sqlmini.AggMin, sqlmini.AggMax:
 			if len(res.Rows) == 0 {
 				// The engine's empty-aggregate zero; a merging router
 				// discards it via the COUNT(*) partial guard.
-				row[i] = "0"
+				row[i] = catalog.IntValue(0)
 				break
 			}
 			best := res.Rows[0][ci].String()
@@ -208,12 +196,8 @@ func (s *Server) serveFilteredAggregates(ctx context.Context, w http.ResponseWri
 					best = r[ci].String()
 				}
 			}
-			row[i] = best
+			row[i] = catalog.TextValue(best)
 		}
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Columns:     outCols,
-		Rows:        [][]string{row},
-		DelayMillis: float64(stats.Delay) / float64(time.Millisecond),
-	})
+	writeQueryResponse(w, outCols, []catalog.Row{row}, 0, stats.Delay)
 }

@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/detect"
 )
@@ -157,8 +156,8 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // MaxBodyBytes bounds a request body on every endpoint of the shard and
-// of the router (but /admin/sketches, see maxSketchBody): json.Decoder
-// buffers a whole string token, so without a bound one endless "sql"
+// of the router (but /admin/sketches, see maxSketchBody): a handler
+// buffers the whole body or string token, so without a bound one endless "sql"
 // value exhausts the heap. It is sized above the largest body the
 // cluster itself sends, a migration push page: migratePageLimit (512)
 // rows of at most storage.MaxRecordSize (just under 4 KiB) are 2 MiB of
@@ -188,8 +187,17 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	buf := bufPool.Get().(*[]byte)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), *buf)
 	var req QueryRequest
-	if !DecodeBody(w, r, MaxBodyBytes, &req) {
+	if err == nil {
+		// The request owns its strings: the buffer is free again.
+		req, err = ParseQueryRequest(body)
+	}
+	*buf = body
+	putBuf(buf)
+	if err != nil {
+		writeErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.SQL == "" {
@@ -217,19 +225,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if writeQueryErr(w, err) {
 		return
 	}
-	resp := QueryResponse{
-		Columns:     res.Columns,
-		Affected:    res.Affected,
-		DelayMillis: float64(stats.Delay) / float64(time.Millisecond),
-	}
-	for _, row := range res.Rows {
-		out := make([]string, len(row))
-		for i, v := range row {
-			out[i] = v.String()
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, res.Columns, res.Rows, res.Affected, stats.Delay)
 }
 
 // RegisterRequest is the /register request body.
@@ -725,16 +721,4 @@ func (c *Client) Health() (*HealthResponse, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// RowStrings converts catalog rows for display; the CLI tool reuses it.
-func RowStrings(rows []catalog.Row) [][]string {
-	out := make([][]string, len(rows))
-	for i, row := range rows {
-		out[i] = make([]string, len(row))
-		for j, v := range row {
-			out[i][j] = v.String()
-		}
-	}
-	return out
 }

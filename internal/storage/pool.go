@@ -152,9 +152,16 @@ func (f *frame) versionAt(snap uint64) (*Page, bool) {
 // it claims a victim.
 const condemnedPins = -1
 
-// tryPin takes one pin unless the frame has been condemned by eviction.
-// It also refreshes the clock reference bit — with a read-before-write
-// so steady-state hits on hot frames stay write-free.
+// touch refreshes the clock reference bit — with a read-before-write so
+// steady-state hits on hot frames stay write-free.
+func (f *frame) touch() {
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
+}
+
+// tryPin takes one pin unless the frame has been condemned by eviction,
+// and touches the frame.
 func (f *frame) tryPin() bool {
 	for {
 		p := f.pins.Load()
@@ -162,9 +169,7 @@ func (f *frame) tryPin() bool {
 			return false
 		}
 		if f.pins.CompareAndSwap(p, p+1) {
-			if !f.ref.Load() {
-				f.ref.Store(true)
-			}
+			f.touch()
 			return true
 		}
 	}
@@ -313,6 +318,9 @@ func (b *Pool) FetchAt(id PageID, snap uint64) (*Page, bool, error) {
 	sh := b.shard(id)
 	if f, ok := (*sh.frames.Load())[id]; ok && f.loaded.Load() {
 		sh.hits.Add(1)
+		// Every SELECT reads through here, not through tryPin: this is
+		// where a page it re-reads earns its second chance.
+		f.touch()
 		pg, vis := f.versionAt(snap)
 		return pg, vis, nil
 	}

@@ -310,3 +310,57 @@ func TestPoolEvictionWriteBackFailureKeepsDirtyFrame(t *testing.T) {
 		pool.Unpin(id, false)
 	}
 }
+
+// TestFetchAtHitEarnsSecondChance: FetchAt is the read every SELECT
+// makes, so its hit must refresh the clock's reference bit. A page
+// re-read between sweeps then outlives any number of cold fetches; when
+// only tryPin refreshed the bit, the hand cleared it on one lap and
+// evicted the page on the next however often it had been read — the
+// clock was a FIFO for reads.
+func TestFetchAtHitEarnsSecondChance(t *testing.T) {
+	const capacity = 8
+	pool := tempPool(t, capacity) // one shard: exact clock order
+	var ids []PageID
+	for i := 0; i < 6*capacity; i++ {
+		id, _, err := pool.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Unpin(id, true); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := pool.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	readAt := func(id PageID) {
+		t.Helper()
+		if _, vis, err := pool.FetchAt(id, pool.Epoch()); err != nil || !vis {
+			t.Fatalf("FetchAt(%d): visible=%v err=%v", id, vis, err)
+		}
+	}
+	// coldFetches reads each page of cold once, re-reading hot after
+	// every one, and returns how often hot itself missed.
+	hot := ids[0]
+	coldFetches := func(cold []PageID) int64 {
+		_, before, _ := pool.Stats()
+		for _, id := range cold {
+			readAt(id)
+			readAt(hot)
+		}
+		_, after, _ := pool.Stats()
+		return after - before - int64(len(cold))
+	}
+	// Fill the pool and run the hand through its first lap, which finds
+	// every frame referenced and so falls back to insertion order.
+	readAt(hot)
+	coldFetches(ids[1 : 2*capacity])
+	// From here the hand always finds an unreferenced cold page first.
+	if n := coldFetches(ids[2*capacity:]); n != 0 {
+		t.Fatalf("a page re-read after every cold fetch was evicted %d times in %d fetches", n, len(ids)-2*capacity)
+	}
+	if _, _, evicts := pool.Stats(); evicts < int64(len(ids)-capacity-1) {
+		t.Fatalf("%d evictions: the clock never swept", evicts)
+	}
+}
