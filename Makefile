@@ -9,7 +9,7 @@ all: build vet test
 
 # What CI runs: everything that must pass before a merge. The targeted
 # -race pass covers the packages with real concurrency (the shield's
-# cancellable query path, the rate limiter, the delay gate + price cache,
+# cancellable query path, the rate limiter, the delay gate's batch quote,
 # the access tracker over its rank index, the extraction detector, the
 # striped buffer pool + parallel scan executor, the cluster router's
 # write fan-out + anti-entropy loop, and the front door's pooled codec
@@ -64,9 +64,9 @@ bench-cluster:
 
 # Short measured run of all suites compared against the committed
 # BENCH_*.json baselines: fails on a >20% per-key regression or a broken
-# shape invariant (point-query scaling, price-cache scan win, grouped
-# WAL commit beating per-commit fsyncs, cluster router tax over direct
-# shard access staying within its recorded ratio). The short
+# shape invariant (point-query scaling, the rank index's scan-locality
+# win, grouped WAL commit beating per-commit fsyncs, cluster router tax
+# over direct shard access staying within its recorded ratio). The short
 # benchtime keeps it CI-sized; -count=3 with min-of-N extraction (see
 # bench.sh) keeps single-run scheduler noise from tripping the gate; the
 # committed baselines stay untouched. CI runs this.

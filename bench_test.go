@@ -234,28 +234,6 @@ func BenchmarkAblationCountCacheSynchronous(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSynopsis measures the bounded-memory Gibbons-style
-// counting sample...
-func BenchmarkAblationSynopsis(b *testing.B) {
-	s := counters.NewSynopsis(256, 1.5, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(uint64(i % 100000))
-	}
-}
-
-// ...against exact per-id counts.
-func BenchmarkAblationExactCounts(b *testing.B) {
-	d, err := counters.NewDecayed(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.ObserveNoDecay(uint64(i % 100000))
-	}
-}
-
 // BenchmarkAblationRankTree measures O(log n) rank queries on the
 // order-statistic index (ostree: sorted array blocks)...
 func BenchmarkAblationRankTree(b *testing.B) {
@@ -380,40 +358,24 @@ func BenchmarkAdaptiveQuotePerTuple(b *testing.B) {
 
 // BenchmarkShieldQueryParallelScan measures front-door throughput for
 // range scans returning 10/100/1000 tuples under concurrent clients —
-// the workload the batch quote/observe path and the price cache exist
-// for. cache=off runs the batch path against the tracker every time;
-// cache=on adds a price cache with a bounded epoch lag (stale prices for
-// hot tuples stay near zero, see DESIGN.md). Before batching, every
-// tuple took the tracker mutex twice, so these collapsed onto one lock.
+// the workload the batch quote/observe path exists for. Before batching,
+// every tuple took the tracker mutex twice, so these collapsed onto one
+// lock.
 func BenchmarkShieldQueryParallelScan(b *testing.B) {
 	for _, tuples := range []int{10, 100, 1000} {
-		for _, cached := range []bool{false, true} {
-			name := fmt.Sprintf("tuples=%d/cache=off", tuples)
-			if cached {
-				name = fmt.Sprintf("tuples=%d/cache=on", tuples)
-			}
-			b.Run(name, func(b *testing.B) {
-				db := openBenchDBCfg(b, func(cfg *Config) {
-					if cached {
-						cfg.PriceCacheSize = 4096
-						// Budget of tracker mutations a served price may
-						// trail by; ~1k-tuple queries mutate 1k epochs, so
-						// this lets prices survive a few hundred queries.
-						cfg.PriceCacheEpochLag = 1 << 20
+		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
+			db := openBenchDB(b)
+			q := fmt.Sprintf(`SELECT * FROM items WHERE id < %d`, tuples)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, _, err := db.Query("bench", q); err != nil {
+						b.Error(err)
+						return
 					}
-				})
-				q := fmt.Sprintf(`SELECT * FROM items WHERE id < %d`, tuples)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if _, _, err := db.Query("bench", q); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 

@@ -138,8 +138,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		walGroup    = fs.Bool("walgroup", true, "coalesce concurrent commits into shared WAL writes and fsyncs (group commit)")
 		walWindow   = fs.Duration("walgroupwindow", delaydefense.DefaultWALGroupWindow, "upper bound on how long a group-commit leader accumulates concurrent commits")
 		initFile    = fs.String("init", "", "SQL script (semicolon-separated) executed on the admin path at startup")
-		priceCache  = fs.Int("pricecache", 0, "delay price cache capacity in entries (0 = disabled)")
-		priceLag    = fs.Uint64("pricecachelag", 0, "tracker mutations a cached price may trail by (0 = exact)")
 		planCache   = fs.Int("plancache", -1, "prepared-statement plan cache capacity in entries (-1 = default, 0 = disabled)")
 
 		readHeaderTimeout = fs.Duration("readheadertimeout", 5*time.Second, "time limit for reading a request's headers (slowloris guard)")
@@ -198,8 +196,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		QueryBurst:           *burst,
 		SubnetAggregation:    *subnets,
 		RegistrationInterval: *regInterval,
-		PriceCacheSize:       *priceCache,
-		PriceCacheEpochLag:   *priceLag,
 	}
 	if *detectOn {
 		cfg.Detect = &delaydefense.DetectConfig{

@@ -28,6 +28,9 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out, nil); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	if err := run([]string{"-pricecache", "1", "-dir", t.TempDir()}, &out, nil); err == nil {
+		t.Fatal("the removed -pricecache flag accepted")
+	}
 	if err := run([]string{"-dir", t.TempDir(), "-init", "/does/not/exist"}, &out, nil); err == nil {
 		t.Fatal("missing init script accepted")
 	}

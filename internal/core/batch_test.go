@@ -45,16 +45,13 @@ func TestObserveBatchSingleLockPerQuery(t *testing.T) {
 }
 
 // TopK snapshots under the selector lock: hammer it against queries that
-// drive selector switches (tiny warmup, shifting workload) with the
-// price cache enabled, under -race.
+// drive selector switches (tiny warmup, shifting workload), under -race.
 func TestRaceAdaptiveTopKDuringSelectorSwitches(t *testing.T) {
 	db := testDB(t, 300)
 	s, err := New(db, Config{
 		N: 300, Alpha: 1, Beta: 2, Cap: 100 * time.Microsecond, Clock: vclock.Real{},
 		AdaptiveDecayRates: []float64{1, 1.02, 1.05},
 		AdaptiveWarmup:     5,
-		PriceCacheSize:     128,
-		PriceCacheEpochLag: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,48 +86,4 @@ func TestRaceAdaptiveTopKDuringSelectorSwitches(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// A shield with the price cache at lag 0 must quote exactly what an
-// uncached shield quotes after an identical observation history, and the
-// cache must actually be exercised (hits on repeat quotes).
-func TestPriceCacheShieldQuoteParity(t *testing.T) {
-	mk := func(cacheSize int) *Shield {
-		db := testDB(t, 500)
-		s, err := New(db, Config{
-			N: 500, Alpha: 1, Beta: 2, Cap: time.Second, Clock: simClock(),
-			PriceCacheSize: cacheSize,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	cached, uncached := mk(256), mk(0)
-	for _, s := range []*Shield{cached, uncached} {
-		for i := 0; i < 400; i++ {
-			if _, _, err := s.Query("u", fmt.Sprintf(`SELECT * FROM items WHERE id = %d`, (i*i)%120)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ids := make([]uint64, 500)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	// Quote twice: fill, then serve from cache.
-	if q1, q2 := cached.QuoteExtraction(ids), cached.QuoteExtraction(ids); q1 != q2 {
-		t.Fatalf("repeat cached quotes differ: %v vs %v", q1, q2)
-	}
-	qc, qu := cached.QuoteExtraction(ids), uncached.QuoteExtraction(ids)
-	if qc != qu {
-		t.Fatalf("cached quote %v != uncached quote %v", qc, qu)
-	}
-	hits := cached.Metrics().Counter("shield_price_cache_hits_total").Value()
-	if hits == 0 {
-		t.Fatal("price cache never hit")
-	}
-	if uncached.Metrics().Counter("shield_price_cache_misses_total").Value() != 0 {
-		t.Fatal("disabled cache recorded misses")
-	}
 }

@@ -103,21 +103,11 @@ type Config struct {
 	// registration throttle when positive.
 	RegistrationInterval time.Duration
 
-	// PriceCacheSize, when positive, enables the delay price cache: a
-	// sharded fixed-capacity map from tuple id to (delay, epoch) that
-	// serves repeat quotes for hot tuples without touching the rank tree.
-	// In adaptive mode every candidate tracker's policy gets its own
-	// cache of this size (epochs are per tracker).
+	// PriceCacheSize is ignored: the price cache it sized is gone
+	// (DESIGN.md §9) and every quote reads the rank index. The field
+	// exists only so bench/workload.go (frozen by BENCHMARK.json) keeps
+	// compiling and goes with the next benchmark PR.
 	PriceCacheSize int
-	// PriceCacheShards stripes the cache; rounded up to a power of two,
-	// default delay.DefaultPriceCacheShards.
-	PriceCacheShards int
-	// PriceCacheEpochLag bounds how many tracker mutations a cached
-	// price may be stale by. 0 (the default) means exact: any mutation
-	// invalidates. Positive values trade rank freshness for throughput,
-	// which is safe for hot tuples (their delays are pinned near zero by
-	// low rank) — see DESIGN.md.
-	PriceCacheEpochLag uint64
 
 	// Detect, when non-nil, enables the extraction detector: every
 	// SELECT's returned tuple ids feed per-principal coverage sketches,
@@ -181,9 +171,6 @@ type Shield struct {
 	delays    *stats.Reservoir
 	started   time.Time
 	met       shieldMetrics
-	// priceCaches holds every quote cache in use (one per candidate
-	// policy), for instrumentation and size reporting.
-	priceCaches []*delay.PriceCache
 	// observeLocks counts serialization-section entries on the observe
 	// path — one per charged query batch, not one per tuple. The
 	// regression test pins this down so per-tuple locking cannot creep
@@ -259,20 +246,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		started:  cfg.Clock.Now(),
 	}
 
-	// newPriceCache hands each candidate policy its own quote cache when
-	// the config enables one (epochs are per tracker, so caches are too).
-	newPriceCache := func() (*delay.PriceCache, error) {
-		if cfg.PriceCacheSize <= 0 {
-			return nil, nil
-		}
-		pc, err := delay.NewPriceCache(cfg.PriceCacheSize, cfg.PriceCacheShards, cfg.PriceCacheEpochLag)
-		if err != nil {
-			return nil, err
-		}
-		s.priceCaches = append(s.priceCaches, pc)
-		return pc, nil
-	}
-
 	var policy delay.Policy
 	switch cfg.Kind {
 	case ByPopularity:
@@ -290,11 +263,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 				if err != nil {
 					return nil, err
 				}
-				pc, err := newPriceCache()
-				if err != nil {
-					return nil, err
-				}
-				p.SetPriceCache(pc)
 				ap.pols = append(ap.pols, p)
 			}
 			s.adaptive = ap
@@ -307,11 +275,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc, err := newPriceCache()
-		if err != nil {
-			return nil, err
-		}
-		p.SetPriceCache(pc)
 		policy = p
 	case ByUpdateRate:
 		upd, err := counters.NewDecayed(cfg.DecayRate)
@@ -324,11 +287,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc, err := newPriceCache()
-		if err != nil {
-			return nil, err
-		}
-		u.SetPriceCache(pc)
 		s.updPolicy = u
 		policy = u
 	default:
@@ -394,23 +352,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		// while staying distinguishable from served-query latency.
 		reg.Histogram("shield_query_delay_cancelled_seconds", metrics.DefaultDelayBuckets()),
 	)
-	// Price cache instruments exist (at zero) even with the cache off, so
-	// dashboards see a stable schema. All caches share one set: hit rates
-	// are a property of the front door, not of one adaptive candidate.
-	cacheHits := reg.Counter("shield_price_cache_hits_total")
-	cacheMisses := reg.Counter("shield_price_cache_misses_total")
-	cacheStale := reg.Counter("shield_price_cache_stale_total")
-	cacheContention := reg.Gauge("shield_price_cache_shard_contention")
-	for _, pc := range s.priceCaches {
-		pc.Instrument(cacheHits, cacheMisses, cacheStale, cacheContention)
-	}
-	reg.GaugeFunc("shield_price_cache_entries", func() float64 {
-		n := 0
-		for _, pc := range s.priceCaches {
-			n += pc.Len()
-		}
-		return float64(n)
-	})
 	reg.GaugeFunc("shield_tracker_size", func() float64 { return float64(s.Tracker().Len()) })
 	if s.updPolicy != nil {
 		reg.GaugeFunc("shield_update_tracker_size", func() float64 {

@@ -70,47 +70,6 @@ func TestRankBatchMaxMatchesPerIDRank(t *testing.T) {
 	}
 }
 
-// The epoch must advance on every state change and stay put when nothing
-// changes — including the decay-1 tick, which is a no-op.
-func TestEpochAdvancesOnMutation(t *testing.T) {
-	d, _ := NewDecayed(1)
-	e0 := d.Epoch()
-	d.Observe(1)
-	if d.Epoch() <= e0 {
-		t.Fatal("epoch did not advance on Observe")
-	}
-	e1 := d.Epoch()
-	d.Tick() // decay 1: a no-op, must not invalidate
-	if d.Epoch() != e1 {
-		t.Fatal("epoch advanced on a no-op tick")
-	}
-	if d.Count(1) != 1 || d.Rank(1) != 1 {
-		t.Fatal("reads changed state")
-	}
-	if d.Epoch() != e1 {
-		t.Fatal("epoch advanced on reads")
-	}
-	d.Remove(1)
-	if d.Epoch() <= e1 {
-		t.Fatal("epoch did not advance on Remove")
-	}
-	e2 := d.Epoch()
-	if err := d.Import([]uint64{5}, []float64{2}); err != nil {
-		t.Fatal(err)
-	}
-	if d.Epoch() <= e2 {
-		t.Fatal("epoch did not advance on Import")
-	}
-
-	dd, _ := NewDecayed(1.5)
-	dd.Observe(1)
-	ed := dd.Epoch()
-	dd.Tick() // real decay changes all counts
-	if dd.Epoch() <= ed {
-		t.Fatal("epoch did not advance on an effective tick")
-	}
-}
-
 // MultiDecay.ObserveBatch must match per-id Observe exactly, scores
 // included.
 func TestMultiDecayObserveBatchMatchesSequential(t *testing.T) {

@@ -1,9 +1,8 @@
 // Package counters implements the per-tuple access statistics of the
 // paper's §2.3: exponentially decayed request counts maintained with the
 // "inflation trick" (grow the per-request increment instead of discounting
-// every count), adaptive multi-rate decay tracking, a write-behind count
-// cache that bounds memory and I/O (§4.4), and a sampled synopsis counter
-// in the spirit of Gibbons & Matias.
+// every count), adaptive multi-rate decay tracking, and a write-behind
+// count cache that bounds memory and I/O (§4.4).
 package counters
 
 import (
@@ -12,7 +11,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ostree"
 )
@@ -44,12 +42,6 @@ type Decayed struct {
 	// renorms counts how many times the inflation counter was reset; it is
 	// exposed for tests and the ablation benchmarks.
 	renorms int64
-	// epoch is a generation counter advanced on every mutation (each
-	// observation, decay tick, removal, and import). Readers use it to
-	// invalidate derived state — the delay price cache compares the epoch
-	// a price was computed at against the current one — so it is atomic
-	// and readable without taking mu.
-	epoch atomic.Uint64
 }
 
 // NewDecayed returns a tracker with decay rate decay (≥ 1). It returns an
@@ -90,7 +82,6 @@ func (d *Decayed) observeLocked(id uint64, deferTree bool) {
 	d.tree.Add(id, d.inc, deferTree)
 	d.total += d.inc
 	d.obs++
-	d.epoch.Add(1)
 }
 
 // ObserveBatch records one access to every id in order, each followed by
@@ -131,11 +122,8 @@ func (d *Decayed) TickN(n int) {
 
 func (d *Decayed) tickLocked() {
 	if d.decay == 1 {
-		// No decay: counts are unchanged, so the epoch must not advance
-		// (it would spuriously invalidate cached delay prices).
-		return
+		return // no decay: counts are unchanged
 	}
-	d.epoch.Add(1)
 	d.inc *= d.decay
 	if d.inc > renormThreshold {
 		scale := 1 / d.inc
@@ -160,17 +148,8 @@ func (d *Decayed) Remove(id uint64) bool {
 	if d.total < 0 {
 		d.total = 0
 	}
-	d.epoch.Add(1)
 	return true
 }
-
-// Epoch returns the tracker's mutation generation: it advances at least
-// once per state change (observation, effective decay tick, removal,
-// import). Consumers snapshot it before deriving state from the tracker
-// and compare later to decide whether the derivation is still fresh; the
-// delay price cache bounds staleness by an epoch lag. Epoch does not
-// take the tracker lock.
-func (d *Decayed) Epoch() uint64 { return d.epoch.Load() }
 
 // Count returns the decayed count of id: raw weight normalized by the
 // current increment. Unseen ids return 0.
@@ -353,7 +332,6 @@ func (d *Decayed) Import(ids []uint64, counts []float64) error {
 	d.tree = ostree.FromWeights(kept)
 	d.total = total
 	d.inc = 1
-	d.epoch.Add(1)
 	return nil
 }
 

@@ -17,72 +17,48 @@ type rankPricer interface {
 	priceAt(rank int, scale float64) time.Duration
 }
 
-// batchQuote is the per-call scratch delayBatch prices a batch with: the
-// tracker ranks, the per-tuple prices, the cache-miss indices, and the
-// compacted miss ids/prices handed to the tracker and StoreBatch. One
+// clampRank maps a tracker rank onto a formula's range 1..n:
+// never-observed tuples (-1) and ranks past the configured dataset size
+// (more distinct ids observed than n) are charged as rank n.
+func clampRank(rank, n int) int {
+	if rank < 0 || rank > n {
+		return n
+	}
+	return rank
+}
+
+// batchQuote is the per-call scratch delayBatch ranks a batch into. One
 // pool serves every policy, so steady-state quoting allocates nothing.
 type batchQuote struct {
-	ranks    []int
-	perTuple []time.Duration
-	miss     []int
-	missIDs  []uint64
-	prices   []time.Duration
+	ranks []int
 }
 
 var batchQuotePool = sync.Pool{New: func() any { return new(batchQuote) }}
 
 // delayBatch prices ids for p: the saturating sum, in id order, of the
-// per-tuple prices — bit-identical to calling Delay per id. Whatever the
-// cache (nil = none) cannot serve at epoch is ranked in one
+// per-tuple prices — bit-identical to calling Delay per id at the same
+// tracker state. The ranks and the normaliser come from one
 // tracker.RankBatchMax call, one lock acquisition for the whole batch.
-func delayBatch(p rankPricer, tracker *counters.Decayed, cache *PriceCache, epoch uint64, ids []uint64) time.Duration {
-	if len(ids) == 1 && cache == nil {
+func delayBatch(p rankPricer, tracker *counters.Decayed, ids []uint64) time.Duration {
+	if len(ids) == 1 {
 		// Point queries skip the pooled scratch: same arithmetic.
-		rank, maxCount := tracker.RankMax(ids[0])
-		return p.priceAt(rank, p.scaleFor(maxCount))
+		return delayOne(p, tracker, ids[0])
 	}
 	q := batchQuotePool.Get().(*batchQuote)
 	defer batchQuotePool.Put(q)
+	var maxCount float64
+	q.ranks, maxCount = tracker.RankBatchMax(ids, q.ranks[:0])
+	scale := p.scaleFor(maxCount)
 	var total time.Duration
-	if cache == nil {
-		var maxCount float64
-		q.ranks, maxCount = tracker.RankBatchMax(ids, q.ranks[:0])
-		scale := p.scaleFor(maxCount)
-		for _, r := range q.ranks {
-			total = satAdd(total, p.priceAt(r, scale))
-		}
-		return total
-	}
-	if cap(q.perTuple) < len(ids) {
-		q.perTuple = make([]time.Duration, len(ids))
-	}
-	// Slots are not zeroed: each index is written exactly once, by the
-	// lookup (a hit) or by the loop below (a miss).
-	perTuple := q.perTuple[:len(ids)]
-	q.miss = cache.LookupBatch(ids, epoch, perTuple, q.miss[:0])
-	if len(q.miss) > 0 {
-		q.missIDs = q.missIDs[:0]
-		for _, i := range q.miss {
-			q.missIDs = append(q.missIDs, ids[i])
-		}
-		var maxCount float64
-		q.ranks, maxCount = tracker.RankBatchMax(q.missIDs, q.ranks[:0])
-		scale := p.scaleFor(maxCount)
-		q.prices = q.prices[:0]
-		for j, r := range q.ranks {
-			d := p.priceAt(r, scale)
-			q.prices = append(q.prices, d)
-			perTuple[q.miss[j]] = d
-		}
-		// The unlearned state (scale ≤ 0) prices everything at the cap
-		// regardless of rank; caching it would pin the start-up transient
-		// for up to lag mutations after the first real observation.
-		if scale > 0 {
-			cache.StoreBatch(q.missIDs, q.prices, epoch)
-		}
-	}
-	for _, d := range perTuple {
-		total = satAdd(total, d)
+	for _, r := range q.ranks {
+		total = satAdd(total, p.priceAt(r, scale))
 	}
 	return total
+}
+
+// delayOne prices one id from one tracker state: its rank and the
+// normaliser are read under the same lock acquisition.
+func delayOne(p rankPricer, tracker *counters.Decayed, id uint64) time.Duration {
+	rank, maxCount := tracker.RankMax(id)
+	return p.priceAt(rank, p.scaleFor(maxCount))
 }

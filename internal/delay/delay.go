@@ -27,10 +27,9 @@ type Policy interface {
 }
 
 // BatchPolicy is implemented by policies that can price a whole result
-// set in a bounded number of tracker lock acquisitions (and possibly a
-// price cache) instead of two lock round-trips per tuple. DelayBatch
-// returns the same saturating sum of per-tuple delays the gate would
-// compute by calling Delay per id.
+// set in a bounded number of tracker lock acquisitions instead of one
+// round-trip per tuple. DelayBatch returns the same saturating sum of
+// per-tuple delays the gate would compute by calling Delay per id.
 type BatchPolicy interface {
 	Policy
 	// DelayBatch returns the total delay for retrieving ids together.

@@ -50,7 +50,6 @@ func (c PopularityConfig) validate() error {
 type Popularity struct {
 	cfg     PopularityConfig
 	tracker *counters.Decayed
-	cache   *PriceCache // optional, set via SetPriceCache
 }
 
 // NewPopularity returns a popularity policy reading ranks from tracker.
@@ -72,19 +71,10 @@ func (p *Popularity) Config() PopularityConfig { return p.cfg }
 // Tracker returns the underlying access tracker.
 func (p *Popularity) Tracker() *counters.Decayed { return p.tracker }
 
-// SetPriceCache attaches a quote cache consulted (and filled) by
-// DelayBatch, keyed by the tracker's epoch. Call before the policy is
-// shared between goroutines; nil detaches.
-func (p *Popularity) SetPriceCache(c *PriceCache) { p.cache = c }
-
-// PriceCache returns the attached quote cache, or nil.
-func (p *Popularity) PriceCache() *PriceCache { return p.cache }
-
-// DelayBatch implements BatchPolicy: the whole batch is priced under one
-// tracker lock acquisition — instead of three per tuple — and, when a
-// price cache is attached, cached tuples skip the tracker entirely.
+// DelayBatch implements BatchPolicy: the whole batch is priced from one
+// tracker state, under one lock acquisition.
 func (p *Popularity) DelayBatch(ids []uint64) time.Duration {
-	return delayBatch(p, p.tracker, p.cache, p.tracker.Epoch(), ids)
+	return delayBatch(p, p.tracker, ids)
 }
 
 // scaleFor implements rankPricer: fmax, fixed or learned.
@@ -95,42 +85,23 @@ func (p *Popularity) scaleFor(maxCount float64) float64 {
 	return maxCount
 }
 
-// priceAt implements rankPricer. Never-observed tuples (-1) and ranks
-// past the configured dataset size are charged as rank N, exactly as the
-// per-tuple rank() does.
+// priceAt implements rankPricer.
 func (p *Popularity) priceAt(rank int, fmax float64) time.Duration {
-	if rank < 0 || rank > p.cfg.N {
-		rank = p.cfg.N
-	}
-	return p.delayAt(rank, fmax)
+	return p.delayAt(clampRank(rank, p.cfg.N), fmax)
 }
 
 // Delay implements Policy. The rank of a never-observed tuple is N; with
 // no observations at all (fmax unknown) every delay is the cap, which is
-// exactly the paper's start-up transient behaviour.
+// exactly the paper's start-up transient behaviour. The rank and fmax
+// are read from one tracker state, as DelayBatch reads them.
 func (p *Popularity) Delay(id uint64) time.Duration {
-	rank := p.rank(id)
-	fmax := p.fmax()
-	return p.delayAt(rank, fmax)
+	return delayOne(p, p.tracker, id)
 }
 
 // DelayForRank returns the delay the policy would currently assign to the
 // tuple of the given popularity rank.
 func (p *Popularity) DelayForRank(rank int) time.Duration {
 	return p.delayAt(rank, p.fmax())
-}
-
-func (p *Popularity) rank(id uint64) int {
-	if p.tracker.Count(id) <= 0 {
-		return p.cfg.N
-	}
-	r := p.tracker.Rank(id)
-	if r > p.cfg.N {
-		// More distinct ids observed than the configured dataset size;
-		// clamp so the formula stays within its intended range.
-		return p.cfg.N
-	}
-	return r
 }
 
 func (p *Popularity) fmax() float64 {
@@ -169,7 +140,8 @@ func (p *Popularity) delaySecondsAt(rank int, fmax float64) float64 {
 // where delays can be astronomically small (very hot tuples under huge
 // fmax).
 func (p *Popularity) DelaySeconds(id uint64) float64 {
-	return p.delaySecondsAt(p.rank(id), p.fmax())
+	rank, maxCount := p.tracker.RankMax(id)
+	return p.delaySecondsAt(clampRank(rank, p.cfg.N), p.scaleFor(maxCount))
 }
 
 // CapRank returns M, the lowest rank whose computed delay reaches the cap

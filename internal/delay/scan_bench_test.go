@@ -22,59 +22,47 @@ import (
 // Zipf-distributed starts and the lengths scan_mixed draws (bench/): ids
 // read together were incremented together, so runs of neighbours tie and
 // sit side by side in rank order, as they do behind real scan traffic.
-// cache=lag0 attaches a price cache that, at lag 0 under this stream,
-// never hits — its cost is pure overhead.
 func BenchmarkScanQuoteObserve(b *testing.B) {
 	const n, span = 200_000, 200
 	for _, history := range []string{"random", "scans"} {
-		for _, cached := range []bool{false, true} {
-			name := "history=" + history + "/cache=off"
-			if cached {
-				name = "history=" + history + "/cache=lag0"
+		b.Run("history="+history, func(b *testing.B) {
+			tr, _ := counters.NewDecayed(1)
+			rng := rand.New(rand.NewSource(1))
+			ids, counts := make([]uint64, n), make([]float64, n)
+			for i := range ids {
+				ids[i], counts[i] = uint64(i+1), 1
+				if history == "random" {
+					counts[i] += float64(rng.Intn(100))
+				}
 			}
-			b.Run(name, func(b *testing.B) {
-				tr, _ := counters.NewDecayed(1)
-				rng := rand.New(rand.NewSource(1))
-				ids, counts := make([]uint64, n), make([]float64, n)
-				for i := range ids {
-					ids[i], counts[i] = uint64(i+1), 1
-					if history == "random" {
-						counts[i] += float64(rng.Intn(100))
+			if history == "scans" {
+				dist, _ := zipf.New(n, 1)
+				starts, hot := zipf.NewSampler(dist, 1), rng.Perm(n)
+				for range 4000 {
+					length := 10
+					if u := rng.Float64(); u >= 0.9 {
+						length = 1000
+					} else if u >= 0.6 {
+						length = 100
+					}
+					lo := min(hot[starts.Next()-1], n-length)
+					for i := lo; i < lo+length; i++ {
+						counts[i]++
 					}
 				}
-				if history == "scans" {
-					dist, _ := zipf.New(n, 1)
-					starts, hot := zipf.NewSampler(dist, 1), rng.Perm(n)
-					for range 4000 {
-						length := 10
-						if u := rng.Float64(); u >= 0.9 {
-							length = 1000
-						} else if u >= 0.6 {
-							length = 100
-						}
-						lo := min(hot[starts.Next()-1], n-length)
-						for i := lo; i < lo+length; i++ {
-							counts[i]++
-						}
-					}
-				}
-				if err := tr.Import(ids, counts); err != nil {
-					b.Fatal(err)
-				}
-				p, _ := NewPopularity(PopularityConfig{N: n, Alpha: 1, Beta: 2, Cap: 10 * time.Second}, tr)
-				if cached {
-					pc, _ := NewPriceCache(4096, 0, 0)
-					p.SetPriceCache(pc)
-				}
-				g, _ := NewGate(p, vclock.NewSimulated(time.Unix(0, 0)), nil)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for done := 0; done < b.N; done += span {
-					lo := rng.Intn(n - span)
-					g.Quote(ids[lo : lo+span]...)
-					tr.ObserveBatch(ids[lo : lo+span])
-				}
-			})
-		}
+			}
+			if err := tr.Import(ids, counts); err != nil {
+				b.Fatal(err)
+			}
+			p, _ := NewPopularity(PopularityConfig{N: n, Alpha: 1, Beta: 2, Cap: 10 * time.Second}, tr)
+			g, _ := NewGate(p, vclock.NewSimulated(time.Unix(0, 0)), nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += span {
+				lo := rng.Intn(n - span)
+				g.Quote(ids[lo : lo+span]...)
+				tr.ObserveBatch(ids[lo : lo+span])
+			}
+		})
 	}
 }

@@ -58,11 +58,6 @@ type UpdateRate struct {
 	// atomically: SetWindow runs on the write path while concurrent
 	// SELECTs read it through rmax.
 	window atomic.Uint64
-	// windowGen counts SetWindow calls; it folds into the price-cache
-	// epoch so a window change invalidates cached prices even though the
-	// tracker itself did not mutate.
-	windowGen atomic.Uint64
-	cache     *PriceCache // optional, set via SetPriceCache
 }
 
 // NewUpdateRate returns an update-rate policy. tracker must be fed one
@@ -90,20 +85,7 @@ func (u *UpdateRate) RecordUpdate(id uint64) { u.tracker.ObserveNoDecay(id) }
 // seen, so a learned rmax can be expressed in updates per second.
 func (u *UpdateRate) SetWindow(seconds float64) {
 	u.window.Store(math.Float64bits(seconds))
-	u.windowGen.Add(1)
 }
-
-// SetPriceCache attaches a quote cache consulted (and filled) by
-// DelayBatch. Call before the policy is shared; nil detaches.
-func (u *UpdateRate) SetPriceCache(c *PriceCache) { u.cache = c }
-
-// PriceCache returns the attached quote cache, or nil.
-func (u *UpdateRate) PriceCache() *PriceCache { return u.cache }
-
-// epoch is the cache-invalidation generation: tracker mutations and
-// window changes both advance it (the sum of two monotone counters is
-// monotone).
-func (u *UpdateRate) epoch() uint64 { return u.tracker.Epoch() + u.windowGen.Load() }
 
 func (u *UpdateRate) rmax() float64 {
 	if u.cfg.Rmax > 0 {
@@ -112,25 +94,22 @@ func (u *UpdateRate) rmax() float64 {
 	return u.scaleFor(u.tracker.MaxCount())
 }
 
-// Delay implements Policy.
+// Delay implements Policy: the rank and rmax are read from one tracker
+// state, as DelayBatch reads them.
 func (u *UpdateRate) Delay(id uint64) time.Duration {
-	rank := u.cfg.N
-	if u.tracker.Count(id) > 0 {
-		if r := u.tracker.Rank(id); r < rank {
-			rank = r
-		}
-	}
-	return u.delayAt(rank)
+	return delayOne(u, u.tracker, id)
 }
 
 // DelayForRank returns the delay for the tuple at the given update-rate
 // rank.
-func (u *UpdateRate) DelayForRank(rank int) time.Duration { return u.delayAt(rank) }
+func (u *UpdateRate) DelayForRank(rank int) time.Duration {
+	return u.delayAt(rank, u.rmax())
+}
 
 // DelayBatch implements BatchPolicy: one tracker lock acquisition prices
-// the whole batch, with cached tuples skipping the tracker entirely.
+// the whole batch.
 func (u *UpdateRate) DelayBatch(ids []uint64) time.Duration {
-	return delayBatch(u, u.tracker, u.cache, u.epoch(), ids)
+	return delayBatch(u, u.tracker, ids)
 }
 
 // scaleFor implements rankPricer: rmax, fixed or learned over the window.
@@ -145,20 +124,12 @@ func (u *UpdateRate) scaleFor(maxCount float64) float64 {
 	return maxCount / window
 }
 
-// priceAt implements rankPricer. Never-updated tuples (-1) and ranks past
-// N are charged as rank N, matching Delay.
+// priceAt implements rankPricer.
 func (u *UpdateRate) priceAt(rank int, rmax float64) time.Duration {
-	if rank < 0 || rank > u.cfg.N {
-		rank = u.cfg.N
-	}
-	return u.delayAtRmax(rank, rmax)
+	return u.delayAt(clampRank(rank, u.cfg.N), rmax)
 }
 
-func (u *UpdateRate) delayAt(rank int) time.Duration {
-	return u.delayAtRmax(rank, u.rmax())
-}
-
-func (u *UpdateRate) delayAtRmax(rank int, rmax float64) time.Duration {
+func (u *UpdateRate) delayAt(rank int, rmax float64) time.Duration {
 	if rank < 1 {
 		rank = 1
 	}
@@ -179,9 +150,10 @@ func (u *UpdateRate) delayAtRmax(rank int, rmax float64) time.Duration {
 // ExtractionDelay returns the total delay charged to a full sequential
 // extraction of the N-tuple dataset under the current state.
 func (u *UpdateRate) ExtractionDelay() time.Duration {
+	rmax := u.rmax()
 	var total float64
 	for i := 1; i <= u.cfg.N; i++ {
-		total += u.delayAt(i).Seconds()
+		total += u.delayAt(i, rmax).Seconds()
 	}
 	return SecondsToDuration(total)
 }

@@ -16,9 +16,9 @@
 // advantage collapses once the streams become distinguishable from
 // legitimate traffic — by individual volume or by mutual overlap.
 //
-// Memory is bounded like the delay.PriceCache: principals live in
-// power-of-two lock-striped shards of fixed capacity, and when a shard
-// is full the coldest principal (least-recently observed) is evicted.
+// Memory is bounded: principals live in power-of-two lock-striped
+// shards of fixed capacity, and when a shard is full the coldest
+// principal (least-recently observed) is evicted.
 package detect
 
 import (

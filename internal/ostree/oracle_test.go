@@ -195,8 +195,10 @@ func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
 		tr.Upsert(id, w)
 		o[id] = w
 	case 3, 4, 5:
-		tr.UpsertDeferred(id, w)
-		o[id] = w
+		// Always queued (6–8 let a bit of wSel decide). The op numbering
+		// is frozen so that saved fuzz corpora keep decoding.
+		tr.Add(id, w, true)
+		o[id] += w
 	case 6, 7, 8:
 		tr.Add(id, w, wSel&64 != 0)
 		o[id] += w

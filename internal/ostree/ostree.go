@@ -28,14 +28,18 @@
 // tried first; it is a hint checked against the arrays on every use, so
 // splits, merges, drops, ScaleAll and FromWeights do not maintain it.
 //
-// Writes come in two flavours: Upsert moves the entry in place, while
-// UpsertDeferred records the new weight in the id table and leaves the
-// move to the next rank-structure read (Rank, KthID, MaxWeight, Ascend),
-// which applies all queued moves first. Both produce identical results.
-// Deferral stays because the batched observe path never reads ranks
-// between its writes: an id observed twice before the next quote moves
-// once, and a quote served entirely from the price cache (a positive
-// epoch lag) never touches the blocks at all. Queued moves are applied
+// A write moves its entry in place (Upsert, Add) or, when Add is told to
+// defer, records the new weight in the id table and leaves the move to
+// the next rank-structure read (Rank, KthID, MaxWeight, Ascend), which
+// applies all queued moves first. Both produce identical results.
+// Deferral stays because it was measured against eager writes on the
+// socket benchmark's scan workload: eager, mean read latency fell 12.9%
+// but the trimmed tail rose 7.2% (behind in all six pairs) — a 1,000-row
+// statement pays its own 1,000 moves instead of leaving them to the next
+// quote — and BenchmarkAdaptiveObserveBatch went from 85 to 101–155 µs,
+// because the idle candidate trackers of adaptive mode (§2.3) are never
+// asked for a rank and, deferred, never move an entry. An id observed
+// twice before the next quote also moves once. Queued moves are applied
 // in arrival order: the index holds no state that depends on the order
 // of operations, so nothing needs a sorted, reproducible drain.
 package ostree
@@ -312,17 +316,10 @@ func (t *Tree) Upsert(id uint64, weight float64) {
 	t.move(s, fresh, weight, false)
 }
 
-// UpsertDeferred is Upsert with the move queued for the next structural
-// read instead of applied in place — O(1) per call after the id's slot
-// is found.
-func (t *Tree) UpsertDeferred(id uint64, weight float64) {
-	s, fresh := t.slot(id)
-	t.move(s, fresh, weight, true)
-}
-
 // Add adds delta to id's weight (an absent id counts as weight 0 and is
-// inserted): Upsert or, when deferred, UpsertDeferred, of the sum, with
-// one search for the slot instead of a Weight and a write. Bulk observe
+// inserted) with one search for the slot instead of a Weight and a
+// write. The entry moves in place or, when deferred, at the next
+// structural read — O(1) per call after the slot is found. Bulk observe
 // paths defer, so a k-write burst costs k slot updates, and one move per
 // distinct id once somebody asks for a rank.
 func (t *Tree) Add(id uint64, delta float64, deferred bool) {

@@ -4,7 +4,7 @@
 # commits.
 #
 # Suites:
-#   shield   front-door batch/price-cache path, the delay layer's
+#   shield   front-door batch quote/observe path, the delay layer's
 #            per-tuple quote+observe cost on a scan, and the HTTP
 #            handler around the shield call     -> BENCH_shield.json
 #   engine   buffer pool + parallel scan executor  -> BENCH_engine.json
@@ -22,7 +22,8 @@
 #                compare the fresh run against it with scripts/benchcmp
 #                and exit nonzero on a >BENCH_TOL% per-key regression or
 #                a broken shape invariant (point queries must scale to
-#                g=16, scan with the price cache on must beat cache off).
+#                g=16, a scan over a history of scans must be quoted no
+#                slower than one over a random history).
 #   BENCH_TOL    allowed per-key regression percent in check mode
 #                (default: 20)
 #   BENCH_NORM   1 (default) = benchcmp -norm: calibrate per-key checks
@@ -87,11 +88,14 @@ END {
 }
 
 # Shape invariants enforced in check mode, on the fresh run itself so
-# they hold on any machine: scanning 1000 tuples with the price cache on
-# must not lose to cache off; a point query at 4 or 16 goroutines must
-# not be slower than single-threaded (1.05 allows scheduler noise on
-# small hosts); and grouped WAL commit at 8 clients must not lose to
-# per-commit fsyncs. (The mixed read/write path is gated by its absolute
+# they hold on any machine: quoting and observing a key range whose
+# tuples were read together before (history=scans: neighbours by id are
+# neighbours in rank order, which the index's fingers exist for) must
+# not lose to one over a history that scatters them (history=random);
+# a point query at 4 or 16 goroutines must not be slower than
+# single-threaded (1.05 allows scheduler noise on small hosts); and
+# grouped WAL commit at 8 clients must not lose to per-commit fsyncs.
+# (The mixed read/write path is gated by its absolute
 # BenchmarkEngineMixed/* baselines.) The HTTP/JSON wrapper may cost at
 # most 1.92x the shield call it wraps: BenchmarkHandleQuery/point (mux,
 # recovery, MaxBytesReader, body read, decode, encode, header map around
@@ -99,7 +103,7 @@ END {
 # BenchmarkShieldQuery's 1,071ns = 1.60x when the /query codec stopped
 # going through encoding/json (3.7x before, same sitting), plus the
 # suite's 20%.
-shield_inv='BenchmarkShieldQueryParallelScan/tuples=1000/cache=on,BenchmarkShieldQueryParallelScan/tuples=1000/cache=off,1.0
+shield_inv='BenchmarkScanQuoteObserve/history=scans,BenchmarkScanQuoteObserve/history=random,1.0
 BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92'
 engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.05
 BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.05

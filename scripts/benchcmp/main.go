@@ -21,8 +21,9 @@
 //   - Invariants (-le "keyA,keyB,factor", repeatable): within the NEW
 //     run alone, new[keyA] <= new[keyB] * factor. This is how the
 //     shape constraints are enforced — e.g. point queries at g=16 must
-//     not be slower than g=1, and scan with the price cache on must
-//     beat cache off — independent of machine speed.
+//     not be slower than g=1, and quoting a scan over a history of
+//     scans must not lose to one over a random history — independent
+//     of machine speed.
 //
 // Usage:
 //
