@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
+.PHONY: all check fmtcheck build vet test race cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
 
 all: build vet test
 
@@ -14,7 +14,7 @@ all: build vet test
 # striped buffer pool + parallel scan executor, the cluster router's
 # write fan-out + anti-entropy loop, and the front door's pooled codec
 # buffers) without the cost of racing the whole tree.
-check:
+check: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -22,6 +22,10 @@ check:
 	$(MAKE) torture
 	$(MAKE) torture-cluster
 	$(MAKE) bench-ledger-smoke
+
+# Fails, naming the files, when any Go file is not gofmt-clean.
+fmtcheck:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -134,6 +138,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzPeerReply -fuzztime=30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz=FuzzAppendQueryResponse -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz=FuzzMigrateRequest -fuzztime=30s ./internal/server/
 
 clean:
 	$(GO) clean ./...

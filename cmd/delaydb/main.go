@@ -6,7 +6,7 @@
 //	delaydb -dir ./data -addr :8080 -n 100000 [-alpha 1.0] [-beta 2.0]
 //	        [-cap 10s] [-decay 1.0] [-policy popularity|updaterate]
 //	        [-rate 0] [-burst 10] [-subnets] [-reginterval 0]
-//	        [-wal] [-walsync] [-walgroup=false] [-walgroupwindow 200us]
+//	        [-wal] [-walsync] [-walgroupwindow 200us]
 //	        [-deadline 0] [-scanworkers 0] [-plancache -1] [-detect] [-detect-grace 0.08]
 //	        [-detect-cap 64] [-detect-jaccard 0.35]
 //	        [-readheadertimeout 5s] [-idletimeout 2m] [-drain 30s]
@@ -135,8 +135,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		scanWorkers = fs.Int("scanworkers", 0, "max goroutines per full table scan (0 = number of CPUs, 1 = sequential)")
 		wal         = fs.Bool("wal", false, "enable write-ahead logging with crash recovery")
 		walSync     = fs.Bool("walsync", false, "fsync the WAL on every commit (implies -wal)")
-		walGroup    = fs.Bool("walgroup", true, "coalesce concurrent commits into shared WAL writes and fsyncs (group commit)")
-		walWindow   = fs.Duration("walgroupwindow", delaydefense.DefaultWALGroupWindow, "upper bound on how long a group-commit leader accumulates concurrent commits")
+		walWindow   = fs.Duration("walgroupwindow", delaydefense.DefaultWALGroupWindow, "upper bound on how long a group-commit leader accumulates concurrent commits into one WAL write and fsync; 0 = one fsync per commit")
 		initFile    = fs.String("init", "", "SQL script (semicolon-separated) executed on the admin path at startup")
 		planCache   = fs.Int("plancache", -1, "prepared-statement plan cache capacity in entries (-1 = default, 0 = disabled)")
 
@@ -215,9 +214,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	var opts []delaydefense.EngineOption
 	if *wal || *walSync {
 		opts = append(opts, delaydefense.WithWAL(*walSync))
-		if !*walGroup {
-			opts = append(opts, delaydefense.WithWALGroupWindow(0))
-		} else if *walWindow != delaydefense.DefaultWALGroupWindow {
+		if *walWindow != delaydefense.DefaultWALGroupWindow {
 			opts = append(opts, delaydefense.WithWALGroupWindow(*walWindow))
 		}
 	}

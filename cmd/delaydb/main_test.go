@@ -28,8 +28,10 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out, nil); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	if err := run([]string{"-pricecache", "1", "-dir", t.TempDir()}, &out, nil); err == nil {
-		t.Fatal("the removed -pricecache flag accepted")
+	for _, removed := range []string{"-pricecache=1", "-walgroup=false"} {
+		if err := run([]string{removed, "-dir", t.TempDir()}, &out, nil); err == nil {
+			t.Fatalf("the removed %s flag accepted", removed)
+		}
 	}
 	if err := run([]string{"-dir", t.TempDir(), "-init", "/does/not/exist"}, &out, nil); err == nil {
 		t.Fatal("missing init script accepted")

@@ -31,6 +31,12 @@ var equivalenceStream = []struct {
 	{`SELECT id FROM books WHERE shelf = 50 ORDER BY id`, true},
 	{`SELECT COUNT(*), SUM(shelf), MIN(shelf), MAX(shelf), AVG(shelf) FROM books`, true},
 	{`SELECT COUNT(*), MIN(id) FROM books WHERE shelf > 1000`, true},
+	// LIMIT 0 answers no row on every shape, the aggregate's summary row
+	// included: the engine decides, the router's legs and merge follow.
+	{`SELECT * FROM books WHERE id = 3 LIMIT 0`, true},
+	{`SELECT id FROM books WHERE shelf >= 10 LIMIT 0`, true},
+	{`SELECT id FROM books ORDER BY title LIMIT 0`, true},
+	{`SELECT COUNT(*), MAX(shelf) FROM books LIMIT 0`, true},
 	{`EXPLAIN SELECT * FROM books WHERE shelf = 10`, false}, // the shield refuses EXPLAIN at every front door
 	{`SELEKT * FROM books`, false},
 	{`INSERT INTO books VALUES (2, 10, 'again')`, false},

@@ -695,19 +695,16 @@ func (s *Shield) QueryCtx(ctx context.Context, identity, sql string) (*engine.Re
 	return s.QueryFilteredCtx(ctx, identity, sql, nil)
 }
 
-// QueryFilteredCtx is QueryCtx with a row filter applied between
-// execution and observation: rows whose primary key fails keep are
-// dropped from the result BEFORE the detector observes them and before
-// the delay gate prices them. The shard-side partition filter uses this
-// so a replica answering for a subset of its locally held partitions
-// charges (and exposes to detection) only the tuples it actually
-// returns — otherwise every replica of a scanned range would inflate the
-// caller's coverage sketch R-fold. keep is called in output-row order,
-// so a stateful closure can also enforce a post-filter LIMIT. A nil
-// keep keeps every row (identical to QueryCtx). Filtering applies only
-// to row-aligned SELECT results; passing a filter with an aggregate or
-// write statement is an error.
-func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, keep func(key uint64) bool) (*engine.Result, QueryStats, error) {
+// QueryFilteredCtx is QueryCtx restricted to the rows of parts: the
+// engine evaluates the set with the statement's WHERE clause, so the
+// detector observes and the delay gate prices exactly the tuples the
+// statement returned (or, for an aggregate, folded). A scatter leg uses
+// this so a replica answering for a subset of its locally held
+// partitions charges only that subset — otherwise every replica of a
+// scanned range would inflate the caller's coverage sketch R-fold. A nil
+// parts is every row (identical to QueryCtx); a non-nil one is for
+// SELECT only.
+func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, parts *engine.PartitionSet) (*engine.Result, QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -727,6 +724,9 @@ func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, kee
 		return nil, QueryStats{}, ErrExplainBlocked
 	}
 	if kind != engine.KindSelect {
+		if parts != nil {
+			return nil, QueryStats{}, errors.New("core: a partition filter applies to SELECT statements only")
+		}
 		// Writes are refused while degraded: with persistence failing,
 		// accepting a mutation risks acknowledging state that will not
 		// survive a restart. Reads are still served (and still priced —
@@ -736,7 +736,7 @@ func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, kee
 			return nil, QueryStats{}, fmt.Errorf("%w (cause: %s)", ErrDegraded, cause)
 		}
 	}
-	res, err := prep.Exec()
+	res, err := prep.ExecIn(parts)
 	if err != nil {
 		s.noteExecError(err)
 		return nil, QueryStats{}, err
@@ -749,19 +749,6 @@ func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, kee
 		if cperr := s.db.TakeCheckpointErr(); cperr != nil {
 			s.noteExecError(cperr)
 		}
-	}
-	if keep != nil {
-		if res.Columns == nil || len(res.Keys) != len(res.Rows) {
-			return nil, QueryStats{}, errors.New("core: row filter requires a row-aligned SELECT result")
-		}
-		rows, keys := res.Rows[:0], res.Keys[:0]
-		for i, k := range res.Keys {
-			if keep(k) {
-				rows = append(rows, res.Rows[i])
-				keys = append(keys, k)
-			}
-		}
-		res.Rows, res.Keys = rows, keys
 	}
 	if res.Columns != nil {
 		// SELECT: charge delay for every returned tuple. ChargeCtx

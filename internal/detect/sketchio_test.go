@@ -162,8 +162,8 @@ func TestExportSinceWatermarkAndFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observe(t, d, "heavy", 0, 600)  // coverage ~0.6
-	observe(t, d, "light", 0, 5)    // coverage ~0.005
+	observe(t, d, "heavy", 0, 600) // coverage ~0.6
+	observe(t, d, "light", 0, 5)   // coverage ~0.005
 
 	snaps, mark := d.ExportSince(0, 0.1)
 	if len(snaps) != 1 || snaps[0].Principal != "heavy" {

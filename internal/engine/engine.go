@@ -720,7 +720,7 @@ func (db *Database) ExecScript(src string) ([]*Result, error) {
 	}
 	results := make([]*Result, 0, len(stmts))
 	for i, stmt := range stmts {
-		res, err := db.ExecStmt(stmt)
+		res, err := db.ExecStmt(stmt, nil)
 		if err != nil {
 			return results, fmt.Errorf("engine: statement %d: %w", i+1, err)
 		}
@@ -729,9 +729,20 @@ func (db *Database) ExecScript(src string) ([]*Result, error) {
 	return results, nil
 }
 
-// ExecStmt executes a parsed statement.
-func (db *Database) ExecStmt(stmt sqlmini.Statement) (*Result, error) {
+// ExecStmt executes a parsed statement. A non-nil parts restricts a
+// SELECT or DELETE to the rows of those partitions (see PartitionSet);
+// no other statement takes one.
+func (db *Database) ExecStmt(stmt sqlmini.Statement, parts *PartitionSet) (*Result, error) {
+	_, isSelect := stmt.(*sqlmini.Select)
+	_, isDelete := stmt.(*sqlmini.Delete)
+	if parts != nil && !isSelect && !isDelete {
+		return nil, fmt.Errorf("engine: a partition set applies to SELECT and DELETE, not %T", stmt)
+	}
 	switch s := stmt.(type) {
+	case *sqlmini.Select:
+		return db.execSelect(s, parts)
+	case *sqlmini.Delete:
+		return db.execDelete(s, parts)
 	case *sqlmini.CreateTable:
 		return db.execCreate(s)
 	case *sqlmini.DropTable:
@@ -745,12 +756,8 @@ func (db *Database) ExecStmt(stmt sqlmini.Statement) (*Result, error) {
 		return db.execDropIndex(s)
 	case *sqlmini.Insert:
 		return db.execInsert(s)
-	case *sqlmini.Select:
-		return db.execSelect(s)
 	case *sqlmini.Update:
 		return db.execUpdate(s)
-	case *sqlmini.Delete:
-		return db.execDelete(s)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}

@@ -159,8 +159,8 @@ func needMask(schema catalog.Schema, proj []int, conj []boundConj, extra int) []
 	for _, ci := range proj {
 		need[ci] = true
 	}
-	for _, c := range conj {
-		need[c.col] = true
+	for i := range conj {
+		need[conj[i].col] = true
 	}
 	need[schema.Key] = true
 	if extra >= 0 {
@@ -174,7 +174,7 @@ func needMask(schema catalog.Schema, proj []int, conj []boundConj, extra int) []
 	return nil
 }
 
-func (db *Database) execSelect(s *sqlmini.Select) (*Result, error) {
+func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result, error) {
 	t, err := db.getTable(s.Table)
 	if err != nil {
 		return nil, err
@@ -184,7 +184,7 @@ func (db *Database) execSelect(s *sqlmini.Select) (*Result, error) {
 	// DDL, checkpoints, and cache teardown exclude it.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	conj, err := resolveWhere(t.schema, s.Where, nil)
+	conj, err := resolveWhere(t.schema, s.Where, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -257,6 +257,10 @@ func (rb *resultBuf) project(proj []int, row catalog.Row) catalog.Row {
 }
 
 func (db *Database) execSelectSpec(t *table, spec *selSpec) (*Result, error) {
+	if spec.limit == 0 {
+		// No row to return, so no tuple to charge: Keys stays empty too.
+		return &Result{Columns: spec.cols}, nil
+	}
 	rb := &resultBuf{}
 	res := &rb.res
 	res.Columns = spec.cols
@@ -404,13 +408,18 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj)
 		return nil, err
 	}
 	res := &Result{Columns: cols}
+	if s.Limit == 0 {
+		// LIMIT 0 withholds the summary row, and with it every tuple
+		// the row would have been charged for.
+		return res, nil
+	}
 
 	// Decode mask: the key, the filter columns, and the aggregated
 	// columns; COUNT(*) aggregates contribute nothing.
 	need := make([]bool, len(t.schema.Columns))
 	need[t.schema.Key] = true
-	for _, c := range conj {
-		need[c.col] = true
+	for i := range conj {
+		need[conj[i].col] = true
 	}
 	for i := range accs {
 		if accs[i].col >= 0 {
@@ -672,12 +681,12 @@ func (db *Database) execUpdate(s *sqlmini.Update) (*Result, error) {
 	return res, nil
 }
 
-func (db *Database) execDelete(s *sqlmini.Delete) (*Result, error) {
+func (db *Database) execDelete(s *sqlmini.Delete, parts *PartitionSet) (*Result, error) {
 	t, err := db.getTable(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	conj, err := resolveWhere(t.schema, s.Where, nil)
+	conj, err := resolveWhere(t.schema, s.Where, parts)
 	if err != nil {
 		return nil, err
 	}

@@ -28,24 +28,32 @@ type boundConj struct {
 	col int
 	op  sqlmini.CmpOp
 	val sqlmini.Literal
+	// part, when set, makes this the partition conjunct: col is the
+	// primary key and a row matches iff its key hashes into the set. op
+	// and val stay zero, which is what keeps the planner from reading a
+	// key bound or an index probe out of it.
+	part *PartitionSet
 }
 
 // resolveWhere validates the WHERE clause's column references against
-// the schema once and appends the conjuncts in bound form to buf
-// (pass nil, or a scratch slice to reuse its storage).
-func resolveWhere(schema catalog.Schema, where *sqlmini.Where, buf []boundConj) ([]boundConj, error) {
-	buf = buf[:0]
-	if where == nil {
-		return buf, nil
-	}
-	for _, c := range where.Conjuncts {
-		ci := schema.ColumnIndex(c.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q in WHERE", c.Column)
+// the schema once and returns the conjuncts in bound form, followed by
+// the partition conjunct when parts is non-nil.
+func resolveWhere(schema catalog.Schema, where *sqlmini.Where, parts *PartitionSet) ([]boundConj, error) {
+	var conj []boundConj
+	if where != nil {
+		conj = make([]boundConj, 0, len(where.Conjuncts)+1)
+		for _, c := range where.Conjuncts {
+			ci := schema.ColumnIndex(c.Column)
+			if ci < 0 {
+				return nil, fmt.Errorf("engine: unknown column %q in WHERE", c.Column)
+			}
+			conj = append(conj, boundConj{col: ci, op: c.Op, val: c.Value})
 		}
-		buf = append(buf, boundConj{col: ci, op: c.Op, val: c.Value})
 	}
-	return buf, nil
+	if parts != nil {
+		conj = append(conj, boundConj{col: schema.Key, part: parts})
+	}
+	return conj, nil
 }
 
 // queryPlan is the chosen access path for a WHERE clause. Bounds are
@@ -97,7 +105,8 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 	var p queryPlan
 	hasEq := false
 	impossible := false
-	for _, c := range conj {
+	for i := range conj {
+		c := &conj[i]
 		if c.col != key || c.val.Kind != sqlmini.IntLit {
 			continue
 		}
@@ -138,7 +147,8 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 
 	// Secondary index path: an equality conjunct on an indexed non-key
 	// column, considered only when the primary key gives no point handle.
-	for _, c := range conj {
+	for i := range conj {
+		c := &conj[i]
 		if c.op != sqlmini.OpEq || c.col == key {
 			continue
 		}
@@ -327,9 +337,19 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 	}
 }
 
-// matchesBound evaluates resolved conjuncts against a row.
+// matchesBound evaluates resolved conjuncts against a row. Every scan
+// path and lockRow decide a match here and nowhere else. The loop is by
+// index: a boundConj is eight words, and copying one per conjunct per
+// row showed on scans.
 func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
-	for _, c := range conj {
+	for i := range conj {
+		c := &conj[i]
+		if c.part != nil {
+			if !c.part.contains(row[c.col].Int) {
+				return false, nil
+			}
+			continue
+		}
 		cmp, err := compareValueLiteral(row[c.col], c.val)
 		if err != nil {
 			return false, err

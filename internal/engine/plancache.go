@@ -355,9 +355,13 @@ func (p *Prepared) Kind() StmtKind { return p.kind }
 
 // Exec runs the prepared statement. It may be called more than once
 // before Release; cached executions rebind the parameters each time.
-func (p *Prepared) Exec() (*Result, error) {
+func (p *Prepared) Exec() (*Result, error) { return p.ExecIn(nil) }
+
+// ExecIn is Exec restricted to the rows of parts (nil: every row), on
+// the cached-plan path and the parse path alike; see ExecStmt.
+func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) {
 	if p.entry != nil {
-		res, ok, err := p.db.execCachedSelect(p)
+		res, ok, err := p.db.execCachedSelect(p, parts)
 		if ok {
 			return res, err
 		}
@@ -368,7 +372,7 @@ func (p *Prepared) Exec() (*Result, error) {
 			return nil, err
 		}
 	}
-	return p.db.ExecStmt(p.stmt)
+	return p.db.ExecStmt(p.stmt, parts)
 }
 
 // prepareParsedKeep is prepareParsed without the Release-on-error (Exec
@@ -386,7 +390,7 @@ func (p *Prepared) prepareParsedKeep() (*Prepared, error) {
 
 // execCachedSelect binds p's parameters into its cached template and
 // runs it. ok=false means the caller must fall back to the parse path.
-func (db *Database) execCachedSelect(p *Prepared) (res *Result, ok bool, err error) {
+func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet) (res *Result, ok bool, err error) {
 	e := p.entry
 	if len(p.params) != e.nparams {
 		return nil, false, nil
@@ -405,6 +409,10 @@ func (db *Database) execCachedSelect(p *Prepared) (res *Result, ok bool, err err
 	conj := p.conj[:0]
 	for i, ct := range e.conj {
 		conj = append(conj, boundConj{col: ct.col, op: ct.op, val: p.params[i]})
+	}
+	if parts != nil {
+		// The template's decode mask always covers the key.
+		conj = append(conj, boundConj{col: t.schema.Key, part: parts})
 	}
 	p.conj = conj
 	limit := -1

@@ -145,15 +145,15 @@ func (c *CrashPanic) Error() string {
 // Count caps total fires, and P (when in (0,1)) gates each fire on the
 // rule's deterministic PRNG.
 type Rule struct {
-	Site    Site
-	Kind    Kind
-	After   uint64        // skip the first After hits
-	Every   uint64        // then fire on every Every-th eligible hit (0 = every)
-	Count   uint64        // fire at most Count times (0 = unlimited)
-	P       float64       // fire probability per eligible hit (0 = always)
-	Latency time.Duration // Latency rules: how long to sleep
-	TornBytes int         // Torn rules: bytes allowed through before the error
-	Err     error         // Error/Torn rules: error to inject (nil = ErrInjected)
+	Site      Site
+	Kind      Kind
+	After     uint64        // skip the first After hits
+	Every     uint64        // then fire on every Every-th eligible hit (0 = every)
+	Count     uint64        // fire at most Count times (0 = unlimited)
+	P         float64       // fire probability per eligible hit (0 = always)
+	Latency   time.Duration // Latency rules: how long to sleep
+	TornBytes int           // Torn rules: bytes allowed through before the error
+	Err       error         // Error/Torn rules: error to inject (nil = ErrInjected)
 }
 
 // ruleState is a Rule plus its runtime trigger state.

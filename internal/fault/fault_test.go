@@ -182,13 +182,13 @@ func TestParseRejects(t *testing.T) {
 		"nonsense",
 		"bogus.site=err",
 		"pager.read=explode",
-		"pager.read=latency",       // missing duration
-		"pager.read=torn",          // missing bytes
-		"pager.read=torn:-1",       // negative bytes
-		"pager.read=err:arg",       // err takes no argument
-		"pager.read=err@p2",        // p out of range
-		"pager.read=err@zzz",       // unknown modifier
-		"pager.read=err@every0",    // every needs n >= 1
+		"pager.read=latency",    // missing duration
+		"pager.read=torn",       // missing bytes
+		"pager.read=torn:-1",    // negative bytes
+		"pager.read=err:arg",    // err takes no argument
+		"pager.read=err@p2",     // p out of range
+		"pager.read=err@zzz",    // unknown modifier
+		"pager.read=err@every0", // every needs n >= 1
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec, 1); err == nil {

@@ -7,7 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/catalog"
-	"repro/internal/parthash"
+	"repro/internal/engine"
 	"repro/internal/sqlmini"
 )
 
@@ -25,25 +25,28 @@ import (
 // extraction the shield exists to prevent.
 
 // migratePageLimit is the default (and maximum) page size for pull and
-// purge scans.
+// purge. It also bounds a purge's WAL batch: one DELETE dirties at most
+// the heap pages of this many rows.
 const migratePageLimit = 512
 
 // MigrateRequest is the POST /admin/migrate request body. Op selects
 // the operation:
 //
-//   - "pull": scan Table's rows with key > After in key order (up to
-//     Limit raw rows), return the rows belonging to Filter's partitions.
-//     Next carries the last RAW key scanned — pages advance through
-//     slices of the keyspace holding no wanted partition — and Done
-//     reports keyspace exhaustion.
+//   - "pull": return the first Limit rows of Filter's partitions with
+//     key > After, in key order. The engine evaluates the filter with
+//     the scan, so every page but the last is full of wanted rows
+//     however thinly they are spread over the keyspace. Next is the last
+//     key returned (After when the page is empty); Done reports a short
+//     page: nothing of these partitions lies beyond Next.
 //   - "push": apply Rows (stringified, schema order) to Table as typed
 //     inserts. Idempotent: a row whose key already exists is replaced,
 //     so a retried page or a dual-written tuple converges instead of
 //     erroring.
-//   - "purge": scan keys with key > After as in pull and delete the
-//     rows belonging to Filter's partitions. Paged like pull.
-//   - "count": execute SQL (a SELECT) and report how many result rows
-//     key into Filter's partitions. The router pre-counts a scatter
+//   - "purge": delete the rows a pull with the same After and Limit
+//     would have returned — one DELETE bounded to the page's key range —
+//     and report the same Next and Done.
+//   - "count": execute SQL (a SELECT) over Filter's partitions only and
+//     report how many rows it yields. The router pre-counts a scatter
 //     write's affected rows with this — summing per-replica counts
 //     would multiply by the replication factor.
 type MigrateRequest struct {
@@ -61,9 +64,10 @@ type MigrateResponse struct {
 	// Keys and Rows carry a pull page's tuples (schema column order).
 	Keys []int64    `json:"keys,omitempty"`
 	Rows [][]string `json:"rows,omitempty"`
-	// Next is the scan cursor to pass as After on the next page.
+	// Next is the cursor to pass as After on the next page: the last
+	// key this page returned or purged.
 	Next int64 `json:"next,omitempty"`
-	// Done reports that the scan exhausted the keyspace.
+	// Done reports a short page: the partitions hold nothing past Next.
 	Done bool `json:"done,omitempty"`
 	// Applied counts rows pushed or purged.
 	Applied int `json:"applied,omitempty"`
@@ -90,82 +94,88 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// migrateScanPage fetches one raw key-ordered page: every row with
-// key > after, up to limit, whether or not it belongs to a wanted
-// partition. Cursoring on raw keys (not filtered ones) is what keeps
-// paging live through keyspace regions holding only other partitions.
-func (s *Server) migrateScanPage(table, keyCol string, after int64, limit int, columns []string) (*MigrateResponse, [][]string, error) {
-	sel := sqlmini.Select{
-		Table:   table,
-		Columns: columns,
-		Where: &sqlmini.Where{Conjuncts: []sqlmini.Comparison{{
-			Column: keyCol,
-			Op:     sqlmini.OpGt,
-			Value:  sqlmini.Literal{Kind: sqlmini.IntLit, Int: after},
-		}}},
-		Order: &sqlmini.OrderBy{Column: keyCol},
-		Limit: limit,
-	}
-	res, err := s.shield.DB().Exec(sqlmini.Render(&sel))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(res.Keys) != len(res.Rows) {
-		return nil, nil, fmt.Errorf("scan page: %d keys for %d rows", len(res.Keys), len(res.Rows))
-	}
-	out := &MigrateResponse{Next: after, Done: len(res.Rows) < limit}
-	rows := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = v.String()
-		}
-		rows[i] = cells
-		out.Keys = append(out.Keys, int64(res.Keys[i]))
-		if k := int64(res.Keys[i]); k > out.Next {
-			out.Next = k
-		}
-	}
-	return out, rows, nil
+// migratePage is one page of pull or purge, read but not yet answered.
+type migratePage struct {
+	parts  *engine.PartitionSet
+	keyCol string
+	res    *engine.Result
+	out    *MigrateResponse // Next and Done are set
 }
 
-func (s *Server) migratePull(w http.ResponseWriter, req *MigrateRequest) {
-	f := req.Filter
-	if f == nil {
-		writeErr(w, http.StatusBadRequest, errors.New("pull requires a partition filter"))
-		return
+// migrateParts resolves the partition filter pull, purge and count all
+// require. On false the 400 is written.
+func (s *Server) migrateParts(w http.ResponseWriter, req *MigrateRequest) (*engine.PartitionSet, bool) {
+	if req.Filter == nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("%s requires a partition filter", req.Op))
+		return nil, false
 	}
-	if err := f.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sch, err := s.shield.DB().Schema(req.Table)
+	parts, err := req.Filter.set()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, false
+	}
+	return parts, true
+}
+
+// keyBound is the conjunct "keyCol op k".
+func keyBound(keyCol string, op sqlmini.CmpOp, k int64) sqlmini.Comparison {
+	return sqlmini.Comparison{Column: keyCol, Op: op, Value: sqlmini.Literal{Kind: sqlmini.IntLit, Int: k}}
+}
+
+// migrateRead runs the read pull and purge share: the first Limit rows
+// of Filter's partitions with key > After in key order, all columns or
+// the key alone. On false the 400 is written.
+func (s *Server) migrateRead(w http.ResponseWriter, req *MigrateRequest, keyOnly bool) (migratePage, bool) {
+	parts, ok := s.migrateParts(w, req)
+	if !ok {
+		return migratePage{}, false
+	}
+	db := s.shield.DB()
+	sch, err := db.Schema(req.Table)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return migratePage{}, false
 	}
 	limit := req.Limit
 	if limit <= 0 || limit > migratePageLimit {
 		limit = migratePageLimit
 	}
-	page, rows, err := s.migrateScanPage(req.Table, sch.Columns[sch.Key].Name, req.After, limit, nil)
-	if err != nil {
+	pg := migratePage{parts: parts, keyCol: sch.Columns[sch.Key].Name}
+	sel := &sqlmini.Select{
+		Table: req.Table,
+		Where: &sqlmini.Where{Conjuncts: []sqlmini.Comparison{keyBound(pg.keyCol, sqlmini.OpGt, req.After)}},
+		Order: &sqlmini.OrderBy{Column: pg.keyCol},
+		Limit: limit,
+	}
+	if keyOnly {
+		sel.Columns = []string{pg.keyCol}
+	}
+	if pg.res, err = db.ExecStmt(sel, parts); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
+		return migratePage{}, false
+	}
+	n := len(pg.res.Keys)
+	pg.out = &MigrateResponse{Next: req.After, Done: n < limit}
+	if n > 0 {
+		pg.out.Next = int64(pg.res.Keys[n-1])
+	}
+	return pg, true
+}
+
+func (s *Server) migratePull(w http.ResponseWriter, req *MigrateRequest) {
+	pg, ok := s.migrateRead(w, req, false)
+	if !ok {
 		return
 	}
-	include := make(map[int]bool, len(f.Include))
-	for _, p := range f.Include {
-		include[p] = true
-	}
-	keys, rowsOut := page.Keys, rows
-	page.Keys, page.Rows = nil, nil
-	for i, k := range keys {
-		if include[parthash.Index(k, f.Count)] {
-			page.Keys = append(page.Keys, k)
-			page.Rows = append(page.Rows, rowsOut[i])
+	for i, row := range pg.res.Rows {
+		cells := make([]string, len(row))
+		for j, v := range row {
+			cells[j] = v.String()
 		}
+		pg.out.Keys = append(pg.out.Keys, int64(pg.res.Keys[i]))
+		pg.out.Rows = append(pg.out.Rows, cells)
 	}
-	writeJSON(w, http.StatusOK, page)
+	writeJSON(w, http.StatusOK, pg.out)
 }
 
 // literalFor converts a pulled string cell back into a typed literal
@@ -221,7 +231,7 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 		return
 	}
 	applied := 0
-	if res, ierr := db.Exec(sqlmini.Render(&ins)); ierr == nil {
+	if res, ierr := db.ExecStmt(&ins, nil); ierr == nil {
 		applied = res.Affected
 	} else {
 		// The batch hit an existing key (a retried page, or a tuple the
@@ -230,22 +240,20 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 		// was here before.
 		keyCol := sch.Columns[sch.Key].Name
 		for i, row := range ins.Rows {
-			one := sqlmini.Insert{Table: req.Table, Rows: [][]sqlmini.Literal{row}}
-			if _, rerr := db.Exec(sqlmini.Render(&one)); rerr == nil {
+			one := &sqlmini.Insert{Table: req.Table, Rows: [][]sqlmini.Literal{row}}
+			if _, rerr := db.ExecStmt(one, nil); rerr == nil {
 				applied++
 				continue
 			}
-			del := sqlmini.Delete{Table: req.Table, Where: &sqlmini.Where{Conjuncts: []sqlmini.Comparison{{
-				Column: keyCol,
-				Op:     sqlmini.OpEq,
-				Value:  sqlmini.Literal{Kind: sqlmini.IntLit, Int: keys[i]},
-			}}}}
-			if _, derr := db.Exec(sqlmini.Render(&del)); derr != nil {
+			del := &sqlmini.Delete{Table: req.Table, Where: &sqlmini.Where{Conjuncts: []sqlmini.Comparison{
+				keyBound(keyCol, sqlmini.OpEq, keys[i]),
+			}}}
+			if _, derr := db.ExecStmt(del, nil); derr != nil {
 				writeErr(w, http.StatusBadRequest,
 					fmt.Errorf("replacing tuple %d: %v", keys[i], derr))
 				return
 			}
-			if _, rerr := db.Exec(sqlmini.Render(&one)); rerr != nil {
+			if _, rerr := db.ExecStmt(one, nil); rerr != nil {
 				writeErr(w, http.StatusBadRequest,
 					fmt.Errorf("re-inserting tuple %d: %v", keys[i], rerr))
 				return
@@ -257,82 +265,48 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 }
 
 func (s *Server) migratePurge(w http.ResponseWriter, req *MigrateRequest) {
-	f := req.Filter
-	if f == nil {
-		writeErr(w, http.StatusBadRequest, errors.New("purge requires a partition filter"))
+	pg, ok := s.migrateRead(w, req, true)
+	if !ok {
 		return
 	}
-	if err := f.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	db := s.shield.DB()
-	sch, err := db.Schema(req.Table)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	keyCol := sch.Columns[sch.Key].Name
-	limit := req.Limit
-	if limit <= 0 || limit > migratePageLimit {
-		limit = migratePageLimit
-	}
-	page, _, err := s.migrateScanPage(req.Table, keyCol, req.After, limit, []string{keyCol})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	include := make(map[int]bool, len(f.Include))
-	for _, p := range f.Include {
-		include[p] = true
-	}
-	for _, k := range page.Keys {
-		if !include[parthash.Index(k, f.Count)] {
-			continue
-		}
-		del := sqlmini.Delete{Table: req.Table, Where: &sqlmini.Where{Conjuncts: []sqlmini.Comparison{{
-			Column: keyCol,
-			Op:     sqlmini.OpEq,
-			Value:  sqlmini.Literal{Kind: sqlmini.IntLit, Int: k},
-		}}}}
-		if _, derr := db.Exec(sqlmini.Render(&del)); derr != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("purging tuple %d: %v", k, derr))
+	if len(pg.res.Keys) > 0 {
+		del := &sqlmini.Delete{Table: req.Table, Where: &sqlmini.Where{Conjuncts: []sqlmini.Comparison{
+			keyBound(pg.keyCol, sqlmini.OpGt, req.After),
+			keyBound(pg.keyCol, sqlmini.OpLe, pg.out.Next),
+		}}}
+		res, err := s.shield.DB().ExecStmt(del, pg.parts)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("purging (%d, %d]: %v", req.After, pg.out.Next, err))
 			return
 		}
-		page.Applied++
+		pg.out.Applied = res.Affected
 	}
-	page.Keys = nil
-	writeJSON(w, http.StatusOK, page)
+	writeJSON(w, http.StatusOK, pg.out)
 }
 
 func (s *Server) migrateCount(w http.ResponseWriter, req *MigrateRequest) {
-	f := req.Filter
-	if f == nil {
-		writeErr(w, http.StatusBadRequest, errors.New("count requires a partition filter"))
-		return
-	}
-	if err := f.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	parts, ok := s.migrateParts(w, req)
+	if !ok {
 		return
 	}
 	if req.SQL == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("count requires sql"))
 		return
 	}
-	res, err := s.shield.DB().Exec(req.SQL)
+	prep, err := s.shield.DB().Prepare(req.SQL)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	include := make(map[int]bool, len(f.Include))
-	for _, p := range f.Include {
-		include[p] = true
+	defer prep.Release()
+	if prep.Kind() != engine.KindSelect {
+		writeErr(w, http.StatusBadRequest, errors.New("count takes a SELECT"))
+		return
 	}
-	count := 0
-	for _, k := range res.Keys {
-		if include[parthash.Index(int64(k), f.Count)] {
-			count++
-		}
+	res, err := prep.ExecIn(parts)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, &MigrateResponse{Count: count})
+	writeJSON(w, http.StatusOK, &MigrateResponse{Count: len(res.Keys)})
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/engine"
 )
 
 // Server is the HTTP front end. Create with New, mount via Handler.
@@ -213,11 +214,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.deadline)
 		defer cancel()
 	}
+	var parts *engine.PartitionSet
 	if req.PFilter != nil {
-		s.serveFiltered(ctx, w, identity(r), req)
-		return
+		if parts, err = req.PFilter.set(); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 	}
-	res, stats, err := s.shield.QueryCtx(ctx, identity(r), req.SQL)
+	res, stats, err := s.shield.QueryFilteredCtx(ctx, identity(r), req.SQL, parts)
 	// Notable mappings: ErrDegraded → 503 (persistence is failing, so
 	// writes are refused rather than acknowledged unrecoverably; reads
 	// are unaffected), DeadlineExceeded → 504 with the delay still

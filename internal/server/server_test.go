@@ -13,7 +13,9 @@ import (
 	"repro/internal/vclock"
 )
 
-func testServer(t *testing.T, cfg core.Config) (*httptest.Server, *core.Shield) {
+// testHandler is a shard over a three-row items table, not yet behind a
+// socket.
+func testHandler(t testing.TB, cfg core.Config) (http.Handler, *core.Shield) {
 	t.Helper()
 	db, err := engine.Open(t.TempDir())
 	if err != nil {
@@ -40,7 +42,13 @@ func testServer(t *testing.T, cfg core.Config) (*httptest.Server, *core.Shield) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	return srv.Handler(), shield
+}
+
+func testServer(t *testing.T, cfg core.Config) (*httptest.Server, *core.Shield) {
+	t.Helper()
+	h, shield := testHandler(t, cfg)
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts, shield
 }

@@ -43,10 +43,9 @@ func AggregateName(a Aggregate) string {
 
 // CompareCells orders two stringified result cells the way the engine
 // orders the underlying values: integers numerically, then floats, then
-// bytewise. Every consumer recombining shard results (the router's
-// ORDER BY merge, MIN/MAX partial folding, the shard-side partition
-// filter's aggregate pass) must sort cells identically, so they all
-// call this.
+// bytewise. Both consumers recombining shard results (the router's
+// ORDER BY merge and its MIN/MAX partial folding) must sort cells
+// identically, so they both call this.
 func CompareCells(a, b string) int {
 	if ai, aerr := strconv.ParseInt(a, 10, 64); aerr == nil {
 		if bi, berr := strconv.ParseInt(b, 10, 64); berr == nil {

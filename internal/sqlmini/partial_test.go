@@ -6,9 +6,9 @@ import (
 
 func TestPKEqual(t *testing.T) {
 	cases := []struct {
-		sql  string
-		key  int64
-		ok   bool
+		sql string
+		key int64
+		ok  bool
 	}{
 		{`SELECT v FROM items WHERE id = 7`, 7, true},
 		{`SELECT v FROM items WHERE ID = 7`, 7, true}, // case-insensitive column

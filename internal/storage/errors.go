@@ -13,8 +13,8 @@ var ErrIO = errors.New("storage: I/O failure")
 // its message or unwrap chain.
 type ioError struct{ err error }
 
-func (e *ioError) Error() string { return e.err.Error() }
-func (e *ioError) Unwrap() error { return e.err }
+func (e *ioError) Error() string        { return e.err.Error() }
+func (e *ioError) Unwrap() error        { return e.err }
 func (e *ioError) Is(target error) bool { return target == ErrIO }
 
 // wrapIO marks err as matching ErrIO. Nil stays nil.

@@ -98,7 +98,7 @@ type poolShard struct {
 // latency) never blocks hits on other pages of the same shard. loadErr
 // is set before ready closes.
 type frame struct {
-	id  PageID
+	id PageID
 	// cur is the current published version; old is the newest-first chain
 	// of retired versions still visible to some registered snapshot. Both
 	// are copy-on-write: a publish pushes the displaced version onto a
@@ -592,20 +592,27 @@ func (b *Pool) Unpin(id PageID, dirty bool) error {
 // claims it (the sweep skips it) or condemned first (tryPin refuses it
 // and the reader reloads). Callers hold the shard mutex.
 func (sh *poolShard) evictOne(b *Pool) error {
-	// Each frame is visited at most twice (demote, then evict), so 2n+1
-	// steps without a victim means every frame is pinned.
+	// Give up only after a whole lap on which no frame could go: stuck
+	// counts consecutive frames found pinned or feeding a snapshot. A
+	// demotion restarts it — that frame is a victim on its next visit
+	// unless a reader claims it first — so a frame pinned on one lap and
+	// merely referenced on the next is still found. Lock-free hits keep
+	// setting reference bits while the sweep holds sh.mu, so the walk is
+	// also capped at four laps (two of demotions, one of pins, one spare):
+	// past that the readers are outrunning the hand and the caller gets
+	// the error instead of a spin under the shard mutex.
 	n := len(sh.clock)
-	for step := 0; step < 2*n+1; step++ {
+	for stuck, steps := 0, 0; stuck < n && steps < 4*n; sh.hand, steps = sh.hand+1, steps+1 {
 		if sh.hand >= len(sh.clock) {
 			sh.hand = 0
 		}
 		f := sh.clock[sh.hand]
 		if f.pins.Load() > 0 {
-			sh.hand++
+			stuck++
 			continue
 		}
 		if f.ref.CompareAndSwap(true, false) {
-			sh.hand++
+			stuck = 0
 			continue
 		}
 		// A frame whose version chain still feeds a registered snapshot
@@ -618,13 +625,13 @@ func (sh *poolShard) evictOne(b *Pool) error {
 			empty := b.pruneChainLocked(f)
 			b.verMu.Unlock()
 			if !empty {
-				sh.hand++
+				stuck++
 				continue
 			}
 		}
 		if !f.pins.CompareAndSwap(0, condemnedPins) {
 			// A reader pinned the frame between the checks; spare it.
-			sh.hand++
+			stuck++
 			continue
 		}
 		if err := sh.dropFrameAt(sh.hand, b); err != nil {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -209,7 +211,7 @@ func TestPoolConcurrentFetch(t *testing.T) {
 		ids = append(ids, id)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -231,6 +233,81 @@ func TestPoolConcurrentFetch(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// A frame found pinned on the sweep's first lap and unpinned (but
+// referenced) on its second is a victim on the third; the sweep must not
+// report "all frames pinned" before it gets there. The clock is
+// [pinned, x, r, held]: held carries a version chain a snapshot still
+// reads, so the sweep stops on the pool's version mutex when it reaches
+// it — the test holds that mutex, and r's reference bit going down tells
+// it the hand has already passed x. It then pins r and releases x, which
+// leaves x the only frame that can ever go.
+func TestPoolEvictsFrameUnpinnedMidSweep(t *testing.T) {
+	pool := tempPool(t, 4) // one shard: exact clock order
+	var ids [4]PageID
+	for i := range ids {
+		id, _, err := pool.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	x, r, held := ids[1], ids[2], ids[3]
+	sh := pool.shard(x)
+	frameOf := func(id PageID) *frame { return (*sh.frames.Load())[id] }
+
+	snap := pool.BeginSnapshot()
+	defer pool.EndSnapshot(snap)
+	ws := NewWriteSet(pool)
+	if _, _, err := ws.Acquire(held); err != nil {
+		t.Fatal(err)
+	}
+	ws.MarkDirty(held)
+	ws.Publish()
+	ws.Release()
+	for _, id := range []PageID{r, held} {
+		if err := pool.Unpin(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frameOf(held).ref.Store(false)
+	rf := frameOf(r)
+	sh.hand = 0
+
+	pool.verMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		id, _, err := pool.Allocate()
+		if err == nil {
+			err = pool.Unpin(id, false)
+		}
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); rf.ref.Load(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			pool.verMu.Unlock()
+			t.Fatal("the sweep never reached the referenced frame")
+		}
+	}
+	if _, err := pool.Fetch(r); err != nil {
+		t.Error(err)
+	}
+	if err := pool.Unpin(x, false); err != nil {
+		t.Error(err)
+	}
+	pool.verMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("allocation with an unpinned frame in the pool: %v", err)
+	}
+	if frameOf(x) != nil {
+		t.Fatal("the frame unpinned mid-sweep is still resident")
+	}
+	for _, id := range []PageID{ids[0], r, held} {
+		if frameOf(id) == nil {
+			t.Fatalf("page %d was evicted; only page %d could go", id, x)
+		}
+	}
 }
 
 // A failed eviction write-back must not lose the dirty frame: the
