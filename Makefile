@@ -3,22 +3,16 @@
 
 GO ?= go
 
-.PHONY: all check fmtcheck build vet test race cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
+.PHONY: all check fmtcheck build vet test race race-hot loc cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
 
 all: build vet test
 
-# What CI runs: everything that must pass before a merge. The targeted
-# -race pass covers the packages with real concurrency (the shield's
-# cancellable query path, the rate limiter, the delay gate's batch quote,
-# the access tracker over its rank index, the extraction detector, the
-# striped buffer pool + parallel scan executor, the cluster router's
-# write fan-out + anti-entropy loop, and the front door's pooled codec
-# buffers) without the cost of racing the whole tree.
+# What CI runs: everything that must pass before a merge.
 check: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core/... ./internal/ratelimit/... ./internal/delay/... ./internal/counters/... ./internal/ostree/... ./internal/detect/... ./internal/engine/... ./internal/storage/... ./internal/cluster/... ./internal/server/...
+	$(MAKE) race-hot
 	$(MAKE) torture
 	$(MAKE) torture-cluster
 	$(MAKE) bench-ledger-smoke
@@ -38,6 +32,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The targeted -race pass of `make check` and CI: the packages with real
+# concurrency (the shield's cancellable query path, the rate limiter, the
+# delay gate's batch quote, the access tracker over its rank index, the
+# extraction detector, the striped buffer pool + parallel scan executor,
+# the cluster router's fan-out + anti-entropy loop, and the front door's
+# pooled codec buffers) without the cost of racing the whole tree. This
+# list is the only copy.
+RACE_HOT = core ratelimit delay counters ostree detect engine storage cluster server
+race-hot:
+	$(GO) test -race $(RACE_HOT:%=./internal/%/...)
+
+# Lines of Go, non-test and test, per package and in total.
+loc:
+	@./scripts/loc.sh
 
 cover:
 	$(GO) test -cover ./...

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -85,7 +82,6 @@ func (r *Router) exchangeLocked(floor float64) error {
 		page, err := r.pullSketches(n, r.ae.marks[i], floor)
 		if err != nil {
 			r.aeErrors.Inc()
-			r.syncPeerDown()
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -123,7 +119,6 @@ func (r *Router) exchangeLocked(floor float64) error {
 		rejected, err := r.pushSketches(n, batch)
 		if err != nil {
 			r.aeErrors.Inc()
-			r.syncPeerDown()
 			pushFailed = true
 			if firstErr == nil {
 				firstErr = err
@@ -168,17 +163,7 @@ func (r *Router) mergeLag() float64 {
 // (only sketches re-converge), so it must not serve reads until an
 // operator replays/copies the data and confirms POST /admin/peer-up.
 func (r *Router) probePeer(n *Node) bool {
-	req, err := http.NewRequest(http.MethodGet, n.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.do(context.Background(), req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if r.rpcJSON(context.Background(), n, http.MethodGet, "/healthz", nil, nil) != nil {
 		return false
 	}
 	n.latchResync() // down→resync: same episode, original stamp kept
@@ -187,22 +172,10 @@ func (r *Router) probePeer(n *Node) bool {
 }
 
 func (r *Router) pullSketches(n *Node, since uint64, floor float64) (*server.SketchPage, error) {
-	url := fmt.Sprintf("%s/admin/sketches?since=%d&floor=%g", n.base, since, floor)
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.do(context.Background(), req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: pulling sketches from %s: %w", n.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s sketch export returned HTTP %d", n.name, resp.StatusCode)
-	}
 	var page server.SketchPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("cluster: decoding %s sketch page: %w", n.name, err)
+	path := fmt.Sprintf("/admin/sketches?since=%d&floor=%g", since, floor)
+	if err := r.rpcJSON(context.Background(), n, http.MethodGet, path, nil, &page); err != nil {
+		return nil, fmt.Errorf("cluster: pulling sketches: %w", err)
 	}
 	return &page, nil
 }
@@ -212,32 +185,11 @@ func (r *Router) pushSketches(n *Node, batch []detect.SketchSnapshot) (rejected 
 	// few KiB each, so chunks stay well-bounded.
 	const chunk = 1000
 	for len(batch) > 0 {
-		part := batch
-		if len(part) > chunk {
-			part = batch[:chunk]
-		}
+		part := batch[:min(len(batch), chunk)]
 		batch = batch[len(part):]
-		body, err := json.Marshal(server.SketchAbsorbRequest{Sketches: part})
-		if err != nil {
-			return rejected, err
-		}
-		req, err := http.NewRequest(http.MethodPost, n.base+"/admin/sketches", bytes.NewReader(body))
-		if err != nil {
-			return rejected, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.do(context.Background(), req)
-		if err != nil {
-			return rejected, fmt.Errorf("cluster: pushing sketches to %s: %w", n.name, err)
-		}
 		var out server.SketchAbsorbResponse
-		decErr := json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return rejected, fmt.Errorf("cluster: %s sketch absorb returned HTTP %d", n.name, resp.StatusCode)
-		}
-		if decErr != nil {
-			return rejected, fmt.Errorf("cluster: decoding %s absorb response: %w", n.name, decErr)
+		if err := r.rpcJSON(context.Background(), n, http.MethodPost, "/admin/sketches", server.SketchAbsorbRequest{Sketches: part}, &out); err != nil {
+			return rejected, fmt.Errorf("cluster: pushing sketches: %w", err)
 		}
 		rejected += out.Rejected
 	}

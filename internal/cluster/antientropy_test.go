@@ -1,10 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -145,6 +144,21 @@ func TestAntiEntropyRoutesAroundDeadPeer(t *testing.T) {
 	if !nodes[2].Down() {
 		t.Error("dead peer not latched down by the exchange")
 	}
+	// The exchange's calls keep the same books as a query's: the failure
+	// that latched the peer is one peer error, and the next round's probe
+	// of a peer already known to be down adds nothing.
+	if v := r.peerErrors.Value(); v != 1 {
+		t.Errorf("cluster_peer_errors_total = %d after the exchange found the peer dead, want 1", v)
+	}
+	if v := r.peerDown.Value(); v != 1 {
+		t.Errorf("cluster_peer_down = %d, want 1", v)
+	}
+	if err := r.ExchangeNowFloor(0.05); err != nil {
+		t.Errorf("exchange among the survivors: %v", err)
+	}
+	if v := r.peerErrors.Value(); v != 1 {
+		t.Errorf("cluster_peer_errors_total = %d after probing a peer already down, want still 1", v)
+	}
 
 	// Revive: the next round's health probe clears the down latch into
 	// writes-only resync — reachability proves nothing about the
@@ -169,21 +183,15 @@ func TestAntiEntropyRoutesAroundDeadPeer(t *testing.T) {
 // /admin/sketches, which answers HTTP 500 while fail is set — a shard
 // that is alive (no down latch) but whose absorb endpoint errors.
 type sketchPushFailTransport struct {
-	inner http.RoundTripper
+	inner transport
 	fail  atomic.Bool
 }
 
-func (f *sketchPushFailTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if f.fail.Load() && req.Method == http.MethodPost && req.URL.Path == "/admin/sketches" {
-		return &http.Response{
-			Status:     http.StatusText(http.StatusInternalServerError),
-			StatusCode: http.StatusInternalServerError,
-			Header:     make(http.Header),
-			Body:       io.NopCloser(strings.NewReader(`{"error":"absorb failed"}`)),
-			Request:    req,
-		}, nil
+func (f *sketchPushFailTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
+	if f.fail.Load() && c.method == http.MethodPost && c.path == "/admin/sketches" {
+		return reply{status: http.StatusInternalServerError, body: []byte(`{"error":"absorb failed"}`)}, nil
 	}
-	return f.inner.RoundTrip(req)
+	return f.inner.roundTrip(ctx, c)
 }
 
 // TestPushFailureRetainsWatermarks: a push that fails with an HTTP
@@ -194,7 +202,7 @@ func (f *sketchPushFailTransport) RoundTrip(req *http.Request) (*http.Response, 
 func TestPushFailureRetainsWatermarks(t *testing.T) {
 	fails := make([]*sketchPushFailTransport, 2)
 	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 200, Detect: detectCfg(),
-		Wrap: func(i int, next http.RoundTripper) http.RoundTripper {
+		Wrap: func(i int, next transport) transport {
 			fails[i] = &sketchPushFailTransport{inner: next}
 			return fails[i]
 		}})

@@ -37,7 +37,7 @@ func BenchmarkClusterPointQuery(b *testing.B) {
 	body, _ := json.Marshal(server.QueryRequest{SQL: `SELECT * FROM items WHERE id = 42`})
 
 	run := func(b *testing.B, h http.Handler) {
-		client := &http.Client{Transport: handlerTransport{h: h}}
+		client := &http.Client{Transport: handlerClient{h: h}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -131,7 +131,7 @@ func benchLoadItems(b testing.TB, r *Router, tuples int) {
 
 func benchQuery(b *testing.B, h http.Handler, body []byte) {
 	b.Helper()
-	client := &http.Client{Transport: handlerTransport{h: h}}
+	client := &http.Client{Transport: handlerClient{h: h}}
 	req, err := http.NewRequest(http.MethodPost, "http://bench/query", bytes.NewReader(body))
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -28,20 +29,15 @@ func (c *Chaos) Dead() bool { return c.dead.Load() }
 
 // chaosTransport fails every round trip while the switch is dead.
 type chaosTransport struct {
-	inner http.RoundTripper
+	inner transport
 	c     *Chaos
 }
 
-func (t chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (t chaosTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
 	if t.c.dead.Load() {
-		// Real transports guarantee exactly one Close of the request
-		// body even on failure; pooled scratch bodies rely on it.
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, fmt.Errorf("chaos: node %s is killed", t.c.name)
+		return reply{}, fmt.Errorf("chaos: node %s is killed", t.c.name)
 	}
-	return t.inner.RoundTrip(req)
+	return t.inner.roundTrip(ctx, c)
 }
 
 // NewChaosNode returns an in-process shard node with a kill switch:

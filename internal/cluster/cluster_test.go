@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,16 +57,13 @@ type clusterOpts struct {
 	Tuples int
 	Detect *detect.Config
 	Config Config
-	// Remote shapes the nodes like HTTP peers: no in-place reuse of the
-	// client's request, every forward a request of its own.
-	Remote bool
 	// Loopback serves every shard on a real loopback listener behind
 	// NewHTTPNode: the shard transport instead of the handler adapter.
 	// Such a shard has no kill switch (Chaos[i] is nil) and ignores Wrap.
 	Loopback bool
 	// Wrap, when set, wraps shard i's transport (outside its kill
 	// switch) — how a test injects a shard that fails some requests.
-	Wrap func(shard int, next http.RoundTripper) http.RoundTripper
+	Wrap func(shard int, next transport) transport
 }
 
 // testCluster is everything newTestCluster built: the router, and per
@@ -104,7 +102,6 @@ func newTestCluster(t testing.TB, o clusterOpts) *testCluster {
 		if o.Wrap != nil {
 			nodes[i].rt = o.Wrap(i, nodes[i].rt)
 		}
-		nodes[i].inProcess = !o.Remote
 	}
 	r, err := NewRouter(nodes, o.Config)
 	if err != nil {
@@ -137,11 +134,36 @@ func (c *testCluster) primaryOf(key int64) int {
 	return c.Router.CurrentPartitionMap().OwnerOf(key)
 }
 
-// do sends one request through a handler via the same client plumbing
-// the router uses against its nodes.
+// handlerClient is the tests' and benchmarks' client: an
+// http.RoundTripper that calls a handler in-process and records what it
+// wrote into an http.Response.
+type handlerClient struct {
+	h http.Handler
+}
+
+func (t handlerClient) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
+	t.h.ServeHTTP(rec, req)
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return &http.Response{
+		Status:        http.StatusText(rec.code),
+		StatusCode:    rec.code,
+		Proto:         req.Proto,
+		ProtoMajor:    req.ProtoMajor,
+		ProtoMinor:    req.ProtoMinor,
+		Header:        rec.header,
+		Body:          io.NopCloser(bytes.NewReader(rec.body.Bytes())),
+		ContentLength: int64(rec.body.Len()),
+		Request:       req,
+	}, nil
+}
+
+// do sends one request through a handler the way a client would.
 func do(t testing.TB, h http.Handler, method, path, identity, body string) (*http.Response, []byte) {
 	t.Helper()
-	client := &http.Client{Transport: handlerTransport{h: h}}
+	client := &http.Client{Transport: handlerClient{h: h}}
 	var rd io.Reader
 	if body != "" {
 		rd = strings.NewReader(body)
@@ -366,7 +388,7 @@ func TestRouterEdgeHardening(t *testing.T) {
 	h := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10}).Handler
 
 	// Wrong content type → 415.
-	client := &http.Client{Transport: handlerTransport{h: h}}
+	client := &http.Client{Transport: handlerClient{h: h}}
 	req, _ := http.NewRequest(http.MethodPost, "http://router/query", strings.NewReader(`{"sql":"SELECT * FROM items"}`))
 	req.Header.Set("Content-Type", "text/plain")
 	resp, err := client.Do(req)

@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,29 +186,15 @@ func TestProbeRevivalIsWritesOnly(t *testing.T) {
 // answering — no transport failure, no down latch) while everything
 // else passes through.
 type writeFailTransport struct {
-	inner http.RoundTripper
+	inner transport
 	fail  atomic.Bool
 }
 
-func (f *writeFailTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if f.fail.Load() && req.Method == http.MethodPost && req.URL.Path == "/query" {
-		body, err := io.ReadAll(req.Body)
-		req.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if bytes.Contains(body, []byte("INSERT")) {
-			return &http.Response{
-				Status:     http.StatusText(http.StatusInternalServerError),
-				StatusCode: http.StatusInternalServerError,
-				Header:     make(http.Header),
-				Body:       io.NopCloser(strings.NewReader(`{"error":"wal: disk failure"}`)),
-				Request:    req,
-			}, nil
-		}
-		req.Body = io.NopCloser(bytes.NewReader(body))
+func (f *writeFailTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
+	if f.fail.Load() && c.method == http.MethodPost && c.path == "/query" && bytes.Contains(c.body, []byte("INSERT")) {
+		return reply{status: http.StatusInternalServerError, body: []byte(`{"error":"wal: disk failure"}`)}, nil
 	}
-	return f.inner.RoundTrip(req)
+	return f.inner.roundTrip(ctx, c)
 }
 
 // TestWriteDivergenceQuarantinesShard: when the router acks a write,
@@ -219,7 +204,7 @@ func (f *writeFailTransport) RoundTrip(req *http.Request) (*http.Response, error
 // that are missing acked writes.
 func TestWriteDivergenceQuarantinesShard(t *testing.T) {
 	fails := make([]*writeFailTransport, 3)
-	c := newTestCluster(t, clusterOpts{Tuples: 20, Wrap: func(i int, next http.RoundTripper) http.RoundTripper {
+	c := newTestCluster(t, clusterOpts{Tuples: 20, Wrap: func(i int, next transport) transport {
 		fails[i] = &writeFailTransport{inner: next}
 		return fails[i]
 	}})
@@ -294,13 +279,13 @@ func TestConcurrentWritesConvergeReplicas(t *testing.T) {
 
 // panicTransport panics inside the shard on POST /query, as a shard
 // handler with a bug would.
-type panicTransport struct{ inner http.RoundTripper }
+type panicTransport struct{ inner transport }
 
-func (p panicTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodPost && req.URL.Path == "/query" {
+func (p panicTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
+	if c.method == http.MethodPost && c.path == "/query" {
 		panic("shard bug")
 	}
-	return p.inner.RoundTrip(req)
+	return p.inner.roundTrip(ctx, c)
 }
 
 // TestShardPanicDoesNotLeakInflight: a panic inside a local shard
@@ -308,7 +293,7 @@ func (p panicTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // middleware; both the per-node and the router-wide in-flight counts
 // must be restored or /healthz and the in-flight cap skew forever.
 func TestShardPanicDoesNotLeakInflight(t *testing.T) {
-	c := newTestCluster(t, clusterOpts{Shards: 1, Wrap: func(_ int, next http.RoundTripper) http.RoundTripper {
+	c := newTestCluster(t, clusterOpts{Shards: 1, Wrap: func(_ int, next transport) transport {
 		return panicTransport{inner: next}
 	}})
 	for _, sql := range []string{

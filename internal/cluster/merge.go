@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/server"
 	"repro/internal/sqlmini"
@@ -41,78 +40,37 @@ import (
 // replicas and retry with jittered backoff, bounded by readRetryRounds.
 // Deterministic shard rejections (4xx) relay immediately.
 
-// shardReply is one shard's answer to a fanned statement.
+// shardReply is one shard's answer to a scatter leg: the reply as it
+// came, and the decoded rows of a 200.
 type shardReply struct {
-	node   int
-	status int
-	ct     string
-	resp   server.QueryResponse
-	raw    []byte // body of a non-200 answer, relayed verbatim
-	err    error  // transport failure (status 0) or 200-body decode failure
+	node int
+	rep  reply // status 0 when err is a transport failure
+	resp server.QueryResponse
+	err  error // transport failure, or a 200 whose body does not decode
 }
 
-// fanStatements sends reqFor(node) to each target concurrently,
-// returning a channel carrying exactly one reply per target. Identity
-// and client address are captured as strings before the goroutines
-// start: with LIMIT early-cancel the handler can return while laggard
-// RPCs still run, after which req belongs to the http server again.
-func (r *Router) fanStatements(ctx context.Context, req *http.Request, targets []int, reqFor func(int) server.QueryRequest) <-chan shardReply {
-	id := req.Header.Get("X-Identity")
-	addr := req.RemoteAddr
-	ch := make(chan shardReply, len(targets))
-	for _, i := range targets {
-		go func(i int) {
-			ch <- r.shardQuery(ctx, i, server.AppendQueryRequest(nil, reqFor(i)), id, addr)
-		}(i)
-	}
-	return ch
-}
+// ok reports whether the shard ran the leg's statement.
+func (s *shardReply) ok() bool { return s.err == nil && s.rep.status == http.StatusOK }
 
-// shardQuery runs one fanned RPC under the configured per-shard
-// deadline; a shard that exceeds it counts as a peer failure (down
-// latch plus the timeout counter) — the scatter retries its partitions
-// elsewhere instead of pinning the router's in-flight slots. ctx is the
-// scatter's own context: a leg it cancelled on purpose (LIMIT
-// satisfied, or another shard already errored) fails without latching
-// anything (Node.do).
-func (r *Router) shardQuery(ctx context.Context, node int, body []byte, id, addr string) shardReply {
-	n := r.nodes[node]
-	rctx, cancel := r.rpcContext(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, n.base+"/query", bytes.NewReader(body))
-	if err != nil {
-		return shardReply{node: node, err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id != "" {
-		req.Header.Set("X-Identity", id)
-	}
-	if addr != "" {
-		req.Header.Set("X-Forwarded-For", addr)
-	}
-	resp, err := r.call(ctx, n, req)
-	if err != nil {
-		return shardReply{node: node, err: err}
-	}
-	defer resp.Body.Close()
-	out := shardReply{node: node, status: resp.StatusCode, ct: resp.Header.Get("Content-Type")}
-	if resp.StatusCode == http.StatusOK {
-		if derr := json.NewDecoder(resp.Body).Decode(&out.resp); derr != nil && ctx.Err() == nil {
-			out.err = fmt.Errorf("shard %s: decoding response: %v", n.name, derr)
+// decodeLeg turns a fan-out leg of /query calls into a shardReply. A
+// 200 cut short (the shard died mid-reply, the cluster.rpc torn rule)
+// fails to decode and counts as the leg failing.
+func (r *Router) decodeLeg(node int, leg fanLeg) shardReply {
+	out := shardReply{node: node, rep: leg.rep, err: leg.err}
+	if out.ok() {
+		if err := json.Unmarshal(leg.rep.body, &out.resp); err != nil {
+			out.err = fmt.Errorf("shard %s: decoding response: %v", r.nodes[node].name, err)
 		}
-	} else {
-		out.raw, _ = io.ReadAll(resp.Body)
 	}
 	return out
 }
 
-// relayRaw copies a shard's non-200 answer to the client verbatim.
-func relayRaw(w http.ResponseWriter, rep shardReply) {
-	if rep.ct != "" {
-		w.Header().Set("Content-Type", rep.ct)
-	}
-	w.WriteHeader(rep.status)
-	w.Write(rep.raw)
+// legCall is the /query call of one scatter leg, on behalf of the
+// client whose call c is.
+func legCall(c *call, q server.QueryRequest) *call {
+	leg := *c
+	leg.body = server.AppendQueryRequest(nil, q)
+	return &leg
 }
 
 // mergeSpec is the merge plan derived from the statement shape.
@@ -169,7 +127,7 @@ func (r *Router) readCover(pm *PartitionMap, parts []int, avoid map[int]int) (ma
 
 // scatterRead fans a multi-partition SELECT to one live replica per
 // partition and merges the partition-filtered partials.
-func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *PartitionMap, sel *sqlmini.Select, sql string) {
+func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, sel *sqlmini.Select, sql string, c *call) {
 	spec := mergeSpec{limit: sel.Limit, orderIdx: -1}
 	shardSQL := sql
 	switch {
@@ -221,13 +179,21 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 	}
 	avoid := make(map[int]int)
 
-	ctx, cancel := context.WithCancel(req.Context())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var replies []shardReply
-	var last *shardReply // remembered retryable shard answer for final relay
-	rows, done := 0, false
-
+	// Legs report from their own goroutines as they finish; mu guards
+	// what they share. Once done (LIMIT satisfied) or rejected (a shard
+	// refused the statement) is set the laggards are cancelled and what
+	// they come back with is dropped.
+	var (
+		mu       sync.Mutex
+		replies  []shardReply
+		last     *shardReply // remembered retryable shard answer for final relay
+		rejected *shardReply
+		rows     int
+		done     bool
+	)
 	for round := 0; round < readRetryRounds && len(need) > 0 && !done; round++ {
 		if round > 0 {
 			r.readRetries.Inc()
@@ -244,31 +210,31 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 			targets = append(targets, i)
 		}
 		sortInts(targets)
-		ch := r.fanStatements(ctx, req, targets, func(i int) server.QueryRequest {
-			return server.QueryRequest{
-				SQL:     shardSQL,
-				PFilter: &server.PartitionFilter{Count: P, Include: cover[i]},
-			}
-		})
 		var redo []int
-		for range targets {
-			rep := <-ch
+		r.fan(ctx, targets, func(slot int) *call {
+			return legCall(c, server.QueryRequest{
+				SQL:     shardSQL,
+				PFilter: &server.PartitionFilter{Count: P, Include: cover[targets[slot]]},
+			})
+		}, func(slot int, leg fanLeg) {
+			rep := r.decodeLeg(targets[slot], leg)
+			mu.Lock()
+			defer mu.Unlock()
 			switch {
-			case rep.err != nil, rep.status >= http.StatusInternalServerError:
+			case done || rejected != nil:
+			case rep.err != nil, rep.rep.status >= http.StatusInternalServerError:
 				// Transport failure, truncated body, or shard 5xx: this
 				// leg's partitions retry on the surviving replicas.
 				for _, p := range cover[rep.node] {
 					avoid[p] = rep.node
 				}
 				redo = append(redo, cover[rep.node]...)
-				keep := rep
-				last = &keep
-			case rep.status != http.StatusOK:
+				last = &rep
+			case rep.rep.status != http.StatusOK:
 				// Deterministic rejection — every replica would answer
-				// the same; relay it now.
+				// the same; it relays once the other legs are called off.
+				rejected = &rep
 				cancel()
-				relayRaw(w, rep)
-				return
 			default:
 				replies = append(replies, rep)
 				if spec.earlyCancel {
@@ -279,9 +245,10 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 					}
 				}
 			}
-			if done {
-				break
-			}
+		})
+		if rejected != nil {
+			relay(w, rejected.rep)
+			return
 		}
 		need = redo
 	}
@@ -291,12 +258,12 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 		return
 	}
 	if len(need) > 0 && !done {
-		if last != nil && last.err == nil && last.status >= http.StatusInternalServerError {
-			relayRaw(w, *last)
+		if last != nil && last.err == nil {
+			relay(w, last.rep) // a shard's 5xx
 			return
 		}
 		detail := ""
-		if last != nil && last.err != nil {
+		if last != nil {
 			detail = ": " + last.err.Error()
 		}
 		writeErr(w, http.StatusServiceUnavailable,
@@ -553,7 +520,7 @@ func predicateTarget(sql string) (string, *sqlmini.Where, bool) {
 // matching rows through the partition-filtered maintenance channel —
 // summing per-shard counts would multiply by R and double-count
 // migration copies.
-func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *PartitionMap, stmt scatterStmt) {
+func (r *Router) scatterWrite(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, stmt scatterStmt, c *call) {
 	r.partLocks.Lock()
 	defer r.partLocks.Unlock()
 	if r.pmap.Load() != pm {
@@ -622,7 +589,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 		affected = int64(len(stmt.ins.Rows))
 	} else if table, where, ok := predicateTarget(stmt.sql); ok {
 		if k, known := r.keyFor(table); known {
-			n, err := r.scatterCount(req.Context(), pm, table, k.name, where)
+			n, err := r.scatterCount(ctx, pm, table, k.name, where)
 			if err != nil {
 				writeErr(w, http.StatusServiceUnavailable,
 					fmt.Errorf("counting matched rows before scatter write: %v", err))
@@ -635,10 +602,12 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 	}
 
 	r.writeFanout.Inc()
-	ch := r.fanStatements(req.Context(), req, targets, func(i int) server.QueryRequest {
+	legs := make([]shardReply, len(targets))
+	r.fan(ctx, targets, func(slot int) *call {
 		if stmt.ins == nil {
-			return server.QueryRequest{SQL: stmt.sql}
+			return legCall(c, server.QueryRequest{SQL: stmt.sql})
 		}
+		i := targets[slot]
 		member := make(map[int]bool, len(owned[i])+len(gaining[i]))
 		for _, p := range owned[i] {
 			member[p] = true
@@ -652,14 +621,12 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 				rows = append(rows, row)
 			}
 		}
-		return server.QueryRequest{SQL: sqlmini.Render(&sqlmini.Insert{Table: stmt.ins.Table, Rows: rows})}
-	})
+		return legCall(c, server.QueryRequest{SQL: sqlmini.Render(&sqlmini.Insert{Table: stmt.ins.Table, Rows: rows})})
+	}, func(slot int, leg fanLeg) { legs[slot] = r.decodeLeg(targets[slot], leg) })
 	byNode := make(map[int]shardReply, len(targets))
-	for range targets {
-		rep := <-ch
+	for _, rep := range legs {
 		byNode[rep.node] = rep
 	}
-	okNode := func(rep shardReply) bool { return rep.err == nil && rep.status == http.StatusOK }
 
 	// A partition is applied when a READABLE owner accepted the write;
 	// resync owners are write-plane only.
@@ -667,7 +634,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 	for _, p := range involved {
 		applied := false
 		for _, i := range pm.groupOf(p) {
-			if rep, sent := byNode[i]; sent && okNode(rep) && r.nodes[i].readable() {
+			if rep, sent := byNode[i]; sent && rep.ok() && r.nodes[i].readable() {
 				applied = true
 				break
 			}
@@ -681,7 +648,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 	// Dual-write outcomes first: a failed gainer leg re-queues the
 	// partition for the migrator regardless of how the client fares.
 	for i, parts := range gaining {
-		if rep := byNode[i]; !okNode(rep) {
+		if rep := byNode[i]; !rep.ok() {
 			for _, p := range parts {
 				r.migrationMarkDirty(pm, p)
 			}
@@ -696,15 +663,15 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 				continue
 			}
 			rep := byNode[i]
-			if okNode(rep) {
+			if rep.ok() {
 				anyOK = true
-			} else if rep.err == nil && rep.status != 0 && firstErr == nil {
+			} else if rep.err == nil && firstErr == nil {
 				keep := rep
 				firstErr = &keep
 			}
 		}
 		if !anyOK && firstErr != nil {
-			relayRaw(w, *firstErr)
+			relay(w, firstErr.rep)
 			return
 		}
 		writeErr(w, http.StatusServiceUnavailable,
@@ -717,7 +684,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 	diverged := false
 	for i := range owned {
 		rep := byNode[i]
-		if okNode(rep) {
+		if rep.ok() {
 			continue
 		}
 		r.writeFanErr.Inc()
@@ -737,7 +704,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 
 	out := server.QueryResponse{Affected: int(affected)}
 	for _, i := range targets {
-		if rep := byNode[i]; okNode(rep) && rep.resp.DelayMillis > out.DelayMillis {
+		if rep := byNode[i]; rep.ok() && rep.resp.DelayMillis > out.DelayMillis {
 			out.DelayMillis = rep.resp.DelayMillis
 		}
 	}

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sync/atomic"
@@ -395,54 +392,20 @@ func (r *Router) purgeSlice(ctx context.Context, node, p, count int) (int64, err
 // shardTables pulls a shard's table list (with schemas) off its admin
 // plane.
 func (r *Router) shardTables(ctx context.Context, node int) ([]server.TableSchema, error) {
-	n := r.nodes[node]
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/admin/schema", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.call(ctx, n, req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard %s: schema fetch: %s", n.name, resp.Status)
-	}
 	var sr server.SchemaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("shard %s: decoding schema: %w", n.name, err)
-	}
-	return sr.Tables, nil
+	err := r.rpcJSON(ctx, r.nodes[node], http.MethodGet, "/admin/schema", nil, &sr)
+	return sr.Tables, err
 }
 
-// adminMigrate runs one migration op on a shard's admin plane. It goes
-// through Node.do on purpose: a transport failure latches the shard
-// down like any other RPC, and the cluster.rpc failpoint injects here
-// too — the torture harness must see migrations survive (or cleanly
-// roll back under) the same faults the query plane takes.
+// adminMigrate runs one migration op on a shard's admin plane. Like
+// every RPC it goes through Router.rpc: a transport failure latches the
+// shard down, and the cluster.rpc failpoint injects here too — the
+// torture harness must see migrations survive (or cleanly roll back
+// under) the same faults the query plane takes.
 func (r *Router) adminMigrate(ctx context.Context, node int, mreq *server.MigrateRequest) (*server.MigrateResponse, error) {
-	n := r.nodes[node]
-	body, err := json.Marshal(mreq)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/admin/migrate", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.call(ctx, n, req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("shard %s: migrate %s: %s: %s", n.name, mreq.Op, resp.Status, bytes.TrimSpace(raw))
-	}
 	var out server.MigrateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("shard %s: decoding migrate response: %w", n.name, err)
+	if err := r.rpcJSON(ctx, r.nodes[node], http.MethodPost, "/admin/migrate", mreq, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -16,26 +18,45 @@ import (
 // below any real response size.
 const rpcBodyCap = 1 << 30
 
+// call is one router→shard request: everything a shard is ever sent.
+// A call with a body is a JSON POST; identity and forwardedFor are the
+// client's X-Identity and address, empty on the router's own calls.
+type call struct {
+	method       string
+	path         string // request URI: path, then "?query" if any
+	body         []byte
+	identity     string
+	forwardedFor string
+}
+
+// reply is a shard's whole answer, body in memory.
+type reply struct {
+	status      int
+	contentType string
+	body        []byte
+}
+
+// transport carries a call to one shard and brings the whole reply
+// back. The contract every implementation keeps — the shard transport
+// (peerconn.go), the in-process adapter below, a kill switch or a
+// test's fault injector around either: c.body is not read after
+// roundTrip returns, so the caller may reuse its backing array at once;
+// and ctx ending fails the call promptly with ctx's error.
+type transport interface {
+	roundTrip(ctx context.Context, c *call) (reply, error)
+}
+
 // Node is one delaydb shard behind the router. Local nodes (handlers
 // in this process, the test and single-binary cluster mode) and HTTP
-// peers (real deployments) differ only in the RoundTripper that carries
-// the request, so every byte the router moves crosses the same
-// serialization boundary in both modes — a test against local nodes
-// exercises the exact wire surface a deployment uses.
+// peers (real deployments) differ only in the transport that carries
+// the call: the router hands both the same bytes and gets the same
+// reply back, so a test against local nodes exercises the request and
+// reply a deployment puts on the wire.
 type Node struct {
 	name string
-	base string
-	// rt carries every RPC to the shard: the shard transport
-	// (peerconn.go) for an HTTP peer, the handler adapter for an
-	// in-process one, either possibly wrapped by a kill switch or a
-	// test's fault injector. Every one of them returns a reply whose
-	// body is already in memory, so a caller may drop the request's
-	// context the moment RoundTrip returns.
-	rt http.RoundTripper
-	// inProcess marks a node whose rt calls the shard's handler on the
-	// calling goroutine: only there may forwardScratch redirect the
-	// client's own request at the shard instead of building a second one.
-	inProcess bool
+	// rt carries every RPC to the shard, called from do and nowhere
+	// else.
+	rt transport
 
 	// inflight is the live request count, reported per peer on
 	// /healthz.
@@ -97,15 +118,13 @@ func (n *Node) latchResync() {
 // ParsePeerURL rejects still yields a node; its every RPC fails with
 // that error.
 func NewHTTPNode(name, base string) *Node {
-	return &Node{name: name, base: base, rt: newPeerTransport(base)}
+	return &Node{name: name, rt: newPeerTransport(base)}
 }
 
 // NewLocalNode returns a shard served by an in-process handler —
-// cmd/delaydb's -cluster mode and every cluster test. The handler is
-// invoked through a RoundTripper, not called directly, so request and
-// response still pass through http.Request/http.Response encoding.
+// cmd/delaydb's -cluster mode and every cluster test.
 func NewLocalNode(name string, h http.Handler) *Node {
-	return &Node{name: name, base: "http://" + name, rt: handlerTransport{h: h}, inProcess: true}
+	return &Node{name: name, rt: handlerTransport{h: h, host: name}}
 }
 
 // Name returns the node's routing name.
@@ -134,116 +153,97 @@ func (n *Node) peerStats() (dials int64, idle int) {
 	return 0, 0
 }
 
-// do sends req to the node — the one entry point of every router→shard
-// RPC: the cluster.rpc failpoint, the in-flight count, one round trip.
-// ctx is the caller's own context (req's is the same one, or its
-// -shard-timeout child). A transport-level failure latches the node
-// down unless ctx is already done: a caller that gave up — a scatter
-// cancelling its laggards once LIMIT is satisfied, a client that hung
-// up — made the call fail itself, and a healthy shard must not be
-// marked dead for obeying. HTTP error statuses never latch (the peer
-// answered — it is alive, just unhappy).
-func (n *Node) do(ctx context.Context, req *http.Request) (*http.Response, error) {
-	truncate := -1
+// do sends c to the node — the one place a transport is called: the
+// cluster.rpc failpoint, the in-flight count, one round trip. An error
+// rule drops the call before the wire, indistinguishable from a refused
+// connection; a torn rule delivers it and cuts the reply body short, so
+// the status survives and the caller's decoder hits the end early.
+// What a failure means for the node is decided one level up
+// (Router.rpc).
+func (n *Node) do(ctx context.Context, c *call) (reply, error) {
+	cut := -1
 	if fault.Enabled() {
-		if k, ferr := fault.CheckWrite(fault.ClusterRPC, rpcBodyCap); ferr != nil {
+		if k, err := fault.CheckWrite(fault.ClusterRPC, rpcBodyCap); err != nil {
 			if k <= 0 {
-				// Dropped before the wire: indistinguishable from a
-				// refused connection, so it latches the peer like one.
-				if req.Body != nil {
-					req.Body.Close()
-				}
-				return nil, n.failed(ctx, ferr)
+				return reply{}, err
 			}
-			// Delivered, but the response comes back cut short: the
-			// status line survives, the body truncates mid-stream, and
-			// the caller's decoder hits unexpected EOF. No down latch —
-			// the peer did answer.
-			truncate = k
+			cut = k
 		}
 	}
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
-	resp, err := n.rt.RoundTrip(req)
-	if err != nil {
-		return nil, n.failed(ctx, err)
+	rep, err := n.rt.roundTrip(ctx, c)
+	if err == nil && cut >= 0 && cut < len(rep.body) {
+		rep.body = rep.body[:cut]
 	}
-	if truncate >= 0 {
-		resp.Body = &truncatedBody{r: io.LimitReader(resp.Body, int64(truncate)), c: resp.Body}
-		resp.ContentLength = -1
-	}
-	return resp, nil
+	return rep, err
 }
 
-// failed applies do's latch rule to a transport-level error.
-func (n *Node) failed(ctx context.Context, err error) error {
-	if ctx.Err() == nil {
-		n.latchDown()
-	}
-	return err
-}
-
-// truncatedBody delivers a prefix of the real body (the cluster.rpc
-// torn failure) while closing the whole underlying stream.
-type truncatedBody struct {
-	r io.Reader
-	c io.Closer
-}
-
-func (t *truncatedBody) Read(p []byte) (int, error) { return t.r.Read(p) }
-func (t *truncatedBody) Close() error               { return t.c.Close() }
-
-// handlerTransport adapts an http.Handler into an http.RoundTripper by
-// recording the handler's response into a real http.Response.
+// handlerTransport is the in-process adapter: it turns a call into the
+// one *http.Request this package builds and the handler's response into
+// a reply.
 type handlerTransport struct {
-	h http.Handler
+	h    http.Handler
+	host string
 }
 
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if _, hasDeadline := req.Context().Deadline(); hasDeadline {
-		// A deadline means the caller may abandon this call while the
-		// handler still runs (a real transport would sever the
-		// connection); serve it on a goroutine so the timeout can fire.
-		// The goroutine owns the request body — it closes it when the
-		// handler returns, whether or not anyone is still waiting.
-		done := make(chan *http.Response, 1)
-		go func() {
-			rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
-			t.h.ServeHTTP(rec, req)
-			if req.Body != nil {
-				req.Body.Close()
-			}
-			done <- rec.response(req)
-		}()
-		select {
-		case resp := <-done:
-			return resp, nil
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
+func (t handlerTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
+	if err := ctx.Err(); err != nil {
+		return reply{}, err
+	}
+	if _, timed := ctx.Deadline(); !timed {
+		// The handler watches ctx itself; what it wrote on the way out
+		// of a cancelled call is not the shard's answer.
+		rep := t.serve(ctx, c)
+		return rep, ctx.Err()
+	}
+	// A deadline means the caller may abandon this call while the
+	// handler still runs (a real transport would sever the connection);
+	// serve it on a goroutine so the timeout can fire. The handler may
+	// then read its request after roundTrip has returned, so it reads a
+	// copy: c and c.body go back to the caller when roundTrip returns.
+	own := *c
+	own.body = bytes.Clone(c.body)
+	done := make(chan reply, 1)
+	go func() { done <- t.serve(ctx, &own) }()
+	select {
+	case rep := <-done:
+		return rep, nil
+	case <-ctx.Done():
+		return reply{}, ctx.Err()
+	}
+}
+
+// serve runs the handler on the calling goroutine. The request looks
+// the way it would had it crossed the shard transport, except that it
+// arrives from the client's own address, as through a reverse proxy.
+func (t handlerTransport) serve(ctx context.Context, c *call) reply {
+	path, query, _ := strings.Cut(c.path, "?")
+	req := (&http.Request{
+		Method:     c.method,
+		URL:        &url.URL{Scheme: "http", Host: t.host, Path: path, RawQuery: query},
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 3),
+		Body:       http.NoBody,
+		Host:       t.host,
+		RemoteAddr: c.forwardedFor,
+	}).WithContext(ctx)
+	if c.body != nil {
+		req.Body = io.NopCloser(bytes.NewReader(c.body))
+		req.ContentLength = int64(len(c.body))
+		req.Header["Content-Type"] = []string{"application/json"}
+	}
+	if c.identity != "" {
+		req.Header["X-Identity"] = []string{c.identity}
+	}
+	if c.forwardedFor != "" {
+		req.Header["X-Forwarded-For"] = []string{c.forwardedFor}
 	}
 	rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
 	t.h.ServeHTTP(rec, req)
-	// Real transports guarantee exactly one Close of the request body;
-	// pooled scratch bodies rely on that to return to their pool.
-	if req.Body != nil {
-		req.Body.Close()
-	}
-	return rec.response(req), nil
-}
-
-func (r *recordedResponse) response(req *http.Request) *http.Response {
-	return &http.Response{
-		Status:        http.StatusText(r.code),
-		StatusCode:    r.code,
-		Proto:         req.Proto,
-		ProtoMajor:    req.ProtoMajor,
-		ProtoMinor:    req.ProtoMinor,
-		Header:        r.header,
-		Body:          io.NopCloser(bytes.NewReader(r.body.Bytes())),
-		ContentLength: int64(r.body.Len()),
-		Request:       req,
-	}
+	return reply{status: rec.code, contentType: rec.header.Get("Content-Type"), body: rec.body.Bytes()}
 }
 
 // recordedResponse is a minimal ResponseWriter capturing status,
@@ -267,11 +267,4 @@ func (r *recordedResponse) WriteHeader(code int) {
 func (r *recordedResponse) Write(p []byte) (int, error) {
 	r.wrote = true
 	return r.body.Write(p)
-}
-
-// ReadFrom spares io.Copy its 32 KiB buffer when a relayed body has no
-// WriteTo of its own (replyBody).
-func (r *recordedResponse) ReadFrom(src io.Reader) (int64, error) {
-	r.wrote = true
-	return r.body.ReadFrom(src)
 }

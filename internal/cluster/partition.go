@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -296,24 +295,11 @@ func (r *Router) fetchSchemas() {
 	if len(h) == 0 {
 		return
 	}
-	n := r.nodes[h[0]]
-	req, err := http.NewRequest(http.MethodGet, n.base+"/admin/schema", nil)
+	tables, err := r.shardTables(context.Background(), h[0])
 	if err != nil {
 		return
 	}
-	resp, err := r.call(context.Background(), n, req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var sr server.SchemaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return
-	}
-	for _, t := range sr.Tables {
+	for _, t := range tables {
 		r.schemas.Store(strings.ToLower(t.Name), tableKey{name: t.Key, idx: t.KeyIndex})
 	}
 }
@@ -450,10 +436,11 @@ func (r *Router) planInsert(pm *PartitionMap, s *sqlmini.Insert) (queryPlan, err
 }
 
 // servePartitioned plans and dispatches one statement under the map the
-// caller loaded. Admission has already run; the caller's pm pins the
-// map version every routing decision and the final relay are checked
+// caller loaded: c is the client's /query call, sql the statement in
+// its body. Admission has already run; the caller's pm pins the map
+// version every routing decision and the final relay are checked
 // against.
-func (r *Router) servePartitioned(w http.ResponseWriter, req *http.Request, pm *PartitionMap, sql string, body []byte, scratch *bodyScratch) {
+func (r *Router) servePartitioned(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, sql string, c *call) {
 	plan, err := r.planStatement(pm, sql)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -461,55 +448,59 @@ func (r *Router) servePartitioned(w http.ResponseWriter, req *http.Request, pm *
 	}
 	switch plan.kind {
 	case planBroadcast:
-		r.broadcast(w, req, "/query", body, scratch)
+		r.broadcast(ctx, w, c)
 	case planSingleRead:
 		r.partSingleRead.Inc()
 		if plan.part < 0 {
-			r.serveAny(w, req, pm, body, scratch)
+			r.serveAny(ctx, w, pm, c)
 			return
 		}
-		r.serveReplicaRead(w, req, pm, plan.part, body, scratch)
+		r.serveReplicaRead(ctx, w, pm, plan.part, c)
 	case planSingleWrite:
 		r.partSingleWrite.Inc()
 		if plan.part < 0 {
-			r.serveAny(w, req, pm, body, scratch)
+			r.serveAny(ctx, w, pm, c)
 			return
 		}
-		r.serveGroupWrite(w, req, pm, plan.part, body, scratch)
+		r.serveGroupWrite(ctx, w, pm, plan.part, c)
 	case planScatterRead:
 		r.partScatter.Inc()
-		r.scatterRead(w, req, pm, plan.sel, sql)
+		r.scatterRead(ctx, w, pm, plan.sel, sql, c)
 	case planScatterWrite:
 		r.partScatter.Inc()
-		r.scatterWrite(w, req, pm, scatterStmt{sql: sql})
+		r.scatterWrite(ctx, w, pm, scatterStmt{sql: sql}, c)
 	case planSplitInsert:
 		r.partSplit.Inc()
-		r.scatterWrite(w, req, pm, scatterStmt{ins: plan.ins, insParts: plan.insParts})
+		r.scatterWrite(ctx, w, pm, scatterStmt{ins: plan.ins, insParts: plan.insParts}, c)
 	}
 }
 
+// relayUnder relays a shard's reply, unless the map moved while it was
+// computed: an answer routed under a superseded map is retracted as the
+// 409 fence, like every other routed statement.
+func (r *Router) relayUnder(w http.ResponseWriter, pm *PartitionMap, rep reply) {
+	if r.pmap.Load() != pm {
+		r.writePartitionStale(w)
+		return
+	}
+	relay(w, rep)
+}
+
 // serveAny forwards a statement that is not tuple-routable to the first
-// readable shard, whose answer stands for the cluster's. The response
-// relays only after re-checking that the map did not change mid-flight,
-// like every other routed statement.
-func (r *Router) serveAny(w http.ResponseWriter, req *http.Request, pm *PartitionMap, body []byte, scratch *bodyScratch) {
+// readable shard, whose answer stands for the cluster's.
+func (r *Router) serveAny(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, c *call) {
 	h := r.healthy()
 	if len(h) == 0 {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 		return
 	}
 	n := r.nodes[h[0]]
-	resp, err := r.forwardScratch(req, n, "/query", body, true, scratch)
+	rep, err := r.rpc(ctx, n, c)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
 		return
 	}
-	if r.pmap.Load() != pm {
-		resp.Body.Close()
-		r.writePartitionStale(w)
-		return
-	}
-	relay(w, resp)
+	r.relayUnder(w, pm, rep)
 }
 
 // PartitionMapResponse is the GET /admin/partition-map body.
@@ -635,18 +626,14 @@ func (r *Router) handlePartitionMapPost(w http.ResponseWriter, req *http.Request
 // merge paths client queries take.
 func (r *Router) ExecScript(src string) error {
 	for _, stmt := range splitStatements(src) {
-		body, err := json.Marshal(server.QueryRequest{SQL: stmt})
-		if err != nil {
-			return err
+		c := &call{
+			method:   http.MethodPost,
+			path:     "/query",
+			body:     server.AppendQueryRequest(nil, server.QueryRequest{SQL: stmt}),
+			identity: "cluster-init",
 		}
-		req, err := http.NewRequest(http.MethodPost, "http://router/query", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Identity", "cluster-init")
 		rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
-		r.servePartitioned(rec, req, r.pmap.Load(), stmt, body, nil)
+		r.servePartitioned(context.Background(), rec, r.pmap.Load(), stmt, c)
 		if rec.code != http.StatusOK {
 			return fmt.Errorf("cluster: statement %q: %s: %s",
 				stmt, http.StatusText(rec.code), bytes.TrimSpace(rec.body.Bytes()))

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -249,7 +250,7 @@ func TestPartitionMapVersionBump(t *testing.T) {
 	// Pick a key and verify a version-1 pin works.
 	req := func(pin string, id int) (*http.Response, []byte) {
 		b, _ := json.Marshal(server.QueryRequest{SQL: fmt.Sprintf(`SELECT v FROM items WHERE id = %d`, id)})
-		client := &http.Client{Transport: handlerTransport{h: h}}
+		client := &http.Client{Transport: handlerClient{h: h}}
 		rq, _ := http.NewRequest(http.MethodPost, "http://router/query", bytes.NewReader(b))
 		rq.Header.Set("Content-Type", "application/json")
 		rq.Header.Set("X-Identity", "pinned")
@@ -327,19 +328,19 @@ func TestPartitionMapVersionBump(t *testing.T) {
 // blockingTransport, once armed, parks every request until its context
 // is cancelled — the laggard shard the early-cancel paths must abort.
 type blockingTransport struct {
-	inner     http.RoundTripper
+	inner     transport
 	armed     atomic.Bool
 	cancelled chan struct{}
 	once      sync.Once
 }
 
-func (b *blockingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (b *blockingTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
 	if !b.armed.Load() {
-		return b.inner.RoundTrip(req)
+		return b.inner.roundTrip(ctx, c)
 	}
-	<-req.Context().Done()
+	<-ctx.Done()
 	b.once.Do(func() { close(b.cancelled) })
-	return nil, req.Context().Err()
+	return reply{}, ctx.Err()
 }
 
 // newLaggardCluster builds a 2-shard R=1 cluster loaded through the
@@ -349,7 +350,7 @@ func newLaggardCluster(t *testing.T, tuples int) (*testCluster, *blockingTranspo
 	t.Helper()
 	bt := &blockingTransport{cancelled: make(chan struct{})}
 	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: tuples, Config: Config{Partitions: 32},
-		Wrap: func(i int, next http.RoundTripper) http.RoundTripper {
+		Wrap: func(i int, next transport) transport {
 			if i != 1 {
 				return next
 			}
@@ -515,13 +516,13 @@ func TestRetryAfterTracksBucketRefill(t *testing.T) {
 }
 
 func TestReadBodyPooledScratchNoAllocs(t *testing.T) {
-	s := scratchPool.Get().(*bodyScratch)
-	defer scratchPool.Put(s)
+	buf := queryBufPool.Get().(*queryBuf)
+	defer queryBufPool.Put(buf)
 	payload := []byte(`{"sql":"SELECT v FROM items WHERE id = 1"}`)
 	rd := bytes.NewReader(nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		rd.Reset(payload)
-		if _, err := readBody(rd, s); err != nil {
+		if _, err := readBody(rd, buf); err != nil {
 			panic(err)
 		}
 	})
@@ -530,31 +531,11 @@ func TestReadBodyPooledScratchNoAllocs(t *testing.T) {
 	}
 }
 
-func TestScratchBodyReleasesOnTransportClose(t *testing.T) {
-	s := scratchPool.Get().(*bodyScratch)
-	s.refs.Store(1)
-	sb := &scratchBody{s: s}
-	s.retain()
-	if got := s.refs.Load(); got != 2 {
-		t.Fatalf("refs %d after retain, want 2", got)
-	}
-	sb.Close()
-	sb.Close() // transports may double-close; the second must be a no-op
-	if got := s.refs.Load(); got != 1 {
-		t.Fatalf("refs %d after body close, want 1 (handler still owns it)", got)
-	}
-	s.release()
-	if got := s.refs.Load(); got != 0 {
-		t.Fatalf("refs %d after handler release, want 0 (returned to pool)", got)
-	}
-}
-
 // TestRemoteShapedCluster drives the routed surface through nodes that
-// look remote to the router (no local fast path) — the client/transport
-// path real deployments take, where the pooled scratch must survive
-// until the transport closes the body.
+// are remote to the router — loopback sockets behind the shard
+// transport, the path real deployments take.
 func TestRemoteShapedCluster(t *testing.T) {
-	h := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 30, Remote: true, Config: Config{Partitions: 32}}).Handler
+	h := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 30, Loopback: true, Config: Config{Partitions: 32}}).Handler
 	for id := 1; id <= 30; id++ {
 		if v, ok := readValue(t, h, "reader", id); !ok || v != fmt.Sprintf("v%d", id) {
 			t.Fatalf("id %d: (%q, %v)", id, v, ok)

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/textproto"
 	"net/url"
 	"slices"
 	"strconv"
@@ -20,7 +19,7 @@ import (
 	"time"
 )
 
-// This file is the shard transport: the http.RoundTripper behind every
+// This file is the shard transport: the transport behind every
 // NewHTTPNode. It is written for the router's traffic and nothing else —
 // a handful of peers, small JSON requests, replies the router always
 // reads whole — and that is what lets it drop what net/http's client
@@ -71,7 +70,7 @@ const (
 	// net/http's client reads with.
 	peerReadBuf = 4 << 10
 	// peerKeepBuf is the largest request buffer a pooled connection
-	// keeps: a /query body is under 2 KiB (bodyScratch), a 1 MiB migrate
+	// keeps: a /query body is under 2 KiB (queryBuf), a 1 MiB migrate
 	// page must not stay pinned to every connection that once carried it.
 	peerKeepBuf = 16 << 10
 	// peerMaxHeaders bounds the header (and trailer) lines of one reply;
@@ -102,7 +101,7 @@ func ParsePeerURL(base string) (*url.URL, error) {
 	return u, nil
 }
 
-// peerTransport is one node's connection pool and its RoundTripper.
+// peerTransport is one node's connection pool and its transport.
 type peerTransport struct {
 	addr string      // host:port dialled
 	host string      // Host header
@@ -152,51 +151,47 @@ func (t *peerTransport) idleConns() int {
 	return len(t.idle)
 }
 
-// RoundTrip sends req over a pooled connection and returns the reply
+// roundTrip sends c over a pooled connection and returns the reply
 // with its body already read to the end, so the connection is back in
-// the pool (or closed) before the caller sees the response.
-func (t *peerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		defer req.Body.Close()
-	}
-	ctx := req.Context()
+// the pool (or closed) before the caller sees the reply.
+func (t *peerTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return reply{}, err
 	}
 	now := time.Now()
-	c, err := t.checkout(ctx, now)
+	pc, err := t.checkout(ctx, now)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
 	// The ceiling goes on before the cancel hook is armed: set after it,
 	// it could overwrite the hook's deadline and lose a cancellation.
-	err = c.nc.SetDeadline(now.Add(peerRPCCeiling))
+	err = pc.nc.SetDeadline(now.Add(peerRPCCeiling))
 	var stop func() bool
 	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { c.nc.SetDeadline(longAgo) })
+		stop = context.AfterFunc(ctx, func() { pc.nc.SetDeadline(longAgo) })
 	}
-	var resp *http.Response
+	var rep reply
 	reuse := false
 	if err == nil {
-		resp, reuse, err = c.exchange(req, t.host)
+		rep, reuse, err = pc.exchange(c, t.host)
 	}
 	// A hook that ran or is running can poke the deadline at any moment
 	// from now on, so the connection carries nothing more.
 	poked := stop != nil && !stop()
 	switch {
 	case err != nil && poked:
-		c.nc.Close()
-		return nil, fmt.Errorf("peer %s: %w", t.addr, ctx.Err())
+		pc.nc.Close()
+		return reply{}, fmt.Errorf("peer %s: %w", t.addr, ctx.Err())
 	case err != nil:
-		c.nc.Close()
+		pc.nc.Close()
 		t.flush()
-		return nil, fmt.Errorf("peer %s: %w", t.addr, err)
+		return reply{}, fmt.Errorf("peer %s: %w", t.addr, err)
 	case reuse && !poked:
-		t.checkin(c)
+		t.checkin(pc)
 	default:
-		c.nc.Close()
+		pc.nc.Close()
 	}
-	return resp, nil
+	return rep, nil
 }
 
 // checkout pops the most recently used idle connection, or dials. A top
@@ -277,213 +272,129 @@ func (t *peerTransport) dial(ctx context.Context) (*peerConn, error) {
 	return &peerConn{nc: nc, br: bufio.NewReaderSize(nc, peerReadBuf)}, nil
 }
 
-// exchange writes req and reads its reply. reuse reports whether the
+// exchange writes c and reads its reply. reuse reports whether the
 // connection may carry another request.
-func (c *peerConn) exchange(req *http.Request, host string) (resp *http.Response, reuse bool, err error) {
-	b, err := appendRequest(c.wbuf[:0], req, host)
+func (pc *peerConn) exchange(c *call, host string) (rep reply, reuse bool, err error) {
+	b, err := appendRequest(pc.wbuf[:0], c, host)
 	if err != nil {
-		return nil, false, err
+		return reply{}, false, err
 	}
-	_, err = c.nc.Write(b)
+	_, err = pc.nc.Write(b)
 	if cap(b) <= peerKeepBuf {
-		c.wbuf = b
+		pc.wbuf = b
 	} else {
-		c.wbuf = nil
+		pc.wbuf = nil
 	}
 	if err != nil {
-		return nil, false, err
+		return reply{}, false, err
 	}
-	resp, reuse, err = readReply(c.br, req)
+	rep, reuse, err = readReply(pc.br, c.method)
 	if err != nil {
-		return nil, false, err
+		return reply{}, false, err
 	}
 	// Bytes past the reply belong to no request: the stream is out of
 	// step and the next reply read off it would be someone else's.
-	return resp, reuse && c.br.Buffered() == 0, nil
+	return rep, reuse && pc.br.Buffered() == 0, nil
 }
 
-// appendRequest appends req in wire form — request line, Host, req's
-// headers, Content-Length, blank line, body — so one Write sends it.
-func appendRequest(b []byte, req *http.Request, host string) ([]byte, error) {
-	uri := req.URL.RequestURI()
-	if strings.ContainsAny(req.Method, " \r\n") || strings.ContainsAny(uri, " \r\n") {
-		return nil, fmt.Errorf("request line %q %q: illegal character", req.Method, uri)
+// appendRequest appends c in wire form — request line, Host, the
+// client's identity and address, Content-Type and Content-Length for a
+// body, blank line, body — so one Write sends it.
+func appendRequest(b []byte, c *call, host string) ([]byte, error) {
+	if strings.ContainsAny(c.method, " \r\n") || strings.ContainsAny(c.path, " \r\n") {
+		return nil, fmt.Errorf("request line %q %q: illegal character", c.method, c.path)
 	}
-	b = append(b, req.Method...)
+	if strings.ContainsAny(c.identity, "\r\n") || strings.ContainsAny(c.forwardedFor, "\r\n") {
+		return nil, fmt.Errorf("header value %q %q: illegal character", c.identity, c.forwardedFor)
+	}
+	b = append(b, c.method...)
 	b = append(b, ' ')
-	b = append(b, uri...)
+	b = append(b, c.path...)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
 	b = append(b, host...)
 	b = append(b, "\r\n"...)
-	for k, vs := range req.Header {
-		switch k {
-		case "Host", "Content-Length", "Transfer-Encoding", "Connection":
-			continue // the transport's own
-		}
-		for _, v := range vs {
-			if strings.ContainsAny(k, ": \r\n") || strings.ContainsAny(v, "\r\n") {
-				return nil, fmt.Errorf("header %q: illegal character", k)
-			}
-			b = append(b, k...)
-			b = append(b, ": "...)
-			b = append(b, v...)
-			b = append(b, "\r\n"...)
-		}
+	if c.identity != "" {
+		b = append(b, "X-Identity: "...)
+		b = append(b, c.identity...)
+		b = append(b, "\r\n"...)
 	}
-	if req.Body == nil || req.Body == http.NoBody {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			b = append(b, "Content-Length: 0\r\n"...)
-		}
-		return append(b, "\r\n"...), nil
+	if c.forwardedFor != "" {
+		b = append(b, "X-Forwarded-For: "...)
+		b = append(b, c.forwardedFor...)
+		b = append(b, "\r\n"...)
 	}
-	body, n := io.Reader(req.Body), req.ContentLength
-	if n < 0 {
-		data, err := io.ReadAll(body)
-		if err != nil {
-			return nil, fmt.Errorf("reading request body: %w", err)
-		}
-		body, n = bytes.NewReader(data), int64(len(data))
+	if c.body != nil {
+		b = append(b, "Content-Type: application/json\r\nContent-Length: "...)
+		b = strconv.AppendInt(b, int64(len(c.body)), 10)
+		b = append(b, "\r\n"...)
 	}
-	b = append(b, "Content-Length: "...)
-	b = strconv.AppendInt(b, n, 10)
-	b = append(b, "\r\n\r\n"...)
-	b = slices.Grow(b, int(n))
-	if _, err := io.ReadFull(body, b[len(b):len(b)+int(n)]); err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
-	}
-	return b[:len(b)+int(n)], nil
+	b = append(b, "\r\n"...)
+	return append(b, c.body...), nil
 }
-
-// peerReply is a reply in one allocation: the response and the reader
-// over its body.
-type peerReply struct {
-	resp http.Response
-	body replyBody
-}
-
-// replyBody reads a reply body that is already in memory. It has no
-// WriteTo on purpose: relay's io.Copy must keep taking the http
-// server's ReadFrom path (512 sniffed bytes, flush, the rest), which is
-// what frames the front door's replies — a body that wrote itself out
-// in one Write would change the bytes clients receive.
-type replyBody struct {
-	b []byte
-}
-
-func (r *replyBody) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
-func (r *replyBody) Close() error { return nil }
 
 var errReplyFraming = errors.New("malformed reply")
 
-// readReply parses one HTTP/1.x reply off br — status line, headers, a
-// Content-Length, chunked or close-delimited body, trailers — consuming
-// exactly the reply's bytes. reuse is false when the reply ends the
-// connection (Connection: close, HTTP/1.0, close-delimited body). It is
-// stricter than net/http wherever a reply is ambiguous (both framings,
-// repeated Content-Length, folded header lines): a shard never sends
-// those, and a transport that guesses can be made to mis-frame.
-func readReply(br *bufio.Reader, req *http.Request) (resp *http.Response, reuse bool, err error) {
+// readReply parses one HTTP/1.x reply to a method request off br —
+// status line, headers, a Content-Length, chunked or close-delimited
+// body, trailers — consuming exactly the reply's bytes. reuse is false
+// when the reply ends the connection (Connection: close, HTTP/1.0,
+// close-delimited body). It is stricter than net/http wherever a reply
+// is ambiguous (both framings, repeated Content-Length, folded header
+// lines): a shard never sends those, and a transport that guesses can
+// be made to mis-frame.
+func readReply(br *bufio.Reader, method string) (rep reply, reuse bool, err error) {
 	line, err := readLine(br)
 	if err != nil {
-		return nil, false, err
+		return reply{}, false, err
 	}
 	// "HTTP/1.x NNN" then the end of the line or " reason".
 	if len(line) < 12 || string(line[:7]) != "HTTP/1." || (line[7] != '0' && line[7] != '1') ||
 		line[8] != ' ' || (len(line) > 12 && line[12] != ' ') {
-		return nil, false, fmt.Errorf("%w: status line %q", errReplyFraming, line)
+		return reply{}, false, fmt.Errorf("%w: status line %q", errReplyFraming, line)
 	}
 	code := 0
 	for _, d := range line[9:12] {
 		if d < '0' || d > '9' {
-			return nil, false, fmt.Errorf("%w: status line %q", errReplyFraming, line)
+			return reply{}, false, fmt.Errorf("%w: status line %q", errReplyFraming, line)
 		}
 		code = code*10 + int(d-'0')
 	}
 	if code < 100 {
-		return nil, false, fmt.Errorf("%w: status line %q", errReplyFraming, line)
+		return reply{}, false, fmt.Errorf("%w: status line %q", errReplyFraming, line)
 	}
-	r := &peerReply{}
-	resp = &r.resp
-	resp.StatusCode = code
-	if string(line[9:]) == "200 OK" {
-		resp.Status = "200 OK"
-	} else {
-		resp.Status = string(line[9:])
-	}
-	resp.ProtoMajor, resp.ProtoMinor = 1, int(line[7]-'0')
-	resp.Proto = "HTTP/1.1"
-	if resp.ProtoMinor == 0 {
-		resp.Proto = "HTTP/1.0"
-	}
-	resp.Request = req
+	http10 := line[7] == '0'
 
-	if resp.Header, err = readHeaders(br); err != nil {
-		return nil, false, err
+	h := replyHeaders{closing: http10}
+	if err := h.read(br, http10); err != nil {
+		return reply{}, false, err
 	}
-	if resp.Header == nil {
-		resp.Header = http.Header{}
+	if h.lengths > 1 {
+		return reply{}, false, fmt.Errorf("%w: repeated Content-Length", errReplyFraming)
 	}
-	length := int64(-1)
-	if cl := resp.Header["Content-Length"]; len(cl) == 1 {
-		if length, err = parseLength(cl[0], 10); err != nil {
-			return nil, false, err
-		}
-	} else if len(cl) > 1 {
-		return nil, false, fmt.Errorf("%w: repeated Content-Length", errReplyFraming)
+	if h.encodings > 0 && (h.encodings != 1 || !h.chunked || http10 || h.lengths > 0) {
+		return reply{}, false, fmt.Errorf("%w: Transfer-Encoding with %d values, Content-Length %d", errReplyFraming, h.encodings, h.length)
 	}
-	chunked := false
-	if te, ok := resp.Header["Transfer-Encoding"]; ok {
-		if len(te) != 1 || !strings.EqualFold(te[0], "chunked") || resp.ProtoMinor == 0 || length >= 0 {
-			return nil, false, fmt.Errorf("%w: Transfer-Encoding %q with Content-Length %d", errReplyFraming, te, length)
-		}
-		chunked = true
-	}
-	closing := resp.ProtoMinor == 0
-	for _, v := range resp.Header["Connection"] {
-		for _, tok := range strings.Split(v, ",") {
-			switch tok = strings.TrimSpace(tok); {
-			case strings.EqualFold(tok, "close"):
-				closing = true
-			case strings.EqualFold(tok, "keep-alive") && resp.ProtoMinor == 0:
-				closing = false
-			}
-		}
-	}
-	// The body is de-chunked here; the header must not claim otherwise.
-	delete(resp.Header, "Transfer-Encoding")
 
-	var body []byte
+	rep = reply{status: code, contentType: h.contentType}
 	switch {
-	case req.Method == http.MethodHead || code < 200 || code == http.StatusNoContent || code == http.StatusNotModified:
+	case method == http.MethodHead || code < 200 || code == http.StatusNoContent || code == http.StatusNotModified:
 		// no body, whatever the headers say
-	case chunked:
-		if body, resp.Trailer, err = readChunked(br); err != nil {
-			return nil, false, err
+	case h.chunked:
+		if rep.body, err = readChunked(br); err != nil {
+			return reply{}, false, err
 		}
-	case length >= 0:
-		if body, err = appendN(nil, br, length); err != nil {
-			return nil, false, err
+	case h.lengths == 1:
+		if rep.body, err = appendN(nil, br, h.length); err != nil {
+			return reply{}, false, err
 		}
 	default:
 		// Delimited by the end of the connection.
-		if body, err = io.ReadAll(br); err != nil {
-			return nil, false, err
+		if rep.body, err = io.ReadAll(br); err != nil {
+			return reply{}, false, err
 		}
-		closing = true
+		h.closing = true
 	}
-	resp.Close = closing
-	resp.ContentLength = int64(len(body))
-	r.body.b = body
-	resp.Body = &r.body
-	return resp, !closing, nil
+	return rep, !h.closing, nil
 }
 
 // noEOF turns the end of the stream into the error it is anywhere
@@ -509,66 +420,83 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	return line, nil
 }
 
-// readHeaders reads header lines up to the blank one into a Header
-// keyed by canonical field name; nil when there are none (the usual
-// trailer).
-func readHeaders(br *bufio.Reader) (http.Header, error) {
-	var h http.Header
-	// One backing array for the one-element value slices of the first
-	// few fields, as net/textproto does.
-	var vals []string
+// replyHeaders is what the transport keeps of a header block: the four
+// fields that frame the reply or describe its body. Every other field —
+// and every trailer — is checked for form and dropped.
+type replyHeaders struct {
+	contentType string
+	typed       bool  // a Content-Type was seen: the first one counts
+	length      int64 // the first Content-Length
+	lengths     int   // Content-Length fields seen
+	encodings   int   // Transfer-Encoding fields seen
+	chunked     bool  // the first of them says chunked
+	closing     bool
+}
+
+// read consumes header lines up to the blank one.
+func (h *replyHeaders) read(br *bufio.Reader, http10 bool) error {
 	for n := 0; ; n++ {
 		line, err := readLine(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(line) == 0 {
-			return h, nil
-		}
-		if h == nil {
-			h = make(http.Header, 4)
+			return nil
 		}
 		colon := bytes.IndexByte(line, ':')
 		if n == peerMaxHeaders || colon <= 0 || bytes.ContainsAny(line[:colon], " \t") {
-			return nil, fmt.Errorf("%w: header line %q", errReplyFraming, line)
+			return fmt.Errorf("%w: header line %q", errReplyFraming, line)
 		}
-		k := headerName(line[:colon])
-		v := headerValue(bytes.Trim(line[colon+1:], " \t"))
-		if prev, ok := h[k]; ok {
-			h[k] = append(prev, v)
-			continue
+		name, v := line[:colon], bytes.Trim(line[colon+1:], " \t")
+		switch {
+		case isField(name, "content-type"):
+			switch {
+			case h.typed:
+			case string(v) == "application/json": // what a shard sends: no allocation
+				h.contentType = "application/json"
+			default:
+				h.contentType = string(v)
+			}
+			h.typed = true
+		case isField(name, "content-length"):
+			if h.lengths++; h.lengths == 1 {
+				if h.length, err = parseLength(string(v), 10); err != nil {
+					return err
+				}
+			}
+		case isField(name, "transfer-encoding"):
+			if h.encodings++; h.encodings == 1 {
+				h.chunked = isField(v, "chunked")
+			}
+		case isField(name, "connection"):
+			for len(v) > 0 {
+				var tok []byte
+				tok, v, _ = bytes.Cut(v, []byte(","))
+				switch tok = bytes.TrimSpace(tok); {
+				case isField(tok, "close"):
+					h.closing = true
+				case isField(tok, "keep-alive") && http10:
+					h.closing = false
+				}
+			}
 		}
-		if len(vals) == cap(vals) {
-			vals = make([]string, 0, 4)
-		}
-		vals = append(vals, v)
-		h[k] = vals[len(vals)-1 : len(vals) : len(vals)]
 	}
 }
 
-// headerName canonicalizes a field name; the names a delaydb shard
-// sends cost no allocation.
-func headerName(k []byte) string {
-	switch string(k) {
-	case "Content-Type":
-		return "Content-Type"
-	case "Content-Length":
-		return "Content-Length"
-	case "Date":
-		return "Date"
-	case "Transfer-Encoding":
-		return "Transfer-Encoding"
-	case "Connection":
-		return "Connection"
+// isField reports whether b is the lower-case ASCII word, in any case.
+func isField(b []byte, lower string) bool {
+	if len(b) != len(lower) {
+		return false
 	}
-	return textproto.CanonicalMIMEHeaderKey(string(k))
-}
-
-func headerValue(v []byte) string {
-	if string(v) == "application/json" {
-		return "application/json"
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
 	}
-	return string(v)
+	return true
 }
 
 // parseLength parses a body or chunk length: digits of the base only,
@@ -587,35 +515,35 @@ func parseLength(s string, base int) (int64, error) {
 }
 
 // readChunked reads a chunked body through its last chunk and trailers.
-func readChunked(br *bufio.Reader) (body []byte, trailer http.Header, err error) {
+func readChunked(br *bufio.Reader) (body []byte, err error) {
 	for {
 		line, err := readLine(br)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if semi := bytes.IndexByte(line, ';'); semi >= 0 {
 			line = line[:semi] // chunk extension
 		}
 		size, err := parseLength(string(line), 16)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if size == 0 {
 			break
 		}
 		if body, err = appendN(body, br, size); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var crlf [2]byte
 		if _, err := io.ReadFull(br, crlf[:]); err != nil {
-			return nil, nil, noEOF(err)
+			return nil, noEOF(err)
 		}
 		if crlf != [2]byte{'\r', '\n'} {
-			return nil, nil, fmt.Errorf("%w: chunk not followed by CRLF", errReplyFraming)
+			return nil, fmt.Errorf("%w: chunk not followed by CRLF", errReplyFraming)
 		}
 	}
-	trailer, err = readHeaders(br)
-	return body, trailer, err
+	var trailers replyHeaders
+	return body, trailers.read(br, false)
 }
 
 // appendN appends exactly n bytes read from br to b, allocating at most

@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/server"
 )
 
@@ -63,9 +61,9 @@ func (r *Router) firstReadable(group []int) int {
 // readRetryRounds; the last shard answer is relayed when the budget
 // runs out. The response relays only after re-checking the map pointer,
 // so an answer computed under a superseded map is retracted as a 409.
-func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *PartitionMap, part int, body []byte, scratch *bodyScratch) {
+func (r *Router) serveReplicaRead(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, part int, c *call) {
 	group := pm.groupOf(part)
-	var last *http.Response
+	var last reply // the latest 5xx answer; status 0 while there is none
 	for round := 0; round < readRetryRounds; round++ {
 		if round > 0 {
 			if r.firstReadable(group) < 0 {
@@ -82,80 +80,24 @@ func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *
 			if ri > 0 || round > 0 {
 				r.readFailover.Inc()
 			}
-			resp, err := r.forwardScratch(req, n, "/query", body, true, scratch)
+			rep, err := r.rpc(ctx, n, c)
 			if err != nil {
 				continue // latched down; next replica
 			}
-			if resp.StatusCode >= http.StatusInternalServerError {
-				if last != nil {
-					last.Body.Close()
-				}
-				last = resp
+			if rep.status >= http.StatusInternalServerError {
+				last = rep
 				continue
 			}
-			if last != nil {
-				last.Body.Close()
-			}
-			if r.pmap.Load() != pm {
-				resp.Body.Close()
-				r.writePartitionStale(w)
-				return
-			}
-			relay(w, resp)
+			r.relayUnder(w, pm, rep)
 			return
 		}
 	}
-	if last != nil {
-		if r.pmap.Load() != pm {
-			last.Body.Close()
-			r.writePartitionStale(w)
-			return
-		}
-		relay(w, last)
+	if last.status != 0 {
+		r.relayUnder(w, pm, last)
 		return
 	}
 	writeErr(w, http.StatusServiceUnavailable,
 		fmt.Errorf("partition %d unavailable: no readable replica", part))
-}
-
-// fanResult is one leg of a raw fan-out.
-type fanResult struct {
-	resp *http.Response
-	err  error
-}
-
-// fanRaw sends body to path on every target concurrently, through the
-// cluster.fanout failpoint, returning raw responses positionally. It
-// never cancels and always waits for every leg, so the last leg runs on
-// the calling goroutine: an R=2 write costs one goroutine hand-off, not
-// two.
-func (r *Router) fanRaw(req *http.Request, targets []int, path string, body []byte, scratch *bodyScratch) []fanResult {
-	results := make([]fanResult, len(targets))
-	if len(targets) == 0 {
-		return results
-	}
-	leg := func(slot int) {
-		if err := fault.Check(fault.ClusterFanout); err != nil {
-			results[slot] = fanResult{err: err}
-			return
-		}
-		resp, err := r.forwardScratch(req, r.nodes[targets[slot]], path, body, false, scratch)
-		results[slot] = fanResult{resp: resp, err: err}
-	}
-	last := len(targets) - 1
-	var wg sync.WaitGroup
-	// Deferred, so a panic in the caller's own leg still waits for the
-	// others before it unwinds into the handler that owns body.
-	defer wg.Wait()
-	wg.Add(last)
-	for slot := 0; slot < last; slot++ {
-		go func(slot int) {
-			defer wg.Done()
-			leg(slot)
-		}(slot)
-	}
-	leg(last)
-	return results
 }
 
 // serveGroupWrite applies a single-key write to its partition's whole
@@ -164,7 +106,7 @@ func (r *Router) fanRaw(req *http.Request, targets []int, path string, body []by
 // fan, so two writes to one partition cannot interleave differently on
 // different replicas. A gainer's failure never fails the client — it
 // marks the partition dirty so the migrator re-copies it.
-func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *PartitionMap, part int, body []byte, scratch *bodyScratch) {
+func (r *Router) serveGroupWrite(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, part int, c *call) {
 	r.partLocks.RLock()
 	defer r.partLocks.RUnlock()
 	r.partMu[part].Lock()
@@ -201,16 +143,9 @@ func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *P
 		}
 		targets = append(targets, i)
 	}
-	resp := r.ackWrite(w, req, "/query", body, scratch, targets, owners, dirty)
-	if resp == nil {
-		return
+	if rep, ok := r.ackWrite(ctx, w, c, targets, owners, dirty); ok {
+		r.relayUnder(w, pm, rep)
 	}
-	if r.pmap.Load() != pm {
-		resp.Body.Close()
-		r.writePartitionStale(w)
-		return
-	}
-	relay(w, resp)
 }
 
 // broadcast applies a statement every shard must agree on — DDL, and
@@ -219,7 +154,7 @@ func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *P
 // catalog). It holds the scatter-write lock exclusively, so a DDL
 // orders against every tuple write the same way on every replica, and
 // acks by the group write's rule with the whole cluster as the group.
-func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, path string, body []byte, scratch *bodyScratch) {
+func (r *Router) broadcast(ctx context.Context, w http.ResponseWriter, c *call) {
 	r.partLocks.Lock()
 	defer r.partLocks.Unlock()
 	targets := r.reachable()
@@ -227,8 +162,8 @@ func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, path string
 		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 		return
 	}
-	if resp := r.ackWrite(w, req, path, body, scratch, targets, len(targets), nil); resp != nil {
-		relay(w, resp)
+	if rep, ok := r.ackWrite(ctx, w, c, targets, len(targets), nil); ok {
+		relay(w, rep)
 	}
 }
 
@@ -240,58 +175,59 @@ func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, path string
 // an acked write. An owner that failed while a sibling acked has
 // diverged from the replica set the client was told about and is
 // latched out of the read path (resync) before the ack relays; owners
-// that died mid-write latched down inside the transport. With no ack,
-// the first owner error answer relays (replicas agree on deterministic
-// rejections like a parse or duplicate-key error). Returns the response
-// to relay, or nil after answering 503 itself.
-func (r *Router) ackWrite(w http.ResponseWriter, req *http.Request, path string, body []byte, scratch *bodyScratch, targets []int, owners int, gainerFailed func()) *http.Response {
+// that died mid-write latched down inside rpc. With no ack, the first
+// owner error answer relays (replicas agree on deterministic rejections
+// like a parse or duplicate-key error). Returns the reply to relay, or
+// false after answering 503 itself.
+func (r *Router) ackWrite(ctx context.Context, w http.ResponseWriter, c *call, targets []int, owners int, gainerFailed func()) (reply, bool) {
 	// Single-target fast path — the R=1 steady state: forward raw, no
 	// fan bookkeeping. Requires the sole target to be readable, because
 	// a success confined to a writes-only resync replica is not an ack.
 	if len(targets) == 1 && r.nodes[targets[0]].readable() {
 		n := r.nodes[targets[0]]
-		resp, err := r.forwardScratch(req, n, path, body, true, scratch)
+		rep, err := r.rpc(ctx, n, c)
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
-			return nil
+			return reply{}, false
 		}
-		return resp
+		return rep, true
 	}
 
 	r.writeFanout.Inc()
-	results := r.fanRaw(req, targets, path, body, scratch)
+	legs := make([]fanLeg, len(targets))
+	r.fan(ctx, targets, func(int) *call { return c }, func(slot int, leg fanLeg) { legs[slot] = leg })
 
-	var ok, firstErr *http.Response
+	var ok, firstErr *reply
 	resyncOnlyOK := false
-	for slot, res := range results {
-		isOwner := slot < owners
+	for slot := range legs {
+		leg, isOwner := &legs[slot], slot < owners
 		switch {
-		case res.err != nil:
+		case leg.err != nil:
 			r.writeFanErr.Inc()
 			if !isOwner {
 				gainerFailed()
 			}
 		case !isOwner:
-			if res.resp.StatusCode != http.StatusOK {
+			if leg.rep.status != http.StatusOK {
 				gainerFailed()
 			}
-		case res.resp.StatusCode != http.StatusOK:
+		case leg.rep.status != http.StatusOK:
 			if firstErr == nil {
-				firstErr = res.resp
+				firstErr = &leg.rep
 			}
 		case !r.nodes[targets[slot]].readable():
 			resyncOnlyOK = true
 		case ok == nil:
-			ok = res.resp
+			ok = &leg.rep
 		}
 	}
 	if ok != nil {
 		// Acked: every owner that did not apply it — it answered an
 		// error, or its fan leg was dropped before the wire
 		// (cluster.fanout) — is quarantined writes-only.
-		for slot, res := range results[:owners] {
+		for slot, leg := range legs[:owners] {
 			n := r.nodes[targets[slot]]
-			applied := res.err == nil && res.resp.StatusCode == http.StatusOK
+			applied := leg.err == nil && leg.rep.status == http.StatusOK
 			if applied || n.down.Load() || n.resync.Load() {
 				continue
 			}
@@ -299,24 +235,17 @@ func (r *Router) ackWrite(w http.ResponseWriter, req *http.Request, path string,
 			r.writeDiverged.Inc()
 		}
 		r.syncPeerDown()
+		return *ok, true
 	}
-	chosen := ok
-	if chosen == nil {
-		chosen = firstErr
+	if firstErr != nil {
+		return *firstErr, true
 	}
-	for _, res := range results {
-		if res.resp != nil && res.resp != chosen {
-			res.resp.Body.Close()
-		}
+	msg := "write reached no replica"
+	if resyncOnlyOK {
+		msg = "write applied to no read-serving replica; retry when the cluster recovers"
 	}
-	if chosen == nil {
-		msg := "write reached no replica"
-		if resyncOnlyOK {
-			msg = "write applied to no read-serving replica; retry when the cluster recovers"
-		}
-		writeErr(w, http.StatusServiceUnavailable, errors.New(msg))
-	}
-	return chosen
+	writeErr(w, http.StatusServiceUnavailable, errors.New(msg))
+	return reply{}, false
 }
 
 // handleQuote prices an extraction plan by tuple, not by caller: the ids
@@ -357,26 +286,15 @@ func (r *Router) handleQuote(w http.ResponseWriter, req *http.Request) {
 		if len(ids) == 0 {
 			continue
 		}
-		n := r.nodes[node]
-		body, err := json.Marshal(server.QuoteRequest{IDs: ids})
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp, err := r.forwardScratch(req, n, "/admin/quote", body, false, nil)
-		if err != nil {
-			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			relay(w, resp)
-			return
-		}
 		var part server.QuoteResponse
-		err = json.NewDecoder(resp.Body).Decode(&part)
-		resp.Body.Close()
-		if err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s: decoding quote: %v", n.name, err))
+		err := r.rpcJSON(req.Context(), r.nodes[node], http.MethodPost, "/admin/quote", server.QuoteRequest{IDs: ids}, &part)
+		var rejected *statusError
+		switch {
+		case errors.As(err, &rejected):
+			relay(w, rejected.rep)
+			return
+		case err != nil:
+			writeErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		total.DelayMillis += part.DelayMillis

@@ -360,6 +360,59 @@ func TestClusterFanoutFaultQuarantinesDivergentReplica(t *testing.T) {
 	}
 }
 
+// TestClusterFanoutFaultOnScatterWrite: the fan-out failpoint reaches
+// scatter legs too. One dropped leg of a predicate UPDATE at R=2 leaves
+// every partition with a sibling that applied it, so the write acks, and
+// the replica whose leg was dropped missed an acked write: it is
+// latched writes-only until a resync repairs it.
+func TestClusterFanoutFaultOnScatterWrite(t *testing.T) {
+	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{Partitions: 16, Replication: 2}})
+	r, h := c.Router, c.Handler
+	t.Cleanup(fault.Disable)
+	fault.Enable(fault.NewRegistry(1).
+		Add(fault.Rule{Site: fault.ClusterFanout, Kind: fault.Error, Count: 1}))
+
+	resp, body := query(t, h, "w", `UPDATE items SET v = 'swept' WHERE id > 0`)
+	fault.Disable()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scatter write with one dropped leg: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if qr := decodeQuery(t, body); qr.Affected != 32 {
+		t.Errorf("affected = %d, want the 32 rows", qr.Affected)
+	}
+	if v := r.writeDiverged.Value(); v != 1 {
+		t.Fatalf("cluster_write_diverged_total = %d, want 1: the rule never reached a scatter leg", v)
+	}
+	var name string
+	for _, p := range healthOf(t, h).Peers {
+		switch p.Status {
+		case "resync":
+			if name != "" {
+				t.Fatalf("two peers latched resync: %s and %s", name, p.Name)
+			}
+			name = p.Name
+		case "down":
+			t.Fatalf("%s latched down; its leg was dropped, the shard is alive", p.Name)
+		}
+	}
+	if name == "" {
+		t.Fatal("no peer latched resync")
+	}
+	// Every row reads back rewritten — none from the replica that missed
+	// the write — and catch-up repairs the hole.
+	for id := 1; id <= 32; id++ {
+		if v, ok := readValue(t, h, "r", id); !ok || v != "swept" {
+			t.Fatalf("id %d = (%q, %v) after the acked write, want swept", id, v, ok)
+		}
+	}
+	if resp, body := do(t, h, http.MethodPost, "/admin/resync", "", fmt.Sprintf(`{"name":%q}`, name)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resync: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if hr := healthOf(t, h); hr.Status != "ok" {
+		t.Fatalf("post-resync health = %q, want ok", hr.Status)
+	}
+}
+
 // TestShardTimeoutLatchesSlowPeer: a peer slower than -shard-timeout
 // counts as down — the timeout latches it, the timeout counter ticks,
 // and the read fails over to the healthy replica.

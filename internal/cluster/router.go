@@ -1,15 +1,12 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -362,160 +359,46 @@ func (r *Router) syncPeerDown() {
 	r.peerResync.Set(resync)
 }
 
-// bodyScratch pools the per-query read buffer the hot path would
-// otherwise allocate fresh. A shard served in-process without a
-// -shard-timeout runs synchronously inside the handler, so the
-// handler's own reference bounds the lifetime; every other forward
-// hands the transport its own counted reference (scratchBody), because
-// an http.RoundTripper may keep draining a request body after RoundTrip
-// returns (a timed-out in-process handler does). The buffer goes back
-// to the pool when the last reference releases — never while any
-// transport could still read it.
-type bodyScratch struct {
-	buf  [2048]byte
-	refs atomic.Int32
-}
+// queryBuf is the pooled buffer handleQuery reads a /query body into.
+// It goes back to the pool when the handler returns: no transport reads
+// a call's body after its round trip has returned (see transport).
+type queryBuf [2048]byte
 
-func (s *bodyScratch) retain() { s.refs.Add(1) }
+var queryBufPool = sync.Pool{New: func() any { return new(queryBuf) }}
 
-func (s *bodyScratch) release() {
-	if s.refs.Add(-1) == 0 {
-		scratchPool.Put(s)
-	}
-}
-
-// scratchBody is a remote forward's view of a pooled scratch: its own
-// read cursor over the shared buffer, returning the scratch's counted
-// reference on the Close the transport guarantees to make.
-type scratchBody struct {
-	bytes.Reader
-	s      *bodyScratch
-	closed atomic.Bool
-}
-
-func (b *scratchBody) Close() error {
-	if b.closed.CompareAndSwap(false, true) {
-		b.s.release()
-	}
-	return nil
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(bodyScratch) }}
-
-// readBody drains r into the scratch buffer, spilling to a heap slice
-// only for oversized bodies (bulk writes — off the hot path anyway).
-func readBody(r io.Reader, s *bodyScratch) ([]byte, error) {
+// readBody drains r into buf, spilling to a heap slice only for
+// oversized bodies (bulk writes — off the hot path anyway).
+func readBody(r io.Reader, buf *queryBuf) ([]byte, error) {
 	n := 0
 	for {
-		m, err := r.Read(s.buf[n:])
+		m, err := r.Read(buf[n:])
 		n += m
 		if err == io.EOF {
-			return s.buf[:n], nil
+			return buf[:n], nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if n == len(s.buf) {
+		if n == len(buf) {
 			rest, err := io.ReadAll(r)
 			if err != nil {
 				return nil, err
 			}
-			return append(append(make([]byte, 0, n+len(rest)), s.buf[:n]...), rest...), nil
+			return append(append(make([]byte, 0, n+len(rest)), buf[:n]...), rest...), nil
 		}
 	}
 }
 
-// rpcContext derives the context one query-plane RPC runs under: ctx
-// bounded by -shard-timeout, or ctx itself when there is none.
-func (r *Router) rpcContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if d := r.cfg.ShardTimeout; d > 0 {
-		return context.WithTimeout(ctx, d)
+// clientCall is the POST that forwards a client's request body to a
+// shard's path, carrying the client's identity and address.
+func clientCall(req *http.Request, path string, body []byte) *call {
+	return &call{
+		method:       http.MethodPost,
+		path:         path,
+		body:         body,
+		identity:     req.Header.Get("X-Identity"),
+		forwardedFor: req.RemoteAddr,
 	}
-	return ctx, func() {}
-}
-
-// call runs one RPC against n for a caller whose own context is ctx
-// (req's is ctx or its rpcContext child) and keeps the router's books
-// when it fails at the transport level: the peer-error and timeout
-// counters and the latch gauges. A failure the caller caused by giving
-// up counts as nothing — do did not latch the node for it either.
-func (r *Router) call(ctx context.Context, n *Node, req *http.Request) (*http.Response, error) {
-	resp, err := n.do(ctx, req)
-	if err != nil && ctx.Err() == nil {
-		if req.Context().Err() != nil {
-			r.rpcTimeouts.Inc()
-		}
-		r.peerErrors.Inc()
-		r.syncPeerDown()
-	}
-	return resp, err
-}
-
-// forwardScratch sends body to one node as a POST, preserving the
-// identity header. The caller owns the response body.
-//
-// reuse=true lets an in-process node take the *inbound* request,
-// redirected at it in place, reverse-proxy style — no second request
-// allocation, headers pass through untouched. Only legal when the
-// caller holds the request exclusively (single-target statements, not
-// concurrent fan-out); the downstream handler runs synchronously inside
-// this call, so the mutation cannot race the client connection.
-//
-// scratch is the caller's pooled buffer when body lives in one (nil
-// otherwise); see bodyScratch for when the request body carries its own
-// counted reference to it.
-func (r *Router) forwardScratch(req *http.Request, n *Node, path string, body []byte, reuse bool, scratch *bodyScratch) (*http.Response, error) {
-	ctx := req.Context()
-	rctx, cancel := r.rpcContext(ctx)
-	defer cancel() // the reply is in memory when call returns (Node.rt)
-	// A timeout can abandon the shard handler mid-read, so the request
-	// body must outlive this call safely: no in-place reuse of the
-	// client's request, and pooled scratch always carries its counted
-	// reference.
-	timed := rctx != ctx
-	var out *http.Request
-	if reuse && n.inProcess && !timed {
-		out = req
-		out.URL = &url.URL{Scheme: "http", Host: n.name, Path: path}
-		out.Host = n.name
-		out.RequestURI = ""
-		out.Body = io.NopCloser(bytes.NewReader(body))
-		out.ContentLength = int64(len(body))
-		// Preserve the client address for shards falling back to
-		// RemoteAddr identities.
-		out.Header.Set("X-Forwarded-For", req.RemoteAddr)
-	} else {
-		nr, err := http.NewRequestWithContext(rctx, http.MethodPost, n.base+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		if scratch != nil && (!n.inProcess || timed) {
-			sb := &scratchBody{s: scratch}
-			sb.Reset(body)
-			scratch.retain()
-			nr.Body = sb
-		} else {
-			nr.Body = io.NopCloser(bytes.NewReader(body))
-		}
-		nr.ContentLength = int64(len(body))
-		nr.Header.Set("Content-Type", "application/json")
-		if id := req.Header.Get("X-Identity"); id != "" {
-			nr.Header.Set("X-Identity", id)
-		}
-		nr.Header.Set("X-Forwarded-For", req.RemoteAddr)
-		out = nr
-	}
-	return r.call(ctx, n, out)
-}
-
-// relay copies a shard response to the client verbatim.
-func relay(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
@@ -523,10 +406,9 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
 		return
 	}
-	scratch := scratchPool.Get().(*bodyScratch)
-	scratch.refs.Store(1)
-	defer scratch.release()
-	body, err := readBody(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes), scratch)
+	buf := queryBufPool.Get().(*queryBuf)
+	defer queryBufPool.Put(buf)
+	body, err := readBody(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes), buf)
 	if err != nil {
 		writeErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
 		return
@@ -579,7 +461,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.routed.Inc()
-	r.servePartitioned(w, req, pm, q.SQL, body, scratch)
+	r.servePartitioned(req.Context(), w, pm, q.SQL, clientCall(req, "/query", body))
 }
 
 // retryAfterSecs renders a refill wait as a Retry-After value, rounding
@@ -612,7 +494,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("empty identity"))
 		return
 	}
-	r.broadcast(w, req, "/register", body, nil)
+	r.broadcast(req.Context(), w, clientCall(req, "/register", body))
 }
 
 // PeerHealth is one peer's entry in the router's /healthz body.
@@ -692,24 +574,19 @@ func (r *Router) proxyGet(path string) http.HandlerFunc {
 			}
 			n = r.nodes[h[0]]
 		}
-		url := n.base + path
+		uri := path
 		if raw := req.URL.Query(); len(raw) > 0 {
 			raw.Del("node")
 			if enc := raw.Encode(); enc != "" {
-				url += "?" + enc
+				uri += "?" + enc
 			}
 		}
-		out, err := http.NewRequestWithContext(req.Context(), http.MethodGet, url, nil)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp, err := r.call(req.Context(), n, out)
+		rep, err := r.rpc(req.Context(), n, &call{method: http.MethodGet, path: uri})
 		if err != nil {
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable: %w", n.name, err))
 			return
 		}
-		relay(w, resp)
+		relay(w, rep)
 	}
 }
 
@@ -751,20 +628,8 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 	enabled := false
 	answered := 0
 	for _, i := range targets {
-		n := r.nodes[i]
-		sreq, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
-			n.base+"/admin/suspects?k="+strconv.Itoa(k), nil)
-		if err != nil {
-			continue
-		}
-		resp, err := r.call(req.Context(), n, sreq)
-		if err != nil {
-			continue
-		}
 		var sr server.SuspectsResponse
-		derr := json.NewDecoder(resp.Body).Decode(&sr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || derr != nil {
+		if r.rpcJSON(req.Context(), r.nodes[i], http.MethodGet, "/admin/suspects?k="+strconv.Itoa(k), nil, &sr) != nil {
 			continue
 		}
 		answered++

@@ -10,11 +10,12 @@
 // Early termination (LIMIT satisfied, callback false, first error)
 // raises a shared stop flag that workers poll between pages; per-chunk
 // result channels are buffered so no goroutine ever blocks on a
-// consumer that has already left.
+// consumer that has already left. Workers claim at most scanWindow
+// chunks past the last one the consumer has taken, so what a stopped
+// scan read in vain is bounded by a constant, not by the scheduler.
 package engine
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -54,13 +55,29 @@ type chunkResult[T any] struct {
 	err error
 }
 
+// scanWindow is how many chunks workers may have claimed that the
+// reducer has not yet taken: one in flight per worker plus half as many
+// again finished and waiting, so a worker that finishes ahead of a
+// slower neighbour has a chunk to go on with instead of idling until
+// the reducer reaches it. BenchmarkEngineScan and
+// BenchmarkEngineScanColdIO at g=4 and g=16 read the same at 1x, 1.5x,
+// 2x workers and with no bound at all (EXPERIMENTS.md, PR 19), so the
+// window is as small as the argument above allows.
+func scanWindow(workers int) int {
+	return workers + workers/2
+}
+
 // runChunkedScan partitions [0, n) pages into chunks, maps each chunk on
 // one of workers goroutines, and reduces results on the calling
 // goroutine in ascending chunk order. mapChunk should poll stop between
 // pages and return early when it is set; reduce returning false (or
-// either function erroring) cancels the remaining work. runChunkedScan
-// returns only after every worker has exited, so mapped state is never
-// touched after it returns.
+// either function erroring) cancels the remaining work. A worker claims
+// a chunk only against a credit, and the reducer hands one back per
+// chunk it moves past, so an early stop after k reduced chunks has had
+// at most k + scanWindow(workers) chunks mapped — on any number of Ps,
+// however the goroutines were scheduled. runChunkedScan returns only
+// after every worker has exited, so mapped state is never touched after
+// it returns.
 func runChunkedScan[T any](n storage.PageID, workers int,
 	mapChunk func(lo, hi storage.PageID, stop *atomic.Bool) (T, error),
 	reduce func(T) (bool, error),
@@ -75,6 +92,11 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 	for i := range outs {
 		outs[i] = make(chan chunkResult[T], 1)
 	}
+	window := scanWindow(workers)
+	credits := make(chan struct{}, window)
+	for i := 0; i < window; i++ {
+		credits <- struct{}{}
+	}
 	var (
 		cursor atomic.Int64
 		stop   atomic.Bool
@@ -85,8 +107,14 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 		go func() {
 			defer wg.Done()
 			for {
+				// Closed once the reducer is done: a worker parked here
+				// wakes, sees stop and leaves.
+				<-credits
+				if stop.Load() {
+					return
+				}
 				c := int(cursor.Add(1) - 1)
-				if c >= chunks || stop.Load() {
+				if c >= chunks {
 					return
 				}
 				lo := storage.PageID(c) * scanChunkPages
@@ -99,11 +127,6 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 					stop.Store(true)
 				}
 				outs[c] <- chunkResult[T]{val: val, err: err}
-				// Yield so the reducer can act on the chunk just sent:
-				// with few (or one) scheduler Ps a worker would otherwise
-				// run far ahead of the consumer, and a LIMIT that was
-				// satisfied chunks ago would keep scanning.
-				runtime.Gosched()
 			}
 		}()
 	}
@@ -125,8 +148,10 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 		if rerr != nil || !cont {
 			break
 		}
+		credits <- struct{}{} // never blocks: at most window are out
 	}
 	stop.Store(true)
+	close(credits)
 	wg.Wait()
 	return err
 }

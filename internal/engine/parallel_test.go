@@ -77,12 +77,14 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 }
 
 // TestParallelScanLimitCancels: a tight LIMIT over a big heap must not
-// scan every page — early-cancel reaches the workers. Workers free-run
-// until the reducer raises the stop flag, so the exact overshoot is
-// scheduling-dependent; scanning less than half the heap is the robust
-// signal that cancellation propagated at all (a broken path scans 100%).
+// scan every page — early-cancel reaches the workers. How far they ran
+// ahead is bounded by the claim window, not by the scheduler: the first
+// chunk satisfies the LIMIT, so at most scanWindow chunks were ever
+// claimed (the workers term covers a reducer that moves past a chunk
+// before it stops). Run it under -cpu 1,2,4: the bound is the same.
 func TestParallelScanLimitCancels(t *testing.T) {
-	db := testDB(t, WithScanWorkers(4))
+	const workers = 4
+	db := testDB(t, WithScanWorkers(workers))
 	loadWideTable(t, db, 8000)
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
@@ -97,6 +99,9 @@ func TestParallelScanLimitCancels(t *testing.T) {
 	touched := (h1 - h0) + (m1 - m0)
 	if total := int64(tbl.heap.NumPages()); touched > total/2 {
 		t.Fatalf("LIMIT 5 touched %d of %d pages; early-cancel not propagating", touched, total)
+	}
+	if bound := int64((scanWindow(workers) + workers) * scanChunkPages); touched > bound {
+		t.Fatalf("LIMIT 5 touched %d pages; the claim window allows %d", touched, bound)
 	}
 }
 
