@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -281,4 +282,65 @@ func TestAbsorbRejectsMismatchedDimensions(t *testing.T) {
 	if n := a.TrackedPrincipals(); n != 0 {
 		t.Fatalf("rejected snapshots created %d principals", n)
 	}
+}
+
+// FuzzSketchIO feeds the three functions that take sketch bytes from
+// peers. None may panic; a sketch that decodes re-marshals to the bytes
+// it came from; a snapshot Absorb rejects changes no detector state, and
+// one it merges is merged for good (absorbing it again changes nothing).
+func FuzzSketchIO(f *testing.F) {
+	cfg := Config{CatalogSize: 64, HLLPrecision: 4, SignatureSlots: 16, Shards: 1}
+	peer, err := NewDetector(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	peer.ObserveBatch("p", []uint64{1, 2, 3, 40, 41})
+	snaps, _ := peer.ExportSince(0, 0)
+	good := snaps[0]
+	f.Add("p", good.HLL, good.Sig)
+	f.Add("new", good.HLL, good.Sig)
+	f.Add("", good.HLL, good.Sig)
+	f.Add("p", []byte{}, []byte{})
+	f.Add("p", []byte{hllWireVersion, 3}, []byte{sigWireVersion, 30})
+	f.Add("p", good.HLL[:len(good.HLL)-1], good.Sig)
+	f.Add("p", good.HLL, append([]byte{sigWireVersion, 5}, good.Sig[2:]...))
+	f.Add("p", append([]byte{hllWireVersion, 4, 62}, good.HLL[3:]...), good.Sig) // impossible rank
+	wide, _ := NewHLL(10).MarshalBinary()
+	f.Add("p", wide, good.Sig) // well-formed, wrong precision for this detector
+
+	f.Fuzz(func(t *testing.T, principal string, hllBytes, sigBytes []byte) {
+		if h, err := UnmarshalHLL(hllBytes); err == nil {
+			if out, _ := h.MarshalBinary(); !bytes.Equal(out, hllBytes) {
+				t.Fatalf("HLL % x re-marshals to % x", hllBytes, out)
+			}
+		}
+		if s, err := UnmarshalSignature(sigBytes); err == nil {
+			if out, _ := s.MarshalBinary(); !bytes.Equal(out, sigBytes) {
+				t.Fatalf("signature % x re-marshals to % x", sigBytes, out)
+			}
+		}
+		d, err := NewDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ObserveBatch("p", []uint64{7, 8, 9})
+		d.ObserveBatch("q", []uint64{9, 10})
+		state := func() string {
+			snaps, _ := d.ExportSince(0, 0)
+			return fmt.Sprintf("%d principals %v suspects %+v", d.TrackedPrincipals(), snaps, d.Suspects(8))
+		}
+		before := state()
+		snap := []SketchSnapshot{{Principal: principal, HLL: hllBytes, Sig: sigBytes}}
+		merged, rejected := d.Absorb(snap)
+		if merged+rejected != 1 {
+			t.Fatalf("Absorb of one snapshot: merged %d, rejected %d", merged, rejected)
+		}
+		after := state()
+		if rejected == 1 && after != before {
+			t.Fatalf("a rejected snapshot changed the detector:\n%s\n%s", before, after)
+		}
+		if again, _ := d.Absorb(snap); again != merged || state() != after {
+			t.Fatalf("absorbing the same snapshot twice: merged %d then %d\n%s\n%s", merged, again, after, state())
+		}
+	})
 }

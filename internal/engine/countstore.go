@@ -2,9 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/storage"
+	"repro/internal/sqlmini"
 )
 
 // CountStore persists per-tuple access counts in a dedicated table of the
@@ -13,10 +17,33 @@ import (
 // maintenance pays real page I/O — which is exactly what the Table 5
 // overhead experiment measures. Pair it with counters.CountCache to get
 // the paper's "small, write-behind cache of tuple counts".
+//
+// The store is an ordinary client of the statement executor: every method
+// builds sqlmini statements and runs them through ExecStmt, so a count
+// row changes the way any row does — in a write set, logged before it is
+// published.
+//
+// A snapshot save (ReplaceAllCounts) cannot be one statement, because a
+// write set pins every page it touches and a snapshot may be larger than
+// the pool. Instead the counts of base table B live in generation g of
+// the store, the table "__counts_B" for g = 0 and "__counts_B_<g>" above:
+// a save fills generation g+1 and then drops generation g, and that drop
+// — one atomic rename of the catalog file — is the commit. On open the
+// lowest generation in the catalog is live and any higher one is a save
+// that never committed.
 type CountStore struct {
-	db    *Database
-	table string
+	db   *Database
+	name string // the table of generation 0
+
+	// mu makes PutCount's update-else-insert and a save's switch of
+	// generations one step each.
+	mu  sync.Mutex
+	gen int // the live generation
 }
+
+// countBatchRows bounds one INSERT of a snapshot save to two or three
+// heap pages, whatever the size of the snapshot.
+const countBatchRows = 256
 
 // countSchema returns the schema of a count side table.
 func countSchema(name string) catalog.Schema {
@@ -30,165 +57,165 @@ func countSchema(name string) catalog.Schema {
 	}
 }
 
-// NewCountStore opens (creating if needed) the count side table for the
-// named base table.
+// generationOf parses the part of a count table's name after the name of
+// generation 0: "" is generation 0, "_<g>" in canonical decimal is g.
+func generationOf(suffix string) (int, bool) {
+	if suffix == "" {
+		return 0, true
+	}
+	g, err := strconv.Atoi(strings.TrimPrefix(suffix, "_"))
+	if err != nil || g < 1 || suffix != "_"+strconv.Itoa(g) {
+		return 0, false
+	}
+	return g, true
+}
+
+// table returns the name of generation gen's table.
+func (s *CountStore) table(gen int) string {
+	if gen == 0 {
+		return s.name
+	}
+	return s.name + "_" + strconv.Itoa(gen)
+}
+
+// NewCountStore opens (creating if needed) the count store of the named
+// base table, and drops what an unfinished save left behind. A base name
+// may not itself end in "_<digits>": its generation 0 would read as a
+// generation of the name before the underscore.
 func NewCountStore(db *Database, baseTable string) (*CountStore, error) {
-	name := "__counts_" + baseTable
-	if _, err := db.cat.Get(name); err != nil {
-		if cerr := db.CreateTable(countSchema(name)); cerr != nil {
-			return nil, fmt.Errorf("engine: creating count table: %w", cerr)
+	if i := strings.LastIndexByte(baseTable, '_'); i >= 0 {
+		if _, ok := generationOf(baseTable[i:]); ok {
+			return nil, fmt.Errorf("engine: count store base table %q ends in a generation suffix", baseTable)
 		}
 	}
-	return &CountStore{db: db, table: name}, nil
+	s := &CountStore{db: db, name: "__counts_" + baseTable}
+	var gens []int
+	for _, name := range db.cat.Tables() {
+		if len(name) < len(s.name) || !strings.EqualFold(name[:len(s.name)], s.name) {
+			continue
+		}
+		if g, ok := generationOf(name[len(s.name):]); ok {
+			gens = append(gens, g)
+		}
+	}
+	if len(gens) == 0 {
+		if err := db.CreateTable(countSchema(s.name)); err != nil {
+			return nil, fmt.Errorf("engine: creating count table: %w", err)
+		}
+		return s, nil
+	}
+	slices.Sort(gens)
+	s.gen = gens[0]
+	for _, g := range gens[1:] {
+		if err := db.DropTable(s.table(g)); err != nil {
+			return nil, fmt.Errorf("engine: dropping unfinished count snapshot: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// The two columns of a count row as statement literals.
+func idLit(id uint64) sqlmini.Literal { return sqlmini.Literal{Kind: sqlmini.IntLit, Int: int64(id)} }
+func cntLit(count float64) sqlmini.Literal {
+	return sqlmini.Literal{Kind: sqlmini.FloatLit, Float: count}
+}
+
+// whereID is the WHERE clause "id = <id>".
+func whereID(id uint64) *sqlmini.Where {
+	return &sqlmini.Where{Conjuncts: []sqlmini.Comparison{{Column: "id", Op: sqlmini.OpEq, Value: idLit(id)}}}
 }
 
 // GetCount implements counters.Store.
 func (s *CountStore) GetCount(id uint64) (float64, bool, error) {
-	t, err := s.db.getTable(s.table)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, err := s.db.ExecStmt(&sqlmini.Select{
+		Table: s.table(s.gen), Columns: []string{"cnt"}, Where: whereID(id), Limit: -1,
+	}, nil)
+	if err != nil || len(res.Rows) == 0 {
 		return 0, false, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rid, found := t.pk.Get(int64(id))
-	if !found {
-		return 0, false, nil
-	}
-	rec, err := t.heap.Get(rid)
-	if err != nil {
-		return 0, false, err
-	}
-	row, err := catalog.DecodeRow(t.schema, rec)
-	if err != nil {
-		return 0, false, err
-	}
-	return row[1].Float, true, nil
+	return res.Rows[0][0].Float, true, nil
 }
 
 // PutCount implements counters.Store.
 func (s *CountStore) PutCount(id uint64, count float64) error {
-	t, err := s.db.getTable(s.table)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	table := s.table(s.gen)
+	res, err := s.db.ExecStmt(&sqlmini.Update{
+		Table: table, Set: []sqlmini.Assignment{{Column: "cnt", Value: cntLit(count)}}, Where: whereID(id),
+	}, nil)
+	if err != nil || res.Affected > 0 {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := catalog.Row{catalog.IntValue(int64(id)), catalog.FloatValue(count)}
-	rec, err := catalog.EncodeRow(t.schema, row)
-	if err != nil {
-		return err
-	}
-	if rid, found := t.pk.Get(int64(id)); found {
-		nrid, err := t.heap.Update(rid, rec)
-		if err != nil {
-			return err
-		}
-		if nrid != rid {
-			t.pk.Put(int64(id), nrid)
-		}
-		return t.logMutation()
-	}
-	rid, err := t.heap.Insert(rec)
-	if err != nil {
-		return err
-	}
-	t.pk.Put(int64(id), rid)
-	return t.logMutation()
+	_, err = s.db.ExecStmt(&sqlmini.Insert{Table: table, Rows: [][]sqlmini.Literal{{idLit(id), cntLit(count)}}}, nil)
+	return err
 }
 
-// ReplaceAllCounts implements counters.BatchStore: it clears the side
-// table and writes the new snapshot under one table lock and — crucially
-// — one WAL commit record, so a crash mid-save recovers to the previous
-// complete snapshot instead of a torn mix, and rows from an earlier,
-// larger save cannot survive a smaller one. (Without a WAL the swap is
-// still all-or-nothing with respect to concurrent readers, though crash
-// atomicity then depends on page flush ordering, as for any mutation.)
+// ReplaceAllCounts implements counters.BatchStore: after it returns the
+// store holds exactly the given snapshot, and a crash at any point of it
+// recovers exactly the previous snapshot or exactly this one — at any
+// size, since no step holds more than countBatchRows rows' pages. A save
+// that fails leaves the previous snapshot live; the next save or open
+// drops the generation it was filling.
 func (s *CountStore) ReplaceAllCounts(ids []uint64, counts []float64) error {
 	if len(ids) != len(counts) {
 		return fmt.Errorf("engine: ids/counts length mismatch (%d vs %d)", len(ids), len(counts))
 	}
-	t, err := s.db.getTable(s.table)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Encode every new row first: an encoding error must not leave the
-	// table half-cleared.
-	recs := make([][]byte, len(ids))
-	for i, id := range ids {
-		row := catalog.Row{catalog.IntValue(int64(id)), catalog.FloatValue(counts[i])}
-		rec, err := catalog.EncodeRow(t.schema, row)
-		if err != nil {
-			return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	live, next := s.table(s.gen), s.table(s.gen+1)
+	if _, err := s.db.cat.Get(next); err == nil {
+		if err := s.db.DropTable(next); err != nil {
+			return fmt.Errorf("engine: dropping unfinished count snapshot: %w", err)
 		}
-		recs[i] = rec
 	}
-	// Clear the old snapshot.
-	type victim struct {
-		rid storage.RID
-		key int64
+	if err := s.db.CreateTable(countSchema(next)); err != nil {
+		return fmt.Errorf("engine: creating count snapshot: %w", err)
 	}
-	var victims []victim
-	var scanErr error
-	err = t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, derr := catalog.DecodeRow(t.schema, rec)
-		if derr != nil {
-			scanErr = derr
-			return false
+	rows := make([][]sqlmini.Literal, 0, countBatchRows)
+	for off := 0; off < len(ids); off += len(rows) {
+		rows = rows[:0]
+		for i := off; i < min(off+countBatchRows, len(ids)); i++ {
+			rows = append(rows, []sqlmini.Literal{idLit(ids[i]), cntLit(counts[i])})
 		}
-		victims = append(victims, victim{rid: rid, key: row[0].Int})
-		return true
-	})
+		if _, err := s.db.ExecStmt(&sqlmini.Insert{Table: next, Rows: rows}, nil); err != nil {
+			return fmt.Errorf("engine: writing count snapshot: %w", err)
+		}
+	}
+	// The new generation must be whole on disk before the old one goes:
+	// without a WAL its pages are only in the pool.
+	t, err := s.db.getTable(next)
 	if err == nil {
-		err = scanErr
+		err = t.flush()
 	}
 	if err != nil {
-		return fmt.Errorf("engine: scanning counts for replace: %w", err)
+		return fmt.Errorf("engine: flushing count snapshot: %w", err)
 	}
-	for _, v := range victims {
-		if err := t.heap.Delete(v.rid); err != nil {
-			return fmt.Errorf("engine: clearing count row: %w", err)
-		}
-		t.pk.Delete(v.key)
+	err = s.db.DropTable(live)
+	if _, gone := s.db.cat.Get(live); gone != nil {
+		// The catalog no longer lists the old generation: the save has
+		// committed, whatever became of the old files.
+		s.gen++
 	}
-	// Write the new snapshot.
-	for i, rec := range recs {
-		rid, err := t.heap.Insert(rec)
-		if err != nil {
-			return fmt.Errorf("engine: writing count row: %w", err)
-		}
-		t.pk.Put(int64(ids[i]), rid)
-	}
-	// One commit record for the whole clear-and-write.
-	return t.logMutation()
+	return err
 }
 
-// AllCounts returns every persisted (id, count) pair, in key order. It
+// AllCounts returns every persisted (id, count) pair, in the order the
+// heap holds them (after a snapshot save, the order of the snapshot). It
 // lets a restarted shield reload its learned distribution.
 func (s *CountStore) AllCounts() (ids []uint64, counts []float64, err error) {
-	t, err := s.db.getTable(s.table)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var scanErr error
-	err = t.heap.Scan(func(_ storage.RID, rec []byte) bool {
-		row, derr := catalog.DecodeRow(t.schema, rec)
-		if derr != nil {
-			scanErr = derr
-			return false
-		}
-		ids = append(ids, uint64(row[0].Int))
-		counts = append(counts, row[1].Float)
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, err := s.db.ExecStmt(&sqlmini.Select{Table: s.table(s.gen), Limit: -1}, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: reading counts: %w", err)
+	}
+	ids = make([]uint64, len(res.Rows))
+	counts = make([]float64, len(res.Rows))
+	for i, row := range res.Rows {
+		ids[i], counts[i] = uint64(row[0].Int), row[1].Float
 	}
 	return ids, counts, nil
 }

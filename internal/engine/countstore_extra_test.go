@@ -2,7 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func TestCountStoreAllCounts(t *testing.T) {
@@ -37,6 +42,164 @@ func TestCountStoreAllCounts(t *testing.T) {
 			t.Fatalf("id %d count = %v", i, seen[uint64(i)])
 		}
 	}
+}
+
+// countTables lists the catalog's count tables.
+func countTables(db *Database) []string {
+	var out []string
+	for _, name := range db.Tables() {
+		if strings.HasPrefix(name, "__counts_") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// wantCounts fails unless the store holds exactly ids[i] -> counts[i].
+func wantCounts(t *testing.T, cs *CountStore, ids []uint64, counts []float64) {
+	t.Helper()
+	gotIDs, gotCounts, err := cs.AllCounts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotIDs, ids) || !slices.Equal(gotCounts, counts) {
+		t.Fatalf("store holds %d ids %v… / %v…, want %d ids", len(gotIDs), gotIDs[:min(3, len(gotIDs))], gotCounts[:min(3, len(gotCounts))], len(ids))
+	}
+}
+
+// TestCountStoreGenerations: a save fills the next generation and drops
+// the live one, so the catalog holds one count table between saves; the
+// lowest generation found on open is live (a bare "__counts_<base>", what
+// the store wrote before it had generations, is generation 0) and a
+// higher one is an unfinished save and goes.
+func TestCountStoreGenerations(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, WithPoolPages(8), WithWAL(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewCountStore(db, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.PutCount(7, 3.5); err != nil { // into generation 0
+		t.Fatal(err)
+	}
+	if got := countTables(db); !slices.Equal(got, []string{"__counts_base"}) {
+		t.Fatalf("count tables = %v", got)
+	}
+	// Larger than the 8-page pool: no statement of the save may need it all.
+	ids := make([]uint64, 5000)
+	a, b := make([]float64, len(ids)), make([]float64, len(ids))
+	for i := range ids {
+		ids[i], a[i], b[i] = uint64(i+1), 1, 2
+	}
+	if err := cs.ReplaceAllCounts(ids, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.ReplaceAllCounts(ids[:3000], b[:3000]); err != nil {
+		t.Fatal(err)
+	}
+	wantCounts(t, cs, ids[:3000], b[:3000])
+	if got := countTables(db); !slices.Equal(got, []string{"__counts_base_2"}) {
+		t.Fatalf("count tables after two saves = %v", got)
+	}
+	if n := db.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames left pinned", n)
+	}
+	// A save killed before its commit leaves a higher generation behind.
+	if err := db.CreateTable(countSchema("__counts_base_3")); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `INSERT INTO __counts_base_3 VALUES (1, 9.0)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, WithPoolPages(8), WithWAL(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cs, err = NewCountStore(db, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCounts(t, cs, ids[:3000], b[:3000])
+	if got := countTables(db); !slices.Equal(got, []string{"__counts_base_2"}) {
+		t.Fatalf("count tables after reopen = %v", got)
+	}
+	if v, ok, err := cs.GetCount(3000); err != nil || !ok || v != 2 {
+		t.Fatalf("GetCount(3000) = %v, %v, %v", v, ok, err)
+	}
+	if _, ok, _ := cs.GetCount(3001); ok {
+		t.Fatal("a row of the larger, older snapshot survived the smaller save")
+	}
+	if _, err := NewCountStore(db, "base_2"); err == nil {
+		t.Fatal("a base table named like a generation of another was accepted")
+	}
+}
+
+// TestCountStoreFailedSave: a save that fails part-way leaves the previous
+// snapshot live, and the next save clears what it left and goes through.
+func TestCountStoreFailedSave(t *testing.T) {
+	db := testDB(t, WithWAL(false))
+	cs, err := NewCountStore(db, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, 3*countBatchRows)
+	a, b := make([]float64, len(ids)), make([]float64, len(ids))
+	for i := range ids {
+		ids[i], a[i], b[i] = uint64(i), 1, 2
+	}
+	if err := cs.ReplaceAllCounts(ids, a); err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(fault.NewRegistry(1).Add(fault.Rule{Site: fault.WALAppend, Kind: fault.Error, After: 1, Count: 1}))
+	err = cs.ReplaceAllCounts(ids, b)
+	fault.Disable()
+	if err == nil {
+		t.Fatal("the save survived a failed log append")
+	}
+	wantCounts(t, cs, ids, a)
+	if err := cs.ReplaceAllCounts(ids, b); err != nil {
+		t.Fatalf("save after a failed save: %v", err)
+	}
+	wantCounts(t, cs, ids, b)
+	if got := countTables(db); len(got) != 1 {
+		t.Fatalf("count tables = %v, want one", got)
+	}
+}
+
+// TestCreateTableOverOrphanedFile: a DropTable killed between its catalog
+// commit and its file removals leaves a data file no table owns; a later
+// table of that name must start empty.
+func TestCreateTableOverOrphanedFile(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1), (2), (3)`)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	orphan, err := os.ReadFile(db.tablePath("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `DROP TABLE t`)
+	if err := os.WriteFile(db.tablePath("t"), orphan, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	if res := mustExec(t, db, `SELECT COUNT(*) FROM t`); res.Rows[0][0].Int != 0 {
+		t.Fatalf("the new table holds the orphaned file's %d rows", res.Rows[0][0].Int)
+	}
+	mustExec(t, db, `INSERT INTO t VALUES (1)`)
 }
 
 func TestSecondaryIndexFloatAndTextChurn(t *testing.T) {

@@ -126,22 +126,19 @@ type Database struct {
 
 // table couples one heap file with its indexes.
 //
-// mu is the table lifecycle lock. On the concurrent write path every
-// statement — reads AND writes — holds it shared; the exclusive takers
-// are the operations that need the table quiescent: index DDL,
-// checkpoints, Flush/DropCaches, Close/DropTable, and the CountStore's
-// legacy in-place mutations. Writers therefore never block readers at
-// table granularity; their mutual isolation comes from per-page write
-// latches (storage.WriteSet) plus the structures below. The
-// CountStore's in-place mutations keep the pre-latch invariant: page
-// bytes are mutated in place only under the exclusive lock while the
-// frame is pinned.
+// mu is the table lifecycle lock. Every statement — reads AND writes —
+// holds it shared; the exclusive takers are the operations that need the
+// table quiescent: index DDL, checkpoints, Flush/DropCaches and
+// Close/DropTable. Writers therefore never block readers at table
+// granularity; their mutual isolation comes from per-page write latches
+// (storage.WriteSet) plus the structures below. There is one way to
+// change a heap page — a write set committed by commitWrite — so no page
+// of any table reaches the data file before its image reaches the log.
 //
-// idxMu guards the primary key B+tree and the secondary indexes on the
-// concurrent path. Commits apply index changes under idxMu exclusive
-// immediately after publishing their page versions, so a reader that
-// captures (index state, snapshot epoch) under idxMu shared always gets
-// a mutually consistent pair.
+// idxMu guards the primary key B+tree and the secondary indexes. Commits
+// apply index changes under idxMu exclusive immediately after publishing
+// their page versions, so a reader that captures (index state, snapshot
+// epoch) under idxMu shared always gets a mutually consistent pair.
 //
 // keyMu/inflight is the insert key-claim map: concurrent INSERTs claim
 // their primary keys before probing the index, converting a racing
@@ -192,13 +189,14 @@ func (t *table) releaseKeys(keys []int64) {
 	t.keyMu.Unlock()
 }
 
-// commitWrite is the concurrent-path commit point: it logs the write
-// set's page images, then — under the index lock — publishes the page
-// versions and applies the index changes, so snapshot readers observe
-// the whole statement or none of it. On a WAL error nothing publishes:
-// the caller releases the write set and the statement has rolled back.
-// It reports whether the log has grown past the checkpoint threshold;
-// the caller runs t.checkpoint() after dropping its table read lock.
+// commitWrite is the commit point of every mutating statement: it logs
+// the write set's page images, then — under the index lock — publishes
+// the page versions and applies the index changes, so snapshot readers
+// observe the whole statement or none of it. On a WAL error nothing
+// publishes: the caller releases the write set and the statement has
+// rolled back. It reports whether the log has grown past the checkpoint
+// threshold; the caller runs t.checkpoint() after dropping its table
+// read lock.
 func (t *table) commitWrite(ws *storage.WriteSet, apply func()) (checkpoint bool, err error) {
 	if t.wal != nil {
 		if err := t.wal.AppendBatch(ws.Images()); err != nil {
@@ -423,6 +421,10 @@ func (db *Database) CreateTable(schema catalog.Schema) error {
 	if err := db.cat.Create(schema); err != nil {
 		return err
 	}
+	// A table the catalog did not know owns no file: what is here was left
+	// by a DropTable killed between its catalog commit and its removals.
+	os.Remove(db.tablePath(schema.Table))
+	os.Remove(db.tablePath(schema.Table) + ".wal")
 	if _, err := db.loadTable(schema); err != nil {
 		db.cat.Drop(schema.Table)
 		return err
@@ -463,20 +465,24 @@ func (db *Database) DropTable(name string) error {
 	return nil
 }
 
-// Flush writes all dirty pages of all tables to disk. The exclusive
-// table lock excludes in-flight mutators (concurrent-path writers hold
-// it shared for the whole statement) so no torn page image reaches disk.
+// flush writes the table's dirty pages to its data file and syncs it.
+// The exclusive table lock excludes in-flight mutators (writers hold it
+// shared for the whole statement) so no torn page image reaches disk.
+func (t *table) flush() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.pool.FlushAll(); err != nil {
+		return err
+	}
+	return t.pager.Sync()
+}
+
+// Flush writes all dirty pages of all tables to disk.
 func (db *Database) Flush() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for name, t := range db.tables {
-		t.mu.Lock()
-		err := t.pool.FlushAll()
-		if err == nil {
-			err = t.pager.Sync()
-		}
-		t.mu.Unlock()
-		if err != nil {
+		if err := t.flush(); err != nil {
 			return fmt.Errorf("engine: flushing %q: %w", name, err)
 		}
 	}
@@ -636,28 +642,6 @@ func (db *Database) Close() error {
 		}
 	}
 	return first
-}
-
-// logMutation appends the table's dirty pages plus a commit record to its
-// WAL (when enabled), checkpointing once the log grows large. Mutating
-// statement paths call it before returning success.
-func (t *table) logMutation() error {
-	if t.wal == nil {
-		return nil
-	}
-	if err := t.wal.AppendBatch(t.pool.DirtyImages()); err != nil {
-		return err
-	}
-	if t.wal.Size() < walCheckpointBytes {
-		return nil
-	}
-	if err := t.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := t.pager.Sync(); err != nil {
-		return err
-	}
-	return t.wal.Truncate()
 }
 
 // Result is the outcome of executing one statement.

@@ -229,11 +229,11 @@ func (p ShardedSybilParams) runCoalition(gate *delay.Gate, dcfg detect.Config, i
 		}
 		round++
 		if exchange && round%p.ExchangeEvery == 0 {
-			exchangeSketches(dets, marks, p.ExportFloor)
+			exchangeSketches(dets, marks, p.ExportFloor, -1)
 		}
 	}
 	if exchange {
-		exchangeSketches(dets, marks, p.ExportFloor)
+		exchangeSketches(dets, marks, p.ExportFloor, -1)
 	}
 	var wall time.Duration
 	for _, w := range walls {
@@ -260,13 +260,20 @@ func (p ShardedSybilParams) runCoalition(gate *delay.Gate, dcfg detect.Config, i
 // exchangeSketches is one hub-spoke anti-entropy round in miniature:
 // pull each shard's delta past its watermark, push it to every other
 // shard. Sketches are CRDTs, so the merge order is irrelevant and
-// re-delivery is harmless.
-func exchangeSketches(dets []*detect.Detector, marks []uint64, floor float64) {
+// re-delivery is harmless. A dead shard (index dead, -1 for none)
+// neither exports nor absorbs, exactly as the router's exchange skips
+// latched peers.
+func exchangeSketches(dets []*detect.Detector, marks []uint64, floor float64, dead int) {
 	pages := make([][]detect.SketchSnapshot, len(dets))
 	for s, d := range dets {
-		pages[s], marks[s] = d.ExportSince(marks[s], floor)
+		if s != dead {
+			pages[s], marks[s] = d.ExportSince(marks[s], floor)
+		}
 	}
 	for t, d := range dets {
+		if t == dead {
+			continue
+		}
 		for s, snaps := range pages {
 			if s == t || len(snaps) == 0 {
 				continue

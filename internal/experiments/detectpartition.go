@@ -327,11 +327,11 @@ func (p PartitionedSybilParams) runPartitionedCoalition(gate *delay.Gate, dcfg d
 		}
 		round++
 		if exchange && round%p.ExchangeEvery == 0 {
-			exchangeLiveSketches(dets, marks, p.ExportFloor, dead)
+			exchangeSketches(dets, marks, p.ExportFloor, dead)
 		}
 	}
 	if exchange {
-		exchangeLiveSketches(dets, marks, p.ExportFloor, dead)
+		exchangeSketches(dets, marks, p.ExportFloor, dead)
 	}
 	var wall time.Duration
 	for _, w := range walls {
@@ -357,32 +357,4 @@ func (p PartitionedSybilParams) runPartitionedCoalition(gate *delay.Gate, dcfg d
 		}
 	}
 	return wall, union, dets, nil
-}
-
-// exchangeLiveSketches is exchangeSketches restricted to the shards
-// that are up: a dead shard (index dead, -1 for none) neither exports
-// nor absorbs, exactly as the router's exchange skips latched peers.
-func exchangeLiveSketches(dets []*detect.Detector, marks []uint64, floor float64, dead int) {
-	if dead < 0 {
-		exchangeSketches(dets, marks, floor)
-		return
-	}
-	pages := make([][]detect.SketchSnapshot, len(dets))
-	for s, d := range dets {
-		if s == dead {
-			continue
-		}
-		pages[s], marks[s] = d.ExportSince(marks[s], floor)
-	}
-	for t, d := range dets {
-		if t == dead {
-			continue
-		}
-		for s, snaps := range pages {
-			if s == t || len(snaps) == 0 {
-				continue
-			}
-			d.Absorb(snaps)
-		}
-	}
 }

@@ -39,153 +39,14 @@ func NewHeapFile(pool *Pool) (*HeapFile, error) {
 	return h, nil
 }
 
-// Insert stores rec and returns its RID.
-func (h *HeapFile) Insert(rec []byte) (RID, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.hasPages {
-		// Try the cached page first, then fall back to allocation. (We do
-		// not scan all pages: deleted space is reused when updates and
-		// inserts land on the cached page, which is enough for the
-		// mostly-append workloads the experiments run.)
-		pg, err := h.pool.Fetch(h.lastWithSpace)
-		if err != nil {
-			return RID{}, err
-		}
-		slot, ierr := pg.Insert(rec)
-		if ierr == nil {
-			if err := h.pool.Unpin(h.lastWithSpace, true); err != nil {
-				return RID{}, err
-			}
-			return RID{Page: h.lastWithSpace, Slot: slot}, nil
-		}
-		if err := h.pool.Unpin(h.lastWithSpace, false); err != nil {
-			return RID{}, err
-		}
-		if !errors.Is(ierr, ErrPageFull) {
-			return RID{}, ierr
-		}
-	}
-	id, pg, err := h.pool.Allocate()
-	if err != nil {
-		return RID{}, err
-	}
-	slot, err := pg.Insert(rec)
-	if err != nil {
-		h.pool.Unpin(id, false)
-		return RID{}, err
-	}
-	if err := h.pool.Unpin(id, true); err != nil {
-		return RID{}, err
-	}
-	h.hasPages = true
-	h.lastWithSpace = id
-	return RID{Page: id, Slot: slot}, nil
-}
-
-// Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	pg, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	rec, rerr := pg.Record(rid.Slot)
-	var out []byte
-	if rerr == nil {
-		out = append([]byte(nil), rec...)
-	}
-	if err := h.pool.Unpin(rid.Page, false); err != nil {
-		return nil, err
-	}
-	if rerr != nil {
-		return nil, fmt.Errorf("storage: get %v: %w", rid, rerr)
-	}
-	return out, nil
-}
-
-// View calls fn with the record bytes at rid while the page stays
-// pinned; the slice aliases the page and is valid only during fn. It is
-// Get without the defensive copy, for callers that decode in place.
-func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
-	pg, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	rec, rerr := pg.Record(rid.Slot)
-	var ferr error
-	if rerr == nil {
-		ferr = fn(rec)
-	}
-	if err := h.pool.Unpin(rid.Page, false); err != nil {
-		return err
-	}
-	if rerr != nil {
-		return fmt.Errorf("storage: get %v: %w", rid, rerr)
-	}
-	return ferr
-}
-
-// Delete removes the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	pg, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	derr := pg.Delete(rid.Slot)
-	if err := h.pool.Unpin(rid.Page, derr == nil); err != nil {
-		return err
-	}
-	if derr != nil {
-		return fmt.Errorf("storage: delete %v: %w", rid, derr)
-	}
-	return nil
-}
-
-// Update replaces the record at rid in place when it fits; when the page
-// cannot hold the new version, the record moves and the new RID is
-// returned. Callers must treat the returned RID as authoritative.
-func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
-	h.mu.Lock()
-	pg, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		h.mu.Unlock()
-		return RID{}, err
-	}
-	uerr := pg.Update(rid.Slot, rec)
-	if uerr == nil {
-		err := h.pool.Unpin(rid.Page, true)
-		h.mu.Unlock()
-		if err != nil {
-			return RID{}, err
-		}
-		return rid, nil
-	}
-	if !errors.Is(uerr, ErrPageFull) {
-		h.pool.Unpin(rid.Page, false)
-		h.mu.Unlock()
-		return RID{}, fmt.Errorf("storage: update %v: %w", rid, uerr)
-	}
-	// Relocate: delete here, insert elsewhere.
-	derr := pg.Delete(rid.Slot)
-	if err := h.pool.Unpin(rid.Page, derr == nil); err != nil {
-		h.mu.Unlock()
-		return RID{}, err
-	}
-	h.mu.Unlock()
-	if derr != nil {
-		return RID{}, fmt.Errorf("storage: relocating %v: %w", rid, derr)
-	}
-	return h.Insert(rec)
-}
-
-// InsertW stores rec through ws, the write-set insert path of the
-// concurrent write pipeline. The last-page hint is probed with
-// TryAcquire only — h.mu serializes hint updates and page allocation,
-// and a blocking latch acquisition under it could deadlock against a
-// statement that latched the hinted page and now waits to allocate — so
-// a contended hint falls through to a fresh page.
+// InsertW stores rec through ws and returns its RID: on the last page an
+// insert succeeded on, else on a fresh one (pages are not searched for
+// free space; deleted space is reused when an insert lands on the hinted
+// page, which is enough for mostly-append workloads). The hint is probed
+// with TryAcquire only — h.mu serializes hint updates and page
+// allocation, and a blocking latch acquisition under it could deadlock
+// against a statement that latched the hinted page and now waits to
+// allocate — so a contended hint falls through to a fresh page.
 func (h *HeapFile) InsertW(ws *WriteSet, rec []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -256,8 +117,8 @@ func (h *HeapFile) DeleteW(ws *WriteSet, rid RID) error {
 	return nil
 }
 
-// ViewAt is View against a snapshot epoch: fn sees the record as of
-// snap. ok=false (fn not called) means the page has no version visible
+// ViewAt calls fn with the record at rid as of snapshot epoch snap.
+// ok=false (fn not called) means the page has no version visible
 // at the snapshot. The slice passed to fn aliases an immutable
 // published page version, valid while the snapshot is registered.
 func (h *HeapFile) ViewAt(rid RID, snap uint64, fn func(rec []byte) error) (ok bool, err error) {
@@ -329,7 +190,7 @@ func (h *HeapFile) ScanPage(id PageID, fn func(rid RID, rec []byte) bool) (cont 
 		}
 		return true
 	})
-	if err := h.pool.Unpin(id, false); err != nil {
+	if err := h.pool.Unpin(id); err != nil {
 		return false, err
 	}
 	return cont, nil

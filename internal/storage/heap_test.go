@@ -6,14 +6,74 @@ import (
 	"testing"
 )
 
-func tempHeap(t *testing.T, capacity int) *HeapFile {
+// heapT drives a HeapFile the way the engine does: every mutation in a
+// write set of its own, published at once; every read at the pool's
+// current epoch.
+type heapT struct {
+	t *testing.T
+	*HeapFile
+}
+
+func tempHeap(t *testing.T, capacity int) heapT {
 	t.Helper()
 	pool := tempPool(t, capacity)
 	h, err := NewHeapFile(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return heapT{t, h}
+}
+
+// write runs fn in a write set holding the given pages and publishes it
+// unless fn fails.
+func (h heapT) write(fn func(ws *WriteSet) error, pages ...PageID) error {
+	ws := NewWriteSet(h.pool)
+	defer ws.Release()
+	for _, id := range pages {
+		if _, ok, err := ws.Acquire(id); err != nil || !ok {
+			h.t.Fatalf("acquire page %d: ok=%v err=%v", id, ok, err)
+		}
+	}
+	err := fn(ws)
+	if err == nil {
+		ws.Publish()
+	}
+	return err
+}
+
+func (h heapT) Insert(rec []byte) (rid RID, err error) {
+	err = h.write(func(ws *WriteSet) error {
+		rid, err = h.InsertW(ws, rec)
+		return err
+	})
+	return rid, err
+}
+
+func (h heapT) Update(rid RID, rec []byte) (nrid RID, err error) {
+	err = h.write(func(ws *WriteSet) error {
+		nrid, err = h.UpdateW(ws, rid, rec)
+		return err
+	}, rid.Page)
+	return nrid, err
+}
+
+func (h heapT) Delete(rid RID) error {
+	return h.write(func(ws *WriteSet) error { return h.DeleteW(ws, rid) }, rid.Page)
+}
+
+func (h heapT) Get(rid RID) (out []byte, err error) {
+	ok, err := h.ViewAt(rid, h.pool.Epoch(), func(rec []byte) error {
+		out = append([]byte(nil), rec...)
+		return nil
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("page %d invisible", rid.Page)
+	}
+	return out, err
+}
+
+func (h heapT) Scan(fn func(rid RID, rec []byte) bool) error {
+	return h.ScanAt(h.pool.Epoch(), fn)
 }
 
 func TestHeapInsertGet(t *testing.T) {
@@ -28,6 +88,9 @@ func TestHeapInsertGet(t *testing.T) {
 	}
 	if rid.String() == "" {
 		t.Fatal("RID String empty")
+	}
+	if n := h.pool.Pinned(); n != 0 {
+		t.Fatalf("%d pins left after the write set was released", n)
 	}
 }
 

@@ -27,15 +27,13 @@ import (
 // it. A reader that raced the sweep and lost falls to the slow path,
 // misses, and reloads the page.
 //
-// Write-back consistency is a layering contract. On the legacy exclusive
-// write path page bytes are only mutated while the mutator both pins the
-// frame and holds the owning table's exclusive lock (see
-// internal/engine); on the concurrent write path published page versions
-// are immutable — writers mutate private copies under the per-frame
-// write latch and publish whole new versions (see WriteSet) — so a frame
-// observed dirty under the shard mutex has stable current bytes for the
-// duration of a write-back either way. A condemned frame is unpinnable,
-// hence equally stable.
+// Write-back consistency: published page versions are immutable —
+// writers mutate private copies under the per-frame write latch and
+// publish whole new versions (see WriteSet), and a WriteSet is the only
+// thing that marks a frame dirty — so a frame observed dirty under the
+// shard mutex has stable current bytes for the duration of a write-back,
+// and every dirty page was logged (when the table has a WAL) before it
+// became dirty. A condemned frame is unpinnable, hence equally stable.
 //
 // Snapshot versioning: every publish stamps the new current version with
 // the next pool epoch; the displaced version is retired onto the frame's
@@ -44,9 +42,10 @@ import (
 // without pinning: published versions never change, and the chain only
 // drops versions no live snapshot can see.
 type Pool struct {
-	pager  *Pager
-	shards []poolShard
-	mask   uint32
+	pager    *Pager
+	capacity int // frames, summed across shards
+	shards   []poolShard
+	mask     uint32
 
 	// epoch is the publish clock: bumped (under verMu) once per committed
 	// write set. verMu also guards scans, the registry of active snapshot
@@ -125,8 +124,7 @@ type pageVersion struct {
 // invisibleEpoch stamps a freshly allocated, not-yet-committed page.
 const invisibleEpoch = ^uint64(0)
 
-// curPage returns the current version's page (the legacy accessor for
-// paths that run under table-level exclusion).
+// curPage returns the current version's page.
 func (f *frame) curPage() *Page { return f.cur.Load().page }
 
 // versionAt returns the newest version visible at snapshot epoch snap,
@@ -234,9 +232,10 @@ func NewPoolShards(pager *Pager, capacity, shards int) (*Pool, error) {
 		return nil, fmt.Errorf("storage: %d shards exceed capacity %d", shards, capacity)
 	}
 	b := &Pool{
-		pager:  pager,
-		shards: make([]poolShard, shards),
-		mask:   uint32(shards - 1),
+		pager:    pager,
+		capacity: capacity,
+		shards:   make([]poolShard, shards),
+		mask:     uint32(shards - 1),
 	}
 	for i := range b.shards {
 		sh := &b.shards[i]
@@ -296,8 +295,7 @@ func (b *Pool) Fetch(id PageID) (*Page, error) {
 }
 
 // pinFrame returns the page's frame, pinned and loaded. Callers must
-// release the pin (Unpin, or f.pins.Add(-1) when no dirty marking is
-// needed).
+// release the pin (Unpin, or f.pins.Add(-1)).
 func (b *Pool) pinFrame(id PageID) (*frame, error) {
 	sh := b.shard(id)
 	if f, ok := (*sh.frames.Load())[id]; ok && f.tryPin() {
@@ -525,10 +523,9 @@ func (b *Pool) awaitLoaded(f *frame) (*frame, error) {
 	return f, nil
 }
 
-// Allocate creates a new page via the pager and returns it pinned. The
-// page is published at epoch — callers under table-level exclusion pass
-// 0 (always visible); the concurrent write path allocates invisible
-// frames and publishes them at commit (see WriteSet.Allocate).
+// allocateFrame creates a new page via the pager and returns its frame
+// pinned, current version stamped at epoch: a write set allocates at the
+// invisible epoch and publishes at commit (see WriteSet.Allocate).
 func (b *Pool) allocateFrame(epoch uint64) (*frame, error) {
 	id, err := b.pager.Allocate()
 	if err != nil {
@@ -550,28 +547,14 @@ func (b *Pool) allocateFrame(epoch uint64) (*frame, error) {
 	return f, nil
 }
 
-// Allocate creates a new page via the pager and returns it pinned.
-func (b *Pool) Allocate() (PageID, *Page, error) {
-	f, err := b.allocateFrame(0)
-	if err != nil {
-		return 0, nil, err
-	}
-	return f.id, f.curPage(), nil
-}
-
-// Unpin releases one pin on the page; dirty marks it modified. Like the
-// hit path it is latch-free: a pinned frame is always in the published
-// map (eviction only claims unpinned frames), and the dirty bit is set
-// before the pin drops so a sweep that sees the frame unpinned also sees
-// it dirty.
-func (b *Pool) Unpin(id PageID, dirty bool) error {
+// Unpin releases one pin on the page. Like the hit path it is
+// latch-free: a pinned frame is always in the published map (eviction
+// only claims unpinned frames).
+func (b *Pool) Unpin(id PageID) error {
 	sh := b.shard(id)
 	f, ok := (*sh.frames.Load())[id]
 	if !ok {
 		return fmt.Errorf("storage: unpin of non-resident page %d", id)
-	}
-	if dirty {
-		f.dirty.Store(true)
 	}
 	for {
 		p := f.pins.Load()
@@ -640,7 +623,8 @@ func (sh *poolShard) evictOne(b *Pool) error {
 		sh.evicts.Add(1)
 		return nil
 	}
-	return errors.New("storage: all frames pinned")
+	return fmt.Errorf("%w: all %d frames of a stripe of the %d-page pool are pinned (a statement pins every page it writes until it commits: write fewer rows per statement, or raise engine.WithPoolPages)",
+		ErrPoolExhausted, n, b.capacity)
 }
 
 // dropFrameAt writes back the frame at clock index i if dirty and
@@ -689,8 +673,8 @@ func (sh *poolShard) dropFrameAt(i int, b *Pool) error {
 }
 
 // FlushAll writes every dirty resident page back to the pager. Callers
-// must exclude page mutators (the engine holds at least the table read
-// lock, which writers take exclusively).
+// must exclude publishers (the engine holds the table lock exclusively;
+// statements hold it shared).
 func (b *Pool) FlushAll() error {
 	for i := range b.shards {
 		sh := &b.shards[i]
@@ -743,31 +727,6 @@ func (b *Pool) DropAll() error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// DirtyImages returns copies of every dirty resident page, for
-// write-ahead logging. The pages stay resident and dirty; re-logging a
-// page across consecutive batches is harmless because recovery applies
-// images in order. Images are collected in ascending PageID order so a
-// WAL batch is deterministic for a given dirty set.
-func (b *Pool) DirtyImages() []PageImage {
-	var out []PageImage
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.clock {
-			if !f.dirty.Load() {
-				continue
-			}
-			out = append(out, PageImage{
-				ID:    f.id,
-				Image: append([]byte(nil), f.curPage().Bytes()...),
-			})
-		}
-		sh.mu.Unlock()
-	}
-	sortPageImages(out)
-	return out
 }
 
 // sortPageImages orders images by PageID (insertion sort: dirty sets per

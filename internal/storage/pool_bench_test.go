@@ -12,8 +12,8 @@ import (
 
 // singleLatchPool reproduces the pre-striping buffer pool — one global
 // mutex guarding a map plus a container/list LRU, spliced on every hit
-// and held across pager I/O on misses and dirty write-back — as the
-// benchmark baseline for the striped clock pool.
+// and held across pager I/O on misses — as the read-only benchmark
+// baseline for the striped clock pool.
 type singleLatchPool struct {
 	mu       sync.Mutex
 	pager    *Pager
@@ -23,10 +23,9 @@ type singleLatchPool struct {
 }
 
 type singleLatchFrame struct {
-	id    PageID
-	page  *Page
-	pins  int
-	dirty bool
+	id   PageID
+	page *Page
+	pins int
 }
 
 func newSingleLatchPool(pager *Pager, capacity int) *singleLatchPool {
@@ -61,7 +60,7 @@ func (b *singleLatchPool) Fetch(id PageID) (*Page, error) {
 	return f.page, nil
 }
 
-func (b *singleLatchPool) Unpin(id PageID, dirty bool) error {
+func (b *singleLatchPool) Unpin(id PageID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	el, ok := b.frames[id]
@@ -73,9 +72,6 @@ func (b *singleLatchPool) Unpin(id PageID, dirty bool) error {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
 	}
 	f.pins--
-	if dirty {
-		f.dirty = true
-	}
 	return nil
 }
 
@@ -84,11 +80,6 @@ func (b *singleLatchPool) evictLocked() error {
 		f := el.Value.(*singleLatchFrame)
 		if f.pins > 0 {
 			continue
-		}
-		if f.dirty {
-			if err := b.pager.Write(f.id, f.page); err != nil {
-				return err
-			}
 		}
 		b.lru.Remove(el)
 		delete(b.frames, f.id)
@@ -143,7 +134,7 @@ func benchPager(b *testing.B) (*Pager, []PageID) {
 // fetchUnpinner is the surface both pools share for the benchmark loop.
 type fetchUnpinner interface {
 	Fetch(PageID) (*Page, error)
-	Unpin(PageID, bool) error
+	Unpin(PageID) error
 }
 
 // benchParallelFetch drives goroutines doing fetch/unpin cycles: mostly
@@ -158,7 +149,7 @@ func benchParallelFetch(b *testing.B, pool fetchUnpinner, ids []PageID, goroutin
 		if _, err := pool.Fetch(id); err != nil {
 			b.Fatal(err)
 		}
-		if err := pool.Unpin(id, false); err != nil {
+		if err := pool.Unpin(id); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,7 +184,7 @@ func benchParallelFetch(b *testing.B, pool fetchUnpinner, ids []PageID, goroutin
 				b.Error(err)
 				return
 			}
-			if err := pool.Unpin(id, false); err != nil {
+			if err := pool.Unpin(id); err != nil {
 				b.Error(err)
 				return
 			}
@@ -242,7 +233,7 @@ func BenchmarkPoolFetchHit(b *testing.B) {
 			if _, err := pool.Fetch(id); err != nil {
 				b.Fatal(err)
 			}
-			if err := pool.Unpin(id, false); err != nil {
+			if err := pool.Unpin(id); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -252,7 +243,7 @@ func BenchmarkPoolFetchHit(b *testing.B) {
 			if _, err := pool.Fetch(id); err != nil {
 				b.Fatal(err)
 			}
-			if err := pool.Unpin(id, false); err != nil {
+			if err := pool.Unpin(id); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -65,15 +65,7 @@ func TestPoolStripedEviction(t *testing.T) {
 	const pages = 64
 	ids := make([]PageID, pages)
 	for i := 0; i < pages; i++ {
-		id, pg, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-		pg.Insert([]byte(fmt.Sprintf("page-%d", id)))
-		if err := pool.Unpin(id, true); err != nil {
-			t.Fatal(err)
-		}
+		ids[i] = newPage(t, pool, []byte(fmt.Sprintf("page-%d", i)))
 		if r := pool.Resident(); r > 16 {
 			t.Fatalf("resident %d exceeds capacity after %d allocs", r, i+1)
 		}
@@ -82,15 +74,15 @@ func TestPoolStripedEviction(t *testing.T) {
 	if evicts < pages-16 {
 		t.Fatalf("evicts = %d, want >= %d", evicts, pages-16)
 	}
-	for _, id := range ids {
+	for i, id := range ids {
 		pg, err := pool.Fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r, _ := pg.Record(0); string(r) != fmt.Sprintf("page-%d", id) {
+		if r, _ := pg.Record(0); string(r) != fmt.Sprintf("page-%d", i) {
 			t.Fatalf("page %d read back %q", id, r)
 		}
-		if err := pool.Unpin(id, false); err != nil {
+		if err := pool.Unpin(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,23 +98,13 @@ func TestPoolClockSecondChance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc := func() PageID {
-		t.Helper()
-		id, _, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pool.Unpin(id, false); err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
+	alloc := func() PageID { return newPage(t, pool) }
 	touch := func(id PageID) {
 		t.Helper()
 		if _, err := pool.Fetch(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Unpin(id, false); err != nil {
+		if err := pool.Unpin(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,8 +131,9 @@ func TestPoolClockSecondChance(t *testing.T) {
 }
 
 // TestPoolStripedConcurrent hammers a striped pool from many goroutines
-// with mixed clean/dirty fetch-unpin cycles plus periodic FlushAll and
-// verifies counters balance. Run under -race this also exercises the
+// with fetch-unpin cycles, one in nine a write set that republishes the
+// page, plus periodic FlushAll (under the exclusion the engine's table
+// lock gives it) and verifies counters balance. Run under -race this also exercises the
 // atomics-under-shared-latch hit path.
 func TestPoolStripedConcurrent(t *testing.T) {
 	pager := tempPager(t)
@@ -161,15 +144,9 @@ func TestPoolStripedConcurrent(t *testing.T) {
 	const pages = 48
 	ids := make([]PageID, pages)
 	for i := range ids {
-		id, _, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-		if err := pool.Unpin(id, false); err != nil {
-			t.Fatal(err)
-		}
+		ids[i] = newPage(t, pool)
 	}
+	var table sync.RWMutex
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -181,12 +158,28 @@ func TestPoolStripedConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := pool.Unpin(id, i%9 == 0); err != nil {
+				if err := pool.Unpin(id); err != nil {
 					t.Error(err)
 					return
 				}
+				if i%9 == 0 {
+					table.RLock()
+					ws := NewWriteSet(pool)
+					_, _, err := ws.Acquire(id)
+					ws.MarkDirty(id)
+					ws.Publish()
+					ws.Release()
+					table.RUnlock()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				if w == 0 && i%100 == 0 {
-					if err := pool.FlushAll(); err != nil {
+					table.Lock()
+					err := pool.FlushAll()
+					table.Unlock()
+					if err != nil {
 						t.Error(err)
 						return
 					}

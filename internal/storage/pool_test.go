@@ -25,6 +25,44 @@ func tempPool(t *testing.T, capacity int) *Pool {
 	return pool
 }
 
+// allocPage commits one new page holding recs through a write set — the
+// only way a page is made, or made dirty — and returns its id, unpinned.
+func allocPage(pool *Pool, recs ...[]byte) (PageID, error) {
+	ws := NewWriteSet(pool)
+	defer ws.Release()
+	id, pg, err := ws.Allocate()
+	if err != nil {
+		return 0, err
+	}
+	for _, rec := range recs {
+		if _, err := pg.Insert(rec); err != nil {
+			return 0, err
+		}
+	}
+	ws.Publish()
+	return id, nil
+}
+
+// newPage is allocPage for set-up that must not fail.
+func newPage(t testing.TB, pool *Pool, recs ...[]byte) PageID {
+	t.Helper()
+	id, err := allocPage(pool, recs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// pinnedPage is newPage with one pin held on the page.
+func pinnedPage(t testing.TB, pool *Pool) PageID {
+	t.Helper()
+	id := newPage(t, pool)
+	if _, err := pool.Fetch(id); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func TestNewPoolValidation(t *testing.T) {
 	if _, err := NewPool(nil, 4); err == nil {
 		t.Fatal("nil pager accepted")
@@ -37,14 +75,7 @@ func TestNewPoolValidation(t *testing.T) {
 
 func TestPoolAllocateFetchUnpin(t *testing.T) {
 	pool := tempPool(t, 4)
-	id, pg, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.Insert([]byte("cached"))
-	if err := pool.Unpin(id, true); err != nil {
-		t.Fatal(err)
-	}
+	id := newPage(t, pool, []byte("cached"))
 	// Fetch hits cache.
 	got, err := pool.Fetch(id)
 	if err != nil {
@@ -53,7 +84,7 @@ func TestPoolAllocateFetchUnpin(t *testing.T) {
 	if r, _ := got.Record(0); string(r) != "cached" {
 		t.Fatalf("fetched: %q", r)
 	}
-	pool.Unpin(id, false)
+	pool.Unpin(id)
 	hits, misses, _ := pool.Stats()
 	if hits != 1 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
@@ -65,15 +96,7 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 	// Fill three pages through a pool of two frames.
 	var ids []PageID
 	for i := 0; i < 3; i++ {
-		id, pg, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg.Insert([]byte(fmt.Sprintf("page-%d", i)))
-		if err := pool.Unpin(id, true); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, newPage(t, pool, []byte(fmt.Sprintf("page-%d", i))))
 	}
 	if pool.Resident() > 2 {
 		t.Fatalf("Resident = %d", pool.Resident())
@@ -89,7 +112,7 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 		if err != nil || string(r) != fmt.Sprintf("page-%d", i) {
 			t.Fatalf("page %d: %q, %v", id, r, err)
 		}
-		pool.Unpin(id, false)
+		pool.Unpin(id)
 	}
 	_, _, evicts := pool.Stats()
 	if evicts == 0 {
@@ -99,23 +122,18 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 
 func TestPoolPinnedPagesNotEvicted(t *testing.T) {
 	pool := tempPool(t, 2)
-	id0, _, _ := pool.Allocate() // stays pinned
-	id1, _, _ := pool.Allocate()
-	pool.Unpin(id1, false)
-	// Allocating a third page must evict id1, not pinned id0.
-	id2, _, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Unpin(id2, false)
+	id0 := pinnedPage(t, pool) // stays pinned
+	newPage(t, pool)
+	// Allocating a third page must evict the second, not pinned id0.
+	newPage(t, pool)
 	// id0 still resident and usable.
 	pg, err := pool.Fetch(id0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = pg
-	pool.Unpin(id0, false)
-	pool.Unpin(id0, false) // release original pin
+	pool.Unpin(id0)
+	pool.Unpin(id0) // release original pin
 	hits, _, _ := pool.Stats()
 	if hits == 0 {
 		t.Fatal("pinned page was not cached")
@@ -124,20 +142,24 @@ func TestPoolPinnedPagesNotEvicted(t *testing.T) {
 
 func TestPoolAllFramesPinnedErrors(t *testing.T) {
 	pool := tempPool(t, 1)
-	pool.Allocate() // pinned
-	if _, _, err := pool.Allocate(); err == nil {
-		t.Fatal("allocation with all frames pinned succeeded")
+	pinnedPage(t, pool)
+	_, err := allocPage(pool)
+	if !errors.Is(err, ErrPoolExhausted) || errors.Is(err, ErrIO) {
+		t.Fatalf("allocation with all frames pinned: err = %v, want ErrPoolExhausted and not ErrIO", err)
+	}
+	if n := pool.Pinned(); n != 1 {
+		t.Fatalf("Pinned = %d after the failed allocation, want the 1 the test holds", n)
 	}
 }
 
 func TestPoolUnpinErrors(t *testing.T) {
 	pool := tempPool(t, 2)
-	if err := pool.Unpin(42, false); err == nil {
+	if err := pool.Unpin(42); err == nil {
 		t.Fatal("unpin of non-resident page accepted")
 	}
-	id, _, _ := pool.Allocate()
-	pool.Unpin(id, false)
-	if err := pool.Unpin(id, false); err == nil {
+	id := pinnedPage(t, pool)
+	pool.Unpin(id)
+	if err := pool.Unpin(id); err == nil {
 		t.Fatal("double unpin accepted")
 	}
 }
@@ -150,9 +172,7 @@ func TestPoolFlushAllPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, _ := NewPool(pager, 4)
-	id, pg, _ := pool.Allocate()
-	pg.Insert([]byte("flushed"))
-	pool.Unpin(id, true)
+	id := newPage(t, pool, []byte("flushed"))
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +194,7 @@ func TestPoolFlushAllPersists(t *testing.T) {
 
 func TestPoolDropAllColdCache(t *testing.T) {
 	pool := tempPool(t, 8)
-	id, pg, _ := pool.Allocate()
-	pg.Insert([]byte("x"))
-	pool.Unpin(id, true)
+	id := newPage(t, pool, []byte("x"))
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +209,7 @@ func TestPoolDropAllColdCache(t *testing.T) {
 	if r, _ := got.Record(0); string(r) != "x" {
 		t.Fatal("DropAll lost dirty data")
 	}
-	pool.Unpin(id, false)
+	pool.Unpin(id)
 	_, misses, _ := pool.Stats()
 	if misses == 0 {
 		t.Fatal("fetch after DropAll was not a miss")
@@ -202,13 +220,7 @@ func TestPoolConcurrentFetch(t *testing.T) {
 	pool := tempPool(t, 4)
 	var ids []PageID
 	for i := 0; i < 8; i++ {
-		id, pg, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg.Insert([]byte{byte(i)})
-		pool.Unpin(id, true)
-		ids = append(ids, id)
+		ids = append(ids, newPage(t, pool, []byte{byte(i)}))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -225,7 +237,7 @@ func TestPoolConcurrentFetch(t *testing.T) {
 				if r, _ := pg.Record(0); r[0] != byte(id) {
 					t.Errorf("page %d content %v", id, r)
 				}
-				if err := pool.Unpin(id, false); err != nil {
+				if err := pool.Unpin(id); err != nil {
 					t.Error(err)
 					return
 				}
@@ -247,11 +259,7 @@ func TestPoolEvictsFrameUnpinnedMidSweep(t *testing.T) {
 	pool := tempPool(t, 4) // one shard: exact clock order
 	var ids [4]PageID
 	for i := range ids {
-		id, _, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
+		ids[i] = pinnedPage(t, pool)
 	}
 	x, r, held := ids[1], ids[2], ids[3]
 	sh := pool.shard(x)
@@ -267,7 +275,7 @@ func TestPoolEvictsFrameUnpinnedMidSweep(t *testing.T) {
 	ws.Publish()
 	ws.Release()
 	for _, id := range []PageID{r, held} {
-		if err := pool.Unpin(id, false); err != nil {
+		if err := pool.Unpin(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,10 +286,7 @@ func TestPoolEvictsFrameUnpinnedMidSweep(t *testing.T) {
 	pool.verMu.Lock()
 	done := make(chan error, 1)
 	go func() {
-		id, _, err := pool.Allocate()
-		if err == nil {
-			err = pool.Unpin(id, false)
-		}
+		_, err := allocPage(pool)
 		done <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); rf.ref.Load(); runtime.Gosched() {
@@ -293,7 +298,7 @@ func TestPoolEvictsFrameUnpinnedMidSweep(t *testing.T) {
 	if _, err := pool.Fetch(r); err != nil {
 		t.Error(err)
 	}
-	if err := pool.Unpin(x, false); err != nil {
+	if err := pool.Unpin(x); err != nil {
 		t.Error(err)
 	}
 	pool.verMu.Unlock()
@@ -321,24 +326,16 @@ func TestPoolEvictionWriteBackFailureKeepsDirtyFrame(t *testing.T) {
 	pool := tempPool(t, 2)
 	var ids []PageID
 	for i := 0; i < 2; i++ {
-		id, pg, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg.Insert([]byte(fmt.Sprintf("dirty-%d", i)))
-		if err := pool.Unpin(id, true); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, newPage(t, pool, []byte(fmt.Sprintf("dirty-%d", i))))
 	}
 
-	// After:1 lets Allocate's own file-extension write through so the
+	// After:1 lets the allocation's own file-extension write through so the
 	// injected error lands on the eviction write-back itself.
 	fault.Enable(fault.NewRegistry(1).Add(fault.Rule{
 		Site: fault.PagerWrite, Kind: fault.Error, After: 1, Count: 1,
 	}))
 	defer fault.Disable()
-	if _, _, err := pool.Allocate(); !errors.Is(err, ErrIO) {
+	if _, err := allocPage(pool); !errors.Is(err, ErrIO) {
 		t.Fatalf("eviction with failing write-back: err = %v, want ErrIO", err)
 	}
 	fault.Disable()
@@ -356,7 +353,7 @@ func TestPoolEvictionWriteBackFailureKeepsDirtyFrame(t *testing.T) {
 		if r, _ := pg.Record(0); string(r) != fmt.Sprintf("dirty-%d", i) {
 			t.Fatalf("page %d content %q after failed eviction", id, r)
 		}
-		if err := pool.Unpin(id, false); err != nil {
+		if err := pool.Unpin(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,13 +362,9 @@ func TestPoolEvictionWriteBackFailureKeepsDirtyFrame(t *testing.T) {
 	}
 
 	// With I/O healthy again the retried eviction writes the victim back.
-	id3, pg, err := pool.Allocate()
+	id3, err := allocPage(pool, []byte("dirty-2"))
 	if err != nil {
 		t.Fatalf("retried eviction: %v", err)
-	}
-	pg.Insert([]byte("dirty-2"))
-	if err := pool.Unpin(id3, true); err != nil {
-		t.Fatal(err)
 	}
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
@@ -384,7 +377,7 @@ func TestPoolEvictionWriteBackFailureKeepsDirtyFrame(t *testing.T) {
 		if r, _ := pg.Record(0); string(r) != fmt.Sprintf("dirty-%d", i) {
 			t.Fatalf("page %d persisted content %q", id, r)
 		}
-		pool.Unpin(id, false)
+		pool.Unpin(id)
 	}
 }
 
@@ -399,14 +392,7 @@ func TestFetchAtHitEarnsSecondChance(t *testing.T) {
 	pool := tempPool(t, capacity) // one shard: exact clock order
 	var ids []PageID
 	for i := 0; i < 6*capacity; i++ {
-		id, _, err := pool.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pool.Unpin(id, true); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, newPage(t, pool))
 	}
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)

@@ -70,16 +70,7 @@ func TestWALFailedGroupFlushNotDurable(t *testing.T) {
 // than leak it in the gauge forever.
 func TestWALDropAllVersionAccounting(t *testing.T) {
 	pool := tempPool(t, 16)
-	id, pg, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pg.Insert([]byte("v0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Unpin(id, true); err != nil {
-		t.Fatal(err)
-	}
+	id := newPage(t, pool, []byte("v0"))
 
 	// Publish a new version while a snapshot is registered, so the old
 	// one is retained on the frame's chain.

@@ -242,25 +242,30 @@ func TestPagerWriteImageExtends(t *testing.T) {
 	}
 }
 
-func TestPoolDirtyImages(t *testing.T) {
+// TestWriteSetImages: a write set images exactly the pages it dirtied —
+// not one it merely latched — and the image is a copy, detached from the
+// private page it was rendered from.
+func TestWriteSetImages(t *testing.T) {
 	pool := tempPool(t, 4)
-	id, pg, _ := pool.Allocate()
-	pg.Insert([]byte("dirty"))
-	pool.Unpin(id, true)
-	id2, _, _ := pool.Allocate()
-	pool.Unpin(id2, false) // clean
-
-	images := pool.DirtyImages()
-	if len(images) != 1 || images[0].ID != id {
-		t.Fatalf("DirtyImages = %v", images)
+	id, id2 := newPage(t, pool, []byte("dirty")), newPage(t, pool)
+	ws := NewWriteSet(pool)
+	defer ws.Release()
+	pg, _, err := ws.Acquire(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The copy is detached from the live page.
-	livePg, _ := pool.Fetch(id)
-	livePg.Insert([]byte("more"))
-	pool.Unpin(id, true)
+	if _, _, err := ws.Acquire(id2); err != nil { // latched, left clean
+		t.Fatal(err)
+	}
+	ws.MarkDirty(id)
+	images := ws.Images()
+	if len(images) != 1 || images[0].ID != id {
+		t.Fatalf("Images = %v", images)
+	}
+	pg.Insert([]byte("more"))
 	fresh := NewPage()
 	fresh.LoadBytes(images[0].Image)
 	if fresh.NumSlots() != 1 {
-		t.Fatal("image aliased live page")
+		t.Fatal("image aliased the private page")
 	}
 }

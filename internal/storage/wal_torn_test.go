@@ -224,14 +224,14 @@ func TestPagerFaultErrorsAreErrIO(t *testing.T) {
 	if _, err := pool.Fetch(id); err != nil {
 		t.Fatalf("fetch after fault: %v", err)
 	}
-	if err := pool.Unpin(id, false); err != nil {
+	if err := pool.Unpin(id); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Sync(); err != nil {
 		t.Fatalf("sync after fault: %v", err)
 	}
 	// Request errors — not disk failures — must NOT classify as ErrIO.
-	if err := pool.Unpin(999, false); errors.Is(err, ErrIO) {
+	if err := pool.Unpin(999); errors.Is(err, ErrIO) {
 		t.Fatal("bad-request error classified as ErrIO")
 	}
 }

@@ -7,8 +7,7 @@ package storage
 // is three steps with distinct owners:
 //
 //  1. Images() renders exactly the dirtied private copies for the WAL —
-//     never another statement's uncommitted pages (the legacy
-//     Pool.DirtyImages would).
+//     never another statement's uncommitted pages.
 //  2. Publish() installs the copies as the frames' current versions,
 //     all stamped with one fresh pool epoch, under the pool's version
 //     mutex — so snapshot readers see the whole statement or none of it.

@@ -5,28 +5,11 @@ import (
 	"time"
 )
 
-// twoPages allocates two pages (returned ascending) and unpins them so
-// write sets can latch them freely.
+// twoPages makes two pages (returned ascending), unpinned so write sets
+// can latch them freely.
 func twoPages(t *testing.T, pool *Pool) (lo, hi PageID) {
 	t.Helper()
-	a, _, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Unpin(a, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Unpin(b, false); err != nil {
-		t.Fatal(err)
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return a, b
+	return newPage(t, pool), newPage(t, pool)
 }
 
 // TestWriteSetAcquireOrderDiscipline pins the deadlock-freedom rule:

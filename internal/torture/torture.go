@@ -10,16 +10,19 @@
 //   - torn tails are dropped, never partially applied;
 //   - every recovered heap page decodes cleanly (the open-time index
 //     rebuild touches every row of every page);
-//   - count-snapshot saves (ReplaceAllCounts, one commit per save) are
-//     atomic — recovery yields exactly snapshot A or snapshot B, so the
-//     charged-delay quote, a deterministic function of the count vector,
-//     is exactly quote(A) or quote(B) and never a torn in-between.
+//   - count-snapshot saves (ReplaceAllCounts) are atomic at any size,
+//     one that fits the buffer pool and one several times it — recovery
+//     yields exactly snapshot A or snapshot B, so the charged-delay
+//     quote, a deterministic function of the count vector, is exactly
+//     quote(A) or quote(B) and never a torn in-between. These crashes are
+//     live: a failpoint kills the save and the files are taken as they
+//     stand (see RunCountSnapshot).
 //
-// Crash images are honest for this engine because the data-page path is
-// no-steal below the checkpoint threshold: mutations dirty pages only in
-// the buffer pool (allocation writes through immediately), so the
-// on-disk table bytes plus a truncated log are precisely what a crash at
-// that log offset leaves behind. The workloads here stay far below
+// The truncated-log crash images are honest for this engine because the
+// data-page path is no-steal while the pool has room: mutations dirty
+// pages only in the buffer pool (allocation writes through immediately),
+// so the on-disk table bytes plus a truncated log are precisely what a
+// crash at that log offset leaves behind. Those workloads stay far below
 // walCheckpointBytes, so no checkpoint retires the log mid-run.
 package torture
 
@@ -130,6 +133,9 @@ func (im *image) materialize(dir string, n int64) error {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			return err
 		}
+	}
+	if im.walName == "" {
+		return nil
 	}
 	if n > int64(len(im.wal)) {
 		n = int64(len(im.wal))
@@ -415,116 +421,212 @@ func quoteOf(counts []float64) float64 {
 	return sum
 }
 
-// RunCountSnapshot tortures the SaveCounts path: two successive
-// ReplaceAllCounts snapshots (B elementwise ≥ A, as decayed counts
-// between saves are), a crash at every sampled offset of the second
-// save's commit, and the assertion that recovery yields exactly
-// snapshot A or exactly snapshot B — so the recovered quote is exactly
-// quote(A) or quote(B), and since B dominates A, never more than the
-// last acknowledged quote: charged-delay accounting stays monotone.
+// countLeg is one shape of snapshot save to torture: ids tuples saved
+// through a pool of poolPages pages.
+type countLeg struct {
+	name      string
+	poolPages int
+	ids       int
+}
+
+// kill is one way for the process to die inside a save: the site's
+// (after+1)-th hit counted from the start of the save fails — a WAL
+// append after torn bytes of it reached the file — and the files are
+// taken as they then stand.
+type kill struct {
+	site  fault.Site
+	after uint64
+	torn  int
+}
+
+func (k kill) String() string {
+	if k.site == fault.WALAppend {
+		return fmt.Sprintf("%v #%d torn at byte %d", k.site, k.after+1, k.torn)
+	}
+	return fmt.Sprintf("%v #%d", k.site, k.after+1)
+}
+
+// sample keeps at most max of xs, evenly spaced (all of them when max is 0).
+func sample[T any](xs []T, max int) []T {
+	if max <= 0 || len(xs) <= max {
+		return xs
+	}
+	out := make([]T, max)
+	for i := range out {
+		out[i] = xs[i*len(xs)/max]
+	}
+	return out
+}
+
+// RunCountSnapshot tortures the SaveCounts path: snapshot A is saved,
+// then a save of snapshot B (same ids, every count higher, as decayed
+// counts between saves are) is killed at every file it writes — each log
+// append torn at sampled bytes, sampled data-page writes, the data-file
+// sync, between the catalog commit and the removal of the old files, and
+// just after it returned. A save that reported failure must recover
+// exactly A; one that returned must recover exactly B. So the recovered
+// quote is exactly quote(A) or quote(B) and never more than the last
+// acknowledged one: charged-delay accounting stays monotone. Two legs: a
+// snapshot that fits the buffer pool, and one several times its size.
 func RunCountSnapshot(scratch string, cfg Config) (*Result, error) {
 	cfg.fill()
-	workDir := filepath.Join(scratch, "work")
-	db, err := engine.Open(workDir, engine.WithWAL(false), engine.WithPoolPages(1024))
-	if err != nil {
-		return nil, err
+	res := &Result{Statements: 2}
+	legs := []countLeg{
+		{"snapshot fits the pool", 1024, 40},
+		{"snapshot exceeds the pool", 8, 5000},
 	}
-	store, err := engine.NewCountStore(db, "t")
-	if err != nil {
-		db.Close()
-		return nil, err
+	for i, leg := range legs {
+		if err := leg.run(filepath.Join(scratch, fmt.Sprint(i)), cfg, res); err != nil {
+			return nil, fmt.Errorf("torture: %s: %w", leg.name, err)
+		}
 	}
-	const nids = 40
-	idsA := make([]uint64, nids)
-	countsA := make([]float64, nids)
-	countsB := make([]float64, nids)
-	for i := range idsA {
-		idsA[i] = uint64(i + 1)
+	return res, nil
+}
+
+func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
+	ids := make([]uint64, leg.ids)
+	countsA := make([]float64, leg.ids)
+	countsB := make([]float64, leg.ids)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
 		countsA[i] = float64(i%7) + 0.5
 		countsB[i] = countsA[i] + float64(i%3) + 1 // B dominates A
 	}
-	if err := store.ReplaceAllCounts(idsA, countsA); err != nil {
-		db.Close()
-		return nil, err
+	wantA, wantB := canonCounts(ids, countsA), canonCounts(ids, countsB)
+	workDir, crashDir := filepath.Join(scratch, "work"), filepath.Join(scratch, "crash")
+	open := func(dir string) (*engine.Database, *engine.CountStore, error) {
+		db, err := engine.Open(dir, engine.WithWAL(false), engine.WithPoolPages(leg.poolPages))
+		if err != nil {
+			return nil, nil, err
+		}
+		store, err := engine.NewCountStore(db, "t")
+		if err != nil {
+			db.Close()
+			return nil, nil, err
+		}
+		return db, store, nil
 	}
-	walPath := filepath.Join(workDir, "__counts_t.tbl.wal")
-	stA, err := os.Stat(walPath)
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	if err := store.ReplaceAllCounts(idsA, countsB); err != nil {
-		db.Close()
-		return nil, err
-	}
-	stB, err := os.Stat(walPath)
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	im, err := capture(workDir, "__counts_t.tbl.wal")
-	db.Close()
-	if err != nil {
-		return nil, err
+	// check reopens the crash image and holds what it recovers against want.
+	check := func(what string, im *image, want string) error {
+		if err := os.RemoveAll(crashDir); err != nil {
+			return err
+		}
+		if err := im.materialize(crashDir, 0); err != nil {
+			return err
+		}
+		res.Points++
+		db, store, err := open(crashDir)
+		if err != nil {
+			res.Violations = append(res.Violations, fmt.Sprintf("%s, %v: reopen failed: %v", leg.name, what, err))
+			return nil
+		}
+		defer db.Close()
+		got, counts, err := store.AllCounts()
+		switch {
+		case err != nil:
+			res.Violations = append(res.Violations, fmt.Sprintf("%s, %v: reading recovered counts: %v", leg.name, what, err))
+		case canonCounts(got, counts) != want:
+			res.Violations = append(res.Violations, fmt.Sprintf(
+				"%s, %v: recovered %d ids summing %.0f; snapshot A is %d ids / %.0f, B is %d / %.0f, and this kill must recover %s",
+				leg.name, what, len(got), quoteOf(counts), len(ids), quoteOf(countsA), len(ids), quoteOf(countsB),
+				map[string]string{wantA: "A", wantB: "B"}[want]))
+		}
+		return nil
 	}
 
-	wantA := canonCounts(idsA, countsA)
-	wantB := canonCounts(idsA, countsB)
-	quoteA, quoteB := quoteOf(countsA), quoteOf(countsB)
-	walEnds := []int64{0, stA.Size(), stB.Size()}
-	points := crashPoints(walEnds, cfg.Stride, cfg.MaxPoints)
-	res := &Result{Points: len(points), Statements: 2, WALBytes: stB.Size()}
-	cfg.Logf("torture: count snapshot, %d crash points over %d bytes", len(points), stB.Size())
-	crashDir := filepath.Join(scratch, "crash")
-	for _, off := range points {
+	// run saves A and then, under the armed faults, B in one process, and
+	// takes the crash image the moment the second save is over; before is
+	// the image between the two.
+	run := func(faults *fault.Registry) (before, after *image, saveErr error, err error) {
+		if err := os.RemoveAll(workDir); err != nil {
+			return nil, nil, nil, err
+		}
+		db, store, err := open(workDir)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer db.Close() // releases handles only — the images predate it
+		if err := store.ReplaceAllCounts(ids, countsA); err != nil {
+			return nil, nil, nil, err
+		}
+		if before, err = capture(workDir, ""); err != nil {
+			return nil, nil, nil, err
+		}
+		fault.Enable(faults)
+		saveErr = store.ReplaceAllCounts(ids, countsB)
+		fault.Disable()
+		after, err = capture(workDir, "")
+		return before, after, saveErr, err
+	}
+
+	// An undisturbed save counts the hits of every site, and its image is
+	// the kill just after it returned.
+	clean := fault.NewRegistry(0)
+	before, final, saveErr, err := run(clean)
+	if err == nil {
+		err = saveErr
+	}
+	if err != nil {
+		return err
+	}
+	if err := check("killed after the save returned", final, wantB); err != nil {
+		return err
+	}
+	// Killed between the catalog commit and the removal of the files it
+	// orphaned: the final image plus every file only the earlier one has.
+	for name, data := range before.tables {
+		if _, ok := final.tables[name]; !ok {
+			final.tables[name] = data
+		}
+	}
+	if err := check("killed before the old files were removed", final, wantB); err != nil {
+		return err
+	}
+
+	var kills []kill
+	tornCuts := []int{0, 1, 5, 9, walRecordSize / 2, walRecordSize - 1, walRecordSize}
+	appends := clean.Hits(fault.WALAppend)
+	for k := uint64(0); k < appends; k++ {
+		if appends > 1 {
+			kills = append(kills, kill{fault.WALAppend, k, tornCuts[int(k)%len(tornCuts)]})
+			continue
+		}
+		// A save of one append: every byte of it, the commit byte included.
+		for cut := 0; cut <= walRecordSize; cut++ {
+			kills = append(kills, kill{fault.WALAppend, k, cut})
+		}
+	}
+	var writes []kill
+	for k := uint64(0); k < clean.Hits(fault.PagerWrite); k++ {
+		writes = append(writes, kill{site: fault.PagerWrite, after: k})
+	}
+	kills = append(kills, sample(writes, 16)...)
+	for k := uint64(0); k < clean.Hits(fault.PagerSync); k++ {
+		kills = append(kills, kill{site: fault.PagerSync, after: k})
+	}
+	kills = sample(kills, cfg.MaxPoints/2)
+	cfg.Logf("torture: %s: %d kills over %d log appends, %d page writes, %d syncs",
+		leg.name, len(kills), appends, clean.Hits(fault.PagerWrite), clean.Hits(fault.PagerSync))
+	for _, k := range kills {
 		if len(res.Violations) >= maxViolations {
 			break
 		}
-		if err := os.RemoveAll(crashDir); err != nil {
-			return nil, err
-		}
-		if err := im.materialize(crashDir, off); err != nil {
-			return nil, err
-		}
-		db2, err := engine.Open(crashDir, engine.WithWAL(false), engine.WithPoolPages(1024))
+		// Torn is Error wherever nothing is written.
+		_, im, saveErr, err := run(fault.NewRegistry(k.after).Add(fault.Rule{
+			Site: k.site, Kind: fault.Torn, TornBytes: k.torn, After: k.after, Count: 1,
+		}))
 		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: reopen failed: %v", off, err))
-			continue
+			return err
 		}
-		store2, err := engine.NewCountStore(db2, "t")
-		var ids []uint64
-		var counts []float64
-		if err == nil {
-			ids, counts, err = store2.AllCounts()
+		want := wantA
+		if saveErr == nil {
+			want = wantB // the save survived the fault: it must have committed
 		}
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: reading recovered counts: %v", off, err))
-			db2.Close()
-			continue
+		if err := check(k.String(), im, want); err != nil {
+			return err
 		}
-		got := canonCounts(ids, counts)
-		switch {
-		case off < stA.Size() && got != "" && got != wantA:
-			// Mid-first-save: empty (nothing committed) or exactly A.
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: torn first snapshot (%d ids)", off, len(ids)))
-		case off >= stA.Size() && got != wantA && got != wantB:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: recovered counts are neither snapshot A nor B (%d ids)", off, len(ids)))
-		case quoteOf(counts) != quoteA && quoteOf(counts) != quoteB && got != "":
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: recovered quote %.3f not in {%.3f, %.3f}",
-					off, quoteOf(counts), quoteA, quoteB))
-		case quoteOf(counts) > quoteB:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: recovered quote %.3f exceeds last acknowledged %.3f",
-					off, quoteOf(counts), quoteB))
-		}
-		db2.Close()
 	}
-	return res, nil
+	return nil
 }
 
 // RunFaultSweep drives the wal.append failpoint instead of offline

@@ -54,8 +54,9 @@ func TestCrashEnumeration(t *testing.T) {
 }
 
 // TestCountSnapshotAtomicity: a crash anywhere inside a count-snapshot
-// save recovers exactly snapshot A or snapshot B — never a torn mix —
-// so the delay quote stays one of the two acknowledged prices.
+// save — of a snapshot that fits the pool and of one that does not —
+// recovers exactly snapshot A or snapshot B, never a torn mix, so the
+// delay quote stays one of the two acknowledged prices.
 func TestCountSnapshotAtomicity(t *testing.T) {
 	res, err := RunCountSnapshot(t.TempDir(), Config{MaxPoints: maxPoints(t, 600), Logf: t.Logf})
 	if err != nil {

@@ -23,7 +23,9 @@
 #                and exit nonzero on a >BENCH_TOL% per-key regression or
 #                a broken shape invariant (point queries must scale to
 #                g=16, a scan over a history of scans must be quoted no
-#                slower than one over a random history).
+#                slower than one over a random history). Keys whose
+#                ns/op is an fsync are compared with nothing recorded,
+#                only with each other (see engine_shape).
 #   BENCH_TOL    allowed per-key regression percent in check mode
 #                (default: 20)
 #   BENCH_NORM   1 (default) = benchcmp -norm: calibrate per-key checks
@@ -48,8 +50,9 @@ normflag=""
 
 run_suite() {
 	# $1 = bench regexp, $2 = output file, $3 = space-separated benchcmp
-	# invariant specs (may be empty), remaining = packages
-	pattern="$1"; out="$2"; invariants="$3"; shift 3
+	# invariant specs (may be empty), $4 = regexp of the keys gated by
+	# those invariants only (may be empty), remaining = packages
+	pattern="$1"; out="$2"; invariants="$3"; shape="$4"; shift 4
 	dest="$out"
 	if [ "$check" = 1 ]; then
 		dest="$(mktemp)"
@@ -75,6 +78,7 @@ END {
 	if [ "$check" = 1 ]; then
 		set -- -tol "$tol"
 		[ -n "$normflag" ] && set -- "$@" "$normflag"
+		[ -n "$shape" ] && set -- "$@" -shape "$shape"
 		for iv in $invariants; do
 			set -- "$@" -le "$iv"
 		done
@@ -95,8 +99,18 @@ END {
 # a point query at 4 or 16 goroutines must not be slower than
 # single-threaded (1.05 allows scheduler noise on small hosts); and
 # grouped WAL commit at 8 clients must not lose to per-commit fsyncs.
-# (The mixed read/write path is gated by its absolute
-# BenchmarkEngineMixed/* baselines.) The HTTP/JSON wrapper may cost at
+# BenchmarkEngineMixed/* and BenchmarkWALCommit/* run against a synced
+# log, so their ns/op is the fsync of the disk the run is on: on this
+# shared box it moves by 2x between sittings with no commit in between
+# (PRs 12, 14, 16, 17 and 21 all found these keys red on their own
+# parent), and a recorded figure cannot judge a write-path change. They
+# are gated by shape only (engine_shape below: no comparison with
+# BENCH_engine.json, which keeps them for the record): at every write
+# fraction 16 clients must finish an operation in at most 0.6 of the
+# single client's time — writers on different pages run in parallel and
+# share fsyncs, the point of the write path; 0.15-0.23 in the recorded
+# baseline and 0.21-0.39 over three smoke runs in a slow disk state,
+# while a path that serialized its writers would sit at 1. The HTTP/JSON wrapper may cost at
 # most 1.92x the shield call it wraps: BenchmarkHandleQuery/point (mux,
 # recovery, MaxBytesReader, body read, decode, encode, header map around
 # the same fixture and statements) measured 1,715ns over
@@ -107,7 +121,11 @@ shield_inv='BenchmarkScanQuoteObserve/history=scans,BenchmarkScanQuoteObserve/hi
 BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92'
 engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.05
 BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.05
-BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0'
+BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0
+BenchmarkEngineMixed/w10/g=16,BenchmarkEngineMixed/w10/g=1,0.6
+BenchmarkEngineMixed/w50/g=16,BenchmarkEngineMixed/w50/g=1,0.6
+BenchmarkEngineMixed/w90/g=16,BenchmarkEngineMixed/w90/g=1,0.6'
+engine_shape='^Benchmark(EngineMixed|WALCommit)/'
 # The cluster front door's tax on a point query — body read, request
 # decode, statement plan, replica-group walk, relay copy — is bounded
 # against a direct shard hit, and the direct hit is the /query handler
@@ -145,24 +163,24 @@ shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery'
 case "$suite" in
 shield)
 	run_suite "$shield_pat" \
-		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" . ./internal/delay ./internal/server
+		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" "" . ./internal/delay ./internal/server
 	;;
 engine)
 	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
-		"${BENCH_OUT:-BENCH_engine.json}" "$engine_inv" \
+		"${BENCH_OUT:-BENCH_engine.json}" "$engine_inv" "$engine_shape" \
 		./internal/storage ./internal/engine
 	;;
 cluster)
 	run_suite 'ClusterPointQuery|ClusterScan|ClusterWrite|ClusterReplicatedPoint' \
-		"${BENCH_OUT:-BENCH_cluster.json}" "$cluster_inv" ./internal/cluster
+		"${BENCH_OUT:-BENCH_cluster.json}" "$cluster_inv" "" ./internal/cluster
 	;;
 all)
 	[ -z "${BENCH_OUT:-}" ] || { echo "BENCH_OUT needs a single suite" >&2; exit 1; }
-	run_suite "$shield_pat" BENCH_shield.json "$shield_inv" . ./internal/delay ./internal/server
+	run_suite "$shield_pat" BENCH_shield.json "$shield_inv" "" . ./internal/delay ./internal/server
 	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
-		BENCH_engine.json "$engine_inv" \
+		BENCH_engine.json "$engine_inv" "$engine_shape" \
 		./internal/storage ./internal/engine
-	run_suite 'ClusterPointQuery|ClusterScan|ClusterWrite|ClusterReplicatedPoint' BENCH_cluster.json "$cluster_inv" \
+	run_suite 'ClusterPointQuery|ClusterScan|ClusterWrite|ClusterReplicatedPoint' BENCH_cluster.json "$cluster_inv" "" \
 		./internal/cluster
 	;;
 *)

@@ -25,9 +25,16 @@
 //     scans must not lose to one over a random history — independent
 //     of machine speed.
 //
+//   - Shape-only keys (-shape regexp): a key the expression matches is
+//     left out of the regression check and of the host calibration. An
+//     fsync-bound benchmark measures the disk the run is on, which on a
+//     shared host moves by 2x between sittings with no commit in
+//     between; a recorded ns/op says nothing about it, the invariants
+//     between its keys do.
+//
 // Usage:
 //
-//	benchcmp [-tol 20] [-norm] [-le a,b,f]... baseline.json new.json
+//	benchcmp [-tol 20] [-norm] [-shape re] [-le a,b,f]... baseline.json new.json
 package main
 
 import (
@@ -35,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,17 +125,33 @@ func main() {
 	tol := flag.Float64("tol", 20, "allowed regression per key, percent")
 	norm := flag.Bool("norm", false,
 		"calibrate per-key comparisons by the median new/baseline ratio (host-speed normalization)")
+	shape := flag.String("shape", "", "regexp of keys gated by their -le invariants only, never against the baseline")
 	var invs invariantList
 	flag.Var(&invs, "le", "invariant newKeyA,newKeyB,factor: require new[A] <= new[B]*factor (repeatable)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcmp [-tol pct] [-le a,b,f]... baseline.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: benchcmp [-tol pct] [-norm] [-shape re] [-le a,b,f]... baseline.json new.json")
 		os.Exit(2)
 	}
 	base, err := load(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(2)
+	}
+	shaped := make(map[string]bool)
+	if *shape != "" {
+		re, err := regexp.Compile(*shape)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcmp: -shape:", err)
+			os.Exit(2)
+		}
+		for _, name := range sortedKeys(base) {
+			if re.MatchString(name) {
+				delete(base, name)
+				shaped[name] = true
+				fmt.Printf("note: %s gated by shape only (baseline not compared)\n", name)
+			}
+		}
 	}
 	cur, err := load(flag.Arg(1))
 	if err != nil {
@@ -166,7 +190,7 @@ func main() {
 		}
 	}
 	for _, name := range sortedKeys(cur) {
-		if _, ok := base[name]; !ok {
+		if _, ok := base[name]; !ok && !shaped[name] {
 			fmt.Printf("note: %s new only, no baseline (skipped)\n", name)
 		}
 	}
