@@ -78,7 +78,8 @@ bench-cluster:
 # Short measured run of all suites compared against the committed
 # BENCH_*.json baselines: fails on a >20% per-key regression or a broken
 # shape invariant (point-query scaling, the rank index's scan-locality
-# win, grouped WAL commit beating per-commit fsyncs, mixed read/write
+# win, the detector's clustering sweep staying under half its pairwise
+# oracle, grouped WAL commit beating per-commit fsyncs, mixed read/write
 # throughput scaling with clients, cluster router tax over direct shard
 # access staying within its recorded ratio). The fsync-bound engine keys
 # are held to their shape only — their ns/op is the disk's, not the
@@ -152,6 +153,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzMigrateRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz=FuzzPairMatches -fuzztime=30s ./internal/detect/
 
 clean:
 	$(GO) clean ./...

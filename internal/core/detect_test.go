@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/detect"
+	"repro/internal/metrics"
 )
 
 // detectShield builds a shield over n tuples with detection enabled:
@@ -139,6 +140,38 @@ func TestDetectOffIsZeroOverhead(t *testing.T) {
 	}
 	if exp["shield_detect_escalations_total"].(int64) != 0 {
 		t.Errorf("escalations = %v, want 0", exp["shield_detect_escalations_total"])
+	}
+}
+
+// TestDetectSweepInstruments: every clustering sweep is counted and
+// timed, whichever request ran it, and both instruments export at zero
+// with detection off.
+func TestDetectSweepInstruments(t *testing.T) {
+	s := detectShield(t, 500) // a sweep every 8 batches
+	for i := 0; i < 20; i++ {
+		if _, _, err := s.Query("regular", "SELECT * FROM items WHERE id < 20"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Detector().Recluster()
+	sweeps := s.Metrics().Counter("shield_detect_sweeps_total").Value()
+	if sweeps != 3 {
+		t.Errorf("shield_detect_sweeps_total = %d after 20 batches and one forced sweep, want 3", sweeps)
+	}
+	if n := s.Metrics().Histogram("shield_detect_sweep_seconds", nil).Count(); n != sweeps {
+		t.Errorf("shield_detect_sweep_seconds holds %d observations for %d sweeps", n, sweeps)
+	}
+
+	off, err := New(testDB(t, 100), Config{N: 100, Alpha: 1, Beta: 2, Cap: time.Second, Clock: simClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := off.Metrics().Export()
+	if v, ok := exp["shield_detect_sweeps_total"].(int64); !ok || v != 0 {
+		t.Errorf("shield_detect_sweeps_total = %v with detection off, want 0", exp["shield_detect_sweeps_total"])
+	}
+	if h, ok := exp["shield_detect_sweep_seconds"].(metrics.HistogramSnapshot); !ok || h.Count != 0 {
+		t.Errorf("shield_detect_sweep_seconds = %v with detection off, want an empty histogram", exp["shield_detect_sweep_seconds"])
 	}
 }
 

@@ -362,6 +362,11 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 	// Detection instruments exist (at zero) even with the detector off,
 	// matching the rejection-counter convention above.
 	escalations := reg.Counter("shield_detect_escalations_total")
+	// What a clustering sweep costs here: it runs on the request that
+	// crosses the batch count, so this is latency some query pays.
+	sweeps := reg.Counter("shield_detect_sweeps_total")
+	sweepSeconds := reg.Histogram("shield_detect_sweep_seconds",
+		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1})
 	reg.GaugeFunc("shield_detect_tracked_principals", func() float64 {
 		if s.detector == nil {
 			return 0
@@ -396,6 +401,7 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 			return nil, err
 		}
 		det.SetEscalationCounter(escalations)
+		det.SetSweepInstruments(sweeps, sweepSeconds)
 		s.detector = det
 	}
 

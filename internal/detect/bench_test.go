@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -47,23 +48,51 @@ func BenchmarkDetectorObserveBatchParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkRecluster measures a full clustering sweep over a saturated
-// candidate set — the amortized cost paid every ReclusterEvery batches.
-func BenchmarkRecluster(b *testing.B) {
-	cfg := Config{CatalogSize: 100_000, ReclusterEvery: 1 << 30, MaxCandidates: 64, CandidateFloor: 1e-9}
-	d, err := NewDetector(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for p := 0; p < 64; p++ {
-		ids := make([]uint64, 500)
-		for i := range ids {
-			ids[i] = uint64(p*500 + i)
-		}
-		d.ObserveBatch(fmt.Sprintf("p%02d", p), ids)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Recluster()
+// reclusterShapes are the candidate sets the sweep is timed on. The
+// disjoint one has no agreeing slot anywhere — the best case of counting
+// by groups — so the number that matters is history=scans: 256
+// principals of the ledger's scan_mixed traffic (see feedScans), all over
+// the candidate floor, whose signatures agree wherever popular ranges
+// were read by both.
+var reclusterShapes = []struct {
+	name  string
+	cands int
+	pop   population
+}{
+	{"cands=64/history=disjoint", 64, population{
+		cfg: Config{CatalogSize: 100_000, ReclusterEvery: 1 << 30, MaxCandidates: 64, CandidateFloor: 1e-9},
+		feed: func(d *Detector, _ *rand.Rand) {
+			for p := 0; p < 64; p++ {
+				observeRange(d, fmt.Sprintf("p%02d", p), p*500, (p+1)*500)
+			}
+		},
+	}},
+	{"cands=256/history=scans", 256, population{cfg: sweepConfig(200_000), feed: feedScans(256, 160)}},
+}
+
+func benchmarkSweep(b *testing.B, sweep func(*Detector)) {
+	for _, shape := range reclusterShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			d := build(b, shape.pop, 1)
+			d.Recluster()
+			if n := len(d.sweep.cands); n != shape.cands {
+				b.Fatalf("the sweep has %d candidates, want %d", n, shape.cands)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep(d)
+			}
+		})
 	}
 }
+
+// BenchmarkRecluster measures a full clustering sweep over a saturated
+// candidate set — the cost paid every ReclusterEvery batches by the
+// request that crosses the count.
+func BenchmarkRecluster(b *testing.B) { benchmarkSweep(b, (*Detector).Recluster) }
+
+// BenchmarkReclusterOracle is the same sweep done pair by pair, run in
+// the same process so `make bench-smoke` can hold the grouped sweep to a
+// fraction of it on any machine.
+func BenchmarkReclusterOracle(b *testing.B) { benchmarkSweep(b, pairwiseRecluster) }

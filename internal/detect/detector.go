@@ -22,11 +22,15 @@
 package detect
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -59,7 +63,7 @@ type Config struct {
 	// clustering sweeps. 0 means DefaultReclusterEvery.
 	ReclusterEvery int
 	// MaxCandidates bounds the clustering pass to the highest-coverage
-	// principals, keeping the sweep O(MaxCandidates²) regardless of how
+	// principals, keeping the sweep's cost and memory independent of how
 	// many principals are tracked. 0 means DefaultMaxCandidates.
 	MaxCandidates int
 	// CandidateFloor is the minimum own coverage for a principal to
@@ -78,6 +82,10 @@ const (
 	DefaultReclusterEvery   = 256
 	DefaultMaxCandidates    = 256
 )
+
+// maxSignatureSlots keeps a pair's agreeing-slot count inside the
+// sweep's uint16 counters.
+const maxSignatureSlots = 1 << 15
 
 func (c *Config) fill() error {
 	if c.CatalogSize < 1 {
@@ -101,6 +109,9 @@ func (c *Config) fill() error {
 	}
 	if c.SignatureSlots <= 0 {
 		c.SignatureSlots = DefaultSignatureSlots
+	}
+	if c.SignatureSlots > maxSignatureSlots {
+		return errors.New("detect: SignatureSlots above 32768")
 	}
 	if c.ReclusterEvery <= 0 {
 		c.ReclusterEvery = DefaultReclusterEvery
@@ -155,10 +166,12 @@ type Detector struct {
 	// seq is the global observation sequence, doubling as the
 	// recency stamp for evict-coldest.
 	seq atomic.Uint64
-	// clusterMu serializes clustering sweeps; observers skip the sweep
-	// if one is already running (TryLock) so the hot path never queues
-	// behind it.
+	// clusterMu serializes clustering sweeps and guards sweep, their
+	// working memory. The observer whose batch crosses the cadence runs
+	// the sweep itself; one that crosses while a sweep is running skips
+	// it (TryLock), so observers never queue behind each other.
 	clusterMu sync.Mutex
+	sweep     sweepScratch
 
 	// Sweep results for the gauges.
 	coalitions atomic.Int64
@@ -166,6 +179,10 @@ type Detector struct {
 	// escalations counts principals crossing from 1× to >1×, set via
 	// SetEscalationCounter.
 	escalations *metrics.Counter
+	// sweeps and sweepSeconds count and time clustering sweeps, set
+	// together via SetSweepInstruments.
+	sweeps       *metrics.Counter
+	sweepSeconds *metrics.Histogram
 
 	perPrincipalBytes int
 	// sigWidth is the filled signature slot count, the width Absorb
@@ -197,6 +214,8 @@ func NewDetector(cfg Config) (*Detector, error) {
 	probe := newState(cfg)
 	d.perPrincipalBytes = probe.hll.SizeBytes() + probe.sig.SizeBytes()
 	d.sigWidth = len(probe.sig.slots)
+	d.sweep.union = probe.hll
+	d.sweep.attr = make(map[string]attribution)
 	return d, nil
 }
 
@@ -212,6 +231,13 @@ func newState(cfg Config) *principalState {
 // principal's applied multiplier first rises above 1×. May be nil.
 // Call before the detector is shared between goroutines.
 func (d *Detector) SetEscalationCounter(c *metrics.Counter) { d.escalations = c }
+
+// SetSweepInstruments attaches a counter incremented per clustering
+// sweep and a histogram of what each one took, in seconds. Both or
+// neither; call before the detector is shared between goroutines.
+func (d *Detector) SetSweepInstruments(sweeps *metrics.Counter, seconds *metrics.Histogram) {
+	d.sweeps, d.sweepSeconds = sweeps, seconds
+}
 
 // Config returns the filled configuration.
 func (d *Detector) Config() Config { return d.cfg }
@@ -311,16 +337,10 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// candidate is a clustering-pass snapshot of one principal, copied out
-// so Jaccard comparisons and HLL merges run without any shard lock.
-type candidate struct {
-	name string
-	cov  float64
-	sig  *Signature
-	hll  *HLL
-}
-
-// tryRecluster runs a sweep unless one is already in flight.
+// tryRecluster runs a sweep on the calling request's goroutine unless
+// one is already in flight, in which case the caller skips it: crossers
+// never queue behind each other, but the one that wins pays for the
+// sweep before its query is charged.
 func (d *Detector) tryRecluster() {
 	if !d.clusterMu.TryLock() {
 		return
@@ -348,69 +368,64 @@ func (d *Detector) Recluster() {
 // (A~B, B~C, A≁C) could otherwise glue legitimate heavy users into an
 // adversary's coalition through a shared popular head.
 func (d *Detector) reclusterLocked() {
-	// Phase 1: snapshot candidates under each shard lock in turn.
-	var cands []candidate
+	start := time.Now()
+	w := &d.sweep
+
+	// Phase 1: pick the candidates — (name, coverage) only — under each
+	// shard lock in turn, then copy the sketches of the chosen few.
+	w.cands = w.cands[:0]
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
 		for name, st := range s.entries {
 			if st.ownCov >= d.cfg.CandidateFloor {
-				cands = append(cands, candidate{
-					name: name,
-					cov:  st.ownCov,
-					sig:  st.sig.Clone(),
-					hll:  st.hll.Clone(),
-				})
+				w.cands = append(w.cands, candidate{name: name, cov: st.ownCov})
 			}
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cov != cands[j].cov {
-			return cands[i].cov > cands[j].cov
+	slices.SortFunc(w.cands, func(a, b candidate) int {
+		if a.cov != b.cov {
+			return cmp.Compare(b.cov, a.cov)
 		}
-		return cands[i].name < cands[j].name
+		return strings.Compare(a.name, b.name)
 	})
-	if len(cands) > d.cfg.MaxCandidates {
-		cands = cands[:d.cfg.MaxCandidates]
+	if len(w.cands) > d.cfg.MaxCandidates {
+		w.cands = w.cands[:d.cfg.MaxCandidates]
 	}
+	cands := w.cands
+	w.snapshot(d)
 
 	// Phase 2: cluster the snapshot without holding any lock.
-	type attribution struct {
-		coalition string
-		n         int
-		cov       float64
-	}
-	attr := make(map[string]attribution, len(cands))
-	assigned := make([]bool, len(cands))
+	w.countMatches()
+	clear(w.attr)
+	w.assigned = resized(w.assigned, len(cands))
+	clear(w.assigned)
 	var ncoal int64
 	for i := range cands {
-		if assigned[i] {
+		if w.assigned[i] {
 			continue
 		}
-		members := []int{i}
+		members := append(w.members[:0], i)
 		for j := i + 1; j < len(cands); j++ {
-			if assigned[j] {
-				continue
-			}
-			if cands[i].sig.Jaccard(cands[j].sig) >= d.cfg.JaccardThreshold {
+			if !w.assigned[j] && w.jaccard(i, j) >= d.cfg.JaccardThreshold {
 				members = append(members, j)
 			}
 		}
+		w.members = members
 		if len(members) < 2 {
-			attr[cands[i].name] = attribution{}
 			continue
 		}
 		ncoal++
-		union := cands[members[0]].hll.Clone()
+		w.union.copyFrom(w.hlls[members[0]])
 		for _, m := range members[1:] {
-			union.Merge(cands[m].hll)
+			w.union.Merge(w.hlls[m])
 		}
-		cov := clamp01(union.Estimate() / float64(d.cfg.CatalogSize))
+		cov := clamp01(w.union.Estimate() / float64(d.cfg.CatalogSize))
 		a := attribution{coalition: cands[i].name, n: len(members), cov: cov}
 		for _, m := range members {
-			assigned[m] = true
-			attr[cands[m].name] = a
+			w.assigned[m] = true
+			w.attr[cands[m].name] = a
 		}
 	}
 	d.coalitions.Store(ncoal)
@@ -420,16 +435,10 @@ func (d *Detector) reclusterLocked() {
 		s := &d.shards[i]
 		s.mu.Lock()
 		for name, st := range s.entries {
-			a, isCand := attr[name]
-			if isCand {
-				st.coalition = a.coalition
-				st.coalitionN = a.n
-				st.coalitionCov = a.cov
-			} else {
-				st.coalition = ""
-				st.coalitionN = 0
-				st.coalitionCov = 0
-			}
+			a := w.attr[name] // zero unless the sweep put name in a coalition
+			st.coalition = a.coalition
+			st.coalitionN = a.n
+			st.coalitionCov = a.cov
 			eff := st.ownCov
 			if st.coalitionCov > eff {
 				eff = st.coalitionCov
@@ -442,6 +451,10 @@ func (d *Detector) reclusterLocked() {
 			st.mult = next
 		}
 		s.mu.Unlock()
+	}
+	if d.sweeps != nil {
+		d.sweeps.Inc()
+		d.sweepSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 

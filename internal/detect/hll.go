@@ -110,12 +110,22 @@ func (h *HLL) Merge(other *HLL) {
 	}
 }
 
-// Clone returns an independent copy, used to snapshot sketches out of
-// the shard locks before the clustering pass merges them.
+// Clone returns an independent copy.
 func (h *HLL) Clone() *HLL {
-	c := &HLL{p: h.p, reg: make([]uint8, len(h.reg)), sum: h.sum, zeros: h.zeros}
-	copy(c.reg, h.reg)
+	c := NewHLL(h.p)
+	c.copyFrom(h)
 	return c
+}
+
+// copyFrom overwrites h with src's contents, reusing h's registers: the
+// clustering sweep's allocation-free Clone. Panics if the precisions
+// differ, like Merge.
+func (h *HLL) copyFrom(src *HLL) {
+	if h.p != src.p {
+		panic("detect: copying HLLs of different precision")
+	}
+	copy(h.reg, src.reg)
+	h.sum, h.zeros = src.sum, src.zeros
 }
 
 // SizeBytes reports the register array's footprint, the dominant cost

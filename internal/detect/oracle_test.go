@@ -1,0 +1,384 @@
+package detect
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/zipf"
+)
+
+// pairwiseRecluster is the clustering sweep as it was before the grouped
+// match counting: every sketch at or above the floor cloned, one
+// Signature.Jaccard call per candidate pair. It is the reference the
+// sweep is tested and benchmarked against.
+func pairwiseRecluster(d *Detector) {
+	d.clusterMu.Lock()
+	defer d.clusterMu.Unlock()
+
+	type oracleCandidate struct {
+		name string
+		cov  float64
+		sig  *Signature
+		hll  *HLL
+	}
+	var cands []oracleCandidate
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.Lock()
+		for name, st := range s.entries {
+			if st.ownCov >= d.cfg.CandidateFloor {
+				cands = append(cands, oracleCandidate{
+					name: name,
+					cov:  st.ownCov,
+					sig:  st.sig.Clone(),
+					hll:  st.hll.Clone(),
+				})
+			}
+		}
+		s.mu.Unlock()
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].cov != cands[j].cov {
+			return cands[i].cov > cands[j].cov
+		}
+		return cands[i].name < cands[j].name
+	})
+	if len(cands) > d.cfg.MaxCandidates {
+		cands = cands[:d.cfg.MaxCandidates]
+	}
+
+	attr := make(map[string]attribution, len(cands))
+	assigned := make([]bool, len(cands))
+	var ncoal int64
+	for i := range cands {
+		if assigned[i] {
+			continue
+		}
+		members := []int{i}
+		for j := i + 1; j < len(cands); j++ {
+			if assigned[j] {
+				continue
+			}
+			if cands[i].sig.Jaccard(cands[j].sig) >= d.cfg.JaccardThreshold {
+				members = append(members, j)
+			}
+		}
+		if len(members) < 2 {
+			attr[cands[i].name] = attribution{}
+			continue
+		}
+		ncoal++
+		union := cands[members[0]].hll.Clone()
+		for _, m := range members[1:] {
+			union.Merge(cands[m].hll)
+		}
+		cov := clamp01(union.Estimate() / float64(d.cfg.CatalogSize))
+		a := attribution{coalition: cands[i].name, n: len(members), cov: cov}
+		for _, m := range members {
+			assigned[m] = true
+			attr[cands[m].name] = a
+		}
+	}
+	d.coalitions.Store(ncoal)
+
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.Lock()
+		for name, st := range s.entries {
+			a, isCand := attr[name]
+			if isCand {
+				st.coalition = a.coalition
+				st.coalitionN = a.n
+				st.coalitionCov = a.cov
+			} else {
+				st.coalition = ""
+				st.coalitionN = 0
+				st.coalitionCov = 0
+			}
+			eff := st.ownCov
+			if st.coalitionCov > eff {
+				eff = st.coalitionCov
+			}
+			raw := d.cfg.Policy.Multiplier(eff)
+			next := d.cfg.Policy.release(st.mult, raw)
+			if st.mult <= 1 && next > 1 && d.escalations != nil {
+				d.escalations.Inc()
+			}
+			st.mult = next
+		}
+		s.mu.Unlock()
+	}
+}
+
+// A population feeds one detector; the differential test builds it twice.
+type population struct {
+	name string
+	cfg  Config
+	feed func(d *Detector, rng *rand.Rand)
+}
+
+func sweepConfig(catalog int) Config {
+	return Config{
+		CatalogSize:    catalog,
+		Policy:         EscalationPolicy{Grace: 0.08, Cap: 64},
+		ReclusterEvery: 1 << 30,
+	}
+}
+
+// feedScans is the traffic of the ledger's scan_mixed workload as the
+// detector sees it: every principal reads key ranges of 10, 100 or 1000
+// ids (weights 0.6/0.3/0.1) that start at a Zipf-ranked key, popularity
+// rank scattered over the key space by a fixed permutation, until it has
+// issued its share of scans. Popular starts are shared, so signatures
+// agree in a fraction of their slots without any coalition existing.
+func feedScans(principals, scansEach int) func(*Detector, *rand.Rand) {
+	return func(d *Detector, rng *rand.Rand) {
+		rows := d.cfg.CatalogSize
+		dist, err := zipf.New(rows, 1)
+		if err != nil {
+			panic(err)
+		}
+		ranks := zipf.NewSampler(dist, rng.Int63())
+		perm := rand.New(rand.NewSource(0x5eed)).Perm(rows)
+		ids := make([]uint64, 0, 1000)
+		for q := 0; q < principals*scansEach; q++ {
+			span := 10
+			if u := rng.Float64(); u >= 0.9 {
+				span = 1000
+			} else if u >= 0.6 {
+				span = 100
+			}
+			start := perm[ranks.Next()-1]
+			if start > rows-span {
+				start = rows - span
+			}
+			ids = ids[:0]
+			for k := 0; k < span; k++ {
+				ids = append(ids, uint64(start+k))
+			}
+			d.ObserveBatch(fmt.Sprintf("user-%d", rng.Intn(principals)), ids)
+		}
+	}
+}
+
+// feedSybil splits a scan of the catalog's first 60% over k identities
+// that also share a verification sample, next to bystanders.
+func feedSybil(k int) func(*Detector, *rand.Rand) {
+	return func(d *Detector, rng *rand.Rand) {
+		rows := d.cfg.CatalogSize
+		share := rows * 6 / 10 / k
+		for s := 0; s < k; s++ {
+			name := fmt.Sprintf("sybil-%02d", s)
+			observeRange(d, name, s*share, (s+1)*share)
+			observeRange(d, name, rows*7/10, rows*8/10)
+		}
+		for b := 0; b < 8; b++ {
+			lo := rng.Intn(rows * 9 / 10)
+			observeRange(d, fmt.Sprintf("bystander-%d", b), lo, lo+rows/20)
+		}
+	}
+}
+
+var populations = []population{
+	{
+		name: "disjoint",
+		cfg:  sweepConfig(100_000),
+		feed: func(d *Detector, _ *rand.Rand) {
+			for p := 0; p < 64; p++ {
+				observeRange(d, fmt.Sprintf("p%02d", p), p*1000, (p+1)*1000)
+			}
+		},
+	},
+	{name: "scans", cfg: sweepConfig(20_000), feed: feedScans(48, 40)},
+	{name: "sybil", cfg: sweepConfig(10_000), feed: feedSybil(6)},
+	{
+		// Fewer ids than slots: slots stay empty on one side of a pair
+		// and on both, and some principals share all they have.
+		name: "sparse",
+		cfg: func() Config {
+			c := sweepConfig(2_000)
+			c.CandidateFloor = 1e-9
+			return c
+		}(),
+		feed: func(d *Detector, rng *rand.Rand) {
+			for p := 0; p < 40; p++ {
+				n := 1 + rng.Intn(120)
+				ids := make([]uint64, n)
+				for i := range ids {
+					ids[i] = uint64(rng.Intn(300))
+				}
+				d.ObserveBatch(fmt.Sprintf("small-%02d", p), ids)
+				if p%5 == 0 {
+					d.ObserveBatch(fmt.Sprintf("twin-%02d", p), ids)
+				}
+			}
+		},
+	},
+	{
+		name: "truncated",
+		cfg: func() Config {
+			c := sweepConfig(20_000)
+			c.MaxCandidates = 24
+			c.CandidateFloor = 0.01
+			return c
+		}(),
+		feed: feedScans(60, 30),
+	},
+}
+
+func build(t testing.TB, p population, seed int64) *Detector {
+	t.Helper()
+	d, err := NewDetector(p.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.feed(d, rand.New(rand.NewSource(seed)))
+	return d
+}
+
+// TestReclusterMatchesPairwiseOracle: on every population the sweep
+// leaves exactly what the pairwise reference leaves — suspects field for
+// field (== on the floats), the coalition count, and every multiplier —
+// over three consecutive sweeps, so the hysteresis release is compared
+// too. More traffic arrives between sweeps, and the second of them
+// breaks coalitions apart by raising the floor.
+func TestReclusterMatchesPairwiseOracle(t *testing.T) {
+	for _, p := range populations {
+		t.Run(p.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				got, want := build(t, p, seed), build(t, p, seed)
+				for sweep := 0; sweep < 3; sweep++ {
+					got.Recluster()
+					pairwiseRecluster(want)
+					gs, ws := got.Suspects(0), want.Suspects(0)
+					if len(gs) != len(ws) {
+						t.Fatalf("seed %d sweep %d: %d suspects, oracle %d", seed, sweep, len(gs), len(ws))
+					}
+					for i := range ws {
+						if gs[i] != ws[i] {
+							t.Fatalf("seed %d sweep %d: suspect %d = %+v, oracle %+v", seed, sweep, i, gs[i], ws[i])
+						}
+						if g, w := got.Multiplier(ws[i].Principal), want.Multiplier(ws[i].Principal); g != w {
+							t.Fatalf("seed %d sweep %d: %s multiplier %v, oracle %v", seed, sweep, ws[i].Principal, g, w)
+						}
+					}
+					if got.Coalitions() != want.Coalitions() {
+						t.Fatalf("seed %d sweep %d: %d coalitions, oracle %d", seed, sweep, got.Coalitions(), want.Coalitions())
+					}
+					// The populations must exercise what they are there for.
+					if p.name == "sybil" && sweep == 0 && got.Coalitions() == 0 {
+						t.Error("sybil population: the sweep found no coalition")
+					}
+					if n := len(got.sweep.cands); p.name == "scans" && sweep == 0 && (n < 40 || slices.Max(got.sweep.match) == 0) {
+						t.Errorf("scans population: %d candidates; want a full pass with signatures that agree somewhere", n)
+					}
+					for _, d := range []*Detector{got, want} {
+						rng := rand.New(rand.NewSource(seed*100 + int64(sweep)))
+						observeRange(d, ws[0].Principal, 0, 1+rng.Intn(50))
+						if sweep == 1 {
+							d.cfg.CandidateFloor = 0.5
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSweepClonesOnlyCandidates: with 1,000 principals above the floor a
+// sweep copies the sketches of the MaxCandidates it keeps, into buffers
+// it already has — the thousand 3 KiB clones of the first phase are
+// gone, and what a sweep allocates no longer grows with who is tracked.
+func TestSweepClonesOnlyCandidates(t *testing.T) {
+	cfg := sweepConfig(1_000_000)
+	cfg.CandidateFloor = 1e-9
+	build := func() *Detector {
+		d, err := NewDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 1000; p++ {
+			observeRange(d, fmt.Sprintf("p%04d", p), p*100, p*100+50+p%50)
+		}
+		return d
+	}
+	got, want := build(), build()
+	got.Recluster()
+	pairwiseRecluster(want)
+	if gs, ws := got.Suspects(0), want.Suspects(0); fmt.Sprint(gs) != fmt.Sprint(ws) {
+		t.Fatal("attributions differ from the pairwise oracle")
+	}
+	if n := len(got.sweep.cands); n != got.cfg.MaxCandidates {
+		t.Fatalf("sweep kept %d candidates, want %d", n, got.cfg.MaxCandidates)
+	}
+	// Steady state: the buffers exist, so a sweep allocates next to
+	// nothing — far under one sketch per candidate, let alone per
+	// tracked principal.
+	if allocs := testing.AllocsPerRun(5, got.Recluster); allocs > 8 {
+		t.Errorf("a sweep over 1,000 tracked principals makes %.0f allocations, want ≤ 8", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		got.Recluster()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes, clones := (after.TotalAlloc-before.TotalAlloc)/10, uint64(got.perPrincipalBytes)*1000; bytes > clones/100 {
+		t.Errorf("a sweep allocates %d bytes; cloning every tracked principal was %d", bytes, clones)
+	}
+}
+
+// FuzzPairMatches: for arbitrary slot arrays the grouped count gives, for
+// every pair, the match/used that Signature.Jaccard computes — the same
+// float64 — and a signature of another width is the 0 Jaccard returns
+// for it, not a panic.
+func FuzzPairMatches(f *testing.F) {
+	f.Add([]byte{}, uint8(3))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(4))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(5))
+	f.Add([]byte{7, 7, 7, 1, 7, 7, 7, 1, 2, 2, 2, 2, 9, 9, 9, 9, 0xff, 3, 0xff, 3}, uint8(9))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the lazy dog"), uint8(33))
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		const width = 16
+		count := int(n)%40 + 1
+		sigs := make([]*Signature, count)
+		for c := range sigs {
+			k := width
+			if len(data) > 0 && data[(c*7)%len(data)]%11 == 0 {
+				k = 2 * width // every so often, a signature of another width
+			}
+			sigs[c] = NewSignature(k)
+			// A few distinct values per slot, so agreements are common;
+			// value 0 of the alphabet leaves the slot empty.
+			for s := range sigs[c].slots {
+				if len(data) == 0 {
+					break
+				}
+				if v := data[(c*k+s)%len(data)] % 5; v != 0 {
+					sigs[c].slots[s] = uint64(v)<<40 | uint64(s)
+				}
+			}
+		}
+		var w sweepScratch
+		w.size(count, width)
+		for c, sig := range sigs {
+			w.load(c, sig)
+		}
+		w.countMatches()
+		for i := 0; i < count; i++ {
+			for j := i + 1; j < count; j++ {
+				want := sigs[i].Jaccard(sigs[j])
+				if len(sigs[i].slots) != width || len(sigs[j].slots) != width {
+					want = 0 // two off-width signatures may agree with each other
+				}
+				if got := w.jaccard(i, j); got != want {
+					t.Fatalf("pair (%d,%d): grouped %v, Jaccard %v", i, j, got, want)
+				}
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,13 +13,13 @@ import (
 // Pool is a buffer pool over a Pager, built for a concurrent read path.
 //
 // The frame table is striped: pages hash to one of a power-of-two number
-// of shards by the low bits of their PageID. Each shard's frame map is
-// immutable and published through an atomic pointer (copy-on-write), so
-// a cache hit takes no latch at all — one atomic map load, one pin
+// of shards by the low bits of their PageID. Each shard's table is a
+// fixed array of atomic frame pointers, open-addressed, so a cache hit
+// takes no latch at all — a probe of atomic loads, one pin
 // compare-and-swap, and a reference-bit store only when the bit is not
 // already set. Misses, evictions, and the maintenance scans serialize on
-// the shard mutex and publish a fresh map copy; the hot path never waits
-// on them.
+// the shard mutex and update the table in place, one slot store at a
+// time; the hot path never waits on them, and a miss copies nothing.
 //
 // Eviction safety without a read latch is by condemnation: the clock
 // sweep claims a victim by CAS-ing its pin count from 0 to -1. A frame
@@ -62,20 +63,23 @@ type Pool struct {
 	versRetired atomic.Int64 // retired versions dropped (total)
 }
 
-// poolShard is one stripe of the frame table. frames is the published
-// immutable map; mu serializes the writers that replace it (miss insert,
-// eviction, the flush/scan paths) and guards clock and hand. cap is this
-// shard's slice of the pool capacity; clock is the ring the sweep hand
-// walks. The hit/miss/evict counters are per shard — a global counter
-// trio would put every shard's hit path on the same contended cache
-// line — and the struct is padded so adjacent shards in the Pool's shard
-// array never false-share a line.
+// poolShard is one stripe of the frame table. slots is the table: linear
+// probing from home(id), at least twice cap long so a probe always ends
+// at an empty slot, never reallocated. mu serializes the writers that
+// change it (miss insert, eviction, the flush/scan paths) and guards clock
+// and hand. cap is this shard's slice of the pool capacity; clock is the
+// ring the sweep hand walks, holding exactly the frames in slots. The
+// hit/miss/evict counters are per shard — a global counter trio would
+// put every shard's hit path on the same contended cache line — and the
+// struct is padded so adjacent shards in the Pool's shard array never
+// false-share a line.
 type poolShard struct {
-	mu     sync.Mutex
-	frames atomic.Pointer[map[PageID]*frame]
-	cap    int
-	clock  []*frame
-	hand   int
+	mu    sync.Mutex
+	slots []atomic.Pointer[frame]
+	shift uint8 // home(id) keeps the top 32-shift bits of the hashed id
+	cap   int
+	clock []*frame
+	hand  int
 	// gone records, for evicted pages, the epoch of the version the
 	// write-back persisted, so a reload is stamped with it and snapshot
 	// visibility survives evict+reload (a page born at epoch 9 must not
@@ -85,17 +89,18 @@ type poolShard struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 	evicts atomic.Int64
-	_      [24]byte
+	_      [16]byte // 112 bytes of fields: two cache lines
 }
 
 // frame is one resident page. pins, ref, and dirty are atomics so the
 // latch-free hit path and Unpin can update them concurrently. A pin
 // count of condemnedPins marks a frame claimed by eviction; it never
-// becomes pinnable again. ready is closed once the page contents are
-// loaded: a miss inserts the frame pinned-but-loading and reads from the
-// pager with no lock held, so a slow read (or its modeled 2004-era
-// latency) never blocks hits on other pages of the same shard. loadErr
-// is set before ready closes.
+// becomes pinnable again. A miss inserts the frame pinned-but-loading
+// and reads from the pager with no shard lock held, so a slow read (or
+// its modeled 2004-era latency) never blocks hits on other pages of the
+// same shard; it holds loading for the duration, which is what a fetcher
+// of the same page queues on (see awaitLoaded). loadErr is set before
+// loading is released.
 type frame struct {
 	id PageID
 	// cur is the current published version; old is the newest-first chain
@@ -109,8 +114,8 @@ type frame struct {
 	pins    atomic.Int32
 	ref     atomic.Bool
 	dirty   atomic.Bool
-	loaded  atomic.Bool // fast path for awaitLoaded; set before ready closes
-	ready   chan struct{}
+	loaded  atomic.Bool // fast path for awaitLoaded; set before loading is released
+	loading sync.Mutex
 	loadErr error
 }
 
@@ -173,21 +178,15 @@ func (f *frame) tryPin() bool {
 	}
 }
 
-// readyFrame returns a frame whose contents need no load, with its
-// current version stamped at epoch.
-func readyFrame(id PageID, pg *Page, epoch uint64) *frame {
-	f := &frame{id: id, ready: closedReady}
+// newFrame returns a frame for page id holding one pin, referenced, its
+// current version pg stamped at epoch.
+func newFrame(id PageID, pg *Page, epoch uint64) *frame {
+	f := &frame{id: id}
 	f.cur.Store(&pageVersion{epoch: epoch, page: pg})
-	f.loaded.Store(true)
+	f.pins.Store(1)
+	f.ref.Store(true)
 	return f
 }
-
-// closedReady is shared by all frames born loaded.
-var closedReady = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // Shard sizing: stripes are only worth their capacity fragmentation once
 // each holds a useful number of frames, and beyond the machine's
@@ -244,8 +243,11 @@ func NewPoolShards(pager *Pager, capacity, shards int) (*Pool, error) {
 		if i < capacity%shards {
 			sh.cap++
 		}
-		m := make(map[PageID]*frame, sh.cap)
-		sh.frames.Store(&m)
+		sh.shift = 31
+		for 1<<(32-sh.shift) < 2*sh.cap {
+			sh.shift--
+		}
+		sh.slots = make([]atomic.Pointer[frame], 1<<(32-sh.shift))
 	}
 	b.scans = make(map[uint64]int)
 	return b, nil
@@ -258,34 +260,71 @@ func (b *Pool) shard(id PageID) *poolShard {
 // Shards returns the stripe count (for tests and capacity planning).
 func (b *Pool) Shards() int { return len(b.shards) }
 
-// publishWith replaces the shard's map with a copy that includes f.
-// Callers hold sh.mu.
-func (sh *poolShard) publishWith(f *frame) {
-	old := *sh.frames.Load()
-	next := make(map[PageID]*frame, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[f.id] = f
-	sh.frames.Store(&next)
-}
+// home is where id's probe run starts. The low bits of an id chose the
+// shard, so the multiplicative hash takes its slot from the high ones.
+func (sh *poolShard) home(id PageID) uint32 { return uint32(id) * 0x9E3779B1 >> sh.shift }
 
-// publishWithout replaces the shard's map with a copy lacking id.
-// Callers hold sh.mu.
-func (sh *poolShard) publishWithout(id PageID) {
-	old := *sh.frames.Load()
-	next := make(map[PageID]*frame, len(old))
-	for k, v := range old {
-		if k != id {
-			next[k] = v
+// lookup returns id's resident frame, or nil. Under sh.mu the answer is
+// exact. Without it a frame found is the page's frame (or was, a moment
+// ago: it may since have been condemned), but nil is only a hint — remove
+// moves entries while it closes a gap, and a probe that crosses the move
+// can miss a resident page — so a lock-free caller re-probes under sh.mu
+// before it concludes anything from a nil.
+func (sh *poolShard) lookup(id PageID) *frame {
+	mask := uint32(len(sh.slots) - 1)
+	for i := sh.home(id); ; i = (i + 1) & mask {
+		if f := sh.slots[i].Load(); f == nil || f.id == id {
+			return f
 		}
 	}
-	sh.frames.Store(&next)
+}
+
+// insert adds f to the table and the clock. Callers hold sh.mu and have
+// made room: the shard holds fewer than cap frames.
+func (sh *poolShard) insert(f *frame) {
+	mask := uint32(len(sh.slots) - 1)
+	i := sh.home(f.id)
+	for sh.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	sh.slots[i].Store(f)
+	sh.clock = append(sh.clock, f)
+}
+
+// remove takes the frame at clock index c out of the clock (swap-remove
+// keeps the ring compact) and out of the table, closing the gap it
+// leaves: each later entry of the probe run that the gap would cut off
+// from its home slot moves back into it, the copy stored before the
+// original is overwritten, so a lock-free probe never finds a frame that
+// is not resident and at worst misses one that is. Callers hold sh.mu.
+func (sh *poolShard) remove(c int) {
+	f := sh.clock[c]
+	last := len(sh.clock) - 1
+	sh.clock[c] = sh.clock[last]
+	sh.clock[last] = nil
+	sh.clock = sh.clock[:last]
+
+	mask := uint32(len(sh.slots) - 1)
+	i := sh.home(f.id)
+	for sh.slots[i].Load() != f {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		g := sh.slots[j].Load()
+		if g == nil {
+			break
+		}
+		if (j-sh.home(g.id))&mask >= (j-i)&mask {
+			sh.slots[i].Store(g)
+			i = j
+		}
+	}
+	sh.slots[i].Store(nil)
 }
 
 // Fetch returns the page with the given id, pinned. Callers must Unpin.
-// The hit path is latch-free: an atomic load of the shard's published
-// frame map, a pin CAS, and the per-shard hit counter.
+// The hit path is latch-free: a probe of the shard's table, a pin CAS,
+// and the per-shard hit counter.
 func (b *Pool) Fetch(id PageID) (*Page, error) {
 	f, err := b.pinFrame(id)
 	if err != nil {
@@ -298,7 +337,7 @@ func (b *Pool) Fetch(id PageID) (*Page, error) {
 // release the pin (Unpin, or f.pins.Add(-1)).
 func (b *Pool) pinFrame(id PageID) (*frame, error) {
 	sh := b.shard(id)
-	if f, ok := (*sh.frames.Load())[id]; ok && f.tryPin() {
+	if f := sh.lookup(id); f != nil && f.tryPin() {
 		sh.hits.Add(1)
 		return b.awaitLoaded(f)
 	}
@@ -314,7 +353,7 @@ func (b *Pool) pinFrame(id PageID) (*frame, error) {
 // snapshot can read, so holding the pointer is enough.
 func (b *Pool) FetchAt(id PageID, snap uint64) (*Page, bool, error) {
 	sh := b.shard(id)
-	if f, ok := (*sh.frames.Load())[id]; ok && f.loaded.Load() {
+	if f := sh.lookup(id); f != nil && f.loaded.Load() {
 		sh.hits.Add(1)
 		// Every SELECT reads through here, not through tryPin: this is
 		// where a page it re-reads earns its second chance.
@@ -443,21 +482,25 @@ func (b *Pool) WriteStats() (latchAcq, latchWaits, versLive, versRetired int64) 
 }
 
 // fetchSlow is the miss path (also taken in the vanishingly rare case of
-// losing a race with eviction): re-probe under the shard mutex, then
-// load the page with no lock held.
+// losing a race with eviction, or of a probe that crossed one): re-probe
+// under the shard mutex, then load the page with no lock held. A miss on
+// a full stripe changes the table twice, in place — the victim's slot
+// and the newcomer's — and allocates the frame, its first version and
+// its page, nothing else. The victim's page buffer is not reused: an
+// unpinned FetchAt reader may still hold it.
 func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 	sh.mu.Lock()
 	// Another goroutine may have loaded the page while we took the mutex.
-	// Under sh.mu a mapped frame is never condemned — the sweep removes
-	// its victim from the map before releasing the mutex — so the pin
-	// must succeed.
-	if f, ok := (*sh.frames.Load())[id]; ok && f.tryPin() {
+	// Under sh.mu a frame in the table is never condemned — the sweep
+	// removes its victim before releasing the mutex — so the pin must
+	// succeed.
+	if f := sh.lookup(id); f != nil && f.tryPin() {
 		sh.mu.Unlock()
 		sh.hits.Add(1)
 		return b.awaitLoaded(f)
 	}
 	sh.misses.Add(1)
-	if len(*sh.frames.Load()) >= sh.cap {
+	if len(sh.clock) >= sh.cap {
 		if err := sh.evictOne(b); err != nil {
 			sh.mu.Unlock()
 			return nil, err
@@ -465,15 +508,12 @@ func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 	}
 	// Insert the frame pinned but still loading, then read with no lock
 	// held: hits on the shard's other pages proceed during the I/O, and
-	// concurrent fetchers of this page pin the frame and wait on ready.
+	// concurrent fetchers of this page pin the frame and queue on loading.
 	// The reload is stamped with the epoch recorded at eviction so
 	// snapshot visibility is unchanged by the disk round-trip.
-	f := &frame{id: id, ready: make(chan struct{})}
-	f.cur.Store(&pageVersion{epoch: sh.gone[id], page: NewPage()})
-	f.pins.Store(1)
-	f.ref.Store(true)
-	sh.publishWith(f)
-	sh.clock = append(sh.clock, f)
+	f := newFrame(id, NewPage(), sh.gone[id])
+	f.loading.Lock()
+	sh.insert(f)
 	sh.mu.Unlock()
 
 	// The loading-frame fill is its own failpoint, upstream of the pager
@@ -486,20 +526,12 @@ func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 	if f.loadErr == nil {
 		f.loaded.Store(true)
 	}
-	close(f.ready)
+	f.loading.Unlock()
 	if f.loadErr != nil {
 		// Evict the stillborn frame so a later fetch retries the read.
 		// Waiters hold the frame pointer and observe loadErr directly.
 		sh.mu.Lock()
-		for i, cf := range sh.clock {
-			if cf == f {
-				last := len(sh.clock) - 1
-				sh.clock[i] = sh.clock[last]
-				sh.clock = sh.clock[:last]
-				break
-			}
-		}
-		sh.publishWithout(id)
+		sh.remove(slices.Index(sh.clock, f))
 		sh.mu.Unlock()
 		return nil, f.loadErr
 	}
@@ -507,18 +539,21 @@ func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 }
 
 // awaitLoaded blocks until f's contents are loaded. The atomic fast path
-// keeps the common case — a long-resident frame — free of channel
-// operations. On load failure the pin taken by the caller is returned
-// directly to the frame: the loader already removed it from the shard,
+// keeps the common case — a long-resident frame — free of anything else;
+// a fetcher that finds the frame still loading waits its turn on the
+// mutex the loader holds. On load failure the pin taken by the caller is
+// returned directly to the frame: the loader removes it from the shard,
 // so Unpin would not find it.
 func (b *Pool) awaitLoaded(f *frame) (*frame, error) {
 	if f.loaded.Load() {
 		return f, nil
 	}
-	<-f.ready
-	if f.loadErr != nil {
+	f.loading.Lock()
+	err := f.loadErr
+	f.loading.Unlock()
+	if err != nil {
 		f.pins.Add(-1)
-		return nil, f.loadErr
+		return nil, err
 	}
 	return f, nil
 }
@@ -534,26 +569,30 @@ func (b *Pool) allocateFrame(epoch uint64) (*frame, error) {
 	sh := b.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(*sh.frames.Load()) >= sh.cap {
+	if len(sh.clock) >= sh.cap {
 		if err := sh.evictOne(b); err != nil {
 			return nil, err
 		}
 	}
-	f := readyFrame(id, NewPage(), epoch)
-	f.pins.Store(1)
-	f.ref.Store(true)
-	sh.publishWith(f)
-	sh.clock = append(sh.clock, f)
+	f := newFrame(id, NewPage(), epoch)
+	f.loaded.Store(true)
+	sh.insert(f)
 	return f, nil
 }
 
 // Unpin releases one pin on the page. Like the hit path it is
-// latch-free: a pinned frame is always in the published map (eviction
-// only claims unpinned frames).
+// latch-free: a pinned frame is always in the table (eviction only
+// claims unpinned frames), and takes the mutex only to be sure of a page
+// its probe did not find.
 func (b *Pool) Unpin(id PageID) error {
 	sh := b.shard(id)
-	f, ok := (*sh.frames.Load())[id]
-	if !ok {
+	f := sh.lookup(id)
+	if f == nil {
+		sh.mu.Lock()
+		f = sh.lookup(id)
+		sh.mu.Unlock()
+	}
+	if f == nil {
 		return fmt.Errorf("storage: unpin of non-resident page %d", id)
 	}
 	for {
@@ -628,12 +667,12 @@ func (sh *poolShard) evictOne(b *Pool) error {
 }
 
 // dropFrameAt writes back the frame at clock index i if dirty and
-// removes it from the shard (swap-remove keeps the ring compact). The
-// frame must already be condemned (or otherwise unreachable), so its
-// bytes are stable for the write-back. If the write-back fails, the
-// frame is un-condemned and stays resident: its in-memory bytes are the
-// only copy of the dirty data, so it must remain pinnable (serving
-// reads in degraded mode) until a later write-back succeeds.
+// removes it from the shard. The frame must already be condemned (or
+// otherwise unreachable), so its bytes are stable for the write-back. If
+// the write-back fails, the frame is un-condemned and stays resident: its
+// in-memory bytes are the only copy of the dirty data, so it must remain
+// pinnable (serving reads in degraded mode) until a later write-back
+// succeeds.
 func (sh *poolShard) dropFrameAt(i int, b *Pool) error {
 	f := sh.clock[i]
 	if f.dirty.Load() {
@@ -665,10 +704,7 @@ func (sh *poolShard) dropFrameAt(i int, b *Pool) error {
 	} else {
 		delete(sh.gone, f.id)
 	}
-	last := len(sh.clock) - 1
-	sh.clock[i] = sh.clock[last]
-	sh.clock = sh.clock[:last]
-	sh.publishWithout(f.id)
+	sh.remove(i)
 	return nil
 }
 
@@ -743,7 +779,10 @@ func sortPageImages(ims []PageImage) {
 func (b *Pool) Resident() int {
 	n := 0
 	for i := range b.shards {
-		n += len(*b.shards[i].frames.Load())
+		sh := &b.shards[i]
+		sh.mu.Lock()
+		n += len(sh.clock)
+		sh.mu.Unlock()
 	}
 	return n
 }

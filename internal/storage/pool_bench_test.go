@@ -261,3 +261,37 @@ func BenchmarkPoolFetchHit(b *testing.B) {
 		run(b, newSingleLatchPool(pager, benchPoolCap), ids)
 	})
 }
+
+// BenchmarkPoolFetchMiss is the miss on a full stripe, the pool's share
+// of a scan over a table many times its size: the engine's default 256
+// frames in 16 stripes, read in id order round a working set 2.5 times
+// that, the way a SELECT reads (FetchAt, no pin), so every access evicts
+// a frame and loads a page from the file cache. ns/op carries the pread;
+// B/op and allocs/op are what the pool itself allocates per miss.
+func BenchmarkPoolFetchMiss(b *testing.B) {
+	b.Run("stripe=full", func(b *testing.B) {
+		pager, ids := benchPager(b)
+		pool, err := NewPool(pager, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fetch := func(i int) {
+			if _, _, err := pool.FetchAt(ids[i%len(ids)], 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := range ids {
+			fetch(i)
+		}
+		_, missesBefore, _ := pool.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fetch(i)
+		}
+		b.StopTimer()
+		if _, misses, _ := pool.Stats(); misses-missesBefore != int64(b.N) {
+			b.Fatalf("%d of %d fetches missed; the benchmark is meant to be all misses", misses-missesBefore, b.N)
+		}
+	})
+}

@@ -263,7 +263,7 @@ func TestPoolEvictsFrameUnpinnedMidSweep(t *testing.T) {
 	}
 	x, r, held := ids[1], ids[2], ids[3]
 	sh := pool.shard(x)
-	frameOf := func(id PageID) *frame { return (*sh.frames.Load())[id] }
+	frameOf := func(id PageID) *frame { return sh.lookup(id) }
 
 	snap := pool.BeginSnapshot()
 	defer pool.EndSnapshot(snap)

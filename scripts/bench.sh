@@ -5,8 +5,9 @@
 #
 # Suites:
 #   shield   front-door batch quote/observe path, the delay layer's
-#            per-tuple quote+observe cost on a scan, and the HTTP
-#            handler around the shield call     -> BENCH_shield.json
+#            per-tuple quote+observe cost on a scan, the HTTP handler
+#            around the shield call, and the detector's clustering
+#            sweep next to its pairwise oracle  -> BENCH_shield.json
 #   engine   buffer pool + parallel scan executor  -> BENCH_engine.json
 #   cluster  router tax over direct shard access   -> BENCH_cluster.json
 #   all      all of the above
@@ -23,7 +24,8 @@
 #                and exit nonzero on a >BENCH_TOL% per-key regression or
 #                a broken shape invariant (point queries must scale to
 #                g=16, a scan over a history of scans must be quoted no
-#                slower than one over a random history). Keys whose
+#                slower than one over a random history, the detector's
+#                sweep must take under half its pairwise oracle's time). Keys whose
 #                ns/op is an fsync are compared with nothing recorded,
 #                only with each other (see engine_shape).
 #   BENCH_TOL    allowed per-key regression percent in check mode
@@ -116,15 +118,24 @@ END {
 # the same fixture and statements) measured 1,715ns over
 # BenchmarkShieldQuery's 1,071ns = 1.60x when the /query codec stopped
 # going through encoding/json (3.7x before, same sitting), plus the
-# suite's 20%.
+# suite's 20%. The detector's clustering sweep, on 256 candidates of
+# scan traffic whose signatures really do agree here and there, may
+# take at most half of what comparing the same candidates pair by pair
+# takes in the same process (BenchmarkReclusterOracle, the test
+# reference): 0.13-0.15 when the sweep started counting matches by
+# groups, 1 and above if a candidates-squared loop ever comes back. The
+# oracle is test code kept for that comparison: its own ns/op is held to
+# nothing recorded (shield_shape).
 shield_inv='BenchmarkScanQuoteObserve/history=scans,BenchmarkScanQuoteObserve/history=random,1.0
-BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92'
+BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92
+BenchmarkRecluster/cands=256/history=scans,BenchmarkReclusterOracle/cands=256/history=scans,0.5'
 engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.05
 BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.05
 BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0
 BenchmarkEngineMixed/w10/g=16,BenchmarkEngineMixed/w10/g=1,0.6
 BenchmarkEngineMixed/w50/g=16,BenchmarkEngineMixed/w50/g=1,0.6
 BenchmarkEngineMixed/w90/g=16,BenchmarkEngineMixed/w90/g=1,0.6'
+shield_shape='^BenchmarkReclusterOracle/'
 engine_shape='^Benchmark(EngineMixed|WALCommit)/'
 # The cluster front door's tax on a point query — body read, request
 # decode, statement plan, replica-group walk, relay copy — is bounded
@@ -158,12 +169,12 @@ BenchmarkClusterScan/partitions=4,BenchmarkClusterScan/partitions=1,0.5
 BenchmarkClusterWrite/r=1,BenchmarkClusterWrite/r=N,1.0
 BenchmarkClusterReplicatedPoint/r=2,BenchmarkClusterReplicatedPoint/r=1,1.3'
 
-shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery'
+shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery|Recluster'
 
 case "$suite" in
 shield)
 	run_suite "$shield_pat" \
-		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" "" . ./internal/delay ./internal/server
+		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" "$shield_shape" . ./internal/delay ./internal/server ./internal/detect
 	;;
 engine)
 	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
@@ -176,7 +187,7 @@ cluster)
 	;;
 all)
 	[ -z "${BENCH_OUT:-}" ] || { echo "BENCH_OUT needs a single suite" >&2; exit 1; }
-	run_suite "$shield_pat" BENCH_shield.json "$shield_inv" "" . ./internal/delay ./internal/server
+	run_suite "$shield_pat" BENCH_shield.json "$shield_inv" "$shield_shape" . ./internal/delay ./internal/server ./internal/detect
 	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
 		BENCH_engine.json "$engine_inv" "$engine_shape" \
 		./internal/storage ./internal/engine
