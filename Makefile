@@ -69,9 +69,11 @@ bench-engine:
 # Cluster front-door benchmark: the same point query against a shard
 # directly vs through the router (admission, statement plan, replica
 # walk, relay) vs through the router and a real loopback socket (the
-# shard transport), scatter scans, group writes at R=1 vs R=N. Writes
-# BENCH_cluster.json; check mode bounds router/direct and remote/direct
-# (see bench.sh).
+# shard transport), scatter scans (an aggregate over cold pages, and the
+# TopN that merges rows), the merge alone over spans and the way the test
+# oracle does it, group writes at R=1 vs R=N. Writes BENCH_cluster.json;
+# check mode bounds router/direct, remote/direct and span/oracle (see
+# bench.sh).
 bench-cluster:
 	BENCH_SUITE=cluster ./scripts/bench.sh
 
@@ -81,7 +83,8 @@ bench-cluster:
 # win, the detector's clustering sweep staying under half its pairwise
 # oracle, grouped WAL commit beating per-commit fsyncs, mixed read/write
 # throughput scaling with clients, cluster router tax over direct shard
-# access staying within its recorded ratio). The fsync-bound engine keys
+# access staying within its recorded ratio, the scatter merge over spans
+# staying under half of decoding every cell). The fsync-bound engine keys
 # are held to their shape only — their ns/op is the disk's, not the
 # code's (see bench.sh). The short
 # benchtime keeps it CI-sized; -count=3 with min-of-N extraction (see
@@ -149,8 +152,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=30s ./internal/ostree/
 	$(GO) test -run '^$$' -fuzz=FuzzPeerReply -fuzztime=30s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz=FuzzSpanMerge -fuzztime=30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz=FuzzAppendQueryResponse -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz=FuzzScanQueryResponse -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzMigrateRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzPairMatches -fuzztime=30s ./internal/detect/

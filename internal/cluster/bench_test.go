@@ -177,6 +177,108 @@ func BenchmarkClusterScan(b *testing.B) {
 	b.Run("partitions=4", func(b *testing.B) { scan(b, 4) })
 }
 
+// BenchmarkClusterTopN is the scatter statement the latency ledger's
+// cluster_mix sends: a 100-key range over four in-process shards, each
+// leg bringing back its 20 best rows of ~200 bytes, the router merging 80
+// into the 20 it relays. BenchmarkClusterScan's COUNT(*) never merges a
+// row; this one does little else.
+func BenchmarkClusterTopN(b *testing.B) {
+	const tuples = 2000
+	nodes := make([]*Node, 4)
+	for i := range nodes {
+		h, _ := newShard(b, tuples, nil)
+		nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+	}
+	r, err := NewRouter(nodes, benchConfig(64, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchLoadItems(b, r, tuples)
+	h := r.Handler()
+	b.Run("partitions=4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := 1 + i*37%(tuples-100)
+			body, _ := json.Marshal(server.QueryRequest{
+				SQL: fmt.Sprintf(`SELECT * FROM items WHERE id BETWEEN %d AND %d ORDER BY id LIMIT 20`, lo, lo+99),
+			})
+			benchQuery(b, h, body)
+		}
+	})
+}
+
+// benchLegs renders the legs of such a TopN: 4 shard replies of rows rows
+// each, ids dealt round-robin, as a shard's encoder writes them.
+func benchLegs(b testing.TB, rows int) [][]byte {
+	b.Helper()
+	legs := make([][]byte, 4)
+	for j := range legs {
+		resp := server.QueryResponse{Columns: []string{"id", "v"}, DelayMillis: 6.25 + float64(j)}
+		for i := 0; i < rows; i++ {
+			id := 1 + j + len(legs)*i
+			resp.Rows = append(resp.Rows, []string{fmt.Sprint(id), strings.Repeat("x", 180) + fmt.Sprint(id)})
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+			b.Fatal(err)
+		}
+		legs[j] = buf.Bytes()
+	}
+	return legs
+}
+
+// discard is a ResponseWriter that keeps nothing.
+type discard struct{ h http.Header }
+
+func (d discard) Header() http.Header         { return d.h }
+func (d discard) WriteHeader(int)             {}
+func (d discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// spanMergeOnce is what scatterRead does with its legs once they are in:
+// scan each, merge, write the reply.
+func spanMergeOnce(b testing.TB, legs [][]byte, spec *mergeSpec, w http.ResponseWriter) {
+	replies, ok := scanLegs(legs)
+	if !ok {
+		b.Fatal("a leg is not the reply frame")
+	}
+	columns, rows, delay, err := mergeReplies(replies, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	server.WriteQueryResponse(w, columns, rows, 0, delay)
+}
+
+// BenchmarkMergeLegs times the router's share of that TopN with no
+// socket and no shard in it — four 20-row legs in, the 20-row reply out —
+// over spans, and the way it was done before, every cell through
+// encoding/json into a string and back (the test oracle). bench.sh holds
+// span to at most half of oracle in the same process; here, span's
+// allocations must not grow with the rows a leg carries.
+func BenchmarkMergeLegs(b *testing.B) {
+	spec := specArgs{shape: 1, limit: 20, idx: -1}.spec()
+	legs, w := benchLegs(b, 20), discard{h: make(http.Header)}
+	allocs := func(legs [][]byte) float64 {
+		return testing.AllocsPerRun(50, func() { spanMergeOnce(b, legs, spec, w) })
+	}
+	if short, long := allocs(legs), allocs(benchLegs(b, 200)); short != long {
+		b.Fatalf("%v allocations to merge 20-row legs, %v for 200-row legs", short, long)
+	}
+	b.Run("span", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spanMergeOnce(b, legs, spec, w)
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := oracleReply(legs, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkClusterWrite measures write amplification: a single-row
 // INSERT against a 4-shard cluster whose replica groups are every shard
 // (r=N: all four apply it) vs one shard (r=1: exactly the owner applies

@@ -531,6 +531,7 @@ func TestQuoteRoutesByTuple(t *testing.T) {
 func TestRouterMetricsExported(t *testing.T) {
 	h := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10}).Handler
 	query(t, h, "m", `SELECT * FROM items WHERE id = 1`)
+	query(t, h, "m", `SELECT v FROM items ORDER BY id LIMIT 3`)
 	resp, body := do(t, h, http.MethodGet, "/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", resp.StatusCode)
@@ -542,6 +543,7 @@ func TestRouterMetricsExported(t *testing.T) {
 	for _, name := range []string{
 		"cluster_routed_total", "cluster_partitions",
 		"cluster_partition_single_reads_total", "cluster_partition_single_writes_total",
+		"cluster_partition_scatter_total", "cluster_scatter_rows_fetched_total", "cluster_scatter_rows_relayed_total",
 		"cluster_admission_rejected_total", "cluster_inflight_rejected_total",
 		"cluster_peer_down", "cluster_peer_resync", "cluster_peer_errors_total",
 		"cluster_write_diverged_total",
@@ -552,11 +554,16 @@ func TestRouterMetricsExported(t *testing.T) {
 			t.Errorf("%s missing from /metrics", name)
 		}
 	}
-	if v := m["cluster_routed_total"].(float64); v != 1 {
-		t.Errorf("cluster_routed_total = %v, want 1", v)
+	if v := m["cluster_routed_total"].(float64); v != 2 {
+		t.Errorf("cluster_routed_total = %v, want 2", v)
 	}
 	if v := m["cluster_partition_single_reads_total"].(float64); v != 1 {
 		t.Errorf("cluster_partition_single_reads_total = %v, want 1 (the point read took the one path)", v)
+	}
+	// The TopN: every leg brings back up to LIMIT rows, LIMIT are relayed.
+	fetched, relayed := m["cluster_scatter_rows_fetched_total"].(float64), m["cluster_scatter_rows_relayed_total"].(float64)
+	if m["cluster_partition_scatter_total"].(float64) != 1 || relayed != 3 || fetched < relayed || fetched > 2*relayed {
+		t.Errorf("one LIMIT 3 scatter over 2 shards: %v rows fetched, %v relayed", fetched, relayed)
 	}
 	if v := m["cluster_nodes"].(float64); v != 2 {
 		t.Errorf("cluster_nodes = %v, want 2", v)

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,24 +41,26 @@ import (
 // Deterministic shard rejections (4xx) relay immediately.
 
 // shardReply is one shard's answer to a scatter leg: the reply as it
-// came, and the decoded rows of a 200.
+// came, and of a 200 the view over its body — the frame checked end to
+// end, no row decoded.
 type shardReply struct {
 	node int
 	rep  reply // status 0 when err is a transport failure
-	resp server.QueryResponse
-	err  error // transport failure, or a 200 whose body does not decode
+	resp server.ReplyView
+	err  error // transport failure, or a 200 whose body is not the reply frame
 }
 
 // ok reports whether the shard ran the leg's statement.
 func (s *shardReply) ok() bool { return s.err == nil && s.rep.status == http.StatusOK }
 
 // decodeLeg turns a fan-out leg of /query calls into a shardReply. A
-// 200 cut short (the shard died mid-reply, the cluster.rpc torn rule)
-// fails to decode and counts as the leg failing.
+// 200 cut short at any byte (the shard died mid-reply, the cluster.rpc
+// torn rule) is not the frame and counts as the leg failing.
 func (r *Router) decodeLeg(node int, leg fanLeg) shardReply {
 	out := shardReply{node: node, rep: leg.rep, err: leg.err}
 	if out.ok() {
-		if err := json.Unmarshal(leg.rep.body, &out.resp); err != nil {
+		var err error
+		if out.resp, err = server.ScanQueryResponse(leg.rep.body); err != nil {
 			out.err = fmt.Errorf("shard %s: decoding response: %v", r.nodes[node].name, err)
 		}
 	}
@@ -191,7 +193,7 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 		replies  []shardReply
 		last     *shardReply // remembered retryable shard answer for final relay
 		rejected *shardReply
-		rows     int
+		rows     int // in replies
 		done     bool
 	)
 	for round := 0; round < readRetryRounds && len(need) > 0 && !done; round++ {
@@ -237,12 +239,9 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 				cancel()
 			default:
 				replies = append(replies, rep)
-				if spec.earlyCancel {
-					rows += len(rep.resp.Rows)
-					if rows >= spec.limit {
-						done = true
-						cancel()
-					}
+				if rows += rep.resp.NumRows(); spec.earlyCancel && rows >= spec.limit {
+					done = true
+					cancel()
 				}
 			}
 		})
@@ -270,132 +269,129 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 			fmt.Errorf("scan incomplete: %d partitions unavailable after retries%s", len(need), detail))
 		return
 	}
-	out, err := mergeReplies(replies, &spec)
+	columns, merged, delay, err := mergeReplies(replies, &spec)
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	server.WriteQueryResponse(w, out)
+	r.scatterFetched.Add(int64(rows))
+	r.scatterRelayed.Add(int64(len(merged)))
+	server.WriteQueryResponse(w, columns, merged, 0, delay)
 }
 
-// mergeReplies recombines per-shard partial results per the spec.
-func mergeReplies(replies []shardReply, spec *mergeSpec) (*server.QueryResponse, error) {
+// mergeReplies recombines per-shard partial results per the spec into
+// the reply's columns, rows and delay. A row is relayed as the bytes its
+// shard wrote; the merge decodes only what it must read of one — a sort
+// key, an aggregate's partials.
+func mergeReplies(replies []shardReply, spec *mergeSpec) (columns []string, rows []server.RawRow, delay float64, err error) {
 	// Stable order: merge in node order, not arrival order.
-	sortRepliesByNode(replies)
-	out := &server.QueryResponse{Rows: [][]string{}}
-	for _, rep := range replies {
-		if rep.resp.DelayMillis > out.DelayMillis {
-			out.DelayMillis = rep.resp.DelayMillis
-		}
+	slices.SortStableFunc(replies, func(a, b shardReply) int { return a.node - b.node })
+	total := 0
+	for i := range replies {
+		delay = max(delay, replies[i].resp.DelayMillis)
+		total += replies[i].resp.NumRows()
 	}
 	if len(spec.aggs) > 0 {
-		return mergeAggregates(replies, spec, out)
+		columns, rows, err = mergeAggregates(replies, spec)
+		return columns, rows, delay, err
 	}
 	if len(replies) == 0 {
-		return out, nil
+		return nil, nil, delay, nil
 	}
-	out.Columns = replies[0].resp.Columns
+	columns = replies[0].resp.Columns
+	// key is the column the shards sorted on, sign the direction; with no
+	// ORDER BY (key -1) no leg's row ever goes before an earlier leg's,
+	// and the merge concatenates.
+	key, sign := -1, 1
 	if spec.order != nil {
-		idx := spec.orderIdx
-		if idx < 0 {
-			for i, c := range out.Columns {
-				if strings.EqualFold(c, spec.order.Column) {
-					idx = i
-					break
-				}
+		if key = spec.orderIdx; key < 0 {
+			key = slices.IndexFunc(columns, func(c string) bool { return strings.EqualFold(c, spec.order.Column) })
+		}
+		if key < 0 {
+			return nil, nil, 0, fmt.Errorf("order column %q missing from shard response", spec.order.Column)
+		}
+		if spec.order.Desc {
+			sign = -1
+		}
+	}
+	// A leg's head is its first unmerged row, and of that row the merge
+	// decodes one cell: the sort key.
+	type head struct {
+		at  int
+		key []byte
+	}
+	heads := make([]head, len(replies))
+	advance := func(j int) {
+		h, v := &heads[j], &replies[j].resp
+		if h.at++; key >= 0 && h.at < v.NumRows() {
+			h.key = v.Row(h.at).Cell(key)
+		}
+	}
+	for j := range heads {
+		// Every row of a leg is as wide as its columns (ScanQueryResponse),
+		// and a SELECT's reply names them even when it has no rows.
+		if v := &replies[j].resp; len(v.Columns) <= key {
+			return nil, nil, 0, fmt.Errorf("%d columns from node %d: no column %d to merge on", len(v.Columns), replies[j].node, key)
+		}
+		heads[j].at = -1
+		advance(j)
+	}
+	if spec.limit >= 0 && spec.limit < total {
+		total = spec.limit
+	}
+	rows = make([]server.RawRow, 0, total)
+	for len(rows) < total {
+		// Ties break toward the lower node index, so the merged order is
+		// deterministic.
+		best := -1
+		for j := range heads {
+			switch {
+			case heads[j].at >= replies[j].resp.NumRows():
+			case best < 0:
+				best = j
+			case key >= 0 && sign*sqlmini.CompareCells(string(heads[j].key), string(heads[best].key)) < 0:
+				best = j
 			}
-			if idx < 0 {
-				return nil, fmt.Errorf("order column %q missing from shard response", spec.order.Column)
-			}
 		}
-		out.Rows = mergeOrdered(replies, idx, spec.order.Desc, spec.limit)
-	} else {
-		for _, rep := range replies {
-			out.Rows = append(out.Rows, rep.resp.Rows...)
+		row := replies[best].resp.Row(heads[best].at)
+		if spec.strip {
+			row = row.DropLast()
 		}
-		if spec.limit >= 0 && len(out.Rows) > spec.limit {
-			out.Rows = out.Rows[:spec.limit]
-		}
+		rows = append(rows, row)
+		advance(best)
 	}
 	if spec.strip {
-		out.Columns = out.Columns[:len(out.Columns)-1]
-		for i, row := range out.Rows {
-			out.Rows[i] = row[:len(row)-1]
-		}
+		columns = columns[:len(columns)-1]
 	}
-	return out, nil
-}
-
-func sortRepliesByNode(replies []shardReply) {
-	for i := 1; i < len(replies); i++ {
-		for j := i; j > 0 && replies[j].node < replies[j-1].node; j-- {
-			replies[j], replies[j-1] = replies[j-1], replies[j]
-		}
-	}
-}
-
-// mergeOrdered k-way merges per-shard streams that are each already
-// sorted on column idx. Ties break toward the lower node index, so the
-// merged order is deterministic.
-func mergeOrdered(replies []shardReply, idx int, desc bool, limit int) [][]string {
-	total := 0
-	for _, rep := range replies {
-		total += len(rep.resp.Rows)
-	}
-	if limit >= 0 && limit < total {
-		total = limit
-	}
-	out := make([][]string, 0, total)
-	cursors := make([]int, len(replies))
-	for len(out) < total || limit < 0 {
-		best := -1
-		for j := range replies {
-			if cursors[j] >= len(replies[j].resp.Rows) {
-				continue
-			}
-			if best < 0 {
-				best = j
-				continue
-			}
-			c := sqlmini.CompareCells(replies[j].resp.Rows[cursors[j]][idx], replies[best].resp.Rows[cursors[best]][idx])
-			if desc {
-				c = -c
-			}
-			if c < 0 {
-				best = j
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, replies[best].resp.Rows[cursors[best]])
-		cursors[best]++
-		if limit >= 0 && len(out) == limit {
-			break
-		}
-	}
-	return out
+	return columns, rows, delay, nil
 }
 
 // mergeAggregates combines shard-local partials into the final
 // aggregate row, labeled exactly as a single node would label it.
-func mergeAggregates(replies []shardReply, spec *mergeSpec, out *server.QueryResponse) (*server.QueryResponse, error) {
-	out.Columns = make([]string, len(spec.aggs))
+func mergeAggregates(replies []shardReply, spec *mergeSpec) ([]string, []server.RawRow, error) {
+	columns := make([]string, len(spec.aggs))
 	for i, a := range spec.aggs {
-		out.Columns[i] = sqlmini.AggregateName(a)
+		columns[i] = sqlmini.AggregateName(a)
+	}
+	partials := 0
+	for _, parts := range spec.src {
+		partials = max(partials, slices.Max(parts)+1)
 	}
 	for _, rep := range replies {
-		if len(rep.resp.Rows) == 0 {
+		if rep.resp.NumRows() == 0 {
 			// LIMIT 0 on an aggregate yields no row; every shard ran
 			// the same statement, so mirror it.
-			return out, nil
+			return columns, nil, nil
 		}
-		if len(rep.resp.Rows) != 1 {
-			return nil, fmt.Errorf("aggregate partial with %d rows from node %d", len(rep.resp.Rows), rep.node)
+		if rep.resp.NumRows() != 1 {
+			return nil, nil, fmt.Errorf("aggregate partial with %d rows from node %d", rep.resp.NumRows(), rep.node)
+		}
+		if len(rep.resp.Columns) < partials {
+			return nil, nil, fmt.Errorf("%d columns from node %d, want the %d partials", len(rep.resp.Columns), rep.node, partials)
 		}
 	}
 	cell := func(rep shardReply, part int) string {
-		return rep.resp.Rows[0][part]
+		return string(rep.resp.Row(0).Cell(part))
 	}
 	row := make([]string, len(spec.aggs))
 	for i, a := range spec.aggs {
@@ -406,7 +402,7 @@ func mergeAggregates(replies []shardReply, spec *mergeSpec, out *server.QueryRes
 			for _, rep := range replies {
 				v, err := strconv.ParseInt(cell(rep, parts[0]), 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad COUNT partial %q from node %d", cell(rep, parts[0]), rep.node)
+					return nil, nil, fmt.Errorf("bad COUNT partial %q from node %d", cell(rep, parts[0]), rep.node)
 				}
 				total += v
 			}
@@ -417,13 +413,13 @@ func mergeAggregates(replies []shardReply, spec *mergeSpec, out *server.QueryRes
 			for _, rep := range replies {
 				s, err := strconv.ParseFloat(cell(rep, parts[0]), 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad %s partial %q from node %d", a.Func, cell(rep, parts[0]), rep.node)
+					return nil, nil, fmt.Errorf("bad %s partial %q from node %d", a.Func, cell(rep, parts[0]), rep.node)
 				}
 				sum += s
 				if a.Func == sqlmini.AggAvg {
 					c, err := strconv.ParseInt(cell(rep, parts[1]), 10, 64)
 					if err != nil {
-						return nil, fmt.Errorf("bad COUNT partial %q from node %d", cell(rep, parts[1]), rep.node)
+						return nil, nil, fmt.Errorf("bad COUNT partial %q from node %d", cell(rep, parts[1]), rep.node)
 					}
 					count += c
 				}
@@ -446,7 +442,7 @@ func mergeAggregates(replies []shardReply, spec *mergeSpec, out *server.QueryRes
 			for _, rep := range replies {
 				c, err := strconv.ParseInt(cell(rep, parts[1]), 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad COUNT partial %q from node %d", cell(rep, parts[1]), rep.node)
+					return nil, nil, fmt.Errorf("bad COUNT partial %q from node %d", cell(rep, parts[1]), rep.node)
 				}
 				if c == 0 {
 					continue
@@ -466,11 +462,10 @@ func mergeAggregates(replies []shardReply, spec *mergeSpec, out *server.QueryRes
 			}
 			row[i] = best
 		default:
-			return nil, fmt.Errorf("unmergeable aggregate %v", a.Func)
+			return nil, nil, fmt.Errorf("unmergeable aggregate %v", a.Func)
 		}
 	}
-	out.Rows = [][]string{row}
-	return out, nil
+	return columns, []server.RawRow{server.NewRawRow(row)}, nil
 }
 
 // scatterStmt is a statement the scatter-write path applies across the
@@ -702,11 +697,11 @@ func (r *Router) scatterWrite(ctx context.Context, w http.ResponseWriter, pm *Pa
 		r.syncPeerDown()
 	}
 
-	out := server.QueryResponse{Affected: int(affected)}
+	var delay float64
 	for _, i := range targets {
-		if rep := byNode[i]; rep.ok() && rep.resp.DelayMillis > out.DelayMillis {
-			out.DelayMillis = rep.resp.DelayMillis
+		if rep := byNode[i]; rep.ok() {
+			delay = max(delay, rep.resp.DelayMillis)
 		}
 	}
-	server.WriteQueryResponse(w, &out)
+	server.WriteQueryResponse(w, nil, nil, int(affected), delay)
 }

@@ -41,6 +41,9 @@ type reply struct {
 // (peerconn.go), the in-process adapter below, a kill switch or a
 // test's fault injector around either: c.body is not read after
 // roundTrip returns, so the caller may reuse its backing array at once;
+// the reply's body is the caller's alone from then on, never read, written
+// or reused by the transport (a scatter merges row spans of its legs'
+// bodies on the caller's goroutine, until the client's reply is written);
 // and ctx ending fails the call promptly with ctx's error.
 type transport interface {
 	roundTrip(ctx context.Context, c *call) (reply, error)

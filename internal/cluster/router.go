@@ -142,8 +142,12 @@ type Router struct {
 	partSingleRead  *metrics.Counter
 	partSingleWrite *metrics.Counter
 	partScatter     *metrics.Counter
-	partSplit       *metrics.Counter
-	partVerRej      *metrics.Counter
+	// Of the rows a scatter read's legs brought back, how many it relayed:
+	// a TopN over four legs fetches 4 × LIMIT to relay LIMIT.
+	scatterFetched *metrics.Counter
+	scatterRelayed *metrics.Counter
+	partSplit      *metrics.Counter
+	partVerRej     *metrics.Counter
 
 	rpcTimeouts  *metrics.Counter
 	readRetries  *metrics.Counter
@@ -236,6 +240,8 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.partSingleRead = m.Counter("cluster_partition_single_reads_total")
 	r.partSingleWrite = m.Counter("cluster_partition_single_writes_total")
 	r.partScatter = m.Counter("cluster_partition_scatter_total")
+	r.scatterFetched = m.Counter("cluster_scatter_rows_fetched_total")
+	r.scatterRelayed = m.Counter("cluster_scatter_rows_relayed_total")
 	r.partSplit = m.Counter("cluster_partition_split_inserts_total")
 	r.partVerRej = m.Counter("cluster_partition_version_rejects_total")
 	r.rpcTimeouts = m.Counter("cluster_rpc_timeouts_total")

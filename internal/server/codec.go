@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -70,11 +72,11 @@ func writeQueryResponse(w http.ResponseWriter, columns []string, rows []catalog.
 	flush(w, buf)
 }
 
-// WriteQueryResponse answers 200 with resp, for a caller that holds its
-// rows as strings already (the cluster router's merge).
-func WriteQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
+// WriteQueryResponse answers 200 with rows that are on the wire's form
+// already: the cluster router's merge, relaying what its legs carried.
+func WriteQueryResponse(w http.ResponseWriter, columns []string, rows []RawRow, affected int, delayMillis float64) {
 	buf := bufPool.Get().(*[]byte)
-	*buf = appendResponse(*buf, resp.Columns, resp.Rows, appendStrings, resp.Affected, resp.DelayMillis)
+	*buf = appendResponse(*buf, columns, rows, appendRawRow, affected, delayMillis)
 	flush(w, buf)
 }
 
@@ -84,11 +86,12 @@ func appendQueryResponse(dst []byte, columns []string, rows []catalog.Row, affec
 
 // appendResponse is the reply frame over either row source: columns and
 // rows omitted when empty, Encode's trailing newline; delayMillis finite.
+// ScanQueryResponse reads exactly this and nothing else.
 func appendResponse[R any](dst []byte, columns []string, rows []R, appendRow func([]byte, R) []byte, affected int, delayMillis float64) []byte {
 	dst = append(dst, '{')
 	if len(columns) > 0 {
-		dst = append(dst, `"columns":`...)
-		dst = append(appendStrings(dst, columns), ',')
+		dst = append(dst, `"columns":[`...)
+		dst = append(appendCells(dst, columns), ']', ',')
 	}
 	if len(rows) > 0 {
 		dst = append(dst, `"rows":`...)
@@ -148,7 +151,21 @@ func appendList[T any](dst []byte, items []T, one func([]byte, T) []byte) []byte
 	return append(dst, ']')
 }
 
-func appendStrings(dst []byte, row []string) []byte { return appendList(dst, row, appendString) }
+// appendCells appends cells as JSON strings with commas between: what
+// stands between the brackets of the columns, or of a row.
+func appendCells(dst []byte, cells []string) []byte {
+	for i, c := range cells {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, c)
+	}
+	return dst
+}
+
+func appendRawRow(dst []byte, row RawRow) []byte {
+	return append(append(append(dst, '['), row...), ']')
+}
 
 func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
 
@@ -160,9 +177,10 @@ const (
 	hexDigits     = "0123456789abcdef"
 )
 
-// jsonSafe marks the bytes encoding/json leaves unescaped (HTML-safe).
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for b := range t {
+// jsonSafe marks the bytes encoding/json leaves unescaped (HTML-safe);
+// none from 0x80 up, where a byte is part of a rune.
+var jsonSafe = func() (t [256]bool) {
+	for b := range t[:utf8.RuneSelf] {
 		t[b] = b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
 	}
 	return t
@@ -177,7 +195,7 @@ func appendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
-		if b < utf8.RuneSelf && jsonSafe[b] {
+		if jsonSafe[b] {
 			i++
 			continue
 		}
@@ -214,10 +232,11 @@ func AppendQueryRequest(dst []byte, q QueryRequest) []byte {
 }
 
 // ParseQueryRequest decodes a /query request body. The shape every client
-// sends — {"sql":"..."}, two-character escapes, the router's "pfilter" —
-// is read by hand; anything else (other keys or key case, duplicates, \u
-// escapes, null, trailing bytes) goes WHOLE to json.Unmarshal, so the lax
-// cases stay encoding/json's to define.
+// sends — {"sql":"..."}, the escapes appendString writes (so the router's
+// own legs), the router's "pfilter" — is read by hand; anything else (other
+// keys or key case, duplicates, other \u escapes, null, trailing bytes)
+// goes WHOLE to json.Unmarshal, so the lax cases stay encoding/json's to
+// define.
 func ParseQueryRequest(body []byte) (QueryRequest, error) {
 	if q, ok := parseQueryFast(body); ok {
 		return q, nil
@@ -228,7 +247,7 @@ func ParseQueryRequest(body []byte) (QueryRequest, error) {
 }
 
 func parseQueryFast(body []byte) (q QueryRequest, ok bool) {
-	s := reqScanner{b: body}
+	s := scanner{b: body}
 	s.want(`{`, `"sql"`, `:`)
 	q.SQL = s.str()
 	if s.lit(`,`) {
@@ -246,22 +265,24 @@ func parseQueryFast(body []byte) (q QueryRequest, ok bool) {
 	return q, !s.bad && s.i == len(s.b)
 }
 
-// reqScanner walks a request body for parseQueryFast. bad latches once a
-// token is anything but its plainest form; the caller checks it at the end.
-type reqScanner struct {
-	b   []byte
-	i   int
-	bad bool
+// scanner walks a /query body: a request's, for parseQueryFast, or with
+// strict set a reply's, for ScanQueryResponse. bad latches once a token is
+// anything but its plainest form; the caller checks it at the end.
+type scanner struct {
+	b      []byte
+	i      int
+	strict bool // no whitespace between tokens
+	bad    bool
 }
 
-func (s *reqScanner) ws() {
-	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\r' || s.b[s.i] == '\n') {
+func (s *scanner) ws() {
+	for !s.strict && s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\r' || s.b[s.i] == '\n') {
 		s.i++
 	}
 }
 
 // lit consumes tok, after optional whitespace, if it is next.
-func (s *reqScanner) lit(tok string) bool {
+func (s *scanner) lit(tok string) bool {
 	s.ws()
 	if len(s.b)-s.i < len(tok) || string(s.b[s.i:s.i+len(tok)]) != tok {
 		return false
@@ -270,8 +291,17 @@ func (s *reqScanner) lit(tok string) bool {
 	return true
 }
 
+// is consumes c if it is the very next byte.
+func (s *scanner) is(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
 // want consumes toks in order, or latches bad.
-func (s *reqScanner) want(toks ...string) {
+func (s *scanner) want(toks ...string) {
 	for _, tok := range toks {
 		s.bad = !s.lit(tok) || s.bad
 	}
@@ -279,7 +309,7 @@ func (s *reqScanner) want(toks ...string) {
 
 // uint reads a non-negative integer of at most 18 digits (so it cannot
 // overflow) with no leading zero, sign, fraction or exponent.
-func (s *reqScanner) uint() int {
+func (s *scanner) uint() int {
 	s.ws()
 	start, n := s.i, 0
 	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' && s.i-start < 18 {
@@ -292,36 +322,237 @@ func (s *reqScanner) uint() int {
 	return n
 }
 
-// str reads a string of valid UTF-8 whose only escapes are the
-// two-character ones.
-func (s *reqScanner) str() string {
-	s.want(`"`)
-	start := s.i
-	var raw []byte // nil until the first escape, then the string so far
-	for ; s.i < len(s.b) && s.b[s.i] >= ' '; s.i++ {
-		c := s.b[s.i]
-		if c == '"' {
-			if raw == nil {
-				raw = s.b[start:s.i]
-			}
-			s.i++
-			s.bad = s.bad || !utf8.Valid(raw)
-			return string(raw)
+// readEscape decodes the escape b starts with: one appendString writes —
+// a two-character form, or \u and four lower-case hex digits for a byte
+// that has none, U+2028, U+2029 or U+FFFD — or \/, which only a request
+// may spell. n is its length, 0 for anything else (upper-case hex, a
+// surrogate, any other code point).
+func readEscape(b []byte) (r rune, n int) {
+	if len(b) >= 2 {
+		if j := strings.IndexByte(escapeLetters, b[1]); j >= 0 {
+			return rune(escapeBytes[j]), 2
 		}
-		if c == '\\' {
-			if raw == nil {
-				raw = append(make([]byte, 0, len(s.b)-start), s.b[start:s.i]...)
-			}
-			s.i++
-			if s.i == len(s.b) || strings.IndexByte(escapeLetters, s.b[s.i]) < 0 {
-				break
-			}
-			c = escapeBytes[strings.IndexByte(escapeLetters, s.b[s.i])]
+	}
+	if len(b) < 6 || b[1] != 'u' {
+		return 0, 0
+	}
+	for _, h := range b[2:6] {
+		d := strings.IndexByte(hexDigits, h)
+		if d < 0 {
+			return 0, 0
 		}
-		if raw != nil {
-			raw = append(raw, c)
+		r = r<<4 | rune(d)
+	}
+	if r == '\u2028' || r == '\u2029' || r == utf8.RuneError ||
+		r < utf8.RuneSelf && !jsonSafe[r] && strings.IndexByte(escapeBytes, byte(r)) < 0 {
+		return r, 6
+	}
+	return 0, 0
+}
+
+// unescape returns text, a string quoted accepted, with its escapes
+// decoded — all of them, or with only >= 0 just those of that rune: text
+// itself when it holds no escape, else a copy.
+func unescape(text []byte, only rune) []byte {
+	i := bytes.IndexByte(text, '\\')
+	if i < 0 {
+		return text
+	}
+	out := make([]byte, 0, len(text))
+	for ; i >= 0; i = bytes.IndexByte(text, '\\') {
+		r, n := readEscape(text[i:])
+		if out = append(out, text[:i]...); only < 0 || r == only {
+			out = utf8.AppendRune(out, r)
+		} else {
+			out = append(out, text[i:i+n]...)
+		}
+		text = text[i+n:]
+	}
+	return append(out, text...)
+}
+
+// quoted consumes one JSON string whose escapes are readEscape's and
+// returns its text, still escaped. Strict, it is spelled exactly as
+// appendString spells it; else it may hold any byte JSON lets a string
+// hold, its UTF-8 the caller's to check. replaced: it spells \ufffd.
+func (s *scanner) quoted() (text []byte, replaced bool) {
+	if s.ws(); !s.is('"') {
+		s.bad = true
+		return nil, false
+	}
+	b, start, i := s.b, s.i, s.i // locals: the loop is most of a scan's time
+scan:
+	for i < len(b) {
+		switch c := b[i]; {
+		case jsonSafe[c]:
+			for i++; i+4 <= len(b) && jsonSafe[b[i]] && jsonSafe[b[i+1]] && jsonSafe[b[i+2]] && jsonSafe[b[i+3]]; i += 4 {
+			}
+		case c == '"':
+			s.i = i + 1
+			return b[start:i], replaced
+		case c == '\\':
+			r, n := readEscape(b[i:])
+			if n == 0 || s.strict && r == '/' {
+				break scan
+			}
+			replaced = replaced || r == utf8.RuneError
+			i += n
+		case !s.strict && c >= ' ':
+			i++
+		default:
+			// A control byte; strict, also a byte or a rune appendString
+			// never leaves as it is.
+			r, n := utf8.DecodeRune(b[i:])
+			if n == 1 || r == '\u2028' || r == '\u2029' {
+				break scan
+			}
+			i += n
 		}
 	}
 	s.bad = true
-	return ""
+	return nil, false
+}
+
+// str reads a string of valid UTF-8.
+func (s *scanner) str() string {
+	text, _ := s.quoted()
+	s.bad = s.bad || !utf8.Valid(text)
+	return string(unescape(text, -1))
+}
+
+// RawRow is the cells of one row as appendString wrote them, commas
+// between: what stands between the row's brackets on the wire.
+type RawRow []byte
+
+// NewRawRow encodes cells.
+func NewRawRow(cells []string) RawRow { return appendCells(nil, cells) }
+
+// cellEnd returns the index just past the cell that opens at r[i].
+func cellEnd(r []byte, i int) int {
+	for i++; r[i] != '"'; i++ {
+		if r[i] == '\\' {
+			i++
+		}
+	}
+	return i + 1
+}
+
+// Cell returns the text of cell idx, which the row must have: a slice of
+// the row, or a copy when the cell holds an escape.
+func (r RawRow) Cell(idx int) []byte {
+	i := 0
+	for ; idx > 0; idx-- {
+		i = cellEnd(r, i) + 1
+	}
+	return unescape(r[i+1:cellEnd(r, i)-1], -1)
+}
+
+// DropLast returns r without its last cell.
+func (r RawRow) DropLast() RawRow {
+	last := 0
+	for i := 0; i < len(r); i = cellEnd(r, i) + 1 {
+		last = i
+	}
+	return r[:max(last-1, 0)]
+}
+
+// ReplyView is a 200's body as ScanQueryResponse found it: the frame's
+// few scalars decoded, every row still the bytes the shard wrote. It
+// aliases the body, which must stay untouched while the view is read.
+type ReplyView struct {
+	Columns     []string
+	Affected    int
+	DelayMillis float64
+
+	body []byte
+	rows []rowSpan
+	// replaced: some cell spells \ufffd, appendString's mark for a byte of
+	// invalid UTF-8. Decoded and encoded again — what any reader of the
+	// reply does, and the merge did before it copied spans — that is a
+	// real U+FFFD, which appendString leaves raw; Row rewrites it so.
+	replaced bool
+}
+
+// rowSpan is one row's RawRow: body[start:end].
+type rowSpan struct{ start, end int }
+
+// NumRows is the number of rows the reply carries.
+func (v *ReplyView) NumRows() int { return len(v.rows) }
+
+// Row returns row i, len(v.Columns) cells wide: appended to a reply it
+// is byte for byte what decoding and re-encoding the row would write.
+func (v *ReplyView) Row(i int) RawRow {
+	row := v.body[v.rows[i].start:v.rows[i].end]
+	if v.replaced {
+		row = unescape(row, utf8.RuneError)
+	}
+	return row
+}
+
+var errNotFrame = errors.New("not a /query reply frame")
+
+// rowSep cannot occur inside a cell — a quote there follows a backslash,
+// so the second one would have to follow the bracket — which makes
+// counting it counting rows.
+var rowSep = []byte(`"],["`)
+
+// ScanQueryResponse reads exactly the frame appendResponse writes: keys
+// in its order, no whitespace, columns and rows present or omitted, every
+// row as wide as the columns, every string spelled as appendString spells
+// it, both numbers as it formats them, the newline, nothing after. Any
+// other body — a reply cut short at any byte, valid JSON in another
+// spelling — is an error: what it accepts, copying a row reproduces.
+func ScanQueryResponse(body []byte) (ReplyView, error) {
+	v := ReplyView{body: body}
+	s := scanner{b: body, strict: true}
+	cell := func() []byte {
+		text, replaced := s.quoted()
+		v.replaced = v.replaced || replaced
+		return text
+	}
+	s.want(`{`)
+	if s.lit(`"columns":[`) {
+		v.Columns = make([]string, 0, 8) // one allocation for most tables
+		for more := true; more; more = s.lit(`,`) {
+			v.Columns = append(v.Columns, string(unescape(cell(), -1)))
+		}
+		s.want(`],`)
+	}
+	if s.lit(`"rows":[`) {
+		v.rows = make([]rowSpan, 0, bytes.Count(body[s.i:], rowSep)+1)
+		for more := true; more; more = s.is(',') {
+			s.want(`[`)
+			start, width := s.i, 0
+			for more := s.i < len(body) && body[s.i] != ']'; more; more = s.is(',') {
+				cell()
+				width++
+			}
+			v.rows = append(v.rows, rowSpan{start, s.i})
+			s.bad = !s.is(']') || s.bad || width != len(v.Columns)
+		}
+		s.want(`],`)
+	}
+	// Each number must be the one spelling the encoder has for it.
+	var canon [32]byte
+	s.want(`"affected":`)
+	num := s.until(',')
+	affected, err := strconv.ParseInt(string(num), 10, 64)
+	s.bad = s.bad || err != nil || string(strconv.AppendInt(canon[:0], affected, 10)) != string(num)
+	v.Affected = int(affected)
+	s.want(`,"delay_millis":`)
+	num = s.until('}')
+	v.DelayMillis, err = strconv.ParseFloat(string(num), 64)
+	s.bad = s.bad || err != nil || math.IsInf(v.DelayMillis, 0) || math.IsNaN(v.DelayMillis) ||
+		string(appendFloat(canon[:0], v.DelayMillis)) != string(num)
+	if s.want("}\n"); s.bad || s.i != len(body) {
+		return ReplyView{}, errNotFrame
+	}
+	return v, nil
+}
+
+// until consumes the bytes before the next c.
+func (s *scanner) until(c byte) []byte {
+	n := max(bytes.IndexByte(s.b[s.i:], c), 0)
+	s.i += n
+	return s.b[s.i-n : s.i]
 }

@@ -76,9 +76,49 @@ func replySeed(delay time.Duration, affected int64, columns []string, rows []cat
 // maxFuzzDelay is the 10 s the shield's delay cap defaults to.
 const maxFuzzDelay = 10 * time.Second
 
+// reencode is what a reader of reply that writes it out again produces —
+// the router's merge, before it copied spans: json.Unmarshal, then Encode.
+func reencode(t *testing.T, reply []byte) (QueryResponse, []byte) {
+	t.Helper()
+	var resp QueryResponse
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		t.Fatalf("%q: %v", reply, err)
+	}
+	var out bytes.Buffer
+	if err := json.NewEncoder(&out).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp, out.Bytes()
+}
+
+// rewrite is the same trip through the codec: nothing decoded but the
+// frame, every row copied as the bytes it came as.
+func rewrite(v *ReplyView) []byte {
+	rows := make([]RawRow, v.NumRows())
+	for i := range rows {
+		rows[i] = v.Row(i)
+	}
+	rec := httptest.NewRecorder()
+	WriteQueryResponse(rec, v.Columns, rows, v.Affected, v.DelayMillis)
+	return rec.Body.Bytes()
+}
+
+// rectangular reports whether every row is as wide as the columns (and
+// none is null): the one thing ScanQueryResponse asks of a reply beyond
+// its spelling.
+func rectangular(columns []string, rows [][]string) bool {
+	for _, row := range rows {
+		if row == nil || len(row) != len(columns) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzAppendQueryResponse: the hand-written reply encoder produces the
-// bytes encoding/json's Encoder does for the same reply, from engine
-// values and from ready strings alike.
+// bytes encoding/json's Encoder does for the same reply, and the reply
+// scanner reads every rectangular one of them back: copying its rows out
+// again is byte for byte a decode and a re-encode.
 func FuzzAppendQueryResponse(f *testing.F) {
 	I, F, T := catalog.IntValue, catalog.FloatValue, catalog.TextValue
 	f.Add([]byte{})
@@ -136,10 +176,15 @@ func FuzzAppendQueryResponse(f *testing.F) {
 		if got := appendQueryResponse(nil, columns, rows, affected, delay); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("from engine values:\n got %q\nwant %q", got, want.Bytes())
 		}
-		rec := httptest.NewRecorder()
-		WriteQueryResponse(rec, &resp)
-		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-			t.Fatalf("from strings:\n got %q\nwant %q", rec.Body.Bytes(), want.Bytes())
+		view, err := ScanQueryResponse(want.Bytes())
+		if rect := rectangular(resp.Columns, resp.Rows); (err == nil) != rect {
+			t.Fatalf("%q (rectangular: %v): ScanQueryResponse err %v", want.Bytes(), rect, err)
+		}
+		if err != nil {
+			return
+		}
+		if _, again := reencode(t, want.Bytes()); !bytes.Equal(rewrite(&view), again) {
+			t.Fatalf("copied from spans:\n got %q\nwant %q", rewrite(&view), again)
 		}
 	})
 }
@@ -158,16 +203,77 @@ func TestAppendFloatMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestNilRowEncodesAsNull: a nil []string row is null to encoding/json,
-// [] when empty; the string-row source keeps the difference.
-func TestNilRowEncodesAsNull(t *testing.T) {
-	resp := QueryResponse{Rows: [][]string{nil, {}}}
-	want, _ := json.Marshal(resp)
-	rec := httptest.NewRecorder()
-	WriteQueryResponse(rec, &resp)
-	if got := rec.Body.String(); got != string(want)+"\n" {
-		t.Fatalf("got %q, want %q", got, want)
+// FuzzScanQueryResponse: the reply scanner accepts exactly the
+// rectangular replies that are spelled the way the encoder spells them,
+// reads out of one what json.Unmarshal does, and copying its rows writes
+// what decoding and re-encoding it writes — the body itself, unless a
+// cell spells \ufffd.
+func FuzzScanQueryResponse(f *testing.F) {
+	for _, seed := range []string{
+		`{"affected":0,"delay_millis":0}`,
+		`{"affected":-3,"delay_millis":1e-7}`,
+		`{"affected":0,"delay_millis":-0}`,
+		`{"columns":["id","v"],"affected":0,"delay_millis":1.5}`,
+		`{"columns":["id","v"],"rows":[["1","one"],["2","t\"w\\o"]],"affected":0,"delay_millis":6.833333}`,
+		`{"columns":["\u003ccount(*)\u003e"],"rows":[["\u0026 \u2028 \u001f \b\n é 日本 �"]],"affected":0,"delay_millis":10000}`,
+		`{"columns":["a"],"rows":[["\ufffd"],["\\ufffd"],["x"]],"affected":0,"delay_millis":1e+21}`,
+		`{"rows":[[],[]],"affected":7,"delay_millis":0.000001}`,
+		// Valid JSON, another spelling: every one is rejected.
+		`{"columns":["a"],"rows":[["\/"]],"affected":0,"delay_millis":0}`,
+		`{"columns":["a"],"rows":[["\u0041"]],"affected":0,"delay_millis":0}`,
+		`{"columns":["a"],"rows":[["\u003C"]],"affected":0,"delay_millis":0}`,
+		`{"columns":["a"],"rows":[["<"]],"affected":0,"delay_millis":0}`,
+		`{"columns":["a"],"rows":[["x"], ["y"]],"affected":0,"delay_millis":0}`,
+		`{"columns":["a"],"rows":[["x","y"]],"affected":0,"delay_millis":0}`,
+		`{"columns":["a"],"rows":[null],"affected":0,"delay_millis":0}`,
+		`{"rows":[["x"]],"columns":["a"],"affected":0,"delay_millis":0}`,
+		`{"columns":[],"affected":0,"delay_millis":0}`,
+		`{"affected":01,"delay_millis":0}`,
+		`{"affected":0,"delay_millis":1.0}`,
+		`{"affected":0,"delay_millis":0,"more":1}`,
+	} {
+		f.Add([]byte(seed + "\n"))
+		f.Add([]byte(seed))
+		f.Add([]byte(seed + "\n\n"))
 	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		view, err := ScanQueryResponse(body)
+		var resp QueryResponse
+		jerr := json.Unmarshal(body, &resp)
+		if err != nil {
+			if jerr == nil && rectangular(resp.Columns, resp.Rows) {
+				if _, again := reencode(t, body); bytes.Equal(again, body) {
+					t.Fatalf("%q: rejected, yet rectangular and what Encode writes", body)
+				}
+			}
+			return
+		}
+		if jerr != nil {
+			t.Fatalf("%q: accepted; json.Unmarshal: %v", body, jerr)
+		}
+		if !reflect.DeepEqual(view.Columns, resp.Columns) || view.Affected != resp.Affected ||
+			math.Float64bits(view.DelayMillis) != math.Float64bits(resp.DelayMillis) || view.NumRows() != len(resp.Rows) {
+			t.Fatalf("%q: scanned %+v, json.Unmarshal %+v", body, view, resp)
+		}
+		for i, want := range resp.Rows {
+			row := view.Row(i)
+			for j := range want {
+				if got := string(row.Cell(j)); got != want[j] {
+					t.Fatalf("%q: cell %d of row %d is %q, json.Unmarshal %q", body, j, i, got, want[j])
+				}
+			}
+			if n := len(want); n > 0 && !bytes.Equal(row.DropLast(), NewRawRow(want[:n-1])) {
+				t.Fatalf("%q: row %d without its last cell is %q", body, i, row.DropLast())
+			}
+		}
+		_, again := reencode(t, body)
+		if got := rewrite(&view); !bytes.Equal(got, again) {
+			t.Fatalf("%q: copied from spans %q, re-encoded %q", body, got, again)
+		}
+		if !view.replaced && !bytes.Equal(again, body) {
+			t.Fatalf("%q: accepted, yet re-encodes as %q", body, again)
+		}
+	})
 }
 
 // FuzzParseQueryRequest: the request decoder accepts exactly the bodies
@@ -219,6 +325,9 @@ func FuzzParseQueryRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, q := range routerRequests() {
+		f.Add(AppendQueryRequest(nil, q))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, gerr := ParseQueryRequest(body)
 		var want QueryRequest
@@ -260,6 +369,50 @@ func TestFastPathTakesTheCommonShapes(t *testing.T) {
 	}
 	if _, ok := parseQueryFast([]byte(`{"sql":"\u0041"}`)); ok {
 		t.Error(`\u escape taken by the fast path`)
+	}
+}
+
+// routerRequests are requests as the router renders them: the SQL of
+// every kind of string the reply fuzz corpus holds, bare and under a
+// partition filter.
+func routerRequests() []QueryRequest {
+	var out []QueryRequest
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM items WHERE id >= 5 AND id <= 104`,
+		`SELECT v FROM items WHERE a<b&c ORDER BY id LIMIT 20`,
+		`<b>&"q"\</b>`,
+		"line\u2028sep\u2029 \b\f\n\r\t\x00\x01\x1f\x7f",
+		"\xed\xa0\x80 lone surrogate, \xff\xfe invalid, \xc3 cut",
+		"é 日本 \U0001F600 \ufffd /",
+		strings.Repeat("x<", 100),
+		"",
+	} {
+		out = append(out, QueryRequest{SQL: sql},
+			QueryRequest{SQL: sql, PFilter: &PartitionFilter{Count: 64, Include: []int{0, 9, 63}}})
+	}
+	return out
+}
+
+// TestEveryRouterRequestParsesFast: whatever SQL a scatter leg carries,
+// the body AppendQueryRequest renders is decoded by hand, to what
+// json.Unmarshal makes of it — escapes, invalid UTF-8 and all. Were the
+// fast path to decline one, the fuzz target would still pass, through the
+// fallback, and every such leg would pay for encoding/json again.
+func TestEveryRouterRequestParsesFast(t *testing.T) {
+	for _, q := range routerRequests() {
+		body := AppendQueryRequest(nil, q)
+		var want QueryRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got, ok := parseQueryFast(body); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fast path ok=%v, decoded %+v, json.Unmarshal %+v", body, ok, got, want)
+		}
+	}
+	for _, body := range []string{`{"sql":"\u003C"}`, `{"sql":"\u0041"}`, `{"sql":"\ud83d\ude00"}`, `{"sql":"\u00e9"}`} {
+		if _, ok := parseQueryFast([]byte(body)); ok {
+			t.Errorf("%s: an escape no encoder of ours writes was taken by the fast path", body)
+		}
 	}
 }
 
