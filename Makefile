@@ -16,6 +16,7 @@ check: fmtcheck
 	$(MAKE) torture
 	$(MAKE) torture-cluster
 	$(MAKE) bench-ledger-smoke
+	$(MAKE) repro-fast
 
 # Fails, naming the files, when any Go file is not gofmt-clean.
 fmtcheck:
@@ -136,7 +137,8 @@ bench-detect:
 repro:
 	$(GO) run ./cmd/extractbench -exp all -scale 1
 
-# The same at 1/20 scale — seconds instead of minutes.
+# The same at 1/20 scale — seconds instead of minutes. `make check` and CI
+# run it, so a table that errors out or panics fails the build.
 repro-fast:
 	$(GO) run ./cmd/extractbench -exp all -scale 20
 

@@ -3,12 +3,15 @@
 //
 // Usage:
 //
-//	extractbench [-exp all|fig1|fig2|fig3|fig4|fig5|fig6|table1|table2|table3|table4|table5|ablation]
-//	             [-scale N] [-seed S]
+//	extractbench [-exp all|fig1|fig2|fig3|fig4|fig5|fig6|table1|table2|table3|table4|table5|
+//	                   sybil|detect|detect-cluster|storefront|model|metrics|ablation]
+//	             [-scale N] [-seed S] [-tracefile F]
 //
-// -scale divides the Calgary-shaped workload sizes for quick runs
-// (scale 1 = paper scale: 12,179 objects, 725,091 requests, synthetic
-// databases up to 1M tuples).
+// -exp all runs the paper's figures and tables plus the §2.4 analyses
+// (sybil, detect, detect-cluster, storefront); model, metrics and
+// ablation run only when named. -scale divides the Calgary-shaped
+// workload sizes for quick runs (scale 1 = paper scale: 12,179 objects,
+// 725,091 requests, synthetic databases up to 1M tuples).
 package main
 
 import (
@@ -170,7 +173,7 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		tab.Print(os.Stdout)
 		ran = true
 	}
-	if exp == "sybil" {
+	if want("sybil") {
 		sp := experiments.DefaultSybilParams()
 		sp.Scale = scale
 		sp.Seed = seed
@@ -181,7 +184,7 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		tab.Print(os.Stdout)
 		ran = true
 	}
-	if exp == "detect" {
+	if want("detect") {
 		dp := experiments.DefaultSybilDetectionParams()
 		dp.Scale = scale
 		dp.Seed = seed
@@ -192,7 +195,7 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		res.Table.Print(os.Stdout)
 		ran = true
 	}
-	if exp == "detect-cluster" {
+	if want("detect-cluster") {
 		dp := experiments.DefaultShardedSybilParams()
 		dp.Scale = scale
 		dp.Seed = seed
@@ -218,7 +221,7 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		kres.Table.Print(os.Stdout)
 		ran = true
 	}
-	if exp == "storefront" {
+	if want("storefront") {
 		fp := experiments.DefaultStorefrontParams()
 		if scale > 1 {
 			fp.N /= scale

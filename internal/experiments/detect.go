@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/delay"
 	"repro/internal/detect"
-	"repro/internal/trace"
 	"repro/internal/zipf"
 )
 
@@ -83,47 +83,11 @@ type SybilDetectionResult struct {
 // member, so the per-stream surcharge grows with what the *coalition*
 // holds and the k-way wall-time advantage collapses.
 func SybilDetection(p SybilDetectionParams) (*SybilDetectionResult, error) {
-	cal := CalgaryParams{Scale: p.Scale, Cap: p.Cap, CapFraction: p.CapFraction, Seed: p.Seed}
-	tr, err := calgaryTrace("sybil-detect", cal)
+	b, err := newSybilBed(p)
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := learnTracker(tr, 1)
-	if err != nil {
-		return nil, err
-	}
-	n := cal.objects()
-	beta, err := delay.TuneBeta(n, trace.CalgaryAlpha, tracker.MaxCount(), p.Cap, p.CapFraction)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := delay.NewPopularity(delay.PopularityConfig{
-		N: n, Alpha: trace.CalgaryAlpha, Beta: beta, Cap: p.Cap,
-	}, tracker)
-	if err != nil {
-		return nil, err
-	}
-	gate, err := delay.NewGate(pol, noSleepClock{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	dcfg := detect.Config{
-		CatalogSize: n,
-		Policy: detect.EscalationPolicy{
-			Grace: p.Grace, Cap: p.MultCap, RampWidth: p.RampWidth, Hysteresis: 0.10,
-		},
-		JaccardThreshold: p.Jaccard,
-	}
-
-	baseline, err := adversary.Sequential(gate, ids)
-	if err != nil {
-		return nil, err
-	}
-	res := &SybilDetectionResult{BaselineWall: baseline.WallTime}
+	res := &SybilDetectionResult{BaselineWall: b.baseline}
 	t := &Table{
 		Title: "Sybil extraction with detection: coalition surcharges collapse the k-identity advantage",
 		Header: []string{
@@ -131,58 +95,19 @@ func SybilDetection(p SybilDetectionParams) (*SybilDetectionResult, error) {
 			"Per-identity cov", "Union cov",
 		},
 	}
-
-	var lastDet *detect.Detector
+	single := func(_, _ int, _ uint64) int { return 0 }
+	var last *detect.Detector
 	for _, k := range p.Ks {
-		rNone, err := adversary.Parallel(gate, ids, k, 0)
+		rNone, err := adversary.Parallel(b.gate, b.ids, k, 0)
 		if err != nil {
 			return nil, err
 		}
-
-		det, err := detect.NewDetector(dcfg)
+		wall, dets, err := b.coalition(k, 1, single, 0, 0, -1)
 		if err != nil {
 			return nil, err
 		}
-		streams, err := adversary.CoordinatedStreams(ids, k, p.VerifyFraction, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		// Streams advance in lockstep, one batch per round, each paying
-		// the quoted delay scaled by its current detector multiplier.
-		walls := make([]time.Duration, k)
-		for pos := 0; ; pos += sybilBatch {
-			done := true
-			for i, stream := range streams {
-				if pos >= len(stream) {
-					continue
-				}
-				done = false
-				batch := stream[pos:min(pos+sybilBatch, len(stream))]
-				mult := det.ObserveBatch(fmt.Sprintf("sybil-%d", i), batch)
-				walls[i] += gate.QuoteScaled(mult, batch...)
-			}
-			if done {
-				break
-			}
-		}
-		var wall time.Duration
-		for _, w := range walls {
-			if w > wall {
-				wall = w
-			}
-		}
-		det.Recluster()
-		var perID, union float64
-		for _, s := range det.Suspects(k) {
-			perID += s.Coverage / float64(k)
-			u := s.Coverage
-			if s.CoalitionCoverage > u {
-				u = s.CoalitionCoverage
-			}
-			if u > union {
-				union = u
-			}
-		}
+		last = dets[0]
+		perID, union := coverage(last, k)
 		res.NoDetectWall = append(res.NoDetectWall, rNone.WallTime)
 		res.DetectWall = append(res.DetectWall, wall)
 		res.PerIdentityCoverage = append(res.PerIdentityCoverage, perID)
@@ -192,35 +117,154 @@ func SybilDetection(p SybilDetectionParams) (*SybilDetectionResult, error) {
 			Hours(rNone.WallTime), Hours(wall),
 			fmt.Sprintf("%.1f%%", 100*perID), fmt.Sprintf("%.1f%%", 100*union),
 		})
-		lastDet = det
 	}
 
 	// Collateral damage: Zipf readers through the detector that just
 	// watched the largest coalition, vs the same queries detection-off.
-	dist, err := zipf.New(n, p.LegitAlpha)
+	res.LegitMedianOff, res.LegitMedianOn, err = b.legit(func(int, uint64) *detect.Detector { return last })
 	if err != nil {
 		return nil, err
 	}
-	sampler := zipf.NewSampler(dist, p.Seed+1)
-	var offs, ons []float64
-	for u := 0; u < p.LegitUsers; u++ {
-		name := fmt.Sprintf("user-%d", u)
-		for q := 0; q < p.LegitQueries; q++ {
-			id := uint64(sampler.Next() - 1)
-			off := gate.Quote(id)
-			mult := lastDet.ObserveBatch(name, []uint64{id})
-			offs = append(offs, off.Seconds())
-			ons = append(ons, gate.QuoteScaled(mult, id).Seconds())
-		}
-	}
-	res.LegitMedianOff = delay.SecondsToDuration(medianSeconds(offs))
-	res.LegitMedianOn = delay.SecondsToDuration(medianSeconds(ons))
 	res.Table = t
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("single-identity detection-off baseline: %s hours over %d tuples; every coalition stream re-fetches a shared %.0f%% verification sample",
-			Hours(baseline.WallTime), n, 100*p.VerifyFraction),
+			Hours(b.baseline), len(b.ids), 100*p.VerifyFraction),
 		fmt.Sprintf("legitimate median delay: %s off vs %s with detection (%d Zipf(%.1f) users × %d queries, shared detector)",
 			Millis(res.LegitMedianOff), Millis(res.LegitMedianOn),
 			p.LegitUsers, p.LegitAlpha, p.LegitQueries))
 	return res, nil
+}
+
+// sybilBed is what every detection experiment shares: the learned
+// defense, the detector configuration, and the single-identity
+// detection-off baseline the tables compare against.
+type sybilBed struct {
+	SybilDetectionParams
+	gate     *delay.Gate
+	ids      []uint64
+	dcfg     detect.Config
+	baseline time.Duration
+}
+
+func newSybilBed(p SybilDetectionParams) (*sybilBed, error) {
+	gate, ids, err := learnedCalgary(CalgaryParams{Scale: p.Scale, Cap: p.Cap, CapFraction: p.CapFraction, Seed: p.Seed})
+	if err != nil {
+		return nil, err
+	}
+	baseline, err := adversary.Sequential(gate, ids)
+	if err != nil {
+		return nil, err
+	}
+	return &sybilBed{
+		SybilDetectionParams: p, gate: gate, ids: ids, baseline: baseline.WallTime,
+		dcfg: detect.Config{
+			CatalogSize: len(ids),
+			Policy: detect.EscalationPolicy{
+				Grace: p.Grace, Cap: p.MultCap, RampWidth: p.RampWidth, Hysteresis: 0.10,
+			},
+			JaccardThreshold: p.Jaccard,
+		},
+	}, nil
+}
+
+// placement names the detector that observes tuple id of identity i's
+// batch in lockstep round r.
+type placement func(i, r int, id uint64) int
+
+// coalition drives one k-identity coordinated extraction against shards
+// fresh detectors. Identities advance in lockstep, one batch per round;
+// place splits each batch among the detectors, and the identity — one
+// sequential client — pays the sum of each detector's quote scaled by
+// that detector's multiplier. With every > 0 the detectors exchange
+// sketches every that many rounds and once more at the end, as the
+// cluster router's anti-entropy loop does; every == 0 is exchange off.
+// dead (when >= 0) is a shard that neither observes nor exchanges.
+// Returns the coalition wall time (its slowest identity) and the
+// reclustered detectors.
+func (b *sybilBed) coalition(k, shards int, place placement, every int, floor float64, dead int) (time.Duration, []*detect.Detector, error) {
+	dets := make([]*detect.Detector, shards)
+	for s := range dets {
+		d, err := detect.NewDetector(b.dcfg)
+		if err != nil {
+			return 0, nil, err
+		}
+		dets[s] = d
+	}
+	streams, err := adversary.CoordinatedStreams(b.ids, k, b.VerifyFraction, b.Seed)
+	if err != nil {
+		return 0, nil, err
+	}
+	marks := make([]uint64, shards)
+	walls := make([]time.Duration, k)
+	sub := make([][]uint64, shards)
+	round := 0
+	for pos := 0; ; pos += sybilBatch {
+		done := true
+		for i, stream := range streams {
+			if pos >= len(stream) {
+				continue
+			}
+			done = false
+			for s := range sub {
+				sub[s] = sub[s][:0]
+			}
+			for _, id := range stream[pos:min(pos+sybilBatch, len(stream))] {
+				s := place(i, round, id)
+				sub[s] = append(sub[s], id)
+			}
+			name := fmt.Sprintf("sybil-%d", i)
+			for s, part := range sub {
+				if len(part) > 0 {
+					walls[i] += b.gate.QuoteScaled(dets[s].ObserveBatch(name, part), part...)
+				}
+			}
+		}
+		if done {
+			break
+		}
+		round++
+		if every > 0 && round%every == 0 {
+			exchangeSketches(dets, marks, floor, dead)
+		}
+	}
+	if every > 0 {
+		exchangeSketches(dets, marks, floor, dead)
+	}
+	for _, d := range dets {
+		d.Recluster()
+	}
+	return slices.Max(walls), dets, nil
+}
+
+// coverage is detector d's view of a k-identity coalition: the mean
+// per-identity coverage, and the best union estimate — an identity's
+// own coverage or its coalition's.
+func coverage(d *detect.Detector, k int) (perID, union float64) {
+	for _, s := range d.Suspects(k) {
+		perID += s.Coverage / float64(k)
+		union = max(union, s.Coverage, s.CoalitionCoverage)
+	}
+	return perID, union
+}
+
+// legit replays LegitUsers Zipf(LegitAlpha) readers of LegitQueries point
+// queries each, and returns the median per-query delay with detection
+// off and with pick(user, id)'s detector observing every query.
+func (b *sybilBed) legit(pick func(user int, id uint64) *detect.Detector) (off, on time.Duration, err error) {
+	dist, err := zipf.New(len(b.ids), b.LegitAlpha)
+	if err != nil {
+		return 0, 0, err
+	}
+	sampler := zipf.NewSampler(dist, b.Seed+1)
+	var offs, ons []float64
+	for u := 0; u < b.LegitUsers; u++ {
+		name := fmt.Sprintf("user-%d", u)
+		for q := 0; q < b.LegitQueries; q++ {
+			id := uint64(sampler.Next() - 1)
+			offs = append(offs, b.gate.Quote(id).Seconds())
+			mult := pick(u, id).ObserveBatch(name, []uint64{id})
+			ons = append(ons, b.gate.QuoteScaled(mult, id).Seconds())
+		}
+	}
+	return delay.SecondsToDuration(medianSeconds(offs)), delay.SecondsToDuration(medianSeconds(ons)), nil
 }

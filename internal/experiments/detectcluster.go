@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/delay"
+	"repro/internal/cluster"
 	"repro/internal/detect"
-	"repro/internal/trace"
-	"repro/internal/zipf"
 )
 
 // ShardedSybilParams configures the clustered rerun of the Sybil
@@ -43,6 +40,18 @@ func DefaultShardedSybilParams() ShardedSybilParams {
 	}
 }
 
+// validate rejects what every cluster experiment rejects. It runs before
+// ExchangeEvery reaches the coalition driver, which reads 0 as "off".
+func (p ShardedSybilParams) validate() error {
+	if p.Shards < 2 {
+		return errors.New("experiments: a Sybil cluster needs at least 2 shards")
+	}
+	if p.ExchangeEvery < 1 {
+		return errors.New("experiments: ExchangeEvery must be >= 1")
+	}
+	return nil
+}
+
 // ShardedSybilResult carries the measured quantities for assertions.
 type ShardedSybilResult struct {
 	Table *Table
@@ -74,187 +83,218 @@ type ShardedSybilResult struct {
 // view of every identity's *global* coverage, and the surcharge returns
 // to within the single-node detector's reach.
 func ShardedSybilDetection(p ShardedSybilParams) (*ShardedSybilResult, error) {
-	if p.Shards < 2 {
-		return nil, errors.New("experiments: sharded Sybil needs at least 2 shards")
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
-	if p.ExchangeEvery < 1 {
-		return nil, errors.New("experiments: ExchangeEvery must be >= 1")
-	}
-	cal := CalgaryParams{Scale: p.Scale, Cap: p.Cap, CapFraction: p.CapFraction, Seed: p.Seed}
-	tr, err := calgaryTrace("sybil-detect-cluster", cal)
+	b, err := newSybilBed(p.SybilDetectionParams)
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := learnTracker(tr, 1)
+	res, err := b.exchangeTable(p,
+		fmt.Sprintf("Sharded Sybil extraction over %d shards: anti-entropy sketch exchange restores the surcharge", p.Shards),
+		// The evasive rotation: identity i's round-r batch lands on
+		// shard (i+r) mod Shards, so every shard sees a thin slice of
+		// every identity.
+		func(i, r int, _ uint64) int { return (i + r) % p.Shards },
+		// Legitimate readers are pinned to their hash shard (the
+		// router's affinity policy).
+		func(dets []*detect.Detector, u int, _ uint64) *detect.Detector { return dets[u%p.Shards] })
 	if err != nil {
 		return nil, err
 	}
-	n := cal.objects()
-	beta, err := delay.TuneBeta(n, trace.CalgaryAlpha, tracker.MaxCount(), p.Cap, p.CapFraction)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := delay.NewPopularity(delay.PopularityConfig{
-		N: n, Alpha: trace.CalgaryAlpha, Beta: beta, Cap: p.Cap,
-	}, tracker)
-	if err != nil {
-		return nil, err
-	}
-	gate, err := delay.NewGate(pol, noSleepClock{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	dcfg := detect.Config{
-		CatalogSize: n,
-		Policy: detect.EscalationPolicy{
-			Grace: p.Grace, Cap: p.MultCap, RampWidth: p.RampWidth, Hysteresis: 0.10,
-		},
-		JaccardThreshold: p.Jaccard,
-	}
-
-	baseline, err := adversary.Sequential(gate, ids)
-	if err != nil {
-		return nil, err
-	}
-	res := &ShardedSybilResult{BaselineWall: baseline.WallTime}
-	t := &Table{
-		Title: fmt.Sprintf(
-			"Sharded Sybil extraction over %d shards: anti-entropy sketch exchange restores the surcharge",
-			p.Shards),
-		Header: []string{
-			"Identities", "Exchange off (h)", "Exchange on (h)",
-			"On/baseline", "Shard cov off", "Shard cov on",
-		},
-	}
-
-	var lastOn []*detect.Detector
-	for _, k := range p.Ks {
-		offWall, offCov, _, err := p.runCoalition(gate, dcfg, ids, k, false)
-		if err != nil {
-			return nil, err
-		}
-		onWall, onCov, dets, err := p.runCoalition(gate, dcfg, ids, k, true)
-		if err != nil {
-			return nil, err
-		}
-		res.OffWall = append(res.OffWall, offWall)
-		res.OnWall = append(res.OnWall, onWall)
-		res.OffUnionCoverage = append(res.OffUnionCoverage, offCov)
-		res.OnUnionCoverage = append(res.OnUnionCoverage, onCov)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", k),
-			Hours(offWall), Hours(onWall),
-			fmt.Sprintf("%.1fx", onWall.Seconds()/baseline.WallTime.Seconds()),
-			fmt.Sprintf("%.1f%%", 100*offCov), fmt.Sprintf("%.1f%%", 100*onCov),
-		})
-		lastOn = dets
-	}
-
-	// Collateral damage: Zipf readers pinned to their hash shard (the
-	// router's affinity policy), through the detectors that just watched
-	// the largest exchanged coalition.
-	dist, err := zipf.New(n, p.LegitAlpha)
-	if err != nil {
-		return nil, err
-	}
-	sampler := zipf.NewSampler(dist, p.Seed+1)
-	var offs, ons []float64
-	for u := 0; u < p.LegitUsers; u++ {
-		name := fmt.Sprintf("user-%d", u)
-		shard := lastOn[u%p.Shards]
-		for q := 0; q < p.LegitQueries; q++ {
-			id := uint64(sampler.Next() - 1)
-			off := gate.Quote(id)
-			mult := shard.ObserveBatch(name, []uint64{id})
-			offs = append(offs, off.Seconds())
-			ons = append(ons, gate.QuoteScaled(mult, id).Seconds())
-		}
-	}
-	res.LegitMedianOff = delay.SecondsToDuration(medianSeconds(offs))
-	res.LegitMedianOn = delay.SecondsToDuration(medianSeconds(ons))
-	res.Table = t
-	t.Notes = append(t.Notes,
+	res.Table.Notes = append(res.Table.Notes,
 		fmt.Sprintf("single-identity detection-off baseline: %s hours over %d tuples; identities rotate shards per batch, exchange every %d round(s), export floor %.0f%%",
-			Hours(baseline.WallTime), n, p.ExchangeEvery, 100*p.ExportFloor),
+			Hours(b.baseline), len(b.ids), p.ExchangeEvery, 100*p.ExportFloor),
 		fmt.Sprintf("legitimate median delay: %s off vs %s with sharded detection (%d Zipf(%.1f) users × %d queries, hash-affinity shards)",
 			Millis(res.LegitMedianOff), Millis(res.LegitMedianOn),
 			p.LegitUsers, p.LegitAlpha, p.LegitQueries))
 	return res, nil
 }
 
-// runCoalition drives one k-identity coordinated extraction against
-// Shards detectors, rotating each identity across shards per batch
-// round. With exchange on, detectors gossip sketch deltas every
-// ExchangeEvery rounds, exactly as the cluster router's anti-entropy
-// loop does (ExportSince watermarks, Absorb merges). Returns the
-// coalition wall time, shard 0's best coalition-coverage estimate after
-// a final exchange+recluster, and the detectors for reuse.
-func (p ShardedSybilParams) runCoalition(gate *delay.Gate, dcfg detect.Config, ids []uint64, k int, exchange bool) (time.Duration, float64, []*detect.Detector, error) {
-	dets := make([]*detect.Detector, p.Shards)
-	for s := range dets {
-		d, err := detect.NewDetector(dcfg)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		dets[s] = d
+// PartitionedSybilParams configures the Sybil rerun against a
+// partitioned cluster: tuples hash to owner shards via the router's
+// partition map, so an extraction coalition does not choose which shard
+// sees a query — the tuple's owner does. The natural evasion flips from
+// rotation to key-range splitting: each identity walks its slice of the
+// catalog through point queries, and each shard's detector observes
+// only the ~1/Shards of those tuples it owns.
+type PartitionedSybilParams struct {
+	ShardedSybilParams
+	// Partitions is the partition-map size (cluster.DefaultPartitions
+	// when 0).
+	Partitions int
+}
+
+// DefaultPartitionedSybilParams returns the paper-scale configuration:
+// the sharded defaults with the router's default partition map.
+func DefaultPartitionedSybilParams() PartitionedSybilParams {
+	return PartitionedSybilParams{
+		ShardedSybilParams: DefaultShardedSybilParams(),
+		Partitions:         cluster.DefaultPartitions,
 	}
-	streams, err := adversary.CoordinatedStreams(ids, k, p.VerifyFraction, p.Seed)
+}
+
+// setup validates p, defaults its partition count, and builds the
+// partition map at the given replication plus the learned defense.
+func (p *PartitionedSybilParams) setup(replicas int) (*cluster.PartitionMap, *sybilBed, error) {
+	if err := p.validate(); err != nil {
+		return nil, nil, err
+	}
+	if p.Partitions == 0 {
+		p.Partitions = cluster.DefaultPartitions
+	}
+	pm, err := cluster.NewPartitionMap(1, p.Partitions, p.Shards, 0, replicas)
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, nil, err
 	}
-	marks := make([]uint64, p.Shards)
-	walls := make([]time.Duration, k)
-	round := 0
-	for pos := 0; ; pos += sybilBatch {
-		done := true
-		for i, stream := range streams {
-			if pos >= len(stream) {
-				continue
+	b, err := newSybilBed(p.SybilDetectionParams)
+	return pm, b, err
+}
+
+// PartitionedSybilDetection reruns the Sybil detection analysis against
+// a partitioned cluster. Ownership, not the adversary, picks the shard
+// a query lands on, and a query touching tuples on several shards costs
+// the client the SUM of the per-shard delays — the shards serve one
+// sequential client, there is no parallel wall-time discount for
+// scattering. What partitioning does hand the coalition is coverage
+// dilution: every shard's detector sees only its slice of every
+// identity's stream (~1/(k·Shards) of the catalog), far under the
+// escalation grace. Anti-entropy is again the countermeasure: merged
+// sketches restore each shard's view of global per-identity coverage
+// and of the shared verification sample that clusters the coalition.
+func PartitionedSybilDetection(p PartitionedSybilParams) (*ShardedSybilResult, error) {
+	pm, b, err := p.setup(1)
+	if err != nil {
+		return nil, err
+	}
+	res, err := b.exchangeTable(p.ShardedSybilParams,
+		fmt.Sprintf("Partitioned Sybil extraction: %d shards × %d partitions, coalition splits the key range", p.Shards, p.Partitions),
+		owners(pm, -1),
+		// Legitimate point queries go to the queried tuple's owner — the
+		// partitioned router's only read path for key lookups.
+		func(dets []*detect.Detector, _ int, id uint64) *detect.Detector { return dets[pm.OwnerOf(int64(id))] })
+	if err != nil {
+		return nil, err
+	}
+	res.Table.Notes = append(res.Table.Notes,
+		fmt.Sprintf("single-identity detection-off baseline: %s hours over %d tuples; tuples hash to owners, exchange every %d round(s), export floor %.0f%%",
+			Hours(b.baseline), len(b.ids), p.ExchangeEvery, 100*p.ExportFloor),
+		fmt.Sprintf("legitimate median delay: %s off vs %s with partitioned detection (%d Zipf(%.1f) users × %d point queries to owner shards)",
+			Millis(res.LegitMedianOff), Millis(res.LegitMedianOn),
+			p.LegitUsers, p.LegitAlpha, p.LegitQueries))
+	return res, nil
+}
+
+// PartitionedShardKillSybil reruns the key-splitting coalition against
+// the replicated layout (R = 2) with shard 0 dead for the entire attack.
+// Failover routes each query to the surviving replica of its partition,
+// whose detector observes it, and the anti-entropy exchange runs among
+// the survivors only — so the coalition's union coverage still
+// reassembles and the surcharge must hold without the dead shard's
+// evidence. This is the detection half of the shard-kill contract:
+// losing a replica loses no acked writes (torture.RunCluster) and loses
+// no extraction pricing (this table). OffWall holds the all-up walls,
+// OnWall and OnUnionCoverage the shard-down ones.
+func PartitionedShardKillSybil(p PartitionedSybilParams) (*ShardedSybilResult, error) {
+	pm, b, err := p.setup(2)
+	if err != nil {
+		return nil, err
+	}
+	res := &ShardedSybilResult{BaselineWall: b.baseline}
+	t := &Table{
+		Title: fmt.Sprintf(
+			"Shard-kill Sybil extraction: %d shards × %d partitions × R=2, shard-0 dead for the whole attack",
+			p.Shards, p.Partitions),
+		Header: []string{
+			"Identities", "All shards up (h)", "Shard down (h)",
+			"Up/baseline", "Down/baseline", "Cov (down)",
+		},
+	}
+	for _, k := range p.Ks {
+		upWall, _, err := b.coalition(k, p.Shards, owners(pm, -1), p.ExchangeEvery, p.ExportFloor, -1)
+		if err != nil {
+			return nil, err
+		}
+		downWall, dets, err := b.coalition(k, p.Shards, owners(pm, 0), p.ExchangeEvery, p.ExportFloor, 0)
+		if err != nil {
+			return nil, err
+		}
+		_, downCov := coverage(dets[1], k) // shard 1 is a live viewer
+		res.OffWall = append(res.OffWall, upWall)
+		res.OnWall = append(res.OnWall, downWall)
+		res.OnUnionCoverage = append(res.OnUnionCoverage, downCov)
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", k),
+			Hours(upWall), Hours(downWall),
+			fmt.Sprintf("%.1fx", upWall.Seconds()/b.baseline.Seconds()),
+			fmt.Sprintf("%.1fx", downWall.Seconds()/b.baseline.Seconds()),
+			fmt.Sprintf("%.1f%%", 100*downCov),
+		})
+	}
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("single-identity detection-off baseline: %s hours over %d tuples; failover serves each dead-shard partition from its surviving replica, whose detector observes the query",
+			Hours(b.baseline), len(b.ids)))
+	res.Table = t
+	return res, nil
+}
+
+// owners places each tuple on its partition's owner, failing over to the
+// first live member of the partition's replica group when the owner is
+// the dead shard (-1 for none).
+func owners(pm *cluster.PartitionMap, dead int) placement {
+	return func(_, _ int, id uint64) int {
+		s := pm.OwnerOf(int64(id))
+		if s != dead {
+			return s
+		}
+		for _, m := range pm.GroupOf(pm.PartitionOf(int64(id))) {
+			if m != dead {
+				return m
 			}
-			done = false
-			batch := stream[pos:min(pos+sybilBatch, len(stream))]
-			// The evasive rotation: identity i's round-r batch lands on
-			// shard (i+r) mod Shards, so every shard sees a thin slice
-			// of every identity.
-			shard := (i + round) % p.Shards
-			mult := dets[shard].ObserveBatch(fmt.Sprintf("sybil-%d", i), batch)
-			walls[i] += gate.QuoteScaled(mult, batch...)
 		}
-		if done {
-			break
-		}
-		round++
-		if exchange && round%p.ExchangeEvery == 0 {
-			exchangeSketches(dets, marks, p.ExportFloor, -1)
-		}
+		return s
 	}
-	if exchange {
-		exchangeSketches(dets, marks, p.ExportFloor, -1)
-	}
-	var wall time.Duration
-	for _, w := range walls {
-		if w > wall {
-			wall = w
+}
+
+// exchangeTable runs the coalition of every k in p.Ks with anti-entropy
+// off and on and tabulates both against the baseline; shard 0 reports
+// coverage. Legitimate readers are then priced through the detectors of
+// the last on run, each query observed by pick(dets, user, id).
+func (b *sybilBed) exchangeTable(p ShardedSybilParams, title string, place placement, pick func(dets []*detect.Detector, user int, id uint64) *detect.Detector) (*ShardedSybilResult, error) {
+	res := &ShardedSybilResult{BaselineWall: b.baseline, Table: &Table{
+		Title: title,
+		Header: []string{
+			"Identities", "Exchange off (h)", "Exchange on (h)",
+			"On/baseline", "Shard cov off", "Shard cov on",
+		},
+	}}
+	var last []*detect.Detector
+	for _, k := range p.Ks {
+		offWall, off, err := b.coalition(k, p.Shards, place, 0, 0, -1)
+		if err != nil {
+			return nil, err
 		}
-	}
-	for _, d := range dets {
-		d.Recluster()
-	}
-	var union float64
-	for _, s := range dets[0].Suspects(k) {
-		u := s.Coverage
-		if s.CoalitionCoverage > u {
-			u = s.CoalitionCoverage
+		onWall, on, err := b.coalition(k, p.Shards, place, p.ExchangeEvery, p.ExportFloor, -1)
+		if err != nil {
+			return nil, err
 		}
-		if u > union {
-			union = u
-		}
+		_, offCov := coverage(off[0], k)
+		_, onCov := coverage(on[0], k)
+		res.OffWall = append(res.OffWall, offWall)
+		res.OnWall = append(res.OnWall, onWall)
+		res.OffUnionCoverage = append(res.OffUnionCoverage, offCov)
+		res.OnUnionCoverage = append(res.OnUnionCoverage, onCov)
+		res.Table.Rows = append(res.Table.Rows, []string{
+			fmt.Sprintf("%d", k),
+			Hours(offWall), Hours(onWall),
+			fmt.Sprintf("%.1fx", onWall.Seconds()/b.baseline.Seconds()),
+			fmt.Sprintf("%.1f%%", 100*offCov), fmt.Sprintf("%.1f%%", 100*onCov),
+		})
+		last = on
 	}
-	return wall, union, dets, nil
+	var err error
+	res.LegitMedianOff, res.LegitMedianOn, err = b.legit(func(u int, id uint64) *detect.Detector { return pick(last, u, id) })
+	return res, err
 }
 
 // exchangeSketches is one hub-spoke anti-entropy round in miniature:

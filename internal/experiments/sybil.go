@@ -39,32 +39,9 @@ func DefaultSybilParams() SybilParams {
 // registration throttle, a modest throttle, and the §2.4 neutralizing
 // throttle t = dtotal/4.
 func SybilAnalysis(p SybilParams) (*Table, error) {
-	cal := CalgaryParams{Scale: p.Scale, Cap: p.Cap, CapFraction: p.CapFraction, Seed: p.Seed}
-	tr, err := calgaryTrace("sybil", cal)
+	gate, ids, err := learnedCalgary(CalgaryParams{Scale: p.Scale, Cap: p.Cap, CapFraction: p.CapFraction, Seed: p.Seed})
 	if err != nil {
 		return nil, err
-	}
-	tracker, err := learnTracker(tr, 1)
-	if err != nil {
-		return nil, err
-	}
-	beta, err := delay.TuneBeta(cal.objects(), trace.CalgaryAlpha, tracker.MaxCount(), p.Cap, p.CapFraction)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := delay.NewPopularity(delay.PopularityConfig{
-		N: cal.objects(), Alpha: trace.CalgaryAlpha, Beta: beta, Cap: p.Cap,
-	}, tracker)
-	if err != nil {
-		return nil, err
-	}
-	gate, err := delay.NewGate(pol, noSleepClock{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]uint64, cal.objects())
-	for i := range ids {
-		ids[i] = uint64(i)
 	}
 	seq, err := adversary.Sequential(gate, ids)
 	if err != nil {
@@ -104,6 +81,40 @@ func SybilAnalysis(p SybilParams) (*Table, error) {
 		fmt.Sprintf("single-identity extraction: %s hours over %d tuples", Hours(seq.TotalDelay), len(ids)),
 		fmt.Sprintf("under the neutralizing throttle the optimal attack (k*=%d) still takes %s hours ≥ the sequential cost — parallelism is moot", kStar, Hours(best)))
 	return t, nil
+}
+
+// learnedCalgary builds the defense every Sybil experiment attacks: the
+// Calgary-shaped trace learned into a tracker, β tuned from it, and a
+// gate that quotes without sleeping. ids is the whole catalog.
+func learnedCalgary(p CalgaryParams) (*delay.Gate, []uint64, error) {
+	tr, err := calgaryTrace("sybil", p)
+	if err != nil {
+		return nil, nil, err
+	}
+	tracker, err := learnTracker(tr, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := p.objects()
+	beta, err := delay.TuneBeta(n, trace.CalgaryAlpha, tracker.MaxCount(), p.Cap, p.CapFraction)
+	if err != nil {
+		return nil, nil, err
+	}
+	pol, err := delay.NewPopularity(delay.PopularityConfig{
+		N: n, Alpha: trace.CalgaryAlpha, Beta: beta, Cap: p.Cap,
+	}, tracker)
+	if err != nil {
+		return nil, nil, err
+	}
+	gate, err := delay.NewGate(pol, noSleepClock{}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	return gate, ids, nil
 }
 
 // StorefrontParams configures the storefront-relay coverage experiment.
