@@ -78,19 +78,21 @@ bench-engine:
 bench-cluster:
 	BENCH_SUITE=cluster ./scripts/bench.sh
 
-# Short measured run of all suites compared against the committed
-# BENCH_*.json baselines: fails on a >20% per-key regression or a broken
-# shape invariant (point-query scaling, the rank index's scan-locality
-# win, the detector's clustering sweep staying under half its pairwise
-# oracle, grouped WAL commit beating per-commit fsyncs, mixed read/write
-# throughput scaling with clients, cluster router tax over direct shard
-# access staying within its recorded ratio, the scatter merge over spans
-# staying under half of decoding every cell). The fsync-bound engine keys
-# are held to their shape only — their ns/op is the disk's, not the
-# code's (see bench.sh). The short
-# benchtime keeps it CI-sized; -count=3 with min-of-N extraction (see
-# bench.sh) keeps single-run scheduler noise from tripping the gate; the
-# committed baselines stay untouched. CI runs this.
+# Short measured run of all suites, on the base commit (BENCH_BASE,
+# default HEAD, checked out into a temp worktree) and then on the working
+# tree in the same sitting, the two compared by scripts/benchcmp: fails on
+# a >20% per-key regression or a broken shape invariant (point-query
+# scaling, the rank index's scan-locality win, the detector's clustering
+# sweep staying under half its pairwise oracle, grouped WAL commit
+# beating per-commit fsyncs, mixed read/write throughput scaling with
+# clients, cluster router tax over direct shard access staying within its
+# recorded ratio, the scatter merge over spans staying under half of
+# decoding every cell). The fsync-bound engine keys are held to their
+# shape only — their ns/op is the disk's, not the code's (see bench.sh).
+# The short benchtime keeps it CI-sized; -count=3 with min-of-N
+# extraction (see bench.sh) keeps single-run scheduler noise from
+# tripping the gate; the committed BENCH_*.json files stay untouched. CI
+# runs this with BENCH_BASE set to the pull request's base.
 bench-smoke:
 	BENCH_SUITE=all BENCH_ARGS="-benchtime=0.25s -count=3" BENCH_CHECK=1 ./scripts/bench.sh
 

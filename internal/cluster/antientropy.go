@@ -62,9 +62,7 @@ func (r *Router) exchangeLocked(floor float64) error {
 		}
 	}
 	if revived {
-		for j := range r.ae.marks {
-			r.ae.marks[j] = 0
-		}
+		clear(r.ae.marks)
 		r.syncPeerDown()
 	}
 

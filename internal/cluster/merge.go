@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -203,7 +202,7 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 		}
 		cover, uncovered, ok := r.readCover(pm, need, avoid)
 		if !ok {
-			writeErr(w, http.StatusServiceUnavailable,
+			server.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Errorf("partition %d unavailable: no readable replica", uncovered))
 			return
 		}
@@ -265,13 +264,13 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 		if last != nil {
 			detail = ": " + last.err.Error()
 		}
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("scan incomplete: %d partitions unavailable after retries%s", len(need), detail))
 		return
 	}
 	columns, merged, delay, err := mergeReplies(replies, &spec)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
+		server.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
 	r.scatterFetched.Add(int64(rows))
@@ -466,242 +465,4 @@ func mergeAggregates(replies []shardReply, spec *mergeSpec) ([]string, []server.
 		}
 	}
 	return columns, []server.RawRow{server.NewRawRow(row)}, nil
-}
-
-// scatterStmt is a statement the scatter-write path applies across the
-// cluster: either a predicate write shipped verbatim, or a split
-// multi-partition INSERT whose per-node slices are rendered under the
-// scatter lock — with replication the target sets depend on migration
-// state that may move between planning and execution.
-type scatterStmt struct {
-	sql      string
-	ins      *sqlmini.Insert
-	insParts []int
-}
-
-// predicateTarget extracts the table and WHERE of a predicate write so
-// the scatter can pre-count the matching rows.
-func predicateTarget(sql string) (string, *sqlmini.Where, bool) {
-	stmt, err := sqlmini.Parse(sql)
-	if err != nil {
-		return "", nil, false
-	}
-	switch s := stmt.(type) {
-	case *sqlmini.Update:
-		return s.Table, s.Where, true
-	case *sqlmini.Delete:
-		return s.Table, s.Where, true
-	}
-	return "", nil, false
-}
-
-// scatterWrite applies a predicate write (or a split INSERT's slices)
-// on every replica of every involved partition, holding the scatter
-// lock — exclusive against all single-key group writes — so replicas
-// apply it at the same point in each partition's write order. The ack
-// rule is the group write's, per partition: the statement acks iff
-// every involved partition has a read-serving replica that accepted
-// it. An owning replica that failed while its partition still acked
-// has diverged and is latched writes-only; a failed migration
-// dual-write marks the partition dirty for re-copy, never failing the
-// client. With no readable acceptance anywhere the first deterministic
-// shard rejection relays (replicas agree on parse and constraint
-// errors); a half-landed write answers 503 — re-issuing is safe for
-// the idempotent statements the grammar has (INSERT re-apply errors on
-// the duplicate key; UPDATE/DELETE re-apply is a no-op).
-//
-// Affected counts logical rows, not replica applications: a split
-// INSERT acks its full row count, and a predicate write pre-counts the
-// matching rows through the partition-filtered maintenance channel —
-// summing per-shard counts would multiply by R and double-count
-// migration copies.
-func (r *Router) scatterWrite(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, stmt scatterStmt, c *call) {
-	r.partLocks.Lock()
-	defer r.partLocks.Unlock()
-	if r.pmap.Load() != pm {
-		r.writePartitionStale(w)
-		return
-	}
-
-	P := len(pm.Owners)
-	involved := make([]int, 0, P)
-	if stmt.ins != nil {
-		hit := make([]bool, P)
-		for _, p := range stmt.insParts {
-			hit[p] = true
-		}
-		for p, h := range hit {
-			if h {
-				involved = append(involved, p)
-			}
-		}
-	} else {
-		for p := 0; p < P; p++ {
-			involved = append(involved, p)
-		}
-	}
-
-	// Per-node roles, fixed under the lock: the partitions a node owns
-	// (the write must land) and the partitions it is receiving as a
-	// migration gainer (dual-write).
-	owned := make(map[int][]int)
-	gaining := make(map[int][]int)
-	for _, p := range involved {
-		any := false
-		for _, i := range pm.groupOf(p) {
-			if r.nodes[i].down.Load() {
-				continue
-			}
-			owned[i] = append(owned[i], p)
-			any = true
-		}
-		if !any {
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("partition %d unavailable: no reachable replica", p))
-			return
-		}
-		for _, g := range r.migrationGainers(pm, p) {
-			if r.nodes[g].down.Load() {
-				r.migrationMarkDirty(pm, p) // the copy misses this write
-				continue
-			}
-			gaining[g] = append(gaining[g], p)
-		}
-	}
-	targets := make([]int, 0, len(owned)+len(gaining))
-	for i := range owned {
-		targets = append(targets, i)
-	}
-	for i := range gaining {
-		if _, dup := owned[i]; !dup {
-			targets = append(targets, i)
-		}
-	}
-	sortInts(targets)
-
-	var affected int64
-	if stmt.ins != nil {
-		affected = int64(len(stmt.ins.Rows))
-	} else if table, where, ok := predicateTarget(stmt.sql); ok {
-		if k, known := r.keyFor(table); known {
-			n, err := r.scatterCount(ctx, pm, table, k.name, where)
-			if err != nil {
-				writeErr(w, http.StatusServiceUnavailable,
-					fmt.Errorf("counting matched rows before scatter write: %v", err))
-				return
-			}
-			affected = n
-		}
-		// Unknown table: no pre-count — the shards will reject the
-		// statement deterministically and the rejection relays below.
-	}
-
-	r.writeFanout.Inc()
-	legs := make([]shardReply, len(targets))
-	r.fan(ctx, targets, func(slot int) *call {
-		if stmt.ins == nil {
-			return legCall(c, server.QueryRequest{SQL: stmt.sql})
-		}
-		i := targets[slot]
-		member := make(map[int]bool, len(owned[i])+len(gaining[i]))
-		for _, p := range owned[i] {
-			member[p] = true
-		}
-		for _, p := range gaining[i] {
-			member[p] = true
-		}
-		rows := make([][]sqlmini.Literal, 0, len(stmt.ins.Rows))
-		for ri, row := range stmt.ins.Rows {
-			if member[stmt.insParts[ri]] {
-				rows = append(rows, row)
-			}
-		}
-		return legCall(c, server.QueryRequest{SQL: sqlmini.Render(&sqlmini.Insert{Table: stmt.ins.Table, Rows: rows})})
-	}, func(slot int, leg fanLeg) { legs[slot] = r.decodeLeg(targets[slot], leg) })
-	byNode := make(map[int]shardReply, len(targets))
-	for _, rep := range legs {
-		byNode[rep.node] = rep
-	}
-
-	// A partition is applied when a READABLE owner accepted the write;
-	// resync owners are write-plane only.
-	allApplied := true
-	for _, p := range involved {
-		applied := false
-		for _, i := range pm.groupOf(p) {
-			if rep, sent := byNode[i]; sent && rep.ok() && r.nodes[i].readable() {
-				applied = true
-				break
-			}
-		}
-		if !applied {
-			allApplied = false
-			break
-		}
-	}
-
-	// Dual-write outcomes first: a failed gainer leg re-queues the
-	// partition for the migrator regardless of how the client fares.
-	for i, parts := range gaining {
-		if rep := byNode[i]; !rep.ok() {
-			for _, p := range parts {
-				r.migrationMarkDirty(pm, p)
-			}
-		}
-	}
-
-	if !allApplied {
-		anyOK := false
-		var firstErr *shardReply
-		for _, i := range targets {
-			if _, isOwner := owned[i]; !isOwner {
-				continue
-			}
-			rep := byNode[i]
-			if rep.ok() {
-				anyOK = true
-			} else if rep.err == nil && firstErr == nil {
-				keep := rep
-				firstErr = &keep
-			}
-		}
-		if !anyOK && firstErr != nil {
-			relay(w, firstErr.rep)
-			return
-		}
-		writeErr(w, http.StatusServiceUnavailable,
-			errors.New("scatter write partially applied: a partition has no read-serving replica that accepted it; retry when the cluster recovers"))
-		return
-	}
-
-	// Acked. Owners whose leg failed while they stayed reachable have
-	// diverged from the replica set: quarantine them writes-only.
-	diverged := false
-	for i := range owned {
-		rep := byNode[i]
-		if rep.ok() {
-			continue
-		}
-		r.writeFanErr.Inc()
-		n := r.nodes[i]
-		if n.down.Load() {
-			continue // died mid-write; the transport latched it
-		}
-		if !n.resync.Load() {
-			n.latchResync()
-			r.writeDiverged.Inc()
-			diverged = true
-		}
-	}
-	if diverged {
-		r.syncPeerDown()
-	}
-
-	var delay float64
-	for _, i := range targets {
-		if rep := byNode[i]; rep.ok() {
-			delay = max(delay, rep.resp.DelayMillis)
-		}
-	}
-	server.WriteQueryResponse(w, nil, nil, int(affected), delay)
 }

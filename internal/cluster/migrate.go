@@ -27,7 +27,7 @@ import (
 //     Writes to OTHER partitions flow freely throughout.
 //  3. Dirty partitions (a dual-write leg failed after their copy)
 //     re-copy in bounded settle passes.
-//  4. Cutover takes the scatter lock exclusively — blocking every
+//  4. Cutover takes partLocks exclusively — blocking every
 //     write for one final dirty re-copy — and installs the target map.
 //     Requests pinned to the old version get the standard 409 fence.
 //  5. Losing replicas purge their moved slices best-effort after the
@@ -283,11 +283,9 @@ func (r *Router) copyPartitionFenced(ctx context.Context, m *migration, p int) e
 		if attempt > 0 {
 			r.cfg.Clock.Sleep(rpcBackoff(attempt - 1))
 		}
-		r.partLocks.RLock()
-		r.partMu[p].Lock()
+		r.lockPartition(p)
 		err = r.copyPartition(ctx, m, p)
-		r.partMu[p].Unlock()
-		r.partLocks.RUnlock()
+		r.unlockPartition(p)
 		if err == nil {
 			return nil
 		}
@@ -297,7 +295,7 @@ func (r *Router) copyPartitionFenced(ctx context.Context, m *migration, p int) e
 
 // copyPartition copies partition p's slice from a readable source
 // replica onto every gainer. Caller holds the partition's write fence
-// (or the scatter lock exclusively), so no write can land mid-copy and
+// (or partLocks exclusively), so no write can land mid-copy and
 // clearing the dirty bit first is safe.
 func (r *Router) copyPartition(ctx context.Context, m *migration, p int) error {
 	src := r.firstReadable(m.source.groupOf(p))
@@ -447,7 +445,7 @@ func (r *Router) handleRebalanceGet(w http.ResponseWriter, req *http.Request) {
 	if prog == nil {
 		prog = &MigrationProgress{Active: false}
 	}
-	writeJSON(w, http.StatusOK, prog)
+	server.WriteJSON(w, http.StatusOK, prog)
 }
 
 // handleRebalancePost proposes a next-version map and migrates the
@@ -456,8 +454,7 @@ func (r *Router) handleRebalanceGet(w http.ResponseWriter, req *http.Request) {
 // ring (the "turn on R=2" one-liner). Asynchronous by default (202;
 // poll GET /admin/rebalance); Wait runs it synchronously.
 func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !server.RequireJSON(w, req) {
 		return
 	}
 	var up PartitionMapUpdate
@@ -469,23 +466,23 @@ func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 	}
 	target, err := r.mapFromUpdate(&up, true)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := r.startMigration(target); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		server.WriteErr(w, http.StatusConflict, err)
 		return
 	}
 	if up.Wait {
 		if err := r.runMigration(); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("migration rolled back: %w", err))
+			server.WriteErr(w, http.StatusBadGateway, fmt.Errorf("migration rolled back: %w", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "rebalanced", "version": target.Version})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"status": "rebalanced", "version": target.Version})
 		return
 	}
 	go r.runMigration() //nolint:errcheck // outcome lands in migLast for GET /admin/rebalance
-	writeJSON(w, http.StatusAccepted, map[string]any{"status": "migrating", "version": target.Version})
+	server.WriteJSON(w, http.StatusAccepted, map[string]any{"status": "migrating", "version": target.Version})
 }
 
 // CatchUpPeer restores a revived replica to the read path by data
@@ -558,32 +555,21 @@ func (r *Router) CatchUpPeer(name string) error {
 			}
 			continue
 		}
-		r.partLocks.RLock()
-		r.partMu[p].Lock()
+		r.lockPartition(p)
 		_, _, err := r.copySlice(ctx, src, ni, p, len(pm.Owners))
-		r.partMu[p].Unlock()
-		r.partLocks.RUnlock()
+		r.unlockPartition(p)
 		if err != nil {
 			return fmt.Errorf("resyncing partition %d: %w", p, err)
 		}
 	}
-	n := r.nodes[ni]
-	n.down.Store(false)
-	n.resync.Store(false)
-	r.ae.mu.Lock()
-	for j := range r.ae.marks {
-		r.ae.marks[j] = 0
-	}
-	r.ae.mu.Unlock()
-	r.syncPeerDown()
+	r.restorePeer(r.nodes[ni])
 	return nil
 }
 
 // handleResync is POST /admin/resync {"name": ...}: CatchUpPeer over
 // HTTP.
 func (r *Router) handleResync(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !server.RequireJSON(w, req) {
 		return
 	}
 	var pr PeerUpRequest
@@ -591,12 +577,12 @@ func (r *Router) handleResync(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if pr.Name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("empty peer name"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("empty peer name"))
 		return
 	}
 	if err := r.CatchUpPeer(pr.Name); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		server.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "resynced", "name": pr.Name})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "resynced", "name": pr.Name})
 }

@@ -260,7 +260,7 @@ func (r *Router) writePartitionStale(w http.ResponseWriter) {
 	r.partVerRej.Inc()
 	w.Header().Set("X-Partition-Version", strconv.FormatUint(cur.Version, 10))
 	w.Header().Set("Retry-After", "0")
-	writeErr(w, http.StatusConflict,
+	server.WriteErr(w, http.StatusConflict,
 		fmt.Errorf("partition map changed (current version %d); refresh and retry", cur.Version))
 }
 
@@ -309,7 +309,7 @@ type planKind int
 
 const (
 	// planBroadcast: DDL — every reachable shard must agree on the
-	// catalog, so it applies everywhere under the scatter-write lock.
+	// catalog, so it applies everywhere under partLocks held exclusively.
 	planBroadcast planKind = iota
 	// planSingleRead: a point query pinned to one tuple's owner.
 	planSingleRead
@@ -340,11 +340,15 @@ type queryPlan struct {
 	sel *sqlmini.Select
 	// ins and insParts carry a multi-partition INSERT for
 	// planSplitInsert: the parsed statement plus each row's partition.
-	// The per-node slices are rendered inside the scatter-write lock,
+	// The per-node slices are rendered under the write's lock,
 	// because with replication the target sets depend on migration
 	// state that may move between planning and execution.
 	ins      *sqlmini.Insert
 	insParts []int
+	// table and where are a planScatterWrite's target, which the write
+	// pre-counts its matching rows over.
+	table string
+	where *sqlmini.Where
 }
 
 // planStatement classifies sql against the partition map. A parse
@@ -373,14 +377,14 @@ func (r *Router) planStatement(pm *PartitionMap, sql string) (queryPlan, error) 
 				return queryPlan{kind: planSingleWrite, part: pm.PartitionOf(key)}, nil
 			}
 		}
-		return queryPlan{kind: planScatterWrite}, nil
+		return queryPlan{kind: planScatterWrite, table: s.Table, where: s.Where}, nil
 	case *sqlmini.Delete:
 		if k, ok := r.keyFor(s.Table); ok {
 			if key, ok := sqlmini.PKEqual(s.Where, k.name); ok {
 				return queryPlan{kind: planSingleWrite, part: pm.PartitionOf(key)}, nil
 			}
 		}
-		return queryPlan{kind: planScatterWrite}, nil
+		return queryPlan{kind: planScatterWrite, table: s.Table, where: s.Where}, nil
 	case *sqlmini.CreateTable:
 		// Snoop the key column so the tuples this table will hold route
 		// without a schema fetch.
@@ -402,7 +406,7 @@ func (r *Router) planStatement(pm *PartitionMap, sql string) (queryPlan, error) 
 // planInsert routes an INSERT by the primary key of each row. All rows
 // in one partition ship as-is to that partition's replica group; rows
 // spanning partitions split into per-node INSERT slices, rendered
-// later under the scatter-write lock. A row whose key cannot be read
+// later under the write's lock. A row whose key cannot be read
 // positionally (unknown table, short row, non-INT key) routes the
 // whole statement to one shard whose engine rejects it — a
 // deterministic error with no tuple applied anywhere, so one shard's
@@ -443,7 +447,7 @@ func (r *Router) planInsert(pm *PartitionMap, s *sqlmini.Insert) (queryPlan, err
 func (r *Router) servePartitioned(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, sql string, c *call) {
 	plan, err := r.planStatement(pm, sql)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	switch plan.kind {
@@ -462,16 +466,16 @@ func (r *Router) servePartitioned(ctx context.Context, w http.ResponseWriter, pm
 			r.serveAny(ctx, w, pm, c)
 			return
 		}
-		r.serveGroupWrite(ctx, w, pm, plan.part, c)
+		r.writeKeyed(ctx, w, pm, plan.part, c)
 	case planScatterRead:
 		r.partScatter.Inc()
 		r.scatterRead(ctx, w, pm, plan.sel, sql, c)
 	case planScatterWrite:
 		r.partScatter.Inc()
-		r.scatterWrite(ctx, w, pm, scatterStmt{sql: sql}, c)
+		r.writeScatter(ctx, w, pm, plan, sql, c)
 	case planSplitInsert:
 		r.partSplit.Inc()
-		r.scatterWrite(ctx, w, pm, scatterStmt{ins: plan.ins, insParts: plan.insParts}, c)
+		r.writeScatter(ctx, w, pm, plan, sql, c)
 	}
 }
 
@@ -491,13 +495,13 @@ func (r *Router) relayUnder(w http.ResponseWriter, pm *PartitionMap, rep reply) 
 func (r *Router) serveAny(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, c *call) {
 	h := r.healthy()
 	if len(h) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
+		server.WriteErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 		return
 	}
 	n := r.nodes[h[0]]
 	rep, err := r.rpc(ctx, n, c)
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
 		return
 	}
 	r.relayUnder(w, pm, rep)
@@ -537,7 +541,7 @@ func (r *Router) handlePartitionMapGet(w http.ResponseWriter, req *http.Request)
 			out.Replicas[p] = names
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // PartitionMapUpdate is the POST /admin/partition-map and
@@ -599,8 +603,7 @@ func (r *Router) mapFromUpdate(up *PartitionMapUpdate, allowDerive bool) (*Parti
 }
 
 func (r *Router) handlePartitionMapPost(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !server.RequireJSON(w, req) {
 		return
 	}
 	var up PartitionMapUpdate
@@ -609,14 +612,14 @@ func (r *Router) handlePartitionMapPost(w http.ResponseWriter, req *http.Request
 	}
 	m, err := r.mapFromUpdate(&up, false)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := r.InstallPartitionMap(m); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		server.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "installed", "version": m.Version})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "installed", "version": m.Version})
 }
 
 // ExecScript runs a semicolon-separated statement script through the

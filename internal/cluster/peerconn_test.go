@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // serveLoopback serves h on a loopback listener and returns its base
@@ -329,7 +331,7 @@ func TestPeerShardTimeout(t *testing.T) {
 				<-req.Context().Done()
 				return
 			}
-			writeJSON(w, http.StatusOK, struct{}{}) // the lazy /admin/schema fetch
+			server.WriteJSON(w, http.StatusOK, struct{}{}) // the lazy /admin/schema fetch
 		}))
 	start := time.Now()
 	resp, body := query(t, r.Handler(), "x", `SELECT * FROM items WHERE id = 1`)

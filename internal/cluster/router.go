@@ -108,13 +108,13 @@ type Router struct {
 
 	inflight *metrics.Gauge
 
-	// Write ordering: a single-key group write holds partLocks.RLock
-	// plus its partition's mutex — writes to different partitions run
+	// Write ordering: a single-key write holds its partition's fence
+	// (lockPartition) — writes to different partitions run
 	// concurrently, writes inside one partition (and the migrator's
 	// fenced copy of it) serialize, so every replica of a partition
 	// applies non-commutative writes in one (the router's) order. A
 	// scatter write or a broadcast (DDL, /register) holds partLocks
-	// exclusively, serializing with every group write at once. Reads
+	// exclusively, serializing with every single-key write at once. Reads
 	// never take these locks. vnodes is kept so a rebalance can
 	// re-derive ring placement at a new replication factor.
 	partLocks sync.RWMutex
@@ -308,23 +308,6 @@ func (r *Router) Handler() http.Handler { return r.h }
 // Nodes returns the routed shard set.
 func (r *Router) Nodes() []*Node { return r.nodes }
 
-func identity(req *http.Request) string {
-	if id := req.Header.Get("X-Identity"); id != "" {
-		return id
-	}
-	return req.RemoteAddr
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
-}
-
 // healthy returns the indices of peers eligible to serve reads: not
 // latched down and not in writes-only resync.
 func (r *Router) healthy() []int {
@@ -408,15 +391,14 @@ func clientCall(req *http.Request, path string, body []byte) *call {
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !server.RequireJSON(w, req) {
 		return
 	}
 	buf := queryBufPool.Get().(*queryBuf)
 	defer queryBufPool.Put(buf)
 	body, err := readBody(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes), buf)
 	if err != nil {
-		writeErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
+		server.WriteErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
 
@@ -433,11 +415,11 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	q, err := server.ParseQueryRequest(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		server.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if q.SQL == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("empty sql"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("empty sql"))
 		return
 	}
 
@@ -450,19 +432,19 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		r.inflight.Dec()
 		r.inflightRej.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests,
+		server.WriteErr(w, http.StatusTooManyRequests,
 			fmt.Errorf("cluster at capacity (%d queries in flight)", cur-1))
 		return
 	}
 	defer r.inflight.Dec()
-	principal := identity(req)
+	principal := server.Identity(req)
 	if !r.limit.Allow(principal) {
 		r.admitRej.Inc()
 		// Tell the backoff client exactly when its bucket refills —
 		// a static guess either hammers the edge early or idles past
 		// the token.
 		w.Header().Set("Retry-After", retryAfterSecs(r.limit.RetryAfter(principal)))
-		writeErr(w, http.StatusTooManyRequests,
+		server.WriteErr(w, http.StatusTooManyRequests,
 			errors.New("edge rate limit exceeded; retry later"))
 		return
 	}
@@ -482,22 +464,21 @@ func retryAfterSecs(d time.Duration) string {
 // handleRegister broadcasts a registration to every reachable shard so
 // the principal exists wherever its queries may route.
 func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !server.RequireJSON(w, req) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes))
 	if err != nil {
-		writeErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
+		server.WriteErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
 	var reg server.RegisterRequest
 	if err := json.Unmarshal(body, &reg); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		server.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if reg.Identity == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("empty identity"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("empty identity"))
 		return
 	}
 	r.broadcast(req.Context(), w, clientCall(req, "/register", body))
@@ -552,7 +533,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		}
 		out.Peers = append(out.Peers, PeerHealth{Name: n.name, Status: st, InFlight: n.inflight.Load()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // proxyGet forwards a GET (with its query string) to the first healthy
@@ -569,13 +550,13 @@ func (r *Router) proxyGet(path string) http.HandlerFunc {
 				}
 			}
 			if n == nil {
-				writeErr(w, http.StatusNotFound, fmt.Errorf("unknown node %q", want))
+				server.WriteErr(w, http.StatusNotFound, fmt.Errorf("unknown node %q", want))
 				return
 			}
 		} else {
 			h := r.healthy()
 			if len(h) == 0 {
-				writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
+				server.WriteErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 				return
 			}
 			n = r.nodes[h[0]]
@@ -589,7 +570,7 @@ func (r *Router) proxyGet(path string) http.HandlerFunc {
 		}
 		rep, err := r.rpc(req.Context(), n, &call{method: http.MethodGet, path: uri})
 		if err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable: %w", n.name, err))
+			server.WriteErr(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable: %w", n.name, err))
 			return
 		}
 		relay(w, rep)
@@ -614,14 +595,14 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 	if q := req.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 || n > 10000 {
-			writeErr(w, http.StatusBadRequest, errors.New("k must be in [1, 10000]"))
+			server.WriteErr(w, http.StatusBadRequest, errors.New("k must be in [1, 10000]"))
 			return
 		}
 		k = n
 	}
 	targets := r.reachable()
 	if len(targets) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
+		server.WriteErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 		return
 	}
 	effective := func(s detect.Suspect) float64 {
@@ -649,7 +630,7 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if answered == 0 {
-		writeErr(w, http.StatusBadGateway, errors.New("no shard answered"))
+		server.WriteErr(w, http.StatusBadGateway, errors.New("no shard answered"))
 		return
 	}
 	out := make([]detect.Suspect, 0, len(merged))
@@ -666,7 +647,21 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 	if len(out) > k {
 		out = out[:k]
 	}
-	writeJSON(w, http.StatusOK, server.SuspectsResponse{Enabled: enabled, Suspects: out})
+	server.WriteJSON(w, http.StatusOK, server.SuspectsResponse{Enabled: enabled, Suspects: out})
+}
+
+// restorePeer puts n back on the read plane — POST /admin/peer-up and
+// CatchUpPeer both end here: both latches clear, and every anti-entropy
+// watermark resets, because the peer missed rounds (and may have
+// restarted), so the next exchange re-pulls full history and
+// re-converges it.
+func (r *Router) restorePeer(n *Node) {
+	n.down.Store(false)
+	n.resync.Store(false)
+	r.ae.mu.Lock()
+	clear(r.ae.marks)
+	r.ae.mu.Unlock()
+	r.syncPeerDown()
 }
 
 // PeerUpRequest is the POST /admin/peer-up body: an operator's
@@ -680,8 +675,7 @@ type PeerUpRequest struct {
 }
 
 func (r *Router) handlePeerUp(w http.ResponseWriter, req *http.Request) {
-	if ct := req.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !server.RequireJSON(w, req) {
 		return
 	}
 	var pr PeerUpRequest
@@ -689,25 +683,15 @@ func (r *Router) handlePeerUp(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if pr.Name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("empty peer name"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("empty peer name"))
 		return
 	}
 	for _, n := range r.nodes {
 		if n.name == pr.Name {
-			n.down.Store(false)
-			n.resync.Store(false)
-			// Reset every source watermark: the revived peer missed
-			// rounds (and may have restarted), so the next exchange
-			// re-pulls full history and re-converges it.
-			r.ae.mu.Lock()
-			for j := range r.ae.marks {
-				r.ae.marks[j] = 0
-			}
-			r.ae.mu.Unlock()
-			r.syncPeerDown()
-			writeJSON(w, http.StatusOK, map[string]string{"status": "up", "name": pr.Name})
+			r.restorePeer(n)
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "up", "name": pr.Name})
 			return
 		}
 	}
-	writeErr(w, http.StatusNotFound, fmt.Errorf("unknown peer %q", pr.Name))
+	server.WriteErr(w, http.StatusNotFound, fmt.Errorf("unknown peer %q", pr.Name))
 }

@@ -100,8 +100,8 @@ type fanLeg struct {
 }
 
 // fan sends callFor(slot) to targets[slot], every slot at once: the one
-// fan-out, under group writes, broadcasts, scatter reads, scatter writes
-// and split INSERTs alike. Each leg passes the cluster.fanout failpoint
+// fan-out, under every write (applyWrite) and every scatter read
+// alike. Each leg passes the cluster.fanout failpoint
 // (a dropped leg never reaches the shard) and then Router.rpc, and
 // hands its outcome to each as soon as it has one — from the leg's own
 // goroutine, so each guards whatever it shares, and a reader can count

@@ -90,7 +90,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	case "count":
 		s.migrateCount(w, &req)
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown migrate op %q", req.Op))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown migrate op %q", req.Op))
 	}
 }
 
@@ -106,12 +106,12 @@ type migratePage struct {
 // require. On false the 400 is written.
 func (s *Server) migrateParts(w http.ResponseWriter, req *MigrateRequest) (*engine.PartitionSet, bool) {
 	if req.Filter == nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("%s requires a partition filter", req.Op))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("%s requires a partition filter", req.Op))
 		return nil, false
 	}
 	parts, err := req.Filter.set()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return nil, false
 	}
 	return parts, true
@@ -133,7 +133,7 @@ func (s *Server) migrateRead(w http.ResponseWriter, req *MigrateRequest, keyOnly
 	db := s.shield.DB()
 	sch, err := db.Schema(req.Table)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return migratePage{}, false
 	}
 	limit := req.Limit
@@ -151,7 +151,7 @@ func (s *Server) migrateRead(w http.ResponseWriter, req *MigrateRequest, keyOnly
 		sel.Columns = []string{pg.keyCol}
 	}
 	if pg.res, err = db.ExecStmt(sel, parts); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return migratePage{}, false
 	}
 	n := len(pg.res.Keys)
@@ -175,7 +175,7 @@ func (s *Server) migratePull(w http.ResponseWriter, req *MigrateRequest) {
 		pg.out.Keys = append(pg.out.Keys, int64(pg.res.Keys[i]))
 		pg.out.Rows = append(pg.out.Rows, cells)
 	}
-	writeJSON(w, http.StatusOK, pg.out)
+	WriteJSON(w, http.StatusOK, pg.out)
 }
 
 // literalFor converts a pulled string cell back into a typed literal
@@ -203,14 +203,14 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 	db := s.shield.DB()
 	sch, err := db.Schema(req.Table)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	ins := sqlmini.Insert{Table: req.Table}
 	keys := make([]int64, 0, len(req.Rows))
 	for _, cells := range req.Rows {
 		if len(cells) != len(sch.Columns) {
-			writeErr(w, http.StatusBadRequest,
+			WriteErr(w, http.StatusBadRequest,
 				fmt.Errorf("row has %d cells; table %s has %d columns", len(cells), req.Table, len(sch.Columns)))
 			return
 		}
@@ -218,7 +218,7 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 		for i, cell := range cells {
 			lit, lerr := literalFor(cell, sch.Columns[i].Type)
 			if lerr != nil {
-				writeErr(w, http.StatusBadRequest, lerr)
+				WriteErr(w, http.StatusBadRequest, lerr)
 				return
 			}
 			row[i] = lit
@@ -227,7 +227,7 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 		keys = append(keys, row[sch.Key].Int)
 	}
 	if len(ins.Rows) == 0 {
-		writeJSON(w, http.StatusOK, &MigrateResponse{})
+		WriteJSON(w, http.StatusOK, &MigrateResponse{})
 		return
 	}
 	applied := 0
@@ -249,19 +249,19 @@ func (s *Server) migratePush(w http.ResponseWriter, req *MigrateRequest) {
 				keyBound(keyCol, sqlmini.OpEq, keys[i]),
 			}}}
 			if _, derr := db.ExecStmt(del, nil); derr != nil {
-				writeErr(w, http.StatusBadRequest,
+				WriteErr(w, http.StatusBadRequest,
 					fmt.Errorf("replacing tuple %d: %v", keys[i], derr))
 				return
 			}
 			if _, rerr := db.ExecStmt(one, nil); rerr != nil {
-				writeErr(w, http.StatusBadRequest,
+				WriteErr(w, http.StatusBadRequest,
 					fmt.Errorf("re-inserting tuple %d: %v", keys[i], rerr))
 				return
 			}
 			applied++
 		}
 	}
-	writeJSON(w, http.StatusOK, &MigrateResponse{Applied: applied})
+	WriteJSON(w, http.StatusOK, &MigrateResponse{Applied: applied})
 }
 
 func (s *Server) migratePurge(w http.ResponseWriter, req *MigrateRequest) {
@@ -276,12 +276,12 @@ func (s *Server) migratePurge(w http.ResponseWriter, req *MigrateRequest) {
 		}}}
 		res, err := s.shield.DB().ExecStmt(del, pg.parts)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("purging (%d, %d]: %v", req.After, pg.out.Next, err))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("purging (%d, %d]: %v", req.After, pg.out.Next, err))
 			return
 		}
 		pg.out.Applied = res.Affected
 	}
-	writeJSON(w, http.StatusOK, pg.out)
+	WriteJSON(w, http.StatusOK, pg.out)
 }
 
 func (s *Server) migrateCount(w http.ResponseWriter, req *MigrateRequest) {
@@ -290,23 +290,23 @@ func (s *Server) migrateCount(w http.ResponseWriter, req *MigrateRequest) {
 		return
 	}
 	if req.SQL == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("count requires sql"))
+		WriteErr(w, http.StatusBadRequest, errors.New("count requires sql"))
 		return
 	}
 	prep, err := s.shield.DB().Prepare(req.SQL)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	defer prep.Release()
 	if prep.Kind() != engine.KindSelect {
-		writeErr(w, http.StatusBadRequest, errors.New("count takes a SELECT"))
+		WriteErr(w, http.StatusBadRequest, errors.New("count takes a SELECT"))
 		return
 	}
 	res, err := prep.ExecIn(parts)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, &MigrateResponse{Count: len(res.Keys)})
+	WriteJSON(w, http.StatusOK, &MigrateResponse{Count: len(res.Keys)})
 }

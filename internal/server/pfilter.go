@@ -44,15 +44,15 @@ func writeQueryErr(w http.ResponseWriter, err error) bool {
 	case err == nil:
 		return false
 	case errors.Is(err, core.ErrRateLimited):
-		writeErr(w, http.StatusTooManyRequests, err)
+		WriteErr(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, core.ErrDegraded):
-		writeErr(w, http.StatusServiceUnavailable, err)
+		WriteErr(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeErr(w, http.StatusGatewayTimeout, fmt.Errorf("query exceeded the per-request deadline (the delay was still charged): %w", err))
+		WriteErr(w, http.StatusGatewayTimeout, fmt.Errorf("query exceeded the per-request deadline (the delay was still charged): %w", err))
 	case errors.Is(err, context.Canceled):
 		// Client gone; nothing useful can be written.
 	default:
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 	}
 	return true
 }

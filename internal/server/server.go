@@ -105,7 +105,7 @@ func WithRecovery(h http.Handler, panics interface{ Inc() }) http.Handler {
 			}
 			// Best effort: if the handler already wrote a status this is a
 			// no-op superfluous-WriteHeader, and the request dies mid-body.
-			writeErr(w, http.StatusInternalServerError,
+			WriteErr(w, http.StatusInternalServerError,
 				fmt.Errorf("internal error: %v", rec))
 		}()
 		h.ServeHTTP(w, r)
@@ -138,22 +138,35 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// identity resolves the principal for a request.
-func identity(r *http.Request) string {
+// Identity resolves the principal for a request: its X-Identity header,
+// else its remote address. The shard and the router resolve it alike.
+func Identity(r *http.Request) string {
 	if id := r.Header.Get("X-Identity"); id != "" {
 		return id
 	}
 	return r.RemoteAddr
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+// WriteErr answers status with err as an ErrorResponse.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
+// RequireJSON answers 415 and reports false unless the request's body is
+// JSON; a request that names no content type passes.
+func RequireJSON(w http.ResponseWriter, r *http.Request) bool {
+	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
+		WriteErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+		return false
+	}
+	return true
 }
 
 // MaxBodyBytes bounds a request body on every endpoint of the shard and
@@ -181,7 +194,7 @@ func BodyErrStatus(err error) int {
 // into v. When it reports false it has written the error reply.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
-		writeErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
+		WriteErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
@@ -198,11 +211,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	*buf = body
 	putBuf(buf)
 	if err != nil {
-		writeErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
+		WriteErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.SQL == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("empty sql"))
+		WriteErr(w, http.StatusBadRequest, errors.New("empty sql"))
 		return
 	}
 	// The request context propagates into the delay gate: a client that
@@ -217,11 +230,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var parts *engine.PartitionSet
 	if req.PFilter != nil {
 		if parts, err = req.PFilter.set(); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 	}
-	res, stats, err := s.shield.QueryFilteredCtx(ctx, identity(r), req.SQL, parts)
+	res, stats, err := s.shield.QueryFilteredCtx(ctx, Identity(r), req.SQL, parts)
 	// Notable mappings: ErrDegraded → 503 (persistence is failing, so
 	// writes are refused rather than acknowledged unrecoverably; reads
 	// are unaffected), DeadlineExceeded → 504 with the delay still
@@ -243,18 +256,18 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Identity == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("empty identity"))
+		WriteErr(w, http.StatusBadRequest, errors.New("empty identity"))
 		return
 	}
 	if err := s.shield.Register(req.Identity); err != nil {
 		if errors.Is(err, core.ErrRegistrationThrottled) {
-			writeErr(w, http.StatusTooManyRequests, err)
+			WriteErr(w, http.StatusTooManyRequests, err)
 			return
 		}
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "registered"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "registered"})
 }
 
 // StatsResponse summarizes shield state.
@@ -286,7 +299,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.DelayP99Ms = float64(p99) / float64(time.Millisecond)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // HealthResponse is the /healthz body. Status is "ok" or "degraded";
@@ -300,10 +313,10 @@ type HealthResponse struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if on, cause := s.shield.Degraded(); on {
-		writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded", Reason: cause})
+		WriteJSON(w, http.StatusOK, HealthResponse{Status: "degraded", Reason: cause})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 // TopKEntry is one row of the /admin/topk response.
@@ -317,7 +330,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 || n > 10000 {
-			writeErr(w, http.StatusBadRequest, errors.New("k must be in [1, 10000]"))
+			WriteErr(w, http.StatusBadRequest, errors.New("k must be in [1, 10000]"))
 			return
 		}
 		k = n
@@ -327,7 +340,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	for i := range ids {
 		out[i] = TopKEntry{ID: ids[i], Count: counts[i]}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // QuoteRequest is the /admin/quote request body.
@@ -346,8 +359,7 @@ type QuoteResponse struct {
 const maxQuoteIDs = 10000
 
 func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !RequireJSON(w, r) {
 		return
 	}
 	var req QuoteRequest
@@ -355,23 +367,23 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no tuple ids to quote"))
+		WriteErr(w, http.StatusBadRequest, errors.New("no tuple ids to quote"))
 		return
 	}
 	if len(req.IDs) > maxQuoteIDs {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("%d ids exceed the %d per-request limit", len(req.IDs), maxQuoteIDs))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("%d ids exceed the %d per-request limit", len(req.IDs), maxQuoteIDs))
 		return
 	}
 	// Unknown tuples have no price: a quote for them would just echo
 	// the cold-tuple cap and imply the id exists.
 	for _, id := range req.IDs {
 		if !s.shield.DB().HasTuple(id) {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown tuple id %d", id))
+			WriteErr(w, http.StatusNotFound, fmt.Errorf("unknown tuple id %d", id))
 			return
 		}
 	}
 	d := s.shield.QuoteExtraction(req.IDs)
-	writeJSON(w, http.StatusOK, QuoteResponse{
+	WriteJSON(w, http.StatusOK, QuoteResponse{
 		DelayMillis: float64(d) / float64(time.Millisecond),
 		Tuples:      len(req.IDs),
 	})
@@ -392,14 +404,14 @@ func (s *Server) handleSuspects(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 || n > 10000 {
-			writeErr(w, http.StatusBadRequest, errors.New("k must be in [1, 10000]"))
+			WriteErr(w, http.StatusBadRequest, errors.New("k must be in [1, 10000]"))
 			return
 		}
 		k = n
 	}
 	det := s.shield.Detector()
 	if det == nil {
-		writeJSON(w, http.StatusOK, SuspectsResponse{Enabled: false, Suspects: []detect.Suspect{}})
+		WriteJSON(w, http.StatusOK, SuspectsResponse{Enabled: false, Suspects: []detect.Suspect{}})
 		return
 	}
 	// Refresh coalition attributions so the ranking reflects the
@@ -409,7 +421,7 @@ func (s *Server) handleSuspects(w http.ResponseWriter, r *http.Request) {
 	if suspects == nil {
 		suspects = []detect.Suspect{}
 	}
-	writeJSON(w, http.StatusOK, SuspectsResponse{Enabled: true, Suspects: suspects})
+	WriteJSON(w, http.StatusOK, SuspectsResponse{Enabled: true, Suspects: suspects})
 }
 
 // TableSchema is one table's routing-relevant shape in the
@@ -461,7 +473,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 			Columns:  cols,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // SketchPage is the GET /admin/sketches response: the per-principal
@@ -502,14 +514,14 @@ const maxSketchBody = 64 << 20
 func (s *Server) handleSketchExport(w http.ResponseWriter, r *http.Request) {
 	det := s.shield.Detector()
 	if det == nil {
-		writeJSON(w, http.StatusOK, SketchPage{Enabled: false, Sketches: []detect.SketchSnapshot{}})
+		WriteJSON(w, http.StatusOK, SketchPage{Enabled: false, Sketches: []detect.SketchSnapshot{}})
 		return
 	}
 	var since uint64
 	if q := r.URL.Query().Get("since"); q != "" {
 		n, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, errors.New("since must be a non-negative integer"))
+			WriteErr(w, http.StatusBadRequest, errors.New("since must be a non-negative integer"))
 			return
 		}
 		since = n
@@ -518,7 +530,7 @@ func (s *Server) handleSketchExport(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("floor"); q != "" {
 		f, err := strconv.ParseFloat(q, 64)
 		if err != nil || f < 0 || f > 1 {
-			writeErr(w, http.StatusBadRequest, errors.New("floor must be in [0, 1]"))
+			WriteErr(w, http.StatusBadRequest, errors.New("floor must be in [0, 1]"))
 			return
 		}
 		floor = f
@@ -527,12 +539,11 @@ func (s *Server) handleSketchExport(w http.ResponseWriter, r *http.Request) {
 	if snaps == nil {
 		snaps = []detect.SketchSnapshot{}
 	}
-	writeJSON(w, http.StatusOK, SketchPage{Enabled: true, Since: mark, Sketches: snaps})
+	WriteJSON(w, http.StatusOK, SketchPage{Enabled: true, Since: mark, Sketches: snaps})
 }
 
 func (s *Server) handleSketchAbsorb(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
+	if !RequireJSON(w, r) {
 		return
 	}
 	var req SketchAbsorbRequest
@@ -540,18 +551,18 @@ func (s *Server) handleSketchAbsorb(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Sketches) > maxSketchBatch {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("%d sketches exceed the %d per-request limit", len(req.Sketches), maxSketchBatch))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("%d sketches exceed the %d per-request limit", len(req.Sketches), maxSketchBatch))
 		return
 	}
 	det := s.shield.Detector()
 	if det == nil {
 		// Nothing to merge into; report so the exchanger can skip this
 		// peer instead of re-sending forever.
-		writeJSON(w, http.StatusOK, SketchAbsorbResponse{Enabled: false})
+		WriteJSON(w, http.StatusOK, SketchAbsorbResponse{Enabled: false})
 		return
 	}
 	merged, rejected := det.Absorb(req.Sketches)
-	writeJSON(w, http.StatusOK, SketchAbsorbResponse{Enabled: true, Merged: merged, Rejected: rejected})
+	WriteJSON(w, http.StatusOK, SketchAbsorbResponse{Enabled: true, Merged: merged, Rejected: rejected})
 }
 
 // Client is a minimal client for the server, used by examples and tests.

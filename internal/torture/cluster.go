@@ -93,6 +93,8 @@ type ClusterResult struct {
 	Reads       int      // point reads issued
 	Writes      int      // write statements issued
 	Acked       int      // writes acknowledged by the router
+	Splits      int      // split INSERTs issued: three fresh keys in one statement
+	SplitsAcked int      // split INSERTs acknowledged by the router
 	Unavailable int      // operations answered 5xx during fault windows
 	Kills       int      // shard kill/revive cycles
 	Rebalances  int      // migrations attempted
@@ -289,8 +291,8 @@ func (h *clusterHarness) runScript() {
 	logf("phase 6: sketch reconvergence after revival")
 	h.checkSketchConvergence()
 
-	logf("cluster torture: %d ops (%d reads, %d writes, %d acked), %d kills, %d rebalances, %d unavailable, %d violations",
-		h.res.Ops, h.res.Reads, h.res.Writes, h.res.Acked,
+	logf("cluster torture: %d ops (%d reads, %d writes, %d acked, %d of %d split INSERTs acked), %d kills, %d rebalances, %d unavailable, %d violations",
+		h.res.Ops, h.res.Reads, h.res.Writes, h.res.Acked, h.res.SplitsAcked, h.res.Splits,
 		h.res.Kills, h.res.Rebalances, h.res.Unavailable, len(h.res.Violations))
 }
 
@@ -336,7 +338,8 @@ func transientStatus(code int) bool {
 }
 
 // workload runs n deterministic operations (50% point reads, 30%
-// updates, 20% inserts) and returns how many failed with a transient
+// updates, 10% one-row inserts, 10% three-row inserts the router splits
+// across partitions) and returns how many failed with a transient
 // status. lenient permits transients; outside fault windows every
 // operation must succeed.
 func (h *clusterHarness) workload(n int, lenient bool) (failed int) {
@@ -352,8 +355,12 @@ func (h *clusterHarness) workload(n int, lenient bool) (failed int) {
 			if !h.update(principal, h.keys[h.rng.Intn(len(h.keys))], lenient) {
 				failed++
 			}
+		case roll < 0.90:
+			if !h.insert(principal, 1, lenient) {
+				failed++
+			}
 		default:
-			if !h.insert(principal, lenient) {
+			if !h.insert(principal, 3, lenient) {
 				failed++
 			}
 		}
@@ -423,28 +430,42 @@ func (h *clusterHarness) update(principal string, key int, lenient bool) bool {
 	}
 }
 
-// insert attempts a brand-new key; an unacked insert is allowed to be
-// absent forever (acked = -1).
-func (h *clusterHarness) insert(principal string, lenient bool) bool {
-	key := h.nextKey
-	h.nextKey++
+// insert attempts rows brand-new keys in one statement — with more than
+// one row, a split INSERT whose keys land on different partitions. The
+// shadow is per key: an unacked insert may have applied to any subset of
+// its keys, and each is allowed to be absent forever (acked = -1).
+func (h *clusterHarness) insert(principal string, rows int, lenient bool) bool {
+	keys := make([]int, rows)
+	values := make([]string, rows)
+	for i := range keys {
+		keys[i] = h.nextKey
+		h.nextKey++
+		values[i] = fmt.Sprintf("(%d, 'v%d_1')", keys[i], keys[i])
+	}
 	h.res.Writes++
-	code, _, body := h.query(principal,
-		fmt.Sprintf(`INSERT INTO items VALUES (%d, 'v%d_1')`, key, key))
+	if rows > 1 {
+		h.res.Splits++
+	}
+	code, _, body := h.query(principal, "INSERT INTO items VALUES "+strings.Join(values, ", "))
+	acked := -1
 	switch {
 	case code == http.StatusOK:
-		h.state[key] = &keyShadow{acked: 1, attempted: 1}
-		h.keys = append(h.keys, key)
+		acked = 1
+		h.keys = append(h.keys, keys...)
 		h.res.Acked++
-		return true
+		if rows > 1 {
+			h.res.SplitsAcked++
+		}
 	case lenient && transientStatus(code):
-		h.state[key] = &keyShadow{acked: -1, attempted: 1}
 		h.res.Unavailable++
-		return false
 	default:
-		h.violatef("%s: insert key %d: HTTP %d: %s", h.phase, key, code, body)
+		h.violatef("%s: insert keys %v: HTTP %d: %s", h.phase, keys, code, body)
 		return false
 	}
+	for _, k := range keys {
+		h.state[k] = &keyShadow{acked: acked, attempted: 1}
+	}
+	return acked == 1
 }
 
 // parseShadowValue decodes `v<key>_<counter>` and checks it belongs to

@@ -36,11 +36,14 @@ func TestClusterTorture(t *testing.T) {
 			if res.Acked == 0 {
 				t.Error("no write was ever acked; the harness exercised nothing")
 			}
+			if res.SplitsAcked == 0 {
+				t.Errorf("none of %d split INSERTs was acked; the multi-partition write path went unexercised", res.Splits)
+			}
 			if res.Kills != 2 || res.Rebalances != 2 {
 				t.Errorf("kills=%d rebalances=%d, want 2 and 2", res.Kills, res.Rebalances)
 			}
-			t.Logf("cluster torture: %d ops (%d reads, %d writes, %d acked), %d unavailable, %d violations",
-				res.Ops, res.Reads, res.Writes, res.Acked, res.Unavailable, len(res.Violations))
+			t.Logf("cluster torture: %d ops (%d reads, %d writes, %d acked, %d of %d split INSERTs acked), %d unavailable, %d violations",
+				res.Ops, res.Reads, res.Writes, res.Acked, res.SplitsAcked, res.Splits, res.Unavailable, len(res.Violations))
 		})
 	}
 }

@@ -19,29 +19,24 @@
 #                run on a shared host, so both the committed baselines
 #                and check-mode runs use it)
 #   BENCH_OUT    output path override (single suite only)
-#   BENCH_CHECK  1 = do not overwrite the committed BENCH_*.json; instead
-#                compare the fresh run against it with scripts/benchcmp
-#                and exit nonzero on a >BENCH_TOL% per-key regression or
-#                a broken shape invariant (point queries must scale to
-#                g=16, a scan over a history of scans must be quoted no
-#                slower than one over a random history, the detector's
-#                sweep must take under half its pairwise oracle's time, the
-#                scatter merge over spans under half its decode-everything
-#                oracle's). Keys whose
-#                ns/op is an fsync are compared with nothing recorded,
-#                only with each other (see engine_shape).
+#   BENCH_CHECK  1 = write no BENCH_*.json; instead run each suite twice
+#                in this sitting, first on BENCH_BASE (checked out with
+#                git worktree into a temp dir) and then on the working
+#                tree, and compare the two fresh runs with
+#                scripts/benchcmp: exit nonzero on a >BENCH_TOL% per-key
+#                regression or a broken shape invariant (point queries
+#                must scale to g=16, a scan over a history of scans must
+#                be quoted no slower than one over a random history, the
+#                detector's sweep must take under half its pairwise
+#                oracle's time, the scatter merge over spans under half
+#                its decode-everything oracle's). Both runs share the
+#                host and the sitting, so no calibration between them is
+#                needed; the committed BENCH_*.json files stay the record
+#                that non-check mode writes. Keys whose ns/op is an fsync
+#                are held to their invariants only (see engine_shape).
+#   BENCH_BASE   the commit check mode compares against (default: HEAD)
 #   BENCH_TOL    allowed per-key regression percent in check mode
 #                (default: 20)
-#   BENCH_NORM   1 (default) = benchcmp -norm: calibrate per-key checks
-#                by the median new/baseline ratio (floored at 1), so a
-#                CI runner uniformly slower than the host that recorded
-#                the baseline does not trip every key; the gate then
-#                measures relative per-key regressions, and a faster
-#                runner falls back to the absolute comparison. Uniform
-#                whole-suite slowdowns are covered by the within-run
-#                shape invariants, which need no calibration. 0 =
-#                absolute ns/op comparison (use when baseline and check
-#                run on the same pinned machine).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,19 +44,20 @@ suite="${BENCH_SUITE:-shield}"
 args="${BENCH_ARGS:--benchtime=2s -count=3}"
 check="${BENCH_CHECK:-0}"
 tol="${BENCH_TOL:-20}"
-normflag=""
-[ "${BENCH_NORM:-1}" = 1 ] && normflag="-norm"
+base="${BENCH_BASE:-HEAD}"
 
-run_suite() {
-	# $1 = bench regexp, $2 = output file, $3 = space-separated benchcmp
-	# invariant specs (may be empty), $4 = regexp of the keys gated by
-	# those invariants only (may be empty), remaining = packages
-	pattern="$1"; out="$2"; invariants="$3"; shape="$4"; shift 4
-	dest="$out"
-	if [ "$check" = 1 ]; then
-		dest="$(mktemp)"
-		trap 'rm -f "$dest"' EXIT
-	fi
+if [ "$check" = 1 ]; then
+	tmp="$(mktemp -d)"
+	basedir="$tmp/base"
+	trap 'git worktree remove --force "$basedir" 2>/dev/null || true; git worktree prune; rm -rf "$tmp"' EXIT
+	git worktree add --quiet --detach "$basedir" "$base"
+fi
+
+# bench_json runs the benchmarks matching $1 in the remaining packages
+# of the current directory's tree and prints a flat JSON object of
+# benchmark name -> ns/op; with -count>1 each key keeps the minimum.
+bench_json() {
+	pattern="$1"; shift
 	# shellcheck disable=SC2086  # $args is intentionally word-split
 	go test -run '^$' -bench "$pattern" $args "$@" \
 	  | tee /dev/stderr \
@@ -78,21 +74,31 @@ END {
 	for (i = 0; i < n; i++)
 		printf "  \"%s\": %s%s\n", order[i], vals[order[i]], (i < n - 1 ? "," : "")
 	printf "}\n"
-}' > "$dest"
-	if [ "$check" = 1 ]; then
-		set -- -tol "$tol"
-		[ -n "$normflag" ] && set -- "$@" "$normflag"
-		[ -n "$shape" ] && set -- "$@" -shape "$shape"
-		for iv in $invariants; do
-			set -- "$@" -le "$iv"
-		done
-		echo "checking $dest against committed $out (tol ${tol}%)"
-		go run ./scripts/benchcmp "$@" "$out" "$dest"
-		rm -f "$dest"
-		trap - EXIT
-	else
+}'
+}
+
+run_suite() {
+	# $1 = bench regexp, $2 = output file, $3 = space-separated benchcmp
+	# invariant specs (may be empty), $4 = regexp of the keys gated by
+	# those invariants only (may be empty), remaining = packages
+	pattern="$1"; out="$2"; invariants="$3"; shape="$4"; shift 4
+	if [ "$check" != 1 ]; then
+		bench_json "$pattern" "$@" > "$out"
 		echo "wrote $out"
+		return
 	fi
+	was="$tmp/base-$(basename "$out")"; now="$tmp/new-$(basename "$out")"
+	echo "running $out's suite on $base"
+	(cd "$basedir" && bench_json "$pattern" "$@") > "$was"
+	echo "running $out's suite on the working tree"
+	bench_json "$pattern" "$@" > "$now"
+	set -- -tol "$tol"
+	[ -n "$shape" ] && set -- "$@" -shape "$shape"
+	for iv in $invariants; do
+		set -- "$@" -le "$iv"
+	done
+	echo "checking the working tree against $base (tol ${tol}%)"
+	go run ./scripts/benchcmp "$@" "$was" "$now"
 }
 
 # Shape invariants enforced in check mode, on the fresh run itself so
@@ -107,9 +113,10 @@ END {
 # log, so their ns/op is the fsync of the disk the run is on: on this
 # shared box it moves by 2x between sittings with no commit in between
 # (PRs 12, 14, 16, 17 and 21 all found these keys red on their own
-# parent), and a recorded figure cannot judge a write-path change. They
-# are gated by shape only (engine_shape below: no comparison with
-# BENCH_engine.json, which keeps them for the record): at every write
+# parent), and even a base run in the same sitting cannot judge a
+# write-path change by them. They are gated by shape only (engine_shape
+# below: no comparison with the base run; BENCH_engine.json keeps them
+# for the record): at every write
 # fraction 16 clients must finish an operation in at most 0.6 of the
 # single client's time — writers on different pages run in parallel and
 # share fsyncs, the point of the write path; 0.15-0.23 in the recorded

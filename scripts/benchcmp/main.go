@@ -1,22 +1,15 @@
-// Command benchcmp compares a fresh benchmark run against a committed
-// baseline and fails when a key regressed beyond tolerance, so CI can
-// gate merges on the recorded BENCH_*.json files instead of eyeballs.
+// Command benchcmp compares a fresh benchmark run against a base run
+// and fails when a key regressed beyond tolerance, so CI can gate merges
+// on numbers instead of eyeballs. scripts/bench.sh's check mode records
+// both runs in one sitting on one host — the base commit's, then the
+// working tree's — so the two are compared as they stand.
 //
 // Both files are the flat JSON objects scripts/bench.sh writes
 // (benchmark name -> ns/op). Two kinds of checks run:
 //
 //   - Regression: every key present in both files must satisfy
-//     new <= baseline * scale * (1 + tol/100). Keys present in only one
-//     file are reported but do not fail the run (benchmarks come and
-//     go). scale is 1 by default; with -norm it is the median
-//     new/baseline ratio across shared keys (floored at 1), which
-//     calibrates away a CI runner that is overall slower than the host
-//     that recorded the baseline, so the gate measures *relative*
-//     per-key regressions instead of absolute ns/op. The floor keeps
-//     calibration one-directional: a faster run never tightens the
-//     gate below the absolute comparison. (The trade: a perfectly
-//     uniform slowdown across every key is invisible under -norm —
-//     that class is covered by the within-run invariants below.)
+//     new <= base * (1 + tol/100). Keys present in only one file are
+//     reported but do not fail the run (benchmarks come and go).
 //
 //   - Invariants (-le "keyA,keyB,factor", repeatable): within the NEW
 //     run alone, new[keyA] <= new[keyB] * factor. This is how the
@@ -26,15 +19,14 @@
 //     of machine speed.
 //
 //   - Shape-only keys (-shape regexp): a key the expression matches is
-//     left out of the regression check and of the host calibration. An
-//     fsync-bound benchmark measures the disk the run is on, which on a
-//     shared host moves by 2x between sittings with no commit in
-//     between; a recorded ns/op says nothing about it, the invariants
-//     between its keys do.
+//     left out of the regression check. An fsync-bound benchmark
+//     measures the disk the run is on, which on a shared host moves by
+//     2x with no commit in between; comparing its ns/op says nothing,
+//     the invariants between its keys do.
 //
 // Usage:
 //
-//	benchcmp [-tol 20] [-norm] [-shape re] [-le a,b,f]... baseline.json new.json
+//	benchcmp [-tol 20] [-shape re] [-le a,b,f]... base.json new.json
 package main
 
 import (
@@ -78,7 +70,7 @@ func load(path string) (map[string]float64, error) {
 	}
 	if len(strings.TrimSpace(string(data))) == 0 {
 		return nil, fmt.Errorf(
-			"%s is empty — regenerate the baseline with scripts/bench.sh (make bench-shield / make bench-engine) and commit it",
+			"%s is empty — did scripts/bench.sh's benchmark run fail?",
 			path)
 	}
 	m := make(map[string]float64)
@@ -86,51 +78,19 @@ func load(path string) (map[string]float64, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(m) == 0 {
-		return nil, fmt.Errorf("%s has no benchmark keys — regenerate it with scripts/bench.sh", path)
+		return nil, fmt.Errorf("%s has no benchmark keys — did scripts/bench.sh's benchmark run fail?", path)
 	}
 	return m, nil
 }
 
-// hostScale returns the median new/baseline ratio across keys shared by
-// both runs — an estimate of how much slower this host is than the one
-// that recorded the baseline. Below three shared keys the median is
-// meaningless and the scale stays 1. The scale is also floored at 1:
-// calibration exists to stop a slower runner from failing every key, so
-// it only ever *relaxes* the gate — on a faster run (shorter benchtime,
-// quieter machine) keys shift non-uniformly, and scaling the baseline
-// down would flag keys that are fine in absolute terms.
-func hostScale(base, cur map[string]float64) float64 {
-	var ratios []float64
-	for name, b := range base {
-		if n, ok := cur[name]; ok && b > 0 && n > 0 {
-			ratios = append(ratios, n/b)
-		}
-	}
-	if len(ratios) < 3 {
-		return 1
-	}
-	sort.Float64s(ratios)
-	mid := len(ratios) / 2
-	m := ratios[mid]
-	if len(ratios)%2 == 0 {
-		m = (ratios[mid-1] + ratios[mid]) / 2
-	}
-	if m < 1 {
-		return 1
-	}
-	return m
-}
-
 func main() {
 	tol := flag.Float64("tol", 20, "allowed regression per key, percent")
-	norm := flag.Bool("norm", false,
-		"calibrate per-key comparisons by the median new/baseline ratio (host-speed normalization)")
-	shape := flag.String("shape", "", "regexp of keys gated by their -le invariants only, never against the baseline")
+	shape := flag.String("shape", "", "regexp of keys gated by their -le invariants only, never against the base run")
 	var invs invariantList
 	flag.Var(&invs, "le", "invariant newKeyA,newKeyB,factor: require new[A] <= new[B]*factor (repeatable)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcmp [-tol pct] [-norm] [-shape re] [-le a,b,f]... baseline.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: benchcmp [-tol pct] [-shape re] [-le a,b,f]... base.json new.json")
 		os.Exit(2)
 	}
 	base, err := load(flag.Arg(0))
@@ -149,7 +109,7 @@ func main() {
 			if re.MatchString(name) {
 				delete(base, name)
 				shaped[name] = true
-				fmt.Printf("note: %s gated by shape only (baseline not compared)\n", name)
+				fmt.Printf("note: %s gated by shape only (base not compared)\n", name)
 			}
 		}
 	}
@@ -161,37 +121,28 @@ func main() {
 
 	failed := false
 	limit := 1 + *tol/100
-	scale := 1.0
-	if *norm {
-		if scale = hostScale(base, cur); scale != 1 {
-			fmt.Printf("note: host calibration x%.3f (median new/baseline ratio; regressions measured relative to it)\n", scale)
-		} else {
-			fmt.Println("note: -norm inactive (host not slower than baseline, or fewer than 3 shared keys)")
-		}
-	}
 	for _, name := range sortedKeys(base) {
 		b := base[name]
 		n, ok := cur[name]
 		if !ok {
-			fmt.Printf("note: %s in baseline only (skipped)\n", name)
+			fmt.Printf("note: %s in base only (skipped)\n", name)
 			continue
 		}
-		ref := b * scale
 		switch {
 		case b <= 0:
-			fmt.Printf("note: %s baseline %.4g not positive (skipped)\n", name, b)
-		case n > ref*limit:
+			fmt.Printf("note: %s base %.4g not positive (skipped)\n", name, b)
+		case n > b*limit:
 			failed = true
-			fmt.Printf("FAIL %s: %.4g ns/op vs baseline %.4g (+%.1f%% > %.0f%%)\n",
-				name, n, ref, (n/ref-1)*100, *tol)
+			fmt.Printf("FAIL %s: %.4g ns/op vs base %.4g (+%.1f%% > %.0f%%)\n",
+				name, n, b, (n/b-1)*100, *tol)
 		default:
-			fmt.Printf("ok   %s: %.4g ns/op vs baseline %.4g (%+.1f%%)\n",
-				name, n, ref, (n/ref-1)*100)
+			fmt.Printf("ok   %s: %.4g ns/op vs base %.4g (%+.1f%%)\n",
+				name, n, b, (n/b-1)*100)
 		}
 	}
 	for _, name := range sortedKeys(cur) {
 		if _, ok := base[name]; !ok && !shaped[name] {
-			fmt.Printf("note: %s new only, no baseline (skipped)\n", name)
+			fmt.Printf("note: %s new only, not in base (skipped)\n", name)
 		}
 	}
 
