@@ -255,7 +255,7 @@ func peerStatus(hr HealthResponse, name string) string {
 }
 
 func TestRingDistributionAndSequence(t *testing.T) {
-	r := newRing(4, 0)
+	r := newRing(4)
 	counts := make([]int, 4)
 	for i := 0; i < 10000; i++ {
 		counts[r.sequence(fmt.Sprintf("key-%d", i))[0]]++

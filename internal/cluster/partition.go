@@ -63,9 +63,8 @@ type PartitionMap struct {
 // a ring key: FNV-1a barely avalanches a trailing-byte change, so the
 // naive keys "partition-0".."partition-63" would hash into one narrow
 // arc of the ring and hand every partition to the same owner.
-// vnodes <= 0 means the ring default; replication < 1 means 1, and is
-// clamped to the node count.
-func NewPartitionMap(version uint64, partitions, nodes, vnodes, replication int) (*PartitionMap, error) {
+// replication < 1 means 1, and is clamped to the node count.
+func NewPartitionMap(version uint64, partitions, nodes, replication int) (*PartitionMap, error) {
 	if partitions < 1 {
 		return nil, errors.New("cluster: partitions must be >= 1")
 	}
@@ -78,7 +77,7 @@ func NewPartitionMap(version uint64, partitions, nodes, vnodes, replication int)
 	if replication > nodes {
 		replication = nodes
 	}
-	rg := newRing(nodes, vnodes)
+	rg := newRing(nodes)
 	m := &PartitionMap{
 		Version:  version,
 		Owners:   make([]int, partitions),
@@ -139,15 +138,6 @@ func (m *PartitionMap) PartitionOf(key int64) int {
 // primary key.
 func (m *PartitionMap) OwnerOf(key int64) int {
 	return m.Owners[m.PartitionOf(key)]
-}
-
-// replicasOf returns the full replica group for a key's partition.
-func (m *PartitionMap) replicasOf(key int64) []int {
-	p := m.PartitionOf(key)
-	if len(m.Replicas) == 0 {
-		return []int{m.Owners[p]}
-	}
-	return m.Replicas[p]
 }
 
 // GroupOf returns a copy of partition p's replica group, primary
@@ -596,7 +586,7 @@ func (r *Router) mapFromUpdate(up *PartitionMapUpdate, allowDerive bool) (*Parti
 		m.normalize()
 		return m, nil
 	case allowDerive && up.Replication > 0:
-		return NewPartitionMap(up.Version, len(r.pmap.Load().Owners), len(r.nodes), r.vnodes, up.Replication)
+		return NewPartitionMap(up.Version, len(r.pmap.Load().Owners), len(r.nodes), up.Replication)
 	default:
 		return nil, errors.New("update names no owners or replicas")
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 func TestPartitionMapPlacement(t *testing.T) {
-	pm, err := NewPartitionMap(1, 64, 4, 0, 1)
+	pm, err := NewPartitionMap(1, 64, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestPartitionMapPlacement(t *testing.T) {
 			t.Errorf("node %d owns %d of 10000 keys: %v", n, c, counts)
 		}
 	}
-	if _, err := NewPartitionMap(1, 0, 4, 0, 1); err == nil {
+	if _, err := NewPartitionMap(1, 0, 4, 1); err == nil {
 		t.Error("accepted 0 partitions")
 	}
-	if _, err := NewPartitionMap(1, 8, 0, 0, 1); err == nil {
+	if _, err := NewPartitionMap(1, 8, 0, 1); err == nil {
 		t.Error("accepted 0 nodes")
 	}
 }

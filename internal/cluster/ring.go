@@ -16,10 +16,10 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node multiplier: enough points that the
+// ringVNodes is the virtual-node multiplier: enough points that the
 // keyspace splits within a few percent of evenly for small clusters,
 // small enough that the ring stays a cache-resident sorted array.
-const defaultVNodes = 128
+const ringVNodes = 128
 
 // ring is a consistent-hash ring over node indices. Immutable after
 // construction — node failure is handled by walking the preference
@@ -35,13 +35,10 @@ type ringPoint struct {
 	node int
 }
 
-func newRing(nodes, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &ring{points: make([]ringPoint, 0, nodes*vnodes), nodes: nodes}
+func newRing(nodes int) *ring {
+	r := &ring{points: make([]ringPoint, 0, nodes*ringVNodes), nodes: nodes}
 	for n := 0; n < nodes; n++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			h := fnv64a(fmt.Sprintf("node-%d#%d", n, v))
 			r.points = append(r.points, ringPoint{hash: h, node: n})
 		}

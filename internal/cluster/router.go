@@ -52,13 +52,9 @@ type Config struct {
 	// bucket (queries/second). 0 means the defaults.
 	AdmitRate  float64
 	AdmitBurst float64
-	// AdmitMaxPrincipals bounds the edge limiter's memory.
-	AdmitMaxPrincipals int
 	// MaxInFlight caps queries in flight across the whole cluster; at
 	// the cap the router answers 429 without touching any shard.
 	MaxInFlight int
-	// VNodes is the consistent-hash virtual node count per shard.
-	VNodes int
 	// Partitions is the partition count of the map every statement
 	// routes by: each partition gets a replica group of owner shards
 	// (assigned on the ring), point statements route to the tuple's
@@ -115,11 +111,9 @@ type Router struct {
 	// applies non-commutative writes in one (the router's) order. A
 	// scatter write or a broadcast (DDL, /register) holds partLocks
 	// exclusively, serializing with every single-key write at once. Reads
-	// never take these locks. vnodes is kept so a rebalance can
-	// re-derive ring placement at a new replication factor.
+	// never take these locks.
 	partLocks sync.RWMutex
 	partMu    []sync.Mutex
-	vnodes    int
 
 	// mig is the live migration (nil when none); migMu serializes
 	// Rebalance/CatchUpPeer admission, migLast keeps the last finished
@@ -189,9 +183,6 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	if cfg.AdmitBurst <= 0 {
 		cfg.AdmitBurst = DefaultAdmitBurst
 	}
-	if cfg.AdmitMaxPrincipals <= 0 {
-		cfg.AdmitMaxPrincipals = DefaultAdmitMax
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
@@ -201,7 +192,7 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	limit, err := ratelimit.NewIdentityLimiter(cfg.AdmitRate, cfg.AdmitBurst, cfg.AdmitMaxPrincipals, cfg.Clock)
+	limit, err := ratelimit.NewIdentityLimiter(cfg.AdmitRate, cfg.AdmitBurst, DefaultAdmitMax, cfg.Clock)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +203,7 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	if partitions <= 0 {
 		partitions, replication = DefaultPartitions, len(nodes)
 	}
-	pm, err := NewPartitionMap(1, partitions, len(nodes), cfg.VNodes, replication)
+	pm, err := NewPartitionMap(1, partitions, len(nodes), replication)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +213,6 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 		mux:    http.NewServeMux(),
 		limit:  limit,
 		partMu: make([]sync.Mutex, partitions),
-		vnodes: cfg.VNodes,
 	}
 	r.pmap.Store(pm)
 	m := cfg.Metrics

@@ -293,21 +293,15 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		return nil, fmt.Errorf("core: unknown policy kind %d", cfg.Kind)
 	}
 
-	// The gate keeps a per-tuple observer for completeness, but charges
-	// go through the batch observer: one serialization-section entry per
-	// query (tracked in observeLocks) instead of one per returned tuple.
-	observe := func(id uint64) { tracker.Observe(id) }
-	observeBatch := func(ids []uint64) {
+	// Charges reach the learner through one batch observer: one
+	// serialization-section entry per query (tracked in observeLocks)
+	// instead of one per returned tuple.
+	observe := func(ids []uint64) {
 		s.observeLocks.Add(1)
 		tracker.ObserveBatch(ids)
 	}
 	if s.multi != nil {
-		observe = func(id uint64) {
-			s.multiMu.Lock()
-			s.multi.Observe(id)
-			s.multiMu.Unlock()
-		}
-		observeBatch = func(ids []uint64) {
+		observe = func(ids []uint64) {
 			s.observeLocks.Add(1)
 			s.multiMu.Lock()
 			s.multi.ObserveBatch(ids)
@@ -318,7 +312,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 	if err != nil {
 		return nil, err
 	}
-	gate.SetBatchObserver(observeBatch)
 	s.gate = gate
 
 	reg := metrics.NewRegistry()

@@ -16,12 +16,11 @@ import (
 // aggregation rule ("a query that returns multiple tuples can simply be
 // considered the aggregate of multiple simple queries").
 type Gate struct {
-	policy  Policy
-	clock   vclock.Clock
-	observe func(id uint64)
-	// observeBatch, when set via SetBatchObserver, replaces per-tuple
-	// observe calls with one call per charge.
-	observeBatch func(ids []uint64)
+	policy Policy
+	clock  vclock.Clock
+	// observe records a whole charge's accesses in one call, so the
+	// learner's serialization cost is paid once per query, not per tuple.
+	observe func(ids []uint64)
 
 	// Optional instrumentation, set via Instrument.
 	inflight *metrics.Gauge
@@ -42,9 +41,10 @@ type BatchResolver interface {
 	ResolveBatch() Policy
 }
 
-// NewGate builds a gate. observe may be nil if the policy learns through
-// some other path (e.g. update-rate policies observe writes, not reads).
-func NewGate(policy Policy, clock vclock.Clock, observe func(id uint64)) (*Gate, error) {
+// NewGate builds a gate. observe receives each charge's tuple ids in one
+// call; it may be nil if the policy learns through some other path (e.g.
+// update-rate policies observe writes, not reads).
+func NewGate(policy Policy, clock vclock.Clock, observe func(ids []uint64)) (*Gate, error) {
 	if policy == nil {
 		return nil, errors.New("delay: nil policy")
 	}
@@ -63,14 +63,6 @@ func (g *Gate) Instrument(inflight *metrics.Gauge, delayHist, cancelledHist *met
 	g.inflight = inflight
 	g.delayHist = delayHist
 	g.cancelledHist = cancelledHist
-}
-
-// SetBatchObserver replaces the per-tuple observe callback with one that
-// records a whole charge's accesses in a single call, so the learner's
-// serialization cost is paid once per query instead of once per tuple.
-// Call before the gate is shared between goroutines.
-func (g *Gate) SetBatchObserver(fn func(ids []uint64)) {
-	g.observeBatch = fn
 }
 
 // Charge computes the total delay for the given result tuples, sleeps it,
@@ -107,13 +99,8 @@ func (g *Gate) ChargeCtxScaled(ctx context.Context, mult float64, ids ...uint64)
 	if g.inflight != nil {
 		g.inflight.Dec()
 	}
-	switch {
-	case g.observeBatch != nil:
-		g.observeBatch(ids)
-	case g.observe != nil:
-		for _, id := range ids {
-			g.observe(id)
-		}
+	if g.observe != nil {
+		g.observe(ids)
 	}
 	if err != nil {
 		if g.cancelledHist != nil {

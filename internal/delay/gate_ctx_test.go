@@ -18,7 +18,7 @@ func (p constPolicy) Delay(uint64) time.Duration { return p.d }
 func TestChargeCtxRecordsObservationsOnCancel(t *testing.T) {
 	clk := vclock.NewSimulated(time.Unix(0, 0))
 	var seen []uint64
-	g, err := NewGate(constPolicy{time.Second}, clk, func(id uint64) { seen = append(seen, id) })
+	g, err := NewGate(constPolicy{time.Second}, clk, func(ids []uint64) { seen = append(seen, ids...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,23 +78,19 @@ func TestChargeCtxInstrumented(t *testing.T) {
 	}
 }
 
-// batchObservePolicy asserts the gate prefers the batch observer.
+// TestChargeCtxUsesBatchObserver: one charge is one observer call with
+// every tuple of it.
 func TestChargeCtxUsesBatchObserver(t *testing.T) {
 	clk := vclock.NewSimulated(time.Unix(0, 0))
-	perTuple := 0
-	g, err := NewGate(constPolicy{time.Millisecond}, clk, func(uint64) { perTuple++ })
+	var batches [][]uint64
+	g, err := NewGate(constPolicy{time.Millisecond}, clk, func(ids []uint64) {
+		batches = append(batches, append([]uint64(nil), ids...))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batches [][]uint64
-	g.SetBatchObserver(func(ids []uint64) {
-		batches = append(batches, append([]uint64(nil), ids...))
-	})
 	if _, err := g.ChargeCtx(context.Background(), 4, 5, 6); err != nil {
 		t.Fatal(err)
-	}
-	if perTuple != 0 {
-		t.Fatalf("per-tuple observer called %d times despite batch observer", perTuple)
 	}
 	if len(batches) != 1 || len(batches[0]) != 3 {
 		t.Fatalf("batch observer calls = %v", batches)

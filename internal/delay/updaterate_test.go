@@ -144,7 +144,7 @@ func TestGateChargeAndQuote(t *testing.T) {
 	p, _ := NewPopularity(PopularityConfig{N: 10, Alpha: 1, Beta: 1, Fmax: 1, Cap: time.Second}, tr)
 	clk := newFakeClock()
 	var observed []uint64
-	g, err := NewGate(p, clk, func(id uint64) { observed = append(observed, id) })
+	g, err := NewGate(p, clk, func(ids []uint64) { observed = append(observed, ids...) })
 	if err != nil {
 		t.Fatal(err)
 	}

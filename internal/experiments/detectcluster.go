@@ -143,7 +143,7 @@ func (p *PartitionedSybilParams) setup(replicas int) (*cluster.PartitionMap, *sy
 	if p.Partitions == 0 {
 		p.Partitions = cluster.DefaultPartitions
 	}
-	pm, err := cluster.NewPartitionMap(1, p.Partitions, p.Shards, 0, replicas)
+	pm, err := cluster.NewPartitionMap(1, p.Partitions, p.Shards, replicas)
 	if err != nil {
 		return nil, nil, err
 	}

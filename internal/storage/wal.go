@@ -379,6 +379,41 @@ func (w *WAL) Replay(apply func(PageImage) error) (int, error) {
 	return applied, nil
 }
 
+// WALBatches parses a whole log image, one no crash cut short, into its
+// commit batches in order: batch i lists the end offset of each of its
+// records, the commit marker's last. It reads the layout Replay reads,
+// but where Replay takes a torn or corrupt tail for a crash's leftovers,
+// WALBatches fails on any byte that is not part of a well-formed record
+// of a committed batch.
+func WALBatches(log []byte) ([][]int64, error) {
+	var batches [][]int64
+	var recs []int64
+	for off := int64(0); off < int64(len(log)); {
+		switch log[off] {
+		case walKindCommit:
+			off++
+			batches = append(batches, append(recs, off))
+			recs = nil
+		case walKindPage:
+			if off+walPageRecordSize > int64(len(log)) {
+				return nil, fmt.Errorf("storage: partial wal record at offset %d", off)
+			}
+			rec := log[off : off+walPageRecordSize]
+			if crc32.Checksum(rec[9:], walCRC) != binary.LittleEndian.Uint32(rec[5:9]) {
+				return nil, fmt.Errorf("storage: corrupt wal record at offset %d", off)
+			}
+			off += walPageRecordSize
+			recs = append(recs, off)
+		default:
+			return nil, fmt.Errorf("storage: unknown wal record kind %d at offset %d", log[off], off)
+		}
+	}
+	if len(recs) > 0 {
+		return nil, errors.New("storage: wal ends inside an uncommitted batch")
+	}
+	return batches, nil
+}
+
 // Truncate discards the log, typically after a checkpoint has flushed
 // all data pages. An empty log holds no rejected bytes, so a successful
 // truncation also clears flush-failure poisoning.

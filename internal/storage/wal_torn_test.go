@@ -153,6 +153,44 @@ func TestWALTornTailMatrix(t *testing.T) {
 	}
 }
 
+// TestWALBatches: on a real log the batch boundaries WALBatches parses
+// are the ones the appends left, as many as Replay applies; a log that is
+// not whole — a garbage kind byte, a trailing partial record, a corrupt
+// record, a batch without its commit marker — is an error, not a shorter
+// answer.
+func TestWALBatches(t *testing.T) {
+	path, ends := tornWAL(t, 4)
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := WALBatches(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, _ := replayCount(t, path); len(batches) != applied {
+		t.Fatalf("%d batches parsed, Replay applied %d", len(batches), applied)
+	}
+	for i, recs := range batches {
+		if recs[len(recs)-1] != ends[i] || len(recs) != i+2 {
+			t.Fatalf("batch %d = %v, want %d page records then a commit ending at %d", i, recs, i+1, ends[i])
+		}
+	}
+
+	corrupt := append([]byte(nil), log...)
+	corrupt[100] ^= 0xFF
+	for name, bad := range map[string][]byte{
+		"garbage kind byte":       append(append([]byte(nil), log...), 7),
+		"trailing partial record": append(append([]byte(nil), log...), log[:100]...),
+		"corrupt record":          corrupt,
+		"uncommitted batch":       log[:len(log)-1],
+	} {
+		if got, err := WALBatches(bad); err == nil {
+			t.Errorf("%s: parsed %d batches, want an error", name, len(got))
+		}
+	}
+}
+
 // TestWALFaultTornAppendRecoversPrefix drives the wal.append failpoint:
 // a torn append leaves garbage past the logical end, the writer sees an
 // ErrIO-classified error, and recovery on the resulting file still

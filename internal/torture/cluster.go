@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -296,36 +297,41 @@ func (h *clusterHarness) runScript() {
 		h.res.Kills, h.res.Rebalances, h.res.Unavailable, len(h.res.Violations))
 }
 
-// query drives one request through the router as the given principal.
-func (h *clusterHarness) query(principal, sql string) (int, server.QueryResponse, string) {
-	body, _ := json.Marshal(server.QueryRequest{SQL: sql})
-	req := httptest.NewRequest(http.MethodPost, "http://router/query", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Identity", principal)
+// serve drives one request through the router: payload, when non-nil,
+// goes as a JSON body, and principal, when set, as the X-Identity.
+func (h *clusterHarness) serve(method, path, principal string, payload any) (int, string) {
+	var body io.Reader
+	if payload != nil {
+		b, _ := json.Marshal(payload)
+		body = bytes.NewReader(b)
+	}
+	req := httptest.NewRequest(method, "http://router"+path, body)
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if principal != "" {
+		req.Header.Set("X-Identity", principal)
+	}
 	rec := httptest.NewRecorder()
 	h.h.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.String()
+}
+
+// query drives one statement through the router as the given principal.
+func (h *clusterHarness) query(principal, sql string) (int, server.QueryResponse, string) {
+	code, body := h.serve(http.MethodPost, "/query", principal, server.QueryRequest{SQL: sql})
 	var qr server.QueryResponse
-	if rec.Code == http.StatusOK {
-		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+	if code == http.StatusOK {
+		if err := json.Unmarshal([]byte(body), &qr); err != nil {
 			// A 200 whose body dies mid-stream (the cluster.rpc torn
 			// fault relayed through the router, exactly what a client
 			// sees when the connection drops mid-reply): the outcome is
 			// unknowable, which for a write means ack-unknown — report
 			// it as the transport failure it is, not as a decoded zero.
-			return 0, qr, rec.Body.String()
+			return 0, qr, body
 		}
 	}
-	return rec.Code, qr, rec.Body.String()
-}
-
-// post drives one admin POST through the router.
-func (h *clusterHarness) post(path string, payload any) (int, string) {
-	body, _ := json.Marshal(payload)
-	req := httptest.NewRequest(http.MethodPost, "http://router"+path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	rec := httptest.NewRecorder()
-	h.h.ServeHTTP(rec, req)
-	return rec.Code, rec.Body.String()
+	return code, qr, body
 }
 
 // transientStatus reports whether a failure is a legal transient during
@@ -504,7 +510,7 @@ func (h *clusterHarness) recover(phase string) {
 			break
 		}
 		for _, name := range degraded {
-			if code, body := h.post("/admin/resync", map[string]string{"name": name}); code != http.StatusOK {
+			if code, body := h.serve(http.MethodPost, "/admin/resync", "", map[string]string{"name": name}); code != http.StatusOK {
 				lastRefusal = fmt.Sprintf("resync %s: HTTP %d: %s", name, code, body)
 			}
 		}
@@ -519,11 +525,9 @@ func (h *clusterHarness) recover(phase string) {
 
 // degradedPeers lists peers /healthz reports as anything but "ok".
 func (h *clusterHarness) degradedPeers() []string {
-	req := httptest.NewRequest(http.MethodGet, "http://router/healthz", nil)
-	rec := httptest.NewRecorder()
-	h.h.ServeHTTP(rec, req)
+	_, body := h.serve(http.MethodGet, "/healthz", "", nil)
 	var hr cluster.HealthResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
+	if err := json.Unmarshal([]byte(body), &hr); err != nil {
 		h.violatef("healthz: %v", err)
 		return nil
 	}
@@ -570,7 +574,7 @@ func (h *clusterHarness) rebalance(mustComplete bool) {
 		replicas[p] = names
 	}
 	target := pm.Version + 1
-	code, body := h.post("/admin/rebalance", cluster.PartitionMapUpdate{
+	code, body := h.serve(http.MethodPost, "/admin/rebalance", "", cluster.PartitionMapUpdate{
 		Version: target, Replicas: replicas, Wait: true,
 	})
 	switch code {
@@ -588,11 +592,9 @@ func (h *clusterHarness) rebalance(mustComplete bool) {
 	// with the map installed, or "rolled_back" with the old map intact.
 	// A stuck "running" after a synchronous call is a harness-visible
 	// deadlock.
-	req := httptest.NewRequest(http.MethodGet, "http://router/admin/rebalance", nil)
-	rec := httptest.NewRecorder()
-	h.h.ServeHTTP(rec, req)
+	_, body = h.serve(http.MethodGet, "/admin/rebalance", "", nil)
 	var prog cluster.MigrationProgress
-	if err := json.Unmarshal(rec.Body.Bytes(), &prog); err != nil {
+	if err := json.Unmarshal([]byte(body), &prog); err != nil {
 		h.violatef("rebalance progress: %v", err)
 		return
 	}

@@ -3,41 +3,13 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fault"
-	"repro/internal/storage"
 )
-
-// batchEnds parses the commit-batch boundaries of a clean (untorn) log:
-// offsets just past each commit marker, with 0 prepended. The layout is
-// the one Replay consumes — page records of walRecordSize bytes, then a
-// one-byte commit marker per batch — so a coalesced group flush still
-// yields one boundary per participating commit.
-func batchEnds(wal []byte) ([]int64, error) {
-	ends := []int64{0}
-	off := int64(0)
-	for off < int64(len(wal)) {
-		switch wal[off] {
-		case 1: // page record
-			off += walRecordSize
-		case 2: // commit marker
-			off++
-			ends = append(ends, off)
-		default:
-			return nil, fmt.Errorf("torture: unknown WAL record kind %d at offset %d", wal[off], off)
-		}
-	}
-	if off != int64(len(wal)) {
-		return nil, fmt.Errorf("torture: trailing garbage in captured log")
-	}
-	return ends, nil
-}
 
 // RunGroupCommit tortures the group-commit path: concurrent bursts of
 // multi-row INSERT statements commit through a wide accumulation window
@@ -67,243 +39,102 @@ func RunGroupCommit(scratch string, cfg Config) (*Result, error) {
 	workDir := filepath.Join(scratch, "work")
 	db, err := engine.Open(workDir,
 		engine.WithWAL(true), // synced: fsync latency is what piles commits up
-		engine.WithPoolPages(1024),
+		engine.WithPoolPages(poolPages),
 		engine.WithWALGroupWindow(2*time.Millisecond))
 	if err != nil {
 		return nil, err
 	}
+	defer db.Close() // releases handles only — the image predates it
 	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
-		db.Close()
 		return nil, err
 	}
 
-	stmtRows := make(map[string]int) // tag -> rows the statement inserted
-	stmts := 0
+	tags := make(map[string]bool) // every statement's tag
 	coalesced := false
-	for round := 0; round < maxRounds && (!coalesced || stmts < minStmts); round++ {
+	for round := 0; round < maxRounds && (!coalesced || len(tags) < minStmts); round++ {
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		errs := make([]error, writers)
 		for w := 0; w < writers; w++ {
+			tag := fmt.Sprintf("s%d", round*writers+w)
+			tags[tag] = true
+			var sb strings.Builder
+			sb.WriteString("INSERT INTO t VALUES ")
+			for i := 0; i < rowsEach; i++ {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "(%d, '%s')", (round*writers+w)*rowsEach+i, tag)
+			}
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
 				<-start
-				tag := fmt.Sprintf("s%d", round*writers+w)
-				var sb strings.Builder
-				sb.WriteString("INSERT INTO t VALUES ")
-				for i := 0; i < rowsEach; i++ {
-					if i > 0 {
-						sb.WriteString(", ")
-					}
-					fmt.Fprintf(&sb, "(%d, '%s')", (round*writers+w)*rowsEach+i, tag)
-				}
 				_, errs[w] = db.Exec(sb.String())
-			}(w)
+			}()
 		}
 		close(start) // barrier: all writers fire together
 		wg.Wait()
-		for w, err := range errs {
-			if err != nil {
-				db.Close()
-				return nil, fmt.Errorf("torture: group burst round %d writer %d: %w", round, w, err)
-			}
-			stmtRows[fmt.Sprintf("s%d", round*writers+w)] = rowsEach
-			stmts++
+		if err := errors.Join(errs...); err != nil {
+			return nil, fmt.Errorf("torture: group burst round %d: %w", round, err)
 		}
 		commits, _, fsyncs, _ := db.WALGroupStats()
 		coalesced = commits > fsyncs
 	}
 	if !coalesced {
-		db.Close()
 		return nil, errors.New("torture: group commit never coalesced ≥2 commits into one flush")
 	}
 
-	im, err := capture(workDir, "t.tbl.wal")
-	db.Close()
+	stmts := len(tags)
+	im, err := capture(workDir, "t.tbl.wal", poolPages)
 	if err != nil {
 		return nil, err
 	}
-	ends, err := batchEnds(im.wal)
+	batches, ends, err := commitEnds(im.files[im.log], stmts)
 	if err != nil {
 		return nil, err
 	}
-	if len(ends)-1 != stmts {
-		return nil, fmt.Errorf("torture: %d commit batches on disk for %d statements", len(ends)-1, stmts)
-	}
-
-	points := crashPoints(ends, cfg.Stride, cfg.MaxPoints)
-	res := &Result{
-		Points:     len(points),
-		Statements: stmts,
-		WALBytes:   ends[len(ends)-1],
-	}
+	points := crashPoints(batches, cfg.Stride, cfg.MaxPoints)
+	res := &Result{Points: len(points), Statements: stmts, WALBytes: ends[len(ends)-1]}
 	cfg.Logf("torture: group commit, %d crash points over %d bytes (%d commits, coalesced flushes confirmed)",
 		len(points), res.WALBytes, stmts)
 
 	crashDir := filepath.Join(scratch, "crash")
-	prev := make(map[string]bool) // tags recovered at the previous (smaller) offset
+	prev := make(map[string]int) // tags recovered at the previous (smaller) offset
 	for _, off := range points {
-		if len(res.Violations) >= maxViolations {
+		if res.full() {
 			break
 		}
-		if err := os.RemoveAll(crashDir); err != nil {
-			return nil, err
-		}
-		if err := im.materialize(crashDir, off); err != nil {
-			return nil, err
-		}
-		db2, err := engine.Open(crashDir, engine.WithWAL(false), engine.WithPoolPages(1024))
+		state, err := reopenAt(crashDir, im, off, tableState)
 		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: reopen failed: %v", off, err))
+			res.violatef("offset %d: %v", off, err)
 			continue
 		}
-		rows, err := db2.Exec("SELECT v FROM t")
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: post-recovery scan failed: %v", off, err))
-			db2.Close()
-			continue
-		}
-		got := make(map[string]int)
-		for _, row := range rows.Rows {
-			got[row[0].Str]++
+		got := make(map[string]int) // tag -> rows recovered
+		for _, row := range strings.Split(state, "\n") {
+			if _, tag, ok := strings.Cut(row, "|"); ok {
+				got[tag]++
+			}
 		}
 		for tag, n := range got {
-			if want, ok := stmtRows[tag]; !ok {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("offset %d: recovered unknown statement tag %q", off, tag))
-			} else if n != want {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("offset %d: statement %q torn: %d of %d rows", off, tag, n, want))
+			if !tags[tag] {
+				res.violatef("offset %d: recovered unknown statement tag %q", off, tag)
+			} else if n != rowsEach {
+				res.violatef("offset %d: statement %q torn: %d of %d rows", off, tag, n, rowsEach)
 			}
 		}
 		if k := expectedIndex(ends, off); len(got) != k {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: %d statements recovered, want %d complete commit batches",
-					off, len(got), k))
+			res.violatef("offset %d: %d statements recovered, want %d complete commit batches", off, len(got), k)
 		}
 		for tag := range prev {
 			if _, ok := got[tag]; !ok {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("offset %d: statement %q recovered at a smaller offset but lost here", off, tag))
+				res.violatef("offset %d: statement %q recovered at a smaller offset but lost here", off, tag)
 			}
 		}
-		prev = make(map[string]bool, len(got))
-		for tag := range got {
-			prev[tag] = true
-		}
-		db2.Close()
+		prev = got
 	}
-	if len(prev) != stmts && len(res.Violations) < maxViolations && len(points) > 0 &&
-		points[len(points)-1] == ends[len(ends)-1] {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("full log recovered %d of %d statements", len(prev), stmts))
-	}
-	return res, nil
-}
-
-// RunGroupFlushFault drives the wal.groupflush failpoint: for each
-// commit k of the sequential workload, one run injects an I/O error in
-// the group leader's flush after the coalesced write hits the file but
-// before the fsync. The statement must fail wrapping storage.ErrIO (the
-// signal the shield latches degraded mode on), and recovery from the
-// captured crash image must land on state k-1 or state k — the write
-// reached the file before the "fsync" died, so the commit's durability
-// is genuinely ambiguous, exactly like a real power cut mid-fsync; what
-// is never allowed is a torn or mixed state.
-func RunGroupFlushFault(scratch string, cfg Config) (*Result, error) {
-	cfg.fill()
-	stmts := workload(cfg.Statements)
-	// Shadow states from a clean run: the faulted run can never record
-	// state k (statement k fails), but recovery may legitimately land on
-	// it when the group write reached the file before the fsync died.
-	shadowDir := filepath.Join(scratch, "shadow")
-	_, shadow, _, err := runWorkload(shadowDir, stmts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Statements: len(stmts)}
-	for k := 1; k <= len(stmts); k++ {
-		if len(res.Violations) >= maxViolations {
-			break
-		}
-		dir := filepath.Join(scratch, fmt.Sprintf("gflush-%d", k))
-		db, err := engine.Open(dir, engine.WithWAL(false), engine.WithPoolPages(1024))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
-			db.Close()
-			return nil, err
-		}
-		fault.Enable(fault.NewRegistry(uint64(k)).Add(fault.Rule{
-			Site:  fault.WALGroupFlush,
-			Kind:  fault.Error,
-			After: uint64(k - 1),
-			Count: 1,
-		}))
-		var faultErr error
-		for j, sql := range stmts {
-			_, err := db.Exec(sql)
-			if err != nil {
-				if j != k-1 {
-					fault.Disable()
-					db.Close()
-					return nil, fmt.Errorf("torture: gflush %d: statement %d failed early: %w", k, j+1, err)
-				}
-				faultErr = err
-				break
-			}
-			s, serr := snapshotTable(db, "t")
-			if serr != nil {
-				fault.Disable()
-				db.Close()
-				return nil, serr
-			}
-			if s != shadow[j+1] {
-				fault.Disable()
-				db.Close()
-				return nil, fmt.Errorf("torture: gflush %d: live state diverged from shadow at commit %d", k, j+1)
-			}
-		}
-		fault.Disable()
-		if faultErr == nil {
-			db.Close()
-			return nil, fmt.Errorf("torture: gflush %d: fault never fired", k)
-		}
-		if !errors.Is(faultErr, storage.ErrIO) {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("gflush %d: injected fault not classified ErrIO: %v", k, faultErr))
-		}
-		im, err := capture(dir, "t.tbl.wal")
-		db.Close()
-		if err != nil {
-			return nil, err
-		}
-		crashDir := filepath.Join(scratch, fmt.Sprintf("gflush-%d-crash", k))
-		if err := im.materialize(crashDir, int64(len(im.wal))); err != nil {
-			return nil, err
-		}
-		db2, err := engine.Open(crashDir, engine.WithWAL(false), engine.WithPoolPages(1024))
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("gflush %d: reopen failed: %v", k, err))
-			continue
-		}
-		got, err := snapshotTable(db2, "t")
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("gflush %d: post-recovery scan: %v", k, err))
-		} else if got != shadow[k-1] && got != shadow[k] {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("gflush %d: recovered state is neither commit %d nor commit %d", k, k-1, k))
-		}
-		db2.Close()
-		res.Points++
-		os.RemoveAll(dir)
-		os.RemoveAll(crashDir)
+	if len(prev) != stmts && !res.full() && len(points) > 0 && points[len(points)-1] == ends[len(ends)-1] {
+		res.violatef("full log recovered %d of %d statements", len(prev), stmts)
 	}
 	return res, nil
 }

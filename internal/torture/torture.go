@@ -18,6 +18,12 @@
 //     live: a failpoint kills the save and the files are taken as they
 //     stand (see RunCountSnapshot).
 //
+// Every driver reads what a crash leaves through one step, reopenAt:
+// materialize a captured crash image with its log cut at a chosen byte,
+// reopen it with the one torture engine configuration, and read the
+// recovered state. The drivers differ only in which crashes they take
+// and which shadow states each crash may recover.
+//
 // The truncated-log crash images are honest for this engine because the
 // data-page path is no-steal while the pool has room: mutations dirty
 // pages only in the buffer pool (allocation writes through immediately),
@@ -38,10 +44,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/storage"
 )
-
-// walRecordSize mirrors the storage package's page-record layout:
-// kind(1) + pageID(4) + crc(4) + payload(PageSize).
-const walRecordSize = 1 + 4 + 4 + storage.PageSize
 
 // Config bounds a torture run.
 type Config struct {
@@ -79,74 +81,150 @@ type Result struct {
 
 const maxViolations = 20
 
+// violatef records one invariant violation.
+func (r *Result) violatef(format string, args ...any) {
+	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+}
+
+// full reports that the violation cap is reached: a driver stops there
+// rather than drown the report in one systemic failure.
+func (r *Result) full() bool { return len(r.Violations) >= maxViolations }
+
+// expect records a violation unless the recovered state got, read with
+// error err, is one of the allowed states of shadow.
+func (r *Result) expect(what, got string, err error, shadow []string, allowed ...int) {
+	if err != nil {
+		r.violatef("%s: %v", what, err)
+		return
+	}
+	for _, k := range allowed {
+		if got == shadow[k] {
+			return
+		}
+	}
+	rows := 0
+	if got != "" {
+		rows = strings.Count(got, "\n") + 1
+	}
+	r.violatef("%s: recovered %d rows, none of shadow states %v", what, rows, allowed)
+}
+
+// poolPages is the buffer pool of every torture engine but the
+// count-snapshot leg that outgrows it.
+const poolPages = 1024
+
+// openEngine opens dir with the one torture engine configuration: an
+// unsynced WAL, since a crash here is a killed process and not a power
+// cut, over a pool of pages pages.
+func openEngine(dir string, pages int) (*engine.Database, error) {
+	return engine.Open(dir, engine.WithWAL(false), engine.WithPoolPages(pages))
+}
+
 // image is a captured crash image: the raw bytes of every file a
-// reopened engine needs, with the log truncatable per crash point.
+// reopened engine needs, with one log cuttable per crash point.
 type image struct {
-	catalog []byte
-	tables  map[string][]byte // file name -> bytes (.tbl files)
-	wal     []byte
-	walName string
+	files map[string][]byte // file name -> bytes, catalog.json included
+	log   string            // the file a crash point cuts ("" = none)
+	pages int               // the pool the crashed engine ran with, and the reopen uses
 }
 
 // capture reads the on-disk bytes of dir while the engine still holds
 // them open — exactly the crash image, since dirty pages live only in
 // the pool.
-func capture(dir, walName string) (*image, error) {
-	im := &image{tables: make(map[string][]byte), walName: walName}
+func capture(dir, log string, pages int) (*image, error) {
+	im := &image{files: make(map[string][]byte), log: log, pages: pages}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
+		if im.files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 			return nil, err
 		}
-		switch {
-		case e.Name() == "catalog.json":
-			im.catalog = data
-		case e.Name() == walName:
-			im.wal = data
-		case strings.HasSuffix(e.Name(), ".wal"):
-			// A second table's log; keep it verbatim.
-			im.tables[e.Name()] = data
-		default:
-			im.tables[e.Name()] = data
-		}
 	}
-	if im.catalog == nil {
+	if _, ok := im.files["catalog.json"]; !ok {
 		return nil, fmt.Errorf("torture: no catalog.json in %s", dir)
 	}
 	return im, nil
 }
 
-// materialize writes the image into dir with the log truncated to n
-// bytes — the filesystem state a crash at log offset n leaves behind.
-func (im *image) materialize(dir string, n int64) error {
+// materialize writes the image into dir with the log cut to cut bytes
+// (all of it when cut < 0): the filesystem state a crash at log offset
+// cut leaves behind.
+func (im *image) materialize(dir string, cut int64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), im.catalog, 0o644); err != nil {
-		return err
-	}
-	for name, data := range im.tables {
+	for name, data := range im.files {
+		if name == im.log && cut >= 0 && cut < int64(len(data)) {
+			data = data[:cut]
+		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			return err
 		}
 	}
-	if im.walName == "" {
-		return nil
-	}
-	if n > int64(len(im.wal)) {
-		n = int64(len(im.wal))
-	}
-	return os.WriteFile(filepath.Join(dir, im.walName), im.wal[:n], 0o644)
+	return nil
 }
 
-// snapshotTable canonicalizes a table's contents: sorted "col|col|…"
-// lines, one per row. Two equal snapshots mean identical logical state.
-func snapshotTable(db *engine.Database, table string) (string, error) {
-	res, err := db.Exec("SELECT * FROM " + table)
+// recordLen is the length of one page record of the image's logs, read
+// off the first record of the first log that has one: the torn cuts aim
+// inside a record without this package knowing the WAL's layout.
+func (im *image) recordLen() (int, error) {
+	for name, data := range im.files {
+		if !strings.HasSuffix(name, ".wal") || len(data) == 0 {
+			continue
+		}
+		batches, err := storage.WALBatches(data)
+		if err != nil {
+			return 0, fmt.Errorf("torture: %s: %w", name, err)
+		}
+		return int(batches[0][0]), nil
+	}
+	return 0, errors.New("torture: no log in the crash image")
+}
+
+// tornCuts are the byte counts of a torn append that reach the file:
+// inside the first record's header, mid-record, and at its last bytes.
+func tornCuts(rec int) []int { return []int{0, 1, 5, 9, rec / 2, rec - 1, rec} }
+
+// reader reads the state a driver compares, canonicalized to a string.
+type reader func(*engine.Database) (string, error)
+
+// reopen opens dir — recovery replays its log — and reads the recovered
+// state. Any failure is recovery's, reported as the violation it is.
+func reopen(dir string, pages int, read reader) (string, error) {
+	db, err := openEngine(dir, pages)
+	if err != nil {
+		// Recovery must absorb any torn tail.
+		return "", fmt.Errorf("reopen failed: %w", err)
+	}
+	got, err := read(db)
+	if err != nil {
+		err = fmt.Errorf("reading recovered state: %w", err)
+	}
+	if cerr := db.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("close after recovery: %w", cerr)
+	}
+	return got, err
+}
+
+// reopenAt is the one crash-and-recover step: it materializes im into a
+// fresh dir with its log cut at cut bytes (all of it when cut < 0),
+// reopens it, and reads the recovered state.
+func reopenAt(dir string, im *image, cut int64, read reader) (string, error) {
+	if err := os.RemoveAll(dir); err != nil {
+		return "", err
+	}
+	if err := im.materialize(dir, cut); err != nil {
+		return "", err
+	}
+	return reopen(dir, im.pages, read)
+}
+
+// tableState canonicalizes table t: sorted "col|col|…" lines, one per
+// row. Two equal states mean identical logical contents.
+func tableState(db *engine.Database) (string, error) {
+	res, err := db.Exec("SELECT * FROM t")
 	if err != nil {
 		return "", err
 	}
@@ -188,101 +266,93 @@ func workload(n int) []string {
 	return stmts
 }
 
-// runWorkload executes stmts against a fresh WAL-enabled engine in dir,
-// recording the canonical state and log length after every statement.
-// The returned image is captured with the engine still open — the crash
-// image — and the engine is closed afterwards only to release handles.
-func runWorkload(dir string, stmts []string) (im *image, states []string, walEnds []int64, err error) {
-	db, err := engine.Open(dir, engine.WithWAL(false), engine.WithPoolPages(1024))
+// runWorkload executes stmts on a fresh torture engine in dir, with
+// faults armed once the table exists, recording the state after every
+// commit (state 0 is the empty table). It stops at the first statement
+// that fails and returns that statement's error as stmtErr, so a clean
+// run records len(stmts)+1 states. The image is captured with the engine
+// still open — the crash image — and the engine is closed afterwards only
+// to release handles.
+func runWorkload(dir string, stmts []string, faults *fault.Registry) (im *image, states []string, stmtErr, err error) {
+	db, err := openEngine(dir, poolPages)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	defer db.Close()
 	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
-		db.Close()
 		return nil, nil, nil, err
 	}
-	walPath := filepath.Join(dir, "t.tbl.wal")
-	sizeOf := func() (int64, error) {
-		st, err := os.Stat(walPath)
+	fault.Enable(faults)
+	defer fault.Disable()
+	for i := 0; ; i++ {
+		s, err := tableState(db)
 		if err != nil {
-			return 0, err
-		}
-		return st.Size(), nil
-	}
-	// State 0: table created, log empty.
-	s0, err := snapshotTable(db, "t")
-	if err != nil {
-		db.Close()
-		return nil, nil, nil, err
-	}
-	states = append(states, s0)
-	walEnds = append(walEnds, 0)
-	for _, sql := range stmts {
-		if _, err := db.Exec(sql); err != nil {
-			db.Close()
-			return nil, nil, nil, fmt.Errorf("torture: workload %q: %w", sql, err)
-		}
-		s, err := snapshotTable(db, "t")
-		if err != nil {
-			db.Close()
-			return nil, nil, nil, err
-		}
-		sz, err := sizeOf()
-		if err != nil {
-			db.Close()
 			return nil, nil, nil, err
 		}
 		states = append(states, s)
-		walEnds = append(walEnds, sz)
+		if i == len(stmts) {
+			break
+		}
+		if _, stmtErr = db.Exec(stmts[i]); stmtErr != nil {
+			break
+		}
 	}
-	im, err = capture(dir, "t.tbl.wal")
-	db.Close() // release handles; the crash image is already in memory
-	if err != nil {
-		return nil, nil, nil, err
+	im, err = capture(dir, "t.tbl.wal", poolPages)
+	return im, states, stmtErr, err
+}
+
+// commitEnds parses a clean log into its batches and checks there is one
+// per statement. ends[k] is the log length after commit k, ends[0] = 0.
+func commitEnds(log []byte, stmts int) (batches [][]int64, ends []int64, err error) {
+	if batches, err = storage.WALBatches(log); err != nil {
+		return nil, nil, fmt.Errorf("torture: %w", err)
 	}
-	return im, states, walEnds, nil
+	if len(batches) != stmts {
+		return nil, nil, fmt.Errorf("torture: %d commit batches on disk for %d statements", len(batches), stmts)
+	}
+	ends = []int64{0}
+	for _, recs := range batches {
+		ends = append(ends, recs[len(recs)-1])
+	}
+	return batches, ends, nil
 }
 
 // crashPoints enumerates the log offsets to torture: every byte of the
 // first batch, every header and commit byte of later batches plus
-// stride-sampled payload bytes, and all batch boundaries. The list is
-// deduped, sorted, and (when max > 0) evenly downsampled with the batch
-// boundaries always retained.
-func crashPoints(walEnds []int64, stride int, max int) []int64 {
-	total := walEnds[len(walEnds)-1]
-	seen := make(map[int64]bool)
-	add := func(off int64) {
-		if off >= 0 && off <= total {
-			seen[off] = true
-		}
-	}
-	boundary := make(map[int64]bool)
-	for i, end := range walEnds {
-		add(end)
-		boundary[end] = true
+// stride-sampled payload bytes, and all batch boundaries. batches is the
+// log's layout from storage.WALBatches. The list is deduped, sorted, and
+// (when max > 0) evenly downsampled with the batch boundaries always
+// retained.
+func crashPoints(batches [][]int64, stride int, max int) []int64 {
+	seen := map[int64]bool{0: true}
+	boundary := map[int64]bool{0: true}
+	start := int64(0)
+	for i, recs := range batches {
+		end := recs[len(recs)-1]
+		seen[end], boundary[end] = true, true
 		if i == 0 {
-			continue
-		}
-		start := walEnds[i-1]
-		if i == 1 {
 			// First batch: exhaustive, every byte.
 			for off := start; off <= end; off++ {
-				add(off)
+				seen[off] = true
 			}
+			start = end
 			continue
 		}
 		// Later batches: record headers, record boundaries, the commit
 		// byte, and strided payload bytes.
-		for rec := start; rec < end-1; rec += walRecordSize {
+		rec := start
+		for _, recEnd := range recs[:len(recs)-1] {
 			for h := int64(0); h <= 9; h++ {
-				add(rec + h)
+				seen[rec+h] = true
 			}
-			add(rec + walRecordSize - 1)
+			seen[recEnd-1] = true
+			rec = recEnd
 		}
-		add(end - 1) // commit byte missing
+		seen[end-1] = true // commit byte missing
 		for off := start; off < end; off += int64(stride) {
-			add(off)
+			seen[off] = true
 		}
+		start = end
 	}
 	points := make([]int64, 0, len(seen))
 	for off := range seen {
@@ -290,7 +360,7 @@ func crashPoints(walEnds []int64, stride int, max int) []int64 {
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
 	if max > 0 && len(points) > max {
-		sampled := make([]int64, 0, max+len(walEnds))
+		sampled := make([]int64, 0, max+len(boundary))
 		kept := make(map[int64]bool)
 		for i := 0; i < max; i++ {
 			off := points[i*len(points)/max]
@@ -313,9 +383,9 @@ func crashPoints(walEnds []int64, stride int, max int) []int64 {
 
 // expectedIndex returns the statement index whose state a crash at log
 // offset n must recover: the last commit boundary at or before n.
-func expectedIndex(walEnds []int64, n int64) int {
+func expectedIndex(ends []int64, n int64) int {
 	k := 0
-	for i, end := range walEnds {
+	for i, end := range ends {
 		if end <= n {
 			k = i
 		}
@@ -328,97 +398,137 @@ func expectedIndex(walEnds []int64, n int64) int {
 // recovery lands exactly on a committed shadow state.
 func Run(scratch string, cfg Config) (*Result, error) {
 	cfg.fill()
-	workDir := filepath.Join(scratch, "work")
-	im, states, walEnds, err := runWorkload(workDir, workload(cfg.Statements))
+	im, states, stmtErr, err := runWorkload(filepath.Join(scratch, "work"), workload(cfg.Statements), nil)
+	if err == nil {
+		err = stmtErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	points := crashPoints(walEnds, cfg.Stride, cfg.MaxPoints)
-	res := &Result{
-		Points:     len(points),
-		Statements: cfg.Statements,
-		WALBytes:   walEnds[len(walEnds)-1],
+	batches, ends, err := commitEnds(im.files[im.log], cfg.Statements)
+	if err != nil {
+		return nil, err
 	}
+	points := crashPoints(batches, cfg.Stride, cfg.MaxPoints)
+	res := &Result{Points: len(points), Statements: cfg.Statements, WALBytes: ends[len(ends)-1]}
 	cfg.Logf("torture: %d crash points over %d bytes of log (%d commits)",
 		len(points), res.WALBytes, cfg.Statements)
 	crashDir := filepath.Join(scratch, "crash")
 	for i, off := range points {
-		if len(res.Violations) >= maxViolations {
+		if res.full() {
 			break
 		}
-		if err := os.RemoveAll(crashDir); err != nil {
-			return nil, err
-		}
-		if err := im.materialize(crashDir, off); err != nil {
-			return nil, err
-		}
-		db, err := engine.Open(crashDir, engine.WithWAL(false), engine.WithPoolPages(1024))
-		if err != nil {
-			// Recovery must absorb any torn tail; failure to open is a
-			// violation, not an environment error.
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: reopen failed: %v", off, err))
-			continue
-		}
-		got, err := snapshotTable(db, "t")
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: post-recovery scan failed: %v", off, err))
-			db.Close()
-			continue
-		}
-		k := expectedIndex(walEnds, off)
-		if got != states[k] {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: recovered state != state after commit %d (got %d rows, want %d)",
-					off, k, strings.Count(got, "\n")+1, strings.Count(states[k], "\n")+1))
-		}
-		if err := db.Close(); err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d: close after recovery: %v", off, err))
-		}
+		k, what := expectedIndex(ends, off), fmt.Sprintf("offset %d", off)
+		got, err := reopenAt(crashDir, im, off, tableState)
+		res.expect(what, got, err, states, k)
 		// Recovery must be idempotent: a second crash-free reopen (the log
 		// was checkpointed away by the first) lands on the same state.
-		if i%64 == 0 {
-			db2, err := engine.Open(crashDir, engine.WithWAL(false), engine.WithPoolPages(1024))
-			if err != nil {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("offset %d: second reopen failed: %v", off, err))
-				continue
-			}
-			again, err := snapshotTable(db2, "t")
-			if err == nil && again != states[k] {
-				err = fmt.Errorf("state drifted from commit %d", k)
-			}
-			if err != nil {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("offset %d: recovery not idempotent: %v", off, err))
-			}
-			db2.Close()
+		if i%64 == 0 && err == nil {
+			again, err := reopen(crashDir, im.pages, tableState)
+			res.expect(what+", second reopen", again, err, states, k)
 		}
 	}
 	return res, nil
 }
 
-// canonCounts canonicalizes an (ids, counts) vector for set comparison.
+// sweep is the one live-kill sweep. For each commit k of the workload it
+// arms kill(k, rec) — a fault that fires on commit k; rec is a page
+// record's length, for cuts that aim inside one — runs the workload until
+// statement k fails, and requires the failure to wrap storage.ErrIO (the
+// signal the shield latches degraded mode on). Then the process
+// "crashes": the files are captured without a close, and recovery must
+// land on state k-1, or on state k too when mayCommit says the kill can
+// come after commit k reached the file. The shadow states come from one
+// clean run, and the live run must match them up to the fault.
+func sweep(scratch string, cfg Config, kill func(k, rec int) fault.Rule, mayCommit bool) (*Result, error) {
+	cfg.fill()
+	stmts := workload(cfg.Statements)
+	shadowIm, shadow, stmtErr, err := runWorkload(filepath.Join(scratch, "shadow"), stmts, nil)
+	if err == nil {
+		err = stmtErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	rec, err := shadowIm.recordLen()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Statements: len(stmts)}
+	for k := 1; k <= len(stmts) && !res.full(); k++ {
+		dir := filepath.Join(scratch, fmt.Sprintf("kill-%d", k))
+		rule := kill(k, rec)
+		im, live, stmtErr, err := runWorkload(dir, stmts, fault.NewRegistry(uint64(k)).Add(rule))
+		switch {
+		case err != nil:
+			return nil, err
+		case stmtErr == nil:
+			return nil, fmt.Errorf("torture: %v fault on commit %d never fired", rule.Site, k)
+		case len(live) != k:
+			return nil, fmt.Errorf("torture: %v fault on commit %d failed statement %d: %w", rule.Site, k, len(live), stmtErr)
+		}
+		for j := range live {
+			if live[j] != shadow[j] {
+				return nil, fmt.Errorf("torture: %v fault on commit %d: live state diverged from shadow at commit %d", rule.Site, k, j)
+			}
+		}
+		what := fmt.Sprintf("%v fault on commit %d", rule.Site, k)
+		if !errors.Is(stmtErr, storage.ErrIO) {
+			res.violatef("%s: injected fault not classified ErrIO: %v", what, stmtErr)
+		}
+		allowed := []int{k - 1}
+		if mayCommit {
+			allowed = append(allowed, k)
+		}
+		got, err := reopenAt(filepath.Join(scratch, "crash"), im, -1, tableState)
+		res.expect(what, got, err, shadow, allowed...)
+		res.Points++
+		os.RemoveAll(dir)
+	}
+	return res, nil
+}
+
+// RunFaultSweep drives the wal.append failpoint instead of offline
+// truncation: each commit k of the workload is torn once, in-process (the
+// torn length cycling through header, mid-record, record-boundary and
+// near-full cuts), and recovery must land exactly on the state after
+// commit k-1. This exercises the same invariant as Run but through the
+// live write path, including the garbage tail the torn write leaves past
+// the logical end of the log.
+func RunFaultSweep(scratch string, cfg Config) (*Result, error) {
+	// Every cut is strictly below the minimum batch size (one record plus
+	// the commit byte), so the torn write is always genuinely partial: a
+	// cut past the whole buffer would let the batch — commit marker
+	// included — reach disk before the error, and recovery to state k
+	// would then be correct too.
+	return sweep(scratch, cfg, func(k, rec int) fault.Rule {
+		cuts := tornCuts(rec)
+		return fault.Rule{Site: fault.WALAppend, Kind: fault.Torn, TornBytes: cuts[k%len(cuts)], After: uint64(k - 1), Count: 1}
+	}, false)
+}
+
+// RunGroupFlushFault drives the wal.groupflush failpoint: for each
+// commit k of the sequential workload, one run injects an I/O error in
+// the group leader's flush after the coalesced write hits the file but
+// before the fsync. Recovery must land on state k-1 or state k — the
+// write reached the file before the "fsync" died, so the commit's
+// durability is genuinely ambiguous, exactly like a real power cut
+// mid-fsync; what is never allowed is a torn or mixed state.
+func RunGroupFlushFault(scratch string, cfg Config) (*Result, error) {
+	return sweep(scratch, cfg, func(k, _ int) fault.Rule {
+		return fault.Rule{Site: fault.WALGroupFlush, Kind: fault.Error, After: uint64(k - 1), Count: 1}
+	}, true)
+}
+
+// canonCounts canonicalizes an (ids, counts) vector for set comparison,
+// one "id=count" line per id.
 func canonCounts(ids []uint64, counts []float64) string {
 	lines := make([]string, len(ids))
 	for i, id := range ids {
 		lines[i] = fmt.Sprintf("%d=%.6f", id, counts[i])
 	}
 	sort.Strings(lines)
-	return strings.Join(lines, ",")
-}
-
-// quoteOf is a stand-in for the gate's pricing: any deterministic
-// function of the count vector works for the atomicity check, because
-// snapshot identity implies quote identity. Total count is the simplest.
-func quoteOf(counts []float64) float64 {
-	var sum float64
-	for _, c := range counts {
-		sum += c
-	}
-	return sum
+	return strings.Join(lines, "\n")
 }
 
 // countLeg is one shape of snapshot save to torture: ids tuples saved
@@ -464,15 +574,16 @@ func sample[T any](xs []T, max int) []T {
 // append torn at sampled bytes, sampled data-page writes, the data-file
 // sync, between the catalog commit and the removal of the old files, and
 // just after it returned. A save that reported failure must recover
-// exactly A; one that returned must recover exactly B. So the recovered
-// quote is exactly quote(A) or quote(B) and never more than the last
-// acknowledged one: charged-delay accounting stays monotone. Two legs: a
-// snapshot that fits the buffer pool, and one several times its size.
+// exactly A (shadow state 0); one that returned must recover exactly B
+// (state 1). So the recovered quote is exactly quote(A) or quote(B) and
+// never more than the last acknowledged one: charged-delay accounting
+// stays monotone. Two legs: a snapshot that fits the buffer pool, and
+// one several times its size.
 func RunCountSnapshot(scratch string, cfg Config) (*Result, error) {
 	cfg.fill()
 	res := &Result{Statements: 2}
 	legs := []countLeg{
-		{"snapshot fits the pool", 1024, 40},
+		{"snapshot fits the pool", poolPages, 40},
 		{"snapshot exceeds the pool", 8, 5000},
 	}
 	for i, leg := range legs {
@@ -492,46 +603,22 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 		countsA[i] = float64(i%7) + 0.5
 		countsB[i] = countsA[i] + float64(i%3) + 1 // B dominates A
 	}
-	wantA, wantB := canonCounts(ids, countsA), canonCounts(ids, countsB)
+	shadow := []string{canonCounts(ids, countsA), canonCounts(ids, countsB)}
 	workDir, crashDir := filepath.Join(scratch, "work"), filepath.Join(scratch, "crash")
-	open := func(dir string) (*engine.Database, *engine.CountStore, error) {
-		db, err := engine.Open(dir, engine.WithWAL(false), engine.WithPoolPages(leg.poolPages))
-		if err != nil {
-			return nil, nil, err
-		}
+	readCounts := func(db *engine.Database) (string, error) {
 		store, err := engine.NewCountStore(db, "t")
 		if err != nil {
-			db.Close()
-			return nil, nil, err
+			return "", err
 		}
-		return db, store, nil
-	}
-	// check reopens the crash image and holds what it recovers against want.
-	check := func(what string, im *image, want string) error {
-		if err := os.RemoveAll(crashDir); err != nil {
-			return err
-		}
-		if err := im.materialize(crashDir, 0); err != nil {
-			return err
-		}
-		res.Points++
-		db, store, err := open(crashDir)
-		if err != nil {
-			res.Violations = append(res.Violations, fmt.Sprintf("%s, %v: reopen failed: %v", leg.name, what, err))
-			return nil
-		}
-		defer db.Close()
 		got, counts, err := store.AllCounts()
-		switch {
-		case err != nil:
-			res.Violations = append(res.Violations, fmt.Sprintf("%s, %v: reading recovered counts: %v", leg.name, what, err))
-		case canonCounts(got, counts) != want:
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"%s, %v: recovered %d ids summing %.0f; snapshot A is %d ids / %.0f, B is %d / %.0f, and this kill must recover %s",
-				leg.name, what, len(got), quoteOf(counts), len(ids), quoteOf(countsA), len(ids), quoteOf(countsB),
-				map[string]string{wantA: "A", wantB: "B"}[want]))
-		}
-		return nil
+		return canonCounts(got, counts), err
+	}
+	// check reopens the crash image and holds what it recovers against
+	// snapshot want.
+	check := func(what string, im *image, want int) {
+		res.Points++
+		got, err := reopenAt(crashDir, im, -1, readCounts)
+		res.expect(leg.name+", "+what, got, err, shadow, want)
 	}
 
 	// run saves A and then, under the armed faults, B in one process, and
@@ -541,21 +628,25 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 		if err := os.RemoveAll(workDir); err != nil {
 			return nil, nil, nil, err
 		}
-		db, store, err := open(workDir)
+		db, err := openEngine(workDir, leg.poolPages)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		defer db.Close() // releases handles only — the images predate it
+		store, err := engine.NewCountStore(db, "t")
+		if err != nil {
+			return nil, nil, nil, err
+		}
 		if err := store.ReplaceAllCounts(ids, countsA); err != nil {
 			return nil, nil, nil, err
 		}
-		if before, err = capture(workDir, ""); err != nil {
+		if before, err = capture(workDir, "", leg.poolPages); err != nil {
 			return nil, nil, nil, err
 		}
 		fault.Enable(faults)
 		saveErr = store.ReplaceAllCounts(ids, countsB)
 		fault.Disable()
-		after, err = capture(workDir, "")
+		after, err = capture(workDir, "", leg.poolPages)
 		return before, after, saveErr, err
 	}
 
@@ -569,30 +660,30 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	if err := check("killed after the save returned", final, wantB); err != nil {
+	rec, err := final.recordLen()
+	if err != nil {
 		return err
 	}
+	check("killed after the save returned", final, 1)
 	// Killed between the catalog commit and the removal of the files it
 	// orphaned: the final image plus every file only the earlier one has.
-	for name, data := range before.tables {
-		if _, ok := final.tables[name]; !ok {
-			final.tables[name] = data
+	for name, data := range before.files {
+		if _, ok := final.files[name]; !ok {
+			final.files[name] = data
 		}
 	}
-	if err := check("killed before the old files were removed", final, wantB); err != nil {
-		return err
-	}
+	check("killed before the old files were removed", final, 1)
 
 	var kills []kill
-	tornCuts := []int{0, 1, 5, 9, walRecordSize / 2, walRecordSize - 1, walRecordSize}
+	cuts := tornCuts(rec)
 	appends := clean.Hits(fault.WALAppend)
 	for k := uint64(0); k < appends; k++ {
 		if appends > 1 {
-			kills = append(kills, kill{fault.WALAppend, k, tornCuts[int(k)%len(tornCuts)]})
+			kills = append(kills, kill{fault.WALAppend, k, cuts[int(k)%len(cuts)]})
 			continue
 		}
 		// A save of one append: every byte of it, the commit byte included.
-		for cut := 0; cut <= walRecordSize; cut++ {
+		for cut := 0; cut <= rec; cut++ {
 			kills = append(kills, kill{fault.WALAppend, k, cut})
 		}
 	}
@@ -608,7 +699,7 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 	cfg.Logf("torture: %s: %d kills over %d log appends, %d page writes, %d syncs",
 		leg.name, len(kills), appends, clean.Hits(fault.PagerWrite), clean.Hits(fault.PagerSync))
 	for _, k := range kills {
-		if len(res.Violations) >= maxViolations {
+		if res.full() {
 			break
 		}
 		// Torn is Error wherever nothing is written.
@@ -618,120 +709,11 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 		if err != nil {
 			return err
 		}
-		want := wantA
+		want := 0
 		if saveErr == nil {
-			want = wantB // the save survived the fault: it must have committed
+			want = 1 // the save survived the fault: it must have committed
 		}
-		if err := check(k.String(), im, want); err != nil {
-			return err
-		}
+		check(k.String(), im, want)
 	}
 	return nil
-}
-
-// RunFaultSweep drives the wal.append failpoint instead of offline
-// truncation: for each commit k of the workload, one run arms a torn
-// write on the k-th append (the torn length cycling through header,
-// mid-record, record-boundary, and near-full cuts), the engine observes
-// the injected I/O error, the process "crashes" (files captured without
-// a close), and recovery must land exactly on the state after commit
-// k-1. This exercises the same invariant as Run but through the live
-// write path, including the garbage tail the torn write leaves past the
-// logical end of the log.
-func RunFaultSweep(scratch string, cfg Config) (*Result, error) {
-	cfg.fill()
-	stmts := workload(cfg.Statements)
-	// Every cut is strictly below the minimum batch size (one record plus
-	// the commit byte), so the torn write is always genuinely partial: a
-	// cut past the whole buffer would let the batch — commit marker
-	// included — reach disk before the error, and recovery to state k
-	// would then be correct too.
-	tornCuts := []int{0, 1, 5, 9, walRecordSize / 2, walRecordSize - 1, walRecordSize}
-	res := &Result{Statements: len(stmts)}
-	for k := 1; k <= len(stmts); k++ {
-		if len(res.Violations) >= maxViolations {
-			break
-		}
-		dir := filepath.Join(scratch, fmt.Sprintf("sweep-%d", k))
-		db, err := engine.Open(dir, engine.WithWAL(false), engine.WithPoolPages(1024))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
-			db.Close()
-			return nil, err
-		}
-		var states []string
-		s0, err := snapshotTable(db, "t")
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		states = append(states, s0)
-		fault.Enable(fault.NewRegistry(uint64(k)).Add(fault.Rule{
-			Site:      fault.WALAppend,
-			Kind:      fault.Torn,
-			TornBytes: tornCuts[k%len(tornCuts)],
-			After:     uint64(k - 1),
-			Count:     1,
-		}))
-		var faultErr error
-		for j, sql := range stmts {
-			_, err := db.Exec(sql)
-			if err != nil {
-				if j != k-1 {
-					fault.Disable()
-					db.Close()
-					return nil, fmt.Errorf("torture: sweep %d: statement %d failed early: %w", k, j+1, err)
-				}
-				faultErr = err
-				break
-			}
-			s, serr := snapshotTable(db, "t")
-			if serr != nil {
-				fault.Disable()
-				db.Close()
-				return nil, serr
-			}
-			states = append(states, s)
-		}
-		fault.Disable()
-		if faultErr == nil {
-			db.Close()
-			return nil, fmt.Errorf("torture: sweep %d: torn fault never fired", k)
-		}
-		if !errors.Is(faultErr, storage.ErrIO) {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("sweep %d: injected fault not classified ErrIO: %v", k, faultErr))
-		}
-		// Crash: capture the files as they are; no flush, no close.
-		im, err := capture(dir, "t.tbl.wal")
-		db.Close() // release handles only — the image predates this
-		if err != nil {
-			return nil, err
-		}
-		crashDir := filepath.Join(scratch, fmt.Sprintf("sweep-%d-crash", k))
-		if err := im.materialize(crashDir, int64(len(im.wal))); err != nil {
-			return nil, err
-		}
-		db2, err := engine.Open(crashDir, engine.WithWAL(false), engine.WithPoolPages(1024))
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("sweep %d: reopen failed: %v", k, err))
-			continue
-		}
-		got, err := snapshotTable(db2, "t")
-		if err != nil {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("sweep %d: post-recovery scan: %v", k, err))
-		} else if got != states[k-1] {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("sweep %d: recovered state != state after commit %d", k, k-1))
-		}
-		db2.Close()
-		res.Points++
-		os.RemoveAll(dir)
-		os.RemoveAll(crashDir)
-	}
-	return res, nil
 }

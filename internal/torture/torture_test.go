@@ -25,92 +25,70 @@ func maxPoints(t *testing.T, def int) int {
 	return def
 }
 
-func report(t *testing.T, res *Result) {
-	t.Helper()
-	t.Logf("crash points exercised: %d (workload: %d commits, %d log bytes)",
-		res.Points, res.Statements, res.WALBytes)
-	for _, v := range res.Violations {
-		t.Errorf("invariant violation: %s", v)
-	}
-}
-
-// TestCrashEnumeration is the tentpole check: truncate-and-reopen at
-// every enumerated byte offset of the commit log, with recovery landing
-// exactly on a committed shadow state every time.
-func TestCrashEnumeration(t *testing.T) {
-	budget := maxPoints(t, 1100)
-	res, err := Run(t.TempDir(), Config{MaxPoints: budget, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report(t, res)
-	if want := 1000; budget == 0 || budget >= want {
-		if res.Points < want {
-			t.Errorf("only %d crash points enumerated, want >= %d", res.Points, want)
-		}
-	} else if res.Points < budget/2 {
-		t.Errorf("only %d crash points enumerated with budget %d", res.Points, budget)
-	}
-}
-
-// TestCountSnapshotAtomicity: a crash anywhere inside a count-snapshot
-// save — of a snapshot that fits the pool and of one that does not —
-// recovers exactly snapshot A or snapshot B, never a torn mix, so the
-// delay quote stays one of the two acknowledged prices.
-func TestCountSnapshotAtomicity(t *testing.T) {
-	res, err := RunCountSnapshot(t.TempDir(), Config{MaxPoints: maxPoints(t, 600), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report(t, res)
-	if res.Points < 50 {
-		t.Errorf("only %d crash points enumerated", res.Points)
-	}
-}
-
-// TestFaultSweep drives the same invariant through the live wal.append
-// failpoint: each commit of the workload is torn once, in-process, and
-// recovery lands on the previous commit's state.
-func TestFaultSweep(t *testing.T) {
-	res, err := RunFaultSweep(t.TempDir(), Config{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report(t, res)
-	if res.Points != res.Statements {
-		t.Errorf("swept %d of %d commits", res.Points, res.Statements)
-	}
-}
-
-// TestGroupCommitCrashEnumeration tortures crash points inside coalesced
-// group-commit flushes: concurrent committers share one write + fsync,
-// and a crash anywhere in the group must recover a committed prefix per
-// participating commit — whole statements only, counted exactly by the
-// complete commit batches before the crash point.
-func TestGroupCommitCrashEnumeration(t *testing.T) {
-	res, err := RunGroupCommit(t.TempDir(), Config{MaxPoints: maxPoints(t, 600), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report(t, res)
-	if res.Points < 50 {
-		t.Errorf("only %d crash points enumerated", res.Points)
-	}
-}
-
-// TestGroupFlushFaultSweep injects an I/O error in the group leader's
-// flush (after the write, before the fsync) at every commit of the
-// workload: the statement fails wrapping storage.ErrIO — the signal the
-// shield latches degraded mode on — and recovery lands on the prior
-// commit or, since the bytes did reach the file, the ambiguous commit
-// itself; never a torn state.
-func TestGroupFlushFaultSweep(t *testing.T) {
-	res, err := RunGroupFlushFault(t.TempDir(), Config{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report(t, res)
-	if res.Points != res.Statements {
-		t.Errorf("swept %d of %d commits", res.Points, res.Statements)
+// TestCrash runs every engine crash driver. Each crashes the WAL-enabled
+// engine its own way and requires recovery to land on an allowed shadow
+// state every time:
+//
+//   - Enumeration truncates the commit log at every enumerated byte
+//     offset, and recovery lands exactly on the last committed state.
+//   - CountSnapshotAtomicity kills a count-snapshot save — of a snapshot
+//     that fits the pool and of one that does not — and recovery is
+//     exactly snapshot A or snapshot B, never a torn mix, so the delay
+//     quote stays one of the two acknowledged prices.
+//   - FaultSweep tears each commit of the workload once through the live
+//     wal.append failpoint, and recovery lands on the previous commit.
+//   - GroupCommitCrashEnumeration crashes inside coalesced group-commit
+//     flushes: a crash anywhere in the group recovers a committed prefix
+//     per participating commit, whole statements only, counted exactly
+//     by the complete commit batches before the crash point.
+//   - GroupFlushFaultSweep fails the group leader's flush (after the
+//     write, before the fsync) at every commit: the statement fails
+//     wrapping storage.ErrIO — the signal the shield latches degraded
+//     mode on — and recovery lands on the prior commit or, since the
+//     bytes did reach the file, the ambiguous commit itself.
+func TestCrash(t *testing.T) {
+	atLeast := func(n int) func(int) int { return func(int) int { return n } }
+	for _, tc := range []struct {
+		name string
+		run  func(string, Config) (*Result, error)
+		// budget is the default crash-point budget, and floor the fewest
+		// points a run under budget b must cover. A sweep has neither: it
+		// must kill every commit once.
+		budget int
+		floor  func(b int) int
+	}{
+		{"Enumeration", Run, 1100, func(b int) int {
+			if b == 0 || b >= 1000 {
+				return 1000
+			}
+			return b / 2
+		}},
+		{"CountSnapshotAtomicity", RunCountSnapshot, 600, atLeast(50)},
+		{"FaultSweep", RunFaultSweep, 0, nil},
+		{"GroupCommitCrashEnumeration", RunGroupCommit, 600, atLeast(50)},
+		{"GroupFlushFaultSweep", RunGroupFlushFault, 0, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Logf: t.Logf}
+			if tc.floor != nil {
+				cfg.MaxPoints = maxPoints(t, tc.budget)
+			}
+			res, err := tc.run(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("crash points exercised: %d (workload: %d commits, %d log bytes)",
+				res.Points, res.Statements, res.WALBytes)
+			for _, v := range res.Violations {
+				t.Errorf("invariant violation: %s", v)
+			}
+			switch {
+			case tc.floor == nil && res.Points != res.Statements:
+				t.Errorf("swept %d of %d commits", res.Points, res.Statements)
+			case tc.floor != nil && res.Points < tc.floor(cfg.MaxPoints):
+				t.Errorf("only %d crash points enumerated with budget %d, want >= %d",
+					res.Points, cfg.MaxPoints, tc.floor(cfg.MaxPoints))
+			}
+		})
 	}
 }
