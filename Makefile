@@ -79,10 +79,11 @@ bench-cluster:
 	BENCH_SUITE=cluster ./scripts/bench.sh
 
 # Short measured run of all suites, on the base commit (BENCH_BASE,
-# default HEAD, checked out into a temp worktree) and then on the working
-# tree in the same sitting, the two compared by scripts/benchcmp: fails on
+# default HEAD, checked out into a temp worktree) and on the working tree
+# in the same sitting, as three alternating rounds of one pass per side,
+# the two compared by scripts/benchcmp: fails on
 # a >20% per-key regression or a broken shape invariant (point-query
-# scaling, the rank index's scan-locality win, the detector's clustering
+# scaling, the rank index's horizon paying, the detector's clustering
 # sweep staying under half its pairwise oracle, grouped WAL commit
 # beating per-commit fsyncs, mixed read/write throughput scaling with
 # clients, cluster router tax over direct shard access staying within its

@@ -346,6 +346,13 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		reg.Histogram("shield_query_delay_cancelled_seconds", metrics.DefaultDelayBuckets()),
 	)
 	reg.GaugeFunc("shield_tracker_size", func() float64 { return float64(s.Tracker().Len()) })
+	// A capped policy lets the tracker's rank index keep positions only
+	// below its horizon (internal/ostree): how many ids hold one, and how
+	// often the horizon was set, cut back, rebuilt or dropped.
+	reg.GaugeFunc("shield_tracker_ranked", func() float64 { return float64(s.Tracker().Ranked()) })
+	reg.GaugeFunc("shield_tracker_horizon_resets_total", func() float64 {
+		return float64(s.Tracker().HorizonResets())
+	})
 	if s.updPolicy != nil {
 		reg.GaugeFunc("shield_update_tracker_size", func() float64 {
 			return float64(s.updPolicy.Tracker().Len())

@@ -37,7 +37,9 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 
 // RankBatchMax must agree with the per-id Count/Rank/MaxCount protocol
 // the delay policies used before batching: -1 exactly for never-observed
-// ids, the tree rank otherwise; RankMax is its single-id form.
+// ids, the tree rank otherwise, capped at the limit the caller derives
+// from MaxCount; RankMax is the exact single-id form. The limits, in
+// order, set the index's horizon, cut it back, rebuild it and drop it.
 func TestRankBatchMaxMatchesPerIDRank(t *testing.T) {
 	d, _ := NewDecayed(1.0001)
 	rng := rand.New(rand.NewSource(11))
@@ -48,24 +50,35 @@ func TestRankBatchMaxMatchesPerIDRank(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(i) // 100..149 never observed (probably); verified below
 	}
-	buf := make([]int, 3, 200)
-	ranks, max := d.RankBatchMax(ids, buf[:0])
-	if len(ranks) != len(ids) || &ranks[0] != &buf[0] {
-		t.Fatalf("len %d != %d, or the buffer was not reused", len(ranks), len(ids))
-	}
-	if max != d.MaxCount() {
-		t.Fatalf("max count %v, MaxCount %v", max, d.MaxCount())
-	}
-	for i, id := range ids {
-		want := -1
-		if d.Count(id) > 0 {
-			want = d.Rank(id)
+	n := d.Len()
+	for i, c := range []struct{ limit, ranked int }{{7, 14}, {1, 2}, {40, 80}, {1 << 30, n}} {
+		buf := make([]int, 3, 200)
+		var asked float64
+		ranks, max := d.RankBatchMax(ids, buf[:0], func(maxCount float64) int {
+			asked = maxCount
+			return c.limit
+		})
+		if len(ranks) != len(ids) || &ranks[0] != &buf[0] {
+			t.Fatalf("len %d != %d, or the buffer was not reused", len(ranks), len(ids))
 		}
-		if ranks[i] != want {
-			t.Fatalf("id %d: rank %d, want %d", id, ranks[i], want)
+		if max != d.MaxCount() || asked != max {
+			t.Fatalf("max count %v, asked with %v, MaxCount %v", max, asked, d.MaxCount())
 		}
-		if r, m := d.RankMax(id); r != want || m != max {
-			t.Fatalf("id %d: RankMax = %d, %v; want %d, %v", id, r, m, want, max)
+		if d.Ranked() != c.ranked || d.HorizonResets() != int64(i+1) {
+			t.Fatalf("limit %d: %d of %d ids ranked, %d horizon resets; want %d, %d", c.limit, d.Ranked(), n, d.HorizonResets(), c.ranked, i+1)
+		}
+		for i, id := range ids {
+			want, exact := -1, -1
+			if d.Count(id) > 0 {
+				exact = d.Rank(id)
+				want = min(exact, c.limit)
+			}
+			if ranks[i] != want {
+				t.Fatalf("limit %d, id %d: rank %d, want %d", c.limit, id, ranks[i], want)
+			}
+			if r, m := d.RankMax(id); r != exact || m != max {
+				t.Fatalf("id %d: RankMax = %d, %v; want %d, %v", id, r, m, exact, max)
+			}
 		}
 	}
 }

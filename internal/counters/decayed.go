@@ -42,6 +42,8 @@ type Decayed struct {
 	// renorms counts how many times the inflation counter was reset; it is
 	// exposed for tests and the ablation benchmarks.
 	renorms int64
+	// resets is the horizon moves of the trees Import replaced.
+	resets int64
 }
 
 // NewDecayed returns a tracker with decay rate decay (≥ 1). It returns an
@@ -216,34 +218,57 @@ func (d *Decayed) Rank(id uint64) int {
 	return r
 }
 
-// RankBatchMax is the whole of what a batch quote needs from the tracker,
-// under one lock acquisition: the 1-based popularity rank of every id,
-// appended to ranks (pass a reused buffer sliced to zero length), and
-// MaxCount. Ids never observed report -1; callers map that to their
-// policy's "maximally unpopular" rank (the delay policies use N).
-func (d *Decayed) RankBatchMax(ids []uint64, ranks []int) ([]int, float64) {
+// RankBatchMax is the whole of what a quote needs from the tracker, under
+// one lock acquisition. It reads MaxCount, asks limit for the smallest
+// rank L the caller prices at its cap given that count, and appends to
+// ranks (pass a reused buffer sliced to zero length) every id's 1-based
+// popularity rank if it is below L, and L otherwise. Ids never observed
+// report -1; callers map that to their policy's "maximally unpopular"
+// rank (the delay policies use N). A limit past Len()+1 asks for exact
+// ranks; a smaller one lets the index keep positions for about 2L ids
+// only (ostree's horizon).
+func (d *Decayed) RankBatchMax(ids []uint64, ranks []int, limit func(maxCount float64) int) ([]int, float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	maxCount := d.maxCountLocked()
+	l := limit(maxCount)
 	for _, id := range ids {
-		ranks = append(ranks, d.rankLocked(id))
+		r, ok := d.tree.RankUpTo(id, l)
+		if !ok {
+			r = -1
+		}
+		ranks = append(ranks, r)
 	}
-	return ranks, d.maxCountLocked()
+	return ranks, maxCount
 }
 
-// rankLocked is id's rank, or -1 when it was never observed.
-func (d *Decayed) rankLocked(id uint64) int {
-	if r, ok := d.tree.Rank(id); ok {
-		return r
-	}
-	return -1
-}
-
-// RankMax is RankBatchMax for a single id, without a rank buffer; the
-// single-tuple quote path lives on it.
+// RankMax returns id's exact rank (-1 when it was never observed) and
+// MaxCount from one tracker state, for analysis code that wants the rank
+// itself rather than a price.
 func (d *Decayed) RankMax(id uint64) (rank int, maxCount float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.rankLocked(id), d.maxCountLocked()
+	r, ok := d.tree.Rank(id)
+	if !ok {
+		r = -1
+	}
+	return r, d.maxCountLocked()
+}
+
+// Ranked returns how many ids hold a position in the rank index: Len()
+// until a capped quote lets it keep positions only below its horizon.
+func (d *Decayed) Ranked() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.tree.Ranked()
+}
+
+// HorizonResets returns how many times the rank index's horizon was set,
+// cut back, rebuilt or dropped.
+func (d *Decayed) HorizonResets() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.resets + d.tree.HorizonResets()
 }
 
 // Len returns the number of distinct ids observed.
@@ -329,6 +354,7 @@ func (d *Decayed) Import(ids []uint64, counts []float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.obs = int64(len(kept))
+	d.resets += d.tree.HorizonResets()
 	d.tree = ostree.FromWeights(kept)
 	d.total = total
 	d.inc = 1

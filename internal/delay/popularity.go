@@ -48,8 +48,8 @@ func (c PopularityConfig) validate() error {
 // popularity. It is safe for concurrent use (the underlying tracker
 // serializes access).
 type Popularity struct {
-	cfg     PopularityConfig
-	tracker *counters.Decayed
+	cfg PopularityConfig
+	rankSource
 }
 
 // NewPopularity returns a popularity policy reading ranks from tracker.
@@ -62,7 +62,7 @@ func NewPopularity(cfg PopularityConfig, tracker *counters.Decayed) (*Popularity
 	if tracker == nil {
 		return nil, errors.New("delay: nil tracker")
 	}
-	return &Popularity{cfg: cfg, tracker: tracker}, nil
+	return &Popularity{cfg: cfg, rankSource: rankSource{tracker: tracker}}, nil
 }
 
 // Config returns the policy's configuration.
@@ -74,7 +74,7 @@ func (p *Popularity) Tracker() *counters.Decayed { return p.tracker }
 // DelayBatch implements BatchPolicy: the whole batch is priced from one
 // tracker state, under one lock acquisition.
 func (p *Popularity) DelayBatch(ids []uint64) time.Duration {
-	return delayBatch(p, p.tracker, ids)
+	return delayBatch(p, &p.rankSource, ids)
 }
 
 // scaleFor implements rankPricer: fmax, fixed or learned.
@@ -95,7 +95,7 @@ func (p *Popularity) priceAt(rank int, fmax float64) time.Duration {
 // exactly the paper's start-up transient behaviour. The rank and fmax
 // are read from one tracker state, as DelayBatch reads them.
 func (p *Popularity) Delay(id uint64) time.Duration {
-	return delayOne(p, p.tracker, id)
+	return delayOne(p, &p.rankSource, id)
 }
 
 // DelayForRank returns the delay the policy would currently assign to the
@@ -144,29 +144,18 @@ func (p *Popularity) DelaySeconds(id uint64) float64 {
 	return p.delaySecondsAt(clampRank(rank, p.cfg.N), p.scaleFor(maxCount))
 }
 
-// CapRank returns M, the lowest rank whose computed delay reaches the cap
-// (Eq 5). It returns N if no rank caps (or the policy is uncapped).
+// capRank implements rankPricer, from Eq 5's closed form
+// rank^(α+β) = cap · N · fmax.
+func (p *Popularity) capRank(fmax float64) int {
+	return capRankNear(p, fmax, p.cfg.N, p.cfg.Cap > 0,
+		math.Pow(p.cfg.Cap.Seconds()*float64(p.cfg.N)*fmax, 1/(p.cfg.Alpha+p.cfg.Beta)))
+}
+
+// CapRank returns M, the lowest rank whose delay is the cap (Eq 5) at the
+// current fmax: the rank the quote path stops ranking at. It returns N if
+// no rank caps (or the policy is uncapped).
 func (p *Popularity) CapRank() int {
-	if p.cfg.Cap <= 0 {
-		return p.cfg.N
-	}
-	fmax := p.fmax()
-	if fmax <= 0 {
-		return 1
-	}
-	// Solve rank^(α+β) = cap · N · fmax.
-	exp := p.cfg.Alpha + p.cfg.Beta
-	if exp <= 0 {
-		return p.cfg.N
-	}
-	m := math.Pow(p.cfg.Cap.Seconds()*float64(p.cfg.N)*fmax, 1/exp)
-	if m < 1 {
-		return 1
-	}
-	if m >= float64(p.cfg.N) {
-		return p.cfg.N
-	}
-	return int(math.Ceil(m))
+	return min(p.capRank(p.fmax()), p.cfg.N)
 }
 
 // ExtractionDelay returns the total delay an adversary faces to retrieve

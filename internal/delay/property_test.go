@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,89 @@ func TestUpdateRatePropertyCapAndMonotone(t *testing.T) {
 				t.Fatalf("trial %d: delay fell at rank %d", trial, rank)
 			}
 			prev = d
+		}
+	}
+}
+
+// TestCapRankPricesTheTail: the quote path ranks only below capRank, so
+// every rank from it on — a never-seen id's -1 and ranks past N included
+// — must be priced as capRank is, and the rank just below a binding
+// capRank must not be. Over both policies, a fixed and a learned scale,
+// no cap and one binding mid-range, and nothing learned (scale ≤ 0:
+// every rank capped, capRank 1).
+func TestCapRankPricesTheTail(t *testing.T) {
+	const n = 3000
+	tr, _ := counters.NewDecayed(1)
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 20_000; i++ {
+		tr.Observe(uint64(rng.ExpFloat64() * n / 8))
+	}
+	empty, _ := counters.NewDecayed(1)
+	for _, scaleKind := range []string{"fixed", "learned", "nothing learned"} {
+		for _, cap := range []string{"none", "binding"} {
+			// A binding cap is the uncapped price of rank n/3.
+			pop := func(c time.Duration) rankPricer {
+				cfg, src := PopularityConfig{N: n, Alpha: 1, Beta: 1.5, Cap: c}, tr
+				switch scaleKind {
+				case "fixed":
+					cfg.Fmax = 250
+				case "nothing learned":
+					src = empty
+				}
+				p, err := NewPopularity(cfg, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			upd := func(c time.Duration) rankPricer {
+				cfg, src := UpdateRateConfig{N: n, Alpha: 1.2, C: 3, Cap: c}, tr
+				if scaleKind == "fixed" {
+					cfg.Rmax = 40
+				}
+				if scaleKind == "nothing learned" {
+					src = empty
+				}
+				u, err := NewUpdateRate(cfg, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scaleKind == "learned" {
+					u.SetWindow(60)
+				}
+				return u
+			}
+			for name, policy := range map[string]func(time.Duration) rankPricer{"popularity": pop, "updaterate": upd} {
+				p := policy(0)
+				src := p.(interface{ Tracker() *counters.Decayed }).Tracker()
+				scale := p.scaleFor(src.MaxCount())
+				if cap == "binding" {
+					c := 10 * time.Second
+					if scale > 0 {
+						c = p.priceAt(n/3, scale)
+					}
+					p = policy(c)
+				}
+				c := p.capRank(scale)
+				what := fmt.Sprintf("%s/%s scale %v/cap %s: capRank %d", name, scaleKind, scale, cap, c)
+				switch {
+				case cap == "none" && c != n+1,
+					cap == "binding" && scaleKind != "nothing learned" && (c < n/4 || c > n/2),
+					scaleKind == "nothing learned" && cap == "binding" && c != 1:
+					t.Fatalf("%s: out of place", what)
+				}
+				for r := -1; r <= n+2; r++ {
+					if r != 0 && p.priceAt(min(r, c), scale) != p.priceAt(r, scale) {
+						t.Fatalf("%s: rank %d priced %v, min(rank, capRank) %v", what, r, p.priceAt(r, scale), p.priceAt(min(r, c), scale))
+					}
+				}
+				if p.priceAt(-1, scale) != p.priceAt(c, scale) {
+					t.Fatalf("%s: a never-seen id is not priced at capRank", what)
+				}
+				if c > 1 && c <= n && p.priceAt(c-1, scale) == p.priceAt(n, scale) {
+					t.Fatalf("%s: rank %d already costs the cap", what, c-1)
+				}
+			}
 		}
 	}
 }

@@ -22,9 +22,13 @@ import (
 // Zipf-distributed starts and the lengths scan_mixed draws (bench/): ids
 // read together were incremented together, so runs of neighbours tie and
 // sit side by side in rank order, as they do behind real scan traffic.
+// Both are quoted under a 10 s cap, so most of a range ranks past the
+// cap rank and keeps no position in the index (its horizon, ostree).
+// uncapped is the scans tracker quoted with no cap: every tuple keeps its
+// position and moves on every observe, the index's whole cost.
 func BenchmarkScanQuoteObserve(b *testing.B) {
 	const n, span = 200_000, 200
-	for _, history := range []string{"random", "scans"} {
+	for _, history := range []string{"random", "scans", "uncapped"} {
 		b.Run("history="+history, func(b *testing.B) {
 			tr, _ := counters.NewDecayed(1)
 			rng := rand.New(rand.NewSource(1))
@@ -35,7 +39,7 @@ func BenchmarkScanQuoteObserve(b *testing.B) {
 					counts[i] += float64(rng.Intn(100))
 				}
 			}
-			if history == "scans" {
+			if history != "random" {
 				dist, _ := zipf.New(n, 1)
 				starts, hot := zipf.NewSampler(dist, 1), rng.Perm(n)
 				for range 4000 {
@@ -54,7 +58,11 @@ func BenchmarkScanQuoteObserve(b *testing.B) {
 			if err := tr.Import(ids, counts); err != nil {
 				b.Fatal(err)
 			}
-			p, _ := NewPopularity(PopularityConfig{N: n, Alpha: 1, Beta: 2, Cap: 10 * time.Second}, tr)
+			cfg := PopularityConfig{N: n, Alpha: 1, Beta: 2, Cap: 10 * time.Second}
+			if history == "uncapped" {
+				cfg.Cap = 0
+			}
+			p, _ := NewPopularity(cfg, tr)
 			g, _ := NewGate(p, vclock.NewSimulated(time.Unix(0, 0)), nil)
 			b.ReportAllocs()
 			b.ResetTimer()

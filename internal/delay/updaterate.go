@@ -52,8 +52,8 @@ func (c UpdateRateConfig) validate() error {
 // rmax the update rate of the most updated item. Items that stay fresh
 // longer take longer to retrieve. Never-updated tuples rank N.
 type UpdateRate struct {
-	cfg     UpdateRateConfig
-	tracker *counters.Decayed
+	cfg UpdateRateConfig
+	rankSource
 	// window is the observation span in seconds (float64 bits), stored
 	// atomically: SetWindow runs on the write path while concurrent
 	// SELECTs read it through rmax.
@@ -69,7 +69,7 @@ func NewUpdateRate(cfg UpdateRateConfig, tracker *counters.Decayed) (*UpdateRate
 	if tracker == nil {
 		return nil, errors.New("delay: nil tracker")
 	}
-	return &UpdateRate{cfg: cfg, tracker: tracker}, nil
+	return &UpdateRate{cfg: cfg, rankSource: rankSource{tracker: tracker}}, nil
 }
 
 // Config returns the policy's configuration.
@@ -97,7 +97,7 @@ func (u *UpdateRate) rmax() float64 {
 // Delay implements Policy: the rank and rmax are read from one tracker
 // state, as DelayBatch reads them.
 func (u *UpdateRate) Delay(id uint64) time.Duration {
-	return delayOne(u, u.tracker, id)
+	return delayOne(u, &u.rankSource, id)
 }
 
 // DelayForRank returns the delay for the tuple at the given update-rate
@@ -109,7 +109,7 @@ func (u *UpdateRate) DelayForRank(rank int) time.Duration {
 // DelayBatch implements BatchPolicy: one tracker lock acquisition prices
 // the whole batch.
 func (u *UpdateRate) DelayBatch(ids []uint64) time.Duration {
-	return delayBatch(u, u.tracker, ids)
+	return delayBatch(u, &u.rankSource, ids)
 }
 
 // scaleFor implements rankPricer: rmax, fixed or learned over the window.
@@ -127,6 +127,13 @@ func (u *UpdateRate) scaleFor(maxCount float64) float64 {
 // priceAt implements rankPricer.
 func (u *UpdateRate) priceAt(rank int, rmax float64) time.Duration {
 	return u.delayAt(clampRank(rank, u.cfg.N), rmax)
+}
+
+// capRank implements rankPricer, from Eq 9 solved for the rank whose
+// delay is the cap: rank^α = cap · N · rmax / c.
+func (u *UpdateRate) capRank(rmax float64) int {
+	return capRankNear(u, rmax, u.cfg.N, u.cfg.Cap > 0,
+		math.Pow(u.cfg.Cap.Seconds()*float64(u.cfg.N)*rmax/u.cfg.C, 1/u.cfg.Alpha))
 }
 
 func (u *UpdateRate) delayAt(rank int, rmax float64) time.Duration {

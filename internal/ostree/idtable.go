@@ -92,6 +92,12 @@ func (t *idTable) insert(b, i int, id uint64) *slot {
 	if len(t.blocks) == 0 {
 		t.blocks, t.first = [][]slot{make([]slot, 0, maxBlock)}, []uint64{id}
 	}
+	if i == maxBlock && b+1 < len(t.blocks) && len(t.blocks[b+1]) < maxBlock {
+		// id falls between a full block and a next one with room: it
+		// becomes the next one's first, so ids added in descending order
+		// fill that block instead of starting a block each.
+		b, i = b+1, 0
+	}
 	if blk := t.blocks[b]; len(blk) == maxBlock {
 		// A full block splits in two — unless id goes past its end: then the
 		// block stays packed and id starts the next one, so ids added in

@@ -2,6 +2,7 @@ package ostree
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -69,7 +70,13 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 	if ok != (len(want) > 0) || ok && w != want[0].weight {
 		t.Fatalf("step %d: MaxWeight = %v, %v; oracle %v", step, w, ok, want)
 	}
+	// Past the horizon Rank counts over the id table and KthID sorts the
+	// ids there: every rank is read in front of it, a stride behind it.
+	stride := max(1, (len(want)-tr.npos)/8)
 	for i, e := range want {
+		if i > tr.npos && (i-tr.npos)%stride != 0 && i != len(want)-1 {
+			continue
+		}
 		if r, ok := tr.Rank(e.id); !ok || r != i+1 {
 			t.Fatalf("step %d: Rank(%d) = %d, %v; oracle %d", step, e.id, r, ok, i+1)
 		}
@@ -96,10 +103,18 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 	}
 
 	// Structure (the reads above flushed): blocks non-empty, bounded,
-	// their concatenation the oracle's order, last keys and Fenwick sums
-	// in step.
+	// their concatenation a prefix of the oracle's order — all of it
+	// without a horizon, the ids before the horizon with one — last keys
+	// and Fenwick sums in step.
 	if len(tr.queue) != 0 || len(tr.last) != len(tr.blocks) || len(tr.fen) != len(tr.blocks)+1 && len(tr.blocks) > 0 {
 		t.Fatalf("step %d: queue %d, last %d, fen %d, blocks %d", step, len(tr.queue), len(tr.last), len(tr.fen), len(tr.blocks))
+	}
+	if !tr.cut && tr.npos != len(want) {
+		t.Fatalf("step %d: %d of %d ids hold positions without a horizon", step, tr.npos, len(want))
+	}
+	sortsBefore := func(p pair) bool { return entry{keyOf(p.weight), p.id}.before(tr.hz.key, tr.hz.id) != 0 }
+	if tr.cut && (tr.npos > 0 && !sortsBefore(want[tr.npos-1]) || tr.npos < len(want) && sortsBefore(want[tr.npos])) {
+		t.Fatalf("step %d: the horizon %v does not follow the first %d of %v", step, tr.hz, tr.npos, want)
 	}
 	seen := 0
 	for b, blk := range tr.blocks {
@@ -119,8 +134,8 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 		}
 		seen += len(blk)
 	}
-	if len(tr.blocks) > 2*len(want)/minBlock+1 {
-		t.Fatalf("step %d: %d blocks for %d entries", step, len(tr.blocks), len(want))
+	if seen != tr.npos || len(tr.blocks) > 2*len(want)/minBlock+1 {
+		t.Fatalf("step %d: %d blocks of %d entries (npos %d) for %d ids", step, len(tr.blocks), seen, tr.npos, len(want))
 	}
 
 	// The id table: the same ids ascending, each with the oracle's weight
@@ -177,11 +192,38 @@ func idOf(sel uint16) uint64 {
 	return (k % 2) * math.MaxUint64
 }
 
+// limitOf draws a RankUpTo limit from lim: small for odd lim, otherwise
+// a share of n running to about twice it, so that horizons are set, cut
+// back, rebuilt and dropped between the writes.
+func limitOf(lim uint8, n int) int {
+	if lim&1 != 0 {
+		return 1 + int(lim>>1)%16
+	}
+	return 1 + int(lim>>1)*(n+1)/64
+}
+
 // applyOp decodes one operation and applies it to both sides. Weights
 // come from a small set (heavy ties, neighbours one ulp apart). Reads
 // inside an operation are checked on the spot: they are what meets a
-// finger left behind by the write before them.
-func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
+// finger left behind by the write before them. A nonzero lim ends the
+// operation with capped ranks: RankUpTo of four ids, limit drawn from
+// lim, which must be min(rank, limit).
+func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel, lim uint8) {
+	if lim != 0 {
+		defer func() {
+			limit := limitOf(lim, tr.Len())
+			for k := uint16(0); k < 4; k++ {
+				id := idOf(idSel + k*41)
+				want, tracked := len(o)+1, false
+				if _, tracked = o[id]; tracked {
+					want = min(o.rank(id), limit)
+				}
+				if r, ok := tr.RankUpTo(id, limit); r != want || ok != tracked {
+					panic(fmt.Sprintf("RankUpTo(%d, %d) = %d, %v; oracle %d, %v", id, limit, r, ok, want, tracked))
+				}
+			}
+		}()
+	}
 	id := idOf(idSel)
 	w := float64(wSel%16) + 1.159
 	if wSel&16 != 0 {
@@ -262,7 +304,8 @@ func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel uint8) {
 		// A bulk rebuild, as Import does, that inherits fingers pointing
 		// anywhere: a finger is a hint, and no value of it may matter.
 		nt := FromWeights(o.pairs())
-		nt.rankAt, nt.removeAt, nt.insertAt = int(idSel%9), int(idSel/9%9), int(wSel%9)
+		nt.rankAt, nt.removeAt = finger{int(idSel % 9), int(wSel)}, finger{int(idSel / 9 % 9), int(idSel % 130)}
+		nt.insertAt = finger{int(wSel % 9), int(idSel / 81 % 130)}
 		nt.ids.fb, nt.ids.fi = int(idSel%7), int(wSel)
 		*tr = *nt
 	}
@@ -273,7 +316,13 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr, o := New(), oracle{}
 		for step := 0; step < 6000; step++ {
-			applyOp(tr, o, uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)))
+			// Capped ranks on half the steps: the rest run against a
+			// horizon left where the last one put it, or dropped since.
+			lim := uint8(rng.Intn(256))
+			if rng.Intn(2) == 0 {
+				lim = 0
+			}
+			applyOp(tr, o, uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)), lim)
 			// Check every step while small, then at a stride that still
 			// lands between deferred writes and around splits.
 			if step < 300 || step%7 == 0 {
@@ -286,21 +335,25 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 
 // FuzzTreeOps drives the same operations from fuzzer bytes: the first
 // byte prefills past a block split, every following five bytes are one
-// operation, and every step is checked.
+// operation (op, id low, id high, capped-rank limit, weight), and every
+// step is checked.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 5, 0, 1, 0, 17, 15, 0, 0, 0, 1, 0, 0, 1, 0, 0})
 	f.Add([]byte{2, 14, 0, 40, 0, 255, 14, 0, 0, 0, 255, 15, 0, 0, 0, 1})
+	// A horizon set, crossed by a scan's batch, rebuilt for a larger
+	// limit, cut back for a small one, dropped by a rescale.
+	f.Add([]byte{3, 0, 3, 0, 2, 4, 15, 0, 0, 0, 47, 5, 1, 0, 120, 40, 16, 2, 0, 3, 33, 13, 0, 0, 0, 1, 6, 9, 0, 5, 70})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1+5*400 {
 			return
 		}
 		tr, o := New(), oracle{}
 		for i := 0; i < int(data[0]%4)*150; i++ {
-			applyOp(tr, o, uint16(i%9), uint16(i*7), uint8(i*13))
+			applyOp(tr, o, uint16(i%9), uint16(i*7), uint8(i*13), 0)
 		}
 		for step, ops := 0, data[1:]; len(ops) >= 5; step, ops = step+1, ops[5:] {
-			applyOp(tr, o, uint16(ops[0]), uint16(ops[1])|uint16(ops[2])<<8, ops[4])
+			applyOp(tr, o, uint16(ops[0]), uint16(ops[1])|uint16(ops[2])<<8, ops[4], ops[3])
 			checkAgainst(t, tr, o, step)
 		}
 	})
@@ -371,7 +424,7 @@ func TestFromWeightsMatchesUpserts(t *testing.T) {
 		checkAgainst(t, tr, o, n)
 		// The bulk-built blocks, rank and id, take writes like any others.
 		for i := 0; i < 3*maxBlock; i++ {
-			applyOp(tr, o, uint16(rng.Intn(12)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)))
+			applyOp(tr, o, uint16(rng.Intn(12)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)), uint8(rng.Intn(256)))
 		}
 		checkAgainst(t, tr, o, -n)
 	}
@@ -456,4 +509,26 @@ func TestIDTableMemoryIgnoresSpacing(t *testing.T) {
 			t.Fatalf("%s: Rank = %d, %v; Len = %d", name, r, ok, tr.Len())
 		}
 	}
+}
+
+// Ids added in descending order just past a full id block — a range
+// scanned backwards over ids the table has not seen — must fill blocks,
+// not start one per id: each block costs maxBlock slots.
+func TestIDTableDescendingAddsPack(t *testing.T) {
+	tr, o := New(), oracle{}
+	add := func(id uint64) {
+		tr.Add(id, 1, true)
+		o[id]++
+	}
+	for id := uint64(0); id < maxBlock; id++ {
+		add(id)
+	}
+	add(1 << 20)
+	for id := uint64(1<<20 - 1); id >= 1<<20-1000; id-- {
+		add(id)
+	}
+	if n := len(tr.ids.blocks); n > tr.Len()/minBlock {
+		t.Fatalf("%d id blocks for %d ids", n, tr.Len())
+	}
+	checkAgainst(t, tr, o, 0)
 }

@@ -12,10 +12,11 @@
 // search never dereferences a block) and a Fenwick tree of block sizes
 // (the entries ahead of a block). A lookup is two binary searches and a
 // Fenwick prefix sum; an update removes one entry and inserts another
-// with a memmove inside a block each, and allocates only when a block
-// splits. An entry stores its weight as an order-reversing integer key,
-// so (weight, id) compares as one 128-bit number and the searches run
-// without a data-dependent branch.
+// with a memmove inside a block each — or, moving toward rank 1 within
+// its block, shifts the entries in between with one — and allocates only
+// when a block splits. An entry stores its weight as an order-reversing
+// integer key, so (weight, id) compares as one 128-bit number and the
+// searches run without a data-dependent branch.
 //
 // The id side — each tracked id's authoritative weight — is a second set
 // of sorted blocks, ordered by id (idtable.go), so point reads (Weight,
@@ -24,24 +25,46 @@
 // tuples read together are incremented together: they carry the same
 // weight, equal weights tie-break by id, and so their slots are
 // neighbours in the id table and their entries neighbours in rank order.
-// A finger remembers where the last search of its kind ended and is
-// tried first; it is a hint checked against the arrays on every use, so
-// splits, merges, drops, ScaleAll and FromWeights do not maintain it.
+// A finger remembers where the last search of its kind ended, block and
+// offset, and is tried first; it is a hint checked against the arrays on
+// every use, so splits, merges, drops, ScaleAll and FromWeights do not
+// maintain it.
 //
 // A write moves its entry in place (Upsert, Add) or, when Add is told to
 // defer, records the new weight in the id table and leaves the move to
-// the next rank-structure read (Rank, KthID, MaxWeight, Ascend), which
-// applies all queued moves first. Both produce identical results.
-// Deferral stays because it was measured against eager writes on the
-// socket benchmark's scan workload: eager, mean read latency fell 12.9%
-// but the trimmed tail rose 7.2% (behind in all six pairs) — a 1,000-row
-// statement pays its own 1,000 moves instead of leaving them to the next
-// quote — and BenchmarkAdaptiveObserveBatch went from 85 to 101–155 µs,
-// because the idle candidate trackers of adaptive mode (§2.3) are never
-// asked for a rank and, deferred, never move an entry. An id observed
-// twice before the next quote also moves once. Queued moves are applied
-// in arrival order: the index holds no state that depends on the order
-// of operations, so nothing needs a sorted, reproducible drain.
+// the next rank-structure read (Rank, RankUpTo, KthID, MaxWeight,
+// Ascend), which applies all queued moves first. Both produce identical
+// results. Deferral stays because it was measured against eager writes
+// on the socket benchmark's scan workload: eager, mean read latency fell
+// 12.9% but the trimmed tail rose 7.2% (behind in all six pairs) — a
+// 1,000-row statement pays its own 1,000 moves instead of leaving them to
+// the next quote — and BenchmarkAdaptiveObserveBatch went from 85 to
+// 101–155 µs, because the idle candidate trackers of adaptive mode (§2.3)
+// are never asked for a rank and, deferred, never move an entry. An id
+// observed twice before the next quote also moves once. Queued moves are
+// applied in arrival order: the index holds no state that depends on the
+// order of operations, so nothing needs a sorted, reproducible drain.
+//
+// Positions are kept only where a read depends on them. A capped delay
+// policy charges every rank from its cap rank L on the same price, so
+// its read, RankUpTo(id, L), needs the exact rank below L and nothing
+// past it. The first such read sets a horizon: the (weight, id) of the
+// entry at rank horizonKeep·L+1. Entries that sort before it keep their
+// place in the blocks; ids that sort at or after it live in the id table
+// alone, as weights, and a write that starts and ends there stores the
+// weight and nothing else — no queued move, no remove and insert. A write
+// that crosses the horizon inserts into or removes from the blocks. The
+// horizon moves four ways: it is set, and later cut back, by truncating
+// the blocks to their first horizonKeep·L entries once more than
+// horizonCut·L hold positions (fresh increments push ids past an old
+// horizon, so the head grows); it is rebuilt from the id table when
+// fewer than L entries hold positions (L grew with fmax, or the head was
+// deleted); and ScaleAll drops it, giving every id its position back
+// (FromWeights builds without one). Exact reads stay exact: Rank of an id
+// past the horizon counts over the id table, O(Len); KthID and Ascend
+// walk the blocks and then the ids past the horizon, sorted once,
+// O(Len log Len); MaxWeight reads the head. None of them is on a query
+// path.
 package ostree
 
 import (
@@ -61,6 +84,12 @@ const (
 	// minBlock is the length under which a block tries to merge into a
 	// neighbour, which keeps the block count proportional to Len.
 	minBlock = maxBlock / 4
+	// A horizon set for limit L leaves horizonKeep·L entries holding
+	// positions and is cut back to that once more than horizonCut·L do:
+	// a truncation costs O(L) and follows more than 2L crossings, and L
+	// must more than double before a rebuild from the id table is due.
+	horizonKeep = 2
+	horizonCut  = 4
 )
 
 // entry is one (weight, id) pair in rank order: key ascends as the weight
@@ -123,15 +152,29 @@ type Tree struct {
 	last   []entry
 	fen    []int
 	// One finger per kind of search, so a flush's removes (from the old
-	// weights) and inserts (at the new ones) do not pull each other's away:
-	// the block the last search of that kind ended in.
-	rankAt, removeAt, insertAt int
-	ids                        idTable
+	// weights) and inserts (at the new ones) do not pull each other's away.
+	rankAt, removeAt, insertAt finger
+	// npos is how many entries the blocks hold.
+	npos int
+	ids  idTable
 	// queue holds the moves of ids whose authoritative weight (their slot
 	// in ids) has not yet been applied to the blocks, one per id; the slot
 	// says where. flush drains it before any rank-structure read.
 	queue []move
+	// With cut set, only the ids whose (weight, id) sorts before hz hold
+	// an entry in the blocks (or will, once the queue drains); the rest
+	// live in ids alone. resets counts how many times the horizon was
+	// set, cut back, rebuilt or dropped.
+	hz     entry
+	cut    bool
+	resets int64
 }
+
+// finger is where the next search of one kind is expected to end: the
+// block and offset the last one ended at, or the offset after it when a
+// tied neighbour is expected there next. It is a hint that find checks
+// against the arrays before using.
+type finger struct{ b, i int }
 
 // move is one queued move of id: away from the weight its resident entry
 // still carries (resident false when there is none yet). Where to is the
@@ -164,16 +207,21 @@ func FromWeights(ps []Pair) *Tree {
 	}
 	t := New()
 	t.ids.build(ps)
+	sortEntries(es)
 	t.build(es)
 	return t
 }
 
-// build replaces the blocks with es, sorting it first. The blocks are
-// carved out of one slab, each with room to grow to maxBlock.
-func (t *Tree) build(es []entry) {
+func sortEntries(es []entry) {
 	slices.SortFunc(es, func(a, b entry) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
 	})
+}
+
+// build replaces the blocks with es, which must be sorted. The blocks are
+// carved out of one slab, each with room to grow to maxBlock.
+func (t *Tree) build(es []entry) {
+	t.npos = len(es)
 	n := (len(es) + fillBlock - 1) / fillBlock
 	slab := make([]entry, n*maxBlock)
 	t.blocks, t.last = make([][]entry, n), make([]entry, n)
@@ -232,19 +280,25 @@ func (t *Tree) ahead(b int) int {
 // find returns the block and offset of the first entry that does not sort
 // before (key,id) — where the pair is, or where it belongs. A pair past
 // every entry belongs at the end of the final block. There must be a
-// block. The block at finger is tried first, with two compares: it is the
+// block. The finger's block is tried first, with two compares: it is the
 // one when the pair sorts after the block ahead of it and not after its
-// own last entry.
-func (t *Tree) find(key, id uint64, finger *int) (b, i int) {
-	b = *finger
+// own last entry. Then its offset, with two more: the ids of a scan are
+// tied neighbours, removed from one offset and inserted or ranked at
+// successive ones.
+func (t *Tree) find(key, id uint64, f *finger) (b, i int) {
+	b = f.b
 	if b >= len(t.last) || t.last[b].before(key, id) != 0 || b > 0 && t.last[b-1].before(key, id) == 0 {
 		b = countBefore(t.last, key, id)
 		if b == len(t.last) {
 			return b - 1, len(t.blocks[b-1])
 		}
-		*finger = b
 	}
-	return b, countBefore(t.blocks[b], key, id)
+	blk, i := t.blocks[b], f.i
+	if i > len(blk) || i > 0 && blk[i-1].before(key, id) == 0 || i < len(blk) && blk[i].before(key, id) != 0 {
+		i = countBefore(blk, key, id)
+	}
+	f.b, f.i = b, i
+	return b, i
 }
 
 func (t *Tree) insert(w float64, id uint64) {
@@ -272,6 +326,8 @@ func (t *Tree) insert(w float64, id uint64) {
 	t.blocks[b] = blk
 	t.last[b] = blk[len(blk)-1]
 	t.fenAdd(b, 1)
+	t.npos++
+	t.insertAt = finger{b, i + 1}
 }
 
 func (t *Tree) remove(w float64, id uint64) {
@@ -284,6 +340,7 @@ func (t *Tree) remove(w float64, id uint64) {
 	blk = blk[:i+copy(blk[i:], blk[i+1:])]
 	t.blocks[b] = blk
 	t.fenAdd(b, -1)
+	t.npos--
 	if len(blk) == 0 {
 		t.drop(b)
 		return
@@ -338,24 +395,62 @@ func (t *Tree) slot(id uint64) (s *slot, fresh bool) {
 }
 
 // move gives s the weight w and carries its entry along: now, or queued
-// when deferred. A fresh slot has no entry yet.
+// when deferred. A fresh slot has no entry yet, and neither has a slot
+// past the horizon.
 func (t *Tree) move(s *slot, fresh bool, w float64, deferred bool) {
 	if !fresh && s.weight == w {
 		return
 	}
 	old := s.weight
 	s.weight = w
+	if s.queued != 0 {
+		return // the queued move picks w up when it drains
+	}
+	was, now := !fresh && t.positioned(old, s.id), t.positioned(w, s.id)
 	switch {
-	case s.queued != 0: // the queued move picks w up when it drains
+	case !was && !now: // past the horizon before and after: the slot is all
 	case deferred:
-		t.queue = append(t.queue, move{id: s.id, from: old, resident: !fresh})
+		t.queue = append(t.queue, move{id: s.id, from: old, resident: was})
 		s.queued = uint32(len(t.queue))
 	default:
-		if !fresh {
-			t.remove(old, s.id)
-		}
-		t.insert(w, s.id)
+		t.relocate(old, w, s.id, was, now)
 	}
+}
+
+// relocate carries id's entry from weight from (when it has one there)
+// to weight to (when it gets one). A move toward rank 1 whose new place
+// is in the same block — a tracker's moves are toward rank 1, and on
+// scan_mixed 58% of those past a flush stay in their block — shifts the
+// entries in between by one instead of a remove and an insert.
+func (t *Tree) relocate(from, to float64, id uint64, resident, positioned bool) {
+	if resident && positioned {
+		old, e := entry{keyOf(from), id}, entry{keyOf(to), id}
+		b, i := t.find(old.key, id, &t.removeAt)
+		if blk := t.blocks[b]; i < len(blk) && blk[i] == old && e.before(old.key, id) != 0 {
+			j := 0
+			if i > 0 {
+				j = countBefore(blk[:i], e.key, id)
+			}
+			if j > 0 || b == 0 || t.last[b-1].before(e.key, id) != 0 {
+				copy(blk[j+1:i+1], blk[j:i])
+				blk[j] = e
+				t.last[b] = blk[len(blk)-1]
+				return
+			}
+		}
+	}
+	if resident {
+		t.remove(from, id)
+	}
+	if positioned {
+		t.insert(to, id)
+	}
+}
+
+// positioned reports whether an id of weight w sorts before the horizon,
+// and so holds an entry in the blocks once the queue has drained.
+func (t *Tree) positioned(w float64, id uint64) bool {
+	return !t.cut || entry{keyOf(w), id}.before(t.hz.key, t.hz.id) != 0
 }
 
 // Delete removes id if present and reports whether it was found.
@@ -365,7 +460,7 @@ func (t *Tree) Delete(id uint64) bool {
 		return false
 	}
 	s := t.ids.blocks[b][i]
-	w, resident := s.weight, true
+	w, resident := s.weight, t.positioned(s.weight, id)
 	if s.queued != 0 {
 		k, last := int(s.queued-1), len(t.queue)-1
 		w, resident = t.queue[k].from, t.queue[k].resident
@@ -384,15 +479,13 @@ func (t *Tree) Delete(id uint64) bool {
 }
 
 // flush applies deferred writes to the blocks, in arrival order: a
-// scan's moves walk the id table in step with the queue.
+// scan's moves walk the id table in step with the queue. A move whose
+// slot now sorts past the horizon only leaves the blocks.
 func (t *Tree) flush() {
 	for _, m := range t.queue {
 		s := t.ids.get(m.id)
 		s.queued = 0
-		if m.resident {
-			t.remove(m.from, m.id)
-		}
-		t.insert(s.weight, m.id)
+		t.relocate(m.from, s.weight, m.id, m.resident, t.positioned(s.weight, m.id))
 	}
 	t.queue = t.queue[:0]
 }
@@ -400,7 +493,7 @@ func (t *Tree) flush() {
 // Rank returns the 1-based rank of id (rank 1 = greatest weight) and
 // whether id is present. Absent ids report rank Len()+1: they sort after
 // everything tracked, which is exactly how the delay policy treats a
-// never-accessed tuple.
+// never-accessed tuple. Past the horizon the rank is counted, O(Len).
 func (t *Tree) Rank(id uint64) (int, bool) {
 	s := t.ids.get(id)
 	if s == nil {
@@ -408,9 +501,116 @@ func (t *Tree) Rank(id uint64) (int, bool) {
 	}
 	w := s.weight
 	t.flush()
+	if !t.positioned(w, id) {
+		r, e := 1, entry{keyOf(w), id}
+		for _, blk := range t.ids.blocks {
+			for _, o := range blk {
+				r += int(entry{keyOf(o.weight), o.id}.before(e.key, e.id))
+			}
+		}
+		return r, true
+	}
 	b, i := t.find(keyOf(w), id, &t.rankAt)
+	t.rankAt.i++
 	return t.ahead(b) + i + 1, true
 }
+
+// RankUpTo returns min(Rank(id), limit) and whether id is present; an
+// absent id reports Len()+1, as Rank does. It is the read of a policy
+// that prices every rank from limit on alike, and it keeps positions for
+// the first horizonKeep·limit ids only (see the package doc), so past the
+// horizon it costs no more than the id lookup. limit is taken to be at
+// least 1 and at most Len()+1.
+func (t *Tree) RankUpTo(id uint64, limit int) (int, bool) {
+	s := t.ids.get(id)
+	if s == nil {
+		return t.Len() + 1, false
+	}
+	w := s.weight
+	limit = t.fit(limit)
+	if !t.positioned(w, id) {
+		return limit, true // ranked after every positioned id, of which there are at least limit
+	}
+	b, i := t.find(keyOf(w), id, &t.rankAt)
+	t.rankAt.i++
+	return min(t.ahead(b)+i+1, limit), true
+}
+
+// fit applies the queued moves and then moves the horizon, if it must,
+// so that at least limit ids hold positions and at most horizonCut·limit
+// do. It returns limit clamped to 1..Len()+1.
+func (t *Tree) fit(limit int) int {
+	limit = min(max(limit, 1), t.Len()+1)
+	t.flush()
+	switch {
+	case t.cut && t.npos < limit:
+		t.setHorizon(t.byRank(true), horizonKeep*limit)
+	case t.npos > horizonCut*limit:
+		t.cutBack(horizonKeep * limit)
+	}
+	return limit
+}
+
+// cutBack truncates the blocks, which hold more than keep entries, to
+// their first keep: they are rebuilt into a fresh slab and the rest are
+// left to the id table.
+func (t *Tree) cutBack(keep int) {
+	es := make([]entry, 0, keep+maxBlock)
+	for _, blk := range t.blocks {
+		if len(es) > keep {
+			break
+		}
+		es = append(es, blk...)
+	}
+	t.setHorizon(es, keep)
+}
+
+// setHorizon builds the blocks from the first keep of the sorted es and
+// puts the horizon at the entry after them; without one, there is none.
+// The queue must be empty.
+func (t *Tree) setHorizon(es []entry, keep int) {
+	t.cut = len(es) > keep
+	if t.cut {
+		t.hz, es = es[keep], es[:keep]
+	}
+	t.build(es)
+	t.resets++
+}
+
+// byRank returns the id table's ids as entries in rank order, sorted
+// afresh, O(Len log Len): all of them, or only those past the horizon.
+func (t *Tree) byRank(all bool) []entry {
+	var es []entry
+	for _, blk := range t.ids.blocks {
+		for _, s := range blk {
+			if all || !t.positioned(s.weight, s.id) {
+				es = append(es, entry{keyOf(s.weight), s.id})
+			}
+		}
+	}
+	sortEntries(es)
+	return es
+}
+
+// past returns the ids past the horizon in rank order: the tail of the
+// exact reads that walk beyond the blocks.
+func (t *Tree) past() []entry {
+	if !t.cut {
+		return nil
+	}
+	return t.byRank(false)
+}
+
+// Ranked returns how many ids hold a position in the blocks: Len() until
+// RankUpTo sets a horizon.
+func (t *Tree) Ranked() int {
+	t.flush()
+	return t.npos
+}
+
+// HorizonResets returns how many times the horizon was set, cut back,
+// rebuilt or dropped.
+func (t *Tree) HorizonResets() int64 { return t.resets }
 
 // KthID returns the id at rank k (1-based) and whether k is in range.
 func (t *Tree) KthID(k int) (uint64, bool) {
@@ -418,6 +618,9 @@ func (t *Tree) KthID(k int) (uint64, bool) {
 		return 0, false
 	}
 	t.flush()
+	if k > t.npos {
+		return t.past()[k-t.npos-1].id, true
+	}
 	// Fenwick descent: the last block with at most k-1 entries ahead.
 	b, rest, n := 0, k-1, len(t.blocks)
 	step := 1
@@ -438,14 +641,21 @@ func (t *Tree) KthID(k int) (uint64, bool) {
 func (t *Tree) Ascend(fn func(rank int, id uint64, weight float64) bool) {
 	t.flush()
 	rank := 0
-	for _, blk := range t.blocks {
-		for _, e := range blk {
+	walk := func(es []entry) bool {
+		for _, e := range es {
 			rank++
 			if !fn(rank, e.id, weightOf(e.key)) {
-				return
+				return false
 			}
 		}
+		return true
 	}
+	for _, blk := range t.blocks {
+		if !walk(blk) {
+			return
+		}
+	}
+	walk(t.past())
 }
 
 // ScaleAll multiplies every weight by f (> 0). It is used when the
@@ -453,15 +663,23 @@ func (t *Tree) Ascend(fn func(rank int, id uint64, weight float64) bool) {
 // keeps the order of distinct weights but can round two of them to the
 // same value, whose tie must then break by id: the same O(n) pass that
 // scales notices an out-of-order neighbour, and only then are the
-// entries sorted again.
+// entries sorted again. A horizon is dropped: every id gets its position
+// back, rebuilt from the scaled id table.
 func (t *Tree) ScaleAll(f float64) {
 	if f <= 0 {
 		panic("ostree: non-positive scale")
+	}
+	if t.cut {
+		t.flush()
 	}
 	for _, blk := range t.ids.blocks {
 		for i := range blk {
 			blk[i].weight *= f
 		}
+	}
+	if t.cut {
+		t.setHorizon(t.byRank(true), t.Len())
+		return
 	}
 	// Queued moves scale at both ends: the slots above and the weight the
 	// resident entry carries, like the resident entries below.
@@ -481,15 +699,22 @@ func (t *Tree) ScaleAll(f float64) {
 		t.last[b] = prev
 	}
 	if !sorted {
-		t.build(slices.Concat(t.blocks...))
+		es := slices.Concat(t.blocks...)
+		sortEntries(es)
+		t.build(es)
 	}
 }
 
 // MaxWeight returns the greatest weight in the tree (0, false if empty).
 func (t *Tree) MaxWeight() (float64, bool) {
 	t.flush()
-	if len(t.blocks) == 0 {
-		return 0, false
+	switch {
+	case t.npos > 0:
+		return weightOf(t.blocks[0][0].key), true
+	case t.Len() > 0:
+		// Every position was deleted from under the horizon; the next
+		// RankUpTo rebuilds them.
+		return weightOf(t.past()[0].key), true
 	}
-	return weightOf(t.blocks[0][0].key), true
+	return 0, false
 }

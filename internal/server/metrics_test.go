@@ -53,8 +53,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if last["le"].(string) != "+Inf" || last["count"].(float64) != 1 {
 		t.Fatalf("+Inf bucket = %v", last)
 	}
-	if _, ok := m["shield_tracker_size"]; !ok {
-		t.Fatal("tracker size gauge missing")
+	for _, key := range []string{"shield_tracker_size", "shield_tracker_ranked", "shield_tracker_horizon_resets_total"} {
+		if _, ok := m[key]; !ok {
+			t.Fatalf("%s missing from /metrics", key)
+		}
 	}
 
 	// The raw endpoint is JSON.
