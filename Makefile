@@ -61,9 +61,10 @@ bench-shield:
 	./scripts/bench.sh
 
 # Storage-layer benchmark run: striped pool vs the single-latch baseline,
-# point-query and scan throughput at 1/4/16 goroutines, the mixed
-# read/write suite, and the WAL commit path with the group-commit window
-# off vs on; writes BENCH_engine.json (benchmark name -> ns/op).
+# point-query and scan throughput at 1/4/16 goroutines, a key-only range
+# COUNT next to SELECT * over the same ranges, the mixed read/write
+# suite, and the WAL commit path with the group-commit window off vs on;
+# writes BENCH_engine.json (benchmark name -> ns/op).
 bench-engine:
 	BENCH_SUITE=engine ./scripts/bench.sh
 
@@ -80,22 +81,24 @@ bench-cluster:
 
 # Short measured run of all suites, on the base commit (BENCH_BASE,
 # default HEAD, checked out into a temp worktree) and on the working tree
-# in the same sitting, as three alternating rounds of one pass per side,
-# the two compared by scripts/benchcmp: fails on
-# a >20% per-key regression or a broken shape invariant (point-query
-# scaling, the rank index's horizon paying, the detector's clustering
-# sweep staying under half its pairwise oracle, grouped WAL commit
-# beating per-commit fsyncs, mixed read/write throughput scaling with
-# clients, cluster router tax over direct shard access staying within its
-# recorded ratio, the scatter merge over spans staying under half of
-# decoding every cell). The fsync-bound engine keys are held to their
-# shape only — their ns/op is the disk's, not the code's (see bench.sh).
-# The short benchtime keeps it CI-sized; -count=3 with min-of-N
-# extraction (see bench.sh) keeps single-run scheduler noise from
-# tripping the gate; the committed BENCH_*.json files stay untouched. CI
-# runs this with BENCH_BASE set to the pull request's base.
+# in the same sitting, as five alternating rounds of one pass per side,
+# the two compared by scripts/benchcmp: fails on a key whose median
+# regressed >20% with every tree round slower than every base round, or
+# on a broken shape invariant judged on medians (point-query scaling,
+# the rank index's horizon paying, a key-only range COUNT skipping the
+# heap, the detector's clustering sweep staying under half its pairwise
+# oracle, grouped WAL commit beating per-commit fsyncs, mixed read/write
+# throughput scaling with clients, cluster router tax over direct shard
+# access staying within its recorded ratio, the scatter merge over spans
+# staying under half of decoding every cell). The fsync-bound engine keys
+# are held to their shape only — their ns/op is the disk's, not the
+# code's (see bench.sh). The short benchtime keeps it CI-sized; five
+# rounds and the no-overlap rule (see bench.sh) keep one process's
+# scheduler noise from tripping the gate; the committed BENCH_*.json
+# files stay untouched. CI runs this with BENCH_BASE set to the pull
+# request's base.
 bench-smoke:
-	BENCH_SUITE=all BENCH_ARGS="-benchtime=0.25s -count=3" BENCH_CHECK=1 ./scripts/bench.sh
+	BENCH_SUITE=all BENCH_ARGS="-benchtime=0.25s -count=5" BENCH_CHECK=1 ./scripts/bench.sh
 
 # The socket-level latency ledger (bench/, BENCHMARK.json) in smoke mode:
 # every workload, untraced and traced, over real loopback TCP with 1 s

@@ -320,7 +320,8 @@ func TestLargeTableSpillsPool(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, '%s')`, i, pad))
 	}
 	for i := 0; i < 200; i += 17 {
-		sel := mustExec(t, db, fmt.Sprintf(`SELECT id FROM t WHERE id = %d`, i))
+		// pad, not id alone: a key-only read answers from the index.
+		sel := mustExec(t, db, fmt.Sprintf(`SELECT id, pad FROM t WHERE id = %d`, i))
 		if len(sel.Rows) != 1 {
 			t.Fatalf("row %d missing", i)
 		}
@@ -333,8 +334,9 @@ func TestLargeTableSpillsPool(t *testing.T) {
 
 func TestDropCachesForcesColdReads(t *testing.T) {
 	db := testDB(t)
-	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
+	// v, not id alone: a key-only read answers from the index.
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 1)`)
 	mustExec(t, db, `SELECT * FROM t WHERE id = 1`)
 	_, missesBefore, _ := db.PoolStats()
 	if err := db.DropCaches(); err != nil {

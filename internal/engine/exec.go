@@ -188,17 +188,33 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if s.Explain {
+	explain := func(need []bool) *Result {
 		t.idxMu.RLock()
 		p := choosePlanBound(t, conj)
 		t.idxMu.RUnlock()
 		return &Result{
 			Columns: []string{"plan"},
-			Rows:    []catalog.Row{{catalog.TextValue(p.Describe(t))}},
-		}, nil
+			Rows:    []catalog.Row{{catalog.TextValue(p.Describe(t, need))}},
+		}
 	}
 	if len(s.Aggregates) > 0 {
-		return db.execAggregate(t, s, conj)
+		accs, cols, err := newAggAccums(t, s.Aggregates)
+		if err != nil {
+			return nil, err
+		}
+		// Decode mask: the key, the filter columns, and the aggregated
+		// columns; COUNT(*) aggregates contribute nothing.
+		var aggCols []int
+		for i := range accs {
+			if accs[i].col >= 0 {
+				aggCols = append(aggCols, accs[i].col)
+			}
+		}
+		need := needMask(t.schema, aggCols, conj, -1)
+		if s.Explain {
+			return explain(need), nil
+		}
+		return db.execAggregate(t, s, conj, accs, cols, need)
 	}
 	proj, err := projection(t.schema, s.Columns)
 	if err != nil {
@@ -220,6 +236,9 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result,
 		spec.orderDesc = s.Order.Desc
 	}
 	spec.need = needMask(t.schema, proj, conj, spec.orderCol)
+	if s.Explain {
+		return explain(spec.need), nil
+	}
 	return db.execSelectSpec(t, &spec)
 }
 
@@ -401,12 +420,10 @@ func newAggAccums(t *table, aggs []sqlmini.Aggregate) ([]aggAccum, []string, err
 // multiple simple queries" (§2.1), so an adversary cannot cheaply walk
 // the database through SUMs. Full scans fan out across the parallel
 // executor, each worker folding rows into private accumulators that are
-// merged in page order. Callers hold the table read lock.
-func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj) (*Result, error) {
-	accs, cols, err := newAggAccums(t, s.Aggregates)
-	if err != nil {
-		return nil, err
-	}
+// merged in page order. accs, cols and need are newAggAccums' accumulators
+// and column names and the statement's decode mask. Callers hold the
+// table read lock.
+func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj, accs []aggAccum, cols []string, need []bool) (*Result, error) {
 	res := &Result{Columns: cols}
 	if s.Limit == 0 {
 		// LIMIT 0 withholds the summary row, and with it every tuple
@@ -414,29 +431,10 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj)
 		return res, nil
 	}
 
-	// Decode mask: the key, the filter columns, and the aggregated
-	// columns; COUNT(*) aggregates contribute nothing.
-	need := make([]bool, len(t.schema.Columns))
-	need[t.schema.Key] = true
-	for i := range conj {
-		need[conj[i].col] = true
-	}
-	for i := range accs {
-		if accs[i].col >= 0 {
-			need[accs[i].col] = true
-		}
-	}
-	full := true
-	for _, b := range need {
-		full = full && b
-	}
-	if full {
-		need = nil
-	}
-
 	t.idxMu.RLock()
 	p := choosePlanBound(t, conj)
 	t.idxMu.RUnlock()
+	var err error
 	if w := db.scanWorkersFor(t); p.kind == planFullScan && w > 1 {
 		snap := t.pool.BeginSnapshot()
 		err = db.parallelAggregate(t, conj, need, w, snap, accs, res)

@@ -42,18 +42,31 @@ func TestExplainPlans(t *testing.T) {
 	cases := []struct {
 		sql  string
 		want string
+		only bool // the plan ends in "(index only)"
 	}{
-		{`EXPLAIN SELECT * FROM t WHERE id = 5`, "primary key point lookup"},
-		{`EXPLAIN SELECT * FROM t WHERE id >= 3 AND id < 9`, "primary key range scan"},
-		{`EXPLAIN SELECT * FROM t WHERE city = 'c1'`, "secondary index"},
-		{`EXPLAIN SELECT * FROM t WHERE v = 4`, "full table scan"},
-		{`EXPLAIN SELECT * FROM t`, "full table scan"},
-		{`EXPLAIN SELECT * FROM t WHERE id = 1 AND id = 2`, "no-op"},
+		{`EXPLAIN SELECT * FROM t WHERE id = 5`, "primary key point lookup", false},
+		{`EXPLAIN SELECT * FROM t WHERE id >= 3 AND id < 9`, "primary key range scan", false},
+		{`EXPLAIN SELECT * FROM t WHERE city = 'c1'`, "secondary index", false},
+		{`EXPLAIN SELECT * FROM t WHERE v = 4`, "full table scan", false},
+		{`EXPLAIN SELECT * FROM t`, "full table scan", false},
+		{`EXPLAIN SELECT * FROM t WHERE id = 1 AND id = 2`, "no-op", false},
+		{`EXPLAIN SELECT COUNT(*) FROM t WHERE id BETWEEN 3 AND 9`, "primary key range scan", true},
+		{`EXPLAIN SELECT COUNT(*) FROM t WHERE id >= 3 AND v = 4`, "primary key range scan", false},
+		{`EXPLAIN SELECT COUNT(*) FROM t`, "full table scan", false},
+		{`EXPLAIN SELECT COUNT(*) FROM t WHERE city = 'c1'`, "secondary index", false},
+		{`EXPLAIN SELECT id FROM t WHERE id = 5`, "primary key point lookup", true},
+		{`EXPLAIN SELECT id FROM t WHERE id < 9 ORDER BY id DESC LIMIT 2`, "primary key range scan", true},
+		{`EXPLAIN SELECT id FROM t WHERE id < 9 ORDER BY v`, "primary key range scan", false},
+		{`EXPLAIN SELECT MAX(id), SUM(id) FROM t WHERE id > 2`, "primary key range scan", true},
+		{`EXPLAIN SELECT MAX(v) FROM t WHERE id > 2`, "primary key range scan", false},
 	}
 	for _, c := range cases {
 		got := explain(t, db, c.sql)
 		if !strings.Contains(got, c.want) {
 			t.Errorf("%s\n  plan %q does not mention %q", c.sql, got, c.want)
+		}
+		if only := strings.HasSuffix(got, " (index only)"); only != c.only {
+			t.Errorf("%s\n  plan %q: index only %v, want %v", c.sql, got, only, c.only)
 		}
 	}
 }

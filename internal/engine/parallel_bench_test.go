@@ -190,6 +190,30 @@ func BenchmarkEngineScanColdIO(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineRange times primary-key range reads of 1,000 keys on a
+// heap 28 times the pool, so most of a range's pages miss: count is
+// COUNT(*), a key-only statement the primary index answers without a
+// page; rows is SELECT * over the same ranges, which reads and decodes
+// every row, resolving its page.
+func BenchmarkEngineRange(b *testing.B) {
+	const rows, span = 20000, 1000
+	db := benchEngine(b, rows, WithPoolPages(16))
+	for _, c := range []struct{ name, sel string }{{"count", "COUNT(*)"}, {"rows", "*"}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := (i * 7919) % (rows - span)
+				res, err := db.Exec(fmt.Sprintf(`SELECT %s FROM wide WHERE id BETWEEN %d AND %d`, c.sel, lo, lo+span-1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Keys) != span {
+					b.Fatalf("%s: %d keys, want %d", c.sel, len(res.Keys), span)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineMixedReadWrite measures point reads competing with a
 // writer goroutine issuing UPDATEs — the reader/writer table lock lets
 // reads share while writes serialize.

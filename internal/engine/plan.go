@@ -69,14 +69,20 @@ type queryPlan struct {
 	secRIDs []storage.RID
 }
 
-// Describe renders the plan for EXPLAIN output.
-func (p queryPlan) Describe(t *table) string {
+// Describe renders the plan for EXPLAIN output; need is the statement's
+// decode mask, which marks a primary-key plan "(index only)" when the
+// statement reads nothing but the key.
+func (p queryPlan) Describe(t *table, need []bool) string {
 	keyCol := t.schema.Columns[t.schema.Key].Name
+	only := ""
+	if keyOnly(t.schema, need) {
+		only = " (index only)"
+	}
 	switch p.kind {
 	case planImpossible:
 		return "no-op (contradictory equality predicates)"
 	case planPKPoint:
-		return fmt.Sprintf("primary key point lookup on %q = %d", keyCol, p.eq)
+		return fmt.Sprintf("primary key point lookup on %q = %d%s", keyCol, p.eq, only)
 	case planPKRange:
 		lo, hi := "-inf", "+inf"
 		if p.hasLo {
@@ -85,7 +91,7 @@ func (p queryPlan) Describe(t *table) string {
 		if p.hasHi {
 			hi = fmt.Sprintf("%d", p.hi)
 		}
-		return fmt.Sprintf("primary key range scan on %q in [%s, %s]", keyCol, lo, hi)
+		return fmt.Sprintf("primary key range scan on %q in [%s, %s]%s", keyCol, lo, hi, only)
 	case planSecondaryEq:
 		return fmt.Sprintf("secondary index %q equality on %q (%d candidate rows)",
 			p.sec.def.Name, p.sec.def.Column, len(p.secRIDs))
@@ -179,6 +185,23 @@ type rowScratch struct{ row catalog.Row }
 
 var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
+// keyOnly reports whether a statement whose decode mask is need reads
+// nothing but the primary key: every conjunct, aggregate, projected and
+// ORDER BY column is the key. The primary index then answers it alone.
+// A nil mask means every column, which is the key alone only on a table
+// that has no other column.
+func keyOnly(schema catalog.Schema, need []bool) bool {
+	if need == nil {
+		return len(schema.Columns) == 1
+	}
+	for i, b := range need {
+		if b && i != schema.Key {
+			return false
+		}
+	}
+	return true
+}
+
 // planAndScanBound picks an access path for the resolved conjuncts and
 // streams matching rows to fn. fn returns (continue, error); scanning
 // stops on either signal. need, when non-nil, is the decode mask (see
@@ -192,6 +215,26 @@ var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 // Point lookups read optimistically at the current epoch without
 // registering (no shared mutable state on the hot path) and retry once
 // with a registered snapshot if version pruning got there first.
+//
+// A key-only statement (keyOnly(need)) on the primary-key point and
+// range paths never reads the heap: each row comes from the index entry
+// (key, rid). That is the snapshot's answer because the index is the
+// snapshot. The range path holds idxMu shared for its whole traversal,
+// the point path reads pk.Get under it, and every commit publishes its
+// page versions and applies its index changes together under idxMu
+// exclusive. So while the lock is held no statement can be half
+// applied: every entry seen is a row visible at the current epoch, with
+// that key, at that rid, and every row visible there has its entry.
+// Nothing can be pruned from under an index entry, so a key-only point
+// read needs no optimistic retry. The row handed to fn holds
+// IntValue(key) in the key column and the zero Value of its type in
+// every other; the mask says nobody reads them. UPDATE and DELETE pass
+// need = nil, which is key-only only on a table whose one column is the
+// key, and there the (rid, key) they collect is exactly the index entry:
+// lockRow revalidates each against its latched page either way. Full
+// scans stay on the heap (their row order is page order, which decides
+// a LIMIT without ORDER BY), and so does the secondary-equality path,
+// whose RIDs carry no key.
 //
 // Rows passed to fn are only valid for the duration of the call: the
 // scan paths decode into reused scratch buffers. Callers that retain
@@ -246,33 +289,63 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 
 	sc := rowScratchPool.Get().(*rowScratch)
 	defer rowScratchPool.Put(sc)
+	emit := func(rid storage.RID, row catalog.Row) (cont bool, err error) {
+		ok, err := matchesBound(row, conj)
+		if err != nil || !ok {
+			return true, err
+		}
+		return fn(rid, row)
+	}
+	// emitAt reads rid's record as of snapshot snap; vis=false means its
+	// page has no version visible there. The record aliases an immutable
+	// published page version, valid while the snapshot is registered.
 	emitAt := func(rid storage.RID, snap uint64) (vis, cont bool, err error) {
-		var row catalog.Row
-		vis, err = t.heap.ViewAt(rid, snap, func(rec []byte) error {
-			var derr error
-			row, derr = catalog.DecodeRowInto(t.schema, rec, sc.row[:0], need)
-			return derr
-		})
+		pg, vis, err := t.pool.FetchAt(rid.Page, snap)
 		if err != nil || !vis {
 			return vis, true, err
 		}
-		sc.row = row
-		ok, err := matchesBound(row, conj)
-		if err != nil || !ok {
-			return true, true, err
+		rec, err := pg.Record(rid.Slot)
+		if err != nil {
+			return true, false, fmt.Errorf("engine: reading row %v: %w", rid, err)
 		}
-		cont, err = fn(rid, row)
+		row, err := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], need)
+		if err != nil {
+			return true, false, err
+		}
+		sc.row = row
+		cont, err = emit(rid, row)
 		return true, cont, err
+	}
+	// The key-only row: built once, its key column set per index entry.
+	var keyRow catalog.Row
+	if (p.kind == planPKPoint || p.kind == planPKRange) && keyOnly(t.schema, need) {
+		keyRow = sc.row[:0]
+		for _, c := range t.schema.Columns {
+			keyRow = append(keyRow, catalog.Value{Type: c.Type})
+		}
+		sc.row = keyRow
+	}
+	emitKey := func(key int64, rid storage.RID) (cont bool, err error) {
+		keyRow[t.schema.Key] = catalog.IntValue(key)
+		return emit(rid, keyRow)
 	}
 
 	switch p.kind {
 	case planPKPoint:
+		rid, found := t.pk.Get(p.eq)
+		if keyRow != nil {
+			t.idxMu.RUnlock()
+			if !found {
+				return nil
+			}
+			_, err := emitKey(p.eq, rid)
+			return err
+		}
 		// Optimistic: (rid, epoch) captured together under idxMu are
 		// mutually consistent, and the row a committed index entry points
 		// at is live at that epoch. The only way the read comes back
 		// invisible is the unregistered version having been pruned —
 		// retry once with a registered snapshot, re-reading the index.
-		rid, found := t.pk.Get(p.eq)
 		snap := t.pool.Epoch()
 		t.idxMu.RUnlock()
 		if !found {
@@ -313,10 +386,14 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 	default: // planPKRange
 		// The B+tree traversal itself needs the index lock, so the range
 		// path holds it shared for the duration of the scan; commits
-		// queue behind it only for their (short) index-apply section.
-		snap := t.pool.BeginSnapshot()
-		defer t.pool.EndSnapshot(snap)
+		// queue behind it only for their (short) index-apply section. A
+		// key-only traversal reads no page and registers no snapshot.
 		defer t.idxMu.RUnlock()
+		var snap uint64
+		if keyRow == nil {
+			snap = t.pool.BeginSnapshot()
+			defer t.pool.EndSnapshot(snap)
+		}
 		var lop, hip *int64
 		if p.hasLo {
 			lop = &p.lo
@@ -326,7 +403,13 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 		}
 		var scanErr error
 		t.pk.AscendRange(lop, hip, func(key int64, rid storage.RID) bool {
-			_, cont, err := emitAt(rid, snap)
+			var cont bool
+			var err error
+			if keyRow != nil {
+				cont, err = emitKey(key, rid)
+			} else {
+				_, cont, err = emitAt(rid, snap)
+			}
 			if err != nil {
 				scanErr = err
 				return false

@@ -117,22 +117,6 @@ func (h *HeapFile) DeleteW(ws *WriteSet, rid RID) error {
 	return nil
 }
 
-// ViewAt calls fn with the record at rid as of snapshot epoch snap.
-// ok=false (fn not called) means the page has no version visible
-// at the snapshot. The slice passed to fn aliases an immutable
-// published page version, valid while the snapshot is registered.
-func (h *HeapFile) ViewAt(rid RID, snap uint64, fn func(rec []byte) error) (ok bool, err error) {
-	pg, vis, err := h.pool.FetchAt(rid.Page, snap)
-	if err != nil || !vis {
-		return false, err
-	}
-	rec, rerr := pg.Record(rid.Slot)
-	if rerr != nil {
-		return false, fmt.Errorf("storage: get %v: %w", rid, rerr)
-	}
-	return true, fn(rec)
-}
-
 // ScanPageAt is ScanPage against a snapshot epoch. Pages invisible at
 // the snapshot scan as empty.
 func (h *HeapFile) ScanPageAt(id PageID, snap uint64, fn func(rid RID, rec []byte) bool) (cont bool, err error) {

@@ -62,14 +62,15 @@ func (h heapT) Delete(rid RID) error {
 }
 
 func (h heapT) Get(rid RID) (out []byte, err error) {
-	ok, err := h.ViewAt(rid, h.pool.Epoch(), func(rec []byte) error {
-		out = append([]byte(nil), rec...)
-		return nil
-	})
-	if err == nil && !ok {
-		err = fmt.Errorf("page %d invisible", rid.Page)
+	pg, ok, err := h.pool.FetchAt(rid.Page, h.pool.Epoch())
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	if !ok {
+		return nil, fmt.Errorf("page %d invisible", rid.Page)
+	}
+	rec, err := pg.Record(rid.Slot)
+	return append([]byte(nil), rec...), err
 }
 
 func (h heapT) Scan(fn func(rid RID, rec []byte) bool) error {

@@ -14,10 +14,9 @@
 #
 #   BENCH_SUITE  suite to run (default: shield)
 #   BENCH_ARGS   go test bench flags (default: -benchtime=2s -count=3;
-#                with -count>1 each key records the MINIMUM ns/op across
-#                repetitions — min-of-N is far less noisy than any single
-#                run on a shared host, so both the committed baselines
-#                and check-mode runs use it)
+#                with -count>1 each key of a written BENCH_*.json records
+#                the MINIMUM ns/op across repetitions — min-of-N is far
+#                less noisy than any single run on a shared host)
 #   BENCH_OUT    output path override (single suite only)
 #   BENCH_CHECK  1 = write no BENCH_*.json; instead run each suite on
 #                BENCH_BASE (checked out with git worktree into a temp
@@ -25,20 +24,26 @@
 #                rounds where R is BENCH_ARGS' -count=R: each round is one
 #                -count=1 pass on each side, the side that goes first
 #                alternating by round, so a drift of the host between
-#                sittings lands on both sides alike. Each side keeps its
-#                per-key minimum over its rounds, and the two are
-#                compared with scripts/benchcmp; once every suite has
-#                run, exit nonzero on a >BENCH_TOL% per-key
-#                regression or a broken shape invariant (point queries
-#                must scale to g=16, a capped scan quote must cost under
-#                half an uncapped one, the
-#                detector's sweep must take under half its pairwise
-#                oracle's time, the scatter merge over spans under half
-#                its decode-everything oracle's). Both runs share the
-#                host and the sitting, so no calibration between them is
-#                needed; the committed BENCH_*.json files stay the record
-#                that non-check mode writes. Keys whose ns/op is an fsync
-#                are held to their invariants only (see engine_shape).
+#                sittings lands on both sides alike. Each side keeps
+#                every round's ns/op per key, and the two are compared
+#                with scripts/benchcmp: a key is red only when the
+#                tree's median is worse than the base's by more than
+#                BENCH_TOL% AND every tree round is slower than every
+#                base round (a single go test process moves a key by
+#                20-45% on a shared host; only rounds that do not
+#                overlap say the code moved it). Once every suite has
+#                run, exit nonzero on a red key or on a broken shape
+#                invariant, judged on the tree's per-key medians: point
+#                queries must scale to g=16, a capped scan quote must
+#                cost under half an uncapped one, a key-only range COUNT
+#                under 0.3 of the same ranges' rows, the detector's sweep
+#                under half its pairwise oracle's time, the scatter merge
+#                over spans under half its decode-everything oracle's.
+#                Both runs share the host and the sitting, so no
+#                calibration between them is needed; the committed
+#                BENCH_*.json files stay the record that non-check mode
+#                writes. Keys whose ns/op is an fsync are held to their
+#                invariants only (see engine_shape).
 #   BENCH_BASE   the commit check mode compares against (default: HEAD)
 #   BENCH_TOL    allowed per-key regression percent in check mode
 #                (default: 20)
@@ -61,28 +66,33 @@ fi
 
 # bench_lines runs the benchmarks matching $2 in the remaining packages
 # of the current directory's tree with the go test flags $1, and prints
-# the output on stdout and stderr alike.
+# the output on stdout and stderr alike. tee appends: with stderr sent to
+# a file, a truncating open per call would keep only the last suite.
 bench_lines() {
 	flags="$1"; pattern="$2"; shift 2
 	# shellcheck disable=SC2086  # $flags is intentionally word-split
-	go test -run '^$' -bench "$pattern" $flags "$@" | tee /dev/stderr
+	go test -run '^$' -bench "$pattern" $flags "$@" | tee -a /dev/stderr
 }
 
 # to_json reads benchmark lines and prints a flat JSON object of
-# benchmark name -> ns/op; a key seen more than once keeps the minimum.
+# benchmark name -> ns/op. A key seen more than once keeps the minimum,
+# or with the argument "all" every value, as a list in run order.
 to_json() {
-	awk '
+	awk -v all="${1:-}" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)        # strip the GOMAXPROCS suffix
-	if (!(name in vals)) order[n++] = name
+	if (!(name in vals)) { order[n++] = name; list[name] = $3 }
+	else list[name] = list[name] ", " $3
 	if (!(name in vals) || $3 + 0 < vals[name] + 0)
 		vals[name] = $3          # with -count>1 keep the minimum
 }
 END {
 	printf "{\n"
-	for (i = 0; i < n; i++)
-		printf "  \"%s\": %s%s\n", order[i], vals[order[i]], (i < n - 1 ? "," : "")
+	for (i = 0; i < n; i++) {
+		v = (all == "all") ? "[" list[order[i]] "]" : vals[order[i]]
+		printf "  \"%s\": %s%s\n", order[i], v, (i < n - 1 ? "," : "")
+	}
 	printf "}\n"
 }'
 }
@@ -125,8 +135,8 @@ run_suite() {
 			fi
 		done
 	done
-	to_json < "$was.lines" > "$was"
-	to_json < "$now.lines" > "$now"
+	to_json all < "$was.lines" > "$was"
+	to_json all < "$now.lines" > "$now"
 	set -- -tol "$tol"
 	[ -n "$shape" ] && set -- "$@" -shape "$shape"
 	for iv in $invariants; do
@@ -150,8 +160,15 @@ run_suite() {
 # random, is gone: with both mostly past the horizon they read 0.91 in
 # that sitting and 0.9-1.1 in another, no margin to judge by;
 # a point query at 4 or 16 goroutines must not be slower than
-# single-threaded (1.05 allows scheduler noise on small hosts); and
-# grouped WAL commit at 8 clients must not lose to per-commit fsyncs.
+# single-threaded (1.05 allows scheduler noise on small hosts); a
+# key-only COUNT(*) over 1,000 keys, which the primary index answers
+# without a page, must take at most 0.3 of SELECT * over the same
+# ranges, which reads every row's page from a heap 28 times the pool
+# (BenchmarkEngineRange; derived in one sitting, medians of five rounds:
+# count 37.1 us, rows 281.8 us, 0.13; a COUNT back on the heap reads every page the rows do
+# and would sit near the parent commit's
+# 0.46 (124.2 us over 268.3 us in the same sitting)); and grouped WAL commit at 8 clients must not lose to
+# per-commit fsyncs.
 # BenchmarkEngineMixed/* and BenchmarkWALCommit/* run against a synced
 # log, so their ns/op is the fsync of the disk the run is on: on this
 # shared box it moves by 2x between sittings with no commit in between
@@ -183,6 +200,7 @@ BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92
 BenchmarkRecluster/cands=256/history=scans,BenchmarkReclusterOracle/cands=256/history=scans,0.5'
 engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.05
 BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.05
+BenchmarkEngineRange/count,BenchmarkEngineRange/rows,0.3
 BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0
 BenchmarkEngineMixed/w10/g=16,BenchmarkEngineMixed/w10/g=1,0.6
 BenchmarkEngineMixed/w50/g=16,BenchmarkEngineMixed/w50/g=1,0.6
@@ -237,6 +255,7 @@ cluster_shape='^BenchmarkMergeLegs/oracle'
 cluster_pat='ClusterPointQuery|ClusterScan|ClusterTopN|MergeLegs|ClusterWrite|ClusterReplicatedPoint'
 
 shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery|Recluster'
+engine_pat='PoolFetch|EnginePointQuery|EngineScan|EngineRange|EngineMixed|WALCommit'
 
 case "$suite" in
 shield)
@@ -244,7 +263,7 @@ shield)
 		"${BENCH_OUT:-BENCH_shield.json}" "$shield_inv" "$shield_shape" . ./internal/delay ./internal/server ./internal/detect
 	;;
 engine)
-	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
+	run_suite "$engine_pat" \
 		"${BENCH_OUT:-BENCH_engine.json}" "$engine_inv" "$engine_shape" \
 		./internal/storage ./internal/engine
 	;;
@@ -255,7 +274,7 @@ cluster)
 all)
 	[ -z "${BENCH_OUT:-}" ] || { echo "BENCH_OUT needs a single suite" >&2; exit 1; }
 	run_suite "$shield_pat" BENCH_shield.json "$shield_inv" "$shield_shape" . ./internal/delay ./internal/server ./internal/detect
-	run_suite 'PoolFetch|EnginePointQuery|EngineScan|EngineMixed|WALCommit' \
+	run_suite "$engine_pat" \
 		BENCH_engine.json "$engine_inv" "$engine_shape" \
 		./internal/storage ./internal/engine
 	run_suite "$cluster_pat" BENCH_cluster.json "$cluster_inv" "$cluster_shape" \

@@ -1,22 +1,28 @@
 // Command benchcmp compares a fresh benchmark run against a base run
 // and fails when a key regressed beyond tolerance, so CI can gate merges
 // on numbers instead of eyeballs. scripts/bench.sh's check mode records
-// both runs in one sitting on one host — the base commit's, then the
-// working tree's — so the two are compared as they stand.
+// both runs in one sitting on one host — R alternating rounds of the
+// base commit and the working tree — so the two are compared as they
+// stand.
 //
-// Both files are the flat JSON objects scripts/bench.sh writes
-// (benchmark name -> ns/op). Two kinds of checks run:
+// Both files are flat JSON objects of benchmark name -> ns/op, where a
+// value is one number (the committed BENCH_*.json files: the minimum of
+// their repetitions) or a list of them (check mode: one per round). Two
+// kinds of checks run:
 //
-//   - Regression: every key present in both files must satisfy
-//     new <= base * (1 + tol/100). Keys present in only one file are
-//     reported but do not fail the run (benchmarks come and go).
+//   - Regression: a key present in both files fails only when the new
+//     run's median is worse than the base's by more than tol percent AND
+//     every new round is slower than every base round. A single process
+//     on a shared host moves a key by 20-45%, so a median past the
+//     tolerance with overlapping rounds is reported as unresolved, not
+//     failed: only no overlap says the code, not the host, moved it.
+//     Keys present in only one file are reported but do not fail the run
+//     (benchmarks come and go).
 //
 //   - Invariants (-le "keyA,keyB,factor", repeatable): within the NEW
-//     run alone, new[keyA] <= new[keyB] * factor. This is how the
-//     shape constraints are enforced — e.g. point queries at g=16 must
-//     not be slower than g=1, and quoting a scan over a history of
-//     scans must not lose to one over a random history — independent
-//     of machine speed.
+//     run alone, median(new[keyA]) <= median(new[keyB]) * factor. This is
+//     how the shape constraints are enforced — e.g. point queries at g=16
+//     must not be slower than g=1 — independent of machine speed.
 //
 //   - Shape-only keys (-shape regexp): a key the expression matches is
 //     left out of the regression check. An fsync-bound benchmark
@@ -35,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,6 +51,18 @@ import (
 type invariant struct {
 	a, b   string
 	factor float64
+}
+
+// holds evaluates the invariant on the medians of run m; ok=false when
+// m lacks either key.
+func (iv invariant) holds(m map[string][]float64) (holds bool, a, b float64, ok bool) {
+	as, okA := m[iv.a]
+	bs, okB := m[iv.b]
+	if !okA || !okB {
+		return false, 0, 0, false
+	}
+	a, b = median(as), median(bs)
+	return a <= b*iv.factor, a, b, true
 }
 
 type invariantList []invariant
@@ -63,7 +82,8 @@ func (l *invariantList) Set(s string) error {
 	return nil
 }
 
-func load(path string) (map[string]float64, error) {
+// load reads a name -> ns/op file, each key's samples sorted ascending.
+func load(path string) (map[string][]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -73,21 +93,62 @@ func load(path string) (map[string]float64, error) {
 			"%s is empty — did scripts/bench.sh's benchmark run fail?",
 			path)
 	}
-	m := make(map[string]float64)
-	if err := json.Unmarshal(data, &m); err != nil {
+	raw := make(map[string]json.RawMessage)
+	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(m) == 0 {
+	if len(raw) == 0 {
 		return nil, fmt.Errorf("%s has no benchmark keys — did scripts/bench.sh's benchmark run fail?", path)
+	}
+	m := make(map[string][]float64, len(raw))
+	for name, v := range raw {
+		var one float64
+		var all []float64
+		if err := json.Unmarshal(v, &one); err == nil {
+			all = []float64{one}
+		} else if err := json.Unmarshal(v, &all); err != nil || len(all) == 0 {
+			return nil, fmt.Errorf("%s: %s is neither a number nor a non-empty list of them", path, name)
+		}
+		slices.Sort(all)
+		m[name] = all
 	}
 	return m, nil
 }
 
+// median of sorted samples.
+func median(s []float64) float64 {
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// regressed judges sorted new samples n against sorted base samples b:
+// fail when n's median exceeds b's times limit and every new sample is
+// slower than every base sample; unresolved when the median is past the
+// limit but the two overlap.
+func regressed(b, n []float64, limit float64) (fail, unresolved bool) {
+	if median(n) <= median(b)*limit {
+		return false, false
+	}
+	apart := n[0] > b[len(b)-1]
+	return apart, !apart
+}
+
+// span renders sorted samples as median [min, max].
+func span(s []float64) string {
+	if len(s) == 1 {
+		return fmt.Sprintf("%.4g", s[0])
+	}
+	return fmt.Sprintf("%.4g [%.4g, %.4g]", median(s), s[0], s[len(s)-1])
+}
+
 func main() {
-	tol := flag.Float64("tol", 20, "allowed regression per key, percent")
+	tol := flag.Float64("tol", 20, "allowed regression of the median per key, percent")
 	shape := flag.String("shape", "", "regexp of keys gated by their -le invariants only, never against the base run")
 	var invs invariantList
-	flag.Var(&invs, "le", "invariant newKeyA,newKeyB,factor: require new[A] <= new[B]*factor (repeatable)")
+	flag.Var(&invs, "le", "invariant newKeyA,newKeyB,factor: require median new[A] <= median new[B]*factor (repeatable)")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchcmp [-tol pct] [-shape re] [-le a,b,f]... base.json new.json")
@@ -107,7 +168,6 @@ func main() {
 		}
 		for _, name := range sortedKeys(base) {
 			if re.MatchString(name) {
-				delete(base, name)
 				shaped[name] = true
 				fmt.Printf("note: %s gated by shape only (base not compared)\n", name)
 			}
@@ -124,42 +184,48 @@ func main() {
 	for _, name := range sortedKeys(base) {
 		b := base[name]
 		n, ok := cur[name]
+		if shaped[name] {
+			continue
+		}
 		if !ok {
 			fmt.Printf("note: %s in base only (skipped)\n", name)
 			continue
 		}
+		bm, nm := median(b), median(n)
+		fail, unresolved := regressed(b, n, limit)
 		switch {
-		case b <= 0:
-			fmt.Printf("note: %s base %.4g not positive (skipped)\n", name, b)
-		case n > b*limit:
+		case bm <= 0:
+			fmt.Printf("note: %s base %.4g not positive (skipped)\n", name, bm)
+		case fail:
 			failed = true
-			fmt.Printf("FAIL %s: %.4g ns/op vs base %.4g (+%.1f%% > %.0f%%)\n",
-				name, n, b, (n/b-1)*100, *tol)
+			fmt.Printf("FAIL %s: %s ns/op vs base %s (median %+.1f%% > %.0f%%, no overlap)\n",
+				name, span(n), span(b), (nm/bm-1)*100, *tol)
+		case unresolved:
+			fmt.Printf("ok?  %s: %s ns/op vs base %s (median %+.1f%% > %.0f%%, rounds overlap: unresolved)\n",
+				name, span(n), span(b), (nm/bm-1)*100, *tol)
 		default:
-			fmt.Printf("ok   %s: %.4g ns/op vs base %.4g (%+.1f%%)\n",
-				name, n, b, (n/b-1)*100)
+			fmt.Printf("ok   %s: %s ns/op vs base %s (median %+.1f%%)\n",
+				name, span(n), span(b), (nm/bm-1)*100)
 		}
 	}
 	for _, name := range sortedKeys(cur) {
-		if _, ok := base[name]; !ok && !shaped[name] {
+		if _, ok := base[name]; !ok {
 			fmt.Printf("note: %s new only, not in base (skipped)\n", name)
 		}
 	}
 
 	for _, iv := range invs {
-		a, okA := cur[iv.a]
-		b, okB := cur[iv.b]
-		if !okA || !okB {
+		holds, a, b, ok := iv.holds(cur)
+		switch {
+		case !ok:
 			fmt.Printf("note: invariant %s <= %s*%.3g skipped (key missing from new run)\n",
 				iv.a, iv.b, iv.factor)
-			continue
-		}
-		if a > b*iv.factor {
+		case holds:
+			fmt.Printf("ok   invariant: %s (%.4g) <= %s (%.4g) * %.3g\n",
+				iv.a, a, iv.b, b, iv.factor)
+		default:
 			failed = true
 			fmt.Printf("FAIL invariant: %s (%.4g) > %s (%.4g) * %.3g\n",
-				iv.a, a, iv.b, b, iv.factor)
-		} else {
-			fmt.Printf("ok   invariant: %s (%.4g) <= %s (%.4g) * %.3g\n",
 				iv.a, a, iv.b, b, iv.factor)
 		}
 	}
@@ -172,7 +238,7 @@ func main() {
 }
 
 // sortedKeys returns the map's keys in order so output is stable.
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys(m map[string][]float64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
