@@ -4,11 +4,10 @@
 // Usage:
 //
 //	delaydb -dir ./data -addr :8080 -n 100000 [-alpha 1.0] [-beta 2.0]
-//	        [-cap 10s] [-decay 1.0] [-policy popularity|updaterate]
+//	        [-cap 10s] [-decay 1.0] [-policy popularity|updaterate] [-c 1.0]
 //	        [-rate 0] [-burst 10] [-subnets] [-reginterval 0]
-//	        [-wal] [-walsync] [-walgroupwindow 200us]
-//	        [-deadline 0] [-scanworkers 0] [-plancache -1] [-detect] [-detect-grace 0.08]
-//	        [-detect-cap 64] [-detect-jaccard 0.35]
+//	        [-wal] [-walsync] [-init schema.sql] [-deadline 0]
+//	        [-detect] [-detect-grace 0.08] [-detect-cap 64] [-detect-jaccard 0.35]
 //	        [-readheadertimeout 5s] [-idletimeout 2m] [-drain 30s]
 //
 // Endpoints: POST /query {"sql": "..."} (identity from X-Identity header
@@ -21,7 +20,7 @@
 //
 //	delaydb -cluster 4 [-partitions 64 [-replication 2]]
 //	        [-antientropy 5s] [-antientropy-floor 0.01] [-admit-rate 100]
-//	        [-admit-burst 200] [-maxinflight 1024] ...
+//	        [-admit-burst 200] [-maxinflight 1024] [-shard-timeout 0] ...
 //	delaydb -router -peers http://10.0.0.1:8080,http://10.0.0.2:8080 ...
 //
 // -cluster N opens N shards under -dir (shard-0 … shard-N-1) and serves
@@ -132,12 +131,9 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		subnets     = fs.Bool("subnets", false, "aggregate identities by /24 (IPv4) or /48 (IPv6)")
 		regInterval = fs.Duration("reginterval", 0, "minimum interval between new registrations (0 = off)")
 		deadline    = fs.Duration("deadline", 0, "per-request query deadline; exceeding it returns 504 with the delay still charged (0 = none)")
-		scanWorkers = fs.Int("scanworkers", 0, "max goroutines per full table scan (0 = number of CPUs, 1 = sequential)")
 		wal         = fs.Bool("wal", false, "enable write-ahead logging with crash recovery")
 		walSync     = fs.Bool("walsync", false, "fsync the WAL on every commit (implies -wal)")
-		walWindow   = fs.Duration("walgroupwindow", delaydefense.DefaultWALGroupWindow, "upper bound on how long a group-commit leader accumulates concurrent commits into one WAL write and fsync; 0 = one fsync per commit")
 		initFile    = fs.String("init", "", "SQL script (semicolon-separated) executed on the admin path at startup")
-		planCache   = fs.Int("plancache", -1, "prepared-statement plan cache capacity in entries (-1 = default, 0 = disabled)")
 
 		readHeaderTimeout = fs.Duration("readheadertimeout", 5*time.Second, "time limit for reading a request's headers (slowloris guard)")
 		idleTimeout       = fs.Duration("idletimeout", 2*time.Minute, "keep-alive connection idle limit")
@@ -214,15 +210,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	var opts []delaydefense.EngineOption
 	if *wal || *walSync {
 		opts = append(opts, delaydefense.WithWAL(*walSync))
-		if *walWindow != delaydefense.DefaultWALGroupWindow {
-			opts = append(opts, delaydefense.WithWALGroupWindow(*walWindow))
-		}
-	}
-	if *scanWorkers > 0 {
-		opts = append(opts, delaydefense.WithScanWorkers(*scanWorkers))
-	}
-	if *planCache >= 0 {
-		opts = append(opts, delaydefense.WithPlanCache(*planCache))
 	}
 	// serveAndDrain owns the listener lifecycle every mode shares: serve
 	// h until SIGTERM/SIGINT, drain in-flight queries (policy delays

@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +34,7 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out, nil); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	for _, removed := range []string{"-pricecache=1", "-walgroup=false"} {
+	for _, removed := range []string{"-pricecache=1", "-walgroup=false", "-plancache=1", "-scanworkers=2", "-walgroupwindow=0"} {
 		if err := run([]string{removed, "-dir", t.TempDir()}, &out, nil); err == nil {
 			t.Fatalf("the removed %s flag accepted", removed)
 		}
@@ -36,6 +42,114 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 	if err := run([]string{"-dir", t.TempDir(), "-init", "/does/not/exist"}, &out, nil); err == nil {
 		t.Fatal("missing init script accepted")
 	}
+}
+
+// helpText is what delaydb -h prints below its "Usage of delaydb:" line:
+// every flag run registers, with its default and help.
+func helpText(t *testing.T) string {
+	t.Helper()
+	// The flag set prints its usage to os.Stderr.
+	f, err := os.CreateTemp(t.TempDir(), "help")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, io.Discard, nil)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(out), "Usage of delaydb:\n")
+	if !ok {
+		t.Fatalf("delaydb -h printed no usage header:\n%s", out)
+	}
+	return body
+}
+
+// flagNames collects the -name tokens in text: every "-x" that starts the
+// text or follows a space or "[".
+func flagNames(text string) map[string]bool {
+	names := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(text, -1) {
+		names[m[1]] = true
+	}
+	return names
+}
+
+// sameNames reports the flags one list has and the other lacks.
+func sameNames(t *testing.T, what string, got, want map[string]bool) {
+	t.Helper()
+	for name := range got {
+		if !want[name] {
+			t.Errorf("%s names -%s, which delaydb does not register", what, name)
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("%s leaves out -%s", what, name)
+		}
+	}
+}
+
+// TestFlagReferenceMatchesHelp: README's flag reference is delaydb -h
+// (flags, defaults and help), and the usage block of the package comment
+// names exactly the flags run registers.
+func TestFlagReferenceMatchesHelp(t *testing.T) {
+	help := helpText(t)
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`).FindAllStringSubmatch(help, -1) {
+		registered[m[1]] = true
+	}
+	if len(registered) == 0 {
+		t.Fatalf("no flags in delaydb -h:\n%s", help)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, ok := strings.Cut(string(readme), "## `delaydb` flags\n")
+	if ok {
+		_, ref, ok = strings.Cut(ref, "```text\n")
+	}
+	if ok {
+		ref, _, ok = strings.Cut(ref, "```")
+	}
+	if !ok {
+		t.Fatal("README has no ```text block under \"## `delaydb` flags\"")
+	}
+	sameNames(t, "README's flag reference", flagNames(ref), registered)
+	if trimLines(ref) != trimLines(help) {
+		t.Errorf("README's flag reference differs from delaydb -h; replace it with the output of go run ./cmd/delaydb -h")
+	}
+
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var usage strings.Builder
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		if strings.HasPrefix(line, "\t") { // the usage blocks are the comment's code blocks
+			usage.WriteString(line + "\n")
+		}
+	}
+	sameNames(t, "main.go's usage block", flagNames(usage.String()), registered)
+}
+
+// trimLines is s with every line trimmed of surrounding blanks, so a
+// reference whose tabs an editor expanded still matches.
+func trimLines(s string) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimSpace(l)
+	}
+	return strings.Join(lines, "\n")
 }
 
 // TestFaultEnvRejected: a malformed DELAYDB_FAULTS spec is a startup

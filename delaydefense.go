@@ -100,7 +100,7 @@ type DB struct {
 	shield *core.Shield
 }
 
-// EngineOption forwards engine tuning (buffer pool size, I/O cost hooks).
+// EngineOption forwards engine tuning (buffer pool size, write-ahead log).
 type EngineOption = engine.Option
 
 // WithPoolPages sets the per-table buffer pool capacity in pages.
@@ -109,24 +109,6 @@ func WithPoolPages(n int) EngineOption { return engine.WithPoolPages(n) }
 // WithWAL enables per-statement write-ahead logging with crash recovery;
 // synced additionally fsyncs the log on every commit.
 func WithWAL(synced bool) EngineOption { return engine.WithWAL(synced) }
-
-// DefaultWALGroupWindow is the default group-commit accumulation window.
-const DefaultWALGroupWindow = engine.DefaultWALGroupWindow
-
-// WithWALGroupWindow sets the WAL group-commit accumulation window: with
-// d > 0 concurrent commits coalesce into shared writes and fsyncs; 0
-// makes every commit write and sync alone. The default is
-// engine.DefaultWALGroupWindow. No effect unless WithWAL is also set.
-func WithWALGroupWindow(d time.Duration) EngineOption { return engine.WithWALGroupWindow(d) }
-
-// WithPlanCache sets the engine's prepared-statement cache capacity in
-// entries; 0 disables it. The default is engine.DefaultPlanCacheEntries.
-func WithPlanCache(n int) EngineOption { return engine.WithPlanCache(n) }
-
-// WithScanWorkers caps the goroutines a full table scan may fan out to.
-// Zero or negative restores the default (GOMAXPROCS); 1 forces sequential
-// scans.
-func WithScanWorkers(n int) EngineOption { return engine.WithScanWorkers(n) }
 
 // Open opens (creating if needed) a delay-defended database in dir.
 func Open(dir string, cfg Config, opts ...EngineOption) (*DB, error) {

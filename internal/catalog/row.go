@@ -191,17 +191,3 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 	}
 	return row, nil
 }
-
-// Key returns the row's primary key value as the tuple id used by the
-// delay defense. Keys are INT by schema invariant; negative keys map via
-// two's complement.
-func (s Schema) RowKey(r Row) (uint64, error) {
-	if len(r) != len(s.Columns) {
-		return 0, errors.New("catalog: row/schema arity mismatch")
-	}
-	v := r[s.Key]
-	if v.Type != Int {
-		return 0, errors.New("catalog: primary key value is not INT")
-	}
-	return uint64(v.Int), nil
-}

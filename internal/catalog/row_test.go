@@ -160,24 +160,6 @@ func TestEncodeNegativeAndExtremes(t *testing.T) {
 	}
 }
 
-func TestRowKey(t *testing.T) {
-	s := testSchema()
-	row := Row{IntValue(77), TextValue("x"), FloatValue(0)}
-	k, err := s.RowKey(row)
-	if err != nil || k != 77 {
-		t.Fatalf("RowKey = %d, %v", k, err)
-	}
-	// Negative keys map through two's complement, stable and unique.
-	row[0] = IntValue(-1)
-	k, err = s.RowKey(row)
-	if err != nil || k != math.MaxUint64 {
-		t.Fatalf("negative RowKey = %d, %v", k, err)
-	}
-	if _, err := s.RowKey(Row{IntValue(1)}); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-}
-
 func TestRowCodecProperty(t *testing.T) {
 	s := Schema{
 		Table: "p",

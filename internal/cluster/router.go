@@ -76,9 +76,6 @@ type Config struct {
 	// Clock drives the limiter and the anti-entropy staleness gauge.
 	// nil means the real clock.
 	Clock vclock.Clock
-	// Metrics receives the cluster_* instruments. nil means a fresh
-	// registry (served at the router's /metrics either way).
-	Metrics *metrics.Registry
 }
 
 // Router is the cluster front door. Create with NewRouter, mount via
@@ -189,9 +186,6 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	limit, err := ratelimit.NewIdentityLimiter(cfg.AdmitRate, cfg.AdmitBurst, DefaultAdmitMax, cfg.Clock)
 	if err != nil {
 		return nil, err
@@ -215,7 +209,8 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 		partMu: make([]sync.Mutex, partitions),
 	}
 	r.pmap.Store(pm)
-	m := cfg.Metrics
+	// The cluster_* instruments, served at the router's /metrics.
+	m := metrics.NewRegistry()
 	r.inflight = m.Gauge("cluster_inflight")
 	r.routed = m.Counter("cluster_routed_total")
 	r.readFailover = m.Counter("cluster_read_failovers_total")

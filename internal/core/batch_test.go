@@ -44,6 +44,55 @@ func TestObserveBatchSingleLockPerQuery(t *testing.T) {
 	}
 }
 
+// lockCheckPolicy charges a millisecond per tuple and records how often
+// it is asked to price, and whether mu was held while it priced.
+type lockCheckPolicy struct {
+	mu      *sync.Mutex
+	calls   int
+	lockHit bool
+}
+
+func (p *lockCheckPolicy) DelayBatch(ids []uint64) time.Duration {
+	p.calls++
+	if p.mu.TryLock() {
+		p.mu.Unlock()
+	} else {
+		p.lockHit = true
+	}
+	return time.Duration(len(ids)) * time.Millisecond
+}
+
+// An adaptive quote takes the selector lock once per batch, not once per
+// tuple: it resolves the active tracker under multiMu, releases it, and
+// prices the whole batch with one call to that tracker's policy.
+func TestAdaptiveQuoteResolvesOnce(t *testing.T) {
+	db := testDB(t, 10)
+	s, err := New(db, Config{
+		N: 10, Alpha: 1, Beta: 2, Cap: time.Second, Clock: simClock(),
+		AdaptiveDecayRates: []float64{1, 1.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := &lockCheckPolicy{mu: &s.multiMu}
+	for i := range s.adaptive.pols {
+		s.adaptive.pols[i] = fake
+	}
+	ids := make([]uint64, 1000)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	if d := s.Gate().Quote(ids...); d != time.Second {
+		t.Fatalf("quote = %v", d)
+	}
+	if fake.calls != 1 {
+		t.Fatalf("one quote of %d tuples resolved the selector %d times", len(ids), fake.calls)
+	}
+	if fake.lockHit {
+		t.Fatal("the batch was priced under the selector lock")
+	}
+}
+
 // TopK snapshots under the selector lock: hammer it against queries that
 // drive selector switches (tiny warmup, shifting workload), under -race.
 func TestRaceAdaptiveTopKDuringSelectorSwitches(t *testing.T) {

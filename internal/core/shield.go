@@ -59,6 +59,10 @@ const (
 	ByUpdateRate
 )
 
+// limiterPrincipalCap bounds the rate limiter's memory: past it the
+// limiter forgets the principal holding the most tokens.
+const limiterPrincipalCap = 65536
+
 // Config parameterizes a Shield.
 type Config struct {
 	// Kind selects the delay policy. Default ByPopularity.
@@ -94,8 +98,6 @@ type Config struct {
 	// QueryRate > 0.
 	QueryRate  float64
 	QueryBurst float64
-	// MaxPrincipals bounds limiter memory (default 65536).
-	MaxPrincipals int
 	// SubnetAggregation treats all addresses in one /24 (IPv4) or /48
 	// (IPv6) as a single principal, the paper's Sybil defense.
 	SubnetAggregation bool
@@ -128,9 +130,6 @@ func (c *Config) fill() error {
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
-	}
-	if c.MaxPrincipals == 0 {
-		c.MaxPrincipals = 65536
 	}
 	if c.Kind == ByUpdateRate && c.C == 0 {
 		c.C = 1
@@ -200,29 +199,18 @@ type shieldMetrics struct {
 // selector currently trusts.
 type adaptivePolicy struct {
 	shield *Shield
-	pols   []*delay.Popularity // one per tracker, same order as multi.Trackers()
+	pols   []delay.Policy // one per tracker, same order as multi.Trackers()
 }
 
-// Delay implements delay.Policy.
-func (a *adaptivePolicy) Delay(id uint64) time.Duration {
-	return a.ResolveBatch().Delay(id)
-}
-
-// ResolveBatch implements delay.BatchResolver: the active tracker index
-// is resolved under multiMu once per Quote/Charge batch, not once per
-// tuple — a 10k-tuple SELECT costs one lock round-trip instead of 10k.
-func (a *adaptivePolicy) ResolveBatch() delay.Policy {
+// DelayBatch implements delay.Policy: the active tracker index is
+// resolved under multiMu once per batch, not once per tuple — a
+// 10k-tuple SELECT costs one lock round-trip instead of 10k — and the
+// batch is priced through the active tracker's policy.
+func (a *adaptivePolicy) DelayBatch(ids []uint64) time.Duration {
 	a.shield.multiMu.Lock()
 	_, idx := a.shield.multi.Active()
 	a.shield.multiMu.Unlock()
-	return a.pols[idx]
-}
-
-// DelayBatch implements delay.BatchPolicy for callers that hold the
-// adaptive policy directly (the gate resolves first and never takes this
-// path): resolve once, then price the batch through the active policy.
-func (a *adaptivePolicy) DelayBatch(ids []uint64) time.Duration {
-	return a.ResolveBatch().(delay.BatchPolicy).DelayBatch(ids)
+	return a.pols[idx].DelayBatch(ids)
 }
 
 // New wraps db in a Shield.
@@ -410,7 +398,7 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		if burst < 1 {
 			burst = 1
 		}
-		lim, err := ratelimit.NewIdentityLimiter(cfg.QueryRate, burst, cfg.MaxPrincipals, cfg.Clock)
+		lim, err := ratelimit.NewIdentityLimiter(cfg.QueryRate, burst, limiterPrincipalCap, cfg.Clock)
 		if err != nil {
 			return nil, err
 		}
@@ -438,7 +426,6 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 	reg.GaugeFunc("engine_pool_hits", func() float64 { h, _, _ := s.db.PoolStats(); return float64(h) })
 	reg.GaugeFunc("engine_pool_misses", func() float64 { _, m, _ := s.db.PoolStats(); return float64(m) })
 	reg.GaugeFunc("engine_pool_evicts", func() float64 { _, _, e := s.db.PoolStats(); return float64(e) })
-	// Plan cache instruments: all zeros when the cache is disabled.
 	reg.GaugeFunc("engine_plan_cache_hits", func() float64 {
 		h, _, _, _ := s.db.PlanCacheStats()
 		return float64(h)
@@ -848,27 +835,16 @@ func (s *Shield) Window() float64 {
 // LoadCounts at startup so the defense does not relearn from scratch
 // (and re-expose the start-up transient) after every restart.
 //
-// When store implements counters.BatchStore (the engine's CountStore
-// does), the snapshot is written as one atomic clear-and-replace: a crash
+// The snapshot is written as one atomic clear-and-replace: a crash
 // mid-save recovers to the previous complete snapshot, and stale rows
-// from an earlier, larger save cannot shadow the current state. The
-// row-by-row fallback offers neither property.
-func (s *Shield) SaveCounts(store counters.Store) error {
+// from an earlier, larger save cannot shadow the current state.
+func (s *Shield) SaveCounts(store counters.BatchStore) error {
 	var ids []uint64
 	var counts []float64
 	s.withActiveTracker(func(tr *counters.Decayed) { ids, counts = tr.Export() })
-	if bs, ok := store.(counters.BatchStore); ok {
-		if err := bs.ReplaceAllCounts(ids, counts); err != nil {
-			s.noteExecError(err)
-			return fmt.Errorf("core: saving counts: %w", err)
-		}
-		return nil
-	}
-	for i, id := range ids {
-		if err := store.PutCount(id, counts[i]); err != nil {
-			s.noteExecError(err)
-			return fmt.Errorf("core: saving count for %d: %w", id, err)
-		}
+	if err := store.ReplaceAllCounts(ids, counts); err != nil {
+		s.noteExecError(err)
+		return fmt.Errorf("core: saving counts: %w", err)
 	}
 	return nil
 }

@@ -19,9 +19,9 @@ type Store interface {
 }
 
 // BatchStore is a Store that can atomically replace its entire contents.
-// Snapshot writers (Shield.SaveCounts) prefer it over row-by-row
-// PutCount, which can fail midway and leave a torn snapshot — and which
-// never removes rows from a previous, larger save.
+// Snapshot writers (Shield.SaveCounts) take it rather than writing row by
+// row with PutCount, which can fail midway and leave a torn snapshot — and
+// which never removes rows from a previous, larger save.
 type BatchStore interface {
 	Store
 	// ReplaceAllCounts clears every persisted count and writes the given

@@ -35,17 +35,22 @@ func goldenCounts() (ids []uint64, counts []float64) {
 // observations moves the ranks, and for an id whose count has decayed to
 // zero but is still tracked: both paths price it at its rank.
 func TestDelayEqualsDelayBatchOfOne(t *testing.T) {
+	// Both policies price one tuple (Delay) and a batch (Policy).
+	type pricer interface {
+		Policy
+		Delay(id uint64) time.Duration
+	}
 	for _, n := range []int{2000, 100} {
 		for _, fixed := range []float64{0, 5} {
-			makers := map[string]func(*counters.Decayed) BatchPolicy{
-				"popularity": func(tr *counters.Decayed) BatchPolicy {
+			makers := map[string]func(*counters.Decayed) pricer{
+				"popularity": func(tr *counters.Decayed) pricer {
 					p, err := NewPopularity(PopularityConfig{N: n, Alpha: 1, Beta: 0.5, Cap: time.Minute, Fmax: fixed}, tr)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return p
 				},
-				"updaterate": func(tr *counters.Decayed) BatchPolicy {
+				"updaterate": func(tr *counters.Decayed) pricer {
 					u, err := NewUpdateRate(UpdateRateConfig{N: n, Alpha: 1, C: 1e-4, Cap: time.Minute, Rmax: fixed}, tr)
 					if err != nil {
 						t.Fatal(err)

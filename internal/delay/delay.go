@@ -20,19 +20,12 @@ import (
 	"time"
 )
 
-// Policy assigns a delay to the retrieval of a single tuple id.
+// Policy prices the tuples a query returns.
 type Policy interface {
-	// Delay returns the pause to impose before yielding the tuple.
-	Delay(id uint64) time.Duration
-}
-
-// BatchPolicy is implemented by policies that can price a whole result
-// set in a bounded number of tracker lock acquisitions instead of one
-// round-trip per tuple. DelayBatch returns the same saturating sum of
-// per-tuple delays the gate would compute by calling Delay per id.
-type BatchPolicy interface {
-	Policy
-	// DelayBatch returns the total delay for retrieving ids together.
+	// DelayBatch returns the total delay for retrieving ids together: the
+	// saturating sum of their per-tuple delays (§2.1's aggregation rule),
+	// priced from one learner state in a bounded number of tracker lock
+	// acquisitions rather than one per tuple.
 	DelayBatch(ids []uint64) time.Duration
 }
 

@@ -32,15 +32,6 @@ type Gate struct {
 	cancelledHist *metrics.Histogram
 }
 
-// BatchResolver is implemented by policies that serve delays through a
-// mutable indirection (e.g. an adaptive tracker selector): ResolveBatch
-// pins the policy to use for one Quote/Charge batch, so the gate pays the
-// resolution cost (typically a lock) once per query instead of once per
-// tuple.
-type BatchResolver interface {
-	ResolveBatch() Policy
-}
-
 // NewGate builds a gate. observe receives each charge's tuple ids in one
 // call; it may be nil if the policy learns through some other path (e.g.
 // update-rate policies observe writes, not reads).
@@ -119,18 +110,7 @@ func (g *Gate) ChargeCtxScaled(ctx context.Context, mult float64, ids ...uint64)
 // non-invasively, mirroring the paper's method of computing adversary
 // delay "by examining the access counts after the trace was replayed".
 func (g *Gate) Quote(ids ...uint64) time.Duration {
-	pol := g.policy
-	if r, ok := pol.(BatchResolver); ok {
-		pol = r.ResolveBatch()
-	}
-	if bp, ok := pol.(BatchPolicy); ok {
-		return bp.DelayBatch(ids)
-	}
-	var total time.Duration
-	for _, id := range ids {
-		total = satAdd(total, pol.Delay(id))
-	}
-	return total
+	return g.policy.DelayBatch(ids)
 }
 
 // QuoteScaled is Quote with the total multiplied by mult (saturating),

@@ -13,7 +13,7 @@ import (
 // constPolicy charges a fixed delay per tuple.
 type constPolicy struct{ d time.Duration }
 
-func (p constPolicy) Delay(uint64) time.Duration { return p.d }
+func (p constPolicy) DelayBatch(ids []uint64) time.Duration { return time.Duration(len(ids)) * p.d }
 
 func TestChargeCtxRecordsObservationsOnCancel(t *testing.T) {
 	clk := vclock.NewSimulated(time.Unix(0, 0))
@@ -94,36 +94,6 @@ func TestChargeCtxUsesBatchObserver(t *testing.T) {
 	}
 	if len(batches) != 1 || len(batches[0]) != 3 {
 		t.Fatalf("batch observer calls = %v", batches)
-	}
-}
-
-// switchPolicy counts how many times the gate resolves it per batch.
-type switchPolicy struct {
-	resolves int
-	inner    Policy
-}
-
-func (s *switchPolicy) Delay(id uint64) time.Duration { return s.inner.Delay(id) }
-func (s *switchPolicy) ResolveBatch() Policy {
-	s.resolves++
-	return s.inner
-}
-
-func TestQuoteResolvesBatchPolicyOnce(t *testing.T) {
-	sp := &switchPolicy{inner: constPolicy{time.Millisecond}}
-	g, err := NewGate(sp, vclock.NewSimulated(time.Unix(0, 0)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]uint64, 1000)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	if d := g.Quote(ids...); d != time.Second {
-		t.Fatalf("quote = %v", d)
-	}
-	if sp.resolves != 1 {
-		t.Fatalf("policy resolved %d times for one batch", sp.resolves)
 	}
 }
 

@@ -71,7 +71,7 @@ func (p *Popularity) Config() PopularityConfig { return p.cfg }
 // Tracker returns the underlying access tracker.
 func (p *Popularity) Tracker() *counters.Decayed { return p.tracker }
 
-// DelayBatch implements BatchPolicy: the whole batch is priced from one
+// DelayBatch implements Policy: the whole batch is priced from one
 // tracker state, under one lock acquisition.
 func (p *Popularity) DelayBatch(ids []uint64) time.Duration {
 	return delayBatch(p, &p.rankSource, ids)
@@ -90,10 +90,10 @@ func (p *Popularity) priceAt(rank int, fmax float64) time.Duration {
 	return p.delayAt(clampRank(rank, p.cfg.N), fmax)
 }
 
-// Delay implements Policy. The rank of a never-observed tuple is N; with
-// no observations at all (fmax unknown) every delay is the cap, which is
-// exactly the paper's start-up transient behaviour. The rank and fmax
-// are read from one tracker state, as DelayBatch reads them.
+// Delay returns one tuple's delay. The rank of a never-observed tuple is
+// N; with no observations at all (fmax unknown) every delay is the cap,
+// which is exactly the paper's start-up transient behaviour. The rank and
+// fmax are read from one tracker state, as DelayBatch reads them.
 func (p *Popularity) Delay(id uint64) time.Duration {
 	return delayOne(p, &p.rankSource, id)
 }

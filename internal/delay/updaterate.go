@@ -94,8 +94,8 @@ func (u *UpdateRate) rmax() float64 {
 	return u.scaleFor(u.tracker.MaxCount())
 }
 
-// Delay implements Policy: the rank and rmax are read from one tracker
-// state, as DelayBatch reads them.
+// Delay returns one tuple's delay: the rank and rmax are read from one
+// tracker state, as DelayBatch reads them.
 func (u *UpdateRate) Delay(id uint64) time.Duration {
 	return delayOne(u, &u.rankSource, id)
 }
@@ -106,8 +106,8 @@ func (u *UpdateRate) DelayForRank(rank int) time.Duration {
 	return u.delayAt(rank, u.rmax())
 }
 
-// DelayBatch implements BatchPolicy: one tracker lock acquisition prices
-// the whole batch.
+// DelayBatch implements Policy: one tracker lock acquisition prices the
+// whole batch.
 func (u *UpdateRate) DelayBatch(ids []uint64) time.Duration {
 	return delayBatch(u, &u.rankSource, ids)
 }

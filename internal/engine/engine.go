@@ -27,10 +27,10 @@ import (
 // configured.
 const DefaultPoolPages = 256
 
-// DefaultPlanCacheEntries is the prepared-statement cache capacity when
-// none is configured. The cache keys on normalized SQL text, so the
-// working set is the number of distinct query shapes, not distinct
-// queries; 1024 shapes covers any workload this engine serves.
+// DefaultPlanCacheEntries is the prepared-statement cache capacity. The
+// cache keys on normalized SQL text, so the working set is the number of
+// distinct query shapes, not distinct queries; 1024 shapes covers any
+// workload this engine serves.
 const DefaultPlanCacheEntries = 1024
 
 // Option configures a Database.
@@ -51,6 +51,10 @@ func WithIOCost(fn func()) Option {
 // fan out across. The default is GOMAXPROCS; 1 disables the parallel
 // scan executor. Values above GOMAXPROCS are honored — workers then
 // timeshare cores, which still overlaps page decode with pool I/O.
+// Deployments size it through GOMAXPROCS; the callers that set it are
+// BenchmarkClusterScan's I/O shard (one worker, so scatter-gather's
+// overlap is the only concurrency its invariant measures) and the
+// parallel-scan tests.
 func WithScanWorkers(n int) Option {
 	return func(db *Database) { db.scanWorkers = n }
 }
@@ -67,12 +71,6 @@ func WithWAL(synced bool) Option {
 	}
 }
 
-// WithPlanCache sets the prepared-statement cache capacity in entries;
-// 0 disables the cache (every statement parses and plans from scratch).
-func WithPlanCache(n int) Option {
-	return func(db *Database) { db.planCacheCap = n }
-}
-
 // DefaultWALGroupWindow is the group-commit accumulation window when
 // none is configured: long enough to coalesce a burst of concurrent
 // commits into one fsync, short enough to be invisible next to the
@@ -81,8 +79,11 @@ func WithPlanCache(n int) Option {
 const DefaultWALGroupWindow = 200 * time.Microsecond
 
 // WithWALGroupWindow sets the WAL group-commit accumulation window.
-// 0 disables grouping: every commit writes and fsyncs alone, exactly
-// the pre-group-commit behavior.
+// 0 disables grouping: every commit writes and fsyncs alone. The window
+// only caps a leader's wait (accumulation stops once arrivals quiesce),
+// so deployments run the default; the callers that set it are the
+// torture group-commit harness (a 2 ms window, to pile commits into
+// shared flushes) and BenchmarkWALCommit's group=off reference arm (0).
 func WithWALGroupWindow(d time.Duration) Option {
 	return func(db *Database) { db.walGroupWindow = d }
 }
@@ -95,14 +96,13 @@ const walCheckpointBytes = 8 << 20
 // page file per table plus a JSON catalog. It is safe for concurrent use;
 // statements execute atomically with respect to each other per table.
 type Database struct {
-	dir          string
-	cat          *catalog.Catalog
-	poolPages    int
-	scanWorkers  int
-	planCacheCap int
-	ioCost       func()
-	useWAL       bool
-	walSynced    bool
+	dir         string
+	cat         *catalog.Catalog
+	poolPages   int
+	scanWorkers int
+	ioCost      func()
+	useWAL      bool
+	walSynced   bool
 	// walGroupWindow is the group-commit accumulation window (0 = every
 	// commit flushes alone).
 	walGroupWindow time.Duration
@@ -117,7 +117,7 @@ type Database struct {
 	// are only executed while it still matches; every DDL bumps the
 	// epoch inside its exclusive section and purges the plan cache.
 	schemaEpoch atomic.Uint64
-	planCache   *planCache // nil when WithPlanCache(0)
+	planCache   *planCache
 
 	mu     sync.RWMutex
 	tables map[string]*table
@@ -243,8 +243,8 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		cat:            cat,
 		poolPages:      DefaultPoolPages,
 		scanWorkers:    runtime.GOMAXPROCS(0),
-		planCacheCap:   DefaultPlanCacheEntries,
 		walGroupWindow: DefaultWALGroupWindow,
+		planCache:      newPlanCache(DefaultPlanCacheEntries),
 		tables:         make(map[string]*table),
 	}
 	for _, opt := range opts {
@@ -255,12 +255,6 @@ func Open(dir string, opts ...Option) (*Database, error) {
 	}
 	if db.scanWorkers < 1 {
 		return nil, errors.New("engine: scan workers < 1")
-	}
-	if db.planCacheCap < 0 {
-		return nil, errors.New("engine: plan cache entries < 0")
-	}
-	if db.planCacheCap > 0 {
-		db.planCache = newPlanCache(db.planCacheCap)
 	}
 	for _, name := range cat.Tables() {
 		schema, err := cat.Get(name)
@@ -678,18 +672,12 @@ func (db *Database) Exec(sql string) (*Result, error) {
 // of the affected table.
 func (db *Database) bumpSchemaEpoch() {
 	db.schemaEpoch.Add(1)
-	if db.planCache != nil {
-		db.planCache.purge()
-	}
+	db.planCache.purge()
 }
 
 // PlanCacheStats reports the plan cache's counters for the
-// engine_plan_cache_* instruments at GET /metrics. All zeros when the
-// cache is disabled.
+// engine_plan_cache_* instruments at GET /metrics.
 func (db *Database) PlanCacheStats() (hits, misses, invalidations int64, entries int) {
-	if db.planCache == nil {
-		return 0, 0, 0, 0
-	}
 	return db.planCache.stats()
 }
 

@@ -225,7 +225,7 @@ func (db *Database) Prepare(sql string) (*Prepared, error) {
 	p.entry = nil
 	p.params = nil
 
-	if db.planCache == nil || !sqlmini.HasPrefixKeyword(sql, "SELECT") {
+	if !sqlmini.HasPrefixKeyword(sql, "SELECT") {
 		return p.prepareParsed()
 	}
 	key, params, err := sqlmini.Normalize(sql, &p.norm)

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/sqlmini"
 )
 
-// planCacheDB opens a database (plan cache on by default) with a small
-// populated table: ids 0..49, grp = id%5, name = "n<id>".
-func planCacheDB(t *testing.T, opts ...Option) *Database {
+// planCacheDB opens a database with a small populated table: ids 0..49,
+// grp = id%5, name = "n<id>".
+func planCacheDB(t *testing.T) *Database {
 	t.Helper()
-	db := testDB(t, opts...)
+	db := testDB(t)
 	mustExec(t, db, `CREATE TABLE items (id INT PRIMARY KEY, grp INT, name TEXT)`)
 	for i := 0; i < 50; i += 10 {
 		stmt := `INSERT INTO items VALUES `
@@ -144,11 +146,11 @@ func TestPlanCacheNeverServesAcrossSchemaChange(t *testing.T) {
 }
 
 func TestPlanCacheParamEdgesMatchUncached(t *testing.T) {
-	cached := planCacheDB(t)
-	uncached := planCacheDB(t, WithPlanCache(0))
+	db := planCacheDB(t)
 
-	// Each query runs twice on the cached database so the second execution
-	// goes through the bound template, and once uncached as the oracle.
+	// Each query runs twice through Exec so the second execution goes
+	// through the bound template, and once through the parser and
+	// ExecStmt, which never reach the cache, as the oracle.
 	queries := []string{
 		`SELECT name FROM items WHERE id = 5`,
 		`SELECT name FROM items WHERE id = 5.5`, // float on INT key: no match, no error
@@ -159,9 +161,16 @@ func TestPlanCacheParamEdgesMatchUncached(t *testing.T) {
 		`SELECT name FROM items WHERE id BETWEEN 48 AND 49`,
 	}
 	for _, q := range queries {
-		want := mustExec(t, uncached, q)
-		mustExec(t, cached, q) // warm the shape
-		got := mustExec(t, cached, q)
+		stmt, err := sqlmini.Parse(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		want, err := db.ExecStmt(stmt, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		mustExec(t, db, q) // warm the shape
+		got := mustExec(t, db, q)
 		if len(got.Rows) != len(want.Rows) {
 			t.Fatalf("%q: cached %d rows, uncached %d", q, len(got.Rows), len(want.Rows))
 		}
@@ -173,19 +182,6 @@ func TestPlanCacheParamEdgesMatchUncached(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	db := planCacheDB(t, WithPlanCache(0))
-	for i := 0; i < 3; i++ {
-		res := mustExec(t, db, fmt.Sprintf(`SELECT name FROM items WHERE id = %d`, i))
-		if len(res.Rows) != 1 {
-			t.Fatalf("query %d: %+v", i, res.Rows)
-		}
-	}
-	if h, m, inv, e := db.PlanCacheStats(); h != 0 || m != 0 || inv != 0 || e != 0 {
-		t.Fatalf("disabled cache has stats %d/%d/%d/%d", h, m, inv, e)
 	}
 }
 
@@ -251,7 +247,8 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 // distinct shapes is priced by the delay defense, not allowed to churn
 // the cache).
 func TestPlanCacheCapacityFloodDoesNotEvict(t *testing.T) {
-	db := planCacheDB(t, WithPlanCache(2))
+	db := planCacheDB(t)
+	db.planCache = newPlanCache(2)
 
 	warm := []string{
 		`SELECT name FROM items WHERE id = 1`,

@@ -152,73 +152,6 @@ func TestDegradedNotTrippedByRequestErrors(t *testing.T) {
 	}
 }
 
-// flakyServer fails the first n GETs with 503 (or kills the connection),
-// then serves normally.
-func flakyServer(t *testing.T, failures int) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := calls.Add(1)
-		if int(n) <= failures {
-			http.Error(w, `{"error":"transient"}`, http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"status":"ok"}`))
-	}))
-	t.Cleanup(ts.Close)
-	return ts, &calls
-}
-
-// TestClientRetryFlaky: a GET against a server that 5xxes twice succeeds
-// on the third attempt, with exponentially growing jittered pauses.
-func TestClientRetryFlaky(t *testing.T) {
-	ts, calls := flakyServer(t, 2)
-	var pauses []time.Duration
-	c := NewClient(ts.URL, "alice",
-		WithRetry(3, 10*time.Millisecond),
-		withSleeper(func(d time.Duration) { pauses = append(pauses, d) }, func() float64 { return 0.5 }))
-	h, err := c.Health()
-	if err != nil {
-		t.Fatalf("retried GET failed: %v", err)
-	}
-	if h.Status != "ok" {
-		t.Fatalf("health = %+v", h)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3", got)
-	}
-	// jitter pinned to 1.0x: pauses are exactly base, 2*base.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(pauses) != len(want) {
-		t.Fatalf("pauses = %v, want %v", pauses, want)
-	}
-	for i := range want {
-		if pauses[i] != want[i] {
-			t.Fatalf("pause %d = %v, want %v", i, pauses[i], want[i])
-		}
-	}
-}
-
-// TestClientRetryBudgetExhausted: the retry budget bounds attempts, and
-// the final error is surfaced.
-func TestClientRetryBudgetExhausted(t *testing.T) {
-	ts, calls := flakyServer(t, 100)
-	c := NewClient(ts.URL, "alice",
-		WithRetry(2, time.Millisecond),
-		withSleeper(func(time.Duration) {}, func() float64 { return 0.5 }))
-	_, err := c.Health()
-	if err == nil {
-		t.Fatal("exhausted retries reported success")
-	}
-	if !strings.Contains(err.Error(), "503") {
-		t.Fatalf("final error does not carry the status: %v", err)
-	}
-	if got := calls.Load(); got != 3 { // 1 try + 2 retries
-		t.Fatalf("server saw %d calls, want 3", got)
-	}
-}
-
 // TestClientNeverRetriesQuery: POST /query is a charged, delay-priced
 // statement; a connection error or 5xx must NOT trigger a resend.
 func TestClientNeverRetriesQuery(t *testing.T) {
@@ -228,10 +161,7 @@ func TestClientNeverRetriesQuery(t *testing.T) {
 		http.Error(w, `{"error":"transient"}`, http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	slept := false
-	c := NewClient(ts.URL, "alice",
-		WithRetry(5, time.Millisecond),
-		withSleeper(func(time.Duration) { slept = true }, func() float64 { return 0.5 }))
+	c := NewClient(ts.URL, "alice")
 	if _, err := c.Query(`SELECT * FROM items`); err == nil {
 		t.Fatal("query against failing server succeeded")
 	}
@@ -240,24 +170,6 @@ func TestClientNeverRetriesQuery(t *testing.T) {
 	}
 	if got := calls.Load(); got != 2 { // one per POST, zero retries
 		t.Fatalf("server saw %d calls, want exactly 2 (no POST retries)", got)
-	}
-	if slept {
-		t.Fatal("client slept for backoff on a POST")
-	}
-}
-
-// TestBackoffCap: the exponential pause is clamped at 10x base even for
-// large attempt numbers, including shift overflow territory.
-func TestBackoffCap(t *testing.T) {
-	c := NewClient("http://unused", "alice",
-		WithRetry(100, time.Millisecond),
-		withSleeper(func(time.Duration) {}, func() float64 { return 0.999 }))
-	for _, attempt := range []int{0, 5, 40, 63, 64, 70} {
-		if d := c.backoff(attempt); d > 10*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, above the cap", attempt, d)
-		} else if d <= 0 {
-			t.Fatalf("backoff(%d) = %v, not positive", attempt, d)
-		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -566,102 +565,42 @@ func (s *Server) handleSketchAbsorb(w http.ResponseWriter, r *http.Request) {
 }
 
 // Client is a minimal client for the server, used by examples and tests.
+// It sends every request once: POST /query may carry a charged,
+// delay-priced statement, and resending one on a connection error could
+// execute — and charge — it twice.
 type Client struct {
 	base     string
 	identity string
 	http     *http.Client
-	// Retry policy (WithRetry). Retries apply ONLY to idempotent GETs:
-	// POST /query may carry a charged, delay-priced statement, and
-	// resending one on a connection error could execute — and charge —
-	// it twice.
-	retries     int
-	backoffBase time.Duration
-	backoffCap  time.Duration
-	sleep       func(time.Duration)
-	jitter      func() float64 // in [0, 1)
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithRetry enables retries of idempotent GET requests on connection
-// errors and 5xx responses: up to retries extra attempts, pausing
-// base·2^attempt scaled by a uniform ±50% jitter between attempts,
-// capped at 10·base. Writes (POST /query, /register) are never retried.
-func WithRetry(retries int, base time.Duration) ClientOption {
-	return func(c *Client) {
-		c.retries = retries
-		c.backoffBase = base
-		c.backoffCap = 10 * base
-	}
-}
-
-// withSleeper replaces the backoff sleeper and jitter source — test
-// instrumentation, deliberately unexported.
-func withSleeper(sleep func(time.Duration), jitter func() float64) ClientOption {
-	return func(c *Client) {
-		c.sleep = sleep
-		c.jitter = jitter
-	}
 }
 
 // NewClient returns a client for the server at base (e.g.
 // "http://localhost:8080") acting as the given identity.
-func NewClient(base, identity string, opts ...ClientOption) *Client {
-	c := &Client{
+func NewClient(base, identity string) *Client {
+	return &Client{
 		base:     base,
 		identity: identity,
 		http:     &http.Client{Timeout: 5 * time.Minute},
-		sleep:    time.Sleep,
-		jitter:   rand.Float64,
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
 }
 
-// backoff returns the pause before retry attempt (0-based): exponential
-// in attempt, scaled by a uniform factor in [0.5, 1.5), capped.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.backoffBase << attempt
-	if d > c.backoffCap || d <= 0 {
-		d = c.backoffCap
-	}
-	d = time.Duration(float64(d) * (0.5 + c.jitter()))
-	if d > c.backoffCap {
-		d = c.backoffCap
-	}
-	return d
-}
-
-// getJSON fetches base+path and decodes the body into out, retrying
-// connection errors and 5xx statuses per the retry policy. GET only —
-// see the Client doc for why writes never come through here.
+// getJSON fetches base+path and decodes the body into out; a 5xx status
+// is an error carrying the server's message.
 func (c *Client) getJSON(path string, out any) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := c.http.Get(c.base + path)
-		if err != nil {
-			lastErr = err
-		} else if resp.StatusCode >= 500 {
-			var e ErrorResponse
-			json.NewDecoder(resp.Body).Decode(&e)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("server: %s (HTTP %d)", e.Error, resp.StatusCode)
-		} else {
-			err := json.NewDecoder(resp.Body).Decode(out)
-			resp.Body.Close()
-			if err != nil {
-				return fmt.Errorf("server: decoding %s response: %w", path, err)
-			}
-			return nil
-		}
-		if attempt >= c.retries {
-			return lastErr
-		}
-		c.sleep(c.backoff(attempt))
+	resp, err := c.http.Get(c.base + path)
+	if err != nil {
+		return err
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 500 {
+		var e ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		return fmt.Errorf("server: %s (HTTP %d)", e.Error, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("server: decoding %s response: %w", path, err)
+	}
+	return nil
 }
 
 // Query runs sql through the front door.
@@ -709,8 +648,7 @@ func (c *Client) Register() error {
 	return nil
 }
 
-// Stats fetches shield statistics. Idempotent; retried per the retry
-// policy.
+// Stats fetches shield statistics.
 func (c *Client) Stats() (*StatsResponse, error) {
 	var out StatsResponse
 	if err := c.getJSON("/stats", &out); err != nil {
@@ -720,7 +658,6 @@ func (c *Client) Stats() (*StatsResponse, error) {
 }
 
 // Metrics fetches the shield's instrument snapshot from /metrics.
-// Idempotent; retried per the retry policy.
 func (c *Client) Metrics() (map[string]any, error) {
 	var out map[string]any
 	if err := c.getJSON("/metrics", &out); err != nil {
@@ -729,7 +666,7 @@ func (c *Client) Metrics() (map[string]any, error) {
 	return out, nil
 }
 
-// Health fetches /healthz. Idempotent; retried per the retry policy.
+// Health fetches /healthz.
 func (c *Client) Health() (*HealthResponse, error) {
 	var out HealthResponse
 	if err := c.getJSON("/healthz", &out); err != nil {

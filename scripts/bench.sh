@@ -159,8 +159,19 @@ run_suite() {
 # scattered ranks above it). The older bound, scans no slower than
 # random, is gone: with both mostly past the horizon they read 0.91 in
 # that sitting and 0.9-1.1 in another, no margin to judge by;
-# a point query at 4 or 16 goroutines must not be slower than
-# single-threaded (1.05 allows scheduler noise on small hosts); a
+# a point query at 4 or 16 goroutines may take at most 1.2 of the
+# single-threaded time, a guard against a read path that collapses under
+# concurrency. On a 2-vCPU box the parallel run has little to gain and
+# the ratio tracks the host, not the code (0.25 s passes, one process
+# each, unchanged tree): idle, g=4/g=1 read 0.73-1.00 and g=16/g=1
+# 0.77-0.93 over ten processes; with one core taken by another process,
+# 0.89-1.10 and 0.97-1.09 over six (medians 1.04 and 1.06), and the
+# engine suite's check runs saw per-round ratios of 0.98-1.13 on base
+# and tree alike, which broke the old 1.05 bound in 2 of 4 runs. A
+# longer pass does not help: the busy core is the sitting's, not the
+# pass's. Every cached point read taking the table lock exclusively
+# still read 0.85-0.95 and 0.77-0.97 idle, so no bound this box can
+# hold separates serialized reads from shared ones; a
 # key-only COUNT(*) over 1,000 keys, which the primary index answers
 # without a page, must take at most 0.3 of SELECT * over the same
 # ranges, which reads every row's page from a heap 28 times the pool
@@ -198,8 +209,8 @@ run_suite() {
 shield_inv='BenchmarkScanQuoteObserve/history=random,BenchmarkScanQuoteObserve/history=uncapped,0.5
 BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92
 BenchmarkRecluster/cands=256/history=scans,BenchmarkReclusterOracle/cands=256/history=scans,0.5'
-engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.05
-BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.05
+engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.2
+BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.2
 BenchmarkEngineRange/count,BenchmarkEngineRange/rows,0.3
 BenchmarkWALCommit/group=on/g=8,BenchmarkWALCommit/group=off/g=8,1.0
 BenchmarkEngineMixed/w10/g=16,BenchmarkEngineMixed/w10/g=1,0.6
