@@ -118,8 +118,8 @@ torture:
 	TORTURE_POINTS=400 $(GO) test -race -v -run TestCrash ./internal/torture/
 
 # Shard-kill cluster torture, CI-sized: a scripted workload against a
-# partitioned R=2 cluster and a fully replicated (R=N) one while shards
-# are killed and revived, RPC
+# partitioned R=2 cluster and a fully replicated (R=N) one, under seeds
+# 1-4 each, while shards are killed and revived, RPC
 # faults (latency/error/torn-response) are injected, and a rebalance is
 # raced against a kill — asserting no acked write is ever lost, resync
 # restores full health, and detection sketches reconverge after
@@ -161,6 +161,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=30s ./internal/ostree/
 	$(GO) test -run '^$$' -fuzz=FuzzPeerReply -fuzztime=30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz=FuzzSpanMerge -fuzztime=30s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz=FuzzRebalanceBody -fuzztime=30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz=FuzzAppendQueryResponse -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzScanQueryResponse -fuzztime=30s ./internal/server/

@@ -52,19 +52,19 @@
 // whose reads land on different shards still prices like extraction. A
 // peer back from an outage rejoins writes-only ("resync" in /healthz)
 // until POST /admin/resync re-copies its partitions from a readable
-// replica (any layout), or an operator restores its data and confirms
-// POST /admin/peer-up; only those return it to the read rotation. The
+// replica (any layout); only that returns it to the read rotation. The
 // router serves the same /query, /register, /healthz, /metrics surface
 // plus GET /stats?node=<name> pinning. -shard-timeout bounds each
 // router→shard RPC; a shard slower than the deadline is treated as
 // failed and latched out of the read plane. The live map is served at
 // GET /admin/partition-map; POST /admin/rebalance with {"version": v+1,
-// "owners": [...]} (or "replicas") starts the background tuple
-// migrator, which streams the moved partitions owner→owner with
-// dual-write fencing and installs the new map only once every slice is
-// copied — GET /admin/rebalance reports its progress, and a failed
-// migration rolls the map back. Requests may pin X-Partition-Version
-// and are rejected retryably (409) when the map has moved on.
+// "replicas": [[...], ...]} (or a bare "replication") is the one way to
+// change it: the background tuple migrator streams the moved partitions
+// owner→owner with dual-write fencing and installs the new map only once
+// every slice is copied — GET /admin/rebalance reports its progress, and
+// a failed migration rolls the map back. Requests may pin
+// X-Partition-Version and are rejected retryably (409) when the map has
+// moved on.
 //
 // With -deadline set, a query whose policy delay outlives the budget is
 // cancelled and answered with HTTP 504; the delay is still charged, so

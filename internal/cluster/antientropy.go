@@ -48,7 +48,7 @@ func (r *Router) exchangeLocked(floor float64) error {
 	// that answers rejoins the write plane and the exchange in the
 	// writes-only resync state — it missed fan-out writes while down,
 	// so reachability alone must NOT put it back on the read path
-	// (see Node.resync; only an operator's /admin/peer-up does that).
+	// (see Node.resync; only CatchUpPeer's data copy does that).
 	// The revived peer also missed whole exchange rounds (and may have
 	// restarted and lost its table), so revival resets EVERY source
 	// watermark — the pulls below then re-export full history and the
@@ -157,9 +157,9 @@ func (r *Router) mergeLag() float64 {
 // probePeer checks a down peer's /healthz. An answer clears the down
 // latch but latches resync in its place: the peer is reachable again
 // and rejoins the write fan-out and the sketch exchange, but it missed
-// acked writes while down and this router has no data-resync channel
-// (only sketches re-converge), so it must not serve reads until an
-// operator replays/copies the data and confirms POST /admin/peer-up.
+// acked writes while down (the exchange re-converges only sketches), so
+// it must not serve reads until POST /admin/resync (CatchUpPeer) has
+// re-copied its partitions from a readable replica.
 func (r *Router) probePeer(n *Node) bool {
 	if r.rpcJSON(context.Background(), n, http.MethodGet, "/healthz", nil, nil) != nil {
 		return false

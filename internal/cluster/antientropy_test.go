@@ -172,7 +172,7 @@ func TestAntiEntropyRoutesAroundDeadPeer(t *testing.T) {
 		t.Error("revived peer still latched down after a successful probe")
 	}
 	if !nodes[2].Resync() {
-		t.Error("probe revival landed the peer back in full rotation; want writes-only resync until an operator peer-up")
+		t.Error("probe revival landed the peer back in full rotation; want writes-only resync until /admin/resync")
 	}
 	if m := shieldAt[2].Detector().Multiplier("splitter"); m <= 1 {
 		t.Errorf("revived shard multiplier %v, want > 1 after catch-up", m)

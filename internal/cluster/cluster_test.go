@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +134,18 @@ func insertItems(lo, hi int) string {
 // primaryOf returns the shard a point read of key goes to first.
 func (c *testCluster) primaryOf(key int64) int {
 	return c.Router.CurrentPartitionMap().OwnerOf(key)
+}
+
+// groupNames renders pm's replica groups by node name, the form a
+// rebalance body takes.
+func groupNames(r *Router, pm *PartitionMap) [][]string {
+	out := make([][]string, len(pm.Replicas))
+	for p, g := range pm.Replicas {
+		for _, n := range g {
+			out[p] = append(out[p], r.nodes[n].name)
+		}
+	}
+	return out
 }
 
 // handlerClient is the tests' and benchmarks' client: an
@@ -344,6 +358,36 @@ func TestRegisterBroadcasts(t *testing.T) {
 	}
 }
 
+// TestShardChargesTheClient: a client that sends no X-Identity is its
+// address, and the shard must charge that address — not the router's
+// socket, which would make every anonymous client one principal — over
+// either transport.
+func TestShardChargesTheClient(t *testing.T) {
+	const client = "203.0.113.7:5555"
+	for _, loopback := range []bool{false, true} {
+		t.Run(fmt.Sprintf("loopback=%v", loopback), func(t *testing.T) {
+			c := newTestCluster(t, clusterOpts{Tuples: 10, Detect: detectCfg(), Loopback: loopback})
+			req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"sql":"SELECT v FROM items WHERE id = 1"}`))
+			req.Header.Set("Content-Type", "application/json")
+			req.RemoteAddr = client
+			rec := httptest.NewRecorder()
+			c.Handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("anonymous read: HTTP %d: %s", rec.Code, rec.Body)
+			}
+			var seen []string
+			for _, sh := range c.Shields {
+				for _, s := range sh.Detector().Suspects(0) {
+					seen = append(seen, s.Principal)
+				}
+			}
+			if !slices.Contains(seen, client) {
+				t.Fatalf("shards charged %q, want the client %q", seen, client)
+			}
+		})
+	}
+}
+
 func TestAdmissionRejectsBeforeAnyShard(t *testing.T) {
 	clock := vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC))
 	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10, Config: Config{
@@ -411,12 +455,20 @@ func TestRouterEdgeHardening(t *testing.T) {
 	if resp, _ := do(t, h, http.MethodGet, "/query", "", ""); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query status = %d, want 405", resp.StatusCode)
 	}
-	// Unknown peer-up → 404; malformed → 400.
-	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", `{"name":"nope"}`); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown peer-up status = %d, want 404", resp.StatusCode)
+	// Unknown resync peer → 404; malformed → 400.
+	if resp, body := do(t, h, http.MethodPost, "/admin/resync", "", `{"name":"nope"}`); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown resync peer status = %d (%s), want 404", resp.StatusCode, body)
 	}
-	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", `{`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed peer-up status = %d, want 400", resp.StatusCode)
+	if resp, _ := do(t, h, http.MethodPost, "/admin/resync", "", `{`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed resync status = %d, want 400", resp.StatusCode)
+	}
+	// A map moves only by rebalance and a peer returns only by resync:
+	// the raw install and the unchecked peer-up are not routes.
+	for _, path := range []string{"/admin/partition-map", "/admin/peer-up"} {
+		resp, _ := do(t, h, http.MethodPost, path, "", `{"name":"shard-0","version":2,"replicas":[["shard-0"]]}`)
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s status = %d, want 404 or 405", path, resp.StatusCode)
+		}
 	}
 	// The quote endpoint is hardened like the shard's.
 	if resp, _ := do(t, h, http.MethodPost, "/admin/quote", "", `garbage`); resp.StatusCode != http.StatusBadRequest {

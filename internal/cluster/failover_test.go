@@ -107,8 +107,8 @@ func TestShardFailover(t *testing.T) {
 // discover a down peer answering again, but reachability says nothing
 // about the writes it missed while down. So probe revival lands the
 // peer in writes-only resync: it receives new writes (so it stops
-// falling behind) but serves no reads until it is resynced or an
-// operator confirms POST /admin/peer-up.
+// falling behind) but serves no reads until POST /admin/resync has
+// copied it the writes it missed.
 func TestProbeRevivalIsWritesOnly(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{Tuples: 20})
 	r, h := c.Router, c.Handler
@@ -169,15 +169,19 @@ func TestProbeRevivalIsWritesOnly(t *testing.T) {
 		t.Fatalf("healthz reports %s as %q, want resync", name, st)
 	}
 
-	// Operator peer-up returns it to the read rotation.
-	if resp, _ := do(t, h, http.MethodPost, "/admin/peer-up", "", fmt.Sprintf(`{"name":%q}`, name)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-up: HTTP %d", resp.StatusCode)
+	// Resync copies it the write it missed, then returns it to the read
+	// rotation.
+	if resp, body := do(t, h, http.MethodPost, "/admin/resync", "", fmt.Sprintf(`{"name":%q}`, name)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resync: HTTP %d: %s", resp.StatusCode, body)
 	}
 	if node.Resync() || node.Down() {
-		t.Fatal("peer-up did not clear the latches")
+		t.Fatal("resync did not clear the latches")
+	}
+	if v, ok := readValue(t, c.Shards[victim], "probe", 300); !ok || v != "missed" {
+		t.Fatalf("resync did not deliver the missed write: (%q, %v)", v, ok)
 	}
 	if health := healthOf(t, h); health.Status != "ok" {
-		t.Fatalf("post-peer-up health = %q, want ok", health.Status)
+		t.Fatalf("post-resync health = %q, want ok", health.Status)
 	}
 }
 

@@ -102,7 +102,7 @@ func (r *Router) readCover(pm *PartitionMap, parts []int, avoid map[int]int) (ma
 	cover := make(map[int][]int)
 	for _, p := range parts {
 		pick := -1
-		for _, i := range pm.groupOf(p) {
+		for _, i := range pm.Replicas[p] {
 			if !r.nodes[i].readable() {
 				continue
 			}

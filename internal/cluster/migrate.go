@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/server"
@@ -118,16 +119,6 @@ func (r *Router) migrationMarkDirty(pm *PartitionMap, p int) {
 	m.dirty[p].Store(true)
 }
 
-// Rebalance migrates the cluster to target (which must carry exactly
-// the next map version) and installs it at cutover. Synchronous; one
-// rebalance at a time.
-func (r *Router) Rebalance(target *PartitionMap) error {
-	if err := r.startMigration(target); err != nil {
-		return err
-	}
-	return r.runMigration()
-}
-
 // startMigration validates target and registers the migration, turning
 // dual-writes on. Serialized on migMu against concurrent rebalances
 // and peer catch-ups.
@@ -155,17 +146,17 @@ func (r *Router) startMigration(target *PartitionMap) error {
 	}
 	for p := 0; p < P; p++ {
 		src := make(map[int]bool)
-		for _, i := range cur.groupOf(p) {
+		for _, i := range cur.Replicas[p] {
 			src[i] = true
 		}
 		dst := make(map[int]bool)
-		for _, i := range target.groupOf(p) {
+		for _, i := range target.Replicas[p] {
 			dst[i] = true
 			if !src[i] {
 				m.gainers[p] = append(m.gainers[p], i)
 			}
 		}
-		for _, i := range cur.groupOf(p) {
+		for _, i := range cur.Replicas[p] {
 			if !dst[i] {
 				m.losers[p] = append(m.losers[p], i)
 			}
@@ -222,8 +213,9 @@ func (r *Router) runMigration() error {
 	}
 
 	// Cutover: block every write, force any remaining dirty partitions
-	// exact, and swap the map. From the instant InstallPartitionMap
-	// returns, requests route (and fence) by the target map.
+	// exact, and swap the map — the only place the map ever changes.
+	// From the instant of the swap, requests route (and fence) by the
+	// target map.
 	r.partLocks.Lock()
 	for _, p := range m.moving {
 		if !m.dirty[p].Load() {
@@ -234,11 +226,8 @@ func (r *Router) runMigration() error {
 			return r.finishMigration(m, "rolled_back", err)
 		}
 	}
-	err := r.InstallPartitionMap(m.target)
+	r.pmap.Store(m.target)
 	r.partLocks.Unlock()
-	if err != nil {
-		return r.finishMigration(m, "rolled_back", err)
-	}
 
 	// The map is live; old owners purge their moved slices. Best
 	// effort — a failure leaves orphans the partition filter hides and
@@ -298,7 +287,7 @@ func (r *Router) copyPartitionFenced(ctx context.Context, m *migration, p int) e
 // (or partLocks exclusively), so no write can land mid-copy and
 // clearing the dirty bit first is safe.
 func (r *Router) copyPartition(ctx context.Context, m *migration, p int) error {
-	src := r.firstReadable(m.source.groupOf(p))
+	src := r.firstReadable(m.source.Replicas[p])
 	if src < 0 {
 		return fmt.Errorf("partition %d has no readable source replica", p)
 	}
@@ -449,10 +438,11 @@ func (r *Router) handleRebalanceGet(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleRebalancePost proposes a next-version map and migrates the
-// tuples to match it. The body is a PartitionMapUpdate: explicit
-// Replicas/Owners, or a bare Replication to re-derive groups from the
-// ring (the "turn on R=2" one-liner). Asynchronous by default (202;
-// poll GET /admin/rebalance); Wait runs it synchronously.
+// tuples to match it — the one way the partition map changes. The body
+// is a PartitionMapUpdate: explicit Replicas, or a bare Replication to
+// re-derive groups from the ring (the "turn on R=2" one-liner).
+// Asynchronous by default (202; poll GET /admin/rebalance); Wait runs it
+// synchronously.
 func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 	if !server.RequireJSON(w, req) {
 		return
@@ -464,7 +454,7 @@ func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 	if up.Version == 0 {
 		up.Version = r.pmap.Load().Version + 1
 	}
-	target, err := r.mapFromUpdate(&up, true)
+	target, err := r.mapFromUpdate(&up)
 	if err != nil {
 		server.WriteErr(w, http.StatusBadRequest, err)
 		return
@@ -485,11 +475,10 @@ func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
 	server.WriteJSON(w, http.StatusAccepted, map[string]any{"status": "migrating", "version": target.Version})
 }
 
-// CatchUpPeer restores a revived replica to the read path by data
-// movement instead of operator assertion: for every partition the peer
-// replicates that has another readable source, re-copy the slice under
-// the partition's write fence, then clear both latches. The automated
-// counterpart to POST /admin/peer-up.
+// CatchUpPeer returns a peer to the read plane — the one way back: for
+// every partition the peer replicates that has another readable source,
+// re-copy the slice under the partition's write fence, then clear both
+// latches.
 func (r *Router) CatchUpPeer(name string) error {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
@@ -497,27 +486,13 @@ func (r *Router) CatchUpPeer(name string) error {
 		return errors.New("a rebalance is running; retry after it completes")
 	}
 	pm := r.pmap.Load()
-	ni := -1
-	for i, n := range r.nodes {
-		if n.name == name {
-			ni = i
-			break
-		}
-	}
+	ni := r.nodeIndex(name)
 	if ni < 0 {
 		return fmt.Errorf("unknown peer %q", name)
 	}
 	ctx := context.Background()
-	for p := range pm.Owners {
-		group := pm.groupOf(p)
-		member := false
-		for _, i := range group {
-			if i == ni {
-				member = true
-				break
-			}
-		}
-		if !member {
+	for p, group := range pm.Replicas {
+		if !slices.Contains(group, ni) {
 			continue
 		}
 		src := -1
@@ -562,27 +537,43 @@ func (r *Router) CatchUpPeer(name string) error {
 			return fmt.Errorf("resyncing partition %d: %w", p, err)
 		}
 	}
-	r.restorePeer(r.nodes[ni])
+	n := r.nodes[ni]
+	n.down.Store(false)
+	n.resync.Store(false)
+	// Every anti-entropy watermark resets: the peer missed rounds (and
+	// may have restarted), so the next exchange re-pulls full history and
+	// re-converges its sketches.
+	r.ae.mu.Lock()
+	clear(r.ae.marks)
+	r.ae.mu.Unlock()
+	r.syncPeerDown()
 	return nil
 }
 
-// handleResync is POST /admin/resync {"name": ...}: CatchUpPeer over
-// HTTP.
+// ResyncRequest is the POST /admin/resync body: the peer to catch up.
+type ResyncRequest struct {
+	Name string `json:"name"`
+}
+
+// handleResync is POST /admin/resync: CatchUpPeer over HTTP. A name no
+// node carries is a 404; a catch-up that cannot run (a rebalance in
+// flight, a staler replica ahead of the fresh one, a copy that failed)
+// is a 409.
 func (r *Router) handleResync(w http.ResponseWriter, req *http.Request) {
 	if !server.RequireJSON(w, req) {
 		return
 	}
-	var pr PeerUpRequest
-	if !server.DecodeBody(w, req, server.MaxBodyBytes, &pr) {
+	var rr ResyncRequest
+	if !server.DecodeBody(w, req, server.MaxBodyBytes, &rr) {
 		return
 	}
-	if pr.Name == "" {
-		server.WriteErr(w, http.StatusBadRequest, errors.New("empty peer name"))
+	if r.nodeIndex(rr.Name) < 0 {
+		server.WriteErr(w, http.StatusNotFound, fmt.Errorf("unknown peer %q", rr.Name))
 		return
 	}
-	if err := r.CatchUpPeer(pr.Name); err != nil {
+	if err := r.CatchUpPeer(rr.Name); err != nil {
 		server.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "resynced", "name": pr.Name})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "resynced", "name": rr.Name})
 }

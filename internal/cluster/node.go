@@ -19,14 +19,14 @@ import (
 const rpcBodyCap = 1 << 30
 
 // call is one router→shard request: everything a shard is ever sent.
-// A call with a body is a JSON POST; identity and forwardedFor are the
-// client's X-Identity and address, empty on the router's own calls.
+// A call with a body is a JSON POST; identity is the X-Identity of the
+// principal the router resolved for the client (its account, else its
+// address), empty on the router's own calls.
 type call struct {
-	method       string
-	path         string // request URI: path, then "?query" if any
-	body         []byte
-	identity     string
-	forwardedFor string
+	method   string
+	path     string // request URI: path, then "?query" if any
+	body     []byte
+	identity string
 }
 
 // reply is a shard's whole answer, body in memory.
@@ -67,7 +67,7 @@ type Node struct {
 	// down latches when a request to the peer fails at the transport
 	// level. Routing and the exchange skip down peers entirely. The
 	// anti-entropy loop's health probe moves a down peer to resync;
-	// only POST /admin/peer-up clears both latches.
+	// only CatchUpPeer (POST /admin/resync) clears both latches.
 	down atomic.Bool
 	// resync latches when a peer rejoins after missing writes: a probe
 	// revival (the peer was down, so fan-out writes skipped it) or a
@@ -75,9 +75,9 @@ type Node struct {
 	// outcome than the one the router acked). A resync peer is back on
 	// the write plane — fan-out writes and anti-entropy keep it from
 	// falling further behind — but serves NO reads: it is missing
-	// acked writes, and an acked write must stay readable. Only an
-	// operator's POST /admin/peer-up (asserting the replica has been
-	// resynced from a healthy peer) restores it to the read path.
+	// acked writes, and an acked write must stay readable. Only
+	// CatchUpPeer, which re-copies its partitions from a readable
+	// replica first, restores it to the read path.
 	resync atomic.Bool
 	// latchSeq orders latch episodes: it is stamped from latchClock on
 	// every readable→latched transition (and untouched on down→resync,
@@ -136,8 +136,8 @@ func (n *Node) Name() string { return n.name }
 // Down reports whether the peer is latched down.
 func (n *Node) Down() bool { return n.down.Load() }
 
-// Resync reports whether the peer is latched writes-only pending an
-// operator resync.
+// Resync reports whether the peer is latched writes-only pending
+// CatchUpPeer.
 func (n *Node) Resync() bool { return n.resync.Load() }
 
 // readable reports whether the peer may serve reads: reachable and not
@@ -218,8 +218,7 @@ func (t handlerTransport) roundTrip(ctx context.Context, c *call) (reply, error)
 }
 
 // serve runs the handler on the calling goroutine. The request looks
-// the way it would had it crossed the shard transport, except that it
-// arrives from the client's own address, as through a reverse proxy.
+// the way it would had it crossed the shard transport.
 func (t handlerTransport) serve(ctx context.Context, c *call) reply {
 	path, query, _ := strings.Cut(c.path, "?")
 	req := (&http.Request{
@@ -231,7 +230,6 @@ func (t handlerTransport) serve(ctx context.Context, c *call) reply {
 		Header:     make(http.Header, 3),
 		Body:       http.NoBody,
 		Host:       t.host,
-		RemoteAddr: c.forwardedFor,
 	}).WithContext(ctx)
 	if c.body != nil {
 		req.Body = io.NopCloser(bytes.NewReader(c.body))
@@ -240,9 +238,6 @@ func (t handlerTransport) serve(ctx context.Context, c *call) reply {
 	}
 	if c.identity != "" {
 		req.Header["X-Identity"] = []string{c.identity}
-	}
-	if c.forwardedFor != "" {
-		req.Header["X-Forwarded-For"] = []string{c.forwardedFor}
 	}
 	rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
 	t.h.ServeHTTP(rec, req)

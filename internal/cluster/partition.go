@@ -92,32 +92,8 @@ func NewPartitionMap(version uint64, partitions, nodes, replication int) (*Parti
 	return m, nil
 }
 
-// normalize fills the replica groups of a map built owners-only (hand
-// assembled by an operator or a test) and re-derives Owners from
-// Replicas otherwise, so both views always agree.
-func (m *PartitionMap) normalize() {
-	if len(m.Replicas) == 0 {
-		m.Replicas = make([][]int, len(m.Owners))
-		for p, o := range m.Owners {
-			m.Replicas[p] = []int{o}
-		}
-		return
-	}
-	if len(m.Owners) != len(m.Replicas) {
-		m.Owners = make([]int, len(m.Replicas))
-	}
-	for p, g := range m.Replicas {
-		if len(g) > 0 {
-			m.Owners[p] = g[0]
-		}
-	}
-}
-
-// replication returns the replica-group size (1 for owners-only maps).
+// replication returns the replica-group size.
 func (m *PartitionMap) replication() int {
-	if len(m.Replicas) == 0 {
-		return 1
-	}
 	r := 1
 	for _, g := range m.Replicas {
 		if len(g) > r {
@@ -144,18 +120,7 @@ func (m *PartitionMap) OwnerOf(key int64) int {
 // first — the torture harness and external tooling derive rebalance
 // targets from it.
 func (m *PartitionMap) GroupOf(p int) []int {
-	g := m.groupOf(p)
-	out := make([]int, len(g))
-	copy(out, g)
-	return out
-}
-
-// groupOf returns partition p's replica group.
-func (m *PartitionMap) groupOf(p int) []int {
-	if len(m.Replicas) == 0 {
-		return []int{m.Owners[p]}
-	}
-	return m.Replicas[p]
+	return append([]int(nil), m.Replicas[p]...)
 }
 
 // ownerSet returns the distinct node indices holding any replica, in
@@ -164,8 +129,8 @@ func (m *PartitionMap) groupOf(p int) []int {
 func (m *PartitionMap) ownerSet() []int {
 	seen := make(map[int]bool, len(m.Owners))
 	out := make([]int, 0, len(m.Owners))
-	for p := range m.Owners {
-		for _, n := range m.groupOf(p) {
+	for _, g := range m.Replicas {
+		for _, n := range g {
 			if !seen[n] {
 				seen[n] = true
 				out = append(out, n)
@@ -188,42 +153,18 @@ func sortInts(a []int) {
 // immutable; callers must not mutate it.
 func (r *Router) CurrentPartitionMap() *PartitionMap { return r.pmap.Load() }
 
-// InstallPartitionMap swaps in a rebalanced map without moving any
-// data — the raw fence-only install. The new map must keep the
-// partition count (tuples never re-hash; only ownership moves), carry
-// exactly the next version, and name only known shards. Callers that
-// want the tuples to follow the map use Rebalance, which copies first
-// and installs at cutover; a raw install is operator surgery, with the
-// version fence guaranteeing only that no request straddles two maps.
-func (r *Router) InstallPartitionMap(m *PartitionMap) error {
-	if err := r.validateNextMap(m); err != nil {
-		return err
-	}
-	r.pmapMu.Lock()
-	defer r.pmapMu.Unlock()
-	cur := r.pmap.Load()
-	if m.Version != cur.Version+1 {
-		return fmt.Errorf("cluster: partition map version must be %d (got %d)", cur.Version+1, m.Version)
-	}
-	r.pmap.Store(m)
-	return nil
-}
-
 // validateNextMap checks everything about a proposed map except its
-// version: partition count preserved, every replica group non-empty,
-// duplicate-free, and naming only known shards. It normalizes the map
-// (filling Replicas from Owners or vice versa) as a side effect.
+// version — partition count preserved, every replica group non-empty,
+// duplicate-free, and naming only known shards — and derives Owners,
+// the primary column, from the groups.
 func (r *Router) validateNextMap(m *PartitionMap) error {
 	if m == nil {
 		return errors.New("cluster: nil partition map")
 	}
-	cur := r.pmap.Load()
-	m.normalize()
-	if len(m.Owners) != len(cur.Owners) {
-		return fmt.Errorf("cluster: partition count is fixed at %d (got %d)", len(cur.Owners), len(m.Owners))
+	if P := len(r.pmap.Load().Owners); len(m.Replicas) != P {
+		return fmt.Errorf("cluster: partition count is fixed at %d (got %d)", P, len(m.Replicas))
 	}
-	for p := range m.Owners {
-		g := m.groupOf(p)
+	for p, g := range m.Replicas {
 		if len(g) == 0 {
 			return fmt.Errorf("cluster: partition %d has no replicas", p)
 		}
@@ -237,6 +178,10 @@ func (r *Router) validateNextMap(m *PartitionMap) error {
 			}
 			seen[n] = true
 		}
+	}
+	m.Owners = make([]int, len(m.Replicas))
+	for p, g := range m.Replicas {
+		m.Owners[p] = g[0]
 	}
 	return nil
 }
@@ -502,11 +447,9 @@ type PartitionMapResponse struct {
 	Version     uint64 `json:"version"`
 	Partitions  int    `json:"partitions"`
 	Replication int    `json:"replication"`
-	// Owners names the primary shard per partition.
-	Owners []string `json:"owners,omitempty"`
-	// Replicas names each partition's full replica group, primary
-	// first. Omitted when every group is a lone primary.
-	Replicas [][]string `json:"replicas,omitempty"`
+	// Replicas names each partition's replica group, primary first —
+	// the form POST /admin/rebalance takes.
+	Replicas [][]string `json:"replicas"`
 }
 
 func (r *Router) handlePartitionMapGet(w http.ResponseWriter, req *http.Request) {
@@ -515,34 +458,23 @@ func (r *Router) handlePartitionMapGet(w http.ResponseWriter, req *http.Request)
 		Version:     pm.Version,
 		Partitions:  len(pm.Owners),
 		Replication: pm.replication(),
-		Owners:      make([]string, len(pm.Owners)),
+		Replicas:    make([][]string, len(pm.Replicas)),
 	}
-	for p, o := range pm.Owners {
-		out.Owners[p] = r.nodes[o].name
-	}
-	if out.Replication > 1 {
-		out.Replicas = make([][]string, len(pm.Owners))
-		for p := range pm.Owners {
-			g := pm.groupOf(p)
-			names := make([]string, len(g))
-			for i, n := range g {
-				names[i] = r.nodes[n].name
-			}
-			out.Replicas[p] = names
+	for p, g := range pm.Replicas {
+		out.Replicas[p] = make([]string, len(g))
+		for i, n := range g {
+			out.Replicas[p][i] = r.nodes[n].name
 		}
 	}
 	server.WriteJSON(w, http.StatusOK, out)
 }
 
-// PartitionMapUpdate is the POST /admin/partition-map and
-// POST /admin/rebalance body: a proposed map at exactly the next
-// version. Either Owners (one primary per partition, R=1) or Replicas
-// (the full group per partition, primary first) names the assignment;
-// or, rebalance-only, a bare Replication re-derives the groups from
-// the ring at the new size.
+// PartitionMapUpdate is the POST /admin/rebalance body: a proposed map
+// at exactly the next version (0 means the next). Replicas names the
+// full group per partition, primary first; or a bare Replication
+// re-derives the groups from the ring at the new size.
 type PartitionMapUpdate struct {
 	Version     uint64     `json:"version"`
-	Owners      []string   `json:"owners,omitempty"`
 	Replicas    [][]string `json:"replicas,omitempty"`
 	Replication int        `json:"replication,omitempty"`
 	// Wait makes POST /admin/rebalance run the migration synchronously
@@ -550,66 +482,31 @@ type PartitionMapUpdate struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
-// mapFromUpdate resolves an update body to a PartitionMap. allowDerive
-// permits the bare-Replication form (rebalance), which needs the
-// router's ring parameters.
-func (r *Router) mapFromUpdate(up *PartitionMapUpdate, allowDerive bool) (*PartitionMap, error) {
+// mapFromUpdate resolves an update body to a PartitionMap, which
+// validateNextMap then checks against the live one.
+func (r *Router) mapFromUpdate(up *PartitionMapUpdate) (*PartitionMap, error) {
+	if len(up.Replicas) == 0 {
+		if up.Replication <= 0 {
+			return nil, errors.New("update names no replicas or replication")
+		}
+		return NewPartitionMap(up.Version, len(r.pmap.Load().Owners), len(r.nodes), up.Replication)
+	}
 	idx := make(map[string]int, len(r.nodes))
 	for i, n := range r.nodes {
 		idx[n.name] = i
 	}
-	switch {
-	case len(up.Replicas) > 0:
-		m := &PartitionMap{Version: up.Version, Replicas: make([][]int, len(up.Replicas))}
-		for p, names := range up.Replicas {
-			g := make([]int, len(names))
-			for i, name := range names {
-				ni, ok := idx[name]
-				if !ok {
-					return nil, fmt.Errorf("partition %d: unknown node %q", p, name)
-				}
-				g[i] = ni
-			}
-			m.Replicas[p] = g
-		}
-		m.normalize()
-		return m, nil
-	case len(up.Owners) > 0:
-		m := &PartitionMap{Version: up.Version, Owners: make([]int, len(up.Owners))}
-		for p, name := range up.Owners {
+	m := &PartitionMap{Version: up.Version, Replicas: make([][]int, len(up.Replicas))}
+	for p, names := range up.Replicas {
+		m.Replicas[p] = make([]int, len(names))
+		for i, name := range names {
 			ni, ok := idx[name]
 			if !ok {
 				return nil, fmt.Errorf("partition %d: unknown node %q", p, name)
 			}
-			m.Owners[p] = ni
+			m.Replicas[p][i] = ni
 		}
-		m.normalize()
-		return m, nil
-	case allowDerive && up.Replication > 0:
-		return NewPartitionMap(up.Version, len(r.pmap.Load().Owners), len(r.nodes), up.Replication)
-	default:
-		return nil, errors.New("update names no owners or replicas")
 	}
-}
-
-func (r *Router) handlePartitionMapPost(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
-	var up PartitionMapUpdate
-	if !server.DecodeBody(w, req, server.MaxBodyBytes, &up) {
-		return
-	}
-	m, err := r.mapFromUpdate(&up, false)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := r.InstallPartitionMap(m); err != nil {
-		server.WriteErr(w, http.StatusConflict, err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "installed", "version": m.Version})
+	return m, nil
 }
 
 // ExecScript runs a semicolon-separated statement script through the

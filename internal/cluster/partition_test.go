@@ -230,6 +230,10 @@ func TestScatterLimitWithoutOrder(t *testing.T) {
 	}
 }
 
+// TestPartitionMapVersionBump drives the version fence through the one
+// way a map changes, POST /admin/rebalance: a bad proposal is refused
+// before anything moves, a pin on the superseded map is refused
+// retryably, and an unpinned read follows the tuple to its new owner.
 func TestPartitionMapVersionBump(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 40, Config: Config{Partitions: 16}})
 	r, h := c.Router, c.Handler
@@ -243,7 +247,7 @@ func TestPartitionMapVersionBump(t *testing.T) {
 	if err := json.Unmarshal(body, &pmr); err != nil {
 		t.Fatal(err)
 	}
-	if pmr.Version != 1 || pmr.Replication != 1 || pmr.Partitions != 16 || len(pmr.Owners) != 16 {
+	if pmr.Version != 1 || pmr.Replication != 1 || pmr.Partitions != 16 || len(pmr.Replicas) != 16 {
 		t.Fatalf("map response %+v", pmr)
 	}
 
@@ -270,34 +274,36 @@ func TestPartitionMapVersionBump(t *testing.T) {
 		t.Fatalf("pinned v1 before bump: HTTP %d: %s", resp.StatusCode, body)
 	}
 
-	// Rotate every partition to the next node — data is now misplaced
-	// (migration is the operator's affair); the router must follow the
-	// new map, not the data.
-	rot := make([]string, len(pmr.Owners))
-	idx := map[string]int{}
-	for i, n := range r.Nodes() {
-		idx[n.Name()] = i
+	// Rotate every partition to the next node.
+	oldOwner := r.CurrentPartitionMap().OwnerOf(7)
+	newOwner := (oldOwner + 1) % len(r.Nodes())
+	rot := make([][]string, len(pmr.Replicas))
+	for p, g := range pmr.Replicas {
+		i := r.nodeIndex(g[0])
+		rot[p] = []string{r.Nodes()[(i+1)%len(r.Nodes())].Name()}
 	}
-	for p, name := range pmr.Owners {
-		rot[p] = r.Nodes()[(idx[name]+1)%len(r.Nodes())].Name()
+	rebalance := func(up PartitionMapUpdate) (*http.Response, []byte) {
+		up.Wait = true
+		b, _ := json.Marshal(up)
+		return do(t, h, http.MethodPost, "/admin/rebalance", "", string(b))
 	}
 
 	// Wrong next version is refused.
-	up, _ := json.Marshal(PartitionMapUpdate{Version: 3, Owners: rot})
-	if resp, body := do(t, h, http.MethodPost, "/admin/partition-map", "", string(up)); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("skip-version install: HTTP %d: %s", resp.StatusCode, body)
+	if resp, body := rebalance(PartitionMapUpdate{Version: 3, Replicas: rot}); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("skip-version rebalance: HTTP %d: %s", resp.StatusCode, body)
 	}
 	// Unknown node is refused.
-	bad := append([]string(nil), rot...)
-	bad[0] = "shard-99"
-	up, _ = json.Marshal(PartitionMapUpdate{Version: 2, Owners: bad})
-	if resp, body := do(t, h, http.MethodPost, "/admin/partition-map", "", string(up)); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown-node install: HTTP %d: %s", resp.StatusCode, body)
+	bad := append([][]string(nil), rot...)
+	bad[0] = []string{"shard-99"}
+	if resp, body := rebalance(PartitionMapUpdate{Version: 2, Replicas: bad}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown-node rebalance: HTTP %d: %s", resp.StatusCode, body)
 	}
-	// The legal bump installs.
-	up, _ = json.Marshal(PartitionMapUpdate{Version: 2, Owners: rot})
-	if resp, body := do(t, h, http.MethodPost, "/admin/partition-map", "", string(up)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("install: HTTP %d: %s", resp.StatusCode, body)
+	if v := r.CurrentPartitionMap().Version; v != 1 {
+		t.Fatalf("refused proposals moved the map to v%d", v)
+	}
+	// The legal bump moves the tuples and installs the map.
+	if resp, body := rebalance(PartitionMapUpdate{Version: 2, Replicas: rot}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebalance: HTTP %d: %s", resp.StatusCode, body)
 	}
 
 	// Old-version pins are rejected retryably, with the new version in
@@ -313,15 +319,21 @@ func TestPartitionMapVersionBump(t *testing.T) {
 		t.Fatalf("stale reject Retry-After %q, want 0", got)
 	}
 
-	// An unpinned read consults the NEW map: key 7's rotated owner does
-	// not hold the tuple, so the router must return empty — the old
-	// owner (which still physically has it) must not be asked.
+	// An unpinned read consults the NEW map: key 7's new owner serves
+	// it, and the old owner is not asked.
+	newServed, oldServed := c.Shields[newOwner].QueriesServed(), c.Shields[oldOwner].QueriesServed()
 	resp3, body3 := req("", 7)
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("post-bump read: HTTP %d: %s", resp3.StatusCode, body3)
 	}
-	if qr := decodeQuery(t, body3); len(qr.Rows) != 0 {
-		t.Fatalf("post-bump read returned %v; served from a non-owner", qr.Rows)
+	if qr := decodeQuery(t, body3); len(qr.Rows) != 1 || qr.Rows[0][0] != "v7" {
+		t.Fatalf("post-bump read returned %v, want [[v7]]", qr.Rows)
+	}
+	if got := c.Shields[newOwner].QueriesServed() - newServed; got != 1 {
+		t.Errorf("new owner %s served %d reads of key 7, want 1", r.nodes[newOwner].name, got)
+	}
+	if got := c.Shields[oldOwner].QueriesServed() - oldServed; got != 0 {
+		t.Errorf("old owner %s served %d reads of key 7 after the bump, want 0", r.nodes[oldOwner].name, got)
 	}
 }
 
@@ -571,4 +583,61 @@ func TestExecScriptSplitsStatements(t *testing.T) {
 	if len(got) != 2 || !strings.Contains(got[0], "a;b''c;d") {
 		t.Fatalf("quoted split = %q", got)
 	}
+}
+
+// FuzzRebalanceBody holds the rebalance body's path to a map —
+// PartitionMapUpdate, mapFromUpdate, validateNextMap — to two things on
+// any bytes: it does not panic, and a map it accepts keeps the partition
+// count, gives every partition a non-empty, duplicate-free group of known
+// nodes, and has each partition's primary first in its group.
+func FuzzRebalanceBody(f *testing.F) {
+	for _, s := range []string{
+		`{"version":2,"replicas":[["shard-0"],["shard-1"],["shard-2"],["shard-0"],["shard-1"],["shard-2"],["shard-0"],["shard-1"]]}`,
+		`{"version":2,"replicas":[["shard-0","shard-1"],["shard-1","shard-2"],["shard-2","shard-0"],["shard-0"],["shard-1"],["shard-2"],["shard-0"],["shard-1","shard-0"]],"wait":true}`,
+		`{"replication":2}`,
+		`{"replication":99}`,
+		`{"replication":-1}`,
+		`{"replicas":[["shard-0"]]}`,
+		`{"replicas":[[],[],[],[],[],[],[],[]]}`,
+		`{"replicas":[["shard-0","shard-0"],["shard-1"],["shard-2"],["shard-0"],["shard-1"],["shard-2"],["shard-0"],["shard-1"]]}`,
+		`{"replicas":[["shard-9"],["shard-1"],["shard-2"],["shard-0"],["shard-1"],["shard-2"],["shard-0"],["shard-1"]]}`,
+		`{"owners":["shard-0"]}`,
+		`{}`,
+		`[`,
+	} {
+		f.Add([]byte(s))
+	}
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), http.NotFoundHandler())
+	}
+	r, err := NewRouter(nodes, Config{Partitions: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var up PartitionMapUpdate
+		if json.Unmarshal(in, &up) != nil {
+			return
+		}
+		m, err := r.mapFromUpdate(&up)
+		if err != nil || r.validateNextMap(m) != nil {
+			return
+		}
+		if len(m.Replicas) != 8 || len(m.Owners) != 8 {
+			t.Fatalf("accepted a map of %d groups and %d owners, want 8 and 8", len(m.Replicas), len(m.Owners))
+		}
+		for p, g := range m.Replicas {
+			if len(g) == 0 || m.Owners[p] != g[0] {
+				t.Fatalf("partition %d: group %v, owner %d", p, g, m.Owners[p])
+			}
+			seen := make(map[int]bool)
+			for _, n := range g {
+				if n < 0 || n >= len(nodes) || seen[n] {
+					t.Fatalf("partition %d: group %v names an unknown or repeated node", p, g)
+				}
+				seen[n] = true
+			}
+		}
+	})
 }

@@ -298,14 +298,14 @@ func (pc *peerConn) exchange(c *call, host string) (rep reply, reuse bool, err e
 }
 
 // appendRequest appends c in wire form — request line, Host, the
-// client's identity and address, Content-Type and Content-Length for a
+// client's identity, Content-Type and Content-Length for a
 // body, blank line, body — so one Write sends it.
 func appendRequest(b []byte, c *call, host string) ([]byte, error) {
 	if strings.ContainsAny(c.method, " \r\n") || strings.ContainsAny(c.path, " \r\n") {
 		return nil, fmt.Errorf("request line %q %q: illegal character", c.method, c.path)
 	}
-	if strings.ContainsAny(c.identity, "\r\n") || strings.ContainsAny(c.forwardedFor, "\r\n") {
-		return nil, fmt.Errorf("header value %q %q: illegal character", c.identity, c.forwardedFor)
+	if strings.ContainsAny(c.identity, "\r\n") {
+		return nil, fmt.Errorf("header value %q: illegal character", c.identity)
 	}
 	b = append(b, c.method...)
 	b = append(b, ' ')
@@ -316,11 +316,6 @@ func appendRequest(b []byte, c *call, host string) ([]byte, error) {
 	if c.identity != "" {
 		b = append(b, "X-Identity: "...)
 		b = append(b, c.identity...)
-		b = append(b, "\r\n"...)
-	}
-	if c.forwardedFor != "" {
-		b = append(b, "X-Forwarded-For: "...)
-		b = append(b, c.forwardedFor...)
 		b = append(b, "\r\n"...)
 	}
 	if c.body != nil {

@@ -179,7 +179,7 @@ func TestPeerMigratePage(t *testing.T) {
 func TestPeerRequestRejectsInjection(t *testing.T) {
 	for _, c := range []call{
 		{method: http.MethodPost, path: "/query", identity: "alice\r\nX-Admin: 1"},
-		{method: http.MethodPost, path: "/query", forwardedFor: "10.0.0.1\nX-Admin: 1"},
+		{method: http.MethodPost, path: "/query", identity: "10.0.0.1\nX-Admin: 1"},
 		{method: http.MethodGet, path: "/stats HTTP/1.1\r\nX-Admin: 1"},
 		{method: "GET /admin/schema", path: "/stats"},
 	} {

@@ -58,7 +58,7 @@ func (r *Router) firstReadable(group []int) int {
 // runs out. The response relays only after re-checking the map pointer,
 // so an answer computed under a superseded map is retracted as a 409.
 func (r *Router) serveReplicaRead(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, part int, c *call) {
-	group := pm.groupOf(part)
+	group := pm.Replicas[part]
 	var last reply // the latest 5xx answer; status 0 while there is none
 	for round := 0; round < readRetryRounds; round++ {
 		if round > 0 {
@@ -120,7 +120,7 @@ func (r *Router) handleQuote(w http.ResponseWriter, req *http.Request) {
 	byNode := make([][]uint64, len(r.nodes))
 	for _, id := range qr.IDs {
 		p := pm.PartitionOf(int64(id))
-		node := r.firstReadable(pm.groupOf(p))
+		node := r.firstReadable(pm.Replicas[p])
 		if node < 0 {
 			server.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Errorf("partition %d unavailable: no readable replica", p))

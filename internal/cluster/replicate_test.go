@@ -129,12 +129,9 @@ func TestRebalanceMovesTuplesAutomatically(t *testing.T) {
 		t.Fatal("no keys in the chosen partition")
 	}
 
-	owners := make([]string, len(pm.Owners))
-	for p, o := range pm.Owners {
-		owners[p] = nodes[o].name
-	}
-	owners[part] = nodes[gainer].name
-	up, _ := json.Marshal(PartitionMapUpdate{Version: pm.Version + 1, Owners: owners, Wait: true})
+	groups := groupNames(r, pm)
+	groups[part] = []string{nodes[gainer].name}
+	up, _ := json.Marshal(PartitionMapUpdate{Version: pm.Version + 1, Replicas: groups, Wait: true})
 	resp, body := do(t, h, http.MethodPost, "/admin/rebalance", "", string(up))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebalance: HTTP %d: %s", resp.StatusCode, body)
@@ -201,12 +198,9 @@ func TestRebalanceRollsBackOnDeadGainer(t *testing.T) {
 	gainer := (loser + 1) % 4
 	chaos[gainer].Kill()
 
-	owners := make([]string, len(pm.Owners))
-	for p, o := range pm.Owners {
-		owners[p] = r.nodes[o].name
-	}
-	owners[part] = r.nodes[gainer].name
-	up, _ := json.Marshal(PartitionMapUpdate{Version: pm.Version + 1, Owners: owners, Wait: true})
+	groups := groupNames(r, pm)
+	groups[part] = []string{r.nodes[gainer].name}
+	up, _ := json.Marshal(PartitionMapUpdate{Version: pm.Version + 1, Replicas: groups, Wait: true})
 	resp, body := do(t, h, http.MethodPost, "/admin/rebalance", "", string(up))
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("rebalance with dead gainer: HTTP %d, want 502: %s", resp.StatusCode, body)

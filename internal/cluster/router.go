@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -87,12 +88,11 @@ type Router struct {
 	h     http.Handler
 	limit *ratelimit.IdentityLimiter
 
-	// pmap is the live partition map, never nil. Swaps (operator
-	// rebalances) serialize on pmapMu; readers load the pointer once
-	// per request and every routing decision plus the final relay check
-	// against that one map.
-	pmap   atomic.Pointer[PartitionMap]
-	pmapMu sync.Mutex
+	// pmap is the live partition map, never nil. Only a migration's
+	// cutover swaps it; readers load the pointer once per request and
+	// every routing decision plus the final relay check against that
+	// one map.
+	pmap atomic.Pointer[PartitionMap]
 	// schemas caches each table's primary-key column (tableKey), fed by
 	// snooping CREATE TABLE and lazily by GET /admin/schema from a
 	// shard; schemaMu serializes the lazy fetch.
@@ -113,7 +113,7 @@ type Router struct {
 	partMu    []sync.Mutex
 
 	// mig is the live migration (nil when none); migMu serializes
-	// Rebalance/CatchUpPeer admission, migLast keeps the last finished
+	// rebalance/CatchUpPeer admission, migLast keeps the last finished
 	// run's progress for /healthz and GET /admin/rebalance.
 	mig     atomic.Pointer[migration]
 	migMu   sync.Mutex
@@ -265,9 +265,7 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.mux.HandleFunc("GET /admin/topk", r.proxyGet("/admin/topk"))
 	r.mux.HandleFunc("GET /admin/suspects", r.handleSuspectsAgg)
 	r.mux.HandleFunc("POST /admin/quote", r.handleQuote)
-	r.mux.HandleFunc("POST /admin/peer-up", r.handlePeerUp)
 	r.mux.HandleFunc("GET /admin/partition-map", r.handlePartitionMapGet)
-	r.mux.HandleFunc("POST /admin/partition-map", r.handlePartitionMapPost)
 	r.mux.HandleFunc("GET /admin/rebalance", r.handleRebalanceGet)
 	r.mux.HandleFunc("POST /admin/rebalance", r.handleRebalancePost)
 	r.mux.HandleFunc("POST /admin/resync", r.handleResync)
@@ -292,6 +290,11 @@ func (r *Router) Handler() http.Handler { return r.h }
 
 // Nodes returns the routed shard set.
 func (r *Router) Nodes() []*Node { return r.nodes }
+
+// nodeIndex returns the index of the node called name, or -1.
+func (r *Router) nodeIndex(name string) int {
+	return slices.IndexFunc(r.nodes, func(n *Node) bool { return n.name == name })
+}
 
 // healthy returns the indices of peers eligible to serve reads: not
 // latched down and not in writes-only resync.
@@ -364,15 +367,10 @@ func readBody(r io.Reader, buf *queryBuf) ([]byte, error) {
 }
 
 // clientCall is the POST that forwards a client's request body to a
-// shard's path, carrying the client's identity and address.
-func clientCall(req *http.Request, path string, body []byte) *call {
-	return &call{
-		method:       http.MethodPost,
-		path:         path,
-		body:         body,
-		identity:     req.Header.Get("X-Identity"),
-		forwardedFor: req.RemoteAddr,
-	}
+// shard's path under the principal the router resolved for it, so the
+// shard charges the client whichever transport carries the call.
+func clientCall(principal, path string, body []byte) *call {
+	return &call{method: http.MethodPost, path: path, body: body, identity: principal}
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
@@ -434,7 +432,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.routed.Inc()
-	r.servePartitioned(req.Context(), w, pm, q.SQL, clientCall(req, "/query", body))
+	r.servePartitioned(req.Context(), w, pm, q.SQL, clientCall(principal, "/query", body))
 }
 
 // retryAfterSecs renders a refill wait as a Retry-After value, rounding
@@ -466,7 +464,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		server.WriteErr(w, http.StatusBadRequest, errors.New("empty identity"))
 		return
 	}
-	r.broadcast(req.Context(), w, clientCall(req, "/register", body))
+	r.broadcast(req.Context(), w, clientCall(server.Identity(req), "/register", body))
 }
 
 // PeerHealth is one peer's entry in the router's /healthz body.
@@ -479,7 +477,7 @@ type PeerHealth struct {
 // HealthResponse is the router's /healthz body: "ok" with every peer
 // up, "degraded" while any peer is latched down (unreachable) or
 // resync (reachable, receiving writes, but out of the read path until
-// caught up and confirmed via POST /admin/peer-up). The cluster still
+// POST /admin/resync re-copies what it missed). The cluster still
 // serves either way — reads route around the hole, writes go to
 // everything reachable. It also carries the map version,
 // partition/replication shape, and the live (or last) migration
@@ -528,16 +526,12 @@ func (r *Router) proxyGet(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		var n *Node
 		if want := req.URL.Query().Get("node"); want != "" {
-			for _, cand := range r.nodes {
-				if cand.name == want {
-					n = cand
-					break
-				}
-			}
-			if n == nil {
+			i := r.nodeIndex(want)
+			if i < 0 {
 				server.WriteErr(w, http.StatusNotFound, fmt.Errorf("unknown node %q", want))
 				return
 			}
+			n = r.nodes[i]
 		} else {
 			h := r.healthy()
 			if len(h) == 0 {
@@ -633,50 +627,4 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 		out = out[:k]
 	}
 	server.WriteJSON(w, http.StatusOK, server.SuspectsResponse{Enabled: enabled, Suspects: out})
-}
-
-// restorePeer puts n back on the read plane — POST /admin/peer-up and
-// CatchUpPeer both end here: both latches clear, and every anti-entropy
-// watermark resets, because the peer missed rounds (and may have
-// restarted), so the next exchange re-pulls full history and
-// re-converges it.
-func (r *Router) restorePeer(n *Node) {
-	n.down.Store(false)
-	n.resync.Store(false)
-	r.ae.mu.Lock()
-	clear(r.ae.marks)
-	r.ae.mu.Unlock()
-	r.syncPeerDown()
-}
-
-// PeerUpRequest is the POST /admin/peer-up body: an operator's
-// assertion that the named peer holds the replica data again (restart
-// plus resync from a healthy peer), clearing both the down latch and
-// the writes-only resync latch. This is the ONLY path back into the
-// read rotation — the automatic health probe stops at resync, because
-// reachability proves nothing about the writes the peer missed.
-type PeerUpRequest struct {
-	Name string `json:"name"`
-}
-
-func (r *Router) handlePeerUp(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
-	var pr PeerUpRequest
-	if !server.DecodeBody(w, req, server.MaxBodyBytes, &pr) {
-		return
-	}
-	if pr.Name == "" {
-		server.WriteErr(w, http.StatusBadRequest, errors.New("empty peer name"))
-		return
-	}
-	for _, n := range r.nodes {
-		if n.name == pr.Name {
-			r.restorePeer(n)
-			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "up", "name": pr.Name})
-			return
-		}
-	}
-	server.WriteErr(w, http.StatusNotFound, fmt.Errorf("unknown peer %q", pr.Name))
 }

@@ -188,7 +188,7 @@ func (r *Router) applyWrite(ctx context.Context, w http.ResponseWriter, pm *Part
 	}
 	for _, p := range parts {
 		reachable := false
-		for _, i := range pm.groupOf(p) {
+		for _, i := range pm.Replicas[p] {
 			if !r.nodes[i].down.Load() {
 				add(i, p)
 				reachable = true
@@ -254,7 +254,7 @@ func (r *Router) applyWrite(ctx context.Context, w http.ResponseWriter, pm *Part
 	ack := -1 // the slot whose reply an acked write relays
 	for _, p := range parts {
 		slot := -1
-		for _, i := range pm.groupOf(p) {
+		for _, i := range pm.Replicas[p] {
 			if s := slices.Index(targets[:owners], i); applied(s) && r.nodes[i].readable() {
 				slot = s
 				break
