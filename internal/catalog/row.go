@@ -191,3 +191,28 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 	}
 	return row, nil
 }
+
+// Fields appends to dst each column's bytes within the record data, in
+// schema order and aliasing data: the eight bytes of an INT or FLOAT, the
+// text of a TEXT without its length. It is how a reader takes a TEXT cell
+// from the page in place where DecodeRowInto would copy it out. The
+// record must be one DecodeRowInto accepts.
+func Fields(s Schema, data []byte, dst [][]byte) ([][]byte, error) {
+	off := 0
+	for _, col := range s.Columns {
+		n := 8
+		if col.Type == Text {
+			l, w := binary.Uvarint(data[off:])
+			if w <= 0 || l > uint64(len(data)-off-w) {
+				return nil, fmt.Errorf("catalog: bad TEXT column %q", col.Name)
+			}
+			off += w
+			n = int(l)
+		} else if off+n > len(data) {
+			return nil, fmt.Errorf("catalog: truncated column %q", col.Name)
+		}
+		dst = append(dst, data[off:off+n:off+n])
+		off += n
+	}
+	return dst, nil
+}

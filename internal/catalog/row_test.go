@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -203,6 +204,45 @@ func TestEmptyStringsAndUnicode(t *testing.T) {
 		got, err := DecodeRow(s, data)
 		if err != nil || got[1].Str != str {
 			t.Fatalf("string %q: got %q, %v", str, got[1].Str, err)
+		}
+	}
+}
+
+// TestFieldsLocatesEachColumn: the bytes Fields finds for a column are
+// the value DecodeRow reads there — a TEXT's text, a number's eight
+// little-endian bytes — and a record cut short anywhere is an error, not
+// a panic.
+func TestFieldsLocatesEachColumn(t *testing.T) {
+	s := Schema{
+		Table: "p",
+		Columns: []Column{
+			{Name: "name", Type: Text},
+			{Name: "id", Type: Int},
+			{Name: "score", Type: Float},
+			{Name: "note", Type: Text},
+		},
+		Key: 1,
+	}
+	f := func(id int64, name string, score float64, note string) bool {
+		data, err := EncodeRow(s, Row{TextValue(name), IntValue(id), FloatValue(score), TextValue(note)})
+		if err != nil {
+			return false
+		}
+		fields, err := Fields(s, data, nil)
+		if err != nil || len(fields) != 4 {
+			return false
+		}
+		return string(fields[0]) == name && string(fields[3]) == note &&
+			binary.LittleEndian.Uint64(fields[1]) == uint64(id) &&
+			binary.LittleEndian.Uint64(fields[2]) == math.Float64bits(score)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := EncodeRow(s, Row{TextValue("abc"), IntValue(1), FloatValue(2), TextValue("de")})
+	for cut := 0; cut < len(data); cut++ {
+		if _, err := Fields(s, data[:cut], nil); err == nil {
+			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }

@@ -685,19 +685,21 @@ func (s *Shield) Query(identity, sql string) (*engine.Result, QueryStats, error)
 // arrive. QueryStats still carries the full quoted delay, but the caller
 // never sees the tuples.
 func (s *Shield) QueryCtx(ctx context.Context, identity, sql string) (*engine.Result, QueryStats, error) {
-	return s.QueryFilteredCtx(ctx, identity, sql, nil)
+	return s.QueryInto(ctx, identity, sql, nil, nil, nil)
 }
 
-// QueryFilteredCtx is QueryCtx restricted to the rows of parts: the
-// engine evaluates the set with the statement's WHERE clause, so the
-// detector observes and the delay gate prices exactly the tuples the
-// statement returned (or, for an aggregate, folded). A scatter leg uses
-// this so a replica answering for a subset of its locally held
-// partitions charges only that subset — otherwise every replica of a
-// scanned range would inflate the caller's coverage sketch R-fold. A nil
-// parts is every row (identical to QueryCtx); a non-nil one is for
-// SELECT only.
-func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, parts *engine.PartitionSet) (*engine.Result, QueryStats, error) {
+// QueryInto is QueryCtx restricted to the rows of parts, with a SELECT's
+// reply written through enc onto body (engine.Prepared.ExecInto) rather
+// than returned as values: the front door's path, where what the delay
+// holds back is the encoded reply. The engine evaluates parts with the
+// statement's WHERE clause, so the detector observes and the delay gate
+// prices exactly the tuples the statement returned (or, for an
+// aggregate, folded). A scatter leg uses this so a replica answering for
+// a subset of its locally held partitions charges only that subset —
+// otherwise every replica of a scanned range would inflate the caller's
+// coverage sketch R-fold. A nil parts is every row; a non-nil one is for
+// SELECT only. A nil enc returns the rows in Result.Rows, as QueryCtx.
+func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *engine.PartitionSet, enc engine.RowEncoder, body []byte) (*engine.Result, QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -729,7 +731,12 @@ func (s *Shield) QueryFilteredCtx(ctx context.Context, identity, sql string, par
 			return nil, QueryStats{}, fmt.Errorf("%w (cause: %s)", ErrDegraded, cause)
 		}
 	}
-	res, err := prep.ExecIn(parts)
+	var res *engine.Result
+	if enc != nil {
+		res, err = prep.ExecInto(parts, enc, body)
+	} else {
+		res, err = prep.ExecIn(parts)
+	}
 	if err != nil {
 		s.noteExecError(err)
 		return nil, QueryStats{}, err

@@ -651,6 +651,11 @@ type Result struct {
 	Keys []uint64
 	// Affected is the number of rows inserted, updated, or deleted.
 	Affected int
+	// Body is the reply body Prepared.ExecInto was given, with what its
+	// RowEncoder appended, and BodyRows the number of rows that holds. A
+	// SELECT run that way leaves Rows nil.
+	Body     []byte
+	BodyRows int
 }
 
 // Exec executes one SQL statement through the prepared-statement path:
@@ -705,6 +710,12 @@ func (db *Database) ExecScript(src string) ([]*Result, error) {
 // SELECT or DELETE to the rows of those partitions (see PartitionSet);
 // no other statement takes one.
 func (db *Database) ExecStmt(stmt sqlmini.Statement, parts *PartitionSet) (*Result, error) {
+	return db.execStmt(stmt, parts, nil)
+}
+
+// execStmt is ExecStmt with a SELECT's reply written through w when w is
+// non-nil.
+func (db *Database) execStmt(stmt sqlmini.Statement, parts *PartitionSet, w *rowWriter) (*Result, error) {
 	_, isSelect := stmt.(*sqlmini.Select)
 	_, isDelete := stmt.(*sqlmini.Delete)
 	if parts != nil && !isSelect && !isDelete {
@@ -712,7 +723,7 @@ func (db *Database) ExecStmt(stmt sqlmini.Statement, parts *PartitionSet) (*Resu
 	}
 	switch s := stmt.(type) {
 	case *sqlmini.Select:
-		return db.execSelect(s, parts)
+		return db.execSelect(s, parts, w)
 	case *sqlmini.Delete:
 		return db.execDelete(s, parts)
 	case *sqlmini.CreateTable:

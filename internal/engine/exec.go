@@ -137,14 +137,19 @@ func (db *Database) execInsert(s *sqlmini.Insert) (*Result, error) {
 }
 
 // selSpec is a fully resolved non-aggregate SELECT: conjuncts and
-// projection bound to schema indices, the decode mask, and the
+// projection bound to schema indices, the decode masks, and the
 // ordering/limit parameters. execSelect builds one from the AST; the
 // plan cache rebinds one from a cached template without re-parsing.
 type selSpec struct {
-	conj      []boundConj
-	proj      []int
-	cols      []string
+	conj []boundConj
+	proj []int
+	cols []string
+	// need marks every column the statement reads. lean, the decode mask
+	// of a SELECT whose rows go through a rowWriter, leaves out the
+	// projection: its TEXT cells are read from the record in place, and
+	// fixed-width columns decode regardless.
 	need      []bool
+	lean      []bool
 	orderCol  int // -1 when no ORDER BY
 	orderDesc bool
 	limit     int // -1 when absent
@@ -174,7 +179,9 @@ func needMask(schema catalog.Schema, proj []int, conj []boundConj, extra int) []
 	return nil
 }
 
-func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result, error) {
+// execSelect runs a parsed SELECT. With a rowWriter its reply goes
+// through w rather than into Result.Rows.
+func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWriter) (*Result, error) {
 	t, err := db.getTable(s.Table)
 	if err != nil {
 		return nil, err
@@ -188,14 +195,21 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	explain := func(need []bool) *Result {
+	// computed finishes a SELECT whose one row is computed, not read.
+	computed := func(res *Result, err error) (*Result, error) {
+		if err != nil || w == nil {
+			return res, err
+		}
+		return res, w.result(res)
+	}
+	explain := func(need []bool) (*Result, error) {
 		t.idxMu.RLock()
 		p := choosePlanBound(t, conj)
 		t.idxMu.RUnlock()
-		return &Result{
+		return computed(&Result{
 			Columns: []string{"plan"},
 			Rows:    []catalog.Row{{catalog.TextValue(p.Describe(t, need))}},
-		}
+		}, nil)
 	}
 	if len(s.Aggregates) > 0 {
 		accs, cols, err := newAggAccums(t, s.Aggregates)
@@ -212,9 +226,9 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result,
 		}
 		need := needMask(t.schema, aggCols, conj, -1)
 		if s.Explain {
-			return explain(need), nil
+			return explain(need)
 		}
-		return db.execAggregate(t, s, conj, accs, cols, need)
+		return computed(db.execAggregate(t, s, conj, accs, cols, need))
 	}
 	proj, err := projection(t.schema, s.Columns)
 	if err != nil {
@@ -237,31 +251,39 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet) (*Result,
 	}
 	spec.need = needMask(t.schema, proj, conj, spec.orderCol)
 	if s.Explain {
-		return explain(spec.need), nil
+		return explain(spec.need)
 	}
-	return db.execSelectSpec(t, &spec)
+	if w != nil {
+		spec.lean = needMask(t.schema, nil, conj, spec.orderCol)
+	}
+	return db.execSelectSpec(t, &spec, w)
 }
 
-// execSelectSpec runs a resolved non-aggregate SELECT. Callers hold the
-// table read lock.
 // resultBuf serves a small SELECT — the point-query hot path — from one
-// allocation: the Result header, the first few row and key slots, and
-// the first rows' projected values share a block, so a single-row answer
-// costs one object instead of four. Larger results spill to ordinary
-// appends; the inline arrays then ride along as slack in an allocation
-// the caller holds anyway. The buffer cannot be pooled: the Result and
-// everything it points into are handed to the caller for keeps.
+// allocation: the Result header and the first few key slots share a
+// block, so a single-row answer costs one object instead of two. Larger
+// results spill to ordinary appends; the inline array then rides along as
+// slack in an allocation the caller holds anyway. The buffer cannot be
+// pooled: the Result and everything it points into are handed to the
+// caller for keeps.
 type resultBuf struct {
 	res  Result
-	rows [2]catalog.Row
 	keys [2]uint64
+}
+
+// valuesBuf is resultBuf for a SELECT whose rows are kept as values: the
+// first few row slots and the first rows' projected values join the
+// block.
+type valuesBuf struct {
+	resultBuf
+	rows [2]catalog.Row
 	vals [2]catalog.Value
 	used int // vals slots consumed by earlier rows
 }
 
 // project copies the projected columns of row into fresh storage, carved
 // from the inline value array while it lasts.
-func (rb *resultBuf) project(proj []int, row catalog.Row) catalog.Row {
+func (rb *valuesBuf) project(proj []int, row catalog.Row) catalog.Row {
 	var out catalog.Row
 	if n := len(proj); len(rb.vals)-rb.used >= n {
 		out = rb.vals[rb.used : rb.used+n : rb.used+n]
@@ -275,56 +297,84 @@ func (rb *resultBuf) project(proj []int, row catalog.Row) catalog.Row {
 	return out
 }
 
-func (db *Database) execSelectSpec(t *table, spec *selSpec) (*Result, error) {
+// execSelectSpec runs a resolved non-aggregate SELECT, its rows written
+// through w when that is non-nil and projected into Result.Rows when it
+// is not. Callers hold the table read lock.
+func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Result, error) {
+	decode := spec.need
+	if w != nil {
+		w.columns(spec.cols)
+		decode = spec.lean
+	}
 	if spec.limit == 0 {
 		// No row to return, so no tuple to charge: Keys stays empty too.
 		return &Result{Columns: spec.cols}, nil
 	}
-	rb := &resultBuf{}
+	var rb *resultBuf
+	var vb *valuesBuf
+	if w != nil {
+		rb = &resultBuf{}
+	} else {
+		vb = &valuesBuf{}
+		rb = &vb.resultBuf
+		rb.res.Rows = vb.rows[:0]
+	}
 	res := &rb.res
-	res.Columns = spec.cols
-	res.Rows = rb.rows[:0]
-	res.Keys = rb.keys[:0]
-	project := func(row catalog.Row) catalog.Row {
-		return rb.project(spec.proj, row)
+	res.Columns, res.Keys = spec.cols, rb.keys[:0]
+	// emit returns one row; len(res.Keys) counts the rows returned.
+	emit := func(row catalog.Row, rec []byte) error {
+		res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
+		if w != nil {
+			return w.row(t.schema, spec.proj, row, rec)
+		}
+		res.Rows = append(res.Rows, vb.project(spec.proj, row))
+		return nil
 	}
 
 	if spec.orderCol >= 0 {
 		oi := spec.orderCol
-		// Materialize, sort, then project and apply the limit.
-		var rows []catalog.Row
-		err := db.planAndScanBound(t, spec.conj, spec.need, func(_ storage.RID, row catalog.Row) (bool, error) {
-			rows = append(rows, append(catalog.Row(nil), row...))
+		// Materialize, sort, then emit up to the limit. A row a writer
+		// will read keeps a copy of its record.
+		type heldRow struct {
+			row catalog.Row
+			rec []byte
+		}
+		var rows []heldRow
+		err := db.planAndScanBound(t, spec.conj, spec.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
+			h := heldRow{row: append(catalog.Row(nil), row...)}
+			if w != nil && rec != nil {
+				h.rec = append([]byte(nil), rec...)
+			}
+			rows = append(rows, h)
 			return true, nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		sort.SliceStable(rows, func(a, b int) bool {
-			c, _ := rows[a][oi].Compare(rows[b][oi])
+			c, _ := rows[a].row[oi].Compare(rows[b].row[oi])
 			if spec.orderDesc {
 				return c > 0
 			}
 			return c < 0
 		})
-		for _, row := range rows {
-			if spec.limit >= 0 && len(res.Rows) >= spec.limit {
+		for _, h := range rows {
+			if spec.limit >= 0 && len(res.Keys) >= spec.limit {
 				break
 			}
-			res.Rows = append(res.Rows, project(row))
-			res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
+			if err := emit(h.row, h.rec); err != nil {
+				return nil, err
+			}
 		}
 		return res, nil
 	}
 
 	limit := spec.limit
-	err := db.planAndScanBound(t, spec.conj, spec.need, func(rid storage.RID, row catalog.Row) (bool, error) {
-		res.Rows = append(res.Rows, project(row))
-		res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
-		if limit >= 0 && len(res.Rows) >= limit {
-			return false, nil
+	err := db.planAndScanBound(t, spec.conj, spec.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
+		if err := emit(row, rec); err != nil {
+			return false, err
 		}
-		return true, nil
+		return limit < 0 || len(res.Keys) < limit, nil
 	})
 	if err != nil {
 		return nil, err
@@ -440,7 +490,7 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj,
 		err = db.parallelAggregate(t, conj, need, w, snap, accs, res)
 		t.pool.EndSnapshot(snap)
 	} else {
-		err = db.planAndScanBound(t, conj, need, func(_ storage.RID, row catalog.Row) (bool, error) {
+		err = db.planAndScanBound(t, conj, need, need, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
 			res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
 			for i := range accs {
 				accs[i].observe(row)
@@ -597,7 +647,7 @@ func (db *Database) execUpdate(s *sqlmini.Update) (*Result, error) {
 		// relocated rows twice, and the snapshot rows are stale the moment
 		// another statement commits.
 		var matches []ridMatch
-		err := db.planAndScanBound(t, conj, nil, func(rid storage.RID, row catalog.Row) (bool, error) {
+		err := db.planAndScanBound(t, conj, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
 			matches = append(matches, ridMatch{rid, row[t.schema.Key].Int})
 			return true, nil
 		})
@@ -697,7 +747,7 @@ func (db *Database) execDelete(s *sqlmini.Delete, parts *PartitionSet) (*Result,
 		t.mu.RLock()
 		defer t.mu.RUnlock()
 		var matches []ridMatch
-		err := db.planAndScanBound(t, conj, nil, func(rid storage.RID, row catalog.Row) (bool, error) {
+		err := db.planAndScanBound(t, conj, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
 			matches = append(matches, ridMatch{rid, row[t.schema.Key].Int})
 			return true, nil
 		})

@@ -157,18 +157,22 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 }
 
 // scannedRows is one chunk's matching rows, decoded and filtered by the
-// worker that scanned it.
+// worker that scanned it: row i is vals[i*width:(i+1)*width], decoded
+// from recs[recEnds[i-1]:recEnds[i]], a copy of its record.
 type scannedRows struct {
-	rids []storage.RID
-	rows []catalog.Row
+	rids    []storage.RID
+	vals    []catalog.Value
+	recs    []byte
+	recEnds []int
 }
 
 // scanChunk scans heap pages [lo, hi), decoding every live record and
-// keeping the rows that match the conjuncts. Kept rows own their memory
-// (freshly allocated, strings copied out of the pinned page), so they
-// outlive the pin and survive hand-off to the reducer. need is the
-// decode mask (must cover the conjunct columns).
-func scanChunk(t *table, conj []boundConj, need []bool, snap uint64, lo, hi storage.PageID, stop *atomic.Bool) (scannedRows, error) {
+// keeping the rows that match the conjuncts, and a copy of each one's
+// record. What it keeps is the chunk's own (values and records appended
+// to its arenas, strings copied out of the page), so it outlives the
+// page and survives hand-off to the reducer. decode is the decode mask
+// (must cover the conjunct columns).
+func scanChunk(t *table, conj []boundConj, decode []bool, snap uint64, lo, hi storage.PageID, stop *atomic.Bool) (scannedRows, error) {
 	var out scannedRows
 	for id := lo; id < hi; id++ {
 		if stop.Load() {
@@ -176,20 +180,25 @@ func scanChunk(t *table, conj []boundConj, need []bool, snap uint64, lo, hi stor
 		}
 		var innerErr error
 		_, err := t.heap.ScanPageAt(id, snap, func(rid storage.RID, rec []byte) bool {
-			row, derr := catalog.DecodeRowInto(t.schema, rec, nil, need)
+			n := len(out.vals)
+			vals, derr := catalog.DecodeRowInto(t.schema, rec, out.vals, decode)
 			if derr != nil {
 				innerErr = derr
 				return false
 			}
-			ok, merr := matchesBound(row, conj)
+			ok, merr := matchesBound(vals[n:], conj)
 			if merr != nil {
 				innerErr = merr
 				return false
 			}
-			if ok {
-				out.rids = append(out.rids, rid)
-				out.rows = append(out.rows, row)
+			if !ok {
+				out.vals = vals[:n]
+				return true
 			}
+			out.vals = vals
+			out.rids = append(out.rids, rid)
+			out.recs = append(out.recs, rec...)
+			out.recEnds = append(out.recEnds, len(out.recs))
 			return true
 		})
 		if err == nil {
@@ -207,17 +216,21 @@ func scanChunk(t *table, conj []boundConj, need []bool, snap uint64, lo, hi stor
 // registered. fn runs on the calling goroutine only; fn returning
 // false cancels outstanding workers (LIMIT early-cancel). Callers hold
 // at least the table read lock.
-func (db *Database) parallelFullScan(t *table, conj []boundConj, need []bool, workers int, snap uint64, fn func(storage.RID, catalog.Row) (bool, error)) error {
+func (db *Database) parallelFullScan(t *table, conj []boundConj, decode []bool, workers int, snap uint64, fn scanFn) error {
+	width := len(t.schema.Columns)
 	return runChunkedScan(t.heap.NumPages(), workers,
 		func(lo, hi storage.PageID, stop *atomic.Bool) (scannedRows, error) {
-			return scanChunk(t, conj, need, snap, lo, hi, stop)
+			return scanChunk(t, conj, decode, snap, lo, hi, stop)
 		},
 		func(c scannedRows) (bool, error) {
-			for i := range c.rows {
-				cont, err := fn(c.rids[i], c.rows[i])
+			start := 0
+			for i, end := range c.recEnds {
+				row := c.vals[i*width : (i+1)*width : (i+1)*width]
+				cont, err := fn(c.rids[i], row, c.recs[start:end:end])
 				if err != nil || !cont {
 					return cont, err
 				}
+				start = end
 			}
 			return true, nil
 		})

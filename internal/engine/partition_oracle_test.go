@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -121,7 +122,10 @@ func randomWhere(rng *rand.Rand, keys []int64) string {
 	}
 }
 
-// execIn runs sql through Prepare, the path the shield takes.
+// execIn runs sql through Prepare, the path the shield takes. A SELECT
+// runs a second time through ExecInto, the path the front door takes,
+// which must write what the first returned: the same keys, and a body
+// byte for byte the rows' values rendered the same way.
 func execIn(t *testing.T, db *Database, sql string, parts *PartitionSet) *Result {
 	t.Helper()
 	p, err := db.Prepare(sql)
@@ -136,7 +140,65 @@ func execIn(t *testing.T, db *Database, sql string, parts *PartitionSet) *Result
 	if n := db.PinnedFrames(); n != 0 {
 		t.Fatalf("ExecIn(%q): %d frames left pinned", sql, n)
 	}
+	if p.Kind() == KindSelect {
+		checkExecInto(t, db, sql, parts, res)
+	}
 	return res
+}
+
+// textEncoder renders a reply with every cell's type and text spelled
+// out, so two bodies are equal only if every cell is.
+type textEncoder struct{}
+
+func (textEncoder) AppendColumns(dst []byte, cols []string) []byte {
+	return fmt.Appendf(dst, "%q\n", cols)
+}
+
+func (textEncoder) AppendRow(dst []byte, i int, cells [][]byte, types []catalog.Type) []byte {
+	dst = fmt.Appendf(dst, "%d:", i)
+	for j := range cells {
+		dst = fmt.Appendf(dst, " %v %q", types[j], cells[j])
+	}
+	return append(dst, '\n')
+}
+
+// renderValues is what textEncoder writes for a result's values.
+func renderValues(res *Result) []byte {
+	var enc textEncoder
+	dst := enc.AppendColumns([]byte("body\n"), res.Columns)
+	for i, row := range res.Rows {
+		cells := make([][]byte, len(row))
+		types := make([]catalog.Type, len(row))
+		for j, v := range row {
+			cells[j], types[j] = v.AppendText(nil), v.Type
+		}
+		dst = enc.AppendRow(dst, i, cells, types)
+	}
+	return dst
+}
+
+// checkExecInto runs the SELECT sql through ExecInto and compares what it
+// wrote with want, the statement's ExecIn result.
+func checkExecInto(t *testing.T, db *Database, sql string, parts *PartitionSet, want *Result) {
+	t.Helper()
+	p, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatalf("Prepare(%q): %v", sql, err)
+	}
+	defer p.Release()
+	got, err := p.ExecInto(parts, textEncoder{}, []byte("body\n"))
+	if err != nil {
+		t.Fatalf("ExecInto(%q): %v", sql, err)
+	}
+	if n := db.PinnedFrames(); n != 0 {
+		t.Fatalf("ExecInto(%q): %d frames left pinned", sql, n)
+	}
+	if wantBody := renderValues(want); !bytes.Equal(got.Body, wantBody) || got.BodyRows != len(want.Rows) {
+		t.Fatalf("ExecInto(%q) wrote %d rows:\n%.600s\nExecIn returned %d:\n%.600s", sql, got.BodyRows, got.Body, len(want.Rows), wantBody)
+	}
+	if got.Rows != nil || !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Columns, want.Columns) {
+		t.Fatalf("ExecInto(%q): rows %v, %d keys, columns %q; ExecIn: %d keys, columns %q", sql, got.Rows, len(got.Keys), got.Columns, len(want.Keys), want.Columns)
+	}
 }
 
 // bruteFilter is the reference's filter: res's rows and keys, kept when

@@ -180,8 +180,16 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 
 // rowScratch is a pooled decode buffer for the index-driven scan paths
 // (point, range, secondary), which decode one row at a time on the
-// calling goroutine.
-type rowScratch struct{ row catalog.Row }
+// calling goroutine, and the RID list of a narrow range.
+type rowScratch struct {
+	row  catalog.Row
+	rids []storage.RID
+}
+
+// heldRangeKeys bounds the key ranges whose index entries a range scan
+// collects before reading any row (see planAndScanBound): at most this
+// many RIDs, 64 KiB of them, whatever the table holds.
+const heldRangeKeys = 4096
 
 var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
@@ -202,10 +210,18 @@ func keyOnly(schema catalog.Schema, need []bool) bool {
 	return true
 }
 
+// scanFn receives each row a scan matches: its rid, the row decoded
+// under the scan's decode mask, and the record it was decoded from — nil
+// for a row the primary index answered alone. It returns (continue,
+// error); scanning stops on either signal.
+type scanFn func(rid storage.RID, row catalog.Row, rec []byte) (bool, error)
+
 // planAndScanBound picks an access path for the resolved conjuncts and
-// streams matching rows to fn. fn returns (continue, error); scanning
-// stops on either signal. need, when non-nil, is the decode mask (see
-// catalog.DecodeRowInto) and must cover every conjunct column.
+// streams matching rows to fn. need marks the columns the statement
+// reads (nil: all of them); decode, the columns the scan decodes into
+// values (see catalog.DecodeRowInto), is need or a subset of it that
+// covers every conjunct column — a caller that reads a TEXT cell from the
+// record instead leaves it out.
 //
 // Every path reads through a page snapshot consistent with the index
 // state it was planned against: the plan (and any RIDs it captured) is
@@ -236,10 +252,10 @@ func keyOnly(schema catalog.Schema, need []bool) bool {
 // a LIMIT without ORDER BY), and so does the secondary-equality path,
 // whose RIDs carry no key.
 //
-// Rows passed to fn are only valid for the duration of the call: the
-// scan paths decode into reused scratch buffers. Callers that retain
-// rows must copy them.
-func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn func(storage.RID, catalog.Row) (bool, error)) error {
+// Rows and records passed to fn are only valid for the duration of the
+// call: the scan paths decode into reused scratch buffers, and a record
+// aliases its page. Callers that retain either must copy it.
+func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []bool, fn scanFn) error {
 	t.idxMu.RLock()
 	p := choosePlanBound(t, conj)
 
@@ -254,13 +270,13 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 		snap := t.pool.BeginSnapshot()
 		defer t.pool.EndSnapshot(snap)
 		if w := db.scanWorkersFor(t); w > 1 {
-			return db.parallelFullScan(t, conj, need, w, snap, fn)
+			return db.parallelFullScan(t, conj, decode, w, snap, fn)
 		}
 		sc := rowScratchPool.Get().(*rowScratch)
 		defer rowScratchPool.Put(sc)
 		var scanErr error
 		err := t.heap.ScanAt(snap, func(rid storage.RID, rec []byte) bool {
-			row, derr := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], need)
+			row, derr := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], decode)
 			if derr != nil {
 				scanErr = derr
 				return false
@@ -274,7 +290,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 			if !ok {
 				return true
 			}
-			cont, ferr := fn(rid, row)
+			cont, ferr := fn(rid, row, rec)
 			if ferr != nil {
 				scanErr = ferr
 				return false
@@ -289,12 +305,12 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 
 	sc := rowScratchPool.Get().(*rowScratch)
 	defer rowScratchPool.Put(sc)
-	emit := func(rid storage.RID, row catalog.Row) (cont bool, err error) {
+	emit := func(rid storage.RID, row catalog.Row, rec []byte) (cont bool, err error) {
 		ok, err := matchesBound(row, conj)
 		if err != nil || !ok {
 			return true, err
 		}
-		return fn(rid, row)
+		return fn(rid, row, rec)
 	}
 	// emitAt reads rid's record as of snapshot snap; vis=false means its
 	// page has no version visible there. The record aliases an immutable
@@ -308,12 +324,12 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 		if err != nil {
 			return true, false, fmt.Errorf("engine: reading row %v: %w", rid, err)
 		}
-		row, err := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], need)
+		row, err := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], decode)
 		if err != nil {
 			return true, false, err
 		}
 		sc.row = row
-		cont, err = emit(rid, row)
+		cont, err = emit(rid, row, rec)
 		return true, cont, err
 	}
 	// The key-only row: built once, its key column set per index entry.
@@ -327,7 +343,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 	}
 	emitKey := func(key int64, rid storage.RID) (cont bool, err error) {
 		keyRow[t.schema.Key] = catalog.IntValue(key)
-		return emit(rid, keyRow)
+		return emit(rid, keyRow, nil)
 	}
 
 	switch p.kind {
@@ -384,22 +400,44 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need []bool, fn
 		}
 		return nil
 	default: // planPKRange
-		// The B+tree traversal itself needs the index lock, so the range
-		// path holds it shared for the duration of the scan; commits
-		// queue behind it only for their (short) index-apply section. A
-		// key-only traversal reads no page and registers no snapshot.
-		defer t.idxMu.RUnlock()
-		var snap uint64
-		if keyRow == nil {
-			snap = t.pool.BeginSnapshot()
-			defer t.pool.EndSnapshot(snap)
-		}
+		// The B+tree traversal itself needs the index lock, and a commit
+		// waits for every reader holding it. A range narrow enough that
+		// its entries fit heldRangeKeys is walked under the lock into a
+		// list of RIDs and read after the lock drops, against a snapshot
+		// registered under it, as the secondary path reads its RIDs: the
+		// commit then waits for the walk, not for the rows' reads and
+		// what fn does with them. A wider range holds the lock to the
+		// end, so a LIMIT still stops it early. A key-only traversal
+		// reads no page and registers no snapshot.
 		var lop, hip *int64
 		if p.hasLo {
 			lop = &p.lo
 		}
 		if p.hasHi {
 			hip = &p.hi
+		}
+		if keyRow == nil && p.hasLo && p.hasHi && p.hi >= p.lo && uint64(p.hi)-uint64(p.lo) < heldRangeKeys {
+			snap := t.pool.BeginSnapshot()
+			rids := sc.rids[:0]
+			t.pk.AscendRange(lop, hip, func(_ int64, rid storage.RID) bool {
+				rids = append(rids, rid)
+				return true
+			})
+			t.idxMu.RUnlock()
+			defer t.pool.EndSnapshot(snap)
+			sc.rids = rids
+			for _, rid := range rids {
+				if _, cont, err := emitAt(rid, snap); err != nil || !cont {
+					return err
+				}
+			}
+			return nil
+		}
+		defer t.idxMu.RUnlock()
+		var snap uint64
+		if keyRow == nil {
+			snap = t.pool.BeginSnapshot()
+			defer t.pool.EndSnapshot(snap)
 		}
 		var scanErr error
 		t.pk.AscendRange(lop, hip, func(key int64, rid storage.RID) bool {

@@ -87,6 +87,7 @@ type planEntry struct {
 	proj        []int
 	cols        []string
 	need        []bool
+	lean        []bool // need without the projection; see selSpec
 }
 
 // planCache maps normalized SQL keys to plan entries. Reads are
@@ -208,6 +209,7 @@ type Prepared struct {
 	norm   sqlmini.NormScratch
 	conj   []boundConj
 	spec   selSpec
+	w      rowWriter // ExecInto's, its scratch kept from use to use
 }
 
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
@@ -347,6 +349,7 @@ func (db *Database) buildPlanEntry(sel *sqlmini.Select, params []sqlmini.Literal
 		proj:     proj,
 		cols:     projColumns(t.schema, proj),
 		need:     needMask(t.schema, proj, bound, -1),
+		lean:     needMask(t.schema, nil, bound, -1),
 	}
 }
 
@@ -359,9 +362,27 @@ func (p *Prepared) Exec() (*Result, error) { return p.ExecIn(nil) }
 
 // ExecIn is Exec restricted to the rows of parts (nil: every row), on
 // the cached-plan path and the parse path alike; see ExecStmt.
-func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) {
+func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) { return p.exec(parts, nil) }
+
+// ExecInto is ExecIn with a SELECT's reply written through enc, row by
+// row as the scan reads it, onto body: a TEXT cell goes from its page to
+// the body without being copied out as a string, and no row is held as
+// values. The Result's Body is body with the reply appended — body alone
+// for a statement that is not a SELECT — and its Rows is nil; Keys is as
+// ExecIn's. A failed statement may have appended to body's array.
+func (p *Prepared) ExecInto(parts *PartitionSet, enc RowEncoder, body []byte) (*Result, error) {
+	p.w.enc, p.w.body, p.w.rows = enc, body, 0
+	res, err := p.exec(parts, &p.w)
+	if err == nil {
+		res.Body, res.BodyRows = p.w.body, p.w.rows
+	}
+	p.w.enc, p.w.body = nil, nil
+	return res, err
+}
+
+func (p *Prepared) exec(parts *PartitionSet, w *rowWriter) (*Result, error) {
 	if p.entry != nil {
-		res, ok, err := p.db.execCachedSelect(p, parts)
+		res, ok, err := p.db.execCachedSelect(p, parts, w)
 		if ok {
 			return res, err
 		}
@@ -372,7 +393,7 @@ func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) {
 			return nil, err
 		}
 	}
-	return p.db.ExecStmt(p.stmt, parts)
+	return p.db.execStmt(p.stmt, parts, w)
 }
 
 // prepareParsedKeep is prepareParsed without the Release-on-error (Exec
@@ -390,7 +411,7 @@ func (p *Prepared) prepareParsedKeep() (*Prepared, error) {
 
 // execCachedSelect binds p's parameters into its cached template and
 // runs it. ok=false means the caller must fall back to the parse path.
-func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet) (res *Result, ok bool, err error) {
+func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet, w *rowWriter) (res *Result, ok bool, err error) {
 	e := p.entry
 	if len(p.params) != e.nparams {
 		return nil, false, nil
@@ -428,10 +449,11 @@ func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet) (res *Res
 		proj:     e.proj,
 		cols:     e.cols,
 		need:     e.need,
+		lean:     e.lean,
 		orderCol: -1,
 		limit:    limit,
 	}
-	res, err = db.execSelectSpec(t, &p.spec)
+	res, err = db.execSelectSpec(t, &p.spec, w)
 	return res, true, err
 }
 

@@ -217,6 +217,24 @@ func TestConcurrentInsertDeleteAtomicity(t *testing.T) {
 				t.Errorf("%s: count %d with %d keys, want 0 or %d (torn statement)", q, n, len(res.Keys), batch)
 				return
 			}
+			// The same keys read from the heap: a range this narrow is
+			// walked under the index lock and read after it drops, at the
+			// snapshot taken with the walk.
+			q = fmt.Sprintf(`SELECT grp, v FROM b WHERE id BETWEEN %d AND %d`, grp*batch, grp*batch+batch-1)
+			if res, err = db.Exec(q); err != nil {
+				t.Errorf("range: %v", err)
+				return
+			}
+			if n := len(res.Rows); n != 0 && n != batch {
+				t.Errorf("%s: %d rows, want 0 or %d (torn statement)", q, n, batch)
+				return
+			}
+			for _, row := range res.Rows {
+				if row[0].Int != int64(grp) {
+					t.Errorf("%s: a row of batch %d", q, row[0].Int)
+					return
+				}
+			}
 		}
 	}()
 	for r := 0; r < 2; r++ {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 	"unicode/utf8"
 
 	"repro/internal/catalog"
@@ -56,46 +55,81 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 // header value, and assigning one skips Header.Set's key scan and slice.
 var jsonContentType = []string{"application/json"}
 
-// flush sends buf as the 200 reply in ONE Write, as an Encoder did, so
+// writeReply sends reply as the 200 in ONE Write, as an Encoder did, so
 // net/http frames it as before (Content-Length when the reply fits its
-// buffer, one chunk when not), and pools buf.
-func flush(w http.ResponseWriter, buf *[]byte) {
+// buffer, one chunk when not).
+func writeReply(w http.ResponseWriter, reply []byte) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
-	w.Write(*buf)
-	putBuf(buf)
-}
-
-func writeQueryResponse(w http.ResponseWriter, columns []string, rows []catalog.Row, affected int, delay time.Duration) {
-	buf := bufPool.Get().(*[]byte)
-	*buf = appendQueryResponse(*buf, columns, rows, affected, delay)
-	flush(w, buf)
+	w.Write(reply)
 }
 
 // WriteQueryResponse answers 200 with rows that are on the wire's form
 // already: the cluster router's merge, relaying what its legs carried.
 func WriteQueryResponse(w http.ResponseWriter, columns []string, rows []RawRow, affected int, delayMillis float64) {
 	buf := bufPool.Get().(*[]byte)
-	*buf = appendResponse(*buf, columns, rows, appendRawRow, affected, delayMillis)
-	flush(w, buf)
+	*buf = appendResponse(*buf, columns, rows, affected, delayMillis)
+	writeReply(w, *buf)
+	putBuf(buf)
 }
 
-func appendQueryResponse(dst []byte, columns []string, rows []catalog.Row, affected int, delay time.Duration) []byte {
-	return appendResponse(dst, columns, rows, appendValueRow, affected, float64(delay)/float64(time.Millisecond))
-}
-
-// appendResponse is the reply frame over either row source: columns and
-// rows omitted when empty, Encode's trailing newline; delayMillis finite.
-// ScanQueryResponse reads exactly this and nothing else.
-func appendResponse[R any](dst []byte, columns []string, rows []R, appendRow func([]byte, R) []byte, affected int, delayMillis float64) []byte {
-	dst = append(dst, '{')
-	if len(columns) > 0 {
-		dst = append(dst, `"columns":[`...)
-		dst = append(appendCells(dst, columns), ']', ',')
+// appendResponse is the reply frame over rows already on the wire's
+// form: columns and rows omitted when empty, Encode's trailing newline;
+// delayMillis finite. ScanQueryResponse reads exactly this and nothing
+// else; a shard's own reply, which replyEncoder writes while its
+// statement runs, is the same frame.
+func appendResponse(dst []byte, columns []string, rows []RawRow, affected int, delayMillis float64) []byte {
+	dst = replyEncoder{}.AppendColumns(append(dst, '{'), columns)
+	for i, row := range rows {
+		dst = appendRowOpen(dst, i)
+		dst = append(append(dst, row...), ']')
 	}
-	if len(rows) > 0 {
-		dst = append(dst, `"rows":`...)
-		dst = append(appendList(dst, rows, appendRow), ',')
+	return appendReplyTail(dst, len(rows), affected, delayMillis)
+}
+
+// replyEncoder is the engine.RowEncoder of a /query reply: the frame's
+// head and each row's cells, written onto a body that holds the frame's
+// opening brace, as the statement reads the rows. appendReplyTail
+// completes it.
+type replyEncoder struct{}
+
+func (replyEncoder) AppendColumns(dst []byte, cols []string) []byte {
+	if len(cols) == 0 {
+		return dst
+	}
+	dst = append(dst, `"columns":[`...)
+	return append(appendCells(dst, cols), ']', ',')
+}
+
+func (replyEncoder) AppendRow(dst []byte, i int, cells [][]byte, types []catalog.Type) []byte {
+	dst = appendRowOpen(dst, i)
+	for j, c := range cells {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		if t := types[j]; t == catalog.Int || t == catalog.Float {
+			// Digits, sign, '.', 'e', "NaN", "Inf": nothing to escape.
+			dst = append(append(append(dst, '"'), c...), '"')
+		} else {
+			dst = appendString(dst, c)
+		}
+	}
+	return append(dst, ']')
+}
+
+// appendRowOpen opens row i of the frame's rows array.
+func appendRowOpen(dst []byte, i int) []byte {
+	if i == 0 {
+		return append(dst, `"rows":[[`...)
+	}
+	return append(dst, ',', '[')
+}
+
+// appendReplyTail closes a frame that holds rows rows: the rows array,
+// then the two numbers and Encode's trailing newline.
+func appendReplyTail(dst []byte, rows, affected int, delayMillis float64) []byte {
+	if rows > 0 {
+		dst = append(dst, ']', ',')
 	}
 	dst = append(dst, `"affected":`...)
 	dst = append(appendInt(dst, affected), `,"delay_millis":`...)
@@ -115,24 +149,6 @@ func appendFloat(dst []byte, f float64) []byte {
 		dst = dst[:n-1]
 	}
 	return dst
-}
-
-func appendValueRow(dst []byte, row catalog.Row) []byte {
-	dst = append(dst, '[')
-	for i := range row {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if v := &row[i]; v.Type == catalog.Int || v.Type == catalog.Float {
-			// Digits, sign, '.', 'e', "NaN", "Inf": nothing to escape.
-			dst = append(dst, '"')
-			dst = v.AppendText(dst)
-			dst = append(dst, '"')
-		} else {
-			dst = appendString(dst, v.String())
-		}
-	}
-	return append(dst, ']')
 }
 
 // appendList appends items as a JSON array — null when nil, as
@@ -163,10 +179,6 @@ func appendCells(dst []byte, cells []string) []byte {
 	return dst
 }
 
-func appendRawRow(dst []byte, row RawRow) []byte {
-	return append(append(append(dst, '['), row...), ']')
-}
-
 func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
 
 // escapeBytes have a two-character escape: a backslash and the letter at
@@ -189,8 +201,8 @@ var jsonSafe = func() (t [256]bool) {
 // appendString appends s as a JSON string with encoding/json's escapes:
 // two characters where JSON has them, \u00XX for the other control bytes
 // and for < > &, \u2028 and \u2029 spelled out, and \ufffd for each byte
-// of invalid UTF-8.
-func appendString(dst []byte, s string) []byte {
+// of invalid UTF-8 — what Encode writes for string(s).
+func appendString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -201,7 +213,7 @@ func appendString(dst []byte, s string) []byte {
 		}
 		c, size := rune(b), 1
 		if b >= utf8.RuneSelf {
-			if c, size = utf8.DecodeRuneInString(s[i:]); c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size != 1) {
+			if c, size = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))])); c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size != 1) {
 				i += size
 				continue
 			}

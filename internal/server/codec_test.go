@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -115,6 +116,23 @@ func rectangular(columns []string, rows [][]string) bool {
 	return true
 }
 
+// encodeReply writes the reply a statement returning rows would: through
+// replyEncoder, each cell handed over as its text, the way the engine's
+// row writer hands it over.
+func encodeReply(columns []string, rows []catalog.Row, affected int, delay time.Duration) []byte {
+	var enc replyEncoder
+	dst := enc.AppendColumns([]byte{'{'}, columns)
+	for i, row := range rows {
+		cells := make([][]byte, len(row))
+		types := make([]catalog.Type, len(row))
+		for j, v := range row {
+			cells[j], types[j] = v.AppendText(nil), v.Type
+		}
+		dst = enc.AppendRow(dst, i, cells, types)
+	}
+	return appendReplyTail(dst, len(rows), affected, float64(delay)/float64(time.Millisecond))
+}
+
 // FuzzAppendQueryResponse: the hand-written reply encoder produces the
 // bytes encoding/json's Encoder does for the same reply, and the reply
 // scanner reads every rectangular one of them back: copying its rows out
@@ -173,7 +191,7 @@ func FuzzAppendQueryResponse(f *testing.F) {
 		if err := json.NewEncoder(&want).Encode(resp); err != nil {
 			t.Fatal(err)
 		}
-		if got := appendQueryResponse(nil, columns, rows, affected, delay); !bytes.Equal(got, want.Bytes()) {
+		if got := encodeReply(columns, rows, affected, delay); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("from engine values:\n got %q\nwant %q", got, want.Bytes())
 		}
 		view, err := ScanQueryResponse(want.Bytes())
@@ -437,6 +455,51 @@ func TestLargeBuffersAreNotPooled(t *testing.T) {
 		if b := bufPool.Get().(*[]byte); cap(*b) > maxPooledBuf {
 			t.Fatalf("pool handed out a %d-byte buffer", cap(*b))
 		}
+	}
+}
+
+// TestReplyAllocationsDoNotGrowWithRows: a /query reply is written from
+// the pages as the statement reads them, so a SELECT returning 1,000 rows
+// allocates about what one returning 10 does — a few more doublings of
+// its key list and buffer, never an object per row. Writing the rows out
+// of values cost two allocations a row (a projected row and its string).
+// The policy is uncapped: a capped rank index moves its horizon as tuples
+// are charged, which allocates with the tuples, not with the reply.
+func TestReplyAllocationsDoNotGrowWithRows(t *testing.T) {
+	h, shield := testHandler(t, core.Config{N: 1000, Alpha: 1, Beta: 1})
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO items VALUES ")
+	for i := 10; i < 1010; i++ {
+		if i > 10 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, 'value-%d <&> é')", i, i)
+	}
+	if _, err := shield.DB().Exec(sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rows int) float64 {
+		body := AppendQueryRequest(nil, QueryRequest{SQL: fmt.Sprintf(`SELECT * FROM items WHERE id >= 10 AND id < %d`, 10+rows)})
+		var rd bytes.Reader
+		req := httptest.NewRequest(http.MethodPost, "/query", nil)
+		req.Header.Set("X-Identity", "reader")
+		req.Body = io.NopCloser(&rd)
+		rec := httptest.NewRecorder()
+		n := testing.AllocsPerRun(50, func() {
+			rd.Reset(body)
+			rec.Body.Reset()
+			h.ServeHTTP(rec, req)
+		})
+		var out QueryResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil || len(out.Rows) != rows {
+			t.Fatalf("%d rows: HTTP %d, body %.200q", rows, rec.Code, rec.Body)
+		}
+		return n
+	}
+	few, many := allocs(10), allocs(1000)
+	t.Logf("allocations per reply: %.0f for 10 rows, %.0f for 1,000", few, many)
+	if many-few >= 50 {
+		t.Fatalf("a 10-row reply allocates %.0f times, a 1,000-row one %.0f", few, many)
 	}
 }
 

@@ -201,14 +201,15 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	buf := bufPool.Get().(*[]byte)
+	defer func() { putBuf(buf) }()
 	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), *buf)
+	*buf = body
 	var req QueryRequest
 	if err == nil {
-		// The request owns its strings: the buffer is free again.
+		// The request owns its strings: the buffer is free again, and
+		// becomes the reply's.
 		req, err = ParseQueryRequest(body)
 	}
-	*buf = body
-	putBuf(buf)
 	if err != nil {
 		WriteErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
@@ -233,7 +234,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, stats, err := s.shield.QueryFilteredCtx(ctx, Identity(r), req.SQL, parts)
+	// A SELECT's rows are written into the reply as the engine reads
+	// them; what the delay then holds back is that reply.
+	res, stats, err := s.shield.QueryInto(ctx, Identity(r), req.SQL, parts, replyEncoder{}, append((*buf)[:0], '{'))
 	// Notable mappings: ErrDegraded → 503 (persistence is failing, so
 	// writes are refused rather than acknowledged unrecoverably; reads
 	// are unaffected), DeadlineExceeded → 504 with the delay still
@@ -241,7 +244,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if writeQueryErr(w, err) {
 		return
 	}
-	writeQueryResponse(w, res.Columns, res.Rows, res.Affected, stats.Delay)
+	*buf = appendReplyTail(res.Body, res.BodyRows, res.Affected, float64(stats.Delay)/float64(time.Millisecond))
+	writeReply(w, *buf)
 }
 
 // RegisterRequest is the /register request body.
