@@ -17,6 +17,7 @@ check: fmtcheck
 	$(MAKE) torture-cluster
 	$(MAKE) bench-ledger-smoke
 	$(MAKE) repro-fast
+	$(MAKE) examples
 
 # Fails, naming the files, when any Go file is not gofmt-clean.
 fmtcheck:
@@ -148,6 +149,9 @@ repro:
 repro-fast:
 	$(GO) run ./cmd/extractbench -exp all -scale 20
 
+# Runs every example end to end (about 9 s). The adaptive one exits
+# non-zero unless its selector picks no decay on static traffic and then
+# switches to decay once popularity churns.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/webtrace

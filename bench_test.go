@@ -303,7 +303,6 @@ func openAdaptiveBenchDB(b *testing.B) *DB {
 		N: 1000, Alpha: 1, Beta: 2, Cap: 10 * time.Second,
 		Clock:              benchClock{},
 		AdaptiveDecayRates: []float64{1, 1.02, 1.05},
-		AdaptiveWarmup:     10,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -317,8 +316,9 @@ func openAdaptiveBenchDB(b *testing.B) *DB {
 			b.Fatal(err)
 		}
 	}
-	// Warm the adaptive selector so quoting happens in steady state.
-	for i := 0; i < 200; i++ {
+	// Warm the adaptive selector past its 1,000-tuple warmup so quoting
+	// happens in steady state.
+	for i := 0; i < 1200; i++ {
 		db.Query("warm", fmt.Sprintf(`SELECT * FROM items WHERE id = %d`, i%50))
 	}
 	return db

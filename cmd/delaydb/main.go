@@ -140,9 +140,9 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		drain             = fs.Duration("drain", 30*time.Second, "shutdown grace for in-flight queries after SIGTERM/SIGINT")
 
 		detectOn      = fs.Bool("detect", false, "enable extraction detection (coverage sketches + escalating surcharges)")
-		detectGrace   = fs.Float64("detect-grace", 0.08, "coverage fraction below which no surcharge applies")
-		detectCap     = fs.Float64("detect-cap", 64, "maximum delay multiplier for detected extractors")
-		detectJaccard = fs.Float64("detect-jaccard", 0.35, "signature similarity threshold for coalition clustering")
+		detectGrace   = fs.Float64("detect-grace", 0.08, "coverage fraction below which no surcharge applies, in (0, 1]")
+		detectCap     = fs.Float64("detect-cap", 64, "maximum delay multiplier for detected extractors, finite and at least 1")
+		detectJaccard = fs.Float64("detect-jaccard", 0.35, "signature similarity threshold for coalition clustering, in (0, 1]")
 
 		clusterN    = fs.Int("cluster", 0, "serve N shards in this process behind the cluster router (0 = single node)")
 		routerOnly  = fs.Bool("router", false, "serve a data-less cluster router fronting the -peers shards")

@@ -44,6 +44,30 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadDetectSettings: a detector setting outside its range
+// stops delaydb at startup instead of serving with it.
+func TestRunRejectsBadDetectSettings(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-detect-grace", "NaN"},
+		{"-detect-cap", "0.5"},
+		{"-detect-jaccard", "1.5"},
+	} {
+		ready := make(chan string, 1)
+		done := make(chan error, 1)
+		args := append([]string{"-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-drain", "1s", "-detect"}, bad...)
+		go func() { done <- run(args, io.Discard, ready) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "detect") {
+				t.Errorf("%v: run = %v, want the detector's error", bad, err)
+			}
+		case <-ready:
+			// Left serving until the test binary exits.
+			t.Errorf("%v accepted: delaydb started serving", bad)
+		}
+	}
+}
+
 // helpText is what delaydb -h prints below its "Usage of delaydb:" line:
 // every flag run registers, with its default and help.
 func helpText(t *testing.T) string {

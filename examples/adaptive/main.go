@@ -30,7 +30,6 @@ func main() {
 		Clock: delaydefense.NewSimulatedClock(time.Now()),
 		// Track under no decay and mild decay simultaneously.
 		AdaptiveDecayRates: []float64{1.0, 1.05},
-		AdaptiveWarmup:     500,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -64,8 +63,11 @@ func main() {
 	for i := 0; i < 4000; i++ {
 		query((i * i) % 7)
 	}
-	fmt.Printf("  selector chose decay rate %.2f (full history wins on static data)\n\n",
-		shield.ActiveDecayRate())
+	rate := shield.ActiveDecayRate()
+	fmt.Printf("  selector chose decay rate %.2f (full history wins on static data)\n\n", rate)
+	if rate != 1.0 { // `make examples` fails when the demo stops showing it
+		log.Fatal("the selector left full history on static data")
+	}
 
 	fmt.Println("phase 2: breaking news — popularity churns every few hundred requests")
 	for phase := 0; phase < 30; phase++ {
@@ -74,8 +76,11 @@ func main() {
 			query(hot + i%3)
 		}
 	}
-	fmt.Printf("  selector chose decay rate %.2f (forgetting wins once the workload shifts)\n\n",
-		shield.ActiveDecayRate())
+	rate = shield.ActiveDecayRate()
+	fmt.Printf("  selector chose decay rate %.2f (forgetting wins once the workload shifts)\n\n", rate)
+	if rate != 1.05 {
+		log.Fatal("the selector kept full history on churning data")
+	}
 
 	ids, counts := shield.TopK(3)
 	fmt.Println("current top articles per the active tracker:")

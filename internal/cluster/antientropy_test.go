@@ -17,7 +17,7 @@ import (
 // view does not; ×8 cap.
 func detectCfg() *detect.Config {
 	return &detect.Config{
-		Policy: detect.EscalationPolicy{Grace: 0.60, Cap: 8, RampWidth: 0.20, Hysteresis: 0.10},
+		Policy: detect.EscalationPolicy{Grace: 0.60, Cap: 8},
 	}
 }
 

@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// warmSelector runs adaptiveWarmup one-tuple queries over the first n
+// ids, so the adaptive selector is past its warmup and free to switch.
+func warmSelector(t *testing.T, s *Shield, n int) {
+	t.Helper()
+	for i := 0; i < adaptiveWarmup; i++ {
+		if _, _, err := s.Query("warm", fmt.Sprintf(`SELECT * FROM items WHERE id = %d`, i%n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestAdaptiveConfigValidation(t *testing.T) {
 	db := testDB(t, 10)
 	if _, err := New(db, Config{
@@ -28,7 +39,6 @@ func TestAdaptiveShieldServesQueries(t *testing.T) {
 	s, err := New(db, Config{
 		N: 100, Alpha: 1, Beta: 2, Cap: time.Second, Clock: clk,
 		AdaptiveDecayRates: []float64{1.0, 1.05},
-		AdaptiveWarmup:     50,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +51,9 @@ func TestAdaptiveShieldServesQueries(t *testing.T) {
 	if stats.Delay != time.Second {
 		t.Fatalf("cold delay = %v", stats.Delay)
 	}
-	for i := 0; i < 300; i++ {
+	// Past the selector's warmup, so the hot quote comes from whichever
+	// tracker it picked.
+	for i := 0; i < adaptiveWarmup; i++ {
 		if _, _, err := s.Query("u", `SELECT * FROM items WHERE id = 5`); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +70,6 @@ func TestAdaptiveSwitchesOnShiftingWorkload(t *testing.T) {
 	s, err := New(db, Config{
 		N: 2000, Alpha: 1, Beta: 2, Cap: time.Second, Clock: clk,
 		AdaptiveDecayRates: []float64{1.0, 1.05},
-		AdaptiveWarmup:     500,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +98,6 @@ func TestAdaptiveStaysOnStaticWorkload(t *testing.T) {
 	s, err := New(db, Config{
 		N: 500, Alpha: 1, Beta: 2, Cap: time.Second, Clock: clk,
 		AdaptiveDecayRates: []float64{1.0, 1.1},
-		AdaptiveWarmup:     300,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ func TestObserveBatchSingleLockPerQuery(t *testing.T) {
 		if adaptive {
 			name = "adaptive"
 			cfg.AdaptiveDecayRates = []float64{1, 1.05}
-			cfg.AdaptiveWarmup = 10
 		}
 		t.Run(name, func(t *testing.T) {
 			db := testDB(t, 200)
@@ -94,17 +93,18 @@ func TestAdaptiveQuoteResolvesOnce(t *testing.T) {
 }
 
 // TopK snapshots under the selector lock: hammer it against queries that
-// drive selector switches (tiny warmup, shifting workload), under -race.
+// drive selector switches (warmup already past, shifting workload),
+// under -race.
 func TestRaceAdaptiveTopKDuringSelectorSwitches(t *testing.T) {
 	db := testDB(t, 300)
 	s, err := New(db, Config{
 		N: 300, Alpha: 1, Beta: 2, Cap: 100 * time.Microsecond, Clock: vclock.Real{},
 		AdaptiveDecayRates: []float64{1, 1.02, 1.05},
-		AdaptiveWarmup:     5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmSelector(t, s, 300)
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)

@@ -10,15 +10,14 @@ import (
 )
 
 // detectShield builds a shield over n tuples with detection enabled:
-// 10% grace, ×16 cap, tight ramp — small enough to exercise escalation
-// inside a test-sized catalog.
+// 10% grace, ×16 cap — small enough to exercise escalation inside a
+// test-sized catalog.
 func detectShield(t *testing.T, n int) *Shield {
 	t.Helper()
 	s, err := New(testDB(t, n), Config{
 		N: n, Alpha: 1, Beta: 2, Cap: time.Second, Clock: simClock(),
 		Detect: &detect.Config{
-			Policy:         detect.EscalationPolicy{Grace: 0.10, Cap: 16, RampWidth: 0.10, Hysteresis: 0.10},
-			ReclusterEvery: 8,
+			Policy: detect.EscalationPolicy{Grace: 0.10, Cap: 16},
 		},
 	})
 	if err != nil {
@@ -147,16 +146,16 @@ func TestDetectOffIsZeroOverhead(t *testing.T) {
 // timed, whichever request ran it, and both instruments export at zero
 // with detection off.
 func TestDetectSweepInstruments(t *testing.T) {
-	s := detectShield(t, 500) // a sweep every 8 batches
-	for i := 0; i < 20; i++ {
+	s := detectShield(t, 500) // a sweep every 256 batches
+	for i := 0; i < 300; i++ {
 		if _, _, err := s.Query("regular", "SELECT * FROM items WHERE id < 20"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Detector().Recluster()
 	sweeps := s.Metrics().Counter("shield_detect_sweeps_total").Value()
-	if sweeps != 3 {
-		t.Errorf("shield_detect_sweeps_total = %d after 20 batches and one forced sweep, want 3", sweeps)
+	if sweeps != 2 {
+		t.Errorf("shield_detect_sweeps_total = %d after 300 batches and one forced sweep, want 2", sweeps)
 	}
 	if n := s.Metrics().Histogram("shield_detect_sweep_seconds", nil).Count(); n != sweeps {
 		t.Errorf("shield_detect_sweep_seconds holds %d observations for %d sweeps", n, sweeps)
@@ -185,7 +184,7 @@ func TestDetectSubnetAggregation(t *testing.T) {
 		N: n, Alpha: 1, Beta: 2, Cap: time.Second, Clock: simClock(),
 		SubnetAggregation: true,
 		Detect: &detect.Config{
-			Policy: detect.EscalationPolicy{Grace: 0.10, Cap: 16, RampWidth: 0.10, Hysteresis: 0.10},
+			Policy: detect.EscalationPolicy{Grace: 0.10, Cap: 16},
 		},
 	})
 	if err != nil {

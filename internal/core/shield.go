@@ -63,6 +63,10 @@ const (
 // limiter forgets the principal holding the most tokens.
 const limiterPrincipalCap = 65536
 
+// adaptiveWarmup is how many observed tuples the adaptive selector
+// serves from the first decay rate before its scores may switch it.
+const adaptiveWarmup = 1000
+
 // Config parameterizes a Shield.
 type Config struct {
 	// Kind selects the delay policy. Default ByPopularity.
@@ -85,11 +89,9 @@ type Config struct {
 	// best predicts the live request stream — §2.3's answer to unknown
 	// popularity dynamics ("one can simultaneously track counts with more
 	// than one decay term, switching to the appropriate set as the
-	// request pattern warrants"). Overrides DecayRate. ByPopularity only.
+	// request pattern warrants"); the first 1,000 observed tuples are
+	// served by the first rate. Overrides DecayRate. ByPopularity only.
 	AdaptiveDecayRates []float64
-	// AdaptiveWarmup is the observation count before the adaptive
-	// selector may switch trackers (default 1000).
-	AdaptiveWarmup int
 	// Clock defaults to the wall clock; experiments inject a simulated
 	// clock so adversary delays accumulate instantly.
 	Clock vclock.Clock
@@ -133,9 +135,6 @@ func (c *Config) fill() error {
 	}
 	if c.Kind == ByUpdateRate && c.C == 0 {
 		c.C = 1
-	}
-	if c.AdaptiveWarmup == 0 {
-		c.AdaptiveWarmup = 1000
 	}
 	if len(c.AdaptiveDecayRates) > 0 && c.Kind != ByPopularity {
 		return errors.New("core: adaptive decay applies to the popularity policy only")
@@ -238,7 +237,7 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 	switch cfg.Kind {
 	case ByPopularity:
 		if len(cfg.AdaptiveDecayRates) > 0 {
-			multi, err := counters.NewMultiDecay(cfg.AdaptiveDecayRates, 0.995, cfg.AdaptiveWarmup)
+			multi, err := counters.NewMultiDecay(cfg.AdaptiveDecayRates, 0.995, adaptiveWarmup)
 			if err != nil {
 				return nil, err
 			}

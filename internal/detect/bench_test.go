@@ -9,10 +9,11 @@ import (
 
 // BenchmarkDetectorObserveBatch measures the detector's observe path
 // for a 1000-tuple scan — two sketch updates per id plus one shard lock
-// round-trip per batch. This is the whole per-query cost detection adds
-// when enabled (`make bench-detect`).
+// round-trip per batch, and every 256th batch a sweep that finds no
+// candidate. This is the whole per-query cost detection adds when
+// enabled (`make bench-detect`).
 func BenchmarkDetectorObserveBatch(b *testing.B) {
-	d, err := NewDetector(Config{CatalogSize: 1_000_000, ReclusterEvery: 1 << 30})
+	d, err := NewDetector(Config{CatalogSize: 1_000_000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func BenchmarkDetectorObserveBatch(b *testing.B) {
 // BenchmarkDetectorObserveBatchParallel is the same scan observed by
 // many principals at once, exercising the shard striping.
 func BenchmarkDetectorObserveBatchParallel(b *testing.B) {
-	d, err := NewDetector(Config{CatalogSize: 1_000_000, ReclusterEvery: 1 << 30})
+	d, err := NewDetector(Config{CatalogSize: 1_000_000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,7 +61,8 @@ var reclusterShapes = []struct {
 	pop   population
 }{
 	{"cands=64/history=disjoint", 64, population{
-		cfg: Config{CatalogSize: 100_000, ReclusterEvery: 1 << 30, MaxCandidates: 64, CandidateFloor: 1e-9},
+		cfg:   Config{CatalogSize: 100_000},
+		floor: 1e-9,
 		feed: func(d *Detector, _ *rand.Rand) {
 			for p := 0; p < 64; p++ {
 				observeRange(d, fmt.Sprintf("p%02d", p), p*500, (p+1)*500)
@@ -88,7 +90,7 @@ func benchmarkSweep(b *testing.B, sweep func(*Detector)) {
 }
 
 // BenchmarkRecluster measures a full clustering sweep over a saturated
-// candidate set — the cost paid every ReclusterEvery batches by the
+// candidate set — the cost paid every reclusterEvery batches by the
 // request that crosses the count.
 func BenchmarkRecluster(b *testing.B) { benchmarkSweep(b, (*Detector).Recluster) }
 

@@ -24,6 +24,7 @@ package detect
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -35,92 +36,68 @@ import (
 	"repro/internal/metrics"
 )
 
-// Config parameterizes a Detector. The zero value of every field but
-// CatalogSize is usable; CatalogSize must be the N the deployment's
-// delay formulas use, since coverage is estimated against it.
+// Config parameterizes a Detector. CatalogSize is required: it must be
+// the N the deployment's delay formulas use, since coverage is
+// estimated against it. A zero JaccardThreshold, Policy.Grace or
+// Policy.Cap means its default; any other value outside its range is an
+// error from NewDetector.
 type Config struct {
 	// CatalogSize is the number of tuples in the protected database.
 	CatalogSize int
 	// Policy maps effective coverage to a delay multiplier.
 	Policy EscalationPolicy
-	// JaccardThreshold is the signature similarity at or above which
-	// two principals are clustered into one coalition. 0 means
-	// DefaultJaccardThreshold.
+	// JaccardThreshold, in (0, 1], is the signature similarity at or
+	// above which two principals are clustered into one coalition. 0
+	// means DefaultJaccardThreshold.
 	JaccardThreshold float64
-	// MaxPrincipals bounds tracked principals across all shards; the
-	// coldest principal in a full shard is evicted. 0 means
-	// DefaultMaxPrincipals.
-	MaxPrincipals int
-	// Shards is the lock-stripe count, rounded up to a power of two.
-	// 0 means DefaultShards.
-	Shards int
-	// HLLPrecision is the coverage sketch precision p (2^p registers).
-	// 0 means DefaultHLLPrecision.
-	HLLPrecision uint8
-	// SignatureSlots is the MinHash width. 0 means DefaultSignatureSlots.
-	SignatureSlots int
-	// ReclusterEvery is how many observed batches pass between
-	// clustering sweeps. 0 means DefaultReclusterEvery.
-	ReclusterEvery int
-	// MaxCandidates bounds the clustering pass to the highest-coverage
-	// principals, keeping the sweep's cost and memory independent of how
-	// many principals are tracked. 0 means DefaultMaxCandidates.
-	MaxCandidates int
-	// CandidateFloor is the minimum own coverage for a principal to
-	// enter the clustering pass; principals below it cannot be part of
-	// a meaningful coalition yet. 0 means half the policy grace.
-	CandidateFloor float64
 }
 
-// Defaults for the tunables an operator rarely needs to touch.
-const (
-	DefaultJaccardThreshold = 0.35
-	DefaultMaxPrincipals    = 4096
-	DefaultShards           = 16
-	DefaultHLLPrecision     = 10
-	DefaultSignatureSlots   = 256
-	DefaultReclusterEvery   = 256
-	DefaultMaxCandidates    = 256
-)
+// DefaultJaccardThreshold sits well above the ≈0.04 similarity of two
+// independent readers of a few percent of the catalog.
+const DefaultJaccardThreshold = 0.35
 
-// maxSignatureSlots keeps a pair's agreeing-slot count inside the
-// sweep's uint16 counters.
-const maxSignatureSlots = 1 << 15
+// The detector's sizes and sweep cadence. They are fixed rather than
+// configured: every shard of a cluster must build sketches of one
+// layout for anti-entropy to merge them, and nothing has needed other
+// values.
+const (
+	// maxPrincipals bounds tracked principals: 4,096 × 3 KiB of sketches
+	// is 12 MiB. The coldest principal in a full stripe is evicted.
+	maxPrincipals = 4096
+	// stripes is the lock-stripe count, a power of two; each stripe
+	// holds stripeCap principals.
+	stripes   = 16
+	stripeCap = maxPrincipals / stripes
+	// hllPrecision is the coverage sketch precision p: 2^10 one-byte
+	// registers, a standard error of about 3%.
+	hllPrecision = 10
+	// signatureSlots is the MinHash width: 256 eight-byte slots resolve
+	// the 0.35 threshold to within a few hundredths, and a pair's match
+	// count always fits the sweep's uint16.
+	signatureSlots = 256
+	// sketchBytes is one principal's sketch footprint.
+	sketchBytes = 1<<hllPrecision + 8*signatureSlots
+	// reclusterEvery is how many observed batches pass between
+	// clustering sweeps: one request in 256 pays for a sweep.
+	reclusterEvery = 256
+	// maxCandidates bounds the clustering pass to the highest-coverage
+	// principals, keeping the sweep's cost and memory independent of
+	// how many principals are tracked.
+	maxCandidates = 256
+)
 
 func (c *Config) fill() error {
 	if c.CatalogSize < 1 {
 		return errors.New("detect: CatalogSize must be ≥ 1")
 	}
-	c.Policy.fill()
-	if c.JaccardThreshold <= 0 || c.JaccardThreshold > 1 {
+	if err := c.Policy.fill(); err != nil {
+		return err
+	}
+	if c.JaccardThreshold == 0 {
 		c.JaccardThreshold = DefaultJaccardThreshold
 	}
-	if c.MaxPrincipals <= 0 {
-		c.MaxPrincipals = DefaultMaxPrincipals
-	}
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
-	if c.HLLPrecision == 0 {
-		c.HLLPrecision = DefaultHLLPrecision
-	}
-	if c.HLLPrecision < 4 || c.HLLPrecision > 16 {
-		return errors.New("detect: HLLPrecision out of [4,16]")
-	}
-	if c.SignatureSlots <= 0 {
-		c.SignatureSlots = DefaultSignatureSlots
-	}
-	if c.SignatureSlots > maxSignatureSlots {
-		return errors.New("detect: SignatureSlots above 32768")
-	}
-	if c.ReclusterEvery <= 0 {
-		c.ReclusterEvery = DefaultReclusterEvery
-	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = DefaultMaxCandidates
-	}
-	if c.CandidateFloor <= 0 {
-		c.CandidateFloor = c.Policy.Grace / 2
+	if !(c.JaccardThreshold > 0 && c.JaccardThreshold <= 1) {
+		return fmt.Errorf("detect: JaccardThreshold %v outside (0, 1]", c.JaccardThreshold)
 	}
 	return nil
 }
@@ -153,15 +130,17 @@ type principalState struct {
 type detectShard struct {
 	mu      sync.Mutex
 	entries map[string]*principalState
-	cap     int
 }
 
 // Detector tracks per-principal coverage sketches and coalition
 // attributions. All methods are safe for concurrent use.
 type Detector struct {
 	cfg    Config
-	shards []detectShard
-	mask   uint64
+	shards [stripes]detectShard
+	// floor is the own coverage a principal needs to enter the
+	// clustering pass, half the policy grace: principals below it
+	// cannot be part of a meaningful coalition yet.
+	floor float64
 
 	// seq is the global observation sequence, doubling as the
 	// recency stamp for evict-coldest.
@@ -183,11 +162,6 @@ type Detector struct {
 	// together via SetSweepInstruments.
 	sweeps       *metrics.Counter
 	sweepSeconds *metrics.Histogram
-
-	perPrincipalBytes int
-	// sigWidth is the filled signature slot count, the width Absorb
-	// requires of incoming snapshots.
-	sigWidth int
 }
 
 // NewDetector builds a detector from cfg (zero fields filled with
@@ -196,33 +170,19 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	if n > cfg.MaxPrincipals {
-		for n > 1 && n > cfg.MaxPrincipals {
-			n >>= 1
-		}
-	}
-	d := &Detector{cfg: cfg, shards: make([]detectShard, n), mask: uint64(n - 1)}
-	per := (cfg.MaxPrincipals + n - 1) / n
+	d := &Detector{cfg: cfg, floor: cfg.Policy.Grace / 2}
 	for i := range d.shards {
-		d.shards[i].cap = per
-		d.shards[i].entries = make(map[string]*principalState, per)
+		d.shards[i].entries = make(map[string]*principalState, stripeCap)
 	}
-	probe := newState(cfg)
-	d.perPrincipalBytes = probe.hll.SizeBytes() + probe.sig.SizeBytes()
-	d.sigWidth = len(probe.sig.slots)
-	d.sweep.union = probe.hll
+	d.sweep.union = NewHLL(hllPrecision)
 	d.sweep.attr = make(map[string]attribution)
 	return d, nil
 }
 
-func newState(cfg Config) *principalState {
+func newState() *principalState {
 	return &principalState{
-		hll:  NewHLL(cfg.HLLPrecision),
-		sig:  NewSignature(cfg.SignatureSlots),
+		hll:  NewHLL(hllPrecision),
+		sig:  NewSignature(signatureSlots),
 		mult: 1,
 	}
 }
@@ -239,11 +199,8 @@ func (d *Detector) SetSweepInstruments(sweeps *metrics.Counter, seconds *metrics
 	d.sweeps, d.sweepSeconds = sweeps, seconds
 }
 
-// Config returns the filled configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 func (d *Detector) shard(principal string) *detectShard {
-	return &d.shards[hashString(principal)&d.mask]
+	return &d.shards[hashString(principal)&(stripes-1)]
 }
 
 // ObserveBatch folds one query's observed tuple ids into the
@@ -267,10 +224,10 @@ func (d *Detector) ObserveBatch(principal string, ids []uint64) float64 {
 	seq := d.seq.Add(1)
 	st, ok := s.entries[principal]
 	if !ok {
-		if len(s.entries) >= s.cap {
+		if len(s.entries) >= stripeCap {
 			evictColdest(s)
 		}
-		st = newState(d.cfg)
+		st = newState()
 		s.entries[principal] = st
 	}
 	st.lastSeen = seq
@@ -294,7 +251,7 @@ func (d *Detector) ObserveBatch(principal string, ids []uint64) float64 {
 	mult := st.mult
 	s.mu.Unlock()
 
-	if seq%uint64(d.cfg.ReclusterEvery) == 0 {
+	if seq%reclusterEvery == 0 {
 		d.tryRecluster()
 	}
 	return mult
@@ -378,7 +335,7 @@ func (d *Detector) reclusterLocked() {
 		s := &d.shards[i]
 		s.mu.Lock()
 		for name, st := range s.entries {
-			if st.ownCov >= d.cfg.CandidateFloor {
+			if st.ownCov >= d.floor {
 				w.cands = append(w.cands, candidate{name: name, cov: st.ownCov})
 			}
 		}
@@ -390,8 +347,8 @@ func (d *Detector) reclusterLocked() {
 		}
 		return strings.Compare(a.name, b.name)
 	})
-	if len(w.cands) > d.cfg.MaxCandidates {
-		w.cands = w.cands[:d.cfg.MaxCandidates]
+	if len(w.cands) > maxCandidates {
+		w.cands = w.cands[:maxCandidates]
 	}
 	cands := w.cands
 	w.snapshot(d)
@@ -529,7 +486,7 @@ func (d *Detector) TrackedPrincipals() int {
 // SketchBytes returns the sketch memory currently held, the product of
 // tracked principals and the fixed per-principal sketch footprint.
 func (d *Detector) SketchBytes() int {
-	return d.TrackedPrincipals() * d.perPrincipalBytes
+	return d.TrackedPrincipals() * sketchBytes
 }
 
 // Coalitions returns the coalition count found by the last sweep.

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -10,12 +11,12 @@ import (
 
 // testConfig returns a config against a 10,000-tuple catalog with a
 // high grace so tests can isolate the coalition signal from individual
-// escalation.
+// escalation. A test that observes fewer than reclusterEvery batches
+// sees sweeps only when it asks for them.
 func testConfig() Config {
 	return Config{
-		CatalogSize:    10000,
-		Policy:         EscalationPolicy{Grace: 0.40, Cap: 64, RampWidth: 0.10, Hysteresis: 0.10},
-		ReclusterEvery: 1 << 30, // sweeps run only when a test asks
+		CatalogSize: 10000,
+		Policy:      EscalationPolicy{Grace: 0.40, Cap: 64},
 	}
 }
 
@@ -41,6 +42,59 @@ func observeRange(d *Detector, principal string, lo, hi int) float64 {
 func TestConfigRequiresCatalogSize(t *testing.T) {
 	if _, err := NewDetector(Config{}); err == nil {
 		t.Fatal("zero CatalogSize should be rejected")
+	}
+}
+
+// TestConfigRejectsBadSettings: zero means the default, and anything
+// else outside a setting's range is an error, where it used to be kept
+// (a NaN grace never escalates, a NaN threshold never clusters) or
+// silently swapped for the default (a cap of 0.5 charged ×64).
+func TestConfigRejectsBadSettings(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name        string
+		grace, cap  float64
+		jaccard     float64
+		ok          bool
+		wantGrace   float64
+		wantCap     float64
+		wantJaccard float64
+	}{
+		{name: "zero means default", ok: true, wantGrace: DefaultGrace, wantCap: DefaultCap, wantJaccard: DefaultJaccardThreshold},
+		{name: "range ends", grace: 1, cap: 1, jaccard: 1, ok: true, wantGrace: 1, wantCap: 1, wantJaccard: 1},
+		{name: "grace NaN", grace: nan},
+		{name: "grace +Inf", grace: inf},
+		{name: "grace -Inf", grace: -inf},
+		{name: "grace negative", grace: -0.1},
+		{name: "grace above 1", grace: 1.5},
+		{name: "cap NaN", cap: nan},
+		{name: "cap +Inf", cap: inf},
+		{name: "cap below 1", cap: 0.5},
+		{name: "cap negative", cap: -8},
+		{name: "jaccard NaN", jaccard: nan},
+		{name: "jaccard +Inf", jaccard: inf},
+		{name: "jaccard negative", jaccard: -0.2},
+		{name: "jaccard above 1", jaccard: 1.2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDetector(Config{
+				CatalogSize:      1000,
+				Policy:           EscalationPolicy{Grace: tc.grace, Cap: tc.cap},
+				JaccardThreshold: tc.jaccard,
+			})
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("accepted, filled to %+v", d.cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := d.cfg; c.Policy.Grace != tc.wantGrace || c.Policy.Cap != tc.wantCap || c.JaccardThreshold != tc.wantJaccard {
+				t.Fatalf("filled to %+v, want grace %v, cap %v, threshold %v", c, tc.wantGrace, tc.wantCap, tc.wantJaccard)
+			}
+		})
 	}
 }
 
@@ -125,9 +179,8 @@ func TestCoalitionEscalation(t *testing.T) {
 }
 
 func TestLegitimateUsersDoNotCluster(t *testing.T) {
-	cfg := testConfig()
-	cfg.CandidateFloor = 0.01 // force both users into the clustering pass
-	d := mustDetector(t, cfg)
+	d := mustDetector(t, testConfig())
+	d.floor = 0.01 // force both users into the clustering pass
 	// Two users sampling ~8% of the catalog pseudo-randomly and
 	// independently: expected Jaccard ≈ 0.04, far under the threshold.
 	for u := 0; u < 2; u++ {
@@ -167,10 +220,10 @@ func TestHysteresisRelease(t *testing.T) {
 	}
 	// Flood the shards with nothing — just re-sweep with the coalition
 	// forcibly below the candidate floor by raising it.
-	d.cfg.CandidateFloor = 1.1 // no candidates: coalition attribution clears
+	d.floor = 1.1 // no candidates: coalition attribution clears
 	d.Recluster()
 	m1 := d.Multiplier("a")
-	want1 := cfg.Policy.Cap * (1 - cfg.Policy.Hysteresis)
+	want1 := cfg.Policy.Cap * (1 - hysteresis)
 	if m1 != want1 {
 		t.Fatalf("after one release sweep: %v, want %v", m1, want1)
 	}
@@ -183,25 +236,23 @@ func TestHysteresisRelease(t *testing.T) {
 }
 
 func TestBoundedMemoryAndEvictColdest(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxPrincipals = 64
-	cfg.Shards = 4
-	d := mustDetector(t, cfg)
+	d := mustDetector(t, testConfig())
 
-	// A legitimate principal observed throughout the storm must never
-	// be the coldest entry in its shard.
+	// 5,000 one-tuple principals overflow the 4,096 tracked. A
+	// legitimate principal observed throughout the storm must never be
+	// the coldest entry in its stripe.
 	observeRange(d, "keeper", 0, 500)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 5000; i++ {
 		d.ObserveBatch(fmt.Sprintf("sybil%04d", i), []uint64{uint64(i)})
 		if i%10 == 0 {
 			d.ObserveBatch("keeper", []uint64{1})
 		}
 	}
-	if n := d.TrackedPrincipals(); n > cfg.MaxPrincipals {
-		t.Errorf("tracked %d principals, cap %d", n, cfg.MaxPrincipals)
+	if n := d.TrackedPrincipals(); n != maxPrincipals {
+		t.Errorf("tracked %d principals after 5,001, want the cap %d", n, maxPrincipals)
 	}
-	if got := d.SketchBytes(); got > cfg.MaxPrincipals*d.perPrincipalBytes {
-		t.Errorf("sketch bytes %d exceed bound %d", got, cfg.MaxPrincipals*d.perPrincipalBytes)
+	if got, bound := d.SketchBytes(), maxPrincipals*sketchBytes; got > bound {
+		t.Errorf("sketch bytes %d exceed bound %d", got, bound)
 	}
 	keeper := d.Suspects(1)
 	if len(keeper) == 0 || keeper[0].Principal != "keeper" {
@@ -212,55 +263,67 @@ func TestBoundedMemoryAndEvictColdest(t *testing.T) {
 	}
 }
 
+// TestReclusterCadence: the batch that brings the count to
+// reclusterEvery runs a sweep, and none before it does.
 func TestReclusterCadence(t *testing.T) {
-	cfg := testConfig()
-	cfg.ReclusterEvery = 8
-	d := mustDetector(t, cfg)
+	d := mustDetector(t, testConfig())
 	for i, name := range []string{"a", "b", "c", "d"} {
 		observeRange(d, name, i*1000, (i+1)*1000)
 		observeRange(d, name, 6000, 8000)
 	}
-	// 8 batches so far; the 8th observation triggered a sweep already,
-	// but attributions are written after it, so drive a few more.
-	for i := 0; i < 16; i++ {
+	for seq := 9; seq < reclusterEvery; seq++ {
 		d.ObserveBatch("a", []uint64{0})
 	}
+	if got := d.Coalitions(); got != 0 {
+		t.Fatalf("coalitions %d after %d batches, want 0: no sweep yet", got, reclusterEvery-1)
+	}
+	d.ObserveBatch("a", []uint64{0})
 	if got := d.Coalitions(); got != 1 {
-		t.Errorf("coalitions %d, want 1 from cadence-driven sweep", got)
+		t.Errorf("coalitions %d after %d batches, want 1 from the cadence-driven sweep", got, reclusterEvery)
 	}
 }
 
+// TestDetectorConcurrent races observation, eviction, sweeps, export
+// and absorb under -race: eight observers bring 5,120 principals
+// through the 4,096-principal table, so stripes evict all along, while
+// a reader sweeps, ranks, exports and absorbs what it exported.
 func TestDetectorConcurrent(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxPrincipals = 32
-	cfg.ReclusterEvery = 16
-	d := mustDetector(t, cfg)
+	d := mustDetector(t, testConfig())
 	var esc metrics.Counter
 	d.SetEscalationCounter(&esc)
 
+	const observers, each = 8, 640
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < observers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			name := fmt.Sprintf("p%d", g)
-			for i := 0; i < 200; i++ {
-				lo := (g*200 + i) % 9000
-				observeRange(d, name, lo, lo+100)
-				d.Multiplier(name)
+			heavy := fmt.Sprintf("p%d", g)
+			for i := 0; i < each; i++ {
+				lo := (g*each + i) % 9000
+				observeRange(d, heavy, lo, lo+20)
+				d.ObserveBatch(fmt.Sprintf("p%d-%d", g, i), []uint64{uint64(lo)})
+				d.Multiplier(heavy)
 			}
 		}(g)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var mark uint64
 		for i := 0; i < 50; i++ {
 			d.Recluster()
 			d.Suspects(5)
 			d.MaxCoverage()
 			d.TrackedPrincipals()
 			d.SketchBytes()
+			var snaps []SketchSnapshot
+			snaps, mark = d.ExportSince(mark, 0)
+			d.Absorb(snaps)
 		}
 	}()
 	wg.Wait()
+	if n := d.TrackedPrincipals(); n != maxPrincipals {
+		t.Errorf("tracked %d principals after %d, want the cap %d", n, observers*(each+1), maxPrincipals)
+	}
 }

@@ -30,7 +30,7 @@ func pairwiseRecluster(d *Detector) {
 		s := &d.shards[i]
 		s.mu.Lock()
 		for name, st := range s.entries {
-			if st.ownCov >= d.cfg.CandidateFloor {
+			if st.ownCov >= d.floor {
 				cands = append(cands, oracleCandidate{
 					name: name,
 					cov:  st.ownCov,
@@ -47,8 +47,8 @@ func pairwiseRecluster(d *Detector) {
 		}
 		return cands[i].name < cands[j].name
 	})
-	if len(cands) > d.cfg.MaxCandidates {
-		cands = cands[:d.cfg.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 
 	attr := make(map[string]attribution, len(cands))
@@ -114,18 +114,20 @@ func pairwiseRecluster(d *Detector) {
 	}
 }
 
-// A population feeds one detector; the differential test builds it twice.
+// A population feeds one detector; the differential test builds it
+// twice. A nonzero floor replaces the detector's candidate floor before
+// the feed.
 type population struct {
-	name string
-	cfg  Config
-	feed func(d *Detector, rng *rand.Rand)
+	name  string
+	cfg   Config
+	floor float64
+	feed  func(d *Detector, rng *rand.Rand)
 }
 
 func sweepConfig(catalog int) Config {
 	return Config{
-		CatalogSize:    catalog,
-		Policy:         EscalationPolicy{Grace: 0.08, Cap: 64},
-		ReclusterEvery: 1 << 30,
+		CatalogSize: catalog,
+		Policy:      EscalationPolicy{Grace: 0.08, Cap: 64},
 	}
 }
 
@@ -198,12 +200,9 @@ var populations = []population{
 	{
 		// Fewer ids than slots: slots stay empty on one side of a pair
 		// and on both, and some principals share all they have.
-		name: "sparse",
-		cfg: func() Config {
-			c := sweepConfig(2_000)
-			c.CandidateFloor = 1e-9
-			return c
-		}(),
+		name:  "sparse",
+		cfg:   sweepConfig(2_000),
+		floor: 1e-9,
 		feed: func(d *Detector, rng *rand.Rand) {
 			for p := 0; p < 40; p++ {
 				n := 1 + rng.Intn(120)
@@ -219,14 +218,12 @@ var populations = []population{
 		},
 	},
 	{
-		name: "truncated",
-		cfg: func() Config {
-			c := sweepConfig(20_000)
-			c.MaxCandidates = 24
-			c.CandidateFloor = 0.01
-			return c
-		}(),
-		feed: feedScans(60, 30),
+		// More principals over the floor than a sweep keeps: the cut
+		// at maxCandidates falls among principals of scan traffic.
+		name:  "truncated",
+		cfg:   sweepConfig(20_000),
+		floor: 0.01,
+		feed:  feedScans(300, 12),
 	},
 }
 
@@ -235,6 +232,9 @@ func build(t testing.TB, p population, seed int64) *Detector {
 	d, err := NewDetector(p.cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.floor != 0 {
+		d.floor = p.floor
 	}
 	p.feed(d, rand.New(rand.NewSource(seed)))
 	return d
@@ -276,11 +276,14 @@ func TestReclusterMatchesPairwiseOracle(t *testing.T) {
 					if n := len(got.sweep.cands); p.name == "scans" && sweep == 0 && (n < 40 || slices.Max(got.sweep.match) == 0) {
 						t.Errorf("scans population: %d candidates; want a full pass with signatures that agree somewhere", n)
 					}
+					if n := len(got.sweep.cands); p.name == "truncated" && sweep == 0 && n != maxCandidates {
+						t.Errorf("truncated population: the sweep kept %d candidates, want the cut at %d", n, maxCandidates)
+					}
 					for _, d := range []*Detector{got, want} {
 						rng := rand.New(rand.NewSource(seed*100 + int64(sweep)))
 						observeRange(d, ws[0].Principal, 0, 1+rng.Intn(50))
 						if sweep == 1 {
-							d.cfg.CandidateFloor = 0.5
+							d.floor = 0.5
 						}
 					}
 				}
@@ -290,17 +293,16 @@ func TestReclusterMatchesPairwiseOracle(t *testing.T) {
 }
 
 // TestSweepClonesOnlyCandidates: with 1,000 principals above the floor a
-// sweep copies the sketches of the MaxCandidates it keeps, into buffers
+// sweep copies the sketches of the maxCandidates it keeps, into buffers
 // it already has — the thousand 3 KiB clones of the first phase are
 // gone, and what a sweep allocates no longer grows with who is tracked.
 func TestSweepClonesOnlyCandidates(t *testing.T) {
-	cfg := sweepConfig(1_000_000)
-	cfg.CandidateFloor = 1e-9
 	build := func() *Detector {
-		d, err := NewDetector(cfg)
+		d, err := NewDetector(sweepConfig(1_000_000))
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.floor = 1e-9
 		for p := 0; p < 1000; p++ {
 			observeRange(d, fmt.Sprintf("p%04d", p), p*100, p*100+50+p%50)
 		}
@@ -312,8 +314,8 @@ func TestSweepClonesOnlyCandidates(t *testing.T) {
 	if gs, ws := got.Suspects(0), want.Suspects(0); fmt.Sprint(gs) != fmt.Sprint(ws) {
 		t.Fatal("attributions differ from the pairwise oracle")
 	}
-	if n := len(got.sweep.cands); n != got.cfg.MaxCandidates {
-		t.Fatalf("sweep kept %d candidates, want %d", n, got.cfg.MaxCandidates)
+	if n := len(got.sweep.cands); n != maxCandidates {
+		t.Fatalf("sweep kept %d candidates, want %d", n, maxCandidates)
 	}
 	// Steady state: the buffers exist, so a sweep allocates next to
 	// nothing — far under one sketch per candidate, let alone per
@@ -327,7 +329,7 @@ func TestSweepClonesOnlyCandidates(t *testing.T) {
 		got.Recluster()
 	}
 	runtime.ReadMemStats(&after)
-	if bytes, clones := (after.TotalAlloc-before.TotalAlloc)/10, uint64(got.perPrincipalBytes)*1000; bytes > clones/100 {
+	if bytes, clones := (after.TotalAlloc-before.TotalAlloc)/10, uint64(sketchBytes)*1000; bytes > clones/100 {
 		t.Errorf("a sweep allocates %d bytes; cloning every tracked principal was %d", bytes, clones)
 	}
 }

@@ -14,7 +14,7 @@ func TestPartitionSliceMergeUnionCoverage(t *testing.T) {
 	const catalog = 1000
 	cfg := Config{
 		CatalogSize: catalog,
-		Policy:      EscalationPolicy{Grace: 0.60, Cap: 8, RampWidth: 0.20, Hysteresis: 0.10},
+		Policy:      EscalationPolicy{Grace: 0.60, Cap: 8},
 	}
 	dets := make([]*Detector, shards)
 	for i := range dets {

@@ -4,7 +4,9 @@ import "testing"
 
 func defaultPolicy() EscalationPolicy {
 	p := EscalationPolicy{}
-	p.fill()
+	if err := p.fill(); err != nil {
+		panic(err)
+	}
 	return p
 }
 
@@ -16,11 +18,11 @@ func TestMultiplierShape(t *testing.T) {
 	if m := p.Multiplier(p.Grace); m != 1 {
 		t.Errorf("coverage at grace: %v, want exactly 1", m)
 	}
-	mid := p.Multiplier(p.Grace + p.RampWidth/2)
+	mid := p.Multiplier(p.Grace + rampWidth/2)
 	if mid <= 1 || mid >= p.Cap {
 		t.Errorf("mid-ramp: %v, want strictly between 1 and cap", mid)
 	}
-	if m := p.Multiplier(p.Grace + p.RampWidth); m != p.Cap {
+	if m := p.Multiplier(p.Grace + rampWidth); m != p.Cap {
 		t.Errorf("end of ramp: %v, want cap %v", m, p.Cap)
 	}
 	if m := p.Multiplier(1); m != p.Cap {
@@ -41,7 +43,7 @@ func TestMultiplierMonotone(t *testing.T) {
 }
 
 func TestMultiplierCapDisabled(t *testing.T) {
-	p := EscalationPolicy{Grace: 0.1, Cap: 1, RampWidth: 0.1, Hysteresis: 0.1}
+	p := EscalationPolicy{Grace: 0.1, Cap: 1}
 	if m := p.Multiplier(0.9); m != 1 {
 		t.Errorf("cap 1 must disable escalation: %v", m)
 	}

@@ -7,7 +7,7 @@
 // and every node converges on the sketch a single node observing the
 // whole stream would hold. The wire format below is deliberately dumb
 // (version byte, size byte, raw registers): sketches are fixed-size and
-// small (1 KiB HLL + 2 KiB signature at the defaults), and the exchanger
+// small (a 1 KiB HLL and a 2 KiB signature), and the exchanger
 // meters the exact bytes it moves.
 package detect
 
@@ -167,7 +167,7 @@ func (d *Detector) ExportSince(since uint64, floor float64) ([]SketchSnapshot, u
 // from its peers that a locally-quiet principal holds half the catalog
 // starts surcharging on the very next query, before any clustering
 // sweep. Snapshots that fail to decode or whose dimensions disagree with
-// this detector's configuration are counted in rejected and skipped;
+// the detector's fixed layout are counted in rejected and skipped;
 // one bad peer must not poison the table.
 func (d *Detector) Absorb(snaps []SketchSnapshot) (merged, rejected int) {
 	for _, sn := range snaps {
@@ -176,12 +176,12 @@ func (d *Detector) Absorb(snaps []SketchSnapshot) (merged, rejected int) {
 			continue
 		}
 		hll, err := UnmarshalHLL(sn.HLL)
-		if err != nil || hll.p != d.cfg.HLLPrecision {
+		if err != nil || hll.p != hllPrecision {
 			rejected++
 			continue
 		}
 		sig, err := UnmarshalSignature(sn.Sig)
-		if err != nil || len(sig.slots) != d.sigWidth {
+		if err != nil || len(sig.slots) != signatureSlots {
 			rejected++
 			continue
 		}
@@ -189,10 +189,10 @@ func (d *Detector) Absorb(snaps []SketchSnapshot) (merged, rejected int) {
 		s.mu.Lock()
 		st, ok := s.entries[sn.Principal]
 		if !ok {
-			if len(s.entries) >= s.cap {
+			if len(s.entries) >= stripeCap {
 				evictColdest(s)
 			}
-			st = newState(d.cfg)
+			st = newState()
 			s.entries[sn.Principal] = st
 		}
 		st.hll.Merge(hll)

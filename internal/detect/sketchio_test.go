@@ -17,7 +17,7 @@ import (
 // the sequence inside the shard critical section precisely so that
 // cannot happen; this hammers the seam under -race.
 func TestExportSinceConcurrentObserveNotMissed(t *testing.T) {
-	d, err := NewDetector(Config{CatalogSize: 1000, MaxPrincipals: 8192})
+	d, err := NewDetector(Config{CatalogSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,22 +265,43 @@ func TestAbsorbDoesNotMarkForExport(t *testing.T) {
 	}
 }
 
+// sketchBytesOf marshals an HLL of precision p and a signature of width
+// slots, both holding ids [0, n).
+func sketchBytesOf(p uint8, slots, n int) (hll, sig []byte) {
+	h, s := NewHLL(p), NewSignature(slots)
+	for id := 0; id < n; id++ {
+		x := mix64(uint64(id))
+		h.Add(x)
+		s.Add(x)
+	}
+	hll, _ = h.MarshalBinary()
+	sig, _ = s.MarshalBinary()
+	return hll, sig
+}
+
+// TestAbsorbRejectsMismatchedDimensions: a peer's sketch of another
+// precision or width is rejected, one of the detector's own layout is
+// merged.
 func TestAbsorbRejectsMismatchedDimensions(t *testing.T) {
 	a, _ := NewDetector(Config{CatalogSize: 1000})
-	otherP, _ := NewDetector(Config{CatalogSize: 1000, HLLPrecision: 12})
-	otherW, _ := NewDetector(Config{CatalogSize: 1000, SignatureSlots: 64})
-	observe(t, otherP, "p", 0, 100)
-	observe(t, otherW, "q", 0, 100)
+	okHLL, okSig := sketchBytesOf(hllPrecision, signatureSlots, 100)
+	wideHLL, _ := sketchBytesOf(12, signatureSlots, 100)
+	_, narrowSig := sketchBytesOf(hllPrecision, 64, 100)
 
-	snapsP, _ := otherP.ExportSince(0, 0)
-	snapsW, _ := otherW.ExportSince(0, 0)
-	bad := append(append([]SketchSnapshot{{Principal: "", HLL: nil, Sig: nil}}, snapsP...), snapsW...)
+	bad := []SketchSnapshot{
+		{Principal: "", HLL: nil, Sig: nil},
+		{Principal: "p", HLL: wideHLL, Sig: okSig},
+		{Principal: "q", HLL: okHLL, Sig: narrowSig},
+	}
 	merged, rejected := a.Absorb(bad)
 	if merged != 0 || rejected != 3 {
 		t.Fatalf("absorb = (%d merged, %d rejected), want (0, 3)", merged, rejected)
 	}
 	if n := a.TrackedPrincipals(); n != 0 {
 		t.Fatalf("rejected snapshots created %d principals", n)
+	}
+	if merged, rejected := a.Absorb([]SketchSnapshot{{Principal: "r", HLL: okHLL, Sig: okSig}}); merged != 1 || rejected != 0 {
+		t.Fatalf("absorb of the detector's own layout = (%d merged, %d rejected), want (1, 0)", merged, rejected)
 	}
 }
 
@@ -289,7 +310,7 @@ func TestAbsorbRejectsMismatchedDimensions(t *testing.T) {
 // it came from; a snapshot Absorb rejects changes no detector state, and
 // one it merges is merged for good (absorbing it again changes nothing).
 func FuzzSketchIO(f *testing.F) {
-	cfg := Config{CatalogSize: 64, HLLPrecision: 4, SignatureSlots: 16, Shards: 1}
+	cfg := Config{CatalogSize: 64}
 	peer, err := NewDetector(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -304,9 +325,13 @@ func FuzzSketchIO(f *testing.F) {
 	f.Add("p", []byte{hllWireVersion, 3}, []byte{sigWireVersion, 30})
 	f.Add("p", good.HLL[:len(good.HLL)-1], good.Sig)
 	f.Add("p", good.HLL, append([]byte{sigWireVersion, 5}, good.Sig[2:]...))
-	f.Add("p", append([]byte{hllWireVersion, 4, 62}, good.HLL[3:]...), good.Sig) // impossible rank
-	wide, _ := NewHLL(10).MarshalBinary()
-	f.Add("p", wide, good.Sig) // well-formed, wrong precision for this detector
+	tiny, _ := sketchBytesOf(4, 16, 0)
+	f.Add("p", append([]byte{hllWireVersion, 4, 62}, tiny[3:]...), good.Sig) // impossible rank
+	empty, _ := NewHLL(10).MarshalBinary()
+	f.Add("p", empty, good.Sig) // well-formed and empty
+	wide, narrow := sketchBytesOf(12, 64, 5)
+	f.Add("p", wide, good.Sig)   // well-formed, wrong precision for this detector
+	f.Add("p", good.HLL, narrow) // well-formed, wrong width for this detector
 
 	f.Fuzz(func(t *testing.T, principal string, hllBytes, sigBytes []byte) {
 		if h, err := UnmarshalHLL(hllBytes); err == nil {
@@ -327,7 +352,7 @@ func FuzzSketchIO(f *testing.F) {
 		d.ObserveBatch("q", []uint64{9, 10})
 		state := func() string {
 			snaps, _ := d.ExportSince(0, 0)
-			return fmt.Sprintf("%d principals %v suspects %+v", d.TrackedPrincipals(), snaps, d.Suspects(8))
+			return fmt.Sprintf("%d principals %x suspects %+v", d.TrackedPrincipals(), snaps, d.Suspects(8))
 		}
 		before := state()
 		snap := []SketchSnapshot{{Principal: principal, HLL: hllBytes, Sig: sigBytes}}

@@ -76,9 +76,9 @@ func resized[T any](buf []T, n int) []T {
 // evicted since it was chosen is left with an empty signature, which
 // matches nobody.
 func (w *sweepScratch) snapshot(d *Detector) {
-	w.size(len(w.cands), d.sigWidth)
+	w.size(len(w.cands), signatureSlots)
 	for len(w.hlls) < w.n {
-		w.hlls = append(w.hlls, NewHLL(d.cfg.HLLPrecision))
+		w.hlls = append(w.hlls, NewHLL(hllPrecision))
 	}
 	for c, cand := range w.cands {
 		s := d.shard(cand.name)

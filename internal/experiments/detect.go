@@ -23,12 +23,11 @@ type SybilDetectionParams struct {
 	Ks   []int
 	Seed int64
 
-	// Grace, MultCap, RampWidth and Jaccard parameterize the detector;
-	// see detect.Config.
-	Grace     float64
-	MultCap   float64
-	RampWidth float64
-	Jaccard   float64
+	// Grace, MultCap and Jaccard parameterize the detector; see
+	// detect.Config.
+	Grace   float64
+	MultCap float64
+	Jaccard float64
 	// VerifyFraction is the shared verification sample each Sybil stream
 	// re-fetches (see adversary.CoordinatedStreams).
 	VerifyFraction float64
@@ -46,7 +45,7 @@ func DefaultSybilDetectionParams() SybilDetectionParams {
 		Scale: 1, Cap: 10 * time.Second, CapFraction: 0.1,
 		Ks:    []int{1, 4, 16, 64},
 		Seed:  2004,
-		Grace: 0.08, MultCap: 256, RampWidth: 0.10, Jaccard: 0.35,
+		Grace: 0.08, MultCap: 256, Jaccard: 0.35,
 		VerifyFraction: 0.25,
 		LegitUsers:     32, LegitQueries: 1000, LegitAlpha: 1.0,
 	}
@@ -158,10 +157,8 @@ func newSybilBed(p SybilDetectionParams) (*sybilBed, error) {
 	return &sybilBed{
 		SybilDetectionParams: p, gate: gate, ids: ids, baseline: baseline.WallTime,
 		dcfg: detect.Config{
-			CatalogSize: len(ids),
-			Policy: detect.EscalationPolicy{
-				Grace: p.Grace, Cap: p.MultCap, RampWidth: p.RampWidth, Hysteresis: 0.10,
-			},
+			CatalogSize:      len(ids),
+			Policy:           detect.EscalationPolicy{Grace: p.Grace, Cap: p.MultCap},
 			JaccardThreshold: p.Jaccard,
 		},
 	}, nil

@@ -41,7 +41,7 @@ func detectServer(t *testing.T) (*httptest.Server, *core.Shield) {
 		N: 200, Alpha: 1, Beta: 1, Cap: time.Millisecond,
 		Clock: vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC)),
 		Detect: &detect.Config{
-			Policy: detect.EscalationPolicy{Grace: 0.30, Cap: 8, RampWidth: 0.20, Hysteresis: 0.10},
+			Policy: detect.EscalationPolicy{Grace: 0.30, Cap: 8},
 		},
 	})
 	if err != nil {

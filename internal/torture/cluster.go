@@ -145,7 +145,7 @@ func RunCluster(dir string, cfg ClusterConfig) (*ClusterResult, error) {
 	// Build the shards: WAL-enabled engines under dir, each behind its
 	// own shield and HTTP surface, each on a killable transport.
 	det := &detect.Config{
-		Policy: detect.EscalationPolicy{Grace: 0.60, Cap: 8, RampWidth: 0.20, Hysteresis: 0.10},
+		Policy: detect.EscalationPolicy{Grace: 0.60, Cap: 8},
 	}
 	// Catalog sized so the finale's full-table scan clears the 60%
 	// escalation grace with margin even before any insert lands.
