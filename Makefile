@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check fmtcheck build vet test race race-hot loc cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz clean
+.PHONY: all check fmtcheck build vet test race race-hot loc cover bench bench-shield bench-engine bench-cluster bench-smoke bench-ledger-smoke bench-detect torture torture-cluster torture-full repro repro-fast examples fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -13,6 +13,7 @@ check: fmtcheck
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) race-hot
+	$(MAKE) fuzz-smoke
 	$(MAKE) torture
 	$(MAKE) torture-cluster
 	$(MAKE) bench-ledger-smoke
@@ -159,6 +160,16 @@ examples:
 	$(GO) run ./examples/freshness
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
+
+# The SQL parser under its fuzz properties for 15 s: no panic, every
+# accepted SELECT/INSERT/UPDATE/DELETE survives Render, and every string
+# token matches the byte-at-a-time reference reader. `make check` and CI
+# run it; `go test` alone runs only the seed corpus. Minimizing an input
+# is capped at 1 s (the default, 60 s per new-coverage input, can spend
+# the whole run minimizing); a failing input is still saved under
+# testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=15s -fuzzminimizetime=1s ./internal/sqlmini/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/

@@ -46,6 +46,17 @@ var equivalenceStream = []struct {
 	{`DELETE FROM books WHERE shelf = 30`, true},
 	{`SELECT COUNT(*) FROM books`, true},
 	{`SELECT id, title FROM books ORDER BY id DESC`, true},
+	// A FLOAT the router re-renders (a split INSERT, a scatter WHERE)
+	// must lex back as the same FLOAT: not in exponent form, which the
+	// lexer rejects, and not as an INT, which an INT column accepts.
+	// Every row of the rejected INSERT carries the 2.0: a split INSERT
+	// that some owners accept and others reject is not atomic (DESIGN §16).
+	{`CREATE TABLE ledger (id INT PRIMARY KEY, qty INT, amount FLOAT)`, true},
+	{`INSERT INTO ledger VALUES (1, 1, 2500000.5), (2, 2, 0.00001), (3, 3, 2.0), (4, 4, 1000000.5)`, true},
+	{`SELECT COUNT(*), SUM(amount) FROM ledger WHERE amount >= 1000000.5`, true},
+	{`INSERT INTO ledger VALUES (5, 2.0, 1.5), (6, 2.0, 2.5)`, false},
+	{`SELECT id, qty, amount FROM ledger ORDER BY id`, true},
+	{`DROP TABLE ledger`, true},
 	{`DROP TABLE books`, true},
 	{`SELECT * FROM books`, false},
 }

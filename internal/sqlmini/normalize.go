@@ -94,25 +94,10 @@ func numberLiteral(text string) (Literal, error) {
 
 // HasPrefixKeyword reports whether src's first token is the given
 // keyword (case-insensitive). The plan cache uses it to classify
-// statements without lexing: only SELECTs are worth normalizing.
+// statements without lexing: only SELECTs are worth normalizing. White
+// space and identifier characters follow the lexer's own rules.
 func HasPrefixKeyword(src, kw string) bool {
-	i := 0
-	for i < len(src) && isSpaceByte(src[i]) {
-		i++
-	}
-	j := i
-	for j < len(src) && (isIdentStart(rune(src[j])) || isDigit(src[j])) {
-		j++
-	}
+	i := spaceEnd(src, 0)
+	j := identEnd(src, i)
 	return j-i == len(kw) && strings.EqualFold(src[i:j], kw)
-}
-
-// isSpaceByte mirrors the lexer's skipSpace for the ASCII bytes a SQL
-// string starts with.
-func isSpaceByte(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\r', '\v', '\f':
-		return true
-	}
-	return false
 }

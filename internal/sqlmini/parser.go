@@ -241,18 +241,23 @@ func (p *parser) parseInsert() (Statement, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
-	var rows [][]Literal
+	// Every row is a window of one backing array, sized from the
+	// tokens up to the end of the statement: an upper bound, since a
+	// malformed list fails before it is reached.
+	nrows, nlits := p.valuesBound()
+	lits := make([]Literal, 0, nlits)
+	rows := make([][]Literal, 0, nrows)
 	for {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []Literal
+		first := len(lits)
 		for {
 			lit, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, lit)
+			lits = append(lits, lit)
 			if p.acceptSymbol(",") {
 				continue
 			}
@@ -261,13 +266,30 @@ func (p *parser) parseInsert() (Statement, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, lits[first:len(lits):len(lits)])
 		if p.acceptSymbol(",") {
 			continue
 		}
 		break
 	}
 	return &Insert{Table: table, Rows: rows}, nil
+}
+
+// valuesBound counts the '(' symbols and the literal tokens from the
+// parser's position to the end of the statement (a ';' or the end of
+// input): at least the rows and the literals a VALUES list holds.
+func (p *parser) valuesBound() (rows, lits int) {
+	for _, t := range p.toks[p.pos:] {
+		switch {
+		case t.kind == tokNumber || t.kind == tokString:
+			lits++
+		case t.kind == tokSymbol && t.text == "(":
+			rows++
+		case t.kind == tokEOF || t.kind == tokSymbol && t.text == ";":
+			return rows, lits
+		}
+	}
+	return rows, lits
 }
 
 // aggFuncs maps function names to AggFunc values.

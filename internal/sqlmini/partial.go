@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -123,12 +124,46 @@ func PartialAggregates(aggs []Aggregate) (partials []Aggregate, src [][]int) {
 }
 
 // QuoteLiteral renders a literal as a SQL token the lexer parses back to
-// the same value; string quotes escape by doubling, mirroring lexString.
+// the same literal; string quotes escape by doubling, mirroring lexString.
 func QuoteLiteral(l Literal) string {
-	if l.Kind == StringLit {
-		return "'" + strings.ReplaceAll(l.Str, "'", "''") + "'"
+	var sb strings.Builder
+	writeLiteral(&sb, l)
+	return sb.String()
+}
+
+// writeLiteral appends l as QuoteLiteral renders it. A float keeps a '.'
+// and never takes an exponent ('f' format, shortest digits that round
+// trip), so it lexes back as a number with a '.', which the parser reads
+// as the same FloatLit: 2.0 stays "2.0", not the INT 2, and 2500000.5
+// stays "2500000.5", not "2.5000005e+06", which the lexer rejects.
+func writeLiteral(sb *strings.Builder, l Literal) {
+	var num [32]byte
+	switch l.Kind {
+	case IntLit:
+		sb.Write(strconv.AppendInt(num[:0], l.Int, 10))
+	case FloatLit:
+		b := strconv.AppendFloat(num[:0], l.Float, 'f', -1, 64)
+		if bytes.IndexByte(b, '.') < 0 {
+			b = append(b, ".0"...)
+		}
+		sb.Write(b)
+	case StringLit:
+		sb.WriteByte('\'')
+		str := l.Str
+		for {
+			q := strings.IndexByte(str, '\'')
+			if q < 0 {
+				break
+			}
+			sb.WriteString(str[:q+1])
+			sb.WriteByte('\'')
+			str = str[q+1:]
+		}
+		sb.WriteString(str)
+		sb.WriteByte('\'')
+	default:
+		sb.WriteString(l.String())
 	}
-	return l.String()
 }
 
 // Render renders a parsed SELECT, INSERT, UPDATE, or DELETE back to SQL
@@ -142,6 +177,16 @@ func Render(stmt Statement) string {
 	case *Select:
 		renderSelect(&sb, s)
 	case *Insert:
+		// One buffer for the whole statement, sized up front: 24 bytes
+		// a literal cover an int, a string's quotes and most floats.
+		n := len("INSERT INTO  VALUES ") + len(s.Table)
+		for _, row := range s.Rows {
+			n += len("(), ")
+			for _, v := range row {
+				n += len(", ") + len(v.Str) + 24
+			}
+		}
+		sb.Grow(n)
 		sb.WriteString("INSERT INTO ")
 		sb.WriteString(s.Table)
 		sb.WriteString(" VALUES ")
@@ -154,7 +199,7 @@ func Render(stmt Statement) string {
 				if j > 0 {
 					sb.WriteString(", ")
 				}
-				sb.WriteString(QuoteLiteral(v))
+				writeLiteral(&sb, v)
 			}
 			sb.WriteByte(')')
 		}
@@ -168,7 +213,7 @@ func Render(stmt Statement) string {
 			}
 			sb.WriteString(a.Column)
 			sb.WriteString(" = ")
-			sb.WriteString(QuoteLiteral(a.Value))
+			writeLiteral(&sb, a.Value)
 		}
 		renderWhere(&sb, s.Where)
 	case *Delete:
@@ -232,6 +277,6 @@ func renderWhere(sb *strings.Builder, w *Where) {
 		sb.WriteByte(' ')
 		sb.WriteString(c.Op.String())
 		sb.WriteByte(' ')
-		sb.WriteString(QuoteLiteral(c.Value))
+		writeLiteral(sb, c.Value)
 	}
 }

@@ -101,6 +101,15 @@ func TestQuoteLiteral(t *testing.T) {
 		{Literal{Kind: StringLit, Str: "plain"}, "'plain'"},
 		{Literal{Kind: StringLit, Str: "a'b"}, "'a''b'"},
 		{Literal{Kind: StringLit, Str: ""}, "''"},
+		{Literal{Kind: StringLit, Str: "'a''"}, "'''a'''''"},
+		{Literal{Kind: IntLit, Int: -7}, "-7"},
+		// A float keeps its '.' and takes no exponent, so it lexes back
+		// as the same FLOAT, never as an INT or a rejected token.
+		{Literal{Kind: FloatLit, Float: 2500000.5}, "2500000.5"},
+		{Literal{Kind: FloatLit, Float: 0.00001}, "0.00001"},
+		{Literal{Kind: FloatLit, Float: 2.0}, "2.0"},
+		{Literal{Kind: FloatLit, Float: -1.25}, "-1.25"},
+		{Literal{Kind: FloatLit, Float: 1e21}, "1000000000000000000000.0"},
 	}
 	for _, c := range cases {
 		got := QuoteLiteral(c.lit)
@@ -112,7 +121,7 @@ func TestQuoteLiteral(t *testing.T) {
 		sql := "SELECT v FROM t WHERE c = " + got
 		sel := mustParse(t, sql).(*Select)
 		back := sel.Where.Conjuncts[0].Value
-		if back.Kind != c.lit.Kind || back.Int != c.lit.Int || back.Str != c.lit.Str {
+		if back != c.lit {
 			t.Errorf("QuoteLiteral(%v) round-trips to %v", c.lit, back)
 		}
 	}
