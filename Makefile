@@ -39,11 +39,12 @@ race:
 # The targeted -race pass of `make check` and CI: the packages with real
 # concurrency (the shield's cancellable query path, the rate limiter, the
 # delay gate's batch quote, the access tracker over its rank index, the
-# extraction detector, the striped buffer pool + parallel scan executor,
-# the cluster router's fan-out + anti-entropy loop, and the front door's
-# pooled codec buffers) without the cost of racing the whole tree. This
-# list is the only copy.
-RACE_HOT = core ratelimit delay counters ostree detect engine storage cluster server
+# extraction detector, the B+tree's readers under its RWMutex, the
+# striped buffer pool + parallel scan executor, the cluster router's
+# fan-out + anti-entropy loop, and the front door's pooled codec
+# buffers) without the cost of racing the whole tree. This list is the
+# only copy.
+RACE_HOT = core ratelimit delay counters ostree detect index engine storage cluster server
 race-hot:
 	$(GO) test -race $(RACE_HOT:%=./internal/%/...)
 

@@ -65,7 +65,7 @@ const (
 	// is 12 MiB. The coldest principal in a full stripe is evicted.
 	maxPrincipals = 4096
 	// stripes is the lock-stripe count, a power of two; each stripe
-	// holds stripeCap principals.
+	// holds at most stripeCap principals, its map growing with them.
 	stripes   = 16
 	stripeCap = maxPrincipals / stripes
 	// hllPrecision is the coverage sketch precision p: 2^10 one-byte
@@ -172,7 +172,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	}
 	d := &Detector{cfg: cfg, floor: cfg.Policy.Grace / 2}
 	for i := range d.shards {
-		d.shards[i].entries = make(map[string]*principalState, stripeCap)
+		d.shards[i].entries = make(map[string]*principalState)
 	}
 	d.sweep.union = NewHLL(hllPrecision)
 	d.sweep.attr = make(map[string]attribution)

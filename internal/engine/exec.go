@@ -582,7 +582,7 @@ func (t *table) lockRow(ws *storage.WriteSet, rid storage.RID, key int64, conj [
 		return rid, nil, false, err
 	}
 	for chased := false; ; chased = true {
-		if rec, rerr := pg.Record(rid.Slot); rerr == nil {
+		if rec, rerr := pg.Record(int(rid.Slot)); rerr == nil {
 			row, derr := catalog.DecodeRow(t.schema, rec)
 			if derr != nil {
 				return rid, nil, false, derr

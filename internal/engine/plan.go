@@ -188,7 +188,7 @@ type rowScratch struct {
 
 // heldRangeKeys bounds the key ranges whose index entries a range scan
 // collects before reading any row (see planAndScanBound): at most this
-// many RIDs, 64 KiB of them, whatever the table holds.
+// many RIDs, 32 KiB of them, whatever the table holds.
 const heldRangeKeys = 4096
 
 var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
@@ -320,7 +320,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 		if err != nil || !vis {
 			return vis, true, err
 		}
-		rec, err := pg.Record(rid.Slot)
+		rec, err := pg.Record(int(rid.Slot))
 		if err != nil {
 			return true, false, fmt.Errorf("engine: reading row %v: %w", rid, err)
 		}

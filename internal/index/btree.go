@@ -1,29 +1,29 @@
-// Package index provides the relational engine's access paths: an
-// in-memory B+tree for point and range lookups on the primary key, and a
-// hash index for pure point lookups. Indexes are rebuilt from the heap at
-// open time and maintained on every mutation.
+// Package index provides the relational engine's access path: an
+// in-memory B+tree for point and range lookups on a key. Indexes are
+// rebuilt from the heap at open time and maintained on every mutation.
 package index
 
-import (
-	"errors"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Ordered is the constraint for B+tree key types.
 type Ordered interface {
 	~int64 | ~uint64 | ~float64 | ~string
 }
 
-// btree fanout: maximum keys per node. 64 keeps nodes cache-friendly
-// without deep trees at the dataset sizes the experiments use.
-const maxKeys = 64
+// maxKeys is the most keys a node holds. A node's slices are allocated
+// once with one spare slot for the entry that overflows it, so maxKeys+1
+// is 64: 512 bytes of 8-byte keys or RIDs, an exact allocation size
+// class, with no tree deeper than four levels at the experiments' sizes.
+const maxKeys = 63
 
-// BTree is an in-memory B+tree mapping unique keys to values. Deletions
-// remove entries from leaves without rebalancing (lazy deletion, the same
+// BTree is an in-memory B+tree mapping unique keys to values. Deletion
+// is lazy: it removes the entry from its leaf and nothing rebalances or
+// merges, so an emptied leaf stays linked in the leaf chain (the same
 // strategy PostgreSQL uses for non-empty pages); lookups and scans are
-// unaffected, and space is reclaimed when emptied leaves are merged on
-// subsequent splits of their parents. BTree is safe for concurrent use.
+// unaffected. A node on the right edge of the tree that overflows by an
+// entry at its end keeps maxKeys entries and moves only that entry to
+// the new node, so ascending loads fill every leaf; every other overflow
+// splits in the middle. BTree is safe for concurrent use.
 type BTree[K Ordered, V any] struct {
 	mu   sync.RWMutex
 	root *bnode[K, V]
@@ -38,9 +38,24 @@ type bnode[K Ordered, V any] struct {
 	next     *bnode[K, V]   // leaf chain for range scans
 }
 
+func newLeaf[K Ordered, V any]() *bnode[K, V] {
+	return &bnode[K, V]{
+		leaf: true,
+		keys: make([]K, 0, maxKeys+1),
+		vals: make([]V, 0, maxKeys+1),
+	}
+}
+
+func newInternal[K Ordered, V any]() *bnode[K, V] {
+	return &bnode[K, V]{
+		keys:     make([]K, 0, maxKeys+1),
+		children: make([]*bnode[K, V], 0, maxKeys+2),
+	}
+}
+
 // NewBTree returns an empty tree.
 func NewBTree[K Ordered, V any]() *BTree[K, V] {
-	return &BTree[K, V]{root: &bnode[K, V]{leaf: true}}
+	return &BTree[K, V]{root: newLeaf[K, V]()}
 }
 
 // Len returns the number of keys stored.
@@ -50,25 +65,50 @@ func (t *BTree[K, V]) Len() int {
 	return t.size
 }
 
+// search returns the first index i with keys[i] >= key and whether
+// keys[i] == key. It is the one binary search every lookup uses.
+func search[K Ordered](keys []K, key K) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keys[m] < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(keys) && keys[lo] == key
+}
+
+// child returns the index of n's child whose subtree holds key: a key
+// equal to a separator lives to its right.
+func (n *bnode[K, V]) child(key K) int {
+	i, eq := search(n.keys, key)
+	if eq {
+		i++
+	}
+	return i
+}
+
+// leafFor returns the leaf whose key range holds key.
+func (t *BTree[K, V]) leafFor(key K) *bnode[K, V] {
+	n := t.root
+	for !n.leaf {
+		n = n.children[n.child(key)]
+	}
+	return n
+}
+
 // Get returns the value for key.
 func (t *BTree[K, V]) Get(key K) (V, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[upperBound(n.keys, key)]
-	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i < len(n.keys) && n.keys[i] == key {
+	n := t.leafFor(key)
+	if i, ok := search(n.keys, key); ok {
 		return n.vals[i], true
 	}
 	var zero V
 	return zero, false
-}
-
-// upperBound returns the first index i with key < keys[i].
-func upperBound[K Ordered](keys []K, key K) int {
-	return sort.Search(len(keys), func(i int) bool { return key < keys[i] })
 }
 
 // Put inserts or replaces the value for key, returning the previous value
@@ -76,12 +116,12 @@ func upperBound[K Ordered](keys []K, key K) int {
 func (t *BTree[K, V]) Put(key K, val V) (prev V, existed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	prev, existed, split, sepKey, right := t.insert(t.root, key, val)
+	prev, existed, split, sepKey, right := t.insert(t.root, true, key, val)
 	if split {
-		t.root = &bnode[K, V]{
-			keys:     []K{sepKey},
-			children: []*bnode[K, V]{t.root, right},
-		}
+		root := newInternal[K, V]()
+		root.keys = append(root.keys, sepKey)
+		root.children = append(root.children, t.root, right)
+		t.root = root
 	}
 	if !existed {
 		t.size++
@@ -89,10 +129,12 @@ func (t *BTree[K, V]) Put(key K, val V) (prev V, existed bool) {
 	return prev, existed
 }
 
-func (t *BTree[K, V]) insert(n *bnode[K, V], key K, val V) (prev V, existed, split bool, sepKey K, right *bnode[K, V]) {
+// insert puts key into n's subtree. edge reports whether n is on the
+// tree's right edge (the root, or reached through last children only).
+func (t *BTree[K, V]) insert(n *bnode[K, V], edge bool, key K, val V) (prev V, existed, split bool, sepKey K, right *bnode[K, V]) {
 	if n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-		if i < len(n.keys) && n.keys[i] == key {
+		i, ok := search(n.keys, key)
+		if ok {
 			prev = n.vals[i]
 			n.vals[i] = val
 			return prev, true, false, sepKey, nil
@@ -105,13 +147,13 @@ func (t *BTree[K, V]) insert(n *bnode[K, V], key K, val V) (prev V, existed, spl
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = val
 		if len(n.keys) > maxKeys {
-			sepKey, right = t.splitLeaf(n)
+			sepKey, right = n.split(splitAt(edge, i))
 			return prev, false, true, sepKey, right
 		}
 		return prev, false, false, sepKey, nil
 	}
-	ci := upperBound(n.keys, key)
-	prev, existed, childSplit, childSep, childRight := t.insert(n.children[ci], key, val)
+	ci := n.child(key)
+	prev, existed, childSplit, childSep, childRight := t.insert(n.children[ci], edge && ci == len(n.children)-1, key, val)
 	if childSplit {
 		n.keys = append(n.keys, childSep)
 		copy(n.keys[ci+1:], n.keys[ci:])
@@ -120,34 +162,44 @@ func (t *BTree[K, V]) insert(n *bnode[K, V], key K, val V) (prev V, existed, spl
 		copy(n.children[ci+2:], n.children[ci+1:])
 		n.children[ci+1] = childRight
 		if len(n.keys) > maxKeys {
-			sepKey, right = t.splitInternal(n)
+			sepKey, right = n.split(splitAt(edge, ci))
 			return prev, existed, true, sepKey, right
 		}
 	}
 	return prev, existed, false, sepKey, nil
 }
 
-func (t *BTree[K, V]) splitLeaf(n *bnode[K, V]) (K, *bnode[K, V]) {
-	mid := len(n.keys) / 2
-	right := &bnode[K, V]{
-		leaf: true,
-		keys: append([]K(nil), n.keys[mid:]...),
-		vals: append([]V(nil), n.vals[mid:]...),
-		next: n.next,
+// splitAt is where an overflowing node splits: a right-edge node whose
+// new entry (key index i) landed at its end keeps maxKeys entries, any
+// other node is halved.
+func splitAt(edge bool, i int) int {
+	if edge && i == maxKeys {
+		return maxKeys
 	}
-	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
-	n.next = right
-	return right.keys[0], right
+	return (maxKeys + 1) / 2
 }
 
-func (t *BTree[K, V]) splitInternal(n *bnode[K, V]) (K, *bnode[K, V]) {
-	mid := len(n.keys) / 2
-	sep := n.keys[mid]
-	right := &bnode[K, V]{
-		keys:     append([]K(nil), n.keys[mid+1:]...),
-		children: append([]*bnode[K, V](nil), n.children[mid+1:]...),
+// split moves n's entries from index mid on into a new right sibling and
+// returns it with the separator that bounds it from below. A leaf keeps
+// keys[:mid]; an internal node keeps keys[:mid] and children[:mid+1] and
+// gives keys[mid] up as the separator.
+func (n *bnode[K, V]) split(mid int) (K, *bnode[K, V]) {
+	if n.leaf {
+		right := newLeaf[K, V]()
+		right.keys = append(right.keys, n.keys[mid:]...)
+		right.vals = append(right.vals, n.vals[mid:]...)
+		right.next = n.next
+		clear(n.vals[mid:])
+		n.keys = n.keys[:mid]
+		n.vals = n.vals[:mid]
+		n.next = right
+		return right.keys[0], right
 	}
+	sep := n.keys[mid]
+	right := newInternal[K, V]()
+	right.keys = append(right.keys, n.keys[mid+1:]...)
+	right.children = append(right.children, n.children[mid+1:]...)
+	clear(n.children[mid+1:])
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
 	return sep, right
@@ -157,16 +209,17 @@ func (t *BTree[K, V]) splitInternal(n *bnode[K, V]) (K, *bnode[K, V]) {
 func (t *BTree[K, V]) Delete(key K) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[upperBound(n.keys, key)]
-	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i >= len(n.keys) || n.keys[i] != key {
+	n := t.leafFor(key)
+	i, ok := search(n.keys, key)
+	if !ok {
 		return false
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
+	last := len(n.keys) - 1
+	copy(n.keys[i:], n.keys[i+1:])
+	copy(n.vals[i:], n.vals[i+1:])
+	clear(n.vals[last:])
+	n.keys = n.keys[:last]
+	n.vals = n.vals[:last]
 	t.size--
 	return true
 }
@@ -178,50 +231,25 @@ func (t *BTree[K, V]) Delete(key K) bool {
 func (t *BTree[K, V]) AscendRange(lo, hi *K, fn func(key K, val V) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
+	var n *bnode[K, V]
+	i := 0
 	if lo != nil {
-		for !n.leaf {
-			n = n.children[upperBound(n.keys, *lo)]
-		}
+		// Every leaf after lo's holds keys at or above the separator
+		// that bounds it, which is above *lo: only this leaf is searched.
+		n = t.leafFor(*lo)
+		i, _ = search(n.keys, *lo)
 	} else {
-		for !n.leaf {
-			n = n.children[0]
+		for n = t.root; !n.leaf; n = n.children[0] {
 		}
 	}
-	for n != nil {
-		for i, k := range n.keys {
-			if lo != nil && k < *lo {
-				continue
-			}
-			if hi != nil && k > *hi {
+	for ; n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
+			if hi != nil && *hi < n.keys[i] {
 				return
 			}
-			if !fn(k, n.vals[i]) {
+			if !fn(n.keys[i], n.vals[i]) {
 				return
 			}
 		}
-		n = n.next
 	}
 }
-
-// Min returns the smallest key, or ok=false when empty.
-func (t *BTree[K, V]) Min() (K, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for n != nil {
-		if len(n.keys) > 0 {
-			return n.keys[0], true
-		}
-		n = n.next
-	}
-	var zero K
-	return zero, false
-}
-
-// ErrStop can be used by callers that drive scans with errors; provided
-// for symmetry with other iterators in the codebase.
-var ErrStop = errors.New("index: stop iteration")

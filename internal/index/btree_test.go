@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/storage"
 )
 
 func TestBTreeEmptyGet(t *testing.T) {
@@ -16,9 +19,10 @@ func TestBTreeEmptyGet(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if _, ok := tr.Min(); ok {
-		t.Fatal("empty Min ok")
-	}
+	tr.AscendRange(nil, nil, func(k int64, _ string) bool {
+		t.Fatalf("empty tree scanned key %d", k)
+		return false
+	})
 }
 
 func TestBTreePutGet(t *testing.T) {
@@ -57,9 +61,13 @@ func TestBTreeManyKeysAndSplits(t *testing.T) {
 	if _, ok := tr.Get(n + 1); ok {
 		t.Fatal("absent key found")
 	}
-	min, ok := tr.Min()
-	if !ok || min != 0 {
-		t.Fatalf("Min = %d, %v", min, ok)
+	first, ok := int64(-1), false
+	tr.AscendRange(nil, nil, func(k, _ int64) bool {
+		first, ok = k, true
+		return false
+	})
+	if !ok || first != 0 {
+		t.Fatalf("first key = %d, %v", first, ok)
 	}
 }
 
@@ -269,68 +277,295 @@ func TestBTreeConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-func TestHashIndexBasics(t *testing.T) {
-	h := NewHash[uint64, string]()
-	if _, ok := h.Get(1); ok {
-		t.Fatal("empty hash had value")
+// checkTree verifies the tree's shape: keys strictly ascending within a
+// node and bounded by the separators above it, no node past maxKeys,
+// every leaf at one depth, and the leaf chain visiting the leaves in key
+// order. It returns the leaves in chain order.
+func checkTree[K Ordered, V any](t *testing.T, tr *BTree[K, V]) []*bnode[K, V] {
+	t.Helper()
+	var leaves []*bnode[K, V]
+	depth := -1
+	var walk func(n *bnode[K, V], lo, hi *K, d int)
+	walk = func(n *bnode[K, V], lo, hi *K, d int) {
+		if len(n.keys) > maxKeys {
+			t.Fatalf("node holds %d keys, max %d", len(n.keys), maxKeys)
+		}
+		for i, k := range n.keys {
+			if i > 0 && !(n.keys[i-1] < k) {
+				t.Fatalf("node keys out of order: %v then %v", n.keys[i-1], k)
+			}
+			if (lo != nil && k < *lo) || (hi != nil && !(k < *hi)) {
+				t.Fatalf("key %v outside its separators", k)
+			}
+		}
+		if n.leaf {
+			if len(n.vals) != len(n.keys) {
+				t.Fatalf("leaf has %d keys, %d values", len(n.keys), len(n.vals))
+			}
+			if depth >= 0 && d != depth {
+				t.Fatalf("leaves at depths %d and %d", depth, d)
+			}
+			depth = d
+			leaves = append(leaves, n)
+			return
+		}
+		if len(n.children) != len(n.keys)+1 {
+			t.Fatalf("internal node has %d keys, %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = &n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = &n.keys[i]
+			}
+			walk(c, clo, chi, d+1)
+		}
 	}
-	h.Put(1, "a")
-	prev, existed := h.Put(1, "b")
-	if !existed || prev != "a" {
-		t.Fatalf("replace: %q, %v", prev, existed)
+	walk(tr.root, nil, nil, 0)
+	i := 0
+	var prev *K
+	for n := leaves[0]; n != nil; n = n.next {
+		if i >= len(leaves) || n != leaves[i] {
+			t.Fatalf("leaf chain diverges from the tree at leaf %d", i)
+		}
+		for j := range n.keys {
+			if prev != nil && !(*prev < n.keys[j]) {
+				t.Fatalf("leaf chain out of order: %v then %v", *prev, n.keys[j])
+			}
+			prev = &n.keys[j]
+		}
+		i++
 	}
-	if v, ok := h.Get(1); !ok || v != "b" {
-		t.Fatalf("Get = %q", v)
+	if i != len(leaves) {
+		t.Fatalf("leaf chain visits %d of %d leaves", i, len(leaves))
 	}
-	if h.Len() != 1 {
-		t.Fatalf("Len = %d", h.Len())
+	return leaves
+}
+
+// nodeBytes is the memory the tree's nodes hold: each node's struct plus
+// the capacity of its slices.
+func nodeBytes[K Ordered, V any](n *bnode[K, V]) uintptr {
+	var k K
+	var v V
+	b := unsafe.Sizeof(*n) + uintptr(cap(n.keys))*unsafe.Sizeof(k) +
+		uintptr(cap(n.vals))*unsafe.Sizeof(v) + uintptr(cap(n.children))*unsafe.Sizeof(n)
+	for _, c := range n.children {
+		b += nodeBytes(c)
 	}
-	if !h.Delete(1) || h.Delete(1) {
-		t.Fatal("delete semantics")
+	return b
+}
+
+// TestBTreeModelInsertOrders checks Get and AscendRange against a sorted
+// oracle after loads in four orders, after deleting a third of the keys,
+// and after loading them again.
+func TestBTreeModelInsertOrders(t *testing.T) {
+	const n = 20000
+	orders := []struct {
+		name string
+		keys func(rng *rand.Rand) []int64
+	}{
+		{"ascending", func(*rand.Rand) []int64 {
+			ks := make([]int64, n)
+			for i := range ks {
+				ks[i] = int64(i) * 3
+			}
+			return ks
+		}},
+		{"descending", func(*rand.Rand) []int64 {
+			ks := make([]int64, n)
+			for i := range ks {
+				ks[i] = int64(n-i) * 3
+			}
+			return ks
+		}},
+		// Two ascending streams of fresh ids, interleaved at random.
+		{"interleaved", func(rng *rand.Rand) []int64 {
+			ks := make([]int64, 0, n)
+			a, b := int64(0), int64(1_000_000)
+			for len(ks) < n {
+				if rng.Intn(2) == 0 {
+					ks = append(ks, a)
+					a += 3
+				} else {
+					ks = append(ks, b)
+					b += 3
+				}
+			}
+			return ks
+		}},
+		{"random", func(rng *rand.Rand) []int64 {
+			ks := make([]int64, n)
+			for i, p := range rng.Perm(n) {
+				ks[i] = int64(p) * 3
+			}
+			return ks
+		}},
+	}
+	for _, order := range orders {
+		t.Run(order.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2004))
+			tr := NewBTree[int64, int64]()
+			model := map[int64]int64{}
+			check := func(phase string) {
+				t.Helper()
+				checkTree(t, tr)
+				keys := make([]int64, 0, len(model))
+				for k := range model {
+					keys = append(keys, k)
+				}
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				if tr.Len() != len(keys) {
+					t.Fatalf("%s: Len = %d, want %d", phase, tr.Len(), len(keys))
+				}
+				for i := 0; i < 2000; i++ {
+					k := int64(rng.Intn(3*n + 3_000_000))
+					v, ok := tr.Get(k)
+					if want, in := model[k]; ok != in || v != want {
+						t.Fatalf("%s: Get(%d) = %d, %v; want %d, %v", phase, k, v, ok, want, in)
+					}
+				}
+				for _, k := range keys[:min(len(keys), 500)] {
+					if v, ok := tr.Get(k); !ok || v != model[k] {
+						t.Fatalf("%s: Get(%d) = %d, %v", phase, k, v, ok)
+					}
+				}
+				for i := 0; i < 200; i++ {
+					var lo, hi *int64
+					if i%4 != 0 {
+						l := int64(rng.Intn(3*n+3_000_000)) - 10
+						lo = &l
+					}
+					if i%5 != 0 {
+						h := int64(rng.Intn(3*n + 3_000_000))
+						hi = &h
+					}
+					from := 0
+					if lo != nil {
+						from = sort.Search(len(keys), func(j int) bool { return keys[j] >= *lo })
+					}
+					to := len(keys)
+					if hi != nil {
+						to = sort.Search(len(keys), func(j int) bool { return keys[j] > *hi })
+					}
+					want := []int64{}
+					if from < to {
+						want = keys[from:to]
+					}
+					got := []int64{}
+					tr.AscendRange(lo, hi, func(k, v int64) bool {
+						if v != model[k] {
+							t.Fatalf("%s: range value for %d = %d, want %d", phase, k, v, model[k])
+						}
+						got = append(got, k)
+						return true
+					})
+					if len(got) != len(want) {
+						t.Fatalf("%s: range %v..%v returned %d keys, want %d", phase, lo, hi, len(got), len(want))
+					}
+					for j := range want {
+						if got[j] != want[j] {
+							t.Fatalf("%s: range key %d = %d, want %d", phase, j, got[j], want[j])
+						}
+					}
+				}
+			}
+			ks := order.keys(rng)
+			for _, k := range ks {
+				v := rng.Int63()
+				tr.Put(k, v)
+				model[k] = v
+			}
+			check("load")
+			for _, k := range ks {
+				if rng.Intn(3) == 0 {
+					if !tr.Delete(k) {
+						t.Fatalf("Delete(%d) = false", k)
+					}
+					delete(model, k)
+				}
+			}
+			check("delete")
+			for _, k := range ks {
+				v := rng.Int63()
+				tr.Put(k, v)
+				model[k] = v
+			}
+			check("reload")
+		})
 	}
 }
 
-func TestHashEach(t *testing.T) {
-	h := NewHash[uint64, int]()
-	for i := uint64(0); i < 10; i++ {
-		h.Put(i, int(i))
+// TestBTreeAscendingLoadFillsLeaves: keys arriving in ascending order,
+// as a bulk load or fresh ids do, leave every leaf but the last full, so
+// a (key, RID) entry costs little more than its 16 bytes.
+func TestBTreeAscendingLoadFillsLeaves(t *testing.T) {
+	const n = 200000
+	tr := NewBTree[int64, storage.RID]()
+	for i := 0; i < n; i++ {
+		tr.Put(int64(i), storage.RID{Page: storage.PageID(i / 40), Slot: uint16(i % 40)})
 	}
-	seen := map[uint64]bool{}
-	h.Each(func(k uint64, v int) bool {
-		seen[k] = true
-		return true
-	})
-	if len(seen) != 10 {
-		t.Fatalf("Each visited %d", len(seen))
+	leaves := checkTree(t, tr)
+	for i, l := range leaves[:len(leaves)-1] {
+		if len(l.keys) != maxKeys {
+			t.Fatalf("leaf %d of %d holds %d keys, want %d", i, len(leaves), len(l.keys), maxKeys)
+		}
 	}
-	n := 0
-	h.Each(func(uint64, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
+	perRow := float64(nodeBytes(tr.root)) / n
+	t.Logf("ascending: %d leaves, %.1f B/row of node memory", len(leaves), perRow)
+	if perRow > 20 {
+		t.Fatalf("%.1f B/row of node memory, want ≤ 20", perRow)
 	}
+
+	rnd := NewBTree[int64, storage.RID]()
+	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
+		rnd.Put(int64(k), storage.RID{})
+	}
+	leaves = checkTree(t, rnd)
+	t.Logf("random: leaves %.0f%% full, %.1f B/row of node memory",
+		100*float64(n)/float64(len(leaves)*maxKeys), float64(nodeBytes(rnd.root))/n)
 }
 
-func TestHashConcurrent(t *testing.T) {
-	h := NewHash[uint64, uint64]()
+// TestBTreeConcurrentWriterAndScanners runs a writer beside readers and
+// range scans, for the race detector.
+func TestBTreeConcurrentWriterAndScanners(t *testing.T) {
+	tr := NewBTree[int64, int64]()
+	for i := int64(0); i < 5000; i++ {
+		tr.Put(i, i)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(5000); i < 10000; i++ {
+			tr.Put(i, i)
+			if i%2 == 0 {
+				tr.Delete(i)
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := uint64(w) * 1000
-			for i := uint64(0); i < 1000; i++ {
-				h.Put(base+i, i)
-			}
-			for i := uint64(0); i < 1000; i++ {
-				if v, ok := h.Get(base + i); !ok || v != i {
-					t.Errorf("Get(%d) = %d, %v", base+i, v, ok)
+			for i := int64(0); i < 200; i++ {
+				lo := (i*37 + int64(w)) % 4900
+				hi := lo + 50
+				n := 0
+				tr.AscendRange(&lo, &hi, func(k, v int64) bool {
+					n++
+					return k == v
+				})
+				if n != 51 {
+					t.Errorf("range %d..%d visited %d keys, want 51", lo, hi, n)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if h.Len() != 8000 {
-		t.Fatalf("Len = %d", h.Len())
+	if tr.Len() != 7500 {
+		t.Fatalf("Len = %d, want 7500", tr.Len())
 	}
 }

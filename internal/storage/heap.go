@@ -3,13 +3,26 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
-// RID addresses a record: page id plus slot within the page.
+// RID addresses a record: page id plus slot within the page. It is 8
+// bytes, which every primary-index entry pays beside its key; Slot is as
+// wide as the page's slot directory entries.
 type RID struct {
 	Page PageID
-	Slot int
+	Slot uint16
+}
+
+// ridAt builds the RID of slot on page id. A page counts its slots in a
+// uint16, so every slot fits; the check keeps that true if the page
+// format changes.
+func ridAt(id PageID, slot int) RID {
+	if uint(slot) > math.MaxUint16 {
+		panic(fmt.Sprintf("storage: slot %d on page %d does not fit a RID", slot, id))
+	}
+	return RID{Page: id, Slot: uint16(slot)}
 }
 
 // String implements fmt.Stringer.
@@ -59,7 +72,7 @@ func (h *HeapFile) InsertW(ws *WriteSet, rec []byte) (RID, error) {
 			slot, ierr := pg.Insert(rec)
 			if ierr == nil {
 				ws.MarkDirty(h.lastWithSpace)
-				return RID{Page: h.lastWithSpace, Slot: slot}, nil
+				return ridAt(h.lastWithSpace, slot), nil
 			}
 			if !errors.Is(ierr, ErrPageFull) {
 				return RID{}, ierr
@@ -76,7 +89,7 @@ func (h *HeapFile) InsertW(ws *WriteSet, rec []byte) (RID, error) {
 	}
 	h.hasPages = true
 	h.lastWithSpace = id
-	return RID{Page: id, Slot: slot}, nil
+	return ridAt(id, slot), nil
 }
 
 // UpdateW replaces the record at rid within ws's private copies. The
@@ -88,7 +101,7 @@ func (h *HeapFile) UpdateW(ws *WriteSet, rid RID, rec []byte) (RID, error) {
 	if pg == nil {
 		return RID{}, fmt.Errorf("storage: update %v: page not latched", rid)
 	}
-	uerr := pg.Update(rid.Slot, rec)
+	uerr := pg.Update(int(rid.Slot), rec)
 	if uerr == nil {
 		ws.MarkDirty(rid.Page)
 		return rid, nil
@@ -96,7 +109,7 @@ func (h *HeapFile) UpdateW(ws *WriteSet, rid RID, rec []byte) (RID, error) {
 	if !errors.Is(uerr, ErrPageFull) {
 		return RID{}, fmt.Errorf("storage: update %v: %w", rid, uerr)
 	}
-	if err := pg.Delete(rid.Slot); err != nil {
+	if err := pg.Delete(int(rid.Slot)); err != nil {
 		return RID{}, fmt.Errorf("storage: relocating %v: %w", rid, err)
 	}
 	ws.MarkDirty(rid.Page)
@@ -110,7 +123,7 @@ func (h *HeapFile) DeleteW(ws *WriteSet, rid RID) error {
 	if pg == nil {
 		return fmt.Errorf("storage: delete %v: page not latched", rid)
 	}
-	if err := pg.Delete(rid.Slot); err != nil {
+	if err := pg.Delete(int(rid.Slot)); err != nil {
 		return fmt.Errorf("storage: delete %v: %w", rid, err)
 	}
 	ws.MarkDirty(rid.Page)
@@ -129,7 +142,7 @@ func (h *HeapFile) ScanPageAt(id PageID, snap uint64, fn func(rid RID, rec []byt
 	}
 	cont = true
 	pg.Records(func(slot int, rec []byte) bool {
-		if !fn(RID{Page: id, Slot: slot}, rec) {
+		if !fn(ridAt(id, slot), rec) {
 			cont = false
 			return false
 		}
@@ -168,7 +181,7 @@ func (h *HeapFile) ScanPage(id PageID, fn func(rid RID, rec []byte) bool) (cont 
 	}
 	cont = true
 	pg.Records(func(slot int, rec []byte) bool {
-		if !fn(RID{Page: id, Slot: slot}, rec) {
+		if !fn(ridAt(id, slot), rec) {
 			cont = false
 			return false
 		}

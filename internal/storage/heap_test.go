@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 )
 
 // heapT drives a HeapFile the way the engine does: every mutation in a
@@ -69,12 +71,29 @@ func (h heapT) Get(rid RID) (out []byte, err error) {
 	if !ok {
 		return nil, fmt.Errorf("page %d invisible", rid.Page)
 	}
-	rec, err := pg.Record(rid.Slot)
+	rec, err := pg.Record(int(rid.Slot))
 	return append([]byte(nil), rec...), err
 }
 
 func (h heapT) Scan(fn func(rid RID, rec []byte) bool) error {
 	return h.ScanAt(h.pool.Epoch(), fn)
+}
+
+// TestRIDIsEightBytes: every primary-index entry holds a RID beside its
+// 8-byte key.
+func TestRIDIsEightBytes(t *testing.T) {
+	if sz := unsafe.Sizeof(RID{}); sz != 8 {
+		t.Fatalf("RID is %d bytes, want 8", sz)
+	}
+	if r := ridAt(7, math.MaxUint16); r.Page != 7 || r.Slot != math.MaxUint16 {
+		t.Fatalf("ridAt(7, max) = %v", r)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ridAt accepted a slot past uint16")
+		}
+	}()
+	ridAt(7, math.MaxUint16+1)
 }
 
 func TestHeapInsertGet(t *testing.T) {
