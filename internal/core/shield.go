@@ -688,16 +688,16 @@ func (s *Shield) QueryCtx(ctx context.Context, identity, sql string) (*engine.Re
 }
 
 // QueryInto is QueryCtx restricted to the rows of parts, with a SELECT's
-// reply written through enc onto body (engine.Prepared.ExecInto) rather
-// than returned as values: the front door's path, where what the delay
-// holds back is the encoded reply. The engine evaluates parts with the
-// statement's WHERE clause, so the detector observes and the delay gate
-// prices exactly the tuples the statement returned (or, for an
-// aggregate, folded). A scatter leg uses this so a replica answering for
-// a subset of its locally held partitions charges only that subset —
-// otherwise every replica of a scanned range would inflate the caller's
-// coverage sketch R-fold. A nil parts is every row; a non-nil one is for
-// SELECT only. A nil enc returns the rows in Result.Rows, as QueryCtx.
+// reply written through enc onto body by engine.Prepared.ExecInto: the
+// front door's path, where what the delay holds back is the encoded
+// reply. The engine evaluates parts with the statement's WHERE clause,
+// so the detector observes and the delay gate prices exactly the tuples
+// the statement returned (or, for an aggregate, folded). A scatter leg
+// uses this so a replica answering for a subset of its locally held
+// partitions charges only that subset — otherwise every replica of a
+// scanned range would inflate the caller's coverage sketch R-fold. A
+// nil parts is every row; a non-nil one is for SELECT only. A nil enc keeps the rows as values in Result.Rows, as
+// QueryCtx does; the statement runs the same engine path either way.
 func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *engine.PartitionSet, enc engine.RowEncoder, body []byte) (*engine.Result, QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -730,12 +730,7 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 			return nil, QueryStats{}, fmt.Errorf("%w (cause: %s)", ErrDegraded, cause)
 		}
 	}
-	var res *engine.Result
-	if enc != nil {
-		res, err = prep.ExecInto(parts, enc, body)
-	} else {
-		res, err = prep.ExecIn(parts)
-	}
+	res, err := prep.ExecInto(parts, enc, body)
 	if err != nil {
 		s.noteExecError(err)
 		return nil, QueryStats{}, err

@@ -642,7 +642,8 @@ func (db *Database) Close() error {
 type Result struct {
 	// Columns names the projected columns for SELECT results.
 	Columns []string
-	// Rows holds SELECT output.
+	// Rows holds a SELECT's rows as values when no RowEncoder wrote them
+	// (Exec, ExecIn, ExecStmt), and is nil when one did (ExecInto).
 	Rows []catalog.Row
 	// Keys holds the primary keys of the tuples the statement touched:
 	// for SELECT, one per output row in row order (the tuple ids the
@@ -652,8 +653,8 @@ type Result struct {
 	// Affected is the number of rows inserted, updated, or deleted.
 	Affected int
 	// Body is the reply body Prepared.ExecInto was given, with what its
-	// RowEncoder appended, and BodyRows the number of rows that holds. A
-	// SELECT run that way leaves Rows nil.
+	// RowEncoder appended, and BodyRows the number of rows that holds.
+	// Both are empty when the rows are in Rows instead.
 	Body     []byte
 	BodyRows int
 }
@@ -710,11 +711,12 @@ func (db *Database) ExecScript(src string) ([]*Result, error) {
 // SELECT or DELETE to the rows of those partitions (see PartitionSet);
 // no other statement takes one.
 func (db *Database) ExecStmt(stmt sqlmini.Statement, parts *PartitionSet) (*Result, error) {
-	return db.execStmt(stmt, parts, nil)
+	var w rowWriter
+	return db.execStmt(stmt, parts, &w)
 }
 
-// execStmt is ExecStmt with a SELECT's reply written through w when w is
-// non-nil.
+// execStmt is ExecStmt with a SELECT's rows written through w, whose
+// sink — values or an encoder's bytes — the statement never sees.
 func (db *Database) execStmt(stmt sqlmini.Statement, parts *PartitionSet, w *rowWriter) (*Result, error) {
 	_, isSelect := stmt.(*sqlmini.Select)
 	_, isDelete := stmt.(*sqlmini.Delete)

@@ -145,9 +145,9 @@ type selSpec struct {
 	proj []int
 	cols []string
 	// need marks every column the statement reads. lean, the decode mask
-	// of a SELECT whose rows go through a rowWriter, leaves out the
+	// of a SELECT whose rows a RowEncoder writes, leaves out the
 	// projection: its TEXT cells are read from the record in place, and
-	// fixed-width columns decode regardless.
+	// fixed-width columns decode regardless. rowWriter.decode picks.
 	need      []bool
 	lean      []bool
 	orderCol  int // -1 when no ORDER BY
@@ -179,8 +179,7 @@ func needMask(schema catalog.Schema, proj []int, conj []boundConj, extra int) []
 	return nil
 }
 
-// execSelect runs a parsed SELECT. With a rowWriter its reply goes
-// through w rather than into Result.Rows.
+// execSelect runs a parsed SELECT, its rows written through w.
 func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWriter) (*Result, error) {
 	t, err := db.getTable(s.Table)
 	if err != nil {
@@ -195,21 +194,13 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWri
 	if err != nil {
 		return nil, err
 	}
-	// computed finishes a SELECT whose one row is computed, not read.
-	computed := func(res *Result, err error) (*Result, error) {
-		if err != nil || w == nil {
-			return res, err
-		}
-		return res, w.result(res)
-	}
 	explain := func(need []bool) (*Result, error) {
 		t.idxMu.RLock()
 		p := choosePlanBound(t, conj)
 		t.idxMu.RUnlock()
-		return computed(&Result{
-			Columns: []string{"plan"},
-			Rows:    []catalog.Row{{catalog.TextValue(p.Describe(t, need))}},
-		}, nil)
+		res := w.start([]string{"plan"})
+		plan := catalog.Row{catalog.TextValue(p.Describe(t, need))}
+		return res, w.row(catalog.Schema{}, []int{0}, plan, nil)
 	}
 	if len(s.Aggregates) > 0 {
 		accs, cols, err := newAggAccums(t, s.Aggregates)
@@ -228,7 +219,7 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWri
 		if s.Explain {
 			return explain(need)
 		}
-		return computed(db.execAggregate(t, s, conj, accs, cols, need))
+		return db.execAggregate(t, s, conj, accs, cols, need, w)
 	}
 	proj, err := projection(t.schema, s.Columns)
 	if err != nil {
@@ -253,99 +244,36 @@ func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWri
 	if s.Explain {
 		return explain(spec.need)
 	}
-	if w != nil {
-		spec.lean = needMask(t.schema, nil, conj, spec.orderCol)
-	}
+	spec.lean = needMask(t.schema, nil, conj, spec.orderCol)
 	return db.execSelectSpec(t, &spec, w)
 }
 
-// resultBuf serves a small SELECT — the point-query hot path — from one
-// allocation: the Result header and the first few key slots share a
-// block, so a single-row answer costs one object instead of two. Larger
-// results spill to ordinary appends; the inline array then rides along as
-// slack in an allocation the caller holds anyway. The buffer cannot be
-// pooled: the Result and everything it points into are handed to the
-// caller for keeps.
-type resultBuf struct {
-	res  Result
-	keys [2]uint64
-}
-
-// valuesBuf is resultBuf for a SELECT whose rows are kept as values: the
-// first few row slots and the first rows' projected values join the
-// block.
-type valuesBuf struct {
-	resultBuf
-	rows [2]catalog.Row
-	vals [2]catalog.Value
-	used int // vals slots consumed by earlier rows
-}
-
-// project copies the projected columns of row into fresh storage, carved
-// from the inline value array while it lasts.
-func (rb *valuesBuf) project(proj []int, row catalog.Row) catalog.Row {
-	var out catalog.Row
-	if n := len(proj); len(rb.vals)-rb.used >= n {
-		out = rb.vals[rb.used : rb.used+n : rb.used+n]
-		rb.used += n
-	} else {
-		out = make(catalog.Row, n)
-	}
-	for i, ci := range proj {
-		out[i] = row[ci]
-	}
-	return out
-}
-
 // execSelectSpec runs a resolved non-aggregate SELECT, its rows written
-// through w when that is non-nil and projected into Result.Rows when it
-// is not. Callers hold the table read lock.
+// through w. Callers hold the table read lock.
 func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Result, error) {
-	decode := spec.need
-	if w != nil {
-		w.columns(spec.cols)
-		decode = spec.lean
-	}
+	res := w.start(spec.cols)
 	if spec.limit == 0 {
 		// No row to return, so no tuple to charge: Keys stays empty too.
-		return &Result{Columns: spec.cols}, nil
+		return res, nil
 	}
-	var rb *resultBuf
-	var vb *valuesBuf
-	if w != nil {
-		rb = &resultBuf{}
-	} else {
-		vb = &valuesBuf{}
-		rb = &vb.resultBuf
-		rb.res.Rows = vb.rows[:0]
-	}
-	res := &rb.res
-	res.Columns, res.Keys = spec.cols, rb.keys[:0]
+	decode := w.decode(spec)
 	// emit returns one row; len(res.Keys) counts the rows returned.
 	emit := func(row catalog.Row, rec []byte) error {
 		res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
-		if w != nil {
-			return w.row(t.schema, spec.proj, row, rec)
-		}
-		res.Rows = append(res.Rows, vb.project(spec.proj, row))
-		return nil
+		return w.row(t.schema, spec.proj, row, rec)
 	}
 
 	if spec.orderCol >= 0 {
 		oi := spec.orderCol
-		// Materialize, sort, then emit up to the limit. A row a writer
-		// will read keeps a copy of its record.
+		// Materialize, sort, then emit up to the limit. A row keeps what
+		// the writer will read of its record.
 		type heldRow struct {
 			row catalog.Row
 			rec []byte
 		}
 		var rows []heldRow
 		err := db.planAndScanBound(t, spec.conj, spec.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
-			h := heldRow{row: append(catalog.Row(nil), row...)}
-			if w != nil && rec != nil {
-				h.rec = append([]byte(nil), rec...)
-			}
-			rows = append(rows, h)
+			rows = append(rows, heldRow{append(catalog.Row(nil), row...), w.hold(rec)})
 			return true, nil
 		})
 		if err != nil {
@@ -471,10 +399,10 @@ func newAggAccums(t *table, aggs []sqlmini.Aggregate) ([]aggAccum, []string, err
 // the database through SUMs. Full scans fan out across the parallel
 // executor, each worker folding rows into private accumulators that are
 // merged in page order. accs, cols and need are newAggAccums' accumulators
-// and column names and the statement's decode mask. Callers hold the
-// table read lock.
-func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj, accs []aggAccum, cols []string, need []bool) (*Result, error) {
-	res := &Result{Columns: cols}
+// and column names and the statement's decode mask; the summary row is
+// written through w. Callers hold the table read lock.
+func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj, accs []aggAccum, cols []string, need []bool, w *rowWriter) (*Result, error) {
+	res := w.start(cols)
 	if s.Limit == 0 {
 		// LIMIT 0 withholds the summary row, and with it every tuple
 		// the row would have been charged for.
@@ -485,9 +413,9 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj,
 	p := choosePlanBound(t, conj)
 	t.idxMu.RUnlock()
 	var err error
-	if w := db.scanWorkersFor(t); p.kind == planFullScan && w > 1 {
+	if n := db.scanWorkersFor(t); p.kind == planFullScan && n > 1 {
 		snap := t.pool.BeginSnapshot()
-		err = db.parallelAggregate(t, conj, need, w, snap, accs, res)
+		err = db.parallelAggregate(t, conj, need, n, snap, accs, res)
 		t.pool.EndSnapshot(snap)
 	} else {
 		err = db.planAndScanBound(t, conj, need, need, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
@@ -503,8 +431,10 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj,
 	}
 
 	out := make(catalog.Row, len(s.Aggregates))
+	proj := make([]int, len(out))
 	for i, agg := range s.Aggregates {
 		a := accs[i]
+		proj[i] = i
 		switch agg.Func {
 		case sqlmini.AggCount:
 			out[i] = catalog.IntValue(a.count)
@@ -532,8 +462,7 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj,
 			return nil, fmt.Errorf("engine: unsupported aggregate %v", agg.Func)
 		}
 	}
-	res.Rows = append(res.Rows, out)
-	return res, nil
+	return res, w.row(catalog.Schema{}, proj, out, nil)
 }
 
 // setOp is one resolved SET assignment of an UPDATE.

@@ -209,7 +209,7 @@ type Prepared struct {
 	norm   sqlmini.NormScratch
 	conj   []boundConj
 	spec   selSpec
-	w      rowWriter // ExecInto's, its scratch kept from use to use
+	w      rowWriter // every SELECT's, its scratch kept from use to use
 }
 
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
@@ -356,33 +356,38 @@ func (db *Database) buildPlanEntry(sel *sqlmini.Select, params []sqlmini.Literal
 // Kind reports the statement's classification. Valid until Release.
 func (p *Prepared) Kind() StmtKind { return p.kind }
 
-// Exec runs the prepared statement. It may be called more than once
-// before Release; cached executions rebind the parameters each time.
-func (p *Prepared) Exec() (*Result, error) { return p.ExecIn(nil) }
+// Exec runs the prepared statement, a SELECT's rows kept as values in
+// Result.Rows. It may be called more than once before Release; cached
+// executions rebind the parameters each time.
+func (p *Prepared) Exec() (*Result, error) { return p.ExecInto(nil, nil, nil) }
 
 // ExecIn is Exec restricted to the rows of parts (nil: every row), on
 // the cached-plan path and the parse path alike; see ExecStmt.
-func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) { return p.exec(parts, nil) }
+func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) { return p.ExecInto(parts, nil, nil) }
 
 // ExecInto is ExecIn with a SELECT's reply written through enc, row by
 // row as the scan reads it, onto body: a TEXT cell goes from its page to
 // the body without being copied out as a string, and no row is held as
 // values. The Result's Body is body with the reply appended — body alone
 // for a statement that is not a SELECT — and its Rows is nil; Keys is as
-// ExecIn's. A failed statement may have appended to body's array.
+// ExecIn's. A failed statement may have appended to body's array. A nil
+// enc keeps the rows as values in Result.Rows instead, which is all Exec
+// and ExecIn are: every SELECT runs one path, which hands each row to
+// p's rowWriter.
 func (p *Prepared) ExecInto(parts *PartitionSet, enc RowEncoder, body []byte) (*Result, error) {
 	p.w.enc, p.w.body, p.w.rows = enc, body, 0
-	res, err := p.exec(parts, &p.w)
+	res, err := p.exec(parts)
 	if err == nil {
 		res.Body, res.BodyRows = p.w.body, p.w.rows
 	}
-	p.w.enc, p.w.body = nil, nil
+	// Let go of the reply: the Prepared outlives it in the pool.
+	p.w.enc, p.w.body, p.w.vals = nil, nil, nil
 	return res, err
 }
 
-func (p *Prepared) exec(parts *PartitionSet, w *rowWriter) (*Result, error) {
+func (p *Prepared) exec(parts *PartitionSet) (*Result, error) {
 	if p.entry != nil {
-		res, ok, err := p.db.execCachedSelect(p, parts, w)
+		res, ok, err := p.db.execCachedSelect(p, parts)
 		if ok {
 			return res, err
 		}
@@ -393,7 +398,7 @@ func (p *Prepared) exec(parts *PartitionSet, w *rowWriter) (*Result, error) {
 			return nil, err
 		}
 	}
-	return p.db.execStmt(p.stmt, parts, w)
+	return p.db.execStmt(p.stmt, parts, &p.w)
 }
 
 // prepareParsedKeep is prepareParsed without the Release-on-error (Exec
@@ -411,7 +416,7 @@ func (p *Prepared) prepareParsedKeep() (*Prepared, error) {
 
 // execCachedSelect binds p's parameters into its cached template and
 // runs it. ok=false means the caller must fall back to the parse path.
-func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet, w *rowWriter) (res *Result, ok bool, err error) {
+func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet) (res *Result, ok bool, err error) {
 	e := p.entry
 	if len(p.params) != e.nparams {
 		return nil, false, nil
@@ -453,7 +458,7 @@ func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet, w *rowWri
 		orderCol: -1,
 		limit:    limit,
 	}
-	res, err = db.execSelectSpec(t, &p.spec, w)
+	res, err = db.execSelectSpec(t, &p.spec, &p.w)
 	return res, true, err
 }
 

@@ -17,14 +17,18 @@ type RowEncoder interface {
 	AppendRow(dst []byte, i int, cells [][]byte, types []catalog.Type) []byte
 }
 
-// rowWriter drives a RowEncoder for one statement. Its scratch — the
-// cells, their types, the numbers' text and the record's fields — is
-// reused from row to row, and from statement to statement by the
-// Prepared that holds it.
+// rowWriter is where every SELECT's rows go, and the one place that
+// knows which of its two sinks that is. With a RowEncoder each row is
+// appended to body as bytes; without one the rows are kept as values in
+// the statement's Result.Rows, carved from the block start allocates.
+// Its scratch — the cells, their types, the numbers' text and the
+// record's fields — is reused from row to row, and from statement to
+// statement by the Prepared that holds it.
 type rowWriter struct {
 	enc  RowEncoder
 	body []byte
 	rows int
+	vals *valuesBuf // the values sink's block, for the statement running
 
 	cells  [][]byte
 	types  []catalog.Type
@@ -33,13 +37,85 @@ type rowWriter struct {
 	fields [][]byte
 }
 
-func (w *rowWriter) columns(cols []string) { w.body = w.enc.AppendColumns(w.body, cols) }
+// resultBuf serves a small SELECT — the point-query hot path — from one
+// allocation: the Result header and the first few key slots share a
+// block, so a single-row answer costs one object instead of two. Larger
+// results spill to ordinary appends; the inline array then rides along as
+// slack in an allocation the caller holds anyway. The buffer cannot be
+// pooled: the Result and everything it points into are handed to the
+// caller for keeps.
+type resultBuf struct {
+	res  Result
+	keys [2]uint64
+}
+
+// valuesBuf is resultBuf for a SELECT whose rows are kept as values: the
+// first few row slots and the first rows' projected values join the
+// block.
+type valuesBuf struct {
+	resultBuf
+	rows [2]catalog.Row
+	vals [2]catalog.Value
+	used int // vals slots consumed by earlier rows
+}
+
+// start begins a SELECT's reply with its columns and returns the Result
+// the statement fills: Keys, one per row it returns or folds.
+func (w *rowWriter) start(cols []string) *Result {
+	var rb *resultBuf
+	if w.enc != nil {
+		w.body = w.enc.AppendColumns(w.body, cols)
+		rb = &resultBuf{}
+	} else {
+		w.vals = &valuesBuf{}
+		w.vals.res.Rows = w.vals.rows[:0]
+		rb = &w.vals.resultBuf
+	}
+	rb.res.Columns, rb.res.Keys = cols, rb.keys[:0]
+	return &rb.res
+}
+
+// decode returns the decode mask of a SELECT whose rows come here: the
+// values sink needs every column it returns decoded, the encoder reads
+// TEXT cells from the record in place (see selSpec).
+func (w *rowWriter) decode(spec *selSpec) []bool {
+	if w.enc != nil {
+		return spec.lean
+	}
+	return spec.need
+}
+
+// hold returns what row will need of rec once the scan has moved past
+// it: a copy for the encoder, which reads TEXT cells from it, and
+// nothing for the values sink.
+func (w *rowWriter) hold(rec []byte) []byte {
+	if w.enc == nil {
+		return nil
+	}
+	return append([]byte(nil), rec...)
+}
 
 // row writes the cells proj picks out of a returned row. rec, when
-// non-nil, is the record the row was decoded from: a TEXT cell is read
-// from it in place, so the decode need not have copied it out. Every
-// other cell is formatted from its value.
+// non-nil, is the record the row was decoded from: the encoder reads a
+// TEXT cell from it in place, so the decode need not have copied it out.
+// Every other cell is formatted from its value. The values sink copies
+// the cells out of row, which the caller may reuse.
 func (w *rowWriter) row(schema catalog.Schema, proj []int, row catalog.Row, rec []byte) error {
+	if w.enc == nil {
+		vb := w.vals
+		var out catalog.Row
+		if n := len(proj); len(vb.vals)-vb.used >= n {
+			out = vb.vals[vb.used : vb.used+n : vb.used+n]
+			vb.used += n
+		} else {
+			out = make(catalog.Row, n)
+		}
+		for i, ci := range proj {
+			out[i] = row[ci]
+		}
+		vb.res.Rows = append(vb.res.Rows, out)
+		return nil
+	}
 	w.cells, w.types, w.ends = w.cells[:0], w.types[:0], w.ends[:0]
 	w.text = w.text[:0]
 	inPlace := false
@@ -70,23 +146,5 @@ func (w *rowWriter) row(schema catalog.Schema, proj []int, row catalog.Row, rec 
 	}
 	w.body = w.enc.AppendRow(w.body, w.rows, w.cells, w.types)
 	w.rows++
-	return nil
-}
-
-// result moves what a computed SELECT — an aggregate's summary row, an
-// EXPLAIN plan — put in res.Rows into the reply, as though the statement
-// had written it there itself.
-func (w *rowWriter) result(res *Result) error {
-	w.columns(res.Columns)
-	for _, r := range res.Rows {
-		proj := make([]int, len(r))
-		for i := range proj {
-			proj[i] = i
-		}
-		if err := w.row(catalog.Schema{}, proj, r, nil); err != nil {
-			return err
-		}
-	}
-	res.Rows = nil
 	return nil
 }
