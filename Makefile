@@ -184,6 +184,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzMigrateRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzPairMatches -fuzztime=30s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz=FuzzPlanCache -fuzztime=30s ./internal/engine/
 
 clean:
 	$(GO) clean ./...

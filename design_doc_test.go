@@ -15,22 +15,24 @@ import (
 	"testing"
 )
 
-// goNames is what a Go source tree names: the identifiers it declares
-// (functions, methods, types, fields, variables, constants), the
-// standard-library packages it imports, by the name it imports them
+// goNames is what a Go source tree names: its packages, the identifiers
+// it declares (functions, methods, types, fields, variables, constants),
+// the standard-library packages it imports, by the name it imports them
 // under, and its string literals (fault points, metric and span names).
 type goNames struct {
+	pkgs    map[string]bool
 	decl    map[string]bool
 	imports map[string]string // package name → import path
 	strs    map[string]bool
 }
 
 func newGoNames() *goNames {
-	return &goNames{decl: map[string]bool{}, imports: map[string]string{}, strs: map[string]bool{}}
+	return &goNames{pkgs: map[string]bool{}, decl: map[string]bool{}, imports: map[string]string{}, strs: map[string]bool{}}
 }
 
 // addFile records the names one parsed file declares, imports and spells.
 func (n *goNames) addFile(f *ast.File) {
+	n.pkgs[f.Name.Name] = true
 	for _, imp := range f.Imports {
 		p, _ := strconv.Unquote(imp.Path.Value)
 		if first, _, _ := strings.Cut(p, "/"); strings.Contains(first, ".") || first == "repro" {
@@ -90,13 +92,16 @@ func stdlibDecls(t *testing.T, p string) map[string]bool {
 }
 
 // TestDesignNamesLiveIdentifiers: every backticked dotted Go name in
-// DESIGN.md (`Prepared.ExecIn`, `engine.PartitionSet`, `http.Client`)
-// ends in an identifier the module declares — or, when it starts with a
-// standard-library package the module imports, one that package
-// declares — or is a string the module spells out, such as the fault
-// point `wal.append`. A rename or a deletion that leaves the design
-// naming what is gone fails here. File names and tokens holding `/` or
-// `(` (paths, calls, profile frames) are not Go names and are skipped.
+// DESIGN.md and README.md (`Prepared.ExecIn`, `engine.PartitionSet`,
+// `http.Client`) is a string the module spells out, such as the fault
+// point `wal.append`, or every segment of it is a name that exists: the
+// first a package of the module or one it imports from the standard
+// library, or an identifier the module declares; each later one an
+// identifier the module declares or, after a standard-library package,
+// one that package declares. A rename or a deletion that leaves a doc
+// naming what is gone — a type as much as its field (`selPlan.lean`) —
+// fails here. File names and tokens holding `/` or `(` (paths, calls,
+// profile frames) are not Go names and are skipped.
 func TestDesignNamesLiveIdentifiers(t *testing.T) {
 	names := newGoNames()
 	fset := token.NewFileSet()
@@ -120,34 +125,34 @@ func TestDesignNamesLiveIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
 	stdlib := map[string]map[string]bool{}
 	ticked := regexp.MustCompile("`([^`\n]+)`")
 	dotted := regexp.MustCompile(`^\*?[A-Za-z_]\w*(\.[A-Za-z_]\w*)+$`)
 	fileName := regexp.MustCompile(`\.(go|json|md|sh)$`)
-	for i, line := range strings.Split(string(doc), "\n") {
-		for _, m := range ticked.FindAllStringSubmatch(line, -1) {
-			tok := m[1]
-			if !dotted.MatchString(tok) || fileName.MatchString(tok) || names.strs[tok] {
-				continue
-			}
-			parts := strings.Split(strings.TrimPrefix(tok, "*"), ".")
-			last := parts[len(parts)-1]
-			if names.decl[last] {
-				continue
-			}
-			if p, ok := names.imports[parts[0]]; ok {
-				if stdlib[p] == nil {
-					stdlib[p] = stdlibDecls(t, p)
-				}
-				if stdlib[p][last] {
+	for _, name := range []string{"DESIGN.md", "README.md"} {
+		doc, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(doc), "\n") {
+			for _, m := range ticked.FindAllStringSubmatch(line, -1) {
+				tok := m[1]
+				if !dotted.MatchString(tok) || fileName.MatchString(tok) || names.strs[tok] {
 					continue
 				}
+				parts := strings.Split(strings.TrimPrefix(tok, "*"), ".")
+				std := names.imports[parts[0]]
+				if std != "" && stdlib[std] == nil {
+					stdlib[std] = stdlibDecls(t, std)
+				}
+				for j, seg := range parts {
+					if names.decl[seg] || j == 0 && (names.pkgs[seg] || std != "") || j > 0 && stdlib[std][seg] {
+						continue
+					}
+					t.Errorf("%s:%d: `%s`: %s is no package, and no identifier in the module or the standard-library packages it imports", name, i+1, tok, seg)
+					break
+				}
 			}
-			t.Errorf("DESIGN.md:%d: `%s` names no identifier in the module or the standard-library packages it imports", i+1, tok)
 		}
 	}
 }

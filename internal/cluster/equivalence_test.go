@@ -31,6 +31,7 @@ var equivalenceStream = []struct {
 	{`SELECT id FROM books WHERE shelf = 50 ORDER BY id`, true},
 	{`SELECT COUNT(*), SUM(shelf), MIN(shelf), MAX(shelf), AVG(shelf) FROM books`, true},
 	{`SELECT COUNT(*), MIN(id) FROM books WHERE shelf > 1000`, true},
+	{`SELECT SUM(Shelf), max(SHELF) FROM books`, true}, // labels keep the statement's spelling
 	// LIMIT 0 answers no row on every shape, the aggregate's summary row
 	// included: the engine decides, the router's legs and merge follow.
 	{`SELECT * FROM books WHERE id = 3 LIMIT 0`, true},

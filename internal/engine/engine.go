@@ -725,7 +725,8 @@ func (db *Database) execStmt(stmt sqlmini.Statement, parts *PartitionSet, w *row
 	}
 	switch s := stmt.(type) {
 	case *sqlmini.Select:
-		return db.execSelect(s, parts, w)
+		res, _, err := db.execSelect(s, parts, w)
+		return res, err
 	case *sqlmini.Delete:
 		return db.execDelete(s, parts)
 	case *sqlmini.CreateTable:

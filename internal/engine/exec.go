@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlmini"
@@ -136,14 +135,22 @@ func (db *Database) execInsert(s *sqlmini.Insert) (*Result, error) {
 	return &Result{Affected: len(recs)}, nil
 }
 
-// selSpec is a fully resolved non-aggregate SELECT: conjuncts and
-// projection bound to schema indices, the decode masks, and the
-// ordering/limit parameters. execSelect builds one from the AST; the
-// plan cache rebinds one from a cached template without re-parsing.
-type selSpec struct {
-	conj []boundConj
-	proj []int
-	cols []string
+// selPlan is a SELECT resolved against its table's schema: the WHERE
+// conjuncts' columns and operators, the projection and its column names,
+// the decode masks, the ORDER BY column, the aggregates. planSelect
+// builds one; runSelect runs it with the literals bound for one
+// execution. A plan is immutable once built: the plan cache keeps the
+// plan a statement ran from and binds each hit's parameters into a copy
+// of its conjuncts.
+type selPlan struct {
+	epoch uint64 // schema epoch the plan was resolved under
+	table string
+	// conj holds the literals of the statement planned; cap(conj) leaves
+	// a slot for the partition conjunct of that statement's execution.
+	conj     []boundConj
+	hasLimit bool // the statement has a LIMIT: the last parameter
+	proj     []int
+	cols     []string
 	// need marks every column the statement reads. lean, the decode mask
 	// of a SELECT whose rows a RowEncoder writes, leaves out the
 	// projection: its TEXT cells are read from the record in place, and
@@ -152,7 +159,98 @@ type selSpec struct {
 	lean      []bool
 	orderCol  int // -1 when no ORDER BY
 	orderDesc bool
-	limit     int // -1 when absent
+	aggs      []aggAccum // an aggregate SELECT's accumulators, zeroed
+	explain   bool
+}
+
+// planSelect resolves sel against t's schema. It is the one place a
+// SELECT's names are resolved: the parse path plans every statement
+// through it, and the plan cache keeps what it returns. epoch is the
+// schema epoch read before t was looked up; callers hold t's read lock.
+func planSelect(t *table, sel *sqlmini.Select, epoch uint64) (*selPlan, error) {
+	conj, err := resolveWhere(t.schema, sel.Where, nil)
+	if err != nil {
+		return nil, err
+	}
+	pl := &selPlan{
+		epoch:    epoch,
+		table:    sel.Table,
+		conj:     conj,
+		hasLimit: sel.Limit != -1,
+		orderCol: -1,
+		explain:  sel.Explain,
+	}
+	if len(sel.Aggregates) > 0 {
+		pl.aggs = make([]aggAccum, len(sel.Aggregates))
+		pl.cols = make([]string, len(sel.Aggregates))
+		// Decode mask: the key, the filter columns, and the aggregated
+		// columns; COUNT(*) aggregates contribute nothing.
+		var aggCols []int
+		for i, agg := range sel.Aggregates {
+			pl.aggs[i] = aggAccum{fn: agg.Func, col: -1}
+			pl.cols[i] = sqlmini.AggregateName(agg)
+			if agg.Column == "" {
+				continue
+			}
+			ci := t.schema.ColumnIndex(agg.Column)
+			if ci < 0 {
+				return nil, fmt.Errorf("engine: unknown column %q in %v", agg.Column, agg.Func)
+			}
+			if (agg.Func == sqlmini.AggSum || agg.Func == sqlmini.AggAvg) && t.schema.Columns[ci].Type == catalog.Text {
+				return nil, fmt.Errorf("engine: %v over TEXT column %q", agg.Func, agg.Column)
+			}
+			pl.aggs[i].col = ci
+			aggCols = append(aggCols, ci)
+		}
+		pl.need = needMask(t.schema, aggCols, conj, -1)
+	} else {
+		if pl.proj, err = projection(t.schema, sel.Columns); err != nil {
+			return nil, err
+		}
+		pl.cols = projColumns(t.schema, pl.proj)
+		if sel.Order != nil {
+			oi := t.schema.ColumnIndex(sel.Order.Column)
+			if oi < 0 {
+				return nil, fmt.Errorf("engine: unknown column %q in ORDER BY", sel.Order.Column)
+			}
+			pl.orderCol, pl.orderDesc = oi, sel.Order.Desc
+		}
+		pl.need = needMask(t.schema, pl.proj, conj, pl.orderCol)
+		pl.lean = needMask(t.schema, nil, conj, pl.orderCol)
+	}
+	if sel.Explain {
+		pl.cols = []string{"plan"}
+	}
+	return pl, nil
+}
+
+// cacheable reports whether the plan cache may keep pl under the key
+// sel normalized to, params being the literals Normalize collected. An
+// aggregate that names a column is labeled as the statement spells the
+// column, which the key folds, so its plan is run but not kept. Every
+// other plan is kept only when conjunct i's literal is parameter i and
+// the LIMIT literal is the last, which is what a hit binds; any other
+// layout means the normalizer and the parser disagree about sel.
+func (pl *selPlan) cacheable(sel *sqlmini.Select, params []sqlmini.Literal) bool {
+	for _, a := range pl.aggs {
+		if a.col >= 0 {
+			return false
+		}
+	}
+	n := len(pl.conj)
+	if pl.hasLimit {
+		if len(params) != n+1 || params[n] != (sqlmini.Literal{Kind: sqlmini.IntLit, Int: int64(sel.Limit)}) {
+			return false
+		}
+	} else if len(params) != n {
+		return false
+	}
+	for i := range pl.conj {
+		if params[i] != pl.conj[i].val {
+			return false
+		}
+	}
+	return true
 }
 
 // needMask returns the decode mask covering the projection, the
@@ -179,92 +277,74 @@ func needMask(schema catalog.Schema, proj []int, conj []boundConj, extra int) []
 	return nil
 }
 
-// execSelect runs a parsed SELECT, its rows written through w.
-func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWriter) (*Result, error) {
+// execSelect plans a parsed SELECT and runs it with the statement's own
+// literals, its rows written through w. It returns the plan it ran from,
+// or nil when the schema epoch moved between its read before the table
+// lookup and the check under the table lock: the statement still runs,
+// but its plan must not be kept.
+func (db *Database) execSelect(s *sqlmini.Select, parts *PartitionSet, w *rowWriter) (*Result, *selPlan, error) {
+	// Read the epoch before the table: a DROP and CREATE between the two
+	// then shows as a moved epoch under the lock, never as a plan of the
+	// dropped table stamped with the new epoch.
+	epoch := db.schemaEpoch.Load()
 	t, err := db.getTable(s.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Shared lifecycle lock for the whole statement: concurrent readers
 	// and (on the concurrent write path) writers proceed together; only
 	// DDL, checkpoints, and cache teardown exclude it.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	conj, err := resolveWhere(t.schema, s.Where, parts)
+	pl, err := planSelect(t, s, epoch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	explain := func(need []bool) (*Result, error) {
+	conj := pl.conj
+	if parts != nil {
+		// Into the slot resolveWhere left: the plan is not shared yet.
+		conj = append(conj, boundConj{col: t.schema.Key, part: parts})
+	}
+	res, err := db.runSelect(t, pl, conj, s.Limit, w)
+	// DDL holds the lock taken above, so this read is ordered against
+	// every bump that touched t.
+	if db.schemaEpoch.Load() != epoch {
+		pl = nil
+	}
+	return res, pl, err
+}
+
+// runSelect runs a plan with its conjuncts bound (conj: pl.conj's
+// columns and operators with this execution's literals, then the
+// partition conjunct, if any) and limit (-1 when absent), its rows
+// written through w. Callers hold the table read lock.
+func (db *Database) runSelect(t *table, pl *selPlan, conj []boundConj, limit int, w *rowWriter) (*Result, error) {
+	res := w.start(pl.cols)
+	if pl.explain {
 		t.idxMu.RLock()
 		p := choosePlanBound(t, conj)
 		t.idxMu.RUnlock()
-		res := w.start([]string{"plan"})
-		plan := catalog.Row{catalog.TextValue(p.Describe(t, need))}
+		plan := catalog.Row{catalog.TextValue(p.Describe(t, pl.need))}
 		return res, w.row(catalog.Schema{}, []int{0}, plan, nil)
 	}
-	if len(s.Aggregates) > 0 {
-		accs, cols, err := newAggAccums(t, s.Aggregates)
-		if err != nil {
-			return nil, err
-		}
-		// Decode mask: the key, the filter columns, and the aggregated
-		// columns; COUNT(*) aggregates contribute nothing.
-		var aggCols []int
-		for i := range accs {
-			if accs[i].col >= 0 {
-				aggCols = append(aggCols, accs[i].col)
-			}
-		}
-		need := needMask(t.schema, aggCols, conj, -1)
-		if s.Explain {
-			return explain(need)
-		}
-		return db.execAggregate(t, s, conj, accs, cols, need, w)
-	}
-	proj, err := projection(t.schema, s.Columns)
-	if err != nil {
-		return nil, err
-	}
-	spec := selSpec{
-		conj:     conj,
-		proj:     proj,
-		cols:     projColumns(t.schema, proj),
-		orderCol: -1,
-		limit:    s.Limit,
-	}
-	if s.Order != nil {
-		oi := t.schema.ColumnIndex(s.Order.Column)
-		if oi < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q in ORDER BY", s.Order.Column)
-		}
-		spec.orderCol = oi
-		spec.orderDesc = s.Order.Desc
-	}
-	spec.need = needMask(t.schema, proj, conj, spec.orderCol)
-	if s.Explain {
-		return explain(spec.need)
-	}
-	spec.lean = needMask(t.schema, nil, conj, spec.orderCol)
-	return db.execSelectSpec(t, &spec, w)
-}
-
-// execSelectSpec runs a resolved non-aggregate SELECT, its rows written
-// through w. Callers hold the table read lock.
-func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Result, error) {
-	res := w.start(spec.cols)
-	if spec.limit == 0 {
+	if limit == 0 {
 		// No row to return, so no tuple to charge: Keys stays empty too.
+		// An aggregate's summary row is withheld with every tuple it
+		// would have been charged for.
 		return res, nil
 	}
-	decode := w.decode(spec)
+	if pl.aggs != nil {
+		return db.execAggregate(t, pl, conj, res, w)
+	}
+	decode := w.decode(pl)
 	// emit returns one row; len(res.Keys) counts the rows returned.
 	emit := func(row catalog.Row, rec []byte) error {
 		res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
-		return w.row(t.schema, spec.proj, row, rec)
+		return w.row(t.schema, pl.proj, row, rec)
 	}
 
-	if spec.orderCol >= 0 {
-		oi := spec.orderCol
+	if pl.orderCol >= 0 {
+		oi := pl.orderCol
 		// Materialize, sort, then emit up to the limit. A row keeps what
 		// the writer will read of its record.
 		type heldRow struct {
@@ -272,7 +352,7 @@ func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Resu
 			rec []byte
 		}
 		var rows []heldRow
-		err := db.planAndScanBound(t, spec.conj, spec.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
+		err := db.planAndScanBound(t, conj, pl.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
 			rows = append(rows, heldRow{append(catalog.Row(nil), row...), w.hold(rec)})
 			return true, nil
 		})
@@ -281,13 +361,13 @@ func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Resu
 		}
 		sort.SliceStable(rows, func(a, b int) bool {
 			c, _ := rows[a].row[oi].Compare(rows[b].row[oi])
-			if spec.orderDesc {
+			if pl.orderDesc {
 				return c > 0
 			}
 			return c < 0
 		})
 		for _, h := range rows {
-			if spec.limit >= 0 && len(res.Keys) >= spec.limit {
+			if limit >= 0 && len(res.Keys) >= limit {
 				break
 			}
 			if err := emit(h.row, h.rec); err != nil {
@@ -297,8 +377,7 @@ func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Resu
 		return res, nil
 	}
 
-	limit := spec.limit
-	err := db.planAndScanBound(t, spec.conj, spec.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
+	err := db.planAndScanBound(t, conj, pl.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
 		if err := emit(row, rec); err != nil {
 			return false, err
 		}
@@ -315,6 +394,7 @@ func (db *Database) execSelectSpec(t *table, spec *selSpec, w *rowWriter) (*Resu
 // executor can fold per-chunk partials into the final answer in page
 // order (deterministic float sums for a given heap layout).
 type aggAccum struct {
+	fn    sqlmini.AggFunc
 	col   int // -1 for COUNT(*)
 	count int64
 	sum   float64
@@ -367,58 +447,26 @@ func (a *aggAccum) merge(o aggAccum) {
 	}
 }
 
-// newAggAccums resolves the aggregate list against the schema, returning
-// one accumulator per aggregate plus the result column names.
-func newAggAccums(t *table, aggs []sqlmini.Aggregate) ([]aggAccum, []string, error) {
-	accs := make([]aggAccum, len(aggs))
-	cols := make([]string, len(aggs))
-	for i, agg := range aggs {
-		accs[i].col = -1
-		if agg.Column != "" {
-			ci := t.schema.ColumnIndex(agg.Column)
-			if ci < 0 {
-				return nil, nil, fmt.Errorf("engine: unknown column %q in %v", agg.Column, agg.Func)
-			}
-			colType := t.schema.Columns[ci].Type
-			if (agg.Func == sqlmini.AggSum || agg.Func == sqlmini.AggAvg) && colType == catalog.Text {
-				return nil, nil, fmt.Errorf("engine: %v over TEXT column %q", agg.Func, agg.Column)
-			}
-			accs[i].col = ci
-			cols[i] = fmt.Sprintf("%s(%s)", strings.ToLower(agg.Func.String()), agg.Column)
-		} else {
-			cols[i] = "count(*)"
-		}
-	}
-	return accs, cols, nil
-}
-
 // execAggregate evaluates COUNT/SUM/AVG/MIN/MAX over the matching rows,
-// returning one summary row. Keys lists every tuple included in the
-// aggregate: the delay defense treats an aggregate as "the aggregate of
-// multiple simple queries" (§2.1), so an adversary cannot cheaply walk
-// the database through SUMs. Full scans fan out across the parallel
-// executor, each worker folding rows into private accumulators that are
-// merged in page order. accs, cols and need are newAggAccums' accumulators
-// and column names and the statement's decode mask; the summary row is
-// written through w. Callers hold the table read lock.
-func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj, accs []aggAccum, cols []string, need []bool, w *rowWriter) (*Result, error) {
-	res := w.start(cols)
-	if s.Limit == 0 {
-		// LIMIT 0 withholds the summary row, and with it every tuple
-		// the row would have been charged for.
-		return res, nil
-	}
-
+// writing one summary row through w into res. Keys lists every tuple
+// included in the aggregate: the delay defense treats an aggregate as
+// "the aggregate of multiple simple queries" (§2.1), so an adversary
+// cannot cheaply walk the database through SUMs. Full scans fan out
+// across the parallel executor, each worker folding rows into private
+// accumulators that are merged in page order. Callers hold the table
+// read lock.
+func (db *Database) execAggregate(t *table, pl *selPlan, conj []boundConj, res *Result, w *rowWriter) (*Result, error) {
+	accs := append([]aggAccum(nil), pl.aggs...)
 	t.idxMu.RLock()
 	p := choosePlanBound(t, conj)
 	t.idxMu.RUnlock()
 	var err error
 	if n := db.scanWorkersFor(t); p.kind == planFullScan && n > 1 {
 		snap := t.pool.BeginSnapshot()
-		err = db.parallelAggregate(t, conj, need, n, snap, accs, res)
+		err = db.parallelAggregate(t, conj, pl.need, n, snap, accs, res)
 		t.pool.EndSnapshot(snap)
 	} else {
-		err = db.planAndScanBound(t, conj, need, need, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
+		err = db.planAndScanBound(t, conj, pl.need, pl.need, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
 			res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
 			for i := range accs {
 				accs[i].observe(row)
@@ -430,12 +478,11 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj,
 		return nil, err
 	}
 
-	out := make(catalog.Row, len(s.Aggregates))
+	out := make(catalog.Row, len(accs))
 	proj := make([]int, len(out))
-	for i, agg := range s.Aggregates {
-		a := accs[i]
+	for i, a := range accs {
 		proj[i] = i
-		switch agg.Func {
+		switch a.fn {
 		case sqlmini.AggCount:
 			out[i] = catalog.IntValue(a.count)
 		case sqlmini.AggSum:
@@ -459,7 +506,7 @@ func (db *Database) execAggregate(t *table, s *sqlmini.Select, conj []boundConj,
 				out[i] = a.max
 			}
 		default:
-			return nil, fmt.Errorf("engine: unsupported aggregate %v", agg.Func)
+			return nil, fmt.Errorf("engine: unsupported aggregate %v", a.fn)
 		}
 	}
 	return res, w.row(catalog.Schema{}, proj, out, nil)

@@ -460,8 +460,9 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 
 // matchesBound evaluates resolved conjuncts against a row. Every scan
 // path and lockRow decide a match here and nowhere else. The loop is by
-// index: a boundConj is eight words, and copying one per conjunct per
-// row showed on scans.
+// index and the comparison takes the cell and the literal by address: a
+// boundConj is eight words, a cell and a literal five each, and copying
+// them per conjunct per row showed on scans.
 func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
 	for i := range conj {
 		c := &conj[i]
@@ -471,7 +472,7 @@ func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
 			}
 			continue
 		}
-		cmp, err := compareValueLiteral(row[c.col], c.val)
+		cmp, err := compareValueLiteral(&row[c.col], &c.val)
 		if err != nil {
 			return false, err
 		}
@@ -501,7 +502,7 @@ func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
 
 // compareValueLiteral compares a column value with a literal, coercing
 // numerics to float when the types differ.
-func compareValueLiteral(v catalog.Value, lit sqlmini.Literal) (int, error) {
+func compareValueLiteral(v *catalog.Value, lit *sqlmini.Literal) (int, error) {
 	switch v.Type {
 	case catalog.Int:
 		switch lit.Kind {
@@ -522,7 +523,7 @@ func compareValueLiteral(v catalog.Value, lit sqlmini.Literal) (int, error) {
 			return strings.Compare(v.Str, lit.Str), nil
 		}
 	}
-	return 0, fmt.Errorf("engine: cannot compare %v column with literal %v", v.Type, lit)
+	return 0, fmt.Errorf("engine: cannot compare %v column with literal %v", v.Type, *lit)
 }
 
 func cmpInt(a, b int64) int {

@@ -2,30 +2,31 @@
 // that showed parse+plan dominating the point-query hot path. A SELECT
 // is normalized to a parameterized key (literals → '?', case and
 // whitespace canonicalized; see sqlmini.Normalize), and the cache maps
-// that key to a plan template — conjunct columns and operators resolved
-// against the schema, projection and decode mask precomputed. A hit
-// skips the lexer, the parser, and all name resolution: execution just
-// rebinds the literal parameters into the template and runs the shared
-// SELECT executor.
+// that key to the selPlan its first execution ran from. There is one
+// planner, planSelect: a miss parses, plans and runs the statement, then
+// keeps that plan; a hit skips the lexer, the parser and all name
+// resolution, binds its literal parameters into the plan's conjuncts
+// and runs it through the same runSelect.
 //
 // Correctness rules:
 //
-//   - Entries are stamped with the schema epoch they were built under.
-//     Every DDL (CREATE/DROP TABLE, CREATE/DROP INDEX) bumps the epoch
-//     inside its exclusive section and purges the cache, and execution
-//     re-checks the stamp under the table read lock, so a cached plan is
+//   - Plans are stamped with the schema epoch read before their table
+//     was looked up. Every DDL (CREATE/DROP TABLE, CREATE/DROP INDEX)
+//     bumps the epoch inside its exclusive section and purges the cache,
+//     and both paths re-check the stamp under the table read lock: a
+//     plan whose epoch moved runs but is not kept, and a cached plan is
 //     never served across a schema change.
 //   - Anything value-dependent is re-derived per execution: predicate
 //     contradiction, access-path choice, and secondary-index probes all
 //     happen at bind time via choosePlanBound.
-//   - Any abnormality at bind or execution time (table gone, stale
-//     epoch, parameter shape the parser would have rejected) falls back
-//     to the full parse path, which reproduces the exact uncached
-//     behavior, including error text and timing.
-//   - Statement shapes the template cannot express (EXPLAIN,
-//     aggregates, ORDER BY) are remembered as uncacheable so repeats
-//     skip the template-build attempt but still parse and execute
-//     normally. Semantic errors (unknown table/column) are never
+//   - A plan is kept only when conjunct i's literal is parameter i and
+//     the LIMIT literal is the last (selPlan.cacheable). An aggregate
+//     that names a column is run but not kept: its label spells the
+//     column as the statement does, which the key folds.
+//   - Any abnormality at bind time (table gone, stale epoch, a parameter
+//     the parser would have rejected) falls back to the parse path,
+//     which reproduces the exact uncached behavior, including error text
+//     and timing. Semantic errors (unknown table/column) are never
 //     cached; they surface at Exec through the parse path, preserving
 //     the error-timing behavior the shield's failure accounting relies
 //     on.
@@ -64,40 +65,14 @@ func classify(stmt sqlmini.Statement) StmtKind {
 	}
 }
 
-// conjTemplate is one WHERE conjunct with its literal stripped: the
-// column is resolved, the operator fixed, and the value supplied at
-// bind time from the normalized parameter list (conjunct i binds
-// parameter i — the parser emits conjuncts in token order, which is the
-// order Normalize collects literals in).
-type conjTemplate struct {
-	col int
-	op  sqlmini.CmpOp
-}
-
-// planEntry is a cached plan template for one normalized SELECT shape.
-// Entries are immutable after publication; slices are shared with every
-// execution that binds them.
-type planEntry struct {
-	epoch       uint64
-	table       string
-	uncacheable bool // shape the template can't express; parse instead
-	nparams     int
-	conj        []conjTemplate
-	hasLimit    bool // last parameter is the LIMIT literal
-	proj        []int
-	cols        []string
-	need        []bool
-	lean        []bool // need without the projection; see selSpec
-}
-
-// planCache maps normalized SQL keys to plan entries. Reads are
+// planCache maps normalized SQL keys to plans. Reads are
 // lock-free: the map is copy-on-write behind an atomic pointer, so the
 // hot path is one atomic load and one map probe. Writes (store, purge)
 // serialize on mu and are rare once the workload's shapes have warmed.
 type planCache struct {
 	cap           int
 	mu            sync.Mutex
-	m             atomic.Pointer[map[string]*planEntry]
+	m             atomic.Pointer[map[string]*selPlan]
 	hits          atomic.Int64
 	misses        atomic.Int64
 	invalidations atomic.Int64
@@ -105,46 +80,43 @@ type planCache struct {
 
 func newPlanCache(capEntries int) *planCache {
 	pc := &planCache{cap: capEntries}
-	m := make(map[string]*planEntry)
+	m := make(map[string]*selPlan)
 	pc.m.Store(&m)
 	return pc
 }
 
-// lookup returns the entry for key if it exists and is current. A stale
-// entry (stored by a build that raced a DDL's purge) counts as an
-// invalidation and is dropped.
-func (pc *planCache) lookup(key []byte, epoch uint64) *planEntry {
-	m := *pc.m.Load()
-	e, ok := m[string(key)]
+// lookup returns the plan for key if it exists and is current. A stale
+// plan (stored by an execution that raced a DDL's purge) counts as an
+// invalidation and is dropped. Hits and misses are counted where the
+// statement runs: a hit is an execution that skipped the parser.
+func (pc *planCache) lookup(key []byte, epoch uint64) *selPlan {
+	e, ok := (*pc.m.Load())[string(key)]
 	if !ok {
-		pc.misses.Add(1)
 		return nil
 	}
 	if e.epoch != epoch {
 		pc.remove(string(key), e)
-		pc.misses.Add(1)
 		return nil
 	}
-	pc.hits.Add(1)
 	return e
 }
 
-// store publishes an entry under key unless a current one is already
+// store publishes a plan under key unless a current one is already
 // there. At capacity, new shapes simply don't cache (DESIGN §13): an
 // adversarial flood of distinct shapes must not evict the legitimate
-// workload's warm templates, and the delay defense already prices the
+// workload's warm plans, and the delay defense already prices the
 // flood itself. Entries stamped older than the incoming one are stale
 // survivors of a racing purge and are dropped during the copy; newer
 // ones are kept — a store that raced a DDL must not wipe the freshly
-// rebuilt cache (lookup would reject the stale insert anyway).
-func (pc *planCache) store(key []byte, e *planEntry) {
+// refilled cache (lookup would reject the stale insert anyway).
+func (pc *planCache) store(key []byte, e *selPlan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	old := *pc.m.Load()
 	if prev, ok := old[string(key)]; ok && prev.epoch >= e.epoch {
 		return
 	}
-	next := make(map[string]*planEntry, len(old)+1)
+	next := make(map[string]*selPlan, len(old)+1)
 	for k, v := range old {
 		if v.epoch < e.epoch {
 			continue // stale survivors of a racing purge: drop
@@ -162,14 +134,14 @@ func (pc *planCache) store(key []byte, e *planEntry) {
 }
 
 // remove drops a stale entry observed by lookup.
-func (pc *planCache) remove(key string, stale *planEntry) {
+func (pc *planCache) remove(key string, stale *selPlan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	old := *pc.m.Load()
 	if old[key] != stale {
 		return // already replaced or purged
 	}
-	next := make(map[string]*planEntry, len(old))
+	next := make(map[string]*selPlan, len(old))
 	for k, v := range old {
 		if k != key {
 			next[k] = v
@@ -187,7 +159,7 @@ func (pc *planCache) purge() {
 	if n := len(old); n > 0 {
 		pc.invalidations.Add(int64(n))
 	}
-	next := make(map[string]*planEntry)
+	next := make(map[string]*selPlan)
 	pc.m.Store(&next)
 }
 
@@ -199,158 +171,50 @@ func (pc *planCache) stats() (hits, misses, invalidations int64, entries int) {
 // and carry the normalization and binding scratch across uses; callers
 // must Release exactly once when done with the result of Prepare.
 type Prepared struct {
-	db    *Database
-	kind  StmtKind
-	sql   string
-	stmt  sqlmini.Statement // parse-path statement (miss or uncacheable)
-	entry *planEntry        // cached template (hit path)
+	db   *Database
+	kind StmtKind
+	sql  string
+	stmt sqlmini.Statement // the parse path's statement
+	plan *selPlan          // a hit's cached plan, which params bind into
 
-	params []sqlmini.Literal // normalized literals, alias into norm
+	key    []byte            // a SELECT's normalized key, alias into norm
+	params []sqlmini.Literal // its normalized literals, alias into norm
 	norm   sqlmini.NormScratch
 	conj   []boundConj
-	spec   selSpec
 	w      rowWriter // every SELECT's, its scratch kept from use to use
 }
 
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 
-// Prepare readies one SQL statement for execution. Cacheable SELECT
-// shapes are served from (and on miss, added to) the plan cache;
-// everything else parses. Only lexical errors surface here — semantic
-// errors (unknown table or column) surface at Exec, exactly as the
-// one-shot path reports them.
+// Prepare readies one SQL statement for execution. A SELECT whose shape
+// the plan cache holds skips the parser; everything else parses, and a
+// SELECT's first execution offers the cache the plan it ran from. Only
+// lexical errors surface here — semantic errors (unknown table or
+// column) surface at Exec, exactly as the one-shot path reports them.
 func (db *Database) Prepare(sql string) (*Prepared, error) {
 	p := preparedPool.Get().(*Prepared)
-	p.db = db
-	p.sql = sql
-	p.stmt = nil
-	p.entry = nil
-	p.params = nil
-
-	if !sqlmini.HasPrefixKeyword(sql, "SELECT") {
-		return p.prepareParsed()
-	}
-	key, params, err := sqlmini.Normalize(sql, &p.norm)
-	if err != nil {
-		// Lexical error: Parse would fail identically (same lexer).
-		p.Release()
-		return nil, err
-	}
-	epoch := db.schemaEpoch.Load()
-	if e := db.planCache.lookup(key, epoch); e != nil {
-		if e.uncacheable {
-			return p.prepareParsed()
+	p.db, p.sql = db, sql
+	p.stmt, p.plan, p.key, p.params = nil, nil, nil, nil
+	if sqlmini.HasPrefixKeyword(sql, "SELECT") {
+		key, params, err := sqlmini.Normalize(sql, &p.norm)
+		if err != nil {
+			// Lexical error: Parse would fail identically (same lexer).
+			p.Release()
+			return nil, err
 		}
-		p.entry = e
-		p.params = params
-		p.kind = KindSelect
-		return p, nil
-	}
-	// Miss: parse, then try to publish a template for the next time.
-	// This execution runs from the parsed statement either way.
-	if _, err := p.prepareParsed(); err != nil {
-		return nil, err
-	}
-	if sel, ok := p.stmt.(*sqlmini.Select); ok {
-		// Skip the store when a DDL has already moved the epoch on: the
-		// entry would be dead on arrival (lookup rejects stale stamps),
-		// and uncacheable markers bypass buildPlanEntry's own under-lock
-		// epoch re-check.
-		if e := db.buildPlanEntry(sel, params, epoch); e != nil && db.schemaEpoch.Load() == epoch {
-			db.planCache.store(key, e)
+		p.key, p.params = key, params
+		if pl := db.planCache.lookup(key, db.schemaEpoch.Load()); pl != nil {
+			p.plan, p.kind = pl, KindSelect
+			return p, nil
 		}
 	}
-	return p, nil
-}
-
-// prepareParsed fills p through the parser.
-func (p *Prepared) prepareParsed() (*Prepared, error) {
-	stmt, err := sqlmini.Parse(p.sql)
+	stmt, err := sqlmini.Parse(sql)
 	if err != nil {
 		p.Release()
 		return nil, err
 	}
-	p.stmt = stmt
-	p.kind = classify(stmt)
+	p.stmt, p.kind = stmt, classify(stmt)
 	return p, nil
-}
-
-// buildPlanEntry resolves sel into a plan template, or an uncacheable
-// marker for shapes the template cannot express. It returns nil when
-// nothing should be cached (semantic errors, or a parameter layout that
-// does not line up with the normalized literal list).
-func (db *Database) buildPlanEntry(sel *sqlmini.Select, params []sqlmini.Literal, epoch uint64) *planEntry {
-	if sel.Explain || len(sel.Aggregates) > 0 || sel.Order != nil {
-		return &planEntry{epoch: epoch, uncacheable: true}
-	}
-	t, err := db.getTable(sel.Table)
-	if err != nil {
-		return nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	// Re-read the epoch under the lock: if a DDL slipped between the
-	// caller's read and here, the entry must carry the newer stamp or
-	// not exist at all. Stamping with the caller's (older) epoch is also
-	// safe — lookup would reject it — but building against a schema we
-	// hold the read lock on deserves the matching stamp.
-	if db.schemaEpoch.Load() != epoch {
-		return nil
-	}
-	var conj []conjTemplate
-	if sel.Where != nil {
-		conj = make([]conjTemplate, 0, len(sel.Where.Conjuncts))
-		for _, c := range sel.Where.Conjuncts {
-			ci := t.schema.ColumnIndex(c.Column)
-			if ci < 0 {
-				return nil // semantic error: never cached
-			}
-			conj = append(conj, conjTemplate{col: ci, op: c.Op})
-		}
-	}
-	hasLimit := sel.Limit != -1
-	nparams := len(conj)
-	if hasLimit {
-		nparams++
-	}
-	// Self-check the conjunct-i ↔ parameter-i correspondence against the
-	// literals the parser actually bound. Any mismatch means the
-	// normalizer and parser disagree about this statement; do not cache.
-	if nparams != len(params) {
-		return nil
-	}
-	if sel.Where != nil {
-		for i, c := range sel.Where.Conjuncts {
-			if params[i] != c.Value {
-				return nil
-			}
-		}
-	}
-	if hasLimit {
-		want := sqlmini.Literal{Kind: sqlmini.IntLit, Int: int64(sel.Limit)}
-		if params[len(params)-1] != want {
-			return nil
-		}
-	}
-	proj, err := projection(t.schema, sel.Columns)
-	if err != nil {
-		return nil
-	}
-	bound := make([]boundConj, len(conj))
-	for i, ct := range conj {
-		bound[i] = boundConj{col: ct.col, op: ct.op}
-	}
-	return &planEntry{
-		epoch:    epoch,
-		table:    sel.Table,
-		nparams:  nparams,
-		conj:     conj,
-		hasLimit: hasLimit,
-		proj:     proj,
-		cols:     projColumns(t.schema, proj),
-		need:     needMask(t.schema, proj, bound, -1),
-		lean:     needMask(t.schema, nil, bound, -1),
-	}
 }
 
 // Kind reports the statement's classification. Valid until Release.
@@ -386,79 +250,75 @@ func (p *Prepared) ExecInto(parts *PartitionSet, enc RowEncoder, body []byte) (*
 }
 
 func (p *Prepared) exec(parts *PartitionSet) (*Result, error) {
-	if p.entry != nil {
-		res, ok, err := p.db.execCachedSelect(p, parts)
-		if ok {
+	pc := p.db.planCache
+	if p.plan != nil {
+		if res, ok, err := p.execPlan(parts); ok {
+			pc.hits.Add(1)
 			return res, err
 		}
-		// The cached template no longer applies (DDL raced, or a
-		// parameter the parser would reject): take the parse path, which
-		// reproduces exact uncached behavior.
-		if _, err := p.prepareParsedKeep(); err != nil {
+		// The plan no longer binds (a DDL raced, or a parameter the
+		// parser rejects): the parse path reproduces the uncached
+		// behavior, error text included.
+		stmt, err := sqlmini.Parse(p.sql)
+		if err != nil {
 			return nil, err
 		}
+		p.stmt, p.kind, p.plan = stmt, classify(stmt), nil
 	}
-	return p.db.execStmt(p.stmt, parts, &p.w)
+	sel, ok := p.stmt.(*sqlmini.Select)
+	if !ok || p.key == nil {
+		return p.db.execStmt(p.stmt, parts, &p.w)
+	}
+	pc.misses.Add(1)
+	res, pl, err := p.db.execSelect(sel, parts, &p.w)
+	if pl != nil && pl.cacheable(sel, p.params) {
+		pc.store(p.key, pl)
+	}
+	return res, err
 }
 
-// prepareParsedKeep is prepareParsed without the Release-on-error (Exec
-// callers still own p and must Release it themselves).
-func (p *Prepared) prepareParsedKeep() (*Prepared, error) {
-	stmt, err := sqlmini.Parse(p.sql)
-	if err != nil {
-		return nil, err
+// execPlan binds p's parameters into its cached plan and runs it:
+// conjunct i takes parameter i, the LIMIT the last. ok=false means the
+// plan no longer binds and the caller must take the parse path.
+func (p *Prepared) execPlan(parts *PartitionSet) (res *Result, ok bool, err error) {
+	pl := p.plan
+	n := len(pl.conj)
+	if pl.hasLimit {
+		n++
 	}
-	p.stmt = stmt
-	p.kind = classify(stmt)
-	p.entry = nil
-	return p, nil
-}
-
-// execCachedSelect binds p's parameters into its cached template and
-// runs it. ok=false means the caller must fall back to the parse path.
-func (db *Database) execCachedSelect(p *Prepared, parts *PartitionSet) (res *Result, ok bool, err error) {
-	e := p.entry
-	if len(p.params) != e.nparams {
+	if len(p.params) != n {
 		return nil, false, nil
 	}
-	t, terr := db.getTable(e.table)
+	limit := -1
+	if pl.hasLimit {
+		lp := p.params[n-1]
+		if lp.Kind != sqlmini.IntLit || lp.Int < 0 {
+			return nil, false, nil // the parser rejects this LIMIT; let it
+		}
+		limit = int(lp.Int)
+	}
+	t, terr := p.db.getTable(pl.table)
 	if terr != nil {
 		return nil, false, nil
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// DDL holds the locks we just took shared, so this read is ordered
-	// against every bump: a stale template cannot slip through.
-	if db.schemaEpoch.Load() != e.epoch {
+	// DDL holds the lock just taken shared, so this read is ordered
+	// against every bump: a stale plan cannot slip through.
+	if p.db.schemaEpoch.Load() != pl.epoch {
 		return nil, false, nil
 	}
 	conj := p.conj[:0]
-	for i, ct := range e.conj {
-		conj = append(conj, boundConj{col: ct.col, op: ct.op, val: p.params[i]})
+	for i, c := range pl.conj {
+		c.val = p.params[i]
+		conj = append(conj, c)
 	}
 	if parts != nil {
-		// The template's decode mask always covers the key.
+		// A plan's decode mask always covers the key.
 		conj = append(conj, boundConj{col: t.schema.Key, part: parts})
 	}
 	p.conj = conj
-	limit := -1
-	if e.hasLimit {
-		lp := p.params[len(p.params)-1]
-		if lp.Kind != sqlmini.IntLit || lp.Int < 0 {
-			return nil, false, nil // parser rejects this LIMIT; let it
-		}
-		limit = int(lp.Int)
-	}
-	p.spec = selSpec{
-		conj:     conj,
-		proj:     e.proj,
-		cols:     e.cols,
-		need:     e.need,
-		lean:     e.lean,
-		orderCol: -1,
-		limit:    limit,
-	}
-	res, err = db.execSelectSpec(t, &p.spec, &p.w)
+	res, err = p.db.runSelect(t, pl, conj, limit, &p.w)
 	return res, true, err
 }
 
@@ -471,9 +331,6 @@ func (p *Prepared) Release() {
 	p.db = nil
 	p.kind = KindOther
 	p.sql = ""
-	p.stmt = nil
-	p.entry = nil
-	p.params = nil
-	p.spec = selSpec{}
+	p.stmt, p.plan, p.key, p.params = nil, nil, nil, nil
 	preparedPool.Put(p)
 }

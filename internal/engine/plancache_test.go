@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -145,44 +146,158 @@ func TestPlanCacheNeverServesAcrossSchemaChange(t *testing.T) {
 	}
 }
 
+// planCacheEdges are SELECTs on planCacheDB's table whose cached plan
+// must answer as the parser does. parts, when set, is a partition set of
+// a 4-way split to run the statement in; hits and misses are the cache's
+// counters across two prepared runs of it, in order: a hit is an
+// execution that skipped the parser.
+var planCacheEdges = []struct {
+	sql          string
+	parts        []int
+	hits, misses int64
+}{
+	{sql: `SELECT name FROM items WHERE id = 5`, hits: 1, misses: 1},
+	{sql: `SELECT name FROM items WHERE id = 5.5`, hits: 2}, // float on INT key: no match, no error
+	{sql: `SELECT id FROM items WHERE grp = 1 LIMIT 2`, hits: 1, misses: 1},
+	{sql: `SELECT id FROM items WHERE grp = 1 LIMIT 3`, hits: 2}, // same shape, LIMIT is a parameter
+	{sql: `SELECT id FROM items WHERE grp = 1 LIMIT 0`, hits: 2},
+	{sql: `SELECT name FROM items WHERE id >= 48 AND id <= 49`, hits: 1, misses: 1},
+	{sql: `SELECT name FROM items WHERE id BETWEEN 48 AND 49`, hits: 1, misses: 1},
+	{sql: `SELECT id, name FROM items WHERE grp = 2 ORDER BY name DESC LIMIT 3`, hits: 1, misses: 1},
+	{sql: `SELECT id, name FROM items WHERE grp = 2 ORDER BY name DESC LIMIT 5`, hits: 2},
+	{sql: `SELECT COUNT(*) FROM items WHERE id BETWEEN 10 AND 19`, hits: 1, misses: 1},
+	// An aggregate that names a column is labeled as the statement
+	// spells it, which the normalized key folds: never kept.
+	{sql: `SELECT SUM(Grp) FROM items WHERE id < 20`, misses: 2},
+	{sql: `SELECT sum(grp) FROM items WHERE id < 20`, misses: 2},
+	{sql: `SELECT id, grp FROM items WHERE grp >= 3 LIMIT 4`, parts: []int{1, 3}, hits: 1, misses: 1},
+}
+
 func TestPlanCacheParamEdgesMatchUncached(t *testing.T) {
 	db := planCacheDB(t)
 
-	// Each query runs twice through Exec so the second execution goes
-	// through the bound template, and once through the parser and
+	// Each query runs twice through Prepare and ExecIn so the second
+	// execution binds the cached plan, and once through the parser and
 	// ExecStmt, which never reach the cache, as the oracle.
-	queries := []string{
-		`SELECT name FROM items WHERE id = 5`,
-		`SELECT name FROM items WHERE id = 5.5`, // float on INT key: no match, no error
-		`SELECT id FROM items WHERE grp = 1 LIMIT 2`,
-		`SELECT id FROM items WHERE grp = 1 LIMIT 3`, // same shape, LIMIT is a parameter
-		`SELECT id FROM items WHERE grp = 1 LIMIT 0`,
-		`SELECT name FROM items WHERE id >= 48 AND id <= 49`,
-		`SELECT name FROM items WHERE id BETWEEN 48 AND 49`,
-	}
-	for _, q := range queries {
-		stmt, err := sqlmini.Parse(q)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
+	for _, q := range planCacheEdges {
+		var parts *PartitionSet
+		if q.parts != nil {
+			var err error
+			if parts, err = NewPartitionSet(4, q.parts); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want, err := db.ExecStmt(stmt, nil)
+		stmt, err := sqlmini.Parse(q.sql)
 		if err != nil {
-			t.Fatalf("%q: %v", q, err)
+			t.Fatalf("%q: %v", q.sql, err)
 		}
-		mustExec(t, db, q) // warm the shape
-		got := mustExec(t, db, q)
+		want, err := db.ExecStmt(stmt, parts)
+		if err != nil {
+			t.Fatalf("%q: %v", q.sql, err)
+		}
+		h0, m0, _, _ := db.PlanCacheStats()
+		var got *Result
+		for range 2 { // the first run warms the shape
+			p, err := db.Prepare(q.sql)
+			if err != nil {
+				t.Fatalf("%q: %v", q.sql, err)
+			}
+			got, err = p.ExecIn(parts)
+			p.Release()
+			if err != nil {
+				t.Fatalf("%q: %v", q.sql, err)
+			}
+			if n := db.PinnedFrames(); n != 0 {
+				t.Fatalf("%q: %d frames left pinned", q.sql, n)
+			}
+		}
+		h1, m1, _, _ := db.PlanCacheStats()
+		if h1-h0 != q.hits || m1-m0 != q.misses {
+			t.Errorf("%q: %d hits, %d misses over two runs; want %d, %d", q.sql, h1-h0, m1-m0, q.hits, q.misses)
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Keys, want.Keys) {
+			t.Fatalf("%q: cached columns %v keys %v, uncached %v %v", q.sql, got.Columns, got.Keys, want.Columns, want.Keys)
+		}
 		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%q: cached %d rows, uncached %d", q, len(got.Rows), len(want.Rows))
+			t.Fatalf("%q: cached %d rows, uncached %d", q.sql, len(got.Rows), len(want.Rows))
 		}
 		for i := range got.Rows {
 			for j := range got.Rows[i] {
 				if got.Rows[i][j] != want.Rows[i][j] {
 					t.Fatalf("%q row %d col %d: cached %+v, uncached %+v",
-						q, i, j, got.Rows[i][j], want.Rows[i][j])
+						q.sql, i, j, got.Rows[i][j], want.Rows[i][j])
 				}
 			}
 		}
 	}
+}
+
+// FuzzPlanCache: every statement that parses as a SELECT answers the
+// same through Exec, cold (the cache emptied, so it plans and offers
+// the plan) and warm (the plan cache's bound plan, when it kept one),
+// as through ExecStmt on the parsed statement: the same Columns, Rows
+// and Keys, or the same error text.
+func FuzzPlanCache(f *testing.F) {
+	for _, q := range planCacheEdges {
+		f.Add(q.sql)
+	}
+	for _, q := range []string{
+		`SELECT * FROM items`,
+		`select NAME from ITEMS where ID = 7`,
+		`SELECT id FROM items WHERE grp = 1 AND id > 20 ORDER BY id LIMIT 2`,
+		`SELECT AVG(grp), MIN(name), MAX(id), COUNT(*) FROM items WHERE grp <> 4`,
+		`SELECT COUNT(*) FROM items LIMIT 0`,
+		`SELECT name FROM items WHERE name = 5`, // a comparison error at run time
+		`SELECT name FROM items WHERE name >= 'n4' ORDER BY grp`,
+		`SELECT SUM(name) FROM items`,
+		`SELECT nope FROM items WHERE id = 1`,
+		`SELECT id FROM items ORDER BY nope`,
+		`SELECT * FROM nowhere WHERE id = 1`,
+		`EXPLAIN SELECT id FROM items WHERE grp = 2`,
+		`SELECT id FROM items WHERE id = 3 AND id = 4`,
+	} {
+		f.Add(q)
+	}
+	db, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { db.Close() })
+	for _, q := range []string{
+		`CREATE TABLE items (id INT PRIMARY KEY, grp INT, name TEXT)`,
+		`CREATE INDEX by_grp ON items (grp)`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := db.Exec(fmt.Sprintf(`INSERT INTO items VALUES (%d, %d, 'n%d')`, i, i%5, i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	outcome := func(res *Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("%q %v %v", res.Columns, res.Rows, res.Keys)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		stmt, err := sqlmini.Parse(sql)
+		if err != nil {
+			return
+		}
+		if _, ok := stmt.(*sqlmini.Select); !ok {
+			return
+		}
+		want := outcome(db.ExecStmt(stmt, nil))
+		db.planCache.purge()
+		for _, run := range []string{"cold", "warm"} {
+			if got := outcome(db.Exec(sql)); got != want {
+				t.Fatalf("%s %q:\n  Exec:     %s\n  ExecStmt: %s", run, sql, got, want)
+			}
+		}
+	})
 }
 
 // TestPlanCacheConcurrentDDL races point queries against index churn:
@@ -293,11 +408,11 @@ func TestPlanCacheCapacityFloodDoesNotEvict(t *testing.T) {
 // rejected by the next lookup.
 func TestPlanCacheStaleStoreKeepsNewerEntries(t *testing.T) {
 	pc := newPlanCache(8)
-	fresh := &planEntry{epoch: 2, table: "items"}
+	fresh := &selPlan{epoch: 2, table: "items"}
 	pc.store([]byte("k-fresh"), fresh)
 
 	// Racing store built under the pre-purge epoch.
-	pc.store([]byte("k-stale"), &planEntry{epoch: 1, table: "items"})
+	pc.store([]byte("k-stale"), &selPlan{epoch: 1, table: "items"})
 
 	if got := pc.lookup([]byte("k-fresh"), 2); got != fresh {
 		t.Fatalf("fresh entry lost after stale store: %+v", got)
@@ -307,7 +422,7 @@ func TestPlanCacheStaleStoreKeepsNewerEntries(t *testing.T) {
 	}
 	// The stale entry was dropped by its failed lookup; a current-epoch
 	// store for the same key must now succeed.
-	cur := &planEntry{epoch: 2, table: "items"}
+	cur := &selPlan{epoch: 2, table: "items"}
 	pc.store([]byte("k-stale"), cur)
 	if got := pc.lookup([]byte("k-stale"), 2); got != cur {
 		t.Fatalf("current-epoch re-store missing: %+v", got)

@@ -77,12 +77,12 @@ func (w *rowWriter) start(cols []string) *Result {
 
 // decode returns the decode mask of a SELECT whose rows come here: the
 // values sink needs every column it returns decoded, the encoder reads
-// TEXT cells from the record in place (see selSpec).
-func (w *rowWriter) decode(spec *selSpec) []bool {
+// TEXT cells from the record in place (see selPlan).
+func (w *rowWriter) decode(pl *selPlan) []bool {
 	if w.enc != nil {
-		return spec.lean
+		return pl.lean
 	}
-	return spec.need
+	return pl.need
 }
 
 // hold returns what row will need of rec once the scan has moved past
