@@ -164,13 +164,16 @@ examples:
 
 # The SQL parser under its fuzz properties for 15 s: no panic, every
 # accepted SELECT/INSERT/UPDATE/DELETE survives Render, and every string
-# token matches the byte-at-a-time reference reader. `make check` and CI
-# run it; `go test` alone runs only the seed corpus. Minimizing an input
-# is capped at 1 s (the default, 60 s per new-coverage input, can spend
-# the whole run minimizing); a failing input is still saved under
-# testdata/fuzz.
+# token matches the byte-at-a-time reference reader. Then the detector's
+# sweep columns for 10 s: after any run of slot changes and column
+# hand-outs every pair's estimate is Signature.Jaccard's, bit for bit.
+# `make check` and CI run it; `go test` alone runs only the seed corpus.
+# Minimizing an input is capped at 1 s (the default, 60 s per
+# new-coverage input, can spend the whole run minimizing); a failing
+# input is still saved under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=15s -fuzzminimizetime=1s ./internal/sqlmini/
+	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/detect/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
@@ -183,7 +186,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzScanQueryResponse -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzMigrateRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
-	$(GO) test -run '^$$' -fuzz=FuzzPairMatches -fuzztime=30s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzPlanCache -fuzztime=30s ./internal/engine/
 
 clean:

@@ -49,16 +49,22 @@ func BenchmarkDetectorObserveBatchParallel(b *testing.B) {
 	})
 }
 
-// reclusterShapes are the candidate sets the sweep is timed on. The
-// disjoint one has no agreeing slot anywhere — the best case of counting
-// by groups — so the number that matters is history=scans: 256
-// principals of the ledger's scan_mixed traffic (see feedScans), all over
-// the candidate floor, whose signatures agree wherever popular ranges
-// were read by both.
+// reclusterShapes are the candidate sets the sweep is timed on. Before
+// every timed sweep, with the timer stopped, each candidate reads one
+// scan_mixed range (see scanner), so a sweep has what it has on that
+// workload: a few slots lowered per candidate since the last one. The
+// number that matters is history=scans: 256 principals of scan_mixed
+// traffic, all over the candidate floor, whose signatures agree wherever
+// popular ranges were read by both. history=cold is the same sweep with
+// every column handed out afresh, as on the first sweep after a restart
+// absorbs its peers' snapshots: every slot of every candidate is copied
+// and every pair recounted. The disjoint history starts from no agreeing
+// slot anywhere.
 var reclusterShapes = []struct {
 	name  string
 	cands int
 	pop   population
+	cold  bool
 }{
 	{"cands=64/history=disjoint", 64, population{
 		cfg:   Config{CatalogSize: 100_000},
@@ -68,8 +74,9 @@ var reclusterShapes = []struct {
 				observeRange(d, fmt.Sprintf("p%02d", p), p*500, (p+1)*500)
 			}
 		},
-	}},
-	{"cands=256/history=scans", 256, population{cfg: sweepConfig(200_000), feed: feedScans(256, 160)}},
+	}, false},
+	{"cands=256/history=scans", 256, population{cfg: sweepConfig(200_000), feed: feedScans(256, 160)}, false},
+	{"cands=256/history=cold", 256, population{cfg: sweepConfig(200_000), feed: feedScans(256, 160)}, true},
 }
 
 func benchmarkSweep(b *testing.B, sweep func(*Detector)) {
@@ -80,9 +87,27 @@ func benchmarkSweep(b *testing.B, sweep func(*Detector)) {
 			if n := len(d.sweep.cands); n != shape.cands {
 				b.Fatalf("the sweep has %d candidates, want %d", n, shape.cands)
 			}
+			names := make([]string, 0, shape.cands)
+			for _, c := range d.sweep.cands {
+				names = append(names, c.name)
+			}
+			sc := newScanner(d.cfg.CatalogSize, rand.New(rand.NewSource(2)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// Holding clusterMu makes the observers skip the sweeps
+				// their batches cross.
+				d.clusterMu.Lock()
+				for _, name := range names {
+					d.ObserveBatch(name, sc.next())
+				}
+				if shape.cold {
+					d.sweep.n = 0
+					clear(d.sweep.colOf)
+				}
+				d.clusterMu.Unlock()
+				b.StartTimer()
 				sweep(d)
 			}
 		})
@@ -95,6 +120,6 @@ func benchmarkSweep(b *testing.B, sweep func(*Detector)) {
 func BenchmarkRecluster(b *testing.B) { benchmarkSweep(b, (*Detector).Recluster) }
 
 // BenchmarkReclusterOracle is the same sweep done pair by pair, run in
-// the same process so `make bench-smoke` can hold the grouped sweep to a
+// the same process so `make bench-smoke` can hold the sweep to a
 // fraction of it on any machine.
 func BenchmarkReclusterOracle(b *testing.B) { benchmarkSweep(b, pairwiseRecluster) }

@@ -107,6 +107,9 @@ func (c *Config) fill() error {
 type principalState struct {
 	hll *HLL
 	sig *Signature
+	// dirty marks the signature slots lowered since a sweep last copied
+	// them into the principal's column.
+	dirty slotMask
 	// lastSeen is the detector-wide batch sequence at the principal's
 	// most recent observation; eviction removes the minimum. Absorb
 	// bumps it too, so remote-hot principals survive eviction.
@@ -174,16 +177,31 @@ func NewDetector(cfg Config) (*Detector, error) {
 	for i := range d.shards {
 		d.shards[i].entries = make(map[string]*principalState)
 	}
-	d.sweep.union = NewHLL(hllPrecision)
-	d.sweep.attr = make(map[string]attribution)
+	d.sweep.init(signatureSlots)
 	return d, nil
 }
 
+// newState returns a principal with empty sketches and every signature
+// slot dirty: a name evicted and seen again may still hold the column
+// its earlier self had, and that column must be copied whole.
 func newState() *principalState {
-	return &principalState{
+	st := &principalState{
 		hll:  NewHLL(hllPrecision),
 		sig:  NewSignature(signatureSlots),
 		mult: 1,
+	}
+	for k := range st.dirty {
+		st.dirty[k] = ^uint64(0)
+	}
+	return st
+}
+
+// lower puts hash h into signature slot i if it is below what the slot
+// holds, marking the slot dirty.
+func (st *principalState) lower(i int, h uint64) {
+	if h < st.sig.slots[i] {
+		st.sig.slots[i] = h
+		st.dirty[i>>6] |= 1 << (i & 63)
 	}
 }
 
@@ -209,7 +227,13 @@ func (d *Detector) shard(principal string) *detectShard {
 // single catalog-wide scan cannot finish inside its own grace period.
 // The caller passes ids before sleeping the delay; like the gate's
 // learner observations, detection must not be skippable by cancelling.
+// An empty batch observes nothing: it returns the current multiplier and
+// creates, evicts and counts nothing, so free queries that match no
+// tuple cannot push a tracked principal out of its stripe.
 func (d *Detector) ObserveBatch(principal string, ids []uint64) float64 {
+	if len(ids) == 0 {
+		return d.Multiplier(principal)
+	}
 	s := d.shard(principal)
 	s.mu.Lock()
 	// The sequence is acquired INSIDE the shard critical section, so
@@ -235,7 +259,7 @@ func (d *Detector) ObserveBatch(principal string, ids []uint64) float64 {
 	for _, id := range ids {
 		h := mix64(id)
 		st.hll.Add(h)
-		st.sig.Add(h)
+		st.lower(int(h&(signatureSlots-1)), h)
 	}
 	st.ownCov = clamp01(st.hll.Estimate() / float64(d.cfg.CatalogSize))
 	eff := st.ownCov
@@ -315,9 +339,10 @@ func (d *Detector) Recluster() {
 	d.reclusterLocked()
 }
 
-// reclusterLocked snapshots candidate sketches, greedily clusters them
-// by signature similarity, attributes merged-union coverage to each
-// coalition, and writes attributions (and hysteresis releases) back.
+// reclusterLocked brings the candidates' signature columns up to date,
+// greedily clusters them by signature similarity, attributes
+// merged-union coverage to each coalition, and writes attributions (and
+// hysteresis releases) back.
 //
 // Clustering is greedy star, not single-linkage: the highest-coverage
 // unassigned candidate becomes a centroid and absorbs every unassigned
@@ -329,7 +354,8 @@ func (d *Detector) reclusterLocked() {
 	w := &d.sweep
 
 	// Phase 1: pick the candidates — (name, coverage) only — under each
-	// shard lock in turn, then copy the sketches of the chosen few.
+	// shard lock in turn, then copy what changed in the chosen few's
+	// signatures into their columns.
 	w.cands = w.cands[:0]
 	for i := range d.shards {
 		s := &d.shards[i]
@@ -351,10 +377,10 @@ func (d *Detector) reclusterLocked() {
 		w.cands = w.cands[:maxCandidates]
 	}
 	cands := w.cands
-	w.snapshot(d)
+	w.load(d)
 
-	// Phase 2: cluster the snapshot without holding any lock.
-	w.countMatches()
+	// Phase 2: cluster the columns, taking a shard lock only to merge a
+	// coalition member's HLL into the union.
 	clear(w.attr)
 	w.assigned = resized(w.assigned, len(cands))
 	clear(w.assigned)
@@ -364,8 +390,9 @@ func (d *Detector) reclusterLocked() {
 			continue
 		}
 		members := append(w.members[:0], i)
+		ci := int(w.col[i])
 		for j := i + 1; j < len(cands); j++ {
-			if !w.assigned[j] && w.jaccard(i, j) >= d.cfg.JaccardThreshold {
+			if !w.assigned[j] && w.similar(ci, int(w.col[j]), d.cfg.JaccardThreshold) {
 				members = append(members, j)
 			}
 		}
@@ -374,11 +401,7 @@ func (d *Detector) reclusterLocked() {
 			continue
 		}
 		ncoal++
-		w.union.copyFrom(w.hlls[members[0]])
-		for _, m := range members[1:] {
-			w.union.Merge(w.hlls[m])
-		}
-		cov := clamp01(w.union.Estimate() / float64(d.cfg.CatalogSize))
+		cov := d.unionCoverage(members)
 		a := attribution{coalition: cands[i].name, n: len(members), cov: cov}
 		for _, m := range members {
 			w.assigned[m] = true
@@ -413,6 +436,32 @@ func (d *Detector) reclusterLocked() {
 		d.sweeps.Inc()
 		d.sweepSeconds.Observe(time.Since(start).Seconds())
 	}
+}
+
+// unionCoverage merges the HLLs of the given candidates, in order, and
+// returns the union's coverage. Each HLL is read under its shard lock; a
+// principal evicted since the candidates were chosen adds nothing.
+func (d *Detector) unionCoverage(members []int) float64 {
+	w := &d.sweep
+	empty := true
+	for _, m := range members {
+		name := w.cands[m].name
+		s := d.shard(name)
+		s.mu.Lock()
+		if st, ok := s.entries[name]; ok {
+			if empty {
+				w.union.copyFrom(st.hll)
+			} else {
+				w.union.Merge(st.hll)
+			}
+			empty = false
+		}
+		s.mu.Unlock()
+	}
+	if empty {
+		return 0
+	}
+	return clamp01(w.union.Estimate() / float64(d.cfg.CatalogSize))
 }
 
 // Suspect is one entry of the ranked suspect list.

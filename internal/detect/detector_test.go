@@ -263,6 +263,36 @@ func TestBoundedMemoryAndEvictColdest(t *testing.T) {
 	}
 }
 
+// TestEmptyBatchObservesNothing: a SELECT that matches nothing is
+// charged nothing, and observing it must cost nobody else anything
+// either. 8,000 empty batches from fresh names once filled every stripe
+// and evicted an escalated principal, which came back at 1×; now they
+// create no entry, evict nobody and take no sequence number.
+func TestEmptyBatchObservesNothing(t *testing.T) {
+	d := mustDetector(t, Config{CatalogSize: 1000, Policy: EscalationPolicy{Grace: 0.08, Cap: 64}})
+	if m := observeRange(d, "extractor", 0, 1000); m != 64 {
+		t.Fatalf("a whole-catalog scan is charged ×%v, want ×64", m)
+	}
+	seq := d.seq.Load()
+	for i := 0; i < 8000; i++ {
+		if m := d.ObserveBatch(fmt.Sprintf("free-%d", i), nil); m != 1 {
+			t.Fatalf("an untracked principal's empty batch returned ×%v, want ×1", m)
+		}
+	}
+	if m := d.ObserveBatch("extractor", []uint64{}); m != 64 {
+		t.Errorf("the extractor's empty batch returned ×%v, want its ×64", m)
+	}
+	if n := d.TrackedPrincipals(); n != 1 {
+		t.Errorf("tracking %d principals after empty batches, want 1", n)
+	}
+	if got := d.seq.Load(); got != seq {
+		t.Errorf("empty batches moved the sequence from %d to %d", seq, got)
+	}
+	if m := d.Multiplier("extractor"); m != 64 {
+		t.Errorf("extractor's multiplier is ×%v after 8,000 empty batches, want ×64", m)
+	}
+}
+
 // TestReclusterCadence: the batch that brings the count to
 // reclusterEvery runs a sweep, and none before it does.
 func TestReclusterCadence(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/zipf"
 )
 
-// pairwiseRecluster is the clustering sweep as it was before the grouped
-// match counting: every sketch at or above the floor cloned, one
+// pairwiseRecluster is the clustering sweep with no state kept between
+// sweeps: every sketch at or above the floor cloned, one
 // Signature.Jaccard call per candidate pair. It is the reference the
 // sweep is tested and benchmarked against.
 func pairwiseRecluster(d *Detector) {
@@ -131,37 +131,58 @@ func sweepConfig(catalog int) Config {
 	}
 }
 
-// feedScans is the traffic of the ledger's scan_mixed workload as the
-// detector sees it: every principal reads key ranges of 10, 100 or 1000
-// ids (weights 0.6/0.3/0.1) that start at a Zipf-ranked key, popularity
-// rank scattered over the key space by a fixed permutation, until it has
-// issued its share of scans. Popular starts are shared, so signatures
-// agree in a fraction of their slots without any coalition existing.
+// scanner draws the key ranges of the ledger's scan_mixed workload as
+// the detector sees them: ranges of 10, 100 or 1000 ids (weights
+// 0.6/0.3/0.1) that start at a Zipf-ranked key, popularity rank
+// scattered over the key space by a fixed permutation. Popular starts
+// are shared, so the signatures of its readers agree in a fraction of
+// their slots without any coalition existing.
+type scanner struct {
+	rng   *rand.Rand
+	ranks *zipf.Sampler
+	perm  []int
+	ids   []uint64
+}
+
+func newScanner(rows int, rng *rand.Rand) *scanner {
+	dist, err := zipf.New(rows, 1)
+	if err != nil {
+		panic(err)
+	}
+	return &scanner{
+		rng:   rng,
+		ranks: zipf.NewSampler(dist, rng.Int63()),
+		perm:  rand.New(rand.NewSource(0x5eed)).Perm(rows),
+		ids:   make([]uint64, 0, 1000),
+	}
+}
+
+// next returns the ids of one range scan, valid until the next call.
+func (sc *scanner) next() []uint64 {
+	span := 10
+	if u := sc.rng.Float64(); u >= 0.9 {
+		span = 1000
+	} else if u >= 0.6 {
+		span = 100
+	}
+	start := sc.perm[sc.ranks.Next()-1]
+	if rows := len(sc.perm); start > rows-span {
+		start = rows - span
+	}
+	sc.ids = sc.ids[:0]
+	for k := 0; k < span; k++ {
+		sc.ids = append(sc.ids, uint64(start+k))
+	}
+	return sc.ids
+}
+
+// feedScans has every principal read scanner ranges until it has issued
+// its share of scans.
 func feedScans(principals, scansEach int) func(*Detector, *rand.Rand) {
 	return func(d *Detector, rng *rand.Rand) {
-		rows := d.cfg.CatalogSize
-		dist, err := zipf.New(rows, 1)
-		if err != nil {
-			panic(err)
-		}
-		ranks := zipf.NewSampler(dist, rng.Int63())
-		perm := rand.New(rand.NewSource(0x5eed)).Perm(rows)
-		ids := make([]uint64, 0, 1000)
+		sc := newScanner(d.cfg.CatalogSize, rng)
 		for q := 0; q < principals*scansEach; q++ {
-			span := 10
-			if u := rng.Float64(); u >= 0.9 {
-				span = 1000
-			} else if u >= 0.6 {
-				span = 100
-			}
-			start := perm[ranks.Next()-1]
-			if start > rows-span {
-				start = rows - span
-			}
-			ids = ids[:0]
-			for k := 0; k < span; k++ {
-				ids = append(ids, uint64(start+k))
-			}
+			ids := sc.next()
 			d.ObserveBatch(fmt.Sprintf("user-%d", rng.Intn(principals)), ids)
 		}
 	}
@@ -240,20 +261,101 @@ func build(t testing.TB, p population, seed int64) *Detector {
 	return d
 }
 
+// evict drops a principal from the table, as evictColdest does.
+func evict(d *Detector, name string) {
+	s := d.shard(name)
+	s.mu.Lock()
+	delete(s.entries, name)
+	s.mu.Unlock()
+}
+
+// churn is what arrives between sweeps k and k+1, the same on every
+// detector it is applied to; ws is the oracle's ranking after sweep k.
+// After the first and the fourth sweep it changes the principals that
+// hold columns: ws[0] reads a little more; ws[1] absorbs the sketch of
+// ws[len/2] from a peer; ws[2] is evicted and seen again under its name
+// with fewer ids than it had, so only some of its slots are lowered
+// into an empty signature; and the four lowest ranked read a twentieth
+// of the catalog, which carries them over the floor or into the
+// maxCandidates cut and pushes as many others out. After the second
+// sweep the floor is raised, breaking coalitions apart; after the third
+// it is lowered back, so the candidates return to columns nobody holds.
+func churn(d *Detector, ws []Suspect, seed int64, sweep int, floor float64) {
+	rows := d.cfg.CatalogSize
+	rng := rand.New(rand.NewSource(seed*100 + int64(sweep)))
+	observeRange(d, ws[0].Principal, 0, 1+rng.Intn(50))
+	switch {
+	case sweep == 1:
+		d.floor = 0.5
+		return
+	case sweep == 2:
+		d.floor = floor
+		return
+	case sweep > 3 || len(ws) < 6:
+		return
+	}
+	snaps, _ := d.ExportSince(0, 0)
+	for _, sn := range snaps {
+		if sn.Principal == ws[len(ws)/2].Principal {
+			sn.Principal = ws[1].Principal
+			d.Absorb([]SketchSnapshot{sn})
+		}
+	}
+	evict(d, ws[2].Principal)
+	ids := make([]uint64, 1+rng.Intn(signatureSlots/2))
+	for i := range ids {
+		ids[i] = uint64(rng.Intn(rows))
+	}
+	d.ObserveBatch(ws[2].Principal, ids)
+	for _, s := range ws[len(ws)-4:] {
+		lo := rng.Intn(rows - rows/20)
+		observeRange(d, s.Principal, lo, lo+rows/20)
+	}
+}
+
+// checkColumns: after a sweep, every candidate's column holds its
+// principal's signature, and every pair of columns gives the
+// Signature.Jaccard of the two signatures.
+func checkColumns(t *testing.T, d *Detector) {
+	t.Helper()
+	w := &d.sweep
+	sigs := make([]*Signature, len(w.cands))
+	for i, cand := range w.cands {
+		st, ok := d.shard(cand.name).entries[cand.name]
+		if !ok {
+			t.Fatalf("candidate %s is not tracked", cand.name)
+		}
+		sigs[i] = st.sig
+		for s, v := range st.sig.slots {
+			if got := w.sigs[s*w.stride+int(w.col[i])]; got != v {
+				t.Fatalf("%s: column slot %d holds %x, signature %x", cand.name, s, got, v)
+			}
+		}
+	}
+	for i := range sigs {
+		for j := i + 1; j < len(sigs); j++ {
+			if got, want := w.jaccard(int(w.col[i]), int(w.col[j])), sigs[i].Jaccard(sigs[j]); got != want {
+				t.Fatalf("%s, %s: columns give %v, signatures %v", w.cands[i].name, w.cands[j].name, got, want)
+			}
+		}
+	}
+}
+
 // TestReclusterMatchesPairwiseOracle: on every population the sweep
 // leaves exactly what the pairwise reference leaves — suspects field for
 // field (== on the floats), the coalition count, and every multiplier —
-// over three consecutive sweeps, so the hysteresis release is compared
-// too. More traffic arrives between sweeps, and the second of them
-// breaks coalitions apart by raising the floor.
+// over five consecutive sweeps, so the hysteresis release is compared
+// too, with the churn above arriving between them.
 func TestReclusterMatchesPairwiseOracle(t *testing.T) {
 	for _, p := range populations {
 		t.Run(p.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				got, want := build(t, p, seed), build(t, p, seed)
-				for sweep := 0; sweep < 3; sweep++ {
+				floor := got.floor
+				for sweep := 0; sweep < 5; sweep++ {
 					got.Recluster()
 					pairwiseRecluster(want)
+					checkColumns(t, got)
 					gs, ws := got.Suspects(0), want.Suspects(0)
 					if len(gs) != len(ws) {
 						t.Fatalf("seed %d sweep %d: %d suspects, oracle %d", seed, sweep, len(gs), len(ws))
@@ -280,11 +382,7 @@ func TestReclusterMatchesPairwiseOracle(t *testing.T) {
 						t.Errorf("truncated population: the sweep kept %d candidates, want the cut at %d", n, maxCandidates)
 					}
 					for _, d := range []*Detector{got, want} {
-						rng := rand.New(rand.NewSource(seed*100 + int64(sweep)))
-						observeRange(d, ws[0].Principal, 0, 1+rng.Intn(50))
-						if sweep == 1 {
-							d.floor = 0.5
-						}
+						churn(d, ws, seed, sweep, floor)
 					}
 				}
 			}
@@ -334,51 +432,94 @@ func TestSweepClonesOnlyCandidates(t *testing.T) {
 	}
 }
 
-// FuzzPairMatches: for arbitrary slot arrays the grouped count gives, for
-// every pair, the match/used that Signature.Jaccard computes — the same
-// float64 — and a signature of another width is the 0 Jaccard returns
-// for it, not a panic.
-func FuzzPairMatches(f *testing.F) {
+// FuzzSweepColumns: over rounds of column assignment and arbitrary slot
+// changes — signatures lowered, raised or emptied, principals replaced
+// by an empty one, candidates coming and going — every pair of columns
+// gives the match/used that Signature.Jaccard computes on the two
+// signatures, the same float64, whether the round applied its changes
+// one by one or recounted every pair; and similar agrees with comparing
+// that estimate to a threshold.
+func FuzzSweepColumns(f *testing.F) {
 	f.Add([]byte{}, uint8(3))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(5))
 	f.Add([]byte{7, 7, 7, 1, 7, 7, 7, 1, 2, 2, 2, 2, 9, 9, 9, 9, 0xff, 3, 0xff, 3}, uint8(9))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the lazy dog"), uint8(33))
-	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
-		const width = 16
-		count := int(n)%40 + 1
-		sigs := make([]*Signature, count)
-		for c := range sigs {
-			k := width
-			if len(data) > 0 && data[(c*7)%len(data)]%11 == 0 {
-				k = 2 * width // every so often, a signature of another width
+	f.Fuzz(func(t *testing.T, data []byte, rounds uint8) {
+		const width, principals = 16, 48
+		pos := 0
+		next := func() int {
+			if len(data) == 0 {
+				return 0
 			}
-			sigs[c] = NewSignature(k)
-			// A few distinct values per slot, so agreements are common;
-			// value 0 of the alphabet leaves the slot empty.
-			for s := range sigs[c].slots {
-				if len(data) == 0 {
-					break
-				}
-				if v := data[(c*k+s)%len(data)] % 5; v != 0 {
-					sigs[c].slots[s] = uint64(v)<<40 | uint64(s)
-				}
+			pos++
+			return int(data[(pos-1)%len(data)])
+		}
+		sigs := make([]*Signature, principals)
+		dirty := make([][width]bool, principals)
+		for p := range sigs {
+			sigs[p] = NewSignature(width)
+			for s := range dirty[p] {
+				dirty[p][s] = true
 			}
 		}
 		var w sweepScratch
-		w.size(count, width)
-		for c, sig := range sigs {
-			w.load(c, sig)
-		}
-		w.countMatches()
-		for i := 0; i < count; i++ {
-			for j := i + 1; j < count; j++ {
-				want := sigs[i].Jaccard(sigs[j])
-				if len(sigs[i].slots) != width || len(sigs[j].slots) != width {
-					want = 0 // two off-width signatures may agree with each other
+		w.init(width)
+		for round := 0; round < int(rounds)%8+1; round++ {
+			// Slot changes, from a few distinct values per slot so that
+			// agreements are common; value 0 of the alphabet empties the
+			// slot. Now and then a principal starts over, empty.
+			for p := range sigs {
+				if next()%17 == 1 {
+					sigs[p] = NewSignature(width)
+					for s := range dirty[p] {
+						dirty[p][s] = true
+					}
 				}
-				if got := w.jaccard(i, j); got != want {
-					t.Fatalf("pair (%d,%d): grouped %v, Jaccard %v", i, j, got, want)
+				for k := next() % 6; k > 0; k-- {
+					s := next() % width
+					v := uint64(emptySlot)
+					if a := next() % 5; a != 0 {
+						v = uint64(a)<<40 | uint64(s)
+					}
+					sigs[p].slots[s], dirty[p][s] = v, true
+				}
+			}
+			// This round's candidates, in an arbitrary order.
+			want := next() % 41
+			start := next()
+			var cands []int
+			for k := 0; k < principals && len(cands) < want; k++ {
+				if p := (start + k) % principals; next()%3 != 0 {
+					cands = append(cands, p)
+				}
+			}
+			w.cands = w.cands[:0]
+			for _, p := range cands {
+				w.cands = append(w.cands, candidate{name: fmt.Sprint("p", p)})
+			}
+			w.assign()
+			for i, p := range cands {
+				for s, v := range sigs[p].slots {
+					if w.fresh[i] || dirty[p][s] {
+						w.stage(int(w.col[i]), s, v)
+					}
+				}
+				dirty[p] = [width]bool{}
+			}
+			w.commit()
+			threshold := float64(1+next()%8) / 8
+			for i, p := range cands {
+				for j := i + 1; j < len(cands); j++ {
+					q := cands[j]
+					a, b := int(w.col[i]), int(w.col[j])
+					want := sigs[p].Jaccard(sigs[q])
+					if got := w.jaccard(a, b); got != want {
+						t.Fatalf("round %d pair (p%d,p%d): columns %v, Jaccard %v", round, p, q, got, want)
+					}
+					if got := w.similar(a, b, threshold); got != (want >= threshold) {
+						t.Fatalf("round %d pair (p%d,p%d): similar at %v = %v, Jaccard %v", round, p, q, threshold, got, want)
+					}
 				}
 			}
 		}

@@ -196,7 +196,9 @@ func (d *Detector) Absorb(snaps []SketchSnapshot) (merged, rejected int) {
 			s.entries[sn.Principal] = st
 		}
 		st.hll.Merge(hll)
-		st.sig.Merge(sig)
+		for i, v := range sig.slots {
+			st.lower(i, v)
+		}
 		// Freshen the eviction stamp (remote-hot principals are worth
 		// keeping) without claiming a local observation.
 		if seq := d.seq.Load(); seq > st.lastSeen {

@@ -199,13 +199,15 @@ run_suite() {
 # BenchmarkShieldQuery's 1,071ns = 1.60x when the /query codec stopped
 # going through encoding/json (3.7x before, same sitting), plus the
 # suite's 20%. The detector's clustering sweep, on 256 candidates of
-# scan traffic whose signatures really do agree here and there, may
-# take at most half of what comparing the same candidates pair by pair
-# takes in the same process (BenchmarkReclusterOracle, the test
-# reference): 0.13-0.15 when the sweep started counting matches by
-# groups, 1 and above if a candidates-squared loop ever comes back. The
-# oracle is test code kept for that comparison: its own ns/op is held to
-# nothing recorded (shield_shape).
+# scan traffic whose signatures really do agree here and there, each
+# having read one more range since the last sweep, may take at most half
+# of what comparing the same candidates pair by pair takes in the same
+# process (BenchmarkReclusterOracle, the test reference): 0.13-0.15 when
+# the sweep started counting matches by groups, about 0.03 since it
+# recounts only the slots that changed, 1 and above if a
+# candidates-squared loop ever comes back. The oracle is test code kept
+# for that comparison: its own ns/op is held to nothing recorded
+# (shield_shape).
 shield_inv='BenchmarkScanQuoteObserve/history=random,BenchmarkScanQuoteObserve/history=uncapped,0.5
 BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92
 BenchmarkRecluster/cands=256/history=scans,BenchmarkReclusterOracle/cands=256/history=scans,0.5'
