@@ -90,7 +90,8 @@ bench-cluster:
 # on a broken shape invariant judged on medians (point-query scaling,
 # the rank index's horizon paying, a key-only range COUNT skipping the
 # heap, the detector's clustering sweep staying under half its pairwise
-# oracle, grouped WAL commit beating per-commit fsyncs, mixed read/write
+# oracle, a verbatim reply cell costing under a quarter of the same cell
+# escaped, grouped WAL commit beating per-commit fsyncs, mixed read/write
 # throughput scaling with clients, cluster router tax over direct shard
 # access staying within its recorded ratio, the scatter merge over spans
 # staying under half of decoding every cell). The fsync-bound engine keys
@@ -162,11 +163,14 @@ examples:
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
 
-# The SQL parser under its fuzz properties for 15 s: no panic, every
-# accepted SELECT/INSERT/UPDATE/DELETE survives Render, and every string
-# token matches the byte-at-a-time reference reader. Then the detector's
-# sweep columns for 10 s: after any run of slot changes and column
-# hand-outs every pair's estimate is Signature.Jaccard's, bit for bit.
+# Three fuzz targets, 35 s in all. FuzzParse (SQL parser), 15 s: no
+# panic, every accepted SELECT/INSERT/UPDATE/DELETE survives Render, and
+# every string token matches the byte-at-a-time reference reader.
+# FuzzSweepColumns (detector), 10 s: after any run of slot changes and
+# column hand-outs every pair's estimate is Signature.Jaccard's, bit for
+# bit. FuzzStoredTextReply (server over a real engine), 10 s: any TEXT
+# cell written, rewritten and read back through /query, in a table with
+# the layout stamp and one without, is encoding/json's bytes.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.
 # Minimizing an input is capped at 1 s (the default, 60 s per
 # new-coverage input, can spend the whole run minimizing); a failing
@@ -174,6 +178,7 @@ examples:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=15s -fuzzminimizetime=1s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz=FuzzStoredTextReply -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
@@ -184,6 +189,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzAppendQueryResponse -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzScanQueryResponse -fuzztime=30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz=FuzzStoredTextReply -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzMigrateRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=30s ./internal/detect/

@@ -74,7 +74,23 @@ type Schema struct {
 	Key int `json:"key"`
 	// Indexes are the secondary indexes defined on this relation.
 	Indexes []IndexDef `json:"indexes,omitempty"`
+	// Layout is how the table's records spell a TEXT cell's length (see
+	// EncodeRow): the stamp CREATE TABLE writes, or the zero value for a
+	// table created before there was one.
+	Layout Layout `json:"layout,omitempty"`
 }
+
+// Layout is a table's record layout stamp.
+type Layout uint8
+
+const (
+	// LayoutLength is an unstamped table's: a TEXT cell's uvarint is its
+	// length, and no cell is ever claimed verbatim.
+	LayoutLength Layout = iota
+	// LayoutVerbatim is a stamped table's: a TEXT cell's uvarint is its
+	// length shifted left by one, the low bit its verbatim bit.
+	LayoutVerbatim
+)
 
 // Validate checks structural invariants.
 func (s Schema) Validate() error {
@@ -89,6 +105,9 @@ func (s Schema) Validate() error {
 	}
 	if s.Columns[s.Key].Type != Int {
 		return errors.New("catalog: primary key must be an INT column")
+	}
+	if s.Layout > LayoutVerbatim {
+		return fmt.Errorf("catalog: unknown record layout %d", s.Layout)
 	}
 	seen := make(map[string]bool, len(s.Columns))
 	for _, c := range s.Columns {

@@ -3,6 +3,7 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -154,5 +155,43 @@ func TestCatalogCreateValidates(t *testing.T) {
 	bad.Key = 1 // TEXT key
 	if err := c.Create(bad); err == nil {
 		t.Fatal("invalid schema accepted")
+	}
+}
+
+// TestLayoutStampPersists: a stamped schema keeps its stamp across a
+// reopen, an unstamped one writes no "layout" key and reads back
+// unstamped, and a stamp this code does not know is refused.
+func TestLayoutStampPersists(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := Open(dir)
+	stamped := testSchema()
+	stamped.Layout = LayoutVerbatim
+	plain := testSchema()
+	plain.Table = "old"
+	for _, s := range []Schema{stamped, plain} {
+		if err := c.Create(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"layout"`); n != 1 {
+		t.Fatalf("catalog.json names a layout %d times, want once:\n%s", n, data)
+	}
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for table, want := range map[string]Layout{"movies": LayoutVerbatim, "old": LayoutLength} {
+		if s, err := c2.Get(table); err != nil || s.Layout != want {
+			t.Fatalf("%s: layout %d (%v), want %d", table, s.Layout, err, want)
+		}
+	}
+	unknown := testSchema()
+	unknown.Layout = LayoutVerbatim + 1
+	if err := unknown.Validate(); err == nil {
+		t.Fatal("unknown layout accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Value is one typed cell of a row.
@@ -102,16 +103,55 @@ func (v Value) Compare(o Value) (int, error) {
 // Row is an ordered list of values matching a schema's columns.
 type Row []Value
 
+// PlainByte reports whether b is an ASCII byte a JSON string holds as
+// itself in encoding/json's HTML-safe spelling, the /query reply's: not a
+// control byte, '"', '\\', '<', '>' or '&'. No byte from 0x80 up is
+// plain alone; Verbatim judges those as runes.
+func PlainByte(b byte) bool {
+	return b >= ' ' && b < utf8.RuneSelf && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+}
+
+var plainByte = func() (t [256]bool) {
+	for b := range t {
+		t[b] = PlainByte(byte(b))
+	}
+	return t
+}()
+
+// Verbatim reports whether encoding/json writes text between its quotes
+// unchanged: every ASCII byte plain (PlainByte), the rest valid UTF-8
+// with no U+2028 or U+2029. It is the one definition of a TEXT cell's
+// verbatim bit.
+func Verbatim(text string) bool {
+	for i := 0; i < len(text); {
+		if b := text[i]; b < utf8.RuneSelf {
+			if !plainByte[b] {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(text[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return false
+		}
+		i += size
+	}
+	return true
+}
+
 // EncodeRow serializes a row for the given schema. Layout: for each
 // column, Int → 8-byte little-endian two's complement; Float → 8-byte
-// IEEE-754 bits; Text → uvarint length + bytes.
+// IEEE-754 bits; Text → a uvarint, then the bytes. In a table stamped
+// LayoutVerbatim the uvarint is length<<1 | v, where v is 1 when the text
+// is Verbatim: a reply copies such a cell between quotes without looking
+// at it. In an unstamped table (LayoutLength) the uvarint is the length.
 func EncodeRow(s Schema, r Row) ([]byte, error) {
 	if len(r) != len(s.Columns) {
 		return nil, fmt.Errorf("catalog: row has %d values, schema %q has %d columns",
 			len(r), s.Table, len(s.Columns))
 	}
 	buf := make([]byte, 0, 16*len(r))
-	var scratch [binary.MaxVarintLen64]byte
 	for i, col := range s.Columns {
 		if r[i].Type != col.Type {
 			return nil, fmt.Errorf("catalog: column %q expects %v, got %v",
@@ -127,12 +167,34 @@ func EncodeRow(s Schema, r Row) ([]byte, error) {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r[i].Float))
 			buf = append(buf, b[:]...)
 		case Text:
-			n := binary.PutUvarint(scratch[:], uint64(len(r[i].Str)))
-			buf = append(buf, scratch[:n]...)
+			l := uint64(len(r[i].Str))
+			if s.Layout == LayoutVerbatim {
+				l <<= 1
+				if Verbatim(r[i].Str) {
+					l |= 1
+				}
+			}
+			buf = binary.AppendUvarint(buf, l)
 			buf = append(buf, r[i].Str...)
 		}
 	}
 	return buf, nil
+}
+
+// textHeader reads the uvarint that opens a TEXT cell at data[off:] in a
+// table that is stamped LayoutVerbatim or not: the cell's length, its
+// verbatim bit (never set unstamped) and the uvarint's width, 0 when data
+// holds no whole cell there.
+func textHeader(data []byte, off int, stamped bool) (l int, verbatim bool, w int) {
+	u, w := binary.Uvarint(data[off:])
+	if stamped {
+		verbatim = u&1 == 1
+		u >>= 1
+	}
+	if w <= 0 || u > uint64(len(data)-off-w) {
+		return 0, false, 0
+	}
+	return int(u), verbatim, w
 }
 
 // DecodeRow deserializes a row encoded by EncodeRow.
@@ -152,7 +214,7 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 	if row == nil {
 		row = make(Row, 0, len(s.Columns))
 	}
-	off := 0
+	off, stamped := 0, s.Layout == LayoutVerbatim
 	for i, col := range s.Columns {
 		switch col.Type {
 		case Int:
@@ -168,20 +230,17 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 			row = append(row, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[off:off+8]))))
 			off += 8
 		case Text:
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("catalog: bad TEXT length for column %q", col.Name)
+			l, _, n := textHeader(data, off, stamped)
+			if n == 0 {
+				return nil, fmt.Errorf("catalog: bad TEXT column %q", col.Name)
 			}
 			off += n
-			if off+int(l) > len(data) {
-				return nil, fmt.Errorf("catalog: truncated TEXT column %q", col.Name)
-			}
 			if need == nil || need[i] {
-				row = append(row, TextValue(string(data[off:off+int(l)])))
+				row = append(row, TextValue(string(data[off:off+l])))
 			} else {
 				row = append(row, Value{Type: Text})
 			}
-			off += int(l)
+			off += l
 		default:
 			return nil, fmt.Errorf("catalog: invalid type in schema column %q", col.Name)
 		}
@@ -194,25 +253,27 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 
 // Fields appends to dst each column's bytes within the record data, in
 // schema order and aliasing data: the eight bytes of an INT or FLOAT, the
-// text of a TEXT without its length. It is how a reader takes a TEXT cell
-// from the page in place where DecodeRowInto would copy it out. The
-// record must be one DecodeRowInto accepts.
-func Fields(s Schema, data []byte, dst [][]byte) ([][]byte, error) {
-	off := 0
+// text of a TEXT without its length. To verbatim it appends whether each
+// column is a TEXT cell whose verbatim bit is set (see EncodeRow); an
+// INT or FLOAT field is raw bytes, never verbatim. It is how a reader
+// takes a TEXT cell from the page in place where DecodeRowInto would copy
+// it out. The record must be one DecodeRowInto accepts.
+func Fields(s Schema, data []byte, dst [][]byte, verbatim []bool) ([][]byte, []bool, error) {
+	off, stamped := 0, s.Layout == LayoutVerbatim
 	for _, col := range s.Columns {
-		n := 8
+		n, v := 8, false
 		if col.Type == Text {
-			l, w := binary.Uvarint(data[off:])
-			if w <= 0 || l > uint64(len(data)-off-w) {
-				return nil, fmt.Errorf("catalog: bad TEXT column %q", col.Name)
+			var w int
+			if n, v, w = textHeader(data, off, stamped); w == 0 {
+				return nil, nil, fmt.Errorf("catalog: bad TEXT column %q", col.Name)
 			}
 			off += w
-			n = int(l)
 		} else if off+n > len(data) {
-			return nil, fmt.Errorf("catalog: truncated column %q", col.Name)
+			return nil, nil, fmt.Errorf("catalog: truncated column %q", col.Name)
 		}
 		dst = append(dst, data[off:off+n:off+n])
+		verbatim = append(verbatim, v)
 		off += n
 	}
-	return dst, nil
+	return dst, verbatim, nil
 }

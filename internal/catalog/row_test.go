@@ -1,9 +1,12 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -162,16 +165,22 @@ func TestEncodeNegativeAndExtremes(t *testing.T) {
 }
 
 func TestRowCodecProperty(t *testing.T) {
-	s := Schema{
-		Table: "p",
-		Columns: []Column{
-			{Name: "id", Type: Int},
-			{Name: "name", Type: Text},
-			{Name: "score", Type: Float},
-			{Name: "note", Type: Text},
-		},
-		Key: 0,
+	for _, layout := range []Layout{LayoutLength, LayoutVerbatim} {
+		testRowCodecProperty(t, Schema{
+			Table: "p",
+			Columns: []Column{
+				{Name: "id", Type: Int},
+				{Name: "name", Type: Text},
+				{Name: "score", Type: Float},
+				{Name: "note", Type: Text},
+			},
+			Key:    0,
+			Layout: layout,
+		})
 	}
+}
+
+func testRowCodecProperty(t *testing.T, s Schema) {
 	f := func(id int64, name string, score float64, note string) bool {
 		row := Row{IntValue(id), TextValue(name), FloatValue(score), TextValue(note)}
 		data, err := EncodeRow(s, row)
@@ -210,39 +219,110 @@ func TestEmptyStringsAndUnicode(t *testing.T) {
 
 // TestFieldsLocatesEachColumn: the bytes Fields finds for a column are
 // the value DecodeRow reads there — a TEXT's text, a number's eight
-// little-endian bytes — and a record cut short anywhere is an error, not
-// a panic.
+// little-endian bytes — its verbatim bit is Verbatim's in a stamped table
+// and never set in an unstamped one, and a record cut short anywhere is
+// an error, not a panic.
 func TestFieldsLocatesEachColumn(t *testing.T) {
-	s := Schema{
-		Table: "p",
-		Columns: []Column{
-			{Name: "name", Type: Text},
-			{Name: "id", Type: Int},
-			{Name: "score", Type: Float},
-			{Name: "note", Type: Text},
-		},
-		Key: 1,
-	}
-	f := func(id int64, name string, score float64, note string) bool {
-		data, err := EncodeRow(s, Row{TextValue(name), IntValue(id), FloatValue(score), TextValue(note)})
-		if err != nil {
-			return false
+	for _, layout := range []Layout{LayoutLength, LayoutVerbatim} {
+		s := Schema{
+			Table: "p",
+			Columns: []Column{
+				{Name: "name", Type: Text},
+				{Name: "id", Type: Int},
+				{Name: "score", Type: Float},
+				{Name: "note", Type: Text},
+			},
+			Key:    1,
+			Layout: layout,
 		}
-		fields, err := Fields(s, data, nil)
-		if err != nil || len(fields) != 4 {
-			return false
+		stamped := layout == LayoutVerbatim
+		f := func(id int64, name string, score float64, note string) bool {
+			data, err := EncodeRow(s, Row{TextValue(name), IntValue(id), FloatValue(score), TextValue(note)})
+			if err != nil {
+				return false
+			}
+			fields, verbatim, err := Fields(s, data, nil, nil)
+			if err != nil || len(fields) != 4 || len(verbatim) != 4 {
+				return false
+			}
+			return string(fields[0]) == name && string(fields[3]) == note &&
+				binary.LittleEndian.Uint64(fields[1]) == uint64(id) &&
+				binary.LittleEndian.Uint64(fields[2]) == math.Float64bits(score) &&
+				verbatim[0] == (stamped && Verbatim(name)) && !verbatim[1] && !verbatim[2] &&
+				verbatim[3] == (stamped && Verbatim(note))
 		}
-		return string(fields[0]) == name && string(fields[3]) == note &&
-			binary.LittleEndian.Uint64(fields[1]) == uint64(id) &&
-			binary.LittleEndian.Uint64(fields[2]) == math.Float64bits(score)
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("layout %d: %v", layout, err)
+		}
+		data, _ := EncodeRow(s, Row{TextValue("abc"), IntValue(1), FloatValue(2), TextValue("de")})
+		for cut := 0; cut < len(data); cut++ {
+			if _, _, err := Fields(s, data[:cut], nil, nil); err == nil {
+				t.Fatalf("layout %d: truncation at %d accepted", layout, cut)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+}
+
+// TestVerbatimIsJSONUnchanged: a text is Verbatim exactly when
+// encoding/json's HTML-safe encoder writes it between quotes as it is.
+func TestVerbatimIsJSONUnchanged(t *testing.T) {
+	unchanged := func(s string) bool {
+		b, err := json.Marshal(s)
+		return err == nil && string(b) == `"`+s+`"`
+	}
+	cases := []string{
+		"", "one", "v12 plain text, with: punctuation!", `<b>&"q"\</b>`, "<", ">", "&", `"`, `\`, "/",
+		"\x00", "\x1f", "\x7f", "\t", "line\u2028sep", "para\u2029", "\xed\xa0\x80", "\xff\xfe", "\xc3",
+		"é 日本 \U0001F600", "\ufffd", "\U0010FFFF",
+	}
+	for _, s := range cases {
+		if Verbatim(s) != unchanged(s) {
+			t.Errorf("Verbatim(%q) = %v, encoding/json unchanged: %v", s, Verbatim(s), unchanged(s))
+		}
+	}
+	for b := 0; b < 256; b++ {
+		if s := string([]byte{byte(b)}); Verbatim(s) != unchanged(s) || PlainByte(byte(b)) != unchanged(s) {
+			t.Errorf("byte %#x: Verbatim %v, PlainByte %v, encoding/json unchanged %v",
+				b, Verbatim(s), PlainByte(byte(b)), unchanged(s))
+		}
+	}
+	if err := quick.Check(func(s string) bool { return Verbatim(s) == unchanged(s) }, nil); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := EncodeRow(s, Row{TextValue("abc"), IntValue(1), FloatValue(2), TextValue("de")})
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := Fields(s, data[:cut], nil); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+}
+
+// TestTextLengthByLayout pins the bytes of a TEXT cell's header: an
+// unstamped table writes its length, as every record written before the
+// stamp did; a stamped one writes length<<1 | verbatim, one byte longer
+// from 64 bytes up to 127.
+func TestTextLengthByLayout(t *testing.T) {
+	for _, c := range []struct {
+		text   string
+		layout Layout
+		head   []byte
+	}{
+		{"abc", LayoutLength, []byte{3}},
+		{"abc", LayoutVerbatim, []byte{7}},
+		{"a<c", LayoutLength, []byte{3}},
+		{"a<c", LayoutVerbatim, []byte{6}},
+		{strings.Repeat("x", 63), LayoutVerbatim, []byte{127}},
+		{strings.Repeat("x", 64), LayoutLength, []byte{64}},
+		{strings.Repeat("x", 64), LayoutVerbatim, []byte{0x81, 1}},
+		{strings.Repeat("x", 127), LayoutLength, []byte{127}},
+		{strings.Repeat("&", 128), LayoutVerbatim, []byte{0x80, 2}},
+	} {
+		s := Schema{Table: "t", Columns: []Column{{Name: "id", Type: Int}, {Name: "s", Type: Text}}, Layout: c.layout}
+		data, err := EncodeRow(s, Row{IntValue(1), TextValue(c.text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append(make([]byte, 8, 8+len(c.head)+len(c.text)), c.head...), c.text...)
+		want[0] = 1
+		if !bytes.Equal(data, want) {
+			t.Errorf("%q, layout %d: record %x, want %x", c.text, c.layout, data[8:8+len(c.head)], c.head)
+		}
+		if got, err := DecodeRow(s, data); err != nil || got[1].Str != c.text {
+			t.Errorf("%q, layout %d: decoded %v, %v", c.text, c.layout, got, err)
 		}
 	}
 }

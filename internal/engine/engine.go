@@ -410,8 +410,10 @@ func (db *Database) Tables() []string { return db.cat.Tables() }
 // Schema returns the schema of the named table.
 func (db *Database) Schema(name string) (catalog.Schema, error) { return db.cat.Get(name) }
 
-// CreateTable registers a new table.
+// CreateTable registers a new table, stamped with the record layout
+// every new table has (catalog.LayoutVerbatim) whatever schema.Layout says.
 func (db *Database) CreateTable(schema catalog.Schema) error {
+	schema.Layout = catalog.LayoutVerbatim
 	if err := db.cat.Create(schema); err != nil {
 		return err
 	}

@@ -146,18 +146,22 @@ func execIn(t *testing.T, db *Database, sql string, parts *PartitionSet) *Result
 	return res
 }
 
-// textEncoder renders a reply with every cell's type and text spelled
-// out, so two bodies are equal only if every cell is.
+// textEncoder renders a reply with every cell's text spelled out, so two
+// bodies are equal only if every cell is. A cell claimed verbatim that
+// catalog.Verbatim rejects is marked, which no values rendering is.
 type textEncoder struct{}
 
 func (textEncoder) AppendColumns(dst []byte, cols []string) []byte {
 	return fmt.Appendf(dst, "%q\n", cols)
 }
 
-func (textEncoder) AppendRow(dst []byte, i int, cells [][]byte, types []catalog.Type) []byte {
+func (textEncoder) AppendRow(dst []byte, i int, cells [][]byte, verbatim []bool) []byte {
 	dst = fmt.Appendf(dst, "%d:", i)
 	for j := range cells {
-		dst = fmt.Appendf(dst, " %v %q", types[j], cells[j])
+		if verbatim[j] && !catalog.Verbatim(string(cells[j])) {
+			dst = append(dst, " !verbatim"...)
+		}
+		dst = fmt.Appendf(dst, " %q", cells[j])
 	}
 	return append(dst, '\n')
 }
@@ -168,11 +172,10 @@ func renderValues(res *Result) []byte {
 	dst := enc.AppendColumns([]byte("body\n"), res.Columns)
 	for i, row := range res.Rows {
 		cells := make([][]byte, len(row))
-		types := make([]catalog.Type, len(row))
 		for j, v := range row {
-			cells[j], types[j] = v.AppendText(nil), v.Type
+			cells[j] = v.AppendText(nil)
 		}
-		dst = enc.AppendRow(dst, i, cells, types)
+		dst = enc.AppendRow(dst, i, cells, make([]bool, len(row)))
 	}
 	return dst
 }

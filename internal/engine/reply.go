@@ -11,18 +11,20 @@ type RowEncoder interface {
 	// AppendColumns appends the reply's head, which names the columns.
 	AppendColumns(dst []byte, cols []string) []byte
 	// AppendRow appends returned row i. cells[j] is the text of its cell
-	// j — catalog.Value.AppendText's — and types[j] that cell's type. A
-	// TEXT cell aliases the page the row was read from, and neither
-	// slice may be kept past the call.
-	AppendRow(dst []byte, i int, cells [][]byte, types []catalog.Type) []byte
+	// j — catalog.Value.AppendText's — and verbatim[j], when set,
+	// promises the text is catalog.Verbatim: it is set for every number,
+	// and for a TEXT cell whose record says so (catalog.Fields). A TEXT
+	// cell aliases the page the row was read from, and neither slice may
+	// be kept past the call.
+	AppendRow(dst []byte, i int, cells [][]byte, verbatim []bool) []byte
 }
 
 // rowWriter is where every SELECT's rows go, and the one place that
 // knows which of its two sinks that is. With a RowEncoder each row is
 // appended to body as bytes; without one the rows are kept as values in
 // the statement's Result.Rows, carved from the block start allocates.
-// Its scratch — the cells, their types, the numbers' text and the
-// record's fields — is reused from row to row, and from statement to
+// Its scratch — the cells and their verbatim bits, the numbers' text and
+// the record's fields — is reused from row to row, and from statement to
 // statement by the Prepared that holds it.
 type rowWriter struct {
 	enc  RowEncoder
@@ -30,11 +32,12 @@ type rowWriter struct {
 	rows int
 	vals *valuesBuf // the values sink's block, for the statement running
 
-	cells  [][]byte
-	types  []catalog.Type
-	ends   []int
-	text   []byte
-	fields [][]byte
+	cells    [][]byte
+	verbatim []bool
+	ends     []int
+	text     []byte
+	fields   [][]byte
+	fieldsV  []bool // each field's verbatim bit (catalog.Fields)
 }
 
 // resultBuf serves a small SELECT — the point-query hot path — from one
@@ -97,9 +100,10 @@ func (w *rowWriter) hold(rec []byte) []byte {
 
 // row writes the cells proj picks out of a returned row. rec, when
 // non-nil, is the record the row was decoded from: the encoder reads a
-// TEXT cell from it in place, so the decode need not have copied it out.
-// Every other cell is formatted from its value. The values sink copies
-// the cells out of row, which the caller may reuse.
+// TEXT cell from it in place, with the verbatim bit the record holds, so
+// the decode need not have copied it out. Every other cell is formatted
+// from its value, and only a number's is claimed verbatim. The values
+// sink copies the cells out of row, which the caller may reuse.
 func (w *rowWriter) row(schema catalog.Schema, proj []int, row catalog.Row, rec []byte) error {
 	if w.enc == nil {
 		vb := w.vals
@@ -116,35 +120,36 @@ func (w *rowWriter) row(schema catalog.Schema, proj []int, row catalog.Row, rec 
 		vb.res.Rows = append(vb.res.Rows, out)
 		return nil
 	}
-	w.cells, w.types, w.ends = w.cells[:0], w.types[:0], w.ends[:0]
+	w.cells, w.verbatim, w.ends = w.cells[:0], w.verbatim[:0], w.ends[:0]
 	w.text = w.text[:0]
 	inPlace := false
 	for _, ci := range proj {
-		typ := row[ci].Type
-		if typ == catalog.Text && rec != nil {
+		if row[ci].Type == catalog.Text && rec != nil {
 			inPlace = true
 		} else {
 			w.text = row[ci].AppendText(w.text)
 		}
-		w.types = append(w.types, typ)
 		w.ends = append(w.ends, len(w.text))
 	}
 	if inPlace {
 		var err error
-		if w.fields, err = catalog.Fields(schema, rec, w.fields[:0]); err != nil {
+		if w.fields, w.fieldsV, err = catalog.Fields(schema, rec, w.fields[:0], w.fieldsV[:0]); err != nil {
 			return err
 		}
 	}
 	start := 0
 	for j, ci := range proj {
-		if w.types[j] == catalog.Text && rec != nil {
+		if typ := row[ci].Type; typ == catalog.Text && rec != nil {
 			w.cells = append(w.cells, w.fields[ci])
+			w.verbatim = append(w.verbatim, w.fieldsV[ci])
 		} else {
 			w.cells = append(w.cells, w.text[start:w.ends[j]])
+			// A number's text is digits, sign, '.', 'e', "NaN", "Inf".
+			w.verbatim = append(w.verbatim, typ == catalog.Int || typ == catalog.Float)
 		}
 		start = w.ends[j]
 	}
-	w.body = w.enc.AppendRow(w.body, w.rows, w.cells, w.types)
+	w.body = w.enc.AppendRow(w.body, w.rows, w.cells, w.verbatim)
 	w.rows++
 	return nil
 }

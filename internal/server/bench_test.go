@@ -101,3 +101,28 @@ func BenchmarkHandleQuery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReplyRow is one 180-byte TEXT cell through
+// replyEncoder.AppendRow, the same plain text both ways: claimed verbatim,
+// as a stamped record's cell is, it is copied between its quotes; not
+// claimed (escaped), appendString reads it byte by byte first. The
+// difference is the check a cell's verbatim bit saves on every read
+// (scripts/bench.sh holds verbatim to a quarter of escaped).
+func BenchmarkReplyRow(b *testing.B) {
+	cells := [][]byte{[]byte(strings.Repeat("plain text, ", 15))}
+	if len(cells[0]) != 180 {
+		b.Fatalf("cell is %d bytes", len(cells[0]))
+	}
+	for _, bc := range []struct {
+		name     string
+		verbatim bool
+	}{{"verbatim", true}, {"escaped", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			verbatim := []bool{bc.verbatim}
+			dst := make([]byte, 0, 512)
+			for i := 0; i < b.N; i++ {
+				dst = replyEncoder{}.AppendRow(dst[:0], 1, cells, verbatim)
+			}
+		})
+	}
+}

@@ -101,14 +101,15 @@ func (replyEncoder) AppendColumns(dst []byte, cols []string) []byte {
 	return append(appendCells(dst, cols), ']', ',')
 }
 
-func (replyEncoder) AppendRow(dst []byte, i int, cells [][]byte, types []catalog.Type) []byte {
+// AppendRow copies a verbatim cell between its quotes unread: the check
+// appendString would make was made once, when the cell was written.
+func (replyEncoder) AppendRow(dst []byte, i int, cells [][]byte, verbatim []bool) []byte {
 	dst = appendRowOpen(dst, i)
 	for j, c := range cells {
 		if j > 0 {
 			dst = append(dst, ',')
 		}
-		if t := types[j]; t == catalog.Int || t == catalog.Float {
-			// Digits, sign, '.', 'e', "NaN", "Inf": nothing to escape.
+		if verbatim[j] {
 			dst = append(append(append(dst, '"'), c...), '"')
 		} else {
 			dst = appendString(dst, c)
@@ -189,11 +190,12 @@ const (
 	hexDigits     = "0123456789abcdef"
 )
 
-// jsonSafe marks the bytes encoding/json leaves unescaped (HTML-safe);
-// none from 0x80 up, where a byte is part of a rune.
+// jsonSafe marks the bytes encoding/json leaves unescaped (HTML-safe):
+// catalog.PlainByte's, the definition a TEXT cell's verbatim bit uses
+// too; none from 0x80 up, where a byte is part of a rune.
 var jsonSafe = func() (t [256]bool) {
-	for b := range t[:utf8.RuneSelf] {
-		t[b] = b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	for b := range t {
+		t[b] = catalog.PlainByte(byte(b))
 	}
 	return t
 }()

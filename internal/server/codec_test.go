@@ -117,18 +117,26 @@ func rectangular(columns []string, rows [][]string) bool {
 }
 
 // encodeReply writes the reply a statement returning rows would: through
-// replyEncoder, each cell handed over as its text, the way the engine's
-// row writer hands it over.
+// replyEncoder, each cell handed over as its text with the verbatim bit
+// the engine's row writer hands over for a stamped table's record — a
+// number's always, a TEXT cell's when catalog.Verbatim says so, never
+// that of a value of no type.
 func encodeReply(columns []string, rows []catalog.Row, affected int, delay time.Duration) []byte {
 	var enc replyEncoder
 	dst := enc.AppendColumns([]byte{'{'}, columns)
 	for i, row := range rows {
 		cells := make([][]byte, len(row))
-		types := make([]catalog.Type, len(row))
+		verbatim := make([]bool, len(row))
 		for j, v := range row {
-			cells[j], types[j] = v.AppendText(nil), v.Type
+			cells[j] = v.AppendText(nil)
+			switch v.Type {
+			case catalog.Int, catalog.Float:
+				verbatim[j] = true
+			case catalog.Text:
+				verbatim[j] = catalog.Verbatim(v.Str)
+			}
 		}
-		dst = enc.AppendRow(dst, i, cells, types)
+		dst = enc.AppendRow(dst, i, cells, verbatim)
 	}
 	return appendReplyTail(dst, len(rows), affected, float64(delay)/float64(time.Millisecond))
 }

@@ -510,8 +510,10 @@ func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 	// held: hits on the shard's other pages proceed during the I/O, and
 	// concurrent fetchers of this page pin the frame and queue on loading.
 	// The reload is stamped with the epoch recorded at eviction so
-	// snapshot visibility is unchanged by the disk round-trip.
-	f := newFrame(id, NewPage(), sh.gone[id])
+	// snapshot visibility is unchanged by the disk round-trip. The page
+	// is not Init'ed: the read overwrites all of it, and a frame whose
+	// read fails is dropped unread.
+	f := newFrame(id, new(Page), sh.gone[id])
 	f.loading.Lock()
 	sh.insert(f)
 	sh.mu.Unlock()

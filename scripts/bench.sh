@@ -6,8 +6,9 @@
 # Suites:
 #   shield   front-door batch quote/observe path, the delay layer's
 #            per-tuple quote+observe cost on a scan, the HTTP handler
-#            around the shield call, and the detector's clustering
-#            sweep next to its pairwise oracle  -> BENCH_shield.json
+#            around the shield call, one reply cell copied verbatim vs
+#            escaped, and the detector's clustering sweep next to its
+#            pairwise oracle  -> BENCH_shield.json
 #   engine   buffer pool + parallel scan executor  -> BENCH_engine.json
 #   cluster  router tax over direct shard access   -> BENCH_cluster.json
 #   all      all of the above
@@ -37,8 +38,10 @@
 #                queries must scale to g=16, a capped scan quote must
 #                cost under half an uncapped one, a key-only range COUNT
 #                under 0.3 of the same ranges' rows, the detector's sweep
-#                under half its pairwise oracle's time, the scatter merge
-#                over spans under half its decode-everything oracle's.
+#                under half its pairwise oracle's time, a verbatim reply
+#                cell under a quarter of the same cell escaped, the
+#                scatter merge over spans under half its decode-everything
+#                oracle's.
 #                Both runs share the host and the sitting, so no
 #                calibration between them is needed; the committed
 #                BENCH_*.json files stay the record that non-check mode
@@ -207,10 +210,16 @@ run_suite() {
 # recounts only the slots that changed, 1 and above if a
 # candidates-squared loop ever comes back. The oracle is test code kept
 # for that comparison: its own ns/op is held to nothing recorded
-# (shield_shape).
+# (shield_shape). A reply copies a TEXT cell whose record claims it
+# verbatim between its quotes without reading it: one 180-byte plain cell
+# so copied (BenchmarkReplyRow/verbatim) may take at most a quarter of
+# the same cell read byte by byte for escapes (/escaped): 15-18 ns over
+# 249-298 ns, about 0.06, when the verbatim bit came in; near 1 if a
+# claimed cell were scanned again.
 shield_inv='BenchmarkScanQuoteObserve/history=random,BenchmarkScanQuoteObserve/history=uncapped,0.5
 BenchmarkHandleQuery/point,BenchmarkShieldQuery,1.92
-BenchmarkRecluster/cands=256/history=scans,BenchmarkReclusterOracle/cands=256/history=scans,0.5'
+BenchmarkRecluster/cands=256/history=scans,BenchmarkReclusterOracle/cands=256/history=scans,0.5
+BenchmarkReplyRow/verbatim,BenchmarkReplyRow/escaped,0.25'
 engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.2
 BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.2
 BenchmarkEngineRange/count,BenchmarkEngineRange/rows,0.3
@@ -267,7 +276,7 @@ BenchmarkMergeLegs/span,BenchmarkMergeLegs/oracle,0.5'
 cluster_shape='^BenchmarkMergeLegs/oracle'
 cluster_pat='ClusterPointQuery|ClusterScan|ClusterTopN|MergeLegs|ClusterWrite|ClusterReplicatedPoint'
 
-shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery|Recluster'
+shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery|ReplyRow|Recluster'
 engine_pat='PoolFetch|EnginePointQuery|EngineScan|EngineRange|EngineMixed|WALCommit'
 
 case "$suite" in
