@@ -45,8 +45,12 @@ race:
 # buffers) without the cost of racing the whole tree. This list is the
 # only copy.
 RACE_HOT = core ratelimit delay counters ostree detect index engine storage cluster server
+# The engine's write-race tests fail on an interleaving, not on every run,
+# so they run 20 times each.
+RACE_WRITES = TestConcurrentWritersSnapshotAtomicity|TestConcurrentInsertDeleteAtomicity|TestConcurrentKeyChangeUpdates
 race-hot:
 	$(GO) test -race $(RACE_HOT:%=./internal/%/...)
+	$(GO) test -race -count=20 -run '^($(RACE_WRITES))$$' ./internal/engine
 
 # Lines of Go, non-test and test, per package and in total.
 loc:

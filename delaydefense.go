@@ -163,7 +163,7 @@ func (d *DB) QuoteExtraction(ids []uint64) time.Duration {
 }
 
 // Shield exposes the underlying shield for advanced inspection
-// (trackers, version store, gate).
+// (trackers, gate, detector).
 func (d *DB) Shield() *core.Shield { return d.shield }
 
 // Handler returns an http.Handler serving the shielded query API

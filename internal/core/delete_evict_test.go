@@ -21,30 +21,41 @@ func TestDeleteEvictsFromTracker(t *testing.T) {
 	if s.Tracker().Count(3) != 0 {
 		t.Fatalf("deleted tuple still tracked: %v", s.Tracker().Count(3))
 	}
-	// Deleting bumps the version (a tombstone): a tuple removed after
-	// extraction is maximally stale, and StaleFraction must say so.
-	if s.Versions().Version(3) == 0 {
-		t.Fatal("delete left no tombstone version")
+	if got := s.TuplesUpdated(); got != 1 {
+		t.Fatalf("tuples updated = %d after deleting one, want 1", got)
 	}
 }
 
 // TestDeleteMakesExtractedCopyStale is the staleness-undercount
-// regression: an adversary snapshots a tuple, the tuple is deleted, and
-// the snapshot must now count as stale rather than fresh.
+// regression, with staleness on values as §3 defines it: an extracted
+// tuple is stale once re-reading it no longer gives what the extraction
+// got. A deleted tuple re-reads as nothing, so an adversary's copy of it
+// is stale while the copy of an untouched tuple is not.
 func TestDeleteMakesExtractedCopyStale(t *testing.T) {
 	db := testDB(t, 20)
 	s, _ := New(db, Config{N: 20, Alpha: 1, Beta: 1, Cap: time.Second, Clock: simClock()})
-	snap := s.Snapshot([]uint64{3, 4})
-	if got := s.StaleFraction(snap); got != 0 {
-		t.Fatalf("fresh snapshot already stale: %v", got)
+	read := func() map[int64]string {
+		res, err := db.Exec(`SELECT * FROM items WHERE id >= 3 AND id <= 4`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[int64]string{}
+		for _, row := range res.Rows {
+			out[row[0].Int] = row[1].Str
+		}
+		return out
+	}
+	extracted := read()
+	if len(extracted) != 2 {
+		t.Fatalf("extracted %v, want ids 3 and 4", extracted)
 	}
 	if _, _, err := s.Query("u", `DELETE FROM items WHERE id = 3`); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.StaleFraction(snap); got != 0.5 {
-		t.Fatalf("StaleFraction after delete = %v, want 0.5", got)
+	now := read()
+	if len(now) != 1 || now[4] != extracted[4] {
+		t.Fatalf("re-read %v after deleting 3 from %v: want 3 stale (gone) and 4 fresh", now, extracted)
 	}
-	// The tombstone survives even though the tuple left every tracker.
 	if s.Tracker().Count(3) != 0 {
 		t.Fatal("deleted tuple still tracked")
 	}

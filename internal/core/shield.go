@@ -23,7 +23,6 @@ import (
 	"repro/internal/delay"
 	"repro/internal/detect"
 	"repro/internal/engine"
-	"repro/internal/freshness"
 	"repro/internal/metrics"
 	"repro/internal/ratelimit"
 	"repro/internal/stats"
@@ -165,7 +164,6 @@ type Shield struct {
 	limiter   *ratelimit.IdentityLimiter
 	registrar *ratelimit.RegistrationThrottle
 	detector  *detect.Detector // nil unless Config.Detect set
-	versions  *freshness.Store
 	delays    *stats.Reservoir
 	started   time.Time
 	met       shieldMetrics
@@ -192,6 +190,9 @@ type shieldMetrics struct {
 	cancelled *metrics.Counter
 	writes    *metrics.Counter
 	tuples    *metrics.Counter
+	// updated counts the tuples write statements changed in place or
+	// removed: the keys every UPDATE and DELETE affected.
+	updated *metrics.Counter
 }
 
 // adaptivePolicy serves delays from whichever tracker the multi-decay
@@ -225,12 +226,11 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		return nil, err
 	}
 	s := &Shield{
-		cfg:      cfg,
-		db:       db,
-		tracker:  tracker,
-		versions: freshness.NewStore(),
-		delays:   stats.NewReservoir(4096, 1),
-		started:  cfg.Clock.Now(),
+		cfg:     cfg,
+		db:      db,
+		tracker: tracker,
+		delays:  stats.NewReservoir(4096, 1),
+		started: cfg.Clock.Now(),
 	}
 
 	var policy delay.Policy
@@ -308,6 +308,7 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		cancelled: reg.Counter("shield_queries_cancelled_total"),
 		writes:    reg.Counter("shield_write_statements_total"),
 		tuples:    reg.Counter("shield_tuples_charged_total"),
+		updated:   reg.Counter("shield_tuples_updated_total"),
 	}
 	// Rejection counters exist (at zero) even when the corresponding
 	// defense is off, so dashboards see a stable schema.
@@ -583,8 +584,10 @@ func (s *Shield) TopK(k int) (ids []uint64, counts []float64) {
 // regression test and benchmark pin this down.
 func (s *Shield) ObserveLockAcquisitions() int64 { return s.observeLocks.Load() }
 
-// Versions returns the tuple version store.
-func (s *Shield) Versions() *freshness.Store { return s.versions }
+// TuplesUpdated returns how many tuples UPDATE and DELETE statements
+// through the shield have affected, one per key per statement (GET
+// /stats "updates"; shield_tuples_updated_total on /metrics).
+func (s *Shield) TuplesUpdated() int64 { return s.met.updated.Value() }
 
 // UpdatePolicy returns the update-rate policy, or nil when the shield is
 // popularity-keyed.
@@ -767,27 +770,20 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		s.met.served.Inc()
 		return res, qs, nil
 	}
-	// Write statement: record updates; evict deleted tuples from the
-	// popularity tracking.
+	// Write statement: count the tuples it updated or deleted; evict
+	// deleted tuples from the popularity tracking.
 	s.met.writes.Inc()
-	now := s.cfg.Clock.Now()
+	s.met.updated.Add(int64(len(res.Keys)))
 	if kind == engine.KindDelete {
 		for _, key := range res.Keys {
-			// A deleted tuple is the most stale a tuple can be: bump its
-			// version (a tombstone) so an adversary's extracted copy of
-			// it counts as stale, then evict it from the trackers.
-			s.versions.Bump(key, now)
 			s.forgetTuple(key)
 		}
 		return res, QueryStats{}, nil
 	}
-	for _, key := range res.Keys {
-		s.versions.Bump(key, now)
-		if s.updPolicy != nil {
+	if s.updPolicy != nil {
+		for _, key := range res.Keys {
 			s.updPolicy.RecordUpdate(key)
 		}
-	}
-	if s.updPolicy != nil {
 		s.updPolicy.SetWindow(s.Window())
 	}
 	return res, QueryStats{}, nil
@@ -875,20 +871,4 @@ func (s *Shield) LoadCounts(all func() (ids []uint64, counts []float64, err erro
 // one query at a time under the current learned state.
 func (s *Shield) QuoteExtraction(ids []uint64) time.Duration {
 	return s.gate.Quote(ids...)
-}
-
-// Snapshot extracts the current version vector for the given ids, as an
-// adversary's stolen copy; pair with StaleFraction after time passes.
-func (s *Shield) Snapshot(ids []uint64) []freshness.Extracted {
-	out := make([]freshness.Extracted, len(ids))
-	for i, id := range ids {
-		out[i] = s.versions.Observe(id)
-	}
-	return out
-}
-
-// StaleFraction reports how much of an extracted snapshot is already
-// obsolete.
-func (s *Shield) StaleFraction(snap []freshness.Extracted) float64 {
-	return s.versions.StaleFraction(snap)
 }

@@ -120,11 +120,10 @@ func TestEmptySelectFreeOfDelay(t *testing.T) {
 	}
 }
 
-func TestWritesBumpVersionsNotDelay(t *testing.T) {
+func TestWritesCountUpdatesNotDelay(t *testing.T) {
 	db := testDB(t, 10)
 	clk := simClock()
 	s, _ := New(db, Config{N: 10, Alpha: 1, Beta: 1, Cap: time.Hour, Clock: clk})
-	snap := s.Snapshot([]uint64{3, 4})
 	_, stats, err := s.Query("writer", `UPDATE items SET payload = 'new' WHERE id = 3`)
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +131,11 @@ func TestWritesBumpVersionsNotDelay(t *testing.T) {
 	if stats.Delay != 0 {
 		t.Fatalf("write delayed: %v", stats.Delay)
 	}
-	if s.Versions().Version(3) != 1 || s.Versions().Version(4) != 0 {
-		t.Fatal("versions not bumped correctly")
+	if got := s.TuplesUpdated(); got != 1 {
+		t.Fatalf("tuples updated = %d, want 1", got)
 	}
-	if got := s.StaleFraction(snap); got != 0.5 {
-		t.Fatalf("stale fraction = %v", got)
+	if got := s.Metrics().Counter("shield_tuples_updated_total").Value(); got != 1 {
+		t.Fatalf("shield_tuples_updated_total = %d, want 1", got)
 	}
 }
 
@@ -328,7 +327,7 @@ func TestShieldAccessors(t *testing.T) {
 	if s.DB() != db {
 		t.Fatal("DB accessor")
 	}
-	if s.Tracker() == nil || s.Versions() == nil || s.Gate() == nil {
+	if s.Tracker() == nil || s.Gate() == nil {
 		t.Fatal("nil accessor")
 	}
 	if s.UpdatePolicy() != nil {

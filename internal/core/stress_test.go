@@ -51,7 +51,7 @@ func TestConcurrentQueriesAndWrites(t *testing.T) {
 		t.Fatalf("observations = %d, want %d", got, wantReads)
 	}
 	wantWrites := int64(workers * perWorker / 4)
-	if got := s.Versions().Updates(); got != wantWrites {
+	if got := s.TuplesUpdated(); got != wantWrites {
 		t.Fatalf("updates = %d, want %d", got, wantWrites)
 	}
 }

@@ -140,10 +140,10 @@ type Database struct {
 // their page versions, so a reader that captures (index state, snapshot
 // epoch) under idxMu shared always gets a mutually consistent pair.
 //
-// keyMu/inflight is the insert key-claim map: concurrent INSERTs claim
-// their primary keys before probing the index, converting a racing
-// duplicate insert into a clean duplicate-key error for exactly one of
-// the two statements.
+// keyMu/inflight is the key-claim map: an INSERT, and an UPDATE that
+// changes a key, claims the keys it gives rows before probing the index
+// (writeTx.claimFresh), converting a racing duplicate into a clean
+// duplicate-key error for exactly one of the two statements.
 type table struct {
 	mu     sync.RWMutex
 	schema catalog.Schema
@@ -160,7 +160,7 @@ type table struct {
 	inflight map[int64]struct{}
 }
 
-// claimKeys atomically claims every key for an in-flight insert, or
+// claimKeys atomically claims every key for an in-flight write, or
 // claims none and reports the first key already claimed by a concurrent
 // statement.
 func (t *table) claimKeys(keys []int64) (int64, bool) {
@@ -182,6 +182,9 @@ func (t *table) claimKeys(keys []int64) (int64, bool) {
 }
 
 func (t *table) releaseKeys(keys []int64) {
+	if len(keys) == 0 {
+		return // most UPDATEs and every DELETE claim nothing
+	}
 	t.keyMu.Lock()
 	for _, k := range keys {
 		delete(t.inflight, k)
@@ -208,6 +211,28 @@ func (t *table) commitWrite(ws *storage.WriteSet, apply func()) (checkpoint bool
 	apply()
 	t.idxMu.Unlock()
 	return t.wal != nil && t.wal.Size() >= walCheckpointBytes, nil
+}
+
+// scanRows calls fn with every row of t's heap, decoded, under a
+// registered snapshot. Index builds use it: a caller that holds t.mu
+// exclusively (or owns a table not yet published) sees every row.
+func (t *table) scanRows(fn func(row catalog.Row, rid storage.RID)) error {
+	snap := t.pool.BeginSnapshot()
+	defer t.pool.EndSnapshot(snap)
+	var derr error
+	err := t.heap.ScanAt(snap, func(rid storage.RID, rec []byte) bool {
+		row, err := catalog.DecodeRow(t.schema, rec)
+		if err != nil {
+			derr = fmt.Errorf("row %v: %w", rid, err)
+			return false
+		}
+		fn(row, rid)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return derr
 }
 
 // checkpoint flushes data pages and truncates the log once it outgrows
@@ -338,25 +363,14 @@ func (db *Database) loadTable(schema catalog.Schema) (*table, error) {
 		}
 		t.secondaries = append(t.secondaries, sec)
 	}
-	var scanErr error
-	err = heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, derr := catalog.DecodeRow(schema, rec)
-		if derr != nil {
-			scanErr = fmt.Errorf("engine: rebuilding index for %q at %v: %w", schema.Table, rid, derr)
-			return false
-		}
+	if err := t.scanRows(func(row catalog.Row, rid storage.RID) {
 		t.pk.Put(row[schema.Key].Int, rid)
 		for _, sec := range t.secondaries {
 			sec.insert(row, rid)
 		}
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
+	}); err != nil {
 		pager.Close()
-		return nil, err
+		return nil, fmt.Errorf("engine: rebuilding index for %q: %w", schema.Table, err)
 	}
 	db.mu.Lock()
 	db.tables[strings.ToLower(schema.Table)] = t
@@ -649,8 +663,8 @@ type Result struct {
 	Rows []catalog.Row
 	// Keys holds the primary keys of the tuples the statement touched:
 	// for SELECT, one per output row in row order (the tuple ids the
-	// delay defense charges for); for UPDATE and DELETE, the keys of the
-	// affected rows (which the freshness tracker bumps).
+	// delay defense charges for); for UPDATE and DELETE, the keys the
+	// affected rows had before the statement. An INSERT lists none.
 	Keys []uint64
 	// Affected is the number of rows inserted, updated, or deleted.
 	Affected int

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -87,52 +89,19 @@ func (db *Database) execInsert(s *sqlmini.Insert) (*Result, error) {
 		recs = append(recs, rec)
 		keys = append(keys, row[t.schema.Key].Int)
 	}
-	run := func() (bool, error) {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		// Claim the keys so two statements inserting the same key cannot
-		// both pass the index probe below; the claim also rejects a
-		// duplicate within the statement itself.
-		if busy, ok := t.claimKeys(keys); !ok {
-			return false, fmt.Errorf("engine: duplicate primary key %d in table %q", busy, s.Table)
+	return db.write(t, func(tx *writeTx) error {
+		if key, ok := tx.claimFresh(keys); !ok {
+			return fmt.Errorf("engine: duplicate primary key %d in table %q", key, s.Table)
 		}
-		defer t.releaseKeys(keys)
-		t.idxMu.RLock()
-		for _, key := range keys {
-			if _, exists := t.pk.Get(key); exists {
-				t.idxMu.RUnlock()
-				return false, fmt.Errorf("engine: duplicate primary key %d in table %q", key, s.Table)
-			}
-		}
-		t.idxMu.RUnlock()
-
-		ws := storage.NewWriteSet(t.pool)
-		defer ws.Release()
-		rids := make([]storage.RID, len(recs))
 		for i, rec := range recs {
-			rid, err := t.heap.InsertW(ws, rec)
+			rid, err := t.heap.InsertW(tx.ws, rec)
 			if err != nil {
-				return false, err
+				return err
 			}
-			rids[i] = rid
+			tx.changes = append(tx.changes, rowChange{after: rows[i], afterRID: rid})
 		}
-		return t.commitWrite(ws, func() {
-			for i, key := range keys {
-				t.pk.Put(key, rids[i])
-				for _, sec := range t.secondaries {
-					sec.insert(rows[i], rids[i])
-				}
-			}
-		})
-	}
-	cp, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if cp {
-		db.noteCheckpointErr(t.checkpoint())
-	}
-	return &Result{Affected: len(recs)}, nil
+		return nil
+	})
 }
 
 // selPlan is a SELECT resolved against its table's schema: the WHERE
@@ -512,30 +481,159 @@ func (db *Database) execAggregate(t *table, pl *selPlan, conj []boundConj, res *
 	return res, w.row(catalog.Schema{}, proj, out, nil)
 }
 
+// rowChange is one row a write statement changed: its image before the
+// statement and after it, each with its RID. An INSERT's row has no
+// before image and a DELETE's no after image. The commit derives every
+// index change from the pair (writeTx.applyIndexes).
+type rowChange struct {
+	before, after       catalog.Row
+	beforeRID, afterRID storage.RID
+}
+
+// writeTx is one write statement between its table lock and its commit:
+// the write set its heap changes go through, the keys it claimed, and the
+// rows it changed.
+type writeTx struct {
+	t       *table
+	ws      *storage.WriteSet
+	claimed []int64
+	changes []rowChange
+}
+
+// claimFresh claims keys for the rest of the statement, so two statements
+// cannot both give a row the same key, then probes the committed index.
+// It reports the first key already claimed (by this statement too) or
+// already live. The claims drop after the commit publishes.
+func (tx *writeTx) claimFresh(keys []int64) (int64, bool) {
+	t := tx.t
+	if busy, ok := t.claimKeys(keys); !ok {
+		return busy, false
+	}
+	tx.claimed = append(tx.claimed, keys...)
+	t.idxMu.RLock()
+	defer t.idxMu.RUnlock()
+	for _, key := range keys {
+		if _, exists := t.pk.Get(key); exists {
+			return key, false
+		}
+	}
+	return 0, true
+}
+
+// applyIndexes makes the index changes tx's rows imply: a before image
+// leaves the indexes, an after image enters them. commitWrite runs it
+// under idxMu together with the publish.
+func (tx *writeTx) applyIndexes() {
+	t := tx.t
+	k := t.schema.Key
+	for _, c := range tx.changes {
+		if c.before != nil {
+			if c.after == nil || c.after[k].Int != c.before[k].Int {
+				t.pk.Delete(c.before[k].Int)
+			}
+			for _, sec := range t.secondaries {
+				sec.remove(c.before, c.beforeRID)
+			}
+		}
+		if c.after != nil {
+			t.pk.Put(c.after[k].Int, c.afterRID)
+			for _, sec := range t.secondaries {
+				sec.insert(c.after, c.afterRID)
+			}
+		}
+	}
+}
+
+// write is the lifecycle every INSERT, UPDATE and DELETE runs through.
+// Under t's read lock, stage makes the statement's heap changes through
+// tx.ws and records each row it changed in tx.changes; commitWrite then
+// logs the pages and publishes them with the index changes, or, on a
+// failure anywhere before that, nothing publishes and the statement has
+// rolled back. The write set and the key claims drop after the commit,
+// and a checkpoint the log asked for runs once the lock is released.
+// The result counts the rows changed and lists the keys of those that
+// existed before the statement.
+func (db *Database) write(t *table, stage func(tx *writeTx) error) (*Result, error) {
+	tx := writeTx{t: t}
+	cp, err := func() (bool, error) {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		tx.ws = storage.NewWriteSet(t.pool)
+		defer tx.ws.Release()
+		defer func() { t.releaseKeys(tx.claimed) }()
+		if err := stage(&tx); err != nil {
+			return false, err
+		}
+		return t.commitWrite(tx.ws, tx.applyIndexes)
+	}()
+	if err != nil {
+		return nil, err
+	}
+	if cp {
+		db.noteCheckpointErr(t.checkpoint())
+	}
+	res := &Result{Affected: len(tx.changes)}
+	for _, c := range tx.changes {
+		if c.before != nil {
+			res.Keys = append(res.Keys, uint64(c.before[t.schema.Key].Int))
+		}
+	}
+	return res, nil
+}
+
+// writeMatches is write for a statement that changes the rows conj
+// matches (UPDATE, DELETE). It collects the matches from a snapshot scan
+// (changing the heap during its own scan could visit a relocated row
+// twice), latches them in (page, slot) order and revalidates each
+// (lockRow), since the snapshot is stale the moment another statement
+// commits. change makes one latched row's heap change and returns its
+// after image, nil when the row is gone.
+func (db *Database) writeMatches(t *table, conj []boundConj, change func(tx *writeTx, rid storage.RID, row catalog.Row) (catalog.Row, storage.RID, error)) (*Result, error) {
+	type match struct {
+		rid storage.RID
+		key int64 // the key the snapshot saw at rid
+	}
+	return db.write(t, func(tx *writeTx) error {
+		var matches []match
+		err := db.planAndScanBound(t, conj, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
+			matches = append(matches, match{rid, row[t.schema.Key].Int})
+			return true, nil
+		})
+		if err != nil {
+			return err
+		}
+		// A write set blocks on a latch only above its held high-water
+		// mark (see WriteSet), so latching in (page, slot) order lets the
+		// common, uncontended statement wait for every row instead of
+		// skipping it.
+		slices.SortFunc(matches, func(a, b match) int {
+			if c := cmp.Compare(a.rid.Page, b.rid.Page); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.rid.Slot, b.rid.Slot)
+		})
+		for _, m := range matches {
+			rid, row, ok, err := t.lockRow(tx.ws, m.rid, m.key, conj)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			after, arid, err := change(tx, rid, row)
+			if err != nil {
+				return err
+			}
+			tx.changes = append(tx.changes, rowChange{before: row, after: after, beforeRID: rid, afterRID: arid})
+		}
+		return nil
+	})
+}
+
 // setOp is one resolved SET assignment of an UPDATE.
 type setOp struct {
 	col int
 	val catalog.Value
-}
-
-// ridMatch is a row a mutation's scan phase matched: where it was and
-// the key it had when the snapshot saw it.
-type ridMatch struct {
-	rid storage.RID
-	key int64
-}
-
-// sortMatches orders matched rows by (page, slot). A write set blocks
-// on a latch only above its held high-water mark (see WriteSet), so
-// latching matches in ascending order lets the common, uncontended
-// statement wait for every row instead of skipping.
-func sortMatches(matches []ridMatch) {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].rid.Page != matches[j].rid.Page {
-			return matches[i].rid.Page < matches[j].rid.Page
-		}
-		return matches[i].rid.Slot < matches[j].rid.Slot
-	})
 }
 
 // lockRow latches the page of a matched row and revalidates the match
@@ -610,99 +708,24 @@ func (db *Database) execUpdate(s *sqlmini.Update) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type updOp struct {
-		oldRow, newRow catalog.Row
-		oldRID, newRID storage.RID
-		oldKey, newKey int64
-	}
-	run := func() (*Result, bool, error) {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		// Collect matches from a snapshot scan, then latch and revalidate
-		// each: mutating the heap during its own scan would risk visiting
-		// relocated rows twice, and the snapshot rows are stale the moment
-		// another statement commits.
-		var matches []ridMatch
-		err := db.planAndScanBound(t, conj, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
-			matches = append(matches, ridMatch{rid, row[t.schema.Key].Int})
-			return true, nil
-		})
+	key := t.schema.Key
+	return db.writeMatches(t, conj, func(tx *writeTx, rid storage.RID, row catalog.Row) (catalog.Row, storage.RID, error) {
+		newRow := append(catalog.Row(nil), row...)
+		for _, so := range sets {
+			newRow[so.col] = so.val
+		}
+		if k := newRow[key].Int; k != row[key].Int {
+			if _, ok := tx.claimFresh([]int64{k}); !ok {
+				return nil, rid, fmt.Errorf("engine: UPDATE would duplicate primary key %d", k)
+			}
+		}
+		rec, err := catalog.EncodeRow(t.schema, newRow)
 		if err != nil {
-			return nil, false, err
+			return nil, rid, err
 		}
-		sortMatches(matches)
-		ws := storage.NewWriteSet(t.pool)
-		defer ws.Release()
-		var claimed []int64
-		defer func() { t.releaseKeys(claimed) }()
-		var pend []updOp
-		for _, m := range matches {
-			rid, row, ok, err := t.lockRow(ws, m.rid, m.key, conj)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
-			newRow := append(catalog.Row(nil), row...)
-			for _, so := range sets {
-				newRow[so.col] = so.val
-			}
-			newKey := newRow[t.schema.Key].Int
-			if newKey != m.key {
-				// Key change: claim the new key against concurrent inserts
-				// (and against this statement funneling two rows onto one
-				// key), then probe the committed index.
-				if _, ok := t.claimKeys([]int64{newKey}); !ok {
-					return nil, false, fmt.Errorf("engine: UPDATE would duplicate primary key %d", newKey)
-				}
-				claimed = append(claimed, newKey)
-				t.idxMu.RLock()
-				_, exists := t.pk.Get(newKey)
-				t.idxMu.RUnlock()
-				if exists {
-					return nil, false, fmt.Errorf("engine: UPDATE would duplicate primary key %d", newKey)
-				}
-			}
-			rec, err := catalog.EncodeRow(t.schema, newRow)
-			if err != nil {
-				return nil, false, err
-			}
-			nrid, err := t.heap.UpdateW(ws, rid, rec)
-			if err != nil {
-				return nil, false, err
-			}
-			pend = append(pend, updOp{row, newRow, rid, nrid, m.key, newKey})
-		}
-		cp, err := t.commitWrite(ws, func() {
-			for _, op := range pend {
-				if op.newKey != op.oldKey {
-					t.pk.Delete(op.oldKey)
-				}
-				t.pk.Put(op.newKey, op.newRID)
-				for _, sec := range t.secondaries {
-					sec.remove(op.oldRow, op.oldRID)
-					sec.insert(op.newRow, op.newRID)
-				}
-			}
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		res := &Result{Affected: len(pend)}
-		for _, op := range pend {
-			res.Keys = append(res.Keys, uint64(op.oldKey))
-		}
-		return res, cp, nil
-	}
-	res, cp, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if cp {
-		db.noteCheckpointErr(t.checkpoint())
-	}
-	return res, nil
+		nrid, err := t.heap.UpdateW(tx.ws, rid, rec)
+		return newRow, nrid, err
+	})
 }
 
 func (db *Database) execDelete(s *sqlmini.Delete, parts *PartitionSet) (*Result, error) {
@@ -714,64 +737,9 @@ func (db *Database) execDelete(s *sqlmini.Delete, parts *PartitionSet) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	type delOp struct {
-		row catalog.Row
-		rid storage.RID
-		key int64
-	}
-	run := func() (*Result, bool, error) {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		var matches []ridMatch
-		err := db.planAndScanBound(t, conj, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
-			matches = append(matches, ridMatch{rid, row[t.schema.Key].Int})
-			return true, nil
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		sortMatches(matches)
-		ws := storage.NewWriteSet(t.pool)
-		defer ws.Release()
-		var pend []delOp
-		for _, m := range matches {
-			rid, row, ok, err := t.lockRow(ws, m.rid, m.key, conj)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
-			if err := t.heap.DeleteW(ws, rid); err != nil {
-				return nil, false, err
-			}
-			pend = append(pend, delOp{row, rid, m.key})
-		}
-		cp, err := t.commitWrite(ws, func() {
-			for _, op := range pend {
-				t.pk.Delete(op.key)
-				for _, sec := range t.secondaries {
-					sec.remove(op.row, op.rid)
-				}
-			}
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		res := &Result{Affected: len(pend)}
-		for _, op := range pend {
-			res.Keys = append(res.Keys, uint64(op.key))
-		}
-		return res, cp, nil
-	}
-	res, cp, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if cp {
-		db.noteCheckpointErr(t.checkpoint())
-	}
-	return res, nil
+	return db.writeMatches(t, conj, func(tx *writeTx, rid storage.RID, _ catalog.Row) (catalog.Row, storage.RID, error) {
+		return nil, rid, t.heap.DeleteW(tx.ws, rid)
+	})
 }
 
 // projection resolves a column name list to schema indices; nil means *.

@@ -41,7 +41,7 @@ import (
 
 // StmtKind classifies a prepared statement for callers that dispatch on
 // statement type before executing (the shield blocks EXPLAIN, gates
-// writes, and tombstones DELETEs).
+// writes, and evicts the tuples a DELETE removed from its trackers).
 type StmtKind int
 
 const (

@@ -152,21 +152,7 @@ func (db *Database) execCreateIndex(s *sqlmini.CreateIndex) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Build from the heap.
-	var scanErr error
-	err = t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, derr := catalog.DecodeRow(t.schema, rec)
-		if derr != nil {
-			scanErr = derr
-			return false
-		}
-		sec.insert(row, rid)
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
+	if err := t.scanRows(sec.insert); err != nil {
 		return nil, fmt.Errorf("engine: building index %q: %w", s.Name, err)
 	}
 	newSchema := t.schema

@@ -292,7 +292,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Tables:        s.shield.DB().Tables(),
 		Observations:  s.shield.Tracker().Observations(),
 		DistinctIDs:   s.shield.Tracker().Len(),
-		Updates:       s.shield.Versions().Updates(),
+		Updates:       s.shield.TuplesUpdated(),
 		WindowSecs:    s.shield.Window(),
 		QueriesServed: s.shield.QueriesServed(),
 	}

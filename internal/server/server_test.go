@@ -78,7 +78,7 @@ func TestQueryEndToEnd(t *testing.T) {
 }
 
 func TestQueryWriteStatement(t *testing.T) {
-	ts, shield := testServer(t, core.Config{Alpha: 1, Beta: 1, Cap: time.Millisecond})
+	ts, _ := testServer(t, core.Config{Alpha: 1, Beta: 1, Cap: time.Millisecond})
 	c := NewClient(ts.URL, "writer")
 	resp, err := c.Query(`UPDATE items SET v = 'neu' WHERE id = 1`)
 	if err != nil {
@@ -87,8 +87,20 @@ func TestQueryWriteStatement(t *testing.T) {
 	if resp.Affected != 1 || resp.DelayMillis != 0 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if shield.Versions().Version(1) != 1 {
-		t.Fatal("version not bumped through HTTP path")
+	// /stats "updates" counts the tuples UPDATE and DELETE affected; an
+	// INSERT adds nothing to it.
+	if _, err := c.Query(`INSERT INTO items VALUES (90, 'x'), (91, 'y')`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(`DELETE FROM items WHERE id >= 90`); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Updates != 3 {
+		t.Fatalf("/stats updates = %d after one UPDATE and a two-row DELETE, want 3", st.Updates)
 	}
 }
 

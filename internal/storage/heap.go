@@ -130,8 +130,12 @@ func (h *HeapFile) DeleteW(ws *WriteSet, rid RID) error {
 	return nil
 }
 
-// ScanPageAt is ScanPage against a snapshot epoch. Pages invisible at
-// the snapshot scan as empty.
+// ScanPageAt calls fn for every live record on page id as of snapshot
+// epoch snap, in slot order, until fn returns false, and reports whether
+// the scan should continue to the next page. A page invisible at the
+// snapshot scans as empty. The record slice passed to fn aliases a
+// published page version: it stays valid while snap is registered
+// (Pool.BeginSnapshot).
 func (h *HeapFile) ScanPageAt(id PageID, snap uint64, fn func(rid RID, rec []byte) bool) (cont bool, err error) {
 	pg, vis, err := h.pool.FetchAt(id, snap)
 	if err != nil {
@@ -151,7 +155,11 @@ func (h *HeapFile) ScanPageAt(id PageID, snap uint64, fn func(rid RID, rec []byt
 	return cont, nil
 }
 
-// ScanAt is Scan against a snapshot epoch.
+// ScanAt calls fn for every live record visible at snapshot epoch snap,
+// in page order, until fn returns false or an error occurs. Every heap
+// read goes through it or, for the parallel executor's chunks, through
+// ScanPageAt, against a snapshot: scans, index builds and the index
+// rebuild at open alike.
 func (h *HeapFile) ScanAt(snap uint64, fn func(rid RID, rec []byte) bool) error {
 	n := h.NumPages()
 	for id := PageID(0); id < n; id++ {
@@ -168,47 +176,9 @@ func (h *HeapFile) ScanAt(snap uint64, fn func(rid RID, rec []byte) bool) error 
 
 // NumPages returns the heap's page count — the range a scan covers. The
 // parallel scan executor partitions [0, NumPages()) across its workers.
+// A page is counted only once its frame is in the pool (see
+// Pager.Allocate).
 func (h *HeapFile) NumPages() PageID { return h.pool.pager.NumPages() }
-
-// ScanPage calls fn for every live record on page id, in slot order,
-// until fn returns false. It reports whether the scan should continue to
-// the next page. The record slice passed to fn is only valid during the
-// call (it aliases the pinned page).
-func (h *HeapFile) ScanPage(id PageID, fn func(rid RID, rec []byte) bool) (cont bool, err error) {
-	pg, err := h.pool.Fetch(id)
-	if err != nil {
-		return false, err
-	}
-	cont = true
-	pg.Records(func(slot int, rec []byte) bool {
-		if !fn(ridAt(id, slot), rec) {
-			cont = false
-			return false
-		}
-		return true
-	})
-	if err := h.pool.Unpin(id); err != nil {
-		return false, err
-	}
-	return cont, nil
-}
-
-// Scan calls fn for every live record in page order until fn returns
-// false or an error occurs. The record slice passed to fn is only valid
-// during the call.
-func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
-	n := h.NumPages()
-	for id := PageID(0); id < n; id++ {
-		cont, err := h.ScanPage(id, fn)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}
 
 // Pool returns the underlying buffer pool (for stats and cache control).
 func (h *HeapFile) Pool() *Pool { return h.pool }

@@ -78,8 +78,14 @@ func (p *Pager) NumPages() PageID {
 	return PageID(p.npages.Load())
 }
 
-// Allocate appends a fresh, initialized page and returns its id.
-func (p *Pager) Allocate() (PageID, error) {
+// Allocate appends a fresh, initialized page and returns its id. install,
+// when not nil, runs with the id before NumPages counts the page: the
+// pool puts the page's frame in its table there, so nothing bounded by
+// NumPages can reach the id before its frame is in place (a fetch in
+// that window would load a second frame for the page from disk). If
+// install fails the page is not counted and the next Allocate reuses its
+// id.
+func (p *Pager) Allocate(install func(PageID) error) (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.f == nil {
@@ -92,6 +98,11 @@ func (p *Pager) Allocate() (PageID, error) {
 	pg := NewPage()
 	if _, err := p.f.WriteAt(pg.Bytes(), int64(id)*PageSize); err != nil {
 		return 0, fmt.Errorf("storage: allocating page %d: %w", id, wrapIO(err))
+	}
+	if install != nil {
+		if err := install(id); err != nil {
+			return 0, err
+		}
 	}
 	p.npages.Add(1)
 	p.writes.Add(1)

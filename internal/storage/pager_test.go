@@ -20,7 +20,7 @@ func TestPagerAllocateReadWrite(t *testing.T) {
 	if p.NumPages() != 0 {
 		t.Fatalf("fresh NumPages = %d", p.NumPages())
 	}
-	id, err := p.Allocate()
+	id, err := p.Allocate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPagerPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := p.Allocate()
+	id, _ := p.Allocate(nil)
 	pg := NewPage()
 	pg.Insert([]byte("survives"))
 	if err := p.Write(id, pg); err != nil {
@@ -103,7 +103,7 @@ func TestPagerStatsAndIOCost(t *testing.T) {
 	p := tempPager(t)
 	var costCalls int
 	p.SetIOCost(func() { costCalls++ })
-	id, _ := p.Allocate()
+	id, _ := p.Allocate(nil)
 	pg := NewPage()
 	p.Write(id, pg)
 	p.Read(id, pg)
@@ -131,7 +131,7 @@ func TestPagerDoubleClose(t *testing.T) {
 
 func TestPagerSync(t *testing.T) {
 	p := tempPager(t)
-	p.Allocate()
+	p.Allocate(nil)
 	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -562,24 +562,26 @@ func (b *Pool) awaitLoaded(f *frame) (*frame, error) {
 
 // allocateFrame creates a new page via the pager and returns its frame
 // pinned, current version stamped at epoch: a write set allocates at the
-// invisible epoch and publishes at commit (see WriteSet.Allocate).
+// invisible epoch and publishes at commit (see WriteSet.Allocate). The
+// frame enters the table before the pager counts the page, so a scan
+// bounded by NumPages finds it there.
 func (b *Pool) allocateFrame(epoch uint64) (*frame, error) {
-	id, err := b.pager.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	sh := b.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.clock) >= sh.cap {
-		if err := sh.evictOne(b); err != nil {
-			return nil, err
+	var f *frame
+	_, err := b.pager.Allocate(func(id PageID) error {
+		sh := b.shard(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if len(sh.clock) >= sh.cap {
+			if err := sh.evictOne(b); err != nil {
+				return err
+			}
 		}
-	}
-	f := newFrame(id, NewPage(), epoch)
-	f.loaded.Store(true)
-	sh.insert(f)
-	return f, nil
+		f = newFrame(id, NewPage(), epoch)
+		f.loaded.Store(true)
+		sh.insert(f)
+		return nil
+	})
+	return f, err
 }
 
 // Unpin releases one pin on the page. Like the hit path it is

@@ -122,7 +122,7 @@ func benchPager(b *testing.B) (*Pager, []PageID) {
 	b.Cleanup(func() { pager.Close() })
 	ids := make([]PageID, benchHotPages+benchColdPages)
 	for i := range ids {
-		id, err := pager.Allocate()
+		id, err := pager.Allocate(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -235,7 +235,7 @@ func TestPagerFaultErrorsAreErrIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	id, err := p.Allocate()
+	id, err := p.Allocate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
