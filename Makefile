@@ -46,11 +46,13 @@ race:
 # only copy.
 RACE_HOT = core ratelimit delay counters ostree detect index engine storage cluster server
 # The engine's write-race tests fail on an interleaving, not on every run,
-# so they run 20 times each.
+# so they run 20 times each, and so do the reads that go around the pool
+# while writers republish and the sweep evicts their pages.
 RACE_WRITES = TestConcurrentWritersSnapshotAtomicity|TestConcurrentInsertDeleteAtomicity|TestConcurrentKeyChangeUpdates
+RACE_STREAM = TestStreamedRangeReadsItsSnapshot|TestStreamedReadsUnderWriters
 race-hot:
 	$(GO) test -race $(RACE_HOT:%=./internal/%/...)
-	$(GO) test -race -count=20 -run '^($(RACE_WRITES))$$' ./internal/engine
+	$(GO) test -race -count=20 -run '^($(RACE_WRITES)|$(RACE_STREAM))$$' ./internal/engine
 
 # Lines of Go, non-test and test, per package and in total.
 loc:

@@ -592,17 +592,20 @@ func TestWriteOutcome(t *testing.T) {
 
 // TestShardTimeoutLatchesSlowPeer: a peer slower than -shard-timeout
 // counts as down — the timeout latches it, the timeout counter ticks,
-// and the read fails over to the healthy replica.
+// and the read fails over to the healthy replica. The injected latency
+// is slept in full whatever the load, so it always outruns the timeout;
+// the timeout is wide so that the healthy replica never does, also in a
+// loaded -race pass (at 5 ms it did, and the read found no replica).
 func TestShardTimeoutLatchesSlowPeer(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{Shards: 4, Tuples: 32, Config: Config{
 		Partitions:   16,
 		Replication:  2,
-		ShardTimeout: 5 * time.Millisecond,
+		ShardTimeout: 100 * time.Millisecond,
 	}})
 	r, h := c.Router, c.Handler
 	t.Cleanup(fault.Disable)
 	fault.Enable(fault.NewRegistry(1).
-		Add(fault.Rule{Site: fault.ClusterRPC, Kind: fault.Latency, Latency: 100 * time.Millisecond, Count: 1}))
+		Add(fault.Rule{Site: fault.ClusterRPC, Kind: fault.Latency, Latency: 2 * time.Second, Count: 1}))
 
 	if v, ok := readValue(t, h, "reader", 9); !ok || v != "v9" {
 		t.Fatalf("read past slow peer = (%q, %v), want v9", v, ok)

@@ -419,13 +419,16 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 	}
 
 	// Storage-layer instruments: aggregate pool counters plus the pin
-	// balance (nonzero between statements means a leak). Per-table gauges
-	// are synced here and again on each /metrics scrape, picking up tables
-	// created after the shield started.
+	// balance (nonzero between statements means a leak). Hits and misses
+	// count row reads; streamed counts the pages a statement read around
+	// the pool instead of loading them (storage.Pool.ReadBatch).
+	// Per-table gauges are synced here and again on each /metrics scrape,
+	// picking up tables created after the shield started.
 	reg.GaugeFunc("engine_pool_pinned", func() float64 { return float64(s.db.PinnedFrames()) })
 	reg.GaugeFunc("engine_pool_hits", func() float64 { h, _, _ := s.db.PoolStats(); return float64(h) })
 	reg.GaugeFunc("engine_pool_misses", func() float64 { _, m, _ := s.db.PoolStats(); return float64(m) })
 	reg.GaugeFunc("engine_pool_evicts", func() float64 { _, _, e := s.db.PoolStats(); return float64(e) })
+	reg.GaugeFunc("engine_pool_streamed", func() float64 { return float64(s.db.PoolStreamed()) })
 	reg.GaugeFunc("engine_plan_cache_hits", func() float64 {
 		h, _, _, _ := s.db.PlanCacheStats()
 		return float64(h)
@@ -518,6 +521,13 @@ func (s *Shield) SyncEngineMetrics() {
 			stat(func(_, m, _ int64) int64 { return m }))
 		reg.GaugeFunc(fmt.Sprintf("engine_pool_evicts{table=%q}", name),
 			stat(func(_, _, e int64) int64 { return e }))
+		reg.GaugeFunc(fmt.Sprintf("engine_pool_streamed{table=%q}", name), func() float64 {
+			n, err := s.db.TablePoolStreamed(name)
+			if err != nil {
+				return 0
+			}
+			return float64(n)
+		})
 	}
 }
 

@@ -528,6 +528,19 @@ func (db *Database) PoolStats() (hits, misses, evicts int64) {
 	return hits, misses, evicts
 }
 
+// PoolStreamed counts the heap pages statements read around the buffer
+// pool (storage.Pool.ReadBatch), summed across tables: page reads, where
+// PoolStats' hits and misses count row reads.
+func (db *Database) PoolStreamed() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var n int64
+	for _, t := range db.tables {
+		n += t.pool.Streamed()
+	}
+	return n
+}
+
 // WriteStats aggregates concurrent-write-path counters across tables:
 // page write-latch acquisitions and contended waits, and snapshot page
 // versions currently retained / retired in total — the
@@ -602,6 +615,15 @@ func (db *Database) TablePoolStats(name string) (hits, misses, evicts int64, err
 	}
 	hits, misses, evicts = t.pool.Stats()
 	return hits, misses, evicts, nil
+}
+
+// TablePoolStreamed is PoolStreamed for one table.
+func (db *Database) TablePoolStreamed(name string) (int64, error) {
+	t, err := db.getTable(name)
+	if err != nil {
+		return 0, err
+	}
+	return t.pool.Streamed(), nil
 }
 
 // PinnedFrames returns the total buffer pool pin count across tables.

@@ -180,10 +180,12 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 
 // rowScratch is a pooled decode buffer for the index-driven scan paths
 // (point, range, secondary), which decode one row at a time on the
-// calling goroutine, and the RID list of a narrow range.
+// calling goroutine, the RID list of a narrow range, and the pages the
+// narrow range and secondary paths read in batches.
 type rowScratch struct {
-	row  catalog.Row
-	rids []storage.RID
+	row   catalog.Row
+	rids  []storage.RID
+	pages storage.PageBatch
 }
 
 // heldRangeKeys bounds the key ranges whose index entries a range scan
@@ -312,25 +314,66 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 		}
 		return fn(rid, row, rec)
 	}
-	// emitAt reads rid's record as of snapshot snap; vis=false means its
-	// page has no version visible there. The record aliases an immutable
-	// published page version, valid while the snapshot is registered.
+	// emitPage decodes rid's record from pg, its page's version at the
+	// statement's snapshot, and emits the row. The record aliases pg.
+	emitPage := func(rid storage.RID, pg *storage.Page) (cont bool, err error) {
+		rec, err := pg.Record(int(rid.Slot))
+		if err != nil {
+			return false, fmt.Errorf("engine: reading row %v: %w", rid, err)
+		}
+		row, err := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], decode)
+		if err != nil {
+			return false, err
+		}
+		sc.row = row
+		return emit(rid, row, rec)
+	}
+	// emitAt reads rid's record as of snapshot snap through the pool;
+	// vis=false means its page has no version visible there. The record
+	// aliases an immutable published page version, valid while the
+	// snapshot is registered.
 	emitAt := func(rid storage.RID, snap uint64) (vis, cont bool, err error) {
 		pg, vis, err := t.pool.FetchAt(rid.Page, snap)
 		if err != nil || !vis {
 			return vis, true, err
 		}
-		rec, err := pg.Record(int(rid.Slot))
-		if err != nil {
-			return true, false, fmt.Errorf("engine: reading row %v: %w", rid, err)
-		}
-		row, err := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], decode)
-		if err != nil {
-			return true, false, err
-		}
-		sc.row = row
-		cont, err = emit(rid, row, rec)
+		cont, err = emitPage(rid, pg)
 		return true, cont, err
+	}
+	// emitRIDs reads the rows of rids, collected under idxMu, at the
+	// snapshot snap registered with them. The first row is read through
+	// the pool, which loads its page on a miss: the page a range starts on
+	// is where the workload's hot keys are, and writers find it resident.
+	// The rest resolve their pages a batch at a time
+	// (storage.Pool.ReadBatch): a page the pool does not hold is read
+	// around it, a run of them in one pager call. A record aliases the
+	// batch's buffer until the next batch.
+	emitRIDs := func(rids []storage.RID, snap uint64) error {
+		if len(rids) == 0 {
+			return nil
+		}
+		if _, cont, err := emitAt(rids[0], snap); err != nil || !cont {
+			return err
+		}
+		rids = rids[1:]
+		defer sc.pages.Clear()
+		for len(rids) > 0 {
+			n, err := t.pool.ReadBatch(&sc.pages, rids, snap)
+			if err != nil {
+				return err
+			}
+			for _, rid := range rids[:n] {
+				pg, vis := sc.pages.At(rid.Page)
+				if !vis {
+					continue
+				}
+				if cont, err := emitPage(rid, pg); err != nil || !cont {
+					return err
+				}
+			}
+			rids = rids[n:]
+		}
+		return nil
 	}
 	// The key-only row: built once, its key column set per index entry.
 	var keyRow catalog.Row
@@ -389,16 +432,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 		snap := t.pool.BeginSnapshot()
 		t.idxMu.RUnlock()
 		defer t.pool.EndSnapshot(snap)
-		for _, rid := range p.secRIDs {
-			_, cont, err := emitAt(rid, snap)
-			if err != nil {
-				return err
-			}
-			if !cont {
-				return nil
-			}
-		}
-		return nil
+		return emitRIDs(p.secRIDs, snap)
 	default: // planPKRange
 		// The B+tree traversal itself needs the index lock, and a commit
 		// waits for every reader holding it. A range narrow enough that
@@ -426,12 +460,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 			t.idxMu.RUnlock()
 			defer t.pool.EndSnapshot(snap)
 			sc.rids = rids
-			for _, rid := range rids {
-				if _, cont, err := emitAt(rid, snap); err != nil || !cont {
-					return err
-				}
-			}
-			return nil
+			return emitRIDs(rids, snap)
 		}
 		defer t.idxMu.RUnlock()
 		var snap uint64

@@ -88,10 +88,11 @@ func TestMetricsEnginePoolGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"engine_pool_hits", "engine_pool_misses", "engine_pool_evicts",
+		"engine_pool_hits", "engine_pool_misses", "engine_pool_evicts", "engine_pool_streamed",
 		`engine_pool_hits{table="items"}`,
 		`engine_pool_misses{table="items"}`,
 		`engine_pool_evicts{table="items"}`,
+		`engine_pool_streamed{table="items"}`,
 	} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("%s missing from /metrics: %v", key, m)

@@ -34,11 +34,11 @@ var ErrPageFull = errors.New("storage: page full")
 // ErrBadSlot is returned for out-of-range or deleted slots.
 var ErrBadSlot = errors.New("storage: bad slot")
 
-// Page is a slotted data page. The zero value of the backing array is a
-// valid empty page once initialized with InitPage.
-type Page struct {
-	buf [PageSize]byte
-}
+// Page is a slotted data page. The zero value is a valid empty page once
+// initialized with Init. It is a bare array so a run of pages read in one
+// call can be viewed in place: (*Page)(buf[i*PageSize:]) is the run's
+// page i.
+type Page [PageSize]byte
 
 // NewPage returns an initialized empty page.
 func NewPage() *Page {
@@ -49,16 +49,14 @@ func NewPage() *Page {
 
 // Init resets the page to empty.
 func (p *Page) Init() {
-	for i := range p.buf {
-		p.buf[i] = 0
-	}
+	*p = Page{}
 	p.setNumSlots(0)
 	p.setFreeStart(headerSize)
 	p.setFreeEnd(PageSize)
 }
 
 // Bytes exposes the raw page for I/O. Callers must treat it as opaque.
-func (p *Page) Bytes() []byte { return p.buf[:] }
+func (p *Page) Bytes() []byte { return p[:] }
 
 // LoadBytes replaces the page contents from a raw buffer of PageSize
 // bytes.
@@ -66,30 +64,30 @@ func (p *Page) LoadBytes(b []byte) error {
 	if len(b) != PageSize {
 		return fmt.Errorf("storage: LoadBytes got %d bytes, want %d", len(b), PageSize)
 	}
-	copy(p.buf[:], b)
+	copy(p[:], b)
 	return nil
 }
 
-func (p *Page) numSlots() int  { return int(binary.LittleEndian.Uint16(p.buf[0:2])) }
-func (p *Page) freeStart() int { return int(binary.LittleEndian.Uint16(p.buf[2:4])) }
-func (p *Page) freeEnd() int   { return int(binary.LittleEndian.Uint16(p.buf[4:6])) }
+func (p *Page) numSlots() int  { return int(binary.LittleEndian.Uint16(p[0:2])) }
+func (p *Page) freeStart() int { return int(binary.LittleEndian.Uint16(p[2:4])) }
+func (p *Page) freeEnd() int   { return int(binary.LittleEndian.Uint16(p[4:6])) }
 
-func (p *Page) setNumSlots(n int)  { binary.LittleEndian.PutUint16(p.buf[0:2], uint16(n)) }
-func (p *Page) setFreeStart(v int) { binary.LittleEndian.PutUint16(p.buf[2:4], uint16(v)) }
-func (p *Page) setFreeEnd(v int)   { binary.LittleEndian.PutUint16(p.buf[4:6], uint16(v)) }
+func (p *Page) setNumSlots(n int)  { binary.LittleEndian.PutUint16(p[0:2], uint16(n)) }
+func (p *Page) setFreeStart(v int) { binary.LittleEndian.PutUint16(p[2:4], uint16(v)) }
+func (p *Page) setFreeEnd(v int)   { binary.LittleEndian.PutUint16(p[4:6], uint16(v)) }
 
 func (p *Page) slotPos(slot int) int { return PageSize - (slot+1)*slotSize }
 
 func (p *Page) slot(slot int) (off, length int) {
 	pos := p.slotPos(slot)
-	return int(binary.LittleEndian.Uint16(p.buf[pos : pos+2])),
-		int(binary.LittleEndian.Uint16(p.buf[pos+2 : pos+4]))
+	return int(binary.LittleEndian.Uint16(p[pos : pos+2])),
+		int(binary.LittleEndian.Uint16(p[pos+2 : pos+4]))
 }
 
 func (p *Page) setSlot(slot, off, length int) {
 	pos := p.slotPos(slot)
-	binary.LittleEndian.PutUint16(p.buf[pos:pos+2], uint16(off))
-	binary.LittleEndian.PutUint16(p.buf[pos+2:pos+4], uint16(length))
+	binary.LittleEndian.PutUint16(p[pos:pos+2], uint16(off))
+	binary.LittleEndian.PutUint16(p[pos+2:pos+4], uint16(length))
 }
 
 // NumSlots returns the slot directory size, including dead slots.
@@ -136,7 +134,7 @@ func (p *Page) Insert(rec []byte) (int, error) {
 		}
 	}
 	off := p.freeStart()
-	copy(p.buf[off:off+len(rec)], rec)
+	copy(p[off:off+len(rec)], rec)
 	p.setFreeStart(off + len(rec))
 	if deadSlot >= 0 {
 		p.setSlot(deadSlot, off, len(rec))
@@ -159,7 +157,7 @@ func (p *Page) Record(slot int) ([]byte, error) {
 	if length == 0 {
 		return nil, ErrBadSlot
 	}
-	return p.buf[off : off+length], nil
+	return p[off : off+length], nil
 }
 
 // Delete marks a slot dead. Space is reclaimed lazily by compaction.
@@ -190,7 +188,7 @@ func (p *Page) Update(slot int, rec []byte) error {
 		return errors.New("storage: empty record")
 	}
 	if len(rec) <= length {
-		copy(p.buf[off:off+len(rec)], rec)
+		copy(p[off:off+len(rec)], rec)
 		p.setSlot(slot, off, len(rec))
 		return nil
 	}
@@ -217,7 +215,7 @@ func (p *Page) Update(slot int, rec []byte) error {
 		p.compact()
 	}
 	noff := p.freeStart()
-	copy(p.buf[noff:noff+len(rec)], rec)
+	copy(p[noff:noff+len(rec)], rec)
 	p.setFreeStart(noff + len(rec))
 	p.setSlot(slot, noff, len(rec))
 	return nil
@@ -240,11 +238,11 @@ func (p *Page) compact() {
 	var scratch [PageSize]byte
 	w := headerSize
 	for i := range lives {
-		copy(scratch[w:w+lives[i].length], p.buf[lives[i].off:lives[i].off+lives[i].length])
+		copy(scratch[w:w+lives[i].length], p[lives[i].off:lives[i].off+lives[i].length])
 		lives[i].off = w
 		w += lives[i].length
 	}
-	copy(p.buf[headerSize:w], scratch[headerSize:w])
+	copy(p[headerSize:w], scratch[headerSize:w])
 	for _, lv := range lives {
 		p.setSlot(lv.slot, lv.off, lv.length)
 	}
@@ -259,7 +257,7 @@ func (p *Page) Records(fn func(slot int, rec []byte) bool) {
 		if l == 0 {
 			continue
 		}
-		if !fn(s, p.buf[off:off+l]) {
+		if !fn(s, p[off:off+l]) {
 			return
 		}
 	}

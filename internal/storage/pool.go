@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,6 +48,7 @@ type Pool struct {
 	capacity int // frames, summed across shards
 	shards   []poolShard
 	mask     uint32
+	bits     uint8 // log2(len(shards)): id>>bits numbers id within its shard
 
 	// epoch is the publish clock: bumped (under verMu) once per committed
 	// write set. verMu also guards scans, the registry of active snapshot
@@ -61,6 +63,7 @@ type Pool struct {
 	latchWaits  atomic.Int64 // ... that had to block on a held latch
 	versLive    atomic.Int64 // retired versions currently retained
 	versRetired atomic.Int64 // retired versions dropped (total)
+	streamed    atomic.Int64 // pages read around the pool (ReadBatch)
 }
 
 // poolShard is one stripe of the frame table. slots is the table: linear
@@ -71,8 +74,8 @@ type Pool struct {
 // ring the sweep hand walks, holding exactly the frames in slots. The
 // hit/miss/evict counters are per shard — a global counter trio would
 // put every shard's hit path on the same contended cache line — and the
-// struct is padded so adjacent shards in the Pool's shard array never
-// false-share a line.
+// struct is exactly two cache lines so adjacent shards in the Pool's
+// shard array never false-share a line.
 type poolShard struct {
 	mu    sync.Mutex
 	slots []atomic.Pointer[frame]
@@ -84,12 +87,14 @@ type poolShard struct {
 	// write-back persisted, so a reload is stamped with it and snapshot
 	// visibility survives evict+reload (a page born at epoch 9 must not
 	// become visible to a snapshot at 5 just because it round-tripped
-	// through disk). Guarded by mu; lazily allocated.
-	gone   map[PageID]uint64
+	// through disk). It is dense, indexed by id>>Pool.bits (the shard's
+	// pages are every len(shards)-th id), grown on demand; 0, the epoch
+	// of a page never republished, is also what an id past its end reads.
+	// Guarded by mu.
+	gone   []uint64
 	hits   atomic.Int64
 	misses atomic.Int64
 	evicts atomic.Int64
-	_      [16]byte // 112 bytes of fields: two cache lines
 }
 
 // frame is one resident page. pins, ref, and dirty are atomics so the
@@ -235,6 +240,7 @@ func NewPoolShards(pager *Pager, capacity, shards int) (*Pool, error) {
 		capacity: capacity,
 		shards:   make([]poolShard, shards),
 		mask:     uint32(shards - 1),
+		bits:     uint8(bits.TrailingZeros(uint(shards))),
 	}
 	for i := range b.shards {
 		sh := &b.shards[i]
@@ -255,6 +261,28 @@ func NewPoolShards(pager *Pager, capacity, shards int) (*Pool, error) {
 
 func (b *Pool) shard(id PageID) *poolShard {
 	return &b.shards[uint32(id)&b.mask]
+}
+
+// goneAt returns the epoch recorded for id's last write-back, 0 when
+// none was. Callers hold id's shard mutex.
+func (b *Pool) goneAt(sh *poolShard, id PageID) uint64 {
+	if i := uint32(id) >> b.bits; i < uint32(len(sh.gone)) {
+		return sh.gone[i]
+	}
+	return 0
+}
+
+// setGone records e as the epoch of id's persisted version. Callers hold
+// id's shard mutex.
+func (b *Pool) setGone(sh *poolShard, id PageID, e uint64) {
+	i := int(uint32(id) >> b.bits)
+	if i >= len(sh.gone) {
+		if e == 0 {
+			return
+		}
+		sh.gone = append(sh.gone, make([]uint64, i+1-len(sh.gone))...)
+	}
+	sh.gone[i] = e
 }
 
 // Shards returns the stripe count (for tests and capacity planning).
@@ -513,7 +541,7 @@ func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 	// snapshot visibility is unchanged by the disk round-trip. The page
 	// is not Init'ed: the read overwrites all of it, and a frame whose
 	// read fails is dropped unread.
-	f := newFrame(id, new(Page), sh.gone[id])
+	f := newFrame(id, new(Page), b.goneAt(sh, id))
 	f.loading.Lock()
 	sh.insert(f)
 	sh.mu.Unlock()
@@ -698,16 +726,13 @@ func (sh *poolShard) dropFrameAt(i int, b *Pool) error {
 		f.old.Store(nil)
 	}
 	// Remember the persisted version's epoch so a reload is stamped with
-	// it. Epoch 0 (never republished) and unpublished invisible frames
-	// need no entry: the zero default is right for both.
-	if e := f.cur.Load().epoch; e != 0 && e != invisibleEpoch {
-		if sh.gone == nil {
-			sh.gone = make(map[PageID]uint64)
-		}
-		sh.gone[f.id] = e
-	} else {
-		delete(sh.gone, f.id)
+	// it. An unpublished invisible frame persisted nothing a snapshot can
+	// miss: it records 0, as a page never republished does.
+	e := f.cur.Load().epoch
+	if e == invisibleEpoch {
+		e = 0
 	}
+	b.setGone(sh, f.id, e)
 	sh.remove(i)
 	return nil
 }
@@ -733,6 +758,9 @@ func (b *Pool) FlushAll() error {
 	}
 	return nil
 }
+
+// Streamed returns how many pages ReadBatch read around the pool.
+func (b *Pool) Streamed() int64 { return b.streamed.Load() }
 
 // Stats reports cache behaviour for Table 5 accounting, summed across
 // shards (counters are sharded to keep hit paths off a shared line).
