@@ -50,9 +50,13 @@ RACE_HOT = core ratelimit delay counters ostree detect index engine storage clus
 # while writers republish and the sweep evicts their pages.
 RACE_WRITES = TestConcurrentWritersSnapshotAtomicity|TestConcurrentInsertDeleteAtomicity|TestConcurrentKeyChangeUpdates
 RACE_STREAM = TestStreamedRangeReadsItsSnapshot|TestStreamedReadsUnderWriters
+# The full-heap reader at 1, 2 and 4 Ps: the claim-window bound and the
+# aggregate's bits must not depend on how many the host has.
+RACE_SCAN = TestParallelScan|TestFullScanAggregateIgnoresWorkers
 race-hot:
 	$(GO) test -race $(RACE_HOT:%=./internal/%/...)
 	$(GO) test -race -count=20 -run '^($(RACE_WRITES)|$(RACE_STREAM))$$' ./internal/engine
+	$(GO) test -race -cpu 1,2,4 -run '^($(RACE_SCAN))' ./internal/engine
 
 # Lines of Go, non-test and test, per package and in total.
 loc:

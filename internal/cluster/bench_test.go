@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -77,14 +78,17 @@ func BenchmarkClusterPointQuery(b *testing.B) {
 // (250µs per physical page access, an 8-page pool, one scan worker), so
 // scans are I/O-bound the way the paper's delay accounting assumes —
 // and so scatter-gather's concurrency shows up even on a single-core
-// bench host: shard scan workers sleeping in the I/O hook overlap.
+// bench host: shard scan workers sleeping in the I/O hook overlap. The
+// engine takes its scan workers from GOMAXPROCS at Open, so Open runs
+// under GOMAXPROCS(1).
 func newIOShard(b *testing.B, catalogN int) http.Handler {
 	b.Helper()
+	prev := runtime.GOMAXPROCS(1)
 	db, err := engine.Open(b.TempDir(),
 		engine.WithPoolPages(8),
 		engine.WithIOCost(func() { time.Sleep(250 * time.Microsecond) }),
-		engine.WithScanWorkers(1),
 	)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,9 @@
 // the Shield wraps the embedded relational engine with access counting
 // (§2.3), popularity- or update-rate-keyed delay (§2, §3), per-principal
 // and subnet-aggregated rate limiting, and a registration throttle
-// (§2.4), plus tuple version tracking for the staleness guarantee (§3).
+// (§2.4), plus a count of the tuples writes changed (TuplesUpdated).
+// Staleness (§3) is not tracked per tuple: it is measured by re-reading
+// extracted rows.
 //
 // Every query enters through Shield.Query: the statement runs against the
 // engine, the returned tuples are priced by the delay policy, the shield

@@ -47,18 +47,6 @@ func WithIOCost(fn func()) Option {
 	return func(db *Database) { db.ioCost = fn }
 }
 
-// WithScanWorkers caps the goroutines a full table scan or aggregate may
-// fan out across. The default is GOMAXPROCS; 1 disables the parallel
-// scan executor. Values above GOMAXPROCS are honored — workers then
-// timeshare cores, which still overlaps page decode with pool I/O.
-// Deployments size it through GOMAXPROCS; the callers that set it are
-// BenchmarkClusterScan's I/O shard (one worker, so scatter-gather's
-// overlap is the only concurrency its invariant measures) and the
-// parallel-scan tests.
-func WithScanWorkers(n int) Option {
-	return func(db *Database) { db.scanWorkers = n }
-}
-
 // WithWAL enables per-statement write-ahead logging: every mutating
 // statement appends the pages it dirtied plus a commit record to
 // <table>.wal before returning, and recovery replays committed batches
@@ -96,9 +84,11 @@ const walCheckpointBytes = 8 << 20
 // page file per table plus a JSON catalog. It is safe for concurrent use;
 // statements execute atomically with respect to each other per table.
 type Database struct {
-	dir         string
-	cat         *catalog.Catalog
-	poolPages   int
+	dir       string
+	cat       *catalog.Catalog
+	poolPages int
+	// scanWorkers is the most goroutines a full-heap read fans out
+	// across: GOMAXPROCS at Open (see scanWorkersFor).
 	scanWorkers int
 	ioCost      func()
 	useWAL      bool
@@ -213,26 +203,14 @@ func (t *table) commitWrite(ws *storage.WriteSet, apply func()) (checkpoint bool
 	return t.wal != nil && t.wal.Size() >= walCheckpointBytes, nil
 }
 
-// scanRows calls fn with every row of t's heap, decoded, under a
-// registered snapshot. Index builds use it: a caller that holds t.mu
-// exclusively (or owns a table not yet published) sees every row.
-func (t *table) scanRows(fn func(row catalog.Row, rid storage.RID)) error {
-	snap := t.pool.BeginSnapshot()
-	defer t.pool.EndSnapshot(snap)
-	var derr error
-	err := t.heap.ScanAt(snap, func(rid storage.RID, rec []byte) bool {
-		row, err := catalog.DecodeRow(t.schema, rec)
-		if err != nil {
-			derr = fmt.Errorf("row %v: %w", rid, err)
-			return false
-		}
+// scanRows calls fn with every row of t's heap, fully decoded, in page
+// order. Index builds use it: a caller that holds t.mu exclusively (or
+// owns a table not yet published) sees every row.
+func (db *Database) scanRows(t *table, fn func(row catalog.Row, rid storage.RID)) error {
+	return db.fullScan(t, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
 		fn(row, rid)
-		return true
+		return true, nil
 	})
-	if err != nil {
-		return err
-	}
-	return derr
 }
 
 // checkpoint flushes data pages and truncates the log once it outgrows
@@ -277,9 +255,6 @@ func Open(dir string, opts ...Option) (*Database, error) {
 	}
 	if db.poolPages < 1 {
 		return nil, errors.New("engine: pool pages < 1")
-	}
-	if db.scanWorkers < 1 {
-		return nil, errors.New("engine: scan workers < 1")
 	}
 	for _, name := range cat.Tables() {
 		schema, err := cat.Get(name)
@@ -363,7 +338,7 @@ func (db *Database) loadTable(schema catalog.Schema) (*table, error) {
 		}
 		t.secondaries = append(t.secondaries, sec)
 	}
-	if err := t.scanRows(func(row catalog.Row, rid storage.RID) {
+	if err := db.scanRows(t, func(row catalog.Row, rid storage.RID) {
 		t.pk.Put(row[schema.Key].Int, rid)
 		for _, sec := range t.secondaries {
 			sec.insert(row, rid)

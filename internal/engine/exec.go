@@ -420,20 +420,17 @@ func (a *aggAccum) merge(o aggAccum) {
 // writing one summary row through w into res. Keys lists every tuple
 // included in the aggregate: the delay defense treats an aggregate as
 // "the aggregate of multiple simple queries" (§2.1), so an adversary
-// cannot cheaply walk the database through SUMs. Full scans fan out
-// across the parallel executor, each worker folding rows into private
-// accumulators that are merged in page order. Callers hold the table
-// read lock.
+// cannot cheaply walk the database through SUMs. A full scan folds
+// chunk by chunk (aggregateFullScan); the index paths fold row by row.
+// Callers hold the table read lock.
 func (db *Database) execAggregate(t *table, pl *selPlan, conj []boundConj, res *Result, w *rowWriter) (*Result, error) {
 	accs := append([]aggAccum(nil), pl.aggs...)
 	t.idxMu.RLock()
 	p := choosePlanBound(t, conj)
 	t.idxMu.RUnlock()
 	var err error
-	if n := db.scanWorkersFor(t); p.kind == planFullScan && n > 1 {
-		snap := t.pool.BeginSnapshot()
-		err = db.parallelAggregate(t, conj, pl.need, n, snap, accs, res)
-		t.pool.EndSnapshot(snap)
+	if p.kind == planFullScan {
+		err = db.aggregateFullScan(t, conj, pl.need, accs, res)
 	} else {
 		err = db.planAndScanBound(t, conj, pl.need, pl.need, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
 			res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))

@@ -1,21 +1,25 @@
-// Parallel scan executor: full table scans and aggregates partition the
-// heap's page range into fixed-size chunks that a small worker pool
-// claims through an atomic cursor. Workers fetch, decode, and filter
-// pages concurrently — the buffer pool's lock striping keeps them off
-// each other's latches — while the calling goroutine consumes chunk
-// results strictly in page order, so parallel execution is
-// indistinguishable from a sequential scan to everything above it
-// (row order, LIMIT semantics, Keys order, aggregate merge order).
+// Full-heap reads: full-scan SELECTs, full-scan aggregates and index
+// builds all read through one page walker (heapWalk) at a snapshot they
+// register. Rows (fullScan) stream straight from it at one worker, so a
+// LIMIT stops on the page that satisfies it. Aggregates
+// (aggregateFullScan) fold one chunk at a time and merge the chunks in
+// page order at any worker count, so their bits do not depend on it.
 //
-// Early termination (LIMIT satisfied, callback false, first error)
-// raises a shared stop flag that workers poll between pages; per-chunk
-// result channels are buffered so no goroutine ever blocks on a
-// consumer that has already left. Workers claim at most scanWindow
-// chunks past the last one the consumer has taken, so what a stopped
-// scan read in vain is bounded by a constant, not by the scheduler.
+// The chunked executor (runChunkedScan) cuts the heap into fixed-size
+// chunks that a small worker pool claims through an atomic cursor and
+// maps concurrently — the buffer pool's lock striping keeps them off
+// each other's latches — while the calling goroutine reduces results
+// strictly in page order. Early termination (LIMIT satisfied, callback
+// false, first error) raises a stop flag workers poll between pages;
+// per-chunk result channels are buffered so no goroutine ever blocks on
+// a consumer that has already left, and workers claim at most
+// scanWindow chunks past the last one the consumer has taken, so what a
+// stopped scan read in vain is bounded by a constant, not by the
+// scheduler.
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -26,16 +30,16 @@ import (
 // scanChunkPages is the claim unit: large enough that the atomic cursor
 // and channel round-trip amortize across many pages, small enough that
 // chunks stripe evenly across workers and LIMIT cancellation is prompt.
+// It is also an aggregate's fold unit, so it decides a FLOAT SUM's bits.
 const scanChunkPages = 16
 
 // minParallelScanPages gates the executor: below two chunks there is
 // nothing to overlap and goroutine setup would only add latency.
 const minParallelScanPages = 2 * scanChunkPages
 
-// scanWorkersFor resolves the worker count for a scan of t: the
-// configured ceiling (default GOMAXPROCS), further capped by the chunk
-// count so no worker starts without work. Returns 1 — sequential — for
-// small heaps.
+// scanWorkersFor resolves the worker count for a scan of t: GOMAXPROCS
+// at Open, capped by the chunk count so no worker starts without work.
+// Returns 1 for small heaps.
 func (db *Database) scanWorkersFor(t *table) int {
 	n := t.heap.NumPages()
 	if n < minParallelScanPages || db.scanWorkers <= 1 {
@@ -46,6 +50,70 @@ func (db *Database) scanWorkersFor(t *table) int {
 		w = chunks
 	}
 	return w
+}
+
+// heapWalk reads a table's heap at snapshot snap, which the caller
+// registered: every live record decoded under decode, the rows that
+// match conj handed on. It is the engine's one full-heap reader.
+type heapWalk struct {
+	t      *table
+	conj   []boundConj
+	decode []bool
+	snap   uint64
+	// vals is the decode buffer. With keep every matching row stays
+	// appended to it (a chunk's rows, handed over after the walk);
+	// without, every row decodes into the same slots.
+	vals []catalog.Value
+	keep bool
+}
+
+// pages walks heap pages [lo, hi) in page and slot order, handing each
+// matching row to visit with its rid and record, until visit returns
+// false or an error, or stop (nil: never) is raised between pages. A
+// decode error names the record's rid. The record is a slice of the page
+// version the snapshot sees, not a copy: a published version is never
+// written in place and a pool miss loads into a fresh buffer
+// (Pool.fetchSlow), so it stays intact while snap is registered.
+func (w *heapWalk) pages(lo, hi storage.PageID, stop *atomic.Bool, visit scanFn) error {
+	var err error
+	step := func(rid storage.RID, rec []byte) bool {
+		n := 0
+		if w.keep {
+			n = len(w.vals)
+		}
+		vals, derr := catalog.DecodeRowInto(w.t.schema, rec, w.vals[:n], w.decode)
+		if derr != nil {
+			err = fmt.Errorf("row %v: %w", rid, derr)
+			return false
+		}
+		row := vals[n:len(vals):len(vals)]
+		ok, merr := matchesBound(row, w.conj)
+		if merr != nil {
+			err = merr
+			return false
+		}
+		if !ok {
+			w.vals = vals[:n]
+			return true
+		}
+		w.vals = vals
+		cont, verr := visit(rid, row, rec)
+		err = verr
+		return cont && verr == nil
+	}
+	for id := lo; id < hi; id++ {
+		if stop != nil && stop.Load() {
+			return nil
+		}
+		cont, serr := w.t.heap.ScanPageAt(id, w.snap, step)
+		if serr != nil {
+			return serr
+		}
+		if !cont {
+			return err
+		}
+	}
+	return nil
 }
 
 // chunkResult carries one chunk's mapped value or the error that ended
@@ -67,6 +135,12 @@ func scanWindow(workers int) int {
 	return workers + workers/2
 }
 
+// chunkPages returns the page range [lo, hi) of chunk c of an n-page heap.
+func chunkPages(c int, n storage.PageID) (lo, hi storage.PageID) {
+	lo = storage.PageID(c) * scanChunkPages
+	return lo, min(lo+scanChunkPages, n)
+}
+
 // runChunkedScan partitions [0, n) pages into chunks, maps each chunk on
 // one of workers goroutines, and reduces results on the calling
 // goroutine in ascending chunk order. mapChunk should poll stop between
@@ -77,13 +151,25 @@ func scanWindow(workers int) int {
 // at most k + scanWindow(workers) chunks mapped — on any number of Ps,
 // however the goroutines were scheduled. runChunkedScan returns only
 // after every worker has exited, so mapped state is never touched after
-// it returns.
+// it returns. With one worker, the calling goroutine maps and reduces
+// each chunk in turn: no goroutine, no channel.
 func runChunkedScan[T any](n storage.PageID, workers int,
 	mapChunk func(lo, hi storage.PageID, stop *atomic.Bool) (T, error),
 	reduce func(T) (bool, error),
 ) error {
 	chunks := int((n + scanChunkPages - 1) / scanChunkPages)
-	if chunks == 0 {
+	if workers <= 1 {
+		var stop atomic.Bool
+		for c := 0; c < chunks; c++ {
+			lo, hi := chunkPages(c, n)
+			val, err := mapChunk(lo, hi, &stop)
+			if err != nil {
+				return err
+			}
+			if cont, err := reduce(val); err != nil || !cont {
+				return err
+			}
+		}
 		return nil
 	}
 	// One buffered slot per chunk: a worker's send never blocks, so
@@ -117,11 +203,7 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 				if c >= chunks {
 					return
 				}
-				lo := storage.PageID(c) * scanChunkPages
-				hi := lo + scanChunkPages
-				if hi > n {
-					hi = n
-				}
+				lo, hi := chunkPages(c, n)
 				val, err := mapChunk(lo, hi, &stop)
 				if err != nil {
 					stop.Store(true)
@@ -156,81 +238,58 @@ func runChunkedScan[T any](n storage.PageID, workers int,
 	return err
 }
 
-// scannedRows is one chunk's matching rows, decoded and filtered by the
-// worker that scanned it: row i is vals[i*width:(i+1)*width], decoded
-// from recs[recEnds[i-1]:recEnds[i]], a copy of its record.
+// scannedRows is one chunk's matching rows: row i is
+// vals[i*width:(i+1)*width], decoded from recs[i], a slice of the page
+// version it was read from (see heapWalk.pages).
 type scannedRows struct {
-	rids    []storage.RID
-	vals    []catalog.Value
-	recs    []byte
-	recEnds []int
+	rids []storage.RID
+	vals []catalog.Value
+	recs [][]byte
 }
 
-// scanChunk scans heap pages [lo, hi), decoding every live record and
-// keeping the rows that match the conjuncts, and a copy of each one's
-// record. What it keeps is the chunk's own (values and records appended
-// to its arenas, strings copied out of the page), so it outlives the
-// page and survives hand-off to the reducer. decode is the decode mask
-// (must cover the conjunct columns).
+// scanChunk collects the rows of heap pages [lo, hi) that match conj,
+// decoded under decode into the chunk's own arena, so they survive
+// hand-off to the reducer.
 func scanChunk(t *table, conj []boundConj, decode []bool, snap uint64, lo, hi storage.PageID, stop *atomic.Bool) (scannedRows, error) {
 	var out scannedRows
-	for id := lo; id < hi; id++ {
-		if stop.Load() {
-			return out, nil
-		}
-		var innerErr error
-		_, err := t.heap.ScanPageAt(id, snap, func(rid storage.RID, rec []byte) bool {
-			n := len(out.vals)
-			vals, derr := catalog.DecodeRowInto(t.schema, rec, out.vals, decode)
-			if derr != nil {
-				innerErr = derr
-				return false
-			}
-			ok, merr := matchesBound(vals[n:], conj)
-			if merr != nil {
-				innerErr = merr
-				return false
-			}
-			if !ok {
-				out.vals = vals[:n]
-				return true
-			}
-			out.vals = vals
-			out.rids = append(out.rids, rid)
-			out.recs = append(out.recs, rec...)
-			out.recEnds = append(out.recEnds, len(out.recs))
-			return true
-		})
-		if err == nil {
-			err = innerErr
-		}
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	w := heapWalk{t: t, conj: conj, decode: decode, snap: snap, keep: true}
+	err := w.pages(lo, hi, stop, func(rid storage.RID, _ catalog.Row, rec []byte) (bool, error) {
+		out.rids = append(out.rids, rid)
+		out.recs = append(out.recs, rec)
+		return true, nil
+	})
+	out.vals = w.vals
+	return out, err
 }
 
-// parallelFullScan streams matching rows to fn in page order through the
-// chunked executor, reading every page at the snapshot epoch the caller
-// registered. fn runs on the calling goroutine only; fn returning
-// false cancels outstanding workers (LIMIT early-cancel). Callers hold
-// at least the table read lock.
-func (db *Database) parallelFullScan(t *table, conj []boundConj, decode []bool, workers int, snap uint64, fn scanFn) error {
+// fullScan streams the rows of t that match conj to fn in page order,
+// decoded under decode, at a snapshot it registers. One worker walks the
+// pages straight through; more take chunks through runChunkedScan. fn
+// runs on the calling goroutine only; returning false stops the scan
+// (LIMIT). Callers hold at least the table read lock.
+func (db *Database) fullScan(t *table, conj []boundConj, decode []bool, fn scanFn) error {
+	snap := t.pool.BeginSnapshot()
+	defer t.pool.EndSnapshot(snap)
+	workers := db.scanWorkersFor(t)
+	if workers == 1 {
+		sc := rowScratchPool.Get().(*rowScratch)
+		defer rowScratchPool.Put(sc)
+		w := heapWalk{t: t, conj: conj, decode: decode, snap: snap, vals: sc.row[:0]}
+		err := w.pages(0, t.heap.NumPages(), nil, fn)
+		sc.row = w.vals[:0]
+		return err
+	}
 	width := len(t.schema.Columns)
 	return runChunkedScan(t.heap.NumPages(), workers,
 		func(lo, hi storage.PageID, stop *atomic.Bool) (scannedRows, error) {
 			return scanChunk(t, conj, decode, snap, lo, hi, stop)
 		},
 		func(c scannedRows) (bool, error) {
-			start := 0
-			for i, end := range c.recEnds {
+			for i, rec := range c.recs {
 				row := c.vals[i*width : (i+1)*width : (i+1)*width]
-				cont, err := fn(c.rids[i], row, c.recs[start:end:end])
-				if err != nil || !cont {
+				if cont, err := fn(c.rids[i], row, rec); err != nil || !cont {
 					return cont, err
 				}
-				start = end
 			}
 			return true, nil
 		})
@@ -243,60 +302,51 @@ type chunkAgg struct {
 	keys []uint64
 }
 
-// parallelAggregate evaluates the accumulators over all matching rows of
-// a full scan: every worker folds its chunk's rows into private
-// accumulators, and the reducer merges the partials in page order —
-// deterministic for a given heap layout, bitwise-identical to the
-// sequential fold. Callers hold at least the table read lock and a
-// registered snapshot at snap.
-func (db *Database) parallelAggregate(t *table, conj []boundConj, need []bool, workers int, snap uint64, accs []aggAccum, res *Result) error {
+// aggregateFullScan folds the rows of t that match conj into accs and
+// appends their keys to res.Keys. Each chunk folds into accumulators of
+// its own and the chunks merge in page order at any worker count, so the
+// result depends on the heap's layout alone. Callers hold at least the
+// table read lock.
+func (db *Database) aggregateFullScan(t *table, conj []boundConj, need []bool, accs []aggAccum, res *Result) error {
+	snap := t.pool.BeginSnapshot()
+	defer t.pool.EndSnapshot(snap)
+	workers := db.scanWorkersFor(t)
+	// A chunk's key buffer goes back to the mappers once the reducer has
+	// copied it out, so a scan grows a window's worth of them, not one per
+	// chunk (at one worker, one per chunk cost BenchmarkEngineScan/g=1 70
+	// allocations and 10-45% of its time). At most scanWindow chunks are
+	// claimed and not yet reduced, so that many buffers plus the one being
+	// handed back can be spare at once.
+	spare := make(chan []uint64, scanWindow(workers)+1)
 	return runChunkedScan(t.heap.NumPages(), workers,
 		func(lo, hi storage.PageID, stop *atomic.Bool) (chunkAgg, error) {
 			part := chunkAgg{accs: make([]aggAccum, len(accs))}
 			for i := range accs {
 				part.accs[i].col = accs[i].col
 			}
+			select {
+			case part.keys = <-spare:
+			default:
+			}
 			// Rows are folded into the accumulators and dropped, so the
 			// whole chunk decodes through one scratch row. (observe copies
 			// the values it keeps; decoded strings own their memory.)
-			var scratch catalog.Row
-			for id := lo; id < hi; id++ {
-				if stop.Load() {
-					return part, nil
+			w := heapWalk{t: t, conj: conj, decode: need, snap: snap}
+			err := w.pages(lo, hi, stop, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
+				part.keys = append(part.keys, uint64(row[t.schema.Key].Int))
+				for i := range part.accs {
+					part.accs[i].observe(row)
 				}
-				var innerErr error
-				_, err := t.heap.ScanPageAt(id, snap, func(_ storage.RID, rec []byte) bool {
-					row, derr := catalog.DecodeRowInto(t.schema, rec, scratch[:0], need)
-					if derr != nil {
-						innerErr = derr
-						return false
-					}
-					scratch = row
-					ok, merr := matchesBound(row, conj)
-					if merr != nil {
-						innerErr = merr
-						return false
-					}
-					if !ok {
-						return true
-					}
-					part.keys = append(part.keys, uint64(row[t.schema.Key].Int))
-					for i := range part.accs {
-						part.accs[i].observe(row)
-					}
-					return true
-				})
-				if err == nil {
-					err = innerErr
-				}
-				if err != nil {
-					return part, err
-				}
-			}
-			return part, nil
+				return true, nil
+			})
+			return part, err
 		},
 		func(part chunkAgg) (bool, error) {
 			res.Keys = append(res.Keys, part.keys...)
+			select {
+			case spare <- part.keys[:0]:
+			default:
+			}
 			for i := range accs {
 				accs[i].merge(part.accs[i])
 			}

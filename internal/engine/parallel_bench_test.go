@@ -145,7 +145,7 @@ func BenchmarkEnginePointQueryPlanCache(b *testing.B) {
 func BenchmarkEngineScan(b *testing.B) {
 	for _, w := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("g=%d", w), func(b *testing.B) {
-			db := benchEngine(b, 4000, WithScanWorkers(w))
+			db := benchEngine(b, 4000, withScanWorkers(w))
 			if _, err := db.Exec(`SELECT COUNT(*) FROM wide`); err != nil {
 				b.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func BenchmarkEngineScanColdIO(b *testing.B) {
 			ioWait := func() { time.Sleep(100 * time.Microsecond) }
 			var enabled atomic.Bool
 			db := benchEngine(b, 1500,
-				WithScanWorkers(w),
+				withScanWorkers(w),
 				WithPoolPages(16),
 				WithIOCost(func() {
 					if enabled.Load() {

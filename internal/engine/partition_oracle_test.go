@@ -406,7 +406,7 @@ func TestPartitionSetOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			db := testDB(t, WithScanWorkers(4))
+			db := testDB(t, withScanWorkers(4))
 			small := loadOracleTable(t, db, rng, "small", 300, 0)
 			wide := loadOracleTable(t, db, rng, "wide", 1500, 100)
 			tbl, err := db.getTable("wide")

@@ -18,7 +18,7 @@ import (
 func TestNoPinLeaksAcrossStatementKinds(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			db := testDB(t, WithScanWorkers(workers))
+			db := testDB(t, withScanWorkers(workers))
 			loadWideTable(t, db, 1200)
 
 			stmts := []string{

@@ -267,42 +267,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 	}
 	if p.kind == planFullScan {
 		t.idxMu.RUnlock()
-		// Full scan: fan out across the parallel executor when the heap
-		// is large enough; fn still sees rows in page order.
-		snap := t.pool.BeginSnapshot()
-		defer t.pool.EndSnapshot(snap)
-		if w := db.scanWorkersFor(t); w > 1 {
-			return db.parallelFullScan(t, conj, decode, w, snap, fn)
-		}
-		sc := rowScratchPool.Get().(*rowScratch)
-		defer rowScratchPool.Put(sc)
-		var scanErr error
-		err := t.heap.ScanAt(snap, func(rid storage.RID, rec []byte) bool {
-			row, derr := catalog.DecodeRowInto(t.schema, rec, sc.row[:0], decode)
-			if derr != nil {
-				scanErr = derr
-				return false
-			}
-			sc.row = row
-			ok, merr := matchesBound(row, conj)
-			if merr != nil {
-				scanErr = merr
-				return false
-			}
-			if !ok {
-				return true
-			}
-			cont, ferr := fn(rid, row, rec)
-			if ferr != nil {
-				scanErr = ferr
-				return false
-			}
-			return cont
-		})
-		if err != nil {
-			return err
-		}
-		return scanErr
+		return db.fullScan(t, conj, decode, fn)
 	}
 
 	sc := rowScratchPool.Get().(*rowScratch)

@@ -15,7 +15,7 @@ import (
 // writer updating the same rows; it must run clean under -race and
 // every read must observe a consistent row count.
 func TestSelectUpdatePageByteRace(t *testing.T) {
-	db := testDB(t, WithScanWorkers(4))
+	db := testDB(t, withScanWorkers(4))
 	loadWideTable(t, db, 600)
 
 	const readers = 3

@@ -152,7 +152,7 @@ func (db *Database) execCreateIndex(s *sqlmini.CreateIndex) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.scanRows(sec.insert); err != nil {
+	if err := db.scanRows(t, sec.insert); err != nil {
 		return nil, fmt.Errorf("engine: building index %q: %w", s.Name, err)
 	}
 	newSchema := t.schema

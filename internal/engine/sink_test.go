@@ -210,7 +210,7 @@ func runSinkShape(p *Prepared, shape sinkShape, k int, prev func() error) (func(
 
 func TestSinkReuse(t *testing.T) {
 	const n = 200
-	db := testDB(t, WithScanWorkers(1))
+	db := testDB(t, withScanWorkers(1))
 	loadSinkTable(t, db, n)
 	run := func(shape sinkShape, k int, prev func() error) (func() error, error) {
 		p, err := db.Prepare(shape.sql(k))
@@ -286,7 +286,7 @@ func TestValuesPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the program's")
 	}
-	db := testDB(t, WithScanWorkers(1))
+	db := testDB(t, withScanWorkers(1))
 	loadSinkTable(t, db, 200)
 	for _, c := range []struct {
 		sql     string

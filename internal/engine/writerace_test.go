@@ -68,7 +68,7 @@ func TestConcurrentWritersSnapshotAtomicity(t *testing.T) {
 		span   = 64 // ~several pages per group
 		iters  = 60
 	)
-	db := testDB(t, WithScanWorkers(4))
+	db := testDB(t, withScanWorkers(4))
 	markConcurrent(t, db)
 	loadGroupTable(t, db, groups, span)
 

@@ -26,8 +26,10 @@ func wrapIO(err error) error {
 }
 
 // ErrPoolExhausted reports that a page could not be brought into the
-// buffer pool because every frame it could take is pinned. It is a limit
-// of the statement, not a failure of the disk — a write set pins every
-// page it touches until it commits, so a statement that writes more
-// pages than the pool holds cannot run — and never matches ErrIO.
+// buffer pool because every frame it could take is pinned or holds page
+// versions a registered snapshot still reads; the message counts each.
+// It is a limit of the statement, not a failure of the disk — a write
+// set pins every page it touches until it commits, so a statement that
+// writes more pages than the pool holds cannot run — and never matches
+// ErrIO.
 var ErrPoolExhausted = errors.New("storage: buffer pool exhausted")

@@ -155,25 +155,6 @@ func (h *HeapFile) ScanPageAt(id PageID, snap uint64, fn func(rid RID, rec []byt
 	return cont, nil
 }
 
-// ScanAt calls fn for every live record visible at snapshot epoch snap,
-// in page order, until fn returns false or an error occurs. Every heap
-// read goes through it or, for the parallel executor's chunks, through
-// ScanPageAt, against a snapshot: scans, index builds and the index
-// rebuild at open alike.
-func (h *HeapFile) ScanAt(snap uint64, fn func(rid RID, rec []byte) bool) error {
-	n := h.NumPages()
-	for id := PageID(0); id < n; id++ {
-		cont, err := h.ScanPageAt(id, snap, fn)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}
-
 // NumPages returns the heap's page count — the range a scan covers. The
 // parallel scan executor partitions [0, NumPages()) across its workers.
 // A page is counted only once its frame is in the pool (see

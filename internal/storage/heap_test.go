@@ -75,8 +75,16 @@ func (h heapT) Get(rid RID) (out []byte, err error) {
 	return append([]byte(nil), rec...), err
 }
 
+// Scan walks every page at the current epoch, as the engine's full-heap
+// reader does.
 func (h heapT) Scan(fn func(rid RID, rec []byte) bool) error {
-	return h.ScanAt(h.pool.Epoch(), fn)
+	snap := h.pool.Epoch()
+	for id := PageID(0); id < h.NumPages(); id++ {
+		if cont, err := h.ScanPageAt(id, snap, fn); err != nil || !cont {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestRIDIsEightBytes: every primary-index entry holds a RID beside its

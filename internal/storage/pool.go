@@ -646,27 +646,29 @@ func (b *Pool) Unpin(id PageID) error {
 // claims it (the sweep skips it) or condemned first (tryPin refuses it
 // and the reader reloads). Callers hold the shard mutex.
 func (sh *poolShard) evictOne(b *Pool) error {
-	// Give up only after a whole lap on which no frame could go: stuck
-	// counts consecutive frames found pinned or feeding a snapshot. A
-	// demotion restarts it — that frame is a victim on its next visit
-	// unless a reader claims it first — so a frame pinned on one lap and
-	// merely referenced on the next is still found. Lock-free hits keep
-	// setting reference bits while the sweep holds sh.mu, so the walk is
-	// also capped at four laps (two of demotions, one of pins, one spare):
+	// Give up only after a whole lap on which no frame could go: pinned
+	// and held count consecutive frames found pinned or feeding a
+	// snapshot, apart, so the error can name both. A demotion restarts
+	// them — that frame is a victim on its next visit unless a reader
+	// claims it first — so a frame pinned on one lap and merely
+	// referenced on the next is still found. Lock-free hits keep setting
+	// reference bits while the sweep holds sh.mu, so the walk is also
+	// capped at four laps (two of demotions, one of pins, one spare):
 	// past that the readers are outrunning the hand and the caller gets
 	// the error instead of a spin under the shard mutex.
 	n := len(sh.clock)
-	for stuck, steps := 0, 0; stuck < n && steps < 4*n; sh.hand, steps = sh.hand+1, steps+1 {
+	pinned, held := 0, 0
+	for steps := 0; pinned+held < n && steps < 4*n; sh.hand, steps = sh.hand+1, steps+1 {
 		if sh.hand >= len(sh.clock) {
 			sh.hand = 0
 		}
 		f := sh.clock[sh.hand]
 		if f.pins.Load() > 0 {
-			stuck++
+			pinned++
 			continue
 		}
 		if f.ref.CompareAndSwap(true, false) {
-			stuck = 0
+			pinned, held = 0, 0
 			continue
 		}
 		// A frame whose version chain still feeds a registered snapshot
@@ -679,13 +681,13 @@ func (sh *poolShard) evictOne(b *Pool) error {
 			empty := b.pruneChainLocked(f)
 			b.verMu.Unlock()
 			if !empty {
-				stuck++
+				held++
 				continue
 			}
 		}
 		if !f.pins.CompareAndSwap(0, condemnedPins) {
 			// A reader pinned the frame between the checks; spare it.
-			stuck++
+			pinned++
 			continue
 		}
 		if err := sh.dropFrameAt(sh.hand, b); err != nil {
@@ -694,8 +696,10 @@ func (sh *poolShard) evictOne(b *Pool) error {
 		sh.evicts.Add(1)
 		return nil
 	}
-	return fmt.Errorf("%w: all %d frames of a stripe of the %d-page pool are pinned (a statement pins every page it writes until it commits: write fewer rows per statement, or raise engine.WithPoolPages)",
-		ErrPoolExhausted, n, b.capacity)
+	return fmt.Errorf("%w: no frame of a %d-frame stripe of the %d-page pool can go: "+
+		"%d pinned (a statement pins every page it writes until it commits: write fewer rows per statement, or raise engine.WithPoolPages), "+
+		"%d holding page versions a registered snapshot still reads (they go when its scan ends: run fewer long scans beside writers, or raise engine.WithPoolPages)",
+		ErrPoolExhausted, n, b.capacity, pinned, held)
 }
 
 // dropFrameAt writes back the frame at clock index i if dirty and

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +150,50 @@ func TestPoolAllFramesPinnedErrors(t *testing.T) {
 	}
 	if n := pool.Pinned(); n != 1 {
 		t.Fatalf("Pinned = %d after the failed allocation, want the 1 the test holds", n)
+	}
+}
+
+// TestPoolExhaustedNamesSnapshotHeldFrames: a frame whose older
+// versions a registered snapshot still reads cannot be evicted any more
+// than a pinned one, and the error says which of the two stopped the
+// sweep. Once the snapshot ends, the same miss evicts.
+func TestPoolExhaustedNamesSnapshotHeldFrames(t *testing.T) {
+	pool, err := NewPoolShards(tempPager(t), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := newPage(t, pool, []byte("cold"))
+	resident := []PageID{newPage(t, pool), newPage(t, pool)} // evicts cold
+	snap := pool.BeginSnapshot()
+	for _, id := range resident {
+		ws := NewWriteSet(pool)
+		pg, ok, err := ws.Acquire(id)
+		if err != nil || !ok {
+			t.Fatalf("acquire %d: ok=%v err=%v", id, ok, err)
+		}
+		if _, err := pg.Insert([]byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		ws.MarkDirty(id)
+		ws.Publish()
+		ws.Release()
+	}
+	_, _, err = pool.FetchAt(cold, pool.Epoch())
+	if !errors.Is(err, ErrPoolExhausted) || errors.Is(err, ErrIO) {
+		t.Fatalf("miss with every frame feeding a snapshot: err = %v, want ErrPoolExhausted and not ErrIO", err)
+	}
+	for _, want := range []string{"0 pinned", "2 holding page versions a registered snapshot still reads"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	pool.EndSnapshot(snap)
+	pg, vis, err := pool.FetchAt(cold, pool.Epoch())
+	if err != nil || !vis {
+		t.Fatalf("the same miss after EndSnapshot: vis=%v err=%v", vis, err)
+	}
+	if rec, err := pg.Record(0); err != nil || string(rec) != "cold" {
+		t.Fatalf("cold page reads %q, %v", rec, err)
 	}
 }
 
