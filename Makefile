@@ -125,8 +125,10 @@ bench-ledger-smoke:
 
 # Crash-consistency torture, CI-sized: a bounded sample of crash points
 # (truncate-and-reopen at enumerated WAL offsets, count-snapshot
-# atomicity, crash points inside coalesced group-commit flushes, and the
-# live torn-append + group-flush failpoint sweeps) under -race.
+# atomicity, crash points inside coalesced group-commit flushes, the
+# live torn-append + group-flush failpoint sweeps, and seeded statement
+# streams, seeds 1 and 2, checked against a model and cut at every batch
+# boundary and inside image and patch records) under -race.
 # TORTURE_POINTS caps the sample; 0 means enumerate everything.
 torture:
 	TORTURE_POINTS=400 $(GO) test -race -v -run TestCrash ./internal/torture/
@@ -173,7 +175,7 @@ examples:
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
 
-# Three fuzz targets, 35 s in all. FuzzParse (SQL parser), 15 s: no
+# Four fuzz targets, 45 s in all. FuzzParse (SQL parser), 15 s: no
 # panic, every accepted SELECT/INSERT/UPDATE/DELETE survives Render, and
 # every string token matches the byte-at-a-time reference reader.
 # FuzzSweepColumns (detector), 10 s: after any run of slot changes and
@@ -181,6 +183,8 @@ examples:
 # bit. FuzzStoredTextReply (server over a real engine), 10 s: any TEXT
 # cell written, rewritten and read back through /query, in a table with
 # the layout stamp and one without, is encoding/json's bytes.
+# FuzzWALPatch (write-ahead log), 10 s: a log holding any page's image
+# and then any edit of it, logged as a patch, replays to the edit.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.
 # Minimizing an input is capped at 1 s (the default, 60 s per
 # new-coverage input, can spend the whole run minimizing); a failing
@@ -189,6 +193,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=15s -fuzzminimizetime=1s ./internal/sqlmini/
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzStoredTextReply -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
+	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
@@ -204,6 +209,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzPlanCache -fuzztime=30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=30s ./internal/storage/
 
 clean:
 	$(GO) clean ./...

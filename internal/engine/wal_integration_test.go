@@ -192,3 +192,47 @@ func TestWALSyncedModeEngine(t *testing.T) {
 		t.Fatal("row missing in synced mode")
 	}
 }
+
+// TestSingleRowWriteLogsItsChange: once a checkpoint has emptied the log,
+// a page's first single-row UPDATE logs the page's image and its second
+// logs only the bytes it changed: a patch of one 4-byte run (11-byte
+// header, 4-byte run header, the bytes) plus the commit byte.
+func TestSingleRowWriteLogsItsChange(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, WithWAL(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v TEXT)`)
+	for i := 0; i < 20; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, 'aaaa')`, i))
+	}
+	// Close checkpoints, and the reopened log starts empty.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, WithWAL(false)); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.getTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := func(sql string) int64 {
+		t.Helper()
+		before := tbl.wal.Size()
+		mustExec(t, db, sql)
+		return tbl.wal.Size() - before
+	}
+	if n := appended(`UPDATE t SET v = 'bbbb' WHERE id = 3`); n != 4096+9+1 {
+		t.Fatalf("first UPDATE after the checkpoint appended %d bytes, want the page's image (4106)", n)
+	}
+	const patch = 11 + 4 + 4 + 1
+	if n := appended(`UPDATE t SET v = 'cccc' WHERE id = 7`); n != patch || n > 256 {
+		t.Fatalf("second UPDATE of the page appended %d bytes, want a %d-byte patch", n, patch)
+	}
+	if r := mustExec(t, db, `SELECT v FROM t WHERE id = 7`); len(r.Rows) != 1 || r.Rows[0][0].Str != "cccc" {
+		t.Fatalf("row 7 reads %v", r.Rows)
+	}
+}

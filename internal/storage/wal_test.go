@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,18 +47,16 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if applied != 2 {
 		t.Fatalf("applied = %d", applied)
 	}
-	if len(got) != 3 {
+	// Each page once, as the last committed batch left it, in page order:
+	// page 0 image(9), page 3 image(2).
+	if len(got) != 2 {
 		t.Fatalf("images = %d", len(got))
 	}
-	// Order preserved: page 0 image(1), page 3 image(2), page 0 image(9).
-	if got[0].ID != 0 || got[0].Image[0] != 1 {
+	if got[0].ID != 0 || got[0].Image[0] != 9 {
 		t.Fatalf("got[0] = %d/%d", got[0].ID, got[0].Image[0])
 	}
 	if got[1].ID != 3 || got[1].Image[0] != 2 {
 		t.Fatalf("got[1] = %d/%d", got[1].ID, got[1].Image[0])
-	}
-	if got[2].ID != 0 || got[2].Image[0] != 9 {
-		t.Fatalf("got[2] = %d/%d", got[2].ID, got[2].Image[0])
 	}
 }
 
@@ -242,9 +241,10 @@ func TestPagerWriteImageExtends(t *testing.T) {
 	}
 }
 
-// TestWriteSetImages: a write set images exactly the pages it dirtied —
-// not one it merely latched — and the image is a copy, detached from the
-// private page it was rendered from.
+// TestWriteSetImages: a write set logs exactly the pages it dirtied —
+// not one it merely latched — each with its committed version as the
+// base, and the batch the log encodes is detached from the private page
+// it was rendered from.
 func TestWriteSetImages(t *testing.T) {
 	pool := tempPool(t, 4)
 	id, id2 := newPage(t, pool, []byte("dirty")), newPage(t, pool)
@@ -262,10 +262,29 @@ func TestWriteSetImages(t *testing.T) {
 	if len(images) != 1 || images[0].ID != id {
 		t.Fatalf("Images = %v", images)
 	}
+	committed, err := pool.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(id)
+	if images[0].Base == nil || !bytes.Equal(images[0].Base, committed.Bytes()) {
+		t.Fatal("image's base is not the page's committed version")
+	}
+	w, _ := tempWAL(t)
+	if err := w.AppendBatch(images); err != nil {
+		t.Fatal(err)
+	}
 	pg.Insert([]byte("more"))
+	var replayed []PageImage
+	if _, err := w.Replay(func(im PageImage) error {
+		replayed = append(replayed, im)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	fresh := NewPage()
-	fresh.LoadBytes(images[0].Image)
-	if fresh.NumSlots() != 1 {
-		t.Fatal("image aliased the private page")
+	fresh.LoadBytes(replayed[0].Image)
+	if len(replayed) != 1 || fresh.NumSlots() != 1 {
+		t.Fatal("the logged batch aliased the private page")
 	}
 }

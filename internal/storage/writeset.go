@@ -6,8 +6,9 @@ package storage
 // into a private copy; the statement mutates only these copies. Commit
 // is three steps with distinct owners:
 //
-//  1. Images() renders exactly the dirtied private copies for the WAL —
-//     never another statement's uncommitted pages.
+//  1. Images() lists exactly the dirtied private copies for the WAL —
+//     never another statement's uncommitted pages — each with the
+//     committed version it was copied from, which the latch holds steady.
 //  2. Publish() installs the copies as the frames' current versions,
 //     all stamped with one fresh pool epoch, under the pool's version
 //     mutex — so snapshot readers see the whole statement or none of it.
@@ -142,18 +143,21 @@ func (ws *WriteSet) Allocate() (PageID, *Page, error) {
 	return f.id, np, nil
 }
 
-// Images renders the dirtied private copies as WAL page images in
-// ascending PageID order.
+// Images lists the dirtied private copies for the WAL in ascending
+// PageID order, each with its frame's current (committed) version as the
+// base a patch is taken against; a page Allocate made has none. Nothing
+// is copied: the slices alias the pages, which stay put until Publish.
 func (ws *WriteSet) Images() []PageImage {
 	var out []PageImage
 	for id, en := range ws.entries {
 		if !en.dirtied {
 			continue
 		}
-		out = append(out, PageImage{
-			ID:    id,
-			Image: append([]byte(nil), en.page.Bytes()...),
-		})
+		im := PageImage{ID: id, Image: en.page.Bytes()}
+		if pv := en.f.cur.Load(); pv.epoch != invisibleEpoch {
+			im.Base = pv.page.Bytes()
+		}
+		out = append(out, im)
 	}
 	sortPageImages(out)
 	return out

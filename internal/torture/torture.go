@@ -166,26 +166,40 @@ func (im *image) materialize(dir string, cut int64) error {
 	return nil
 }
 
-// recordLen is the length of one page record of the image's logs, read
-// off the first record of the first log that has one: the torn cuts aim
-// inside a record without this package knowing the WAL's layout.
-func (im *image) recordLen() (int, error) {
+// batchLens is the length of every commit batch of the image's one
+// non-empty log, in order: the torn cuts aim inside a batch without this
+// package knowing the WAL's layout.
+func (im *image) batchLens() ([]int, error) {
+	var lens []int
 	for name, data := range im.files {
 		if !strings.HasSuffix(name, ".wal") || len(data) == 0 {
 			continue
 		}
+		if lens != nil {
+			return nil, errors.New("torture: more than one log in the crash image")
+		}
 		batches, err := storage.WALBatches(data)
 		if err != nil {
-			return 0, fmt.Errorf("torture: %s: %w", name, err)
+			return nil, fmt.Errorf("torture: %s: %w", name, err)
 		}
-		return int(batches[0][0]), nil
+		prev := int64(0)
+		for _, recs := range batches {
+			end := recs[len(recs)-1]
+			lens = append(lens, int(end-prev))
+			prev = end
+		}
 	}
-	return 0, errors.New("torture: no log in the crash image")
+	if lens == nil {
+		return nil, errors.New("torture: no log in the crash image")
+	}
+	return lens, nil
 }
 
-// tornCuts are the byte counts of a torn append that reach the file:
-// inside the first record's header, mid-record, and at its last bytes.
-func tornCuts(rec int) []int { return []int{0, 1, 5, 9, rec / 2, rec - 1, rec} }
+// tornCuts are the byte counts of a torn append of an n-byte batch that
+// reach the file, every one short of the whole: inside the first
+// record's header (11 bytes for a patch, 9 for an image), mid-batch, and
+// all but the commit byte.
+func tornCuts(n int) []int { return []int{0, 1, 5, 9, 10, n / 2, n - 1} }
 
 // reader reads the state a driver compares, canonicalized to a string.
 type reader func(*engine.Database) (string, error)
@@ -269,11 +283,11 @@ func workload(n int) []string {
 // runWorkload executes stmts on a fresh torture engine in dir, with
 // faults armed once the table exists, recording the state after every
 // commit (state 0 is the empty table). It stops at the first statement
-// that fails and returns that statement's error as stmtErr, so a clean
-// run records len(stmts)+1 states. The image is captured with the engine
-// still open — the crash image — and the engine is closed afterwards only
-// to release handles.
-func runWorkload(dir string, stmts []string, faults *fault.Registry) (im *image, states []string, stmtErr, err error) {
+// that fails, or that check (when set) rejects, and returns that error as
+// stmtErr, so a clean run records len(stmts)+1 states. The image is
+// captured with the engine still open — the crash image — and the engine
+// is closed afterwards only to release handles.
+func runWorkload(dir string, stmts []string, faults *fault.Registry, check func(i int, res *engine.Result) error) (im *image, states []string, stmtErr, err error) {
 	db, err := openEngine(dir, poolPages)
 	if err != nil {
 		return nil, nil, nil, err
@@ -293,7 +307,11 @@ func runWorkload(dir string, stmts []string, faults *fault.Registry) (im *image,
 		if i == len(stmts) {
 			break
 		}
-		if _, stmtErr = db.Exec(stmts[i]); stmtErr != nil {
+		res, err := db.Exec(stmts[i])
+		if stmtErr = err; stmtErr == nil && check != nil {
+			stmtErr = check(i, res)
+		}
+		if stmtErr != nil {
 			break
 		}
 	}
@@ -342,7 +360,8 @@ func crashPoints(batches [][]int64, stride int, max int) []int64 {
 		// byte, and strided payload bytes.
 		rec := start
 		for _, recEnd := range recs[:len(recs)-1] {
-			for h := int64(0); h <= 9; h++ {
+			// Every header byte of an image (9) or a patch (11) missing.
+			for h := int64(0); h <= 11 && rec+h < recEnd; h++ {
 				seen[rec+h] = true
 			}
 			seen[recEnd-1] = true
@@ -398,7 +417,7 @@ func expectedIndex(ends []int64, n int64) int {
 // recovery lands exactly on a committed shadow state.
 func Run(scratch string, cfg Config) (*Result, error) {
 	cfg.fill()
-	im, states, stmtErr, err := runWorkload(filepath.Join(scratch, "work"), workload(cfg.Statements), nil)
+	im, states, stmtErr, err := runWorkload(filepath.Join(scratch, "work"), workload(cfg.Statements), nil, nil)
 	if err == nil {
 		err = stmtErr
 	}
@@ -432,33 +451,34 @@ func Run(scratch string, cfg Config) (*Result, error) {
 }
 
 // sweep is the one live-kill sweep. For each commit k of the workload it
-// arms kill(k, rec) — a fault that fires on commit k; rec is a page
-// record's length, for cuts that aim inside one — runs the workload until
+// arms kill(k, n) — a fault that fires on commit k; n is the length of
+// commit k's batch in the clean run, for cuts that aim inside it — runs
+// the workload until
 // statement k fails, and requires the failure to wrap storage.ErrIO (the
 // signal the shield latches degraded mode on). Then the process
 // "crashes": the files are captured without a close, and recovery must
 // land on state k-1, or on state k too when mayCommit says the kill can
 // come after commit k reached the file. The shadow states come from one
 // clean run, and the live run must match them up to the fault.
-func sweep(scratch string, cfg Config, kill func(k, rec int) fault.Rule, mayCommit bool) (*Result, error) {
+func sweep(scratch string, cfg Config, kill func(k, n int) fault.Rule, mayCommit bool) (*Result, error) {
 	cfg.fill()
 	stmts := workload(cfg.Statements)
-	shadowIm, shadow, stmtErr, err := runWorkload(filepath.Join(scratch, "shadow"), stmts, nil)
+	shadowIm, shadow, stmtErr, err := runWorkload(filepath.Join(scratch, "shadow"), stmts, nil, nil)
 	if err == nil {
 		err = stmtErr
 	}
 	if err != nil {
 		return nil, err
 	}
-	rec, err := shadowIm.recordLen()
+	_, ends, err := commitEnds(shadowIm.files[shadowIm.log], len(stmts))
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Statements: len(stmts)}
 	for k := 1; k <= len(stmts) && !res.full(); k++ {
 		dir := filepath.Join(scratch, fmt.Sprintf("kill-%d", k))
-		rule := kill(k, rec)
-		im, live, stmtErr, err := runWorkload(dir, stmts, fault.NewRegistry(uint64(k)).Add(rule))
+		rule := kill(k, int(ends[k]-ends[k-1]))
+		im, live, stmtErr, err := runWorkload(dir, stmts, fault.NewRegistry(uint64(k)).Add(rule), nil)
 		switch {
 		case err != nil:
 			return nil, err
@@ -490,19 +510,20 @@ func sweep(scratch string, cfg Config, kill func(k, rec int) fault.Rule, mayComm
 
 // RunFaultSweep drives the wal.append failpoint instead of offline
 // truncation: each commit k of the workload is torn once, in-process (the
-// torn length cycling through header, mid-record, record-boundary and
-// near-full cuts), and recovery must land exactly on the state after
-// commit k-1. This exercises the same invariant as Run but through the
+// torn length cycling through header, mid-batch and all-but-the-commit-
+// byte cuts of commit k's own batch), and recovery must land exactly on
+// the state after commit k-1. This exercises the same invariant as Run but through the
 // live write path, including the garbage tail the torn write leaves past
 // the logical end of the log.
 func RunFaultSweep(scratch string, cfg Config) (*Result, error) {
-	// Every cut is strictly below the minimum batch size (one record plus
-	// the commit byte), so the torn write is always genuinely partial: a
-	// cut past the whole buffer would let the batch — commit marker
-	// included — reach disk before the error, and recovery to state k
-	// would then be correct too.
-	return sweep(scratch, cfg, func(k, rec int) fault.Rule {
-		cuts := tornCuts(rec)
+	// Every cut is strictly below commit k's batch length, so the torn
+	// write is always genuinely partial: a cut of the whole buffer would
+	// let the batch — commit marker included — reach disk before the
+	// error, and recovery to state k would then be correct too. Batches
+	// differ in length (an image, or a patch of a few bytes), so each
+	// cut is taken from its own batch.
+	return sweep(scratch, cfg, func(k, n int) fault.Rule {
+		cuts := tornCuts(n)
 		return fault.Rule{Site: fault.WALAppend, Kind: fault.Torn, TornBytes: cuts[k%len(cuts)], After: uint64(k - 1), Count: 1}
 	}, false)
 }
@@ -660,7 +681,7 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	rec, err := final.recordLen()
+	lens, err := final.batchLens()
 	if err != nil {
 		return err
 	}
@@ -675,15 +696,19 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 	check("killed before the old files were removed", final, 1)
 
 	var kills []kill
-	cuts := tornCuts(rec)
 	appends := clean.Hits(fault.WALAppend)
+	if uint64(len(lens)) != appends {
+		return fmt.Errorf("torture: %d log batches for %d appends", len(lens), appends)
+	}
 	for k := uint64(0); k < appends; k++ {
+		n := lens[k]
 		if appends > 1 {
+			cuts := tornCuts(n)
 			kills = append(kills, kill{fault.WALAppend, k, cuts[int(k)%len(cuts)]})
 			continue
 		}
 		// A save of one append: every byte of it, the commit byte included.
-		for cut := 0; cut <= rec; cut++ {
+		for cut := 0; cut <= n; cut++ {
 			kills = append(kills, kill{fault.WALAppend, k, cut})
 		}
 	}

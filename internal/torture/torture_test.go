@@ -1,7 +1,9 @@
 package torture
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 )
@@ -41,6 +43,10 @@ func maxPoints(t *testing.T, def int) int {
 //     flushes: a crash anywhere in the group recovers a committed prefix
 //     per participating commit, whole statements only, counted exactly
 //     by the complete commit batches before the crash point.
+//   - Stream/seed=N draws a statement stream from seed N, checks every
+//     statement against an in-memory model, and cuts the log at every
+//     batch boundary and inside its image and patch records: recovery
+//     equals the model after the last whole batch.
 //   - GroupFlushFaultSweep fails the group leader's flush (after the
 //     write, before the fsync) at every commit: the statement fails
 //     wrapping storage.ErrIO — the signal the shield latches degraded
@@ -67,6 +73,8 @@ func TestCrash(t *testing.T) {
 		{"FaultSweep", RunFaultSweep, 0, nil},
 		{"GroupCommitCrashEnumeration", RunGroupCommit, 600, atLeast(50)},
 		{"GroupFlushFaultSweep", RunGroupFlushFault, 0, nil},
+		{"Stream/seed=1", stream(1), 400, atLeast(50)},
+		{"Stream/seed=2", stream(2), 400, atLeast(50)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Logf: t.Logf}
@@ -90,5 +98,31 @@ func TestCrash(t *testing.T) {
 					res.Points, cfg.MaxPoints, tc.floor(cfg.MaxPoints))
 			}
 		})
+	}
+}
+
+// stream runs RunStream under one seed.
+func stream(seed uint64) func(string, Config) (*Result, error) {
+	return func(dir string, cfg Config) (*Result, error) { return RunStream(dir, cfg, seed) }
+}
+
+// TestStreamReplaysByteForByte: a seed is the whole of a stream: drawn
+// and run twice, it leaves the same log bytes, so a failing seed
+// reproduces exactly.
+func TestStreamReplaysByteForByte(t *testing.T) {
+	const seed, n = 7, 60
+	var logs [2][]byte
+	for i := range logs {
+		im, _, stmtErr, err := runStream(filepath.Join(t.TempDir(), "run"), drawStream(seed, n))
+		if err == nil {
+			err = stmtErr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = im.files[im.log]
+	}
+	if len(logs[0]) == 0 || !bytes.Equal(logs[0], logs[1]) {
+		t.Fatalf("seed %d left logs of %d and %d bytes, want the same bytes", seed, len(logs[0]), len(logs[1]))
 	}
 }
