@@ -216,8 +216,14 @@ func (db *Database) scanRows(t *table, fn func(row catalog.Row, rid storage.RID)
 // checkpoint flushes data pages and truncates the log once it outgrows
 // the threshold. It takes the table lock exclusively — no statement may
 // be in flight — and rechecks the size, so concurrent committers that
-// all observed the threshold run one checkpoint, not several.
+// all observed the threshold run one checkpoint, not several. It first
+// syncs the data file without the lock: the log fills over seconds, and
+// the pages evictions wrote back in that time would otherwise all be
+// synced inside the exclusive section.
 func (t *table) checkpoint() error {
+	if err := t.pager.Sync(); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.wal == nil || t.wal.Size() < walCheckpointBytes {
