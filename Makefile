@@ -123,13 +123,12 @@ bench-smoke:
 bench-ledger-smoke:
 	$(GO) run ./bench -smoke
 
-# Crash-consistency torture, CI-sized: a bounded sample of crash points
-# (truncate-and-reopen at enumerated WAL offsets, count-snapshot
-# atomicity, crash points inside coalesced group-commit flushes, the
-# live torn-append + group-flush failpoint sweeps, and seeded statement
-# streams, seeds 1 and 2, checked against a model and cut at every batch
-# boundary and inside image and patch records) under -race.
-# TORTURE_POINTS caps the sample; 0 means enumerate everything.
+# Crash-consistency torture, CI-sized, under -race: seeded statement
+# streams held to an in-memory model, their logs cut at a bounded sample
+# of enumerated offsets (seeds 1 and 2) and every commit killed once by
+# the live torn-append and group-flush failpoint sweeps (seed 1); plus
+# count-snapshot atomicity and crash points inside coalesced group-commit
+# flushes. TORTURE_POINTS caps the sample; 0 means enumerate everything.
 torture:
 	TORTURE_POINTS=400 $(GO) test -race -v -run TestCrash ./internal/torture/
 
@@ -143,9 +142,9 @@ torture:
 torture-cluster:
 	$(GO) test -race -v -short -run TestClusterTorture ./internal/torture/
 
-# The full enumeration — every byte of the first commit batch, all
-# header/commit bytes plus strided payload bytes of the rest. Minutes,
-# not seconds; run before storage-format changes.
+# The full enumeration — every byte of each stream's first commit batch,
+# all record header, record end and commit bytes plus strided payload
+# bytes of the rest. About a minute; run before storage-format changes.
 torture-full:
 	TORTURE_POINTS=0 $(GO) test -v -timeout 30m ./internal/torture/
 

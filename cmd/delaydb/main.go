@@ -6,7 +6,7 @@
 //	delaydb -dir ./data -addr :8080 -n 100000 [-alpha 1.0] [-beta 2.0]
 //	        [-cap 10s] [-decay 1.0] [-policy popularity|updaterate] [-c 1.0]
 //	        [-rate 0] [-burst 10] [-subnets] [-reginterval 0]
-//	        [-wal] [-walsync] [-init schema.sql] [-deadline 0]
+//	        [-wal] [-walsync] [-init schema.sql] [-writers a,b] [-deadline 0]
 //	        [-detect] [-detect-grace 0.08] [-detect-cap 64] [-detect-jaccard 0.35]
 //	        [-readheadertimeout 5s] [-idletimeout 2m] [-drain 30s]
 //
@@ -15,6 +15,9 @@
 // GET /metrics (instrument snapshot as JSON, including the delay-seconds
 // histogram, rejection counters, and detection gauges), GET /healthz,
 // GET /admin/suspects (ranked extraction suspects when -detect is on).
+// A non-SELECT statement on /query runs only for an identity listed in
+// -writers; anyone else's gets 403 and does not execute. The list is
+// empty by default, so no client writes over HTTP.
 //
 // Cluster modes:
 //
@@ -134,6 +137,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		wal         = fs.Bool("wal", false, "enable write-ahead logging with crash recovery")
 		walSync     = fs.Bool("walsync", false, "fsync the WAL on every commit (implies -wal)")
 		initFile    = fs.String("init", "", "SQL script (semicolon-separated) executed on the admin path at startup")
+		writers     = fs.String("writers", "", "comma-separated identities whose non-SELECT statements run over HTTP; anyone else's get 403 (empty = no one writes over HTTP; -init still runs)")
 
 		readHeaderTimeout = fs.Duration("readheadertimeout", 5*time.Second, "time limit for reading a request's headers (slowloris guard)")
 		idleTimeout       = fs.Duration("idletimeout", 2*time.Minute, "keep-alive connection idle limit")
@@ -191,6 +195,12 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		QueryBurst:           *burst,
 		SubnetAggregation:    *subnets,
 		RegistrationInterval: *regInterval,
+		Writers:              make(map[string]bool),
+	}
+	for _, name := range strings.Split(*writers, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			cfg.Writers[name] = true
+		}
 	}
 	if *detectOn {
 		cfg.Detect = &delaydefense.DetectConfig{
@@ -321,6 +331,9 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 				return errors.New("-peers lists no shard URLs")
 			}
 		} else {
+			// The -init script reaches the shards as the router's own
+			// identity, which the router refuses from any client.
+			cfg.Writers[cluster.InitIdentity] = true
 			for i := 0; i < *clusterN; i++ {
 				db, h, err := openNode(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)))
 				if err != nil {

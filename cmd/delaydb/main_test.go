@@ -216,6 +216,7 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-init", schema,
 			"-cluster", "2",
+			"-writers", "cluster-client",
 			"-detect",
 			"-n", "1000",
 			"-cap", "1ms",
@@ -362,6 +363,7 @@ func TestSigtermDrainsAndRecoversConsistent(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-init", schema,
 			"-wal",
+			"-writers", "writer",
 			"-n", "1000",
 			"-cap", "1ms",
 			"-drain", "10s",
@@ -388,7 +390,7 @@ func TestSigtermDrainsAndRecoversConsistent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := server.NewClient("http://"+addr, fmt.Sprintf("writer-%p", &wg))
+			c := server.NewClient("http://"+addr, "writer")
 			for !stopGen.Load() {
 				id := nextID.Add(1)
 				if _, err := c.Query(fmt.Sprintf(

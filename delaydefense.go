@@ -91,6 +91,7 @@ const (
 var (
 	ErrRateLimited           = core.ErrRateLimited
 	ErrRegistrationThrottled = core.ErrRegistrationThrottled
+	ErrNotWriter             = core.ErrNotWriter
 )
 
 // DB is a delay-defended database: an embedded relational engine plus the

@@ -509,6 +509,12 @@ func (r *Router) mapFromUpdate(up *PartitionMapUpdate) (*PartitionMap, error) {
 	return m, nil
 }
 
+// InitIdentity is the principal ExecScript's statements reach the
+// shards as. Shards that restrict writers (core.Config.Writers) admit it
+// so the -init script loads; the router refuses any client that claims
+// it.
+const InitIdentity = "cluster-init"
+
 // ExecScript runs a semicolon-separated statement script through the
 // router's own planner — cmd/delaydb's -init path, so every row loads
 // onto exactly the shards that own it. Statements bypass admission (it
@@ -520,7 +526,7 @@ func (r *Router) ExecScript(src string) error {
 			method:   http.MethodPost,
 			path:     "/query",
 			body:     server.AppendQueryRequest(nil, server.QueryRequest{SQL: stmt}),
-			identity: "cluster-init",
+			identity: InitIdentity,
 		}
 		rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
 		r.servePartitioned(context.Background(), rec, r.pmap.Load(), stmt, c)

@@ -421,6 +421,10 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	defer r.inflight.Dec()
 	principal := server.Identity(req)
+	if principal == InitIdentity {
+		server.WriteErr(w, http.StatusForbidden, fmt.Errorf("identity %q is the router's own", principal))
+		return
+	}
 	if !r.limit.Allow(principal) {
 		r.admitRej.Inc()
 		// Tell the backoff client exactly when its bucket refills —

@@ -47,6 +47,13 @@ var ErrRegistrationThrottled = errors.New("core: registration throttled")
 // HTTP 503.
 var ErrDegraded = errors.New("core: shield degraded: persistence is failing, writes are refused")
 
+// ErrNotWriter is returned for a non-SELECT statement from a principal
+// outside Config.Writers, before the statement executes. A write is a
+// role, not a free probe: an UPDATE or DELETE reports how many rows its
+// predicate matched, and that answer is not charged. The front door maps
+// it to HTTP 403.
+var ErrNotWriter = errors.New("core: principal may not write")
+
 // PolicyKind selects how delays are keyed.
 type PolicyKind int
 
@@ -113,6 +120,11 @@ type Config struct {
 	// exists only so bench/workload.go (frozen by BENCHMARK.json) keeps
 	// compiling and goes with the next benchmark PR.
 	PriceCacheSize int
+
+	// Writers, when non-nil, is the set of identities whose non-SELECT
+	// statements execute; anyone else's fails with ErrNotWriter. Nil lets
+	// every identity write.
+	Writers map[string]bool
 
 	// Detect, when non-nil, enables the extraction detector: every
 	// SELECT's returned tuple ids feed per-principal coverage sketches,
@@ -733,6 +745,9 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		return nil, QueryStats{}, ErrExplainBlocked
 	}
 	if kind != engine.KindSelect {
+		if s.cfg.Writers != nil && !s.cfg.Writers[identity] {
+			return nil, QueryStats{}, fmt.Errorf("%w: %q", ErrNotWriter, identity)
+		}
 		if parts != nil {
 			return nil, QueryStats{}, errors.New("core: a partition filter applies to SELECT statements only")
 		}

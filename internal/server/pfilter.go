@@ -45,6 +45,8 @@ func writeQueryErr(w http.ResponseWriter, err error) bool {
 		return false
 	case errors.Is(err, core.ErrRateLimited):
 		WriteErr(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, core.ErrNotWriter):
+		WriteErr(w, http.StatusForbidden, err)
 	case errors.Is(err, core.ErrDegraded):
 		WriteErr(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded):

@@ -237,10 +237,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A SELECT's rows are written into the reply as the engine reads
 	// them; what the delay then holds back is that reply.
 	res, stats, err := s.shield.QueryInto(ctx, Identity(r), req.SQL, parts, replyEncoder{}, append((*buf)[:0], '{'))
-	// Notable mappings: ErrDegraded → 503 (persistence is failing, so
-	// writes are refused rather than acknowledged unrecoverably; reads
-	// are unaffected), DeadlineExceeded → 504 with the delay still
-	// charged, Canceled → no response (the client is gone).
+	// Notable mappings: ErrNotWriter → 403 (the write did not run),
+	// ErrDegraded → 503 (persistence is failing, so writes are refused
+	// rather than acknowledged unrecoverably; reads are unaffected),
+	// DeadlineExceeded → 504 with the delay still charged, Canceled → no
+	// response (the client is gone).
 	if writeQueryErr(w, err) {
 		return
 	}

@@ -95,7 +95,7 @@ func RunGroupCommit(scratch string, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	points := crashPoints(batches, cfg.Stride, cfg.MaxPoints)
-	res := &Result{Points: len(points), Statements: stmts, WALBytes: ends[len(ends)-1]}
+	res := &Result{Points: len(points), Commits: stmts, WALBytes: ends[len(ends)-1]}
 	cfg.Logf("torture: group commit, %d crash points over %d bytes (%d commits, coalesced flushes confirmed)",
 		len(points), res.WALBytes, stmts)
 

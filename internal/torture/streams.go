@@ -3,13 +3,12 @@ package torture
 import (
 	"fmt"
 	"math/rand/v2"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/storage"
+	"repro/internal/fault"
 )
 
 // streamKeys is the key space a drawn stream writes: small, so updates
@@ -160,103 +159,88 @@ func checkStep(st streamStep, res *engine.Result) error {
 	return nil
 }
 
-// runStream runs the drawn steps through runWorkload, checking each
-// statement's result against the model as it returns.
-func runStream(dir string, steps []streamStep) (*image, []string, error, error) {
-	stmts := make([]string, len(steps))
-	for i, st := range steps {
-		stmts[i] = st.sql
+// runStream runs steps on a fresh torture engine in dir, with faults
+// armed once the table exists, and holds every statement that succeeds
+// to the model: its result to what checkStep expects, and the table after
+// it to the model's. It stops at the first statement that fails and
+// returns that error as stmtErr, with ran the statements before it; a
+// departure from the model is err. The image is captured with the engine
+// still open — the crash image — and the engine is closed afterwards
+// only to release handles.
+func runStream(dir string, steps []streamStep, faults *fault.Registry) (im *image, ran int, stmtErr, err error) {
+	db, err := openEngine(dir, poolPages)
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	return runWorkload(dir, stmts, nil, func(i int, res *engine.Result) error {
-		return checkStep(steps[i], res)
-	})
+	defer db.Close()
+	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
+		return nil, 0, nil, err
+	}
+	fault.Enable(faults)
+	defer fault.Disable()
+	for ; ran < len(steps); ran++ {
+		st := steps[ran]
+		res, err := db.Exec(st.sql)
+		if err != nil {
+			stmtErr = err
+			break
+		}
+		if err := checkStep(st, res); err != nil {
+			return nil, ran, nil, fmt.Errorf("statement %d: %w", ran, err)
+		}
+		state, err := tableState(db)
+		if err != nil {
+			return nil, ran, nil, err
+		}
+		if state != st.state {
+			return nil, ran, nil, fmt.Errorf("table after statement %d (%s) differs from the model", ran, st.sql)
+		}
+	}
+	im, err = capture(dir, "t.tbl.wal", poolPages)
+	return im, ran, stmtErr, err
 }
 
-// RunStream draws a statement stream from seed (cfg.Statements × 6
-// statements), runs it on the torture engine with every statement held
-// to the in-memory model and every state after one held to the model's
-// table, then crashes the log at every batch boundary and at sampled
-// offsets inside its image and patch records (two per record, all kept
-// when cfg.MaxPoints is 0). Recovery must equal the model as it stood
-// after the last batch the cut leaves whole. A failing seed replays byte
-// for byte: the stream, and so the log, depends on the seed alone.
-func RunStream(scratch string, cfg Config, seed uint64) (*Result, error) {
-	cfg.fill()
-	steps := drawStream(seed, 6*cfg.Statements)
-	im, states, stmtErr, err := runStream(filepath.Join(scratch, "work"), steps)
+// batchStates is the model's table after each batch of the log, and the
+// statement that wrote each batch: states[0] is the empty table, and
+// writers[k-1] wrote batch k. A statement that changed rows writes one
+// batch, and no other statement writes any.
+func batchStates(steps []streamStep) (states []string, writers []int) {
+	states = []string{""}
+	for i, st := range steps {
+		if st.affected > 0 {
+			states = append(states, st.state)
+			writers = append(writers, i)
+		}
+	}
+	return states, writers
+}
+
+// stream is one seed's stream as an undisturbed run left it: the crash
+// image, and the log's layout, parsed against the model's batches.
+type stream struct {
+	steps   []streamStep
+	im      *image
+	states  []string // the model after each batch
+	writers []int    // writers[k-1] is the statement that wrote batch k
+	batches [][]int64
+	ends    []int64 // ends[k] is the log length after batch k
+}
+
+// cleanStream draws n statements from seed and runs them undisturbed in
+// dir.
+func cleanStream(dir string, seed uint64, n int) (*stream, error) {
+	s := &stream{steps: drawStream(seed, n)}
+	im, _, stmtErr, err := runStream(dir, s.steps, nil)
 	if err == nil {
 		err = stmtErr
 	}
+	if err == nil {
+		s.im = im
+		s.states, s.writers = batchStates(s.steps)
+		s.batches, s.ends, err = commitEnds(im.files[im.log], len(s.writers))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("torture: stream seed %d: %w", seed, err)
+		return nil, fmt.Errorf("torture: seed %d: %w", seed, err)
 	}
-	for i, st := range steps {
-		if states[i+1] != st.state {
-			return nil, fmt.Errorf("torture: stream seed %d: table after statement %d (%s) differs from the model", seed, i, st.sql)
-		}
-	}
-	log := im.files[im.log]
-	batches, err := storage.WALBatches(log)
-	if err != nil {
-		return nil, fmt.Errorf("torture: stream seed %d: %w", seed, err)
-	}
-
-	ends := []int64{0}
-	for _, recs := range batches {
-		ends = append(ends, recs[len(recs)-1])
-	}
-	rng := rand.New(rand.NewPCG(seed, 0xc0ffee))
-	var inside []int64
-	images := 0 // records longer than a page; a patch carries at most half of one
-	start := int64(0)
-	for _, recs := range batches {
-		for _, end := range recs[:len(recs)-1] {
-			if end-start > storage.PageSize {
-				images++
-			}
-			for range 2 {
-				inside = append(inside, start+1+rng.Int64N(end-start-1))
-			}
-			start = end
-		}
-		start = recs[len(recs)-1]
-	}
-	keep := len(inside)
-	if cfg.MaxPoints > 0 {
-		keep = max(cfg.MaxPoints-len(ends), 1)
-	}
-	points := append(slices.Clone(ends), sample(inside, keep)...)
-	slices.Sort(points)
-	points = slices.Compact(points)
-
-	after, err := batchStates(steps, len(batches))
-	if err != nil {
-		return nil, fmt.Errorf("torture: stream seed %d: %w", seed, err)
-	}
-	res := &Result{Points: len(points), Statements: len(batches), WALBytes: int64(len(log))}
-	cfg.Logf("torture: stream seed %d: %d statements, %d batches (%d image and %d patch records), %d crash points over %d bytes of log",
-		seed, len(steps), len(batches), images, len(inside)/2-images, len(points), len(log))
-	for _, off := range points {
-		if res.full() {
-			break
-		}
-		got, err := reopenAt(filepath.Join(scratch, "crash"), im, off, tableState)
-		res.expect(fmt.Sprintf("stream seed %d, offset %d", seed, off), got, err, after, expectedIndex(ends, off))
-	}
-	return res, nil
-}
-
-// batchStates is the model's table after each batch of the log: state 0
-// is the empty table, and a statement that changed rows wrote one batch.
-func batchStates(steps []streamStep, batches int) ([]string, error) {
-	states := []string{""}
-	for _, st := range steps {
-		if st.affected > 0 {
-			states = append(states, st.state)
-		}
-	}
-	if len(states)-1 != batches {
-		return nil, fmt.Errorf("%d statements changed rows but the log holds %d batches", len(states)-1, batches)
-	}
-	return states, nil
+	return s, nil
 }

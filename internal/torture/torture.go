@@ -1,13 +1,19 @@
-// Package torture is the crash-consistency harness: it replays a
-// deterministic mutating workload against the WAL-enabled engine,
-// simulates a crash at enumerated byte offsets of the log — every byte
-// of the first commit batch, every header/commit byte of the rest, and
-// stride-sampled payload bytes — by truncating a copy of the on-disk
-// files and reopening, then asserts the recovery invariants:
+// Package torture is the crash-consistency harness. Its engine crash
+// drivers run one workload: a statement stream drawn from a seed and
+// held, statement by statement, to an in-memory model of the table. The
+// model also says what every crash may recover: the table as it stood
+// after each commit batch of the log. The drivers crash the
+// WAL-enabled engine and assert the recovery invariants:
 //
 //   - committed batches are fully replayed (recovered state equals the
-//     shadow state as of the last commit at or before the crash point);
-//   - torn tails are dropped, never partially applied;
+//     model after the last commit at or before the crash point), at
+//     every offset crashPoints enumerates — every byte of the first
+//     batch, every record header and commit byte of the rest, and
+//     stride-sampled payload bytes — by truncating a copy of the on-disk
+//     files and reopening (Run);
+//   - torn tails are dropped, never partially applied, including the
+//     garbage a live torn append or a failed group flush leaves behind
+//     (RunFaultSweep, RunGroupFlushFault);
 //   - every recovered heap page decodes cleanly (the open-time index
 //     rebuild touches every row of every page);
 //   - count-snapshot saves (ReplaceAllCounts) are atomic at any size,
@@ -47,7 +53,7 @@ import (
 
 // Config bounds a torture run.
 type Config struct {
-	// Statements is the mutating workload length (default 18).
+	// Statements is the length of the drawn statement stream (default 108).
 	Statements int
 	// Stride samples payload bytes of batches after the first (default 97).
 	Stride int
@@ -61,7 +67,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Statements <= 0 {
-		c.Statements = 18
+		c.Statements = 108
 	}
 	if c.Stride <= 0 {
 		c.Stride = 97
@@ -74,7 +80,7 @@ func (c *Config) fill() {
 // Result reports what a torture run covered.
 type Result struct {
 	Points     int      // crash points exercised
-	Statements int      // workload statements (commits) replayed
+	Commits    int      // commit batches the workload wrote
 	WALBytes   int64    // full log length enumerated over
 	Violations []string // invariant violations, empty on success
 }
@@ -166,33 +172,23 @@ func (im *image) materialize(dir string, cut int64) error {
 	return nil
 }
 
-// batchLens is the length of every commit batch of the image's one
-// non-empty log, in order: the torn cuts aim inside a batch without this
-// package knowing the WAL's layout.
-func (im *image) batchLens() ([]int, error) {
-	var lens []int
+// walLog is the image's one non-empty log: a count-snapshot save
+// names its files afresh, so its log is found rather than named.
+func (im *image) walLog() ([]byte, error) {
+	var log []byte
 	for name, data := range im.files {
 		if !strings.HasSuffix(name, ".wal") || len(data) == 0 {
 			continue
 		}
-		if lens != nil {
+		if log != nil {
 			return nil, errors.New("torture: more than one log in the crash image")
 		}
-		batches, err := storage.WALBatches(data)
-		if err != nil {
-			return nil, fmt.Errorf("torture: %s: %w", name, err)
-		}
-		prev := int64(0)
-		for _, recs := range batches {
-			end := recs[len(recs)-1]
-			lens = append(lens, int(end-prev))
-			prev = end
-		}
+		log = data
 	}
-	if lens == nil {
+	if log == nil {
 		return nil, errors.New("torture: no log in the crash image")
 	}
-	return lens, nil
+	return log, nil
 }
 
 // tornCuts are the byte counts of a torn append of an n-byte batch that
@@ -254,79 +250,15 @@ func tableState(db *engine.Database) (string, error) {
 	return strings.Join(lines, "\n"), nil
 }
 
-// workload returns the deterministic mutating statement sequence: a core
-// of inserts with periodic updates and deletes so recovered states
-// differ at every commit boundary.
-func workload(n int) []string {
-	stmts := make([]string, 0, n)
-	key := 0
-	for len(stmts) < n {
-		switch len(stmts) % 5 {
-		case 3:
-			if key > 1 {
-				stmts = append(stmts, fmt.Sprintf(
-					"UPDATE t SET v = 'patched-%d' WHERE id = %d", len(stmts), key/2))
-				continue
-			}
-		case 4:
-			if key > 2 {
-				stmts = append(stmts, fmt.Sprintf("DELETE FROM t WHERE id = %d", key-1))
-				continue
-			}
-		}
-		stmts = append(stmts, fmt.Sprintf("INSERT INTO t VALUES (%d, 'row-%d')", key, key))
-		key++
-	}
-	return stmts
-}
-
-// runWorkload executes stmts on a fresh torture engine in dir, with
-// faults armed once the table exists, recording the state after every
-// commit (state 0 is the empty table). It stops at the first statement
-// that fails, or that check (when set) rejects, and returns that error as
-// stmtErr, so a clean run records len(stmts)+1 states. The image is
-// captured with the engine still open — the crash image — and the engine
-// is closed afterwards only to release handles.
-func runWorkload(dir string, stmts []string, faults *fault.Registry, check func(i int, res *engine.Result) error) (im *image, states []string, stmtErr, err error) {
-	db, err := openEngine(dir, poolPages)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
-		return nil, nil, nil, err
-	}
-	fault.Enable(faults)
-	defer fault.Disable()
-	for i := 0; ; i++ {
-		s, err := tableState(db)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		states = append(states, s)
-		if i == len(stmts) {
-			break
-		}
-		res, err := db.Exec(stmts[i])
-		if stmtErr = err; stmtErr == nil && check != nil {
-			stmtErr = check(i, res)
-		}
-		if stmtErr != nil {
-			break
-		}
-	}
-	im, err = capture(dir, "t.tbl.wal", poolPages)
-	return im, states, stmtErr, err
-}
-
-// commitEnds parses a clean log into its batches and checks there is one
-// per statement. ends[k] is the log length after commit k, ends[0] = 0.
-func commitEnds(log []byte, stmts int) (batches [][]int64, ends []int64, err error) {
+// commitEnds is the one reader of a log's layout: it parses a clean log
+// into its batches and checks it holds the want commits the workload
+// says it wrote. ends[k] is the log length after commit k, ends[0] = 0.
+func commitEnds(log []byte, want int) (batches [][]int64, ends []int64, err error) {
 	if batches, err = storage.WALBatches(log); err != nil {
 		return nil, nil, fmt.Errorf("torture: %w", err)
 	}
-	if len(batches) != stmts {
-		return nil, nil, fmt.Errorf("torture: %d commit batches on disk for %d statements", len(batches), stmts)
+	if len(batches) != want {
+		return nil, nil, fmt.Errorf("torture: %d commit batches on disk for %d commits", len(batches), want)
 	}
 	ends = []int64{0}
 	for _, recs := range batches {
@@ -400,8 +332,8 @@ func crashPoints(batches [][]int64, stride int, max int) []int64 {
 	return points
 }
 
-// expectedIndex returns the statement index whose state a crash at log
-// offset n must recover: the last commit boundary at or before n.
+// expectedIndex returns the commit whose state a crash at log offset n
+// must recover: the last commit boundary at or before n.
 func expectedIndex(ends []int64, n int64) int {
 	k := 0
 	for i, end := range ends {
@@ -412,87 +344,106 @@ func expectedIndex(ends []int64, n int64) int {
 	return k
 }
 
-// Run executes the WAL-commit crash enumeration: workload, capture,
-// then truncate-and-reopen at every enumerated offset, checking that
-// recovery lands exactly on a committed shadow state.
-func Run(scratch string, cfg Config) (*Result, error) {
+// Run draws seed's statement stream (cfg.Statements long), runs it on
+// the torture engine held to the model, then truncates a copy of its log
+// at every offset crashPoints enumerates and reopens it: recovery must
+// equal the model's table after the last batch the cut leaves whole. A
+// failing seed replays byte for byte: the stream, and so the log,
+// depends on the seed alone.
+func Run(scratch string, cfg Config, seed uint64) (*Result, error) {
 	cfg.fill()
-	im, states, stmtErr, err := runWorkload(filepath.Join(scratch, "work"), workload(cfg.Statements), nil, nil)
-	if err == nil {
-		err = stmtErr
-	}
+	s, err := cleanStream(filepath.Join(scratch, "work"), seed, cfg.Statements)
 	if err != nil {
 		return nil, err
 	}
-	batches, ends, err := commitEnds(im.files[im.log], cfg.Statements)
-	if err != nil {
-		return nil, err
-	}
-	points := crashPoints(batches, cfg.Stride, cfg.MaxPoints)
-	res := &Result{Points: len(points), Statements: cfg.Statements, WALBytes: ends[len(ends)-1]}
-	cfg.Logf("torture: %d crash points over %d bytes of log (%d commits)",
-		len(points), res.WALBytes, cfg.Statements)
-	crashDir := filepath.Join(scratch, "crash")
+	points := crashPoints(s.batches, cfg.Stride, cfg.MaxPoints)
+	res := &Result{Points: len(points), Commits: len(s.batches), WALBytes: s.ends[len(s.ends)-1]}
+	cfg.Logf("torture: seed %d: %d statements, %d crash points over %d bytes of log (%d commits)",
+		seed, len(s.steps), len(points), res.WALBytes, res.Commits)
+	crashDir, againDir := filepath.Join(scratch, "crash"), filepath.Join(scratch, "again")
 	for i, off := range points {
 		if res.full() {
 			break
 		}
-		k, what := expectedIndex(ends, off), fmt.Sprintf("offset %d", off)
-		got, err := reopenAt(crashDir, im, off, tableState)
-		res.expect(what, got, err, states, k)
-		// Recovery must be idempotent: a second crash-free reopen (the log
-		// was checkpointed away by the first) lands on the same state.
-		if i%64 == 0 && err == nil {
-			again, err := reopen(crashDir, im.pages, tableState)
-			res.expect(what+", second reopen", again, err, states, k)
+		k, what := expectedIndex(s.ends, off), fmt.Sprintf("seed %d, offset %d", seed, off)
+		// Now and then, recovery must also leave a log a later commit
+		// extends: one row committed on the recovered engine, then a
+		// crash, recovers the same state plus that row.
+		read := reader(tableState)
+		var after *image
+		if i%64 == 0 {
+			read = func(db *engine.Database) (string, error) {
+				got, err := tableState(db)
+				if err == nil {
+					after, err = commitAfter(db, crashDir)
+				}
+				return got, err
+			}
+		}
+		got, err := reopenAt(crashDir, s.im, off, read)
+		res.expect(what, got, err, s.states, k)
+		if after != nil {
+			again, err := reopenAt(againDir, after, -1, tableState)
+			res.expect(what+", a commit after recovery", again, err, []string{withAfterRow(s.states[k])}, 0)
 		}
 	}
 	return res, nil
 }
 
-// sweep is the one live-kill sweep. For each commit k of the workload it
-// arms kill(k, n) — a fault that fires on commit k; n is the length of
-// commit k's batch in the clean run, for cuts that aim inside it — runs
-// the workload until
-// statement k fails, and requires the failure to wrap storage.ErrIO (the
-// signal the shield latches degraded mode on). Then the process
-// "crashes": the files are captured without a close, and recovery must
-// land on state k-1, or on state k too when mayCommit says the kill can
-// come after commit k reached the file. The shadow states come from one
-// clean run, and the live run must match them up to the fault.
-func sweep(scratch string, cfg Config, kill func(k, n int) fault.Rule, mayCommit bool) (*Result, error) {
+// afterRow is the row commitAfter adds, canonical as tableState renders
+// it: its key is past every key a stream writes.
+var afterRow = fmt.Sprintf("%d|after", streamKeys)
+
+// withAfterRow is state with afterRow added, canonical as tableState
+// renders it.
+func withAfterRow(state string) string {
+	lines := []string{afterRow}
+	if state != "" {
+		lines = append(lines, strings.Split(state, "\n")...)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// commitAfter commits afterRow on the engine open in dir and captures
+// the crash image it leaves.
+func commitAfter(db *engine.Database, dir string) (*image, error) {
+	if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'after')", streamKeys)); err != nil {
+		return nil, err
+	}
+	return capture(dir, "t.tbl.wal", poolPages)
+}
+
+// sweep is the one live-kill sweep. For each commit k of seed's stream
+// it arms kill(k, n) — a fault that fires on commit k; n is the length of
+// commit k's batch in the clean run, for cuts that aim inside it — and
+// runs the stream again, held to the model, until a statement fails. The
+// one to fail must be the model's k-th changing statement, which writes
+// batch k, and its error must wrap storage.ErrIO (the signal the shield
+// latches degraded mode on). Then the process "crashes": the files are
+// captured without a close, and recovery must equal the model after
+// batch k-1, or after batch k too when mayCommit says the kill can come
+// after commit k reached the file.
+func sweep(scratch string, cfg Config, seed uint64, kill func(k, n int) fault.Rule, mayCommit bool) (*Result, error) {
 	cfg.fill()
-	stmts := workload(cfg.Statements)
-	shadowIm, shadow, stmtErr, err := runWorkload(filepath.Join(scratch, "shadow"), stmts, nil, nil)
-	if err == nil {
-		err = stmtErr
-	}
+	s, err := cleanStream(filepath.Join(scratch, "clean"), seed, cfg.Statements)
 	if err != nil {
 		return nil, err
 	}
-	_, ends, err := commitEnds(shadowIm.files[shadowIm.log], len(stmts))
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Statements: len(stmts)}
-	for k := 1; k <= len(stmts) && !res.full(); k++ {
+	res := &Result{Commits: len(s.batches), WALBytes: s.ends[len(s.ends)-1]}
+	for k := 1; k <= res.Commits && !res.full(); k++ {
 		dir := filepath.Join(scratch, fmt.Sprintf("kill-%d", k))
-		rule := kill(k, int(ends[k]-ends[k-1]))
-		im, live, stmtErr, err := runWorkload(dir, stmts, fault.NewRegistry(uint64(k)).Add(rule), nil)
+		rule := kill(k, int(s.ends[k]-s.ends[k-1]))
+		what := fmt.Sprintf("seed %d, %v fault on commit %d", seed, rule.Site, k)
+		im, ran, stmtErr, err := runStream(dir, s.steps, fault.NewRegistry(uint64(k)).Add(rule))
 		switch {
 		case err != nil:
-			return nil, err
+			return nil, fmt.Errorf("torture: %s: %w", what, err)
 		case stmtErr == nil:
-			return nil, fmt.Errorf("torture: %v fault on commit %d never fired", rule.Site, k)
-		case len(live) != k:
-			return nil, fmt.Errorf("torture: %v fault on commit %d failed statement %d: %w", rule.Site, k, len(live), stmtErr)
+			return nil, fmt.Errorf("torture: %s never fired", what)
+		case ran != s.writers[k-1]:
+			return nil, fmt.Errorf("torture: %s failed statement %d, not %d: %w", what, ran, s.writers[k-1], stmtErr)
 		}
-		for j := range live {
-			if live[j] != shadow[j] {
-				return nil, fmt.Errorf("torture: %v fault on commit %d: live state diverged from shadow at commit %d", rule.Site, k, j)
-			}
-		}
-		what := fmt.Sprintf("%v fault on commit %d", rule.Site, k)
 		if !errors.Is(stmtErr, storage.ErrIO) {
 			res.violatef("%s: injected fault not classified ErrIO: %v", what, stmtErr)
 		}
@@ -501,7 +452,7 @@ func sweep(scratch string, cfg Config, kill func(k, n int) fault.Rule, mayCommit
 			allowed = append(allowed, k)
 		}
 		got, err := reopenAt(filepath.Join(scratch, "crash"), im, -1, tableState)
-		res.expect(what, got, err, shadow, allowed...)
+		res.expect(what, got, err, s.states, allowed...)
 		res.Points++
 		os.RemoveAll(dir)
 	}
@@ -509,34 +460,34 @@ func sweep(scratch string, cfg Config, kill func(k, n int) fault.Rule, mayCommit
 }
 
 // RunFaultSweep drives the wal.append failpoint instead of offline
-// truncation: each commit k of the workload is torn once, in-process (the
-// torn length cycling through header, mid-batch and all-but-the-commit-
-// byte cuts of commit k's own batch), and recovery must land exactly on
-// the state after commit k-1. This exercises the same invariant as Run but through the
-// live write path, including the garbage tail the torn write leaves past
-// the logical end of the log.
-func RunFaultSweep(scratch string, cfg Config) (*Result, error) {
+// truncation: each commit k of seed's stream is torn once, in-process
+// (the torn length cycling through header, mid-batch and
+// all-but-the-commit-byte cuts of commit k's own batch), and recovery
+// must land exactly on the model after commit k-1. This exercises the
+// same invariant as Run but through the live write path, including the
+// garbage tail the torn write leaves past the logical end of the log.
+func RunFaultSweep(scratch string, cfg Config, seed uint64) (*Result, error) {
 	// Every cut is strictly below commit k's batch length, so the torn
 	// write is always genuinely partial: a cut of the whole buffer would
 	// let the batch — commit marker included — reach disk before the
 	// error, and recovery to state k would then be correct too. Batches
 	// differ in length (an image, or a patch of a few bytes), so each
 	// cut is taken from its own batch.
-	return sweep(scratch, cfg, func(k, n int) fault.Rule {
+	return sweep(scratch, cfg, seed, func(k, n int) fault.Rule {
 		cuts := tornCuts(n)
 		return fault.Rule{Site: fault.WALAppend, Kind: fault.Torn, TornBytes: cuts[k%len(cuts)], After: uint64(k - 1), Count: 1}
 	}, false)
 }
 
 // RunGroupFlushFault drives the wal.groupflush failpoint: for each
-// commit k of the sequential workload, one run injects an I/O error in
-// the group leader's flush after the coalesced write hits the file but
-// before the fsync. Recovery must land on state k-1 or state k — the
-// write reached the file before the "fsync" died, so the commit's
-// durability is genuinely ambiguous, exactly like a real power cut
-// mid-fsync; what is never allowed is a torn or mixed state.
-func RunGroupFlushFault(scratch string, cfg Config) (*Result, error) {
-	return sweep(scratch, cfg, func(k, _ int) fault.Rule {
+// commit k of seed's stream, one run injects an I/O error in the group
+// leader's flush after the coalesced write hits the file but before the
+// fsync. Recovery must land on the model after commit k-1 or after
+// commit k — the write reached the file before the "fsync" died, so the
+// commit's durability is genuinely ambiguous, exactly like a real power
+// cut mid-fsync; what is never allowed is a torn or mixed state.
+func RunGroupFlushFault(scratch string, cfg Config, seed uint64) (*Result, error) {
+	return sweep(scratch, cfg, seed, func(k, _ int) fault.Rule {
 		return fault.Rule{Site: fault.WALGroupFlush, Kind: fault.Error, After: uint64(k - 1), Count: 1}
 	}, true)
 }
@@ -602,7 +553,7 @@ func sample[T any](xs []T, max int) []T {
 // one several times its size.
 func RunCountSnapshot(scratch string, cfg Config) (*Result, error) {
 	cfg.fill()
-	res := &Result{Statements: 2}
+	res := &Result{Commits: 2}
 	legs := []countLeg{
 		{"snapshot fits the pool", poolPages, 40},
 		{"snapshot exceeds the pool", 8, 5000},
@@ -681,7 +632,12 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	lens, err := final.batchLens()
+	appends := clean.Hits(fault.WALAppend)
+	log, err := final.walLog()
+	if err != nil {
+		return err
+	}
+	_, ends, err := commitEnds(log, int(appends))
 	if err != nil {
 		return err
 	}
@@ -696,12 +652,8 @@ func (leg countLeg) run(scratch string, cfg Config, res *Result) error {
 	check("killed before the old files were removed", final, 1)
 
 	var kills []kill
-	appends := clean.Hits(fault.WALAppend)
-	if uint64(len(lens)) != appends {
-		return fmt.Errorf("torture: %d log batches for %d appends", len(lens), appends)
-	}
 	for k := uint64(0); k < appends; k++ {
-		n := lens[k]
+		n := int(ends[k+1] - ends[k])
 		if appends > 1 {
 			cuts := tornCuts(n)
 			kills = append(kills, kill{fault.WALAppend, k, cuts[int(k)%len(cuts)]})
