@@ -76,7 +76,7 @@ bench-shield:
 # Storage-layer benchmark run: striped pool vs the single-latch baseline,
 # point-query and scan throughput at 1/4/16 goroutines, a key-only range
 # COUNT next to SELECT * over the same ranges, the mixed read/write
-# suite, and the WAL commit path with the group-commit window off vs on;
+# suite, and the WAL commit path at one committer vs eight;
 # writes BENCH_engine.json (benchmark name -> ns/op).
 bench-engine:
 	BENCH_SUITE=engine ./scripts/bench.sh
@@ -101,7 +101,7 @@ bench-cluster:
 # the rank index's horizon paying, a key-only range COUNT skipping the
 # heap, the detector's clustering sweep staying under half its pairwise
 # oracle, a verbatim reply cell costing under a quarter of the same cell
-# escaped, grouped WAL commit beating per-commit fsyncs, mixed read/write
+# escaped, eight concurrent WAL committers sharing fsyncs beating one, mixed read/write
 # throughput scaling with clients, cluster router tax over direct shard
 # access staying within its recorded ratio, the scatter merge over spans
 # staying under half of decoding every cell). The fsync-bound engine keys
@@ -130,7 +130,7 @@ bench-ledger-smoke:
 # count-snapshot atomicity and crash points inside coalesced group-commit
 # flushes. TORTURE_POINTS caps the sample; 0 means enumerate everything.
 torture:
-	TORTURE_POINTS=400 $(GO) test -race -v -run TestCrash ./internal/torture/
+	TORTURE_POINTS=400 $(GO) test -race -count=1 -v -run TestCrash ./internal/torture/
 
 # Shard-kill cluster torture, CI-sized: a scripted workload against a
 # partitioned R=2 cluster and a fully replicated (R=N) one, under seeds
@@ -140,13 +140,13 @@ torture:
 # restores full health, and detection sketches reconverge after
 # revival. -short trims the op counts; drop it for the full run.
 torture-cluster:
-	$(GO) test -race -v -short -run TestClusterTorture ./internal/torture/
+	$(GO) test -race -count=1 -v -short -run TestClusterTorture ./internal/torture/
 
 # The full enumeration — every byte of each stream's first commit batch,
 # all record header, record end and commit bytes plus strided payload
 # bytes of the rest. About a minute; run before storage-format changes.
 torture-full:
-	TORTURE_POINTS=0 $(GO) test -v -timeout 30m ./internal/torture/
+	TORTURE_POINTS=0 $(GO) test -count=1 -v -timeout 30m ./internal/torture/
 
 # Detection benchmarks: sketch/cluster microbenchmarks plus the shield
 # front door with detection off vs on (off must stay zero-overhead).
@@ -180,8 +180,8 @@ examples:
 # FuzzSweepColumns (detector), 10 s: after any run of slot changes and
 # column hand-outs every pair's estimate is Signature.Jaccard's, bit for
 # bit. FuzzStoredTextReply (server over a real engine), 10 s: any TEXT
-# cell written, rewritten and read back through /query, in a table with
-# the layout stamp and one without, is encoding/json's bytes.
+# cell written, rewritten and read back through /query is encoding/json's
+# bytes.
 # FuzzWALPatch (write-ahead log), 10 s: a log holding any page's image
 # and then any edit of it, logged as a patch, replays to the edit.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.

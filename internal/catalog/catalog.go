@@ -75,22 +75,17 @@ type Schema struct {
 	// Indexes are the secondary indexes defined on this relation.
 	Indexes []IndexDef `json:"indexes,omitempty"`
 	// Layout is how the table's records spell a TEXT cell's length (see
-	// EncodeRow): the stamp CREATE TABLE writes, or the zero value for a
-	// table created before there was one.
+	// EncodeRow): the stamp CREATE TABLE writes. The zero value marks a
+	// table created before there was one, which the engine refuses.
 	Layout Layout `json:"layout,omitempty"`
 }
 
 // Layout is a table's record layout stamp.
 type Layout uint8
 
-const (
-	// LayoutLength is an unstamped table's: a TEXT cell's uvarint is its
-	// length, and no cell is ever claimed verbatim.
-	LayoutLength Layout = iota
-	// LayoutVerbatim is a stamped table's: a TEXT cell's uvarint is its
-	// length shifted left by one, the low bit its verbatim bit.
-	LayoutVerbatim
-)
+// LayoutVerbatim is the one record layout: a TEXT cell's uvarint is its
+// length shifted left by one, the low bit its verbatim bit.
+const LayoutVerbatim Layout = 1
 
 // Validate checks structural invariants.
 func (s Schema) Validate() error {

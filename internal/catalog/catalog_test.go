@@ -159,8 +159,9 @@ func TestCatalogCreateValidates(t *testing.T) {
 }
 
 // TestLayoutStampPersists: a stamped schema keeps its stamp across a
-// reopen, an unstamped one writes no "layout" key and reads back
-// unstamped, and a stamp this code does not know is refused.
+// reopen, an unstamped one writes no "layout" key and reads back as the
+// zero value (which the engine refuses), and a stamp this code does not
+// know is refused.
 func TestLayoutStampPersists(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := Open(dir)
@@ -184,7 +185,7 @@ func TestLayoutStampPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for table, want := range map[string]Layout{"movies": LayoutVerbatim, "old": LayoutLength} {
+	for table, want := range map[string]Layout{"movies": LayoutVerbatim, "old": 0} {
 		if s, err := c2.Get(table); err != nil || s.Layout != want {
 			t.Fatalf("%s: layout %d (%v), want %d", table, s.Layout, err, want)
 		}

@@ -142,10 +142,9 @@ func Verbatim(text string) bool {
 
 // EncodeRow serializes a row for the given schema. Layout: for each
 // column, Int → 8-byte little-endian two's complement; Float → 8-byte
-// IEEE-754 bits; Text → a uvarint, then the bytes. In a table stamped
-// LayoutVerbatim the uvarint is length<<1 | v, where v is 1 when the text
-// is Verbatim: a reply copies such a cell between quotes without looking
-// at it. In an unstamped table (LayoutLength) the uvarint is the length.
+// IEEE-754 bits; Text → a uvarint, then the bytes. The uvarint is
+// length<<1 | v (LayoutVerbatim), where v is 1 when the text is Verbatim:
+// a reply copies such a cell between quotes without looking at it.
 func EncodeRow(s Schema, r Row) ([]byte, error) {
 	if len(r) != len(s.Columns) {
 		return nil, fmt.Errorf("catalog: row has %d values, schema %q has %d columns",
@@ -167,12 +166,9 @@ func EncodeRow(s Schema, r Row) ([]byte, error) {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r[i].Float))
 			buf = append(buf, b[:]...)
 		case Text:
-			l := uint64(len(r[i].Str))
-			if s.Layout == LayoutVerbatim {
-				l <<= 1
-				if Verbatim(r[i].Str) {
-					l |= 1
-				}
+			l := uint64(len(r[i].Str)) << 1
+			if Verbatim(r[i].Str) {
+				l |= 1
 			}
 			buf = binary.AppendUvarint(buf, l)
 			buf = append(buf, r[i].Str...)
@@ -181,16 +177,13 @@ func EncodeRow(s Schema, r Row) ([]byte, error) {
 	return buf, nil
 }
 
-// textHeader reads the uvarint that opens a TEXT cell at data[off:] in a
-// table that is stamped LayoutVerbatim or not: the cell's length, its
-// verbatim bit (never set unstamped) and the uvarint's width, 0 when data
+// textHeader reads the uvarint that opens a TEXT cell at data[off:]: the
+// cell's length, its verbatim bit and the uvarint's width, 0 when data
 // holds no whole cell there.
-func textHeader(data []byte, off int, stamped bool) (l int, verbatim bool, w int) {
+func textHeader(data []byte, off int) (l int, verbatim bool, w int) {
 	u, w := binary.Uvarint(data[off:])
-	if stamped {
-		verbatim = u&1 == 1
-		u >>= 1
-	}
+	verbatim = u&1 == 1
+	u >>= 1
 	if w <= 0 || u > uint64(len(data)-off-w) {
 		return 0, false, 0
 	}
@@ -214,7 +207,7 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 	if row == nil {
 		row = make(Row, 0, len(s.Columns))
 	}
-	off, stamped := 0, s.Layout == LayoutVerbatim
+	off := 0
 	for i, col := range s.Columns {
 		switch col.Type {
 		case Int:
@@ -230,7 +223,7 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 			row = append(row, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[off:off+8]))))
 			off += 8
 		case Text:
-			l, _, n := textHeader(data, off, stamped)
+			l, _, n := textHeader(data, off)
 			if n == 0 {
 				return nil, fmt.Errorf("catalog: bad TEXT column %q", col.Name)
 			}
@@ -259,12 +252,12 @@ func DecodeRowInto(s Schema, data []byte, row Row, need []bool) (Row, error) {
 // takes a TEXT cell from the page in place where DecodeRowInto would copy
 // it out. The record must be one DecodeRowInto accepts.
 func Fields(s Schema, data []byte, dst [][]byte, verbatim []bool) ([][]byte, []bool, error) {
-	off, stamped := 0, s.Layout == LayoutVerbatim
+	off := 0
 	for _, col := range s.Columns {
 		n, v := 8, false
 		if col.Type == Text {
 			var w int
-			if n, v, w = textHeader(data, off, stamped); w == 0 {
+			if n, v, w = textHeader(data, off); w == 0 {
 				return nil, nil, fmt.Errorf("catalog: bad TEXT column %q", col.Name)
 			}
 			off += w

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/internal/vclock"
 )
@@ -74,20 +75,14 @@ func BenchmarkClusterPointQuery(b *testing.B) {
 	b.Run("via=remote", func(b *testing.B) { run(b, rr.Handler()) })
 }
 
-// newIOShard builds a shard whose engine models 2004-era page I/O
-// (250µs per physical page access, an 8-page pool, one scan worker), so
-// scans are I/O-bound the way the paper's delay accounting assumes —
-// and so scatter-gather's concurrency shows up even on a single-core
-// bench host: shard scan workers sleeping in the I/O hook overlap. The
-// engine takes its scan workers from GOMAXPROCS at Open, so Open runs
-// under GOMAXPROCS(1).
+// newIOShard builds a shard for I/O-bound scans: an 8-page pool and one
+// scan worker, whose page I/O modelIO makes cost what a 2004-era disk's
+// did. The engine takes its scan workers from GOMAXPROCS at Open, so
+// Open runs under GOMAXPROCS(1).
 func newIOShard(b *testing.B, catalogN int) http.Handler {
 	b.Helper()
 	prev := runtime.GOMAXPROCS(1)
-	db, err := engine.Open(b.TempDir(),
-		engine.WithPoolPages(8),
-		engine.WithIOCost(func() { time.Sleep(250 * time.Microsecond) }),
-	)
+	db, err := engine.Open(b.TempDir(), engine.WithPoolPages(8))
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		b.Fatal(err)
@@ -109,6 +104,19 @@ func newIOShard(b *testing.B, catalogN int) http.Handler {
 		b.Fatal(err)
 	}
 	return srv.Handler()
+}
+
+// modelIO makes every physical page read and write sleep 250µs until the
+// benchmark ends, so scans are I/O-bound the way the paper's delay
+// accounting assumes — and so scatter-gather's concurrency shows up even
+// on a single-core bench host: shards sleeping in their page reads
+// overlap.
+func modelIO(b *testing.B) {
+	const latency = 250 * time.Microsecond
+	fault.Enable(fault.NewRegistry(1).
+		Add(fault.Rule{Site: fault.PagerRead, Kind: fault.Latency, Latency: latency}).
+		Add(fault.Rule{Site: fault.PagerWrite, Kind: fault.Latency, Latency: latency}))
+	b.Cleanup(fault.Disable)
 }
 
 func benchLoadItems(b testing.TB, r *Router, tuples int) {
@@ -170,6 +178,7 @@ func BenchmarkClusterScan(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchLoadItems(b, r, tuples)
+		modelIO(b)
 		body, _ := json.Marshal(server.QueryRequest{SQL: `SELECT COUNT(*) FROM items`})
 		h := r.Handler()
 		b.ResetTimer()

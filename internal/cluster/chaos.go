@@ -24,9 +24,6 @@ func (c *Chaos) Kill() { c.dead.Store(true) }
 // Revive restores the node's transport.
 func (c *Chaos) Revive() { c.dead.Store(false) }
 
-// Dead reports whether the node is currently killed.
-func (c *Chaos) Dead() bool { return c.dead.Load() }
-
 // chaosTransport fails every round trip while the switch is dead.
 type chaosTransport struct {
 	inner transport

@@ -517,11 +517,16 @@ const InitIdentity = "cluster-init"
 
 // ExecScript runs a semicolon-separated statement script through the
 // router's own planner — cmd/delaydb's -init path, so every row loads
-// onto exactly the shards that own it. Statements bypass admission (it
-// is the operator's own front door) but take the exact routing and
-// merge paths client queries take.
+// onto exactly the shards that own it. The script is parsed whole, as
+// the engine's ExecScript parses it, before any statement runs.
+// Statements bypass admission (it is the operator's own front door) but
+// take the exact routing and merge paths client queries take.
 func (r *Router) ExecScript(src string) error {
-	for _, stmt := range splitStatements(src) {
+	_, stmts, err := sqlmini.ParseScript(src)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	for _, stmt := range stmts {
 		c := &call{
 			method:   http.MethodPost,
 			path:     "/query",
@@ -536,38 +541,4 @@ func (r *Router) ExecScript(src string) error {
 		}
 	}
 	return nil
-}
-
-// splitStatements splits a script on semicolons outside string
-// literals, dropping -- line comments and blank statements. The
-// quote escape is a doubled quote, so toggling in-string per quote
-// handles it.
-func splitStatements(src string) []string {
-	var out []string
-	var sb strings.Builder
-	inStr := false
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		switch {
-		case c == '\'':
-			inStr = !inStr
-			sb.WriteByte(c)
-		case !inStr && c == '-' && i+1 < len(src) && src[i+1] == '-':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-			sb.WriteByte('\n')
-		case !inStr && c == ';':
-			if s := strings.TrimSpace(sb.String()); s != "" {
-				out = append(out, s)
-			}
-			sb.Reset()
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	if s := strings.TrimSpace(sb.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
 }

@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/detect"
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/vclock"
 )
@@ -563,25 +563,48 @@ func TestRemoteShapedCluster(t *testing.T) {
 	}
 }
 
+// TestExecScriptSplitsStatements: a script with -- comments and with
+// semicolons and dashes inside string literals loads the same rows
+// through the router as through one engine: both split it with
+// sqlmini.ParseScript.
 func TestExecScriptSplitsStatements(t *testing.T) {
-	got := splitStatements("CREATE TABLE t (id INT PRIMARY KEY);\n-- a comment; with a semicolon\nINSERT INTO t VALUES (1);\nINSERT INTO t VALUES (2)")
-	want := []string{
-		"CREATE TABLE t (id INT PRIMARY KEY)",
-		"INSERT INTO t VALUES (1)",
-		"INSERT INTO t VALUES (2)",
+	const script = "CREATE TABLE t (id INT PRIMARY KEY, v TEXT);\n" +
+		"-- a comment; with a semicolon\n" +
+		"INSERT INTO t VALUES (1, 'a;b');\n" +
+		"INSERT INTO t VALUES (2, 'it''s -- no comment'), (3, 'x') -- trailing\n;"
+	want := [][]string{{"1", "a;b"}, {"2", "it's -- no comment"}, {"3", "x"}}
+	const sel = `SELECT id, v FROM t ORDER BY id LIMIT 10`
+
+	db, err := engine.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("split %q, want %q", got, want)
+	defer db.Close()
+	if _, err := db.ExecScript(script); err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("split[%d] = %q, want %q", i, got[i], want[i])
-		}
+	res, err := db.Exec(sel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Semicolons inside string literals do not split.
-	got = splitStatements(`INSERT INTO t VALUES (1, 'a;b''c;d');INSERT INTO t VALUES (2, 'x')`)
-	if len(got) != 2 || !strings.Contains(got[0], "a;b''c;d") {
-		t.Fatalf("quoted split = %q", got)
+	var got [][]string
+	for _, row := range res.Rows {
+		got = append(got, []string{fmt.Sprint(row[0].Int), row[1].Str})
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("engine rows %q, want %q", got, want)
+	}
+
+	c := newTestCluster(t, clusterOpts{Config: Config{Partitions: 8}})
+	if err := c.Router.ExecScript(script); err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	resp, body := query(t, c.Handler, "reader", sel)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("router: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if rows := decodeQuery(t, body).Rows; fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("router rows %q, want %q", rows, want)
 	}
 }
 

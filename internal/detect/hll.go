@@ -127,7 +127,3 @@ func (h *HLL) copyFrom(src *HLL) {
 	copy(h.reg, src.reg)
 	h.sum, h.zeros = src.sum, src.zeros
 }
-
-// SizeBytes reports the register array's footprint, the dominant cost
-// of tracking a principal.
-func (h *HLL) SizeBytes() int { return len(h.reg) }

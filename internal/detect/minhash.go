@@ -96,6 +96,3 @@ func (s *Signature) Clone() *Signature {
 	copy(c.slots, s.slots)
 	return c
 }
-
-// SizeBytes reports the slot array's footprint.
-func (s *Signature) SizeBytes() int { return 8 * len(s.slots) }

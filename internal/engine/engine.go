@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/index"
@@ -41,12 +40,6 @@ func WithPoolPages(n int) Option {
 	return func(db *Database) { db.poolPages = n }
 }
 
-// WithIOCost installs a hook invoked on every physical page read/write,
-// used by experiments to model 2004-era I/O latency.
-func WithIOCost(fn func()) Option {
-	return func(db *Database) { db.ioCost = fn }
-}
-
 // WithWAL enables per-statement write-ahead logging: every mutating
 // statement appends the pages it dirtied plus a commit record to
 // <table>.wal before returning, and recovery replays committed batches
@@ -57,23 +50,6 @@ func WithWAL(synced bool) Option {
 		db.useWAL = true
 		db.walSynced = synced
 	}
-}
-
-// DefaultWALGroupWindow is the group-commit accumulation window when
-// none is configured: long enough to coalesce a burst of concurrent
-// commits into one fsync, short enough to be invisible next to the
-// fsync it saves. Sequential committers never wait it (a solo leader
-// flushes immediately), so it costs single-writer workloads nothing.
-const DefaultWALGroupWindow = 200 * time.Microsecond
-
-// WithWALGroupWindow sets the WAL group-commit accumulation window.
-// 0 disables grouping: every commit writes and fsyncs alone. The window
-// only caps a leader's wait (accumulation stops once arrivals quiesce),
-// so deployments run the default; the callers that set it are the
-// torture group-commit harness (a 2 ms window, to pile commits into
-// shared flushes) and BenchmarkWALCommit's group=off reference arm (0).
-func WithWALGroupWindow(d time.Duration) Option {
-	return func(db *Database) { db.walGroupWindow = d }
 }
 
 // walCheckpointBytes is the log size past which a mutation triggers a
@@ -90,12 +66,8 @@ type Database struct {
 	// scanWorkers is the most goroutines a full-heap read fans out
 	// across: GOMAXPROCS at Open (see scanWorkersFor).
 	scanWorkers int
-	ioCost      func()
 	useWAL      bool
 	walSynced   bool
-	// walGroupWindow is the group-commit accumulation window (0 = every
-	// commit flushes alone).
-	walGroupWindow time.Duration
 
 	// cpFailures/cpErr record post-commit checkpoint failures; see
 	// noteCheckpointErr.
@@ -248,13 +220,12 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		return nil, err
 	}
 	db := &Database{
-		dir:            dir,
-		cat:            cat,
-		poolPages:      DefaultPoolPages,
-		scanWorkers:    runtime.GOMAXPROCS(0),
-		walGroupWindow: DefaultWALGroupWindow,
-		planCache:      newPlanCache(DefaultPlanCacheEntries),
-		tables:         make(map[string]*table),
+		dir:         dir,
+		cat:         cat,
+		poolPages:   DefaultPoolPages,
+		scanWorkers: runtime.GOMAXPROCS(0),
+		planCache:   newPlanCache(DefaultPlanCacheEntries),
+		tables:      make(map[string]*table),
 	}
 	for _, opt := range opts {
 		opt(db)
@@ -266,6 +237,9 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		schema, err := cat.Get(name)
 		if err != nil {
 			return nil, err
+		}
+		if schema.Layout != catalog.LayoutVerbatim {
+			return nil, fmt.Errorf("engine: table %q predates the record layout stamp: its catalog.json entry has no \"layout\"", name)
 		}
 		if _, err := db.loadTable(schema); err != nil {
 			return nil, err
@@ -285,18 +259,12 @@ func (db *Database) loadTable(schema catalog.Schema) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db.ioCost != nil {
-		pager.SetIOCost(db.ioCost)
-	}
 	var wal *storage.WAL
 	if db.useWAL {
 		wal, err = storage.OpenWAL(db.tablePath(schema.Table)+".wal", db.walSynced)
 		if err != nil {
 			pager.Close()
 			return nil, err
-		}
-		if db.walGroupWindow > 0 {
-			wal.SetGroupWindow(db.walGroupWindow)
 		}
 		// Recover: reapply committed batches, then checkpoint so the log
 		// starts empty.
@@ -509,6 +477,19 @@ func (db *Database) PoolStats() (hits, misses, evicts int64) {
 	return hits, misses, evicts
 }
 
+// PageIO sums the physical page reads and writes of every open table's
+// pager since it was opened (storage.Pager.Stats).
+func (db *Database) PageIO() (reads, writes int64) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, t := range db.tables {
+		r, w := t.pager.Stats()
+		reads += r
+		writes += w
+	}
+	return reads, writes
+}
+
 // PoolStreamed counts the heap pages statements read around the buffer
 // pool (storage.Pool.ReadBatch), summed across tables: page reads, where
 // PoolStats' hits and misses count row reads.
@@ -711,7 +692,7 @@ func (db *Database) PlanCacheStats() (hits, misses, invalidations int64, entries
 // per executed statement; on error the results of the statements that
 // already ran are returned alongside it.
 func (db *Database) ExecScript(src string) ([]*Result, error) {
-	stmts, err := sqlmini.ParseScript(src)
+	stmts, _, err := sqlmini.ParseScript(src)
 	if err != nil {
 		return nil, err
 	}

@@ -349,14 +349,29 @@ func TestDropCachesForcesColdReads(t *testing.T) {
 	}
 }
 
-func TestIOCostHookFires(t *testing.T) {
-	calls := 0
-	db := testDB(t, WithIOCost(func() { calls++ }))
-	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
-	db.Flush()
-	if calls == 0 {
-		t.Fatal("IO cost hook never fired")
+// TestPageIOSumsEveryTable: PageIO counts the writes a flush makes and
+// the reads a cold statement makes, in every open table.
+func TestPageIOSumsEveryTable(t *testing.T) {
+	db := testDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v TEXT)`)
+	mustExec(t, db, `CREATE TABLE u (id INT PRIMARY KEY, v TEXT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'a')`)
+	mustExec(t, db, `INSERT INTO u VALUES (1, 'b')`)
+	r0, w0 := db.PageIO()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r1, w1 := db.PageIO()
+	if r1 != r0 || w1 < w0+2 {
+		t.Fatalf("flush of two tables: reads %d -> %d, writes %d -> %d", r0, r1, w0, w1)
+	}
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `SELECT * FROM t WHERE id = 1`)
+	mustExec(t, db, `SELECT * FROM u WHERE id = 1`)
+	if r2, _ := db.PageIO(); r2 < r1+2 {
+		t.Fatalf("two cold reads: reads %d -> %d", r1, r2)
 	}
 }
 

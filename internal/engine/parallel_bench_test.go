@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sqlmini"
 )
 
@@ -163,27 +164,23 @@ func BenchmarkEngineScan(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScanColdIO measures cold full scans under the modeled
-// 2004-era I/O latency the Table 5 harness uses, with a pool smaller
-// than the heap so every scan pays real misses. The parallel executor's
-// workers miss on different pool shards and overlap the modeled reads —
-// the end-to-end win of the striped pool + latch-free page loads + the
-// chunked scan executor, visible even on a single-core host.
+// BenchmarkEngineScanColdIO measures cold full scans under a modeled
+// 2004-era I/O latency (a fault latency rule on every page read and
+// write), with a pool smaller than the heap so every scan pays real
+// misses. The parallel executor's workers miss on different pool shards
+// and overlap the modeled reads — the end-to-end win of the striped pool
+// + latch-free page loads + the chunked scan executor, visible even on a
+// single-core host.
 func BenchmarkEngineScanColdIO(b *testing.B) {
 	for _, w := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("g=%d", w), func(b *testing.B) {
-			ioWait := func() { time.Sleep(100 * time.Microsecond) }
-			var enabled atomic.Bool
-			db := benchEngine(b, 1500,
-				withScanWorkers(w),
-				WithPoolPages(16),
-				WithIOCost(func() {
-					if enabled.Load() {
-						ioWait()
-					}
-				}),
-			)
-			enabled.Store(true) // loading the table above stays fast
+			db := benchEngine(b, 1500, withScanWorkers(w), WithPoolPages(16))
+			// Every physical page read and write from here on sleeps:
+			// loading the table above stays fast.
+			fault.Enable(fault.NewRegistry(1).
+				Add(fault.Rule{Site: fault.PagerRead, Kind: fault.Latency, Latency: 100 * time.Microsecond}).
+				Add(fault.Rule{Site: fault.PagerWrite, Kind: fault.Latency, Latency: 100 * time.Microsecond}))
+			b.Cleanup(fault.Disable)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := db.Exec(`SELECT COUNT(*) FROM wide`)

@@ -57,8 +57,9 @@ func TestPlanCacheHitOnRepeatedShape(t *testing.T) {
 func TestPlanCacheNormalizationSharesShapes(t *testing.T) {
 	db := planCacheDB(t)
 
-	// Case, whitespace, trailing semicolon, and literal value all
-	// normalize away: five statements, one cache entry, four hits.
+	// Case, whitespace, -- comments, trailing semicolon, and literal
+	// value all normalize away: six statements, one cache entry, five
+	// hits.
 	variants := []struct {
 		sql  string
 		want string
@@ -68,6 +69,7 @@ func TestPlanCacheNormalizationSharesShapes(t *testing.T) {
 		{"SELECT\tname  FROM items\nWHERE id=5", "n5"},
 		{`  SELECT name FROM items WHERE id = 6 ; `, "n6"},
 		{`Select Name From Items Where Id = 7`, "n7"},
+		{"-- a note\nSELECT name FROM items -- and one more\nWHERE id = 8", "n8"},
 	}
 	h0, m0, _, _ := db.PlanCacheStats()
 	for _, v := range variants {

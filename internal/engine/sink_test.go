@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -326,50 +324,38 @@ func (c claimEncoder) AppendRow(dst []byte, i int, cells [][]byte, verbatim []bo
 }
 
 // TestTextCellsClaimVerbatimOnlyWhenStamped: the encoder is told a TEXT
-// cell is verbatim exactly when catalog.Verbatim holds for it and its
-// table carries the layout stamp CREATE TABLE writes; a table whose
-// catalog entry predates the stamp claims no TEXT cell, and a number is
+// cell is verbatim exactly when catalog.Verbatim holds for it (every
+// table carries the layout stamp CREATE TABLE writes), and a number is
 // always claimed.
 func TestTextCellsClaimVerbatimOnlyWhenStamped(t *testing.T) {
-	dir := t.TempDir()
-	legacy := `[{"table":"old","columns":[{"name":"id","type":1},{"name":"s","type":3}],"key":0}]`
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := testDB(t)
 	mustExec(t, db, `CREATE TABLE fresh (id INT PRIMARY KEY, s TEXT)`)
 	cells := []string{"plain", "odd&", "<b>", "é 日本", "tab\there", "sep "}
-	for _, table := range []string{"fresh", "old"} {
-		for i, c := range cells {
-			mustExec(t, db, fmt.Sprintf(`INSERT INTO %s VALUES (%d, '%s')`, table, i+1, c))
+	for i, c := range cells {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO fresh VALUES (%d, '%s')`, i+1, c))
+	}
+	for _, sql := range []string{
+		`SELECT s, id FROM fresh WHERE id = 4`,
+		`SELECT s, id FROM fresh WHERE id >= 1`,
+		`SELECT s, id FROM fresh ORDER BY id DESC LIMIT 6`,
+	} {
+		p, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sql := range []string{
-			`SELECT s, id FROM ` + table + ` WHERE id = 4`,
-			`SELECT s, id FROM ` + table + ` WHERE id >= 1`,
-			`SELECT s, id FROM ` + table + ` ORDER BY id DESC LIMIT 6`,
-		} {
-			p, err := db.Prepare(sql)
-			if err != nil {
-				t.Fatal(err)
+		got := claimEncoder{}
+		if _, err := p.ExecInto(nil, got, nil); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		p.Release()
+		for _, c := range cells {
+			claimed, ok := got[c]
+			if want := catalog.Verbatim(c); ok && claimed != want {
+				t.Errorf("%q: cell %q claimed %v, want %v", sql, c, claimed, want)
 			}
-			got := claimEncoder{}
-			if _, err := p.ExecInto(nil, got, nil); err != nil {
-				t.Fatalf("%q: %v", sql, err)
-			}
-			p.Release()
-			for _, c := range cells {
-				claimed, ok := got[c]
-				if want := table == "fresh" && catalog.Verbatim(c); ok && claimed != want {
-					t.Errorf("%q: cell %q claimed %v, want %v", sql, c, claimed, want)
-				}
-			}
-			if !got["4"] {
-				t.Errorf("%q: INT cell not claimed verbatim", sql)
-			}
+		}
+		if !got["4"] {
+			t.Errorf("%q: INT cell not claimed verbatim", sql)
 		}
 	}
 }

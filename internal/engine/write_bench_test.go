@@ -68,68 +68,55 @@ func BenchmarkEngineMixed(b *testing.B) {
 }
 
 // BenchmarkWALCommit isolates the WAL commit path: g goroutines issue
-// single-row in-place UPDATEs against a synced log, with the
-// group-commit window off (every commit writes and fsyncs alone) and on
-// (concurrent commits coalesce into shared flushes). The fsyncs/commit
-// metric is measured from the WAL's own counters; with grouping on at
-// g=8 it must drop below 0.5 — the whole point of the leader/follower
+// single-row in-place UPDATEs against a synced log, through the group
+// commit every engine runs. At g=1 every commit writes and fsyncs alone;
+// at g=8 concurrent commits coalesce into shared flushes. The
+// fsyncs/commit metric is measured from the WAL's own counters; at g=8
+// it must drop below 0.5 — the whole point of the leader/follower
 // protocol — and the benchmark fails if it does not.
 func BenchmarkWALCommit(b *testing.B) {
-	for _, grouped := range []bool{false, true} {
-		name := "group=off"
-		opts := []Option{WithWALGroupWindow(0)}
-		if grouped {
-			name = "group=on"
-			opts = []Option{WithWALGroupWindow(DefaultWALGroupWindow)}
-		}
-		b.Run(name, func(b *testing.B) {
-			for _, g := range []int{1, 8} {
-				b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-					const rows = 512
-					db := benchEngine(b, rows, append([]Option{WithWAL(true)}, opts...)...)
-					if _, err := db.Exec(`SELECT COUNT(*) FROM wide`); err != nil {
-						b.Fatal(err)
+	for _, g := range []int{1, 8} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			const rows = 512
+			db := benchEngine(b, rows, WithWAL(true))
+			if _, err := db.Exec(`SELECT COUNT(*) FROM wide`); err != nil {
+				b.Fatal(err)
+			}
+			writes := make([]string, rows)
+			for i := range writes {
+				writes[i] = fmt.Sprintf(`UPDATE wide SET grp = %d WHERE id = %d`, i%7, i)
+			}
+			procs := min(g, runtime.NumCPU())
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			var seq atomic.Int64
+			b.SetParallelism((g + procs - 1) / procs)
+			c0, _, f0, _ := db.WALGroupStats()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				base := int(seq.Add(1)) * 97
+				i := 0
+				for pb.Next() {
+					q := writes[(base+i*13)%rows]
+					i++
+					if _, err := db.Exec(q); err != nil {
+						b.Error(err)
+						return
 					}
-					writes := make([]string, rows)
-					for i := range writes {
-						writes[i] = fmt.Sprintf(`UPDATE wide SET grp = %d WHERE id = %d`, i%7, i)
-					}
-					procs := min(g, runtime.NumCPU())
-					prev := runtime.GOMAXPROCS(procs)
-					defer runtime.GOMAXPROCS(prev)
-					var seq atomic.Int64
-					b.SetParallelism((g + procs - 1) / procs)
-					c0, _, f0, _ := db.WALGroupStats()
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						base := int(seq.Add(1)) * 97
-						i := 0
-						for pb.Next() {
-							q := writes[(base+i*13)%rows]
-							i++
-							if _, err := db.Exec(q); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					})
-					b.StopTimer()
-					commits, _, fsyncs, wait := db.WALGroupStats()
-					commits -= c0
-					fsyncs -= f0
-					if commits > 0 {
-						ratio := float64(fsyncs) / float64(commits)
-						b.ReportMetric(ratio, "fsyncs/commit")
-						b.ReportMetric(wait/float64(commits), "window-wait-s/commit")
-						if grouped && g == 8 && commits >= 200 && ratio >= 0.5 {
-							b.Fatalf("grouped commit at g=8: %.3f fsyncs/commit (%d fsyncs / %d commits), want < 0.5",
-								ratio, fsyncs, commits)
-						}
-						if !grouped && ratio != 1 {
-							b.Fatalf("ungrouped commit: %.3f fsyncs/commit, want exactly 1", ratio)
-						}
-					}
-				})
+				}
+			})
+			b.StopTimer()
+			commits, _, fsyncs, wait := db.WALGroupStats()
+			commits -= c0
+			fsyncs -= f0
+			if commits > 0 {
+				ratio := float64(fsyncs) / float64(commits)
+				b.ReportMetric(ratio, "fsyncs/commit")
+				b.ReportMetric(wait/float64(commits), "window-wait-s/commit")
+				if g == 8 && commits >= 200 && ratio >= 0.5 {
+					b.Fatalf("grouped commit at g=8: %.3f fsyncs/commit (%d fsyncs / %d commits), want < 0.5",
+						ratio, fsyncs, commits)
+				}
 			}
 		})
 	}

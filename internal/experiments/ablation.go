@@ -153,7 +153,7 @@ func timeRankSort(p AblationParams) time.Duration {
 }
 
 func timeCountPersistence(p AblationParams) (withCache, synchronous time.Duration, err error) {
-	db, err := engine.Open(p.Dir, engine.WithPoolPages(16), engine.WithIOCost(spin(p.IOCost)))
+	db, err := engine.Open(p.Dir, engine.WithPoolPages(16))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -184,18 +184,22 @@ func timeCountPersistence(p AblationParams) (withCache, synchronous time.Duratio
 	if err != nil {
 		return 0, 0, err
 	}
+	io := newIOMeter(db, p.IOCost)
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		if _, err := cache.Add(idAt(i), 1); err != nil {
 			return 0, 0, err
 		}
+		io.charge()
 	}
 	if err := cache.Flush(); err != nil {
 		return 0, 0, err
 	}
+	io.charge()
 	withCache = time.Since(start) / time.Duration(ops)
 
 	rng = rand.New(rand.NewSource(p.Seed))
+	io.reset()
 	start = time.Now()
 	for i := 0; i < ops; i++ {
 		id := idAt(i)
@@ -206,6 +210,7 @@ func timeCountPersistence(p AblationParams) (withCache, synchronous time.Duratio
 		if err := store.PutCount(id, v+1); err != nil {
 			return 0, 0, err
 		}
+		io.charge()
 	}
 	synchronous = time.Since(start) / time.Duration(ops)
 	return withCache, synchronous, nil

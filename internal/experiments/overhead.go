@@ -31,7 +31,8 @@ type OverheadParams struct {
 	// memory, resulting in some I/O overhead".
 	CountCacheSize int
 	// IOCost adds a fixed CPU spin per physical page I/O to stand in for
-	// 2004-era disk latency; 0 disables it.
+	// 2004-era disk latency, paid after the operation that did the I/O;
+	// 0 disables it.
 	IOCost time.Duration
 	// IndexIO is the number of synthetic index-page reads charged per
 	// selection in BOTH measured paths. The commercial RDBMS of the
@@ -80,7 +81,7 @@ func Table5(p OverheadParams) (*Table, *Table5Result, error) {
 	if p.Rows < 1 || p.Queries < 1 {
 		return nil, nil, fmt.Errorf("experiments: bad overhead params %+v", p)
 	}
-	db, err := engine.Open(p.Dir, engine.WithPoolPages(p.PoolPages), engine.WithIOCost(spin(p.IOCost)))
+	db, err := engine.Open(p.Dir, engine.WithPoolPages(p.PoolPages))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,11 +136,13 @@ func Table5(p OverheadParams) (*Table, *Table5Result, error) {
 	// scheme, one right after the other: a slow spell of the host lands on
 	// both columns instead of on whichever phase it happened to hit.
 	base, total := make([]float64, p.Queries), make([]float64, p.Queries)
+	io := newIOMeter(db, p.IOCost)
 	for i, q := range queries {
 		for _, scheme := range []bool{false, true} {
 			if err := db.DropCaches(); err != nil {
 				return nil, nil, err
 			}
+			io.reset()
 			start := time.Now()
 			indexIO()
 			res, err := db.Exec(q)
@@ -147,6 +150,7 @@ func Table5(p OverheadParams) (*Table, *Table5Result, error) {
 				return nil, nil, err
 			}
 			if !scheme {
+				io.charge()
 				base[i] = float64(time.Since(start)) / float64(time.Millisecond)
 				continue
 			}
@@ -159,6 +163,7 @@ func Table5(p OverheadParams) (*Table, *Table5Result, error) {
 					return nil, nil, err
 				}
 			}
+			io.charge()
 			total[i] = float64(time.Since(start)) / float64(time.Millisecond)
 		}
 	}
@@ -220,6 +225,35 @@ func loadItems(db *engine.Database, rows, payloadBytes int) error {
 		}
 	}
 	return db.Flush()
+}
+
+// ioMeter charges a synthetic latency per physical page read and write
+// of a database, counted by the engine (Database.PageIO): charge spins
+// cost for every page I/O since the last charge or reset. The experiments
+// that use it run one operation at a time, so each page still costs one
+// spin, paid right after the operation that did the I/O.
+type ioMeter struct {
+	db   *engine.Database
+	cost time.Duration
+	last int64
+}
+
+func newIOMeter(db *engine.Database, cost time.Duration) *ioMeter {
+	m := &ioMeter{db: db, cost: cost}
+	m.reset()
+	return m
+}
+
+// reset forgets the page I/O done so far: it is not charged.
+func (m *ioMeter) reset() {
+	r, w := m.db.PageIO()
+	m.last = r + w
+}
+
+func (m *ioMeter) charge() {
+	prev := m.last
+	m.reset()
+	spin(time.Duration(m.last-prev) * m.cost)()
 }
 
 // spin returns a function that busy-waits for d; busy-waiting is steadier

@@ -16,9 +16,12 @@ import (
 //     survives the router's rewrite: Parse(Render(stmt)) is stmt;
 //   - every string token's text and position are what refLexString, a
 //     byte-at-a-time reference decoder, reads at that position, and the
-//     next token starts where the reference's literal ends;
+//     next token starts where the reference's literal ends, past white
+//     space and -- comments;
 //   - lex never produces more tokens than tokenBound, which sizes its
-//     buffer.
+//     buffer;
+//   - each statement text ParseScript hands back parses to the statement
+//     it came with.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -58,12 +61,25 @@ func FuzzParse(f *testing.F) {
 		"SELECT\u00a0*\u2003FROM t",
 		"SELECT * FROM t\x85",
 		"SELECT * FROM t€",
+		// Comments, and dashes that are not one.
+		"-- only a comment",
+		"SELECT * FROM t -- trailing; comment\nWHERE id = 1",
+		"INSERT INTO t VALUES (1, 'a -- b'), (-2, 'c')--end",
+		"CREATE TABLE t (id INT PRIMARY KEY);\n-- it's; a comment\nINSERT INTO t VALUES (1);;",
+		"SELECT * FROM t WHERE id = 1 - -2",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		checkStringTokens(t, src)
+		if stmts, texts, err := ParseScript(src); err == nil {
+			for i, text := range texts {
+				if back, err := Parse(text); err != nil || !reflect.DeepEqual(back, stmts[i]) {
+					t.Fatalf("%q: statement %d's text %q parses to %#v (%v), not %#v", src, i+1, text, back, err, stmts[i])
+				}
+			}
+		}
 		stmt, err := Parse(src)
 		if err != nil {
 			return
@@ -116,12 +132,24 @@ func checkStringTokens(t *testing.T, src string) {
 		if tok.text != text {
 			t.Fatalf("%q: string at %d is %q, the reference reads %q", src, tok.pos, tok.text, text)
 		}
-		if next := toks[i+1].pos; next < end || strings.TrimLeftFunc(src[end:next], unicode.IsSpace) != "" {
+		if next := toks[i+1].pos; next < end || skipGap(src[end:next]) != "" {
 			t.Fatalf("%q: the reference ends the string at %d, the next token is at %d", src, end, next)
 		}
 	}
 	if bound := tokenBound(src); len(toks) > bound {
 		t.Fatalf("%q lexes to %d tokens, more than tokenBound's %d", src, len(toks), bound)
+	}
+}
+
+// skipGap returns s without the white space and -- comments that open
+// it: what may separate two tokens.
+func skipGap(s string) string {
+	for {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if !strings.HasPrefix(s, "--") {
+			return s
+		}
+		_, s, _ = strings.Cut(s, "\n")
 	}
 }
 

@@ -10,7 +10,7 @@
 // Predicates are conjunctions of column/literal comparisons with
 // =, !=, <>, <, <=, >, >= and BETWEEN lo AND hi. This covers the paper's
 // workload — "a query load comprised purely of selection queries" — plus
-// the updates §3 needs.
+// the updates §3 needs. A -- comment runs to the end of its line.
 package sqlmini
 
 import (
@@ -68,11 +68,11 @@ func lex(src string) ([]token, error) {
 // tokenBound is an upper bound on the tokens src lexes to. A quoted run
 // is one token, found with strings.IndexByte and not read byte by byte
 // (a doubled quote splits a literal into two runs here, which only
-// loosens the bound). Outside quoted runs every byte that is not white
-// space can start a token, except one that continues a word: a letter
-// or '_' after a letter or '_' (the same identifier), or a digit after
-// a letter, '_', digit or '.' (the same identifier or number). The end
-// of input is one more token.
+// loosens the bound). A -- comment is no token. Outside quoted runs and
+// comments every byte that is not white space can start a token, except
+// one that continues a word: a letter or '_' after a letter or '_' (the
+// same identifier), or a digit after a letter, '_', digit or '.' (the
+// same identifier or number). The end of input is one more token.
 func tokenBound(src string) int {
 	n := 1
 	var prev byte
@@ -86,6 +86,12 @@ func tokenBound(src string) int {
 				return n
 			}
 			i += 1 + e
+		case c == '-' && i+1 < len(src) && src[i+1] == '-':
+			e := strings.IndexByte(src[i:], '\n')
+			if e < 0 {
+				return n
+			}
+			i += e
 		case isWordByte(c):
 			if !isWordByte(prev) {
 				n++
@@ -128,6 +134,8 @@ func lexInto(src string, toks []token) ([]token, error) {
 			if err := l.lexNumber(); err != nil {
 				return nil, err
 			}
+		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
+			l.pos = gapEnd(l.src, l.pos)
 		case c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 			l.pos++
 			if err := l.lexNumber(); err != nil {
@@ -181,6 +189,23 @@ func spaceEnd(src string, i int) int {
 		i += size
 	}
 	return i
+}
+
+// gapEnd returns the index just past the white space and -- comments
+// that start at src[i]: what may separate two tokens. A comment runs to
+// the end of its line.
+func gapEnd(src string, i int) int {
+	for {
+		i = spaceEnd(src, i)
+		if !strings.HasPrefix(src[i:], "--") {
+			return i
+		}
+		e := strings.IndexByte(src[i:], '\n')
+		if e < 0 {
+			return len(src)
+		}
+		i += e
+	}
 }
 
 // identEnd returns the index just past the identifier characters (a

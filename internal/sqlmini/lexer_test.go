@@ -13,7 +13,8 @@ import (
 // TestLexerDecodesUTF8 reads identifiers and white space as UTF-8 runes,
 // not as one rune per byte: a non-ASCII letter belongs to its
 // identifier, a non-ASCII space separates, and a byte that is not UTF-8
-// is an invalid character. HasPrefixKeyword follows the same rules.
+// is an invalid character. HasPrefixKeyword follows the same rules, and
+// skips -- comments as the lexer does.
 func TestLexerDecodesUTF8(t *testing.T) {
 	cases := []struct {
 		src      string
@@ -35,6 +36,8 @@ func TestLexerDecodesUTF8(t *testing.T) {
 		{src: "SELECT * FROM t©", err: `sqlmini: invalid character '©' at position 15`, isSelect: true},
 		{src: "SELECTé * FROM t", err: `sqlmini: expected statement, got "SELECTé"`},
 		{src: "SELECT * FROM t WHERE id = #", err: `sqlmini: invalid character '#' at position 27`, isSelect: true},
+		{src: "-- a note\n  -- and another\nSELECT * FROM t -- it's\n", table: "t", isSelect: true},
+		{src: "-- SELECT\nCREATE TABLE u (id INT PRIMARY KEY)", table: "u"},
 	}
 	for _, c := range cases {
 		stmt, err := Parse(c.src)

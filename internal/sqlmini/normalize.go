@@ -95,9 +95,9 @@ func numberLiteral(text string) (Literal, error) {
 // HasPrefixKeyword reports whether src's first token is the given
 // keyword (case-insensitive). The plan cache uses it to classify
 // statements without lexing: only SELECTs are worth normalizing. White
-// space and identifier characters follow the lexer's own rules.
+// space, comments and identifier characters follow the lexer's own rules.
 func HasPrefixKeyword(src, kw string) bool {
-	i := spaceEnd(src, 0)
+	i := gapEnd(src, 0)
 	j := identEnd(src, i)
 	return j-i == len(kw) && strings.EqualFold(src[i:j], kw)
 }

@@ -7,31 +7,36 @@ import (
 )
 
 // ParseScript parses a sequence of semicolon-separated statements, as
-// found in schema/load files. Empty statements (stray semicolons) are
-// skipped.
-func ParseScript(src string) ([]Statement, error) {
+// found in schema/load files, and returns each statement's text beside
+// it: the source from its first token to the ';' or end of input after
+// it, trimmed, which Parse reads as the same statement. Empty statements
+// (stray semicolons) and -- comments between statements are skipped.
+func ParseScript(src string) ([]Statement, []string, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{toks: toks}
-	var out []Statement
+	var stmts []Statement
+	var texts []string
 	for {
 		for p.acceptSymbol(";") {
 		}
 		if p.atEOF() {
-			return out, nil
+			return stmts, texts, nil
 		}
+		start := p.peek().pos
 		stmt, err := p.parseStatement()
 		if err != nil {
-			return nil, fmt.Errorf("statement %d: %w", len(out)+1, err)
+			return nil, nil, fmt.Errorf("statement %d: %w", len(stmts)+1, err)
 		}
-		out = append(out, stmt)
+		stmts = append(stmts, stmt)
+		texts = append(texts, strings.TrimSpace(src[start:p.peek().pos]))
 		if p.atEOF() {
-			return out, nil
+			return stmts, texts, nil
 		}
 		if !p.acceptSymbol(";") {
-			return nil, fmt.Errorf("sqlmini: expected ';' between statements, got %s", p.peek())
+			return nil, nil, fmt.Errorf("sqlmini: expected ';' between statements, got %s", p.peek())
 		}
 	}
 }

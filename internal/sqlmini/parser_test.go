@@ -243,3 +243,35 @@ func TestParseTrailingSemicolonOnly(t *testing.T) {
 		t.Fatal("double semicolon accepted")
 	}
 }
+
+// TestParseScriptTexts: ParseScript splits on semicolons outside string
+// literals, skips -- comments and empty statements, and hands back each
+// statement's own text.
+func TestParseScriptTexts(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want []string
+	}{
+		{"CREATE TABLE t (id INT PRIMARY KEY);\n-- a comment; with a semicolon\nINSERT INTO t VALUES (1);\nINSERT INTO t VALUES (2)",
+			[]string{"CREATE TABLE t (id INT PRIMARY KEY)", "INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)"}},
+		{`INSERT INTO t VALUES (1, 'a;b''c;d');INSERT INTO t VALUES (2, 'x')`,
+			[]string{`INSERT INTO t VALUES (1, 'a;b''c;d')`, `INSERT INTO t VALUES (2, 'x')`}},
+		{";; -- nothing but a comment\n;", nil},
+		{"DELETE FROM t -- every row\nWHERE id >= -1 -- and then some\n;",
+			[]string{"DELETE FROM t -- every row\nWHERE id >= -1 -- and then some"}},
+	} {
+		stmts, texts, err := ParseScript(c.src)
+		if err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		if len(stmts) != len(c.want) || strings.Join(texts, "|") != strings.Join(c.want, "|") {
+			t.Fatalf("%q: %d statements, texts %q, want %q", c.src, len(stmts), texts, c.want)
+		}
+	}
+	if _, err := Parse("SELECT * FROM t WHERE id = 1 -- it's\n"); err != nil {
+		t.Fatalf("comment after a statement: %v", err)
+	}
+	if _, err := Parse("SELECT * FROM t WHERE id = --1"); err == nil {
+		t.Fatal("a comment where the literal belongs parsed")
+	}
+}

@@ -8,26 +8,33 @@ import "testing"
 // a second frame for the same id from disk. With two frames for one page
 // the committed rows land in one and a scan reads the other.
 func TestScanDuringAllocateFindsTheAllocatorsFrame(t *testing.T) {
-	h := tempHeap(t, 8)
-	// The I/O hook runs inside Pager.Allocate once the new page is
-	// written: the moment a concurrent scan could first count the page.
-	armed := false
-	h.pool.pager.SetIOCost(func() {
-		if !armed {
-			return
+	// The pager counts a page only after its install callback ran: the
+	// pool's frame is in its table before any scan can count the page.
+	p := tempPager(t)
+	if _, err := p.Allocate(func(id PageID) error {
+		if n := p.NumPages(); n != id {
+			t.Errorf("install of page %d sees %d pages counted, want %d", id, n, id)
 		}
-		armed = false
-		if n := h.NumPages(); n > 0 {
-			if _, _, err := h.pool.FetchAt(n-1, h.pool.Epoch()); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	armed = true
-	if _, err := h.Insert([]byte("committed")); err != nil {
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	h.pool.pager.SetIOCost(nil)
+	h := tempHeap(t, 8)
+	// Between the write set's Allocate and its Publish the page is
+	// counted and private: a scan bounded by NumPages reaches it there.
+	if err := h.write(func(ws *WriteSet) error {
+		if _, err := h.InsertW(ws, []byte("committed")); err != nil {
+			return err
+		}
+		n := h.NumPages()
+		if n == 0 {
+			t.Fatal("allocated page not counted")
+		}
+		_, _, err := h.pool.FetchAt(n-1, h.pool.Epoch())
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if n := h.pool.Resident(); n != 1 {
 		t.Errorf("%d frames resident for one page, want 1", n)
 	}

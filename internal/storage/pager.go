@@ -17,7 +17,7 @@ type PageID uint32
 // for concurrent use, and page reads and writes of already-allocated
 // pages run without any lock — os.File.ReadAt/WriteAt are pread/pwrite,
 // which the kernel handles concurrently — so misses on different buffer
-// pool shards overlap their I/O (and their simulated 2004-era latency)
+// pool shards overlap their I/O (and any latency a fault rule injects)
 // instead of queueing on a pager latch. Only structural operations
 // (Allocate, WriteImage's file extension, Close) serialize on the
 // mutex. Close must not race in-flight I/O; the engine guarantees that
@@ -28,11 +28,6 @@ type Pager struct {
 	npages atomic.Uint32
 	reads  atomic.Int64
 	writes atomic.Int64
-	// ioCost optionally adds work per I/O so benchmarks on fast SSDs
-	// still show an I/O-bound base cost like the paper's 55 ms
-	// selections; see SetIOCost. Installed at setup, before concurrent
-	// use.
-	ioCost atomic.Pointer[func()]
 }
 
 // OpenPager opens (creating if needed) the page file at path.
@@ -53,24 +48,6 @@ func OpenPager(path string) (*Pager, error) {
 	p := &Pager{f: f}
 	p.npages.Store(uint32(st.Size() / PageSize))
 	return p, nil
-}
-
-// SetIOCost installs a hook invoked once per physical page read or write.
-// Experiments use it to model the paper's slower 2004-era I/O path. The
-// hook runs outside the pager's lock, so concurrent I/O pays the cost
-// concurrently — exactly like the real disks it stands in for.
-func (p *Pager) SetIOCost(fn func()) {
-	if fn == nil {
-		p.ioCost.Store(nil)
-		return
-	}
-	p.ioCost.Store(&fn)
-}
-
-func (p *Pager) payIOCost() {
-	if fn := p.ioCost.Load(); fn != nil {
-		(*fn)()
-	}
 }
 
 // NumPages returns the number of allocated pages.
@@ -106,7 +83,6 @@ func (p *Pager) Allocate(install func(PageID) error) (PageID, error) {
 	}
 	p.npages.Add(1)
 	p.writes.Add(1)
-	p.payIOCost()
 	return id, nil
 }
 
@@ -116,7 +92,7 @@ func (p *Pager) Read(id PageID, dst *Page) error { return p.ReadRun(id, dst[:]) 
 
 // ReadRun fills dst with the len(dst)/PageSize consecutive pages that
 // start at first, in one read call. Each page passes the PagerRead
-// failpoint and pays the I/O cost hook, as a Read of it alone would.
+// failpoint, as a Read of it alone would.
 // Lock-free, like Read.
 func (p *Pager) ReadRun(first PageID, dst []byte) error {
 	n := len(dst) / PageSize
@@ -135,9 +111,6 @@ func (p *Pager) ReadRun(first PageID, dst []byte) error {
 		return fmt.Errorf("storage: reading page %d: %w", first, wrapIO(err))
 	}
 	p.reads.Add(int64(n))
-	for range n {
-		p.payIOCost()
-	}
 	return nil
 }
 
@@ -158,7 +131,6 @@ func (p *Pager) Write(id PageID, src *Page) error {
 		return fmt.Errorf("storage: writing page %d: %w", id, wrapIO(err))
 	}
 	p.writes.Add(1)
-	p.payIOCost()
 	return nil
 }
 
@@ -196,7 +168,6 @@ func (p *Pager) WriteImage(id PageID, image []byte) error {
 		return fmt.Errorf("storage: writing image %d: %w", id, wrapIO(err))
 	}
 	p.writes.Add(1)
-	p.payIOCost()
 	return nil
 }
 

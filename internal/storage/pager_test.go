@@ -99,20 +99,20 @@ func TestPagerRejectsMisalignedFile(t *testing.T) {
 	}
 }
 
-func TestPagerStatsAndIOCost(t *testing.T) {
+func TestPagerStats(t *testing.T) {
 	p := tempPager(t)
-	var costCalls int
-	p.SetIOCost(func() { costCalls++ })
 	id, _ := p.Allocate(nil)
 	pg := NewPage()
 	p.Write(id, pg)
 	p.Read(id, pg)
-	reads, writes := p.Stats()
-	if reads != 1 || writes != 2 { // allocate counts as a write
-		t.Fatalf("reads=%d writes=%d", reads, writes)
+	run := make([]byte, 2*PageSize)
+	id2, _ := p.Allocate(nil)
+	if err := p.ReadRun(id, run); err != nil || id2 != id+1 {
+		t.Fatalf("run of %d, %d: %v", id, id2, err)
 	}
-	if costCalls != 3 {
-		t.Fatalf("ioCost calls = %d", costCalls)
+	reads, writes := p.Stats()
+	if reads != 3 || writes != 3 { // an allocate counts as a write, a run as its pages
+		t.Fatalf("reads=%d writes=%d", reads, writes)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // singleLatchPool reproduces the pre-striping buffer pool — one global
@@ -89,8 +91,8 @@ func (b *singleLatchPool) evictLocked() error {
 }
 
 // Benchmark shape: a hot set that stays resident plus a cold tail that
-// misses, under the repo's standard modeled 2004-era I/O latency (the
-// same SetIOCost hook the Table 5 harness uses). One access in missEvery
+// misses, under the repo's standard modeled 2004-era I/O latency (a
+// latency fault rule on page reads and writes). One access in missEvery
 // goes cold. The single latch holds the pool mutex across the modeled
 // read, so every goroutine — hit or miss — queues behind each stall; the
 // striped pool holds only one shard's latch, so hits proceed and misses
@@ -198,7 +200,6 @@ func benchParallelFetch(b *testing.B, pool fetchUnpinner, ids []PageID, goroutin
 // LRU pool at the same widths. The 8-goroutine pair is the headline
 // scaling claim recorded in BENCH_engine.json.
 func BenchmarkPoolFetchParallel(b *testing.B) {
-	ioCost := func() { time.Sleep(benchIOLatency) }
 	for _, g := range []int{1, 8} {
 		b.Run(fmt.Sprintf("striped/g=%d", g), func(b *testing.B) {
 			pager, ids := benchPager(b)
@@ -206,8 +207,7 @@ func BenchmarkPoolFetchParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pager.SetIOCost(ioCost)
-			defer pager.SetIOCost(nil)
+			modelIO(b)
 			benchParallelFetch(b, pool, ids, g)
 		})
 	}
@@ -215,11 +215,19 @@ func BenchmarkPoolFetchParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("singlelatch/g=%d", g), func(b *testing.B) {
 			pager, ids := benchPager(b)
 			pool := newSingleLatchPool(pager, benchPoolCap)
-			pager.SetIOCost(ioCost)
-			defer pager.SetIOCost(nil)
+			modelIO(b)
 			benchParallelFetch(b, pool, ids, g)
 		})
 	}
+}
+
+// modelIO makes every physical page read and write sleep benchIOLatency
+// until the benchmark ends.
+func modelIO(b *testing.B) {
+	fault.Enable(fault.NewRegistry(1).
+		Add(fault.Rule{Site: fault.PagerRead, Kind: fault.Latency, Latency: benchIOLatency}).
+		Add(fault.Rule{Site: fault.PagerWrite, Kind: fault.Latency, Latency: benchIOLatency}))
+	b.Cleanup(fault.Disable)
 }
 
 // BenchmarkPoolFetchHit isolates the pure cache-hit path (no misses, no

@@ -59,12 +59,11 @@ type WAL struct {
 	// them — a commit its caller was told failed — right behind it.
 	leftover bool
 
-	// Group commit. With window > 0, concurrent committers enqueue their
-	// encoded batches and a leader coalesces everything queued into one
-	// buffered write + one fsync. A coalesced group is a concatenation of
-	// whole per-committer batches, so the on-disk format — and recovery —
-	// is unchanged.
-	window  time.Duration // accumulation window; 0 = direct per-commit path
+	// Group commit. Committers enqueue their encoded batches and a leader
+	// coalesces everything queued into one buffered write + one fsync. A
+	// coalesced group is a concatenation of whole per-committer batches,
+	// so the on-disk format — and recovery — is the same as one batch's.
+	window  time.Duration // the leader's longest accumulation wait
 	gmu     sync.Mutex    // guards queue and leading
 	queue   []*walCommit
 	leading bool
@@ -76,7 +75,7 @@ type WAL struct {
 	markMu sync.Mutex
 	logged []uint64
 
-	stCommits      atomic.Int64 // committed batches (group members or direct)
+	stCommits      atomic.Int64 // committed batches (group members)
 	stRecords      atomic.Int64 // page records across committed batches
 	stFsyncs       atomic.Int64 // fsyncs issued (synced mode only)
 	stWindowWaitNs atomic.Int64 // leader time spent in the accumulation window
@@ -113,6 +112,10 @@ const (
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// groupWindow caps how long a synced log's leader waits for a burst of
+// committers to join its group before it flushes.
+const groupWindow = 200 * time.Microsecond
+
 // OpenWAL opens (creating if needed) the log at path. When synced is
 // true every commit is fsynced — durable but slower; experiments that
 // only need atomicity leave it false.
@@ -126,7 +129,7 @@ func OpenWAL(path string, synced bool) (*WAL, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: stat wal: %w", err)
 	}
-	return &WAL{f: f, path: path, size: st.Size(), synced: synced}, nil
+	return &WAL{f: f, path: path, size: st.Size(), synced: synced, window: groupWindow}, nil
 }
 
 // PageImage is one page's contents captured for logging.
@@ -138,12 +141,6 @@ type PageImage struct {
 	// base as a patch against it.
 	Base []byte
 }
-
-// SetGroupWindow sets the group-commit accumulation window. 0 disables
-// grouping (every commit writes and syncs alone). Call it right after
-// open, before the log sees concurrent committers; the field is read
-// without synchronization on the append path.
-func (w *WAL) SetGroupWindow(d time.Duration) { w.window = d }
 
 // GroupStats reports commit-pipeline counters: committed batches, page
 // records across them, fsyncs issued, and total leader time spent in the
@@ -287,12 +284,11 @@ func (w *WAL) mark(ids []PageID) {
 
 // AppendBatch logs the images followed by a commit record. The batch is
 // atomic for recovery: either all of it replays or none does. It returns
-// only after the batch is written (and, in synced mode, fsynced) — with
-// grouping enabled the write and sync may be shared with other commits
-// that arrived in the same window, but durability is per-commit. The
-// caller must not change an image or its base until it returns, and must
-// not append two batches of one page at once: the second's base is the
-// first's image.
+// only after the batch is written (and, in synced mode, fsynced) — the
+// write and sync may be shared with other commits queued in the same
+// group, but durability is per-commit. The caller must not change an
+// image or its base until it returns, and must not append two batches
+// of one page at once: the second's base is the first's image.
 func (w *WAL) AppendBatch(images []PageImage) error {
 	if len(images) == 0 {
 		return nil
@@ -300,15 +296,6 @@ func (w *WAL) AppendBatch(images []PageImage) error {
 	buf, imaged, err := w.encodeBatch(images)
 	if err != nil {
 		return err
-	}
-	if w.window <= 0 {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if err := w.flushLocked(buf, 1, len(images)); err != nil {
-			return err
-		}
-		w.mark(imaged)
-		return nil
 	}
 	req := &walCommit{
 		buf:     buf,
@@ -347,7 +334,7 @@ func (w *WAL) AppendBatch(images []PageImage) error {
 // no fsync to share, so its leaders never wait or yield: commits still
 // coalesce behind an in-flight write.
 func (w *WAL) lead(own *walCommit, fresh bool) error {
-	if fresh && w.window > 0 && w.synced {
+	if fresh && w.synced {
 		qlen := func() int {
 			w.gmu.Lock()
 			n := len(w.queue)
@@ -462,12 +449,10 @@ func (w *WAL) flushLocked(buf []byte, commits, records int) error {
 		return fmt.Errorf("storage: appending wal batch: %w", wrapIO(err))
 	}
 	w.size += int64(len(buf))
-	if w.window > 0 {
-		// Leader crash between the group write and its sync.
-		if err := fault.Check(fault.WALGroupFlush); err != nil {
-			w.rollbackLocked(pre)
-			return fmt.Errorf("storage: group-commit flush: %w", wrapIO(err))
-		}
+	// Leader crash between the group write and its sync.
+	if err := fault.Check(fault.WALGroupFlush); err != nil {
+		w.rollbackLocked(pre)
+		return fmt.Errorf("storage: group-commit flush: %w", wrapIO(err))
 	}
 	if w.synced {
 		if err := w.f.Sync(); err != nil {

@@ -18,7 +18,7 @@ import (
 // statements that were reported failed.
 func TestWALFailedGroupFlushNotDurable(t *testing.T) {
 	w, path := tempWAL(t)
-	w.SetGroupWindow(time.Millisecond)
+	w.window = time.Millisecond
 
 	fault.Enable(fault.NewRegistry(1).Add(fault.Rule{
 		Site: fault.WALGroupFlush, Kind: fault.Error, Count: 1,

@@ -234,7 +234,7 @@ func TestWALOrphanPatch(t *testing.T) {
 // rebuilds every page's last version; every page's image went in once.
 func TestWALGroupCommitPatches(t *testing.T) {
 	w, _ := tempWAL(t)
-	w.SetGroupWindow(time.Millisecond)
+	w.window = time.Millisecond
 	const writers, rounds = 4, 50
 	final := make([][]byte, writers)
 	var wg sync.WaitGroup

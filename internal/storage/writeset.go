@@ -54,12 +54,6 @@ func (ws *WriteSet) Page(id PageID) *Page {
 	return nil
 }
 
-// Held reports whether the write set holds the page's latch.
-func (ws *WriteSet) Held(id PageID) bool {
-	_, ok := ws.entries[id]
-	return ok
-}
-
 // MarkDirty records that the page's private copy was mutated and must
 // be logged and published.
 func (ws *WriteSet) MarkDirty(id PageID) {

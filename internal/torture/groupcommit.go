@@ -6,18 +6,17 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 )
 
 // RunGroupCommit tortures the group-commit path: concurrent bursts of
-// multi-row INSERT statements commit through a wide accumulation window
-// against a synced WAL (fsync latency piles committers up), so flushes
-// carry several coalesced commit batches. The captured log is then
-// truncated at every enumerated offset — including offsets strictly
-// inside a coalesced group write — and recovery must expose a committed
-// prefix per participating commit:
+// multi-row INSERT statements commit through the WAL's group queue, at
+// its own accumulation window, against a synced log (fsync latency piles
+// committers up), so flushes carry several coalesced commit batches. The
+// captured log is then truncated at every enumerated offset — including
+// offsets strictly inside a coalesced group write — and recovery must
+// expose a committed prefix per participating commit:
 //
 //   - every recovered statement is whole (all of its rows or none);
 //   - the number of recovered statements equals the number of complete
@@ -39,8 +38,7 @@ func RunGroupCommit(scratch string, cfg Config) (*Result, error) {
 	workDir := filepath.Join(scratch, "work")
 	db, err := engine.Open(workDir,
 		engine.WithWAL(true), // synced: fsync latency is what piles commits up
-		engine.WithPoolPages(poolPages),
-		engine.WithWALGroupWindow(2*time.Millisecond))
+		engine.WithPoolPages(poolPages))
 	if err != nil {
 		return nil, err
 	}
