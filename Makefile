@@ -174,7 +174,7 @@ examples:
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
 
-# Four fuzz targets, 45 s in all. FuzzParse (SQL parser), 15 s: no
+# Five fuzz targets, 55 s in all. FuzzParse (SQL parser), 15 s: no
 # panic, every accepted SELECT/INSERT/UPDATE/DELETE survives Render, and
 # every string token matches the byte-at-a-time reference reader.
 # FuzzSweepColumns (detector), 10 s: after any run of slot changes and
@@ -184,6 +184,8 @@ examples:
 # bytes.
 # FuzzWALPatch (write-ahead log), 10 s: a log holding any page's image
 # and then any edit of it, logged as a patch, replays to the edit.
+# FuzzVerbatim (row codec), 10 s: the eight-byte escape test answers
+# what the rune-at-a-time loop answers for any text.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.
 # Minimizing an input is capped at 1 s (the default, 60 s per
 # new-coverage input, can spend the whole run minimizing); a failing
@@ -193,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzStoredTextReply -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz=FuzzVerbatim -fuzztime=10s -fuzzminimizetime=1s ./internal/catalog/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/
@@ -209,6 +212,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzPlanCache -fuzztime=30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=30s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz=FuzzVerbatim -fuzztime=30s ./internal/catalog/
 
 clean:
 	$(GO) clean ./...

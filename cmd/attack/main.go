@@ -6,8 +6,11 @@
 //
 // Usage:
 //
-//	attack -addr http://localhost:8080 -n 100000 [-probe 20] [-identity robot]
-//	       [-reginterval 0] [-k 32]
+//	attack -addr http://localhost:8080 -admin-addr http://localhost:8081
+//	       -n 100000 [-probe 20] [-identity robot] [-reginterval 0] [-k 32]
+//
+// The quote comes from delaydb's admin listener (-admin-addr), which a
+// real adversary cannot reach; the probe goes through the front door.
 package main
 
 import (
@@ -25,7 +28,8 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "http://localhost:8080", "target server")
+		addr        = flag.String("addr", "http://localhost:8080", "target server's public listener")
+		adminAddr   = flag.String("admin-addr", "http://localhost:8081", "target server's admin listener, for the quote")
 		n           = flag.Int("n", 100_000, "tuple ids 0..n-1 to extract")
 		table       = flag.String("table", "items", "table to probe")
 		probe       = flag.Int("probe", 10, "live probe queries through the front door (0 = none)")
@@ -41,7 +45,7 @@ func main() {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	quote, err := adminQuote(*addr, ids)
+	quote, err := adminQuote(*adminAddr, ids)
 	if err != nil {
 		log.Fatalf("attack: quote: %v", err)
 	}

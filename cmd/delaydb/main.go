@@ -3,18 +3,22 @@
 //
 // Usage:
 //
-//	delaydb -dir ./data -addr :8080 -n 100000 [-alpha 1.0] [-beta 2.0]
+//	delaydb -dir ./data -addr :8080 [-admin-addr 127.0.0.1:8081] -n 100000 [-alpha 1.0] [-beta 2.0]
 //	        [-cap 10s] [-decay 1.0] [-policy popularity|updaterate] [-c 1.0]
 //	        [-rate 0] [-burst 10] [-subnets] [-reginterval 0]
 //	        [-wal] [-walsync] [-init schema.sql] [-writers a,b] [-deadline 0]
 //	        [-detect] [-detect-grace 0.08] [-detect-cap 64] [-detect-jaccard 0.35]
 //	        [-readheadertimeout 5s] [-idletimeout 2m] [-drain 30s]
 //
-// Endpoints: POST /query {"sql": "..."} (identity from X-Identity header
-// or client address), POST /register {"identity": "..."}, GET /stats,
-// GET /metrics (instrument snapshot as JSON, including the delay-seconds
-// histogram, rejection counters, and detection gauges), GET /healthz,
-// GET /admin/suspects (ranked extraction suspects when -detect is on).
+// Two listeners. -addr is the front door clients reach, and serves only
+// POST /query {"sql": "..."} (identity from X-Identity header or client
+// address), POST /register {"identity": "..."}, GET /stats and GET
+// /healthz. -admin-addr (loopback by default) serves those and every
+// admin route: GET /metrics (instrument snapshot as JSON, including the
+// delay-seconds histogram, rejection counters, and detection gauges),
+// GET /admin/suspects (ranked extraction suspects when -detect is on),
+// GET /admin/topk, POST /admin/quote, the cluster's sketch, schema and
+// migration routes, and net/http/pprof under /debug/pprof/.
 // A non-SELECT statement on /query runs only for an identity listed in
 // -writers; anyone else's gets 403 and does not execute. The list is
 // empty by default, so no client writes over HTTP.
@@ -24,13 +28,14 @@
 //	delaydb -cluster 4 [-partitions 64 [-replication 2]]
 //	        [-antientropy 5s] [-antientropy-floor 0.01] [-admit-rate 100]
 //	        [-admit-burst 200] [-maxinflight 1024] [-shard-timeout 0] ...
-//	delaydb -router -peers http://10.0.0.1:8080,http://10.0.0.2:8080 ...
+//	delaydb -router -peers http://10.0.0.1:8081,http://10.0.0.2:8081 ...
 //
 // -cluster N opens N shards under -dir (shard-0 … shard-N-1) and serves
 // the cluster router in front of them; -router instead fronts
 // already-running delaydb shards over HTTP (data flags are ignored):
-// each -peers entry is an http:// or https:// base URL, checked at
-// start-up, and the router keeps a small pool of persistent connections
+// each -peers entry is the http:// or https:// base URL of a shard's
+// -admin-addr listener (the router calls the shards' admin routes as
+// well as /query), checked at start-up, and the router keeps a small pool of persistent connections
 // to each (the shard transport, internal/cluster/peerconn.go; its dial
 // count and idle pool size are cluster_peer_dials_total and
 // cluster_peer_idle_conns on /metrics).
@@ -56,8 +61,8 @@
 // peer back from an outage rejoins writes-only ("resync" in /healthz)
 // until POST /admin/resync re-copies its partitions from a readable
 // replica (any layout); only that returns it to the read rotation. The
-// router serves the same /query, /register, /healthz, /metrics surface
-// plus GET /stats?node=<name> pinning. -shard-timeout bounds each
+// router serves the same two listeners as a shard, with GET
+// /stats?node=<name> pinning on both. -shard-timeout bounds each
 // router→shard RPC; a shard slower than the deadline is treated as
 // failed and latched out of the read plane. The live map is served at
 // GET /admin/partition-map; POST /admin/rebalance with {"version": v+1,
@@ -94,6 +99,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -105,6 +111,7 @@ import (
 	delaydefense "repro"
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/server"
 )
 
 func main() {
@@ -113,15 +120,20 @@ func main() {
 	}
 }
 
+// listening is what run sends on ready: the concrete addresses of the
+// public and the admin listener.
+type listening struct{ public, admin string }
+
 // run is main with its environment made explicit so the kill test can
 // drive a whole server lifecycle in-process: args are the command-line
 // flags, stdout receives the startup banner, and ready (when non-nil)
-// is sent the listener's concrete address once the server is accepting.
-func run(args []string, stdout io.Writer, ready chan<- string) error {
+// is sent the listeners' concrete addresses once both are accepting.
+func run(args []string, stdout io.Writer, ready chan<- listening) error {
 	fs := flag.NewFlagSet("delaydb", flag.ContinueOnError)
 	var (
 		dir         = fs.String("dir", "./delaydb-data", "database directory")
-		addr        = fs.String("addr", ":8080", "listen address")
+		addr        = fs.String("addr", ":8080", "public listen address: POST /query, POST /register, GET /stats and GET /healthz only")
+		adminAddr   = fs.String("admin-addr", "127.0.0.1:8081", "admin listen address: every route, the admin ones (/metrics, /admin/*) included, plus net/http/pprof; keep it off the public network")
 		n           = fs.Int("n", 100_000, "dataset size used by the delay formulas")
 		alpha       = fs.Float64("alpha", 1.0, "assumed workload skew (Zipf parameter)")
 		beta        = fs.Float64("beta", 2.0, "extraction penalty exponent")
@@ -150,7 +162,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 
 		clusterN    = fs.Int("cluster", 0, "serve N shards in this process behind the cluster router (0 = single node)")
 		routerOnly  = fs.Bool("router", false, "serve a data-less cluster router fronting the -peers shards")
-		peers       = fs.String("peers", "", "comma-separated shard base URLs for -router mode (e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
+		peers       = fs.String("peers", "", "comma-separated base URLs of the shards' -admin-addr listeners for -router mode (e.g. http://10.0.0.1:8081,http://10.0.0.2:8081)")
 		aeEvery     = fs.Duration("antientropy", cluster.DefaultExchangeEvery, "interval between anti-entropy sketch-exchange rounds in cluster/router mode (0 = off)")
 		aeFloor     = fs.Float64("antientropy-floor", cluster.DefaultExportFloor, "minimum local coverage fraction before a principal's sketches are gossiped")
 		admitRate   = fs.Float64("admit-rate", cluster.DefaultAdmitRate, "router edge admission: per-principal queries/second")
@@ -222,40 +234,68 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		opts = append(opts, delaydefense.WithWAL(*walSync))
 	}
 	// serveAndDrain owns the listener lifecycle every mode shares: serve
-	// h until SIGTERM/SIGINT, drain in-flight queries (policy delays
-	// included) for up to -drain, then run closeAll so engines flush and
-	// the next start recovers nothing. A second signal aborts the drain.
-	serveAndDrain := func(h http.Handler, banner func(net.Addr), closeAll func() error) error {
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			closeAll()
-			return err
-		}
-		srv := &http.Server{
-			Handler: h,
-			// ReadHeaderTimeout bounds header dribbling; the request *body*
-			// and response are governed by the query deadline instead, since
-			// a legitimate delayed query can stay open for the full policy
-			// delay. IdleTimeout reclaims parked keep-alive connections.
-			ReadHeaderTimeout: *readHeaderTimeout,
-			IdleTimeout:       *idleTimeout,
+	// public on -addr and admin, with net/http/pprof beside it, on
+	// -admin-addr until SIGTERM/SIGINT, drain in-flight queries (policy
+	// delays included) on both for up to -drain, then run closeAll so
+	// engines flush and the next start recovers nothing. A second signal
+	// aborts the drain.
+	serveAndDrain := func(public, admin http.Handler, banner func(net.Addr), closeAll func() error) error {
+		adminMux := http.NewServeMux()
+		adminMux.Handle("/", admin)
+		adminMux.HandleFunc("/debug/pprof/", pprof.Index)
+		adminMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		adminMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		adminMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		adminMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		var (
+			lns  []net.Listener
+			srvs []*http.Server
+		)
+		for _, l := range []struct {
+			addr string
+			h    http.Handler
+		}{{*addr, public}, {*adminAddr, adminMux}} {
+			ln, err := net.Listen("tcp", l.addr)
+			if err != nil {
+				for _, ln := range lns {
+					ln.Close()
+				}
+				closeAll()
+				return err
+			}
+			lns = append(lns, ln)
+			srvs = append(srvs, &http.Server{
+				Handler: l.h,
+				// ReadHeaderTimeout bounds header dribbling; the request
+				// *body* and response are governed by the query deadline
+				// instead, since a legitimate delayed query can stay open
+				// for the full policy delay. IdleTimeout reclaims parked
+				// keep-alive connections.
+				ReadHeaderTimeout: *readHeaderTimeout,
+				IdleTimeout:       *idleTimeout,
+			})
 		}
 
-		banner(ln.Addr())
-		fmt.Fprintf(stdout, "delaydb: instrument snapshot at GET /metrics\n")
+		banner(lns[0].Addr())
+		fmt.Fprintf(stdout, "delaydb: admin routes, GET /metrics and /debug/pprof/ on %s\n", lns[1].Addr())
 		if ready != nil {
-			ready <- ln.Addr().String()
+			ready <- listening{public: lns[0].Addr().String(), admin: lns[1].Addr().String()}
 		}
 
-		// Serve until the listener closes (shutdown) or the server dies.
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
+		// Serve until the listeners close (shutdown) or a server dies.
+		serveErr := make(chan error, len(srvs))
+		for i, srv := range srvs {
+			go func() { serveErr <- srv.Serve(lns[i]) }()
+		}
 
 		sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 		defer stop()
 
 		select {
 		case err := <-serveErr:
+			for _, srv := range srvs {
+				srv.Close()
+			}
 			closeAll()
 			return err
 		case <-sigCtx.Done():
@@ -264,12 +304,19 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			stop()
 			fmt.Fprintf(stdout, "delaydb: signal received, draining for up to %v\n", *drain)
 			shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-			err := srv.Shutdown(shutCtx)
+			var err error
+			for _, srv := range srvs {
+				if serr := srv.Shutdown(shutCtx); serr != nil && err == nil {
+					err = serr
+				}
+			}
 			cancel()
 			if err != nil {
 				fmt.Fprintf(stdout, "delaydb: drain incomplete: %v\n", err)
 			}
-			<-serveErr // Serve has returned http.ErrServerClosed
+			for range srvs {
+				<-serveErr // Serve has returned http.ErrServerClosed
+			}
 			if cerr := closeAll(); cerr != nil {
 				return fmt.Errorf("closing database: %w", cerr)
 			}
@@ -283,17 +330,17 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 
 	// openNode opens one data directory with the shared config; used
 	// once for single-node mode and per shard for -cluster.
-	openNode := func(dataDir string) (*delaydefense.DB, http.Handler, error) {
+	openNode := func(dataDir string) (*delaydefense.DB, *server.Server, error) {
 		db, err := delaydefense.Open(dataDir, cfg, opts...)
 		if err != nil {
 			return nil, nil, err
 		}
-		h, err := db.HandlerWithDeadline(*deadline)
+		srv, err := server.New(db.Shield(), server.WithQueryDeadline(*deadline))
 		if err != nil {
 			db.Close()
 			return nil, nil, err
 		}
-		return db, h, nil
+		return db, srv, nil
 	}
 
 	if *routerOnly && *clusterN > 0 {
@@ -335,13 +382,13 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			// identity, which the router refuses from any client.
 			cfg.Writers[cluster.InitIdentity] = true
 			for i := 0; i < *clusterN; i++ {
-				db, h, err := openNode(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)))
+				db, srv, err := openNode(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)))
 				if err != nil {
 					closeAll()
 					return err
 				}
 				closers = append(closers, db.Close)
-				nodes = append(nodes, cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), h))
+				nodes = append(nodes, cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), srv.Handler()))
 			}
 		}
 		rt, err := cluster.NewRouter(nodes, cluster.Config{
@@ -382,10 +429,10 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			fmt.Fprintf(stdout, "delaydb: %s of %d shards on %s (%d partitions x %d replicas, antientropy=%v, admit=%g qps)\n",
 				mode, len(nodes), a, len(pm.Owners), len(pm.GroupOf(0)), *aeEvery, *admitRate)
 		}
-		return serveAndDrain(rt.Handler(), banner, closeAll)
+		return serveAndDrain(rt.PublicHandler(), rt.Handler(), banner, closeAll)
 	}
 
-	db, h, err := openNode(*dir)
+	db, srv, err := openNode(*dir)
 	if err != nil {
 		return err
 	}
@@ -408,5 +455,5 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		fmt.Fprintf(stdout, "delaydb: serving %s on %s (policy=%s, cap=%v, N=%d, deadline=%v)\n",
 			*dir, a, *policy, *capDur, *n, *deadline)
 	}
-	return serveAndDrain(h, banner, db.Close)
+	return serveAndDrain(srv.PublicHandler(), srv.Handler(), banner, db.Close)
 }

@@ -52,9 +52,9 @@ func TestRunRejectsBadDetectSettings(t *testing.T) {
 		{"-detect-cap", "0.5"},
 		{"-detect-jaccard", "1.5"},
 	} {
-		ready := make(chan string, 1)
+		ready := make(chan listening, 1)
 		done := make(chan error, 1)
-		args := append([]string{"-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-drain", "1s", "-detect"}, bad...)
+		args := append([]string{"-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0", "-drain", "1s", "-detect"}, bad...)
 		go func() { done <- run(args, io.Discard, ready) }()
 		select {
 		case err := <-done:
@@ -207,13 +207,14 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ready := make(chan string, 1)
+	ready := make(chan listening, 1)
 	done := make(chan error, 1)
 	var out bytes.Buffer
 	go func() {
 		done <- run([]string{
 			"-dir", dir,
 			"-addr", "127.0.0.1:0",
+			"-admin-addr", "127.0.0.1:0",
 			"-init", schema,
 			"-cluster", "2",
 			"-writers", "cluster-client",
@@ -224,15 +225,16 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 			"-drain", "10s",
 		}, &out, ready)
 	}()
-	var addr string
+	var addrs listening
 	select {
-	case addr = <-ready:
+	case addrs = <-ready:
 	case err := <-done:
 		t.Fatalf("cluster exited before ready: %v\n%s", err, out.String())
 	case <-time.After(10 * time.Second):
 		t.Fatal("cluster never became ready")
 	}
 
+	addr := addrs.public
 	c := server.NewClient("http://"+addr, "cluster-client")
 	if _, err := c.Query("INSERT INTO t VALUES (1, 'one')"); err != nil {
 		t.Fatalf("write through router: %v", err)
@@ -260,7 +262,7 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 
 	// Give the 50ms anti-entropy ticker time to complete rounds.
 	time.Sleep(200 * time.Millisecond)
-	resp, err = http.Get("http://" + addr + "/metrics")
+	resp, err = http.Get("http://" + addrs.admin + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +356,14 @@ func TestSigtermDrainsAndRecoversConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ready := make(chan string, 1)
+	ready := make(chan listening, 1)
 	done := make(chan error, 1)
 	var out bytes.Buffer
 	go func() {
 		done <- run([]string{
 			"-dir", dir,
 			"-addr", "127.0.0.1:0",
+			"-admin-addr", "127.0.0.1:0",
 			"-init", schema,
 			"-wal",
 			"-writers", "writer",
@@ -371,7 +374,8 @@ func TestSigtermDrainsAndRecoversConsistent(t *testing.T) {
 	}()
 	var addr string
 	select {
-	case addr = <-ready:
+	case l := <-ready:
+		addr = l.public
 	case err := <-done:
 		t.Fatalf("server exited before ready: %v\n%s", err, out.String())
 	case <-time.After(10 * time.Second):
@@ -456,4 +460,78 @@ func TestSigtermDrainsAndRecoversConsistent(t *testing.T) {
 		t.Fatal("workload acknowledged zero inserts; test proves nothing")
 	}
 	t.Logf("kill test: %d acknowledged inserts, %d rows recovered", ackedCount, len(have))
+}
+
+// TestPublicListenerServesOnlyTheFrontDoor walks every route a shard and
+// the router register, through run(): on -addr only the public ones
+// answer, and no /admin/ path, /metrics or /debug/pprof/; on -admin-addr
+// every route and pprof answer.
+func TestPublicListenerServesOnlyTheFrontDoor(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		args   []string
+		routes map[string]bool
+	}{
+		{"single node", nil, server.Routes()},
+		{"cluster", []string{"-cluster", "2"}, cluster.RouterRoutes()},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			ready := make(chan listening, 1)
+			done := make(chan error, 1)
+			args := append([]string{"-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
+				"-n", "10", "-cap", "1ms", "-drain", "5s"}, mode.args...)
+			go func() { done <- run(args, io.Discard, ready) }()
+			var l listening
+			select {
+			case l = <-ready:
+			case err := <-done:
+				t.Fatalf("run exited before ready: %v", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("never became ready")
+			}
+			defer func() {
+				if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-done; err != nil {
+					t.Errorf("run after SIGTERM: %v", err)
+				}
+			}()
+			answers := func(addr, method, path string) bool {
+				req, err := http.NewRequest(method, "http://"+addr+path, strings.NewReader("{}"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", "application/json")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				// The mux's own 404 and 405 are plain text; a handler's
+				// error (an unknown node is a 404 too) is JSON.
+				unrouted := resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed
+				return !unrouted || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain")
+			}
+			if len(mode.routes) == 0 {
+				t.Fatal("no routes registered")
+			}
+			for pattern, public := range mode.routes {
+				method, path, _ := strings.Cut(pattern, " ")
+				if public && (strings.HasPrefix(path, "/admin/") || path == "/metrics") {
+					t.Errorf("%s is marked public", pattern)
+				}
+				if got := answers(l.public, method, path); got != public {
+					t.Errorf("%s on the public listener: answers %v, want %v", pattern, got, public)
+				}
+				if !answers(l.admin, method, path) {
+					t.Errorf("%s does not answer on the admin listener", pattern)
+				}
+			}
+			if answers(l.public, "GET", "/debug/pprof/") || !answers(l.admin, "GET", "/debug/pprof/") {
+				t.Error("pprof must answer on the admin listener only")
+			}
+		})
+	}
 }

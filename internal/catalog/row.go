@@ -121,8 +121,50 @@ var plainByte = func() (t [256]bool) {
 // Verbatim reports whether encoding/json writes text between its quotes
 // unchanged: every ASCII byte plain (PlainByte), the rest valid UTF-8
 // with no U+2028 or U+2029. It is the one definition of a TEXT cell's
-// verbatim bit.
+// verbatim bit. It tests eight bytes a step and reads runes only from
+// the first eight-byte chunk that holds a byte that is not plain.
 func Verbatim(text string) bool {
+	i := 0
+	for ; i+8 <= len(text); i += 8 {
+		if notPlain8(word(text[i:i+8]))&highs != 0 {
+			break
+		}
+	}
+	return verbatimRunes(text[i:])
+}
+
+// Byte-wise constants for notPlain8: every byte of ones is 0x01, of highs 0x80.
+const (
+	ones  = 0x0101010101010101
+	highs = 0x8080808080808080
+)
+
+// word is the eight bytes of s, little-endian: one load.
+func word(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// notPlain8 sets the high bit of a byte of its result when a byte of w is
+// not plain, and of none when all eight are. A byte is not plain when
+// its high bit is set, when it is below ' ', or when it is one of the
+// five escaped ASCII bytes; each test is exact for the word as a whole
+// (a borrow can only flag a byte above one that matches). The escaped
+// bytes pair up: '"' (0x22) and '&' (0x26) differ only in bit 2, '<'
+// (0x3C) and '>' (0x3E) only in bit 1, so setting that bit before the
+// compare catches both of a pair.
+func notPlain8(w uint64) uint64 {
+	return w | (w - ones*' ') | zeroByte(w^(ones*'\\')) |
+		zeroByte((w|ones*0x04)^(ones*'&')) | zeroByte((w|ones*0x02)^(ones*'>'))
+}
+
+// zeroByte sets the high bit of a byte of its result when a byte of x is
+// zero, and of none when no byte is.
+func zeroByte(x uint64) uint64 { return (x - ones) &^ x }
+
+// verbatimRunes is Verbatim one byte, or one rune, at a time.
+func verbatimRunes(text string) bool {
 	for i := 0; i < len(text); {
 		if b := text[i]; b < utf8.RuneSelf {
 			if !plainByte[b] {
@@ -144,27 +186,32 @@ func Verbatim(text string) bool {
 // column, Int → 8-byte little-endian two's complement; Float → 8-byte
 // IEEE-754 bits; Text → a uvarint, then the bytes. The uvarint is
 // length<<1 | v (LayoutVerbatim), where v is 1 when the text is Verbatim:
-// a reply copies such a cell between quotes without looking at it.
+// a reply copies such a cell between quotes without looking at it. The
+// record is allocated once, at its size.
 func EncodeRow(s Schema, r Row) ([]byte, error) {
 	if len(r) != len(s.Columns) {
 		return nil, fmt.Errorf("catalog: row has %d values, schema %q has %d columns",
 			len(r), s.Table, len(s.Columns))
 	}
-	buf := make([]byte, 0, 16*len(r))
+	size := 0
 	for i, col := range s.Columns {
 		if r[i].Type != col.Type {
 			return nil, fmt.Errorf("catalog: column %q expects %v, got %v",
 				col.Name, col.Type, r[i].Type)
 		}
+		if col.Type == Text {
+			size += binary.MaxVarintLen64 + len(r[i].Str)
+		} else {
+			size += 8
+		}
+	}
+	buf := make([]byte, 0, size)
+	for i, col := range s.Columns {
 		switch col.Type {
 		case Int:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(r[i].Int))
-			buf = append(buf, b[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(r[i].Int))
 		case Float:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r[i].Float))
-			buf = append(buf, b[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r[i].Float))
 		case Text:
 			l := uint64(len(r[i].Str)) << 1
 			if Verbatim(r[i].Str) {

@@ -82,11 +82,12 @@ type Config struct {
 // Router is the cluster front door. Create with NewRouter, mount via
 // Handler.
 type Router struct {
-	nodes []*Node
-	cfg   Config
-	mux   *http.ServeMux
-	h     http.Handler
-	limit *ratelimit.IdentityLimiter
+	nodes   []*Node
+	cfg     Config
+	h       http.Handler // every route, recovery-wrapped
+	public  http.Handler // the public routes, recovery-wrapped
+	metrics http.Handler // the cluster_* instrument snapshot
+	limit   *ratelimit.IdentityLimiter
 
 	// pmap is the live partition map, never nil. Only a migration's
 	// cutover swaps it; readers load the pointer once per request and
@@ -204,7 +205,6 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r := &Router{
 		nodes:  nodes,
 		cfg:    cfg,
-		mux:    http.NewServeMux(),
 		limit:  limit,
 		partMu: make([]sync.Mutex, partitions),
 	}
@@ -257,36 +257,90 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	m.GaugeFunc("cluster_antientropy_merge_lag_seconds", r.mergeLag)
 	r.ae.marks = make([]uint64, len(nodes))
 
-	r.mux.HandleFunc("POST /query", r.handleQuery)
-	r.mux.HandleFunc("POST /register", r.handleRegister)
-	r.mux.HandleFunc("GET /healthz", r.handleHealth)
-	r.mux.HandleFunc("GET /metrics", m.Handler().ServeHTTP)
-	r.mux.HandleFunc("GET /stats", r.proxyGet("/stats"))
-	r.mux.HandleFunc("GET /admin/topk", r.proxyGet("/admin/topk"))
-	r.mux.HandleFunc("GET /admin/suspects", r.handleSuspectsAgg)
-	r.mux.HandleFunc("POST /admin/quote", r.handleQuote)
-	r.mux.HandleFunc("GET /admin/partition-map", r.handlePartitionMapGet)
-	r.mux.HandleFunc("GET /admin/rebalance", r.handleRebalanceGet)
-	r.mux.HandleFunc("POST /admin/rebalance", r.handleRebalancePost)
-	r.mux.HandleFunc("POST /admin/resync", r.handleResync)
-	r.h = server.WithRecovery(http.HandlerFunc(r.dispatch), m.Counter("cluster_panics_total"))
+	r.metrics = m.Handler()
+	all, public := http.NewServeMux(), http.NewServeMux()
+	for _, rt := range routerRoutes {
+		serve := rt.serve
+		h := func(w http.ResponseWriter, req *http.Request) { serve(r, w, req) }
+		all.HandleFunc(rt.pattern, h)
+		if rt.public {
+			public.HandleFunc(rt.pattern, h)
+		}
+	}
+	panics := m.Counter("cluster_panics_total")
+	r.h = server.WithRecovery(r.dispatch(all), panics)
+	r.public = server.WithRecovery(r.dispatch(public), panics)
 	return r, nil
 }
 
-// dispatch short-circuits the mux for POST /query — the hot path every
-// point query takes — and defers everything else (including the 405
-// for wrong-method /query) to the full route table.
-func (r *Router) dispatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method == http.MethodPost && req.URL.Path == "/query" {
-		r.handleQuery(w, req)
-		return
+// routerRoute is one entry of the router's route table.
+type routerRoute struct {
+	pattern string
+	serve   func(*Router, http.ResponseWriter, *http.Request)
+	public  bool // served by PublicHandler too
+}
+
+// routerRoutes is every route Handler serves; the public ones are the
+// front door, as on a shard (server.Routes), and the rest belong on an
+// internal listener: they reveal the ranking, price plans for free, or
+// change the partition map.
+var routerRoutes = []routerRoute{
+	{"POST /query", (*Router).handleQuery, true},
+	{"POST /register", (*Router).handleRegister, true},
+	{"GET /healthz", (*Router).handleHealth, true},
+	{"GET /stats", (*Router).handleStats, true},
+	{"GET /metrics", (*Router).handleMetrics, false},
+	{"GET /admin/topk", (*Router).handleTopK, false},
+	{"GET /admin/suspects", (*Router).handleSuspectsAgg, false},
+	{"POST /admin/quote", (*Router).handleQuote, false},
+	{"GET /admin/partition-map", (*Router).handlePartitionMapGet, false},
+	{"GET /admin/rebalance", (*Router).handleRebalanceGet, false},
+	{"POST /admin/rebalance", (*Router).handleRebalancePost, false},
+	{"POST /admin/resync", (*Router).handleResync, false},
+}
+
+// RouterRoutes maps the pattern of every route a Router's Handler serves
+// to whether its PublicHandler serves it too.
+func RouterRoutes() map[string]bool {
+	m := make(map[string]bool, len(routerRoutes))
+	for _, rt := range routerRoutes {
+		m[rt.pattern] = rt.public
 	}
-	r.mux.ServeHTTP(w, req)
+	return m
+}
+
+func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
+	r.metrics.ServeHTTP(w, req)
+}
+
+func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
+	r.proxyGet("/stats")(w, req)
+}
+
+func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
+	r.proxyGet("/admin/topk")(w, req)
+}
+
+// dispatch short-circuits mux for POST /query — the hot path every
+// point query takes — and defers everything else (including the 405
+// for wrong-method /query) to the route table.
+func (r *Router) dispatch(mux *http.ServeMux) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost && req.URL.Path == "/query" {
+			r.handleQuery(w, req)
+			return
+		}
+		mux.ServeHTTP(w, req)
+	}
 }
 
 // Handler returns the router's HTTP handler, panic-recovery wrapped
-// like a single node's front door.
+// like a single node's front door: every route, the admin ones included.
 func (r *Router) Handler() http.Handler { return r.h }
+
+// PublicHandler returns the handler for the listener clients reach: the
+// public routes of the table only (see routerRoutes).
+func (r *Router) PublicHandler() http.Handler { return r.public }
 
 // Nodes returns the routed shard set.
 func (r *Router) Nodes() []*Node { return r.nodes }

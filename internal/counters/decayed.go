@@ -6,10 +6,8 @@
 package counters
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/ostree"
@@ -324,8 +322,9 @@ func (d *Decayed) Export() (ids []uint64, counts []float64) {
 // (e.g. from a previous process's Export). Non-positive counts are
 // skipped; when an id repeats, its last count wins and it is counted
 // once. The observation total is reset to the number of imported ids;
-// the decay increment restarts at 1. The rank index is built from one
-// sort rather than an upsert per id.
+// the decay increment restarts at 1. The rank index is built in O(N)
+// radix passes (by id when the ids do not already ascend, then by
+// weight) rather than an upsert per id.
 func (d *Decayed) Import(ids []uint64, counts []float64) error {
 	if len(ids) != len(counts) {
 		return errors.New("counters: import length mismatch")
@@ -342,7 +341,7 @@ func (d *Decayed) Import(ids []uint64, counts []float64) error {
 	}
 	// By id, as the index wants them; the sort is stable so that the last
 	// of a repeated id's counts is the one that stays.
-	slices.SortStableFunc(pairs, func(a, b ostree.Pair) int { return cmp.Compare(a.ID, b.ID) })
+	ostree.SortByID(pairs)
 	kept := pairs[:0]
 	for i, p := range pairs {
 		if i+1 < len(pairs) && pairs[i+1].ID == p.ID {

@@ -207,7 +207,7 @@ func FromWeights(ps []Pair) *Tree {
 	}
 	t := New()
 	t.ids.build(ps)
-	sortEntries(es)
+	sortByKey(es) // es ascends by id, so this is (key, id) order
 	t.build(es)
 	return t
 }

@@ -60,16 +60,16 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // reads (delays included) keep flowing, /healthz names the cause, and
 // ClearDegraded restores write service.
 func TestDegradedModeEndToEnd(t *testing.T) {
-	ts, shield := testServer(t, core.Config{Alpha: 1, Beta: 1, Cap: time.Millisecond})
+	ts, shield := testServer(t, core.Config{Alpha: 1, Beta: 1, Cap: time.Millisecond}, engine.WithWAL(false))
 	c := NewClient(ts.URL, "alice")
 
-	// One-shot write failure at the pager: the INSERT's page allocation
-	// dies as if the disk did.
+	// One-shot write failure at the log: the INSERT's commit dies as if
+	// the disk did. (A page allocation writes nothing; the pager's first
+	// write of a page is its eviction or a checkpoint.)
 	fault.Enable(fault.NewRegistry(1).Add(fault.Rule{
-		Site: fault.PagerWrite, Kind: fault.Error, Count: 1,
+		Site: fault.WALAppend, Kind: fault.Error, Count: 1,
 	}))
 	defer fault.Disable()
-	// Fill the heap's current page so the next INSERT must allocate.
 	pad := strings.Repeat("x", 64)
 	var tripped bool
 	for i := 10; i < 200; i++ {

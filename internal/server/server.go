@@ -21,12 +21,57 @@ import (
 	"repro/internal/engine"
 )
 
-// Server is the HTTP front end. Create with New, mount via Handler.
+// Server is the HTTP front end. Create with New, mount via Handler, or
+// PublicHandler and Handler on two listeners.
 type Server struct {
 	shield   *core.Shield
-	mux      *http.ServeMux
-	handler  http.Handler  // mux wrapped in the recovery middleware
+	handler  http.Handler  // every route, wrapped in the recovery middleware
+	public   http.Handler  // the public routes, wrapped likewise
+	metrics  http.Handler  // the shield's instrument snapshot
 	deadline time.Duration // 0 = no per-request deadline
+}
+
+// route is one entry of the Server's route table.
+type route struct {
+	pattern string
+	serve   func(*Server, http.ResponseWriter, *http.Request)
+	public  bool // served by PublicHandler too
+}
+
+// routes is every route Handler serves. The public ones are the front
+// door a client needs; the rest belong on an internal listener: /metrics
+// and /admin/topk reveal the popularity ranking, /admin/quote prices an
+// extraction plan for free, /admin/suspects names the principals the
+// detector is watching, and the anti-entropy, schema and migration
+// routes let a caller forge sketches or move tuples.
+var routes = []route{
+	{"POST /query", (*Server).handleQuery, true},
+	{"POST /register", (*Server).handleRegister, true},
+	{"GET /stats", (*Server).handleStats, true},
+	{"GET /healthz", (*Server).handleHealth, true},
+	{"GET /metrics", (*Server).handleMetrics, false},
+	{"GET /admin/topk", (*Server).handleTopK, false},
+	{"POST /admin/quote", (*Server).handleQuote, false},
+	{"GET /admin/suspects", (*Server).handleSuspects, false},
+	// Anti-entropy surface for cluster mode: peers (or the router's
+	// exchanger) pull sketch deltas with GET and push merges with POST.
+	{"GET /admin/sketches", (*Server).handleSketchExport, false},
+	{"POST /admin/sketches", (*Server).handleSketchAbsorb, false},
+	// Schema surface for the partitioned router: which column keys each
+	// table, so statements can be routed to the tuple's owner shard.
+	{"GET /admin/schema", (*Server).handleSchema, false},
+	// Tuple-migration data plane for the partitioned router's rebalance.
+	{"POST /admin/migrate", (*Server).handleMigrate, false},
+}
+
+// Routes maps the pattern of every route Handler serves to whether
+// PublicHandler serves it too.
+func Routes() map[string]bool {
+	m := make(map[string]bool, len(routes))
+	for _, rt := range routes {
+		m[rt.pattern] = rt.public
+	}
+	return m
 }
 
 // Option configures a Server.
@@ -44,44 +89,42 @@ func New(shield *core.Shield, opts ...Option) (*Server, error) {
 	if shield == nil {
 		return nil, errors.New("server: nil shield")
 	}
-	s := &Server{shield: shield, mux: http.NewServeMux()}
+	s := &Server{shield: shield, metrics: shield.Metrics().Handler()}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.mux.HandleFunc("POST /query", s.handleQuery)
-	s.mux.HandleFunc("POST /register", s.handleRegister)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	// Per-table pool gauges are re-synced on every scrape so tables
-	// created after startup show up without a restart.
-	metricsHandler := shield.Metrics().Handler()
-	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		shield.SyncEngineMetrics()
-		metricsHandler.ServeHTTP(w, r)
-	})
-	// Admin endpoints: deploy behind an internal listener — TopK reveals
-	// the popularity ranking, Quote prices an extraction plan, and
-	// Suspects names the principals the detector is watching.
-	s.mux.HandleFunc("GET /admin/topk", s.handleTopK)
-	s.mux.HandleFunc("POST /admin/quote", s.handleQuote)
-	s.mux.HandleFunc("GET /admin/suspects", s.handleSuspects)
-	// Anti-entropy surface for cluster mode: peers (or the router's
-	// exchanger) pull sketch deltas with GET and push merges with POST.
-	s.mux.HandleFunc("GET /admin/sketches", s.handleSketchExport)
-	s.mux.HandleFunc("POST /admin/sketches", s.handleSketchAbsorb)
-	// Schema surface for the partitioned router: which column keys each
-	// table, so statements can be routed to the tuple's owner shard.
-	s.mux.HandleFunc("GET /admin/schema", s.handleSchema)
-	// Tuple-migration data plane for the partitioned router's rebalance.
-	s.mux.HandleFunc("POST /admin/migrate", s.handleMigrate)
-	s.handler = WithRecovery(s.mux, shield.Metrics().Counter("server_panics_total"))
+	all, public := http.NewServeMux(), http.NewServeMux()
+	for _, rt := range routes {
+		serve := rt.serve
+		h := func(w http.ResponseWriter, r *http.Request) { serve(s, w, r) }
+		all.HandleFunc(rt.pattern, h)
+		if rt.public {
+			public.HandleFunc(rt.pattern, h)
+		}
+	}
+	panics := shield.Metrics().Counter("server_panics_total")
+	s.handler = WithRecovery(all, panics)
+	s.public = WithRecovery(public, panics)
 	return s, nil
 }
 
-// Handler returns the HTTP handler for mounting. Every route is wrapped
-// in the panic-recovery middleware: a handler bug costs that request a
-// 500, never the process.
+// Handler returns the HTTP handler for mounting: every route, the admin
+// ones included. Every route is wrapped in the panic-recovery
+// middleware: a handler bug costs that request a 500, never the process.
 func (s *Server) Handler() http.Handler { return s.handler }
+
+// PublicHandler returns the handler for the listener clients reach: the
+// public routes of the table only (see routes), recovery-wrapped like
+// Handler.
+func (s *Server) PublicHandler() http.Handler { return s.public }
+
+// handleMetrics serves the instrument snapshot. Per-table pool gauges are
+// re-synced on every scrape so tables created after startup show up
+// without a restart.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.shield.SyncEngineMetrics()
+	s.metrics.ServeHTTP(w, r)
+}
 
 // WithRecovery wraps h so that a panicking handler produces a 500 (when
 // nothing has been written yet) and bumps panics, instead of unwinding

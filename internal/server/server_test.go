@@ -15,9 +15,9 @@ import (
 
 // testHandler is a shard over a three-row items table, not yet behind a
 // socket.
-func testHandler(t testing.TB, cfg core.Config) (http.Handler, *core.Shield) {
+func testHandler(t testing.TB, cfg core.Config, opts ...engine.Option) (http.Handler, *core.Shield) {
 	t.Helper()
-	db, err := engine.Open(t.TempDir())
+	db, err := engine.Open(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func testHandler(t testing.TB, cfg core.Config) (http.Handler, *core.Shield) {
 	return srv.Handler(), shield
 }
 
-func testServer(t *testing.T, cfg core.Config) (*httptest.Server, *core.Shield) {
+func testServer(t *testing.T, cfg core.Config, opts ...engine.Option) (*httptest.Server, *core.Shield) {
 	t.Helper()
-	h, shield := testHandler(t, cfg)
+	h, shield := testHandler(t, cfg, opts...)
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts, shield

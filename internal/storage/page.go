@@ -107,7 +107,9 @@ func (p *Page) FreeSpace() int {
 const MaxRecordSize = PageSize - headerSize - slotSize
 
 // Insert stores a record and returns its slot number. It compacts the
-// page first if fragmentation would otherwise force a false ErrPageFull.
+// page first if fragmentation would otherwise force a false ErrPageFull;
+// a page whose records fill their area, as a page filled by appends
+// does, is full without that copy.
 func (p *Page) Insert(rec []byte) (int, error) {
 	if len(rec) == 0 {
 		return 0, errors.New("storage: empty record")
@@ -128,6 +130,9 @@ func (p *Page) Insert(rec []byte) (int, error) {
 		need += slotSize
 	}
 	if p.freeEnd()-p.freeStart() < need {
+		if !p.fragmented() {
+			return 0, ErrPageFull
+		}
 		p.compact()
 		if p.freeEnd()-p.freeStart() < need {
 			return 0, ErrPageFull
@@ -223,6 +228,17 @@ func (p *Page) Update(slot int, rec []byte) error {
 
 // compact rewrites live records contiguously from headerSize, updating
 // slot offsets. Slot numbers are preserved.
+// fragmented reports whether compaction would reclaim any bytes: whether
+// the live records' bytes fall short of the record area.
+func (p *Page) fragmented() bool {
+	live := 0
+	for s := 0; s < p.numSlots(); s++ {
+		_, l := p.slot(s)
+		live += l
+	}
+	return headerSize+live < p.freeStart()
+}
+
 func (p *Page) compact() {
 	type live struct {
 		slot, off, length int

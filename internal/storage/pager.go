@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,8 @@ type PageID uint32
 // pool shards overlap their I/O (and any latency a fault rule injects)
 // instead of queueing on a pager latch. Only structural operations
 // (Allocate, WriteImage's file extension, Close) serialize on the
-// mutex. Close must not race in-flight I/O; the engine guarantees that
+// mutex. NumPages counts the pages allocated, which may run ahead of the
+// file: an allocated page reaches the file at its first Write. Close must not race in-flight I/O; the engine guarantees that
 // by holding each table's exclusive lock during teardown.
 type Pager struct {
 	mu     sync.Mutex // guards f replacement and file extension
@@ -55,13 +57,14 @@ func (p *Pager) NumPages() PageID {
 	return PageID(p.npages.Load())
 }
 
-// Allocate appends a fresh, initialized page and returns its id. install,
+// Allocate reserves the next page id and returns it. It writes nothing:
+// the file grows when the page's first image is written back, and until
+// then a read of the id returns a fresh page (see ReadRun). install,
 // when not nil, runs with the id before NumPages counts the page: the
 // pool puts the page's frame in its table there, so nothing bounded by
 // NumPages can reach the id before its frame is in place (a fetch in
-// that window would load a second frame for the page from disk). If
-// install fails the page is not counted and the next Allocate reuses its
-// id.
+// that window would load a second frame for the page). If install fails
+// the page is not counted and the next Allocate reuses its id.
 func (p *Pager) Allocate(install func(PageID) error) (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -69,20 +72,12 @@ func (p *Pager) Allocate(install func(PageID) error) (PageID, error) {
 		return 0, errors.New("storage: pager closed")
 	}
 	id := PageID(p.npages.Load())
-	if err := fault.Check(fault.PagerWrite); err != nil {
-		return 0, fmt.Errorf("storage: allocating page %d: %w", id, wrapIO(err))
-	}
-	pg := NewPage()
-	if _, err := p.f.WriteAt(pg.Bytes(), int64(id)*PageSize); err != nil {
-		return 0, fmt.Errorf("storage: allocating page %d: %w", id, wrapIO(err))
-	}
 	if install != nil {
 		if err := install(id); err != nil {
 			return 0, err
 		}
 	}
 	p.npages.Add(1)
-	p.writes.Add(1)
 	return id, nil
 }
 
@@ -92,7 +87,9 @@ func (p *Pager) Read(id PageID, dst *Page) error { return p.ReadRun(id, dst[:]) 
 
 // ReadRun fills dst with the len(dst)/PageSize consecutive pages that
 // start at first, in one read call. Each page passes the PagerRead
-// failpoint, as a Read of it alone would.
+// failpoint, as a Read of it alone would. A page that Allocate counted
+// but the file does not hold yet — past the file's end, or in the hole a
+// later page's write-back left — reads as a fresh page.
 // Lock-free, like Read.
 func (p *Pager) ReadRun(first PageID, dst []byte) error {
 	n := len(dst) / PageSize
@@ -107,8 +104,17 @@ func (p *Pager) ReadRun(first PageID, dst []byte) error {
 			return fmt.Errorf("storage: reading page %d: %w", first+PageID(i), wrapIO(err))
 		}
 	}
-	if _, err := p.f.ReadAt(dst, int64(first)*PageSize); err != nil {
+	got, err := p.f.ReadAt(dst, int64(first)*PageSize)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("storage: reading page %d: %w", first, wrapIO(err))
+	}
+	clear(dst[got:])
+	for off := 0; off < len(dst); off += PageSize {
+		if pg := (*Page)(dst[off : off+PageSize]); pg.freeEnd() == 0 {
+			// Never written: every written page's directory ends at or
+			// after its header.
+			pg.Init()
+		}
 	}
 	p.reads.Add(int64(n))
 	return nil
@@ -135,8 +141,9 @@ func (p *Pager) Write(id PageID, src *Page) error {
 }
 
 // WriteImage persists a raw page image at id, extending the file with
-// fresh pages if id lies beyond the current end. WAL recovery uses it to
-// reapply logged pages whose allocation never reached the data file.
+// fresh pages if id lies beyond the pages counted. WAL recovery uses it
+// to reapply logged pages whose first write-back never reached the data
+// file.
 func (p *Pager) WriteImage(id PageID, image []byte) error {
 	if len(image) != PageSize {
 		return fmt.Errorf("storage: image of %d bytes", len(image))

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -31,11 +32,13 @@ import (
 //
 // Write-back consistency: published page versions are immutable —
 // writers mutate private copies under the per-frame write latch and
-// publish whole new versions (see WriteSet), and a WriteSet is the only
-// thing that marks a frame dirty — so a frame observed dirty under the
-// shard mutex has stable current bytes for the duration of a write-back,
-// and every dirty page was logged (when the table has a WAL) before it
-// became dirty. A condemned frame is unpinnable, hence equally stable.
+// publish whole new versions (see WriteSet) — so a frame observed dirty
+// under the shard mutex has stable current bytes for the duration of a
+// write-back. A frame is dirty either because a WriteSet published to it,
+// after logging the page (when the table has a WAL), or because it is
+// freshly allocated and holds the shared fresh image, which the file
+// lacks until that write-back. A condemned frame is unpinnable, hence
+// equally stable.
 //
 // Snapshot versioning: every publish stamps the new current version with
 // the next pool epoch; the displaced version is retired onto the frame's
@@ -64,7 +67,28 @@ type Pool struct {
 	versLive    atomic.Int64 // retired versions currently retained
 	versRetired atomic.Int64 // retired versions dropped (total)
 	streamed    atomic.Int64 // pages read around the pool (ReadBatch)
+
+	// A miss that finds no frame of its stripe to evict waits for one to
+	// free (makeRoom). waiters counts such misses, so that an unpin to
+	// zero and EndSnapshot look no further than this counter while it is
+	// 0 (it is written only when a sweep finds nothing to evict);
+	// freedGen, bumped under waitMu by each wake, tells a waiter that a
+	// frame freed between its sweep and its wait; freed is the channel the
+	// next wake closes. The padding keeps waiters, which every unpin to
+	// zero reads, off the cache line of the counters above, which reads
+	// and writes bump.
+	_        [64]byte
+	waiters  atomic.Int32
+	freedGen atomic.Uint64
+	waitMu   sync.Mutex
+	freed    chan struct{}
 }
+
+// maxMissWait bounds a miss's wait for a frame of its stripe to free;
+// past it the miss fails with ErrPoolExhausted, as it would without the
+// wait. Two statements whose pins fill a stripe between them wait out
+// this bound.
+var maxMissWait = 5 * time.Second
 
 // poolShard is one stripe of the frame table. slots is the table: linear
 // probing from home(id), at least twice cap long so a probe always ends
@@ -354,7 +378,7 @@ func (sh *poolShard) remove(c int) {
 // The hit path is latch-free: a probe of the shard's table, a pin CAS,
 // and the per-shard hit counter.
 func (b *Pool) Fetch(id PageID) (*Page, error) {
-	f, err := b.pinFrame(id)
+	f, err := b.pinFrame(id, &missFor{})
 	if err != nil {
 		return nil, err
 	}
@@ -362,14 +386,45 @@ func (b *Pool) Fetch(id PageID) (*Page, error) {
 }
 
 // pinFrame returns the page's frame, pinned and loaded. Callers must
-// release the pin (Unpin, or f.pins.Add(-1)).
-func (b *Pool) pinFrame(id PageID) (*frame, error) {
+// release the pin (Unpin, or b.unpin).
+func (b *Pool) pinFrame(id PageID, m *missFor) (*frame, error) {
 	sh := b.shard(id)
 	if f := sh.lookup(id); f != nil && f.tryPin() {
 		sh.hits.Add(1)
 		return b.awaitLoaded(f)
 	}
-	return b.fetchSlow(sh, id)
+	return b.fetchSlow(sh, id, m)
+}
+
+// missFor is what a miss on a full stripe knows of its caller, to decide
+// whether it may wait for a frame to free (see makeRoom).
+type missFor struct {
+	ws      *WriteSet // the write set the miss is for, whose pins are the caller's own
+	snap    *uint64   // the snapshot a FetchAt reads at
+	inAlloc bool      // under Pager.Allocate's mutex: makeRoom answers errMustWait instead of waiting
+	until   time.Time // the end of the miss's wait, set when it first waits
+}
+
+// errMustWait is makeRoom's answer to an allocation that should wait.
+var errMustWait = errors.New("storage: allocation must wait for a frame")
+
+// unpin drops one pin on f and, when it was the last and a miss is
+// waiting, wakes the waiters.
+func (b *Pool) unpin(f *frame) {
+	if f.pins.Add(-1) == 0 && b.waiters.Load() > 0 {
+		b.wake()
+	}
+}
+
+// wake tells every waiting miss that a frame may have freed.
+func (b *Pool) wake() {
+	b.waitMu.Lock()
+	b.freedGen.Add(1)
+	if b.freed != nil {
+		close(b.freed)
+		b.freed = nil
+	}
+	b.waitMu.Unlock()
 }
 
 // FetchAt resolves the page as of snapshot epoch snap: the newest
@@ -389,12 +444,12 @@ func (b *Pool) FetchAt(id PageID, snap uint64) (*Page, bool, error) {
 		pg, vis := f.versionAt(snap)
 		return pg, vis, nil
 	}
-	f, err := b.pinFrame(id)
+	f, err := b.pinFrame(id, &missFor{snap: &snap})
 	if err != nil {
 		return nil, false, err
 	}
 	pg, vis := f.versionAt(snap)
-	f.pins.Add(-1)
+	b.unpin(f)
 	return pg, vis, nil
 }
 
@@ -414,7 +469,8 @@ func (b *Pool) BeginSnapshot() uint64 {
 	return e
 }
 
-// EndSnapshot retires a registration made by BeginSnapshot.
+// EndSnapshot retires a registration made by BeginSnapshot, and wakes
+// the misses waiting for frames it may have held.
 func (b *Pool) EndSnapshot(e uint64) {
 	b.verMu.Lock()
 	if n := b.scans[e]; n <= 1 {
@@ -423,6 +479,9 @@ func (b *Pool) EndSnapshot(e uint64) {
 		b.scans[e] = n - 1
 	}
 	b.verMu.Unlock()
+	if b.waiters.Load() > 0 {
+		b.wake()
+	}
 }
 
 // minScanLocked returns the oldest registered snapshot epoch, or the
@@ -516,24 +575,28 @@ func (b *Pool) WriteStats() (latchAcq, latchWaits, versLive, versRetired int64) 
 // and the newcomer's — and allocates the frame, its first version and
 // its page, nothing else. The victim's page buffer is not reused: an
 // unpinned FetchAt reader may still hold it.
-func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
+func (b *Pool) fetchSlow(sh *poolShard, id PageID, m *missFor) (*frame, error) {
 	sh.mu.Lock()
-	// Another goroutine may have loaded the page while we took the mutex.
-	// Under sh.mu a frame in the table is never condemned — the sweep
-	// removes its victim before releasing the mutex — so the pin must
-	// succeed.
-	if f := sh.lookup(id); f != nil && f.tryPin() {
-		sh.mu.Unlock()
-		sh.hits.Add(1)
-		return b.awaitLoaded(f)
-	}
-	sh.misses.Add(1)
-	if len(sh.clock) >= sh.cap {
-		if err := sh.evictOne(b); err != nil {
+	for {
+		// Another goroutine may have loaded the page while we took the
+		// mutex, or while makeRoom waited without it. Under sh.mu a frame
+		// in the table is never condemned — the sweep removes its victim
+		// before releasing the mutex — so the pin must succeed.
+		if f := sh.lookup(id); f != nil && f.tryPin() {
 			sh.mu.Unlock()
+			sh.hits.Add(1)
+			return b.awaitLoaded(f)
+		}
+		if len(sh.clock) < sh.cap {
+			break
+		}
+		if err := sh.makeRoom(b, m); err != nil {
+			sh.mu.Unlock()
+			sh.misses.Add(1)
 			return nil, err
 		}
 	}
+	sh.misses.Add(1)
 	// Insert the frame pinned but still loading, then read with no lock
 	// held: hits on the shard's other pages proceed during the I/O, and
 	// concurrent fetchers of this page pin the frame and queue on loading.
@@ -563,6 +626,9 @@ func (b *Pool) fetchSlow(sh *poolShard, id PageID) (*frame, error) {
 		sh.mu.Lock()
 		sh.remove(slices.Index(sh.clock, f))
 		sh.mu.Unlock()
+		if b.waiters.Load() > 0 {
+			b.wake()
+		}
 		return nil, f.loadErr
 	}
 	return f, nil
@@ -582,34 +648,62 @@ func (b *Pool) awaitLoaded(f *frame) (*frame, error) {
 	err := f.loadErr
 	f.loading.Unlock()
 	if err != nil {
-		f.pins.Add(-1)
+		b.unpin(f)
 		return nil, err
 	}
 	return f, nil
 }
 
-// allocateFrame creates a new page via the pager and returns its frame
-// pinned, current version stamped at epoch: a write set allocates at the
-// invisible epoch and publishes at commit (see WriteSet.Allocate). The
-// frame enters the table before the pager counts the page, so a scan
-// bounded by NumPages finds it there.
-func (b *Pool) allocateFrame(epoch uint64) (*frame, error) {
-	var f *frame
-	_, err := b.pager.Allocate(func(id PageID) error {
-		sh := b.shard(id)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if len(sh.clock) >= sh.cap {
-			if err := sh.evictOne(b); err != nil {
-				return err
+// freshPage is the current version of every frame allocateFrame makes,
+// until a commit publishes the page's first image. Nothing writes into a
+// frame's current page — a WriteSet edits a private copy — so one
+// read-only image serves them all.
+var freshPage = NewPage()
+
+// allocateFrame reserves a new page id and returns its frame pinned,
+// current version the shared fresh image stamped at epoch: a write set
+// allocates at the invisible epoch and publishes at commit (see
+// WriteSet.Allocate). The frame starts dirty, so its eviction or FlushAll
+// writes the page's first image and grows the file; nothing is written
+// here. The frame enters the table before the pager counts the page, so
+// a scan bounded by NumPages finds it there.
+//
+// A stripe with no frame to evict is waited for outside the pager's
+// mutex, which install runs under: a statement that must free the frame
+// may itself be allocating. The id is then reserved afresh.
+func (b *Pool) allocateFrame(epoch uint64, ws *WriteSet) (*frame, error) {
+	m := missFor{ws: ws, inAlloc: true}
+	for {
+		var f *frame
+		var full *poolShard
+		_, err := b.pager.Allocate(func(id PageID) error {
+			sh := b.shard(id)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			for len(sh.clock) >= sh.cap {
+				if err := sh.makeRoom(b, &m); err != nil {
+					full = sh
+					return err
+				}
 			}
+			f = newFrame(id, freshPage, epoch)
+			f.loaded.Store(true)
+			f.dirty.Store(true)
+			sh.insert(f)
+			return nil
+		})
+		if !errors.Is(err, errMustWait) {
+			return f, err
 		}
-		f = newFrame(id, NewPage(), epoch)
-		f.loaded.Store(true)
-		sh.insert(f)
-		return nil
-	})
-	return f, err
+		m.inAlloc = false
+		full.mu.Lock()
+		err = full.makeRoom(b, &m)
+		full.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		m.inAlloc = true
+	}
 }
 
 // Unpin releases one pin on the page. Like the hit path it is
@@ -633,6 +727,9 @@ func (b *Pool) Unpin(id PageID) error {
 			return fmt.Errorf("storage: unpin of unpinned page %d", id)
 		}
 		if f.pins.CompareAndSwap(p, p-1) {
+			if p == 1 && b.waiters.Load() > 0 {
+				b.wake()
+			}
 			return nil
 		}
 	}
@@ -644,8 +741,10 @@ func (b *Pool) Unpin(id PageID) error {
 // written back (if dirty) and dropped. The CAS is what makes the
 // latch-free hit path safe: a frame is either pinned before the sweep
 // claims it (the sweep skips it) or condemned first (tryPin refuses it
-// and the reader reloads). Callers hold the shard mutex.
-func (sh *poolShard) evictOne(b *Pool) error {
+// and the reader reloads). When no frame can go it returns
+// ErrPoolExhausted with the counts of frames it found pinned and found
+// holding versions for a snapshot. Callers hold the shard mutex.
+func (sh *poolShard) evictOne(b *Pool) (pinned, held int, err error) {
 	// Give up only after a whole lap on which no frame could go: pinned
 	// and held count consecutive frames found pinned or feeding a
 	// snapshot, apart, so the error can name both. A demotion restarts
@@ -657,7 +756,6 @@ func (sh *poolShard) evictOne(b *Pool) error {
 	// past that the readers are outrunning the hand and the caller gets
 	// the error instead of a spin under the shard mutex.
 	n := len(sh.clock)
-	pinned, held := 0, 0
 	for steps := 0; pinned+held < n && steps < 4*n; sh.hand, steps = sh.hand+1, steps+1 {
 		if sh.hand >= len(sh.clock) {
 			sh.hand = 0
@@ -691,15 +789,87 @@ func (sh *poolShard) evictOne(b *Pool) error {
 			continue
 		}
 		if err := sh.dropFrameAt(sh.hand, b); err != nil {
-			return err
+			return 0, 0, err
 		}
 		sh.evicts.Add(1)
-		return nil
+		return 0, 0, nil
 	}
-	return fmt.Errorf("%w: no frame of a %d-frame stripe of the %d-page pool can go: "+
+	return pinned, held, fmt.Errorf("%w: no frame of a %d-frame stripe of the %d-page pool can go: "+
 		"%d pinned (a statement pins every page it writes until it commits: write fewer rows per statement, or raise engine.WithPoolPages), "+
 		"%d holding page versions a registered snapshot still reads (they go when its scan ends: run fewer long scans beside writers, or raise engine.WithPoolPages)",
 		ErrPoolExhausted, n, b.capacity, pinned, held)
+}
+
+// makeRoom evicts a frame of sh, which is full, for a miss made for m,
+// or waits for one to become evictable: it returns nil once it has
+// evicted one or waited, and the caller looks at the stripe again. The
+// wait releases sh.mu and ends at the next unpin to zero or EndSnapshot
+// anywhere in the pool. When the miss may not wait (mayWait) it fails
+// with the sweep's ErrPoolExhausted. Callers hold sh.mu.
+func (sh *poolShard) makeRoom(b *Pool, m *missFor) error {
+	pinned, held, err := sh.evictOne(b)
+	if err == nil || !errors.Is(err, ErrPoolExhausted) || !sh.mayWait(b, m, pinned, held) {
+		return err
+	}
+	// Count the miss as waiting, then sweep once more: a frame freed
+	// before the count went up woke nobody, and one freed after it bumps
+	// freedGen. Only a miss that found nothing registers, so an eviction
+	// leaves the counter, which every unpin reads, untouched.
+	b.waiters.Add(1)
+	defer b.waiters.Add(-1)
+	gen := b.freedGen.Load()
+	pinned, held, err = sh.evictOne(b)
+	if err == nil || !errors.Is(err, ErrPoolExhausted) || !sh.mayWait(b, m, pinned, held) {
+		return err
+	}
+	if m.inAlloc {
+		return errMustWait
+	}
+	b.waitMu.Lock()
+	if b.freedGen.Load() != gen { // a frame freed after the sweep looked
+		b.waitMu.Unlock()
+		return nil
+	}
+	if b.freed == nil {
+		b.freed = make(chan struct{})
+	}
+	freed := b.freed
+	b.waitMu.Unlock()
+	if m.until.IsZero() {
+		m.until = time.Now().Add(maxMissWait)
+	}
+	sh.mu.Unlock()
+	t := time.NewTimer(time.Until(m.until))
+	select {
+	case <-freed:
+	case <-t.C:
+	}
+	t.Stop()
+	sh.mu.Lock()
+	return nil
+}
+
+// mayWait reports whether a miss for m, whose sweep found pinned frames
+// pinned and held frames holding versions for a snapshot, waits for one
+// of them to free. It does not when nothing but its own caller could
+// free one, or when it has waited long enough.
+func (sh *poolShard) mayWait(b *Pool, m *missFor, pinned, held int) bool {
+	switch {
+	case pinned+held < len(sh.clock):
+		return false // the sweep stopped on its step cap, not on a full lap
+	case held == 0 && pinned <= m.ws.pinsIn(b, sh):
+		return false // the write set's own pins fill the stripe
+	case m.snap != nil && b.registered(*m.snap):
+		return false // a reader's own snapshot may be what holds the frames
+	}
+	return m.until.IsZero() || time.Now().Before(m.until)
+}
+
+// registered reports whether snapshot epoch e is registered.
+func (b *Pool) registered(e uint64) bool {
+	b.verMu.Lock()
+	defer b.verMu.Unlock()
+	return b.scans[e] > 0
 }
 
 // dropFrameAt writes back the frame at clock index i if dirty and

@@ -141,15 +141,25 @@ func TestPoolPinnedPagesNotEvicted(t *testing.T) {
 	}
 }
 
+// A write set whose own pins fill the stripe fails at once: nothing but
+// the statement itself could free a frame.
 func TestPoolAllFramesPinnedErrors(t *testing.T) {
 	pool := tempPool(t, 1)
-	pinnedPage(t, pool)
-	_, err := allocPage(pool)
+	ws := NewWriteSet(pool)
+	defer ws.Release()
+	if _, _, err := ws.Allocate(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err := ws.Allocate()
 	if !errors.Is(err, ErrPoolExhausted) || errors.Is(err, ErrIO) {
 		t.Fatalf("allocation with all frames pinned: err = %v, want ErrPoolExhausted and not ErrIO", err)
 	}
+	if d := time.Since(start); d > maxMissWait/2 {
+		t.Fatalf("a statement waited %v on its own pins", d)
+	}
 	if n := pool.Pinned(); n != 1 {
-		t.Fatalf("Pinned = %d after the failed allocation, want the 1 the test holds", n)
+		t.Fatalf("Pinned = %d after the failed allocation, want the 1 the write set holds", n)
 	}
 }
 
@@ -178,7 +188,9 @@ func TestPoolExhaustedNamesSnapshotHeldFrames(t *testing.T) {
 		ws.Publish()
 		ws.Release()
 	}
-	_, _, err = pool.FetchAt(cold, pool.Epoch())
+	// A reader at the registered snapshot does not wait: its own scan may
+	// be what holds the frames.
+	_, _, err = pool.FetchAt(cold, snap)
 	if !errors.Is(err, ErrPoolExhausted) || errors.Is(err, ErrIO) {
 		t.Fatalf("miss with every frame feeding a snapshot: err = %v, want ErrPoolExhausted and not ErrIO", err)
 	}
@@ -374,10 +386,10 @@ func TestPoolEvictionWriteBackFailureKeepsDirtyFrame(t *testing.T) {
 		ids = append(ids, newPage(t, pool, []byte(fmt.Sprintf("dirty-%d", i))))
 	}
 
-	// After:1 lets the allocation's own file-extension write through so the
-	// injected error lands on the eviction write-back itself.
+	// An allocation writes nothing, so the injected error lands on the
+	// eviction write-back itself.
 	fault.Enable(fault.NewRegistry(1).Add(fault.Rule{
-		Site: fault.PagerWrite, Kind: fault.Error, After: 1, Count: 1,
+		Site: fault.PagerWrite, Kind: fault.Error, Count: 1,
 	}))
 	defer fault.Disable()
 	if _, err := allocPage(pool); !errors.Is(err, ErrIO) {

@@ -147,7 +147,7 @@ func (b *Pool) resolveAt(id PageID, snap uint64) (batchEnt, error) {
 			return e, err
 		}
 		e.page, e.vis = f.versionAt(snap)
-		f.pins.Add(-1)
+		b.unpin(f)
 		return e, nil
 	}
 	persisted := b.goneAt(sh, id)

@@ -76,7 +76,7 @@ func (ws *WriteSet) Acquire(id PageID) (*Page, bool, error) {
 	if len(ws.entries) > 0 && id <= ws.maxHeld {
 		return ws.TryAcquire(id)
 	}
-	f, err := ws.pool.pinFrame(id)
+	f, err := ws.pool.pinFrame(id, &missFor{ws: ws})
 	if err != nil {
 		return nil, false, err
 	}
@@ -95,12 +95,12 @@ func (ws *WriteSet) TryAcquire(id PageID) (*Page, bool, error) {
 	if en, ok := ws.entries[id]; ok {
 		return en.page, true, nil
 	}
-	f, err := ws.pool.pinFrame(id)
+	f, err := ws.pool.pinFrame(id, &missFor{ws: ws})
 	if err != nil {
 		return nil, false, err
 	}
 	if !f.wmu.TryLock() {
-		f.pins.Add(-1)
+		ws.pool.unpin(f)
 		return nil, false, nil
 	}
 	ws.pool.latchAcq.Add(1)
@@ -121,9 +121,10 @@ func (ws *WriteSet) adopt(f *frame) *Page {
 
 // Allocate creates a new page, latched and private to this write set.
 // The frame is published in the pool at the invisible epoch: no
-// snapshot can see it until Publish commits it.
+// snapshot can see it until Publish commits it. The private copy is the
+// one buffer a fresh page costs; the frame shares the fresh image.
 func (ws *WriteSet) Allocate() (PageID, *Page, error) {
-	f, err := ws.pool.allocateFrame(invisibleEpoch)
+	f, err := ws.pool.allocateFrame(invisibleEpoch, ws)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -187,9 +188,23 @@ func (ws *WriteSet) Publish() {
 func (ws *WriteSet) Release() {
 	for _, en := range ws.entries {
 		en.f.wmu.Unlock()
-		en.f.pins.Add(-1)
+		ws.pool.unpin(en.f)
 	}
 	ws.entries = nil
+}
+
+// pinsIn counts the pages of sh this write set holds, each one pin; a nil
+// write set holds none.
+func (ws *WriteSet) pinsIn(b *Pool, sh *poolShard) int {
+	n := 0
+	if ws != nil {
+		for id := range ws.entries {
+			if b.shard(id) == sh {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Len reports how many pages the write set holds.

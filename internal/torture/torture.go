@@ -83,6 +83,10 @@ type Result struct {
 	Commits    int      // commit batches the workload wrote
 	WALBytes   int64    // full log length enumerated over
 	Violations []string // invariant violations, empty on success
+	// Replay, when set, is a directory holding the crash image and the
+	// offsets that failed, for a driver whose log no seed reproduces
+	// (ReplayGroupCommit reads it).
+	Replay string
 }
 
 const maxViolations = 20
@@ -252,12 +256,13 @@ func tableState(db *engine.Database) (string, error) {
 
 // commitEnds is the one reader of a log's layout: it parses a clean log
 // into its batches and checks it holds the want commits the workload
-// says it wrote. ends[k] is the log length after commit k, ends[0] = 0.
+// says it wrote (any number when want < 0, for a saved replay). ends[k]
+// is the log length after commit k, ends[0] = 0.
 func commitEnds(log []byte, want int) (batches [][]int64, ends []int64, err error) {
 	if batches, err = storage.WALBatches(log); err != nil {
 		return nil, nil, fmt.Errorf("torture: %w", err)
 	}
-	if len(batches) != want {
+	if want >= 0 && len(batches) != want {
 		return nil, nil, fmt.Errorf("torture: %d commit batches on disk for %d commits", len(batches), want)
 	}
 	ends = []int64{0}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +80,14 @@ func TestCrash(t *testing.T) {
 		for _, v := range res.Violations {
 			t.Errorf("invariant violation: %s", v)
 		}
+		if res.Replay != "" {
+			// Kept beside the test's sources, as a fuzz failure is.
+			dst := filepath.Join("testdata", "replay", strings.ReplaceAll(t.Name(), "/", "_"))
+			if err := copyDir(dst, res.Replay); err != nil {
+				t.Fatal(err)
+			}
+			t.Errorf("crash image and failing offsets saved in %s; recheck with go test -run TestReplaySavedGroupCommits ./internal/torture", dst)
+		}
 		switch {
 		case floor == nil && res.Points != res.Commits:
 			t.Errorf("swept %d of %d commits", res.Points, res.Commits)
@@ -132,4 +141,72 @@ func TestStreamReplaysByteForByte(t *testing.T) {
 	if len(logs[0]) == 0 || !bytes.Equal(logs[0], logs[1]) {
 		t.Fatalf("seed %d left logs of %d and %d bytes, want the same bytes", seed, len(logs[0]), len(logs[1]))
 	}
+}
+
+// TestGroupCommitReplayRoundTrip: a saved group-commit replay is the
+// crash image and its offsets, and ReplayGroupCommit rechecks recovery at
+// each from those bytes alone.
+func TestGroupCommitReplayRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	im, stmts, err := groupCommitImage(filepath.Join(dir, "work"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ends, err := commitEnds(im.files[im.log], stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := []int64{ends[1] - 1, ends[1], ends[stmts/2] + 5, ends[stmts]}
+	if err := saveReplay(filepath.Join(dir, "replay"), im, offs); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ReplayGroupCommit(filepath.Join(dir, "replay"), filepath.Join(dir, "scratch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Points != len(offs) || res.Commits != stmts || len(res.Violations) != 0 {
+		t.Fatalf("replay of %d offsets over %d commits: %+v", len(offs), stmts, res)
+	}
+}
+
+// TestReplaySavedGroupCommits rechecks every replay a failed group-commit
+// run saved under testdata/replay (see TestCrash).
+func TestReplaySavedGroupCommits(t *testing.T) {
+	dirs, _ := filepath.Glob(filepath.Join("testdata", "replay", "*"))
+	if len(dirs) == 0 {
+		t.Skip("no saved replays")
+	}
+	for _, dir := range dirs {
+		res, err := ReplayGroupCommit(dir, t.TempDir())
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s: %s", dir, v)
+		}
+	}
+}
+
+// copyDir replaces dst with a copy of the files in src.
+func copyDir(dst, src string) error {
+	if err := os.RemoveAll(dst); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
