@@ -174,7 +174,7 @@ examples:
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
 
-# Five fuzz targets, 55 s in all. FuzzParse (SQL parser), 15 s: no
+# Six fuzz targets, 65 s in all. FuzzParse (SQL parser), 15 s: no
 # panic, every accepted SELECT/INSERT/UPDATE/DELETE survives Render, and
 # every string token matches the byte-at-a-time reference reader.
 # FuzzSweepColumns (detector), 10 s: after any run of slot changes and
@@ -186,6 +186,9 @@ examples:
 # and then any edit of it, logged as a patch, replays to the edit.
 # FuzzVerbatim (row codec), 10 s: the eight-byte escape test answers
 # what the rune-at-a-time loop answers for any text.
+# FuzzPrincipalClock (delay gate), 10 s: one principal's concurrent and
+# cancelled charges on a blocking simulated clock never return before
+# their delay, and its wall time is at least its bill.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.
 # Minimizing an input is capped at 1 s (the default, 60 s per
 # new-coverage input, can spend the whole run minimizing); a failing
@@ -196,6 +199,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzStoredTextReply -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz=FuzzVerbatim -fuzztime=10s -fuzzminimizetime=1s ./internal/catalog/
+	$(GO) test -run '^$$' -fuzz=FuzzPrincipalClock -fuzztime=10s -fuzzminimizetime=1s ./internal/delay/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/

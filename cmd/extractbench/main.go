@@ -16,10 +16,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	delaydefense "repro"
@@ -67,6 +69,66 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 	want := func(name string) bool { return exp == "all" || exp == name }
 	ran := false
 
+	// The attack tables share nothing but the learned defense: the wanted
+	// ones start now, alongside the deterministic experiments below, and
+	// are waited for before Table 5 times anything. They print in order
+	// after it, gap printing a blank line first to set the cluster tables
+	// apart as one block.
+	type attack struct {
+		run func() (*experiments.Table, error)
+		gap bool
+	}
+	var attacks []attack
+	if want("sybil") {
+		sp := experiments.DefaultSybilParams()
+		sp.Scale = scale
+		sp.Seed = seed
+		attacks = append(attacks, attack{run: func() (*experiments.Table, error) { return experiments.SybilAnalysis(sp) }})
+	}
+	if want("detect") {
+		dp := experiments.DefaultSybilDetectionParams()
+		dp.Scale = scale
+		dp.Seed = seed
+		attacks = append(attacks, attack{run: func() (*experiments.Table, error) {
+			res, err := experiments.SybilDetection(dp)
+			if err != nil {
+				return nil, err
+			}
+			return res.Table, nil
+		}})
+	}
+	if want("detect-cluster") {
+		dp := experiments.DefaultShardedSybilParams()
+		dp.Scale = scale
+		dp.Seed = seed
+		pp := experiments.DefaultPartitionedSybilParams()
+		pp.Scale = scale
+		pp.Seed = seed
+		for i, table := range []func() (*experiments.ShardedSybilResult, error){
+			func() (*experiments.ShardedSybilResult, error) { return experiments.ShardedSybilDetection(dp) },
+			func() (*experiments.ShardedSybilResult, error) { return experiments.PartitionedSybilDetection(pp) },
+			func() (*experiments.ShardedSybilResult, error) { return experiments.PartitionedShardKillSybil(pp) },
+		} {
+			attacks = append(attacks, attack{gap: i > 0, run: func() (*experiments.Table, error) {
+				res, err := table()
+				if err != nil {
+					return nil, err
+				}
+				return res.Table, nil
+			}})
+		}
+	}
+	tabs := make([]*experiments.Table, len(attacks))
+	errs := make([]error, len(attacks))
+	var wg sync.WaitGroup
+	defer wg.Wait() // an early error still waits for the attack tables
+	for i, a := range attacks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs[i], errs[i] = a.run()
+		}()
+	}
 	if want("fig1") {
 		var tab *experiments.Table
 		var err error
@@ -160,6 +222,10 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		}
 		ran = true
 	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	if want("table5") {
 		dir, err := os.MkdirTemp("", "extractbench-table5-*")
 		if err != nil {
@@ -173,52 +239,11 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		tab.Print(os.Stdout)
 		ran = true
 	}
-	if want("sybil") {
-		sp := experiments.DefaultSybilParams()
-		sp.Scale = scale
-		sp.Seed = seed
-		tab, err := experiments.SybilAnalysis(sp)
-		if err != nil {
-			return err
+	for i, tab := range tabs {
+		if attacks[i].gap {
+			fmt.Println()
 		}
 		tab.Print(os.Stdout)
-		ran = true
-	}
-	if want("detect") {
-		dp := experiments.DefaultSybilDetectionParams()
-		dp.Scale = scale
-		dp.Seed = seed
-		res, err := experiments.SybilDetection(dp)
-		if err != nil {
-			return err
-		}
-		res.Table.Print(os.Stdout)
-		ran = true
-	}
-	if want("detect-cluster") {
-		dp := experiments.DefaultShardedSybilParams()
-		dp.Scale = scale
-		dp.Seed = seed
-		res, err := experiments.ShardedSybilDetection(dp)
-		if err != nil {
-			return err
-		}
-		res.Table.Print(os.Stdout)
-		pp := experiments.DefaultPartitionedSybilParams()
-		pp.Scale = scale
-		pp.Seed = seed
-		pres, err := experiments.PartitionedSybilDetection(pp)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		pres.Table.Print(os.Stdout)
-		kres, err := experiments.PartitionedShardKillSybil(pp)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		kres.Table.Print(os.Stdout)
 		ran = true
 	}
 	if want("storefront") {

@@ -1,12 +1,13 @@
-// Package adversary simulates the extraction attacks of the paper: the
-// single-identity sequential robot, the multi-identity parallel (Sybil)
-// attack, and the storefront relay (§2.4), plus extraction against a
-// changing dataset (§3) with staleness accounting.
+// Package adversary generates the extraction attacks of the paper as
+// tuple streams, and models extraction against a changing dataset (§3).
 //
-// Attack cost is measured non-invasively through delay quotes so that the
-// attack measurement itself does not perturb the learned popularity
-// counts — the same methodology as the paper, which computed adversary
-// delay "by examining the access counts after the trace was replayed".
+// CoordinatedStreams produces what a coalition asks for and Storefront
+// what a relay sees; neither prices anything. The attack tables send the
+// streams through the product, one point SELECT per tuple, and read each
+// attacker's bill from the delays it was answered with
+// (internal/experiments). The §3 model, ExtractUnderChange, stays a
+// model: it prices a sequential extraction from an update-rate policy's
+// per-rank delays and samples which extracted tuples went stale.
 package adversary
 
 import (
@@ -16,93 +17,8 @@ import (
 	"time"
 
 	"repro/internal/delay"
-	"repro/internal/ratelimit"
 	"repro/internal/zipf"
 )
-
-// Quoter prices the retrieval of a set of tuples without side effects.
-// *delay.Gate and *core.Shield (via QuoteExtraction) both satisfy the
-// shape; the package takes the narrow interface.
-type Quoter interface {
-	Quote(ids ...uint64) time.Duration
-}
-
-// Report describes the cost of one extraction attack.
-type Report struct {
-	// Tuples is how many tuples were extracted.
-	Tuples int
-	// TotalDelay is the sum of all per-tuple delays charged.
-	TotalDelay time.Duration
-	// WallTime is the attack's elapsed time: equal to TotalDelay for a
-	// sequential attack, shorter for a parallel one (plus identity
-	// accumulation time).
-	WallTime time.Duration
-	// Identities is how many identities the attack used.
-	Identities int
-}
-
-// Sequential prices a single-identity extraction of ids, one query per
-// tuple.
-func Sequential(q Quoter, ids []uint64) (Report, error) {
-	if q == nil {
-		return Report{}, errors.New("adversary: nil quoter")
-	}
-	var total time.Duration
-	for _, id := range ids {
-		d := q.Quote(id)
-		if total > delayMax-d {
-			total = delayMax
-			break
-		}
-		total += d
-	}
-	return Report{
-		Tuples:     len(ids),
-		TotalDelay: total,
-		WallTime:   total,
-		Identities: 1,
-	}, nil
-}
-
-const delayMax = time.Duration(1<<63 - 1)
-
-// Parallel prices a k-identity extraction: ids are split round-robin
-// across k streams that proceed concurrently, so the extraction phase
-// lasts as long as the slowest stream ("the adversary pays only the
-// maximum among individual penalties"). When registrationInterval > 0 the
-// identities must first be accumulated at one per interval (§2.4's
-// throttle), which is added to wall time.
-func Parallel(q Quoter, ids []uint64, k int, registrationInterval time.Duration) (Report, error) {
-	if q == nil {
-		return Report{}, errors.New("adversary: nil quoter")
-	}
-	if k < 1 {
-		return Report{}, errors.New("adversary: k < 1")
-	}
-	streams := make([]time.Duration, k)
-	var total time.Duration
-	for i, id := range ids {
-		d := q.Quote(id)
-		streams[i%k] += d
-		total += d
-	}
-	var slowest time.Duration
-	for _, s := range streams {
-		if s > slowest {
-			slowest = s
-		}
-	}
-	wall := slowest
-	if registrationInterval > 0 {
-		wall += time.Duration(k) * registrationInterval
-	}
-	return Report{
-		Tuples:     len(ids),
-		TotalDelay: total,
-		WallTime:   wall,
-		Identities: k,
-	}, nil
-}
 
 // CoordinatedStreams splits ids across k Sybil streams for a coordinated
 // extraction: each stream fetches a disjoint round-robin shard plus a
@@ -147,79 +63,35 @@ func CoordinatedStreams(ids []uint64, k int, verifyFraction float64, seed int64)
 	return streams, nil
 }
 
-// OptimalParallel sweeps the identity count and returns the report of the
-// cheapest parallel attack under the given registration throttle,
-// together with the analytic optimum from the §2.4 cost model for
-// comparison.
-func OptimalParallel(q Quoter, ids []uint64, registrationInterval time.Duration, maxK int) (best Report, analyticK int, err error) {
-	if maxK < 1 {
-		return Report{}, 0, errors.New("adversary: maxK < 1")
-	}
-	seq, err := Sequential(q, ids)
-	if err != nil {
-		return Report{}, 0, err
-	}
-	analyticK, _ = ratelimit.OptimalParallelism(seq.TotalDelay, registrationInterval)
-	best = seq
-	for k := 2; k <= maxK; k++ {
-		r, err := Parallel(q, ids, k, registrationInterval)
-		if err != nil {
-			return Report{}, 0, err
-		}
-		if r.WallTime < best.WallTime {
-			best = r
-		}
-	}
-	return best, analyticK, nil
-}
-
-// StorefrontReport describes a storefront relay attack: the adversary
-// resells access, forwarding legitimate user queries and caching the
-// answers, hoping to accumulate the database from its customers' traffic.
-type StorefrontReport struct {
-	// QueriesForwarded is how many customer queries the storefront
-	// relayed.
-	QueriesForwarded int
-	// Coverage is the fraction of the dataset the storefront has cached.
-	Coverage float64
-	// TotalDelay is the delay its customers collectively absorbed.
-	TotalDelay time.Duration
-}
-
-// Storefront simulates relaying `queries` customer requests drawn from a
-// Zipf(alpha) workload over n tuples and reports the resulting dataset
-// coverage. Because customers ask for popular items, coverage saturates
-// far below 1: the long tail that an extraction robot must pay for is
-// exactly what storefront traffic never requests.
-func Storefront(q Quoter, n int, alpha float64, queries int, seed int64) (StorefrontReport, error) {
-	if q == nil {
-		return StorefrontReport{}, errors.New("adversary: nil quoter")
-	}
+// Storefront simulates a storefront relay attack: the adversary resells
+// access, forwarding `queries` customer requests drawn from a Zipf(alpha)
+// workload over n tuples and caching the answers, and reports the
+// fraction of the dataset it accumulates. Because customers ask for
+// popular items, coverage saturates far below 1: the long tail that an
+// extraction robot must pay for is exactly what storefront traffic never
+// requests.
+func Storefront(n int, alpha float64, queries int, seed int64) (coverage float64, err error) {
 	d, err := zipf.New(n, alpha)
 	if err != nil {
-		return StorefrontReport{}, err
+		return 0, err
 	}
 	s := zipf.NewSampler(d, seed)
 	seen := make(map[uint64]bool)
-	var total time.Duration
 	for i := 0; i < queries; i++ {
-		id := uint64(s.Next() - 1)
-		if !seen[id] {
-			total += q.Quote(id)
-			seen[id] = true
-		}
+		seen[uint64(s.Next()-1)] = true
 	}
-	return StorefrontReport{
-		QueriesForwarded: queries,
-		Coverage:         float64(len(seen)) / float64(n),
-		TotalDelay:       total,
-	}, nil
+	return float64(len(seen)) / float64(n), nil
 }
 
-// ChangeReport extends Report with staleness: how much of the extracted
-// copy was already obsolete when the extraction finished (§3).
+// ChangeReport describes a sequential extraction under change: its
+// cost, and how much of the extracted copy was already obsolete when the
+// extraction finished (§3).
 type ChangeReport struct {
-	Report
+	// Tuples is how many tuples were extracted.
+	Tuples int
+	// TotalDelay is the sum of the per-tuple delays: the extraction's
+	// wall time, one query after another.
+	TotalDelay time.Duration
 	// StaleFraction is the fraction of extracted tuples whose value
 	// changed between their extraction instant and the end of the attack.
 	StaleFraction float64
@@ -277,12 +149,8 @@ func ExtractUnderChange(policy *delay.UpdateRate, n int, alpha, totalUpdateRate 
 		}
 	}
 	return ChangeReport{
-		Report: Report{
-			Tuples:     n,
-			TotalDelay: delay.SecondsToDuration(end),
-			WallTime:   delay.SecondsToDuration(end),
-			Identities: 1,
-		},
+		Tuples:         n,
+		TotalDelay:     delay.SecondsToDuration(end),
 		StaleFraction:  float64(stale) / float64(n),
 		PredictedStale: delay.PredictedStaleFraction(policy.Config().C, alpha),
 	}, nil

@@ -8,153 +8,28 @@ import (
 	"repro/internal/delay"
 )
 
-// fixedQuoter prices every tuple identically.
-type fixedQuoter struct{ per time.Duration }
-
-func (f fixedQuoter) Quote(ids ...uint64) time.Duration {
-	return time.Duration(len(ids)) * f.per
-}
-
-// rankedQuoter prices tuple id as (id+1) milliseconds.
-type rankedQuoter struct{}
-
-func (rankedQuoter) Quote(ids ...uint64) time.Duration {
-	var total time.Duration
-	for _, id := range ids {
-		total += time.Duration(id+1) * time.Millisecond
-	}
-	return total
-}
-
-func idsUpTo(n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = uint64(i)
-	}
-	return out
-}
-
-func TestSequential(t *testing.T) {
-	r, err := Sequential(fixedQuoter{per: time.Second}, idsUpTo(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Tuples != 100 || r.TotalDelay != 100*time.Second || r.WallTime != r.TotalDelay {
-		t.Fatalf("report = %+v", r)
-	}
-	if r.Identities != 1 {
-		t.Fatalf("identities = %d", r.Identities)
-	}
-	if _, err := Sequential(nil, nil); err == nil {
-		t.Fatal("nil quoter accepted")
-	}
-}
-
-func TestParallelDividesDelay(t *testing.T) {
-	r, err := Parallel(fixedQuoter{per: time.Second}, idsUpTo(100), 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TotalDelay != 100*time.Second {
-		t.Fatalf("total = %v", r.TotalDelay)
-	}
-	if r.WallTime != 10*time.Second {
-		t.Fatalf("wall = %v, want 10s", r.WallTime)
-	}
-	if r.Identities != 10 {
-		t.Fatalf("identities = %d", r.Identities)
-	}
-}
-
-func TestParallelRegistrationCost(t *testing.T) {
-	r, err := Parallel(fixedQuoter{per: time.Second}, idsUpTo(100), 10, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.WallTime != 10*time.Second+10*time.Minute {
-		t.Fatalf("wall = %v", r.WallTime)
-	}
-	if _, err := Parallel(fixedQuoter{}, nil, 0, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := Parallel(nil, nil, 1, 0); err == nil {
-		t.Fatal("nil quoter accepted")
-	}
-}
-
-func TestParallelUnevenStreams(t *testing.T) {
-	// Ranked quoter: stream assignment round-robin, slowest stream rules.
-	r, err := Parallel(rankedQuoter{}, idsUpTo(4), 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stream 0 gets ids 0,2 → 1+3 = 4ms; stream 1 gets ids 1,3 → 2+4 = 6ms.
-	if r.WallTime != 6*time.Millisecond {
-		t.Fatalf("wall = %v", r.WallTime)
-	}
-}
-
-func TestOptimalParallelThrottleNeutralizes(t *testing.T) {
-	ids := idsUpTo(1000)
-	per := time.Second
-	seq, _ := Sequential(fixedQuoter{per: per}, ids)
-	// Neutralizing interval: dtotal/4.
-	interval := seq.TotalDelay / 4
-	best, analyticK, err := OptimalParallel(fixedQuoter{per: per}, ids, interval, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.WallTime < seq.TotalDelay {
-		t.Fatalf("throttled parallel attack %v beats sequential %v", best.WallTime, seq.TotalDelay)
-	}
-	if analyticK < 1 || analyticK > 3 {
-		t.Fatalf("analytic k = %d, expected ≈2", analyticK)
-	}
-	if _, _, err := OptimalParallel(fixedQuoter{}, ids, 0, 0); err == nil {
-		t.Fatal("maxK=0 accepted")
-	}
-}
-
-func TestOptimalParallelWithoutThrottle(t *testing.T) {
-	// Without a throttle the most parallel attack wins.
-	ids := idsUpTo(100)
-	best, _, err := OptimalParallel(fixedQuoter{per: time.Second}, ids, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Identities != 20 {
-		t.Fatalf("best k = %d, want max", best.Identities)
-	}
-}
-
 func TestStorefrontCoverageSaturates(t *testing.T) {
 	const n = 5000
 	// Heavy skew: customers only ask for the head of the catalogue.
-	rep, err := Storefront(fixedQuoter{per: time.Millisecond}, n, 1.5, 100000, 7)
+	cov, err := Storefront(n, 1.5, 100000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.QueriesForwarded != 100000 {
-		t.Fatalf("forwarded = %d", rep.QueriesForwarded)
+	if cov >= 0.5 {
+		t.Fatalf("storefront covered %.2f of the catalogue from skewed traffic", cov)
 	}
-	if rep.Coverage >= 0.5 {
-		t.Fatalf("storefront covered %.2f of the catalogue from skewed traffic", rep.Coverage)
-	}
-	if rep.Coverage <= 0 {
+	if cov <= 0 {
 		t.Fatal("zero coverage")
 	}
 	// Uniform customers cover much more.
-	uni, err := Storefront(fixedQuoter{per: time.Millisecond}, n, 0, 100000, 7)
+	uni, err := Storefront(n, 0, 100000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uni.Coverage <= rep.Coverage {
-		t.Fatalf("uniform coverage %.2f not above skewed %.2f", uni.Coverage, rep.Coverage)
+	if uni <= cov {
+		t.Fatalf("uniform coverage %.2f not above skewed %.2f", uni, cov)
 	}
-	if _, err := Storefront(nil, 10, 1, 10, 1); err == nil {
-		t.Fatal("nil quoter accepted")
-	}
-	if _, err := Storefront(fixedQuoter{}, 0, 1, 10, 1); err == nil {
+	if _, err := Storefront(0, 1, 10, 1); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 }

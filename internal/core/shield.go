@@ -7,10 +7,10 @@
 // extracted rows.
 //
 // Every query enters through Shield.Query: the statement runs against the
-// engine, the returned tuples are priced by the delay policy, the shield
-// sleeps for the total on its clock (a simulated clock in experiments),
-// the access counts are updated, and only then does the result leave the
-// building.
+// engine, the returned tuples are priced by the delay policy, the charge
+// goes on its principal's clock and the shield sleeps until it ends (on a
+// simulated clock in experiments), the access counts are updated, and
+// only then does the result leave the building.
 package core
 
 import (
@@ -53,6 +53,13 @@ var ErrDegraded = errors.New("core: shield degraded: persistence is failing, wri
 // predicate matched, and that answer is not charged. The front door maps
 // it to HTTP 403.
 var ErrNotWriter = errors.New("core: principal may not write")
+
+// ErrPrincipalBusy is returned for a SELECT from a principal that
+// already has delay.PrincipalWaitCap statements admitted, before the
+// statement executes. One principal's charges are served one after
+// another on its clock, so more waiting queries would buy it nothing but
+// held goroutines. The front door maps it to HTTP 429.
+var ErrPrincipalBusy = errors.New("core: principal has too many queries waiting")
 
 // PolicyKind selects how delays are keyed.
 type PolicyKind int
@@ -729,8 +736,9 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.limiter != nil && !s.limiter.Allow(s.principalKey(identity)) {
-		return nil, QueryStats{}, fmt.Errorf("%w: principal %q", ErrRateLimited, s.principalKey(identity))
+	principal := s.principalKey(identity)
+	if s.limiter != nil && !s.limiter.Allow(principal) {
+		return nil, QueryStats{}, fmt.Errorf("%w: principal %q", ErrRateLimited, principal)
 	}
 	// Prepare instead of Parse: a repeated SELECT shape hits the
 	// engine's plan cache and skips the parser entirely; the statement
@@ -760,6 +768,13 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 			return nil, QueryStats{}, fmt.Errorf("%w (cause: %s)", ErrDegraded, cause)
 		}
 	}
+	var clock *delay.PrincipalClock
+	if kind == engine.KindSelect {
+		if clock = s.gate.Admit(principal); clock == nil {
+			return nil, QueryStats{}, fmt.Errorf("%w: principal %q", ErrPrincipalBusy, principal)
+		}
+		defer clock.Release()
+	}
 	res, err := prep.ExecInto(parts, enc, body)
 	if err != nil {
 		s.noteExecError(err)
@@ -775,8 +790,9 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		}
 	}
 	if res.Columns != nil {
-		// SELECT: charge delay for every returned tuple. ChargeCtx
-		// records the access observations even on cancellation.
+		// SELECT: charge delay for every returned tuple, on the
+		// principal's clock. The gate records the access observations
+		// even on cancellation.
 		//
 		// Detection observes first (one sharded batch update, before the
 		// sleep, so cancellation cannot dodge it) and returns the
@@ -784,9 +800,9 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		// single catalog-wide scan cannot finish inside its grace period.
 		mult := 1.0
 		if s.detector != nil {
-			mult = s.detector.ObserveBatch(s.principalKey(identity), res.Keys)
+			mult = s.detector.ObserveBatch(principal, res.Keys)
 		}
-		d, cerr := s.gate.ChargeCtxScaled(ctx, mult, res.Keys...)
+		d, cerr := s.gate.ChargeCtxScaled(ctx, clock, mult, res.Keys...)
 		qs := QueryStats{Delay: d, Tuples: len(res.Keys)}
 		s.met.tuples.Add(int64(len(res.Keys)))
 		if cerr != nil {

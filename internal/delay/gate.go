@@ -3,11 +3,27 @@ package delay
 import (
 	"context"
 	"errors"
+	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/vclock"
 )
+
+// PrincipalWaitCap is how many statements one principal may hold
+// admitted at once (Gate.Admit): executing, or parked on its clock
+// waiting for their charges to end. Past it the next one is refused
+// before it executes, so one principal's waiting queries hold at most
+// this many goroutines and replies.
+const PrincipalWaitCap = 64
+
+// principalClocks bounds the gate's clock table, as the rate limiter
+// bounds its buckets. Past it a new principal's clock replaces an idle
+// one; when every clock is in use or still owes time, Admit refuses the
+// newcomer rather than forgive anyone's debt.
+const principalClocks = 65536
 
 // Gate meters tuple retrievals: it computes the policy delay for the
 // tuples a query returns, sleeps for it on the configured clock, and
@@ -15,12 +31,26 @@ import (
 // multiple tuples is charged the sum of per-tuple delays, per §2.1's
 // aggregation rule ("a query that returns multiple tuples can simply be
 // considered the aggregate of multiple simple queries").
+//
+// Each principal has one clock: the instant its last charge ends. A
+// charge of d starts when the principal's previous charge ends (or now,
+// if that is past) and its reply leaves d later, so one principal's
+// concurrent queries wait one after another and its wall time is at
+// least its bill (§2.4: one identity is one stream).
 type Gate struct {
 	policy Policy
 	clock  vclock.Clock
 	// observe records a whole charge's accesses in one call, so the
 	// learner's serialization cost is paid once per query, not per tuple.
 	observe func(ids []uint64)
+
+	// clocks maps every named principal to its *PrincipalClock; clockMu
+	// serializes adding and evicting them, and counts them in nclocks.
+	// unnamed is the clock Charge and ChargeCtx bill.
+	clocks  sync.Map
+	clockMu sync.Mutex
+	nclocks int
+	unnamed *PrincipalClock
 
 	// Optional instrumentation, set via Instrument.
 	inflight *metrics.Gauge
@@ -42,7 +72,103 @@ func NewGate(policy Policy, clock vclock.Clock, observe func(ids []uint64)) (*Ga
 	if clock == nil {
 		return nil, errors.New("delay: nil clock")
 	}
-	return &Gate{policy: policy, clock: clock, observe: observe}, nil
+	g := &Gate{policy: policy, clock: clock, observe: observe, unnamed: &PrincipalClock{}}
+	g.unnamed.busy.Store(math.MinInt64)
+	return g, nil
+}
+
+// PrincipalClock is one principal's schedule: when its last charge
+// ends, and how many of its statements are admitted and not yet
+// released.
+type PrincipalClock struct {
+	busy     atomic.Int64 // UnixNano on the gate's clock
+	admitted atomic.Int32
+}
+
+// Admit reserves one of principal's PrincipalWaitCap slots for a
+// statement about to execute and returns the principal's clock, to
+// charge on and then Release once the charge has been served or
+// cancelled. It returns nil, reserving nothing, when the principal
+// already holds every slot or when the clock table is full and no clock
+// in it is idle.
+func (g *Gate) Admit(principal string) *PrincipalClock {
+	for {
+		c := g.clockOf(principal)
+		if c == nil {
+			return nil
+		}
+		switch n := c.admitted.Load(); {
+		case n == evicted:
+			// Dropped from the table as we read it; the principal's next
+			// clock is a fresh one.
+		case n >= PrincipalWaitCap:
+			return nil
+		case c.admitted.CompareAndSwap(n, n+1):
+			return c
+		}
+	}
+}
+
+// evicted marks a clock dropped from the table: no slot can be taken on
+// it.
+const evicted = -1
+
+// clockOf returns principal's clock, adding one if the table has room
+// or an idle clock to drop, and nil if not.
+func (g *Gate) clockOf(principal string) *PrincipalClock {
+	if v, ok := g.clocks.Load(principal); ok {
+		return v.(*PrincipalClock)
+	}
+	g.clockMu.Lock()
+	defer g.clockMu.Unlock()
+	if v, ok := g.clocks.Load(principal); ok {
+		return v.(*PrincipalClock)
+	}
+	if g.nclocks >= principalClocks && !g.evictIdleLocked() {
+		return nil
+	}
+	c := &PrincipalClock{}
+	c.busy.Store(math.MinInt64) // owes nothing, whatever the gate's clock reads
+	g.clocks.Store(principal, c)
+	g.nclocks++
+	return c
+}
+
+// Release returns a slot Admit reserved.
+func (c *PrincipalClock) Release() { c.admitted.Add(-1) }
+
+// evictIdleLocked drops one clock that holds no slot and owes no time,
+// reporting whether it found one. A clock that still owes time is never
+// dropped: that would forgive its principal's waiting. Callers hold
+// clockMu.
+func (g *Gate) evictIdleLocked() (dropped bool) {
+	now := g.clock.Now().UnixNano()
+	g.clocks.Range(func(k, v any) bool {
+		if c := v.(*PrincipalClock); c.busy.Load() <= now && c.admitted.CompareAndSwap(0, evicted) {
+			g.clocks.Delete(k)
+			g.nclocks--
+			dropped = true
+		}
+		return !dropped
+	})
+	return dropped
+}
+
+// schedule puts a charge of d on clock c and returns how long the caller
+// waits for it to end: d plus whatever c's earlier charges still owe.
+func (g *Gate) schedule(c *PrincipalClock, d time.Duration) time.Duration {
+	now := g.clock.Now().UnixNano()
+	for {
+		busy := c.busy.Load()
+		start := max(busy, now)
+		end := start + int64(d)
+		if end < start { // a saturated d: the charge never ends
+			end = math.MaxInt64
+		}
+		if c.busy.CompareAndSwap(busy, end) {
+			return time.Duration(end - now)
+		}
+	}
 }
 
 // Instrument attaches optional metrics: inflight counts goroutines
@@ -57,7 +183,8 @@ func (g *Gate) Instrument(inflight *metrics.Gauge, delayHist, cancelledHist *met
 }
 
 // Charge computes the total delay for the given result tuples, sleeps it,
-// records the accesses, and returns the imposed delay.
+// records the accesses, and returns the imposed delay. Charge and
+// ChargeCtx bill the gate's unnamed clock.
 func (g *Gate) Charge(ids ...uint64) time.Duration {
 	d, _ := g.ChargeCtx(context.Background(), ids...)
 	return d
@@ -74,19 +201,23 @@ func (g *Gate) Charge(ids ...uint64) time.Duration {
 // cancelling every query. Callers must likewise charge rate-limit tokens
 // before calling (the Shield does).
 func (g *Gate) ChargeCtx(ctx context.Context, ids ...uint64) (time.Duration, error) {
-	return g.ChargeCtxScaled(ctx, 1, ids...)
+	return g.ChargeCtxScaled(ctx, g.unnamed, 1, ids...)
 }
 
-// ChargeCtxScaled is ChargeCtx with the quoted delay multiplied by
-// mult before sleeping — the surcharge hook the extraction detector
+// ChargeCtxScaled is ChargeCtx on clock c, with the quoted delay
+// multiplied by mult — the surcharge hook the extraction detector
 // escalates suspected principals through. mult 1 is the unscaled path;
-// the product saturates at the maximum representable duration.
-func (g *Gate) ChargeCtxScaled(ctx context.Context, mult float64, ids ...uint64) (time.Duration, error) {
+// the product saturates at the maximum representable duration. The
+// charge is put on the clock before the sleep, so a cancelled charge
+// still owes its full delay: the principal's next charge starts after
+// it.
+func (g *Gate) ChargeCtxScaled(ctx context.Context, c *PrincipalClock, mult float64, ids ...uint64) (time.Duration, error) {
 	total := scaleDelay(g.Quote(ids...), mult)
+	wait := g.schedule(c, total)
 	if g.inflight != nil {
 		g.inflight.Inc()
 	}
-	err := g.clock.SleepCtx(ctx, total)
+	err := g.clock.SleepCtx(ctx, wait)
 	if g.inflight != nil {
 		g.inflight.Dec()
 	}

@@ -107,7 +107,7 @@ func TestChargeCtxScaled(t *testing.T) {
 	if d := g.QuoteScaled(1, 1, 2); d != g.Quote(1, 2) {
 		t.Fatalf("mult 1: %v != %v", d, g.Quote(1, 2))
 	}
-	d, err := g.ChargeCtxScaled(context.Background(), 8, 1, 2)
+	d, err := g.ChargeCtxScaled(context.Background(), g.unnamed, 8, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

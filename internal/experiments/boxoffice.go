@@ -91,12 +91,8 @@ func Table4(p BoxOfficeParams) (*Table, []Table4Row, error) {
 	b := trace.BoxOffice2002(p.Seed)
 	n := b.Trace.NumObjects
 
-	// β from a no-decay pre-pass, as in Table 3.
-	pre, err := learnTracker(b.Trace, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	beta, err := delay.TuneBeta(n, 1.0, pre.MaxCount(), p.Cap, p.CapFraction)
+	// β held fixed across rates, as in Table 3.
+	beta, err := tunedBeta(b.Trace, 1.0, p.Cap, p.CapFraction)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -45,6 +45,13 @@ func learnTracker(tr *trace.Trace, decayRate float64) (*counters.Decayed, error)
 	return tracker, nil
 }
 
+// tunedBeta tunes β for tr's catalog (§2.2) from its most-requested
+// object's count: the fmax a no-decay pre-pass would learn.
+func tunedBeta(tr *trace.Trace, alpha float64, cap time.Duration, capFraction float64) (float64, error) {
+	_, top := tr.TopK(1)
+	return delay.TuneBeta(tr.NumObjects, alpha, float64(top[0]), cap, capFraction)
+}
+
 // calgaryTrace synthesizes the two-regime Calgary-shaped workload at the
 // configured scale.
 func calgaryTrace(name string, p CalgaryParams) (*trace.Trace, error) {
@@ -245,13 +252,9 @@ func Table3FromTrace(tr *trace.Trace, p CalgaryParams, decays []float64) (*Table
 		return nil, nil, err
 	}
 	n := tr.NumObjects
-	// β tuned once, from a no-decay pre-pass, then held fixed across
-	// rates — the decay sweep must change only the learning dynamics.
-	pre, err := learnTracker(tr, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	beta, err := delay.TuneBeta(n, trace.CalgaryAlpha, pre.MaxCount(), p.Cap, p.CapFraction)
+	// β tuned once, then held fixed across rates — the decay sweep must
+	// change only the learning dynamics.
+	beta, err := tunedBeta(tr, trace.CalgaryAlpha, p.Cap, p.CapFraction)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -279,4 +282,59 @@ func Table3FromTrace(tr *trace.Trace, p CalgaryParams, decays []float64) (*Table
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("maximum possible adversary delay %s hours; paper: median 15.4→2241.6 ms, adversary 30.17→33.61 hours of a 33.8-hour max", Hours(maxPossible)))
 	return t, rows, nil
+}
+
+// ReplayResult is the outcome of replaying a trace through a popularity
+// policy: the learned tracker plus the per-request delays a legitimate
+// user would have experienced.
+type ReplayResult struct {
+	// MedianDelay is the median per-request delay over the replay.
+	MedianDelay time.Duration
+	// AdversaryDelay is the post-replay full-extraction delay (Eq 6
+	// under the learned counts).
+	AdversaryDelay time.Duration
+	// MaxPossible is N·cap, the delay ceiling for a full extraction.
+	MaxPossible time.Duration
+	// Requests is the number of requests replayed.
+	Requests int
+}
+
+// ReplayPopularity replays tr through a fresh tracker with the given
+// decay rate and a popularity policy with the given parameters, learning
+// the distribution online exactly as §2.3 describes: each request is
+// quoted the delay implied by the counts so far, then counted.
+//
+// weeklyDecay selects the §4.2 cadence (decay applied at week boundaries)
+// instead of the §4.1 per-request cadence.
+func ReplayPopularity(tr *trace.Trace, decayRate float64, cfg delay.PopularityConfig, weeklyDecay bool) (ReplayResult, error) {
+	tracker, err := counters.NewDecayed(decayRate)
+	if err != nil {
+		return ReplayResult{}, err
+	}
+	pol, err := delay.NewPopularity(cfg, tracker)
+	if err != nil {
+		return ReplayResult{}, err
+	}
+	delays := make([]float64, 0, len(tr.Requests))
+	week := 0
+	for i, id := range tr.Requests {
+		if weeklyDecay && tr.WeekOf != nil && tr.WeekOf[i] != week {
+			for w := week; w < tr.WeekOf[i]; w++ {
+				tracker.Tick()
+			}
+			week = tr.WeekOf[i]
+		}
+		delays = append(delays, pol.Delay(id).Seconds())
+		if weeklyDecay {
+			tracker.ObserveNoDecay(id)
+		} else {
+			tracker.Observe(id)
+		}
+	}
+	return ReplayResult{
+		MedianDelay:    delay.SecondsToDuration(medianSeconds(delays)),
+		AdversaryDelay: pol.ExtractionDelay(),
+		MaxPossible:    time.Duration(cfg.N) * cfg.Cap,
+		Requests:       len(tr.Requests),
+	}, nil
 }

@@ -42,7 +42,7 @@ func TestShardedSybilExchangeRestoresSurcharge(t *testing.T) {
 
 	// Exchange on, the merged sketches restore the global view: the
 	// coalition pays >= 20x the single-identity baseline (the acceptance
-	// bar; measured ~39x, on par with the single-node detector).
+	// bar; measured ~38x, on par with the single-node detector).
 	if res.OnWall[last] < 20*res.BaselineWall {
 		t.Errorf("on-mode k=%d wall %v < 20x baseline %v — exchange did not restore the surcharge",
 			p.Ks[last], res.OnWall[last], res.BaselineWall)
@@ -104,7 +104,7 @@ func TestPartitionedSybilExchangeRestoresSurcharge(t *testing.T) {
 			res.OffUnionCoverage[last], p.Grace)
 	}
 	// Exchange on, the coalition pays >= 20x the single-identity baseline
-	// (measured 38.9 h against 1.55 h, 25x) and a shard sees all of it.
+	// (measured 44.9 h against 1.55 h, 29x) and a shard sees all of it.
 	if res.OnWall[last] < 20*res.BaselineWall {
 		t.Errorf("on-mode k=%d wall %v < 20x baseline %v — exchange did not restore the surcharge",
 			p.Ks[last], res.OnWall[last], res.BaselineWall)
@@ -132,7 +132,7 @@ func TestPartitionedShardKillKeepsSurcharge(t *testing.T) {
 	up, down := res.OffWall[last], res.OnWall[last]
 	// A dead shard loses no extraction pricing: its partitions fail over
 	// to surviving replicas whose detectors observe the queries (measured
-	// 40.7 h down against 38.9 h up at k=16).
+	// 54.6 h down against 44.9 h up at k=16).
 	if down < 20*res.BaselineWall {
 		t.Errorf("shard-down k=%d wall %v < 20x baseline %v", p.Ks[last], down, res.BaselineWall)
 	}

@@ -14,10 +14,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/counters"
-	"repro/internal/delay"
-	"repro/internal/trace"
 )
 
 // Table is a printable experiment result.
@@ -102,59 +98,4 @@ func medianSeconds(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return s[len(s)/2]
-}
-
-// ReplayResult is the outcome of replaying a trace through a popularity
-// policy: the learned tracker plus the per-request delays a legitimate
-// user would have experienced.
-type ReplayResult struct {
-	// MedianDelay is the median per-request delay over the replay.
-	MedianDelay time.Duration
-	// AdversaryDelay is the post-replay full-extraction delay (Eq 6
-	// under the learned counts).
-	AdversaryDelay time.Duration
-	// MaxPossible is N·cap, the delay ceiling for a full extraction.
-	MaxPossible time.Duration
-	// Requests is the number of requests replayed.
-	Requests int
-}
-
-// ReplayPopularity replays tr through a fresh tracker with the given
-// decay rate and a popularity policy with the given parameters, learning
-// the distribution online exactly as §2.3 describes: each request is
-// quoted the delay implied by the counts so far, then counted.
-//
-// weeklyDecay selects the §4.2 cadence (decay applied at week boundaries)
-// instead of the §4.1 per-request cadence.
-func ReplayPopularity(tr *trace.Trace, decayRate float64, cfg delay.PopularityConfig, weeklyDecay bool) (ReplayResult, error) {
-	tracker, err := counters.NewDecayed(decayRate)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	pol, err := delay.NewPopularity(cfg, tracker)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	delays := make([]float64, 0, len(tr.Requests))
-	week := 0
-	for i, id := range tr.Requests {
-		if weeklyDecay && tr.WeekOf != nil && tr.WeekOf[i] != week {
-			for w := week; w < tr.WeekOf[i]; w++ {
-				tracker.Tick()
-			}
-			week = tr.WeekOf[i]
-		}
-		delays = append(delays, pol.Delay(id).Seconds())
-		if weeklyDecay {
-			tracker.ObserveNoDecay(id)
-		} else {
-			tracker.Observe(id)
-		}
-	}
-	return ReplayResult{
-		MedianDelay:    delay.SecondsToDuration(medianSeconds(delays)),
-		AdversaryDelay: pol.ExtractionDelay(),
-		MaxPossible:    time.Duration(cfg.N) * cfg.Cap,
-		Requests:       len(tr.Requests),
-	}, nil
 }

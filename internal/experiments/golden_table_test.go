@@ -9,16 +9,18 @@ import (
 )
 
 // goldenTables holds the FNV-64a of each Sybil experiment's printed
-// table at Scale 20 / seed 2004, recorded on the commit before the four
-// experiments moved onto one harness (PR 25). A refactor of the harness
-// must reproduce every byte; a change that legitimately moves a number
-// records new values with GOLDEN_TABLES_PRINT=1.
+// table at Scale 20 / seed 2004, recorded when the tables moved onto the
+// product fixture (fixture.go): every attack read a point SELECT through
+// a shield, a shard's server or a router. A refactor of the fixture must
+// reproduce every byte; a change that legitimately moves a number names
+// its cause in CHANGES.md and records new values with
+// GOLDEN_TABLES_PRINT=1.
 var goldenTables = map[string]uint64{
-	"sybil":       0xc9e8543553602c51,
-	"detect":      0x3ee6a792043db1a5,
-	"sharded":     0xcf86640be6a0847c,
-	"partitioned": 0x25a16800de8a7c86,
-	"shard-kill":  0x18f424cc1b103416,
+	"sybil":       0xa44b3c4ccd4fb74d,
+	"detect":      0x6ce7e3f04283121f,
+	"sharded":     0x6cfc4800355914c8,
+	"partitioned": 0x7ab99460cdb299d2,
+	"shard-kill":  0x9820f02c060d4e70,
 }
 
 func TestGoldenSybilTables(t *testing.T) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"testing"
-	"time"
 )
 
 func TestSybilAnalysisShape(t *testing.T) {
@@ -66,16 +65,5 @@ func TestStorefrontCoverageValidation(t *testing.T) {
 	p.N = 0
 	if _, err := StorefrontCoverage(p); err == nil {
 		t.Fatal("bad params accepted")
-	}
-}
-
-func TestZeroQuoter(t *testing.T) {
-	if zeroQuoter.Quote(zeroQuoter{}, 1, 2, 3) != 0 {
-		t.Fatal("zeroQuoter nonzero")
-	}
-	var c noSleepClock
-	c.Sleep(time.Hour) // must not block
-	if c.Now() != time.Unix(0, 0) {
-		t.Fatal("noSleepClock time")
 	}
 }

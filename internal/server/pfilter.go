@@ -43,7 +43,7 @@ func writeQueryErr(w http.ResponseWriter, err error) bool {
 	switch {
 	case err == nil:
 		return false
-	case errors.Is(err, core.ErrRateLimited):
+	case errors.Is(err, core.ErrRateLimited), errors.Is(err, core.ErrPrincipalBusy):
 		WriteErr(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, core.ErrNotWriter):
 		WriteErr(w, http.StatusForbidden, err)
