@@ -41,7 +41,8 @@ race:
 # delay gate's batch quote, the access tracker over its rank index, the
 # extraction detector, the B+tree's readers under its RWMutex, the
 # striped buffer pool + parallel scan executor, the cluster router's
-# fan-out + anti-entropy loop, and the front door's pooled codec
+# fan-out, TopN window rounds (TestKeyOrderedTopNMatchesANode) +
+# anti-entropy loop, and the front door's pooled codec
 # buffers) without the cost of racing the whole tree. This list is the
 # only copy.
 RACE_HOT = core ratelimit delay counters ostree detect index engine storage cluster server

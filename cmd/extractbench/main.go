@@ -85,10 +85,16 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		sp.Seed = seed
 		attacks = append(attacks, attack{run: func() (*experiments.Table, error) { return experiments.SybilAnalysis(sp) }})
 	}
+	// The legitimate readers' queries shrink with the catalogue they
+	// read: at 1/scale of the tuples, a reader issuing the paper's 1,000
+	// queries would cover scale times its share and cross the detector's
+	// grace, a collateral cost that does not exist at scale 1.
+	legitQueries := max(experiments.DefaultSybilDetectionParams().LegitQueries/scale, 1)
 	if want("detect") {
 		dp := experiments.DefaultSybilDetectionParams()
 		dp.Scale = scale
 		dp.Seed = seed
+		dp.LegitQueries = legitQueries
 		attacks = append(attacks, attack{run: func() (*experiments.Table, error) {
 			res, err := experiments.SybilDetection(dp)
 			if err != nil {
@@ -101,9 +107,11 @@ func run(exp string, scale int, seed int64, traceFile string) error {
 		dp := experiments.DefaultShardedSybilParams()
 		dp.Scale = scale
 		dp.Seed = seed
+		dp.LegitQueries = legitQueries
 		pp := experiments.DefaultPartitionedSybilParams()
 		pp.Scale = scale
 		pp.Seed = seed
+		pp.LegitQueries = legitQueries
 		for i, table := range []func() (*experiments.ShardedSybilResult, error){
 			func() (*experiments.ShardedSybilResult, error) { return experiments.ShardedSybilDetection(dp) },
 			func() (*experiments.ShardedSybilResult, error) { return experiments.PartitionedSybilDetection(pp) },

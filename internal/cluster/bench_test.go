@@ -191,33 +191,41 @@ func BenchmarkClusterScan(b *testing.B) {
 }
 
 // BenchmarkClusterTopN is the scatter statement the latency ledger's
-// cluster_mix sends: a 100-key range over four in-process shards, each
-// leg bringing back its 20 best rows of ~200 bytes, the router merging 80
-// into the 20 it relays. BenchmarkClusterScan's COUNT(*) never merges a
-// row; this one does little else.
+// cluster_mix sends: SELECT * over a 100-key range ORDER BY id LIMIT 20,
+// over four in-process shards holding rows of ~200 bytes. The router asks
+// only for the window of the 20 keys from the range's start, from the
+// primaries of the partitions they hash to, and relays the 20 rows its
+// legs bring back; before the window, each leg brought back its 20 best
+// and the router merged 80 into 20. partitions=4 is one replica per
+// partition, r=2 two, as cluster_mix runs.
 func BenchmarkClusterTopN(b *testing.B) {
 	const tuples = 2000
-	nodes := make([]*Node, 4)
-	for i := range nodes {
-		h, _ := newShard(b, tuples, nil)
-		nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
-	}
-	r, err := NewRouter(nodes, benchConfig(64, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchLoadItems(b, r, tuples)
-	h := r.Handler()
-	b.Run("partitions=4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lo := 1 + i*37%(tuples-100)
-			body, _ := json.Marshal(server.QueryRequest{
-				SQL: fmt.Sprintf(`SELECT * FROM items WHERE id BETWEEN %d AND %d ORDER BY id LIMIT 20`, lo, lo+99),
-			})
-			benchQuery(b, h, body)
+	for _, c := range []struct {
+		name        string
+		replication int
+	}{{"partitions=4", 1}, {"r=2", 2}} {
+		nodes := make([]*Node, 4)
+		for i := range nodes {
+			h, _ := newShard(b, tuples, nil)
+			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
 		}
-	})
+		r, err := NewRouter(nodes, benchConfig(64, c.replication))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchLoadItems(b, r, tuples)
+		h := r.Handler()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := 1 + i*37%(tuples-100)
+				body, _ := json.Marshal(server.QueryRequest{
+					SQL: fmt.Sprintf(`SELECT * FROM items WHERE id BETWEEN %d AND %d ORDER BY id LIMIT 20`, lo, lo+99),
+				})
+				benchQuery(b, h, body)
+			}
+		})
+	}
 }
 
 // benchLegs renders the legs of such a TopN: 4 shard replies of rows rows

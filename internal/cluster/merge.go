@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -24,7 +25,9 @@ import (
 //   - ORDER BY: each shard returns its slice already sorted (with the
 //     sort column injected into the projection when the client did not
 //     select it), and the executor k-way merges the sorted streams,
-//     stripping the injected column before relay.
+//     stripping the injected column before relay. An ORDER BY on the
+//     primary key with a LIMIT and a starting bound reads its window of
+//     keys first (scatterTopN).
 //   - Aggregates: the statement is rewritten into mergeable partials
 //     (sqlmini.PartialAggregates) and the partials combine — counts and
 //     sums add, AVG divides summed sums by summed counts, MIN/MAX take
@@ -127,21 +130,16 @@ func (r *Router) readCover(pm *PartitionMap, parts []int, avoid map[int]int) (ma
 }
 
 // scatterRead fans a multi-partition SELECT to one live replica per
-// partition and merges the partition-filtered partials.
+// partition and merges the partition-filtered partials. A key-ordered
+// TopN goes through scatterTopN instead.
 func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, sel *sqlmini.Select, sql string, c *call) {
 	spec := mergeSpec{limit: sel.Limit, orderIdx: -1}
-	shardSQL := sql
+	shardSel := *sel
 	switch {
 	case len(sel.Aggregates) > 0:
 		partials, src := sqlmini.PartialAggregates(sel.Aggregates)
 		spec.aggs, spec.src = sel.Aggregates, src
-		shardSQL = sqlmini.Render(&sqlmini.Select{
-			Table:      sel.Table,
-			Aggregates: partials,
-			Where:      sel.Where,
-			Order:      sel.Order,
-			Limit:      sel.Limit,
-		})
+		shardSel.Aggregates = partials
 	case sel.Order != nil:
 		spec.order = sel.Order
 		if len(sel.Columns) > 0 {
@@ -157,27 +155,196 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 			} else {
 				// Inject the sort column so the merge can see it; the
 				// shard sorts on the full row either way.
-				cols := append(append([]string(nil), sel.Columns...), sel.Order.Column)
+				shardSel.Columns = append(append([]string(nil), sel.Columns...), sel.Order.Column)
 				spec.orderIdx = len(sel.Columns)
 				spec.strip = true
-				shardSQL = sqlmini.Render(&sqlmini.Select{
-					Table:   sel.Table,
-					Columns: cols,
-					Where:   sel.Where,
-					Order:   sel.Order,
-					Limit:   sel.Limit,
-				})
 			}
+		}
+		if r.scatterTopN(ctx, w, pm, &shardSel, spec, c) {
+			return
 		}
 	default:
 		spec.earlyCancel = sel.Limit >= 0
 	}
-
-	P := len(pm.Owners)
-	need := make([]int, P)
-	for p := range need {
-		need[p] = p
+	shardSQL := sql
+	if len(spec.aggs) > 0 || spec.strip {
+		shardSQL = sqlmini.Render(&shardSel)
 	}
+	replies, rows, ok := r.gather(ctx, w, pm, allPartitions(pm), shardSQL, c, &spec)
+	if !ok {
+		return
+	}
+	columns, merged, delay, err := mergeReplies(replies, &spec)
+	if err != nil {
+		server.WriteErr(w, http.StatusBadGateway, err)
+		return
+	}
+	r.scatterFetched.Add(int64(rows))
+	r.scatterRelayed.Add(int64(len(merged)))
+	server.WriteQueryResponse(w, columns, merged, 0, delay)
+}
+
+// allPartitions lists every partition of pm.
+func allPartitions(pm *PartitionMap) []int {
+	parts := make([]int, len(pm.Owners))
+	for p := range parts {
+		parts[p] = p
+	}
+	return parts
+}
+
+// windowScanKeys bounds how many keys of a TopN window are hashed to
+// find the partitions they fall in; a wider window is read from every
+// partition, which any window of more than a few times P keys touches
+// anyway.
+const windowScanKeys = 4096
+
+// scatterTopN answers a scatter ordered by the primary key with a LIMIT
+// n and a bound on the side it starts from — a lower bound lo ascending,
+// an upper bound descending — reading only what a node would read. The
+// first round asks for the window [lo, lo+n−1] (descending: [hi−n+1,
+// hi]), narrowed in the shard SQL, and only from the partitions those n
+// keys hash to, on their primaries. When every key of the window holds
+// a matching row, that round is the answer: the legs bring back n rows
+// and the router relays n. A window that returns got < n rows, and does
+// not reach the statement's far bound, gets one continuation round:
+// the plain scatter over the keys past the window, with LIMIT n−got. No
+// row is fetched twice, and there are never more than two rounds (each
+// with its own failed-leg retries). It reports false, having written
+// nothing, when sel is not such a TopN.
+func (r *Router) scatterTopN(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, sel *sqlmini.Select, spec mergeSpec, c *call) bool {
+	k, ok := r.keyFor(sel.Table)
+	if !ok || sel.Limit <= 0 || !strings.EqualFold(sel.Order.Column, k.name) {
+		return false
+	}
+	lo, hi, hasLo, hasHi := sqlmini.PKBounds(sel.Where, k.name)
+	n := int64(sel.Limit)
+	// [from, to] is the window, beyond selects the keys past it, and last
+	// is whether the window reaches the statement's far bound.
+	var from, to int64
+	var beyond sqlmini.Comparison
+	var last bool
+	if !sel.Order.Desc {
+		if !hasLo || hasHi && hi < lo {
+			return false
+		}
+		from, to = lo, lo+(n-1)
+		if to < lo { // overflow
+			to = math.MaxInt64
+		}
+		if hasHi && hi <= to {
+			to = hi
+		}
+		last = to == math.MaxInt64 || hasHi && to == hi
+		beyond = sqlmini.Comparison{Column: k.name, Op: sqlmini.OpGt, Value: intLit(to)}
+	} else {
+		if !hasHi || hasLo && lo > hi {
+			return false
+		}
+		from, to = hi-(n-1), hi
+		if from > hi { // overflow
+			from = math.MinInt64
+		}
+		if hasLo && lo >= from {
+			from = lo
+		}
+		last = from == math.MinInt64 || hasLo && from == lo
+		beyond = sqlmini.Comparison{Column: k.name, Op: sqlmini.OpLt, Value: intLit(from)}
+	}
+	window := *sel
+	window.Where = windowWhere(sel.Where, k.name, from, to)
+	replies, rows, ok := r.gather(ctx, w, pm, windowPartitions(pm, from, to), sqlmini.Render(&window), c, &spec)
+	if !ok {
+		return true
+	}
+	columns, merged, delay, err := mergeReplies(replies, &spec)
+	if err == nil && len(merged) < sel.Limit && !last {
+		// The continuation round: the plain scatter past the window.
+		more := *sel
+		more.Where = &sqlmini.Where{Conjuncts: append(slices.Clip(sel.Where.Conjuncts), beyond)}
+		more.Limit = sel.Limit - len(merged)
+		rest := spec
+		rest.limit = more.Limit
+		moreReplies, moreRows, ok := r.gather(ctx, w, pm, allPartitions(pm), sqlmini.Render(&more), c, &rest)
+		if !ok {
+			return true
+		}
+		rows += moreRows
+		var tail []server.RawRow
+		var wait float64
+		_, tail, wait, err = mergeReplies(moreReplies, &rest)
+		merged = append(merged, tail...)
+		delay += wait // the rounds ran one after the other
+	}
+	if err != nil {
+		server.WriteErr(w, http.StatusBadGateway, err)
+		return true
+	}
+	r.scatterFetched.Add(int64(rows))
+	r.scatterRelayed.Add(int64(len(merged)))
+	server.WriteQueryResponse(w, columns, merged, 0, delay)
+	return true
+}
+
+// windowWhere returns where narrowed to the keys [from, to], in a Where
+// of its own. A comparison of the key with an integer that every key of
+// the window satisfies says nothing more, and is left out.
+func windowWhere(where *sqlmini.Where, key string, from, to int64) *sqlmini.Where {
+	out := &sqlmini.Where{Conjuncts: []sqlmini.Comparison{
+		{Column: key, Op: sqlmini.OpGe, Value: intLit(from)},
+		{Column: key, Op: sqlmini.OpLe, Value: intLit(to)},
+	}}
+	for _, c := range where.Conjuncts {
+		if c.Value.Kind == sqlmini.IntLit && strings.EqualFold(c.Column, key) {
+			v := c.Value.Int
+			switch {
+			case c.Op == sqlmini.OpGe && from >= v, c.Op == sqlmini.OpGt && from > v,
+				c.Op == sqlmini.OpLe && to <= v, c.Op == sqlmini.OpLt && to < v:
+				continue
+			}
+		}
+		out.Conjuncts = append(out.Conjuncts, c)
+	}
+	return out
+}
+
+func intLit(v int64) sqlmini.Literal { return sqlmini.Literal{Kind: sqlmini.IntLit, Int: v} }
+
+// windowPartitions lists, in order, the partitions of pm the keys from
+// through to hash to: every partition once the window is wider than
+// windowScanKeys.
+func windowPartitions(pm *PartitionMap, from, to int64) []int {
+	if uint64(to)-uint64(from) >= windowScanKeys {
+		return allPartitions(pm)
+	}
+	hit := make([]bool, len(pm.Owners))
+	seen := 0
+	for key := from; seen < len(hit); key++ {
+		if p := pm.PartitionOf(key); !hit[p] {
+			hit[p] = true
+			seen++
+		}
+		if key == to {
+			break
+		}
+	}
+	parts := make([]int, 0, seen)
+	for p, in := range hit {
+		if in {
+			parts = append(parts, p)
+		}
+	}
+	return parts
+}
+
+// gather runs one scatter round: shardSQL to one live replica per
+// partition of parts, each leg filtered to the partitions it answers
+// for, a failed leg's partitions retried on the surviving replicas for
+// up to readRetryRounds. It returns the legs' replies and their row
+// count; false means it wrote the client's error instead.
+func (r *Router) gather(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, parts []int, shardSQL string, c *call, spec *mergeSpec) ([]shardReply, int, bool) {
+	P := len(pm.Owners)
+	need := parts
 	avoid := make(map[int]int)
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -204,7 +371,7 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 		if !ok {
 			server.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Errorf("partition %d unavailable: no readable replica", uncovered))
-			return
+			return nil, 0, false
 		}
 		targets := make([]int, 0, len(cover))
 		for i := range cover {
@@ -246,19 +413,19 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 		})
 		if rejected != nil {
 			relay(w, rejected.rep)
-			return
+			return nil, 0, false
 		}
 		need = redo
 	}
 
 	if r.pmap.Load() != pm {
 		r.writePartitionStale(w)
-		return
+		return nil, 0, false
 	}
 	if len(need) > 0 && !done {
 		if last != nil && last.err == nil {
 			relay(w, last.rep) // a shard's 5xx
-			return
+			return nil, 0, false
 		}
 		detail := ""
 		if last != nil {
@@ -266,16 +433,9 @@ func (r *Router) scatterRead(ctx context.Context, w http.ResponseWriter, pm *Par
 		}
 		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("scan incomplete: %d partitions unavailable after retries%s", len(need), detail))
-		return
+		return nil, 0, false
 	}
-	columns, merged, delay, err := mergeReplies(replies, &spec)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadGateway, err)
-		return
-	}
-	r.scatterFetched.Add(int64(rows))
-	r.scatterRelayed.Add(int64(len(merged)))
-	server.WriteQueryResponse(w, columns, merged, 0, delay)
+	return replies, rows, true
 }
 
 // mergeReplies recombines per-shard partial results per the spec into

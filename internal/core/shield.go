@@ -78,6 +78,14 @@ const (
 // limiter forgets the principal holding the most tokens.
 const limiterPrincipalCap = 65536
 
+// NarrowCandidates is t, the largest candidate set a SELECT can have and
+// still be narrow. The candidate set is the primary-index entries its key
+// conjuncts and partition filter admit. A narrow SELECT is charged every
+// candidate it read (engine.Prepared.ExamineUpTo): the rows a conjunct on
+// another column rejected and the rows sorted past its LIMIT decide its
+// reply too. A wider one is charged what it returns.
+const NarrowCandidates = 64
+
 // adaptiveWarmup is how many observed tuples the adaptive selector
 // serves from the first decay rate before its scores may switch it.
 const adaptiveWarmup = 1000
@@ -775,6 +783,7 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		}
 		defer clock.Release()
 	}
+	prep.ExamineUpTo(NarrowCandidates)
 	res, err := prep.ExecInto(parts, enc, body)
 	if err != nil {
 		s.noteExecError(err)
@@ -790,21 +799,26 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		}
 	}
 	if res.Columns != nil {
-		// SELECT: charge delay for every returned tuple, on the
-		// principal's clock. The gate records the access observations
+		// SELECT: charge delay for every returned tuple — every tuple it
+		// read, when its candidate set was narrow — on the principal's
+		// clock. The gate records the access observations
 		// even on cancellation.
 		//
 		// Detection observes first (one sharded batch update, before the
 		// sleep, so cancellation cannot dodge it) and returns the
 		// escalation multiplier including this query's own tuples — a
 		// single catalog-wide scan cannot finish inside its grace period.
+		ids := res.Keys
+		if ex := prep.Examined(); ex != nil {
+			ids = ex
+		}
 		mult := 1.0
 		if s.detector != nil {
-			mult = s.detector.ObserveBatch(principal, res.Keys)
+			mult = s.detector.ObserveBatch(principal, ids)
 		}
-		d, cerr := s.gate.ChargeCtxScaled(ctx, clock, mult, res.Keys...)
-		qs := QueryStats{Delay: d, Tuples: len(res.Keys)}
-		s.met.tuples.Add(int64(len(res.Keys)))
+		d, cerr := s.gate.ChargeCtxScaled(ctx, clock, mult, ids...)
+		qs := QueryStats{Delay: d, Tuples: len(ids)}
+		s.met.tuples.Add(int64(len(ids)))
 		if cerr != nil {
 			s.met.cancelled.Inc()
 			return nil, qs, cerr

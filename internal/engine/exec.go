@@ -311,8 +311,24 @@ func (db *Database) runSelect(t *table, pl *selPlan, conj []boundConj, limit int
 		res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
 		return w.row(t.schema, pl.proj, row, rec)
 	}
+	key := t.schema.Key
+	residual := hasResidual(conj, key)
+	// An ORDER BY key with a LIMIT walks the primary index in key order
+	// and stops at its LIMIT: nothing is materialized, copied or sorted.
+	stream := pl.orderCol == key && limit >= 0 && keyOrdered(t, conj)
+	sorts := pl.orderCol >= 0 && !stream
+	spec := scanSpec{ex: w.examine(residual || (sorts && limit >= 0))}
+	if stream {
+		spec.dir = 1
+		if pl.orderDesc {
+			spec.dir = -1
+		}
+		if !residual {
+			spec.take = limit // every candidate matches
+		}
+	}
 
-	if pl.orderCol >= 0 {
+	if sorts {
 		oi := pl.orderCol
 		// Materialize, sort, then emit up to the limit. A row keeps what
 		// the writer will read of its record.
@@ -321,7 +337,7 @@ func (db *Database) runSelect(t *table, pl *selPlan, conj []boundConj, limit int
 			rec []byte
 		}
 		var rows []heldRow
-		err := db.planAndScanBound(t, conj, pl.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
+		err := db.planAndScanBound(t, conj, pl.need, decode, spec, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
 			rows = append(rows, heldRow{append(catalog.Row(nil), row...), w.hold(rec)})
 			return true, nil
 		})
@@ -335,18 +351,24 @@ func (db *Database) runSelect(t *table, pl *selPlan, conj []boundConj, limit int
 			}
 			return c < 0
 		})
-		for _, h := range rows {
-			if limit >= 0 && len(res.Keys) >= limit {
-				break
+		if limit >= 0 && len(rows) > limit {
+			if ex := spec.ex; ex != nil && ex.narrow {
+				for _, h := range rows[limit:] {
+					ex.extra = append(ex.extra, uint64(h.row[key].Int))
+				}
 			}
+			rows = rows[:limit]
+		}
+		for _, h := range rows {
 			if err := emit(h.row, h.rec); err != nil {
 				return nil, err
 			}
 		}
+		w.examined = spec.ex.charge(res.Keys)
 		return res, nil
 	}
 
-	err := db.planAndScanBound(t, conj, pl.need, decode, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
+	err := db.planAndScanBound(t, conj, pl.need, decode, spec, func(_ storage.RID, row catalog.Row, rec []byte) (bool, error) {
 		if err := emit(row, rec); err != nil {
 			return false, err
 		}
@@ -355,7 +377,32 @@ func (db *Database) runSelect(t *table, pl *selPlan, conj []boundConj, limit int
 	if err != nil {
 		return nil, err
 	}
+	w.examined = spec.ex.charge(res.Keys)
 	return res, nil
+}
+
+// hasResidual reports whether a conjunct is on a column other than the
+// primary key: one a scan decides on the row, after reading it.
+func hasResidual(conj []boundConj, key int) bool {
+	for i := range conj {
+		if conj[i].col != key {
+			return true
+		}
+	}
+	return false
+}
+
+// keyOrdered reports whether conj plans a path that can walk the
+// primary index in key order: any but a secondary-equality lookup, whose
+// RIDs carry no key. Secondaries change only under DDL, which the
+// caller's table read lock excludes.
+func keyOrdered(t *table, conj []boundConj) bool {
+	if len(t.secondaries) == 0 {
+		return true
+	}
+	t.idxMu.RLock()
+	defer t.idxMu.RUnlock()
+	return choosePlanBound(t, conj).kind != planSecondaryEq
 }
 
 // aggAccum accumulates one aggregate function over a subset of the
@@ -425,24 +472,23 @@ func (a *aggAccum) merge(o aggAccum) {
 // Callers hold the table read lock.
 func (db *Database) execAggregate(t *table, pl *selPlan, conj []boundConj, res *Result, w *rowWriter) (*Result, error) {
 	accs := append([]aggAccum(nil), pl.aggs...)
-	t.idxMu.RLock()
-	p := choosePlanBound(t, conj)
-	t.idxMu.RUnlock()
-	var err error
-	if p.kind == planFullScan {
-		err = db.aggregateFullScan(t, conj, pl.need, accs, res)
-	} else {
-		err = db.planAndScanBound(t, conj, pl.need, pl.need, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
-			res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
-			for i := range accs {
-				accs[i].observe(row)
-			}
-			return true, nil
-		})
+	spec := scanSpec{
+		ex: w.examine(hasResidual(conj, t.schema.Key)),
+		fullScan: func() error {
+			return db.aggregateFullScan(t, conj, pl.need, accs, res)
+		},
 	}
+	err := db.planAndScanBound(t, conj, pl.need, pl.need, spec, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {
+		res.Keys = append(res.Keys, uint64(row[t.schema.Key].Int))
+		for i := range accs {
+			accs[i].observe(row)
+		}
+		return true, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	w.examined = spec.ex.charge(res.Keys)
 
 	out := make(catalog.Row, len(accs))
 	proj := make([]int, len(out))
@@ -592,7 +638,7 @@ func (db *Database) writeMatches(t *table, conj []boundConj, change func(tx *wri
 	}
 	return db.write(t, func(tx *writeTx) error {
 		var matches []match
-		err := db.planAndScanBound(t, conj, nil, nil, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
+		err := db.planAndScanBound(t, conj, nil, nil, scanSpec{}, func(rid storage.RID, row catalog.Row, _ []byte) (bool, error) {
 			matches = append(matches, match{rid, row[t.schema.Key].Int})
 			return true, nil
 		})

@@ -219,6 +219,33 @@ func BenchmarkEngineRange(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineKeyTopN times the TopN the latency ledger's cluster_mix
+// sends, SELECT * over a key range ORDER BY id LIMIT 20, at three range
+// widths on a 20,000-row table. The key-order walk reads the 20 rows it
+// returns and stops, so the widths cost about the same; a plan that
+// materializes and sorts the range grows with it (the parent read
+// 270 times span=100 at span=19000). bench.sh holds span=19000 to at
+// most twice span=100.
+func BenchmarkEngineKeyTopN(b *testing.B) {
+	const rows = 20000
+	db := benchEngine(b, rows)
+	for _, span := range []int{100, 1000, 19000} {
+		b.Run(fmt.Sprintf("span=%d", span), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := (i * 7919) % (rows - span)
+				res, err := db.Exec(fmt.Sprintf(`SELECT * FROM wide WHERE id BETWEEN %d AND %d ORDER BY id LIMIT 20`, lo, lo+span-1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Keys) != 20 || res.Keys[0] != uint64(lo) {
+					b.Fatalf("span %d from %d: keys %v", span, lo, res.Keys)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineMixedReadWrite measures point reads competing with a
 // writer goroutine issuing UPDATEs — the reader/writer table lock lets
 // reads share while writes serialize.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -218,12 +220,101 @@ func keyOnly(schema catalog.Schema, need []bool) bool {
 // error); scanning stops on either signal.
 type scanFn func(rid storage.RID, row catalog.Row, rec []byte) (bool, error)
 
+// scanSpec is what a statement asks of planAndScanBound besides its
+// rows. The zero value asks for nothing: rows in the order the plan
+// reads them, no record of what was examined.
+type scanSpec struct {
+	// dir asks for the rows in primary-key order: 1 ascending, -1
+	// descending. The point, range and full-scan plans walk the primary
+	// index that way; a secondary-equality plan has no key order, so a
+	// statement that asks must not plan one (see keyOrdered).
+	dir int
+	// take, when positive, is how many candidates a key-order walk can
+	// need: the statement's LIMIT, when every candidate matches.
+	take int
+	// ex, when non-nil, decides whether the candidate set is narrow and,
+	// if it is, records the candidates the scan read and rejected.
+	ex *examined
+	// fullScan, when set, runs an unordered full scan in place of the
+	// row-by-row one (an aggregate folds chunk by chunk).
+	fullScan func() error
+}
+
+// examined is a SELECT's record of what it read without returning, for
+// the narrow charge (Prepared.ExamineUpTo, Prepared.Examined). The
+// candidate set is the primary-index entries the key conjuncts admit,
+// the partition conjunct included: the rows the statement may read. It
+// is narrow when it holds at most bound entries. A narrow statement is
+// charged every candidate it read: its returned keys plus extra.
+type examined struct {
+	bound  int
+	narrow bool
+	// extra lists the keys of candidates read and not returned: rejected
+	// by a conjunct on another column, or sorted past the LIMIT.
+	extra []uint64
+}
+
+// charge returns what a statement that returned keys is charged for:
+// keys and every other candidate it read when the candidate set was
+// narrow; nil, meaning keys alone, otherwise.
+func (ex *examined) charge(keys []uint64) []uint64 {
+	if ex == nil || !ex.narrow || len(ex.extra) == 0 {
+		return nil
+	}
+	return append(slices.Clip(keys), ex.extra...)
+}
+
+// keyFilters reports whether conj holds a conjunct on the primary key
+// that the plan's key bounds do not already decide: the partition
+// conjunct, a != or a comparison with a literal that is not an integer.
+// Only then does an index walk run keyAdmits on its entries.
+func keyFilters(conj []boundConj, keyCol int) bool {
+	for i := range conj {
+		c := &conj[i]
+		if c.col == keyCol && (c.part != nil || c.op == sqlmini.OpNe || c.val.Kind != sqlmini.IntLit) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyAdmits decides the conjuncts on the primary key — bounds, other
+// comparisons, the partition conjunct — for one index entry, so an entry
+// they reject is skipped before its row's page is read.
+func keyAdmits(key int64, conj []boundConj, keyCol int) (bool, error) {
+	v := catalog.IntValue(key)
+	for i := range conj {
+		c := &conj[i]
+		if c.col != keyCol {
+			continue
+		}
+		if c.part != nil {
+			if !c.part.contains(key) {
+				return false, nil
+			}
+			continue
+		}
+		cmp, err := compareValueLiteral(&v, &c.val)
+		if err != nil {
+			return false, err
+		}
+		if holds, known := opHolds(c.op, cmp); !holds {
+			if !known {
+				return false, errOperator(c.op)
+			}
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // planAndScanBound picks an access path for the resolved conjuncts and
 // streams matching rows to fn. need marks the columns the statement
 // reads (nil: all of them); decode, the columns the scan decodes into
 // values (see catalog.DecodeRowInto), is need or a subset of it that
 // covers every conjunct column — a caller that reads a TEXT cell from the
-// record instead leaves it out.
+// record instead leaves it out. spec asks for key order and the narrow
+// charge's record.
 //
 // Every path reads through a page snapshot consistent with the index
 // state it was planned against: the plan (and any RIDs it captured) is
@@ -234,48 +325,71 @@ type scanFn func(rid storage.RID, row catalog.Row, rec []byte) (bool, error)
 // registering (no shared mutable state on the hot path) and retry once
 // with a registered snapshot if version pruning got there first.
 //
+// The index paths decide the conjuncts on the key (keyAdmits) on each
+// index entry, before its row is read, and every other conjunct on the
+// row. A key-ordered walk (spec.dir) follows the primary index within
+// the key bounds, the whole index for a full-scan plan, and stops when
+// fn does: an ORDER BY key LIMIT n reads the rows up to its nth match
+// and nothing past them.
+//
 // A key-only statement (keyOnly(need)) on the primary-key point and
-// range paths never reads the heap: each row comes from the index entry
-// (key, rid). That is the snapshot's answer because the index is the
-// snapshot. The range path holds idxMu shared for its whole traversal,
-// the point path reads pk.Get under it, and every commit publishes its
-// page versions and applies its index changes together under idxMu
-// exclusive. So while the lock is held no statement can be half
-// applied: every entry seen is a row visible at the current epoch, with
-// that key, at that rid, and every row visible there has its entry.
-// Nothing can be pruned from under an index entry, so a key-only point
-// read needs no optimistic retry. The row handed to fn holds
+// range paths, and on a key-ordered walk, never reads the heap: each row
+// comes from the index entry (key, rid). That is the snapshot's answer
+// because the index is the snapshot. The walk holds idxMu shared for its
+// whole traversal, the point path reads pk.Get under it, and every
+// commit publishes its page versions and applies its index changes
+// together under idxMu exclusive. So while the lock is held no statement
+// can be half applied: every entry seen is a row visible at the current
+// epoch, with that key, at that rid, and every row visible there has its
+// entry. Nothing can be pruned from under an index entry, so a key-only
+// point read needs no optimistic retry. The row handed to fn holds
 // IntValue(key) in the key column and the zero Value of its type in
 // every other; the mask says nobody reads them. UPDATE and DELETE pass
 // need = nil, which is key-only only on a table whose one column is the
 // key, and there the (rid, key) they collect is exactly the index entry:
-// lockRow revalidates each against its latched page either way. Full
-// scans stay on the heap (their row order is page order, which decides
-// a LIMIT without ORDER BY), and so does the secondary-equality path,
-// whose RIDs carry no key.
+// lockRow revalidates each against its latched page either way. An
+// unordered full scan stays on the heap (its row order is page order,
+// which decides a LIMIT without ORDER BY), and so does the
+// secondary-equality path, whose RIDs carry no key.
 //
 // Rows and records passed to fn are only valid for the duration of the
 // call: the scan paths decode into reused scratch buffers, and a record
 // aliases its page. Callers that retain either must copy it.
-func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []bool, fn scanFn) error {
+func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []bool, spec scanSpec, fn scanFn) error {
 	t.idxMu.RLock()
 	p := choosePlanBound(t, conj)
+	ex := spec.ex
+	if ex != nil {
+		// At most one candidate; a range or a full scan counts its own.
+		ex.narrow = p.kind == planPKPoint
+	}
 
 	if p.kind == planImpossible {
 		t.idxMu.RUnlock()
 		return nil
 	}
-	if p.kind == planFullScan {
+	if p.kind == planFullScan && spec.dir == 0 && ex == nil {
 		t.idxMu.RUnlock()
+		if spec.fullScan != nil {
+			return spec.fullScan()
+		}
 		return db.fullScan(t, conj, decode, fn)
 	}
 
+	key := t.schema.Key
+	filter := keyFilters(conj, key)
 	sc := rowScratchPool.Get().(*rowScratch)
 	defer rowScratchPool.Put(sc)
 	emit := func(rid storage.RID, row catalog.Row, rec []byte) (cont bool, err error) {
 		ok, err := matchesBound(row, conj)
-		if err != nil || !ok {
-			return true, err
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			if ex != nil && ex.narrow {
+				ex.extra = append(ex.extra, uint64(row[key].Int))
+			}
+			return true, nil
 		}
 		return fn(rid, row, rec)
 	}
@@ -342,7 +456,7 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 	}
 	// The key-only row: built once, its key column set per index entry.
 	var keyRow catalog.Row
-	if (p.kind == planPKPoint || p.kind == planPKRange) && keyOnly(t.schema, need) {
+	if (p.kind != planSecondaryEq && (p.kind != planFullScan || spec.dir != 0)) && keyOnly(t.schema, need) {
 		keyRow = sc.row[:0]
 		for _, c := range t.schema.Columns {
 			keyRow = append(keyRow, catalog.Value{Type: c.Type})
@@ -357,6 +471,13 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 	switch p.kind {
 	case planPKPoint:
 		rid, found := t.pk.Get(p.eq)
+		if found && filter {
+			var err error
+			if found, err = keyAdmits(p.eq, conj, key); err != nil {
+				t.idxMu.RUnlock()
+				return err
+			}
+		}
 		if keyRow != nil {
 			t.idxMu.RUnlock()
 			if !found {
@@ -398,58 +519,122 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 		t.idxMu.RUnlock()
 		defer t.pool.EndSnapshot(snap)
 		return emitRIDs(p.secRIDs, snap)
-	default: // planPKRange
-		// The B+tree traversal itself needs the index lock, and a commit
-		// waits for every reader holding it. A range narrow enough that
-		// its entries fit heldRangeKeys is walked under the lock into a
-		// list of RIDs and read after the lock drops, against a snapshot
-		// registered under it, as the secondary path reads its RIDs: the
-		// commit then waits for the walk, not for the rows' reads and
-		// what fn does with them. A wider range holds the lock to the
-		// end, so a LIMIT still stops it early. A key-only traversal
-		// reads no page and registers no snapshot.
-		var lop, hip *int64
-		if p.hasLo {
-			lop = &p.lo
+	}
+
+	// planPKRange, or a full-scan plan walked in key order or counted
+	// for the narrow charge. The walk follows the primary index within
+	// the plan's bounds, in spec.dir's direction, and hands on only the
+	// entries keyAdmits lets through.
+	var lop, hip *int64
+	if p.hasLo {
+		lop = &p.lo
+	}
+	if p.hasHi {
+		hip = &p.hi
+	}
+	var walkErr error
+	walk := func(visit func(key int64, rid storage.RID) bool) {
+		step := visit
+		if filter {
+			step = func(k int64, rid storage.RID) bool {
+				ok, err := keyAdmits(k, conj, key)
+				if err != nil {
+					walkErr = err
+					return false
+				}
+				return !ok || visit(k, rid)
+			}
 		}
-		if p.hasHi {
-			hip = &p.hi
+		if spec.dir < 0 {
+			t.pk.DescendRange(lop, hip, step)
+		} else {
+			t.pk.AscendRange(lop, hip, step)
 		}
-		if keyRow == nil && p.hasLo && p.hasHi && p.hi >= p.lo && uint64(p.hi)-uint64(p.lo) < heldRangeKeys {
-			snap := t.pool.BeginSnapshot()
-			rids := sc.rids[:0]
-			t.pk.AscendRange(lop, hip, func(_ int64, rid storage.RID) bool {
-				rids = append(rids, rid)
-				return true
-			})
+	}
+	// The B+tree traversal itself needs the index lock, and a commit
+	// waits for every reader holding it. A range narrow enough that its
+	// entries fit heldRangeKeys is walked under the lock into a list of
+	// RIDs and read after the lock drops, against a snapshot registered
+	// under it, as the secondary path reads its RIDs: the commit then
+	// waits for the walk, not for the rows' reads and what fn does with
+	// them. So is a candidate set the narrow charge counts, up to one
+	// past its bound: a narrow one is read from its list, a wide one as
+	// if nobody had counted. A wider range, and a key-ordered walk past
+	// heldRangeKeys, holds the lock to the end, so a LIMIT still stops it
+	// early. A key-only traversal reads no page and registers no
+	// snapshot.
+	bounded := p.kind == planPKRange && p.hasLo && p.hasHi && p.hi >= p.lo && uint64(p.hi)-uint64(p.lo) < heldRangeKeys
+	if keyRow == nil && (bounded || ex != nil) {
+		most := heldRangeKeys + 1 // more than a bounded range holds
+		switch {
+		case !bounded:
+			most = ex.bound + 1
+		case spec.take > 0:
+			most = spec.take
+		}
+		snap := t.pool.BeginSnapshot()
+		rids := sc.rids[:0]
+		walk(func(_ int64, rid storage.RID) bool {
+			rids = append(rids, rid)
+			return len(rids) < most
+		})
+		sc.rids = rids
+		if ex != nil {
+			// take is never set with ex (runSelect), so a walk that stopped
+			// short of most saw every candidate.
+			ex.narrow = walkErr == nil && len(rids) < most && len(rids) <= ex.bound
+		}
+		if walkErr != nil || bounded || ex.narrow {
 			t.idxMu.RUnlock()
 			defer t.pool.EndSnapshot(snap)
-			sc.rids = rids
+			if walkErr != nil {
+				return walkErr
+			}
+			if p.kind == planFullScan && spec.dir == 0 {
+				// In page order, as the heap scan would have read them.
+				slices.SortFunc(rids, func(a, b storage.RID) int {
+					if c := cmp.Compare(a.Page, b.Page); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.Slot, b.Slot)
+				})
+			}
 			return emitRIDs(rids, snap)
 		}
-		defer t.idxMu.RUnlock()
-		var snap uint64
-		if keyRow == nil {
-			snap = t.pool.BeginSnapshot()
-			defer t.pool.EndSnapshot(snap)
+		t.pool.EndSnapshot(snap)
+		if p.kind == planFullScan && spec.dir == 0 {
+			t.idxMu.RUnlock()
+			if spec.fullScan != nil {
+				return spec.fullScan()
+			}
+			return db.fullScan(t, conj, decode, fn)
 		}
-		var scanErr error
-		t.pk.AscendRange(lop, hip, func(key int64, rid storage.RID) bool {
-			var cont bool
-			var err error
-			if keyRow != nil {
-				cont, err = emitKey(key, rid)
-			} else {
-				_, cont, err = emitAt(rid, snap)
-			}
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			return cont
-		})
-		return scanErr
 	}
+	defer t.idxMu.RUnlock()
+	var snap uint64
+	if keyRow == nil {
+		snap = t.pool.BeginSnapshot()
+		defer t.pool.EndSnapshot(snap)
+	}
+	var scanErr error
+	walk(func(key int64, rid storage.RID) bool {
+		var cont bool
+		var err error
+		if keyRow != nil {
+			cont, err = emitKey(key, rid)
+		} else {
+			_, cont, err = emitAt(rid, snap)
+		}
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		return cont
+	})
+	if walkErr != nil {
+		return walkErr
+	}
+	return scanErr
 }
 
 // matchesBound evaluates resolved conjuncts against a row. Every scan
@@ -470,29 +655,39 @@ func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		var ok bool
-		switch c.op {
-		case sqlmini.OpEq:
-			ok = cmp == 0
-		case sqlmini.OpNe:
-			ok = cmp != 0
-		case sqlmini.OpLt:
-			ok = cmp < 0
-		case sqlmini.OpLe:
-			ok = cmp <= 0
-		case sqlmini.OpGt:
-			ok = cmp > 0
-		case sqlmini.OpGe:
-			ok = cmp >= 0
-		default:
-			return false, fmt.Errorf("engine: invalid operator %v", c.op)
-		}
-		if !ok {
+		if holds, known := opHolds(c.op, cmp); !holds {
+			if !known {
+				return false, errOperator(c.op)
+			}
 			return false, nil
 		}
 	}
 	return true, nil
 }
+
+// opHolds reports whether a comparison whose sides compared as cmp
+// satisfies op; known is false for an operator it does not know.
+func opHolds(op sqlmini.CmpOp, cmp int) (holds, known bool) {
+	switch op {
+	case sqlmini.OpEq:
+		return cmp == 0, true
+	case sqlmini.OpNe:
+		return cmp != 0, true
+	case sqlmini.OpLt:
+		return cmp < 0, true
+	case sqlmini.OpLe:
+		return cmp <= 0, true
+	case sqlmini.OpGt:
+		return cmp > 0, true
+	case sqlmini.OpGe:
+		return cmp >= 0, true
+	}
+	return false, false
+}
+
+// errOperator is the error for a conjunct whose operator opHolds does
+// not know.
+func errOperator(op sqlmini.CmpOp) error { return fmt.Errorf("engine: invalid operator %v", op) }
 
 // compareValueLiteral compares a column value with a literal, coercing
 // numerics to float when the types differ.

@@ -229,6 +229,20 @@ func (p *Prepared) Exec() (*Result, error) { return p.ExecInto(nil, nil, nil) }
 // the cached-plan path and the parse path alike; see ExecStmt.
 func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) { return p.ExecInto(parts, nil, nil) }
 
+// ExamineUpTo turns on the narrow charge for the statement's
+// executions: a SELECT whose candidate set — the primary-index entries
+// its key conjuncts and partition set admit — holds at most t entries
+// is charged every candidate it read, returned or not (Examined).
+func (p *Prepared) ExamineUpTo(t int) { p.w.narrow = t }
+
+// Examined is what the last execution is charged for when that is not
+// its Result.Keys: a narrow SELECT's Keys, then the keys of the
+// candidates it read and did not return — rows a conjunct on another
+// column rejected, rows sorted past its LIMIT. It is nil when the
+// statement read nothing it did not return, or its candidate set was
+// wide, and valid until the next execution or Release.
+func (p *Prepared) Examined() []uint64 { return p.w.examined }
+
 // ExecInto is ExecIn with a SELECT's reply written through enc, row by
 // row as the scan reads it, onto body: a TEXT cell goes from its page to
 // the body without being copied out as a string, and no row is held as
@@ -239,7 +253,7 @@ func (p *Prepared) ExecIn(parts *PartitionSet) (*Result, error) { return p.ExecI
 // and ExecIn are: every SELECT runs one path, which hands each row to
 // p's rowWriter.
 func (p *Prepared) ExecInto(parts *PartitionSet, enc RowEncoder, body []byte) (*Result, error) {
-	p.w.enc, p.w.body, p.w.rows = enc, body, 0
+	p.w.enc, p.w.body, p.w.rows, p.w.examined = enc, body, 0, nil
 	res, err := p.exec(parts)
 	if err == nil {
 		res.Body, res.BodyRows = p.w.body, p.w.rows
@@ -329,6 +343,7 @@ func (p *Prepared) Release() {
 		return
 	}
 	p.db = nil
+	p.w.narrow, p.w.examined = 0, nil
 	p.kind = KindOther
 	p.sql = ""
 	p.stmt, p.plan, p.key, p.params = nil, nil, nil, nil

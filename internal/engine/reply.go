@@ -31,6 +31,11 @@ type rowWriter struct {
 	body []byte
 	rows int
 	vals *valuesBuf // the values sink's block, for the statement running
+	// narrow is the narrow charge's bound (Prepared.ExamineUpTo); 0: the
+	// statement is charged what it returns. examined is the statement's
+	// charge when it is not its Keys (Prepared.Examined).
+	narrow   int
+	examined []uint64
 
 	cells    [][]byte
 	verbatim []bool
@@ -76,6 +81,16 @@ func (w *rowWriter) start(cols []string) *Result {
 	}
 	rb.res.Columns, rb.res.Keys = cols, rb.keys[:0]
 	return &rb.res
+}
+
+// examine returns the record of what a SELECT reads without returning,
+// when the narrow charge is on and the statement can read such a row
+// (want); nil otherwise, which records nothing.
+func (w *rowWriter) examine(want bool) *examined {
+	if !want || w.narrow <= 0 {
+		return nil
+	}
+	return &examined{bound: w.narrow}
 }
 
 // decode returns the decode mask of a SELECT whose rows come here: the

@@ -253,3 +253,46 @@ func (t *BTree[K, V]) AscendRange(lo, hi *K, fn func(key K, val V) bool) {
 		}
 	}
 }
+
+// DescendRange is AscendRange in descending key order. The leaf chain
+// runs one way only, so the walk descends from the root, visiting the
+// children that can hold keys in [lo, hi] from the right.
+func (t *BTree[K, V]) DescendRange(lo, hi *K, fn func(key K, val V) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.root.descend(lo, hi, fn)
+}
+
+// descend walks n's subtree for DescendRange and reports whether the
+// walk goes on: false once fn stops it or a key below lo is reached.
+func (n *bnode[K, V]) descend(lo, hi *K, fn func(key K, val V) bool) bool {
+	if n.leaf {
+		i := len(n.keys)
+		if hi != nil {
+			i = n.child(*hi) // the first index holding a key above hi
+		}
+		for i--; i >= 0; i-- {
+			if lo != nil && n.keys[i] < *lo {
+				return false
+			}
+			if !fn(n.keys[i], n.vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	c := len(n.children) - 1
+	if hi != nil {
+		c = n.child(*hi)
+	}
+	for ; c >= 0; c-- {
+		if !n.children[c].descend(lo, hi, fn) {
+			return false
+		}
+		// Child c-1 and those left of it hold keys below keys[c-1].
+		if c > 0 && lo != nil && n.keys[c-1] <= *lo {
+			return false
+		}
+	}
+	return true
+}

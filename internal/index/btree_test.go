@@ -469,6 +469,30 @@ func TestBTreeModelInsertOrders(t *testing.T) {
 							t.Fatalf("%s: range key %d = %d, want %d", phase, j, got[j], want[j])
 						}
 					}
+					// The same range descending, stopped after stop keys.
+					stop := len(want)
+					if i%3 == 0 {
+						stop = rng.Intn(len(want) + 1)
+					}
+					down := []int64{}
+					tr.DescendRange(lo, hi, func(k, v int64) bool {
+						if v != model[k] {
+							t.Fatalf("%s: descending value for %d = %d, want %d", phase, k, v, model[k])
+						}
+						down = append(down, k)
+						return len(down) < stop
+					})
+					if stop == 0 {
+						stop = min(1, len(want)) // fn sees one key before it can stop
+					}
+					if len(down) != stop {
+						t.Fatalf("%s: descending %v..%v returned %d keys, want %d", phase, lo, hi, len(down), stop)
+					}
+					for j, k := range down {
+						if w := want[len(want)-1-j]; k != w {
+							t.Fatalf("%s: descending key %d = %d, want %d", phase, j, k, w)
+						}
+					}
 				}
 			}
 			ks := order.keys(rng)

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -30,6 +31,54 @@ func PKEqual(w *Where, key string) (int64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// PKBounds reports the primary-key range a WHERE clause bounds: the
+// tightest inclusive lower and upper bounds its comparisons on key
+// (case-insensitive) with integer literals set. hasLo or hasHi is false
+// when that side is open. A strict bound that has no inclusive form in
+// an int64 (key > MaxInt64, key < MinInt64) is left out, which only
+// widens the range.
+func PKBounds(w *Where, key string) (lo, hi int64, hasLo, hasHi bool) {
+	if w == nil {
+		return 0, 0, false, false
+	}
+	for _, c := range w.Conjuncts {
+		if c.Value.Kind != IntLit || !strings.EqualFold(c.Column, key) {
+			continue
+		}
+		v := c.Value.Int
+		switch c.Op {
+		case OpGt:
+			if v == math.MaxInt64 {
+				continue
+			}
+			v++
+			fallthrough
+		case OpGe:
+			if !hasLo || v > lo {
+				lo, hasLo = v, true
+			}
+		case OpLt:
+			if v == math.MinInt64 {
+				continue
+			}
+			v--
+			fallthrough
+		case OpLe:
+			if !hasHi || v < hi {
+				hi, hasHi = v, true
+			}
+		case OpEq:
+			if !hasLo || v > lo {
+				lo, hasLo = v, true
+			}
+			if !hasHi || v < hi {
+				hi, hasHi = v, true
+			}
+		}
+	}
+	return lo, hi, hasLo, hasHi
 }
 
 // AggregateName returns the result-column name the engine gives an

@@ -30,6 +30,32 @@ func TestPKEqual(t *testing.T) {
 	}
 }
 
+func TestPKBounds(t *testing.T) {
+	cases := []struct {
+		sql          string
+		lo, hi       int64
+		hasLo, hasHi bool
+	}{
+		{`SELECT v FROM items WHERE id BETWEEN 3 AND 9`, 3, 9, true, true},
+		{`SELECT v FROM items WHERE id > 3 AND ID < 9`, 4, 8, true, true},
+		{`SELECT v FROM items WHERE id >= 3 AND id >= 5 AND id <= 20 AND id <= 9`, 5, 9, true, true},
+		{`SELECT v FROM items WHERE id = 7 AND v = 'x'`, 7, 7, true, true},
+		{`SELECT v FROM items WHERE id >= -4`, -4, 0, true, false},
+		{`SELECT v FROM items WHERE id < 10`, 0, 9, false, true},
+		{`SELECT v FROM items WHERE id > 9223372036854775807 AND id <= 5`, 0, 5, false, true},
+		{`SELECT v FROM items WHERE id >= 2.5 AND v <= 3`, 0, 0, false, false},
+		{`SELECT v FROM items WHERE id != 4`, 0, 0, false, false},
+		{`SELECT v FROM items`, 0, 0, false, false},
+	}
+	for _, c := range cases {
+		sel := mustParse(t, c.sql).(*Select)
+		lo, hi, hasLo, hasHi := PKBounds(sel.Where, "id")
+		if hasLo != c.hasLo || hasHi != c.hasHi || (hasLo && lo != c.lo) || (hasHi && hi != c.hi) {
+			t.Errorf("PKBounds(%q) = (%d, %d, %v, %v), want (%d, %d, %v, %v)", c.sql, lo, hi, hasLo, hasHi, c.lo, c.hi, c.hasLo, c.hasHi)
+		}
+	}
+}
+
 func TestPartialAggregates(t *testing.T) {
 	sel := mustParse(t, `SELECT COUNT(*), SUM(x), AVG(x), MIN(x), MAX(x) FROM t`).(*Select)
 	partials, src := PartialAggregates(sel.Aggregates)

@@ -181,7 +181,11 @@ run_suite() {
 # (BenchmarkEngineRange; derived in one sitting, medians of five rounds:
 # count 37.1 us, rows 281.8 us, 0.13; a COUNT back on the heap reads every page the rows do
 # and would sit near the parent commit's
-# 0.46 (124.2 us over 268.3 us in the same sitting)); and 8 clients
+# 0.46 (124.2 us over 268.3 us in the same sitting)); an ORDER BY id
+# LIMIT 20 over a 19,000-key range must take at most twice the same over
+# 100 keys (BenchmarkEngineKeyTopN): the key-order walk reads the 20 rows
+# either way, where materializing and sorting the range read 270 times
+# span=100 on the parent commit; and 8 clients
 # committing through the WAL's group queue must each take no longer per
 # commit than one client alone, whose every commit is its own write and
 # fsync (BenchmarkWALCommit/g=8 over /g=1: 44,882 ns over 111,163 ns in
@@ -227,6 +231,7 @@ BenchmarkReplyRow/verbatim,BenchmarkReplyRow/escaped,0.25'
 engine_inv='BenchmarkEnginePointQuery/g=16,BenchmarkEnginePointQuery/g=1,1.2
 BenchmarkEnginePointQuery/g=4,BenchmarkEnginePointQuery/g=1,1.2
 BenchmarkEngineRange/count,BenchmarkEngineRange/rows,0.3
+BenchmarkEngineKeyTopN/span=19000,BenchmarkEngineKeyTopN/span=100,2.0
 BenchmarkWALCommit/g=8,BenchmarkWALCommit/g=1,1.0
 BenchmarkEngineMixed/w10/g=16,BenchmarkEngineMixed/w10/g=1,0.6
 BenchmarkEngineMixed/w50/g=16,BenchmarkEngineMixed/w50/g=1,0.6
@@ -281,7 +286,7 @@ cluster_shape='^BenchmarkMergeLegs/oracle'
 cluster_pat='ClusterPointQuery|ClusterScan|ClusterTopN|MergeLegs|ClusterWrite|ClusterReplicatedPoint'
 
 shield_pat='ShieldQuery|AdaptiveObserveBatch|ScanQuoteObserve|HandleQuery|ReplyRow|Recluster'
-engine_pat='PoolFetch|EnginePointQuery|EngineScan|EngineRange|EngineMixed|WALCommit'
+engine_pat='PoolFetch|EnginePointQuery|EngineScan|EngineRange|EngineKeyTopN|EngineMixed|WALCommit'
 
 case "$suite" in
 shield)
