@@ -216,8 +216,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSketchIO -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzSweepColumns -fuzztime=30s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz=FuzzPlanCache -fuzztime=30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz=FuzzKeyConjuncts -fuzztime=30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=30s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz=FuzzVerbatim -fuzztime=30s ./internal/catalog/
+	$(GO) test -run '^$$' -fuzz=FuzzPrincipalClock -fuzztime=30s ./internal/delay/
 
 clean:
 	$(GO) clean ./...

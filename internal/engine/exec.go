@@ -317,7 +317,7 @@ func (db *Database) runSelect(t *table, pl *selPlan, conj []boundConj, limit int
 	// and stops at its LIMIT: nothing is materialized, copied or sorted.
 	stream := pl.orderCol == key && limit >= 0 && keyOrdered(t, conj)
 	sorts := pl.orderCol >= 0 && !stream
-	spec := scanSpec{ex: w.examine(residual || (sorts && limit >= 0))}
+	spec := scanSpec{ex: w.examine(residual || (sorts && limit >= 0)), keys: &res.Keys, limit: limit}
 	if stream {
 		spec.dir = 1
 		if pl.orderDesc {
@@ -473,7 +473,8 @@ func (a *aggAccum) merge(o aggAccum) {
 func (db *Database) execAggregate(t *table, pl *selPlan, conj []boundConj, res *Result, w *rowWriter) (*Result, error) {
 	accs := append([]aggAccum(nil), pl.aggs...)
 	spec := scanSpec{
-		ex: w.examine(hasResidual(conj, t.schema.Key)),
+		ex:   w.examine(hasResidual(conj, t.schema.Key)),
+		keys: &res.Keys,
 		fullScan: func() error {
 			return db.aggregateFullScan(t, conj, pl.need, accs, res)
 		},

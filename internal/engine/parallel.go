@@ -65,15 +65,23 @@ type heapWalk struct {
 	// without, every row decodes into the same slots.
 	vals []catalog.Value
 	keep bool
+	// buf receives each page the pool does not hold: made when the walk
+	// first meets one, then reused from page to page. A walk that keeps
+	// its rows drops it after each page, so each such page gets a buffer
+	// of its own.
+	buf *storage.Page
 }
 
 // pages walks heap pages [lo, hi) in page and slot order, handing each
 // matching row to visit with its rid and record, until visit returns
 // false or an error, or stop (nil: never) is raised between pages. A
-// decode error names the record's rid. The record is a slice of the page
-// version the snapshot sees, not a copy: a published version is never
-// written in place and a pool miss loads into a fresh buffer
-// (Pool.fetchSlow), so it stays intact while snap is registered.
+// decode error names the record's rid. A page the pool does not hold is
+// read around it (HeapFile.ScanPageAt), so the walk never waits for or
+// fails on a frame, whatever the writers beside it hold. The record is
+// a slice of the page version the snapshot sees, not a copy: a published
+// version is never written in place, so it stays intact while snap is
+// registered; a page read around the pool stays intact until w.buf is
+// reused, and with keep it never is.
 func (w *heapWalk) pages(lo, hi storage.PageID, stop *atomic.Bool, visit scanFn) error {
 	var err error
 	step := func(rid storage.RID, rec []byte) bool {
@@ -105,7 +113,10 @@ func (w *heapWalk) pages(lo, hi storage.PageID, stop *atomic.Bool, visit scanFn)
 		if stop != nil && stop.Load() {
 			return nil
 		}
-		cont, serr := w.t.heap.ScanPageAt(id, w.snap, step)
+		cont, serr := w.t.heap.ScanPageAt(id, w.snap, &w.buf, step)
+		if w.keep {
+			w.buf = nil
+		}
 		if serr != nil {
 			return serr
 		}
@@ -329,7 +340,8 @@ func (db *Database) aggregateFullScan(t *table, conj []boundConj, need []bool, a
 			default:
 			}
 			// Rows are folded into the accumulators and dropped, so the
-			// whole chunk decodes through one scratch row. (observe copies
+			// whole chunk decodes through one scratch row and reads the
+			// pages the pool does not hold into one page. (observe copies
 			// the values it keeps; decoded strings own their memory.)
 			w := heapWalk{t: t, conj: conj, decode: need, snap: snap}
 			err := w.pages(lo, hi, stop, func(_ storage.RID, row catalog.Row, _ []byte) (bool, error) {

@@ -205,6 +205,7 @@ func BenchmarkEngineRange(b *testing.B) {
 	db := benchEngine(b, rows, WithPoolPages(16))
 	for _, c := range []struct{ name, sel string }{{"count", "COUNT(*)"}, {"rows", "*"}} {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				lo := (i * 7919) % (rows - span)
 				res, err := db.Exec(fmt.Sprintf(`SELECT %s FROM wide WHERE id BETWEEN %d AND %d`, c.sel, lo, lo+span-1))

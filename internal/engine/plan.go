@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -82,7 +83,7 @@ func (p queryPlan) Describe(t *table, need []bool) string {
 	}
 	switch p.kind {
 	case planImpossible:
-		return "no-op (contradictory equality predicates)"
+		return "no-op (contradictory key predicates)"
 	case planPKPoint:
 		return fmt.Sprintf("primary key point lookup on %q = %d%s", keyCol, p.eq, only)
 	case planPKRange:
@@ -102,11 +103,30 @@ func (p queryPlan) Describe(t *table, need []bool) string {
 	}
 }
 
+// foldsIntoBounds reports whether choosePlanBound folds c into a key
+// plan's bounds: an integer comparison on the key by =, <, <=, > or >=.
+// Every other conjunct on the key is keyFilters'.
+func foldsIntoBounds(c *boundConj, keyCol int) bool {
+	if c.col != keyCol || c.part != nil || c.val.Kind != sqlmini.IntLit {
+		return false
+	}
+	switch c.op {
+	case sqlmini.OpEq, sqlmini.OpLt, sqlmini.OpLe, sqlmini.OpGt, sqlmini.OpGe:
+		return true
+	}
+	return false
+}
+
 // choosePlanBound picks an access path for resolved conjuncts. Paths,
 // in preference order: primary key point lookup, secondary index
 // equality, primary key range scan, full scan. The choice is
 // value-dependent (contradiction detection, index probes), so cached
 // plans re-run it per execution with the freshly bound parameters.
+//
+// The folded bounds decide every conjunct foldsIntoBounds names, for
+// every key the point and range plans hand on: equalities that disagree,
+// a point outside the bounds, and a strict bound past the end of int64
+// plan as impossible, so no row is read to reject them.
 func choosePlanBound(t *table, conj []boundConj) queryPlan {
 	key := t.schema.Key
 
@@ -115,7 +135,7 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 	impossible := false
 	for i := range conj {
 		c := &conj[i]
-		if c.col != key || c.val.Kind != sqlmini.IntLit {
+		if !foldsIntoBounds(c, key) {
 			continue
 		}
 		v := c.val.Int
@@ -131,7 +151,9 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 				p.lo, p.hasLo = v, true
 			}
 		case sqlmini.OpGt:
-			if w := v + 1; !p.hasLo || w > p.lo {
+			if v == math.MaxInt64 {
+				impossible = true
+			} else if w := v + 1; !p.hasLo || w > p.lo {
 				p.lo, p.hasLo = w, true
 			}
 		case sqlmini.OpLe:
@@ -139,10 +161,15 @@ func choosePlanBound(t *table, conj []boundConj) queryPlan {
 				p.hi, p.hasHi = v, true
 			}
 		case sqlmini.OpLt:
-			if w := v - 1; !p.hasHi || w < p.hi {
+			if v == math.MinInt64 {
+				impossible = true
+			} else if w := v - 1; !p.hasHi || w < p.hi {
 				p.hi, p.hasHi = w, true
 			}
 		}
+	}
+	if hasEq && (p.hasLo && p.eq < p.lo || p.hasHi && p.eq > p.hi) {
+		impossible = true
 	}
 	switch {
 	case impossible:
@@ -238,6 +265,31 @@ type scanSpec struct {
 	// fullScan, when set, runs an unordered full scan in place of the
 	// row-by-row one (an aggregate folds chunk by chunk).
 	fullScan func() error
+	// keys, when non-nil, is the Keys the statement appends one key to
+	// per row it returns or folds. Once the plan is chosen it is sized in
+	// one allocation (sizeKeys), capped at limit when that is positive.
+	keys  *[]uint64
+	limit int
+}
+
+// sizeKeys grows keys, still empty, to hold the most rows a range plan
+// p can return: its bounded key span, capped at limit when that is
+// positive and at heldRangeKeys. A plan without both bounds leaves keys
+// as it is: a point fits the slots it has.
+func sizeKeys(p queryPlan, keys *[]uint64, limit int) {
+	if p.kind != planPKRange || !p.hasLo || !p.hasHi || p.hi < p.lo {
+		return
+	}
+	n := heldRangeKeys
+	if span := uint64(p.hi) - uint64(p.lo); span < heldRangeKeys {
+		n = int(span) + 1
+	}
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	if n > cap(*keys) {
+		*keys = make([]uint64, 0, n)
+	}
 }
 
 // examined is a SELECT's record of what it read without returning, for
@@ -265,13 +317,13 @@ func (ex *examined) charge(keys []uint64) []uint64 {
 }
 
 // keyFilters reports whether conj holds a conjunct on the primary key
-// that the plan's key bounds do not already decide: the partition
-// conjunct, a != or a comparison with a literal that is not an integer.
-// Only then does an index walk run keyAdmits on its entries.
+// that the plan's key bounds do not already decide (foldsIntoBounds):
+// the partition conjunct, a !=, a comparison with a literal that is not
+// an integer. Only then does an index walk run keyAdmits on its entries.
 func keyFilters(conj []boundConj, keyCol int) bool {
 	for i := range conj {
 		c := &conj[i]
-		if c.col == keyCol && (c.part != nil || c.op == sqlmini.OpNe || c.val.Kind != sqlmini.IntLit) {
+		if c.col == keyCol && !foldsIntoBounds(c, keyCol) {
 			return true
 		}
 	}
@@ -325,12 +377,15 @@ func keyAdmits(key int64, conj []boundConj, keyCol int) (bool, error) {
 // registering (no shared mutable state on the hot path) and retry once
 // with a registered snapshot if version pruning got there first.
 //
-// The index paths decide the conjuncts on the key (keyAdmits) on each
-// index entry, before its row is read, and every other conjunct on the
-// row. A key-ordered walk (spec.dir) follows the primary index within
-// the key bounds, the whole index for a full-scan plan, and stops when
-// fn does: an ORDER BY key LIMIT n reads the rows up to its nth match
-// and nothing past them.
+// The primary-key paths decide every conjunct on the key once, on the
+// index entry, before its row is read: the plan's bounds those it folds
+// (a point outside them plans as impossible), keyAdmits the rest
+// (keyFilters). A row is checked (matchesBound) only when a conjunct is
+// on another column (hasResidual), and then for all of them. A
+// key-ordered walk (spec.dir) follows the primary index within the key
+// bounds, the whole index for a full-scan plan, and stops when fn does:
+// an ORDER BY key LIMIT n reads the rows up to its nth match and nothing
+// past them.
 //
 // A key-only statement (keyOnly(need)) on the primary-key point and
 // range paths, and on a key-ordered walk, never reads the heap: each row
@@ -358,6 +413,9 @@ func keyAdmits(key int64, conj []boundConj, keyCol int) (bool, error) {
 func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []bool, spec scanSpec, fn scanFn) error {
 	t.idxMu.RLock()
 	p := choosePlanBound(t, conj)
+	if spec.keys != nil {
+		sizeKeys(p, spec.keys, spec.limit)
+	}
 	ex := spec.ex
 	if ex != nil {
 		// At most one candidate; a range or a full scan counts its own.
@@ -378,18 +436,25 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 
 	key := t.schema.Key
 	filter := keyFilters(conj, key)
+	// The key conjuncts are decided on the index entry, by the plan's
+	// bounds and keyAdmits, so only a conjunct on another column can
+	// reject a row that was read. A secondary-equality plan, whose RIDs
+	// no key conjunct has seen, always has one: its own equality.
+	residual := hasResidual(conj, key)
 	sc := rowScratchPool.Get().(*rowScratch)
 	defer rowScratchPool.Put(sc)
 	emit := func(rid storage.RID, row catalog.Row, rec []byte) (cont bool, err error) {
-		ok, err := matchesBound(row, conj)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			if ex != nil && ex.narrow {
-				ex.extra = append(ex.extra, uint64(row[key].Int))
+		if residual {
+			ok, err := matchesBound(row, conj)
+			if err != nil {
+				return false, err
 			}
-			return true, nil
+			if !ok {
+				if ex != nil && ex.narrow {
+					ex.extra = append(ex.extra, uint64(row[key].Int))
+				}
+				return true, nil
+			}
 		}
 		return fn(rid, row, rec)
 	}
@@ -637,11 +702,14 @@ func (db *Database) planAndScanBound(t *table, conj []boundConj, need, decode []
 	return scanErr
 }
 
-// matchesBound evaluates resolved conjuncts against a row. Every scan
-// path and lockRow decide a match here and nowhere else. The loop is by
-// index and the comparison takes the cell and the literal by address: a
-// boundConj is eight words, a cell and a literal five each, and copying
-// them per conjunct per row showed on scans.
+// matchesBound evaluates resolved conjuncts against a row. The heap
+// scan, the secondary-equality path, a primary-key path whose statement
+// has a conjunct on another column, and lockRow decide a row's match
+// here; a primary-key path decides the key's conjuncts on the index
+// entry instead (planAndScanBound). The loop is by index and the
+// comparison takes the cell and the literal by address: a boundConj is
+// eight words, a cell and a literal five each, and copying them per
+// conjunct per row showed on scans.
 func matchesBound(row catalog.Row, conj []boundConj) (bool, error) {
 	for i := range conj {
 		c := &conj[i]

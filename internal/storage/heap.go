@@ -133,11 +133,13 @@ func (h *HeapFile) DeleteW(ws *WriteSet, rid RID) error {
 // ScanPageAt calls fn for every live record on page id as of snapshot
 // epoch snap, in slot order, until fn returns false, and reports whether
 // the scan should continue to the next page. A page invisible at the
-// snapshot scans as empty. The record slice passed to fn aliases a
-// published page version: it stays valid while snap is registered
-// (Pool.BeginSnapshot).
-func (h *HeapFile) ScanPageAt(id PageID, snap uint64, fn func(rid RID, rec []byte) bool) (cont bool, err error) {
-	pg, vis, err := h.pool.FetchAt(id, snap)
+// snapshot scans as empty. The page is read as Pool.ReadAt reads it: a
+// page the pool does not hold is read around it, into *buf (made when
+// nil), so a scan never needs a frame. The record slice passed to fn
+// aliases either a published page version, valid while snap is
+// registered (Pool.BeginSnapshot), or *buf, valid until it is reused.
+func (h *HeapFile) ScanPageAt(id PageID, snap uint64, buf **Page, fn func(rid RID, rec []byte) bool) (cont bool, err error) {
+	pg, vis, err := h.pool.ReadAt(id, snap, buf)
 	if err != nil {
 		return false, err
 	}

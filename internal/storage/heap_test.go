@@ -79,8 +79,9 @@ func (h heapT) Get(rid RID) (out []byte, err error) {
 // reader does.
 func (h heapT) Scan(fn func(rid RID, rec []byte) bool) error {
 	snap := h.pool.Epoch()
+	var buf *Page
 	for id := PageID(0); id < h.NumPages(); id++ {
-		if cont, err := h.ScanPageAt(id, snap, fn); err != nil || !cont {
+		if cont, err := h.ScanPageAt(id, snap, &buf, fn); err != nil || !cont {
 			return err
 		}
 	}

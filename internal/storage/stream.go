@@ -26,12 +26,12 @@ type PageBatch struct {
 
 // batchEnt is one distinct page of a batch.
 type batchEnt struct {
-	id   PageID
-	page *Page
-	sh   *poolShard // counts the entry's row reads
-	vis  bool       // the page has a version visible at the snapshot
-	cold bool       // not resident: read around the pool
-	read bool       // a row has been read from it
+	id    PageID
+	page  *Page
+	sh    *poolShard // counts the entry's row reads
+	reads int64      // rows read from it since the batch was filled
+	vis   bool       // the page has a version visible at the snapshot
+	cold  bool       // not resident: read around the pool
 }
 
 // find returns the index of id's entry, or -1.
@@ -52,22 +52,40 @@ func (pb *PageBatch) find(id PageID) int {
 // ok=false when it has no version visible at that batch's snapshot. id
 // must be the page of one of the RIDs the batch covered. Each call is one
 // row read for the pool's counters, as a FetchAt is: the first row read
-// from a cold page is its miss, every other row read a hit.
+// from a cold page is its miss, every other row read a hit. The entry
+// counts them, and the pool's counters receive them when the batch is
+// refilled or cleared (count): a statement reads the counters after its
+// last Clear, and a row costs no write to a shared cache line.
 func (pb *PageBatch) At(id PageID) (*Page, bool) {
 	e := &pb.ents[pb.find(id)]
-	if e.cold && !e.read {
-		e.sh.misses.Add(1)
-	} else {
-		e.sh.hits.Add(1)
-	}
-	e.read = true
+	e.reads++
 	return e.page, e.vis
 }
 
-// Clear drops the batch's references to the pages it resolved, so a
-// PageBatch kept for reuse does not hold pages the pool has let go. Its
-// buffer is kept.
+// count adds the batch's row reads to the pool's counters, once per
+// page read from.
+func (pb *PageBatch) count() {
+	for i := range pb.ents {
+		e := &pb.ents[i]
+		if e.reads == 0 {
+			continue
+		}
+		hits := e.reads
+		if e.cold {
+			e.sh.misses.Add(1)
+			hits--
+		}
+		if hits > 0 {
+			e.sh.hits.Add(hits)
+		}
+	}
+}
+
+// Clear counts the batch's row reads and drops its references to the
+// pages it resolved, so a PageBatch kept for reuse does not hold pages
+// the pool has let go. Its buffer is kept.
 func (pb *PageBatch) Clear() {
+	pb.count()
 	clear(pb.ents)
 	pb.ents = pb.ents[:0]
 }
@@ -104,6 +122,7 @@ func (pb *PageBatch) Clear() {
 // Latch order is the pool's: one shard mutex at a time, none held
 // across the read.
 func (b *Pool) ReadBatch(pb *PageBatch, rids []RID, snap uint64) (int, error) {
+	pb.count()
 	pb.ents = pb.ents[:0]
 	pb.last = 0
 	n := 0
@@ -125,6 +144,53 @@ func (b *Pool) ReadBatch(pb *PageBatch, rids []RID, snap uint64) (int, error) {
 		return 0, err
 	}
 	return n, nil
+}
+
+// ReadAt resolves page id at the registered snapshot snap as ReadBatch
+// resolves each of its pages, for a reader that walks pages one at a
+// time (the engine's full-heap walk): a resident page to its frame's
+// version there, a page that is not resident read from the file into
+// *buf, visible iff its persisted version is. When *buf is nil a fresh
+// page is made and left there, so a caller that reuses its buffer makes
+// one only once it meets such a page. ReadAt installs no frame, so it
+// evicts nothing and cannot fail for want of one, however many frames
+// writers and snapshots hold. ReadBatch's caller contract holds: snap
+// was registered before the caller's table read lock was taken, and is
+// held. The read counts as one hit or, for a page the pool does not
+// hold, one miss, as a FetchAt does.
+func (b *Pool) ReadAt(id PageID, snap uint64, buf **Page) (*Page, bool, error) {
+	// A resident page is FetchAt's hit, inline: a warm scan pays it per
+	// page.
+	sh := b.shard(id)
+	if f := sh.lookup(id); f != nil && f.loaded.Load() {
+		sh.hits.Add(1)
+		f.touch()
+		pg, vis := f.versionAt(snap)
+		return pg, vis, nil
+	}
+	e, err := b.resolveAt(id, snap)
+	if err != nil {
+		return nil, false, err
+	}
+	if !e.cold {
+		sh.hits.Add(1)
+		return e.page, e.vis, nil
+	}
+	sh.misses.Add(1)
+	if !e.vis {
+		return nil, false, nil
+	}
+	if err := fault.Check(fault.PoolLoad); err != nil {
+		return nil, false, fmt.Errorf("storage: loading page %d: %w", id, wrapIO(err))
+	}
+	if *buf == nil {
+		*buf = new(Page)
+	}
+	if err := b.pager.Read(id, *buf); err != nil {
+		return nil, false, err
+	}
+	b.streamed.Add(1)
+	return *buf, true, nil
 }
 
 // resolveAt resolves one page of a batch at snap: a resident page to its

@@ -73,7 +73,8 @@ func resident(pool *Pool, ids []PageID) []bool {
 // cold and republished since the snapshot, ReadBatch returns what FetchAt
 // returns at the same snapshot; it leaves residency alone, evicts
 // nothing, reads each cold page once, counts one row read per At (a cold
-// page's first as the miss), and revisits a page across batches.
+// page's first as the miss) by the time the batch is cleared, and
+// revisits a page across batches.
 func TestReadBatchAnswersAsFetchAt(t *testing.T) {
 	const pages = 80
 	pool := tempPool(t, 8) // one shard
@@ -118,6 +119,9 @@ func TestReadBatchAnswersAsFetchAt(t *testing.T) {
 
 	var pb PageBatch
 	got := batchRecords(t, pool, &pb, rids, snap)
+	// The counters receive a batch's row reads when it is refilled or
+	// cleared: they are read after the Clear, as a statement's are.
+	pb.Clear()
 
 	after := resident(pool, all)
 	h1, m1, e1 := pool.Stats()
@@ -172,6 +176,76 @@ func TestReadBatchAnswersAsFetchAt(t *testing.T) {
 	pool.EndSnapshot(snap)
 	if n := pool.Pinned(); n != 0 {
 		t.Fatalf("Pinned = %d", n)
+	}
+}
+
+// TestReadAtAnswersAsFetchAt: page by page, ReadAt returns what FetchAt
+// returns at the same snapshot, for a resident page, a cold one, a cold
+// one republished since the snapshot and one born after it. It leaves
+// residency alone, evicts nothing, reads the cold pages into the one
+// buffer it makes, and counts one hit or miss per page.
+func TestReadAtAnswersAsFetchAt(t *testing.T) {
+	const pages = 40
+	pool := tempPool(t, 8) // one shard
+	var ids []PageID
+	for i := 0; i < pages; i++ {
+		ids = append(ids, newPage(t, pool, []byte(fmt.Sprintf("p%d-v0", i))))
+	}
+	for i := 0; i < pages; i += 3 {
+		rewritePage(t, pool, ids[i], fmt.Sprintf("p%d-v1", i))
+	}
+	snap := pool.BeginSnapshot()
+	defer pool.EndSnapshot(snap)
+	late := newPage(t, pool, []byte("late"))
+	rewritePage(t, pool, ids[pages-1], "v2")
+	all := append(append([]PageID(nil), ids...), late)
+	before := resident(pool, all)
+	h0, m0, e0 := pool.Stats()
+
+	var buf *Page
+	got := make([]string, len(all))
+	for i, id := range all {
+		pg, vis, err := pool.ReadAt(id, snap, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vis {
+			rec, _ := pg.Record(0)
+			got[i] = string(rec)
+		}
+	}
+	h1, m1, e1 := pool.Stats()
+	if after := resident(pool, all); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("ReadAt changed residency:\n before %v\n after  %v", before, after)
+	}
+	if e1 != e0 {
+		t.Fatalf("ReadAt evicted %d frames", e1-e0)
+	}
+	if (h1-h0)+(m1-m0) != int64(len(all)) {
+		t.Fatalf("hits %d + misses %d, want one per page (%d)", h1-h0, m1-m0, len(all))
+	}
+	cold := 0
+	for _, r := range before {
+		if !r {
+			cold++
+		}
+	}
+	if m1-m0 != int64(cold) || cold < pages/2 || buf == nil {
+		t.Fatalf("%d misses for %d cold pages (buffer made: %v)", m1-m0, cold, buf != nil)
+	}
+	for i, id := range all {
+		pg, vis, err := pool.FetchAt(id, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		if vis {
+			rec, _ := pg.Record(0)
+			want = string(rec)
+		}
+		if got[i] != want {
+			t.Fatalf("page %d: ReadAt %q, FetchAt %q", id, got[i], want)
+		}
 	}
 }
 
