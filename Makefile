@@ -175,7 +175,7 @@ examples:
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
 
-# Six fuzz targets, 65 s in all. FuzzParse (SQL parser), 15 s: no
+# Seven fuzz targets, 75 s in all. FuzzParse (SQL parser), 15 s: no
 # panic, every accepted SELECT/INSERT/UPDATE/DELETE survives Render, and
 # every string token matches the byte-at-a-time reference reader.
 # FuzzSweepColumns (detector), 10 s: after any run of slot changes and
@@ -190,6 +190,9 @@ examples:
 # FuzzPrincipalClock (delay gate), 10 s: one principal's concurrent and
 # cancelled charges on a blocking simulated clock never return before
 # their delay, and its wall time is at least its bill.
+# FuzzTreeOps (rank index), 10 s: any run of writes, deletes, rescales,
+# rebuilds and capped reads leaves every rank, KthID, Ascend and MaxWeight
+# equal to a sorted map's, and the head and its delta in order.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.
 # Minimizing an input is capped at 1 s (the default, 60 s per
 # new-coverage input, can spend the whole run minimizing); a failing
@@ -201,6 +204,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWALPatch -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz=FuzzVerbatim -fuzztime=10s -fuzzminimizetime=1s ./internal/catalog/
 	$(GO) test -run '^$$' -fuzz=FuzzPrincipalClock -fuzztime=10s -fuzzminimizetime=1s ./internal/delay/
+	$(GO) test -run '^$$' -fuzz=FuzzTreeOps -fuzztime=10s -fuzzminimizetime=1s ./internal/ostree/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/

@@ -235,7 +235,7 @@ func BenchmarkAblationCountCacheSynchronous(b *testing.B) {
 }
 
 // BenchmarkAblationRankTree measures O(log n) rank queries on the
-// order-statistic index (ostree: sorted array blocks)...
+// order-statistic index (ostree: a flat sorted array and a delta)...
 func BenchmarkAblationRankTree(b *testing.B) {
 	tr := ostree.New()
 	for i := uint64(0); i < 50000; i++ {

@@ -5,8 +5,18 @@ import (
 	"slices"
 )
 
-// slot is one tracked id in the id table: its authoritative weight and,
-// while a move to that weight waits in Tree.queue, where.
+// An id block holds at most maxBlock slots; a full one splits in two,
+// and one under minBlock folds into a neighbour when the two fit in
+// fillBlock, which keeps the block count proportional to Len.
+const (
+	maxBlock  = 128
+	fillBlock = maxBlock * 3 / 4
+	minBlock  = maxBlock / 4
+)
+
+// slot is one tracked id in the id table: its authoritative weight,
+// while a move to that weight waits in Tree.queue, where, and where its
+// entry was in the head when last read or moved.
 type slot struct {
 	id     uint64
 	weight float64
@@ -14,13 +24,14 @@ type slot struct {
 	// waits. 32 bits keep a slot at 24 bytes; a queue never outgrows
 	// them, because it holds at most one move per tracked id.
 	queued uint32
+	at     uint32 // a hint: the head moves entries without telling their slots
 }
 
 // idTable is the id side of the index: every tracked id's slot, in
 // sorted blocks of at most maxBlock slots whose concatenation ascends by
-// id, behind a contiguous array of each block's first id — the rank
-// blocks' shape, keyed by id alone. A weight change never moves a slot,
-// so the table only changes shape when an id is added or removed.
+// id, behind a contiguous array of each block's first id. A weight
+// change never moves a slot, so the table only changes shape when an id
+// is added or removed.
 //
 // Reads go through a finger, the position the last search ended at: ids
 // that arrive ascending (a range scan's batch) cost a step each after
@@ -155,8 +166,8 @@ func (t *idTable) drop(b int) {
 }
 
 // build replaces the table with ps, which ascend strictly by id. The
-// blocks are carved out of one slab and packed full: unlike a rank
-// block, an id block only grows when a new id lands inside it.
+// blocks are carved out of one slab and packed full: an id block only
+// grows when a new id lands inside it.
 func (t *idTable) build(ps []Pair) {
 	n := (len(ps) + maxBlock - 1) / maxBlock
 	slab := make([]slot, n*maxBlock)

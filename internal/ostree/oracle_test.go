@@ -59,7 +59,7 @@ func (o oracle) rank(id uint64) int {
 const absentID = 1<<40 + 7
 
 // checkAgainst compares every public read with the oracle and then the
-// block structure with its own invariants.
+// rank side and the id table with their own invariants.
 func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 	t.Helper()
 	want := o.sorted()
@@ -70,15 +70,30 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 	if ok != (len(want) > 0) || ok && w != want[0].weight {
 		t.Fatalf("step %d: MaxWeight = %v, %v; oracle %v", step, w, ok, want)
 	}
+	// MaxWeight drained the queue and left the delta unfolded: the
+	// positions are head − out + in, which must be the first npos of the
+	// oracle's order, and the delta within its bound.
+	npos := tr.npos()
+	if len(tr.queue) != 0 || len(tr.in)+len(tr.out) > tr.foldAt(2*len(want)) { // a batch moves each id once
+		t.Fatalf("step %d: queue %d, delta %d+%d over a head of %d", step, len(tr.queue), len(tr.in), len(tr.out), len(tr.head))
+	}
+	checkPositions(t, tr, want, step)
 	// Past the horizon Rank counts over the id table and KthID sorts the
 	// ids there: every rank is read in front of it, a stride behind it.
-	stride := max(1, (len(want)-tr.npos)/8)
+	// The Ranks come first, read through the delta; KthID folds it.
+	stride := max(1, (len(want)-npos)/8)
+	read := func(i int) bool { return i <= npos || (i-npos)%stride == 0 || i == len(want)-1 }
 	for i, e := range want {
-		if i > tr.npos && (i-tr.npos)%stride != 0 && i != len(want)-1 {
+		if !read(i) {
 			continue
 		}
 		if r, ok := tr.Rank(e.id); !ok || r != i+1 {
 			t.Fatalf("step %d: Rank(%d) = %d, %v; oracle %d", step, e.id, r, ok, i+1)
+		}
+	}
+	for i, e := range want {
+		if !read(i) {
+			continue
 		}
 		if id, ok := tr.KthID(i + 1); !ok || id != e.id {
 			t.Fatalf("step %d: KthID(%d) = %d, %v; oracle %d", step, i+1, id, ok, e.id)
@@ -102,41 +117,12 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 		t.Fatalf("step %d: Ascend visited %d of %d", step, n, len(want))
 	}
 
-	// Structure (the reads above flushed): blocks non-empty, bounded,
-	// their concatenation a prefix of the oracle's order — all of it
-	// without a horizon, the ids before the horizon with one — last keys
-	// and Fenwick sums in step.
-	if len(tr.queue) != 0 || len(tr.last) != len(tr.blocks) || len(tr.fen) != len(tr.blocks)+1 && len(tr.blocks) > 0 {
-		t.Fatalf("step %d: queue %d, last %d, fen %d, blocks %d", step, len(tr.queue), len(tr.last), len(tr.fen), len(tr.blocks))
+	// The reads above folded the delta: the head alone is the positions,
+	// as many as before.
+	if len(tr.in) != 0 || len(tr.out) != 0 || len(tr.head) != npos {
+		t.Fatalf("step %d: after the reads delta %d+%d, head %d; %d positions before", step, len(tr.in), len(tr.out), len(tr.head), npos)
 	}
-	if !tr.cut && tr.npos != len(want) {
-		t.Fatalf("step %d: %d of %d ids hold positions without a horizon", step, tr.npos, len(want))
-	}
-	sortsBefore := func(p pair) bool { return entry{keyOf(p.weight), p.id}.before(tr.hz.key, tr.hz.id) != 0 }
-	if tr.cut && (tr.npos > 0 && !sortsBefore(want[tr.npos-1]) || tr.npos < len(want) && sortsBefore(want[tr.npos])) {
-		t.Fatalf("step %d: the horizon %v does not follow the first %d of %v", step, tr.hz, tr.npos, want)
-	}
-	seen := 0
-	for b, blk := range tr.blocks {
-		if len(blk) == 0 || len(blk) > maxBlock || cap(blk) < maxBlock {
-			t.Fatalf("step %d: block %d has len %d cap %d", step, b, len(blk), cap(blk))
-		}
-		if tr.last[b] != blk[len(blk)-1] {
-			t.Fatalf("step %d: last[%d] = %v, block ends %v", step, b, tr.last[b], blk[len(blk)-1])
-		}
-		if tr.ahead(b) != seen {
-			t.Fatalf("step %d: ahead(%d) = %d, want %d", step, b, tr.ahead(b), seen)
-		}
-		for i, e := range blk {
-			if (pair{weightOf(e.key), e.id}) != want[seen+i] {
-				t.Fatalf("step %d: block %d entry %d = %v, oracle %v", step, b, i, e, want[seen+i])
-			}
-		}
-		seen += len(blk)
-	}
-	if seen != tr.npos || len(tr.blocks) > 2*len(want)/minBlock+1 {
-		t.Fatalf("step %d: %d blocks of %d entries (npos %d) for %d ids", step, len(tr.blocks), seen, tr.npos, len(want))
-	}
+	checkPositions(t, tr, want, step)
 
 	// The id table: the same ids ascending, each with the oracle's weight
 	// and no queued move, in non-empty bounded blocks behind their first ids.
@@ -145,13 +131,13 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 		t.Fatalf("step %d: id table n %d, first %d, blocks %d for %d ids", step, ids.n, len(ids.first), len(ids.blocks), len(want))
 	}
 	byID := o.pairs()
-	seen = 0
+	seen := 0
 	for b, blk := range ids.blocks {
 		if len(blk) == 0 || len(blk) > maxBlock || cap(blk) < maxBlock || ids.first[b] != blk[0].id {
 			t.Fatalf("step %d: id block %d has len %d cap %d first %d", step, b, len(blk), cap(blk), ids.first[b])
 		}
 		for i, s := range blk {
-			if seen+i >= len(byID) || s != (slot{id: byID[seen+i].ID, weight: byID[seen+i].Weight}) {
+			if seen+i >= len(byID) || s.id != byID[seen+i].ID || s.weight != byID[seen+i].Weight || s.queued != 0 {
 				t.Fatalf("step %d: id block %d slot %d = %+v, oracle %+v", step, b, i, s, byID)
 			}
 		}
@@ -163,6 +149,58 @@ func checkAgainst(t *testing.T, tr *Tree, o oracle, step int) {
 		if w, ok := tr.Weight(p.ID); !ok || w != p.Weight {
 			t.Fatalf("step %d: Weight(%d) = %v, %v; oracle %v", step, p.ID, w, ok, p.Weight)
 		}
+	}
+}
+
+// checkPositions holds the rank side, with the queue drained, to the
+// oracle: head, in and out sorted without repeats, out within head, and
+// head − out + in a prefix of the oracle's order — all of it without a
+// horizon, the ids before the horizon with one. It counts entries as a
+// multiset, on the float weights, and never calls the index's merge.
+func checkPositions(t *testing.T, tr *Tree, want []pair, step int) {
+	t.Helper()
+	count := map[entry]int{}
+	for _, part := range []struct {
+		es   []entry
+		sign int
+	}{{tr.head, 1}, {tr.in, 1}, {tr.out, -1}} {
+		for i, e := range part.es {
+			if i > 0 && (e.before(part.es[i-1]) != 0 || e == part.es[i-1]) {
+				t.Fatalf("step %d: %v out of order at %d: %v", step, part.es, i, e)
+			}
+			count[e] += part.sign
+		}
+	}
+	var live []pair
+	for e, c := range count {
+		switch c {
+		case 0:
+		case 1:
+			live = append(live, pair{weightOf(e.key), e.id})
+		default:
+			t.Fatalf("step %d: entry %v counted %d times (out not within head)", step, e, c)
+		}
+	}
+	slices.SortFunc(live, func(a, b pair) int {
+		if a.weight > b.weight || a.weight == b.weight && a.id < b.id {
+			return -1
+		}
+		return 1
+	})
+	if len(live) != tr.npos() || len(live) > len(want) {
+		t.Fatalf("step %d: %d positions, npos %d, %d ids", step, len(live), tr.npos(), len(want))
+	}
+	for i, p := range live {
+		if p != want[i] {
+			t.Fatalf("step %d: position %d = %v, oracle %v", step, i, p, want[i])
+		}
+	}
+	if !tr.cut && len(live) != len(want) {
+		t.Fatalf("step %d: %d of %d ids hold positions without a horizon", step, len(live), len(want))
+	}
+	sortsBefore := func(p pair) bool { return entry{keyOf(p.weight), p.id}.before(tr.hz) != 0 }
+	if tr.cut && (len(live) > 0 && !sortsBefore(want[len(live)-1]) || len(live) < len(want) && sortsBefore(want[len(live)])) {
+		t.Fatalf("step %d: the horizon %v does not follow the first %d of %v", step, tr.hz, len(live), want)
 	}
 }
 
@@ -301,12 +339,18 @@ func applyOp(tr *Tree, o oracle, op, idSel uint16, wSel, lim uint8) {
 			}
 		}
 	case 17, 18:
-		// A bulk rebuild, as Import does, that inherits fingers pointing
-		// anywhere: a finger is a hint, and no value of it may matter.
+		// A bulk rebuild, as Import does, whose id-table finger and slots'
+		// head indices point anywhere, and whose fold buffer holds junk: a
+		// finger and an index are hints, a fold writes its buffer from the
+		// start, and no value of either may matter.
 		nt := FromWeights(o.pairs())
-		nt.rankAt, nt.removeAt = finger{int(idSel % 9), int(wSel)}, finger{int(idSel / 9 % 9), int(idSel % 130)}
-		nt.insertAt = finger{int(wSel % 9), int(idSel / 81 % 130)}
 		nt.ids.fb, nt.ids.fi = int(idSel%7), int(wSel)
+		for b, blk := range nt.ids.blocks {
+			for i := range blk {
+				blk[i].at = uint32(int(idSel)*b+int(wSel)*i) % uint32(2*len(nt.head)+3)
+			}
+		}
+		nt.spare = []entry{{uint64(idSel), uint64(wSel)}, {0, math.MaxUint64}}
 		*tr = *nt
 	}
 }
@@ -334,9 +378,10 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 }
 
 // FuzzTreeOps drives the same operations from fuzzer bytes: the first
-// byte prefills past a block split, every following five bytes are one
-// operation (op, id low, id high, capped-rank limit, weight), and every
-// step is checked.
+// byte prefills 0 to 1,050 operations unchecked (from 750 on, the first
+// read drains a queue whose long moves pass the delta's bound, and it
+// folds), every following five bytes are one operation (op, id low, id
+// high, capped-rank limit, weight), and every step is checked.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 5, 0, 1, 0, 17, 15, 0, 0, 0, 1, 0, 0, 1, 0, 0})
@@ -344,12 +389,16 @@ func FuzzTreeOps(f *testing.F) {
 	// A horizon set, crossed by a scan's batch, rebuilt for a larger
 	// limit, cut back for a small one, dropped by a rescale.
 	f.Add([]byte{3, 0, 3, 0, 2, 4, 15, 0, 0, 0, 47, 5, 1, 0, 120, 40, 16, 2, 0, 3, 33, 13, 0, 0, 0, 1, 6, 9, 0, 5, 70})
+	// A delta past its bound: the capped read of the first step drains the
+	// prefill's queued moves, long ones among them, as one batch, and the
+	// delta folds before the horizon is set; two scan batches follow.
+	f.Add([]byte{7, 15, 200, 0, 9, 47, 16, 100, 1, 0, 111})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1+5*400 {
 			return
 		}
 		tr, o := New(), oracle{}
-		for i := 0; i < int(data[0]%4)*150; i++ {
+		for i := 0; i < int(data[0]%8)*150; i++ {
 			applyOp(tr, o, uint16(i%9), uint16(i*7), uint8(i*13), 0)
 		}
 		for step, ops := 0, data[1:]; len(ops) >= 5; step, ops = step+1, ops[5:] {
@@ -390,7 +439,8 @@ func TestScaleAllReordersNewTies(t *testing.T) {
 	}
 }
 
-// A new tie can straddle a block boundary; the re-sort must cross it.
+// A new tie can reorder entries far apart in the head; the re-sort must
+// reach them.
 func TestScaleAllReordersAcrossBlocks(t *testing.T) {
 	const w = 1.159
 	tr, o := New(), oracle{}
@@ -448,8 +498,9 @@ func TestKeyOfReversesWeightOrder(t *testing.T) {
 	}
 }
 
-// Draining from either end walks every block through underfull, merged
-// and dropped, including the final block losing its own last entry.
+// Draining from either end walks every id block through underfull,
+// merged and dropped, including the final block losing its own last
+// entry, and empties the head from its first and its last entry.
 func TestDrainFromBothEnds(t *testing.T) {
 	for _, fromTail := range []bool{true, false} {
 		tr, o := New(), oracle{}
@@ -473,7 +524,7 @@ func TestDrainFromBothEnds(t *testing.T) {
 // The id table must cost the same whatever the ids look like: 24-byte
 // slots in packed blocks, not pages indexed by id. 100k ids spaced 2⁴⁰
 // apart, bulk-built and added one by one in ascending order, may take at
-// most 32 bytes each beyond the rank blocks.
+// most 32 bytes each beyond the rank side.
 func TestIDTableMemoryIgnoresSpacing(t *testing.T) {
 	const n = 100_000
 	ps := make([]Pair, n)
@@ -497,13 +548,13 @@ func TestIDTableMemoryIgnoresSpacing(t *testing.T) {
 		tr := build()
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		rank := cap(tr.blocks)*24 + cap(tr.last)*16 + cap(tr.fen)*8
-		for _, blk := range tr.blocks {
-			rank += cap(blk) * 16
+		rank := 0
+		for _, es := range [][]entry{tr.head, tr.spare, tr.in, tr.out} {
+			rank += cap(es) * 16
 		}
 		grown := int(after.HeapAlloc) - int(before.HeapAlloc)
 		if perID := float64(grown-rank) / n; perID > 32 {
-			t.Errorf("%s: %.1f bytes per id beyond the rank blocks (heap grew %d, rank blocks hold %d)", name, perID, grown, rank)
+			t.Errorf("%s: %.1f bytes per id beyond the rank side (heap grew %d, rank side holds %d)", name, perID, grown, rank)
 		}
 		if r, ok := tr.Rank(ps[n-1].ID); !ok || r < 1 || tr.Len() != n {
 			t.Fatalf("%s: Rank = %d, %v; Len = %d", name, r, ok, tr.Len())

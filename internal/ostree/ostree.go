@@ -1,95 +1,52 @@
 // Package ostree implements an order-statistic index keyed by
-// (weight, id), ordered by descending weight. It answers the question
-// the delay policy asks on every query: "what is the popularity rank of
-// this tuple right now?"
+// (weight, id), ordered by descending weight: rank 1 is the greatest
+// weight, ties break by ascending id. It answers the question the delay
+// policy asks on every query: "what is the popularity rank of this tuple
+// right now?"
 //
-// Rank 1 is the item with the greatest weight; ties are broken by
-// ascending id so ranks are total and deterministic.
+// The id table (idtable.go) holds each id's authoritative weight. The ids
+// that hold a position have a (weight, id) entry — its weight as an
+// order-reversing integer key, so an entry compares as one 128-bit
+// number — in the head, one flat sorted array, or in a small sorted
+// delta: in, the positioned entries the head lacks, and out, the head
+// entries that no longer hold a position. A rank is one plus the entries
+// ahead: those of the head and of in, less those of out. Each slot
+// remembers its entry's head index, so a read finds it there or a few
+// places off. A move that shifts at most shiftMax entries is made in the
+// head with one memmove (a scan's tuples move a few places up, past the
+// ties they just left); a longer one goes to the delta, which folds into
+// the head in one merge once it outgrows foldAt, and before a read that
+// walks the order. Add can defer its move to the next rank read, so an
+// id written k times moves once, and a tracker never asked for a rank
+// never moves one.
 //
-// The index is array-backed: the (weight, id) entries live in sorted
-// blocks of at most maxBlock entries whose concatenation is the rank
-// order, next to a contiguous array of each block's last key (the block
-// search never dereferences a block) and a Fenwick tree of block sizes
-// (the entries ahead of a block). A lookup is two binary searches and a
-// Fenwick prefix sum; an update removes one entry and inserts another
-// with a memmove inside a block each — or, moving toward rank 1 within
-// its block, shifts the entries in between with one — and allocates only
-// when a block splits. An entry stores its weight as an order-reversing
-// integer key, so (weight, id) compares as one 128-bit number and the
-// searches run without a data-dependent branch.
-//
-// The id side — each tracked id's authoritative weight — is a second set
-// of sorted blocks, ordered by id (idtable.go), so point reads (Weight,
-// Contains, Len) never touch the rank blocks. Both sides are read
-// through fingers, because the ids of a range scan are consecutive and
-// tuples read together are incremented together: they carry the same
-// weight, equal weights tie-break by id, and so their slots are
-// neighbours in the id table and their entries neighbours in rank order.
-// A finger remembers where the last search of its kind ended, block and
-// offset, and is tried first; it is a hint checked against the arrays on
-// every use, so splits, merges, drops, ScaleAll and FromWeights do not
-// maintain it.
-//
-// A write moves its entry in place (Upsert, Add) or, when Add is told to
-// defer, records the new weight in the id table and leaves the move to
-// the next rank-structure read (Rank, RankUpTo, KthID, MaxWeight,
-// Ascend), which applies all queued moves first. Both produce identical
-// results. Deferral stays because it was measured against eager writes
-// on the socket benchmark's scan workload: eager, mean read latency fell
-// 12.9% but the trimmed tail rose 7.2% (behind in all six pairs) — a
-// 1,000-row statement pays its own 1,000 moves instead of leaving them to
-// the next quote — and BenchmarkAdaptiveObserveBatch went from 85 to
-// 101–155 µs, because the idle candidate trackers of adaptive mode (§2.3)
-// are never asked for a rank and, deferred, never move an entry. An id
-// observed twice before the next quote also moves once. Queued moves are
-// applied in arrival order: the index holds no state that depends on the
-// order of operations, so nothing needs a sorted, reproducible drain.
-//
-// Positions are kept only where a read depends on them. A capped delay
-// policy charges every rank from its cap rank L on the same price, so
-// its read, RankUpTo(id, L), needs the exact rank below L and nothing
-// past it. The first such read sets a horizon: the (weight, id) of the
-// entry at rank horizonKeep·L+1. Entries that sort before it keep their
-// place in the blocks; ids that sort at or after it live in the id table
-// alone, as weights, and a write that starts and ends there stores the
-// weight and nothing else — no queued move, no remove and insert. A write
-// that crosses the horizon inserts into or removes from the blocks. The
-// horizon moves four ways: it is set, and later cut back, by truncating
-// the blocks to their first horizonKeep·L entries once more than
-// horizonCut·L hold positions (fresh increments push ids past an old
-// horizon, so the head grows); it is rebuilt from the id table when
-// fewer than L entries hold positions (L grew with fmax, or the head was
-// deleted); and ScaleAll drops it, giving every id its position back
-// (FromWeights builds without one). Exact reads stay exact: Rank of an id
-// past the horizon counts over the id table, O(Len); KthID and Ascend
-// walk the blocks and then the ids past the horizon, sorted once,
-// O(Len log Len); MaxWeight reads the head. None of them is on a query
-// path.
+// Positions are kept only where a read depends on them. A capped policy
+// prices every rank from its cap rank L on alike, so RankUpTo(id, L)
+// needs the exact rank below L only. The first such read sets a horizon,
+// the (weight, id) at rank horizonKeep·L+1; ids at or after it live in
+// the id table alone. The head is cut back to horizonKeep·L once more
+// than horizonCut·L hold positions, rebuilt from the id table when fewer
+// than L do, and given every id back by ScaleAll. Exact reads past the
+// horizon (Rank, KthID, Ascend) sort the ids there, off the query path.
 package ostree
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
 )
 
 const (
-	// maxBlock bounds a block's length; a full block splits in two
-	// before it takes another entry.
-	maxBlock = 128
-	// fillBlock is the length bulk builds and merges fill a block to,
-	// leaving room to grow before the first split.
-	fillBlock = maxBlock * 3 / 4
-	// minBlock is the length under which a block tries to merge into a
-	// neighbour, which keeps the block count proportional to Len.
-	minBlock = maxBlock / 4
-	// A horizon set for limit L leaves horizonKeep·L entries holding
-	// positions and is cut back to that once more than horizonCut·L do:
-	// a truncation costs O(L) and follows more than 2L crossings, and L
-	// must more than double before a rebuild from the id table is due.
+	// A horizon set for limit L keeps horizonKeep·L positions and is cut
+	// back to that past horizonCut·L: a cut follows more than 2L
+	// crossings, and L must more than double before a rebuild.
 	horizonKeep = 2
 	horizonCut  = 4
+	// A move shifting at most shiftMax entries (4 KiB) is made in the
+	// head; a scan's shift a few dozen. The delta folds once it holds
+	// more than foldAt entries (see there), and at least foldMin.
+	shiftMax = 256
+	foldMin  = 64
 )
 
 // entry is one (weight, id) pair in rank order: key ascends as the weight
@@ -121,65 +78,120 @@ func weightOf(key uint64) float64 {
 	return math.Float64frombits(^key &^ (1 << 63))
 }
 
-// before returns 1 when e sorts before (key,id) and 0 otherwise: the
-// borrow out of the 128-bit subtraction (e.key,e.id) − (key,id).
-func (e entry) before(key, id uint64) uint64 {
-	_, borrow := bits.Sub64(e.id, id, 0)
-	_, borrow = bits.Sub64(e.key, key, borrow)
+// before returns 1 when e sorts before x and 0 otherwise: the borrow out
+// of the 128-bit subtraction (e.key,e.id) − (x.key,x.id).
+func (e entry) before(x entry) uint64 {
+	_, borrow := bits.Sub64(e.id, x.id, 0)
+	_, borrow = bits.Sub64(e.key, x.key, borrow)
 	return borrow
 }
 
-// countBefore returns how many entries of the sorted, non-empty es sort
-// before (key,id): a binary search whose steps are arithmetic on the
-// comparison's borrow bit instead of branches on it.
-func countBefore(es []entry, key, id uint64) int {
+// countBefore returns how many entries of the sorted es sort before x: a
+// binary search whose steps are arithmetic on the comparison's borrow bit
+// instead of branches on it.
+func countBefore(es []entry, x entry) int {
+	if len(es) == 0 {
+		return 0
+	}
 	base, n := 0, len(es)
 	for n > 1 {
 		half := n >> 1
-		base += half & -int(es[base+half-1].before(key, id))
+		base += half & -int(es[base+half-1].before(x))
 		n -= half
 	}
-	return base + int(es[base].before(key, id))
+	return base + int(es[base].before(x))
+}
+
+// lead returns how many entries of the sorted es sort before x, searching
+// from the front in doubling steps: O(log d) in the answer d.
+func lead(es []entry, x entry) int {
+	hi := 1
+	for hi <= len(es) && es[hi-1].before(x) != 0 {
+		hi <<= 1
+	}
+	lo, top := hi>>1, min(hi-1, len(es))
+	return lo + countBefore(es[lo:top], x)
+}
+
+// trail returns how many entries at the end of the sorted es do not sort
+// before x, searching from the back in doubling steps: lead's mirror.
+func trail(es []entry, x entry) int {
+	hi := 1
+	for hi <= len(es) && es[len(es)-hi].before(x) == 0 {
+		hi <<= 1
+	}
+	lo, top := hi>>1, min(hi-1, len(es))
+	return top - countBefore(es[len(es)-top:len(es)-lo], x)
+}
+
+// merge appends to dst the sorted union of the sorted a and plus, less
+// every entry of the sorted minus that a holds, and returns it with the
+// entries of minus that a did not hold (written over minus). Each step
+// takes, from the list whose first entry sorts first (minus on a tie),
+// every entry up to the others' first, found by galloping: a fold copies
+// the head in runs between the delta's entries.
+func merge(dst, a, plus, minus []entry) (merged, missed []entry) {
+	missed = minus[:0]
+	// upTo counts the entries of es before those the others start with.
+	upTo := func(es, xs, ys []entry) int {
+		n := len(es)
+		if len(xs) > 0 {
+			n = lead(es, xs[0])
+		}
+		if len(ys) > 0 {
+			n = min(n, lead(es[:n], ys[0]))
+		}
+		return n
+	}
+	for len(plus) > 0 || len(minus) > 0 {
+		switch {
+		case len(minus) > 0 && (len(a) == 0 || a[0].before(minus[0]) == 0) && (len(plus) == 0 || plus[0].before(minus[0]) == 0):
+			if len(a) > 0 && a[0] == minus[0] {
+				for len(a) > 0 && len(minus) > 0 && a[0] == minus[0] {
+					a, minus = a[1:], minus[1:]
+				}
+				continue
+			}
+			n := max(upTo(minus, a, plus), 1) // an entry of minus tied with plus[0] goes first
+			missed = append(missed, minus[:n]...)
+			minus = minus[n:]
+		case len(plus) > 0 && (len(a) == 0 || plus[0].before(a[0]) != 0):
+			n := upTo(plus, a, minus)
+			dst = append(dst, plus[:n]...)
+			plus = plus[n:]
+		default:
+			n := max(upTo(a, plus, minus), 1) // a[0] tied with plus[0]
+			dst = append(dst, a[:n]...)
+			a = a[n:]
+		}
+	}
+	return append(dst, a...), missed
 }
 
 // Tree is an order-statistic index; the zero value is an empty one. Tree
 // is not safe for concurrent use (reads apply deferred writes and move
-// fingers, so even read-read sharing needs external locking).
+// the id table's finger, so even read-read sharing needs external
+// locking).
 type Tree struct {
-	// blocks are non-empty and sorted; last[b] is blocks[b]'s final
-	// entry; fen is a 1-based Fenwick tree over len(blocks[b]).
-	blocks [][]entry
-	last   []entry
-	fen    []int
-	// One finger per kind of search, so a flush's removes (from the old
-	// weights) and inserts (at the new ones) do not pull each other's away.
-	rankAt, removeAt, insertAt finger
-	// npos is how many entries the blocks hold.
-	npos int
-	ids  idTable
-	// queue holds the moves of ids whose authoritative weight (their slot
-	// in ids) has not yet been applied to the blocks, one per id; the slot
-	// says where. flush drains it before any rank-structure read.
+	// The positions are head + in − out; a fold writes into spare. ins
+	// and outs hold the moves too long to make in the head, for apply,
+	// whose merges write into tmp. last is where the last seek ended,
+	// placed where the last move made in the head put its entry.
+	head, spare, in, out, ins, outs, tmp []entry
+	last, placed                         int
+	ids                                  idTable
+	// queue holds one move per id whose weight (its slot in ids) has not
+	// reached the positions; the slot says where. A rank read drains it.
 	queue []move
 	// With cut set, only the ids whose (weight, id) sorts before hz hold
-	// an entry in the blocks (or will, once the queue drains); the rest
-	// live in ids alone. resets counts how many times the horizon was
-	// set, cut back, rebuilt or dropped.
+	// a position; resets counts the horizon's moves.
 	hz     entry
 	cut    bool
 	resets int64
 }
 
-// finger is where the next search of one kind is expected to end: the
-// block and offset the last one ended at, or the offset after it when a
-// tied neighbour is expected there next. It is a hint that find checks
-// against the arrays before using.
-type finger struct{ b, i int }
-
-// move is one queued move of id: away from the weight its resident entry
-// still carries (resident false when there is none yet). Where to is the
-// slot's weight when the queue drains, so a repeated deferred write is
-// one store into the slot.
+// move is one queued move of id, away from the weight its positioned
+// entry carries (resident false when there is none) to its slot's.
 type move struct {
 	id       uint64
 	from     float64
@@ -207,31 +219,9 @@ func FromWeights(ps []Pair) *Tree {
 	}
 	t := New()
 	t.ids.build(ps)
-	sortByKey(es) // es ascends by id, so this is (key, id) order
-	t.build(es)
+	sortEntries(es, nil)
+	t.head = es
 	return t
-}
-
-func sortEntries(es []entry) {
-	slices.SortFunc(es, func(a, b entry) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
-	})
-}
-
-// build replaces the blocks with es, which must be sorted. The blocks are
-// carved out of one slab, each with room to grow to maxBlock.
-func (t *Tree) build(es []entry) {
-	t.npos = len(es)
-	n := (len(es) + fillBlock - 1) / fillBlock
-	slab := make([]entry, n*maxBlock)
-	t.blocks, t.last = make([][]entry, n), make([]entry, n)
-	for b := range t.blocks {
-		k := copy(slab[b*maxBlock:(b+1)*maxBlock], es[:min(len(es), fillBlock)])
-		es = es[k:]
-		t.blocks[b] = slab[b*maxBlock : b*maxBlock+k : (b+1)*maxBlock]
-		t.last[b] = t.blocks[b][k-1]
-	}
-	t.rebuildFen()
 }
 
 // Len returns the number of ids in the tree.
@@ -248,137 +238,206 @@ func (t *Tree) Weight(id uint64) (float64, bool) {
 	return 0, false
 }
 
-// rebuildFen recomputes the Fenwick tree after the block list changed
-// shape (a split, a merge or a dropped block): O(len(blocks)), paid once
-// per ~maxBlock/2 updates.
-func (t *Tree) rebuildFen() {
-	n := len(t.blocks)
-	t.fen = append(t.fen[:0], make([]int, n+1)...)
-	for i := 1; i <= n; i++ {
-		t.fen[i] += len(t.blocks[i-1])
-		if j := i + i&-i; j <= n {
-			t.fen[j] += t.fen[i]
+// npos returns how many ids hold a position once the queue has drained.
+func (t *Tree) npos() int { return len(t.head) + len(t.in) - len(t.out) }
+
+// rankOf returns the 1-based rank of s's entry, which holds a position,
+// and leaves its head index in s.at.
+func (t *Tree) rankOf(s *slot) int {
+	e := entry{keyOf(s.weight), s.id}
+	p := t.seek(e, int(s.at))
+	s.at = uint32(p)
+	return p + countBefore(t.in, e) - countBefore(t.out, e) + 1
+}
+
+// seek returns how many head entries sort before e: at, a slot's head
+// index, when e is there; else near where the last seek ended (a scan's
+// next tied id is its neighbour), then near at, then by binary search.
+func (t *Tree) seek(e entry, at int) int {
+	p := at
+	if at >= len(t.head) || t.head[at] != e {
+		if p = t.near(e, t.last); p < 0 {
+			if p = t.near(e, at); p < 0 {
+				p = countBefore(t.head, e)
+			}
 		}
 	}
+	t.last = p
+	return p
 }
 
-func (t *Tree) fenAdd(b, delta int) {
-	for i := b + 1; i < len(t.fen); i += i & -i {
-		t.fen[i] += delta
+// near returns how many head entries sort before e, galloping out from
+// index at, or -1 when that is more than shiftMax away.
+func (t *Tree) near(e entry, at int) int {
+	h := t.head
+	if at > len(h) {
+		return -1
 	}
-}
-
-// ahead returns the number of entries in blocks before b.
-func (t *Tree) ahead(b int) int {
-	n := 0
-	for i := b; i > 0; i -= i & -i {
-		n += t.fen[i]
+	if at < len(h) && h[at].before(e) != 0 {
+		w := h[at+1 : min(len(h), at+1+shiftMax)]
+		if n := lead(w, e); n < len(w) || at+1+n == len(h) {
+			return at + 1 + n
+		}
+		return -1
 	}
-	return n
+	lo := max(0, at-shiftMax)
+	if n := trail(h[lo:at], e); n < at-lo || lo == 0 {
+		return at - n
+	}
+	return -1
 }
 
-// find returns the block and offset of the first entry that does not sort
-// before (key,id) — where the pair is, or where it belongs. A pair past
-// every entry belongs at the end of the final block. There must be a
-// block. The finger's block is tried first, with two compares: it is the
-// one when the pair sorts after the block ahead of it and not after its
-// own last entry. Then its offset, with two more: the ids of a scan are
-// tied neighbours, removed from one offset and inserted or ranked at
-// successive ones.
-func (t *Tree) find(key, id uint64, f *finger) (b, i int) {
-	b = f.b
-	if b >= len(t.last) || t.last[b].before(key, id) != 0 || b > 0 && t.last[b-1].before(key, id) == 0 {
-		b = countBefore(t.last, key, id)
-		if b == len(t.last) {
-			return b - 1, len(t.blocks[b-1])
+// relocate carries s's entry from x (when resident) to y (when
+// positioned): in the head when x is there and at most shiftMax entries
+// shift, else through outs and ins, for apply.
+func (t *Tree) relocate(s *slot, x, y entry, resident, positioned bool) {
+	if resident && positioned && x == y {
+		return
+	}
+	h := t.head
+	switch {
+	case resident:
+		p := t.seek(x, int(s.at))
+		if p == len(h) || h[p] != x {
+			break // x entered since the last fold: it is in in
+		}
+		if !positioned {
+			if len(h)-p <= shiftMax {
+				t.head = slices.Delete(h, p, p+1)
+				return
+			}
+			break
+		}
+		// y goes right after the last move's entry, as a scan's next tied
+		// id does, or near x.
+		q := t.placed + 1
+		if q > len(h) || h[q-1].before(y) == 0 || q < len(h) && h[q].before(y) != 0 {
+			q = t.near(y, p)
+		}
+		switch {
+		case q < 0 || q < p-shiftMax || q > p+shiftMax || t.stale(y): // too far, or out has y
+		case q <= p: // toward rank 1: the entries between shift down a place
+			copy(h[q+1:p+1], h[q:p])
+			h[q], s.at, t.placed = y, uint32(q), q
+			return
+		default:
+			copy(h[p:q-1], h[p+1:q])
+			h[q-1], s.at, t.placed = y, uint32(q-1), q-1
+			return
+		}
+	case positioned:
+		if q := t.near(y, len(h)); q >= 0 && !t.stale(y) {
+			t.head, s.at = slices.Insert(h, q, y), uint32(q)
+			return
 		}
 	}
-	blk, i := t.blocks[b], f.i
-	if i > len(blk) || i > 0 && blk[i-1].before(key, id) == 0 || i < len(blk) && blk[i].before(key, id) != 0 {
-		i = countBefore(blk, key, id)
+	if resident {
+		t.outs = append(t.outs, x)
 	}
-	f.b, f.i = b, i
-	return b, i
+	if positioned {
+		t.ins = append(t.ins, y)
+	}
 }
 
-func (t *Tree) insert(w float64, id uint64) {
-	e := entry{keyOf(w), id}
-	if len(t.blocks) == 0 {
-		t.build([]entry{e})
-		return
+// stale reports whether out holds y: a copy of y in the head lost its
+// position, and y must take it back (apply does), not sit next to it.
+func (t *Tree) stale(y entry) bool {
+	_, ok := locate(t.out, y)
+	return ok
+}
+
+// locate returns where x is, or belongs, in the sorted es, and whether
+// es holds it.
+func locate(es []entry, x entry) (int, bool) {
+	i := countBefore(es, x)
+	return i, i < len(es) && es[i] == x
+}
+
+// toggle takes x out of the sorted *from when it holds x, and else puts
+// it into the sorted *to.
+func toggle(from, to *[]entry, x entry) {
+	if i, ok := locate(*from, x); ok {
+		*from = slices.Delete(*from, i, i+1)
+	} else {
+		i, _ = locate(*to, x)
+		*to = slices.Insert(*to, i, x)
 	}
-	b, i := t.find(e.key, id, &t.insertAt)
-	if len(t.blocks[b]) == maxBlock {
-		const half = maxBlock / 2
-		right := append(make([]entry, 0, maxBlock), t.blocks[b][half:]...)
-		t.blocks[b] = t.blocks[b][:half]
-		t.last[b] = t.blocks[b][half-1]
-		t.blocks = slices.Insert(t.blocks, b+1, right)
-		t.last = slices.Insert(t.last, b+1, right[len(right)-1])
-		t.rebuildFen()
-		if i > half {
-			b, i = b+1, i-half
+}
+
+// apply carries the moves relocate left in outs (entries that lose their
+// position) and ins (entries that gain one) into the delta: an out that
+// entered since the last fold leaves in, the others join out; an in whose
+// stale copy out holds takes it back, the others join in. So a head entry
+// equal to a positioned one is that one. A batch is sorted and merged in
+// one pass over each list. Then the delta folds if it outgrew foldAt.
+func (t *Tree) apply() {
+	n := len(t.ins) + len(t.outs)
+	switch {
+	case n == 0:
+		return
+	case n <= 2: // one move: a memmove into each list, not a copy of both
+		for _, x := range t.outs {
+			toggle(&t.in, &t.out, x)
 		}
+		for _, y := range t.ins {
+			toggle(&t.out, &t.in, y)
+		}
+	default:
+		t.tmp = sortEntries(t.outs, t.tmp)
+		t.tmp = sortEntries(t.ins, t.tmp)
+		var left, fresh []entry
+		t.tmp, left = merge(t.tmp[:0], t.in, nil, t.outs)
+		t.in, t.tmp = t.tmp, t.in
+		t.tmp, fresh = merge(t.tmp[:0], t.out, left, t.ins)
+		t.out, t.tmp = t.tmp, t.out
+		t.tmp, _ = merge(t.tmp[:0], t.in, fresh, nil)
+		t.in, t.tmp = t.tmp, t.in
 	}
-	blk := append(t.blocks[b], entry{}) // cap is maxBlock: never reallocates
-	copy(blk[i+1:], blk[i:])
-	blk[i] = e
-	t.blocks[b] = blk
-	t.last[b] = blk[len(blk)-1]
-	t.fenAdd(b, 1)
-	t.npos++
-	t.insertAt = finger{b, i + 1}
+	t.ins, t.outs = t.ins[:0], t.outs[:0]
+	if len(t.in)+len(t.out) > t.foldAt(n) {
+		t.fold()
+	}
 }
 
-func (t *Tree) remove(w float64, id uint64) {
-	e := entry{keyOf(w), id}
-	b, i := t.find(e.key, id, &t.removeAt)
-	blk := t.blocks[b]
-	if i == len(blk) || blk[i] != e {
-		panic("ostree: id table and rank blocks disagree")
-	}
-	blk = blk[:i+copy(blk[i:], blk[i+1:])]
-	t.blocks[b] = blk
-	t.fenAdd(b, -1)
-	t.npos--
-	if len(blk) == 0 {
-		t.drop(b)
+// foldAt is the most entries the delta may hold after a batch of n: a
+// fold copies the head and a batch the delta, and 2·√(n·len(head)) keeps
+// their sum near its least — a few hundred for write_mix's one move per
+// statement, ten thousand for an uncapped 200k-entry index's scans.
+func (t *Tree) foldAt(n int) int {
+	return max(foldMin, 2*int(math.Sqrt(float64(n)*float64(len(t.head)))))
+}
+
+// fold merges the delta into the head in one sequential pass.
+func (t *Tree) fold() {
+	if len(t.in)+len(t.out) == 0 {
 		return
 	}
-	t.last[b] = blk[len(blk)-1]
-	if len(blk) >= minBlock || len(t.blocks) == 1 {
-		return
+	var missed []entry
+	t.spare, missed = merge(t.spare[:0], t.head, t.in, t.out)
+	if len(missed) != 0 {
+		panic("ostree: id table and rank index disagree")
 	}
-	// Underfull: fold it and a neighbour into one block when the two fit
-	// with room to spare.
-	if lo := min(b, len(t.blocks)-2); len(t.blocks[lo])+len(t.blocks[lo+1]) <= fillBlock {
-		t.blocks[lo] = append(t.blocks[lo], t.blocks[lo+1]...)
-		t.last[lo] = t.last[lo+1]
-		t.drop(lo + 1)
-	}
+	t.head, t.spare = t.spare, t.head
+	t.in, t.out = t.in[:0], t.out[:0]
 }
 
-// drop unlinks block b, whose entries are gone or live elsewhere.
-func (t *Tree) drop(b int) {
-	t.blocks = slices.Delete(t.blocks, b, b+1)
-	t.last = slices.Delete(t.last, b, b+1)
-	t.rebuildFen()
+// settle leaves the head alone holding the positions.
+func (t *Tree) settle() {
+	t.drain()
+	t.fold()
 }
 
-// Upsert sets id's weight, inserting it if absent, and moves its entry in
-// place — unless a move for id is already queued, in which case the
-// queued move simply picks up the new weight.
+// Upsert sets id's weight, inserting it if absent, and moves its entry
+// now, unless a move for id is queued: that one picks the weight up.
 func (t *Tree) Upsert(id uint64, weight float64) {
 	s, fresh := t.slot(id)
 	t.move(s, fresh, weight, false)
 }
 
 // Add adds delta to id's weight (an absent id counts as weight 0 and is
-// inserted) with one search for the slot instead of a Weight and a
-// write. The entry moves in place or, when deferred, at the next
-// structural read — O(1) per call after the slot is found. Bulk observe
-// paths defer, so a k-write burst costs k slot updates, and one move per
-// distinct id once somebody asks for a rank.
+// inserted) with one search for the slot. The entry moves now or, when
+// deferred, at the next rank read: bulk observe paths defer, so a k-write
+// burst costs k slot updates and one move per distinct id.
 func (t *Tree) Add(id uint64, delta float64, deferred bool) {
 	s, fresh := t.slot(id)
 	t.move(s, fresh, s.weight+delta, deferred)
@@ -394,9 +453,8 @@ func (t *Tree) slot(id uint64) (s *slot, fresh bool) {
 	return t.ids.insert(b, i, id), true
 }
 
-// move gives s the weight w and carries its entry along: now, or queued
-// when deferred. A fresh slot has no entry yet, and neither has a slot
-// past the horizon.
+// move gives s the weight w and carries its entry along, now or queued.
+// A fresh slot has no entry yet, nor has a slot past the horizon.
 func (t *Tree) move(s *slot, fresh bool, w float64, deferred bool) {
 	if !fresh && s.weight == w {
 		return
@@ -413,44 +471,15 @@ func (t *Tree) move(s *slot, fresh bool, w float64, deferred bool) {
 		t.queue = append(t.queue, move{id: s.id, from: old, resident: was})
 		s.queued = uint32(len(t.queue))
 	default:
-		t.relocate(old, w, s.id, was, now)
-	}
-}
-
-// relocate carries id's entry from weight from (when it has one there)
-// to weight to (when it gets one). A move toward rank 1 whose new place
-// is in the same block — a tracker's moves are toward rank 1, and on
-// scan_mixed 58% of those past a flush stay in their block — shifts the
-// entries in between by one instead of a remove and an insert.
-func (t *Tree) relocate(from, to float64, id uint64, resident, positioned bool) {
-	if resident && positioned {
-		old, e := entry{keyOf(from), id}, entry{keyOf(to), id}
-		b, i := t.find(old.key, id, &t.removeAt)
-		if blk := t.blocks[b]; i < len(blk) && blk[i] == old && e.before(old.key, id) != 0 {
-			j := 0
-			if i > 0 {
-				j = countBefore(blk[:i], e.key, id)
-			}
-			if j > 0 || b == 0 || t.last[b-1].before(e.key, id) != 0 {
-				copy(blk[j+1:i+1], blk[j:i])
-				blk[j] = e
-				t.last[b] = blk[len(blk)-1]
-				return
-			}
-		}
-	}
-	if resident {
-		t.remove(from, id)
-	}
-	if positioned {
-		t.insert(to, id)
+		t.relocate(s, entry{keyOf(old), s.id}, entry{keyOf(w), s.id}, was, now)
+		t.apply()
 	}
 }
 
 // positioned reports whether an id of weight w sorts before the horizon,
-// and so holds an entry in the blocks once the queue has drained.
+// and so holds a position once the queue has drained.
 func (t *Tree) positioned(w float64, id uint64) bool {
-	return !t.cut || entry{keyOf(w), id}.before(t.hz.key, t.hz.id) != 0
+	return !t.cut || entry{keyOf(w), id}.before(t.hz) != 0
 }
 
 // Delete removes id if present and reports whether it was found.
@@ -471,69 +500,55 @@ func (t *Tree) Delete(id uint64) bool {
 		}
 		t.queue = t.queue[:last]
 	}
+	t.relocate(&t.ids.blocks[b][i], entry{keyOf(w), id}, entry{}, resident, false)
 	t.ids.remove(b, i)
-	if resident {
-		t.remove(w, id)
-	}
+	t.apply()
 	return true
 }
 
-// flush applies deferred writes to the blocks, in arrival order: a
-// scan's moves walk the id table in step with the queue. A move whose
-// slot now sorts past the horizon only leaves the blocks.
-func (t *Tree) flush() {
+// drain applies the deferred writes in arrival order: a scan's walk the
+// id table and the head in step.
+func (t *Tree) drain() {
 	for _, m := range t.queue {
 		s := t.ids.get(m.id)
 		s.queued = 0
-		t.relocate(m.from, s.weight, m.id, m.resident, t.positioned(s.weight, m.id))
+		t.relocate(s, entry{keyOf(m.from), m.id}, entry{keyOf(s.weight), m.id}, m.resident, t.positioned(s.weight, m.id))
 	}
 	t.queue = t.queue[:0]
+	t.apply()
 }
 
 // Rank returns the 1-based rank of id (rank 1 = greatest weight) and
 // whether id is present. Absent ids report rank Len()+1: they sort after
 // everything tracked, which is exactly how the delay policy treats a
-// never-accessed tuple. Past the horizon the rank is counted, O(Len).
+// never-accessed tuple. Past the horizon it sorts the ids there, O(Len).
 func (t *Tree) Rank(id uint64) (int, bool) {
 	s := t.ids.get(id)
 	if s == nil {
 		return t.Len() + 1, false
 	}
-	w := s.weight
-	t.flush()
-	if !t.positioned(w, id) {
-		r, e := 1, entry{keyOf(w), id}
-		for _, blk := range t.ids.blocks {
-			for _, o := range blk {
-				r += int(entry{keyOf(o.weight), o.id}.before(e.key, e.id))
-			}
-		}
-		return r, true
+	t.drain()
+	if !t.positioned(s.weight, id) {
+		return t.npos() + 1 + countBefore(t.byRank(false), entry{keyOf(s.weight), id}), true
 	}
-	b, i := t.find(keyOf(w), id, &t.rankAt)
-	t.rankAt.i++
-	return t.ahead(b) + i + 1, true
+	return t.rankOf(s), true
 }
 
 // RankUpTo returns min(Rank(id), limit) and whether id is present; an
 // absent id reports Len()+1, as Rank does. It is the read of a policy
-// that prices every rank from limit on alike, and it keeps positions for
-// the first horizonKeep·limit ids only (see the package doc), so past the
-// horizon it costs no more than the id lookup. limit is taken to be at
-// least 1 and at most Len()+1.
+// that prices every rank from limit on alike, so it keeps positions for
+// the first horizonKeep·limit ids only (see the package doc). limit is
+// taken to be at least 1 and at most Len()+1.
 func (t *Tree) RankUpTo(id uint64, limit int) (int, bool) {
 	s := t.ids.get(id)
 	if s == nil {
 		return t.Len() + 1, false
 	}
-	w := s.weight
 	limit = t.fit(limit)
-	if !t.positioned(w, id) {
+	if !t.positioned(s.weight, id) {
 		return limit, true // ranked after every positioned id, of which there are at least limit
 	}
-	b, i := t.find(keyOf(w), id, &t.rankAt)
-	t.rankAt.i++
-	return min(t.ahead(b)+i+1, limit), true
+	return min(t.rankOf(s), limit), true
 }
 
 // fit applies the queued moves and then moves the horizon, if it must,
@@ -541,46 +556,41 @@ func (t *Tree) RankUpTo(id uint64, limit int) (int, bool) {
 // do. It returns limit clamped to 1..Len()+1.
 func (t *Tree) fit(limit int) int {
 	limit = min(max(limit, 1), t.Len()+1)
-	t.flush()
+	t.drain()
 	switch {
-	case t.cut && t.npos < limit:
+	case t.cut && t.npos() < limit:
 		t.setHorizon(t.byRank(true), horizonKeep*limit)
-	case t.npos > horizonCut*limit:
-		t.cutBack(horizonKeep * limit)
+	case t.npos() > horizonCut*limit:
+		t.fold()
+		t.setHorizon(t.head, horizonKeep*limit)
 	}
 	return limit
 }
 
-// cutBack truncates the blocks, which hold more than keep entries, to
-// their first keep: they are rebuilt into a fresh slab and the rest are
-// left to the id table.
-func (t *Tree) cutBack(keep int) {
-	es := make([]entry, 0, keep+maxBlock)
-	for _, blk := range t.blocks {
-		if len(es) > keep {
-			break
-		}
-		es = append(es, blk...)
-	}
-	t.setHorizon(es, keep)
-}
-
-// setHorizon builds the blocks from the first keep of the sorted es and
-// puts the horizon at the entry after them; without one, there is none.
-// The queue must be empty.
+// setHorizon makes the first keep of the sorted es the head and puts the
+// horizon at the entry after them; without one, there is none. The queue
+// must be empty; the delta is dropped, es being the whole of the order.
 func (t *Tree) setHorizon(es []entry, keep int) {
 	t.cut = len(es) > keep
 	if t.cut {
 		t.hz, es = es[keep], es[:keep]
 	}
-	t.build(es)
+	if cap(t.head) > 4*len(es) {
+		// Sized for a far larger head (before a cut, or a ScaleAll): let it go.
+		t.head, t.spare = nil, nil
+	}
+	t.head = append(t.head[:0], es...)
+	t.in, t.out = t.in[:0], t.out[:0]
 	t.resets++
 }
 
 // byRank returns the id table's ids as entries in rank order, sorted
-// afresh, O(Len log Len): all of them, or only those past the horizon.
+// afresh in O(Len) radix passes: all of them, or those past the horizon.
 func (t *Tree) byRank(all bool) []entry {
 	var es []entry
+	if !all && !t.cut {
+		return nil
+	}
 	for _, blk := range t.ids.blocks {
 		for _, s := range blk {
 			if all || !t.positioned(s.weight, s.id) {
@@ -588,24 +598,15 @@ func (t *Tree) byRank(all bool) []entry {
 			}
 		}
 	}
-	sortEntries(es)
+	sortEntries(es, nil)
 	return es
 }
 
-// past returns the ids past the horizon in rank order: the tail of the
-// exact reads that walk beyond the blocks.
-func (t *Tree) past() []entry {
-	if !t.cut {
-		return nil
-	}
-	return t.byRank(false)
-}
-
-// Ranked returns how many ids hold a position in the blocks: Len() until
-// RankUpTo sets a horizon.
+// Ranked returns how many ids hold a position: Len() until RankUpTo sets
+// a horizon.
 func (t *Tree) Ranked() int {
-	t.flush()
-	return t.npos
+	t.settle()
+	return len(t.head)
 }
 
 // HorizonResets returns how many times the horizon was set, cut back,
@@ -617,29 +618,17 @@ func (t *Tree) KthID(k int) (uint64, bool) {
 	if k < 1 || k > t.Len() {
 		return 0, false
 	}
-	t.flush()
-	if k > t.npos {
-		return t.past()[k-t.npos-1].id, true
+	t.settle()
+	if k > len(t.head) {
+		return t.byRank(false)[k-len(t.head)-1].id, true
 	}
-	// Fenwick descent: the last block with at most k-1 entries ahead.
-	b, rest, n := 0, k-1, len(t.blocks)
-	step := 1
-	for step<<1 <= n {
-		step <<= 1
-	}
-	for ; step > 0; step >>= 1 {
-		if b+step <= n && t.fen[b+step] <= rest {
-			b += step
-			rest -= t.fen[b]
-		}
-	}
-	return t.blocks[b][rest].id, true
+	return t.head[k-1].id, true
 }
 
 // Ascend calls fn for each id in rank order (rank 1 first) until fn
 // returns false.
 func (t *Tree) Ascend(fn func(rank int, id uint64, weight float64) bool) {
-	t.flush()
+	t.settle()
 	rank := 0
 	walk := func(es []entry) bool {
 		for _, e := range es {
@@ -650,28 +639,23 @@ func (t *Tree) Ascend(fn func(rank int, id uint64, weight float64) bool) {
 		}
 		return true
 	}
-	for _, blk := range t.blocks {
-		if !walk(blk) {
-			return
-		}
+	if walk(t.head) {
+		walk(t.byRank(false))
 	}
-	walk(t.past())
 }
 
 // ScaleAll multiplies every weight by f (> 0). It is used when the
 // decayed-counter increment is renormalized to avoid overflow. Scaling
 // keeps the order of distinct weights but can round two of them to the
 // same value, whose tie must then break by id: the same O(n) pass that
-// scales notices an out-of-order neighbour, and only then are the
-// entries sorted again. A horizon is dropped: every id gets its position
-// back, rebuilt from the scaled id table.
+// scales notices an out-of-order neighbour, and only then is the head
+// sorted again. A horizon is dropped: every id gets its position back,
+// rebuilt from the scaled id table.
 func (t *Tree) ScaleAll(f float64) {
 	if f <= 0 {
 		panic("ostree: non-positive scale")
 	}
-	if t.cut {
-		t.flush()
-	}
+	t.settle()
 	for _, blk := range t.ids.blocks {
 		for i := range blk {
 			blk[i].weight *= f
@@ -681,40 +665,36 @@ func (t *Tree) ScaleAll(f float64) {
 		t.setHorizon(t.byRank(true), t.Len())
 		return
 	}
-	// Queued moves scale at both ends: the slots above and the weight the
-	// resident entry carries, like the resident entries below.
-	for i := range t.queue {
-		t.queue[i].from *= f
-	}
 	sorted := true
-	var prev entry // sorts before everything with a weight
-	for b, blk := range t.blocks {
-		for i := range blk {
-			blk[i].key = keyOf(weightOf(blk[i].key) * f)
-			if blk[i].before(prev.key, prev.id) != 0 {
-				sorted = false
-			}
-			prev = blk[i]
+	for i := range t.head {
+		t.head[i].key = keyOf(weightOf(t.head[i].key) * f)
+		if i > 0 && t.head[i].before(t.head[i-1]) != 0 {
+			sorted = false
 		}
-		t.last[b] = prev
 	}
 	if !sorted {
-		es := slices.Concat(t.blocks...)
-		sortEntries(es)
-		t.build(es)
+		t.tmp = sortEntries(t.head, t.tmp)
 	}
 }
 
 // MaxWeight returns the greatest weight in the tree (0, false if empty).
+// It reads in, and the head past its leading entries that out holds —
+// unless in leads, as it does when the hottest ids just moved.
 func (t *Tree) MaxWeight() (float64, bool) {
-	t.flush()
+	t.drain()
+	i := 0
+	for i < len(t.out) && (len(t.in) == 0 || t.head[0].before(t.in[0]) != 0) && t.head[i] == t.out[i] {
+		i++
+	}
 	switch {
-	case t.npos > 0:
-		return weightOf(t.blocks[0][0].key), true
+	case len(t.in) > 0 && (i == len(t.head) || t.in[0].before(t.head[i]) != 0):
+		return weightOf(t.in[0].key), true
+	case i < len(t.head):
+		return weightOf(t.head[i].key), true
 	case t.Len() > 0:
 		// Every position was deleted from under the horizon; the next
 		// RankUpTo rebuilds them.
-		return weightOf(t.past()[0].key), true
+		return weightOf(t.byRank(false)[0].key), true
 	}
 	return 0, false
 }
