@@ -175,7 +175,7 @@ examples:
 	$(GO) run ./examples/frontdoor
 	$(GO) run ./examples/adaptive
 
-# Seven fuzz targets, 75 s in all. FuzzParse (SQL parser), 15 s: no
+# Eight fuzz targets, 85 s in all. FuzzParse (SQL parser), 15 s: no
 # panic, every accepted SELECT/INSERT/UPDATE/DELETE survives Render, and
 # every string token matches the byte-at-a-time reference reader.
 # FuzzSweepColumns (detector), 10 s: after any run of slot changes and
@@ -193,6 +193,9 @@ examples:
 # FuzzTreeOps (rank index), 10 s: any run of writes, deletes, rescales,
 # rebuilds and capped reads leaves every rank, KthID, Ascend and MaxWeight
 # equal to a sorted map's, and the head and its delta in order.
+# FuzzParseQueryRequest (the /query decoder of a node's and the router's
+# front door), 10 s: it accepts exactly the bodies json.Unmarshal accepts,
+# decodes them to the same value, and re-encodes them as json.Marshal does.
 # `make check` and CI run it; `go test` alone runs only the seed corpus.
 # Minimizing an input is capped at 1 s (the default, 60 s per
 # new-coverage input, can spend the whole run minimizing); a failing
@@ -205,6 +208,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzVerbatim -fuzztime=10s -fuzzminimizetime=1s ./internal/catalog/
 	$(GO) test -run '^$$' -fuzz=FuzzPrincipalClock -fuzztime=10s -fuzzminimizetime=1s ./internal/delay/
 	$(GO) test -run '^$$' -fuzz=FuzzTreeOps -fuzztime=10s -fuzzminimizetime=1s ./internal/ostree/
+	$(GO) test -run '^$$' -fuzz=FuzzParseQueryRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlmini/

@@ -26,14 +26,17 @@
 // Cluster modes:
 //
 //	delaydb -cluster 4 [-partitions 64 [-replication 2]]
-//	        [-antientropy 5s] [-antientropy-floor 0.01] [-admit-rate 100]
-//	        [-admit-burst 200] [-maxinflight 1024] [-shard-timeout 0] ...
+//	        [-antientropy 5s] [-antientropy-floor 0.01] [-rate 0] [-burst 10]
+//	        [-maxinflight 1024] [-shard-timeout 0] ...
 //	delaydb -router -peers http://10.0.0.1:8081,http://10.0.0.2:8081 ...
 //
 // -cluster N opens N shards under -dir (shard-0 … shard-N-1) and serves
 // the cluster router in front of them; -router instead fronts
-// already-running delaydb shards over HTTP (data flags are ignored):
-// each -peers entry is the http:// or https:// base URL of a shard's
+// already-running delaydb shards over HTTP (data flags are ignored).
+// Either way -rate and -burst meter each principal at the router, the
+// door clients reach (-cluster opens its shards with no limiter), and
+// POST /register goes to the first readable shard, whose registration
+// throttle answers it. Each -peers entry is the http:// or https:// base URL of a shard's
 // -admin-addr listener (the router calls the shards' admin routes as
 // well as /query), checked at start-up, and the router keeps a small pool of persistent connections
 // to each (the shard transport, internal/cluster/peerconn.go; its dial
@@ -141,8 +144,8 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 		decay       = fs.Float64("decay", 1.0, "access-count decay rate (1 = keep full history)")
 		policy      = fs.String("policy", "popularity", "delay policy: popularity or updaterate")
 		c           = fs.Float64("c", 1.0, "update-rate policy constant (Eq 9)")
-		rate        = fs.Float64("rate", 0, "per-identity queries/second (0 = unlimited)")
-		burst       = fs.Float64("burst", 10, "per-identity burst")
+		rate        = fs.Float64("rate", 0, "per-identity queries/second at the door clients reach: the node, or the router in cluster/router mode (0 = unlimited)")
+		burst       = fs.Float64("burst", 10, "per-identity burst at the door clients reach")
 		subnets     = fs.Bool("subnets", false, "aggregate identities by /24 (IPv4) or /48 (IPv6)")
 		regInterval = fs.Duration("reginterval", 0, "minimum interval between new registrations (0 = off)")
 		deadline    = fs.Duration("deadline", 0, "per-request query deadline; exceeding it returns 504 with the delay still charged (0 = none)")
@@ -165,8 +168,6 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 		peers       = fs.String("peers", "", "comma-separated base URLs of the shards' -admin-addr listeners for -router mode (e.g. http://10.0.0.1:8081,http://10.0.0.2:8081)")
 		aeEvery     = fs.Duration("antientropy", cluster.DefaultExchangeEvery, "interval between anti-entropy sketch-exchange rounds in cluster/router mode (0 = off)")
 		aeFloor     = fs.Float64("antientropy-floor", cluster.DefaultExportFloor, "minimum local coverage fraction before a principal's sketches are gossiped")
-		admitRate   = fs.Float64("admit-rate", cluster.DefaultAdmitRate, "router edge admission: per-principal queries/second")
-		admitBurst  = fs.Float64("admit-burst", cluster.DefaultAdmitBurst, "router edge admission: per-principal burst")
 		maxInFlight = fs.Int("maxinflight", cluster.DefaultMaxInFlight, "router edge admission: max queries in flight across the cluster")
 		partitions  = fs.Int("partitions", 0, "hash-partition tuples across shards into this many partitions; point queries route to the tuple's replica group, scans scatter-gather (0 = full replication: the same map with every shard in every group, -replication ignored)")
 		replication = fs.Int("replication", 1, "replica count per partition with -partitions > 0: writes apply to every replica, point reads fail over inside the group, scans pick one live replica per partition")
@@ -379,8 +380,10 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 			}
 		} else {
 			// The -init script reaches the shards as the router's own
-			// identity, which the router refuses from any client.
+			// identity, which the router refuses from any client. The
+			// router meters clients (-rate/-burst), so the shards do not.
 			cfg.Writers[cluster.InitIdentity] = true
+			cfg.QueryRate = 0
 			for i := 0; i < *clusterN; i++ {
 				db, srv, err := openNode(filepath.Join(*dir, fmt.Sprintf("shard-%d", i)))
 				if err != nil {
@@ -392,8 +395,8 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 			}
 		}
 		rt, err := cluster.NewRouter(nodes, cluster.Config{
-			AdmitRate:    *admitRate,
-			AdmitBurst:   *admitBurst,
+			AdmitRate:    *rate,
+			AdmitBurst:   *burst,
 			MaxInFlight:  *maxInFlight,
 			Partitions:   *partitions,
 			Replication:  *replication,
@@ -426,8 +429,8 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 		}
 		banner := func(a net.Addr) {
 			pm := rt.CurrentPartitionMap()
-			fmt.Fprintf(stdout, "delaydb: %s of %d shards on %s (%d partitions x %d replicas, antientropy=%v, admit=%g qps)\n",
-				mode, len(nodes), a, len(pm.Owners), len(pm.GroupOf(0)), *aeEvery, *admitRate)
+			fmt.Fprintf(stdout, "delaydb: %s of %d shards on %s (%d partitions x %d replicas, antientropy=%v, rate=%g qps)\n",
+				mode, len(nodes), a, len(pm.Owners), len(pm.GroupOf(0)), *aeEvery, *rate)
 		}
 		return serveAndDrain(rt.PublicHandler(), rt.Handler(), banner, closeAll)
 	}

@@ -34,7 +34,7 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out, nil); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	for _, removed := range []string{"-pricecache=1", "-walgroup=false", "-plancache=1", "-scanworkers=2", "-walgroupwindow=0"} {
+	for _, removed := range []string{"-pricecache=1", "-walgroup=false", "-plancache=1", "-scanworkers=2", "-walgroupwindow=0", "-admit-rate=1", "-admit-burst=1"} {
 		if err := run([]string{removed, "-dir", t.TempDir()}, &out, nil); err == nil {
 			t.Fatalf("the removed %s flag accepted", removed)
 		}
@@ -166,6 +166,56 @@ func TestFlagReferenceMatchesHelp(t *testing.T) {
 	sameNames(t, "main.go's usage block", flagNames(usage.String()), registered)
 }
 
+// TestDocsNameOnlyLiveFlags: every flag a code span in the prose of
+// DESIGN.md or README.md names is one a command registers: delaydb (its
+// -h), another command of the repo (its source), or go test (-race,
+// -cpu).
+func TestDocsNameOnlyLiveFlags(t *testing.T) {
+	live := map[string]bool{"race": true, "cpu": true}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`).FindAllStringSubmatch(helpText(t), -1) {
+		live[m[1]] = true
+	}
+	others, err := filepath.Glob("../*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(others, "../../bench/main.go") {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`\b(?:fs|flag)\.[A-Z]\w*\("([a-z][a-z0-9-]*)"`).FindAllSubmatch(src, -1) {
+			live[string(m[1])] = true
+		}
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			spans := strings.Split(line, "`")
+			for j := 1; j < len(spans); j += 2 {
+				if !strings.HasPrefix(spans[j], "-") {
+					continue
+				}
+				for name := range flagNames(spans[j]) {
+					if !live[name] {
+						t.Errorf("%s:%d names -%s, which no command registers", doc, i+1, name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // trimLines is s with every line trimmed of surrounding blanks, so a
 // reference whose tabs an editor expanded still matches.
 func trimLines(s string) string {
@@ -218,6 +268,7 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 			"-init", schema,
 			"-cluster", "2",
 			"-writers", "cluster-client",
+			"-rate", "0.001", "-burst", "2",
 			"-detect",
 			"-n", "1000",
 			"-cap", "1ms",
@@ -246,6 +297,11 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("read through router: %d rows, want 1", len(res.Rows))
 	}
+	// -rate and -burst meter at the router: a third statement is over
+	// the burst of 2.
+	if _, err := c.Query("SELECT * FROM t WHERE id = 1"); err == nil || !strings.Contains(err.Error(), "HTTP 429") {
+		t.Fatalf("third statement at -burst 2: err = %v, want HTTP 429", err)
+	}
 
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
@@ -273,6 +329,9 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 	resp.Body.Close()
 	if metrics["cluster_routed_total"] < 2 {
 		t.Fatalf("cluster_routed_total = %v, want >= 2", metrics["cluster_routed_total"])
+	}
+	if v := metrics["cluster_admission_rejected_total"]; v != 1 {
+		t.Fatalf("cluster_admission_rejected_total = %v, want 1", v)
 	}
 	if metrics["cluster_antientropy_rounds_total"] < 1 {
 		t.Fatalf("cluster_antientropy_rounds_total = %v, want >= 1",

@@ -345,16 +345,57 @@ func TestWriteFanoutReplicatesToAllShards(t *testing.T) {
 	}
 }
 
-func TestRegisterBroadcasts(t *testing.T) {
+// TestRegisterForwardsToOneShard: a registration goes to the first
+// readable shard alone, so exactly one shard's throttle grants it.
+func TestRegisterForwardsToOneShard(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10})
+	granted := func() []float64 {
+		var out []float64
+		for _, sh := range c.Shields {
+			out = append(out, sh.Metrics().Export()["shield_registrations_granted"].(float64))
+		}
+		return out
+	}
 	resp, body := do(t, c.Handler, http.MethodPost, "/register", "", `{"identity":"acct-1"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: HTTP %d: %s", resp.StatusCode, body)
 	}
-	for i, sh := range c.Shields {
-		if v := sh.Metrics().Export()["shield_registrations_granted"].(float64); v != 1 {
-			t.Errorf("shard %d registered %v identities, want 1", i, v)
+	if got := granted(); !slices.Equal(got, []float64{1, 0}) {
+		t.Errorf("registrations granted per shard %v, want [1 0]: shard 0 alone", got)
+	}
+	// With shard 0 out of the read plane, shard 1 is the first readable.
+	c.Chaos[0].Kill()
+	c.Router.Nodes()[0].latchDown()
+	if resp, body := do(t, c.Handler, http.MethodPost, "/register", "", `{"identity":"acct-2"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register with shard 0 down: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if got := granted(); !slices.Equal(got, []float64{1, 1}) {
+		t.Errorf("registrations granted per shard %v, want [1 1]", got)
+	}
+}
+
+// TestRegisterLatchesNoShard: a registration is a throttle check, not a
+// write. With shard 0's slot spent by a direct /register and shard 1's
+// free, a client's /register through the router gets one shard's answer,
+// and no shard leaves the read plane for having answered differently.
+func TestRegisterLatchesNoShard(t *testing.T) {
+	c := newTestCluster(t, clusterOpts{Shards: 2, Tuples: 10})
+	if resp, body := do(t, c.Shards[0], http.MethodPost, "/register", "", `{"identity":"direct"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct register on shard 0: HTTP %d: %s", resp.StatusCode, body)
+	}
+	resp, body := do(t, c.Handler, http.MethodPost, "/register", "", `{"identity":"acct-1"}`)
+	// Shard 0 is the first readable shard: its throttle answers.
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("register through the router: HTTP %d Retry-After %q (%s), want shard 0's 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	for _, n := range c.Router.Nodes() {
+		if !n.readable() {
+			t.Errorf("%s left the read plane after a /register", n.name)
 		}
+	}
+	if hr := healthOf(t, c.Handler); hr.Status != "ok" {
+		t.Errorf("healthz %q after a /register, want ok: %+v", hr.Status, hr.Peers)
 	}
 }
 
@@ -420,8 +461,8 @@ func TestAdmissionRejectsBeforeAnyShard(t *testing.T) {
 	r.inflight.Set(int64(r.cfg.MaxInFlight))
 	resp, _ = query(t, h, "someone-else", `SELECT * FROM items WHERE id = 1`)
 	r.inflight.Set(0)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("at-capacity query: HTTP %d, want 429", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("at-capacity query: HTTP %d Retry-After %q, want 429 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	if v := r.inflightRej.Value(); v != 1 {
 		t.Errorf("cluster_inflight_rejected_total = %d, want 1", v)

@@ -444,9 +444,6 @@ func (r *Router) handleRebalanceGet(w http.ResponseWriter, req *http.Request) {
 // Asynchronous by default (202; poll GET /admin/rebalance); Wait runs it
 // synchronously.
 func (r *Router) handleRebalancePost(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
 	var up PartitionMapUpdate
 	if !server.DecodeBody(w, req, server.MaxBodyBytes, &up) {
 		return
@@ -560,9 +557,6 @@ type ResyncRequest struct {
 // flight, a staler replica ahead of the fresh one, a copy that failed)
 // is a 409.
 func (r *Router) handleResync(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
 	var rr ResyncRequest
 	if !server.DecodeBody(w, req, server.MaxBodyBytes, &rr) {
 		return

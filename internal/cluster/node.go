@@ -33,6 +33,7 @@ type call struct {
 type reply struct {
 	status      int
 	contentType string
+	retryAfter  string // a refusal's Retry-After, relayed with it
 	body        []byte
 }
 
@@ -241,7 +242,7 @@ func (t handlerTransport) serve(ctx context.Context, c *call) reply {
 	}
 	rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
 	t.h.ServeHTTP(rec, req)
-	return reply{status: rec.code, contentType: rec.header.Get("Content-Type"), body: rec.body.Bytes()}
+	return reply{status: rec.code, contentType: rec.header.Get("Content-Type"), retryAfter: rec.header.Get("Retry-After"), body: rec.body.Bytes()}
 }
 
 // recordedResponse is a minimal ResponseWriter capturing status,

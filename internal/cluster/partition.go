@@ -428,18 +428,26 @@ func (r *Router) relayUnder(w http.ResponseWriter, pm *PartitionMap, rep reply) 
 // serveAny forwards a statement that is not tuple-routable to the first
 // readable shard, whose answer stands for the cluster's.
 func (r *Router) serveAny(ctx context.Context, w http.ResponseWriter, pm *PartitionMap, c *call) {
+	if rep, ok := r.askAny(ctx, w, c); ok {
+		r.relayUnder(w, pm, rep)
+	}
+}
+
+// askAny sends c to the first readable shard and returns its reply, or
+// answers 503 itself and reports false.
+func (r *Router) askAny(ctx context.Context, w http.ResponseWriter, c *call) (reply, bool) {
 	h := r.healthy()
 	if len(h) == 0 {
 		server.WriteErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
-		return
+		return reply{}, false
 	}
 	n := r.nodes[h[0]]
 	rep, err := r.rpc(ctx, n, c)
 	if err != nil {
 		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s unreachable: %v", n.name, err))
-		return
+		return reply{}, false
 	}
-	r.relayUnder(w, pm, rep)
+	return rep, true
 }
 
 // PartitionMapResponse is the GET /admin/partition-map body.

@@ -527,22 +527,6 @@ func TestRetryAfterTracksBucketRefill(t *testing.T) {
 	}
 }
 
-func TestReadBodyPooledScratchNoAllocs(t *testing.T) {
-	buf := queryBufPool.Get().(*queryBuf)
-	defer queryBufPool.Put(buf)
-	payload := []byte(`{"sql":"SELECT v FROM items WHERE id = 1"}`)
-	rd := bytes.NewReader(nil)
-	allocs := testing.AllocsPerRun(200, func() {
-		rd.Reset(payload)
-		if _, err := readBody(rd, buf); err != nil {
-			panic(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("readBody allocates %.1f objects per pooled request, want 0", allocs)
-	}
-}
-
 // TestRemoteShapedCluster drives the routed surface through nodes that
 // are remote to the router — loopback sockets behind the shard
 // transport, the path real deployments take.

@@ -370,7 +370,7 @@ func readReply(br *bufio.Reader, method string) (rep reply, reuse bool, err erro
 		return reply{}, false, fmt.Errorf("%w: Transfer-Encoding with %d values, Content-Length %d", errReplyFraming, h.encodings, h.length)
 	}
 
-	rep = reply{status: code, contentType: h.contentType}
+	rep = reply{status: code, contentType: h.contentType, retryAfter: h.retryAfter}
 	switch {
 	case method == http.MethodHead || code < 200 || code == http.StatusNoContent || code == http.StatusNotModified:
 		// no body, whatever the headers say
@@ -416,10 +416,12 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 }
 
 // replyHeaders is what the transport keeps of a header block: the four
-// fields that frame the reply or describe its body. Every other field —
-// and every trailer — is checked for form and dropped.
+// fields that frame the reply or describe its body, and a refusal's
+// Retry-After. Every other field — and every trailer — is checked for
+// form and dropped.
 type replyHeaders struct {
 	contentType string
+	retryAfter  string
 	typed       bool  // a Content-Type was seen: the first one counts
 	length      int64 // the first Content-Length
 	lengths     int   // Content-Length fields seen
@@ -453,6 +455,8 @@ func (h *replyHeaders) read(br *bufio.Reader, http10 bool) error {
 				h.contentType = string(v)
 			}
 			h.typed = true
+		case isField(name, "retry-after"):
+			h.retryAfter = string(v)
 		case isField(name, "content-length"):
 			if h.lengths++; h.lengths == 1 {
 				if h.length, err = parseLength(string(v), 10); err != nil {

@@ -105,9 +105,6 @@ func (r *Router) serveReplicaRead(ctx context.Context, w http.ResponseWriter, pm
 // every partitioned read, the answer is retracted if the map moved
 // while it was computed.
 func (r *Router) handleQuote(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
 	var qr server.QuoteRequest
 	if !server.DecodeBody(w, req, server.MaxBodyBytes, &qr) {
 		return

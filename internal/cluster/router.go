@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -14,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/ratelimit"
@@ -31,14 +29,8 @@ type Policy int
 // PolicyHash is the shim's only value; it selects nothing.
 const PolicyHash Policy = 0
 
-// Defaults for the admission-control knobs. The per-principal rate is
-// deliberately loose — fine-grained fairness lives in each shard's
-// limiter and delay gate; the edge only stops the traffic no shard
-// should ever see.
+// Defaults for the router's knobs.
 const (
-	DefaultAdmitRate     = 100.0
-	DefaultAdmitBurst    = 200.0
-	DefaultAdmitMax      = 65536
 	DefaultMaxInFlight   = 1024
 	DefaultExchangeEvery = 5 * time.Second
 	DefaultExportFloor   = 0.01
@@ -49,8 +41,10 @@ type Config struct {
 	// Policy is ignored. It exists only so bench/child.go keeps
 	// compiling and goes with the next benchmark PR (see Policy).
 	Policy Policy
-	// AdmitRate and AdmitBurst shape the per-principal edge token
-	// bucket (queries/second). 0 means the defaults.
+	// AdmitRate and AdmitBurst shape the per-principal token bucket at
+	// the router's door (queries/second, and a burst of at least 1), as
+	// core.Config's QueryRate and QueryBurst do at a node's: AdmitRate
+	// <= 0 means no limiter. delaydb's -rate and -burst set them.
 	AdmitRate  float64
 	AdmitBurst float64
 	// MaxInFlight caps queries in flight across the whole cluster; at
@@ -84,10 +78,10 @@ type Config struct {
 type Router struct {
 	nodes   []*Node
 	cfg     Config
-	h       http.Handler // every route, recovery-wrapped
-	public  http.Handler // the public routes, recovery-wrapped
-	metrics http.Handler // the cluster_* instrument snapshot
-	limit   *ratelimit.IdentityLimiter
+	h       http.Handler               // every route, recovery-wrapped
+	public  http.Handler               // the public routes, recovery-wrapped
+	metrics http.Handler               // the cluster_* instrument snapshot
+	limit   *ratelimit.IdentityLimiter // nil: no per-principal limit
 
 	// pmap is the live partition map, never nil. Only a migration's
 	// cutover swaps it; readers load the pointer once per request and
@@ -107,9 +101,9 @@ type Router struct {
 	// concurrently, writes inside one partition (and the migrator's
 	// fenced copy of it) serialize, so every replica of a partition
 	// applies non-commutative writes in one (the router's) order. A
-	// scatter write or a broadcast (DDL, /register) holds partLocks
-	// exclusively, serializing with every single-key write at once. Reads
-	// never take these locks.
+	// scatter write or a DDL broadcast holds partLocks exclusively,
+	// serializing with every single-key write at once. Reads never take
+	// these locks.
 	partLocks sync.RWMutex
 	partMu    []sync.Mutex
 
@@ -175,19 +169,13 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 		}
 		names[n.name] = true
 	}
-	if cfg.AdmitRate <= 0 {
-		cfg.AdmitRate = DefaultAdmitRate
-	}
-	if cfg.AdmitBurst <= 0 {
-		cfg.AdmitBurst = DefaultAdmitBurst
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
-	limit, err := ratelimit.NewIdentityLimiter(cfg.AdmitRate, cfg.AdmitBurst, DefaultAdmitMax, cfg.Clock)
+	limit, err := core.NewLimiter(cfg.AdmitRate, cfg.AdmitBurst, cfg.Clock)
 	if err != nil {
 		return nil, err
 	}
@@ -218,6 +206,9 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.writeFanErr = m.Counter("cluster_write_fanout_errors_total")
 	r.writeDiverged = m.Counter("cluster_write_diverged_total")
 	r.admitRej = m.Counter("cluster_admission_rejected_total")
+	if limit != nil {
+		limit.SetRejectionCounter(r.admitRej)
+	}
 	r.inflightRej = m.Counter("cluster_inflight_rejected_total")
 	r.peerErrors = m.Counter("cluster_peer_errors_total")
 	r.peerDown = m.Gauge("cluster_peer_down")
@@ -258,56 +249,32 @@ func NewRouter(nodes []*Node, cfg Config) (*Router, error) {
 	r.ae.marks = make([]uint64, len(nodes))
 
 	r.metrics = m.Handler()
-	all, public := http.NewServeMux(), http.NewServeMux()
-	for _, rt := range routerRoutes {
-		serve := rt.serve
-		h := func(w http.ResponseWriter, req *http.Request) { serve(r, w, req) }
-		all.HandleFunc(rt.pattern, h)
-		if rt.public {
-			public.HandleFunc(rt.pattern, h)
-		}
-	}
-	panics := m.Counter("cluster_panics_total")
-	r.h = server.WithRecovery(r.dispatch(all), panics)
-	r.public = server.WithRecovery(r.dispatch(public), panics)
+	r.h, r.public = server.Mount(r, routerRoutes, m.Counter("cluster_panics_total"))
 	return r, nil
-}
-
-// routerRoute is one entry of the router's route table.
-type routerRoute struct {
-	pattern string
-	serve   func(*Router, http.ResponseWriter, *http.Request)
-	public  bool // served by PublicHandler too
 }
 
 // routerRoutes is every route Handler serves; the public ones are the
 // front door, as on a shard (server.Routes), and the rest belong on an
 // internal listener: they reveal the ranking, price plans for free, or
 // change the partition map.
-var routerRoutes = []routerRoute{
-	{"POST /query", (*Router).handleQuery, true},
-	{"POST /register", (*Router).handleRegister, true},
-	{"GET /healthz", (*Router).handleHealth, true},
-	{"GET /stats", (*Router).handleStats, true},
-	{"GET /metrics", (*Router).handleMetrics, false},
-	{"GET /admin/topk", (*Router).handleTopK, false},
-	{"GET /admin/suspects", (*Router).handleSuspectsAgg, false},
-	{"POST /admin/quote", (*Router).handleQuote, false},
-	{"GET /admin/partition-map", (*Router).handlePartitionMapGet, false},
-	{"GET /admin/rebalance", (*Router).handleRebalanceGet, false},
-	{"POST /admin/rebalance", (*Router).handleRebalancePost, false},
-	{"POST /admin/resync", (*Router).handleResync, false},
+var routerRoutes = []server.Route[*Router]{
+	{Pattern: "POST /query", Serve: (*Router).handleQuery, Public: true},
+	{Pattern: "POST /register", Serve: (*Router).handleRegister, Public: true},
+	{Pattern: "GET /healthz", Serve: (*Router).handleHealth, Public: true},
+	{Pattern: "GET /stats", Serve: (*Router).handleStats, Public: true},
+	{Pattern: "GET /metrics", Serve: (*Router).handleMetrics},
+	{Pattern: "GET /admin/topk", Serve: (*Router).handleTopK},
+	{Pattern: "GET /admin/suspects", Serve: (*Router).handleSuspectsAgg},
+	{Pattern: "POST /admin/quote", Serve: (*Router).handleQuote},
+	{Pattern: "GET /admin/partition-map", Serve: (*Router).handlePartitionMapGet},
+	{Pattern: "GET /admin/rebalance", Serve: (*Router).handleRebalanceGet},
+	{Pattern: "POST /admin/rebalance", Serve: (*Router).handleRebalancePost},
+	{Pattern: "POST /admin/resync", Serve: (*Router).handleResync},
 }
 
 // RouterRoutes maps the pattern of every route a Router's Handler serves
 // to whether its PublicHandler serves it too.
-func RouterRoutes() map[string]bool {
-	m := make(map[string]bool, len(routerRoutes))
-	for _, rt := range routerRoutes {
-		m[rt.pattern] = rt.public
-	}
-	return m
-}
+func RouterRoutes() map[string]bool { return server.Patterns(routerRoutes) }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	r.metrics.ServeHTTP(w, req)
@@ -319,19 +286,6 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
 	r.proxyGet("/admin/topk")(w, req)
-}
-
-// dispatch short-circuits mux for POST /query — the hot path every
-// point query takes — and defers everything else (including the 405
-// for wrong-method /query) to the route table.
-func (r *Router) dispatch(mux *http.ServeMux) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method == http.MethodPost && req.URL.Path == "/query" {
-			r.handleQuery(w, req)
-			return
-		}
-		mux.ServeHTTP(w, req)
-	}
 }
 
 // Handler returns the router's HTTP handler, panic-recovery wrapped
@@ -390,36 +344,6 @@ func (r *Router) syncPeerDown() {
 	r.peerResync.Set(resync)
 }
 
-// queryBuf is the pooled buffer handleQuery reads a /query body into.
-// It goes back to the pool when the handler returns: no transport reads
-// a call's body after its round trip has returned (see transport).
-type queryBuf [2048]byte
-
-var queryBufPool = sync.Pool{New: func() any { return new(queryBuf) }}
-
-// readBody drains r into buf, spilling to a heap slice only for
-// oversized bodies (bulk writes — off the hot path anyway).
-func readBody(r io.Reader, buf *queryBuf) ([]byte, error) {
-	n := 0
-	for {
-		m, err := r.Read(buf[n:])
-		n += m
-		if err == io.EOF {
-			return buf[:n], nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n == len(buf) {
-			rest, err := io.ReadAll(r)
-			if err != nil {
-				return nil, err
-			}
-			return append(append(make([]byte, 0, n+len(rest)), buf[:n]...), rest...), nil
-		}
-	}
-}
-
 // clientCall is the POST that forwards a client's request body to a
 // shard's path under the principal the router resolved for it, so the
 // shard charges the client whichever transport carries the call.
@@ -427,21 +351,12 @@ func clientCall(principal, path string, body []byte) *call {
 	return &call{method: http.MethodPost, path: path, body: body, identity: principal}
 }
 
+// handleQuery is the router's door: the client's pinned map version is
+// fenced first, so a stale client learns the new version without burning
+// an admission token; the request is then read and refused as at a node
+// (server.ServeQuery), admitted against the global in-flight cap and the
+// per-principal bucket, both before any shard is touched, and routed.
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
-	buf := queryBufPool.Get().(*queryBuf)
-	defer queryBufPool.Put(buf)
-	body, err := readBody(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes), buf)
-	if err != nil {
-		server.WriteErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
-		return
-	}
-
-	// Fence the client's pinned map version and decode before
-	// admission: a stale client learns the new version, and a malformed
-	// body its 400, without burning admission tokens.
 	pm := r.pmap.Load()
 	w.Header().Set("X-Partition-Version", strconv.FormatUint(pm.Version, 10))
 	if pin := req.Header.Get("X-Partition-Version"); pin != "" {
@@ -450,79 +365,42 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	q, err := server.ParseQueryRequest(body)
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if q.SQL == "" {
-		server.WriteErr(w, http.StatusBadRequest, errors.New("empty sql"))
-		return
-	}
-
-	// Admission: the global in-flight cap, then the per-principal
-	// bucket — both answered at the edge, before any shard is touched.
-	// The cap is a reserve-then-check on the gauge itself (not a read
-	// followed by a separate increment), so concurrent arrivals cannot
-	// overshoot MaxInFlight.
-	if cur := r.inflight.AddGet(1); cur > int64(r.cfg.MaxInFlight) {
-		r.inflight.Dec()
-		r.inflightRej.Inc()
-		w.Header().Set("Retry-After", "1")
-		server.WriteErr(w, http.StatusTooManyRequests,
-			fmt.Errorf("cluster at capacity (%d queries in flight)", cur-1))
-		return
-	}
-	defer r.inflight.Dec()
-	principal := server.Identity(req)
-	if principal == InitIdentity {
-		server.WriteErr(w, http.StatusForbidden, fmt.Errorf("identity %q is the router's own", principal))
-		return
-	}
-	if !r.limit.Allow(principal) {
-		r.admitRej.Inc()
-		// Tell the backoff client exactly when its bucket refills —
-		// a static guess either hammers the edge early or idles past
-		// the token.
-		w.Header().Set("Retry-After", retryAfterSecs(r.limit.RetryAfter(principal)))
-		server.WriteErr(w, http.StatusTooManyRequests,
-			errors.New("edge rate limit exceeded; retry later"))
-		return
-	}
-	r.routed.Inc()
-	r.servePartitioned(req.Context(), w, pm, q.SQL, clientCall(principal, "/query", body))
+	server.ServeQuery(w, req, func(buf *[]byte, q server.QueryRequest) error {
+		// The cap is a reserve-then-check on the gauge itself (not a read
+		// followed by a separate increment), so concurrent arrivals
+		// cannot overshoot MaxInFlight.
+		if cur := r.inflight.AddGet(1); cur > int64(r.cfg.MaxInFlight) {
+			r.inflight.Dec()
+			r.inflightRej.Inc()
+			return fmt.Errorf("cluster %w (%d queries in flight)", server.ErrAtCapacity, cur-1)
+		}
+		defer r.inflight.Dec()
+		principal := server.Identity(req)
+		if principal == InitIdentity {
+			server.WriteErr(w, http.StatusForbidden, fmt.Errorf("identity %q is the router's own", principal))
+			return nil
+		}
+		if err := core.Admit(r.limit, principal); err != nil {
+			return err
+		}
+		r.routed.Inc()
+		r.servePartitioned(req.Context(), w, pm, q.SQL, clientCall(principal, "/query", *buf))
+		return nil
+	})
 }
 
-// retryAfterSecs renders a refill wait as a Retry-After value, rounding
-// up so the retry lands after the token exists.
-func retryAfterSecs(d time.Duration) string {
-	if d <= 0 {
-		return "0"
-	}
-	return strconv.FormatInt(int64(math.Ceil(d.Seconds())), 10)
-}
-
-// handleRegister broadcasts a registration to every reachable shard so
-// the principal exists wherever its queries may route.
+// handleRegister forwards a registration to the first readable shard
+// and relays its answer. A registration is a throttle check
+// (core.Shield.Register), not state to replicate: sent to every shard,
+// one whose throttle refused while another's granted would look like a
+// replica that missed a write.
 func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
-	if !server.RequireJSON(w, req) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes))
-	if err != nil {
-		server.WriteErr(w, server.BodyErrStatus(err), fmt.Errorf("reading request: %w", err))
-		return
-	}
-	var reg server.RegisterRequest
-	if err := json.Unmarshal(body, &reg); err != nil {
-		server.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if reg.Identity == "" {
-		server.WriteErr(w, http.StatusBadRequest, errors.New("empty identity"))
-		return
-	}
-	r.broadcast(req.Context(), w, clientCall(server.Identity(req), "/register", body))
+	server.ServeRegister(w, req, func(body []byte, _ string) error {
+		if rep, ok := r.askAny(req.Context(), w, clientCall(server.Identity(req), "/register", body)); ok {
+			relay(w, rep)
+		}
+		return nil
+	})
 }
 
 // PeerHealth is one peer's entry in the router's /healthz body.

@@ -156,6 +156,9 @@ func relay(w http.ResponseWriter, rep reply) {
 	if rep.contentType != "" {
 		w.Header().Set("Content-Type", rep.contentType)
 	}
+	if rep.retryAfter != "" {
+		w.Header().Set("Retry-After", rep.retryAfter)
+	}
 	w.WriteHeader(rep.status)
 	if rf, ok := w.(io.ReaderFrom); ok {
 		rf.ReadFrom(&bodyReader{b: rep.body})

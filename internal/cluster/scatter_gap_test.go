@@ -3,10 +3,13 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/delay"
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/vclock"
@@ -59,9 +62,101 @@ func TestScatterBillGap(t *testing.T) {
 	}
 }
 
+// routerLeg pins one principal's clock across a router: its 64 concurrent
+// cold point reads through a partitioned router whose shards share one
+// clock, by shard count. billed sums the replies' delay_millis (64 reads
+// at the 1 s cap); elapsed runs from the first request to the last
+// reply. Each shard keeps its own clock for the principal and serves
+// only the reads that route to it, so the shards' waits overlap and the
+// elapsed time is the busiest shard's share. One edge that owns the
+// principal's clock makes every elapsed equal its billed.
+var routerLeg = map[int]struct{ billed, elapsed time.Duration }{
+	1: {64 * time.Second, 64 * time.Second},
+	4: {64 * time.Second, 23 * time.Second},
+}
+
+// TestRouterLegOverlaps measures the gap between what one principal's
+// concurrent point reads charge through the router and how long they
+// take.
+func TestRouterLegOverlaps(t *testing.T) {
+	const reads = delay.PrincipalWaitCap
+	for _, shards := range []int{1, 4} {
+		clock := vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC))
+		nodes := make([]*Node, shards)
+		for i := range nodes {
+			h, _ := capShardOn(t, 1000, clock)
+			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+		}
+		r, err := NewRouter(nodes, Config{Partitions: DefaultPartitions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ExecScript(insertItems(0, 999)); err != nil {
+			t.Fatal(err)
+		}
+		clock.SetBlocking(true)
+		h := r.Handler()
+
+		first := clock.Now()
+		var (
+			mu       sync.Mutex
+			billed   time.Duration
+			last     time.Time
+			finished atomic.Int64
+		)
+		for id := 1; id <= reads; id++ {
+			go func() {
+				defer finished.Add(1)
+				resp, body := query(t, h, "robot", fmt.Sprintf("SELECT * FROM items WHERE id = %d", id))
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("read %d: HTTP %d: %s", id, resp.StatusCode, body)
+					return
+				}
+				left := clock.Now()
+				d := time.Duration(decodeQuery(t, body).DelayMillis * float64(time.Millisecond))
+				mu.Lock()
+				billed += d
+				last = maxTime(last, left)
+				mu.Unlock()
+			}()
+		}
+		// Once every read is parked, move time on one cap at a time, each
+		// step only after the reads it woke have left.
+		deadline := time.Now().Add(10 * time.Second)
+		for finished.Load() < reads {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d shard(s): %d reads parked, %d finished", shards, clock.Waiters(), finished.Load())
+			}
+			if int64(clock.Waiters())+finished.Load() == reads && clock.Waiters() > 0 {
+				clock.Advance(time.Second)
+				continue
+			}
+			time.Sleep(time.Millisecond)
+		}
+		elapsed := last.Sub(first)
+		t.Logf("%d shard(s): billed %v, elapsed %v", shards, billed, elapsed)
+		if want := routerLeg[shards]; billed != want.billed || elapsed != want.elapsed {
+			t.Errorf("%d shard(s): billed %v elapsed %v, pinned %v and %v", shards, billed, elapsed, want.billed, want.elapsed)
+		}
+	}
+}
+
+func maxTime(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
+	}
+	return a
+}
+
 // capShard is newShard with a 1 s cap and no counts learned: every tuple
 // is priced at the cap.
 func capShard(t *testing.T, catalogN int) (http.Handler, *core.Shield) {
+	t.Helper()
+	return capShardOn(t, catalogN, vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC)))
+}
+
+// capShardOn is capShard on the given clock.
+func capShardOn(t *testing.T, catalogN int, clock vclock.Clock) (http.Handler, *core.Shield) {
 	t.Helper()
 	db, err := engine.Open(t.TempDir())
 	if err != nil {
@@ -72,8 +167,7 @@ func capShard(t *testing.T, catalogN int) (http.Handler, *core.Shield) {
 		t.Fatal(err)
 	}
 	shield, err := core.New(db, core.Config{
-		N: catalogN, Alpha: 1, Beta: 2, Cap: time.Second,
-		Clock: vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC)),
+		N: catalogN, Alpha: 1, Beta: 2, Cap: time.Second, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)

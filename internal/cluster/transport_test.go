@@ -26,6 +26,10 @@ func contractShard(entered chan<- struct{}) http.Handler {
 		case "/broken":
 			w.WriteHeader(http.StatusInternalServerError)
 			io.WriteString(w, `{"error":"wal: disk failure"}`)
+		case "/busy":
+			w.Header().Set("Retry-After", "3")
+			w.WriteHeader(http.StatusTooManyRequests)
+			io.WriteString(w, `{"error":"throttled"}`)
 		case "/empty":
 		case "/big":
 			// Past the server's 2 KiB buffer in several writes: a socket
@@ -62,17 +66,18 @@ func TestTransportContract(t *testing.T) {
 		call call
 		want reply
 	}{
-		{call{method: http.MethodGet, path: "/ok"}, reply{200, json, []byte(`{"ok":true}`)}},
-		{call{method: http.MethodGet, path: "/missing"}, reply{404, json, []byte(`{"error":"no such tuple"}`)}},
-		{call{method: http.MethodPost, path: "/broken", body: []byte(`{}`)}, reply{500, json, []byte(`{"error":"wal: disk failure"}`)}},
-		{call{method: http.MethodGet, path: "/empty"}, reply{200, json, nil}},
-		{call{method: http.MethodGet, path: "/big"}, reply{200, json, big}},
+		{call{method: http.MethodGet, path: "/ok"}, reply{200, json, "", []byte(`{"ok":true}`)}},
+		{call{method: http.MethodGet, path: "/missing"}, reply{404, json, "", []byte(`{"error":"no such tuple"}`)}},
+		{call{method: http.MethodPost, path: "/broken", body: []byte(`{}`)}, reply{500, json, "", []byte(`{"error":"wal: disk failure"}`)}},
+		{call{method: http.MethodGet, path: "/busy"}, reply{429, json, "3", []byte(`{"error":"throttled"}`)}},
+		{call{method: http.MethodGet, path: "/empty"}, reply{200, json, "", nil}},
+		{call{method: http.MethodGet, path: "/big"}, reply{200, json, "", big}},
 		{call{method: http.MethodGet, path: "/echo?k=5&floor=0.05"},
-			reply{200, json, []byte("GET|/echo?k=5&floor=0.05|||")}},
+			reply{200, json, "", []byte("GET|/echo?k=5&floor=0.05|||")}},
 		{call{method: http.MethodPost, path: "/echo", body: []byte(`{"sql":"SELECT 1"}`), identity: "alice"},
-			reply{200, json, []byte(`POST|/echo|application/json|alice|{"sql":"SELECT 1"}`)}},
+			reply{200, json, "", []byte(`POST|/echo|application/json|alice|{"sql":"SELECT 1"}`)}},
 		{call{method: http.MethodPost, path: "/echo", body: []byte{}},
-			reply{200, json, []byte("POST|/echo|application/json||")}},
+			reply{200, json, "", []byte("POST|/echo|application/json||")}},
 	}
 	entered := make(chan struct{}, 1)
 	shard := contractShard(entered)
@@ -90,10 +95,10 @@ func TestTransportContract(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: %v", c.call.method, c.call.path, err)
 				}
-				if got.status != c.want.status || got.contentType != c.want.contentType || !bytes.Equal(got.body, c.want.body) {
-					t.Errorf("%s %s: reply {%d %q %.60q} (%d bytes), want {%d %q %.60q} (%d bytes)", c.call.method, c.call.path,
-						got.status, got.contentType, got.body, len(got.body),
-						c.want.status, c.want.contentType, c.want.body, len(c.want.body))
+				if got.status != c.want.status || got.contentType != c.want.contentType || got.retryAfter != c.want.retryAfter || !bytes.Equal(got.body, c.want.body) {
+					t.Errorf("%s %s: reply {%d %q %q %.60q} (%d bytes), want {%d %q %q %.60q} (%d bytes)", c.call.method, c.call.path,
+						got.status, got.contentType, got.retryAfter, got.body, len(got.body),
+						c.want.status, c.want.contentType, c.want.retryAfter, c.want.body, len(c.want.body))
 				}
 			}
 

@@ -13,7 +13,7 @@ import (
 
 // This file is the router's one write path. A statement that changes
 // replicas — a single-key write, a split INSERT, a predicate
-// UPDATE/DELETE, a DDL or /register broadcast — names the partitions it
+// UPDATE/DELETE, a DDL broadcast — names the partitions it
 // touches, and applyWrite sends it, one leg per node, and decides the
 // outcome by one rule:
 //
@@ -65,8 +65,8 @@ func (r *Router) writeKeyed(ctx context.Context, w http.ResponseWriter, pm *Part
 	}
 }
 
-// broadcast applies a statement every shard must agree on — DDL, and
-// POST /register — as a write to one partition whose group is every
+// broadcast applies a statement every shard must agree on, a DDL, as a
+// write to one partition whose group is every
 // reachable node, including nodes that own no partition (they may gain
 // one at the next rebalance and need the catalog). It holds partLocks
 // exclusively, so a DDL orders against every tuple write the same way on

@@ -39,6 +39,39 @@ var ErrRateLimited = errors.New("core: rate limited")
 // registered yet.
 var ErrRegistrationThrottled = errors.New("core: registration throttled")
 
+// WaitError is a refusal that says when to come back: ErrRateLimited
+// with the wait until the principal's bucket holds a token again, or
+// ErrRegistrationThrottled with the wait for the next slot. The front
+// door answers it with a 429 whose Retry-After is Wait.
+type WaitError struct {
+	Err  error // wraps the sentinel
+	Wait time.Duration
+}
+
+func (e *WaitError) Error() string { return e.Err.Error() }
+func (e *WaitError) Unwrap() error { return e.Err }
+
+// NewLimiter returns the per-principal query limiter a front door admits
+// through: rate queries/second with the given burst (at least 1), or nil,
+// no limit, unless rate > 0. A shield builds one from Config.QueryRate,
+// the cluster router one for its own door.
+func NewLimiter(rate, burst float64, clock vclock.Clock) (*ratelimit.IdentityLimiter, error) {
+	if !(rate > 0) {
+		return nil, nil
+	}
+	return ratelimit.NewIdentityLimiter(rate, max(burst, 1), limiterPrincipalCap, clock)
+}
+
+// Admit spends one of principal's tokens at lim, or refuses with
+// ErrRateLimited carrying the wait until its bucket refills. A nil lim
+// admits everyone.
+func Admit(lim *ratelimit.IdentityLimiter, principal string) error {
+	if lim == nil || lim.Allow(principal) {
+		return nil
+	}
+	return &WaitError{fmt.Errorf("%w: principal %q", ErrRateLimited, principal), lim.RetryAfter(principal)}
+}
+
 // ErrDegraded is returned for write statements while the shield is in
 // degraded mode: a storage-layer I/O failure has been observed, so
 // mutations are refused rather than risk divergence between the heap
@@ -422,15 +455,11 @@ func New(db *engine.Database, cfg Config) (*Shield, error) {
 		s.detector = det
 	}
 
-	if cfg.QueryRate > 0 {
-		burst := cfg.QueryBurst
-		if burst < 1 {
-			burst = 1
-		}
-		lim, err := ratelimit.NewIdentityLimiter(cfg.QueryRate, burst, limiterPrincipalCap, cfg.Clock)
-		if err != nil {
-			return nil, err
-		}
+	lim, err := NewLimiter(cfg.QueryRate, cfg.QueryBurst, cfg.Clock)
+	if err != nil {
+		return nil, err
+	}
+	if lim != nil {
 		lim.SetRejectionCounter(reg.Counter("shield_rate_limit_rejections_total"))
 		reg.GaugeFunc("shield_limiter_principals", func() float64 { return float64(lim.Principals()) })
 		s.limiter = lim
@@ -698,7 +727,7 @@ func (s *Shield) Register(identity string) error {
 		return nil
 	}
 	if wait, ok := s.registrar.TryRegister(); !ok {
-		return fmt.Errorf("%w: next slot in %v", ErrRegistrationThrottled, wait)
+		return &WaitError{fmt.Errorf("%w: next slot in %v", ErrRegistrationThrottled, wait), wait}
 	}
 	return nil
 }
@@ -745,8 +774,8 @@ func (s *Shield) QueryInto(ctx context.Context, identity, sql string, parts *eng
 		ctx = context.Background()
 	}
 	principal := s.principalKey(identity)
-	if s.limiter != nil && !s.limiter.Allow(principal) {
-		return nil, QueryStats{}, fmt.Errorf("%w: principal %q", ErrRateLimited, principal)
+	if err := Admit(s.limiter, principal); err != nil {
+		return nil, QueryStats{}, err
 	}
 	// Prepare instead of Parse: a repeated SELECT shape hits the
 	// engine's plan cache and skips the parser entirely; the statement

@@ -451,6 +451,26 @@ func mustMarshalIndent(t *testing.T, v any) []byte {
 	return b
 }
 
+// TestReadBodyPooledScratchNoAllocs: the front door reads a request
+// into its pooled buffer without allocating, a node's and the router's.
+func TestReadBodyPooledScratchNoAllocs(t *testing.T) {
+	buf := bufPool.Get().(*[]byte)
+	defer putBuf(buf)
+	payload := []byte(`{"sql":"SELECT v FROM items WHERE id = 1"}`)
+	rd := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(payload)
+		body, err := readBody(rd, (*buf)[:0])
+		if err != nil {
+			panic(err)
+		}
+		*buf = body
+	})
+	if allocs != 0 {
+		t.Fatalf("readBody allocates %.1f objects per pooled request, want 0", allocs)
+	}
+}
+
 // TestLargeBuffersAreNotPooled: a reply past maxPooledBuf must not park
 // its megabytes in the pool.
 func TestLargeBuffersAreNotPooled(t *testing.T) {

@@ -1,14 +1,6 @@
 package server
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"net/http"
-
-	"repro/internal/core"
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // PartitionFilter restricts a SELECT to rows whose primary key hashes
 // into one of the named partitions under a Count-way split. With
@@ -35,26 +27,4 @@ type PartitionFilter struct {
 // filter is an error (the handlers' 400), never a full-table answer.
 func (f *PartitionFilter) set() (*engine.PartitionSet, error) {
 	return engine.NewPartitionSet(f.Count, f.Include)
-}
-
-// writeQueryErr maps a shield query error onto the wire; it reports
-// whether err consumed the response.
-func writeQueryErr(w http.ResponseWriter, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, core.ErrRateLimited), errors.Is(err, core.ErrPrincipalBusy):
-		WriteErr(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, core.ErrNotWriter):
-		WriteErr(w, http.StatusForbidden, err)
-	case errors.Is(err, core.ErrDegraded):
-		WriteErr(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		WriteErr(w, http.StatusGatewayTimeout, fmt.Errorf("query exceeded the per-request deadline (the delay was still charged): %w", err))
-	case errors.Is(err, context.Canceled):
-		// Client gone; nothing useful can be written.
-	default:
-		WriteErr(w, http.StatusBadRequest, err)
-	}
-	return true
 }

@@ -31,20 +31,13 @@ type Server struct {
 	deadline time.Duration // 0 = no per-request deadline
 }
 
-// route is one entry of the Server's route table.
-type route struct {
-	pattern string
-	serve   func(*Server, http.ResponseWriter, *http.Request)
-	public  bool // served by PublicHandler too
-}
-
 // routes is every route Handler serves. The public ones are the front
 // door a client needs; the rest belong on an internal listener: /metrics
 // and /admin/topk reveal the popularity ranking, /admin/quote prices an
 // extraction plan for free, /admin/suspects names the principals the
 // detector is watching, and the anti-entropy, schema and migration
 // routes let a caller forge sketches or move tuples.
-var routes = []route{
+var routes = []Route[*Server]{
 	{"POST /query", (*Server).handleQuery, true},
 	{"POST /register", (*Server).handleRegister, true},
 	{"GET /stats", (*Server).handleStats, true},
@@ -66,13 +59,7 @@ var routes = []route{
 
 // Routes maps the pattern of every route Handler serves to whether
 // PublicHandler serves it too.
-func Routes() map[string]bool {
-	m := make(map[string]bool, len(routes))
-	for _, rt := range routes {
-		m[rt.pattern] = rt.public
-	}
-	return m
-}
+func Routes() map[string]bool { return Patterns(routes) }
 
 // Option configures a Server.
 type Option func(*Server)
@@ -93,18 +80,7 @@ func New(shield *core.Shield, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	all, public := http.NewServeMux(), http.NewServeMux()
-	for _, rt := range routes {
-		serve := rt.serve
-		h := func(w http.ResponseWriter, r *http.Request) { serve(s, w, r) }
-		all.HandleFunc(rt.pattern, h)
-		if rt.public {
-			public.HandleFunc(rt.pattern, h)
-		}
-	}
-	panics := shield.Metrics().Counter("server_panics_total")
-	s.handler = WithRecovery(all, panics)
-	s.public = WithRecovery(public, panics)
+	s.handler, s.public = Mount(s, routes, shield.Metrics().Counter("server_panics_total"))
 	return s, nil
 }
 
@@ -124,34 +100,6 @@ func (s *Server) PublicHandler() http.Handler { return s.public }
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.shield.SyncEngineMetrics()
 	s.metrics.ServeHTTP(w, r)
-}
-
-// WithRecovery wraps h so that a panicking handler produces a 500 (when
-// nothing has been written yet) and bumps panics, instead of unwinding
-// into net/http and killing the connection — or, for a panic on a
-// goroutine the handler spawned, the whole process. http.ErrAbortHandler
-// keeps its conventional meaning and is re-raised for net/http to
-// swallow.
-func WithRecovery(h http.Handler, panics interface{ Inc() }) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel by identity
-				panic(rec)
-			}
-			if panics != nil {
-				panics.Inc()
-			}
-			// Best effort: if the handler already wrote a status this is a
-			// no-op superfluous-WriteHeader, and the request dies mid-body.
-			WriteErr(w, http.StatusInternalServerError,
-				fmt.Errorf("internal error: %v", rec))
-		}()
-		h.ServeHTTP(w, r)
-	})
 }
 
 // QueryRequest is the /query request body.
@@ -180,15 +128,6 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// Identity resolves the principal for a request: its X-Identity header,
-// else its remote address. The shard and the router resolve it alike.
-func Identity(r *http.Request) string {
-	if id := r.Header.Get("X-Identity"); id != "" {
-		return id
-	}
-	return r.RemoteAddr
-}
-
 // WriteJSON answers status with v as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -201,95 +140,36 @@ func WriteErr(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// RequireJSON answers 415 and reports false unless the request's body is
-// JSON; a request that names no content type passes.
-func RequireJSON(w http.ResponseWriter, r *http.Request) bool {
-	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
-		WriteErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("content type %q; want application/json", ct))
-		return false
-	}
-	return true
-}
-
-// MaxBodyBytes bounds a request body on every endpoint of the shard and
-// of the router (but /admin/sketches, see maxSketchBody): a handler
-// buffers the whole body or string token, so without a bound one endless "sql"
-// value exhausts the heap. It is sized above the largest body the
-// cluster itself sends, a migration push page: migratePageLimit (512)
-// rows of at most storage.MaxRecordSize (just under 4 KiB) are 2 MiB of
-// row bytes, which JSON escaping can stretch six-fold (a control byte
-// becomes \u00XX) to 12 MiB. A routed INSERT is never larger than the
-// client statement it was split from, which passed this bound already.
-const MaxBodyBytes = 16 << 20
-
-// BodyErrStatus is the status for a request body that could not be read
-// or decoded: 413 when it outgrew its http.MaxBytesReader, 400 otherwise.
-func BodyErrStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// DecodeBody decodes r's JSON body, reading at most limit bytes of it,
-// into v. When it reports false it has written the error reply.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
-		WriteErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	buf := bufPool.Get().(*[]byte)
-	defer func() { putBuf(buf) }()
-	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), *buf)
-	*buf = body
-	var req QueryRequest
-	if err == nil {
-		// The request owns its strings: the buffer is free again, and
-		// becomes the reply's.
-		req, err = ParseQueryRequest(body)
-	}
-	if err != nil {
-		WriteErr(w, BodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.SQL == "" {
-		WriteErr(w, http.StatusBadRequest, errors.New("empty sql"))
-		return
-	}
-	// The request context propagates into the delay gate: a client that
-	// disconnects releases its goroutine immediately instead of pinning
-	// it for the remaining policy delay (the query stays charged).
-	ctx := r.Context()
-	if s.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.deadline)
-		defer cancel()
-	}
-	var parts *engine.PartitionSet
-	if req.PFilter != nil {
-		if parts, err = req.PFilter.set(); err != nil {
-			WriteErr(w, http.StatusBadRequest, err)
-			return
+	ServeQuery(w, r, func(buf *[]byte, req QueryRequest) error {
+		// The request context propagates into the delay gate: a client
+		// that disconnects releases its goroutine immediately instead of
+		// pinning it for the remaining policy delay (the query stays
+		// charged).
+		ctx := r.Context()
+		if s.deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.deadline)
+			defer cancel()
 		}
-	}
-	// A SELECT's rows are written into the reply as the engine reads
-	// them; what the delay then holds back is that reply.
-	res, stats, err := s.shield.QueryInto(ctx, Identity(r), req.SQL, parts, replyEncoder{}, append((*buf)[:0], '{'))
-	// Notable mappings: ErrNotWriter → 403 (the write did not run),
-	// ErrDegraded → 503 (persistence is failing, so writes are refused
-	// rather than acknowledged unrecoverably; reads are unaffected),
-	// DeadlineExceeded → 504 with the delay still charged, Canceled → no
-	// response (the client is gone).
-	if writeQueryErr(w, err) {
-		return
-	}
-	*buf = appendReplyTail(res.Body, res.BodyRows, res.Affected, float64(stats.Delay)/float64(time.Millisecond))
-	writeReply(w, *buf)
+		var parts *engine.PartitionSet
+		if req.PFilter != nil {
+			var err error
+			if parts, err = req.PFilter.set(); err != nil {
+				return err
+			}
+		}
+		// The request owns its strings, so the buffer becomes the
+		// reply's: a SELECT's rows are written into it as the engine
+		// reads them, and what the delay then holds back is that reply.
+		res, stats, err := s.shield.QueryInto(ctx, Identity(r), req.SQL, parts, replyEncoder{}, append((*buf)[:0], '{'))
+		if err != nil {
+			return err
+		}
+		*buf = appendReplyTail(res.Body, res.BodyRows, res.Affected, float64(stats.Delay)/float64(time.Millisecond))
+		writeReply(w, *buf)
+		return nil
+	})
 }
 
 // RegisterRequest is the /register request body.
@@ -298,23 +178,13 @@ type RegisterRequest struct {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !DecodeBody(w, r, MaxBodyBytes, &req) {
-		return
-	}
-	if req.Identity == "" {
-		WriteErr(w, http.StatusBadRequest, errors.New("empty identity"))
-		return
-	}
-	if err := s.shield.Register(req.Identity); err != nil {
-		if errors.Is(err, core.ErrRegistrationThrottled) {
-			WriteErr(w, http.StatusTooManyRequests, err)
-			return
+	ServeRegister(w, r, func(_ []byte, identity string) error {
+		if err := s.shield.Register(identity); err != nil {
+			return err
 		}
-		WriteErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "registered"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "registered"})
+		return nil
+	})
 }
 
 // StatsResponse summarizes shield state.
@@ -406,9 +276,6 @@ type QuoteResponse struct {
 const maxQuoteIDs = 10000
 
 func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
-	if !RequireJSON(w, r) {
-		return
-	}
 	var req QuoteRequest
 	if !DecodeBody(w, r, MaxBodyBytes, &req) {
 		return
@@ -590,9 +457,6 @@ func (s *Server) handleSketchExport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSketchAbsorb(w http.ResponseWriter, r *http.Request) {
-	if !RequireJSON(w, r) {
-		return
-	}
 	var req SketchAbsorbRequest
 	if !DecodeBody(w, r, maxSketchBody, &req) {
 		return
