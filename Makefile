@@ -54,10 +54,17 @@ RACE_STREAM = TestStreamedRangeReadsItsSnapshot|TestStreamedReadsUnderWriters
 # The full-heap reader at 1, 2 and 4 Ps: the claim-window bound and the
 # aggregate's bits must not depend on how many the host has.
 RACE_SCAN = TestParallelScan|TestFullScanAggregateIgnoresWorkers
+# The router's ordering tests: DDL against keyed writes, and TopN window
+# rounds against a node. Their shards sit behind loopback sockets, and an
+# interleaving that fails them showed up more often in plain runs than
+# under -race, so they repeat both ways.
+RACE_ROUTER = TestDDLOrdersWithKeyedWrites|TestKeyOrderedTopNMatchesANode
 race-hot:
 	$(GO) test -race $(RACE_HOT:%=./internal/%/...)
 	$(GO) test -race -count=20 -run '^($(RACE_WRITES)|$(RACE_STREAM))$$' ./internal/engine
 	$(GO) test -race -cpu 1,2,4 -run '^($(RACE_SCAN))' ./internal/engine
+	$(GO) test -race -count=20 -run '^($(RACE_ROUTER))$$' ./internal/cluster
+	$(GO) test -count=50 -run '^($(RACE_ROUTER))$$' ./internal/cluster
 
 # Lines of Go, non-test and test, per package and in total.
 loc:

@@ -30,18 +30,19 @@
 //	        [-maxinflight 1024] [-shard-timeout 0] ...
 //	delaydb -router -peers http://10.0.0.1:8081,http://10.0.0.2:8081 ...
 //
-// -cluster N opens N shards under -dir (shard-0 … shard-N-1) and serves
-// the cluster router in front of them; -router instead fronts
-// already-running delaydb shards over HTTP (data flags are ignored).
-// Either way -rate and -burst meter each principal at the router, the
-// door clients reach (-cluster opens its shards with no limiter), and
-// POST /register goes to the first readable shard, whose registration
-// throttle answers it. Each -peers entry is the http:// or https:// base URL of a shard's
-// -admin-addr listener (the router calls the shards' admin routes as
-// well as /query), checked at start-up, and the router keeps a small pool of persistent connections
-// to each (the shard transport, internal/cluster/peerconn.go; its dial
-// count and idle pool size are cluster_peer_dials_total and
-// cluster_peer_idle_conns on /metrics).
+// -cluster N opens N shards under -dir (shard-0 … shard-N-1), each on
+// its own 127.0.0.1 port serving every route, as a default -admin-addr
+// does, and serves the cluster router in front of them; -router instead
+// fronts running delaydb shards over HTTP (data flags are ignored).
+// Either way -rate and -burst meter each principal at the router (the
+// -cluster shards run no limiter), POST /register goes to the first
+// readable shard, whose registration throttle answers it, and the
+// router keeps a small pool of persistent connections to each shard
+// (the shard transport, internal/cluster/peerconn.go; its dial count
+// and idle pool size are cluster_peer_dials_total and
+// cluster_peer_idle_conns on /metrics). Each -peers entry is the
+// http:// or https:// base URL of a shard's -admin-addr listener,
+// checked at start-up: the router calls its admin routes too.
 // Either way every statement routes by tuple through one versioned
 // partition map: tuples hash (by INT primary key) to a partition, and
 // each partition lives on a replica group of shards. Point queries go
@@ -390,8 +391,10 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 					closeAll()
 					return err
 				}
-				closers = append(closers, db.Close)
-				nodes = append(nodes, cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), srv.Handler()))
+				// The shard's server stops before its database closes.
+				node := cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), srv.Handler())
+				closers = append(closers, node.Close, db.Close)
+				nodes = append(nodes, node)
 			}
 		}
 		rt, err := cluster.NewRouter(nodes, cluster.Config{
@@ -431,6 +434,9 @@ func run(args []string, stdout io.Writer, ready chan<- listening) error {
 			pm := rt.CurrentPartitionMap()
 			fmt.Fprintf(stdout, "delaydb: %s of %d shards on %s (%d partitions x %d replicas, antientropy=%v, rate=%g qps)\n",
 				mode, len(nodes), a, len(pm.Owners), len(pm.GroupOf(0)), *aeEvery, *rate)
+			for _, n := range nodes {
+				fmt.Fprintf(stdout, "delaydb: %s on %s\n", n.Name(), n.Addr())
+			}
 		}
 		return serveAndDrain(rt.PublicHandler(), rt.Handler(), banner, closeAll)
 	}

@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -337,6 +338,11 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 		t.Fatalf("cluster_antientropy_rounds_total = %v, want >= 1",
 			metrics["cluster_antientropy_rounds_total"])
 	}
+	// The shards are reached over the shard transport, whose books
+	// /metrics reports.
+	if v := metrics["cluster_peer_dials_total"]; v < 1 {
+		t.Fatalf("cluster_peer_dials_total = %v, want >= 1", v)
+	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -357,6 +363,23 @@ func TestClusterModeServesAndDrains(t *testing.T) {
 	// map it is.
 	if !strings.Contains(out.String(), "64 partitions x 2 replicas") {
 		t.Fatalf("startup banner does not state the R=N map:\n%s", out.String())
+	}
+	// Each shard listened on a loopback port the banner names, and the
+	// drain closed it.
+	for i := 0; i < 2; i++ {
+		prefix := fmt.Sprintf("delaydb: shard-%d on ", i)
+		_, after, ok := strings.Cut(out.String(), prefix)
+		if !ok {
+			t.Fatalf("startup banner names no address for shard-%d:\n%s", i, out.String())
+		}
+		shardAddr, _, _ := strings.Cut(after, "\n")
+		if !strings.HasPrefix(shardAddr, "127.0.0.1:") {
+			t.Fatalf("shard-%d listened on %q, want a 127.0.0.1 port", i, shardAddr)
+		}
+		if nc, err := net.DialTimeout("tcp", shardAddr, time.Second); err == nil {
+			nc.Close()
+			t.Fatalf("shard-%d's %s still accepts connections after the drain", i, shardAddr)
+		}
 	}
 
 	// The write must have fanned out: each shard directory holds the row.

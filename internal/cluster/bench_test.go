@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,14 +30,76 @@ func benchConfig(partitions, replication int) Config {
 	}
 }
 
+// handlerTransport is the benchmarks' in-process adapter: it hands a
+// call to the shard's handler on the calling goroutine, so a benchmark
+// through it times the router's own work without the kernel's round
+// trip (via=remote times that). No product path uses it; the shard
+// transport is the only one.
+type handlerTransport struct {
+	h    http.Handler
+	host string
+}
+
+func (t handlerTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
+	path, query, _ := strings.Cut(c.path, "?")
+	req := (&http.Request{
+		Method:     c.method,
+		URL:        &url.URL{Scheme: "http", Host: t.host, Path: path, RawQuery: query},
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 3),
+		Body:       http.NoBody,
+		Host:       t.host,
+	}).WithContext(ctx)
+	if c.body != nil {
+		req.Body = io.NopCloser(bytes.NewReader(c.body))
+		req.ContentLength = int64(len(c.body))
+		req.Header["Content-Type"] = []string{"application/json"}
+	}
+	if c.identity != "" {
+		req.Header["X-Identity"] = []string{c.identity}
+	}
+	rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
+	t.h.ServeHTTP(rec, req)
+	return reply{status: rec.code, contentType: rec.header.Get("Content-Type"), retryAfter: rec.header.Get("Retry-After"), body: rec.body.Bytes()}, ctx.Err()
+}
+
+// adapterNode is a shard reached through handlerTransport. Its shard
+// transport dials nothing, so the transport gauges read zero.
+func adapterNode(name string, h http.Handler) *Node {
+	return &Node{name: name, rt: handlerTransport{h: h, host: name}, pt: &peerTransport{}}
+}
+
+// adapterCluster returns the front door of a router over n newShard
+// shards reached through handlerTransport, holding rows (i, 'v<i>') for
+// i in 1..tuples, and the shards' own handlers.
+func adapterCluster(b *testing.B, n, tuples int, cfg Config) (http.Handler, []http.Handler) {
+	b.Helper()
+	nodes := make([]*Node, n)
+	handlers := make([]http.Handler, n)
+	for i := range nodes {
+		handlers[i], _ = newShard(b, tuples, nil)
+		nodes[i] = adapterNode(fmt.Sprintf("shard-%d", i), handlers[i])
+	}
+	r, err := NewRouter(nodes, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := r.ExecScript(insertItems(1, tuples)); err != nil {
+		b.Fatal(err)
+	}
+	return r.Handler(), handlers
+}
+
 // BenchmarkClusterPointQuery measures the router's tax on the hot
 // path: the same point query against a shard directly vs through the
 // front door (body read, JSON decode, admission, statement plan,
 // replica-group walk, second transport hop, relay). bench.sh bounds
 // via=router against via=direct.
 func BenchmarkClusterPointQuery(b *testing.B) {
-	c := newTestCluster(b, clusterOpts{Shards: 1, Tuples: 100, Config: benchConfig(0, 0)})
-	shard := c.Shards[0]
+	router, shards := adapterCluster(b, 1, 100, benchConfig(0, 0))
+	shard := shards[0]
 	body, _ := json.Marshal(server.QueryRequest{SQL: `SELECT * FROM items WHERE id = 42`})
 
 	run := func(b *testing.B, h http.Handler) {
@@ -62,7 +126,7 @@ func BenchmarkClusterPointQuery(b *testing.B) {
 	}
 
 	b.Run("via=direct", func(b *testing.B) { run(b, shard) })
-	b.Run("via=router", func(b *testing.B) { run(b, c.Handler) })
+	b.Run("via=router", func(b *testing.B) { run(b, router) })
 
 	// via=remote is the real hop: the shard behind delaydb's http.Server
 	// on a loopback listener, reached through NewHTTPNode's shard
@@ -171,7 +235,7 @@ func BenchmarkClusterScan(b *testing.B) {
 	scan := func(b *testing.B, shards int) {
 		nodes := make([]*Node, shards)
 		for i := range nodes {
-			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), newIOShard(b, tuples))
+			nodes[i] = adapterNode(fmt.Sprintf("shard-%d", i), newIOShard(b, tuples))
 		}
 		r, err := NewRouter(nodes, benchConfig(64, 1))
 		if err != nil {
@@ -192,12 +256,13 @@ func BenchmarkClusterScan(b *testing.B) {
 
 // BenchmarkClusterTopN is the scatter statement the latency ledger's
 // cluster_mix sends: SELECT * over a 100-key range ORDER BY id LIMIT 20,
-// over four in-process shards holding rows of ~200 bytes. The router asks
-// only for the window of the 20 keys from the range's start, from the
-// primaries of the partitions they hash to, and relays the 20 rows its
-// legs bring back; before the window, each leg brought back its 20 best
-// and the router merged 80 into 20. partitions=4 is one replica per
-// partition, r=2 two, as cluster_mix runs.
+// over four shards reached through the in-process adapter, holding rows
+// of ~200 bytes. The router asks only for the window of the 20 keys from
+// the range's start, from the primaries of the partitions they hash to,
+// and relays the 20 rows its legs bring back; before the window, each
+// leg brought back its 20 best and the router merged 80 into 20.
+// partitions=4 is one replica per partition, r=2 two, as cluster_mix
+// runs.
 func BenchmarkClusterTopN(b *testing.B) {
 	const tuples = 2000
 	for _, c := range []struct {
@@ -207,7 +272,7 @@ func BenchmarkClusterTopN(b *testing.B) {
 		nodes := make([]*Node, 4)
 		for i := range nodes {
 			h, _ := newShard(b, tuples, nil)
-			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+			nodes[i] = adapterNode(fmt.Sprintf("shard-%d", i), h)
 		}
 		r, err := NewRouter(nodes, benchConfig(64, c.replication))
 		if err != nil {
@@ -307,7 +372,7 @@ func BenchmarkMergeLegs(b *testing.B) {
 // r=1 ≤ 1.0 × r=N.
 func BenchmarkClusterWrite(b *testing.B) {
 	write := func(b *testing.B, partitions int) {
-		h := newTestCluster(b, clusterOpts{Shards: 4, Tuples: 1, Config: benchConfig(partitions, 1)}).Handler
+		h, _ := adapterCluster(b, 4, 1, benchConfig(partitions, 1))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			body, _ := json.Marshal(server.QueryRequest{
@@ -327,7 +392,7 @@ func BenchmarkClusterWrite(b *testing.B) {
 // enforces r=2 ≤ 1.3 × r=1.
 func BenchmarkClusterReplicatedPoint(b *testing.B) {
 	point := func(b *testing.B, replication int) {
-		h := newTestCluster(b, clusterOpts{Shards: 4, Tuples: 100, Config: benchConfig(64, replication)}).Handler
+		h, _ := adapterCluster(b, 4, 100, benchConfig(64, replication))
 		body, _ := json.Marshal(server.QueryRequest{SQL: `SELECT * FROM items WHERE id = 42`})
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// Chaos is a kill switch on an in-process shard: while killed, every
+// Chaos is a kill switch on a local shard: while killed, every
 // RPC to the node fails at the transport level, exactly as a crashed
 // process fails — the router latches the peer down, reads fail over,
 // writes quarantine. Revive restores the transport (the shard's state
@@ -37,8 +37,8 @@ func (t chaosTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
 	return t.inner.roundTrip(ctx, c)
 }
 
-// NewChaosNode returns an in-process shard node with a kill switch:
-// every request crosses the killable transport, so a kill is
+// NewChaosNode returns a local shard node (NewLocalNode) with a kill
+// switch: every request crosses the killable transport, so a kill is
 // indistinguishable from a crashed process on every router path.
 func NewChaosNode(name string, h http.Handler) (*Node, *Chaos) {
 	c := &Chaos{name: name}

@@ -59,10 +59,6 @@ type clusterOpts struct {
 	Tuples int
 	Detect *detect.Config
 	Config Config
-	// Loopback serves every shard on a real loopback listener behind
-	// NewHTTPNode: the shard transport instead of the handler adapter.
-	// Such a shard has no kill switch (Chaos[i] is nil) and ignores Wrap.
-	Loopback bool
 	// Wrap, when set, wraps shard i's transport (outside its kill
 	// switch) — how a test injects a shard that fails some requests.
 	Wrap func(shard int, next transport) transport
@@ -70,7 +66,8 @@ type clusterOpts struct {
 
 // testCluster is everything newTestCluster built: the router, and per
 // shard its raw handler (for probing shard state off the router's
-// paths), shield and kill switch.
+// paths), shield and kill switch. Every shard listens on loopback and
+// is reached over the shard transport.
 type testCluster struct {
 	Router  *Router
 	Handler http.Handler // the router's front door
@@ -96,11 +93,8 @@ func newTestCluster(t testing.TB, o clusterOpts) *testCluster {
 	nodes := make([]*Node, o.Shards)
 	for i := range nodes {
 		c.Shards[i], c.Shields[i] = newShard(t, catalog, o.Detect)
-		if o.Loopback {
-			nodes[i] = NewHTTPNode(fmt.Sprintf("shard-%d", i), serveLoopback(t, c.Shards[i]))
-			continue
-		}
 		nodes[i], c.Chaos[i] = NewChaosNode(fmt.Sprintf("shard-%d", i), c.Shards[i])
+		t.Cleanup(func() { nodes[i].Close() }) // before newShard's db.Close
 		if o.Wrap != nil {
 			nodes[i].rt = o.Wrap(i, nodes[i].rt)
 		}
@@ -116,6 +110,15 @@ func newTestCluster(t testing.TB, o clusterOpts) *testCluster {
 		}
 	}
 	return c
+}
+
+// localNode is NewLocalNode, closed when t ends: before the databases
+// of shards built earlier in t, which t closes later.
+func localNode(t testing.TB, name string, h http.Handler) *Node {
+	t.Helper()
+	n := NewLocalNode(name, h)
+	t.Cleanup(func() { n.Close() })
+	return n
 }
 
 // insertItems renders one INSERT of rows (i, 'v<i>') for i in lo..hi.
@@ -172,6 +175,29 @@ func (t handlerClient) RoundTrip(req *http.Request) (*http.Response, error) {
 		ContentLength: int64(rec.body.Len()),
 		Request:       req,
 	}, nil
+}
+
+// recordedResponse is a minimal ResponseWriter capturing status,
+// headers, and body, for handlerClient and handlerTransport.
+type recordedResponse struct {
+	header http.Header
+	body   bytes.Buffer
+	code   int
+	wrote  bool
+}
+
+func (r *recordedResponse) Header() http.Header { return r.header }
+
+func (r *recordedResponse) WriteHeader(code int) {
+	if !r.wrote {
+		r.code = code
+		r.wrote = true
+	}
+}
+
+func (r *recordedResponse) Write(p []byte) (int, error) {
+	r.wrote = true
+	return r.body.Write(p)
 }
 
 // do sends one request through a handler the way a client would.
@@ -401,32 +427,32 @@ func TestRegisterLatchesNoShard(t *testing.T) {
 
 // TestShardChargesTheClient: a client that sends no X-Identity is its
 // address, and the shard must charge that address — not the router's
-// socket, which would make every anonymous client one principal — over
-// either transport.
+// socket, which would make every anonymous client one principal.
 func TestShardChargesTheClient(t *testing.T) {
 	const client = "203.0.113.7:5555"
-	for _, loopback := range []bool{false, true} {
-		t.Run(fmt.Sprintf("loopback=%v", loopback), func(t *testing.T) {
-			c := newTestCluster(t, clusterOpts{Tuples: 10, Detect: detectCfg(), Loopback: loopback})
-			req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"sql":"SELECT v FROM items WHERE id = 1"}`))
-			req.Header.Set("Content-Type", "application/json")
-			req.RemoteAddr = client
-			rec := httptest.NewRecorder()
-			c.Handler.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("anonymous read: HTTP %d: %s", rec.Code, rec.Body)
+	// The shard sees the router's loopback socket as its peer. The one
+	// subtest keeps the ID this test ran under when a cluster could also
+	// call its shards in-process.
+	t.Run("loopback=true", func(t *testing.T) {
+		c := newTestCluster(t, clusterOpts{Tuples: 10, Detect: detectCfg()})
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"sql":"SELECT v FROM items WHERE id = 1"}`))
+		req.Header.Set("Content-Type", "application/json")
+		req.RemoteAddr = client
+		rec := httptest.NewRecorder()
+		c.Handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("anonymous read: HTTP %d: %s", rec.Code, rec.Body)
+		}
+		var seen []string
+		for _, sh := range c.Shields {
+			for _, s := range sh.Detector().Suspects(0) {
+				seen = append(seen, s.Principal)
 			}
-			var seen []string
-			for _, sh := range c.Shields {
-				for _, s := range sh.Detector().Suspects(0) {
-					seen = append(seen, s.Principal)
-				}
-			}
-			if !slices.Contains(seen, client) {
-				t.Fatalf("shards charged %q, want the client %q", seen, client)
-			}
-		})
-	}
+		}
+		if !slices.Contains(seen, client) {
+			t.Fatalf("shards charged %q, want the client %q", seen, client)
+		}
+	})
 }
 
 func TestAdmissionRejectsBeforeAnyShard(t *testing.T) {

@@ -51,7 +51,7 @@ func doorShard(t *testing.T, rate float64, clock vclock.Clock) http.Handler {
 func TestDoorParity(t *testing.T) {
 	clock := vclock.NewSimulated(time.Date(2004, 8, 1, 0, 0, 0, 0, time.UTC))
 	node := doorShard(t, 1, clock)
-	r, err := NewRouter([]*Node{NewLocalNode("shard-0", doorShard(t, 0, clock))},
+	r, err := NewRouter([]*Node{localNode(t, "shard-0", doorShard(t, 0, clock))},
 		Config{AdmitRate: 1, AdmitBurst: 1, Clock: clock})
 	if err != nil {
 		t.Fatal(err)

@@ -114,6 +114,42 @@ func TestTopologiesAnswerIdentically(t *testing.T) {
 	}
 }
 
+// TestPredicateWriteRelaysAShardRejection: a predicate write whose
+// pre-count a shard rejects, as it would reject the write itself, is
+// answered as a node answers the write — the shard's 400, not a 503
+// that tells the client to retry what can never succeed.
+func TestPredicateWriteRelaysAShardRejection(t *testing.T) {
+	shard, _ := newShard(t, 100, nil)
+	full := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 10})
+	split := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 10, Config: Config{Partitions: 64}})
+	for _, sql := range []string{
+		`UPDATE items SET v = 'x' WHERE nosuch = 1`,
+		`DELETE FROM items WHERE nosuch = 1`,
+		`UPDATE items SET v = 'x' WHERE id > 3 AND nosuch < 7`,
+	} {
+		want, wantBody := query(t, shard, "client", sql)
+		if want.StatusCode != http.StatusBadRequest {
+			t.Fatalf("node: %s: HTTP %d: %s", sql, want.StatusCode, wantBody)
+		}
+		for name, c := range map[string]*testCluster{"full replication": full, "64 partitions x R=1": split} {
+			got, body := query(t, c.Handler, "client", sql)
+			if got.StatusCode != want.StatusCode || string(body) != string(wantBody) {
+				t.Errorf("%s: %s:\n  router: HTTP %d %s\n  node:   HTTP %d %s", name, sql, got.StatusCode, body, want.StatusCode, wantBody)
+			}
+		}
+	}
+
+	// A table the router still keys but the shards no longer hold — a
+	// DROP planned after this statement was — is the shards' 400 too.
+	full.Router.schemas.Store("ghost", tableKey{name: "id", idx: 0})
+	if resp, body := query(t, full.Handler, "client", `UPDATE ghost SET v = 'x' WHERE v = 'a'`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("predicate write to a dropped table: HTTP %d: %s, want 400", resp.StatusCode, body)
+	}
+	if hr := healthOf(t, full.Handler); hr.Status != "ok" {
+		t.Errorf("health after the rejections = %q (%+v)", hr.Status, hr.Peers)
+	}
+}
+
 // tableDump reads a whole table off one shard, ordered, as one string.
 func tableDump(t *testing.T, shard http.Handler, table string) string {
 	t.Helper()

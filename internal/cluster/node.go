@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"io"
+	"fmt"
+	"net"
 	"net/http"
-	"net/url"
-	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -19,9 +18,10 @@ import (
 const rpcBodyCap = 1 << 30
 
 // call is one router→shard request: everything a shard is ever sent.
-// A call with a body is a JSON POST; identity is the X-Identity of the
-// principal the router resolved for the client (its account, else its
-// address), empty on the router's own calls.
+// A call with a body is a JSON POST; identity is the X-Identity the
+// shard charges — the principal the router resolved for the client (its
+// account, else its address), or InitIdentity for ExecScript — and is
+// empty on the admin plane's calls, which no shard charges or holds.
 type call struct {
 	method   string
 	path     string // request URI: path, then "?query" if any
@@ -39,28 +39,35 @@ type reply struct {
 
 // transport carries a call to one shard and brings the whole reply
 // back. The contract every implementation keeps — the shard transport
-// (peerconn.go), the in-process adapter below, a kill switch or a
-// test's fault injector around either: c.body is not read after
-// roundTrip returns, so the caller may reuse its backing array at once;
-// the reply's body is the caller's alone from then on, never read, written
-// or reused by the transport (a scatter merges row spans of its legs'
-// bodies on the caller's goroutine, until the client's reply is written);
-// and ctx ending fails the call promptly with ctx's error.
+// (peerconn.go), a kill switch or a test's fault injector around it:
+// c.body is not read after roundTrip returns, so the caller may reuse
+// its backing array at once; the reply's body is the caller's alone
+// from then on, never read, written or reused by the transport (a
+// scatter merges row spans of its legs' bodies on the caller's
+// goroutine, until the client's reply is written); and ctx ending fails
+// the call promptly with ctx's error.
 type transport interface {
 	roundTrip(ctx context.Context, c *call) (reply, error)
 }
 
-// Node is one delaydb shard behind the router. Local nodes (handlers
-// in this process, the test and single-binary cluster mode) and HTTP
-// peers (real deployments) differ only in the transport that carries
-// the call: the router hands both the same bytes and gets the same
-// reply back, so a test against local nodes exercises the request and
-// reply a deployment puts on the wire.
+// Node is one delaydb shard behind the router, reached over the shard
+// transport: a networked peer (NewHTTPNode, a real deployment) or a
+// shard this process serves on a loopback listener (NewLocalNode, the
+// single-binary -cluster mode and the tests). Both cross a socket, so a
+// test against local nodes sends the bytes a deployment puts on the
+// wire, through the same code.
 type Node struct {
 	name string
 	// rt carries every RPC to the shard, called from do and nowhere
-	// else.
+	// else: pt, or a kill switch or a test's fault injector around it.
 	rt transport
+	// pt is the node's shard transport, whose books peerStats reads
+	// whatever wraps it in rt.
+	pt *peerTransport
+	// srv serves a local node's handler; stop cancels the context its
+	// requests run under. Both nil for a networked peer.
+	srv  *http.Server
+	stop context.CancelFunc
 
 	// inflight is the live request count, reported per peer on
 	// /healthz.
@@ -122,17 +129,56 @@ func (n *Node) latchResync() {
 // ParsePeerURL rejects still yields a node; its every RPC fails with
 // that error.
 func NewHTTPNode(name, base string) *Node {
-	return &Node{name: name, rt: newPeerTransport(base)}
+	return nodeOver(name, newPeerTransport(base))
 }
 
-// NewLocalNode returns a shard served by an in-process handler —
-// cmd/delaydb's -cluster mode and every cluster test.
+// nodeOver returns a node whose every RPC pt carries.
+func nodeOver(name string, pt *peerTransport) *Node {
+	return &Node{name: name, rt: pt, pt: pt}
+}
+
+// NewLocalNode serves h on a fresh 127.0.0.1 listener, with
+// cmd/delaydb's default http.Server settings, and returns the shard
+// behind it on the shard transport — cmd/delaydb's -cluster mode and
+// every cluster test. Close stops the server. A listener that cannot be
+// opened still yields a node; its every RPC fails with that error.
 func NewLocalNode(name string, h http.Handler) *Node {
-	return &Node{name: name, rt: handlerTransport{h: h, host: name}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nodeOver(name, &peerTransport{bad: fmt.Errorf("shard %s: %w", name, err)})
+	}
+	n := NewHTTPNode(name, "http://"+ln.Addr().String())
+	base, stop := context.WithCancel(context.Background())
+	// -readheadertimeout and -idletimeout's defaults: the shard
+	// transport's idle cut-off is half the latter.
+	n.srv = &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * peerIdleCutoff,
+		BaseContext: func(net.Listener) context.Context { return base }}
+	n.stop = stop
+	go n.srv.Serve(ln) //nolint:errcheck // ErrServerClosed once Close runs
+	return n
+}
+
+// Close stops a local node's server and closes the router's idle
+// connections to it; for a networked peer it does nothing. It cancels
+// the requests still running, so a shard sleeping a charged delay
+// returns at once, and returns only when none of its handlers runs: an
+// owner calls it before closing the shard's database.
+func (n *Node) Close() error {
+	if n.srv == nil {
+		return nil
+	}
+	n.stop()
+	err := n.srv.Shutdown(context.Background())
+	n.pt.flush()
+	return err
 }
 
 // Name returns the node's routing name.
 func (n *Node) Name() string { return n.name }
+
+// Addr returns the host:port the node's transport dials; empty when
+// the node has none.
+func (n *Node) Addr() string { return n.pt.addr }
 
 // Down reports whether the peer is latched down.
 func (n *Node) Down() bool { return n.down.Load() }
@@ -149,12 +195,9 @@ func (n *Node) readable() bool { return !n.down.Load() && !n.resync.Load() }
 func (n *Node) InFlight() int64 { return n.inflight.Load() }
 
 // peerStats reports the shard transport's dial count and idle pool
-// size; both are zero for an in-process node.
+// size.
 func (n *Node) peerStats() (dials int64, idle int) {
-	if t, ok := n.rt.(*peerTransport); ok {
-		return t.dials.Load(), t.idleConns()
-	}
-	return 0, 0
+	return n.pt.dials.Load(), n.pt.idleConns()
 }
 
 // do sends c to the node — the one place a transport is called: the
@@ -181,89 +224,4 @@ func (n *Node) do(ctx context.Context, c *call) (reply, error) {
 		rep.body = rep.body[:cut]
 	}
 	return rep, err
-}
-
-// handlerTransport is the in-process adapter: it turns a call into the
-// one *http.Request this package builds and the handler's response into
-// a reply.
-type handlerTransport struct {
-	h    http.Handler
-	host string
-}
-
-func (t handlerTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
-	if err := ctx.Err(); err != nil {
-		return reply{}, err
-	}
-	if _, timed := ctx.Deadline(); !timed {
-		// The handler watches ctx itself; what it wrote on the way out
-		// of a cancelled call is not the shard's answer.
-		rep := t.serve(ctx, c)
-		return rep, ctx.Err()
-	}
-	// A deadline means the caller may abandon this call while the
-	// handler still runs (a real transport would sever the connection);
-	// serve it on a goroutine so the timeout can fire. The handler may
-	// then read its request after roundTrip has returned, so it reads a
-	// copy: c and c.body go back to the caller when roundTrip returns.
-	own := *c
-	own.body = bytes.Clone(c.body)
-	done := make(chan reply, 1)
-	go func() { done <- t.serve(ctx, &own) }()
-	select {
-	case rep := <-done:
-		return rep, nil
-	case <-ctx.Done():
-		return reply{}, ctx.Err()
-	}
-}
-
-// serve runs the handler on the calling goroutine. The request looks
-// the way it would had it crossed the shard transport.
-func (t handlerTransport) serve(ctx context.Context, c *call) reply {
-	path, query, _ := strings.Cut(c.path, "?")
-	req := (&http.Request{
-		Method:     c.method,
-		URL:        &url.URL{Scheme: "http", Host: t.host, Path: path, RawQuery: query},
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header, 3),
-		Body:       http.NoBody,
-		Host:       t.host,
-	}).WithContext(ctx)
-	if c.body != nil {
-		req.Body = io.NopCloser(bytes.NewReader(c.body))
-		req.ContentLength = int64(len(c.body))
-		req.Header["Content-Type"] = []string{"application/json"}
-	}
-	if c.identity != "" {
-		req.Header["X-Identity"] = []string{c.identity}
-	}
-	rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
-	t.h.ServeHTTP(rec, req)
-	return reply{status: rec.code, contentType: rec.header.Get("Content-Type"), retryAfter: rec.header.Get("Retry-After"), body: rec.body.Bytes()}
-}
-
-// recordedResponse is a minimal ResponseWriter capturing status,
-// headers, and body for handlerTransport.
-type recordedResponse struct {
-	header http.Header
-	body   bytes.Buffer
-	code   int
-	wrote  bool
-}
-
-func (r *recordedResponse) Header() http.Header { return r.header }
-
-func (r *recordedResponse) WriteHeader(code int) {
-	if !r.wrote {
-		r.code = code
-		r.wrote = true
-	}
-}
-
-func (r *recordedResponse) Write(p []byte) (int, error) {
-	r.wrote = true
-	return r.body.Write(p)
 }

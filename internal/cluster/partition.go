@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 
@@ -541,11 +542,11 @@ func (r *Router) ExecScript(src string) error {
 			body:     server.AppendQueryRequest(nil, server.QueryRequest{SQL: stmt}),
 			identity: InitIdentity,
 		}
-		rec := &recordedResponse{header: make(http.Header), code: http.StatusOK}
+		rec := httptest.NewRecorder()
 		r.servePartitioned(context.Background(), rec, r.pmap.Load(), stmt, c)
-		if rec.code != http.StatusOK {
+		if rec.Code != http.StatusOK {
 			return fmt.Errorf("cluster: statement %q: %s: %s",
-				stmt, http.StatusText(rec.code), bytes.TrimSpace(rec.body.Bytes()))
+				stmt, http.StatusText(rec.Code), bytes.TrimSpace(rec.Body.Bytes()))
 		}
 	}
 	return nil

@@ -531,7 +531,7 @@ func TestRetryAfterTracksBucketRefill(t *testing.T) {
 // are remote to the router — loopback sockets behind the shard
 // transport, the path real deployments take.
 func TestRemoteShapedCluster(t *testing.T) {
-	h := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 30, Loopback: true, Config: Config{Partitions: 32}}).Handler
+	h := newTestCluster(t, clusterOpts{Shards: 3, Tuples: 30, Config: Config{Partitions: 32}}).Handler
 	for id := 1; id <= 30; id++ {
 		if v, ok := readValue(t, h, "reader", id); !ok || v != fmt.Sprintf("v%d", id) {
 			t.Fatalf("id %d: (%q, %v)", id, v, ok)
@@ -616,7 +616,7 @@ func FuzzRebalanceBody(f *testing.F) {
 	}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
-		nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), http.NotFoundHandler())
+		nodes[i] = localNode(f, fmt.Sprintf("shard-%d", i), http.NotFoundHandler())
 	}
 	r, err := NewRouter(nodes, Config{Partitions: 8})
 	if err != nil {

@@ -19,15 +19,16 @@ import (
 	"time"
 )
 
-// This file is the shard transport: the transport behind every
-// NewHTTPNode. It is written for the router's traffic and nothing else —
-// a handful of peers, small JSON requests, replies the router always
-// reads whole — and that is what lets it drop what net/http's client
-// spends most of its time on (DESIGN.md §15, "shard transport"). A round
-// trip runs entirely on the calling goroutine: take a pooled connection,
-// write the request with one Write, parse the reply off the connection's
-// own bufio.Reader to its last byte, put the connection back. No reader
-// or writer goroutine, no channel hand-off, no per-request timer.
+// This file is the shard transport: the transport behind every Node,
+// networked (NewHTTPNode) or on loopback (NewLocalNode). It is written
+// for the router's traffic and nothing else — a handful of peers, small
+// JSON requests, replies the router always reads whole — and that is
+// what lets it drop what net/http's client spends most of its time on
+// (DESIGN.md §15, "shard transport"). A round trip runs entirely on the
+// calling goroutine: take a pooled connection, write the request with
+// one Write, parse the reply off the connection's own bufio.Reader to
+// its last byte, put the connection back. No reader or writer
+// goroutine, no channel hand-off, no per-request timer.
 //
 // Four rules, each guarding a contract of the router's:
 //
@@ -54,16 +55,18 @@ const (
 	// the fan-out a busy router sustains against one shard.
 	peerMaxIdle = 64
 	// peerIdleCutoff is half of the 2-minute IdleTimeout cmd/delaydb
-	// gives a shard's http.Server by default (-idletimeout), so a pooled
-	// connection is dropped long before the shard would close it under
-	// a request.
+	// gives a shard's http.Server by default (-idletimeout), as
+	// NewLocalNode does, so a pooled connection is dropped long before
+	// the shard would close it under a request.
 	peerIdleCutoff = time.Minute
 	// peerDialTimeout bounds connect plus TLS handshake: net/http's
 	// DefaultTransport dials with the same 30 s.
 	peerDialTimeout = 30 * time.Second
-	// peerRPCCeiling is the most one round trip may take when nothing
-	// shorter (-shard-timeout, the client's own deadline) applies: the
-	// 5-minute http.Client.Timeout NewHTTPNode used to set.
+	// peerRPCCeiling is the most one of the router's own calls may take
+	// when -shard-timeout is not shorter: the 5-minute http.Client.Timeout
+	// NewHTTPNode used to set. A principal's statement has none: the
+	// shard holds its reply for the charged delay, however long that is,
+	// and the client's own context or -shard-timeout ends it.
 	peerRPCCeiling = 5 * time.Minute
 	// peerReadBuf is the size of a connection's bufio.Reader, which also
 	// bounds a reply's status, header and chunk-size lines: 4 KiB is what
@@ -107,6 +110,9 @@ type peerTransport struct {
 	host string      // Host header
 	tls  *tls.Config // nil for an http peer
 	bad  error       // set when the base URL cannot be dialled; every round trip returns it
+	// ceiling is peerRPCCeiling, kept per transport so a test can
+	// shorten it for one node.
+	ceiling time.Duration
 
 	dials atomic.Int64
 
@@ -130,7 +136,7 @@ func newPeerTransport(base string) *peerTransport {
 	if err != nil {
 		return &peerTransport{bad: err}
 	}
-	t := &peerTransport{host: u.Host}
+	t := &peerTransport{host: u.Host, ceiling: peerRPCCeiling}
 	port := u.Port()
 	if u.Scheme == "https" {
 		t.tls = &tls.Config{ServerName: u.Hostname()}
@@ -164,8 +170,14 @@ func (t *peerTransport) roundTrip(ctx context.Context, c *call) (reply, error) {
 		return reply{}, err
 	}
 	// The ceiling goes on before the cancel hook is armed: set after it,
-	// it could overwrite the hook's deadline and lose a cancellation.
-	err = pc.nc.SetDeadline(now.Add(peerRPCCeiling))
+	// it could overwrite the hook's deadline and lose a cancellation. A
+	// call with an identity is a principal's, held for its delay: the
+	// zero deadline clears what a pooled connection's last call left.
+	var deadline time.Time
+	if c.identity == "" {
+		deadline = now.Add(t.ceiling)
+	}
+	err = pc.nc.SetDeadline(deadline)
 	var stop func() bool
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { pc.nc.SetDeadline(longAgo) })

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,6 +350,47 @@ func TestPeerShardTimeout(t *testing.T) {
 	}
 }
 
+// TestPeerCeilingSparesAHeldReply: a shard holds a principal's reply
+// for the charged delay, however long that is, so the transport's
+// ceiling must not cut the statement or latch the shard; it bounds the
+// router's own calls, which no shard holds, and one of those past it is
+// still the shard's failure.
+func TestPeerCeilingSparesAHeldReply(t *testing.T) {
+	const ceiling = 50 * time.Millisecond
+	shard, _ := newShard(t, 100, nil)
+	var holdAdmin atomic.Bool
+	n := localNode(t, "shard-0", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Header.Get("X-Identity") == "patient" || (req.URL.Path == "/healthz" && holdAdmin.Load()) {
+			time.Sleep(4 * ceiling) // a charged delay
+		}
+		shard.ServeHTTP(w, req)
+	}))
+	n.pt.ceiling = ceiling
+	r, err := NewRouter([]*Node{n}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ExecScript(insertItems(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := query(t, r.Handler(), "patient", `SELECT v FROM items WHERE id = 2`)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"v2"`) {
+		t.Fatalf("a reply held past the ceiling: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if n.Down() || r.peerErrors.Value() != 0 {
+		t.Fatalf("a reply held past the ceiling latched the shard: down=%v, cluster_peer_errors_total=%d",
+			n.Down(), r.peerErrors.Value())
+	}
+	holdAdmin.Store(true)
+	if err := r.rpcJSON(context.Background(), n, http.MethodGet, "/healthz", nil, nil); err == nil {
+		t.Fatal("an admin call held past the ceiling succeeded")
+	}
+	if !n.Down() || r.peerErrors.Value() != 1 {
+		t.Errorf("an admin call past the ceiling: down=%v, cluster_peer_errors_total=%d, want a latched shard and 1",
+			n.Down(), r.peerErrors.Value())
+	}
+}
+
 // TestPeerConcurrentCallers: 64 callers share two nodes' pools; every
 // reply must be the answer to its own request.
 func TestPeerConcurrentCallers(t *testing.T) {
@@ -436,7 +478,7 @@ func TestParsePeerURL(t *testing.T) {
 // another one. With net/http's client under a json.Decoder, every
 // chunked reply cost a connection.
 func TestSteadyStateDialsNothing(t *testing.T) {
-	c := newTestCluster(t, clusterOpts{Shards: 4, Loopback: true, Config: benchConfig(64, 2)})
+	c := newTestCluster(t, clusterOpts{Shards: 4, Config: benchConfig(64, 2)})
 	benchLoadItems(t, c.Router, 400) // 180-byte values: 20 rows pass 2 KiB
 	metric := func(name string) float64 {
 		_, body := do(t, c.Handler, http.MethodGet, "/metrics", "", "")

@@ -45,7 +45,7 @@ func TestScatterBillGap(t *testing.T) {
 		nodes := make([]*Node, shards)
 		for i := range nodes {
 			h, _ := capShard(t, tuples)
-			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+			nodes[i] = localNode(t, fmt.Sprintf("shard-%d", i), h)
 		}
 		r, err := NewRouter(nodes, Config{Partitions: max(DefaultPartitions, 16*shards)})
 		if err != nil {
@@ -85,7 +85,7 @@ func TestRouterLegOverlaps(t *testing.T) {
 		nodes := make([]*Node, shards)
 		for i := range nodes {
 			h, _ := capShardOn(t, 1000, clock)
-			nodes[i] = NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+			nodes[i] = localNode(t, fmt.Sprintf("shard-%d", i), h)
 		}
 		r, err := NewRouter(nodes, Config{Partitions: DefaultPartitions})
 		if err != nil {

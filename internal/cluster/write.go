@@ -130,10 +130,16 @@ func (r *Router) writeScatter(ctx context.Context, w http.ResponseWriter, pm *Pa
 		}
 		sent = legCall(c, server.QueryRequest{SQL: sql})
 		// An unknown table is not pre-counted: the shards reject the
-		// statement deterministically and the rejection relays.
+		// statement deterministically and the rejection relays, as does
+		// their 4xx to the count (an unknown column, a table just dropped).
 		if k, known := r.keyFor(plan.table); known {
 			n, err := r.scatterCount(ctx, pm, plan.table, k.name, plan.where)
-			if err != nil {
+			var rejected *statusError
+			switch {
+			case errors.As(err, &rejected) && rejected.rep.status/100 == 4:
+				relay(w, rejected.rep)
+				return
+			case err != nil:
 				server.WriteErr(w, http.StatusServiceUnavailable,
 					fmt.Errorf("counting matched rows before scatter write: %v", err))
 				return

@@ -104,6 +104,7 @@ type bed struct {
 	dir   string
 	err   error
 	dbs   []*engine.Database
+	nodes []*cluster.Node
 }
 
 func (d *Defense) newBed() *bed {
@@ -113,6 +114,9 @@ func (d *Defense) newBed() *bed {
 }
 
 func (b *bed) close() {
+	for _, n := range b.nodes {
+		n.Close()
+	}
 	for _, db := range b.dbs {
 		db.Close()
 	}
@@ -190,6 +194,7 @@ func (b *bed) cluster(shards, partitions, r int, det *detect.Config) (*deploymen
 		}
 		var c *cluster.Chaos
 		nodes[i], c = cluster.NewChaosNode(fmt.Sprintf("shard-%d", i), srv.Handler())
+		b.nodes = append(b.nodes, nodes[i])
 		dep.shields, dep.chaos = append(dep.shields, sh), append(dep.chaos, c)
 		dep.shards = append(dep.shards, handlerFront(srv.Handler()))
 	}

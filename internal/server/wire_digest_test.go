@@ -173,6 +173,7 @@ func TestWireDigest(t *testing.T) {
 	for i := range nodes {
 		h, _ := wireShard(t, rows)
 		nodes[i] = cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+		t.Cleanup(func() { nodes[i].Close() }) // before wireShard's db.Close
 	}
 	rt, err := cluster.NewRouter(nodes, cluster.Config{
 		Partitions: 8, Replication: 2,

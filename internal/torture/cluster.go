@@ -1,5 +1,5 @@
-// cluster.go is the shard-kill torture harness: an in-process cluster
-// of chaos shards under a replicated partition map (R=2 by default; R=N
+// cluster.go is the shard-kill torture harness: a one-process cluster
+// of chaos shards on loopback sockets under a replicated partition map (R=2 by default; R=N
 // is full replication) driven through a scripted sequence of fault windows — RPC error/latency/torn-body
 // injection, whole-shard kills, a rebalance raced against a kill — with
 // a deterministic read/write workload running throughout. The shadow
@@ -182,6 +182,7 @@ func RunCluster(dir string, cfg ClusterConfig) (*ClusterResult, error) {
 		}
 		name := fmt.Sprintf("shard-%d", i)
 		node, ch := cluster.NewChaosNode(name, srv.Handler())
+		defer node.Close() // before the deferred db.Close above
 		nodes[i] = node
 		h.shields[i] = shield
 		h.chaos[i] = ch

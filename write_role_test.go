@@ -161,7 +161,9 @@ func TestWriteIsNotAFreeOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			dbs = append(dbs, db)
-			nodes = append(nodes, cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), h))
+			node := cluster.NewLocalNode(fmt.Sprintf("shard-%d", i), h)
+			t.Cleanup(func() { node.Close() }) // before openTestDB's Close
+			nodes = append(nodes, node)
 		}
 		// Full replication: every write reaches both shards.
 		rt, err := cluster.NewRouter(nodes, cluster.Config{AdmitRate: 1e9, AdmitBurst: 1e9})
